@@ -8,7 +8,7 @@
 //!   re-inserts the dropped witnesses, so the store stays at full size and
 //!   the timed region is exactly the affected-area work.
 //! * **anchored-enumeration** — exclusion-aware anchored matching
-//!   (`for_each_anchored_excluding`) against the old enumerate-and-discard
+//!   (`Matcher::for_each_anchored_in`) against the old enumerate-and-discard
 //!   owner filter, at two footprint densities. The old scheme enumerates a
 //!   match once per touched variable and keeps one; the exclusions prune
 //!   those duplicates before the subtree is explored, up to |x̄|× less
@@ -19,7 +19,7 @@ use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_engine::ViolationStore;
 use ged_graph::{sym, Graph, NodeId};
-use ged_pattern::{parse_pattern, Match, MatchOptions, Matcher, Pattern, Var};
+use ged_pattern::{parse_pattern, Match, MatchOptions, MatchScratch, Matcher, Pattern, Var};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
@@ -85,9 +85,10 @@ fn bench_drop(c: &mut Criterion) {
 fn owner_filter_count(q: &Pattern, g: &Graph, touched: &HashSet<NodeId>) -> usize {
     let matcher = Matcher::new(q, g, MatchOptions::homomorphism());
     let seeds: Vec<NodeId> = touched.iter().copied().collect();
+    let mut scratch = MatchScratch::new();
     let mut kept = 0usize;
     for v in q.vars() {
-        matcher.for_each_anchored(v, &seeds, |m| {
+        matcher.for_each_anchored_in(&mut scratch, v, &seeds, &|_, _| false, |m| {
             let owner = q.vars().find(|u| touched.contains(&m[u.idx()])).unwrap();
             if owner == v {
                 kept += 1;
@@ -103,9 +104,11 @@ fn owner_filter_count(q: &Pattern, g: &Graph, touched: &HashSet<NodeId>) -> usiz
 fn excluding_count(q: &Pattern, g: &Graph, touched: &HashSet<NodeId>) -> usize {
     let matcher = Matcher::new(q, g, MatchOptions::homomorphism());
     let seeds: Vec<NodeId> = touched.iter().copied().collect();
+    let mut scratch = MatchScratch::new();
     let mut kept = 0usize;
     for v in q.vars() {
-        matcher.for_each_anchored_excluding(
+        matcher.for_each_anchored_in(
+            &mut scratch,
             v,
             &seeds,
             &|u, n| u.idx() < v.idx() && touched.contains(&n),

@@ -714,19 +714,14 @@ fn exp_abl_match() {
 /// Enumerate every match of `c`'s pattern exactly as the engine's hot
 /// loop does — homomorphism semantics, the constraint's constant premise
 /// literals installed as candidate pre-filters, one reusable
-/// [`MatchScratch`](ged_pattern::MatchScratch) — with the CSR
-/// label-partitioned adjacency view switched by `labeled`. Returns the
-/// match count; attempts and pre-filter rejects land in `recorder`.
+/// [`MatchScratch`](ged_pattern::MatchScratch). Returns the match count;
+/// attempts and pre-filter rejects land in `recorder`.
 fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::MatchRecorder>(
     g: &ged_graph::Graph,
     c: &C,
-    labeled: bool,
     recorder: &R,
 ) -> usize {
-    let opts = ged_pattern::MatchOptions {
-        labeled_adjacency: labeled,
-        ..ged_pattern::MatchOptions::homomorphism()
-    };
+    let opts = ged_pattern::MatchOptions::homomorphism();
     let mut matcher = ged_pattern::Matcher::with_recorder(c.pattern(), g, opts, recorder);
     if let Some(view) = c.literal_view() {
         for lit in &view.premises {
@@ -745,73 +740,58 @@ fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::Mat
 }
 
 /// One EXP-MATCH row: instrument a full enumeration for candidate
-/// attempts / pre-filter rejects, then time the same enumeration with the
-/// CSR label-partitioned view on and off. The row lands in
-/// `BENCH_INC.json` with class `match`; there `delta_size` is the
-/// candidate-attempt count, `incremental_us` the CSR-view enumeration
-/// time, `full_us` the flat-adjacency one, and `speedup` their ratio.
+/// attempts / pre-filter rejects, then time the same enumeration
+/// unobserved. The row lands in `BENCH_INC.json` with class `match`;
+/// there `delta_size` is the candidate-attempt count and `incremental_us`
+/// the enumeration time. There is no live foil to compare against, so
+/// `full_us` and `speedup` are 0.
 fn run_match_row<C: ged_core::constraint::Constraint>(
     name: &'static str,
     g: &ged_graph::Graph,
     c: &C,
 ) {
     let rec = ged_pattern::CellRecorder::new();
-    let matches = count_engine_matches(g, c, true, &rec);
+    let matches = count_engine_matches(g, c, &rec);
     let attempts = rec.attempts();
     let rejects = rec.prefilter_rejects();
-    let (n_csr, d_csr) = timed_median(3, || {
-        count_engine_matches(g, c, true, &ged_pattern::NoopRecorder)
-    });
-    let (n_flat, d_flat) = timed_median(3, || {
-        count_engine_matches(g, c, false, &ged_pattern::NoopRecorder)
-    });
-    assert_eq!(n_csr, matches, "instrumentation changes no outcome");
-    assert_eq!(
-        n_csr, n_flat,
-        "the CSR view enumerates the same matches on {name}"
-    );
+    let (n, d) = timed_median(3, || count_engine_matches(g, c, &ged_pattern::NoopRecorder));
+    assert_eq!(n, matches, "instrumentation changes no outcome");
     let reject_pct = if attempts == 0 {
         0.0
     } else {
         100.0 * rejects as f64 / attempts as f64
     };
-    let ratio = d_flat.as_secs_f64() / d_csr.as_secs_f64().max(1e-12);
     println!(
-        "{:<12} {:>9} {:>8} ({:>4.1}%) {:>8} | {:>10} {:>10} | {:>7.2}x",
+        "{:<12} {:>9} {:>8} ({:>4.1}%) {:>8} | {:>10}",
         name,
         attempts,
         rejects,
         reject_pct,
         matches,
-        us(d_csr),
-        us(d_flat),
-        ratio
+        us(d)
     );
     INC_ROWS.lock().unwrap().push(IncRow {
         class: "match",
         workload: name,
         delta_size: attempts as usize,
-        incremental_us: d_csr.as_secs_f64() * 1e6,
-        full_us: d_flat.as_secs_f64() * 1e6,
-        speedup: ratio,
+        incremental_us: d.as_secs_f64() * 1e6,
+        full_us: 0.0,
+        speedup: 0.0,
     });
 }
 
 /// EXP-MATCH — raw match-loop mechanics on the workload patterns,
 /// engine-configured (homomorphism, constant-premise pre-filters, scratch
 /// reuse): per workload the candidate-attempt count, the pre-filter
-/// reject rate, and the enumeration wall-clock with the CSR
-/// label-partitioned adjacency view on vs off. Same match counts both
-/// ways is asserted, so the section doubles as an equivalence check on
-/// real workload patterns.
+/// reject rate, the match count and the enumeration wall-clock.
 fn exp_match() {
     header(
         "EXP-MATCH",
-        "match-loop mechanics: candidates, pre-filter rejects, CSR view on/off",
+        "match-loop mechanics: candidates, pre-filter rejects, enumeration time",
     );
     println!(
-        "{:<12} {:>9} {:>16} {:>8} | {:>10} {:>10} | {:>8}",
-        "workload", "attempts", "rejects (rate)", "matches", "csr µs", "flat µs", "flat/csr"
+        "{:<12} {:>9} {:>16} {:>8} | {:>10}",
+        "workload", "attempts", "rejects (rate)", "matches", "enum µs"
     );
 
     let scfg = SocialConfig {
@@ -1694,8 +1674,8 @@ fn exp_parallel() {
         "EXP-PAR",
         "Section 9 future work: parallel validation (speedup vs threads)",
     );
-    use ged_bench::par::violations_sharded;
     use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
+    use ged_engine::par::violations_sharded;
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1);

@@ -25,8 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod par;
-
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_datagen::random::{self, RandomGraphConfig};

@@ -12,7 +12,7 @@
 //! Both use `std::thread::scope` (no `unsafe`, no `'static` bounds). The
 //! results are *identical* to the sequential validator (asserted by the
 //! tests), only faster on multi-core machines. This module was promoted
-//! from the bench-local helper (`ged-bench::par` now re-exports it), and
+//! from a bench-local helper, and
 //! its sharding machinery has since been unified into the [`shard`]
 //! module — [`violations_sharded`]'s pivot split, the
 //! incremental delta path's affected-area fan-out, and the seeding full

@@ -12,8 +12,8 @@
 //!
 //! * a **work unit** is a `(constraint, anchor variable, seed-range)`
 //!   triple — one chunk of one anchor's seed list, enumerated by one
-//!   worker with [`Matcher::for_each_anchored`] (the delta path adds its
-//!   exclusion closure on top);
+//!   worker with [`Matcher::for_each_anchored_in`] (the delta path passes
+//!   its exclusion closure, everyone else excludes nothing);
 //! * `run_units_with` is the shared work queue: workers pull units off an
 //!   atomic counter, so a Σ whose cost is concentrated in a single
 //!   wildcard rule still spreads across all cores — at *seed*
@@ -31,7 +31,7 @@
 //! match.
 //!
 //! [`IncrementalValidator::with_threads`]: crate::IncrementalValidator::with_threads
-//! [`Matcher::for_each_anchored`]: ged_pattern::Matcher::for_each_anchored
+//! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::literal::Literal;
@@ -181,7 +181,8 @@ pub(crate) fn check_unit<C: Constraint, R: MatchRecorder>(
     let mut matcher =
         Matcher::with_recorder(c.pattern(), g, MatchOptions::homomorphism(), recorder);
     require_premise_attrs(attrs, &mut matcher);
-    matcher.for_each_anchored_in(scratch, unit.anchor, unit.seed_slice(), |m| {
+    let nothing = &|_, _| false;
+    matcher.for_each_anchored_in(scratch, unit.anchor, unit.seed_slice(), nothing, |m| {
         if let Some(kind) = c.check(g, m) {
             sink(m, kind);
         }

@@ -25,7 +25,7 @@
 //! to the *affected* witnesses, not the store
 //! ([`ViolationStore::drop_intersecting`]); then re-enumerate only matches
 //! whose image meets the *live* part of `T` via exclusion-aware anchored
-//! matching ([`Matcher::for_each_anchored_excluding`]): anchoring each
+//! matching ([`Matcher::for_each_anchored_in`]): anchoring each
 //! pattern variable `v` on `T` while *excluding* `T` from the candidate
 //! domains of variables declared before `v` enumerates exactly the matches
 //! whose first touched variable is `v`, so the union over anchors visits
@@ -849,7 +849,7 @@ fn affected_unit<C: Constraint, R: MatchRecorder>(
     let pattern = c.pattern();
     let mut matcher = Matcher::with_recorder(pattern, g, MatchOptions::homomorphism(), recorder);
     shard::require_premise_attrs(attrs, &mut matcher);
-    matcher.for_each_anchored_excluding_in(
+    matcher.for_each_anchored_in(
         scratch,
         anchor,
         unit.seed_slice(),

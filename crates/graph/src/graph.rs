@@ -9,20 +9,19 @@
 //!   attribute `id` is the node identity itself and is *not* stored in the
 //!   attribute map (it is the [`NodeId`]).
 //!
-//! The structure is index-heavy because the homomorphism matcher and the
-//! chase interrogate it constantly: out/in adjacency lists, an exact edge
-//! set for O(1) `has_edge`, a label index for candidate generation, and —
-//! for the matcher's hot loop — a **label-partitioned adjacency view**
-//! ([`Graph::out_edges_labeled`] / [`Graph::in_edges_labeled`]): per node
-//! and direction, one CSR-style array of neighbour ids grouped by edge
-//! label plus a `(label → range)` offset index, so candidate generation
-//! for a concrete edge label iterates exactly the right-label neighbours
-//! instead of filtering the flat edge list.
+//! `E` is stored once, as a **label-partitioned adjacency**: per node and
+//! direction, one CSR-style array of neighbour ids grouped by edge label
+//! (ids sorted within a group) plus a `(label → range)` offset index. A
+//! group ([`Graph::out_edges_labeled`] / [`Graph::in_edges_labeled`]) is
+//! directly the matcher's candidate list for a concrete edge label;
+//! [`Graph::has_edge`] is a binary search inside one group (O(log deg));
+//! a wildcard edge label spans all of a node's groups. The only other
+//! index is label → nodes, for candidate generation.
 
 use crate::symbol::Symbol;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Range;
 
@@ -78,73 +77,68 @@ struct LabeledAdj {
 }
 
 impl LabeledAdj {
-    /// The `nbrs` range holding label `l`'s group (empty if absent).
-    fn range(&self, l: Symbol) -> Range<usize> {
-        match self.index.binary_search_by_key(&l, |&(s, _)| s) {
-            Ok(i) => {
-                let start = self.index[i].1 as usize;
-                let end = self
-                    .index
-                    .get(i + 1)
-                    .map_or(self.nbrs.len(), |&(_, o)| o as usize);
-                start..end
-            }
-            Err(_) => 0..0,
-        }
+    /// Position of label `l` in `index` (`Err`: where it would go).
+    fn find(&self, l: Symbol) -> Result<usize, usize> {
+        self.index.binary_search_by_key(&l, |&(s, _)| s)
+    }
+
+    /// The `nbrs` range of the `i`-th group.
+    fn span(&self, i: usize) -> Range<usize> {
+        let end = self
+            .index
+            .get(i + 1)
+            .map_or(self.nbrs.len(), |e| e.1 as usize);
+        self.index[i].1 as usize..end
     }
 
     /// Label `l`'s neighbour group: sorted, duplicate-free.
     fn group(&self, l: Symbol) -> &[NodeId] {
-        &self.nbrs[self.range(l)]
+        self.find(l).map_or(&[], |i| &self.nbrs[self.span(i)])
     }
 
     /// Insert neighbour `n` under label `l`, keeping groups label-major
-    /// and id-sorted. The caller (the edge-set guard in [`Graph`])
-    /// guarantees `(l, n)` is not already present.
-    fn insert(&mut self, l: Symbol, n: NodeId) {
-        match self.index.binary_search_by_key(&l, |&(s, _)| s) {
-            Ok(i) => {
-                let Range { start, end } = self.range(l);
-                let pos = start + self.nbrs[start..end].partition_point(|&m| m < n);
-                // `pos == end` lands on the next label's group, not a dup.
-                debug_assert!(pos >= end || self.nbrs[pos] != n, "edge already present");
-                self.nbrs.insert(pos, n);
-                for e in &mut self.index[i + 1..] {
-                    e.1 += 1;
-                }
-            }
-            Err(i) => {
-                let start = self
-                    .index
-                    .get(i)
-                    .map_or(self.nbrs.len(), |&(_, o)| o as usize);
-                self.nbrs.insert(start, n);
-                self.index.insert(i, (l, start as u32));
-                for e in &mut self.index[i + 1..] {
-                    e.1 += 1;
-                }
-            }
-        }
+    /// and id-sorted. Returns `false` (and changes nothing) if `(l, n)` is
+    /// already present — this is the set guard of `E`.
+    fn insert(&mut self, l: Symbol, n: NodeId) -> bool {
+        let i = self.find(l).unwrap_or_else(|i| {
+            // A new, still empty group in front of its successor.
+            let at = self.index.get(i).map_or(self.nbrs.len(), |e| e.1 as usize);
+            self.index.insert(i, (l, at as u32));
+            i
+        });
+        let span = self.span(i);
+        let Err(off) = self.nbrs[span.clone()].binary_search(&n) else {
+            return false;
+        };
+        self.nbrs.insert(span.start + off, n);
+        self.index[i + 1..].iter_mut().for_each(|e| e.1 += 1);
+        true
     }
 
-    /// Remove neighbour `n` from label `l`'s group (no-op if absent);
-    /// an emptied group's index entry is dropped so the index enumerates
-    /// exactly the labels with neighbours.
-    fn remove(&mut self, l: Symbol, n: NodeId) {
-        let Ok(i) = self.index.binary_search_by_key(&l, |&(s, _)| s) else {
-            return;
+    /// Remove neighbour `n` from label `l`'s group, returning whether it
+    /// was there; an emptied group's index entry is dropped so the index
+    /// enumerates exactly the labels with neighbours.
+    fn remove(&mut self, l: Symbol, n: NodeId) -> bool {
+        let Ok(i) = self.find(l) else { return false };
+        let span = self.span(i);
+        let Ok(off) = self.nbrs[span.clone()].binary_search(&n) else {
+            return false;
         };
-        let Range { start, end } = self.range(l);
-        let Ok(off) = self.nbrs[start..end].binary_search(&n) else {
-            return;
-        };
-        self.nbrs.remove(start + off);
-        for e in &mut self.index[i + 1..] {
-            e.1 -= 1;
-        }
-        if end - start == 1 {
+        self.nbrs.remove(span.start + off);
+        self.index[i + 1..].iter_mut().for_each(|e| e.1 -= 1);
+        if span.len() == 1 {
             self.index.remove(i);
         }
+        true
+    }
+
+    /// Every `(label, neighbour)` pair, label-major and id-sorted.
+    fn iter(&self) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        (0..self.index.len()).flat_map(move |i| {
+            self.nbrs[self.span(i)]
+                .iter()
+                .map(move |&n| (self.index[i].0, n))
+        })
     }
 }
 
@@ -160,11 +154,9 @@ pub struct Graph {
     nodes: Vec<NodeData>,
     alive: Vec<bool>,
     n_live: usize,
-    out: Vec<Vec<(Symbol, NodeId)>>,
-    inn: Vec<Vec<(Symbol, NodeId)>>,
+    n_edges: usize,
     out_lab: Vec<LabeledAdj>,
     inn_lab: Vec<LabeledAdj>,
-    edge_set: HashSet<(NodeId, Symbol, NodeId)>,
     label_index: HashMap<Symbol, Vec<NodeId>>,
 }
 
@@ -184,8 +176,6 @@ impl Graph {
         });
         self.alive.push(true);
         self.n_live += 1;
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
         self.out_lab.push(LabeledAdj::default());
         self.inn_lab.push(LabeledAdj::default());
         self.label_index.entry(label).or_default().push(id);
@@ -197,25 +187,25 @@ impl Graph {
     pub fn add_edge(&mut self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
         assert!(self.is_alive(src), "edge src out of range or removed");
         assert!(self.is_alive(dst), "edge dst out of range or removed");
-        if !self.edge_set.insert((src, label, dst)) {
+        if !self.out_lab[src.idx()].insert(label, dst) {
             return false;
         }
-        self.out[src.idx()].push((label, dst));
-        self.inn[dst.idx()].push((label, src));
-        self.out_lab[src.idx()].insert(label, dst);
         self.inn_lab[dst.idx()].insert(label, src);
+        self.n_edges += 1;
         true
     }
 
-    /// Remove edge `(src, label, dst)`. Returns `false` if it was absent.
+    /// Remove edge `(src, label, dst)`. Returns `false` if it was absent —
+    /// in particular for out-of-range or removed endpoints, which never
+    /// panic ([`Graph::apply_delta`] forwards wire input here unchecked).
     pub fn remove_edge(&mut self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
-        if !self.edge_set.remove(&(src, label, dst)) {
+        let out = self.out_lab.get_mut(src.idx());
+        if !out.is_some_and(|out| out.remove(label, dst)) {
             return false;
         }
-        self.out[src.idx()].retain(|&(l, d)| !(l == label && d == dst));
-        self.inn[dst.idx()].retain(|&(l, s)| !(l == label && s == src));
-        self.out_lab[src.idx()].remove(label, dst);
+        // The edge existed, so `dst` is a live node holding the mirror entry.
         self.inn_lab[dst.idx()].remove(label, src);
+        self.n_edges -= 1;
         true
     }
 
@@ -227,24 +217,17 @@ impl Graph {
         if !self.is_alive(n) {
             return false;
         }
-        let outs = std::mem::take(&mut self.out[n.idx()]);
-        for (label, dst) in outs {
-            self.edge_set.remove(&(n, label, dst));
-            if dst != n {
-                self.inn[dst.idx()].retain(|&(l, s)| !(l == label && s == n));
-                self.inn_lab[dst.idx()].remove(label, n);
-            }
+        let outs = std::mem::take(&mut self.out_lab[n.idx()]);
+        let inns = std::mem::take(&mut self.inn_lab[n.idx()]);
+        self.n_edges -= outs.nbrs.len();
+        for (label, dst) in outs.iter().filter(|&(_, d)| d != n) {
+            self.inn_lab[dst.idx()].remove(label, n);
         }
-        let inns = std::mem::take(&mut self.inn[n.idx()]);
-        for (label, src) in inns {
-            if src != n {
-                self.edge_set.remove(&(src, label, n));
-                self.out[src.idx()].retain(|&(l, d)| !(l == label && d == n));
-                self.out_lab[src.idx()].remove(label, n);
-            }
+        // Self loops sit in both lists and were counted with `outs`.
+        for (label, src) in inns.iter().filter(|&(_, s)| s != n) {
+            self.out_lab[src.idx()].remove(label, n);
+            self.n_edges -= 1;
         }
-        self.out_lab[n.idx()] = LabeledAdj::default();
-        self.inn_lab[n.idx()] = LabeledAdj::default();
         let label = self.nodes[n.idx()].label;
         let label_emptied = match self.label_index.get_mut(&label) {
             Some(ix) => {
@@ -302,14 +285,14 @@ impl Graph {
 
     /// Number of edges `|E|`.
     pub fn edge_count(&self) -> usize {
-        self.edge_set.len()
+        self.n_edges
     }
 
     /// The paper's size measure `|G| = |V| + |E|` (plus attributes), used in
     /// the Theorem 1 chase bounds. We count attributes too, conservatively.
     /// Removed nodes carry no attributes, so the sum skips them naturally.
     pub fn size(&self) -> usize {
-        self.n_live + self.edge_set.len() + self.nodes.iter().map(|n| n.attrs.len()).sum::<usize>()
+        self.n_live + self.n_edges + self.nodes.iter().map(|n| n.attrs.len()).sum::<usize>()
     }
 
     /// Label `L(n)`.
@@ -334,10 +317,11 @@ impl Graph {
             .filter(move |n| self.alive[n.idx()])
     }
 
-    /// Iterate over all edges.
+    /// Iterate over all edges: by source id, then label-major, then
+    /// destination id.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.out.iter().enumerate().flat_map(|(s, outs)| {
-            outs.iter().map(move |&(label, dst)| Edge {
+        self.out_lab.iter().enumerate().flat_map(|(s, outs)| {
+            outs.iter().map(move |(label, dst)| Edge {
                 src: NodeId(s as u32),
                 label,
                 dst,
@@ -345,32 +329,32 @@ impl Graph {
         })
     }
 
-    /// Outgoing `(label, dst)` pairs of `n`.
-    pub fn out_edges(&self, n: NodeId) -> &[(Symbol, NodeId)] {
-        &self.out[n.idx()]
+    /// Outgoing `(label, dst)` pairs of `n`, label-major and id-sorted.
+    pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        self.out_lab[n.idx()].iter()
     }
 
-    /// Incoming `(label, src)` pairs of `n`.
-    pub fn in_edges(&self, n: NodeId) -> &[(Symbol, NodeId)] {
-        &self.inn[n.idx()]
+    /// Incoming `(label, src)` pairs of `n`, label-major and id-sorted.
+    pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        self.inn_lab[n.idx()].iter()
     }
 
     /// Out-degree of `n`.
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out[n.idx()].len()
+        self.out_lab[n.idx()].nbrs.len()
     }
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.inn[n.idx()].len()
+        self.inn_lab[n.idx()].nbrs.len()
     }
 
     /// The nodes `d` with an edge `(n, label, d)`, for one concrete edge
-    /// label: the label-partitioned adjacency view. The slice is sorted by
-    /// id and duplicate-free (E is a set), so it is directly usable as a
-    /// matcher candidate list — no filtering, sorting, or dedup. `label`
-    /// must not be the wildcard (a wildcard edge spans *all* groups; use
-    /// [`Graph::out_edges`] and filter).
+    /// label: one group of the adjacency. The slice is sorted by id and
+    /// duplicate-free (E is a set), so it is directly usable as a matcher
+    /// candidate list — no filtering, sorting, or dedup. `label` must not
+    /// be the wildcard (a wildcard edge spans *all* groups; use
+    /// [`Graph::out_edges`]).
     pub fn out_edges_labeled(&self, n: NodeId, label: Symbol) -> &[NodeId] {
         debug_assert!(!label.is_wildcard(), "wildcard spans all label groups");
         self.out_lab[n.idx()].group(label)
@@ -386,27 +370,30 @@ impl Graph {
     /// Number of out-edges of `n` with exactly `label` — O(log #labels),
     /// the degree pre-filter's lookup.
     pub fn out_degree_labeled(&self, n: NodeId, label: Symbol) -> usize {
-        self.out_lab[n.idx()].range(label).len()
+        self.out_lab[n.idx()].group(label).len()
     }
 
     /// Number of in-edges of `n` with exactly `label`.
     pub fn in_degree_labeled(&self, n: NodeId, label: Symbol) -> usize {
-        self.inn_lab[n.idx()].range(label).len()
+        self.inn_lab[n.idx()].group(label).len()
     }
 
-    /// Exact edge membership test.
+    /// Exact edge membership test: a binary search inside `src`'s `label`
+    /// group. `false` (never a panic) for out-of-range or removed endpoints.
     pub fn has_edge(&self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
-        self.edge_set.contains(&(src, label, dst))
+        let out = self.out_lab.get(src.idx());
+        out.is_some_and(|out| out.group(label).binary_search(&dst).is_ok())
     }
 
     /// Edge membership under pattern-label matching `ι ⪯ ι′`: is there an
     /// edge `src → dst` whose label is matched by `pat_label` (which may be
-    /// the wildcard)?
+    /// the wildcard)? Same no-panic contract as [`Graph::has_edge`].
     pub fn has_edge_matching(&self, src: NodeId, pat_label: Symbol, dst: NodeId) -> bool {
         if !pat_label.is_wildcard() {
             return self.has_edge(src, pat_label, dst);
         }
-        self.out[src.idx()].iter().any(|&(_, d)| d == dst)
+        let out = self.out_lab.get(src.idx());
+        out.is_some_and(|out| out.nbrs.contains(&dst))
     }
 
     /// Nodes whose label *equals* `label` exactly.
@@ -575,6 +562,7 @@ impl fmt::Display for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn sym(s: &str) -> Symbol {
         Symbol::new(s)
@@ -859,26 +847,130 @@ mod tests {
         g.add_edge(a, sym("e"), b);
     }
 
-    /// Cross-check the label-partitioned view against the flat adjacency
-    /// lists on every node and direction: same multiset of neighbours per
-    /// label, groups sorted and duplicate-free.
-    fn assert_labeled_view_consistent(g: &Graph) {
-        fn check(n: NodeId, flat: &[(Symbol, NodeId)], labeled_of: impl Fn(Symbol) -> Vec<NodeId>) {
-            let mut by_label: BTreeMap<Symbol, Vec<NodeId>> = BTreeMap::new();
-            for &(l, m) in flat {
-                by_label.entry(l).or_default().push(m);
+    type Model = BTreeSet<(NodeId, Symbol, NodeId)>;
+
+    /// Check every edge-facing accessor of `g` against the reference set
+    /// `model` over the edge labels `labels`: membership, counts, `edges()`
+    /// and its order, and every per-node group (sorted, duplicate-free).
+    fn assert_matches_model(g: &Graph, model: &Model, labels: &[Symbol]) {
+        assert_eq!(g.edge_count(), model.len());
+        let edges: Vec<_> = g.edges().map(|e| (e.src, e.label, e.dst)).collect();
+        assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "src, label, dst order"
+        );
+        assert_eq!(edges.into_iter().collect::<Model>(), *model);
+        for n in (0..g.node_id_bound() as u32).map(NodeId) {
+            let outs: Model = g.out_edges(n).map(|(l, d)| (n, l, d)).collect();
+            let inns: Model = g.in_edges(n).map(|(l, s)| (s, l, n)).collect();
+            assert_eq!(outs, model.iter().filter(|e| e.0 == n).copied().collect());
+            assert_eq!(inns, model.iter().filter(|e| e.2 == n).copied().collect());
+            assert_eq!(g.out_degree(n), outs.len());
+            assert_eq!(g.in_degree(n), inns.len());
+            for &l in labels {
+                let out_l: Vec<NodeId> = outs.iter().filter(|e| e.1 == l).map(|e| e.2).collect();
+                let in_l: Vec<NodeId> = inns.iter().filter(|e| e.1 == l).map(|e| e.0).collect();
+                // `Model` iteration is sorted and duplicate-free, so equality
+                // pins both properties on the groups.
+                assert_eq!(g.out_edges_labeled(n, l), out_l, "node {n} label {l}");
+                assert_eq!(g.in_edges_labeled(n, l), in_l, "node {n} label {l}");
+                assert_eq!(g.out_degree_labeled(n, l), out_l.len());
+                assert_eq!(g.in_degree_labeled(n, l), in_l.len());
+                for m in (0..g.node_id_bound() as u32 + 2).map(NodeId) {
+                    assert_eq!(g.has_edge(n, l, m), model.contains(&(n, l, m)));
+                    assert_eq!(g.has_edge(m, l, n), model.contains(&(m, l, n)));
+                }
             }
-            for (l, mut expect) in by_label {
-                expect.sort_unstable();
-                let got = labeled_of(l);
-                assert_eq!(got, expect, "node {n} label {l}");
-                assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
+            for m in (0..g.node_id_bound() as u32).map(NodeId) {
+                assert_eq!(
+                    g.has_edge_matching(n, Symbol::WILDCARD, m),
+                    model.iter().any(|e| e.0 == n && e.2 == m)
+                );
             }
         }
-        for n in g.nodes() {
-            check(n, g.out_edges(n), |l| g.out_edges_labeled(n, l).to_vec());
-            check(n, g.in_edges(n), |l| g.in_edges_labeled(n, l).to_vec());
+    }
+
+    /// The adjacency is the only edge store, so pin it against a reference
+    /// set under a seeded random update stream: add/remove edge (self loops
+    /// and the same pair under two labels included), remove node, re-add.
+    #[test]
+    fn adjacency_matches_a_set_model_under_random_updates() {
+        let labels = [sym("e"), sym("f"), sym("g")];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut g = Graph::new();
+        let mut model = Model::new();
+        for _ in 0..6 {
+            g.add_node(sym("t"));
         }
+        let (mut self_loops, mut two_labels, mut dropped_with_node) = (0, 0, 0);
+        for _ in 0..600 {
+            let bound = g.node_id_bound();
+            let (s, d) = (NodeId(rand(bound) as u32), NodeId(rand(bound) as u32));
+            let l = labels[rand(labels.len())];
+            match rand(20) {
+                0..=10 if g.is_alive(s) && g.is_alive(d) => {
+                    assert_eq!(g.add_edge(s, l, d), model.insert((s, l, d)));
+                    self_loops += usize::from(s == d);
+                    two_labels +=
+                        usize::from(labels.iter().any(|&k| k != l && g.has_edge(s, k, d)));
+                }
+                11..=15 => assert_eq!(g.remove_edge(s, l, d), model.remove(&(s, l, d))),
+                16..=18 if g.node_count() < 8 => {
+                    g.add_node(sym("t"));
+                }
+                19 => {
+                    let before = model.len();
+                    if g.remove_node(s) {
+                        model.retain(|e| e.0 != s && e.2 != s);
+                    }
+                    dropped_with_node += before - model.len();
+                }
+                _ => {}
+            }
+            assert_matches_model(&g, &model, &labels);
+        }
+        assert!(self_loops > 0 && two_labels > 0 && dropped_with_node > 0);
+        assert!(g.has_removals() && !model.is_empty());
+    }
+
+    /// `remove_edge` / `has_edge` / `has_edge_matching` answer `false` for
+    /// ids beyond the bound and for tombstoned ids, at either endpoint —
+    /// `apply_delta(RemoveEdge)` forwards wire input here unguarded.
+    #[test]
+    fn edge_queries_on_dead_or_out_of_range_endpoints_do_not_panic() {
+        let mut g = Graph::new();
+        let e = sym("e");
+        let a = g.add_node(sym("t"));
+        let b = g.add_node(sym("t"));
+        let dead = g.add_node(sym("t"));
+        g.add_edge(a, e, b);
+        g.add_edge(a, e, dead);
+        g.add_edge(dead, e, b);
+        g.remove_node(dead);
+        let beyond = NodeId(g.node_id_bound() as u32);
+        let far = NodeId(u32::MAX);
+        for bad in [dead, beyond, far] {
+            for (s, d) in [(bad, a), (a, bad), (bad, bad)] {
+                assert!(!g.has_edge(s, e, d));
+                assert!(!g.has_edge_matching(s, e, d));
+                assert!(!g.has_edge_matching(s, Symbol::WILDCARD, d));
+                assert!(!g.remove_edge(s, e, d));
+                let fx = g.apply_delta(&crate::Delta::RemoveEdge {
+                    src: s,
+                    label: e,
+                    dst: d,
+                });
+                assert!(!fx.changed);
+            }
+        }
+        assert_eq!(g.edge_count(), 1);
+        assert!(g.has_edge(a, e, b), "the live edge is untouched");
     }
 
     #[test]
@@ -897,17 +989,15 @@ mod tests {
         assert_eq!(g.out_degree_labeled(n[0], e), 3);
         assert_eq!(g.in_degree_labeled(n[1], f), 1);
         assert_eq!(g.out_edges_labeled(n[4], e), &[] as &[NodeId]);
-        assert_labeled_view_consistent(&g);
 
         assert!(g.remove_edge(n[0], e, n[1]));
         assert_eq!(g.out_edges_labeled(n[0], e), &[n[0], n[2]]);
-        assert_labeled_view_consistent(&g);
 
         // Tombstoning n[0] clears its own groups and every mirror entry.
         assert!(g.remove_node(n[0]));
         assert_eq!(g.out_edges_labeled(n[3], e), &[] as &[NodeId]);
         assert_eq!(g.in_edges_labeled(n[2], e), &[] as &[NodeId]);
-        assert_labeled_view_consistent(&g);
+        assert_eq!(g.edge_count(), 0);
 
         // Remove-then-re-add under a fresh id keeps the view exact.
         let d = g.add_node(sym("t"));
@@ -915,7 +1005,8 @@ mod tests {
         g.add_edge(d, f, n[3]);
         assert_eq!(g.out_edges_labeled(n[3], e), &[d]);
         assert_eq!(g.in_edges_labeled(n[3], f), &[d]);
-        assert_labeled_view_consistent(&g);
+        let model = Model::from([(n[3], e, d), (d, f, n[3])]);
+        assert_matches_model(&g, &model, &[e, f]);
     }
 
     #[test]
@@ -928,7 +1019,9 @@ mod tests {
         g.add_edge(n[2], e, n[2]);
         g.remove_node(n[1]);
         let (dense, map) = g.compact();
-        assert_labeled_view_consistent(&dense);
+        let tr = |n: NodeId| map[n.idx()].unwrap();
+        let model: Model = g.edges().map(|x| (tr(x.src), x.label, tr(x.dst))).collect();
+        assert_matches_model(&dense, &model, &[e, f]);
         let c2 = map[n[2].idx()].unwrap();
         assert_eq!(dense.out_edges_labeled(map[n[0].idx()].unwrap(), f), &[c2]);
         assert_eq!(dense.out_edges_labeled(c2, e), &[c2], "self loop kept");

@@ -18,7 +18,6 @@
 use crate::pattern::{Pattern, Var};
 use ged_graph::{Graph, NodeId, Symbol, Value};
 use ged_obs::{MatchRecorder, NoopRecorder, NOOP};
-use std::borrow::Cow;
 use std::ops::ControlFlow;
 
 /// Matching semantics.
@@ -43,14 +42,6 @@ pub struct MatchOptions {
     /// Derive candidate sets from already-assigned neighbours instead of
     /// scanning all label candidates.
     pub adjacency_candidates: bool,
-    /// Serve candidate lists for non-wildcard pattern edge labels from the
-    /// graph's label-partitioned adjacency view ([`Graph::out_edges_labeled`])
-    /// instead of filtering the flat edge lists. The labeled groups are
-    /// already sorted and duplicate-free, so this skips the per-extension
-    /// filter *and* the sort/dedup. Candidate lists are byte-identical to
-    /// the filtered path; the flag exists for the lockstep equivalence
-    /// tests and the EXP-MATCH with/without comparison.
-    pub labeled_adjacency: bool,
     /// Reject a candidate before recursing when its labeled in/out degree
     /// cannot cover the pattern variable's edges, or when a required
     /// constant-valued attribute (see [`Matcher::require_attr`]) already
@@ -65,7 +56,6 @@ impl Default for MatchOptions {
             semantics: Semantics::Homomorphism,
             smart_order: true,
             adjacency_candidates: true,
-            labeled_adjacency: true,
             prefilter: true,
         }
     }
@@ -92,7 +82,8 @@ pub type Match = Vec<NodeId>;
 /// Reusable scratch space for the backtracking search: one candidate
 /// buffer per recursion depth, the completed-match buffer, and the
 /// partial-assignment vector. A `Matcher` run through the `*_in` entry
-/// points writes candidates into these cleared buffers instead of
+/// points ([`Matcher::for_each_in`], [`Matcher::for_each_anchored_in`])
+/// writes candidates into these cleared buffers instead of
 /// allocating a fresh `Vec` per variable per recursion — the engine's
 /// shard workers each own one scratch and thread it through every work
 /// unit, so steady-state matching is allocation-free.
@@ -228,8 +219,8 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// Allocates a fresh [`MatchScratch`] per call; hot paths that run
     /// many enumerations should own a scratch and use
     /// [`Matcher::for_each_in`].
-    pub fn for_each(&self, mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>) -> bool {
-        self.for_each_in(&mut MatchScratch::new(), &mut f)
+    pub fn for_each(&self, f: impl FnMut(&[NodeId]) -> ControlFlow<()>) -> bool {
+        self.for_each_in(&mut MatchScratch::new(), f)
     }
 
     /// As [`Matcher::for_each`], writing candidate sets into the caller's
@@ -241,134 +232,33 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     ) -> bool {
         // The no-exclusion closure monomorphizes to a constant `false`, so
         // plain enumeration compiles down to the engine it always had.
-        self.for_each_seeded_excluding_in(scratch, &[], &|_, _| false, &mut f)
+        self.seeded(scratch, None, &|_, _| false, &mut f)
     }
 
-    /// Visit every match extending the given partial assignment (“seeded”
-    /// matching). Seeds must satisfy the label constraint; constraint edges
-    /// among seeds are checked during the search as usual.
-    pub fn for_each_seeded(
-        &self,
-        seed: &[(Var, NodeId)],
-        mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> bool {
-        self.for_each_seeded_excluding(seed, &|_, _| false, &mut f)
-    }
-
-    /// As [`Matcher::for_each_seeded`], additionally rejecting `v ↦ n`
-    /// whenever `excluded(v, n)` holds. The exclusion applies to the
-    /// *searched* variables only — seeded variables are pre-assigned and
-    /// exempt, which is exactly what anchored enumeration with a
-    /// responsibility discipline needs (the anchor deliberately maps into
-    /// the set other variables must avoid).
-    pub fn for_each_seeded_excluding<E>(
-        &self,
-        seed: &[(Var, NodeId)],
-        excluded: &E,
-        mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> bool
-    where
-        E: Fn(Var, NodeId) -> bool + ?Sized,
-    {
-        self.for_each_seeded_excluding_in(&mut MatchScratch::new(), seed, excluded, &mut f)
-    }
-
-    /// As [`Matcher::for_each_seeded_excluding`], reusing the caller's
-    /// `scratch` for candidate sets and the partial assignment.
-    pub fn for_each_seeded_excluding_in<E>(
-        &self,
-        scratch: &mut MatchScratch,
-        seed: &[(Var, NodeId)],
-        excluded: &E,
-        mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> bool
-    where
-        E: Fn(Var, NodeId) -> bool + ?Sized,
-    {
-        scratch.assign.clear();
-        scratch.assign.resize(self.pattern.var_count(), None);
-        for &(v, n) in seed {
-            if !self.pattern.label(v).matches(self.graph.label(n)) {
-                return true; // no matches; enumeration trivially complete
-            }
-            scratch.assign[v.idx()] = Some(n);
-        }
-        // Check constraint edges among the seeds up front.
-        for e in self.pattern.pattern_edges() {
-            if let (Some(s), Some(d)) = (scratch.assign[e.src.idx()], scratch.assign[e.dst.idx()]) {
-                if !self.graph.has_edge_matching(s, e.label, d) {
-                    return true;
-                }
-            }
-        }
-        if self.opts.semantics == Semantics::Isomorphism {
-            let mut used = std::collections::HashSet::new();
-            for &(_, n) in seed {
-                if !used.insert(n) {
-                    return true;
-                }
-            }
-        }
-        self.backtrack(0, scratch, excluded, &mut f).is_continue()
-    }
-
-    /// Visit every match that maps `anchor` to one of `seeds` (*anchored*
-    /// enumeration). This is the affected-area primitive of the incremental
-    /// validation engine: with `seeds` the set of nodes a delta touched,
-    /// the union over all anchor variables covers exactly the matches whose
-    /// image intersects the touched set. Returns `true` if enumeration ran
-    /// to completion (no early break).
-    pub fn for_each_anchored(
-        &self,
-        anchor: Var,
-        seeds: &[NodeId],
-        mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> bool {
-        self.for_each_anchored_excluding(anchor, seeds, &|_, _| false, &mut f)
-    }
-
-    /// As [`Matcher::for_each_anchored`], reusing the caller's `scratch`.
-    pub fn for_each_anchored_in(
-        &self,
-        scratch: &mut MatchScratch,
-        anchor: Var,
-        seeds: &[NodeId],
-        mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> bool {
-        self.for_each_anchored_excluding_in(scratch, anchor, seeds, &|_, _| false, &mut f)
-    }
-
-    /// Anchored enumeration with per-variable *excluded* candidate sets:
+    /// *Anchored* enumeration with per-variable *excluded* candidate sets:
     /// visit every match that maps `anchor` to one of `seeds` and maps no
-    /// variable `v` to a node `n` with `excluded(v, n)` (the anchor itself
-    /// is seeded and therefore exempt). Exclusions prune candidates at
-    /// assignment time, *before* the subtree below them is explored.
+    /// other variable `v` to a node `n` with `excluded(v, n)`. Returns
+    /// `true` if enumeration ran to completion (no early break).
     ///
-    /// This is how the incremental engine enumerates each affected match
-    /// exactly once: anchoring variable `v` on the touched set while
-    /// excluding touched nodes from all variables declared before `v`
-    /// leaves precisely the matches whose *first* touched variable is `v`,
-    /// so the union over anchor variables is duplicate-free — no post-hoc
-    /// owner filter, no redundant enumeration.
-    pub fn for_each_anchored_excluding<E>(
-        &self,
-        anchor: Var,
-        seeds: &[NodeId],
-        excluded: &E,
-        f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> bool
-    where
-        E: Fn(Var, NodeId) -> bool + ?Sized,
-    {
-        self.for_each_anchored_excluding_in(&mut MatchScratch::new(), anchor, seeds, excluded, f)
-    }
-
-    /// As [`Matcher::for_each_anchored_excluding`], reusing the caller's
-    /// `scratch`. The pre-filters (when [`MatchOptions::prefilter`] is on)
-    /// also screen the anchor seeds themselves — a seed whose labeled
-    /// degree or required attributes already fail is skipped without
-    /// entering the search.
-    pub fn for_each_anchored_excluding_in<E>(
+    /// This is the affected-area primitive of the incremental validation
+    /// engine: with `seeds` the set of nodes a delta touched, the union
+    /// over all anchor variables covers exactly the matches whose image
+    /// intersects the touched set. Exclusions prune candidates at
+    /// assignment time, *before* the subtree below them is explored, and
+    /// apply to the *searched* variables only — the anchor is pre-assigned
+    /// and exempt (it deliberately maps into the set other variables must
+    /// avoid). Anchoring variable `v` on the touched set while excluding
+    /// touched nodes from all variables declared before `v` leaves
+    /// precisely the matches whose *first* touched variable is `v`, so the
+    /// union over anchor variables is duplicate-free — no post-hoc owner
+    /// filter, no redundant enumeration. Pass `&|_, _| false` to exclude
+    /// nothing.
+    ///
+    /// The pre-filters (when [`MatchOptions::prefilter`] is on) also
+    /// screen the anchor seeds themselves — a seed whose labeled degree or
+    /// required attributes already fail is skipped without entering the
+    /// search.
+    pub fn for_each_anchored_in<E>(
         &self,
         scratch: &mut MatchScratch,
         anchor: Var,
@@ -389,11 +279,36 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
                 self.recorder.on_prefilter_reject();
                 continue;
             }
-            if !self.for_each_seeded_excluding_in(scratch, &[(anchor, n)], excluded, &mut f) {
+            if !self.seeded(scratch, Some((anchor, n)), excluded, &mut f) {
                 return false;
             }
         }
         true
+    }
+
+    /// Visit every match extending the optional pre-assignment `seed`,
+    /// which must pass the same check as any searched candidate (label,
+    /// self loops); its edges to other variables are checked as those get
+    /// assigned.
+    fn seeded<E>(
+        &self,
+        scratch: &mut MatchScratch,
+        seed: Option<(Var, NodeId)>,
+        excluded: &E,
+        f: &mut impl FnMut(&[NodeId]) -> ControlFlow<()>,
+    ) -> bool
+    where
+        E: Fn(Var, NodeId) -> bool + ?Sized,
+    {
+        scratch.assign.clear();
+        scratch.assign.resize(self.pattern.var_count(), None);
+        if let Some((v, n)) = seed {
+            if !self.consistent(v, n, &scratch.assign) {
+                return true; // no matches; enumeration trivially complete
+            }
+            scratch.assign[v.idx()] = Some(n);
+        }
+        self.backtrack(0, scratch, excluded, f).is_continue()
     }
 
     fn backtrack<E>(
@@ -463,31 +378,25 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// order does not depend on which path produced it.
     fn candidates_into(&self, v: Var, assign: &[Option<NodeId>], buf: &mut Vec<NodeId>) {
         buf.clear();
+        let g = self.graph;
         let lv = self.pattern.label(v);
+        let fits = |n: &NodeId| lv.matches(g.label(*n));
+        // A concrete edge label's group is already a sorted set. A wildcard
+        // edge spans every group, and a neighbour joined under two labels
+        // sits in two of them: sort and dedup so each match comes once.
+        let merge_groups = |buf: &mut Vec<NodeId>| {
+            buf.sort_unstable();
+            buf.dedup();
+        };
         if self.opts.adjacency_candidates {
             // v required as dst of an assigned src?
             for &(el, u) in self.pattern.in_edges(v) {
                 if let Some(hu) = assign[u.idx()] {
-                    if self.opts.labeled_adjacency && !el.is_wildcard() {
-                        // The labeled group is sorted and duplicate-free:
-                        // exactly the old filtered+sorted+deduped list.
-                        buf.extend(
-                            self.graph
-                                .out_edges_labeled(hu, el)
-                                .iter()
-                                .copied()
-                                .filter(|&d| lv.matches(self.graph.label(d))),
-                        );
+                    if el.is_wildcard() {
+                        buf.extend(g.out_edges(hu).map(|(_, d)| d).filter(fits));
+                        merge_groups(buf);
                     } else {
-                        buf.extend(
-                            self.graph
-                                .out_edges(hu)
-                                .iter()
-                                .filter(|&&(l, d)| el.matches(l) && lv.matches(self.graph.label(d)))
-                                .map(|&(_, d)| d),
-                        );
-                        buf.sort_unstable();
-                        buf.dedup();
+                        buf.extend(g.out_edges_labeled(hu, el).iter().copied().filter(fits));
                     }
                     return;
                 }
@@ -495,32 +404,20 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
             // v required as src of an assigned dst?
             for &(el, u) in self.pattern.out_edges(v) {
                 if let Some(hu) = assign[u.idx()] {
-                    if self.opts.labeled_adjacency && !el.is_wildcard() {
-                        buf.extend(
-                            self.graph
-                                .in_edges_labeled(hu, el)
-                                .iter()
-                                .copied()
-                                .filter(|&s| lv.matches(self.graph.label(s))),
-                        );
+                    if el.is_wildcard() {
+                        buf.extend(g.in_edges(hu).map(|(_, s)| s).filter(fits));
+                        merge_groups(buf);
                     } else {
-                        buf.extend(
-                            self.graph
-                                .in_edges(hu)
-                                .iter()
-                                .filter(|&&(l, s)| el.matches(l) && lv.matches(self.graph.label(s)))
-                                .map(|&(_, s)| s),
-                        );
-                        buf.sort_unstable();
-                        buf.dedup();
+                        buf.extend(g.in_edges_labeled(hu, el).iter().copied().filter(fits));
                     }
                     return;
                 }
             }
         }
-        match self.graph.label_candidates(lv) {
-            Cow::Borrowed(c) => buf.extend_from_slice(c),
-            Cow::Owned(c) => buf.extend(c),
+        if lv.is_wildcard() {
+            buf.extend(g.nodes());
+        } else {
+            buf.extend_from_slice(g.nodes_with_label(lv));
         }
     }
 
@@ -529,10 +426,10 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// match of interest and the candidate is skipped before recursion.
     fn prefilter_rejects(&self, v: Var, n: NodeId) -> bool {
         let req = &self.degree_req[v.idx()];
-        if req.needs_out && self.graph.out_edges(n).is_empty() {
+        if req.needs_out && self.graph.out_degree(n) == 0 {
             return true;
         }
-        if req.needs_in && self.graph.in_edges(n).is_empty() {
+        if req.needs_in && self.graph.in_degree(n) == 0 {
             return true;
         }
         if req
@@ -767,6 +664,25 @@ mod tests {
         q
     }
 
+    /// Collect an anchored run: the matches in order, and whether the
+    /// enumeration ran to completion.
+    fn anchored(
+        matcher: &Matcher,
+        anchor: Var,
+        seeds: &[NodeId],
+        excluded: &dyn Fn(Var, NodeId) -> bool,
+    ) -> (Vec<Match>, bool) {
+        let mut found = Vec::new();
+        let completed =
+            matcher.for_each_anchored_in(&mut MatchScratch::new(), anchor, seeds, excluded, |m| {
+                found.push(m.to_vec());
+                ControlFlow::Continue(())
+            });
+        (found, completed)
+    }
+
+    const NOTHING: &dyn Fn(Var, NodeId) -> bool = &|_, _| false;
+
     #[test]
     fn homomorphism_finds_all_creator_pairs() {
         let g = creator_graph();
@@ -833,6 +749,17 @@ mod tests {
         q.edge(x, "e", x);
         let ms = find_all(&q, &g, MatchOptions::homomorphism());
         assert_eq!(ms, vec![vec![a]]);
+        // An anchor seed is pre-assigned, so its self loops are checked up
+        // front — with the pre-filter off too, which would otherwise catch
+        // the loop-less `b` by degree.
+        for prefilter in [true, false] {
+            let opts = MatchOptions {
+                prefilter,
+                ..MatchOptions::homomorphism()
+            };
+            let (found, _) = anchored(&Matcher::new(&q, &g, opts), x, &[b, a], NOTHING);
+            assert_eq!(found, vec![vec![a]], "prefilter={prefilter}");
+        }
     }
 
     #[test]
@@ -860,11 +787,8 @@ mod tests {
         let q = q1();
         let x = q.var_by_name("x").unwrap();
         let tony = g.nodes_with_label(ged_graph::sym("person"))[0];
-        let mut found = Vec::new();
-        Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_seeded(&[(x, tony)], |m| {
-            found.push(m.to_vec());
-            ControlFlow::Continue(())
-        });
+        let matcher = Matcher::new(&q, &g, MatchOptions::homomorphism());
+        let (found, _) = anchored(&matcher, x, &[tony], NOTHING);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0][x.idx()], tony);
     }
@@ -873,14 +797,24 @@ mod tests {
     fn seeded_matching_rejects_bad_seed_label() {
         let g = creator_graph();
         let q = q1();
-        let x = q.var_by_name("x").unwrap();
-        let gb = g.nodes_with_label(ged_graph::sym("product"))[0];
-        let mut found = 0;
-        Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_seeded(&[(x, gb)], |_| {
-            found += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(found, 0);
+        let y = q.var_by_name("y").unwrap();
+        // A person seeded into the product variable. With one more edge it
+        // even passes the degree pre-filter (tony has an incoming `create`),
+        // so only the seed's own label check stands in the way.
+        let mut g2 = g.clone();
+        let persons = g.nodes_with_label(ged_graph::sym("person")).to_vec();
+        g2.add_edge(persons[1], ged_graph::sym("create"), persons[0]);
+        for prefilter in [true, false] {
+            let opts = MatchOptions {
+                prefilter,
+                ..MatchOptions::homomorphism()
+            };
+            for graph in [&g, &g2] {
+                let (found, completed) =
+                    anchored(&Matcher::new(&q, graph, opts), y, &persons[..1], NOTHING);
+                assert!(found.is_empty() && completed, "prefilter={prefilter}");
+            }
+        }
     }
 
     #[test]
@@ -889,39 +823,21 @@ mod tests {
         let q = q1();
         let x = q.var_by_name("x").unwrap();
         let persons = g.nodes_with_label(ged_graph::sym("person")).to_vec();
+        let matcher = Matcher::new(&q, &g, MatchOptions::homomorphism());
         // Anchoring x on all persons re-derives the full match set.
-        let mut found = Vec::new();
-        let completed = Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_anchored(
-            x,
-            &persons,
-            |m| {
-                found.push(m.to_vec());
-                ControlFlow::Continue(())
-            },
-        );
+        let (found, completed) = anchored(&matcher, x, &persons, NOTHING);
         assert!(completed);
         assert_eq!(found.len(), 3);
         // Anchoring on a two-node subset restricts to their matches.
-        let mut restricted = 0;
-        Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_anchored(
-            x,
-            &persons[..2],
-            |_| {
-                restricted += 1;
-                ControlFlow::Continue(())
-            },
-        );
-        assert_eq!(restricted, 2);
+        let (restricted, _) = anchored(&matcher, x, &persons[..2], NOTHING);
+        assert_eq!(restricted.len(), 2);
         // Early break propagates out of the seed loop.
         let mut seen = 0;
-        let completed = Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_anchored(
-            x,
-            &persons,
-            |_| {
+        let completed =
+            matcher.for_each_anchored_in(&mut MatchScratch::new(), x, &persons, NOTHING, |_| {
                 seen += 1;
                 ControlFlow::Break(())
-            },
-        );
+            });
         assert!(!completed);
         assert_eq!(seen, 1);
     }
@@ -950,8 +866,10 @@ mod tests {
 
         let mut calls = 0usize;
         let mut seen: HashSet<Match> = HashSet::new();
+        let mut scratch = MatchScratch::new();
         for v in q.vars() {
-            let completed = matcher.for_each_anchored_excluding(
+            let completed = matcher.for_each_anchored_in(
+                &mut scratch,
                 v,
                 &seeds,
                 &|u, n| u.idx() < v.idx() && touched.contains(&n),
@@ -984,17 +902,17 @@ mod tests {
         let x = q.var_by_name("x").unwrap();
         let persons = g.nodes_with_label(ged_graph::sym("person")).to_vec();
         let matcher = Matcher::new(&q, &g, MatchOptions::homomorphism());
-        let mut plain = Vec::new();
-        matcher.for_each_anchored(x, &persons, |m| {
-            plain.push(m.to_vec());
-            ControlFlow::Continue(())
-        });
-        let mut excluding = Vec::new();
-        matcher.for_each_anchored_excluding(x, &persons, &|_, _| false, |m| {
-            excluding.push(m.to_vec());
-            ControlFlow::Continue(())
-        });
-        assert_eq!(plain, excluding);
+        // Plain anchoring is anchoring with nothing excluded: over a subset
+        // of x's candidates it is the plain enumeration restricted to it,
+        // in the same order.
+        let seeds = &persons[1..];
+        let (excluding_nothing, _) = anchored(&matcher, x, seeds, NOTHING);
+        let plain: Vec<Match> = find_all(&q, &g, MatchOptions::homomorphism())
+            .into_iter()
+            .filter(|m| seeds.contains(&m[x.idx()]))
+            .collect();
+        assert_eq!(excluding_nothing.len(), 2);
+        assert_eq!(excluding_nothing, plain);
     }
 
     #[test]
@@ -1003,32 +921,42 @@ mod tests {
         let q = q1();
         let x = q.var_by_name("x").unwrap();
         let tony = g.nodes_with_label(ged_graph::sym("person"))[0];
+        let matcher = Matcher::new(&q, &g, MatchOptions::homomorphism());
         // Excluding every node from every variable still lets the seeded
         // anchor through — only searched variables are restricted (and
         // here y's candidates are all excluded, so nothing completes).
-        let mut found = 0;
-        Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_anchored_excluding(
-            x,
-            &[tony],
-            &|_, _| true,
-            |_| {
-                found += 1;
-                ControlFlow::Continue(())
-            },
-        );
-        assert_eq!(found, 0, "y is excluded everywhere");
+        let (found, _) = anchored(&matcher, x, &[tony], &|_, _| true);
+        assert!(found.is_empty(), "y is excluded everywhere");
         // Excluding only x (the anchor) changes nothing.
-        let mut found = 0;
-        Matcher::new(&q, &g, MatchOptions::homomorphism()).for_each_anchored_excluding(
-            x,
-            &[tony],
-            &|u, _| u == x,
-            |_| {
-                found += 1;
-                ControlFlow::Continue(())
-            },
-        );
-        assert_eq!(found, 1);
+        let (found, _) = anchored(&matcher, x, &[tony], &|u, _| u == x);
+        assert_eq!(found.len(), 1);
+    }
+
+    /// A wildcard pattern edge spans all of a node's label groups; a data
+    /// pair joined by two differently-labelled edges sits in two of them
+    /// and must still yield each match once, under both semantics and from
+    /// either end of the edge.
+    #[test]
+    fn wildcard_edge_over_a_doubly_joined_pair_matches_once() {
+        let mut g = Graph::new();
+        let t = ged_graph::sym("t");
+        let (a, b, c) = (g.add_node(t), g.add_node(t), g.add_node(t));
+        g.add_edge(a, ged_graph::sym("e"), b);
+        g.add_edge(a, ged_graph::sym("f"), b);
+        g.add_edge(a, ged_graph::sym("e"), c);
+        let mut q = Pattern::new();
+        let x = q.var("x", "t");
+        let y = q.var("y", "t");
+        q.edge(x, "_", y);
+        let expect = vec![vec![a, b], vec![a, c]];
+        for opts in [MatchOptions::homomorphism(), MatchOptions::isomorphism()] {
+            assert_eq!(find_all(&q, &g, opts), expect, "{:?}", opts.semantics);
+            assert_eq!(find_all_brute(&q, &g, opts), expect);
+            let matcher = Matcher::new(&q, &g, opts);
+            // y extended from x's out-groups, then x from y's in-groups.
+            assert_eq!(anchored(&matcher, x, &[a], NOTHING).0, expect);
+            assert_eq!(anchored(&matcher, y, &[b], NOTHING).0, vec![vec![a, b]]);
+        }
     }
 
     #[test]
@@ -1059,19 +987,16 @@ mod tests {
             .collect();
         for smart in [false, true] {
             for adj in [false, true] {
-                for lab in [false, true] {
-                    for pre in [false, true] {
-                        let opts = MatchOptions {
-                            semantics: Semantics::Homomorphism,
-                            smart_order: smart,
-                            adjacency_candidates: adj,
-                            labeled_adjacency: lab,
-                            prefilter: pre,
-                        };
-                        let got: std::collections::HashSet<Match> =
-                            find_all(&q, &g, opts).into_iter().collect();
-                        assert_eq!(got, base, "smart={smart} adj={adj} lab={lab} pre={pre}");
-                    }
+                for pre in [false, true] {
+                    let opts = MatchOptions {
+                        semantics: Semantics::Homomorphism,
+                        smart_order: smart,
+                        adjacency_candidates: adj,
+                        prefilter: pre,
+                    };
+                    let got: std::collections::HashSet<Match> =
+                        find_all(&q, &g, opts).into_iter().collect();
+                    assert_eq!(got, base, "smart={smart} adj={adj} pre={pre}");
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Fault injection against a live `gedd`: malformed frames, oversized
-//! and truncated payloads, abrupt disconnects mid-request, and two
-//! racing `apply` writers. In every case the daemon must answer with a
+//! and truncated payloads, abrupt disconnects mid-request, edge deltas
+//! naming node ids that do not exist, and two racing `apply` writers. In every case the daemon must answer with a
 //! structured error or drop just that connection — never panic — and
 //! clients connecting afterwards must see an uncorrupted epoch whose
 //! witness set equals a clean from-scratch validate of a local mirror.
@@ -218,6 +218,68 @@ fn truncated_frames_and_abrupt_disconnects_leave_the_daemon_serving() {
         );
         thread::sleep(Duration::from_millis(5));
     }
+    assert_uncorrupted(&handle, &mirror, &sigma, 1);
+    handle.stop();
+    handle.join();
+}
+
+/// Well-formed edge deltas whose endpoints are beyond the id bound or
+/// tombstoned reach `Graph::apply_delta` inside the writer thread as they
+/// are. They must be no-ops — `applied == 0`, no epoch published — not an
+/// index panic, and the connection that sent them keeps serving.
+#[test]
+fn edge_deltas_on_nonexistent_nodes_are_no_ops_not_writer_panics() {
+    let (handle, mut mirror, sigma) =
+        daemon_with_mirror("mixed:honest=10,plants=1,seed=45", &DaemonConfig::default());
+    let mut client = fresh_client(&handle);
+    let live = mirror.nodes().next().unwrap();
+    let beyond = NodeId(mirror.node_id_bound() as u32);
+    let label = sym("follows");
+
+    let mut hostile = Vec::new();
+    for bad in [beyond, NodeId(u32::MAX)] {
+        for (src, dst) in [(bad, live), (live, bad), (bad, bad)] {
+            hostile.push(Delta::RemoveEdge { src, label, dst });
+            hostile.push(Delta::AddEdge { src, label, dst });
+        }
+    }
+    let reply = client.apply(hostile.into()).expect("structured reply");
+    assert_eq!(
+        (reply.applied, reply.epoch),
+        (0, 0),
+        "no-ops publish nothing"
+    );
+
+    // Tombstone a node over the same connection, then aim at the dead id.
+    let victim = mirror.nodes().last().unwrap();
+    let kill: DeltaSet = vec![Delta::RemoveNode { node: victim }].into();
+    for d in &kill {
+        mirror.apply_delta(d);
+    }
+    let reply = client.apply(kill).expect("connection must survive");
+    assert_eq!((reply.applied, reply.epoch), (1, 1));
+    let at_dead: DeltaSet = vec![
+        Delta::RemoveEdge {
+            src: victim,
+            label,
+            dst: live,
+        },
+        Delta::RemoveEdge {
+            src: live,
+            label,
+            dst: victim,
+        },
+        Delta::AddEdge {
+            src: live,
+            label,
+            dst: victim,
+        },
+    ]
+    .into();
+    let reply = client.apply(at_dead).expect("connection must survive");
+    assert_eq!((reply.applied, reply.epoch), (0, 1), "epoch stays put");
+
+    assert_eq!(client.health().expect("still serving").epoch, 1);
     assert_uncorrupted(&handle, &mirror, &sigma, 1);
     handle.stop();
     handle.join();

@@ -685,7 +685,7 @@ fn canon_matches(mut ms: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
 }
 
 #[test]
-fn csr_view_matches_flat_adjacency_on_mutated_random_graphs() {
+fn matcher_heuristics_match_label_scan_on_mutated_random_graphs() {
     use ged_datagen::random::random_pattern;
     use ged_repro::pattern::find_all;
 
@@ -727,29 +727,25 @@ fn csr_view_matches_flat_adjacency_on_mutated_random_graphs() {
                 MatchOptions {
                     smart_order: false,
                     adjacency_candidates: false,
-                    labeled_adjacency: false,
                     prefilter: false,
                     ..MatchOptions::homomorphism()
                 },
             ));
             for smart in [false, true] {
                 for adj in [false, true] {
-                    for lab in [false, true] {
-                        for pre in [false, true] {
-                            let opts = MatchOptions {
-                                smart_order: smart,
-                                adjacency_candidates: adj,
-                                labeled_adjacency: lab,
-                                prefilter: pre,
-                                ..MatchOptions::homomorphism()
-                            };
-                            assert_eq!(
-                                canon_matches(find_all(&q, &g, opts)),
-                                baseline,
-                                "graph seed {seed}, pattern seed {pseed}: \
-                                 smart={smart} adj={adj} lab={lab} pre={pre}"
-                            );
-                        }
+                    for pre in [false, true] {
+                        let opts = MatchOptions {
+                            smart_order: smart,
+                            adjacency_candidates: adj,
+                            prefilter: pre,
+                            ..MatchOptions::homomorphism()
+                        };
+                        assert_eq!(
+                            canon_matches(find_all(&q, &g, opts)),
+                            baseline,
+                            "graph seed {seed}, pattern seed {pseed}: \
+                             smart={smart} adj={adj} pre={pre}"
+                        );
                     }
                 }
             }
