@@ -13,13 +13,21 @@
 //!   match once per touched variable and keeps one; the exclusions prune
 //!   those duplicates before the subtree is explored, up to |x̄|× less
 //!   matching work on dense footprints.
+//! * **leaf-anchor** — a precompiled `MatchPlan` anchored at a *leaf* of
+//!   the chain `x → y ← z`, at two label populations. Rooted at the
+//!   anchor the search walks `x → y ← z` over edges, so the two sizes
+//!   time alike; an order fixed before the anchor is known starts at `z`
+//!   and scans every `a` node per seed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_engine::ViolationStore;
 use ged_graph::{sym, Graph, NodeId};
-use ged_pattern::{parse_pattern, Match, MatchOptions, MatchScratch, Matcher, Pattern, Var};
+use ged_pattern::{
+    parse_pattern, Match, MatchOptions, MatchPlan, MatchScratch, Matcher, NoopRecorder, Pattern,
+    Var,
+};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
@@ -151,5 +159,44 @@ fn bench_anchor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_drop, bench_anchor);
+fn bench_leaf_anchor(c: &mut Criterion) {
+    let q = parse_pattern("a(x) -[e]-> b(y) <-[e]- a(z)").unwrap();
+    let plan = MatchPlan::new(&q);
+    let mut group = c.benchmark_group("delta-path/leaf-anchor");
+    group.sample_size(30);
+    for &n in &[1_000usize, 10_000] {
+        // n `a` nodes, ten to a `b` hub: every seed has 10 matches
+        // whatever n is.
+        let mut g = Graph::new();
+        let hubs: Vec<NodeId> = (0..n / 10).map(|_| g.add_node(sym("b"))).collect();
+        let leaves: Vec<NodeId> = (0..n).map(|_| g.add_node(sym("a"))).collect();
+        for (i, &leaf) in leaves.iter().enumerate() {
+            g.add_edge(leaf, sym("e"), hubs[i % hubs.len()]);
+        }
+        let seeds: Vec<NodeId> = leaves.iter().copied().step_by(n / 8).collect();
+        let run = |g: &Graph| {
+            let opts = MatchOptions::homomorphism();
+            let matcher = Matcher::with_plan(&plan, &q, g, opts, &NoopRecorder);
+            let mut found = 0usize;
+            matcher.for_each_anchored_in(
+                &mut MatchScratch::new(),
+                Var(0),
+                &seeds,
+                &|_, _| false,
+                |_| {
+                    found += 1;
+                    ControlFlow::Continue(())
+                },
+            );
+            found
+        };
+        assert_eq!(run(&g), 10 * seeds.len());
+        group.bench_with_input(BenchmarkId::new("rooted-plan", n), &(), |b, ()| {
+            b.iter(|| run(black_box(&g)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_drop, bench_anchor, bench_leaf_anchor);
 criterion_main!(benches);

@@ -712,8 +712,8 @@ fn exp_abl_match() {
 }
 
 /// Enumerate every match of `c`'s pattern exactly as the engine's hot
-/// loop does — homomorphism semantics, the constraint's constant premise
-/// literals installed as candidate pre-filters, one reusable
+/// loop does — homomorphism semantics, the rule's plan with its premise
+/// pre-filters ([`ged_engine::rule_plan`]), one reusable
 /// [`MatchScratch`](ged_pattern::MatchScratch). Returns the match count;
 /// attempts and pre-filter rejects land in `recorder`.
 fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::MatchRecorder>(
@@ -722,14 +722,8 @@ fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::Mat
     recorder: &R,
 ) -> usize {
     let opts = ged_pattern::MatchOptions::homomorphism();
-    let mut matcher = ged_pattern::Matcher::with_recorder(c.pattern(), g, opts, recorder);
-    if let Some(view) = c.literal_view() {
-        for lit in &view.premises {
-            if let Literal::Const { var, attr, value } = lit {
-                matcher.require_attr(*var, *attr, value.clone());
-            }
-        }
-    }
+    let plan = ged_engine::rule_plan(c);
+    let matcher = ged_pattern::Matcher::with_plan(&plan, c.pattern(), g, opts, recorder);
     let mut scratch = ged_pattern::MatchScratch::new();
     let mut n = 0usize;
     matcher.for_each_in(&mut scratch, |_| {
@@ -822,6 +816,78 @@ fn exp_match() {
     // wrong-type candidates are rejected before any adjacency work.
     let kinst = gen_kb(&KbConfig::default());
     run_match_row("kb-phi1", &kinst.graph, &rules::phi1());
+
+    // The delta path's unit of work: one rule anchored at one variable on
+    // one touched node. The start state of the benchmark's `match-heavy`
+    // workload (`random:nodes=20000,rules=4,seed=1`), every rule anchored
+    // at every variable on every label-compatible node in turn.
+    println!(
+        "\n{:<12} {:>9} {:>14} {:>13} | {:>10}",
+        "rule", "seeds", "attempts/seed", "matches/seed", "sweep µs"
+    );
+    let w = validation_workload(20_000, 3, 4, 1);
+    for (name, rule) in ["key:entity", "r0", "r1", "r2", "r3"]
+        .into_iter()
+        .zip(&w.sigma)
+    {
+        assert_eq!(name, rule.name);
+        run_anchored_row(name, &w.graph, rule);
+    }
+}
+
+/// Anchor `c`'s plan at every variable over every label-compatible node,
+/// as the delta path would if each were touched alone. Returns
+/// `(seeds, matches)`; attempts land in `recorder`.
+fn sweep_anchors<R: ged_pattern::MatchRecorder>(
+    g: &ged_graph::Graph,
+    c: &Ged,
+    plan: &ged_pattern::MatchPlan,
+    recorder: &R,
+) -> (usize, usize) {
+    let opts = ged_pattern::MatchOptions::homomorphism();
+    let matcher = ged_pattern::Matcher::with_plan(plan, &c.pattern, g, opts, recorder);
+    let mut scratch = ged_pattern::MatchScratch::new();
+    let (mut seeds, mut matches) = (0usize, 0usize);
+    for v in c.pattern.vars() {
+        let candidates = g.label_candidates(c.pattern.label(v));
+        seeds += candidates.len();
+        matcher.for_each_anchored_in(&mut scratch, v, &candidates, &|_, _| false, |_| {
+            matches += 1;
+            std::ops::ControlFlow::Continue(())
+        });
+    }
+    (seeds, matches)
+}
+
+/// One EXP-MATCH anchored row (class `match-anchored` in
+/// `BENCH_INC.json`: `delta_size` is the candidate-attempt count of the
+/// whole sweep, `incremental_us` its wall-clock). A connected rule's
+/// attempts per seed stay near its matches per seed plus one — the seed
+/// itself; the disconnected key pays its label's population per seed.
+fn run_anchored_row(name: &'static str, g: &ged_graph::Graph, c: &Ged) {
+    let plan = ged_engine::rule_plan(c);
+    let rec = ged_pattern::CellRecorder::new();
+    let (seeds, matches) = sweep_anchors(g, c, &plan, &rec);
+    let attempts = rec.attempts();
+    let ((n, _), d) = timed_median(3, || sweep_anchors(g, c, &plan, &ged_pattern::NoopRecorder));
+    assert_eq!(n, seeds, "instrumentation changes no outcome");
+    let per_seed = |x: f64| x / seeds.max(1) as f64;
+    println!(
+        "{:<12} {:>9} {:>14.2} {:>13.2} | {:>10}",
+        name,
+        seeds,
+        per_seed(attempts as f64),
+        per_seed(matches as f64),
+        us(d)
+    );
+    INC_ROWS.lock().unwrap().push(IncRow {
+        class: "match-anchored",
+        workload: name,
+        delta_size: attempts as usize,
+        incremental_us: d.as_secs_f64() * 1e6,
+        full_us: 0.0,
+        speedup: 0.0,
+    });
 }
 
 /// One measured incremental-vs-full row, accumulated across the EXP-INC*

@@ -103,7 +103,7 @@ pub mod view;
 
 pub use metrics::{EngineMetrics, MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
 pub use par::{validate_parallel, validate_rules_parallel, violations_sharded};
-pub use shard::SeedStats;
+pub use shard::{rule_plan, SeedStats};
 pub use store::ViolationStore;
 pub use validator::{AnalysisConfig, ApplyStats, DeployAnalysis, IncrementalValidator};
 pub use view::{ReadView, ViolationSnapshot};

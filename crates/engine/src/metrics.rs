@@ -433,8 +433,8 @@ pub struct RuleSnapshot {
     pub name: String,
     /// Candidate nodes the matcher considered for this rule.
     pub match_attempts: u64,
-    /// Candidates the matcher's degree/attribute pre-filters rejected
-    /// before recursion — a subset of [`match_attempts`], so the ratio is
+    /// Candidates the matcher's pre-filters (labeled degree, constant
+    /// premise, equality-premise join) refused before recursion — a subset of [`match_attempts`], so the ratio is
     /// the fraction of the candidate stream the filters killed.
     ///
     /// [`match_attempts`]: RuleSnapshot::match_attempts

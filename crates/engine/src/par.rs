@@ -82,13 +82,13 @@ pub fn violations_sharded<C: Constraint>(g: &Graph, c: &C, threads: usize) -> Ve
     }
     let mut units: Vec<SeedUnit> = Vec::new();
     shard::push_pivot_units(&mut units, g, 0, c, threads);
-    let attrs = shard::premise_attrs(c);
+    let plan = shard::rule_plan(c);
     let (all, _per_worker, _scratches) = shard::run_units_with(
         threads,
         &units,
         ged_pattern::MatchScratch::new,
         |unit, out, scratch| {
-            shard::check_unit(g, c, unit, &attrs, scratch, &ged_obs::NOOP, |m, kind| {
+            shard::check_unit(g, (c, &plan), unit, scratch, &ged_obs::NOOP, |m, kind| {
                 out.push(Violation {
                     ged_name: c.name().to_string(),
                     assignment: m.to_vec(),

@@ -35,8 +35,8 @@
 
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::literal::Literal;
-use ged_graph::{Graph, NodeId, Symbol, Value};
-use ged_pattern::{MatchOptions, MatchRecorder, MatchScratch, Matcher, Var};
+use ged_graph::{Graph, NodeId};
+use ged_pattern::{MatchOptions, MatchPlan, MatchRecorder, MatchScratch, Matcher, Var};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -114,45 +114,38 @@ pub(crate) fn push_pivot_units<C: Constraint>(
     push_units(units, ci, pivot, candidates, threads);
 }
 
-/// The constant-valued premise literals of a constraint, extracted once
-/// per rule so the per-unit hot path never touches
-/// [`literal_view`](Constraint::literal_view) (which clones the rule's
-/// literal vectors on every call). Installed into each unit's matcher by
-/// [`require_premise_attrs`] as candidate pre-filters. Sound for
-/// violation enumeration: `check` reports a violation only when every
-/// premise holds at the match, so a match failing a constant premise can
-/// never witness one. The [`LiteralView`] contract guarantees the view's
+/// Compile one rule's [`MatchPlan`]: the pattern's rooted search orders
+/// and degree requirements, with the premise literals the matcher can
+/// check pushed in as candidate pre-filters — constant premises `x.A = c`
+/// ([`MatchPlan::require_attr`]) and equality premises `x.A = y.B`
+/// ([`MatchPlan::require_attr_eq`]). Done once per rule, so the per-unit
+/// hot path never touches [`literal_view`](Constraint::literal_view)
+/// (which clones the rule's literal vectors on every call).
+///
+/// Sound for violation enumeration: `check` reports a violation only when
+/// every premise holds at the match, and both filters decide exactly
+/// `literal_holds` of their literal, so a match they refuse can never
+/// witness one. The [`LiteralView`] contract guarantees the view's
 /// premises are implied by the real ones even for inexact views (a GDC
 /// exposes its equality fragment — a subset), so this never drops a
-/// violating match.
+/// violating match; `check` still runs on every survivor.
 ///
 /// [`LiteralView`]: ged_core::constraint::LiteralView
-pub(crate) type PremiseAttrs = Vec<(Var, Symbol, Value)>;
-
-/// Extract one rule's [`PremiseAttrs`]; see the type's docs for the
-/// soundness argument.
-pub(crate) fn premise_attrs<C: Constraint>(c: &C) -> PremiseAttrs {
-    let Some(view) = c.literal_view() else {
-        return Vec::new();
-    };
-    view.premises
-        .iter()
-        .filter_map(|lit| match lit {
-            Literal::Const { var, attr, value } => Some((*var, *attr, value.clone())),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Install one rule's precomputed [`premise_attrs`] into a matcher as
-/// candidate pre-filters — the per-unit half of the split.
-pub(crate) fn require_premise_attrs<R: MatchRecorder>(
-    attrs: &[(Var, Symbol, Value)],
-    matcher: &mut Matcher<'_, R>,
-) {
-    for (var, attr, value) in attrs {
-        matcher.require_attr(*var, *attr, value.clone());
+pub fn rule_plan<C: Constraint>(c: &C) -> MatchPlan {
+    let mut plan = MatchPlan::new(c.pattern());
+    for lit in c.literal_view().iter().flat_map(|view| &view.premises) {
+        match lit {
+            Literal::Const { var, attr, value } => plan.require_attr(*var, *attr, value.clone()),
+            Literal::Vars {
+                lvar,
+                lattr,
+                rvar,
+                rattr,
+            } => plan.require_attr_eq(*lvar, *lattr, *rvar, *rattr),
+            Literal::Id { .. } => {}
+        }
     }
+    plan
 }
 
 /// Enumerate one unit's matches and report the violating ones: anchor the
@@ -161,26 +154,23 @@ pub(crate) fn require_premise_attrs<R: MatchRecorder>(
 /// the seeding full pass and the match-level pivot split; the delta path
 /// layers its exclusion closure on top and so keeps its own enumerator.
 ///
-/// The matcher writes candidate sets into `scratch` — the per-worker
-/// buffer threaded through `run_units_with` — so steady-state enumeration
-/// allocates nothing; constant premises become matcher-level pre-filters
-/// via [`require_premise_attrs`].
+/// The matcher borrows the rule's `plan` ([`rule_plan`]) and writes
+/// candidate sets into `scratch` — the per-worker buffer threaded through
+/// `run_units_with` — so steady-state enumeration allocates nothing.
 ///
 /// The matcher hot loop reports to `recorder`; instrumented callers pass
 /// a per-unit `CellRecorder`, unobserved ones the no-op recorder (which
 /// compiles the hook away).
 pub(crate) fn check_unit<C: Constraint, R: MatchRecorder>(
     g: &Graph,
-    c: &C,
+    (c, plan): (&C, &MatchPlan),
     unit: &SeedUnit,
-    attrs: &[(Var, Symbol, Value)],
     scratch: &mut MatchScratch,
     recorder: &R,
     mut sink: impl FnMut(&[NodeId], ViolationKind),
 ) {
-    let mut matcher =
-        Matcher::with_recorder(c.pattern(), g, MatchOptions::homomorphism(), recorder);
-    require_premise_attrs(attrs, &mut matcher);
+    let opts = MatchOptions::homomorphism();
+    let matcher = Matcher::with_plan(plan, c.pattern(), g, opts, recorder);
     let nothing = &|_, _| false;
     matcher.for_each_anchored_in(scratch, unit.anchor, unit.seed_slice(), nothing, |m| {
         if let Some(kind) = c.check(g, m) {

@@ -30,7 +30,11 @@
 //! domains of variables declared before `v` enumerates exactly the matches
 //! whose first touched variable is `v`, so the union over anchors visits
 //! each affected match exactly once — no post-hoc owner filter, no
-//! redundant matching work.
+//! redundant matching work. Every such run borrows its rule's
+//! [`MatchPlan`], compiled once at construction ([`shard::rule_plan`]):
+//! the search order is rooted at the anchor, so it leaves the touched
+//! node over edges instead of scanning a label, and the rule's constant
+//! and equality premises refuse candidates before recursion.
 //!
 //! Both hot loops are thereby output-sensitive: per update the engine does
 //! work proportional to the affected area, never to global state.
@@ -53,7 +57,7 @@ use ged_core::reason::ValidationReport;
 use ged_core::satisfy::{violations_recorded, Violation};
 use ged_graph::{Delta, DeltaEffect, DeltaSet, Graph, NodeId, Symbol};
 use ged_obs::{CellRecorder, MatchRecorder, NOOP};
-use ged_pattern::{Match, MatchOptions, MatchScratch, Matcher};
+use ged_pattern::{Match, MatchOptions, MatchPlan, MatchScratch, Matcher};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -147,10 +151,10 @@ pub struct IncrementalValidator<C: Constraint> {
     seed_stats: SeedStats,
     metrics: Arc<EngineMetrics>,
     analysis: Option<Arc<DeployAnalysis>>,
-    /// Per-rule constant-premise pre-filters ([`shard::premise_attrs`]),
-    /// extracted once at construction so the delta path never re-reads a
-    /// rule's literal view.
-    rule_attrs: Vec<shard::PremiseAttrs>,
+    /// Per-rule match plans ([`shard::rule_plan`]): rooted search orders
+    /// and premise pre-filters, compiled once at construction and
+    /// borrowed by every seeding and delta-path work unit.
+    plans: Vec<MatchPlan>,
     /// The slot shared with every [`ReadView`]: front snapshot buffer,
     /// epoch counter, reader count. Lazily activated by the first
     /// [`read_view`](IncrementalValidator::read_view) call; until then
@@ -181,7 +185,7 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
             seed_stats: self.seed_stats.clone(),
             metrics: Arc::new((*self.metrics).clone()),
             analysis: self.analysis.clone(),
-            rule_attrs: self.rule_attrs.clone(),
+            plans: self.plans.clone(),
             views: Arc::new(SharedViews::new()),
             back: None,
             lag: Vec::new(),
@@ -255,10 +259,7 @@ impl<C: Constraint> IncrementalValidator<C> {
         }
         let n_rules = sigma.len();
         let enabled = metrics.is_enabled();
-        // Constant-premise pre-filters, extracted once per rule — the
-        // per-unit hot path installs them without re-reading the rule's
-        // literal view.
-        let rule_attrs: Vec<shard::PremiseAttrs> = sigma.iter().map(shard::premise_attrs).collect();
+        let plans: Vec<MatchPlan> = sigma.iter().map(shard::rule_plan).collect();
         let (batches, per_worker, shards) = shard::run_units_with(
             threads,
             &units,
@@ -270,9 +271,8 @@ impl<C: Constraint> IncrementalValidator<C> {
                     let before = out.len();
                     shard::check_unit(
                         &graph,
-                        &sigma[unit.ci],
+                        (&sigma[unit.ci], &plans[unit.ci]),
                         unit,
-                        &rule_attrs[unit.ci],
                         scratch,
                         &recorder,
                         |m, kind| {
@@ -290,9 +290,8 @@ impl<C: Constraint> IncrementalValidator<C> {
                 } else {
                     shard::check_unit(
                         &graph,
-                        &sigma[unit.ci],
+                        (&sigma[unit.ci], &plans[unit.ci]),
                         unit,
-                        &rule_attrs[unit.ci],
                         scratch,
                         &NOOP,
                         |m, kind| {
@@ -324,7 +323,7 @@ impl<C: Constraint> IncrementalValidator<C> {
             seed_stats,
             metrics: Arc::new(metrics),
             analysis: None,
-            rule_attrs,
+            plans,
             views: Arc::new(SharedViews::new()),
             back: None,
             lag: Vec::new(),
@@ -683,13 +682,11 @@ impl<C: Constraint> IncrementalValidator<C> {
             // not).
             let mut footprint: Vec<NodeId> = touched.iter().copied().collect();
             footprint.sort_unstable();
-            let graph = &self.graph;
             let area = affected_area(
-                graph,
+                &self.graph,
                 &self.sigma,
-                &self.rule_attrs,
+                &self.plans,
                 &footprint,
-                &touched,
                 threads,
                 &self.metrics,
             );
@@ -838,25 +835,25 @@ fn seed_inline<C: Constraint>(
 /// enumerated and then discarded.
 fn affected_unit<C: Constraint, R: MatchRecorder>(
     g: &Graph,
-    (c, attrs): (&C, &shard::PremiseAttrs),
+    (c, plan): (&C, &MatchPlan),
     unit: &shard::SeedUnit,
-    touched: &HashSet<NodeId>,
+    footprint: &[NodeId],
     scratch: &mut MatchScratch,
     recorder: &R,
     out: &mut Vec<(usize, Match, ViolationKind)>,
 ) {
     let anchor = unit.anchor;
     let pattern = c.pattern();
-    let mut matcher = Matcher::with_recorder(pattern, g, MatchOptions::homomorphism(), recorder);
-    shard::require_premise_attrs(attrs, &mut matcher);
+    let touched = |n: NodeId| footprint.binary_search(&n).is_ok();
+    let matcher = Matcher::with_plan(plan, pattern, g, MatchOptions::homomorphism(), recorder);
     matcher.for_each_anchored_in(
         scratch,
         anchor,
         unit.seed_slice(),
-        &|u, n| u.idx() < anchor.idx() && touched.contains(&n),
+        &|u, n| u < anchor && touched(n),
         |m| {
             debug_assert_eq!(
-                pattern.vars().find(|u| touched.contains(&m[u.idx()])),
+                pattern.vars().find(|u| touched(m[u.idx()])),
                 Some(anchor),
                 "the anchor owns every match the exclusions let through"
             );
@@ -876,8 +873,7 @@ fn affected_unit<C: Constraint, R: MatchRecorder>(
 /// `footprint` is the live touched set as a sorted, deduplicated vector
 /// (the debug assertion checks the seed lists inherit that — a duplicated
 /// anchor seed would enumerate its matches twice and double-count work);
-/// `touched` is the same set in hashed form for the O(1) exclusion
-/// membership tests.
+/// the exclusion membership tests binary-search it.
 ///
 /// Work units are the `(constraint, anchor variable, seed-range)` triples
 /// of [`shard`]: each anchor's label-compatible seed list is
@@ -893,9 +889,8 @@ fn affected_unit<C: Constraint, R: MatchRecorder>(
 fn affected_area<C: Constraint>(
     g: &Graph,
     sigma: &[C],
-    rule_attrs: &[shard::PremiseAttrs],
+    plans: &[MatchPlan],
     footprint: &[NodeId],
-    touched: &HashSet<NodeId>,
     threads: usize,
     metrics: &EngineMetrics,
 ) -> Vec<(usize, Match, ViolationKind)> {
@@ -951,9 +946,9 @@ fn affected_area<C: Constraint>(
                 let before = out.len();
                 affected_unit(
                     g,
-                    (&sigma[unit.ci], &rule_attrs[unit.ci]),
+                    (&sigma[unit.ci], &plans[unit.ci]),
                     unit,
-                    touched,
+                    footprint,
                     scratch,
                     &recorder,
                     out,
@@ -969,9 +964,9 @@ fn affected_area<C: Constraint>(
             } else {
                 affected_unit(
                     g,
-                    (&sigma[unit.ci], &rule_attrs[unit.ci]),
+                    (&sigma[unit.ci], &plans[unit.ci]),
                     unit,
-                    touched,
+                    footprint,
                     scratch,
                     &NOOP,
                     out,
@@ -1424,32 +1419,17 @@ mod tests {
         let sigma = vec![wild_key];
         let mut footprint: Vec<NodeId> = nodes.iter().copied().step_by(2).collect();
         footprint.sort_unstable();
-        let touched: HashSet<NodeId> = footprint.iter().copied().collect();
         let canon = |mut v: Vec<(usize, Match, ViolationKind)>| {
             v.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
             v
         };
         let metrics = EngineMetrics::for_sigma(&sigma);
-        let rule_attrs: Vec<_> = sigma.iter().map(shard::premise_attrs).collect();
-        let sequential = canon(affected_area(
-            &g,
-            &sigma,
-            &rule_attrs,
-            &footprint,
-            &touched,
-            1,
-            &metrics,
-        ));
+        let plans: Vec<_> = sigma.iter().map(shard::rule_plan).collect();
+        let sequential = canon(affected_area(&g, &sigma, &plans, &footprint, 1, &metrics));
         assert!(!sequential.is_empty(), "the workload has affected matches");
         for threads in [2, 4, 7] {
             let sharded = canon(affected_area(
-                &g,
-                &sigma,
-                &rule_attrs,
-                &footprint,
-                &touched,
-                threads,
-                &metrics,
+                &g, &sigma, &plans, &footprint, threads, &metrics,
             ));
             assert_eq!(sharded, sequential, "{threads} workers");
         }
@@ -1682,6 +1662,81 @@ mod tests {
         // The snapshot renders both ways without panicking.
         assert!(m.to_string().contains("1 batch(es)"));
         assert!(m.to_json().contains("\"batches\": 1"));
+    }
+
+    /// The delta path's work is bounded by the neighbourhood of the
+    /// touched node, not by a label's population: a write to a node that
+    /// sits at a *leaf* of a connected pattern re-enumerates over edges
+    /// from the anchor and never scans the label index. A count, so it
+    /// holds on any host.
+    #[test]
+    fn a_write_at_a_pattern_leaf_costs_less_than_one_label_scan() {
+        use ged_datagen::random::{
+            plant_key_violations, random_graph, random_sigma, RandomGraphConfig,
+        };
+        let cfg = RandomGraphConfig {
+            n_nodes: 2400,
+            n_edges: 7200,
+            ..Default::default()
+        };
+        let mut g = random_graph(&cfg);
+        let key = plant_key_violations(&mut g, "entity", 20);
+        let mut sigma = vec![key];
+        sigma.extend(random_sigma(12, 3, &cfg));
+        // Images of degree-1 pattern variables in actual matches: the
+        // nodes whose re-enumeration has the furthest to walk.
+        let mut leaves: Vec<NodeId> = Vec::new();
+        for rule in &sigma[1..] {
+            let q = &rule.pattern;
+            for v in q.vars() {
+                if q.out_edges(v).len() + q.in_edges(v).len() != 1 {
+                    continue;
+                }
+                let mut taken = 0;
+                Matcher::new(q, &g, MatchOptions::homomorphism()).for_each(|m| {
+                    leaves.push(m[v.idx()]);
+                    taken += 1;
+                    if taken < 4 {
+                        ControlFlow::Continue(())
+                    } else {
+                        ControlFlow::Break(())
+                    }
+                });
+            }
+        }
+        leaves.sort_unstable();
+        leaves.dedup();
+        assert!(leaves.len() >= 12, "the rules have matched leaves");
+
+        let mut v = IncrementalValidator::with_threads(g, sigma, 1);
+        for &node in &leaves {
+            let population = v.graph().nodes_with_label(v.graph().label(node)).len() as u64;
+            assert!(population > 400, "a scan would be unmistakable");
+            // Stay inside the value range, so premises keep firing.
+            let next = match v.graph().attr(node, sym("attr0")) {
+                Some(Value::Int(old)) => (old + 1) % cfg.value_range,
+                _ => 0,
+            };
+            let before = v.metrics();
+            let stats = v.apply(&Delta::SetAttr {
+                node,
+                attr: sym("attr0"),
+                value: Value::from(next),
+            });
+            assert_eq!(stats.touched_nodes, 1);
+            let after = v.metrics();
+            // Rule 0 is the disconnected key: it has no edge to follow
+            // (and no `entity` node is written here).
+            for (b, a) in before.rules.iter().zip(&after.rules).skip(1) {
+                let attempts = a.match_attempts - b.match_attempts;
+                assert!(
+                    attempts < population,
+                    "{}: {attempts} candidates for one write to {node:?}, \
+                     whose label has {population} nodes",
+                    a.name
+                );
+            }
+        }
     }
 
     /// Disabling metrics freezes the registry: the delta path runs with

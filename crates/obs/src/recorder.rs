@@ -39,11 +39,12 @@ pub trait MatchRecorder {
     /// A complete match was found.
     fn on_match(&self) {}
 
-    /// A candidate node was rejected by a cheap pre-filter (labeled-degree
-    /// or constant-attribute check) *before* the consistency checks and the
-    /// recursion below it. Pre-filter rejects are a subset of the attempts
-    /// already tallied by [`MatchRecorder::add_attempts`] — the separate
-    /// count shows how much of the candidate stream the filters kill.
+    /// A candidate node was rejected by a cheap pre-filter (labeled-degree,
+    /// constant-attribute or attribute-equality check) *before* the
+    /// consistency checks and the recursion below it. Pre-filter rejects
+    /// are a subset of the attempts already tallied by
+    /// [`MatchRecorder::add_attempts`] — the separate count shows how much
+    /// of the candidate stream the filters kill.
     fn on_prefilter_reject(&self) {}
 }
 

@@ -8,6 +8,9 @@
 //!   isomorphism** (the semantics of the earlier GFD/keys papers, kept as a
 //!   baseline for the Section 3 comparison), both on one backtracking
 //!   engine with toggleable heuristics;
+//! * [`plan`] — the graph-independent half of a search, compiled once per
+//!   pattern: an order rooted at every variable and the candidate
+//!   pre-filters, attribute obligations of a rule's premises included;
 //! * [`pattern`] — the pattern type, copies-via-bijection (GKeys), disjoint
 //!   unions, and the canonical graph `G_Q`;
 //! * [`dsl`] — a textual notation so fixtures read like the paper;
@@ -21,6 +24,7 @@ pub mod dsl;
 pub mod fragments;
 pub mod matcher;
 pub mod pattern;
+pub mod plan;
 
 pub use dsl::parse_pattern;
 pub use matcher::{
@@ -28,6 +32,7 @@ pub use matcher::{
     Semantics,
 };
 pub use pattern::{Pattern, PatternEdge, Var};
+pub use plan::MatchPlan;
 
 // Re-export the matcher's observability hook so downstream crates can
 // name the recorder bound without depending on `ged-obs` directly.

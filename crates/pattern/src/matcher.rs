@@ -16,8 +16,10 @@
 //! reproducibility.
 
 use crate::pattern::{Pattern, Var};
-use ged_graph::{Graph, NodeId, Symbol, Value};
+use crate::plan::MatchPlan;
+use ged_graph::{Graph, NodeId};
 use ged_obs::{MatchRecorder, NoopRecorder, NOOP};
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 
 /// Matching semantics.
@@ -31,22 +33,25 @@ pub enum Semantics {
 }
 
 /// Tuning knobs, exposed so the matching ablation bench (EXP-ABL-MATCH in
-/// DESIGN.md) can switch heuristics off.
+/// DESIGN.md) and the matcher's model tests can switch heuristics off;
+/// the engines all run the defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct MatchOptions {
     /// Matching semantics.
     pub semantics: Semantics,
-    /// Order variables by connectivity/candidate count instead of
-    /// declaration order.
+    /// Search in the plan's connectivity-first order rooted at the anchor
+    /// (un-anchored: at the variable with the fewest label candidates)
+    /// instead of declaration order.
     pub smart_order: bool,
     /// Derive candidate sets from already-assigned neighbours instead of
     /// scanning all label candidates.
     pub adjacency_candidates: bool,
     /// Reject a candidate before recursing when its labeled in/out degree
-    /// cannot cover the pattern variable's edges, or when a required
-    /// constant-valued attribute (see [`Matcher::require_attr`]) already
-    /// fails. The degree filter never changes the match set — a rejected
-    /// candidate could not have completed a match.
+    /// cannot cover the pattern variable's edges, or when an attribute
+    /// obligation of the plan ([`MatchPlan::require_attr`],
+    /// [`MatchPlan::require_attr_eq`]) already fails. The degree filter
+    /// never changes the match set — a rejected candidate could not have
+    /// completed a match.
     pub prefilter: bool,
 }
 
@@ -108,43 +113,10 @@ impl MatchScratch {
     }
 }
 
-/// Per-variable degree obligations, precomputed from the pattern: the
-/// distinct non-wildcard edge labels the variable's image must have at
-/// least one outgoing/incoming edge under, plus whether any wildcard
-/// pattern edge demands *some* out/in edge. Existence (not counts) is
-/// the right requirement under homomorphism: several same-label pattern
-/// edges may map to one data edge.
-#[derive(Debug, Clone, Default)]
-struct DegreeReq {
-    out_labels: Vec<Symbol>,
-    in_labels: Vec<Symbol>,
-    needs_out: bool,
-    needs_in: bool,
-}
-
-fn degree_reqs(pattern: &Pattern) -> Vec<DegreeReq> {
-    let mut reqs = vec![DegreeReq::default(); pattern.var_count()];
-    for v in pattern.vars() {
-        let req = &mut reqs[v.idx()];
-        for &(el, _) in pattern.out_edges(v) {
-            if el.is_wildcard() {
-                req.needs_out = true;
-            } else if !req.out_labels.contains(&el) {
-                req.out_labels.push(el);
-            }
-        }
-        for &(el, _) in pattern.in_edges(v) {
-            if el.is_wildcard() {
-                req.needs_in = true;
-            } else if !req.in_labels.contains(&el) {
-                req.in_labels.push(el);
-            }
-        }
-    }
-    reqs
-}
-
-/// The matcher: borrows a pattern and a graph, precomputes the search order.
+/// The matcher: a pattern, a graph, and the pattern's [`MatchPlan`] —
+/// compiled on the spot by [`Matcher::new`] / [`Matcher::with_recorder`],
+/// or borrowed from a caller that runs the same pattern many times
+/// ([`Matcher::with_plan`]). Either way one backtracking search runs it.
 ///
 /// The recorder parameter `R` is the observability hook of the hot loop:
 /// it defaults to [`NoopRecorder`], whose empty methods monomorphize away,
@@ -155,11 +127,7 @@ pub struct Matcher<'a, R: MatchRecorder = NoopRecorder> {
     pattern: &'a Pattern,
     graph: &'a Graph,
     opts: MatchOptions,
-    order: Vec<Var>,
-    degree_req: Vec<DegreeReq>,
-    /// Per-variable `(attribute, value)` obligations for the constant
-    /// pre-filter; empty unless [`Matcher::require_attr`] was called.
-    required_attrs: Vec<Vec<(Symbol, Value)>>,
+    plan: Cow<'a, MatchPlan>,
     recorder: &'a R,
 }
 
@@ -174,43 +142,48 @@ impl<'a> Matcher<'a> {
 impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// Build a matcher whose hot loop reports to `recorder`: one
     /// [`MatchRecorder::on_attempt`] per candidate node considered, one
-    /// [`MatchRecorder::on_match`] per complete match. The engine's
-    /// instrumented paths pass a `CellRecorder` per work unit and fold
-    /// the tallies into per-worker shards.
+    /// [`MatchRecorder::on_match`] per complete match. Compiles a
+    /// throw-away plan with no attribute obligations, so this enumerates
+    /// every match of the pattern.
     pub fn with_recorder(
         pattern: &'a Pattern,
         graph: &'a Graph,
         opts: MatchOptions,
         recorder: &'a R,
     ) -> Matcher<'a, R> {
-        let order = if opts.smart_order {
-            smart_order(pattern, graph)
-        } else {
-            pattern.vars().collect()
-        };
         Matcher {
             pattern,
             graph,
             opts,
-            order,
-            degree_req: degree_reqs(pattern),
-            required_attrs: vec![Vec::new(); pattern.var_count()],
+            plan: Cow::Owned(MatchPlan::new(pattern)),
             recorder,
         }
     }
 
-    /// Require every match to map `var` to a node carrying attribute
-    /// `attr` with exactly `value`; candidates failing it are rejected by
-    /// the pre-filter before the subtree below them is explored.
-    ///
-    /// Unlike the degree pre-filter this **changes the match set** — it
-    /// is the violation-enumeration shortcut: when a constraint's premise
-    /// contains the constant literal `x.A = c`, matches where it fails
-    /// can never witness a violation, so the engine pushes the literal
-    /// into the matcher instead of enumerating and discarding. Has no
-    /// effect when [`MatchOptions::prefilter`] is off.
-    pub fn require_attr(&mut self, var: Var, attr: Symbol, value: Value) {
-        self.required_attrs[var.idx()].push((attr, value));
+    /// Build a matcher that borrows a `plan` compiled from `pattern`
+    /// earlier, attribute obligations included — nothing is computed or
+    /// allocated per matcher. The engine's work units go through this
+    /// with a per-unit `CellRecorder` (or the no-op one) and fold the
+    /// tallies into per-worker shards.
+    pub fn with_plan(
+        plan: &'a MatchPlan,
+        pattern: &'a Pattern,
+        graph: &'a Graph,
+        opts: MatchOptions,
+        recorder: &'a R,
+    ) -> Matcher<'a, R> {
+        assert_eq!(
+            plan.var_count(),
+            pattern.var_count(),
+            "plan compiled for another pattern"
+        );
+        Matcher {
+            pattern,
+            graph,
+            opts,
+            plan: Cow::Borrowed(plan),
+            recorder,
+        }
     }
 
     /// Visit every match; `f` returns [`ControlFlow::Break`] to stop early.
@@ -225,14 +198,23 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
 
     /// As [`Matcher::for_each`], writing candidate sets into the caller's
     /// reusable `scratch` instead of allocating.
+    ///
+    /// The search is rooted at the most selective variable — fewest label
+    /// candidates in this graph, ties to the earlier declaration — the one
+    /// decision of the order that needs the graph.
     pub fn for_each_in(
         &self,
         scratch: &mut MatchScratch,
         mut f: impl FnMut(&[NodeId]) -> ControlFlow<()>,
     ) -> bool {
+        let root = self
+            .pattern
+            .vars()
+            .min_by_key(|&v| self.graph.label_candidate_count(self.pattern.label(v)));
+        let order = self.order(root);
         // The no-exclusion closure monomorphizes to a constant `false`, so
         // plain enumeration compiles down to the engine it always had.
-        self.seeded(scratch, None, &|_, _| false, &mut f)
+        self.seeded(scratch, order, None, &|_, _| false, &mut f)
     }
 
     /// *Anchored* enumeration with per-variable *excluded* candidate sets:
@@ -254,6 +236,11 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// filter, no redundant enumeration. Pass `&|_, _| false` to exclude
     /// nothing.
     ///
+    /// The search runs in the plan's order **rooted at `anchor`**
+    /// ([`MatchPlan::order_rooted_at`]): the rest of the anchor's
+    /// component is reached over edges from assigned neighbours, never by
+    /// a label-index scan.
+    ///
     /// The pre-filters (when [`MatchOptions::prefilter`] is on) also
     /// screen the anchor seeds themselves — a seed whose labeled degree or
     /// required attributes already fail is skipped without entering the
@@ -274,25 +261,29 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         // candidate loop does (a single-variable rule would otherwise
         // report matches with zero attempts).
         self.recorder.add_attempts(seeds.len() as u64);
-        for &n in seeds {
-            if self.opts.prefilter && self.prefilter_rejects(anchor, n) {
-                self.recorder.on_prefilter_reject();
-                continue;
-            }
-            if !self.seeded(scratch, Some((anchor, n)), excluded, &mut f) {
-                return false;
-            }
+        let order = self.order(Some(anchor));
+        seeds
+            .iter()
+            .all(|&n| self.seeded(scratch, order, Some((anchor, n)), excluded, &mut f))
+    }
+
+    /// The search order for a run rooted at `root` (`None`: the empty
+    /// pattern); declaration order when the smart order is switched off.
+    fn order(&self, root: Option<Var>) -> &[Var] {
+        match root {
+            Some(root) if self.opts.smart_order => self.plan.order_rooted_at(root),
+            _ => self.plan.declaration_order(),
         }
-        true
     }
 
     /// Visit every match extending the optional pre-assignment `seed`,
-    /// which must pass the same check as any searched candidate (label,
-    /// self loops); its edges to other variables are checked as those get
-    /// assigned.
+    /// which must pass the same checks as any searched candidate
+    /// (pre-filters, label, self loops); its edges and joins to other
+    /// variables are checked as those get assigned.
     fn seeded<E>(
         &self,
         scratch: &mut MatchScratch,
+        order: &[Var],
         seed: Option<(Var, NodeId)>,
         excluded: &E,
         f: &mut impl FnMut(&[NodeId]) -> ControlFlow<()>,
@@ -303,16 +294,21 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         scratch.assign.clear();
         scratch.assign.resize(self.pattern.var_count(), None);
         if let Some((v, n)) = seed {
-            if !self.consistent(v, n, &scratch.assign) {
+            if self.opts.prefilter && self.prefilter_rejects(v, n, &scratch.assign) {
+                self.recorder.on_prefilter_reject();
                 return true; // no matches; enumeration trivially complete
+            }
+            if !self.consistent(v, n, &scratch.assign) {
+                return true;
             }
             scratch.assign[v.idx()] = Some(n);
         }
-        self.backtrack(0, scratch, excluded, f).is_continue()
+        self.backtrack(order, 0, scratch, excluded, f).is_continue()
     }
 
     fn backtrack<E>(
         &self,
+        order: &[Var],
         depth: usize,
         scratch: &mut MatchScratch,
         excluded: &E,
@@ -323,10 +319,10 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     {
         // Skip already-assigned (seeded) variables.
         let mut depth = depth;
-        while depth < self.order.len() && scratch.assign[self.order[depth].idx()].is_some() {
+        while depth < order.len() && scratch.assign[order[depth].idx()].is_some() {
             depth += 1;
         }
-        if depth == self.order.len() {
+        if depth == order.len() {
             self.recorder.on_match();
             scratch.full.clear();
             scratch
@@ -334,7 +330,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
                 .extend(scratch.assign.iter().map(|o| o.unwrap()));
             return f(&scratch.full);
         }
-        let v = self.order[depth];
+        let v = order[depth];
         if scratch.levels.len() <= depth {
             scratch.levels.resize_with(depth + 1, Vec::new);
         }
@@ -352,7 +348,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
             if excluded(v, n) {
                 continue;
             }
-            if self.opts.prefilter && self.prefilter_rejects(v, n) {
+            if self.opts.prefilter && self.prefilter_rejects(v, n, &scratch.assign) {
                 self.recorder.on_prefilter_reject();
                 continue;
             }
@@ -360,7 +356,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
                 continue;
             }
             scratch.assign[v.idx()] = Some(n);
-            let inner = self.backtrack(depth + 1, scratch, excluded, f);
+            let inner = self.backtrack(order, depth + 1, scratch, excluded, f);
             scratch.assign[v.idx()] = None;
             if inner.is_break() {
                 flow = inner;
@@ -421,34 +417,52 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         }
     }
 
-    /// The cheap pre-filters: labeled-degree coverage and required
-    /// constant attributes. `true` means `v ↦ n` cannot be part of any
+    /// The cheap pre-filters: labeled-degree coverage, required constant
+    /// attributes, and the equality joins whose other side is assigned
+    /// (or is `v` itself). `true` means `v ↦ n` cannot be part of any
     /// match of interest and the candidate is skipped before recursion.
-    fn prefilter_rejects(&self, v: Var, n: NodeId) -> bool {
-        let req = &self.degree_req[v.idx()];
-        if req.needs_out && self.graph.out_degree(n) == 0 {
+    fn prefilter_rejects(&self, v: Var, n: NodeId, assign: &[Option<NodeId>]) -> bool {
+        let g = self.graph;
+        let req = &self.plan.degree_req[v.idx()];
+        if req.needs_out && g.out_degree(n) == 0 {
             return true;
         }
-        if req.needs_in && self.graph.in_degree(n) == 0 {
+        if req.needs_in && g.in_degree(n) == 0 {
             return true;
         }
         if req
             .out_labels
             .iter()
-            .any(|&l| self.graph.out_degree_labeled(n, l) == 0)
+            .any(|&l| g.out_degree_labeled(n, l) == 0)
         {
             return true;
         }
         if req
             .in_labels
             .iter()
-            .any(|&l| self.graph.in_degree_labeled(n, l) == 0)
+            .any(|&l| g.in_degree_labeled(n, l) == 0)
         {
             return true;
         }
-        self.required_attrs[v.idx()]
+        if self.plan.required_attrs[v.idx()]
             .iter()
-            .any(|(a, val)| self.graph.attr(n, *a) != Some(val))
+            .any(|(a, val)| g.attr(n, *a) != Some(val))
+        {
+            return true;
+        }
+        self.plan.joins[v.idx()].iter().any(|j| {
+            let other = if j.other == v {
+                Some(n)
+            } else {
+                assign[j.other.idx()]
+            };
+            // An unassigned other side defers the join to that variable's
+            // turn; a missing attribute on either side fails it.
+            other.is_some_and(|m| match (g.attr(n, j.attr), g.attr(m, j.other_attr)) {
+                (Some(a), Some(b)) => a != b,
+                _ => true,
+            })
+        })
     }
 
     /// Check `v ↦ n` against labels, constraint edges to assigned
@@ -485,53 +499,6 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         }
         true
     }
-}
-
-/// Order variables: start at the most constrained (fewest label candidates,
-/// highest degree), then repeatedly pick the unvisited variable with the
-/// most edges into the visited set (tiebreak: fewer candidates). Keeps the
-/// search connected, which makes adjacency-derived candidates applicable.
-fn smart_order(pattern: &Pattern, graph: &Graph) -> Vec<Var> {
-    let n = pattern.var_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let cand_count: Vec<usize> = pattern
-        .vars()
-        .map(|v| {
-            let l = pattern.label(v);
-            if l.is_wildcard() {
-                graph.node_count()
-            } else {
-                graph.nodes_with_label(l).len()
-            }
-        })
-        .collect();
-    let mut order: Vec<Var> = Vec::with_capacity(n);
-    let mut picked = vec![false; n];
-    while order.len() < n {
-        let mut best: Option<(usize, usize, usize)> = None; // (-(connections), cand, idx)
-        for v in pattern.vars() {
-            if picked[v.idx()] {
-                continue;
-            }
-            let connections = pattern
-                .out_edges(v)
-                .iter()
-                .map(|&(_, d)| d)
-                .chain(pattern.in_edges(v).iter().map(|&(_, s)| s))
-                .filter(|u| picked[u.idx()])
-                .count();
-            let key = (usize::MAX - connections, cand_count[v.idx()], v.idx());
-            if best.is_none() || key < best.unwrap() {
-                best = Some(key);
-            }
-        }
-        let (_, _, idx) = best.unwrap();
-        picked[idx] = true;
-        order.push(Var(idx as u32));
-    }
-    order
 }
 
 /// All matches of `pattern` in `graph` under `opts`. Use only when the
@@ -645,7 +612,7 @@ pub fn is_match(pattern: &Pattern, graph: &Graph, assign: &[NodeId], sem: Semant
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_graph::GraphBuilder;
+    use ged_graph::{GraphBuilder, Value};
 
     fn creator_graph() -> Graph {
         // tony -create-> gb ; gibbo -create-> gb ; ada -create-> engine
@@ -1057,6 +1024,16 @@ mod tests {
         assert_eq!(rec_off.prefilter_rejects(), 0);
     }
 
+    /// Every match of `q` in `g` under `plan`, default options.
+    fn planned(plan: &MatchPlan, q: &Pattern, g: &Graph) -> Vec<Match> {
+        let mut found = Vec::new();
+        Matcher::with_plan(plan, q, g, MatchOptions::homomorphism(), &NOOP).for_each(|h| {
+            found.push(h.to_vec());
+            ControlFlow::Continue(())
+        });
+        found
+    }
+
     /// `require_attr` narrows enumeration to candidates carrying the
     /// constant attribute — the violation-premise shortcut.
     #[test]
@@ -1070,18 +1047,80 @@ mod tests {
         g.set_attr(b, fake, Value::Int(0));
         let mut q = Pattern::new();
         let x = q.var("x", "person");
-        let mut m = Matcher::new(&q, &g, MatchOptions::homomorphism());
-        m.require_attr(x, fake, Value::Int(1));
-        let mut found = Vec::new();
-        m.for_each(|h| {
-            found.push(h.to_vec());
+        let mut plan = MatchPlan::new(&q);
+        plan.require_attr(x, fake, Value::Int(1));
+        assert_eq!(
+            planned(&plan, &q, &g),
+            vec![vec![a]],
+            "only the is_fake=1 node survives"
+        );
+        // Float/int numeric equality follows `Value`'s PartialEq.
+        let mut plan = MatchPlan::new(&q);
+        plan.require_attr(x, fake, Value::Float(1.0));
+        assert_eq!(planned(&plan, &q, &g), vec![vec![a]], "1.0 matches 1");
+    }
+
+    /// `require_attr_eq` is a join filter with `literal_holds` semantics:
+    /// both attributes present and `Value`-equal, checked when the second
+    /// variable is assigned — from whichever side the search arrives —
+    /// and on the candidate itself for a same-variable obligation.
+    #[test]
+    fn required_attr_equalities_filter_at_the_second_assignment() {
+        use ged_obs::CellRecorder;
+        let mut g = Graph::new();
+        let t = ged_graph::sym("t");
+        let (k, l) = (ged_graph::sym("k"), ged_graph::sym("l"));
+        let n: Vec<NodeId> = (0..4).map(|_| g.add_node(t)).collect();
+        g.set_attr(n[0], k, Value::Int(1));
+        g.set_attr(n[1], l, Value::Float(1.0));
+        g.set_attr(n[2], k, Value::Int(2));
+        g.set_attr(n[2], l, Value::Int(2));
+        // n[3] carries neither attribute: it can sit on no side of a join.
+        let mut q = Pattern::new();
+        let x = q.var("x", "t");
+        let y = q.var("y", "t");
+        let mut plan = MatchPlan::new(&q);
+        plan.require_attr_eq(x, k, y, l);
+        let expect = vec![vec![n[0], n[1]], vec![n[2], n[2]]];
+        assert_eq!(planned(&plan, &q, &g), expect, "1 = 1.0, 2 = 2");
+        for (anchor, seed, found) in [
+            (x, n[0], vec![vec![n[0], n[1]]]),
+            (y, n[1], vec![vec![n[0], n[1]]]),
+            (y, n[3], vec![]),
+        ] {
+            let rec = CellRecorder::new();
+            let matcher = Matcher::with_plan(&plan, &q, &g, MatchOptions::homomorphism(), &rec);
+            let mut got = Vec::new();
+            matcher.for_each_anchored_in(&mut MatchScratch::new(), anchor, &[seed], NOTHING, |m| {
+                got.push(m.to_vec());
+                ControlFlow::Continue(())
+            });
+            assert_eq!(got, found, "anchored at {anchor} ↦ {seed:?}");
+            // One attempt is the seed; the other variable's four
+            // candidates each end as a match or a tallied reject.
+            assert_eq!(
+                rec.attempts() - 1,
+                rec.matches() + rec.prefilter_rejects(),
+                "every refused candidate is tallied as a pre-filter reject"
+            );
+        }
+        // The filter is a pre-filter: switched off, the plan enumerates
+        // the whole cross product again.
+        let off = MatchOptions {
+            prefilter: false,
+            ..MatchOptions::homomorphism()
+        };
+        let mut all = 0;
+        Matcher::with_plan(&plan, &q, &g, off, &NOOP).for_each(|_| {
+            all += 1;
             ControlFlow::Continue(())
         });
-        assert_eq!(found, vec![vec![a]], "only the is_fake=1 node survives");
-        // Float/int numeric equality follows `Value`'s PartialEq.
-        let mut m = Matcher::new(&q, &g, MatchOptions::homomorphism());
-        m.require_attr(x, fake, Value::Float(1.0));
-        assert!(!m.for_each(|_| ControlFlow::Break(())), "1.0 matches 1");
+        assert_eq!(all, 16);
+
+        let mut same = MatchPlan::new(&q);
+        same.require_attr_eq(x, k, x, l);
+        let xs: Vec<NodeId> = planned(&same, &q, &g).iter().map(|m| m[0]).collect();
+        assert_eq!(xs, vec![n[2]; 4], "only n[2] has k = l; y is free");
     }
 
     /// One scratch reused across runs, patterns, and graphs yields the

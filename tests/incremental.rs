@@ -666,6 +666,151 @@ fn set_threads_switches_the_mixed_delta_path_mid_stream() {
 }
 
 // ---------------------------------------------------------------------
+// Premise pushdown: the engine compiles each rule's constant and
+// equality premises into its match plan as candidate filters; the oracle
+// (`validate`) enumerates plainly and lets `check` decide. This Σ sits on
+// every edge of the filters' semantics, and the stream keeps moving
+// matches across them.
+// ---------------------------------------------------------------------
+
+/// Rules whose premises the join filter must decide exactly as
+/// `literal_holds` does: a cross-attribute join over an edge (either side
+/// may lose its attribute), a same-variable premise, a constant beside a
+/// join, the disconnected key:entity rule, and a GDC whose `<` premise
+/// the literal view drops (inexact view: the `=` premise is pushed, `<`
+/// is left to `check`).
+fn pushdown_sigma(key: Ged) -> Vec<SigmaConstraint> {
+    let (k, a0, a1) = (sym("key"), sym("attr0"), sym("attr1"));
+    let edge = || parse_pattern("_(x) -[_]-> _(y)").unwrap();
+    let (x, y) = (Var(0), Var(1));
+    vec![
+        key.into(),
+        Ged::new(
+            "cross-join",
+            edge(),
+            vec![Literal::vars(x, a0, y, a1)],
+            vec![Literal::vars(x, k, y, k)],
+        )
+        .into(),
+        Ged::new(
+            "same-var",
+            parse_pattern("_(x)").unwrap(),
+            vec![Literal::vars(x, a0, x, a1)],
+            vec![Literal::vars(x, k, x, k)],
+        )
+        .into(),
+        Ged::new(
+            "const-and-join",
+            parse_pattern("_(x) <-[_]- _(y) -[_]-> _(z)").unwrap(),
+            vec![
+                Literal::constant(y, a0, 1),
+                Literal::vars(x, a1, Var(2), a1),
+            ],
+            vec![Literal::id(x, Var(2))],
+        )
+        .into(),
+        Gdc::new(
+            "inexact",
+            edge(),
+            vec![
+                GdcLiteral::vars(x, a0, Pred::Eq, y, a0),
+                GdcLiteral::vars(x, a1, Pred::Lt, y, a1),
+            ],
+            vec![GdcLiteral::vars(x, k, Pred::Ne, y, k)],
+        )
+        .into(),
+    ]
+}
+
+/// Validators at 1/2/8 workers ingest identical batches — attribute
+/// writes over a value pool where `Int 1` meets `Float 1.0`, unsets, node
+/// removals, edge churn, and remove-then-re-add pairs inside one batch —
+/// and agree with each other and with full revalidation after every one.
+#[test]
+fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
+    let cfg = RandomGraphConfig {
+        n_nodes: 70,
+        n_edges: 160,
+        n_labels: 2,
+        value_range: 3,
+        seed: 61,
+        ..Default::default()
+    };
+    let mut g = random_graph(&cfg);
+    let key = plant_key_violations(&mut g, "entity", 4);
+    let sigma = pushdown_sigma(key);
+    assert!(
+        !sigma[4].literal_view().unwrap().exact,
+        "the GDC exposes only its equality fragment"
+    );
+    let mut vs: Vec<IncrementalValidator<SigmaConstraint>> = [1usize, 2, 8]
+        .iter()
+        .map(|&t| IncrementalValidator::with_threads(g.clone(), sigma.clone(), t))
+        .collect();
+    assert_matches_full(&vs[0], 0);
+
+    let attrs = [sym("key"), sym("attr0"), sym("attr1")];
+    let pool = [
+        Value::Int(0),
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Float(0.5),
+        Value::Int(2),
+    ];
+    let mut rng = StdRng::seed_from_u64(62);
+    let mut fired = BTreeSet::new();
+    for batch_no in 1..=60 {
+        let g = vs[0].graph();
+        let mut batch = DeltaSet::new();
+        for _ in 0..rng.random_range(1..14u32) {
+            let mut d = random_delta(g, &mut rng, &attrs, 1);
+            if let Delta::SetAttr { value, .. } = &mut d {
+                *value = pool[rng.random_range(0..pool.len())].clone();
+            }
+            batch.push(d);
+        }
+        if batch_no % 3 == 0 {
+            // Unset and restore an attribute, drop and restore an edge:
+            // the touched matches must come back exactly as they were.
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            let node = nodes[rng.random_range(0..nodes.len())];
+            let attr = attrs[rng.random_range(0..attrs.len())];
+            if let Some(value) = g.attr(node, attr).cloned() {
+                batch.push(Delta::DelAttr { node, attr });
+                batch.push(Delta::SetAttr { node, attr, value });
+            }
+            if let Some(e) = g.edges().nth(rng.random_range(0..g.edge_count().max(1))) {
+                let (src, label, dst) = (e.src, e.label, e.dst);
+                batch.push(Delta::RemoveEdge { src, label, dst });
+                batch.push(Delta::AddEdge { src, label, dst });
+            }
+        }
+        let base_stats = vs[0].apply_all(&batch);
+        let base = witness_set(&vs[0].report());
+        for v in &mut vs[1..] {
+            let threads = v.threads();
+            assert_eq!(
+                v.apply_all(&batch),
+                base_stats,
+                "batch {batch_no}, {threads} workers"
+            );
+            assert_eq!(
+                witness_set(&v.report()),
+                base,
+                "batch {batch_no}, {threads} workers"
+            );
+        }
+        assert_matches_full(&vs[0], batch_no);
+        fired.extend(base.into_iter().map(|(rule, _, _)| rule));
+    }
+    assert_eq!(
+        fired.len(),
+        sigma.len(),
+        "every rule had witnesses: {fired:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Matcher lockstep: the CSR label-partitioned adjacency view and the
 // degree pre-filter are pure mechanics — they must never change a match
 // set. Randomized graphs are mutated through the paths that stress the
