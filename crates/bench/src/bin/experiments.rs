@@ -2029,7 +2029,13 @@ fn exp_rw() {
 /// * `daemon-wire-query` at 1/2/8 concurrent clients (`delta_size`
 ///   carries the client count) — wire `report` latency p50 in
 ///   `incremental_us` vs the in-process `snapshot().to_report()` p50 in
-///   `full_us`, with p95/p99 printed alongside.
+///   `full_us`, with p95/p99 printed alongside;
+/// * `daemon-report-miss` / `daemon-report-hit` on a 1 000-witness store
+///   (`delta_size` carries the witness count) — the raw `report` round
+///   trip (request written → reply line read, no client-side parse) when
+///   the poll is the first of its epoch and renders the reply, and when
+///   it finds the reply already rendered on the snapshot; `full_us` is
+///   the in-process `snapshot().to_report()` p50 on the same store.
 ///
 /// Correctness is asserted the same way the e2e suite does it: after
 /// the stream, the daemon's violation count must equal the direct
@@ -2183,5 +2189,67 @@ fn exp_daemon() {
     let final_epoch = handle.stop();
     handle.join();
     println!("  shutdown: drained at epoch {final_epoch}");
+
+    // `report` rendered (first poll of an epoch) vs shared (every later
+    // one): a one-delta apply between pairs of polls opens a new epoch.
+    let (graph, sigma) =
+        ged_daemon::workload::load("mixed:honest=1250,plants=250,seed=17").expect("mixed spec");
+    let probe = graph.nodes().next().expect("non-empty graph");
+    let handle = spawn(graph, sigma, &DaemonConfig::default()).expect("spawn gedd");
+    let view = handle.view();
+    let witnesses = view.violation_count();
+    let mut in_process: Vec<std::time::Duration> = (0..200)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(view.snapshot().to_report());
+            t0.elapsed()
+        })
+        .collect();
+    let d_in_process = median(&mut in_process);
+    let mut writer = Client::connect(handle.addr()).expect("connect writer");
+    let raw = std::net::TcpStream::connect(handle.addr()).expect("connect poller");
+    raw.set_nodelay(true).expect("nodelay");
+    let mut replies = std::io::BufReader::new(raw.try_clone().expect("clone socket"));
+    let mut line = Vec::new();
+    let mut poll = || {
+        use std::io::{BufRead, Write};
+        let t0 = std::time::Instant::now();
+        (&raw).write_all(b"{\"cmd\":\"report\"}\n").expect("send");
+        line.clear();
+        replies.read_until(b'\n', &mut line).expect("reply");
+        t0.elapsed()
+    };
+    let (mut miss, mut hit) = (Vec::new(), Vec::new());
+    for i in 0..200i64 {
+        let bump = ged_graph::Delta::SetAttr {
+            node: probe,
+            attr: sym("exp-daemon-probe"),
+            value: i.into(),
+        };
+        writer.apply(vec![bump].into()).expect("wire apply");
+        miss.push(poll());
+        hit.push(poll());
+    }
+    assert_eq!(view.renders(), 200, "one render per epoch polled");
+    let (d_miss, d_hit) = (median(&mut miss), median(&mut hit));
+    println!(
+        "  report: {witnesses} witnesses: wire p50 {:>8} rendering, {:>8} rendered \
+         (in-process to_report p50 {:>8})",
+        us(d_miss),
+        us(d_hit),
+        us(d_in_process),
+    );
+    for (workload, d) in [("daemon-report-miss", d_miss), ("daemon-report-hit", d_hit)] {
+        INC_ROWS.lock().unwrap().push(IncRow {
+            class: "daemon",
+            workload,
+            delta_size: witnesses,
+            incremental_us: d.as_secs_f64() * 1e6,
+            full_us: d_in_process.as_secs_f64() * 1e6,
+            speedup: d_in_process.as_secs_f64() / d.as_secs_f64().max(1e-12),
+        });
+    }
+    handle.stop();
+    handle.join();
     write_bench_inc_json();
 }

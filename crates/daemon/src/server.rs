@@ -20,15 +20,15 @@
 //! structured `shutting-down` error.
 
 use ged_engine::validator::{ApplyStats, IncrementalValidator};
-use ged_engine::view::ReadView;
+use ged_engine::view::{ReadView, ViolationSnapshot};
 use ged_ext::SigmaConstraint;
 use ged_graph::{DeltaSet, Graph};
 use ged_proto::json::Json;
 use ged_proto::message::{
-    code, err_response, ok_response, report_to_json, violation_to_json, Request, PROTOCOL_VERSION,
+    code, encode_report, encode_violations, err_response, ok_response, Request, PROTOCOL_VERSION,
 };
 use ged_proto::wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME};
-use std::io::BufReader;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -97,6 +97,14 @@ impl DaemonHandle {
     /// The address the daemon is listening on (with the resolved port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// A read view of the daemon's validator — the same published
+    /// snapshots the connection handlers answer from. For the owning
+    /// process: in-process queries and the engine's view counters
+    /// ([`ReadView::renders`], [`ReadView::rebuilds`]) without a socket.
+    pub fn view(&self) -> &ReadView<SigmaConstraint> {
+        &self.view
     }
 
     /// Trigger shutdown from the owning process: drain queued applies,
@@ -288,8 +296,12 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    serve(BufReader::new(read_half), stream, ctx);
+}
+
+/// The per-connection loop over any transport (a test drives it with a
+/// writer that stalls, which a socket cannot be made to do on demand).
+fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
     loop {
         let frame = match read_frame(&mut reader, ctx.max_frame) {
             Ok(Some(frame)) => frame,
@@ -312,37 +324,63 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) {
                 continue;
             }
         };
-        let response = respond(&frame, ctx);
-        if write_frame(&mut writer, &response).is_err() {
+        // `respond` has let go of whatever snapshot it pinned by the time
+        // it returns, so a client that drains its socket slowly holds a
+        // reply, never a buffer the writer is waiting to recycle.
+        if respond(&frame, ctx).write_to(&mut writer).is_err() {
             return;
         }
     }
 }
 
-/// Compute the response for one well-formed JSON request frame.
-fn respond(frame: &Json, ctx: &ConnCtx) -> Json {
+/// One reply: a document still to be serialised, or a finished line.
+enum Reply {
+    /// Small replies are built as a tree and written by [`write_frame`].
+    Tree(Json),
+    /// `report` and `violations` arrive encoded, newline included —
+    /// `report`'s shared with every other poll of the same epoch.
+    Line(Arc<[u8]>),
+}
+
+impl Reply {
+    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        match self {
+            Reply::Tree(json) => write_frame(w, json),
+            Reply::Line(line) => {
+                w.write_all(line)?;
+                w.flush()
+            }
+        }
+    }
+}
+
+/// The `report` reply line for `snap`, rendered by the first poll of its
+/// epoch and shared from the snapshot's slot by every later one.
+fn report_line(snap: &ViolationSnapshot<SigmaConstraint>) -> Arc<[u8]> {
+    snap.rendered(|snap| {
+        encode_report(snap.epoch(), snap.rules(), |sink| {
+            snap.for_each_witness(sink);
+        })
+    })
+}
+
+/// Compute the response for one well-formed JSON request frame (decoded
+/// here, once).
+fn respond(frame: &Json, ctx: &ConnCtx) -> Reply {
     let request = match Request::from_json(frame) {
         Ok(request) => request,
-        Err(e) => return err_response(e.code, &e.message),
+        Err(e) => return Reply::Tree(err_response(e.code, &e.message)),
     };
-    match request {
+    let tree = match request {
         Request::Apply(ds) => respond_apply(ds, ctx),
         Request::Violations => {
             let snap = ctx.view.snapshot();
-            let report = snap.to_report();
-            ok_response(vec![
-                ("epoch", Json::from(snap.epoch())),
-                ("count", Json::from(report.violations.len())),
-                (
-                    "violations",
-                    Json::Arr(report.violations.iter().map(violation_to_json).collect()),
-                ),
-            ])
+            let line = encode_violations(snap.epoch(), snap.violation_count(), |sink| {
+                snap.for_each_witness(sink);
+            });
+            return Reply::Line(line.into());
         }
-        Request::Report => {
-            let snap = ctx.view.snapshot();
-            report_to_json(snap.epoch(), &snap.to_report())
-        }
+        Request::Report => return Reply::Line(report_line(&ctx.view.snapshot())),
         Request::IsSatisfied => {
             let snap = ctx.view.snapshot();
             ok_response(vec![
@@ -365,7 +403,7 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Json {
             ("protocol", Json::from(PROTOCOL_VERSION)),
             ("epoch", Json::from(ctx.view.epoch())),
             ("rules", Json::from(ctx.rules)),
-            ("readers", Json::from(ctx.view.metrics().read_views)),
+            ("readers", Json::from(ctx.view.readers())),
         ]),
         Request::Shutdown => {
             let (reply_tx, reply_rx) = mpsc::channel();
@@ -379,7 +417,8 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Json {
             wake_acceptor(&ctx.shutting_down, ctx.addr);
             ok_response(vec![("final_epoch", Json::from(final_epoch))])
         }
-    }
+    };
+    Reply::Tree(tree)
 }
 
 fn respond_apply(ds: DeltaSet, ctx: &ConnCtx) -> Json {
@@ -412,5 +451,95 @@ fn respond_apply(ds: DeltaSet, ctx: &ConnCtx) -> Json {
         // The batch was queued but the writer exited (shutdown drained
         // past it): the write did not land in the final epoch.
         Err(_) => err_response(code::SHUTTING_DOWN, "batch dropped by shutdown drain"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload;
+    use ged_graph::{sym, Delta, Value};
+
+    /// A transport whose first `write` parks until the test drops the
+    /// other end of `release` — a client that stops draining its socket,
+    /// on demand instead of by filling kernel buffers.
+    struct StallingWriter {
+        stalled: Option<mpsc::Sender<()>>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl Write for StallingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if let Some(stalled) = self.stalled.take() {
+                stalled.send(()).expect("test is listening");
+                self.release.recv().expect_err("released by hanging up");
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A handler stuck writing a `report` reply holds the reply and
+    /// nothing else: the writer keeps reclaiming its back buffer, so every
+    /// publish behind the stalled client stays on the O(changed) path.
+    #[test]
+    fn a_stalled_reply_pins_no_snapshot() {
+        let (graph, sigma) = workload::load("mixed:honest=120,plants=20,seed=5").unwrap();
+        let node = graph.nodes().next().expect("non-empty graph");
+        let rules = sigma.len();
+        let mut validator = IncrementalValidator::with_threads(graph, sigma, 1);
+        let mut flip = 0i64;
+        let mut publish = |validator: &mut IncrementalValidator<SigmaConstraint>| {
+            flip += 1;
+            validator.apply(&Delta::SetAttr {
+                node,
+                attr: sym("stall-probe"),
+                value: Value::from(flip),
+            });
+        };
+        let (tx, _writer_rx) = mpsc::channel();
+        let ctx = ConnCtx {
+            view: validator.read_view(),
+            tx,
+            shutting_down: Arc::new(AtomicBool::new(false)),
+            rules,
+            max_frame: DEFAULT_MAX_FRAME,
+            addr: "127.0.0.1:0".parse().unwrap(),
+        };
+        // Two publishes set the double buffer up (the first one after
+        // activation has no back buffer yet and rebuilds by design).
+        publish(&mut validator);
+        publish(&mut validator);
+
+        let (stalled_tx, stalled_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let socket = StallingWriter {
+            stalled: Some(stalled_tx),
+            release: release_rx,
+        };
+        // The scope owns `release_tx` (it is moved in by the `drop`), so
+        // leaving it — normally or by a panic — unparks the handler; a
+        // borrowed sender would leave a failing test waiting on its own
+        // scope forever.
+        let (epochs, rebuilds) = thread::scope(|s| {
+            s.spawn(|| serve(&b"{\"cmd\":\"report\"}\n"[..], socket, &ctx));
+            stalled_rx.recv().expect("the handler reaches its write");
+            let before = (ctx.view.epoch(), ctx.view.rebuilds());
+            for _ in 0..6 {
+                publish(&mut validator);
+            }
+            let after = (ctx.view.epoch(), ctx.view.rebuilds());
+            drop(release_tx);
+            (after.0 - before.0, after.1 - before.1)
+        });
+        assert_eq!(epochs, 6, "every probe publishes");
+        assert_eq!(
+            rebuilds, 0,
+            "the stalled handler cost the writer an O(store) rebuild"
+        );
+        assert_eq!(ctx.view.renders(), 1);
     }
 }

@@ -741,7 +741,10 @@ impl<C: Constraint> IncrementalValidator<C> {
                 back.apply(&changes);
                 back
             }
-            None => ReadStore::from_store(&self.store, epoch),
+            None => {
+                self.views.note_rebuild();
+                ReadStore::from_store(&self.store, epoch)
+            }
         };
         next.epoch = epoch;
         let old = self.views.publish(Arc::new(next));

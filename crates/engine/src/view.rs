@@ -21,7 +21,12 @@
 //!   `metrics()` — all `&self`;
 //! * [`ViolationSnapshot`] — one pinned snapshot (epoch + data read
 //!   atomically together), for callers that need several consistent
-//!   queries against the *same* batch boundary.
+//!   queries against the *same* batch boundary. It walks its witnesses in
+//!   report order without copying them
+//!   ([`ViolationSnapshot::for_each_witness`]) and memoises whatever a
+//!   reader renders from that walk ([`ViolationSnapshot::rendered`]): the
+//!   data never changes, so neither do the bytes, and polls of one epoch
+//!   share one rendering.
 //!
 //! ## The generation-tagged double buffer
 //!
@@ -33,7 +38,9 @@
 //! buffer. Only when a reader still pins the just-replaced snapshot does
 //! the reclaim fail, and the *next* publish falls back to one O(store)
 //! rebuild — measured against the always-rebuild alternative in the
-//! EXP-RW harness section (the changelog wins; see DESIGN.md §9).
+//! EXP-RW harness section (the changelog wins; see DESIGN.md §9). A
+//! recycled buffer may carry the bytes a reader rendered from the epoch it
+//! used to be; the replay drops them before it changes anything.
 //!
 //! No `unsafe` anywhere: torn reads are prevented purely by the `RwLock`
 //! around the `Arc` swap and by the back buffer being writer-private
@@ -47,10 +54,11 @@ use crate::store::ViolationStore;
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::reason::{GedReport, ValidationReport};
 use ged_core::satisfy::Violation;
+use ged_graph::NodeId;
 use ged_pattern::Match;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One change to the violation set, recorded by the writer while a batch
 /// maintains the store and replayed into the back buffer at publish time.
@@ -67,7 +75,7 @@ pub(crate) enum StoreChange {
 /// An immutable snapshot of the violation set at one batch boundary,
 /// tagged with the epoch it was published at. Once inside an `Arc` it is
 /// never mutated again — readers share it freely.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ReadStore {
     /// Number of batches published before this snapshot (0 = the state
     /// the views were activated at).
@@ -76,6 +84,14 @@ pub(crate) struct ReadStore {
     per_constraint: Vec<HashMap<Match, ViolationKind>>,
     /// Live witnesses across all constraints.
     total: usize,
+    /// Bytes some reader rendered from this snapshot
+    /// ([`ViolationSnapshot::rendered`]): immutable data has immutable
+    /// renderings, so the first reader of an epoch fills the slot and
+    /// every later one shares the `Arc`. The writer never fills it; it
+    /// only empties it, wherever it makes the data underneath differ —
+    /// [`ReadStore::apply`] on the recycled back buffer — and every
+    /// constructor starts empty.
+    rendered: OnceLock<Arc<[u8]>>,
 }
 
 impl ReadStore {
@@ -86,6 +102,7 @@ impl ReadStore {
             epoch: 0,
             per_constraint: Vec::new(),
             total: 0,
+            rendered: OnceLock::new(),
         }
     }
 
@@ -97,11 +114,15 @@ impl ReadStore {
             epoch,
             per_constraint: store.snapshot_kinds(),
             total: store.total(),
+            rendered: OnceLock::new(),
         }
     }
 
-    /// Replay a changelog — the O(changed) publish path.
+    /// Replay a changelog — the O(changed) publish path. The buffer is a
+    /// reclaimed former front, so it may carry the bytes a reader rendered
+    /// from the epoch it used to be: they go first.
     pub(crate) fn apply(&mut self, changes: &[StoreChange]) {
+        self.rendered.take();
         for change in changes {
             match change {
                 StoreChange::Remove(ci, m) => {
@@ -134,6 +155,11 @@ pub(crate) struct SharedViews {
     epoch: AtomicU64,
     /// Live [`ReadView`] handles.
     readers: AtomicU64,
+    /// Snapshots rendered so far ([`ViolationSnapshot::rendered`] misses).
+    renders: AtomicU64,
+    /// Publishes that paid the O(store) rebuild because a reader pinned
+    /// the buffer the writer wanted back.
+    rebuilds: AtomicU64,
     /// Set by the first [`IncrementalValidator::read_view`] call; once
     /// true the writer publishes after every batch.
     ///
@@ -147,6 +173,8 @@ impl SharedViews {
             front: RwLock::new(Arc::new(ReadStore::empty())),
             epoch: AtomicU64::new(0),
             readers: AtomicU64::new(0),
+            renders: AtomicU64::new(0),
+            rebuilds: AtomicU64::new(0),
             active: AtomicBool::new(false),
         }
     }
@@ -208,6 +236,11 @@ impl SharedViews {
     pub(crate) fn readers(&self) -> u64 {
         self.readers.load(Ordering::Acquire)
     }
+
+    /// Count one publish that rebuilt its buffer from the store.
+    pub(crate) fn note_rebuild(&self) {
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A cloneable, `Send + Sync` reader handle onto an
@@ -250,6 +283,7 @@ impl<C: Constraint> ReadView<C> {
         ViolationSnapshot {
             sigma: Arc::clone(&self.sigma),
             store: self.views.load(),
+            views: Arc::clone(&self.views),
         }
     }
 
@@ -280,6 +314,26 @@ impl<C: Constraint> ReadView<C> {
     /// Render the published snapshot as a [`ValidationReport`].
     pub fn to_report(&self) -> ValidationReport {
         self.snapshot().to_report()
+    }
+
+    /// Live [`ReadView`] handles on this validator, this one included —
+    /// the `read_views` gauge without the full [`ReadView::metrics`]
+    /// aggregate behind it.
+    pub fn readers(&self) -> u64 {
+        self.views.readers()
+    }
+
+    /// How many snapshots have been rendered so far: the misses of
+    /// [`ViolationSnapshot::rendered`], at most one per published epoch.
+    pub fn renders(&self) -> u64 {
+        self.views.renders.load(Ordering::Relaxed)
+    }
+
+    /// How many publishes fell back to the O(store) rebuild because a
+    /// reader still pinned the snapshot the writer wanted to recycle (the
+    /// first publish after activation has nothing to recycle and counts).
+    pub fn rebuilds(&self) -> u64 {
+        self.views.rebuilds.load(Ordering::Relaxed)
     }
 
     /// A point-in-time aggregate of the writer's metrics registry — the
@@ -326,6 +380,7 @@ impl<C: Constraint> std::fmt::Debug for ReadView<C> {
 pub struct ViolationSnapshot<C: Constraint> {
     sigma: Arc<Vec<C>>,
     store: Arc<ReadStore>,
+    views: Arc<SharedViews>,
 }
 
 impl<C: Constraint> ViolationSnapshot<C> {
@@ -350,32 +405,76 @@ impl<C: Constraint> ViolationSnapshot<C> {
         self.store.per_constraint[ci].len()
     }
 
+    /// Rule names with their witness counts, in Σ order — the summary
+    /// rows of a report, without touching a witness.
+    pub fn rules(&self) -> impl Iterator<Item = (&str, usize)> + Clone {
+        let counts = self.store.per_constraint.iter().map(HashMap::len);
+        self.sigma.iter().map(Constraint::name).zip(counts)
+    }
+
+    /// Visit every witness in report order — Σ order, witnesses sorted
+    /// per rule — as `(rule name, assignment, failure kind)`, borrowed
+    /// from the snapshot: one sort buffer is the only allocation. This is
+    /// the one ordering implementation; [`to_report`] and the wire
+    /// encoders both sit on it.
+    ///
+    /// [`to_report`]: ViolationSnapshot::to_report
+    pub fn for_each_witness(&self, mut f: impl FnMut(&str, &[NodeId], &ViolationKind)) {
+        let widest = self.rules().map(|(_, n)| n).max().unwrap_or(0);
+        let mut entries: Vec<(&Match, &ViolationKind)> = Vec::with_capacity(widest);
+        for (c, map) in self.sigma.iter().zip(&self.store.per_constraint) {
+            entries.clear();
+            entries.extend(map);
+            // Keys of one map are distinct, so stability buys nothing.
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            for (m, kind) in &entries {
+                f(c.name(), m, kind);
+            }
+        }
+    }
+
     /// Render the snapshot as a [`ValidationReport`] — Σ order, witnesses
     /// sorted per rule, exactly like the writer-side
     /// [`IncrementalValidator::report`].
     ///
     /// [`IncrementalValidator::report`]: crate::IncrementalValidator::report
     pub fn to_report(&self) -> ValidationReport {
-        let mut per_ged = Vec::with_capacity(self.sigma.len());
         let mut violations = Vec::with_capacity(self.store.total);
-        for (c, map) in self.sigma.iter().zip(&self.store.per_constraint) {
-            per_ged.push(GedReport {
-                name: c.name().to_string(),
-                violation_count: map.len(),
-                satisfied: map.is_empty(),
-            });
-            let mut entries: Vec<(&Match, &ViolationKind)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            violations.extend(entries.into_iter().map(|(m, kind)| Violation {
-                ged_name: c.name().to_string(),
-                assignment: m.clone(),
+        self.for_each_witness(|rule, m, kind| {
+            violations.push(Violation {
+                ged_name: rule.to_string(),
+                assignment: m.to_vec(),
                 kind: kind.clone(),
-            }));
-        }
+            });
+        });
         ValidationReport {
-            per_ged,
+            per_ged: self
+                .rules()
+                .map(|(name, n)| GedReport {
+                    name: name.to_string(),
+                    violation_count: n,
+                    satisfied: n == 0,
+                })
+                .collect(),
             violations,
         }
+    }
+
+    /// The bytes `render` makes of this snapshot, rendered at most once:
+    /// the first caller on an epoch runs `render` and parks the result on
+    /// the (immutable) snapshot, every later caller — on any handle, any
+    /// thread — gets the same `Arc` back without running anything.
+    /// Concurrent first callers block on one render rather than race.
+    ///
+    /// The slot is format-agnostic and there is one per snapshot, so all
+    /// callers sharing a validator must pass the same `render` (`gedd`'s
+    /// is its `report` reply line). The returned bytes do not pin the
+    /// snapshot: drop `self` and the writer can recycle the buffer.
+    pub fn rendered(&self, render: impl FnOnce(&Self) -> Vec<u8>) -> Arc<[u8]> {
+        Arc::clone(self.store.rendered.get_or_init(|| {
+            self.views.renders.fetch_add(1, Ordering::Relaxed);
+            render(self).into()
+        }))
     }
 }
 
@@ -384,6 +483,7 @@ impl<C: Constraint> Clone for ViolationSnapshot<C> {
         ViolationSnapshot {
             sigma: Arc::clone(&self.sigma),
             store: Arc::clone(&self.store),
+            views: Arc::clone(&self.views),
         }
     }
 }
@@ -400,13 +500,13 @@ impl<C: Constraint> std::fmt::Debug for ViolationSnapshot<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_graph::NodeId;
 
     fn store2() -> ReadStore {
         ReadStore {
             epoch: 0,
             per_constraint: vec![HashMap::new(), HashMap::new()],
             total: 0,
+            rendered: OnceLock::new(),
         }
     }
 

@@ -54,13 +54,13 @@ impl Symbol {
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Symbol({} = {:?})", self.0, self.name())
+        interner().with_name(*self, |name| write!(f, "Symbol({} = {name:?})", self.0))
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        interner().with_name(*self, |name| f.write_str(name))
     }
 }
 
@@ -115,11 +115,19 @@ impl Interner {
     }
 
     fn resolve(&self, sym: Symbol) -> String {
+        self.with_name(sym, str::to_string)
+    }
+
+    /// Run `f` on the interned string without copying it out: the
+    /// formatting impls go through here, so `{:?}`-rendering a value full
+    /// of symbols (a violation kind on the `report` path) allocates
+    /// nothing per symbol.
+    fn with_name<R>(&self, sym: Symbol, f: impl FnOnce(&str) -> R) -> R {
         let g = self.inner.read().expect("interner lock poisoned");
-        g.names
-            .get(sym.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("<sym {}>", sym.0))
+        match g.names.get(sym.0 as usize) {
+            Some(name) => f(name),
+            None => f(&format!("<sym {}>", sym.0)),
+        }
     }
 }
 

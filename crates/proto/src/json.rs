@@ -21,7 +21,7 @@
 //!   ([`crate::wire`]), so the serialised form must never contain a raw
 //!   newline; string escapes guarantee that.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,7 +186,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => write!(out, "{i}").expect("String as fmt::Write is infallible"),
             Json::Float(f) => {
                 if f.is_finite() {
                     if f.fract() == 0.0 {
@@ -196,10 +196,11 @@ impl Json {
                         // 'e' for integral floats, so without this a
                         // Float in [1e15, 9.2e18] would parse back as
                         // an Int).
-                        out.push_str(&format!("{f:.1}"));
+                        write!(out, "{f:.1}")
                     } else {
-                        out.push_str(&f.to_string());
+                        write!(out, "{f}")
                     }
+                    .expect("String as fmt::Write is infallible");
                 } else {
                     // JSON has no NaN/Infinity literal; degrade to null
                     // rather than emitting an unparseable frame. The
@@ -288,19 +289,33 @@ impl From<String> for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Write `s` as a JSON string literal — the wire's one definition of
+/// string escaping, shared by [`Json::write`] and the streaming reply
+/// encoders in [`crate::message`]. Runs of bytes that need no escape are
+/// copied in one piece; every byte that does need one is ASCII, so
+/// cutting the string at those bytes never splits a UTF-8 sequence.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}").expect("String as fmt::Write is infallible");
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 
@@ -614,6 +629,23 @@ mod tests {
         let v = Json::obj(vec![("k", Json::Str("a\nb\rc".to_string()))]);
         assert!(!v.to_string().contains(['\n', '\r']));
         assert_eq!(roundtrip(&v), v);
+    }
+
+    #[test]
+    fn escapes_and_numbers_have_one_spelling() {
+        // The exact bytes, not just a round trip: replies are promised
+        // byte-identical across writer rewrites.
+        let s = Json::Str("a\"b\\c\nd\re\tf\u{0}g\u{1f}h\u{7f}é🦀".to_string());
+        assert_eq!(
+            s.to_string(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000g\\u001fh\u{7f}é🦀\""
+        );
+        assert_eq!(roundtrip(&s), s);
+        assert_eq!(Json::Str(String::new()).to_string(), "\"\"");
+        assert_eq!(Json::Int(i64::MIN).to_string(), "-9223372036854775808");
+        assert_eq!(Json::Float(-0.5).to_string(), "-0.5");
+        assert_eq!(Json::Float(-0.0).to_string(), "-0.0");
+        assert_eq!(Json::Float(1e21).to_string(), "1000000000000000000000.0");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! human-readable `error` message, so clients can branch without
 //! string-matching prose. [`Delta`]/[`DeltaSet`] and
 //! [`ValidationReport`] get explicit codecs here — the daemon and the
-//! CLI never hand-roll field names.
+//! CLI never hand-roll field names. The two replies that carry every
+//! witness also have a streaming encoder ([`encode_report`],
+//! [`encode_violations`]): same bytes as their tree codec, which stays as
+//! the reference the encoder is tested against.
 //!
 //! The attribute-value codec preserves the [`Value::Int`] /
 //! [`Value::Float`] distinction (literal satisfaction distinguishes
@@ -14,11 +17,12 @@
 //! trailing `.0` and the parser classifies by the presence of a
 //! fraction/exponent, so values survive a round trip bit-for-bit.
 
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
 use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
+use std::fmt::Write as _;
 
 /// Wire protocol version, reported by `health`.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -360,6 +364,126 @@ pub fn report_to_json(epoch: u64, report: &ValidationReport) -> Json {
             Json::Arr(report.violations.iter().map(violation_to_json).collect()),
         ),
     ])
+}
+
+/// Where [`encode_report`] and [`encode_violations`] want each witness
+/// pushed, as `(rule, assignment, kind)` in reply order. The caller's
+/// `witnesses` argument is handed one of these exactly once: the engine's
+/// `ViolationSnapshot::for_each_witness` (borrowing, sorting in place)
+/// and a loop over `ValidationReport::violations` both fit.
+pub type WitnessSink<'s> = dyn FnMut(&str, &[NodeId], &ViolationKind) + 's;
+
+/// Writes reply lines for the two witness-carrying replies straight into
+/// a buffer, where [`report_to_json`] builds a [`Json`] tree to be
+/// written afterwards. Same bytes (the codec tests pin each line to the
+/// tree's [`Json::write`] plus `\n`), one buffer instead of a dozen
+/// allocations per witness: scalars go through [`Json::write`] itself
+/// (`Int`/`Bool` values own nothing), strings through its
+/// [`write_escaped`].
+struct LineEncoder {
+    out: String,
+    /// `Debug` rendering of the current witness's kind, before escaping.
+    kind: String,
+}
+
+impl LineEncoder {
+    /// Start a reply of roughly `witnesses` witnesses and `rules` rule
+    /// rows; a short guess costs a reallocation, not correctness.
+    fn new(rules: usize, witnesses: usize) -> LineEncoder {
+        LineEncoder {
+            out: String::with_capacity(96 + 64 * rules + 128 * witnesses),
+            kind: String::new(),
+        }
+    }
+
+    /// `"key":` preceded by `sep`.
+    fn key(&mut self, sep: char, key: &str) {
+        self.out.push(sep);
+        write_escaped(key, &mut self.out);
+        self.out.push(':');
+    }
+
+    fn scalar(&mut self, sep: char, key: &str, value: impl Into<Json>) {
+        self.key(sep, key);
+        value.into().write(&mut self.out);
+    }
+
+    /// `,"violations":[…]}` + newline: the tail both replies share, each
+    /// element shaped like [`violation_to_json`].
+    fn witnesses_and_finish(mut self, witnesses: impl FnOnce(&mut WitnessSink<'_>)) -> Vec<u8> {
+        self.key(',', "violations");
+        self.out.push('[');
+        let mut first = true;
+        witnesses(&mut |rule, assignment, kind| {
+            if !std::mem::take(&mut first) {
+                self.out.push(',');
+            }
+            self.key('{', "rule");
+            write_escaped(rule, &mut self.out);
+            self.key(',', "assignment");
+            self.out.push('[');
+            for (i, n) in assignment.iter().enumerate() {
+                if i > 0 {
+                    self.out.push(',');
+                }
+                node_to_json(*n).write(&mut self.out);
+            }
+            self.out.push(']');
+            self.key(',', "kind");
+            self.kind.clear();
+            write!(self.kind, "{kind:?}").expect("String as fmt::Write is infallible");
+            write_escaped(&self.kind, &mut self.out);
+            self.out.push('}');
+        });
+        self.out.push_str("]}\n");
+        self.out.into_bytes()
+    }
+}
+
+/// The `report` reply as one wire line (trailing newline included),
+/// byte-identical to `report_to_json(epoch, report)` written by
+/// [`crate::wire::write_frame`], without the tree in between. `rules`
+/// yields `(name, violation count)` in Σ order; `witnesses` pushes every
+/// witness, Σ order then sorted per rule.
+pub fn encode_report<'a>(
+    epoch: u64,
+    rules: impl Iterator<Item = (&'a str, usize)> + Clone,
+    witnesses: impl FnOnce(&mut WitnessSink<'_>),
+) -> Vec<u8> {
+    let total: usize = rules.clone().map(|(_, n)| n).sum();
+    let mut enc = LineEncoder::new(rules.size_hint().0, total);
+    enc.scalar('{', "ok", true);
+    enc.scalar(',', "epoch", epoch);
+    enc.scalar(',', "satisfied", total == 0);
+    enc.scalar(',', "total", total);
+    enc.key(',', "rules");
+    enc.out.push('[');
+    for (i, (name, n)) in rules.enumerate() {
+        if i > 0 {
+            enc.out.push(',');
+        }
+        enc.key('{', "name");
+        write_escaped(name, &mut enc.out);
+        enc.scalar(',', "violations", n);
+        enc.scalar(',', "satisfied", n == 0);
+        enc.out.push('}');
+    }
+    enc.out.push(']');
+    enc.witnesses_and_finish(witnesses)
+}
+
+/// The `violations` reply (`epoch`, `count`, the witnesses) as one wire
+/// line, same contract as [`encode_report`].
+pub fn encode_violations(
+    epoch: u64,
+    count: usize,
+    witnesses: impl FnOnce(&mut WitnessSink<'_>),
+) -> Vec<u8> {
+    let mut enc = LineEncoder::new(0, count);
+    enc.scalar('{', "ok", true);
+    enc.scalar(',', "epoch", epoch);
+    enc.scalar(',', "count", count);
+    enc.witnesses_and_finish(witnesses)
 }
 
 /// Decoded `report` response.

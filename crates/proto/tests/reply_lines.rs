@@ -1,0 +1,193 @@
+//! The streamed reply lines against the reference codec, on generated
+//! reports: `encode_report` / `encode_violations` must produce exactly
+//! the bytes `write_frame` makes of the `Json` tree (`report_to_json`,
+//! `ok_response` + `violation_to_json`), and those bytes must decode back
+//! to the rows that went in.
+//!
+//! Inputs aim at the encoder's own code: rule names that need every
+//! escape (quote, backslash, control characters, non-ASCII, empty), every
+//! `ViolationKind` variant (their `Debug` text carries quotes and
+//! backslashes of its own), assignments of 0–4 ids up to `u32::MAX`, and
+//! Σ shapes where the separators can go wrong — empty Σ, satisfied Σ,
+//! empty rules between crowded ones.
+
+use ged_core::constraint::ViolationKind;
+use ged_core::reason::{GedReport, ValidationReport};
+use ged_core::satisfy::Violation;
+use ged_core::Literal;
+use ged_graph::{sym, NodeId, Value};
+use ged_pattern::Var;
+use ged_proto::message::{
+    encode_report, encode_violations, ok_response, report_from_json, report_to_json,
+    violation_from_json, violation_to_json, WitnessSink,
+};
+use ged_proto::{write_frame, Json, WireViolation};
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+/// Strings out of the characters the escaper branches on.
+fn tricky_string() -> impl Strategy<Value = String> {
+    let palette = [
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{1}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "∂",
+        "🦀",
+        "a",
+        "Z",
+        " ",
+        "/",
+        "key:entity",
+    ];
+    vec(0usize..palette.len(), 0..6)
+        .prop_map(move |picks| picks.into_iter().map(|i| palette[i]).collect::<String>())
+}
+
+fn literal() -> impl Strategy<Value = Literal> {
+    let value = prop_oneof![
+        tricky_string().prop_map(Value::Str),
+        (-3i64..4).prop_map(Value::Int),
+        (-3i64..4).prop_map(|i| Value::Float(i as f64 / 2.0)),
+        (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+    ];
+    prop_oneof![
+        (0u32..3, tricky_string(), value).prop_map(|(x, attr, value)| Literal::constant(
+            Var(x),
+            sym(&format!("a{attr}")),
+            value
+        )),
+        (0u32..3, 0u32..3, tricky_string()).prop_map(|(x, y, attr)| {
+            let attr = sym(&format!("a{attr}"));
+            Literal::vars(Var(x), attr, Var(y), attr)
+        }),
+        (0u32..3, 0u32..3).prop_map(|(x, y)| Literal::id(Var(x), Var(y))),
+    ]
+}
+
+fn kind() -> impl Strategy<Value = ViolationKind> {
+    prop_oneof![
+        vec(literal(), 1..4).prop_map(ViolationKind::Conclusions),
+        vec(0usize..9, 1..4).prop_map(ViolationKind::Predicates),
+        Just(ViolationKind::Disjunction),
+    ]
+}
+
+fn assignment() -> impl Strategy<Value = Vec<NodeId>> {
+    let id = prop_oneof![Just(0u32), Just(u32::MAX), 0u32..u32::MAX];
+    vec(id.prop_map(NodeId), 0..5)
+}
+
+/// A consistent report: per-rule rows agree with the witness list, and
+/// the witnesses are grouped in Σ order. Rule sizes are drawn so that
+/// empty Σ, all-satisfied Σ and an empty rule between two crowded ones
+/// all come up within a few dozen cases.
+fn report() -> impl Strategy<Value = ValidationReport> {
+    let witnesses = prop_oneof![Just(0usize), Just(0usize), 1usize..3, 8usize..24]
+        .prop_flat_map(|n| vec((assignment(), kind()), n));
+    vec((tricky_string(), witnesses), 0..5).prop_map(|rules| {
+        let mut report = ValidationReport {
+            per_ged: Vec::new(),
+            violations: Vec::new(),
+        };
+        for (name, witnesses) in rules {
+            report.per_ged.push(GedReport {
+                name: name.clone(),
+                violation_count: witnesses.len(),
+                satisfied: witnesses.is_empty(),
+            });
+            report
+                .violations
+                .extend(witnesses.into_iter().map(|(assignment, kind)| Violation {
+                    ged_name: name.clone(),
+                    assignment,
+                    kind,
+                }));
+        }
+        report
+    })
+}
+
+/// What `write_frame` puts on the wire for the reference tree.
+fn frame_bytes(tree: &Json) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, tree).expect("finite frame");
+    out
+}
+
+fn push_all(report: &ValidationReport, sink: &mut WitnessSink<'_>) {
+    for v in &report.violations {
+        sink(&v.ged_name, &v.assignment, &v.kind);
+    }
+}
+
+fn expected_rows(report: &ValidationReport) -> Vec<WireViolation> {
+    report
+        .violations
+        .iter()
+        .map(|v| WireViolation {
+            rule: v.ged_name.clone(),
+            assignment: v.assignment.clone(),
+            kind: format!("{:?}", v.kind),
+        })
+        .collect()
+}
+
+fn parse_line(line: &[u8]) -> Json {
+    let text = std::str::from_utf8(line).expect("reply lines are UTF-8");
+    assert!(text.ends_with('\n') && !text[..text.len() - 1].contains('\n'));
+    Json::parse(text).expect("reply lines are JSON")
+}
+
+proptest! {
+    #[test]
+    fn streamed_report_equals_the_tree_codec(report in report(), epoch in 0u64..(1u64 << 63)) {
+        let rules = report.per_ged.iter().map(|r| (r.name.as_str(), r.violation_count));
+        let line = encode_report(epoch, rules, |sink| push_all(&report, sink));
+        prop_assert_eq!(&line, &frame_bytes(&report_to_json(epoch, &report)));
+
+        let reply = report_from_json(&parse_line(&line)).expect("decodes");
+        prop_assert_eq!(reply.epoch, epoch);
+        prop_assert_eq!(reply.satisfied, report.violations.is_empty());
+        let rows: Vec<(String, u64, bool)> = report
+            .per_ged
+            .iter()
+            .map(|r| (r.name.clone(), r.violation_count as u64, r.satisfied))
+            .collect();
+        prop_assert_eq!(reply.rules, rows);
+        prop_assert_eq!(reply.violations, expected_rows(&report));
+    }
+
+    #[test]
+    fn streamed_violations_equal_the_tree_codec(report in report(), epoch in 0u64..(1u64 << 63)) {
+        let count = report.violations.len();
+        let line = encode_violations(epoch, count, |sink| push_all(&report, sink));
+        let tree = ok_response(vec![
+            ("epoch", Json::from(epoch)),
+            ("count", Json::from(count)),
+            (
+                "violations",
+                Json::Arr(report.violations.iter().map(violation_to_json).collect()),
+            ),
+        ]);
+        prop_assert_eq!(&line, &frame_bytes(&tree));
+
+        let reply = parse_line(&line);
+        prop_assert_eq!(reply.get_u64("epoch"), Some(epoch));
+        prop_assert_eq!(reply.get_u64("count"), Some(count as u64));
+        let rows = reply
+            .get_arr("violations")
+            .expect("violations array")
+            .iter()
+            .map(violation_from_json)
+            .collect::<Result<Vec<WireViolation>, String>>()
+            .expect("decodes");
+        prop_assert_eq!(rows, expected_rows(&report));
+    }
+}

@@ -15,11 +15,14 @@
 //! epochs — and the final epoch must be observed.
 
 use ged_daemon::{spawn, workload, DaemonConfig};
-use ged_proto::{Client, WireViolation};
+use ged_proto::message::{report_to_json, Request};
+use ged_proto::{write_frame, Client, WireViolation};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Duration;
@@ -257,6 +260,113 @@ fn apply_replies_match_the_oracle() {
             "apply reply violation count diverged from a clean validate"
         );
     }
+    handle.stop();
+    handle.join();
+}
+
+/// The `report` reply line for a from-scratch `validate` of the mirror at
+/// `epoch`, via the reference tree codec (each rule's witnesses sorted,
+/// as the wire promises; `validate` lists them in enumeration order).
+fn oracle_report_line(epoch: u64, mirror: &Graph, sigma: &[SigmaConstraint]) -> Vec<u8> {
+    let mut report = validate(mirror, sigma, None);
+    let mut rest = report.violations.as_mut_slice();
+    for rule in &report.per_ged {
+        let (run, tail) = rest.split_at_mut(rule.violation_count);
+        run.sort_by(|a, b| a.assignment.cmp(&b.assignment));
+        rest = tail;
+    }
+    let mut line = Vec::new();
+    write_frame(&mut line, &report_to_json(epoch, &report)).unwrap();
+    line
+}
+
+/// The wire twin of `rendered_bytes_never_outlive_their_epoch`
+/// (`tests/read_views.rs`): the daemon answers `report` with bytes
+/// memoised on a snapshot buffer that the writer recycles, so after each
+/// of 220 random batches the raw reply line is read twice and must equal,
+/// byte for byte, a fresh encode of `validate(mirror)` at the epoch the
+/// apply reply named. Most batches are polled, some are not: the
+/// engine's render counter must read one per polled epoch exactly.
+///
+/// In alternating stretches of 30 batches the test also pins each epoch
+/// in-process for two publishes (the rebuild path; those snapshots must
+/// find the wire's bytes already in their slot). In the other stretches
+/// nothing outside the daemon holds a snapshot, so any rebuild there
+/// would be a connection handler still pinning one after it replied.
+#[test]
+fn wire_report_bytes_track_every_epoch() {
+    let spec = "random:nodes=90,rules=2,seed=27";
+    let (daemon_graph, daemon_sigma) = workload::load(spec).unwrap();
+    let (mut mirror, sigma) = workload::load(spec).unwrap();
+    let attrs: Vec<Symbol> = vec![sym("key"), sym("attr0"), sym("attr1")];
+    let handle = spawn(daemon_graph, daemon_sigma, &DaemonConfig::default()).unwrap();
+    let view = handle.view();
+
+    let mut writer = Client::connect(handle.addr()).unwrap();
+    let mut poller = Client::connect(handle.addr()).unwrap();
+    let raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut raw_lines = BufReader::new(raw.try_clone().unwrap());
+    let mut poll_raw = || {
+        write_frame(&mut &raw, &Request::Report.to_json()).unwrap();
+        let mut line = Vec::new();
+        raw_lines.read_until(b'\n', &mut line).unwrap();
+        line
+    };
+
+    let mut rng = StdRng::seed_from_u64(0x3e31);
+    let mut polled: BTreeSet<u64> = BTreeSet::new();
+    let mut held = VecDeque::new();
+    let mut unpinned_rebuilds = 0u64;
+    for batch_no in 0..220 {
+        let pinning = (batch_no / 30) % 2 == 1;
+        let rebuilds_before = view.rebuilds();
+        let batch: DeltaSet = (0..6)
+            .map(|_| stream_delta(&mirror, &mut rng, &attrs))
+            .collect::<Vec<Delta>>()
+            .into();
+        let epoch = writer.apply(batch.clone()).unwrap().epoch;
+        for d in &batch {
+            mirror.apply_delta(d);
+        }
+        // Holds from a pinning stretch take three batches to age out.
+        if !pinning && batch_no % 30 >= 3 {
+            unpinned_rebuilds += view.rebuilds() - rebuilds_before;
+        }
+
+        let mut keep = None;
+        if rng.random_range(0..4u32) != 0 {
+            let expected = oracle_report_line(epoch, &mirror, &sigma);
+            assert!(poll_raw() == expected, "epoch {epoch}: first poll");
+            assert!(poll_raw() == expected, "epoch {epoch}: second poll");
+            // The typed client reads the same reply through `Json::parse`.
+            assert_eq!(poller.report().unwrap().epoch, epoch);
+            polled.insert(epoch);
+            if pinning {
+                let snap = view.snapshot();
+                let memo = snap.rendered(|_| panic!("epoch {epoch} was rendered by the wire"));
+                assert!(memo[..] == expected[..], "epoch {epoch}: slot");
+                keep = Some(snap);
+            }
+        }
+        assert_eq!(
+            view.renders(),
+            polled.len() as u64,
+            "one render per polled epoch, none for the rest (batch {batch_no})"
+        );
+        held.push_back(keep);
+        if held.len() > 2 {
+            held.pop_front();
+        }
+    }
+    assert!((polled.len() as u64) < view.epoch(), "some epochs unpolled");
+    assert_eq!(
+        unpinned_rebuilds, 0,
+        "a handler kept its snapshot past its reply and cost the writer a rebuild"
+    );
+    assert!(view.rebuilds() > 20, "the pinned stretches must rebuild");
+
+    drop(held);
     handle.stop();
     handle.join();
 }

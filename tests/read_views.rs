@@ -10,13 +10,19 @@
 //! threads spin on `ReadView::snapshot` the whole time; after the join,
 //! every `(epoch, witnesses)` pair they observed must match the writer's
 //! ledger for that epoch. Run at 1, 2 and 8 concurrent readers.
+//!
+//! The last test is the same lockstep for the bytes memoised on a
+//! snapshot (`ViolationSnapshot::rendered`): single-threaded on purpose,
+//! so which buffer the writer recycles when is decided by the test.
 
 use ged_datagen::random::{plant_key_violations, random_graph, random_sigma, RandomGraphConfig};
+use ged_proto::message::{encode_report, report_to_json};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 
 /// Canonical comparable form of a report: the witness set with kinds
@@ -236,4 +242,107 @@ fn lockstep_two_readers() {
 #[test]
 fn lockstep_eight_readers() {
     lockstep(8, 25, 8, 13);
+}
+
+/// The `report` reply line for a from-scratch `validate` at `epoch`, via
+/// the reference tree codec. `validate` lists a rule's witnesses in
+/// enumeration order; the wire sorts them, so each rule's run is sorted
+/// here (Σ order is already shared).
+fn oracle_report_line(epoch: u64, g: &Graph, sigma: &[Ged]) -> Vec<u8> {
+    let mut report = validate(g, sigma, None);
+    let mut rest = report.violations.as_mut_slice();
+    for rule in &report.per_ged {
+        let (run, tail) = rest.split_at_mut(rule.violation_count);
+        run.sort_by(|a, b| a.assignment.cmp(&b.assignment));
+        rest = tail;
+    }
+    let mut line = Vec::new();
+    ged_proto::write_frame(&mut line, &report_to_json(epoch, &report)).unwrap();
+    line
+}
+
+/// Memo staleness lockstep. Rendered bytes live on the snapshot buffer,
+/// and the writer recycles those buffers: every second publish hands the
+/// same allocation back as the front. So after each of 240 random batches
+/// the current snapshot is rendered twice (most batches — an epoch nobody
+/// polls must cost no render) and checked three ways: the bytes equal a
+/// fresh encode of `validate`'s report for this epoch, the second poll
+/// returns the first one's `Arc`, and renders == distinct epochs polled.
+///
+/// Stretches of 30 batches alternate between dropping each snapshot at
+/// once — the writer reclaims the old front, slot still full, and replays
+/// the changelog into it (`ReadStore::apply` must empty the slot, or the
+/// poll two epochs later reads this epoch's bytes) — and holding it across
+/// the next two publishes, which denies the reclaim and sends the writer
+/// down the O(store) rebuild.
+#[test]
+fn rendered_bytes_never_outlive_their_epoch() {
+    let (g, sigma) = workload(90, 2, 17);
+    let mut v = IncrementalValidator::with_threads(g, sigma, 1);
+    let attrs: Vec<Symbol> = vec![sym("key"), sym("attr0"), sym("attr1")];
+    let view = v.read_view();
+    let mut rng = StdRng::seed_from_u64(0x3e30);
+
+    let mut renders = 0u64;
+    let mut polled: BTreeSet<u64> = BTreeSet::new();
+    let mut held: VecDeque<Option<ViolationSnapshot<Ged>>> = VecDeque::new();
+    let mut rebuilds_by_regime = [0u64; 2];
+    for batch_no in 0..240 {
+        let pinning = (batch_no / 30) % 2 == 1;
+        let rebuilds_before = view.rebuilds();
+        let batch: DeltaSet = (0..6)
+            .map(|_| stream_delta(v.graph(), &mut rng, &attrs))
+            .collect::<Vec<Delta>>()
+            .into();
+        v.apply_all(&batch);
+        // The first three batches of a stretch still see the previous
+        // stretch's holds (or lack of them) age out.
+        if batch_no % 30 >= 3 {
+            rebuilds_by_regime[usize::from(pinning)] += view.rebuilds() - rebuilds_before;
+        }
+
+        let mut keep = None;
+        if rng.random_range(0..4u32) != 0 {
+            let snap = view.snapshot();
+            let epoch = snap.epoch();
+            let render = |s: &ViolationSnapshot<Ged>| {
+                renders += 1;
+                encode_report(s.epoch(), s.rules(), |sink| s.for_each_witness(sink))
+            };
+            let first = snap.rendered(render);
+            let second = view
+                .snapshot()
+                .rendered(|_| panic!("second poll of epoch {epoch} rendered again"));
+            assert!(Arc::ptr_eq(&first, &second), "epoch {epoch}: two buffers");
+            assert!(
+                first[..] == oracle_report_line(epoch, v.graph(), v.sigma())[..],
+                "epoch {epoch} (batch {batch_no}): memoised bytes are not this epoch's report"
+            );
+            polled.insert(epoch);
+            keep = pinning.then_some(snap);
+        }
+        assert_eq!(renders, polled.len() as u64, "one render per polled epoch");
+        assert_eq!(
+            view.renders(),
+            renders,
+            "the engine counts the same renders"
+        );
+        held.push_back(keep);
+        if held.len() > 2 {
+            held.pop_front();
+        }
+    }
+    assert!(
+        (polled.len() as u64) < view.epoch(),
+        "some epochs must go unpolled for the zero-render half to mean anything"
+    );
+    assert_eq!(
+        rebuilds_by_regime[0], 0,
+        "nothing pinned, yet the writer rebuilt: the reclaim path did not run"
+    );
+    assert!(
+        rebuilds_by_regime[1] > 20,
+        "held snapshots must force rebuilds ({} seen)",
+        rebuilds_by_regime[1]
+    );
 }
