@@ -82,6 +82,7 @@ mod tests {
     use super::*;
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
+    use ged_graph::json::Json;
     use ged_graph::sym;
     use ged_pattern::{parse_pattern, Pattern, Var};
 
@@ -221,6 +222,16 @@ mod tests {
             .expect("unsat flagged");
         assert_eq!(d.severity, Severity::Error);
         assert!(d.rule.is_none());
+        // A Σ-level finding serialises its missing rule as `null`.
+        let json = r.to_json();
+        let unsat = json
+            .get_arr("diagnostics")
+            .unwrap()
+            .iter()
+            .find(|d| d.get_str("kind") == Some(LintKind::UnsatisfiableSigma.slug()))
+            .expect("serialised too");
+        assert_eq!(unsat.get("rule"), Some(&Json::Null));
+        assert_eq!(unsat.get("index"), Some(&Json::Null));
         // The gate stops the layer: no implied-rule noise from an
         // inconsistent Σ.
         assert!(r
@@ -310,9 +321,41 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("1 rule(s)"), "{text}");
         assert!(text.contains("entailed-conclusion"), "{text}");
+        // The document's shape is a published format: exact key order.
+        fn keys(j: &Json) -> Vec<&str> {
+            match j {
+                Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+                other => panic!("not an object: {other}"),
+            }
+        }
         let json = r.to_json();
-        assert!(json.contains("\"kind\": \"entailed-conclusion\""), "{json}");
-        assert!(json.contains("\"prunable\""), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
+        assert_eq!(
+            keys(&json),
+            [
+                "rules",
+                "chase_eligible",
+                "errors",
+                "warnings",
+                "notes",
+                "diagnostics",
+                "prunable"
+            ]
+        );
+        assert_eq!(json.get_u64("rules"), Some(1));
+        let diagnostics = json.get_arr("diagnostics").unwrap();
+        assert_eq!(diagnostics.len(), r.diagnostics.len());
+        for d in diagnostics {
+            assert_eq!(keys(d), ["severity", "kind", "rule", "index", "message"]);
+        }
+        assert!(diagnostics
+            .iter()
+            .any(|d| d.get_str("kind") == Some("entailed-conclusion")
+                && d.get_str("rule") == Some("idempotent")
+                && d.get_u64("index") == Some(0)));
+        let prunable = json.get_arr("prunable").unwrap();
+        assert_eq!(prunable.len(), r.prunable.len());
+        for p in prunable {
+            assert_eq!(keys(p), ["index", "rule", "why"]);
+        }
     }
 }

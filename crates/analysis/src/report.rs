@@ -1,8 +1,9 @@
 //! The analyzer's output: severity-ranked [`Diagnostic`]s collected into
-//! an [`AnalysisReport`] with `Display` and hand-rolled JSON renderings
-//! (same vendored-JSON style as the engine's `MetricsSnapshot`, so one
-//! collector can ingest both).
+//! an [`AnalysisReport`] with `Display` and [`Json`] renderings (the same
+//! value type as the engine's `MetricsSnapshot::to_json`, so one collector
+//! can ingest both).
 
+use ged_graph::json::Json;
 use std::fmt;
 
 /// How bad a finding is. Ordered: `Note < Warning < Error`, so reports
@@ -237,58 +238,48 @@ impl AnalysisReport {
         self.prunable.iter().any(|p| p.index == index)
     }
 
-    /// Hand-rolled JSON (the workspace is offline — no serde), matching
-    /// the `MetricsSnapshot::to_json` style: stable key order, 2-space
-    /// indent, trailing newline.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"rules\": {},\n", self.rules));
-        s.push_str(&format!("  \"chase_eligible\": {},\n", self.chase_eligible));
-        s.push_str(&format!(
-            "  \"errors\": {}, \"warnings\": {}, \"notes\": {},\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Note)
-        ));
-        s.push_str("  \"diagnostics\": [\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            let rule = match &d.rule {
-                Some(name) => format!("\"{}\"", json_escape(name)),
-                None => "null".to_string(),
-            };
-            let index = match d.index {
-                Some(i) => i.to_string(),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"severity\": \"{}\", \"kind\": \"{}\", \"rule\": {}, \"index\": {}, \
-                 \"message\": \"{}\"}}{}\n",
-                d.severity.label(),
-                d.kind.slug(),
-                rule,
-                index,
-                json_escape(&d.message),
-                if i + 1 < self.diagnostics.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"prunable\": [\n");
-        for (i, p) in self.prunable.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"index\": {}, \"rule\": \"{}\", \"why\": \"{}\"}}{}\n",
-                p.index,
-                json_escape(&p.name),
-                p.why.slug(),
-                if i + 1 < self.prunable.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The report as a [`Json`] document for collectors (stable key
+    /// order; `Display` on the result is the one-line text).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("rules", self.rules.into()),
+            ("chase_eligible", self.chase_eligible.into()),
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warning).into()),
+            ("notes", self.count(Severity::Note).into()),
+            (
+                "diagnostics",
+                Json::Arr(
+                    self.diagnostics
+                        .iter()
+                        .map(|d| {
+                            Json::obj(vec![
+                                ("severity", d.severity.label().into()),
+                                ("kind", d.kind.slug().into()),
+                                ("rule", d.rule.as_deref().map_or(Json::Null, Json::from)),
+                                ("index", d.index.map_or(Json::Null, Json::from)),
+                                ("message", d.message.as_str().into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "prunable",
+                Json::Arr(
+                    self.prunable
+                        .iter()
+                        .map(|p| {
+                            Json::obj(vec![
+                                ("index", p.index.into()),
+                                ("rule", p.name.as_str().into()),
+                                ("why", p.why.slug().into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
@@ -310,19 +301,4 @@ impl fmt::Display for AnalysisReport {
         }
         Ok(())
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_bench::validation_workload;
+use ged_core::satisfy::satisfies_all;
 use ged_ext::domain::domain_as_gdcs;
-use ged_ext::gdc::{gdc_satisfies_all, Gdc};
+use ged_ext::gdc::Gdc;
 use ged_ext::reason::gdc_satisfiable;
 use ged_graph::Value;
 
@@ -37,7 +38,7 @@ fn bench_gdc_validation_same_shape_as_ged(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("gdc", n),
             &(w.graph.clone(), gdcs),
-            |b, (g, s)| b.iter(|| gdc_satisfies_all(g, s)),
+            |b, (g, s)| b.iter(|| satisfies_all(g, s)),
         );
     }
     group.finish();

@@ -282,7 +282,7 @@ fn exp_t1_ext() {
     let w = validation_workload(200, 3, 2, 7);
     let gdcs: Vec<_> = w.sigma.iter().map(ged_ext::gdc::Gdc::from_ged).collect();
     let (_, d_ged) = timed_median(3, || validate(&w.graph, &w.sigma, Some(1)).satisfied());
-    let (_, d_gdc) = timed_median(3, || ged_ext::gdc::gdc_satisfies_all(&w.graph, &gdcs));
+    let (_, d_gdc) = timed_median(3, || ged_core::satisfy::satisfies_all(&w.graph, &gdcs));
     println!("  |V|=200: GED {} µs   GDC {} µs", us(d_ged), us(d_gdc));
 }
 
@@ -627,8 +627,8 @@ fn exp_ex9_10() {
             b.attr("x", "A", v);
         }
         let g = b.build();
-        let gdc_ok = ged_ext::gdc::gdc_satisfies_all(&g, &[phi1.clone(), phi2.clone()]);
-        let disj_ok = ged_ext::disj::disj_satisfies(&g, &psi);
+        let gdc_ok = ged_core::satisfy::satisfies_all(&g, &[phi1.clone(), phi2.clone()]);
+        let disj_ok = ged_core::satisfy::satisfies(&g, &psi);
         assert_eq!(gdc_ok, disj_ok, "the two formulations agree");
         println!("  {desc:<10} GDC pair: {gdc_ok:<5} GED∨: {disj_ok}");
     }

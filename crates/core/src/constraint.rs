@@ -15,12 +15,9 @@
 //! output-sensitive, parallel delta path in `ged-engine`. The engine's hot
 //! loops only ever need the pattern (to enumerate candidate matches) and
 //! the check (to classify each one), so the affected-area machinery built
-//! for GEDs serves every constraint family for the price of one.
-//!
-//! [`AnyConstraint`] closes the remaining gap for *mixed* rule sets: it
-//! erases the concrete family behind an object-safe shared handle, so one
-//! `Vec<AnyConstraint>` — and one engine instance — can hold GEDs, GDCs,
-//! and GED∨ side by side without normalising them to a single type first.
+//! for GEDs serves every constraint family for the price of one. A *mixed*
+//! rule set is a `Vec<ged_ext::SigmaConstraint>` — the closed enum over the
+//! paper's families; a family outside them plugs in as its own `C`.
 
 use crate::ged::Ged;
 use crate::literal::Literal;
@@ -28,7 +25,6 @@ use crate::satisfy::check_violation;
 use ged_graph::{Graph, NodeId};
 use ged_pattern::Pattern;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a match violates a constraint — the per-witness payload the stores
 /// and reports carry. The variants mirror the three constraint families:
@@ -230,79 +226,6 @@ impl Constraint for Ged {
     }
 }
 
-/// A constraint of *any* family behind one object-safe wrapper — the
-/// paper's "GEDs, GDCs, and GED∨ are a uniform class of dependencies"
-/// pitch made literal at the type level. A heterogeneous rule set is just
-/// `Vec<AnyConstraint>`, so a single `IncrementalValidator<AnyConstraint>`
-/// (or any other generic engine) serves a mixed Σ without normalising
-/// every member to one concrete family first.
-///
-/// The wrapper is a shared handle ([`Arc`]) over the erased constraint:
-/// cloning a rule set is cheap, and the handle is `Send + Sync` because
-/// the [`Constraint`] trait requires both. Construct it with
-/// [`AnyConstraint::new`] or via the `From` impls — `From<Ged>` here,
-/// `From<Gdc>` / `From<DisjGed>` / `From<NormConstraint>` in `ged-ext`
-/// next to those types.
-///
-/// The cost is one virtual dispatch per `check`/`pattern` call; the
-/// engines' hot loops amortise it over a whole match enumeration, and the
-/// read-set contract (and with it the incremental affected-area argument)
-/// is carried by the wrapped implementation unchanged.
-#[derive(Clone)]
-pub struct AnyConstraint(Arc<dyn Constraint>);
-
-impl AnyConstraint {
-    /// Wrap a constraint of any family.
-    pub fn new(c: impl Constraint + 'static) -> AnyConstraint {
-        AnyConstraint(Arc::new(c))
-    }
-}
-
-impl Constraint for AnyConstraint {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn pattern(&self) -> &Pattern {
-        self.0.pattern()
-    }
-
-    fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        self.0.check(g, m)
-    }
-
-    fn size(&self) -> usize {
-        self.0.size()
-    }
-
-    fn literal_view(&self) -> Option<LiteralView> {
-        self.0.literal_view()
-    }
-
-    fn as_chase_ged(&self) -> Option<Ged> {
-        self.0.as_chase_ged()
-    }
-
-    fn premises_feasible(&self) -> bool {
-        self.0.premises_feasible()
-    }
-}
-
-impl fmt::Debug for AnyConstraint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnyConstraint")
-            .field("name", &self.name())
-            .field("size", &self.size())
-            .finish()
-    }
-}
-
-impl From<Ged> for AnyConstraint {
-    fn from(g: Ged) -> AnyConstraint {
-        AnyConstraint::new(g)
-    }
-}
-
 /// `|Σ|` for a mixed-or-uniform constraint set (sum of member sizes) —
 /// the generic counterpart of [`crate::ged::sigma_size`].
 pub fn constraint_sigma_size<C: Constraint>(sigma: &[C]) -> usize {
@@ -364,28 +287,6 @@ mod tests {
     fn sigma_size_sums_members() {
         let sigma = vec![phi1(), phi1()];
         assert_eq!(constraint_sigma_size(&sigma), 2 * Ged::size(&phi1()));
-    }
-
-    #[test]
-    fn any_constraint_delegates_to_the_wrapped_ged() {
-        let ged = phi1();
-        let any = AnyConstraint::from(phi1());
-        assert_eq!(any.name(), "φ1");
-        assert_eq!(any.size(), Ged::size(&ged));
-        assert_eq!(any.pattern().var_count(), 2);
-        assert!(format!("{any:?}").contains("φ1"));
-
-        let mut b = GraphBuilder::new();
-        b.triple(("tony", "person"), "create", ("gb", "product"));
-        b.attr("tony", "type", "psychologist");
-        b.attr("gb", "type", "video game");
-        let (graph, names) = b.build_with_names();
-        let m = vec![names["tony"], names["gb"]];
-        assert_eq!(any.check(&graph, &m), ged.check(&graph, &m));
-        // The handle is shared: cloning a wrapped rule is an Arc bump, and
-        // the generic Σ size works over a heterogeneous-capable vector.
-        let sigma = vec![any.clone(), any];
-        assert_eq!(constraint_sigma_size(&sigma), 2 * Ged::size(&ged));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::constraint::{Constraint, ViolationKind};
 use crate::ged::Ged;
 use crate::literal::Literal;
 use ged_graph::{Graph, NodeId};
-use ged_pattern::{Match, MatchOptions, MatchRecorder, Matcher, NoopRecorder};
+use ged_pattern::{Match, MatchOptions, Matcher};
 use std::ops::ControlFlow;
 
 /// Does match `m` (node per pattern variable) satisfy literal `lit` in `G`?
@@ -113,22 +113,8 @@ pub fn violations<C: Constraint + ?Sized>(
     c: &C,
     limit: Option<usize>,
 ) -> Vec<Violation> {
-    violations_recorded(g, c, limit, &NoopRecorder)
-}
-
-/// As [`violations`], with the matcher hot loop reporting to `recorder`
-/// (one `on_attempt` per candidate node considered, one `on_match` per
-/// complete match). This is the observed entry point of the engine's
-/// cost-attribution paths; [`violations`] is the unobserved special case
-/// with the no-op recorder, which monomorphizes back to the plain loop.
-pub fn violations_recorded<C: Constraint + ?Sized, R: MatchRecorder>(
-    g: &Graph,
-    c: &C,
-    limit: Option<usize>,
-    recorder: &R,
-) -> Vec<Violation> {
     let mut out = Vec::new();
-    let matcher = Matcher::with_recorder(c.pattern(), g, MatchOptions::homomorphism(), recorder);
+    let matcher = Matcher::new(c.pattern(), g, MatchOptions::homomorphism());
     matcher.for_each(|m| {
         if let Some(kind) = c.check(g, m) {
             out.push(Violation {

@@ -13,9 +13,11 @@
 //!
 //! Graceful shutdown: on a `shutdown` request the writer drains every
 //! apply already queued (each still gets its normal reply), answers
-//! with the final published epoch, and exits; the handler then flips
-//! the shutdown flag and wakes the accept thread with a self-connect so
-//! it drops the listener. Connections that were already open keep
+//! with the final published epoch, and exits; the handler writes that
+//! reply and only then flips the shutdown flag and wakes the accept
+//! thread with a self-connect so it drops the listener (the process may
+//! exit as soon as both threads are joined — the reply must already be
+//! on the wire). Connections that were already open keep
 //! answering queries off the final snapshot; their `apply`s get a
 //! structured `shutting-down` error.
 
@@ -327,7 +329,14 @@ fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
         // `respond` has let go of whatever snapshot it pinned by the time
         // it returns, so a client that drains its socket slowly holds a
         // reply, never a buffer the writer is waiting to recycle.
-        if respond(&frame, ctx).write_to(&mut writer).is_err() {
+        let reply = respond(&frame, ctx);
+        let written = reply.write_to(&mut writer);
+        if matches!(reply, Reply::Shutdown(_)) {
+            // Not before the reply is written and flushed: `join` returns
+            // once the acceptor is gone, and the process with it.
+            wake_acceptor(&ctx.shutting_down, ctx.addr);
+        }
+        if written.is_err() {
             return;
         }
     }
@@ -337,6 +346,9 @@ fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
 enum Reply {
     /// Small replies are built as a tree and written by [`write_frame`].
     Tree(Json),
+    /// The `shutdown` acknowledgement: written like a [`Reply::Tree`],
+    /// after which `serve` wakes the acceptor.
+    Shutdown(Json),
     /// `report` and `violations` arrive encoded, newline included —
     /// `report`'s shared with every other poll of the same epoch.
     Line(Arc<[u8]>),
@@ -345,7 +357,7 @@ enum Reply {
 impl Reply {
     fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         match self {
-            Reply::Tree(json) => write_frame(w, json),
+            Reply::Tree(json) | Reply::Shutdown(json) => write_frame(w, json),
             Reply::Line(line) => {
                 w.write_all(line)?;
                 w.flush()
@@ -389,16 +401,10 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Reply {
                 ("violations", Json::from(snap.violation_count())),
             ])
         }
-        Request::Metrics => {
-            let text = ctx.view.metrics().to_json();
-            match Json::parse(&text) {
-                Ok(metrics) => ok_response(vec![
-                    ("epoch", Json::from(ctx.view.epoch())),
-                    ("metrics", metrics),
-                ]),
-                Err(e) => err_response(code::INTERNAL, &format!("metrics snapshot: {e}")),
-            }
-        }
+        Request::Metrics => ok_response(vec![
+            ("epoch", Json::from(ctx.view.epoch())),
+            ("metrics", ctx.view.metrics().to_json()),
+        ]),
         Request::Health => ok_response(vec![
             ("protocol", Json::from(PROTOCOL_VERSION)),
             ("epoch", Json::from(ctx.view.epoch())),
@@ -414,8 +420,8 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Reply {
             } else {
                 ctx.view.epoch()
             };
-            wake_acceptor(&ctx.shutting_down, ctx.addr);
-            ok_response(vec![("final_epoch", Json::from(final_epoch))])
+            let ack = ok_response(vec![("final_epoch", Json::from(final_epoch))]);
+            return Reply::Shutdown(ack);
         }
     };
     Reply::Tree(tree)
@@ -482,6 +488,33 @@ mod tests {
         }
     }
 
+    /// A stalling transport plus the test's two ends of it: `stalled`
+    /// fires when the handler reaches its first write, dropping `release`
+    /// lets the write return.
+    fn stalling_socket() -> (StallingWriter, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (stalled_tx, stalled_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let socket = StallingWriter {
+            stalled: Some(stalled_tx),
+            release: release_rx,
+        };
+        (socket, stalled_rx, release_tx)
+    }
+
+    fn conn_ctx(validator: &IncrementalValidator<SigmaConstraint>) -> ConnCtx {
+        // Nobody receives: `apply`/`shutdown` take their writer-is-gone
+        // fallbacks, which is all these tests need of the writer.
+        let (tx, _) = mpsc::channel();
+        ConnCtx {
+            view: validator.read_view(),
+            tx,
+            shutting_down: Arc::new(AtomicBool::new(false)),
+            rules: validator.sigma().len(),
+            max_frame: DEFAULT_MAX_FRAME,
+            addr: "127.0.0.1:0".parse().unwrap(),
+        }
+    }
+
     /// A handler stuck writing a `report` reply holds the reply and
     /// nothing else: the writer keeps reclaiming its back buffer, so every
     /// publish behind the stalled client stays on the O(changed) path.
@@ -489,7 +522,6 @@ mod tests {
     fn a_stalled_reply_pins_no_snapshot() {
         let (graph, sigma) = workload::load("mixed:honest=120,plants=20,seed=5").unwrap();
         let node = graph.nodes().next().expect("non-empty graph");
-        let rules = sigma.len();
         let mut validator = IncrementalValidator::with_threads(graph, sigma, 1);
         let mut flip = 0i64;
         let mut publish = |validator: &mut IncrementalValidator<SigmaConstraint>| {
@@ -500,26 +532,13 @@ mod tests {
                 value: Value::from(flip),
             });
         };
-        let (tx, _writer_rx) = mpsc::channel();
-        let ctx = ConnCtx {
-            view: validator.read_view(),
-            tx,
-            shutting_down: Arc::new(AtomicBool::new(false)),
-            rules,
-            max_frame: DEFAULT_MAX_FRAME,
-            addr: "127.0.0.1:0".parse().unwrap(),
-        };
+        let ctx = conn_ctx(&validator);
         // Two publishes set the double buffer up (the first one after
         // activation has no back buffer yet and rebuilds by design).
         publish(&mut validator);
         publish(&mut validator);
 
-        let (stalled_tx, stalled_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let socket = StallingWriter {
-            stalled: Some(stalled_tx),
-            release: release_rx,
-        };
+        let (socket, stalled_rx, release_tx) = stalling_socket();
         // The scope owns `release_tx` (it is moved in by the `drop`), so
         // leaving it — normally or by a panic — unparks the handler; a
         // borrowed sender would leave a failing test waiting on its own
@@ -541,5 +560,30 @@ mod tests {
             "the stalled handler cost the writer an O(store) rebuild"
         );
         assert_eq!(ctx.view.renders(), 1);
+    }
+
+    /// The `shutdown` reply is on the wire before the acceptor is woken:
+    /// `gedd` exits once writer and acceptor are joined, so waking first
+    /// lets the process die with its own acknowledgement unwritten. Parked
+    /// inside the reply's write, the handler must not have set the flag
+    /// the acceptor exits on.
+    #[test]
+    fn shutdown_is_acknowledged_before_the_acceptor_is_woken() {
+        let (graph, sigma) = workload::load("mixed:honest=20,plants=2,seed=5").unwrap();
+        let validator = IncrementalValidator::with_threads(graph, sigma, 1);
+        let ctx = conn_ctx(&validator);
+        let (socket, stalled_rx, release_tx) = stalling_socket();
+        let flag_at_write = thread::scope(|s| {
+            s.spawn(|| serve(&b"{\"cmd\":\"shutdown\"}\n"[..], socket, &ctx));
+            stalled_rx.recv().expect("the handler reaches its write");
+            let flag = ctx.shutting_down.load(Ordering::SeqCst);
+            drop(release_tx);
+            flag
+        });
+        assert!(!flag_at_write, "acceptor woken under an unwritten reply");
+        assert!(
+            ctx.shutting_down.load(Ordering::SeqCst),
+            "woken once the reply is out"
+        );
     }
 }

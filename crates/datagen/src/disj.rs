@@ -135,28 +135,28 @@ pub fn kb_disj(cfg: &KbConfig, planted_bad_visibility: usize, seed: u64) -> Disj
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_ext::{disj_satisfies_all, disj_violations};
+    use ged_core::satisfy::{satisfies_all, violations};
 
     #[test]
     fn social_workload_plants_tier_and_bot_violations() {
         let w = social_disj(&SocialConfig::default(), 3, 2, 5);
         assert_eq!(w.planted, 5);
-        assert_eq!(disj_violations(&w.graph, &w.sigma[0], None).len(), 3);
-        assert_eq!(disj_violations(&w.graph, &w.sigma[1], None).len(), 2);
-        assert!(!disj_satisfies_all(&w.graph, &w.sigma));
+        assert_eq!(violations(&w.graph, &w.sigma[0], None).len(), 3);
+        assert_eq!(violations(&w.graph, &w.sigma[1], None).len(), 2);
+        assert!(!satisfies_all(&w.graph, &w.sigma));
     }
 
     #[test]
     fn social_workload_with_no_plants_is_clean() {
         let w = social_disj(&SocialConfig::default(), 0, 0, 5);
-        assert!(disj_satisfies_all(&w.graph, &w.sigma));
+        assert!(satisfies_all(&w.graph, &w.sigma));
     }
 
     #[test]
     fn kb_workload_plants_exactly_the_bad_visibilities() {
         let w = kb_disj(&KbConfig::default(), 4, 8);
-        assert_eq!(disj_violations(&w.graph, &w.sigma[0], None).len(), 4);
+        assert_eq!(violations(&w.graph, &w.sigma[0], None).len(), 4);
         let clean = kb_disj(&KbConfig::default(), 0, 8);
-        assert!(disj_satisfies_all(&clean.graph, &clean.sigma));
+        assert!(satisfies_all(&clean.graph, &clean.sigma));
     }
 }

@@ -118,7 +118,7 @@ pub fn kb_gdcs(cfg: &KbConfig, planted_overdiscount: usize, seed: u64) -> GdcWor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_ext::{gdc_satisfies_all, gdc_violations};
+    use ged_core::satisfy::{satisfies_all, violations};
 
     #[test]
     fn social_workload_plants_exactly_the_underage_accounts() {
@@ -126,17 +126,17 @@ mod tests {
         let total: usize = w
             .sigma
             .iter()
-            .map(|g| gdc_violations(&w.graph, g, None).len())
+            .map(|g| violations(&w.graph, g, None).len())
             .sum();
         assert_eq!(total, w.planted);
         assert_eq!(w.planted, 4);
-        assert!(!gdc_satisfies_all(&w.graph, &w.sigma));
+        assert!(!satisfies_all(&w.graph, &w.sigma));
     }
 
     #[test]
     fn social_workload_with_no_plants_is_clean() {
         let w = social_gdcs(&SocialConfig::default(), 0, 3);
-        assert!(gdc_satisfies_all(&w.graph, &w.sigma));
+        assert!(satisfies_all(&w.graph, &w.sigma));
     }
 
     #[test]
@@ -145,11 +145,11 @@ mod tests {
         let total: usize = w
             .sigma
             .iter()
-            .map(|g| gdc_violations(&w.graph, g, None).len())
+            .map(|g| violations(&w.graph, g, None).len())
             .sum();
         assert_eq!(total, 5);
         // The violations are all on the variable-predicate rule.
-        assert!(gdc_violations(&w.graph, &w.sigma[0], None).is_empty());
-        assert_eq!(gdc_violations(&w.graph, &w.sigma[1], None).len(), 5);
+        assert!(violations(&w.graph, &w.sigma[0], None).is_empty());
+        assert_eq!(violations(&w.graph, &w.sigma[1], None).len(), 5);
     }
 }

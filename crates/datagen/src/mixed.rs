@@ -3,9 +3,7 @@
 //! closed [`SigmaConstraint`] enum so a single
 //! `IncrementalValidator<SigmaConstraint>` (or any generic engine) serves
 //! all of them at once with statically dispatched `check` calls, with a
-//! controlled number of planted violations per family. Convert members
-//! `.into()` [`AnyConstraint`](ged_core::constraint::AnyConstraint) when
-//! an open rule set is needed.
+//! controlled number of planted violations per family.
 //!
 //! Every rule's pattern is O(|V| + |E|) to enumerate (single-variable or
 //! edge-bound), so the workload scales to the 10k-node acceptance runs

@@ -10,10 +10,9 @@
 //! ones, pruning them roughly halves the matcher work of seeding and the
 //! delta path — the speedup EXP-ANALYZE measures.
 
-use ged_core::constraint::AnyConstraint;
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_ext::DisjGed;
+use ged_ext::{DisjGed, SigmaConstraint};
 use ged_graph::{sym, Graph};
 use ged_pattern::{parse_pattern, Var};
 
@@ -24,7 +23,7 @@ pub struct RedundantWorkload {
     /// A `user` follow-ring with attribute decorations.
     pub graph: Graph,
     /// Seven rules: three live (indices 0–2), four prunable (3–6).
-    pub sigma: Vec<AnyConstraint>,
+    pub sigma: Vec<SigmaConstraint>,
     /// Rules that survive pruning (`3`).
     pub live: usize,
     /// Rules the analyzer proves safe to drop (`4`).
@@ -109,7 +108,7 @@ pub fn redundant(nodes: usize, planted: usize) -> RedundantWorkload {
         vec![Literal::constant(x, status, "a")],
         vec![Literal::constant(y, watch, 1)],
     );
-    let sigma: Vec<AnyConstraint> = vec![
+    let sigma: Vec<SigmaConstraint> = vec![
         new_follower.clone().into(),
         Ged::new(
             "level:watched",

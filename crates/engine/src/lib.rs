@@ -3,26 +3,22 @@
 //! The paper's Section 9 leaves "parallel scalable algorithms for reasoning
 //! about GEDs" as future work; validation (`G ⊨ Σ`, Section 5.3) is the
 //! reasoning problem a deployed system faces on *every* update. This crate
-//! supplies the production answer in two layers:
+//! supplies the production answer, every layer of it **generic over the
+//! unified constraint layer** (`ged_core::constraint::Constraint`): the
+//! same code serves plain GEDs, GDCs with built-in predicates, and GED∨
+//! with disjunctive conclusions — the engine only ever needs a
+//! constraint's pattern (to enumerate candidate matches) and its per-match
+//! check (to classify them). A *mixed* rule set needs no normalisation
+//! either: one `IncrementalValidator<ged_ext::SigmaConstraint>` serves the
+//! heterogeneous Σ, and a family outside that enum runs as its own `C`.
 //!
-//! Both layers are **generic over the unified constraint layer**
-//! (`ged_core::constraint::Constraint`): the same code serves plain GEDs,
-//! GDCs with built-in predicates, and GED∨ with disjunctive conclusions —
-//! the engine only ever needs a constraint's pattern (to enumerate
-//! candidate matches) and its per-match check (to classify them). A
-//! *mixed* rule set needs no normalisation either: wrap each member in
-//! `ged_core::constraint::AnyConstraint` (via `From`) and one
-//! `IncrementalValidator<AnyConstraint>` instance serves the
-//! heterogeneous Σ.
-//!
-//! * [`par`] — parallel *from-scratch* validation: rule-level sharding
-//!   (the constraints of Σ validate independently) and match-level
-//!   sharding (the match space of one constraint partitions by the image
-//!   of a pivot variable), promoted here from the old bench-local helper;
+//! * [`par`] — parallel *from-scratch* validation: the match space of
+//!   every constraint partitions by the image of a pivot variable, and
+//!   all of Σ's chunks share one work queue;
 //! * [`shard`] — the **one sharding subsystem** behind every parallel
 //!   fan-out: `(constraint, anchor, seed-range)` work units pulled off a
-//!   shared queue by scoped workers, consumed by the seeding full pass,
-//!   the delta path, and the match-level split alike, with
+//!   shared queue by scoped workers and enumerated by one unit function —
+//!   the seeding full pass, the delta path and [`par`] alike — with
 //!   [`SeedStats`] reporting how the seeding pass actually split;
 //! * [`IncrementalValidator`] — **delta-driven violation maintenance**: it
 //!   owns the graph and a persistent [`ViolationStore`] keyed by
@@ -102,7 +98,7 @@ pub mod validator;
 pub mod view;
 
 pub use metrics::{EngineMetrics, MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
-pub use par::{validate_parallel, validate_rules_parallel, violations_sharded};
+pub use par::{validate_parallel, violations_sharded};
 pub use shard::{rule_plan, SeedStats};
 pub use store::ViolationStore;
 pub use validator::{AnalysisConfig, ApplyStats, DeployAnalysis, IncrementalValidator};

@@ -27,6 +27,7 @@
 use crate::store::ViolationStore;
 use crate::validator::ApplyStats;
 use ged_core::constraint::Constraint;
+use ged_graph::json::Json;
 use ged_obs::{fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, TraceRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -516,112 +517,99 @@ impl MetricsSnapshot {
             .map(|p| &p.latency)
     }
 
-    /// Vendored JSON serialisation (same hand-rolled style as
-    /// `ged-graph::io` and the bench harness: no external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        s.push_str(&format!("  \"batches\": {},\n", self.batches));
-        s.push_str(&format!("  \"deltas_applied\": {},\n", self.deltas_applied));
-        s.push_str(&format!("  \"touched_nodes\": {},\n", self.touched_nodes));
-        s.push_str(&format!(
-            "  \"witnesses\": {{\"dropped\": {}, \"removed\": {}, \"added\": {}, \"retained\": {}}},\n",
-            self.witnesses_dropped,
-            self.witnesses_removed,
-            self.witnesses_added,
-            self.witnesses_retained
-        ));
-        s.push_str(&format!("  \"store_size\": {},\n", self.store_size));
-        s.push_str(&format!(
-            "  \"store_slab_slots\": {},\n",
-            self.store_slab_slots
-        ));
-        s.push_str(&format!("  \"read_views\": {},\n", self.read_views));
-        s.push_str(&format!(
-            "  \"published_epoch\": {},\n",
-            self.published_epoch
-        ));
-        s.push_str(&format!(
-            "  \"match_attempts\": {},\n  \"matches_found\": {},\n",
-            self.match_attempts(),
-            self.matches_found()
-        ));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", {}}}{}\n",
-                p.phase.name(),
-                histogram_json(&p.latency),
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"unit_latency\": {{{}}},\n",
-            histogram_json(&self.unit_latency)
-        ));
-        s.push_str("  \"rules\": [\n");
-        for (i, r) in self.rules.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"match_attempts\": {}, \"prefilter_rejects\": {}, \
-                 \"matches_found\": {}, \
-                 \"violations_found\": {}, \"seed_ns\": {}, \"reenum_ns\": {}}}{}\n",
-                json_escape(&r.name),
-                r.match_attempts,
-                r.prefilter_rejects,
-                r.matches_found,
-                r.violations_found,
-                r.seed_ns,
-                r.reenum_ns,
-                if i + 1 < self.rules.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"trace\": [\n");
-        for (i, (seq, st)) in self.trace.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"batch\": {}, \"deltas_applied\": {}, \"removed\": {}, \"added\": {}, \
-                 \"retained\": {}, \"touched_nodes\": {}}}{}\n",
-                seq,
-                st.deltas_applied,
-                st.violations_removed,
-                st.violations_added,
-                st.violations_retained,
-                st.touched_nodes,
-                if i + 1 < self.trace.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The snapshot as a [`Json`] document for collectors: stable key
+    /// order, every counter an `Int`. `Display` on the result is the
+    /// one-line text; the daemon embeds the value in its `metrics` reply
+    /// as is.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("enabled", Json::Bool(self.enabled)),
+            ("batches", self.batches.into()),
+            ("deltas_applied", self.deltas_applied.into()),
+            ("touched_nodes", self.touched_nodes.into()),
+            (
+                "witnesses",
+                Json::obj(vec![
+                    ("dropped", self.witnesses_dropped.into()),
+                    ("removed", self.witnesses_removed.into()),
+                    ("added", self.witnesses_added.into()),
+                    ("retained", self.witnesses_retained.into()),
+                ]),
+            ),
+            ("store_size", self.store_size.into()),
+            ("store_slab_slots", self.store_slab_slots.into()),
+            ("read_views", self.read_views.into()),
+            ("published_epoch", self.published_epoch.into()),
+            ("match_attempts", self.match_attempts().into()),
+            ("matches_found", self.matches_found().into()),
+            (
+                "phases",
+                Json::Arr(
+                    self.phases
+                        .iter()
+                        .map(|p| {
+                            let mut row = vec![("phase", Json::from(p.phase.name()))];
+                            row.extend(latency_fields(&p.latency));
+                            Json::obj(row)
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "unit_latency",
+                Json::obj(latency_fields(&self.unit_latency)),
+            ),
+            (
+                "rules",
+                Json::Arr(
+                    self.rules
+                        .iter()
+                        .map(|r| {
+                            Json::obj(vec![
+                                ("name", Json::from(r.name.as_str())),
+                                ("match_attempts", r.match_attempts.into()),
+                                ("prefilter_rejects", r.prefilter_rejects.into()),
+                                ("matches_found", r.matches_found.into()),
+                                ("violations_found", r.violations_found.into()),
+                                ("seed_ns", r.seed_ns.into()),
+                                ("reenum_ns", r.reenum_ns.into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "trace",
+                Json::Arr(
+                    self.trace
+                        .iter()
+                        .map(|(seq, st)| {
+                            Json::obj(vec![
+                                ("batch", (*seq).into()),
+                                ("deltas_applied", st.deltas_applied.into()),
+                                ("removed", st.violations_removed.into()),
+                                ("added", st.violations_added.into()),
+                                ("retained", st.violations_retained.into()),
+                                ("touched_nodes", st.touched_nodes.into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
-fn histogram_json(h: &HistogramSnapshot) -> String {
-    format!(
-        "\"count\": {}, \"sum_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}",
-        h.count,
-        h.sum_ns,
-        h.max_ns,
-        h.p50_ns(),
-        h.p95_ns(),
-        h.p99_ns()
-    )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The fields every latency histogram serialises to.
+fn latency_fields(h: &HistogramSnapshot) -> Vec<(&'static str, Json)> {
+    vec![
+        ("count", h.count.into()),
+        ("sum_ns", h.sum_ns.into()),
+        ("max_ns", h.max_ns.into()),
+        ("p50_ns", h.p50_ns().into()),
+        ("p95_ns", h.p95_ns().into()),
+        ("p99_ns", h.p99_ns().into()),
+    ]
 }
 
 impl std::fmt::Display for MetricsSnapshot {

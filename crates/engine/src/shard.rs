@@ -1,25 +1,22 @@
 //! Seed-granularity work sharding — the one subsystem behind every
 //! parallel fan-out in the engine.
 //!
-//! Three consumers used to carry their own copies of the same idea
-//! (split a list of seed nodes into chunks, hand the chunks to scoped
-//! workers, join them all before resuming the first panic):
-//! the incremental delta path's affected-area recomputation
-//! ([`validator`](crate::validator)), the match-level pivot split of
-//! [`violations_sharded`](crate::par::violations_sharded), and — since
-//! this module exists — the *seeding* full pass of
-//! [`IncrementalValidator::with_threads`]. They now share one vocabulary:
+//! The incremental delta path's affected-area recomputation
+//! ([`validator`](crate::validator)), the *seeding* full pass of
+//! [`IncrementalValidator::with_threads`] and the from-scratch parallel
+//! validators of [`par`](crate::par) share one vocabulary:
 //!
 //! * a **work unit** is a `(constraint, anchor variable, seed-range)`
 //!   triple — one chunk of one anchor's seed list, enumerated by one
-//!   worker with [`Matcher::for_each_anchored_in`] (the delta path passes
-//!   its exclusion closure, everyone else excludes nothing);
-//! * `run_units_with` is the shared work queue: workers pull units off an
+//!   worker with [`Matcher::for_each_anchored_in`] through `run_unit`
+//!   (the delta path passes its exclusion closure, everyone else excludes
+//!   nothing);
+//! * `run_units_with` is the one work queue: workers pull units off an
 //!   atomic counter, so a Σ whose cost is concentrated in a single
 //!   wildcard rule still spreads across all cores — at *seed*
 //!   granularity, not rule granularity;
-//! * `run_sharded` is the coarser rule-granularity splitter kept for
-//!   the order-preserving per-rule reports of
+//! * `full_pass` is the from-scratch pass over all of Σ (pivot units for
+//!   every rule on that queue) that seeds a validator and answers
 //!   [`validate_parallel`](crate::par::validate_parallel);
 //! * [`SeedStats`] reports how the seeding pass actually split (unit and
 //!   per-worker counts), so the fan-out is observable rather than taken
@@ -33,13 +30,20 @@
 //! [`IncrementalValidator::with_threads`]: crate::IncrementalValidator::with_threads
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
+use crate::metrics::WorkerShard;
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::literal::Literal;
 use ged_graph::{Graph, NodeId};
-use ged_pattern::{MatchOptions, MatchPlan, MatchRecorder, MatchScratch, Matcher, Var};
+use ged_obs::{CellRecorder, NOOP};
+use ged_pattern::{Match, MatchOptions, MatchPlan, MatchRecorder, MatchScratch, Matcher, Var};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// One violating match as the passes collect it: the constraint's index
+/// in Σ, the match, and why it violates.
+pub(crate) type Found = (usize, Match, ViolationKind);
 
 /// One unit of seed-granularity sharded work: the index of a constraint
 /// in Σ, the pattern variable to anchor, the anchor's full seed list
@@ -91,29 +95,6 @@ pub(crate) fn push_units(
     }
 }
 
-/// Split a constraint's match space into units by its most selective
-/// **pivot** variable (fewest label candidates): every match maps the
-/// pivot to exactly one candidate, so the pivot's chunks partition the
-/// match space without duplicates. This is the unit inventory of the
-/// seeding full pass and of the match-level
-/// [`violations_sharded`](crate::par::violations_sharded) split; callers
-/// handle empty patterns (no variable to pivot on) themselves.
-pub(crate) fn push_pivot_units<C: Constraint>(
-    units: &mut Vec<SeedUnit>,
-    g: &Graph,
-    ci: usize,
-    c: &C,
-    threads: usize,
-) {
-    let pattern = c.pattern();
-    let pivot = pattern
-        .vars()
-        .min_by_key(|&v| g.label_candidate_count(pattern.label(v)))
-        .unwrap_or(Var(0));
-    let candidates = Arc::new(g.label_candidates(pattern.label(pivot)).into_owned());
-    push_units(units, ci, pivot, candidates, threads);
-}
-
 /// Compile one rule's [`MatchPlan`]: the pattern's rooted search orders
 /// and degree requirements, with the premise literals the matcher can
 /// check pushed in as candidate pre-filters — constant premises `x.A = c`
@@ -148,36 +129,146 @@ pub fn rule_plan<C: Constraint>(c: &C) -> MatchPlan {
     plan
 }
 
-/// Enumerate one unit's matches and report the violating ones: anchor the
-/// unit's variable on its seed chunk, run the constraint's per-match
-/// `check`, and hand each violation to `sink`. This is the shared body of
-/// the seeding full pass and the match-level pivot split; the delta path
-/// layers its exclusion closure on top and so keeps its own enumerator.
+/// Enumerate the violating matches of one unit — the rule's matches that
+/// map the unit's anchor variable into its seed chunk and no other
+/// variable `u` to a node `n` with `excluded(u, n)` — each exactly once,
+/// onto `out`. The one anchored enumerator of the engine: the full pass
+/// excludes nothing (`|_, _| false` monomorphises the test away), the
+/// delta path excludes the footprint from the variables declared before
+/// the anchor (see [`validator`](crate::validator)).
 ///
 /// The matcher borrows the rule's `plan` ([`rule_plan`]) and writes
 /// candidate sets into `scratch` — the per-worker buffer threaded through
-/// `run_units_with` — so steady-state enumeration allocates nothing.
-///
-/// The matcher hot loop reports to `recorder`; instrumented callers pass
-/// a per-unit `CellRecorder`, unobserved ones the no-op recorder (which
-/// compiles the hook away).
-pub(crate) fn check_unit<C: Constraint, R: MatchRecorder>(
+/// `run_units_with` — so steady-state enumeration allocates nothing; its
+/// hot loop reports to `recorder`.
+fn check_unit<C: Constraint, R: MatchRecorder>(
     g: &Graph,
     (c, plan): (&C, &MatchPlan),
     unit: &SeedUnit,
+    excluded: &impl Fn(Var, NodeId) -> bool,
     scratch: &mut MatchScratch,
     recorder: &R,
-    mut sink: impl FnMut(&[NodeId], ViolationKind),
+    out: &mut Vec<Found>,
 ) {
-    let opts = MatchOptions::homomorphism();
-    let matcher = Matcher::with_plan(plan, c.pattern(), g, opts, recorder);
-    let nothing = &|_, _| false;
-    matcher.for_each_anchored_in(scratch, unit.anchor, unit.seed_slice(), nothing, |m| {
+    let anchor = unit.anchor;
+    let pattern = c.pattern();
+    let matcher = Matcher::with_plan(plan, pattern, g, MatchOptions::homomorphism(), recorder);
+    matcher.for_each_anchored_in(scratch, anchor, unit.seed_slice(), excluded, |m| {
+        debug_assert!(
+            pattern
+                .vars()
+                .all(|u| u == anchor || !excluded(u, m[u.idx()])),
+            "the exclusions let through only matches the anchor owns"
+        );
         if let Some(kind) = c.check(g, m) {
-            sink(m, kind);
+            out.push((unit.ci, m.to_vec(), kind));
         }
         ControlFlow::Continue(())
     });
+}
+
+/// Run one unit on a worker, observed or not: with instrumentation on, a
+/// per-unit [`CellRecorder`] and one clock pair tally the unit into the
+/// worker's shard; off, the no-op recorder compiles the hooks away and no
+/// clock is read. Every pass goes through here, so this is the engine's
+/// one instrumented/uninstrumented fork.
+pub(crate) fn run_unit<C: Constraint>(
+    g: &Graph,
+    rule: (&C, &MatchPlan),
+    unit: &SeedUnit,
+    excluded: &impl Fn(Var, NodeId) -> bool,
+    (ws, scratch): &mut (WorkerShard, MatchScratch),
+    out: &mut Vec<Found>,
+) {
+    if !ws.enabled {
+        return check_unit(g, rule, unit, excluded, scratch, &NOOP, out);
+    }
+    let recorder = CellRecorder::new();
+    let t0 = Instant::now();
+    let before = out.len();
+    check_unit(g, rule, unit, excluded, scratch, &recorder, out);
+    ws.add_unit(
+        unit.ci,
+        recorder.attempts(),
+        recorder.prefilter_rejects(),
+        recorder.matches(),
+        (out.len() - before) as u64,
+        t0.elapsed().as_nanos() as u64,
+    );
+}
+
+/// What [`full_pass`] found and how it split.
+pub(crate) struct FullPass {
+    /// Every violating match of every rule (empty-pattern rules first,
+    /// then the workers' batches in worker order).
+    pub found: Vec<Found>,
+    /// How the pass split across workers.
+    pub stats: SeedStats,
+    /// The tally shards to merge: the coordinator's, then one per worker.
+    pub shards: Vec<WorkerShard>,
+}
+
+/// The from-scratch pass: every violating match of every rule of Σ,
+/// sharded across `threads` workers at seed granularity. Each rule splits
+/// its match space by its most selective **pivot** variable (fewest label
+/// candidates): every match maps the pivot to exactly one candidate, so
+/// the chunks of the pivot's candidate list partition the match space
+/// without duplicates. `plans[i]` is [`rule_plan`] of `sigma[i]`;
+/// `instrumented` turns the per-rule tallies on.
+pub(crate) fn full_pass<C: Constraint>(
+    g: &Graph,
+    sigma: &[C],
+    plans: &[MatchPlan],
+    threads: usize,
+    instrumented: bool,
+) -> FullPass {
+    let new_shard = || WorkerShard::new(sigma.len(), instrumented);
+    // Constraints with an empty pattern have exactly one (empty) match:
+    // nothing to enumerate or shard, checked here — tallied into a
+    // coordinator-side shard so their cost still attributes per rule.
+    let mut inline = new_shard();
+    let mut found: Vec<Found> = Vec::new();
+    let mut units: Vec<SeedUnit> = Vec::new();
+    for (ci, c) in sigma.iter().enumerate() {
+        let pattern = c.pattern();
+        let Some(pivot) = pattern
+            .vars()
+            .min_by_key(|&v| g.label_candidate_count(pattern.label(v)))
+        else {
+            let t0 = instrumented.then(Instant::now);
+            let kind = c.check(g, &[]);
+            if let Some(t0) = t0 {
+                let violations = u64::from(kind.is_some());
+                inline.add_unit(ci, 0, 0, 1, violations, t0.elapsed().as_nanos() as u64);
+            }
+            found.extend(kind.map(|kind| (ci, Vec::new(), kind)));
+            continue;
+        };
+        let candidates = Arc::new(g.label_candidates(pattern.label(pivot)).into_owned());
+        push_units(&mut units, ci, pivot, candidates, threads);
+    }
+    let (batches, per_worker, workers) = run_units_with(
+        threads,
+        &units,
+        || (new_shard(), MatchScratch::new()),
+        |unit, out, worker| {
+            let rule = (&sigma[unit.ci], &plans[unit.ci]);
+            run_unit(g, rule, unit, &|_, _| false, worker, out);
+        },
+    );
+    found.extend(batches);
+    let mut shards = vec![inline];
+    shards.extend(workers.into_iter().map(|(ws, _)| ws));
+    let stats = SeedStats {
+        units: units.len(),
+        per_worker,
+        violations: found.len(),
+    };
+    FullPass {
+        found,
+        stats,
+        shards,
+    }
 }
 
 /// How the seeding full pass split across workers — the construction-time
@@ -295,57 +386,12 @@ pub(crate) fn run_units_with<T: Send, W: Send>(
     (all, per_worker, shards)
 }
 
-/// Run `work` once per item, sharding the list across `threads` workers
-/// at *item* (rule) granularity; results come back in input order. The
-/// items are the constraints of Σ in the engine's use — this is what the
-/// order-preserving per-rule reports of
-/// [`validate_parallel`](crate::par::validate_parallel) need; everything
-/// that can reorder freely goes through [`run_units_with`] instead. The
-/// sequential path avoids any thread overhead for `threads == 1` or a
-/// single item.
-///
-/// If workers panic, every handle is joined first — so no shard's work is
-/// abandoned mid-join — and then the *first* panic payload is resumed, so
-/// the original worker message (not a generic join error) reaches the
-/// user.
-pub(crate) fn run_sharded<I: Sync, T: Send>(
-    threads: usize,
-    sigma: &[I],
-    work: impl Fn(&I) -> T + Sync,
-) -> Vec<T> {
-    assert!(threads >= 1);
-    if threads == 1 || sigma.len() <= 1 {
-        return sigma.iter().map(work).collect();
-    }
-    let chunk_size = sigma.len().div_ceil(threads);
-    let mut results: Vec<Option<T>> = (0..sigma.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let work = &work;
-        let handles: Vec<_> = sigma
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| s.spawn(move || (ci, chunk.iter().map(work).collect::<Vec<T>>())))
-            .collect();
-        for (ci, vals) in join_all_propagating(handles) {
-            for (i, v) in vals.into_iter().enumerate() {
-                results[ci * chunk_size + i] = Some(v);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|o| o.expect("shard covered"))
-        .collect()
-}
-
 /// Join every scoped worker handle, collecting the successful results;
 /// if any worker panicked, resume the *first* panic payload only after
 /// all handles are joined — no shard's work is abandoned mid-join, and
 /// the original worker message (not a generic join error) reaches the
 /// caller.
-pub(crate) fn join_all_propagating<T>(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, T>>,
-) -> Vec<T> {
+fn join_all_propagating<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(handles.len());
     let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
     for h in handles {
@@ -367,8 +413,6 @@ pub(crate) fn join_all_propagating<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_core::ged::Ged;
-    use ged_pattern::parse_pattern;
 
     fn unit_list(lists: &[(usize, usize)], threads: usize) -> Vec<SeedUnit> {
         // `lists` is (constraint index, seed count) per anchor list.
@@ -460,41 +504,10 @@ mod tests {
         );
     }
 
-    /// Regression (moved here with `run_sharded`): the splitter used to
-    /// `expect()` on the first failed join, replacing the worker's panic
-    /// message with a generic one and abandoning the remaining handles.
-    /// All workers are joined first, then the first panic payload is
-    /// resumed verbatim.
-    #[test]
-    fn run_sharded_propagates_the_original_worker_panic() {
-        let sigma: Vec<Ged> = (0..4)
-            .map(|i| {
-                Ged::new(
-                    format!("g{i}"),
-                    parse_pattern("t(x)").unwrap(),
-                    vec![],
-                    vec![],
-                )
-            })
-            .collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded(2, &sigma, |ged| {
-                if ged.name != "g0" {
-                    panic!("worker failed on {}", ged.name);
-                }
-                0usize
-            })
-        }));
-        let payload = result.expect_err("a worker panicked");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("the original String payload survives the join");
-        assert!(
-            msg.contains("worker failed on g"),
-            "original message reaches the caller, got {msg:?}"
-        );
-    }
-
+    /// Regression: the queue used to `expect()` on the first failed join,
+    /// replacing the worker's panic message with a generic one and
+    /// abandoning the remaining handles. All workers are joined first,
+    /// then the first panic payload is resumed verbatim.
     #[test]
     fn run_units_propagates_the_original_worker_panic_too() {
         let units = unit_list(&[(0, 16)], 4);

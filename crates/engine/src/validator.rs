@@ -42,26 +42,24 @@
 //! the anchored seed sets are chunked into `(constraint, anchor,
 //! seed-range)` units and the units pulled off a shared queue by scoped
 //! workers — the [`shard`] machinery this delta path shares
-//! with the seeding full pass of [`IncrementalValidator::with_threads`]
-//! and with [`violations_sharded`](crate::par::violations_sharded)'s
-//! pivot split. Sharding *within* a rule means a large affected area
-//! under one wildcard rule no longer recomputes single-threaded.
+//! with the full pass that seeds [`IncrementalValidator::with_threads`]
+//! and answers [`par`](crate::par). Sharding *within* a rule means a
+//! large affected area under one wildcard rule no longer recomputes
+//! single-threaded.
+//!
+//! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot, Phase, WorkerShard};
 use crate::shard::{self, SeedStats, SeedUnit};
 use crate::store::ViolationStore;
 use crate::view::{ReadStore, ReadView, SharedViews, StoreChange};
 use ged_analysis::{AnalysisReport, Pruned, RuleCost};
-use ged_core::constraint::{Constraint, ViolationKind};
+use ged_core::constraint::Constraint;
 use ged_core::reason::ValidationReport;
-use ged_core::satisfy::{violations_recorded, Violation};
 use ged_graph::{Delta, DeltaEffect, DeltaSet, Graph, NodeId, Symbol};
-use ged_obs::{CellRecorder, MatchRecorder, NOOP};
-use ged_pattern::{Match, MatchOptions, MatchPlan, MatchScratch, Matcher};
+use ged_pattern::{MatchPlan, MatchScratch};
 use std::collections::HashSet;
-use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What one [`IncrementalValidator::apply`] / [`apply_all`] call did.
 ///
@@ -243,84 +241,22 @@ impl<C: Constraint> IncrementalValidator<C> {
         let metrics = EngineMetrics::for_sigma(&sigma);
         let t_seed = metrics.start();
         let mut store = ViolationStore::for_sigma(&sigma);
-        // Constraints with an empty pattern have exactly one (empty)
-        // match: nothing to shard, checked inline — tallied into an extra
-        // coordinator-side shard so their cost still attributes per rule.
-        let mut inline = WorkerShard::new(sigma.len(), metrics.is_enabled());
-        let mut found: Vec<(usize, Match, ViolationKind)> = Vec::new();
-        let mut units: Vec<SeedUnit> = Vec::new();
-        for (ci, c) in sigma.iter().enumerate() {
-            let pattern = c.pattern();
-            if pattern.var_count() == 0 {
-                found.extend(seed_inline(&graph, c, ci, &mut inline));
-                continue;
-            }
-            shard::push_pivot_units(&mut units, &graph, ci, c, threads);
-        }
-        let n_rules = sigma.len();
-        let enabled = metrics.is_enabled();
         let plans: Vec<MatchPlan> = sigma.iter().map(shard::rule_plan).collect();
-        let (batches, per_worker, shards) = shard::run_units_with(
-            threads,
-            &units,
-            || (WorkerShard::new(n_rules, enabled), MatchScratch::new()),
-            |unit, out, (ws, scratch)| {
-                if ws.enabled {
-                    let recorder = CellRecorder::new();
-                    let t0 = Instant::now();
-                    let before = out.len();
-                    shard::check_unit(
-                        &graph,
-                        (&sigma[unit.ci], &plans[unit.ci]),
-                        unit,
-                        scratch,
-                        &recorder,
-                        |m, kind| {
-                            out.push((unit.ci, m.to_vec(), kind));
-                        },
-                    );
-                    ws.add_unit(
-                        unit.ci,
-                        recorder.attempts(),
-                        recorder.prefilter_rejects(),
-                        recorder.matches(),
-                        (out.len() - before) as u64,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                } else {
-                    shard::check_unit(
-                        &graph,
-                        (&sigma[unit.ci], &plans[unit.ci]),
-                        unit,
-                        scratch,
-                        &NOOP,
-                        |m, kind| {
-                            out.push((unit.ci, m.to_vec(), kind));
-                        },
-                    );
-                }
-            },
-        );
-        metrics.merge_pass(&inline, Phase::Seeding);
-        for (ws, _) in &shards {
+        let pass = shard::full_pass(&graph, &sigma, &plans, threads, metrics.is_enabled());
+        for ws in &pass.shards {
             metrics.merge_pass(ws, Phase::Seeding);
         }
-        for (ci, m, kind) in found.into_iter().chain(batches) {
+        for (ci, m, kind) in pass.found {
             store.insert(ci, m, kind);
         }
         metrics.finish(Phase::Seeding, t_seed);
         metrics.note_store(&store);
-        let seed_stats = SeedStats {
-            units: units.len(),
-            per_worker,
-            violations: store.total(),
-        };
         IncrementalValidator {
             graph,
             sigma: Arc::new(sigma),
             store,
             threads,
-            seed_stats,
+            seed_stats: pass.stats,
             metrics: Arc::new(metrics),
             analysis: None,
             plans,
@@ -791,87 +727,14 @@ impl std::fmt::Display for ApplyStats {
     }
 }
 
-/// Seed one empty-pattern constraint inline — its single empty match has
-/// no seeds to shard — tallying cost into the coordinator-side `shard`
-/// when instrumentation is on.
-fn seed_inline<C: Constraint>(
-    g: &Graph,
-    c: &C,
-    ci: usize,
-    shard: &mut WorkerShard,
-) -> Vec<(usize, Match, ViolationKind)> {
-    let vs: Vec<Violation> = if shard.enabled {
-        let recorder = CellRecorder::new();
-        let t0 = Instant::now();
-        let vs = violations_recorded(g, c, None, &recorder);
-        shard.add_unit(
-            ci,
-            recorder.attempts(),
-            recorder.prefilter_rejects(),
-            recorder.matches(),
-            vs.len() as u64,
-            t0.elapsed().as_nanos() as u64,
-        );
-        vs
-    } else {
-        violations_recorded(g, c, None, &NOOP)
-    };
-    vs.into_iter().map(|v| (ci, v.assignment, v.kind)).collect()
-}
-
-/// Enumerate the violating matches of constraint `ci` anchored at
-/// variable `anchor` over one chunk of its seed set, each exactly once.
-/// This is the unit of sharded affected-area work; see the module docs
-/// for why nothing outside the footprint can change status — the argument
-/// only needs `c.check` to read the ids and attributes of matched nodes,
-/// which the [`Constraint`] contract guarantees for every family, so the
-/// exclusion-aware anchored delta path is shared rather than duplicated
-/// per family.
-///
-/// Exactly-once discipline: the match whose *first* touched variable (in
-/// declaration order) is `v` is enumerated only when anchoring `v` —
-/// variables declared before `v` have the touched nodes *excluded* from
-/// their candidate domains, so every other anchoring prunes the match
-/// before it is ever completed. Chunks of one anchor's seed set are
-/// disjoint (slices of a deduplicated vector), so sharding a seed set
-/// preserves the discipline: no match is enumerated twice, none is
-/// enumerated and then discarded.
-fn affected_unit<C: Constraint, R: MatchRecorder>(
-    g: &Graph,
-    (c, plan): (&C, &MatchPlan),
-    unit: &shard::SeedUnit,
-    footprint: &[NodeId],
-    scratch: &mut MatchScratch,
-    recorder: &R,
-    out: &mut Vec<(usize, Match, ViolationKind)>,
-) {
-    let anchor = unit.anchor;
-    let pattern = c.pattern();
-    let touched = |n: NodeId| footprint.binary_search(&n).is_ok();
-    let matcher = Matcher::with_plan(plan, pattern, g, MatchOptions::homomorphism(), recorder);
-    matcher.for_each_anchored_in(
-        scratch,
-        anchor,
-        unit.seed_slice(),
-        &|u, n| u < anchor && touched(n),
-        |m| {
-            debug_assert_eq!(
-                pattern.vars().find(|u| touched(m[u.idx()])),
-                Some(anchor),
-                "the anchor owns every match the exclusions let through"
-            );
-            if let Some(kind) = c.check(g, m) {
-                out.push((unit.ci, m.to_vec(), kind));
-            }
-            ControlFlow::Continue(())
-        },
-    );
-}
-
 /// The affected area of one update across the whole rule set: every
 /// violating match of every constraint whose image intersects the
 /// footprint, each exactly once, sharded across `threads` workers at
-/// **seed granularity**.
+/// **seed granularity**. See the module docs for why nothing outside the
+/// footprint can change status — the argument only needs `c.check` to
+/// read the ids and attributes of matched nodes, which the [`Constraint`]
+/// contract guarantees for every family, so this path is shared rather
+/// than duplicated per family.
 ///
 /// `footprint` is the live touched set as a sorted, deduplicated vector
 /// (the debug assertion checks the seed lists inherit that — a duplicated
@@ -883,12 +746,19 @@ fn affected_unit<C: Constraint, R: MatchRecorder>(
 /// split into up to `threads` chunks, and workers pull units off the
 /// shared queue ([`shard::run_units_with`]), so a single wildcard rule with a
 /// large affected area fans out across all cores instead of recomputing
-/// single-threaded per rule (rule-level sharding — the PR 1 design — kept
-/// whole-rule re-enumerations on one worker). The seeding full pass of
-/// [`IncrementalValidator::with_threads`] and the pivot split of
-/// [`violations_sharded`](crate::par::violations_sharded) ride the same
-/// queue; this path differs from them only in anchoring *every* pattern
-/// variable (not one pivot) and layering the exclusion discipline on top.
+/// single-threaded per rule. The full pass ([`shard::full_pass`]) rides
+/// the same queue and the same unit function; this path differs from it
+/// only in anchoring *every* pattern variable (not one pivot) and in the
+/// exclusions it hands each unit.
+///
+/// Exactly-once discipline: the match whose *first* touched variable (in
+/// declaration order) is `v` is enumerated only when anchoring `v` —
+/// variables declared before `v` have the touched nodes *excluded* from
+/// their candidate domains, so every other anchoring prunes the match
+/// before it is ever completed. Chunks of one anchor's seed set are
+/// disjoint (slices of a deduplicated vector), so sharding a seed set
+/// preserves the discipline: no match is enumerated twice, none is
+/// enumerated and then discarded.
 fn affected_area<C: Constraint>(
     g: &Graph,
     sigma: &[C],
@@ -896,7 +766,7 @@ fn affected_area<C: Constraint>(
     footprint: &[NodeId],
     threads: usize,
     metrics: &EngineMetrics,
-) -> Vec<(usize, Match, ViolationKind)> {
+) -> Vec<shard::Found> {
     assert!(threads >= 1);
     let t = metrics.start();
     // Seed lists are memoized per distinct variable label: most rules
@@ -907,10 +777,8 @@ fn affected_area<C: Constraint>(
     let mut units: Vec<SeedUnit> = Vec::new();
     for (ci, c) in sigma.iter().enumerate() {
         let pattern = c.pattern();
-        if pattern.var_count() == 0 {
-            // The empty match has an empty image: never affected by deltas.
-            continue;
-        }
+        // An empty pattern contributes no units: its one (empty) match
+        // has an empty image, never affected by deltas.
         for v in pattern.vars() {
             let lv = pattern.label(v);
             let seeds = match seed_cache.iter().find(|(l, _)| *l == lv) {
@@ -938,47 +806,19 @@ fn affected_area<C: Constraint>(
     let t = metrics.lap(Phase::Materialize, t);
     let n_rules = sigma.len();
     let enabled = metrics.is_enabled();
-    let (all, _per_worker, shards) = shard::run_units_with(
+    let (all, _per_worker, workers) = shard::run_units_with(
         threads,
         &units,
         || (WorkerShard::new(n_rules, enabled), MatchScratch::new()),
-        |unit, out, (ws, scratch)| {
-            if ws.enabled {
-                let recorder = CellRecorder::new();
-                let t0 = Instant::now();
-                let before = out.len();
-                affected_unit(
-                    g,
-                    (&sigma[unit.ci], &plans[unit.ci]),
-                    unit,
-                    footprint,
-                    scratch,
-                    &recorder,
-                    out,
-                );
-                ws.add_unit(
-                    unit.ci,
-                    recorder.attempts(),
-                    recorder.prefilter_rejects(),
-                    recorder.matches(),
-                    (out.len() - before) as u64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            } else {
-                affected_unit(
-                    g,
-                    (&sigma[unit.ci], &plans[unit.ci]),
-                    unit,
-                    footprint,
-                    scratch,
-                    &NOOP,
-                    out,
-                );
-            }
+        |unit, out, worker| {
+            let rule = (&sigma[unit.ci], &plans[unit.ci]);
+            let before_anchor_and_touched =
+                |u, n: NodeId| u < unit.anchor && footprint.binary_search(&n).is_ok();
+            shard::run_unit(g, rule, unit, &before_anchor_and_touched, worker, out);
         },
     );
     metrics.finish(Phase::Reenumerate, t);
-    for (ws, _) in &shards {
+    for (ws, _) in &workers {
         metrics.merge_pass(ws, Phase::Reenumerate);
     }
     all
@@ -991,6 +831,8 @@ mod tests {
     use ged_core::literal::Literal;
     use ged_graph::{sym, Value};
     use ged_pattern::{parse_pattern, Var};
+    use ged_pattern::{MatchOptions, Matcher};
+    use std::ops::ControlFlow;
 
     /// key: two t-nodes with equal `k` must be identical.
     fn key_ged() -> Ged {
@@ -1326,27 +1168,26 @@ mod tests {
         }
         let seq = ged_core::reason::validate(&g, &sigma, None);
         for threads in [1, 3] {
-            let par = crate::par::validate_parallel(&g, &sigma, threads, None);
+            let par = crate::par::validate_parallel(&g, &sigma, threads);
             assert_eq!(par.total_violations(), seq.total_violations());
-            assert_eq!(
-                crate::par::validate_rules_parallel(&g, &sigma, threads, None),
-                seq.per_ged
+            let rows = |r: &ValidationReport| -> Vec<(String, usize, bool)> {
+                r.per_ged
                     .iter()
-                    .map(|r| r.violation_count)
-                    .collect::<Vec<_>>()
-            );
+                    .map(|row| (row.name.clone(), row.violation_count, row.satisfied))
+                    .collect()
+            };
+            assert_eq!(rows(&par), rows(&seq));
         }
     }
 
-    /// One `IncrementalValidator<AnyConstraint>` serves a heterogeneous Σ:
-    /// a plain GED, a dense-order GDC, and a disjunctive GED∨ in one rule
-    /// set, maintained through deltas that hit each family.
+    /// One `IncrementalValidator<SigmaConstraint>` serves a heterogeneous
+    /// Σ: a plain GED, a dense-order GDC, and a disjunctive GED∨ in one
+    /// rule set, maintained through deltas that hit each family.
     #[test]
     fn mixed_any_constraint_sigma_is_maintained_incrementally() {
-        use ged_core::constraint::AnyConstraint;
-        use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred};
+        use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred, SigmaConstraint};
         let q = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<AnyConstraint> = vec![
+        let sigma: Vec<SigmaConstraint> = vec![
             key_ged().into(),
             Gdc::forbidding(
                 "k≤9",
@@ -1422,7 +1263,7 @@ mod tests {
         let sigma = vec![wild_key];
         let mut footprint: Vec<NodeId> = nodes.iter().copied().step_by(2).collect();
         footprint.sort_unstable();
-        let canon = |mut v: Vec<(usize, Match, ViolationKind)>| {
+        let canon = |mut v: Vec<shard::Found>| {
             v.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
             v
         };
@@ -1484,8 +1325,8 @@ mod tests {
     /// A Σ whose cost is concentrated in one wildcard rule, over a graph
     /// where that rule has real work: the seeding skew scenario the
     /// seed-granularity construction pass exists for.
-    fn hot_wildcard_sigma_and_graph() -> (Graph, Vec<ged_core::constraint::AnyConstraint>) {
-        use ged_core::constraint::AnyConstraint;
+    fn hot_wildcard_sigma_and_graph() -> (Graph, Vec<ged_ext::SigmaConstraint>) {
+        use ged_ext::SigmaConstraint;
         use ged_ext::{Gdc, GdcLiteral, Pred};
         use ged_pattern::Pattern;
         let mut q = Pattern::new();
@@ -1498,7 +1339,7 @@ mod tests {
             vec![Literal::id(x, y)],
         );
         let qt = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<AnyConstraint> = vec![
+        let sigma: Vec<SigmaConstraint> = vec![
             wild_key.into(),
             Gdc::forbidding(
                 "k≤40",
@@ -1664,7 +1505,7 @@ mod tests {
         assert_eq!(trace[0].1, stats);
         // The snapshot renders both ways without panicking.
         assert!(m.to_string().contains("1 batch(es)"));
-        assert!(m.to_json().contains("\"batches\": 1"));
+        assert_eq!(m.to_json().get_u64("batches"), Some(1));
     }
 
     /// The delta path's work is bounded by the neighbourhood of the
@@ -1970,8 +1811,8 @@ mod tests {
         // The snapshot renders the new gauges both ways.
         let m = v.metrics();
         assert!(m.to_string().contains("read views: 0 live"));
-        assert!(m.to_json().contains("\"read_views\": 0"));
-        assert!(m.to_json().contains("\"published_epoch\": 0"));
+        assert_eq!(m.to_json().get_u64("read_views"), Some(0));
+        assert_eq!(m.to_json().get_u64("published_epoch"), Some(0));
     }
 
     /// A cloned validator starts with a fresh, inactive view set: views

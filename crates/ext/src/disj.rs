@@ -8,12 +8,12 @@
 //! satisfiability/implication jump to Σᵖ₂ / Πᵖ₂ (Theorem 9) — see
 //! [`crate::reason`].
 
-use ged_core::constraint::{AnyConstraint, Constraint, LiteralView, ViolationKind};
+use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_core::satisfy::literal_holds;
 use ged_graph::{Graph, NodeId};
-use ged_pattern::{Match, Pattern};
+use ged_pattern::Pattern;
 
 /// A disjunctive GED `Q[x̄](⋀X → ⋁Y)`.
 #[derive(Debug, Clone)]
@@ -123,49 +123,10 @@ impl Constraint for DisjGed {
     }
 }
 
-/// GED∨s slot into heterogeneous rule sets: `Vec<AnyConstraint>` can mix
-/// them with plain GEDs and GDCs in one validator instance.
-impl From<DisjGed> for AnyConstraint {
-    fn from(d: DisjGed) -> AnyConstraint {
-        AnyConstraint::new(d)
-    }
-}
-
-/// A violating match: satisfies `X`, satisfies *no* literal of `Y`.
-#[derive(Debug, Clone)]
-pub struct DisjViolation {
-    /// Name of the violated GED∨.
-    pub name: String,
-    /// The offending match.
-    pub assignment: Match,
-}
-
-/// Enumerate violations of a GED∨ (validation: coNP-complete, Theorem 9) —
-/// a thin wrapper over the generic match-enumeration loop of
-/// `ged_core::satisfy`.
-pub fn disj_violations(g: &Graph, d: &DisjGed, limit: Option<usize>) -> Vec<DisjViolation> {
-    ged_core::satisfy::violations(g, d, limit)
-        .into_iter()
-        .map(|v| DisjViolation {
-            name: v.ged_name,
-            assignment: v.assignment,
-        })
-        .collect()
-}
-
-/// `G ⊨ ψ` for a GED∨.
-pub fn disj_satisfies(g: &Graph, d: &DisjGed) -> bool {
-    ged_core::satisfy::satisfies(g, d)
-}
-
-/// `G ⊨ Σ` for a set of GED∨s.
-pub fn disj_satisfies_all(g: &Graph, sigma: &[DisjGed]) -> bool {
-    ged_core::satisfy::satisfies_all(g, sigma)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
 
@@ -191,21 +152,21 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.node("x", "τ");
         b.attr("x", "A", 1);
-        assert!(disj_satisfies(&b.build(), &d));
+        assert!(satisfies(&b.build(), &d));
         // A = 7: violation.
         let mut b = GraphBuilder::new();
         b.node("x", "τ");
         b.attr("x", "A", 7);
-        assert!(!disj_satisfies(&b.build(), &d));
+        assert!(!satisfies(&b.build(), &d));
         // A missing: violation too (the constraint also forces existence,
         // per Example 10: "each τ-node x HAS an A-attribute and …").
         let mut b = GraphBuilder::new();
         b.node("x", "τ");
-        assert!(!disj_satisfies(&b.build(), &d));
+        assert!(!satisfies(&b.build(), &d));
         // Other labels are unconstrained.
         let mut b = GraphBuilder::new();
         b.node("y", "other");
-        assert!(disj_satisfies(&b.build(), &d));
+        assert!(satisfies(&b.build(), &d));
     }
 
     #[test]
@@ -244,7 +205,7 @@ mod tests {
             },
         ] {
             let ged_ok = satisfies(&g_data, &ged);
-            let split_ok = disj_satisfies_all(&g_data, &split);
+            let split_ok = satisfies_all(&g_data, &split);
             assert_eq!(ged_ok, split_ok);
         }
     }
@@ -256,8 +217,8 @@ mod tests {
         let d = DisjGed::new("forbid", q, vec![], vec![]);
         let mut b = GraphBuilder::new();
         b.node("x", "bad");
-        assert!(!disj_satisfies(&b.build(), &d));
-        assert!(disj_satisfies(&Graph::new(), &d));
+        assert!(!satisfies(&b.build(), &d));
+        assert!(satisfies(&Graph::new(), &d));
     }
 
     #[test]
@@ -276,6 +237,6 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.node("x", "t");
         b.attr("x", "B", 9);
-        assert!(disj_satisfies(&b.build(), &d));
+        assert!(satisfies(&b.build(), &d));
     }
 }

@@ -68,9 +68,8 @@ pub fn boolean_domain_as_disj(label: &str, attr: &str) -> DisjGed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disj::disj_satisfies;
-    use crate::gdc::gdc_satisfies_all;
     use crate::reason::{disj_satisfiable, gdc_satisfiable};
+    use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::GraphBuilder;
 
     fn node_with(attr_val: Option<i64>) -> ged_graph::Graph {
@@ -94,11 +93,11 @@ mod tests {
             (node_with(None), false), // missing attribute fails both forms
         ] {
             assert_eq!(
-                gdc_satisfies_all(&g, &[phi1.clone(), phi2.clone()]),
+                satisfies_all(&g, &[phi1.clone(), phi2.clone()]),
                 expect,
                 "GDC pair"
             );
-            assert_eq!(disj_satisfies(&g, &psi), expect, "GED∨ form");
+            assert_eq!(satisfies(&g, &psi), expect, "GED∨ form");
         }
     }
 
@@ -106,8 +105,8 @@ mod tests {
     fn missing_attribute_violates_gdc_pair_via_phi1() {
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &[Value::from(0)]);
         let g = node_with(None);
-        assert!(!crate::gdc::gdc_satisfies(&g, &phi1), "existence half");
-        assert!(crate::gdc::gdc_satisfies(&g, &phi2), "domain half vacuous");
+        assert!(!satisfies(&g, &phi1), "existence half");
+        assert!(satisfies(&g, &phi2), "domain half vacuous");
     }
 
     #[test]
@@ -121,8 +120,8 @@ mod tests {
     #[test]
     fn singleton_domain_pins_the_value() {
         let psi = domain_as_disj("τ", "A", &[Value::from(3)]);
-        assert!(disj_satisfies(&node_with(Some(3)), &psi));
-        assert!(!disj_satisfies(&node_with(Some(4)), &psi));
+        assert!(satisfies(&node_with(Some(3)), &psi));
+        assert!(!satisfies(&node_with(Some(4)), &psi));
         assert!(disj_satisfiable(&[psi]));
     }
 
@@ -132,6 +131,6 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.node("a", "account");
         b.attr("a", "is_fake", 1);
-        assert!(disj_satisfies(&b.build(), &psi));
+        assert!(satisfies(&b.build(), &psi));
     }
 }

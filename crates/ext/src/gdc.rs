@@ -9,11 +9,11 @@
 //! enumerate-matches engine as GEDs.
 
 use crate::predicate::Pred;
-use ged_core::constraint::{AnyConstraint, Constraint, LiteralView, ViolationKind};
+use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_graph::{Graph, NodeId, Symbol, Value};
-use ged_pattern::{Match, Pattern, Var};
+use ged_pattern::{Pattern, Var};
 use std::fmt;
 
 /// A GDC literal.
@@ -359,49 +359,10 @@ pub fn premises_feasible(premises: &[GdcLiteral]) -> bool {
     consistent(&atoms)
 }
 
-/// GDCs slot into heterogeneous rule sets: `Vec<AnyConstraint>` can mix
-/// them with plain GEDs and GED∨ in one validator instance.
-impl From<Gdc> for AnyConstraint {
-    fn from(g: Gdc) -> AnyConstraint {
-        AnyConstraint::new(g)
-    }
-}
-
-/// A violation witness.
-#[derive(Debug, Clone)]
-pub struct GdcViolation {
-    /// Name of the violated GDC.
-    pub name: String,
-    /// The offending match.
-    pub assignment: Match,
-}
-
-/// Enumerate violations of `gdc` in `g` (Theorem 8: validation is
-/// coNP-complete, same shape as GED validation) — a thin wrapper over the
-/// generic match-enumeration loop of `ged_core::satisfy`.
-pub fn gdc_violations(g: &Graph, gdc: &Gdc, limit: Option<usize>) -> Vec<GdcViolation> {
-    ged_core::satisfy::violations(g, gdc, limit)
-        .into_iter()
-        .map(|v| GdcViolation {
-            name: v.ged_name,
-            assignment: v.assignment,
-        })
-        .collect()
-}
-
-/// `G ⊨ φ` for a GDC.
-pub fn gdc_satisfies(g: &Graph, gdc: &Gdc) -> bool {
-    ged_core::satisfy::satisfies(g, gdc)
-}
-
-/// `G ⊨ Σ` for a set of GDCs.
-pub fn gdc_satisfies_all(g: &Graph, sigma: &[Gdc]) -> bool {
-    ged_core::satisfy::satisfies_all(g, sigma)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ged_core::satisfy::{satisfies, satisfies_all, violations};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::parse_pattern;
 
@@ -431,15 +392,15 @@ mod tests {
         b.attr("p", "rating", 7);
         let g = b.build();
         let sigma = rating_range();
-        assert!(!gdc_satisfies_all(&g, &sigma));
-        let vs = gdc_violations(&g, &sigma[1], None);
+        assert!(!satisfies_all(&g, &sigma));
+        let vs = violations(&g, &sigma[1], None);
         assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].name, "rating≤5");
+        assert_eq!(vs[0].ged_name, "rating≤5");
 
         let mut b2 = GraphBuilder::new();
         b2.node("p", "product");
         b2.attr("p", "rating", 4);
-        assert!(gdc_satisfies_all(&b2.build(), &sigma));
+        assert!(satisfies_all(&b2.build(), &sigma));
     }
 
     #[test]
@@ -448,7 +409,7 @@ mod tests {
         b.node("p", "product");
         let g = b.build();
         // X references rating which is missing → X never holds → satisfied.
-        assert!(gdc_satisfies_all(&g, &rating_range()));
+        assert!(satisfies_all(&g, &rating_range()));
     }
 
     #[test]
@@ -469,11 +430,11 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.triple(("e", "emp"), "reports_to", ("m", "emp"));
         b.attr("e", "salary", 120).attr("m", "salary", 100);
-        assert!(!gdc_satisfies(&b.build(), &denial));
+        assert!(!satisfies(&b.build(), &denial));
         let mut b2 = GraphBuilder::new();
         b2.triple(("e", "emp"), "reports_to", ("m", "emp"));
         b2.attr("e", "salary", 90).attr("m", "salary", 100);
-        assert!(gdc_satisfies(&b2.build(), &denial));
+        assert!(satisfies(&b2.build(), &denial));
     }
 
     #[test]
@@ -492,8 +453,8 @@ mod tests {
         b.attr("t", "type", "psychologist");
         b.attr("gb", "type", "video game");
         let dirty = b.build();
-        assert_eq!(satisfies(&dirty, &ged), gdc_satisfies(&dirty, &gdc));
-        assert!(!gdc_satisfies(&dirty, &gdc));
+        assert_eq!(satisfies(&dirty, &ged), satisfies(&dirty, &gdc));
+        assert!(!satisfies(&dirty, &gdc));
     }
 
     #[test]
@@ -515,6 +476,6 @@ mod tests {
         b.node("a", "album");
         b.node("b", "album");
         b.attr("a", "title", "Bleach").attr("b", "title", "Bleach");
-        assert!(!gdc_satisfies(&b.build(), &key));
+        assert!(!satisfies(&b.build(), &key));
     }
 }

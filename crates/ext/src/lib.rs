@@ -17,15 +17,13 @@
 //! * [`domain`] — the Example 9/10 domain-constraint helpers;
 //! * [`sigma`] — the closed [`SigmaConstraint`] union over the four
 //!   concrete families, statically dispatched so the engine's per-match
-//!   `check` call devirtualises (keep `AnyConstraint` for families
-//!   outside the paper's four).
+//!   `check` call devirtualises.
 //!
 //! Both families are first-class members of the unified constraint layer
-//! (`ged_core::constraint`), and this crate supplies the `From<Gdc>` /
-//! `From<DisjGed>` / `From<NormConstraint>` conversions into
-//! [`ged_core::constraint::AnyConstraint`], so one `Vec<AnyConstraint>` —
-//! and one engine instance — can serve a heterogeneous Σ mixing all three
-//! families.
+//! (`ged_core::constraint`): enumeration and validation are the generic
+//! `ged_core::satisfy::{violations, satisfies, satisfies_all}` and
+//! `ged_core::reason::validate`, and one `Vec<SigmaConstraint>` — and one
+//! engine instance — serves a heterogeneous Σ mixing all of them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,11 +37,8 @@ pub mod reason;
 pub mod sigma;
 pub mod solver;
 
-pub use disj::{disj_satisfies, disj_satisfies_all, disj_violations, DisjGed, DisjViolation};
-pub use gdc::{
-    gdc_satisfies, gdc_satisfies_all, gdc_violations, premises_feasible, Gdc, GdcLiteral,
-    GdcViolation,
-};
+pub use disj::DisjGed;
+pub use gdc::{premises_feasible, Gdc, GdcLiteral};
 pub use predicate::Pred;
 pub use reason::{disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, NormConstraint};
 pub use sigma::SigmaConstraint;
@@ -51,18 +46,18 @@ pub use sigma::SigmaConstraint;
 #[cfg(test)]
 mod mixed_sigma {
     use super::*;
-    use ged_core::constraint::{AnyConstraint, Constraint, ViolationKind};
+    use ged_core::constraint::{Constraint, ViolationKind};
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
 
-    /// One `Vec<AnyConstraint>` holds all three families, and the generic
+    /// One `Vec<SigmaConstraint>` holds all three families, and the generic
     /// enumerator classifies each with its native `ViolationKind`.
     #[test]
     fn one_sigma_mixes_all_three_families() {
         let q = || parse_pattern("τ(x)").unwrap();
-        let sigma: Vec<AnyConstraint> = vec![
+        let sigma: Vec<SigmaConstraint> = vec![
             Ged::new(
                 "flagged⇒reviewed",
                 q(),
@@ -107,7 +102,7 @@ mod mixed_sigma {
         assert!(matches!(kinds[2], ViolationKind::Disjunction));
 
         // NormConstraint members join the same Σ through their own From.
-        let norm: AnyConstraint = NormConstraint::from_gdc(&Gdc::forbidding(
+        let norm: SigmaConstraint = NormConstraint::from_gdc(&Gdc::forbidding(
             "score≥0",
             q(),
             vec![GdcLiteral::constant(Var(0), sym("score"), Pred::Lt, 0)],
@@ -122,6 +117,7 @@ mod proptests {
     use super::*;
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
+    use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
     use proptest::prelude::*;
@@ -164,8 +160,8 @@ mod proptests {
             );
             let gdc = Gdc::from_ged(&ged);
             prop_assert_eq!(
-                ged_core::satisfy::satisfies(&g, &ged),
-                gdc::gdc_satisfies(&g, &gdc)
+                satisfies(&g, &ged),
+                satisfies(&g, &gdc)
             );
         }
 
@@ -183,8 +179,8 @@ mod proptests {
             );
             let split = DisjGed::from_ged(&ged);
             prop_assert_eq!(
-                ged_core::satisfy::satisfies(&g, &ged),
-                disj::disj_satisfies_all(&g, &split)
+                satisfies(&g, &ged),
+                satisfies_all(&g, &split)
             );
         }
 
@@ -211,7 +207,7 @@ mod proptests {
             // lo ≤ hi → window nonempty → satisfiable; lo > hi → unsat.
             prop_assert_eq!(sat, lo <= hi);
             if !sat && !g.nodes_with_label(sym("τ")).is_empty() {
-                prop_assert!(!gdc::gdc_satisfies_all(&g, &sigma));
+                prop_assert!(!satisfies_all(&g, &sigma));
             }
         }
     }

@@ -23,9 +23,7 @@
 use crate::disj::DisjGed;
 use crate::gdc::{Gdc, GdcLiteral};
 use crate::solver::{consistent, Constraint, Term};
-use ged_core::constraint::{
-    AnyConstraint, Constraint as ConstraintDep, LiteralView, ViolationKind,
-};
+use ged_core::constraint::{Constraint as ConstraintDep, LiteralView, ViolationKind};
 use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::{MatchOptions, Matcher, Pattern};
 use std::collections::BTreeSet;
@@ -157,14 +155,6 @@ impl ConstraintDep for NormConstraint {
 
     fn premises_feasible(&self) -> bool {
         crate::gdc::premises_feasible(&self.premises)
-    }
-}
-
-/// Normalised constraints, too, can join heterogeneous rule sets — useful
-/// when a Σ mixes hand-built families with already-normalised members.
-impl From<NormConstraint> for AnyConstraint {
-    fn from(nc: NormConstraint) -> AnyConstraint {
-        AnyConstraint::new(nc)
     }
 }
 

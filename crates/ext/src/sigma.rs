@@ -1,23 +1,20 @@
 //! The closed constraint union: every family of the paper in one enum,
 //! dispatched statically.
 //!
-//! [`AnyConstraint`] erases the
-//! family behind `Arc<dyn Constraint>`, which keeps Σ open to third-party
-//! families but pays a virtual call per `check` — once per enumerated
-//! match, in the engine's innermost loop. [`SigmaConstraint`] is the
-//! closed counterpart over exactly the paper's families {GED, GDC, GED∨,
-//! normalized}: `check`/`pattern` compile to a jump table over an
-//! inline-visible `match`, the optimizer sees the concrete callee at
-//! every arm, and a homogeneous `Vec<SigmaConstraint>` stores the rules
-//! inline instead of behind shared pointers. Rule sets that need a
-//! family outside the paper's four keep using `AnyConstraint` — the enum
-//! converts into it losslessly ([`From<SigmaConstraint>`]), so the two
-//! compose: closed where the engine is hot, open at the edges.
+//! [`SigmaConstraint`] is the workspace's one heterogeneous-Σ type, over
+//! exactly the paper's families {GED, GDC, GED∨, normalized}: `check` —
+//! called once per enumerated match, in the engine's innermost loop — and
+//! `pattern` compile to a jump table over an inline-visible `match`, the
+//! optimizer sees the concrete callee at every arm, and a
+//! `Vec<SigmaConstraint>` stores the rules inline instead of behind shared
+//! pointers. There is no type-erased arm: every engine is generic over
+//! `C: Constraint`, so a family outside the paper's four implements the
+//! trait and runs as its own `C` (or in its own enum next to this one).
 
 use crate::disj::DisjGed;
 use crate::gdc::Gdc;
 use crate::reason::NormConstraint;
-use ged_core::constraint::{AnyConstraint, Constraint, LiteralView, ViolationKind};
+use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
 use ged_graph::{Graph, NodeId};
 use ged_pattern::Pattern;
@@ -25,8 +22,7 @@ use ged_pattern::Pattern;
 /// A constraint of one of the paper's four concrete families, dispatched
 /// by `match` instead of vtable. Implements [`Constraint`], so every
 /// generic engine (`IncrementalValidator`, the from-scratch enumerators,
-/// the static analyzer) takes a `Vec<SigmaConstraint>` as-is — same API
-/// as [`AnyConstraint`], devirtualised hot path.
+/// the static analyzer) takes a `Vec<SigmaConstraint>` as-is.
 #[derive(Debug, Clone)]
 pub enum SigmaConstraint {
     /// A plain GED `Q[x̄](X → Y)` (Section 2).
@@ -107,21 +103,11 @@ impl From<NormConstraint> for SigmaConstraint {
     }
 }
 
-/// The enum embeds in the open wrapper losslessly: mixed Σ code that
-/// needs `AnyConstraint` (e.g. to add a family outside the paper's four)
-/// can absorb devirtualised rules without reconstructing them.
-impl From<SigmaConstraint> for AnyConstraint {
-    fn from(c: SigmaConstraint) -> AnyConstraint {
-        AnyConstraint::new(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gdc::GdcLiteral;
     use crate::predicate::Pred;
-    use ged_core::constraint::constraint_sigma_size;
     use ged_core::literal::Literal;
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
@@ -130,50 +116,54 @@ mod tests {
         parse_pattern("τ(x)").unwrap()
     }
 
-    fn four_families() -> Vec<SigmaConstraint> {
-        vec![
-            Ged::new(
-                "flagged⇒reviewed",
-                q(),
-                vec![Literal::constant(Var(0), sym("flagged"), 1)],
-                vec![Literal::constant(Var(0), sym("reviewed"), 1)],
-            )
-            .into(),
-            Gdc::forbidding(
-                "score≤10",
-                q(),
-                vec![GdcLiteral::constant(Var(0), sym("score"), Pred::Gt, 10)],
-            )
-            .into(),
-            DisjGed::new(
-                "state∈{on,off}",
-                q(),
-                vec![],
-                vec![
-                    Literal::constant(Var(0), sym("state"), "on"),
-                    Literal::constant(Var(0), sym("state"), "off"),
-                ],
-            )
-            .into(),
-            NormConstraint::from_gdc(&Gdc::forbidding(
-                "state≠limbo",
-                q(),
-                vec![GdcLiteral::constant(
-                    Var(0),
-                    sym("state"),
-                    Pred::Eq,
-                    "limbo",
-                )],
-            ))
-            .into(),
-        ]
+    fn ged() -> Ged {
+        Ged::new(
+            "flagged⇒reviewed",
+            q(),
+            vec![Literal::constant(Var(0), sym("flagged"), 1)],
+            vec![Literal::constant(Var(0), sym("reviewed"), 1)],
+        )
     }
 
-    /// Every delegated method agrees with the erased wrapper over the
-    /// same underlying rule — the enum is a dispatch change, not a
-    /// semantic one.
-    #[test]
-    fn enum_and_any_agree_on_every_method() {
+    fn gdc() -> Gdc {
+        Gdc::forbidding(
+            "score≤10",
+            q(),
+            vec![GdcLiteral::constant(Var(0), sym("score"), Pred::Gt, 10)],
+        )
+    }
+
+    fn disj() -> DisjGed {
+        DisjGed::new(
+            "state∈{on,off}",
+            q(),
+            vec![],
+            vec![
+                Literal::constant(Var(0), sym("state"), "on"),
+                Literal::constant(Var(0), sym("state"), "off"),
+            ],
+        )
+    }
+
+    fn norm() -> NormConstraint {
+        NormConstraint::from_gdc(&Gdc::forbidding(
+            "state≠limbo",
+            q(),
+            vec![GdcLiteral::constant(
+                Var(0),
+                sym("state"),
+                Pred::Eq,
+                "limbo",
+            )],
+        ))
+    }
+
+    fn four_families() -> Vec<SigmaConstraint> {
+        vec![ged().into(), gdc().into(), disj().into(), norm().into()]
+    }
+
+    /// One node violating every family at once.
+    fn offending_node() -> (Graph, Vec<NodeId>) {
         let mut b = GraphBuilder::new();
         b.node("n", "τ");
         b.attr("n", "flagged", 1);
@@ -181,19 +171,33 @@ mod tests {
         b.attr("n", "state", "limbo");
         let (g, names) = b.build_with_names();
         let m = vec![names["n"]];
-        for c in four_families() {
-            let any: AnyConstraint = c.clone().into();
-            assert_eq!(c.name(), any.name());
-            assert_eq!(Constraint::size(&c), any.size());
-            assert_eq!(c.pattern().var_count(), any.pattern().var_count());
-            assert_eq!(c.check(&g, &m), any.check(&g, &m));
-            assert_eq!(c.literal_view(), any.literal_view());
-            assert_eq!(
-                c.as_chase_ged().map(|g| g.name),
-                any.as_chase_ged().map(|g| g.name)
-            );
-            assert_eq!(Constraint::premises_feasible(&c), any.premises_feasible());
-        }
+        (g, m)
+    }
+
+    fn assert_delegates<C: Constraint + Clone + Into<SigmaConstraint>>(native: &C) {
+        let (g, m) = offending_node();
+        let c: SigmaConstraint = native.clone().into();
+        assert_eq!(c.name(), native.name());
+        assert_eq!(c.size(), native.size());
+        assert_eq!(c.pattern().var_count(), native.pattern().var_count());
+        assert_eq!(c.check(&g, &m), native.check(&g, &m));
+        assert!(c.check(&g, &m).is_some());
+        assert_eq!(c.literal_view(), native.literal_view());
+        assert_eq!(
+            c.as_chase_ged().map(|g| g.name),
+            native.as_chase_ged().map(|g| g.name)
+        );
+        assert_eq!(c.premises_feasible(), native.premises_feasible());
+    }
+
+    /// Every method of every arm answers what the wrapped rule answers —
+    /// the enum is a dispatch, not a semantic layer.
+    #[test]
+    fn enum_delegates_every_method_to_the_wrapped_family() {
+        assert_delegates(&ged());
+        assert_delegates(&gdc());
+        assert_delegates(&disj());
+        assert_delegates(&norm());
     }
 
     /// A homogeneous `Vec<SigmaConstraint>` drives the generic validator
@@ -201,16 +205,7 @@ mod tests {
     #[test]
     fn one_sigma_vec_serves_all_four_families() {
         let sigma = four_families();
-        assert_eq!(constraint_sigma_size(&sigma), {
-            let any: Vec<AnyConstraint> = four_families().into_iter().map(Into::into).collect();
-            constraint_sigma_size(&any)
-        });
-        let mut b = GraphBuilder::new();
-        b.node("n", "τ");
-        b.attr("n", "flagged", 1);
-        b.attr("n", "score", 99);
-        b.attr("n", "state", "limbo");
-        let g = b.build();
+        let (g, _) = offending_node();
         let report = ged_core::reason::validate(&g, &sigma, None);
         assert_eq!(report.total_violations(), 4);
         let kinds: Vec<&ViolationKind> = report.violations.iter().map(|v| &v.kind).collect();

@@ -1,11 +1,13 @@
 //! A minimal JSON document model with a parser and a one-line writer.
 //!
 //! The build environment has no crates.io access (DESIGN.md §2), so the
-//! wire protocol vendors its own JSON the same way `MetricsSnapshot::
-//! to_json` and the bench harness hand-roll their serialisation — except
-//! the daemon must also *read* JSON off untrusted sockets, so this module
-//! adds the missing half: a recursive-descent parser with a document
-//! depth limit (a hostile frame of ten thousand `[`s must produce a
+//! workspace vendors its own JSON, once, here — beneath every crate that
+//! speaks it: the wire protocol (`ged-proto` re-exports this module as
+//! `ged_proto::json`), the engine's `MetricsSnapshot::to_json` and the
+//! analyzer's `AnalysisReport::to_json` all build a [`Json`] and leave the
+//! text to [`Json::write`]. The daemon also *reads* JSON off untrusted
+//! sockets, hence the recursive-descent parser with a document depth
+//! limit (a hostile frame of ten thousand `[`s must produce a
 //! [`JsonError`], not a stack overflow).
 //!
 //! Two deliberate choices:
@@ -17,9 +19,9 @@
 //!   codec must round-trip the distinction. The writer renders integral
 //!   floats with a forced `.0` and the parser classifies by the presence
 //!   of `.`/`e` in the literal, making the round-trip lossless.
-//! * **The writer emits exactly one line.** Frames are newline-delimited
-//!   ([`crate::wire`]), so the serialised form must never contain a raw
-//!   newline; string escapes guarantee that.
+//! * **The writer emits exactly one line.** Wire frames are
+//!   newline-delimited (`ged_proto::wire`), so the serialised form must
+//!   never contain a raw newline; string escapes guarantee that.
 
 use std::fmt::{self, Write as _};
 
@@ -169,7 +171,7 @@ impl Json {
 
     /// Does this document contain a NaN/Infinity float anywhere? JSON
     /// cannot represent such values, so the frame writer
-    /// ([`crate::wire::write_frame`]) refuses to send documents for
+    /// (`ged_proto::wire::write_frame`) refuses to send documents for
     /// which this is true instead of silently degrading them to `null`.
     pub fn has_non_finite(&self) -> bool {
         match self {
@@ -204,7 +206,7 @@ impl Json {
                 } else {
                     // JSON has no NaN/Infinity literal; degrade to null
                     // rather than emitting an unparseable frame. The
-                    // frame writer ([`crate::wire::write_frame`]) rejects
+                    // frame writer (`ged_proto::wire::write_frame`) rejects
                     // such frames up front so nothing silently crosses
                     // the wire as null — this arm only serves `Display`.
                     out.push_str("null");
@@ -289,9 +291,9 @@ impl From<String> for Json {
     }
 }
 
-/// Write `s` as a JSON string literal — the wire's one definition of
-/// string escaping, shared by [`Json::write`] and the streaming reply
-/// encoders in [`crate::message`]. Runs of bytes that need no escape are
+/// Write `s` as a JSON string literal — the workspace's one definition
+/// of string escaping, shared by [`Json::write`] and the streaming reply
+/// encoders in `ged_proto::message`. Runs of bytes that need no escape are
 /// copied in one piece; every byte that does need one is ASCII, so
 /// cutting the string at those bytes never splits a UTF-8 sequence.
 pub fn write_escaped(s: &str, out: &mut String) {
@@ -551,6 +553,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn roundtrip(v: &Json) -> Json {
         Json::parse(&v.to_string()).expect("roundtrip parse")
@@ -684,5 +688,90 @@ mod tests {
             Json::parse(r#""\u0041\u00e5\ud83e\udd80""#).unwrap(),
             Json::Str("Aå🦀".to_string())
         );
+    }
+
+    /// Arbitrary documents nested at most `depth` containers deep, drawn
+    /// from the corners the writer and parser have to agree on.
+    #[derive(Debug, Clone, Copy)]
+    struct ArbJson {
+        depth: usize,
+    }
+
+    /// String material: every byte class `write_escaped` treats
+    /// differently, plus multi-byte characters on either side of them.
+    const PIECES: [&str; 13] = [
+        "\"", "\\", "\n", "\r", "\t", "\0", "\u{1f}", "\u{7f}", "é", "🦀", "a", " ", "/",
+    ];
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        (0..rng.below(6))
+            .map(|_| PIECES[rng.below(PIECES.len())])
+            .collect()
+    }
+
+    fn arb_float(rng: &mut TestRng) -> f64 {
+        let small = (rng.next_u64() % 2001) as f64 - 1000.0;
+        match rng.below(4) {
+            0 => small,
+            1 => small / 64.0 + 0.3,
+            2 => small * 1e15,
+            _ => {
+                let any = f64::from_bits(rng.next_u64());
+                if any.is_finite() {
+                    any
+                } else {
+                    -0.0
+                }
+            }
+        }
+    }
+
+    impl Strategy for ArbJson {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let below = ArbJson {
+                depth: self.depth.saturating_sub(1),
+            };
+            // Containers are only on offer while depth remains.
+            match rng.below(if self.depth == 0 { 5 } else { 9 }) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.chance(0.5)),
+                2 => Json::Int(match rng.below(4) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => 0,
+                    _ => rng.next_u64() as i64,
+                }),
+                3 => Json::Float(arb_float(rng)),
+                4 => Json::Str(arb_string(rng)),
+                5 | 6 => Json::Arr((0..rng.below(4)).map(|_| below.generate(rng)).collect()),
+                _ => {
+                    // Keys come from the same small alphabet, so empty
+                    // and duplicate keys both occur.
+                    let mut fields: Vec<(String, Json)> = (0..rng.below(4))
+                        .map(|_| (arb_string(rng), below.generate(rng)))
+                        .collect();
+                    if let Some(first) = fields.first().cloned() {
+                        if rng.chance(0.3) {
+                            fields.push((first.0, below.generate(rng)));
+                        }
+                    }
+                    Json::Obj(fields)
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// `parse ∘ write` is the identity on every finite document, and
+        /// the written form is one line — the property every frame on the
+        /// wire and every `to_json()` consumer leans on.
+        #[test]
+        fn generated_documents_roundtrip_on_one_line(j in (ArbJson { depth: 6 })) {
+            let text = j.to_string();
+            prop_assert!(!text.contains(['\n', '\r']), "raw line break in {text:?}");
+            prop_assert_eq!(Json::parse(&text), Ok(j));
+        }
     }
 }

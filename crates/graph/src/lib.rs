@@ -17,7 +17,10 @@
 //!   applied via [`Graph::apply_delta`], feeding the incremental
 //!   validation engine in `ged-engine`;
 //! * [`GraphBuilder`] — name-based construction for fixtures;
-//! * [`io`] — a text format and a compact binary snapshot format.
+//! * [`io`] — a text format and a compact binary snapshot format;
+//! * [`json`] — the workspace's one JSON value type, parser and writer
+//!   (std-only; lives here because this crate is beneath every crate
+//!   that serialises: engine metrics, analysis reports, the wire).
 //!
 //! Everything higher-level (patterns, dependencies, the chase) lives in
 //! `ged-pattern` / `ged-core`.
@@ -30,6 +33,7 @@ pub mod builder;
 pub mod delta;
 pub mod graph;
 pub mod io;
+pub mod json;
 pub mod symbol;
 pub mod value;
 

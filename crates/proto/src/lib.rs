@@ -3,15 +3,15 @@
 //!
 //! The build environment has no crates.io access, so the protocol is
 //! std-only by construction: newline-delimited JSON frames over TCP,
-//! with a vendored hand-rolled JSON [`parser and writer`](json) in the
-//! style of the repo's other dependency-free stand-ins (`vendor/*`,
-//! the `ged-engine` metrics serializer).
+//! over the workspace's vendored JSON [`parser and writer`](json)
+//! (`ged_graph::json`, re-exported here).
 //!
 //! Layering, bottom up:
 //!
-//! * [`json`] — the `Json` value type, a depth-limited recursive-descent
-//!   parser, and a one-line writer that keeps `Int`/`Float` distinct
-//!   (`2` vs `2.0`), which the attribute-value codec relies on;
+//! * [`json`] — re-export of `ged_graph::json`: the `Json` value type,
+//!   a depth-limited recursive-descent parser, and a one-line writer
+//!   that keeps `Int`/`Float` distinct (`2` vs `2.0`), which the
+//!   attribute-value codec relies on;
 //! * [`wire`] — framing: one JSON document per `\n`-terminated line,
 //!   with a per-frame byte cap and structured
 //!   oversized/truncated/malformed errors;
@@ -27,12 +27,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
-pub mod json;
 pub mod message;
 pub mod wire;
 
 pub use client::{Client, ClientError, HealthReply};
-pub use json::{Json, JsonError};
+pub use ged_graph::json::{self, Json, JsonError};
 pub use message::{
     code, ApplyReply, ReportReply, Request, RequestError, WireViolation, PROTOCOL_VERSION,
 };

@@ -8,9 +8,9 @@
 //! `IncrementalValidator<SigmaConstraint>` maintains the whole rule set
 //! under deltas with statically dispatched per-match checks, each
 //! violation still reporting its family-native kind (failed conclusion
-//! literals / failed predicate indices / all disjuncts failed). Rule
-//! sets mixing in families beyond the paper's four use the open
-//! `AnyConstraint` wrapper instead — same engines either way.
+//! literals / failed predicate indices / all disjuncts failed). A
+//! family beyond the paper's four implements `Constraint` and runs as
+//! its own `IncrementalValidator<C>` — the engines are generic.
 //!
 //! Run with `cargo run --release --example mixed_constraints`.
 

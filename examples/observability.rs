@@ -55,12 +55,17 @@ fn main() {
     let snapshot = v.metrics();
     println!("\n{snapshot}");
 
-    // The same snapshot serialises to JSON (vendored, no dependencies) —
-    // ship it to whatever collector you already have.
+    // The same snapshot as a JSON value (vendored, no dependencies):
+    // query it in place, or print it — one line — for whatever collector
+    // you already have.
     let json = snapshot.to_json();
-    println!("snapshot JSON is {} bytes; head:", json.len());
-    for line in json.lines().take(8) {
-        println!("  {line}");
+    println!(
+        "snapshot JSON is {} bytes; batches = {:?}, first phase row:",
+        json.to_string().len(),
+        json.get_u64("batches")
+    );
+    if let Some(row) = json.get_arr("phases").and_then(<[_]>::first) {
+        println!("  {row}");
     }
 
     // The trace ring retains the recent apply batches (overwrite-oldest);

@@ -33,9 +33,7 @@ pub mod prelude {
         prove_augmentation, prove_reflexivity, prove_transitivity, ProofBuilder,
     };
     pub use ged_core::chase::{chase, chase_from, chase_random, ChaseResult};
-    pub use ged_core::constraint::{
-        constraint_sigma_size, AnyConstraint, Constraint, LiteralView, ViolationKind,
-    };
+    pub use ged_core::constraint::{constraint_sigma_size, Constraint, LiteralView, ViolationKind};
     pub use ged_core::ged::{Ged, GedClass};
     pub use ged_core::literal::Literal;
     pub use ged_core::reason::{
@@ -43,13 +41,13 @@ pub mod prelude {
     };
     pub use ged_core::satisfy::{is_model, satisfies, satisfies_all, violations};
     pub use ged_engine::{
-        validate_parallel, validate_rules_parallel, violations_sharded, AnalysisConfig, ApplyStats,
-        DeployAnalysis, IncrementalValidator, MetricsSnapshot, Phase, ReadView, SeedStats,
-        ViolationSnapshot, ViolationStore,
+        validate_parallel, violations_sharded, AnalysisConfig, ApplyStats, DeployAnalysis,
+        IncrementalValidator, MetricsSnapshot, Phase, ReadView, SeedStats, ViolationSnapshot,
+        ViolationStore,
     };
     pub use ged_ext::{
-        disj_implies, disj_satisfiable, disj_satisfies, gdc_implies, gdc_satisfiable,
-        gdc_satisfies, DisjGed, Gdc, GdcLiteral, NormConstraint, Pred, SigmaConstraint,
+        disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, DisjGed, Gdc, GdcLiteral,
+        NormConstraint, Pred, SigmaConstraint,
     };
     pub use ged_graph::{
         sym, Delta, DeltaEffect, DeltaSet, Graph, GraphBuilder, NodeId, Symbol, Value,

@@ -16,7 +16,7 @@
 
 use ged_daemon::{spawn, workload, DaemonConfig};
 use ged_proto::message::{report_to_json, Request};
-use ged_proto::{write_frame, Client, WireViolation};
+use ged_proto::{write_frame, Client, Json, WireViolation};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -367,6 +367,128 @@ fn wire_report_bytes_track_every_epoch() {
     assert!(view.rebuilds() > 20, "the pinned stretches must rebuild");
 
     drop(held);
+    handle.stop();
+    handle.join();
+}
+
+/// The key sequence of a JSON object, in document order.
+fn keys(j: &Json) -> Vec<&str> {
+    match j {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other}"),
+    }
+}
+
+/// The `metrics` reply is the engine's snapshot embedded as a value —
+/// nothing is printed and parsed back on the way. Rule names that need
+/// every kind of string escape cross the wire intact, the document has
+/// exactly the published key sequence, and with the writer quiescent it
+/// equals the in-process snapshot field for field.
+#[test]
+fn wire_metrics_carry_hostile_rule_names_in_the_published_shape() {
+    let names = ["q\"uote", "back\\slash", "new\nline", "ctl\u{1}", "é"];
+    let q = parse_pattern("t(x)").unwrap();
+    let sigma: Vec<SigmaConstraint> = names
+        .iter()
+        .map(|name| {
+            let ok = Literal::constant(Var(0), sym("ok"), 1);
+            Ged::new(*name, q.clone(), vec![], vec![ok]).into()
+        })
+        .collect();
+    let mut graph = Graph::new();
+    let nodes: Vec<NodeId> = (0..3).map(|_| graph.add_node(sym("t"))).collect();
+    let handle = spawn(graph, sigma, &DaemonConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let batch: DeltaSet = vec![Delta::SetAttr {
+        node: nodes[0],
+        attr: sym("ok"),
+        value: Value::from(1),
+    }]
+    .into();
+    assert_eq!(client.apply(batch).unwrap().violations, 10);
+
+    let metrics = client.metrics().unwrap();
+    assert_eq!(
+        keys(&metrics),
+        [
+            "enabled",
+            "batches",
+            "deltas_applied",
+            "touched_nodes",
+            "witnesses",
+            "store_size",
+            "store_slab_slots",
+            "read_views",
+            "published_epoch",
+            "match_attempts",
+            "matches_found",
+            "phases",
+            "unit_latency",
+            "rules",
+            "trace"
+        ]
+    );
+    assert_eq!(
+        keys(metrics.get("witnesses").unwrap()),
+        ["dropped", "removed", "added", "retained"]
+    );
+    let latency = ["count", "sum_ns", "max_ns", "p50_ns", "p95_ns", "p99_ns"];
+    assert_eq!(keys(metrics.get("unit_latency").unwrap()), latency);
+    let phases = metrics.get_arr("phases").unwrap();
+    assert_eq!(
+        phases
+            .iter()
+            .map(|row| row.get_str("phase").unwrap())
+            .collect::<Vec<_>>(),
+        Phase::ALL.map(Phase::name)
+    );
+    for row in phases {
+        assert_eq!(keys(row)[0], "phase");
+        assert_eq!(keys(row)[1..], latency);
+    }
+    let rules = metrics.get_arr("rules").unwrap();
+    assert_eq!(
+        rules
+            .iter()
+            .map(|row| row.get_str("name").unwrap())
+            .collect::<Vec<_>>(),
+        names,
+        "rule names intact"
+    );
+    for row in rules {
+        assert_eq!(
+            keys(row),
+            [
+                "name",
+                "match_attempts",
+                "prefilter_rejects",
+                "matches_found",
+                "violations_found",
+                "seed_ns",
+                "reenum_ns"
+            ]
+        );
+    }
+    let trace = metrics.get_arr("trace").unwrap();
+    assert_eq!(trace.len(), 1, "one batch applied");
+    assert_eq!(
+        keys(&trace[0]),
+        [
+            "batch",
+            "deltas_applied",
+            "removed",
+            "added",
+            "retained",
+            "touched_nodes"
+        ]
+    );
+    assert_eq!(metrics.get_u64("batches"), Some(1));
+    assert_eq!(metrics.get_u64("store_size"), Some(10));
+
+    // The apply was acknowledged, so the writer is idle: the registry is
+    // frozen and the wire's copy equals the in-process one, timings too.
+    assert_eq!(metrics, handle.view().metrics().to_json());
+
     handle.stop();
     handle.join();
 }

@@ -816,11 +816,7 @@ fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
 // set. Randomized graphs are mutated through the paths that stress the
 // per-label groups (tombstoned nodes, self-loops, remove-then-re-add of
 // the same edge), then every matcher flag combination is compared
-// against the plain label-scan baseline on random patterns. A second
-// lockstep pins the Σ devirtualisation: the closed `SigmaConstraint`
-// enum and the erased `AnyConstraint` wrapper over the same rules must
-// produce identical witness sets under identical delta streams at
-// several worker counts.
+// against the plain label-scan baseline on random patterns.
 // ---------------------------------------------------------------------
 
 /// Canonical order for comparing whole match sets.
@@ -895,43 +891,6 @@ fn matcher_heuristics_match_label_scan_on_mutated_random_graphs() {
                 }
             }
         }
-    }
-}
-
-/// The closed `SigmaConstraint` enum (static dispatch) and the erased
-/// `AnyConstraint` wrapper (dynamic dispatch) over the *same* mixed rules
-/// stay in witness-set lockstep under an identical random delta stream —
-/// at 1, 2, and 8 workers — and both match full revalidation at the end.
-#[test]
-fn sigma_enum_and_any_constraint_stay_in_lockstep_across_thread_counts() {
-    for threads in [1usize, 2, 8] {
-        let w =
-            ged_datagen::mixed::social_mixed(&ged_datagen::social::SocialConfig::default(), 3, 91);
-        let any_sigma: Vec<AnyConstraint> =
-            w.sigma.iter().cloned().map(AnyConstraint::from).collect();
-        let mut v_enum: IncrementalValidator<SigmaConstraint> =
-            IncrementalValidator::with_threads(w.graph.clone(), w.sigma, threads);
-        let mut v_any: IncrementalValidator<AnyConstraint> =
-            IncrementalValidator::with_threads(w.graph, any_sigma, threads);
-        assert_eq!(
-            witness_set(&v_enum.report()),
-            witness_set(&v_any.report()),
-            "seeding diverged at {threads} workers"
-        );
-        let attrs = mixed_attrs();
-        let mut rng = StdRng::seed_from_u64(91 + threads as u64);
-        for step in 0..40 {
-            let d = random_delta(v_enum.graph(), &mut rng, &attrs, 30);
-            v_enum.apply(&d);
-            v_any.apply(&d);
-            assert_eq!(
-                witness_set(&v_enum.report()),
-                witness_set(&v_any.report()),
-                "enum and dyn diverged at step {step}, {threads} workers"
-            );
-        }
-        assert_matches_full(&v_enum, 40);
-        assert_matches_full(&v_any, 40);
     }
 }
 
@@ -1051,7 +1010,7 @@ fn metrics_histograms_grow_monotonically_across_batches() {
 /// CI can upload it as an artifact alongside `BENCH_INC.json`.
 fn write_metrics_snapshot(v: &IncrementalValidator<impl Constraint>, file: &str) {
     let json = v.metrics().to_json();
-    if let Err(e) = std::fs::write(file, json) {
+    if let Err(e) = std::fs::write(file, format!("{json}\n")) {
         eprintln!("could not write {file}: {e}");
     }
 }
