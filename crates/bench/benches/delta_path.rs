@@ -18,6 +18,12 @@
 //!   anchor the search walks `x → y ← z` over edges, so the two sizes
 //!   time alike; an order fixed before the anchor is known starts at `z`
 //!   and scans every `a` node per seed.
+//! * **key-flip** — the graph key `t(x); t(y)` with `x.k = y.k` pushed
+//!   into its plan, anchored on eight written nodes at both variables as
+//!   the delta path does, at two label populations. With `(t, k)` indexed
+//!   the far side of the join is a value-index probe of the written key
+//!   and the two sizes time alike; on a graph nobody indexed the same plan
+//!   scans every `t` node per seed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::ged::Ged;
@@ -198,5 +204,60 @@ fn bench_leaf_anchor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_drop, bench_anchor, bench_leaf_anchor);
+fn bench_key_flip(c: &mut Criterion) {
+    let key = key_ged();
+    let plan = ged_engine::rule_plan(&key);
+    let mut group = c.benchmark_group("delta-path/key-flip");
+    group.sample_size(30);
+    for &n in &[1_000usize, 10_000] {
+        // n `t` nodes keyed in pairs: every seed has its twin and itself.
+        let mut scan = Graph::new();
+        let nodes: Vec<NodeId> = (0..n).map(|_| scan.add_node(sym("t"))).collect();
+        for (i, &node) in nodes.iter().enumerate() {
+            scan.set_attr(node, sym("k"), (i / 2) as i64);
+        }
+        let mut probe = scan.clone();
+        for (label, attr) in plan.index_requests() {
+            probe.index_attr(label, attr);
+        }
+        let seeds: Vec<NodeId> = nodes.iter().copied().step_by(n / 8).collect();
+        let run = |g: &Graph| {
+            let opts = MatchOptions::homomorphism();
+            let matcher = Matcher::with_plan(&plan, &key.pattern, g, opts, &NoopRecorder);
+            let mut scratch = MatchScratch::new();
+            let mut found = 0usize;
+            for v in key.pattern.vars() {
+                matcher.for_each_anchored_in(
+                    &mut scratch,
+                    v,
+                    &seeds,
+                    &|u, n| u < v && seeds.contains(&n),
+                    |_| {
+                        found += 1;
+                        ControlFlow::Continue(())
+                    },
+                );
+            }
+            found
+        };
+        // Per seed s with twin t: (s, s), (s, t) anchored at x; (t, s) at y.
+        assert_eq!(run(&probe), 3 * seeds.len());
+        assert_eq!(run(&scan), 3 * seeds.len());
+        group.bench_with_input(BenchmarkId::new("probe", n), &(), |b, ()| {
+            b.iter(|| run(black_box(&probe)));
+        });
+        group.bench_with_input(BenchmarkId::new("scan", n), &(), |b, ()| {
+            b.iter(|| run(black_box(&scan)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_drop,
+    bench_anchor,
+    bench_leaf_anchor,
+    bench_key_flip
+);
 criterion_main!(benches);

@@ -711,6 +711,21 @@ fn exp_abl_match() {
     }
 }
 
+/// A copy of `g` carrying the value indexes `IncrementalValidator` asks
+/// for at construction on behalf of `rules` — what their plans can probe.
+fn indexed_for<C: ged_core::constraint::Constraint>(
+    g: &ged_graph::Graph,
+    rules: &[C],
+) -> ged_graph::Graph {
+    let mut g = g.clone();
+    for rule in rules {
+        for (label, attr) in ged_engine::rule_plan(rule).index_requests() {
+            g.index_attr(label, attr);
+        }
+    }
+    g
+}
+
 /// Enumerate every match of `c`'s pattern exactly as the engine's hot
 /// loop does — homomorphism semantics, the rule's plan with its premise
 /// pre-filters ([`ged_engine::rule_plan`]), one reusable
@@ -797,7 +812,7 @@ fn exp_match() {
 
     let w = validation_workload(1_000, 3, 2, 7);
     let key = w.sigma.first().expect("the workload carries a key rule");
-    run_match_row("random-1k", &w.graph, key);
+    run_match_row("random-1k", &indexed_for(&w.graph, &w.sigma), key);
 
     let mcfg = MusicConfig {
         n_clean: 150,
@@ -809,7 +824,8 @@ fn exp_match() {
         .into_iter()
         .next()
         .expect("music Σ is non-empty");
-    run_match_row("music-key", &minst.graph, &music_key);
+    let music_graph = indexed_for(&minst.graph, std::slice::from_ref(&music_key));
+    run_match_row("music-key", &music_graph, &music_key);
 
     // φ1's premises pin both variables' `type` attribute, so this row is
     // carried almost entirely by the constant-premise pre-filter:
@@ -826,13 +842,22 @@ fn exp_match() {
         "rule", "seeds", "attempts/seed", "matches/seed", "sweep µs"
     );
     let w = validation_workload(20_000, 3, 4, 1);
+    let indexed = indexed_for(&w.graph, &w.sigma);
+    assert_eq!(
+        indexed.indexed_attrs().count(),
+        1,
+        "the key's (entity, key)"
+    );
     for (name, rule) in ["key:entity", "r0", "r1", "r2", "r3"]
         .into_iter()
         .zip(&w.sigma)
     {
         assert_eq!(name, rule.name);
-        run_anchored_row(name, &w.graph, rule);
+        run_anchored_row(name, &indexed, rule);
     }
+    // What the same sweep costs on a graph nobody indexed: the label's
+    // population per seed.
+    run_anchored_row("key:scan", &w.graph, &w.sigma[0]);
 }
 
 /// Anchor `c`'s plan at every variable over every label-compatible node,
@@ -863,7 +888,8 @@ fn sweep_anchors<R: ged_pattern::MatchRecorder>(
 /// `BENCH_INC.json`: `delta_size` is the candidate-attempt count of the
 /// whole sweep, `incremental_us` its wall-clock). A connected rule's
 /// attempts per seed stay near its matches per seed plus one — the seed
-/// itself; the disconnected key pays its label's population per seed.
+/// itself; so do the disconnected key's when `g` indexes its join
+/// attribute, and it pays its label's population per seed when not.
 fn run_anchored_row(name: &'static str, g: &ged_graph::Graph, c: &Ged) {
     let plan = ged_engine::rule_plan(c);
     let rec = ged_pattern::CellRecorder::new();

@@ -73,7 +73,7 @@ pub fn coerce(g: &Graph, eq: &EqRel) -> Coercion {
             // via any member's known attributes in the original graph plus
             // generated slots. EqRel exposes them through attr_value.
             for member in eq.members(r) {
-                for &a in g.attrs(*member).keys() {
+                for &(a, _) in g.attrs(*member) {
                     if let Some(v) = eq.attr_value(r, a) {
                         m.insert(a, v.clone());
                     }
@@ -104,10 +104,7 @@ fn eq_generated_consts(
     let mut out = Vec::new();
     for (attr, value) in eq.slots_of(r) {
         if let Some(v) = value {
-            let backed = eq
-                .members(r)
-                .iter()
-                .any(|m| g.attrs(*m).contains_key(&attr));
+            let backed = eq.members(r).iter().any(|m| g.attr(*m, attr).is_some());
             if !backed {
                 out.push((attr, v));
             }

@@ -129,7 +129,7 @@ impl EqRel {
             additions: 0,
         };
         for v in g.nodes() {
-            for (&a, val) in g.attrs(v) {
+            for &(a, ref val) in g.attrs(v) {
                 let slot = eq.fresh_attr_class(None);
                 eq.node_slots.entry(v.0).or_default().insert(a, slot);
                 // Bind via the shared-constant machinery so that e.g.

@@ -124,6 +124,28 @@ mod tests {
         assert_eq!(sigma.len(), 3, "planted key + 2 random rules");
     }
 
+    /// Only a cross-component equality join asks the graph for a value
+    /// index: the social Σ's patterns are connected, so a `mixed` daemon
+    /// maintains none; the `random` family's planted key asks for its one
+    /// pair.
+    #[test]
+    fn only_the_graph_key_requests_a_value_index() {
+        use ged_core::constraint::Constraint;
+        use ged_graph::sym;
+        let (g, sigma) = load("mixed:honest=10,plants=1,seed=3").unwrap();
+        for rule in &sigma {
+            let requests = ged_engine::rule_plan(rule).index_requests();
+            assert!(requests.is_empty(), "{}: {requests:?}", rule.name());
+        }
+        let v = ged_engine::IncrementalValidator::with_threads(g, sigma, 1);
+        assert_eq!(v.graph().indexed_attrs().count(), 0);
+
+        let (g, sigma) = load("random:nodes=40,rules=2,seed=5").unwrap();
+        let v = ged_engine::IncrementalValidator::with_threads(g, sigma, 1);
+        let indexed: Vec<_> = v.graph().indexed_attrs().collect();
+        assert_eq!(indexed, [(sym("entity"), sym("key"))]);
+    }
+
     #[test]
     fn bad_specs_explain_themselves() {
         assert!(load("nope").unwrap_err().contains("unknown workload"));

@@ -236,12 +236,28 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// (the previous design) would have left it effectively
     /// single-threaded. How the pass split is recorded in
     /// [`seed_stats`](IncrementalValidator::seed_stats).
-    pub fn with_threads(graph: Graph, sigma: Vec<C>, threads: usize) -> IncrementalValidator<C> {
+    ///
+    /// Before seeding, the graph is asked to index every `(label,
+    /// attribute)` pair the compiled plans can probe
+    /// ([`MatchPlan::index_requests`]: the cross-component equality joins
+    /// of Σ — graph keys), so seeding and every later batch reach a join's
+    /// far side through [`Graph::probe_attr`] instead of a label scan. The
+    /// graph keeps those indexes current under
+    /// [`apply_delta`](Graph::apply_delta); a Σ of connected patterns
+    /// requests none.
+    pub fn with_threads(
+        mut graph: Graph,
+        sigma: Vec<C>,
+        threads: usize,
+    ) -> IncrementalValidator<C> {
         assert!(threads >= 1);
         let metrics = EngineMetrics::for_sigma(&sigma);
         let t_seed = metrics.start();
         let mut store = ViolationStore::for_sigma(&sigma);
         let plans: Vec<MatchPlan> = sigma.iter().map(shard::rule_plan).collect();
+        for (label, attr) in plans.iter().flat_map(MatchPlan::index_requests) {
+            graph.index_attr(label, attr);
+        }
         let pass = shard::full_pass(&graph, &sigma, &plans, threads, metrics.is_enabled());
         for ws in &pass.shards {
             metrics.merge_pass(ws, Phase::Seeding);
@@ -1580,6 +1596,71 @@ mod tests {
                     a.name
                 );
             }
+        }
+    }
+
+    /// A graph key is two copies of a pattern joined only by `x.key =
+    /// y.key`: the second copy has no edge to follow, and its candidates
+    /// are the value-index bucket of the written key, not the label's
+    /// population. A count, so it holds on any host: the two anchorings of
+    /// one key write cost a seed plus a bucket each.
+    #[test]
+    fn a_key_flip_costs_its_bucket_not_its_label() {
+        use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
+        let cfg = RandomGraphConfig {
+            n_nodes: 2400,
+            n_edges: 7200,
+            ..Default::default()
+        };
+        let mut g = random_graph(&cfg);
+        let key = plant_key_violations(&mut g, "entity", 200);
+        let entities = g.nodes_with_label(sym("entity")).to_vec();
+        assert_eq!(entities.len(), 400, "a scan would be unmistakable");
+        let mut v = IncrementalValidator::with_threads(g, vec![key], 1);
+        assert_eq!(v.violation_count(), 400, "200 planted pairs, both orders");
+        let probe = v
+            .graph()
+            .probe_attr(sym("entity"), sym("key"), &"dup7".into());
+        assert_eq!(probe.expect("the key rule's pair is indexed").count(), 2);
+
+        // One write each: to a fresh key (bucket of one), into a planted
+        // pair's key (bucket of three), and back out again.
+        let flip = |v: &mut IncrementalValidator<Ged>, node: NodeId, value: &str| {
+            let before = v.metrics().rules[0].match_attempts;
+            let stats = v.apply(&Delta::SetAttr {
+                node,
+                attr: sym("key"),
+                value: value.into(),
+            });
+            assert_eq!(stats.touched_nodes, 1);
+            let attempts = v.metrics().rules[0].match_attempts - before;
+            assert!(
+                attempts <= 8,
+                "{attempts} candidates for one key write among 400 entities"
+            );
+            assert_consistent(v);
+        };
+        flip(&mut v, entities[0], "fresh");
+        assert_eq!(v.violation_count(), 398);
+        flip(&mut v, entities[0], "dup7");
+        assert_eq!(
+            v.violation_count(),
+            402,
+            "a bucket of three: six ordered pairs"
+        );
+        flip(&mut v, entities[0], "dup0");
+        assert_eq!(v.violation_count(), 400);
+
+        // A clone owns its copy of the index: after the two diverge, each
+        // probes its own graph.
+        let mut fork = v.clone();
+        flip(&mut v, entities[2], "dup0");
+        flip(&mut fork, entities[2], "dup9");
+        flip(&mut fork, entities[3], "dup8");
+        assert_eq!(v.violation_count(), 402, "three nodes share dup0");
+        assert_eq!(fork.violation_count(), 406, "three share dup8, three dup9");
+        for twin in [&v, &fork] {
+            twin.graph().assert_index_consistent();
         }
     }
 

@@ -15,13 +15,23 @@
 //! group ([`Graph::out_edges_labeled`] / [`Graph::in_edges_labeled`]) is
 //! directly the matcher's candidate list for a concrete edge label;
 //! [`Graph::has_edge`] is a binary search inside one group (O(log deg));
-//! a wildcard edge label spans all of a node's groups. The only other
-//! index is label → nodes, for candidate generation.
+//! a wildcard edge label spans all of a node's groups.
+//!
+//! `F_A` is stored flat: each node's tuple is a `Vec<(Symbol, Value)>`
+//! sorted by attribute, so [`Graph::attrs`] iterates in attribute order and
+//! [`Graph::attr`] is a scan of the handful of entries a node carries.
+//!
+//! Two indexes serve candidate generation: label → nodes (always), and —
+//! only for the `(label, attribute)` pairs someone asked for with
+//! [`Graph::index_attr`] — a **value index** answering "which `label` nodes
+//! carry `attr = c`" ([`Graph::probe_attr`]). The value index is maintained
+//! inside the attribute and node primitives themselves, so no mutation path
+//! can leave it stale.
 
 use crate::symbol::Symbol;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
 
@@ -60,7 +70,56 @@ pub struct Edge {
 #[derive(Debug, Clone)]
 struct NodeData {
     label: Symbol,
-    attrs: BTreeMap<Symbol, Value>,
+    /// The attribute tuple, sorted by attribute and duplicate-free.
+    attrs: Vec<(Symbol, Value)>,
+}
+
+/// `A`'s value in a sorted attribute tuple. Tuples hold a handful of
+/// entries, so a scan beats a search.
+fn find_attr(attrs: &[(Symbol, Value)], attr: Symbol) -> Option<&Value> {
+    attrs.iter().find(|e| e.0 == attr).map(|e| &e.1)
+}
+
+/// The value index of one `(label, attr)` pair: an entry
+/// `(value.index_key(), n)` for every live `label` node `n` carrying
+/// `attr`. One ordered set probed by key range — no per-value bucket, so a
+/// stream of never-repeating values leaves nothing behind.
+#[derive(Debug, Clone)]
+struct ValueIndex {
+    label: Symbol,
+    attr: Symbol,
+    entries: BTreeSet<(u64, NodeId)>,
+}
+
+/// Where the value index of `(label, attr)` sits, if that pair is indexed.
+/// A graph indexes a handful of pairs at most, so a scan finds it.
+fn index_position(indexes: &[ValueIndex], label: Symbol, attr: Symbol) -> Option<usize> {
+    indexes
+        .iter()
+        .position(|ix| ix.label == label && ix.attr == attr)
+}
+
+/// Bring the value index of `(node.label, attr)`, if there is one, in line
+/// with a write to node `n` that replaced `old` (`None`: the attribute was
+/// absent) by what `node` carries now. With nothing indexed this is one
+/// look at an empty slice.
+fn reindex(
+    indexes: &mut [ValueIndex],
+    node: &NodeData,
+    n: NodeId,
+    attr: Symbol,
+    old: Option<&Value>,
+) {
+    let Some(i) = index_position(indexes, node.label, attr) else {
+        return;
+    };
+    let ix = &mut indexes[i];
+    if let Some(old) = old {
+        ix.entries.remove(&(old.index_key(), n));
+    }
+    if let Some(new) = find_attr(&node.attrs, attr) {
+        ix.entries.insert((new.index_key(), n));
+    }
 }
 
 /// One node's adjacency in one direction, partitioned by edge label:
@@ -158,6 +217,8 @@ pub struct Graph {
     out_lab: Vec<LabeledAdj>,
     inn_lab: Vec<LabeledAdj>,
     label_index: HashMap<Symbol, Vec<NodeId>>,
+    /// One entry per [`Graph::index_attr`] pair.
+    value_index: Vec<ValueIndex>,
 }
 
 impl Graph {
@@ -172,7 +233,7 @@ impl Graph {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeData {
             label,
-            attrs: BTreeMap::new(),
+            attrs: Vec::new(),
         });
         self.alive.push(true);
         self.n_live += 1;
@@ -240,7 +301,13 @@ impl Graph {
             // Keep `labels()` an exact enumeration of labels with live nodes.
             self.label_index.remove(&label);
         }
-        self.nodes[n.idx()].attrs.clear();
+        // Dropped, not cleared: a tombstone keeps no attribute allocation.
+        let attrs = std::mem::take(&mut self.nodes[n.idx()].attrs);
+        for ix in self.value_index.iter_mut().filter(|ix| ix.label == label) {
+            if let Some(v) = find_attr(&attrs, ix.attr) {
+                ix.entries.remove(&(v.index_key(), n));
+            }
+        }
         self.alive[n.idx()] = false;
         self.n_live -= 1;
         true
@@ -270,12 +337,117 @@ impl Graph {
             "the id attribute is the node identity and cannot be set"
         );
         assert!(self.is_alive(n), "set_attr on a removed node");
-        self.nodes[n.idx()].attrs.insert(attr, v.into());
+        let attrs = &mut self.nodes[n.idx()].attrs;
+        let at = attrs.iter().position(|e| e.0 >= attr);
+        let old = match at {
+            Some(i) if attrs[i].0 == attr => Some(std::mem::replace(&mut attrs[i].1, v.into())),
+            _ => {
+                attrs.insert(at.unwrap_or(attrs.len()), (attr, v.into()));
+                None
+            }
+        };
+        reindex(
+            &mut self.value_index,
+            &self.nodes[n.idx()],
+            n,
+            attr,
+            old.as_ref(),
+        );
     }
 
     /// Remove attribute `A` from node `n`, returning the previous value.
     pub fn remove_attr(&mut self, n: NodeId, attr: Symbol) -> Option<Value> {
-        self.nodes[n.idx()].attrs.remove(&attr)
+        let attrs = &mut self.nodes[n.idx()].attrs;
+        let i = attrs.iter().position(|e| e.0 == attr)?;
+        let old = attrs.remove(i).1;
+        reindex(
+            &mut self.value_index,
+            &self.nodes[n.idx()],
+            n,
+            attr,
+            Some(&old),
+        );
+        Some(old)
+    }
+
+    /// Hand the fresh, attribute-less node `n` its whole tuple (sorted by
+    /// attribute, duplicate-free) in one exact-size allocation — the bulk
+    /// counterpart of [`Graph::set_attr`], index maintenance included.
+    fn set_tuple(&mut self, n: NodeId, attrs: Vec<(Symbol, Value)>) {
+        debug_assert!(self.nodes[n.idx()].attrs.is_empty(), "fresh node");
+        debug_assert!(attrs.windows(2).all(|w| w[0].0 < w[1].0), "sorted tuple");
+        self.nodes[n.idx()].attrs = attrs;
+        let node = &self.nodes[n.idx()];
+        for &(attr, _) in &node.attrs {
+            reindex(&mut self.value_index, node, n, attr, None);
+        }
+    }
+
+    /// Maintain a value index for attribute `attr` of the nodes labelled
+    /// exactly `label`, so that [`Graph::probe_attr`] answers for that
+    /// pair. Idempotent; builds from the current `label` nodes (O(|label|
+    /// · log)) and is kept current from then on by [`Graph::set_attr`],
+    /// [`Graph::remove_attr`], [`Graph::remove_node`] and everything built
+    /// on them ([`Graph::apply_delta`], [`Graph::append`]) — a graph with
+    /// no index pays one look at an empty list per write. Costs 18–34 B
+    /// per `label` node carrying `attr` (DESIGN.md §8).
+    pub fn index_attr(&mut self, label: Symbol, attr: Symbol) {
+        if index_position(&self.value_index, label, attr).is_some() {
+            return;
+        }
+        let entries = self
+            .nodes_with_label(label)
+            .iter()
+            .filter_map(|&n| Some((self.attr(n, attr)?.index_key(), n)))
+            .collect();
+        self.value_index.push(ValueIndex {
+            label,
+            attr,
+            entries,
+        });
+    }
+
+    /// The `(label, attr)` pairs with a value index, in the order they
+    /// were first requested.
+    pub fn indexed_attrs(&self) -> impl Iterator<Item = (Symbol, Symbol)> + '_ {
+        self.value_index.iter().map(|ix| (ix.label, ix.attr))
+    }
+
+    /// Probe the value index of `(label, attr)`: `None` when that pair is
+    /// not indexed ([`Graph::index_attr`]); otherwise, in ascending id
+    /// order and duplicate-free, a **superset** of the live nodes labelled
+    /// exactly `label` whose `attr` `==` `value`. The index keys on
+    /// [`Value::index_key`], which distinct values may share, so a caller
+    /// that needs exactly the equal nodes confirms each with `==` — the
+    /// matcher's join pre-filter does.
+    pub fn probe_attr(
+        &self,
+        label: Symbol,
+        attr: Symbol,
+        value: &Value,
+    ) -> Option<impl Iterator<Item = NodeId> + '_> {
+        let ix = &self.value_index[index_position(&self.value_index, label, attr)?];
+        let key = value.index_key();
+        let bucket = (key, NodeId(0))..=(key, NodeId(u32::MAX));
+        Some(ix.entries.range(bucket).map(|&(_, n)| n))
+    }
+
+    /// Cross-check every value index against a linear scan of its label's
+    /// nodes, panicking on any difference. Runs after the bulk writers in
+    /// debug builds; O(indexed nodes), so release builds never pay for it.
+    pub fn assert_index_consistent(&self) {
+        for ix in &self.value_index {
+            let scan: BTreeSet<(u64, NodeId)> = self
+                .nodes_with_label(ix.label)
+                .iter()
+                .filter_map(|&n| Some((self.attr(n, ix.attr)?.index_key(), n)))
+                .collect();
+            assert_eq!(
+                ix.entries, scan,
+                "value index of ({}, {}) disagrees with a scan",
+                ix.label, ix.attr
+            );
+        }
     }
 
     /// Number of (live) nodes `|V|`.
@@ -302,11 +474,12 @@ impl Graph {
 
     /// Attribute value `n.A`, if present.
     pub fn attr(&self, n: NodeId, attr: Symbol) -> Option<&Value> {
-        self.nodes[n.idx()].attrs.get(&attr)
+        find_attr(&self.nodes[n.idx()].attrs, attr)
     }
 
-    /// All attributes of `n` (sorted by attribute symbol).
-    pub fn attrs(&self, n: NodeId) -> &BTreeMap<Symbol, Value> {
+    /// The attribute tuple of `n`: sorted by attribute symbol,
+    /// duplicate-free; empty for a removed node.
+    pub fn attrs(&self, n: NodeId) -> &[(Symbol, Value)] {
         &self.nodes[n.idx()].attrs
     }
 
@@ -438,7 +611,8 @@ impl Graph {
     /// nodes, labelled and attributed by the supplied tables, with every
     /// edge `(u, ι, v)` rewired to `(class[u], ι, class[v])` (duplicates
     /// collapse since E is a set). This is the engine under the chase's
-    /// *coercion* `G_Eq` (Section 4.1).
+    /// *coercion* `G_Eq` (Section 4.1). The result is a fresh graph and
+    /// carries no value index, whatever `self` indexes.
     pub fn quotient(
         &self,
         class: &[u32],
@@ -459,7 +633,7 @@ impl Graph {
             debug_assert_eq!(id.idx(), i);
         }
         for (i, a) in attrs.into_iter().enumerate() {
-            g.nodes[i].attrs = a;
+            g.set_tuple(NodeId(i as u32), a.into_iter().collect());
         }
         for e in self.edges() {
             g.add_edge(
@@ -474,7 +648,9 @@ impl Graph {
     /// Append a disjoint copy of `other`, returning the offset that maps
     /// `other`'s ids into `self` (node `v` of `other` becomes
     /// `NodeId(v.0 + offset)`). Used to build the canonical graph `G_Σ`
-    /// (Section 5.1), the disjoint union of all patterns in Σ.
+    /// (Section 5.1), the disjoint union of all patterns in Σ. The copied
+    /// nodes enter whatever value indexes `self` maintains; `other`'s own
+    /// indexes are not carried over.
     pub fn append(&mut self, other: &Graph) -> u32 {
         assert!(
             !other.has_removals(),
@@ -483,11 +659,13 @@ impl Graph {
         let offset = self.nodes.len() as u32;
         for n in other.nodes() {
             let id = self.add_node(other.label(n));
-            self.nodes[id.idx()].attrs = other.attrs(n).clone();
+            self.set_tuple(id, other.attrs(n).to_vec());
         }
         for e in other.edges() {
             self.add_edge(NodeId(e.src.0 + offset), e.label, NodeId(e.dst.0 + offset));
         }
+        #[cfg(debug_assertions)]
+        self.assert_index_consistent();
         offset
     }
 
@@ -495,13 +673,14 @@ impl Graph {
     /// graph plus the id translation (`map[old.idx()] == Some(new)` for
     /// surviving nodes, `None` for removed ones). This is the bridge from
     /// an *evolved* graph back to the chase machinery ([`Graph::quotient`],
-    /// `EqRel`, coercion), which requires dense ids.
+    /// `EqRel`, coercion), which requires dense ids. The copy carries no
+    /// value index; ask again with [`Graph::index_attr`] if it needs one.
     pub fn compact(&self) -> (Graph, Vec<Option<NodeId>>) {
         let mut map: Vec<Option<NodeId>> = vec![None; self.node_id_bound()];
         let mut g = Graph::new();
         for n in self.nodes() {
             let id = g.add_node(self.label(n));
-            g.nodes[id.idx()].attrs = self.attrs(n).clone();
+            g.set_tuple(id, self.attrs(n).to_vec());
             map[n.idx()] = Some(id);
         }
         for e in self.edges() {
@@ -937,6 +1116,173 @@ mod tests {
         }
         assert!(self_loops > 0 && two_labels > 0 && dropped_with_node > 0);
         assert!(g.has_removals() && !model.is_empty());
+    }
+
+    /// The probe of `(label, attr)` for `value`, which must be indexed.
+    fn probe(g: &Graph, label: Symbol, attr: Symbol, value: &Value) -> Vec<NodeId> {
+        let bucket = g.probe_attr(label, attr, value);
+        bucket.expect("pair is indexed").collect()
+    }
+
+    /// The value index is maintained inside the attribute and node
+    /// primitives, so pin it against a linear scan under a seeded random
+    /// update stream — set, overwrite and delete attributes, add and remove
+    /// nodes, re-add after a removal — for values chosen to collide and
+    /// nearly collide: mixed numerics, the 2⁵³ pair, `-0.0`, and a string
+    /// and a boolean that read like the integer.
+    #[test]
+    fn value_index_matches_a_linear_scan_under_random_updates() {
+        const P53: i64 = 1 << 53;
+        let pool = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(0.5),
+            Value::from("1"),
+            Value::from(true),
+            // Both integers `==` the float, which is their shared `f64`
+            // image, but not each other: one bucket, two answers.
+            Value::Int(P53),
+            Value::Int(P53 + 1),
+            Value::Float(P53 as f64),
+            Value::Int(0),
+            Value::Float(-0.0),
+        ];
+        let labels = [sym("t"), sym("u")];
+        let attrs = [sym("a"), sym("b"), sym("c")];
+        let indexed = [
+            (labels[0], attrs[0]),
+            (labels[0], attrs[1]),
+            (labels[1], attrs[0]),
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut g = Graph::new();
+        for i in 0..6 {
+            g.add_node(labels[i % 2]);
+        }
+        // An index built over existing data and one built on an empty label.
+        g.set_attr(NodeId(0), attrs[0], 1);
+        g.index_attr(indexed[0].0, indexed[0].1);
+        g.index_attr(indexed[1].0, indexed[1].1);
+        g.index_attr(indexed[0].0, indexed[0].1); // idempotent
+        g.index_attr(indexed[2].0, indexed[2].1);
+        assert_eq!(g.indexed_attrs().collect::<Vec<_>>(), indexed);
+        let (mut overwrites, mut deletes, mut removed_keyed, mut shared_bucket) = (0, 0, 0, 0);
+        for _ in 0..1500 {
+            let n = NodeId(rand(g.node_id_bound()) as u32);
+            let attr = attrs[rand(attrs.len())];
+            match rand(20) {
+                0..=11 if g.is_alive(n) => {
+                    overwrites += usize::from(g.attr(n, attr).is_some());
+                    g.set_attr(n, attr, pool[rand(pool.len())].clone());
+                }
+                12..=14 if g.is_alive(n) => {
+                    deletes += usize::from(g.remove_attr(n, attr).is_some());
+                }
+                15..=17 if g.node_count() < 9 => {
+                    g.add_node(labels[rand(2)]);
+                }
+                18 => {
+                    removed_keyed += usize::from(g.is_alive(n) && !g.attrs(n).is_empty());
+                    g.remove_node(n);
+                }
+                _ => {}
+            }
+            g.assert_index_consistent();
+            for n in g.nodes() {
+                assert!(
+                    g.attrs(n).windows(2).all(|w| w[0].0 < w[1].0),
+                    "sorted tuple"
+                );
+            }
+            for (label, attr) in indexed {
+                for value in &pool {
+                    let got = probe(&g, label, attr, value);
+                    assert!(
+                        got.windows(2).all(|w| w[0] < w[1]),
+                        "sorted, duplicate-free"
+                    );
+                    assert!(got.iter().all(|&n| g.is_alive(n) && g.label(n) == label));
+                    let scan: Vec<NodeId> = g
+                        .nodes_with_label(label)
+                        .iter()
+                        .copied()
+                        .filter(|&n| g.attr(n, attr) == Some(value))
+                        .collect();
+                    let equal: Vec<NodeId> = got
+                        .iter()
+                        .copied()
+                        .filter(|&n| g.attr(n, attr) == Some(value))
+                        .collect();
+                    assert_eq!(equal, scan, "({label}, {attr}) = {value}");
+                    shared_bucket += usize::from(got.len() > scan.len());
+                }
+            }
+            assert!(g.probe_attr(labels[1], attrs[1], &pool[0]).is_none());
+        }
+        assert!(overwrites > 0 && deletes > 0 && removed_keyed > 0 && g.has_removals());
+        assert!(
+            shared_bucket > 0,
+            "a probe is a superset: some bucket held a non-equal value"
+        );
+        // An index requested only now reads the same as the maintained one.
+        let mut late = g.clone();
+        late.value_index.clear();
+        for (label, attr) in indexed {
+            late.index_attr(label, attr);
+        }
+        for (early, late) in g.value_index.iter().zip(&late.value_index) {
+            assert_eq!((early.label, early.attr), (late.label, late.attr));
+            assert_eq!(early.entries, late.entries);
+        }
+    }
+
+    /// The bulk writers go through the maintained path: nodes appended to
+    /// an indexed graph are probed like any other, and the dense copies
+    /// `compact` and `quotient` hand back start without an index.
+    #[test]
+    fn append_feeds_the_value_index_and_copies_carry_none() {
+        let (t, k) = (sym("t"), sym("k"));
+        let mut g = Graph::new();
+        let a = g.add_node(t);
+        g.set_attr(a, k, 7);
+        g.index_attr(t, k);
+
+        let mut other = Graph::new();
+        let b = other.add_node(t);
+        let c = other.add_node(sym("u"));
+        let d = other.add_node(t);
+        other.set_attr(b, k, 7.0);
+        other.set_attr(c, k, 7);
+        other.set_attr(d, k, 8);
+        other.set_attr(d, sym("j"), 7);
+        let off = g.append(&other);
+        let moved = |n: NodeId| NodeId(n.0 + off);
+        assert_eq!(probe(&g, t, k, &Value::Int(7)), [a, moved(b)]);
+        assert_eq!(probe(&g, t, k, &Value::Int(8)), [moved(d)]);
+        g.assert_index_consistent();
+
+        g.remove_node(a);
+        assert_eq!(probe(&g, t, k, &Value::Int(7)), [moved(b)]);
+        let (dense, _) = g.compact();
+        assert!(dense.probe_attr(t, k, &Value::Int(7)).is_none());
+        assert_eq!(dense.attr(NodeId(0), k), Some(&Value::Float(7.0)));
+        let n = dense.node_count();
+        let class: Vec<u32> = (0..n as u32).collect();
+        let labels: Vec<Symbol> = dense.nodes().map(|v| dense.label(v)).collect();
+        let tuples = dense
+            .nodes()
+            .map(|v| dense.attrs(v).iter().cloned().collect())
+            .collect();
+        let q = dense.quotient(&class, n, &labels, tuples);
+        assert!(q.probe_attr(t, k, &Value::Int(7)).is_none());
+        assert_eq!(q.attrs(NodeId(2)), dense.attrs(NodeId(2)));
     }
 
     /// `remove_edge` / `has_edge` / `has_edge_matching` answer `false` for

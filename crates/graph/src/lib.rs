@@ -101,7 +101,7 @@ mod proptests {
             let class: Vec<u32> = (0..n as u32).collect();
             let labels: Vec<Symbol> = g.nodes().map(|v| g.label(v)).collect();
             let attrs: Vec<BTreeMap<Symbol, Value>> =
-                g.nodes().map(|v| g.attrs(v).clone()).collect();
+                g.nodes().map(|v| g.attrs(v).iter().cloned().collect()).collect();
             let q = g.quotient(&class, n, &labels, attrs);
             prop_assert_eq!(q.node_count(), g.node_count());
             prop_assert_eq!(q.edge_count(), g.edge_count());

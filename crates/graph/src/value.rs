@@ -15,8 +15,17 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A constant from the paper's universe `U`.
+///
+/// Equality is [`Ord::cmp`]` == Equal`, and a mixed `Int`/`Float` pair
+/// compares through the integer's `f64` image. Above 2⁵³ that image is
+/// lossy, so mixed equality is **not transitive** there:
+/// `Int(2⁵³) == Float(2⁵³ as f64) == Int(2⁵³ + 1)` while the two integers
+/// differ. [`Hash`] and [`Value::index_key`] both read the
+/// same image, so values that are `==` always share a hash and a key;
+/// values that share one need not be `==`.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// Boolean constant.
@@ -74,6 +83,28 @@ impl Value {
         }
     }
 
+    /// A canonical 64-bit key with `a == b ⟹ a.index_key() == b.index_key()`
+    /// — the key of [`Graph`](crate::Graph)'s value index, and what `Hash`
+    /// feeds for numerics. Numerics key on the bits of their `f64` image,
+    /// which is exactly what the mixed `Int`/`Float` comparison reads
+    /// (`Int(1)` and `Float(1.0)` coincide; `Float(-0.0)` and distinct NaNs
+    /// keep their own bits, as under `total_cmp`); booleans on 0/1; strings
+    /// on a fixed-key hash, so the key is the same in every process.
+    /// Distinct values may share a key: whoever probes by it must confirm
+    /// candidates with `==`.
+    pub fn index_key(&self) -> u64 {
+        match self {
+            Value::Bool(b) => u64::from(*b),
+            Value::Int(i) => (*i as f64).to_bits(),
+            Value::Float(f) => f.to_bits(),
+            Value::Str(s) => {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                h.write(s.as_bytes());
+                h.finish()
+            }
+        }
+    }
+
     /// Parse a value from its textual form, used by the graph text loader
     /// and the pattern DSL. Quoted text is a string; `true`/`false` are
     /// booleans; otherwise integer, then float, then bare string.
@@ -128,27 +159,18 @@ impl Ord for Value {
     }
 }
 
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Bool(b) => {
                 0u8.hash(state);
                 b.hash(state);
             }
-            Value::Int(i) => {
+            // Every numeric hashes the bits of its `f64` image, so
+            // `Int(a) == Float(b)` implies equal hashes at any magnitude.
+            Value::Int(_) | Value::Float(_) => {
                 1u8.hash(state);
-                i.hash(state);
-            }
-            Value::Float(f) => {
-                // Hash floats that equal an integer the same as that integer
-                // so that Int(2) == Float(2.0) implies equal hashes.
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                    1u8.hash(state);
-                    (*f as i64).hash(state);
-                } else {
-                    2u8.hash(state);
-                    f.to_bits().hash(state);
-                }
+                self.index_key().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -204,7 +226,6 @@ impl From<String> for Value {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
 
     fn h(v: &Value) -> u64 {
         let mut s = DefaultHasher::new();
@@ -288,15 +309,35 @@ mod tests {
 
     #[test]
     fn hash_consistent_with_eq() {
+        const P53: i64 = 1 << 53;
+        let nan = f64::NAN;
         let pairs = [
             (Value::from(5), Value::from(5)),
             (Value::from("k"), Value::from("k")),
             (Value::Int(7), Value::Float(7.0)),
+            // `P53 + 1` has no `f64` of its own: it compares (and must
+            // hash) as its image, `P53 as f64`.
+            (Value::Int(P53 + 1), Value::Float(P53 as f64)),
+            (Value::Int(P53), Value::Float(P53 as f64)),
+            (Value::Int(0), Value::Float(0.0)),
+            (Value::Float(-0.0), Value::Float(-0.0)),
+            (Value::Float(nan), Value::Float(nan)),
+            (Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+            (Value::Int(i64::MIN), Value::Float(i64::MIN as f64)),
         ];
         for (a, b) in pairs {
             assert_eq!(a, b);
-            assert_eq!(h(&a), h(&b));
+            assert_eq!(h(&a), h(&b), "{a} / {b}");
+            assert_eq!(a.index_key(), b.index_key(), "{a} / {b}");
         }
+        // Not transitive up there: both integers equal the float, not each
+        // other. `-0.0` is its own value under `total_cmp`.
+        assert_ne!(Value::Int(P53 + 1), Value::Int(P53));
+        assert_ne!(Value::Float(-0.0), Value::Int(0));
+        assert_ne!(Value::Float(-0.0), Value::Float(0.0));
+        // Kinds stay apart under `==` even where keys coincide.
+        assert_ne!(Value::from(true), Value::from(1));
+        assert_ne!(Value::from("1"), Value::from(1));
     }
 
     #[test]

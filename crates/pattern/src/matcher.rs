@@ -369,9 +369,11 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
 
     /// Write the candidate data nodes for `v` given the partial assignment
     /// into `buf` (cleared first): derived from an already-assigned
-    /// neighbour when possible (cheap), otherwise from the label index.
-    /// The list is sorted and duplicate-free either way, so enumeration
-    /// order does not depend on which path produced it.
+    /// neighbour when possible (cheap); failing that, from the graph's
+    /// value index when an enforced equality join ties `v` to an assigned
+    /// variable and the graph indexes that pair; otherwise from the label
+    /// index. The list is sorted and duplicate-free whichever source
+    /// produced it, so enumeration order does not depend on the source.
     fn candidates_into(&self, v: Var, assign: &[Option<NodeId>], buf: &mut Vec<NodeId>) {
         buf.clear();
         let g = self.graph;
@@ -412,9 +414,28 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         }
         if lv.is_wildcard() {
             buf.extend(g.nodes());
-        } else {
-            buf.extend_from_slice(g.nodes_with_label(lv));
+            return;
         }
+        // No assigned neighbour to extend from — typically `v` opens a
+        // further component. The joins are enforced only by the
+        // pre-filter, so only then may they narrow the candidates: every
+        // node a probe leaves out would fail the join there, and every
+        // node it returns still goes through it.
+        if self.opts.prefilter {
+            for j in &self.plan.joins[v.idx()] {
+                let Some(m) = assign[j.other.idx()] else {
+                    continue; // unassigned, or `v` itself
+                };
+                let Some(value) = g.attr(m, j.other_attr) else {
+                    return; // the join fails for every candidate
+                };
+                if let Some(bucket) = g.probe_attr(lv, j.attr, value) {
+                    buf.extend(bucket);
+                    return;
+                }
+            }
+        }
+        buf.extend_from_slice(g.nodes_with_label(lv));
     }
 
     /// The cheap pre-filters: labeled-degree coverage, required constant

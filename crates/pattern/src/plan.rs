@@ -8,9 +8,17 @@
 //! ([`MatchPlan::require_attr`], [`MatchPlan::require_attr_eq`]). Anchored
 //! enumeration roots the search at the anchor, so every later variable of
 //! the anchor's component is reached over an edge from an assigned
-//! neighbour and never falls back to the label index. None of this reads
-//! a graph, so a plan stays valid across every update of the graph it is
-//! run against: the incremental engine compiles one per rule at
+//! neighbour and never falls back to the label index. A *further*
+//! component has no edge to follow; when an equality obligation links its
+//! first variable to an assigned one — the shape of a graph key, two
+//! copies of a pattern joined only by `x.A = y.B` — the matcher probes the
+//! graph's value index for the nodes carrying that value instead of
+//! scanning the label, provided the graph maintains one for the pair. The
+//! plan says which pairs those are ([`MatchPlan::index_requests`]); whoever
+//! owns the graph decides whether to build them
+//! ([`Graph::index_attr`](ged_graph::Graph::index_attr)). None of this
+//! reads a graph, so a plan stays valid across every update of the graph it
+//! is run against: the incremental engine compiles one per rule at
 //! construction and every work unit borrows it.
 
 use crate::pattern::{Pattern, Var};
@@ -79,6 +87,10 @@ pub struct MatchPlan {
     pub(crate) required_attrs: Vec<Vec<(Symbol, Value)>>,
     /// Per-variable equality obligations.
     pub(crate) joins: Vec<Vec<Join>>,
+    /// Per-variable node label and connected-component number of the
+    /// pattern — what decides which joins are worth an index.
+    labels: Vec<Symbol>,
+    component: Vec<usize>,
 }
 
 impl MatchPlan {
@@ -93,11 +105,17 @@ impl MatchPlan {
             rooted_order(pattern, root, &mut picked, &mut orders);
         }
         orders.extend(pattern.vars());
+        let mut component = vec![0; n];
+        for (c, vars) in pattern.components().iter().enumerate() {
+            vars.iter().for_each(|v| component[v.idx()] = c);
+        }
         MatchPlan {
             orders,
             degree_req: degree_reqs(pattern),
             required_attrs: vec![Vec::new(); n],
             joins: vec![Vec::new(); n],
+            labels: pattern.vars().map(|v| pattern.label(v)).collect(),
+            component,
         }
     }
 
@@ -111,8 +129,12 @@ impl MatchPlan {
     /// set (ties: a concrete node label before a wildcard, then
     /// declaration order). Within `root`'s connected component every
     /// variable after the first therefore has an assigned neighbour when
-    /// its turn comes; a further component starts at a variable with none
-    /// and costs one label-index scan per assignment of the earlier ones.
+    /// its turn comes; a further component starts at a variable with none,
+    /// whose candidates are a value-index probe when a
+    /// [`require_attr_eq`](MatchPlan::require_attr_eq) join links it to an
+    /// assigned variable and the graph indexes that pair
+    /// ([`index_requests`](MatchPlan::index_requests)), and one label-index
+    /// scan per assignment of the earlier variables otherwise.
     pub fn order_rooted_at(&self, root: Var) -> &[Var] {
         self.row(root.idx())
     }
@@ -165,6 +187,32 @@ impl MatchPlan {
                 other_attr: lattr,
             });
         }
+    }
+
+    /// The `(node label, attribute)` pairs whose value index
+    /// ([`Graph::index_attr`](ged_graph::Graph::index_attr)) this plan's
+    /// searches would probe: every side of a
+    /// [`require_attr_eq`](MatchPlan::require_attr_eq) join that sits on a
+    /// concretely-labelled variable and whose other side lies in a
+    /// *different* connected component of the pattern. Duplicate-free, in
+    /// variable order. Joins inside one component request nothing — the
+    /// second variable is reached over an edge, never by a scan — so a
+    /// connected pattern's plan returns the empty list; so does a wildcard
+    /// side, whose candidates span every label.
+    pub fn index_requests(&self) -> Vec<(Symbol, Symbol)> {
+        let mut pairs = Vec::new();
+        for (v, joins) in self.joins.iter().enumerate() {
+            for j in joins {
+                let pair = (self.labels[v], j.attr);
+                if !pair.0.is_wildcard()
+                    && self.component[v] != self.component[j.other.idx()]
+                    && !pairs.contains(&pair)
+                {
+                    pairs.push(pair);
+                }
+            }
+        }
+        pairs
     }
 }
 
@@ -227,6 +275,28 @@ mod tests {
         let plan = MatchPlan::new(&q);
         let x = q.var_by_name("x").unwrap();
         assert_eq!(names(&q, plan.order_rooted_at(x)), "x y w");
+    }
+
+    /// A value index is worth asking for exactly where a scan would
+    /// otherwise happen: on the concretely-labelled side of a join that is
+    /// the only thing linking two components.
+    #[test]
+    fn only_cross_component_joins_on_concrete_labels_request_an_index() {
+        let (k, l) = (Symbol::new("k"), Symbol::new("l"));
+        let q = parse_pattern("a(x) -[e]-> b(y); a(z); _(w)").unwrap();
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| q.var_by_name(n).unwrap());
+        let mut plan = MatchPlan::new(&q);
+        assert!(plan.index_requests().is_empty(), "no joins, no requests");
+        plan.require_attr_eq(x, k, y, l); // over an edge
+        plan.require_attr_eq(z, k, z, l); // one variable
+        plan.require_attr(z, k, Value::Int(1)); // a constant
+        assert!(plan.index_requests().is_empty());
+        plan.require_attr_eq(y, l, z, k); // the graph-key shape
+        let (a, b) = (Symbol::new("a"), Symbol::new("b"));
+        assert_eq!(plan.index_requests(), [(b, l), (a, k)]);
+        plan.require_attr_eq(w, k, x, k); // the wildcard side asks nothing
+        plan.require_attr_eq(z, k, x, l); // (a, k) again, and (a, l)
+        assert_eq!(plan.index_requests(), [(a, k), (a, l), (b, l)]);
     }
 
     /// The most-connected unvisited variable goes first, whatever its

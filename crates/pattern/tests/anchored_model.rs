@@ -4,15 +4,15 @@
 //! engine's "first touched variable owns the match" union — must equal
 //! the brute-force enumeration filtered by the same conditions, each match
 //! exactly once, under both semantics and every [`MatchOptions`] flag
-//! combination, with and without attribute obligations in the plan.
+//! combination, with and without attribute obligations in the plan, and
+//! whether or not the graph maintains the value indexes the plan can probe.
 
 use ged_graph::{sym, Graph, NodeId, Symbol, Value};
+use ged_obs::CellRecorder;
 use ged_pattern::matcher::find_all_brute;
-use ged_pattern::{
-    Match, MatchOptions, MatchPlan, MatchScratch, Matcher, NoopRecorder, Pattern, Semantics, Var,
-};
+use ged_pattern::{Match, MatchOptions, MatchPlan, MatchScratch, Matcher, Pattern, Semantics, Var};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::ops::ControlFlow;
 
 const NODE_LABELS: [&str; 3] = ["a", "b", "_"];
@@ -94,10 +94,18 @@ struct Obligations {
 }
 
 impl Obligations {
-    fn random(rng: &mut StdRng, n: usize) -> Obligations {
+    fn random(rng: &mut StdRng, q: &Pattern) -> Obligations {
+        let n = q.var_count();
         let mut o = Obligations::default();
         let var = |rng: &mut StdRng| Var(rng.random_range(0..n) as u32);
         let attr = |rng: &mut StdRng| sym(pick(rng, &["k", "l"]));
+        // The graph-key shape: a join that is the only link between two
+        // components.
+        if let [left, right, ..] = &q.components()[..] {
+            let side = |rng: &mut StdRng, c: &[Var]| c[rng.random_range(0..c.len())];
+            o.joins
+                .push((side(rng, left), attr(rng), side(rng, right), attr(rng)));
+        }
         if rng.random_bool(0.3) {
             o.consts.push((var(rng), attr(rng), Value::Int(1)));
         }
@@ -155,76 +163,154 @@ fn all_options() -> Vec<MatchOptions> {
     out
 }
 
+/// Every way of running `plan` over `g` under `opts` against the
+/// brute-force model; returns the candidate attempts the runs cost.
+fn check_against_brute_force(
+    rng: &mut StdRng,
+    scratch: &mut MatchScratch,
+    (q, plan, obligations): (&Pattern, &MatchPlan, &Obligations),
+    g: &Graph,
+    opts: MatchOptions,
+    ctx: &str,
+) -> u64 {
+    // Obligations are pre-filters: off, they filter nothing.
+    let model: Vec<Match> = find_all_brute(q, g, opts)
+        .into_iter()
+        .filter(|m| !opts.prefilter || obligations.hold(g, m))
+        .collect();
+    let recorder = CellRecorder::new();
+    let matcher = Matcher::with_plan(plan, q, g, opts, &recorder);
+
+    let mut plain = Vec::new();
+    matcher.for_each_in(scratch, |m| {
+        plain.push(m.to_vec());
+        ControlFlow::Continue(())
+    });
+    assert_eq!(sorted(plain), sorted(model.clone()), "un-anchored, {ctx}");
+
+    for anchor in q.vars() {
+        let seeds = subset(rng, g);
+        let banned: Vec<Vec<NodeId>> = q.vars().map(|_| subset(rng, g)).collect();
+        let excluded = |u: Var, n: NodeId| banned[u.idx()].contains(&n);
+        let mut got = Vec::new();
+        matcher.for_each_anchored_in(scratch, anchor, &seeds, &excluded, |m| {
+            got.push(m.to_vec());
+            ControlFlow::Continue(())
+        });
+        let want: Vec<Match> = model
+            .iter()
+            .filter(|m| seeds.contains(&m[anchor.idx()]))
+            .filter(|m| q.vars().all(|u| u == anchor || !excluded(u, m[u.idx()])))
+            .cloned()
+            .collect();
+        assert_eq!(sorted(got), sorted(want), "anchored at {anchor}, {ctx}");
+    }
+
+    // The engine's discipline: anchor every variable on the touched set,
+    // excluding it from earlier-declared variables.
+    let touched = subset(rng, g);
+    let mut union = Vec::new();
+    for anchor in q.vars() {
+        matcher.for_each_anchored_in(
+            scratch,
+            anchor,
+            &touched,
+            &|u, n| u < anchor && touched.contains(&n),
+            |m| {
+                union.push(m.to_vec());
+                ControlFlow::Continue(())
+            },
+        );
+    }
+    let affected: Vec<Match> = model
+        .iter()
+        .filter(|m| m.iter().any(|n| touched.contains(n)))
+        .cloned()
+        .collect();
+    assert_eq!(sorted(union), sorted(affected), "touched union, {ctx}");
+    recorder.attempts()
+}
+
+/// One random attribute write — overwrite (`Some`) or delete (`None`) —
+/// of the kind a maintained value index has to follow.
+fn random_write(rng: &mut StdRng, g: &Graph) -> (NodeId, Symbol, Option<Value>) {
+    let n = NodeId(rng.random_range(0..g.node_id_bound() as u32));
+    let attr = sym(pick(rng, &["k", "l"]));
+    let value = match rng.random_range(0..4u32) {
+        0 => None,
+        1 => Some(Value::Int(1)),
+        2 => Some(Value::Float(1.0)),
+        _ => Some(Value::Int(2)),
+    };
+    (n, attr, value)
+}
+
+/// Each case runs on three copies of one graph — nobody indexed it; the
+/// pairs the plan requests are indexed; a pair no plan reads and a label no
+/// node has are indexed too — under every flag combination, with the same
+/// attribute write applied to all three between combinations. The indexed
+/// copies must enumerate what brute force does (with `prefilter` off that
+/// is *every* match: the probe has to be off when the joins are), and over
+/// the whole run cost fewer candidate attempts than the scan.
 #[test]
 fn every_run_of_a_plan_equals_filtered_brute_force() {
     let mut scratch = MatchScratch::new();
+    let (mut probing_cases, mut scanned, mut probed, mut crowded_probed) = (0, 0, 0, 0);
     for case in 0..400u64 {
         let rng = &mut StdRng::seed_from_u64(case);
         let q = random_pattern(rng);
-        let g = random_graph(rng);
+        let mut bare = random_graph(rng);
         // Half the cases run a bare plan: the plain match set.
         let obligations = if rng.random_bool(0.5) {
-            Obligations::random(rng, q.var_count())
+            Obligations::random(rng, &q)
         } else {
             Obligations::default()
         };
         let plan = obligations.plan(&q);
+        let requests = plan.index_requests();
+        probing_cases += usize::from(!requests.is_empty());
+        let mut requested = bare.clone();
+        for &(label, attr) in &requests {
+            requested.index_attr(label, attr);
+        }
+        let mut crowded = requested.clone();
+        crowded.index_attr(sym("b"), sym("l"));
+        crowded.index_attr(sym("nowhere"), sym("k"));
         for opts in all_options() {
-            let ctx = format!("case {case}, {opts:?}");
-            // Obligations are pre-filters: off, they filter nothing.
-            let model: Vec<Match> = find_all_brute(&q, &g, opts)
-                .into_iter()
-                .filter(|m| !opts.prefilter || obligations.hold(&g, m))
-                .collect();
-            let matcher = Matcher::with_plan(&plan, &q, &g, opts, &NoopRecorder);
-
-            let mut plain = Vec::new();
-            matcher.for_each_in(&mut scratch, |m| {
-                plain.push(m.to_vec());
-                ControlFlow::Continue(())
-            });
-            assert_eq!(sorted(plain), sorted(model.clone()), "un-anchored, {ctx}");
-
-            for anchor in q.vars() {
-                let seeds = subset(rng, &g);
-                let banned: Vec<Vec<NodeId>> = q.vars().map(|_| subset(rng, &g)).collect();
-                let excluded = |u: Var, n: NodeId| banned[u.idx()].contains(&n);
-                let mut got = Vec::new();
-                matcher.for_each_anchored_in(&mut scratch, anchor, &seeds, &excluded, |m| {
-                    got.push(m.to_vec());
-                    ControlFlow::Continue(())
-                });
-                let want: Vec<Match> = model
-                    .iter()
-                    .filter(|m| seeds.contains(&m[anchor.idx()]))
-                    .filter(|m| q.vars().all(|u| u == anchor || !excluded(u, m[u.idx()])))
-                    .cloned()
-                    .collect();
-                assert_eq!(sorted(got), sorted(want), "anchored at {anchor}, {ctx}");
+            let (n, attr, value) = random_write(rng, &bare);
+            for g in [&mut bare, &mut requested, &mut crowded] {
+                match value.clone() {
+                    Some(value) => g.set_attr(n, attr, value),
+                    None => drop(g.remove_attr(n, attr)),
+                }
             }
-
-            // The engine's discipline: anchor every variable on the
-            // touched set, excluding it from earlier-declared variables.
-            let touched = subset(rng, &g);
-            let mut union = Vec::new();
-            for anchor in q.vars() {
-                matcher.for_each_anchored_in(
-                    &mut scratch,
-                    anchor,
-                    &touched,
-                    &|u, n| u < anchor && touched.contains(&n),
-                    |m| {
-                        union.push(m.to_vec());
-                        ControlFlow::Continue(())
-                    },
-                );
+            // Each copy sees the same seeds, bans and touched sets.
+            let draws = rng.next_u64();
+            let mut attempts = [0u64; 3];
+            for (i, g) in [&bare, &requested, &crowded].into_iter().enumerate() {
+                let ctx = format!("case {case}, graph {i}, {opts:?}");
+                let rng = &mut StdRng::seed_from_u64(draws);
+                let rule = (&q, &plan, &obligations);
+                attempts[i] = check_against_brute_force(rng, &mut scratch, rule, g, opts, &ctx);
             }
-            let affected: Vec<Match> = model
-                .iter()
-                .filter(|m| m.iter().any(|n| touched.contains(n)))
-                .cloned()
-                .collect();
-            assert_eq!(sorted(union), sorted(affected), "touched union, {ctx}");
+            let [scan, probe, crowd] = attempts;
+            // With several joins on one variable the first indexed one
+            // wins, so a single run may cost a probe where the scan path
+            // found an absent attribute first; the totals decide.
+            if !opts.prefilter {
+                assert_eq!([probe, crowd], [scan; 2], "no joins, no probe: case {case}");
+            }
+            scanned += scan;
+            probed += probe;
+            crowded_probed += crowd;
         }
     }
+    assert!(
+        probing_cases >= 25,
+        "{probing_cases} cases had a cross-component join"
+    );
+    assert!(
+        crowded_probed < probed && probed < scanned,
+        "the probe never replaced a scan: {scanned} / {probed} / {crowded_probed}"
+    );
 }

@@ -676,9 +676,11 @@ fn set_threads_switches_the_mixed_delta_path_mid_stream() {
 /// Rules whose premises the join filter must decide exactly as
 /// `literal_holds` does: a cross-attribute join over an edge (either side
 /// may lose its attribute), a same-variable premise, a constant beside a
-/// join, the disconnected key:entity rule, and a GDC whose `<` premise
-/// the literal view drops (inexact view: the `=` premise is pushed, `<`
-/// is left to `check`).
+/// join, the disconnected key:entity rule, a GDC whose `<` premise the
+/// literal view drops (inexact view: the `=` premise is pushed, `<` is left
+/// to `check`), and a key whose second component is wildcard-labelled —
+/// the engine indexes `(entity, key)` for both key rules, so `x` is probed
+/// when `y` is assigned first, while `y` after `x` can only scan.
 fn pushdown_sigma(key: Ged) -> Vec<SigmaConstraint> {
     let (k, a0, a1) = (sym("key"), sym("attr0"), sym("attr1"));
     let edge = || parse_pattern("_(x) -[_]-> _(y)").unwrap();
@@ -719,13 +721,23 @@ fn pushdown_sigma(key: Ged) -> Vec<SigmaConstraint> {
             vec![GdcLiteral::vars(x, k, Pred::Ne, y, k)],
         )
         .into(),
+        Ged::new(
+            "wild-key",
+            parse_pattern("entity(x); _(y)").unwrap(),
+            vec![Literal::vars(x, k, y, k)],
+            vec![Literal::id(x, y)],
+        )
+        .into(),
     ]
 }
 
 /// Validators at 1/2/8 workers ingest identical batches — attribute
 /// writes over a value pool where `Int 1` meets `Float 1.0`, unsets, node
-/// removals, edge churn, and remove-then-re-add pairs inside one batch —
-/// and agree with each other and with full revalidation after every one.
+/// removals, edge churn, remove-then-re-add pairs inside one batch, and
+/// everything a batch can do to an indexed key (a node added and keyed, a
+/// keyed node removed, the key unset and set again, the key overwritten
+/// twice) — and agree with each other and with full revalidation after
+/// every one.
 #[test]
 fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
     let cfg = RandomGraphConfig {
@@ -743,6 +755,15 @@ fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
         !sigma[4].literal_view().unwrap().exact,
         "the GDC exposes only its equality fragment"
     );
+    let entity = sym("entity");
+    for (rule, requests) in [
+        (0, vec![(entity, sym("key"))]),
+        (1, vec![]),
+        (5, vec![(entity, sym("key"))]),
+    ] {
+        let plan = ged_repro::engine::rule_plan(&sigma[rule]);
+        assert_eq!(plan.index_requests(), requests, "{}", sigma[rule].name());
+    }
     let mut vs: Vec<IncrementalValidator<SigmaConstraint>> = [1usize, 2, 8]
         .iter()
         .map(|&t| IncrementalValidator::with_threads(g.clone(), sigma.clone(), t))
@@ -785,7 +806,42 @@ fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
                 batch.push(Delta::AddEdge { src, label, dst });
             }
         }
+        // The indexed pair, written every way one batch can: the index
+        // must read right at the batch boundary, whatever happened inside.
+        let attr = sym("key");
+        let value = |rng: &mut StdRng| pool[rng.random_range(0..pool.len())].clone();
+        let entities = g.nodes_with_label(entity);
+        let keyed = |rng: &mut StdRng| entities[rng.random_range(0..entities.len())];
+        match batch_no % 4 {
+            0 => {
+                // Ids are dense: this `AddNode` gets the bound plus the
+                // nodes the batch adds before it.
+                let adds = |d: &&Delta| matches!(d, Delta::AddNode { .. });
+                let earlier = batch.deltas().iter().filter(adds).count();
+                let node = NodeId((g.node_id_bound() + earlier) as u32);
+                batch.push(Delta::AddNode { label: entity });
+                let value = value(&mut rng);
+                batch.push(Delta::SetAttr { node, attr, value });
+            }
+            1 => batch.push(Delta::RemoveNode {
+                node: keyed(&mut rng),
+            }),
+            2 => {
+                let node = keyed(&mut rng);
+                batch.push(Delta::DelAttr { node, attr });
+                let value = value(&mut rng);
+                batch.push(Delta::SetAttr { node, attr, value });
+            }
+            _ => {
+                let node = keyed(&mut rng);
+                for _ in 0..2 {
+                    let value = value(&mut rng);
+                    batch.push(Delta::SetAttr { node, attr, value });
+                }
+            }
+        }
         let base_stats = vs[0].apply_all(&batch);
+        vs[0].graph().assert_index_consistent();
         let base = witness_set(&vs[0].report());
         for v in &mut vs[1..] {
             let threads = v.threads();
