@@ -14,6 +14,7 @@
 //! | `matching`      | EXP-ABL-MATCH               |
 //! | `incremental`   | EXP-INC                     |
 //! | `delta_path`    | EXP-DROP / EXP-ANCHOR       |
+//! | `wire_decode`   | EXP-WIRE-DECODE             |
 //!
 //! `cargo run -p ged-bench --release --bin experiments` regenerates every
 //! EXP row (including the figure/example reproductions) as text tables;

@@ -27,9 +27,10 @@ use ged_ext::SigmaConstraint;
 use ged_graph::{DeltaSet, Graph};
 use ged_proto::json::Json;
 use ged_proto::message::{
-    code, encode_report, encode_violations, err_response, ok_response, Request, PROTOCOL_VERSION,
+    code, encode_apply, encode_report, encode_violations, err_response, ok_response, ApplyReply,
+    Request, PROTOCOL_VERSION,
 };
-use ged_proto::wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME};
+use ged_proto::wire::{read_line, write_frame, WireError, DEFAULT_MAX_FRAME};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -292,21 +293,34 @@ fn accept_loop(listener: &TcpListener, ctx: &ConnCtx, shutting_down: &AtomicBool
     }
 }
 
+/// Capacity of a connection's socket reader: a 512-delta `apply` frame is
+/// ≈ 30 KB, and arrives in one `read` instead of four of std's 8 KiB.
+const READ_BUFFER: usize = 64 << 10;
+
 /// Serve one connection: strict request→response per frame, in order.
 fn handle_conn(stream: TcpStream, ctx: &ConnCtx) {
     stream.set_nodelay(true).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    serve(BufReader::new(read_half), stream, ctx);
+    serve(
+        BufReader::with_capacity(READ_BUFFER, read_half),
+        stream,
+        ctx,
+    );
 }
 
 /// The per-connection loop over any transport (a test drives it with a
 /// writer that stalls, which a socket cannot be made to do on demand).
+/// It owns the connection's two buffers: the line every frame is read
+/// into (what [`read_line`] lets it keep of a large one is bounded), and
+/// the scratch `apply` replies are encoded in.
 fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
+    let mut line = Vec::new();
+    let mut scratch = String::new();
     loop {
-        let frame = match read_frame(&mut reader, ctx.max_frame) {
-            Ok(Some(frame)) => frame,
+        let request = match read_line(&mut reader, &mut line, ctx.max_frame) {
+            Ok(Some(request)) => request,
             // Clean EOF, a vanished peer, or transport failure: nothing
             // to answer, nobody to answer it to.
             Ok(None) | Err(WireError::Truncated | WireError::Io(_)) => return,
@@ -318,8 +332,8 @@ fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
                 return;
             }
             Err(WireError::Malformed(m)) => {
-                // The offending line was fully consumed; the connection
-                // stays usable for the client's next request.
+                // Not UTF-8. The offending line was fully consumed; the
+                // connection stays usable for the client's next request.
                 if write_frame(&mut writer, &err_response(code::MALFORMED, &m)).is_err() {
                     return;
                 }
@@ -329,7 +343,7 @@ fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
         // `respond` has let go of whatever snapshot it pinned by the time
         // it returns, so a client that drains its socket slowly holds a
         // reply, never a buffer the writer is waiting to recycle.
-        let reply = respond(&frame, ctx);
+        let reply = respond(request, &mut scratch, ctx);
         let written = reply.write_to(&mut writer);
         if matches!(reply, Reply::Shutdown(_)) {
             // Not before the reply is written and flushed: `join` returns
@@ -343,7 +357,7 @@ fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
 }
 
 /// One reply: a document still to be serialised, or a finished line.
-enum Reply {
+enum Reply<'s> {
     /// Small replies are built as a tree and written by [`write_frame`].
     Tree(Json),
     /// The `shutdown` acknowledgement: written like a [`Reply::Tree`],
@@ -352,17 +366,19 @@ enum Reply {
     /// `report` and `violations` arrive encoded, newline included —
     /// `report`'s shared with every other poll of the same epoch.
     Line(Arc<[u8]>),
+    /// `apply`'s line, encoded in the connection's scratch buffer.
+    Scratch(&'s str),
 }
 
-impl Reply {
+impl Reply<'_> {
     fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        match self {
-            Reply::Tree(json) | Reply::Shutdown(json) => write_frame(w, json),
-            Reply::Line(line) => {
-                w.write_all(line)?;
-                w.flush()
-            }
-        }
+        let line: &[u8] = match self {
+            Reply::Tree(json) | Reply::Shutdown(json) => return write_frame(w, json),
+            Reply::Line(line) => line,
+            Reply::Scratch(line) => line.as_bytes(),
+        };
+        w.write_all(line)?;
+        w.flush()
     }
 }
 
@@ -376,15 +392,23 @@ fn report_line(snap: &ViolationSnapshot<SigmaConstraint>) -> Arc<[u8]> {
     })
 }
 
-/// Compute the response for one well-formed JSON request frame (decoded
-/// here, once).
-fn respond(frame: &Json, ctx: &ConnCtx) -> Reply {
-    let request = match Request::from_json(frame) {
+/// What the reference codec makes of a line [`Request::from_line`] did
+/// not answer for: the error reply, in its words. (`Ok` would mean the two
+/// decoders disagree, which `request_lines.rs` exists to rule out; it is
+/// served, not trusted to be impossible.)
+fn decode_by_reference(line: &str) -> Result<Request, Json> {
+    let frame = Json::parse(line).map_err(|e| err_response(code::MALFORMED, &e.to_string()))?;
+    Request::from_json(&frame).map_err(|e| err_response(e.code, &e.message))
+}
+
+/// Compute the response to one request line (decoded here, once).
+fn respond<'s>(line: &str, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> {
+    let request = match Request::from_line(line).map_or_else(|| decode_by_reference(line), Ok) {
         Ok(request) => request,
-        Err(e) => return Reply::Tree(err_response(e.code, &e.message)),
+        Err(refusal) => return Reply::Tree(refusal),
     };
     let tree = match request {
-        Request::Apply(ds) => respond_apply(ds, ctx),
+        Request::Apply(ds) => return respond_apply(ds, scratch, ctx),
         Request::Violations => {
             let snap = ctx.view.snapshot();
             let line = encode_violations(snap.epoch(), snap.violation_count(), |sink| {
@@ -427,37 +451,30 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Reply {
     Reply::Tree(tree)
 }
 
-fn respond_apply(ds: DeltaSet, ctx: &ConnCtx) -> Json {
+fn respond_apply<'s>(ds: DeltaSet, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> {
+    let refused = |why| Reply::Tree(err_response(code::SHUTTING_DOWN, why));
     if ctx.shutting_down.load(Ordering::SeqCst) {
-        return err_response(code::SHUTTING_DOWN, "daemon is draining; writes refused");
+        return refused("daemon is draining; writes refused");
     }
     let (reply_tx, reply_rx) = mpsc::channel();
     if ctx.tx.send(WriterMsg::Apply(ds, reply_tx)).is_err() {
-        return err_response(code::SHUTTING_DOWN, "writer has exited; writes refused");
+        return refused("writer has exited; writes refused");
     }
-    match reply_rx.recv() {
-        Ok(outcome) => ok_response(vec![
-            ("epoch", Json::from(outcome.epoch)),
-            ("applied", Json::from(outcome.stats.deltas_applied)),
-            ("violations", Json::from(outcome.violations)),
-            ("removed", Json::from(outcome.stats.violations_removed)),
-            ("added", Json::from(outcome.stats.violations_added)),
-            (
-                "created",
-                Json::Arr(
-                    outcome
-                        .stats
-                        .created
-                        .iter()
-                        .map(|n| Json::from(u64::from(n.0)))
-                        .collect(),
-                ),
-            ),
-        ]),
-        // The batch was queued but the writer exited (shutdown drained
-        // past it): the write did not land in the final epoch.
-        Err(_) => err_response(code::SHUTTING_DOWN, "batch dropped by shutdown drain"),
-    }
+    // A dropped sender: the batch was queued but the writer exited
+    // (shutdown drained past it), so the write did not land in the final
+    // epoch.
+    let Ok(outcome) = reply_rx.recv() else {
+        return refused("batch dropped by shutdown drain");
+    };
+    let reply = ApplyReply {
+        epoch: outcome.epoch,
+        applied: outcome.stats.deltas_applied as u64,
+        violations: outcome.violations as u64,
+        removed: outcome.stats.violations_removed as u64,
+        added: outcome.stats.violations_added as u64,
+    };
+    encode_apply(scratch, &reply, &outcome.stats.created);
+    Reply::Scratch(scratch)
 }
 
 #[cfg(test)]

@@ -1,28 +1,42 @@
-//! A minimal JSON document model with a parser and a one-line writer.
+//! A minimal JSON document model, the one lexer that reads it, and a
+//! one-line writer.
 //!
 //! The build environment has no crates.io access (DESIGN.md §2), so the
 //! workspace vendors its own JSON, once, here — beneath every crate that
 //! speaks it: the wire protocol (`ged-proto` re-exports this module as
 //! `ged_proto::json`), the engine's `MetricsSnapshot::to_json` and the
 //! analyzer's `AnalysisReport::to_json` all build a [`Json`] and leave the
-//! text to [`Json::write`]. The daemon also *reads* JSON off untrusted
-//! sockets, hence the recursive-descent parser with a document depth
-//! limit (a hostile frame of ten thousand `[`s must produce a
-//! [`JsonError`], not a stack overflow).
+//! text to [`Json::write`].
 //!
-//! Two deliberate choices:
+//! The daemon also *reads* JSON off untrusted sockets. Reading is one pull
+//! lexer, [`Reader`], with two consumers (DESIGN.md §10 "One lexer, two
+//! consumers"): [`Json::parse`], which keeps every value as a tree, and
+//! `ged_proto::message::Request::from_line`, which keeps a handful of
+//! scalars per delta and skips the rest. What a document *is* — white
+//! space, escapes, surrogate pairs, which literals are numbers, the
+//! [`MAX_DEPTH`] nesting limit (a hostile frame of ten thousand `[`s must
+//! produce a [`JsonError`], not a stack overflow), every error's offset
+//! and wording — is decided in the lexer and nowhere else, so the two can
+//! differ in what they keep and in nothing they accept.
+//!
+//! Three deliberate choices:
 //!
 //! * **Integers and floats stay distinct** ([`Json::Int`] vs
 //!   [`Json::Float`]). The graph's attribute universe distinguishes
 //!   `Value::Int(2)` from `Value::Float(2.0)` — they are different
 //!   constants, and literal satisfaction compares them as such — so the
 //!   codec must round-trip the distinction. The writer renders integral
-//!   floats with a forced `.0` and the parser classifies by the presence
+//!   floats with a forced `.0` and the lexer classifies by the presence
 //!   of `.`/`e` in the literal, making the round-trip lossless.
 //! * **The writer emits exactly one line.** Wire frames are
 //!   newline-delimited (`ged_proto::wire`), so the serialised form must
 //!   never contain a raw newline; string escapes guarantee that.
+//! * **Nothing non-finite comes in.** The writer has no spelling for NaN
+//!   or an infinity (`ged_proto::wire::write_frame` refuses such frames),
+//!   so the lexer refuses the literals that would parse to one (`1e999`):
+//!   whatever is read can be written back.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
@@ -34,7 +48,8 @@ pub enum Json {
     Bool(bool),
     /// A number without fractional or exponent part, within `i64`.
     Int(i64),
-    /// Any other number (and `i64`-overflowing literals).
+    /// Any other number (and `i64`-overflowing literals). Finite when
+    /// parsed; a document built in memory can hold anything.
     Float(f64),
     /// A string.
     Str(String),
@@ -46,8 +61,8 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Maximum nesting depth the parser accepts. Deeper documents are
-/// rejected with [`JsonError`] instead of risking the parser's stack.
+/// Maximum nesting depth [`Reader`] accepts. Deeper documents are
+/// rejected with [`JsonError`] instead of risking a consumer's stack.
 pub const MAX_DEPTH: usize = 128;
 
 /// Where and why parsing failed.
@@ -70,15 +85,39 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parse one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut r = Reader::new(text);
+        let v = Json::read(&mut r)?;
+        r.end()?;
         Ok(v)
+    }
+
+    /// Read the value `r` is at, whatever its kind, keeping all of it.
+    fn read(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+        match r.peek()? {
+            Kind::Null => r.null().map(|()| Json::Null),
+            Kind::Bool => r.boolean().map(Json::Bool),
+            Kind::Number => r.number().map(|n| match n {
+                Number::Int(i) => Json::Int(i),
+                Number::Float(f) => Json::Float(f),
+            }),
+            Kind::Str => r.string().map(|s| Json::Str(s.into_owned())),
+            Kind::Arr => {
+                r.begin_array()?;
+                let mut items = Vec::new();
+                while r.next_element()? {
+                    items.push(Json::read(r)?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Kind::Obj => {
+                r.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    fields.push((key.into_owned(), Json::read(r)?));
+                }
+                Ok(Json::Obj(fields))
+            }
+        }
     }
 
     /// Build an object from `(key, value)` pairs.
@@ -321,12 +360,86 @@ pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// What the next value of a document is, as told by its first byte
+/// ([`Reader::peek`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null` — read with [`Reader::null`].
+    Null,
+    /// `true` / `false` — read with [`Reader::boolean`].
+    Bool,
+    /// A number — read with [`Reader::number`].
+    Number,
+    /// A string — read with [`Reader::string`].
+    Str,
+    /// An array — entered with [`Reader::begin_array`].
+    Arr,
+    /// An object — entered with [`Reader::begin_object`].
+    Obj,
 }
 
-impl Parser<'_> {
+/// A number literal, classified the way [`Json`] stores it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// No fraction or exponent, within `i64`.
+    Int(i64),
+    /// Anything else; always finite.
+    Float(f64),
+}
+
+/// The workspace's one JSON lexer: a pull reader over one document.
+///
+/// A consumer asks what comes next ([`peek`](Reader::peek)), reads a
+/// scalar with the method of that kind, or enters a container and steps
+/// through it ([`next_element`](Reader::next_element),
+/// [`next_key`](Reader::next_key)) reading each element the same way;
+/// [`skip_value`](Reader::skip_value) passes over a value it has no use
+/// for, checking its syntax all the same, and [`end`](Reader::end) closes
+/// the document. [`Json::parse`] is the consumer that keeps everything;
+/// `ged_proto::message::Request::from_line` is the one that keeps a few
+/// scalars per delta and builds no tree. Every value must be entered
+/// through `peek` — that is where the [`MAX_DEPTH`] limit is enforced —
+/// and a container that was entered must be stepped until it reports its
+/// end before the enclosing one is stepped again.
+///
+/// ```
+/// use ged_graph::json::{Kind, Number, Reader};
+///
+/// let mut r = Reader::new(r#"{"id": 7, "tags": ["a", "b\n"]}"#);
+/// assert_eq!(r.peek().unwrap(), Kind::Obj);
+/// r.begin_object().unwrap();
+/// assert_eq!(r.next_key().unwrap().as_deref(), Some("id"));
+/// assert_eq!(r.peek().unwrap(), Kind::Number);
+/// assert_eq!(r.number().unwrap(), Number::Int(7));
+/// assert_eq!(r.next_key().unwrap().as_deref(), Some("tags"));
+/// r.skip_value().unwrap();
+/// assert_eq!(r.next_key().unwrap(), None);
+/// r.end().unwrap();
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers entered and not yet left.
+    depth: usize,
+    /// The innermost container was entered and not stepped yet, so its
+    /// first element is not preceded by a comma. One flag serves every
+    /// level: by the time an outer container is stepped again, it has had
+    /// its first element.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -334,18 +447,20 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// The next byte that is not white space, not consumed.
+    fn next_token(&mut self) -> Option<u8> {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+        self.byte()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -353,131 +468,165 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        self.next_token();
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+    /// The kind of the value that starts here (after white space), without
+    /// consuming it. Fails when the value would sit deeper than
+    /// [`MAX_DEPTH`] containers, and on a byte that starts no value.
+    pub fn peek(&mut self) -> Result<Kind, JsonError> {
+        let next = self.next_token();
+        if self.depth > MAX_DEPTH {
             return Err(self.err("document nests too deeply"));
         }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match next {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+    /// Read `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.literal("null")
+    }
+
+    /// Read `true` or `false`.
+    pub fn boolean(&mut self) -> Result<bool, JsonError> {
+        if self.next_token() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+    /// Read a number. A literal without `.`/`e` that fits `i64` is an
+    /// [`Number::Int`]; every other one is a [`Number::Float`], and one
+    /// whose value is not finite (`1e999`, a 400-digit integer) is an
+    /// error: `str::parse::<f64>` saturates to infinity, which no document
+    /// can carry back out.
+    pub fn number(&mut self) -> Result<Number, JsonError> {
+        self.next_token();
+        let start = self.pos;
+        if self.byte() == Some(b'-') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+        let mut is_float = false;
+        while let Some(b) = self.byte() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
             }
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Number::Int(i));
+            }
+            // Integer-looking but beyond `i64` (or empty, or a lone `-`,
+            // which fail below as well): degrades to Float.
+        }
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Number::Float(f)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("malformed number")),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Advance over string bytes that stand for themselves.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        while let Some(b) = self.byte() {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        // Cut at ASCII bytes only, so never inside a UTF-8 sequence.
+        &self.text[start..self.pos]
+    }
+
+    /// Read a string. It borrows from the input when no escape occurs in
+    /// it, and is built up in a `String` otherwise.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.next_token();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let head = self.plain_run();
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(head));
+        }
+        let mut out = head.to_string();
+        self.string_tail(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    fn skip_string(&mut self) -> Result<(), JsonError> {
+        self.next_token();
+        self.expect(b'"')?;
+        self.plain_run();
+        self.string_tail(None)
+    }
+
+    /// The rest of a string whose leading plain run has been read, up to
+    /// and including the closing quote, appended to `out` if there is one.
+    /// The one place strings are checked, whether kept or skipped.
+    fn string_tail(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
+            match self.byte() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    let c = self.escape()?;
+                    if let Some(out) = &mut out {
+                        out.push(c);
+                    }
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
+            let run = self.plain_run();
+            if let Some(out) = &mut out {
+                out.push_str(run);
+            }
         }
     }
 
-    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
-        let c = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+    /// The character an escape stands for; the backslash is consumed.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = self.byte().ok_or_else(|| self.err("dangling escape"))?;
         self.pos += 1;
-        match c {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{0008}'),
-            b'f' => out.push('\u{000c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
+        Ok(match c {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
             b'u' => {
                 let hi = self.hex4()?;
                 let code = if (0xD800..0xDC00).contains(&hi) {
                     // Surrogate pair: require the low half.
-                    if self.peek() == Some(b'\\') {
+                    if self.byte() == Some(b'\\') {
                         self.pos += 1;
                         self.expect(b'u')?;
                         let lo = self.hex4()?;
@@ -491,18 +640,17 @@ impl Parser<'_> {
                 } else {
                     hi
                 };
-                out.push(char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?);
+                char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?
             }
             _ => return Err(self.err("unknown escape")),
-        }
-        Ok(())
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v: u32 = 0;
         for _ in 0..4 {
             let d = self
-                .peek()
+                .byte()
                 .ok_or_else(|| self.err("truncated \\u escape"))?;
             let digit = (d as char)
                 .to_digit(16)
@@ -513,40 +661,102 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
+    /// Enter an array; step it with [`next_element`](Reader::next_element).
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.begin(b'[')
+    }
+
+    /// Enter an object; step it with [`next_key`](Reader::next_key).
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.begin(b'{')
+    }
+
+    fn begin(&mut self, open: u8) -> Result<(), JsonError> {
+        self.next_token();
+        self.expect(open)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Step the innermost container: `true` when another element follows
+    /// (the separating comma, if any, is consumed), `false` when `close`
+    /// was consumed and the container is left.
+    fn step(&mut self, close: u8, expected: &str) -> Result<bool, JsonError> {
+        let next = self.next_token();
+        if next == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.fresh = false;
+            return Ok(false);
+        }
+        if !std::mem::take(&mut self.fresh) {
+            if next != Some(b',') {
+                return Err(self.err(expected));
+            }
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
+        Ok(true)
+    }
+
+    /// Is there another element in the array entered last? When `true`,
+    /// the element is next to be read; when `false`, the array is closed.
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.step(b']', "expected ',' or ']'")
+    }
+
+    /// The next key of the object entered last, its `:` consumed and its
+    /// value next to be read; `None` once the object is closed. Keys come
+    /// in document order, duplicates included.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.key_with(Reader::string)
+    }
+
+    fn key_with<K>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<K, JsonError>,
+    ) -> Result<Option<K>, JsonError> {
+        if !self.step(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        let key = read(self)?;
+        self.next_token();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Pass over one value of any kind. Nothing is built, everything is
+    /// checked: a document that `skip_value` accepts is one
+    /// [`Json::parse`] accepts, nesting limit included.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.boolean().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::Str => self.skip_string(),
+            Kind::Arr => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip_value()?;
                 }
-                _ => break,
+                Ok(())
+            }
+            Kind::Obj => {
+                self.begin_object()?;
+                while self.key_with(Reader::skip_string)?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        if text.is_empty() || text == "-" {
-            return Err(self.err("malformed number"));
+    }
+
+    /// The document is over: only white space may remain.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        if self.next_token().is_some() {
+            return Err(self.err("trailing characters after the document"));
         }
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("malformed number"))
-        } else {
-            // Integer-looking literal; overflow degrades to Float.
-            match text.parse::<i64>() {
-                Ok(i) => Ok(Json::Int(i)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Json::Float)
-                    .map_err(|_| self.err("malformed number")),
-            }
-        }
+        Ok(())
     }
 }
 
@@ -683,6 +893,114 @@ mod tests {
     }
 
     #[test]
+    fn every_error_keeps_its_offset_and_wording() {
+        // The daemon's `malformed` replies quote these; clients and the
+        // parent/change wire comparison read them byte for byte.
+        for (text, at, message) in [
+            ("", 0, "unexpected end of input"),
+            (" x", 1, "unexpected character"),
+            ("nul", 0, "expected 'null'"),
+            ("tru", 0, "expected 'true'"),
+            ("fals", 0, "expected 'false'"),
+            ("-", 1, "malformed number"),
+            ("1e", 2, "malformed number"),
+            ("1+2", 3, "malformed number"),
+            ("[1e999]", 6, "number out of range"),
+            ("1 2", 2, "trailing characters after the document"),
+            ("[1 2]", 3, "expected ',' or ']'"),
+            ("[1,]", 3, "unexpected character"),
+            ("{\"a\":1 \"b\"}", 7, "expected ',' or '}'"),
+            ("{\"a\":1,}", 7, "expected '\"'"),
+            ("{a:1}", 1, "expected '\"'"),
+            ("{\"a\" 1}", 5, "expected ':'"),
+            ("{\"a\":}", 5, "unexpected character"),
+            ("\"abc", 4, "unterminated string"),
+            ("\"a\tb\"", 2, "unescaped control character in string"),
+            ("\"\\", 2, "dangling escape"),
+            ("\"\\x\"", 3, "unknown escape"),
+            ("\"\\u12\"", 5, "invalid hex digit"),
+            ("\"\\u12", 5, "truncated \\u escape"),
+            ("\"\\ud800\"", 7, "unpaired surrogate"),
+            ("\"\\ud800\\n\"", 8, "expected 'u'"),
+            ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\udc00\"", 7, "invalid code point"),
+        ] {
+            let err = Json::parse(text).expect_err(text);
+            assert_eq!((err.at, err.message.as_str()), (at, message), "{text:?}");
+            // Skipping a value checks it exactly as keeping it does.
+            let mut r = Reader::new(text);
+            let skipped = r.skip_value().and_then(|()| r.end());
+            assert_eq!(skipped, Err(err), "{text:?}");
+        }
+        let deep = "[".repeat(MAX_DEPTH + 1) + "1";
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (MAX_DEPTH + 1, "document nests too deeply")
+        );
+    }
+
+    #[test]
+    fn literals_that_are_not_finite_are_refused() {
+        // Regression: `str::parse::<f64>` saturates, so these came back as
+        // `Float(±inf)` and a `set_attr` could store what `write_frame`
+        // refuses to send.
+        for text in ["1e999", "-1e999", &"9".repeat(400)] {
+            let err = Json::parse(text).expect_err(text);
+            assert_eq!(err.message, "number out of range", "{text:?}");
+            assert_eq!(err.at, text.len());
+        }
+        // Large is not infinite, and beyond `i64` is still a Float.
+        assert_eq!(Json::parse("1e308"), Ok(Json::Float(1e308)));
+        assert_eq!(Json::parse("-1e-999"), Ok(Json::Float(-0.0)));
+        assert_eq!(
+            Json::parse("9223372036854775808"),
+            Ok(Json::Float(9_223_372_036_854_775_808.0))
+        );
+    }
+
+    #[test]
+    fn the_reader_borrows_plain_strings_and_builds_escaped_ones() {
+        let mut r = Reader::new(r#"["plain é🦀", "tab\there", ""]"#);
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain é🦀")));
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.string().unwrap(), Cow::Owned(s) if s == "tab\there"));
+        assert!(r.next_element().unwrap());
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("")));
+        assert!(!r.next_element().unwrap());
+        r.end().unwrap();
+    }
+
+    #[test]
+    fn the_reader_steps_keys_in_document_order_duplicates_included() {
+        let text = r#" { "a" : 1 , "b" : [ { } , [ ] ] , "a" : -2.5 } "#;
+        let mut r = Reader::new(text);
+        assert_eq!(r.peek(), Ok(Kind::Obj));
+        r.begin_object().unwrap();
+        let mut seen = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            match r.peek().unwrap() {
+                Kind::Number => seen.push((key.into_owned(), Some(r.number().unwrap()))),
+                _ => {
+                    r.skip_value().unwrap();
+                    seen.push((key.into_owned(), None));
+                }
+            }
+        }
+        r.end().unwrap();
+        assert_eq!(
+            seen,
+            [
+                ("a".to_string(), Some(Number::Int(1))),
+                ("b".to_string(), None),
+                ("a".to_string(), Some(Number::Float(-2.5))),
+            ]
+        );
+    }
+
+    #[test]
     fn unicode_escapes_decode() {
         assert_eq!(
             Json::parse(r#""\u0041\u00e5\ud83e\udd80""#).unwrap(),
@@ -763,7 +1081,58 @@ mod tests {
         }
     }
 
+    /// Number literals of every size: up to 400 digits, a fraction, an
+    /// exponent out to ±999 — wrapped in a document or not.
+    fn arb_number_text(rng: &mut TestRng) -> String {
+        let digits = |rng: &mut TestRng, most: usize| -> String {
+            (0..1 + rng.below(most))
+                .map(|_| char::from(b'0' + rng.below(10) as u8))
+                .collect()
+        };
+        let mut text = String::new();
+        if rng.chance(0.5) {
+            text.push('-');
+        }
+        let most = if rng.chance(0.2) { 400 } else { 25 };
+        text.push_str(&digits(rng, most));
+        if rng.chance(0.4) {
+            text.push('.');
+            text.push_str(&digits(rng, 25));
+        }
+        if rng.chance(0.6) {
+            text.push(['e', 'E'][rng.below(2)]);
+            text.push_str(["", "+", "-"][rng.below(3)]);
+            text.push_str(&rng.below(1000).to_string());
+        }
+        match rng.below(3) {
+            0 => text,
+            1 => format!("[1,{text}]"),
+            _ => format!("{{\"value\":{text}}}"),
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct ArbNumberText;
+
+    impl Strategy for ArbNumberText {
+        type Value = String;
+
+        fn generate(&self, rng: &mut TestRng) -> String {
+            arb_number_text(rng)
+        }
+    }
+
     proptest! {
+        /// Whatever `parse` accepts can be sent back out: no literal
+        /// becomes a NaN or an infinity on the way in.
+        #[test]
+        fn no_parsed_document_holds_a_non_finite_number(text in ArbNumberText) {
+            match Json::parse(&text) {
+                Ok(doc) => prop_assert!(!doc.has_non_finite(), "{text} parsed to {doc:?}"),
+                Err(e) => prop_assert_eq!(e.message, "number out of range", "{}", text),
+            }
+        }
+
         /// `parse ∘ write` is the identity on every finite document, and
         /// the written form is one line — the property every frame on the
         /// wire and every `to_json()` consumer leans on.

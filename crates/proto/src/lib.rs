@@ -9,16 +9,20 @@
 //! Layering, bottom up:
 //!
 //! * [`json`] — re-export of `ged_graph::json`: the `Json` value type,
-//!   a depth-limited recursive-descent parser, and a one-line writer
-//!   that keeps `Int`/`Float` distinct (`2` vs `2.0`), which the
+//!   the depth-limited pull lexer (`json::Reader`) under both
+//!   `Json::parse` and the request decoder, and a one-line writer that
+//!   keeps `Int`/`Float` distinct (`2` vs `2.0`), which the
 //!   attribute-value codec relies on;
 //! * [`wire`] — framing: one JSON document per `\n`-terminated line,
-//!   with a per-frame byte cap and structured
-//!   oversized/truncated/malformed errors;
+//!   read into a caller-owned buffer ([`wire::read_line`]) with a
+//!   per-frame byte cap and structured oversized/truncated/malformed
+//!   errors;
 //! * [`message`] — the request/response vocabulary: [`Request`]
-//!   decode/encode, [`Delta`](ged_graph::Delta) and
+//!   decode/encode (over a tree, and straight off the line), the
+//!   [`Delta`](ged_graph::Delta) and
 //!   [`ValidationReport`](ged_core::reason::ValidationReport) codecs,
-//!   the `ok`/error envelope and its [error-code taxonomy](message::code);
+//!   streamed reply lines, the `ok`/error envelope and its
+//!   [error-code taxonomy](message::code);
 //! * [`client`] — a blocking [`Client`] used by `gedctl`, the examples,
 //!   and the protocol-level test harness.
 
@@ -35,4 +39,4 @@ pub use ged_graph::json::{self, Json, JsonError};
 pub use message::{
     code, ApplyReply, ReportReply, Request, RequestError, WireViolation, PROTOCOL_VERSION,
 };
-pub use wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME};
+pub use wire::{read_frame, read_line, write_frame, WireError, DEFAULT_MAX_FRAME};

@@ -6,10 +6,18 @@
 //! human-readable `error` message, so clients can branch without
 //! string-matching prose. [`Delta`]/[`DeltaSet`] and
 //! [`ValidationReport`] get explicit codecs here — the daemon and the
-//! CLI never hand-roll field names. The two replies that carry every
-//! witness also have a streaming encoder ([`encode_report`],
-//! [`encode_violations`]): same bytes as their tree codec, which stays as
-//! the reference the encoder is tested against.
+//! CLI never hand-roll field names.
+//!
+//! The codecs over [`Json`] trees (`*_to_json` / `*_from_json`) define
+//! the protocol. Beside them sit the paths `gedd` runs per request, each a
+//! pure accelerator held to its tree codec by a generated test: the
+//! streaming encoders of the replies worth streaming ([`encode_report`],
+//! [`encode_violations`], [`encode_apply`] — same bytes as the tree
+//! written by `write_frame`, `tests/reply_lines.rs`), and the streaming
+//! request decoder [`Request::from_line`] (answers exactly when
+//! `Json::parse` + [`Request::from_json`] answer `Ok`, with an equal
+//! request, `tests/request_lines.rs`; every refusal is left to the
+//! reference, so error replies cannot drift).
 //!
 //! The attribute-value codec preserves the [`Value::Int`] /
 //! [`Value::Float`] distinction (literal satisfaction distinguishes
@@ -17,11 +25,12 @@
 //! trailing `.0` and the parser classifies by the presence of a
 //! fraction/exponent, so values survive a round trip bit-for-bit.
 
-use crate::json::{write_escaped, Json};
+use crate::json::{write_escaped, Json, JsonError, Kind, Number, Reader};
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
-use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
+use ged_graph::{sym, Delta, DeltaSet, NodeId, Symbol, Value};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Wire protocol version, reported by `health`.
@@ -131,18 +140,217 @@ impl Request {
                 }
                 Ok(Request::Apply(ds))
             }
-            "violations" => Ok(Request::Violations),
-            "report" => Ok(Request::Report),
-            "is_satisfied" => Ok(Request::IsSatisfied),
-            "metrics" => Ok(Request::Metrics),
-            "health" => Ok(Request::Health),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(RequestError {
+            other => Request::without_arguments(other).ok_or_else(|| RequestError {
                 code: code::UNKNOWN_CMD,
                 message: format!("unknown cmd {other:?}"),
             }),
         }
     }
+
+    /// The request `cmd` names, if it is one that is its `cmd` and
+    /// nothing else.
+    fn without_arguments(cmd: &str) -> Option<Request> {
+        match cmd {
+            "violations" => Some(Request::Violations),
+            "report" => Some(Request::Report),
+            "is_satisfied" => Some(Request::IsSatisfied),
+            "metrics" => Some(Request::Metrics),
+            "health" => Some(Request::Health),
+            "shutdown" => Some(Request::Shutdown),
+            _ => None,
+        }
+    }
+
+    /// Decode a frame's line straight off its bytes, without the [`Json`]
+    /// tree in between — an accelerator for [`Json::parse`] +
+    /// [`Request::from_json`], never a second opinion. `Some(request)`
+    /// exactly when those two answer `Ok(request)`; on every other line
+    /// `None`, and the caller runs them on the same line for the error to
+    /// reply with, so this path owns no message text.
+    ///
+    /// One walk of the line with the shared [`Reader`]: a delta is a few
+    /// scalar slots filled in whatever order its keys come (a repeated key
+    /// overwrites, as [`Json::get`] takes the last) and read at its `}`;
+    /// fields the codec does not know are skipped, their syntax checked
+    /// all the same. The request exists only once the last byte of the
+    /// line has been accepted. Names of deltas decoded before a line
+    /// turned out bad stay interned, as they do when `from_json` stops at
+    /// a bad delta.
+    pub fn from_line(line: &str) -> Option<Request> {
+        let mut r = Reader::new(line);
+        let request = read_request(&mut r).ok()??;
+        r.end().ok()?;
+        Some(request)
+    }
+}
+
+/// A field's value as [`Request::from_line`] keeps it until the object
+/// closes: the scalars the codec reads, borrowed from the line where they
+/// can be.
+#[derive(Default)]
+enum Slot<'a> {
+    /// Absent, `null`, or a container: nothing any field is decoded from.
+    #[default]
+    Unread,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+}
+
+impl<'a> Slot<'a> {
+    /// Read the value that comes next, whatever it is.
+    fn read(r: &mut Reader<'a>) -> Result<Slot<'a>, JsonError> {
+        Ok(match r.peek()? {
+            Kind::Bool => Slot::Bool(r.boolean()?),
+            Kind::Number => match r.number()? {
+                Number::Int(i) => Slot::Int(i),
+                Number::Float(f) => Slot::Float(f),
+            },
+            Kind::Str => Slot::Str(r.string()?),
+            Kind::Null | Kind::Arr | Kind::Obj => {
+                r.skip_value()?;
+                Slot::Unread
+            }
+        })
+    }
+
+    /// As [`node_from_json`] reads it.
+    fn node(&self) -> Option<NodeId> {
+        match self {
+            Slot::Int(i) => u32::try_from(*i).ok().map(NodeId),
+            _ => None,
+        }
+    }
+
+    /// A label or attribute name, interned.
+    fn name(&self) -> Option<Symbol> {
+        match self {
+            Slot::Str(s) => Some(sym(s)),
+            _ => None,
+        }
+    }
+
+    /// As [`value_from_json`] reads it.
+    fn value(self) -> Option<Value> {
+        match self {
+            Slot::Unread => None,
+            Slot::Bool(b) => Some(Value::Bool(b)),
+            Slot::Int(i) => Some(Value::Int(i)),
+            Slot::Float(f) => Some(Value::Float(f)),
+            Slot::Str(s) => Some(Value::Str(s.into_owned())),
+        }
+    }
+}
+
+/// The request in the document `r` is at the start of. `Err` is a syntax
+/// error; `Ok(None)` is a well-formed document that [`Request::from_json`]
+/// refuses — including an `apply` any of whose deltas it refuses, while
+/// `deltas` under another command are as irrelevant here as there.
+fn read_request(r: &mut Reader<'_>) -> Result<Option<Request>, JsonError> {
+    if r.peek()? != Kind::Obj {
+        return Ok(None);
+    }
+    r.begin_object()?;
+    let mut cmd = Slot::default();
+    let mut deltas = None;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "cmd" => cmd = Slot::read(r)?,
+            "deltas" => deltas = read_deltas(r)?,
+            _ => r.skip_value()?,
+        }
+    }
+    let Slot::Str(cmd) = cmd else {
+        return Ok(None);
+    };
+    Ok(match &*cmd {
+        "apply" => deltas.map(|deltas| Request::Apply(deltas.into())),
+        other => Request::without_arguments(other),
+    })
+}
+
+/// The value of a `deltas` key: `None` unless it is an array of deltas
+/// every one of which decodes. After the first that does not, the rest
+/// are skipped — checked as syntax, not decoded.
+fn read_deltas(r: &mut Reader<'_>) -> Result<Option<Vec<Delta>>, JsonError> {
+    if r.peek()? != Kind::Arr {
+        r.skip_value()?;
+        return Ok(None);
+    }
+    r.begin_array()?;
+    let mut deltas = Some(Vec::new());
+    while r.next_element()? {
+        match &mut deltas {
+            Some(decoded) => match read_delta(r)? {
+                Some(delta) => decoded.push(delta),
+                None => deltas = None,
+            },
+            None => r.skip_value()?,
+        }
+    }
+    Ok(deltas)
+}
+
+/// One element of `deltas`; `Ok(None)` where [`delta_from_json`] refuses.
+fn read_delta(r: &mut Reader<'_>) -> Result<Option<Delta>, JsonError> {
+    if r.peek()? != Kind::Obj {
+        r.skip_value()?;
+        return Ok(None);
+    }
+    r.begin_object()?;
+    let [mut op, mut node, mut src, mut dst, mut label, mut attr, mut value]: [Slot; 7] =
+        Default::default();
+    while let Some(key) = r.next_key()? {
+        let slot = match &*key {
+            "op" => &mut op,
+            "node" => &mut node,
+            "src" => &mut src,
+            "dst" => &mut dst,
+            "label" => &mut label,
+            "attr" => &mut attr,
+            "value" => &mut value,
+            _ => {
+                r.skip_value()?;
+                continue;
+            }
+        };
+        *slot = Slot::read(r)?;
+    }
+    let Slot::Str(op) = op else {
+        return Ok(None);
+    };
+    // Fields in the order `delta_from_json` asks for them, so a delta it
+    // refuses halfway has interned the same names here.
+    let delta = || {
+        Some(match &*op {
+            "add_node" => Delta::AddNode {
+                label: label.name()?,
+            },
+            "remove_node" => Delta::RemoveNode { node: node.node()? },
+            "add_edge" => Delta::AddEdge {
+                src: src.node()?,
+                label: label.name()?,
+                dst: dst.node()?,
+            },
+            "remove_edge" => Delta::RemoveEdge {
+                src: src.node()?,
+                label: label.name()?,
+                dst: dst.node()?,
+            },
+            "set_attr" => Delta::SetAttr {
+                node: node.node()?,
+                attr: attr.name()?,
+                value: value.value()?,
+            },
+            "del_attr" => Delta::DelAttr {
+                node: node.node()?,
+                attr: attr.name()?,
+            },
+            _ => return None,
+        })
+    };
+    Ok(delta())
 }
 
 fn cmd_only(cmd: &str) -> Json {
@@ -408,6 +616,19 @@ impl LineEncoder {
         value.into().write(&mut self.out);
     }
 
+    /// `"key":[id,…]` preceded by `sep`.
+    fn ids(&mut self, sep: char, key: &str, ids: &[NodeId]) {
+        self.key(sep, key);
+        self.out.push('[');
+        for (i, n) in ids.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            node_to_json(*n).write(&mut self.out);
+        }
+        self.out.push(']');
+    }
+
     /// `,"violations":[…]}` + newline: the tail both replies share, each
     /// element shaped like [`violation_to_json`].
     fn witnesses_and_finish(mut self, witnesses: impl FnOnce(&mut WitnessSink<'_>)) -> Vec<u8> {
@@ -420,15 +641,7 @@ impl LineEncoder {
             }
             self.key('{', "rule");
             write_escaped(rule, &mut self.out);
-            self.key(',', "assignment");
-            self.out.push('[');
-            for (i, n) in assignment.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                node_to_json(*n).write(&mut self.out);
-            }
-            self.out.push(']');
+            self.ids(',', "assignment", assignment);
             self.key(',', "kind");
             self.kind.clear();
             write!(self.kind, "{kind:?}").expect("String as fmt::Write is infallible");
@@ -484,6 +697,30 @@ pub fn encode_violations(
     enc.scalar(',', "epoch", epoch);
     enc.scalar(',', "count", count);
     enc.witnesses_and_finish(witnesses)
+}
+
+/// The `apply` reply as one wire line in `out` (cleared first; a
+/// connection that passes the same buffer each time allocates nothing
+/// here), newline included: `reply`'s counts, then the ids the batch's
+/// `add_node` deltas `created`, in order. Byte-identical to the
+/// [`ok_response`] tree of the same fields written by
+/// [`crate::wire::write_frame`], and [`apply_from_json`] reads `reply`
+/// back out of it.
+pub fn encode_apply(out: &mut String, reply: &ApplyReply, created: &[NodeId]) {
+    out.clear();
+    let mut enc = LineEncoder {
+        out: std::mem::take(out),
+        kind: String::new(),
+    };
+    enc.scalar('{', "ok", true);
+    enc.scalar(',', "epoch", reply.epoch);
+    enc.scalar(',', "applied", reply.applied);
+    enc.scalar(',', "violations", reply.violations);
+    enc.scalar(',', "removed", reply.removed);
+    enc.scalar(',', "added", reply.added);
+    enc.ids(',', "created", created);
+    enc.out.push_str("}\n");
+    *out = enc.out;
 }
 
 /// Decoded `report` response.
@@ -575,7 +812,9 @@ mod tests {
         let json = req.to_json();
         // The wire carries text, not `Json` values: go through it.
         let text = json.to_string();
-        Request::from_json(&Json::parse(&text).unwrap()).unwrap()
+        let decoded = Request::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(Request::from_line(&text).as_ref(), Some(&decoded), "{text}");
+        decoded
     }
 
     #[test]

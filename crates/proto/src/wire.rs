@@ -1,13 +1,20 @@
 //! Newline-delimited JSON framing over any byte stream.
 //!
 //! One frame = one JSON document serialised to a single line (the writer
-//! in [`crate::json`] guarantees no raw newlines) followed by `\n`. The
-//! reader enforces a byte cap per frame so an oversized (or endless)
-//! line from a hostile client costs bounded memory and yields a
-//! structured [`WireError::Oversized`] instead of an allocation storm,
-//! and distinguishes a clean EOF (`Ok(None)`, the peer closed between
-//! frames) from a truncated frame (bytes without the terminating
-//! newline — the peer died mid-request).
+//! in [`crate::json`] guarantees no raw newlines) followed by `\n`.
+//! Reading a frame is two steps, and each exists once. [`read_line`] is
+//! the framing loop, over a buffer its caller owns: it enforces a byte cap
+//! per frame so an oversized (or endless) line from a hostile client costs
+//! bounded memory and yields a structured [`WireError::Oversized`] instead
+//! of an allocation storm, distinguishes a clean EOF (`Ok(None)`, the peer
+//! closed between frames) from a truncated frame (bytes without the
+//! terminating newline — the peer died mid-request), skips blank
+//! keep-alive lines, strips a `\r`, and checks the line to be UTF-8.
+//! Decoding the line is the caller's: [`read_frame`] is `read_line` +
+//! [`Json::parse`] for whoever wants the document (clients, tests, the
+//! benchmark's reference rows); `gedd` keeps one buffer per connection and
+//! hands the line to
+//! [`Request::from_line`](crate::message::Request::from_line).
 
 use crate::json::Json;
 use std::io::{self, BufRead, Write};
@@ -69,17 +76,44 @@ pub fn write_frame(w: &mut impl Write, frame: &Json) -> io::Result<()> {
     w.flush()
 }
 
-/// Read the next frame. `Ok(None)` is a clean EOF at a frame boundary;
-/// `Err(Truncated)` means the peer vanished mid-line; `Err(Oversized)`
-/// means the line blew the `max_frame` cap (the connection should be
-/// dropped — the rest of the line was not consumed).
+/// Read the next frame as a document: [`read_line`] into a buffer of its
+/// own, then [`Json::parse`]. What clients and tests read replies with,
+/// and the reference the daemon's request decoder is held to; the daemon
+/// itself calls [`read_line`] with one buffer per connection.
 pub fn read_frame(r: &mut impl BufRead, max_frame: usize) -> Result<Option<Json>, WireError> {
-    let mut buf: Vec<u8> = Vec::new();
+    let mut buf = Vec::new();
+    let Some(line) = read_line(r, &mut buf, max_frame)? else {
+        return Ok(None);
+    };
+    Json::parse(line)
+        .map(Some)
+        .map_err(|e| WireError::Malformed(e.to_string()))
+}
+
+/// Capacity a line buffer may carry from one [`read_line`] to the next.
+/// Bulk frames (a 512-delta `apply` is ≈ 30 KB) fit and are read without
+/// allocating; what a rare multi-megabyte frame grew is given back before
+/// the next read instead of staying with an idle connection.
+const KEPT_LINE_CAPACITY: usize = 64 << 10;
+
+/// Read the next frame's line into `buf` — cleared first, its capacity
+/// kept up to 64 KiB, so a connection that passes the same buffer each
+/// time allocates for its bulk frames once — and return it without its
+/// terminator, checked to be UTF-8 but not yet to be JSON. `Ok(None)` is a clean EOF at a frame
+/// boundary; `Err(Truncated)` means the peer vanished mid-line;
+/// `Err(Oversized)` means the line blew the `max_frame` cap (the
+/// connection should be dropped — the rest of the line was not consumed).
+pub fn read_line<'b>(
+    r: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    max_frame: usize,
+) -> Result<Option<&'b str>, WireError> {
     // Outer loop: one iteration per physical line. Blank keep-alive
     // lines are skipped by iterating, never by recursing — a hostile
     // stream of consecutive '\n' bytes must cost O(1) stack.
     loop {
         buf.clear();
+        buf.shrink_to(KEPT_LINE_CAPACITY);
         loop {
             let available = r.fill_buf()?;
             if available.is_empty() {
@@ -112,16 +146,20 @@ pub fn read_frame(r: &mut impl BufRead, max_frame: usize) -> Result<Option<Json>
         if buf.last() == Some(&b'\r') {
             buf.pop();
         }
-        let text = std::str::from_utf8(&buf)
-            .map_err(|_| WireError::Malformed("frame is not UTF-8".to_string()))?;
-        if text.trim().is_empty() {
-            // Tolerate blank keep-alive lines between frames.
+        // Tolerate blank keep-alive lines between frames. A frame opens
+        // with a visible ASCII byte, so only other lines are looked at
+        // here as text, and frames are validated once, below. (A line
+        // that is not UTF-8 is not blank either: it leaves the loop and
+        // fails there.)
+        let opens_a_frame = buf.first().is_some_and(u8::is_ascii_graphic);
+        if !opens_a_frame && std::str::from_utf8(buf).is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
-        return Json::parse(text)
-            .map(Some)
-            .map_err(|e| WireError::Malformed(e.to_string()));
+        break;
     }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| WireError::Malformed("frame is not UTF-8".to_string()))
 }
 
 #[cfg(test)]
@@ -199,6 +237,57 @@ mod tests {
         assert_eq!(
             read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(),
             Some(Json::Bool(true))
+        );
+    }
+
+    #[test]
+    fn one_buffer_serves_every_line_and_keeps_nothing_of_the_last() {
+        let long = format!("{{\"pad\":\"{}\"}}", "x".repeat(5000));
+        let input = format!("{long}\r\n\n{{\"cmd\":\"health\"}}\n \u{a0}\t\r\n[]\n\u{a0}7\n");
+        let mut r = BufReader::with_capacity(64, input.as_bytes());
+        let mut buf = Vec::new();
+        let mut next = |buf: &mut Vec<u8>| {
+            read_line(&mut r, buf, DEFAULT_MAX_FRAME)
+                .unwrap()
+                .map(str::to_string)
+        };
+        assert_eq!(next(&mut buf).as_deref(), Some(&long[..]));
+        let grown = buf.capacity();
+        // Shorter lines through the same buffer: each is itself, not a
+        // prefix of what the buffer held before, and nothing reallocates.
+        assert_eq!(next(&mut buf).as_deref(), Some("{\"cmd\":\"health\"}"));
+        assert_eq!(next(&mut buf).as_deref(), Some("[]"));
+        // Blank is what `str::trim` empties; a line with more is a line.
+        assert_eq!(next(&mut buf).as_deref(), Some("\u{a0}7"));
+        assert_eq!(next(&mut buf), None);
+        assert_eq!(buf.capacity(), grown);
+    }
+
+    #[test]
+    fn a_large_line_does_not_stay_in_the_buffer() {
+        let input = format!("\"{}\"\n7\n", "x".repeat(1 << 20));
+        let mut r = BufReader::new(input.as_bytes());
+        let mut buf = Vec::new();
+        let large = read_line(&mut r, &mut buf, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(large.map(str::len), Some((1 << 20) + 2));
+        assert_eq!(
+            read_line(&mut r, &mut buf, DEFAULT_MAX_FRAME).unwrap(),
+            Some("7")
+        );
+        assert!(buf.capacity() <= KEPT_LINE_CAPACITY, "{}", buf.capacity());
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_malformed_and_consumed() {
+        let mut r = BufReader::new(&b"{\"cmd\":\"\xff\"}\n \xff\n7\n"[..]);
+        let mut buf = Vec::new();
+        for _ in 0..2 {
+            let err = read_line(&mut r, &mut buf, DEFAULT_MAX_FRAME).unwrap_err();
+            assert!(matches!(err, WireError::Malformed(m) if m == "frame is not UTF-8"));
+        }
+        assert_eq!(
+            read_line(&mut r, &mut buf, DEFAULT_MAX_FRAME).unwrap(),
+            Some("7")
         );
     }
 

@@ -2,7 +2,8 @@
 //! reports: `encode_report` / `encode_violations` must produce exactly
 //! the bytes `write_frame` makes of the `Json` tree (`report_to_json`,
 //! `ok_response` + `violation_to_json`), and those bytes must decode back
-//! to the rows that went in.
+//! to the rows that went in. `encode_apply` is held to the same, against
+//! the `ok_response` tree `gedd` used to build for every batch.
 //!
 //! Inputs aim at the encoder's own code: rule names that need every
 //! escape (quote, backslash, control characters, non-ASCII, empty), every
@@ -18,10 +19,10 @@ use ged_core::Literal;
 use ged_graph::{sym, NodeId, Value};
 use ged_pattern::Var;
 use ged_proto::message::{
-    encode_report, encode_violations, ok_response, report_from_json, report_to_json,
-    violation_from_json, violation_to_json, WitnessSink,
+    apply_from_json, encode_apply, encode_report, encode_violations, ok_response, report_from_json,
+    report_to_json, violation_from_json, violation_to_json, WitnessSink,
 };
-use ged_proto::{write_frame, Json, WireViolation};
+use ged_proto::{write_frame, ApplyReply, Json, WireViolation};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -79,9 +80,26 @@ fn kind() -> impl Strategy<Value = ViolationKind> {
     ]
 }
 
+fn node_id() -> impl Strategy<Value = NodeId> {
+    prop_oneof![Just(0u32), Just(u32::MAX), 0u32..u32::MAX].prop_map(NodeId)
+}
+
 fn assignment() -> impl Strategy<Value = Vec<NodeId>> {
-    let id = prop_oneof![Just(0u32), Just(u32::MAX), 0u32..u32::MAX];
-    vec(id.prop_map(NodeId), 0..5)
+    vec(node_id(), 0..5)
+}
+
+/// The counts of an `apply` reply, up to where `Json::from(u64)` saturates.
+fn apply_reply() -> impl Strategy<Value = ApplyReply> {
+    let count = || prop_oneof![Just(0u64), 0u64..600, 0u64..(1u64 << 63)];
+    (count(), count(), count(), count(), count()).prop_map(
+        |(epoch, applied, violations, removed, added)| ApplyReply {
+            epoch,
+            applied,
+            violations,
+            removed,
+            added,
+        },
+    )
 }
 
 /// A consistent report: per-rule rows agree with the witness list, and
@@ -189,5 +207,37 @@ proptest! {
             .collect::<Result<Vec<WireViolation>, String>>()
             .expect("decodes");
         prop_assert_eq!(rows, expected_rows(&report));
+    }
+
+    /// No `add_node` in the batch, one, and a bulk frame's worth: the
+    /// separators of `created` are the encoder's own. The buffer comes
+    /// in holding a previous line, as a connection's does.
+    #[test]
+    fn streamed_apply_equals_the_tree_codec(
+        reply in apply_reply(),
+        created in prop_oneof![vec(node_id(), 0..1), vec(node_id(), 1..2), vec(node_id(), 2..600)],
+    ) {
+        let mut line = "{\"ok\":true,\"stale\":[1,2,3]}\n".repeat(1 + created.len() % 3);
+        encode_apply(&mut line, &reply, &created);
+        let tree = ok_response(vec![
+            ("epoch", Json::from(reply.epoch)),
+            ("applied", Json::from(reply.applied)),
+            ("violations", Json::from(reply.violations)),
+            ("removed", Json::from(reply.removed)),
+            ("added", Json::from(reply.added)),
+            (
+                "created",
+                Json::Arr(created.iter().map(|n| Json::from(u64::from(n.0))).collect()),
+            ),
+        ]);
+        prop_assert_eq!(line.as_bytes(), &frame_bytes(&tree)[..]);
+
+        let decoded = parse_line(line.as_bytes());
+        prop_assert_eq!(apply_from_json(&decoded), Ok(reply));
+        let ids: Vec<u64> = created.iter().map(|n| u64::from(n.0)).collect();
+        let read: Option<Vec<u64>> = decoded
+            .get_arr("created")
+            .map(|ids| ids.iter().filter_map(Json::as_u64).collect());
+        prop_assert_eq!(read, Some(ids));
     }
 }

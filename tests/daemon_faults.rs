@@ -1,6 +1,10 @@
 //! Fault injection against a live `gedd`: malformed frames, oversized
 //! and truncated payloads, abrupt disconnects mid-request, edge deltas
-//! naming node ids that do not exist, and two racing `apply` writers. In every case the daemon must answer with a
+//! naming node ids that do not exist, two racing `apply` writers, and
+//! bulk frames that arrive awkwardly (a bad delta at the very end, one
+//! byte per write, CR-LF and keep-alive lines around them, sizes on
+//! either side of the cap) over a connection whose buffers are reused
+//! from frame to frame. In every case the daemon must answer with a
 //! structured error or drop just that connection — never panic — and
 //! clients connecting afterwards must see an uncorrupted epoch whose
 //! witness set equals a clean from-scratch validate of a local mirror.
@@ -217,6 +221,167 @@ fn truncated_frames_and_abrupt_disconnects_leave_the_daemon_serving() {
             "dropped client's accepted batch never published"
         );
         thread::sleep(Duration::from_millis(5));
+    }
+    assert_uncorrupted(&handle, &mirror, &sigma, 1);
+    handle.stop();
+    handle.join();
+}
+
+/// A raw connection: bytes go out as the test writes them, replies come
+/// back through a [`Client`] over the same socket.
+fn raw_connection(handle: &DaemonHandle) -> (TcpStream, Client) {
+    let raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let replies = Client::from_stream(raw.try_clone().unwrap()).unwrap();
+    (raw, replies)
+}
+
+/// `count` attribute writes the rules do not read, spread over the
+/// mirror's nodes; `round` makes each batch's values new.
+fn bulk_batch(mirror: &Graph, count: usize, round: usize) -> DeltaSet {
+    let nodes: Vec<NodeId> = mirror.nodes().collect();
+    (0..count)
+        .map(|i| Delta::SetAttr {
+            node: nodes[i % nodes.len()],
+            attr: sym("bio"),
+            value: Value::from(format!("round {round}, write {i} — \"é\"")),
+        })
+        .collect()
+}
+
+fn frame_line(batch: &DeltaSet) -> String {
+    Request::Apply(batch.clone()).to_json().to_string()
+}
+
+/// The whole frame is validated before any of it is applied: a bad delta
+/// at index 599 of 600, and a number no `f64` holds in an otherwise
+/// well-formed write, each refuse the frame and leave epoch and witness
+/// set where they were.
+#[test]
+fn a_frame_that_is_bad_at_its_very_end_applies_nothing() {
+    let (handle, mirror, sigma) =
+        daemon_with_mirror("mixed:honest=10,plants=1,seed=46", &DaemonConfig::default());
+    let (mut raw, mut replies) = raw_connection(&handle);
+
+    let good = frame_line(&bulk_batch(&mirror, 599, 0));
+    let line = format!(
+        "{},{{\"op\":\"remove_node\",\"node\":1.0}}]}}\n",
+        good.strip_suffix("]}").expect("an apply frame")
+    );
+    raw.write_all(line.as_bytes()).unwrap();
+    let reply = replies.read_reply().expect("structured reply");
+    assert_eq!(reply.get_str("code"), Some(code::BAD_REQUEST));
+    let error = reply.get_str("error").unwrap();
+    assert!(error.starts_with("deltas[599]: "), "{error}");
+
+    // Regression: `1e999` parsed to `Float(inf)` and was stored, though no
+    // reply could ever have carried the value back out.
+    let node = mirror.nodes().next().unwrap().0;
+    let line = format!(
+        "{{\"cmd\":\"apply\",\"deltas\":[{{\"op\":\"set_attr\",\"node\":{node},\"attr\":\"x\",\"value\":1e999}}]}}\n"
+    );
+    raw.write_all(line.as_bytes()).unwrap();
+    let reply = replies.read_reply().expect("structured reply");
+    assert_eq!(reply.get_str("code"), Some(code::MALFORMED));
+    let error = reply.get_str("error").unwrap();
+    assert!(error.ends_with("number out of range"), "{error}");
+
+    assert_eq!(replies.health().expect("still serving").epoch, 0);
+    assert_uncorrupted(&handle, &mirror, &sigma, 0);
+    handle.stop();
+    handle.join();
+}
+
+/// Bulk frames on one connection however the transport and the client
+/// shape them: one byte per `write`, CR-LF endings, blank and
+/// white-space-only keep-alive lines in between. Each batch lands whole
+/// and in order.
+#[test]
+fn bulk_frames_land_whole_however_they_arrive() {
+    let (handle, mut mirror, sigma) =
+        daemon_with_mirror("mixed:honest=10,plants=1,seed=47", &DaemonConfig::default());
+    let (mut raw, mut replies) = raw_connection(&handle);
+
+    let shapes: [(&str, &str, bool); 4] = [
+        ("", "\n", true),
+        ("\n\r\n", "\r\n", false),
+        (" \t\r\n\n", "\n", false),
+        ("\r\n", "\r\n", true),
+    ];
+    for (round, (before, ending, dribble)) in shapes.into_iter().enumerate() {
+        let batch = bulk_batch(&mirror, 200, round);
+        let bytes = format!("{before}{}{ending}", frame_line(&batch)).into_bytes();
+        if dribble {
+            for byte in &bytes {
+                raw.write_all(std::slice::from_ref(byte)).unwrap();
+            }
+        } else {
+            raw.write_all(&bytes).unwrap();
+        }
+        let reply = replies.read_reply().expect("structured reply");
+        assert_eq!(reply.get_bool("ok"), Some(true), "round {round}: {reply}");
+        assert_eq!(reply.get_u64("applied"), Some(200), "round {round}");
+        assert_eq!(reply.get_u64("epoch"), Some(round as u64 + 1));
+        for d in &batch {
+            mirror.apply_delta(d);
+        }
+    }
+    assert_uncorrupted(&handle, &mirror, &sigma, shapes.len() as u64);
+    handle.stop();
+    handle.join();
+}
+
+/// The cap is exact — a line of `max_frame` bytes is served, one byte more
+/// is refused — and stays exact when the connection's buffer has just
+/// held a frame that nearly filled it: nothing of one frame is left to be
+/// counted, or parsed, as part of the next.
+#[test]
+fn the_frame_cap_is_exact_before_and_after_a_large_frame() {
+    let max_frame = 20_000;
+    let config = DaemonConfig {
+        max_frame,
+        ..Default::default()
+    };
+    let (handle, mut mirror, sigma) =
+        daemon_with_mirror("mixed:honest=10,plants=1,seed=48", &config);
+    // A request padded with an ignored field to exactly `len` bytes.
+    let padded = |len: usize| {
+        let envelope = "{\"cmd\":\"health\",\"pad\":\"\"}".len();
+        format!(
+            "{{\"cmd\":\"health\",\"pad\":\"{}\"}}\n",
+            "x".repeat(len - envelope)
+        )
+    };
+    assert_eq!(padded(max_frame).len(), max_frame + 1, "line + newline");
+    let large = bulk_batch(&mirror, 150, 0);
+    let large_line = frame_line(&large);
+    assert!(large_line.len() > max_frame / 2 && large_line.len() < max_frame);
+
+    for large_first in [false, true] {
+        let (mut raw, mut replies) = raw_connection(&handle);
+        if large_first {
+            raw.write_all(format!("{large_line}\n").as_bytes()).unwrap();
+            let reply = replies.read_reply().expect("structured reply");
+            assert_eq!(reply.get_u64("applied"), Some(150), "{reply}");
+            for d in &large {
+                mirror.apply_delta(d);
+            }
+            // A short frame right behind the large one is read as itself.
+            assert_eq!(replies.health().expect("served").epoch, 1);
+        }
+        raw.write_all(padded(max_frame).as_bytes()).unwrap();
+        let reply = replies.read_reply().expect("a frame of exactly the cap");
+        assert_eq!(reply.get_bool("ok"), Some(true), "{reply}");
+        raw.write_all(padded(max_frame + 1).as_bytes()).unwrap();
+        let reply = replies
+            .read_reply()
+            .expect("structured error before hangup");
+        assert_eq!(reply.get_str("code"), Some(code::OVERSIZED));
+        assert!(matches!(
+            replies.health(),
+            Err(ClientError::ConnectionClosed | ClientError::Wire(_))
+        ));
     }
     assert_uncorrupted(&handle, &mirror, &sigma, 1);
     handle.stop();

@@ -3,52 +3,18 @@
 //! count (one sort buffer, the output, the `Debug` scratch, the shared
 //! `Arc`), and a poll that finds the line already rendered costs none.
 //!
-//! The counter is process-wide, so this binary holds exactly one test:
-//! nothing else may allocate while it measures.
+//! The counter (`support/counting.rs`) is process-wide, so this binary
+//! holds exactly one test: nothing else may allocate while it measures.
 
 use ged_daemon::workload;
 use ged_proto::message::{encode_report, report_to_json};
 use ged_proto::write_frame;
 use ged_repro::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a statistic that
-// publishes no other data, hence `Relaxed`.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block, per the caller.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocator calls `f` makes on this thread's watch.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
+#[path = "support/counting.rs"]
+mod counting;
+use counting::allocations_in;
 
 #[test]
 fn a_render_allocates_a_constant_and_a_hit_nothing() {

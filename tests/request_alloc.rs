@@ -1,0 +1,120 @@
+//! Allocation bound on the `apply` request path: decoding a bulk frame
+//! straight off its line costs a constant number of allocator calls (the
+//! `DeltaSet`'s growth) plus the one `String` each string-valued
+//! `set_attr` has to own, where the reference codec's `Json` tree costs
+//! several per delta; and a connection's line buffer, once grown, reads
+//! the next frame without touching the allocator.
+//!
+//! The counter (`support/counting.rs`) is process-wide, so this binary
+//! holds exactly one test: nothing else may allocate while it measures.
+
+use ged_proto::wire::read_line;
+use ged_proto::{read_frame, Request, DEFAULT_MAX_FRAME};
+use ged_repro::prelude::*;
+
+#[path = "support/counting.rs"]
+mod counting;
+use counting::allocations_in;
+
+const DELTAS: usize = 512;
+
+/// A bulk frame in gedbench's `ingest-bulk` proportions — every fourth
+/// delta a string-valued `set_attr` — as wire bytes, with the count of
+/// those and the request it decodes to.
+fn bulk_frame(salt: u32) -> (Vec<u8>, u64, Request) {
+    let mut strings = 0;
+    let batch: DeltaSet = (0..DELTAS as u32)
+        .map(|i| {
+            let node = NodeId(i.wrapping_mul(2_654_435_761).wrapping_add(salt) % 200_000);
+            match i % 8 {
+                0 | 4 => {
+                    strings += 1;
+                    Delta::SetAttr {
+                        node,
+                        attr: sym("keyword"),
+                        value: Value::from(format!("topic_{}", (i + salt) % 10)),
+                    }
+                }
+                1 | 5 => Delta::SetAttr {
+                    node,
+                    attr: sym("age"),
+                    value: Value::from(i64::from(18 + i % 53)),
+                },
+                2 => Delta::AddEdge {
+                    src: node,
+                    label: sym("follow"),
+                    dst: NodeId(i),
+                },
+                3 => Delta::RemoveEdge {
+                    src: node,
+                    label: sym("like"),
+                    dst: NodeId(i),
+                },
+                6 => Delta::DelAttr {
+                    node,
+                    attr: sym("tier"),
+                },
+                _ => Delta::SetAttr {
+                    node,
+                    attr: sym("verified"),
+                    value: Value::from(i % 16 == 7),
+                },
+            }
+        })
+        .collect();
+    let request = Request::Apply(batch);
+    let mut line = request.to_json().to_string();
+    line.push('\n');
+    (line.into_bytes(), strings, request)
+}
+
+#[test]
+fn a_bulk_frame_decodes_in_a_constant_plus_its_strings() {
+    let (first, strings, expected) = bulk_frame(1);
+    let (second, second_strings, second_expected) = bulk_frame(2);
+    assert_eq!(strings, DELTAS as u64 / 4);
+    // Buffer reuse is only worth asserting if the second frame fits.
+    assert!(second.len() <= first.len(), "salt 2 renders longer ids");
+
+    // The reference path, for scale: line → buffer → tree → request.
+    let (reference, tree_allocs) = allocations_in(|| {
+        let tree = read_frame(&mut &first[..], DEFAULT_MAX_FRAME)
+            .expect("parses")
+            .expect("one frame");
+        Request::from_json(&tree).expect("decodes")
+    });
+    assert!(reference == expected);
+    assert!(
+        tree_allocs > 8 * DELTAS as u64,
+        "the tree path allocates per delta ({tree_allocs} calls)"
+    );
+
+    // What `gedd` runs, with the connection's buffer still empty.
+    let mut line = Vec::new();
+    let (streamed, first_allocs) = allocations_in(|| {
+        let text = read_line(&mut &first[..], &mut line, DEFAULT_MAX_FRAME)
+            .expect("reads")
+            .expect("one frame");
+        Request::from_line(text).expect("decodes")
+    });
+    assert!(streamed == expected);
+    assert!(
+        first_allocs <= 16 + strings,
+        "{DELTAS} deltas, {strings} of them strings, took {first_allocs} allocator calls"
+    );
+
+    // The next frame on the connection: framing is free, decoding is bound
+    // by the same constant.
+    let (text, framing_allocs) = allocations_in(|| {
+        read_line(&mut &second[..], &mut line, DEFAULT_MAX_FRAME)
+            .expect("reads")
+            .expect("one frame")
+    });
+    assert_eq!(framing_allocs, 0, "the buffer was grown by the first frame");
+    let (streamed, decode_allocs) = allocations_in(|| Request::from_line(text).expect("decodes"));
+    assert!(streamed == second_expected);
+    assert!(
+        decode_allocs <= 16 + second_strings,
+        "the second frame took {decode_allocs} allocator calls"
+    );
+}
