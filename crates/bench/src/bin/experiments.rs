@@ -1,19 +1,13 @@
 //! The experiments harness: regenerates every table/figure of the paper
-//! as text rows (the per-experiment index lives in DESIGN.md §3; the
-//! measured results are recorded in EXPERIMENTS.md).
+//! as text rows (the per-experiment index lives in DESIGN.md §3).
 //!
 //! Run with `cargo run -p ged-bench --release --bin experiments`.
-//! Any arguments act as section filters matched against the experiment
-//! ids (e.g. `-- EXP-INC` runs the incremental sections: EXP-INC proper,
-//! the EXP-INC-GDC / EXP-INC-DISJ constraint-family sections of the
-//! unified layer, the EXP-INC-MIXED heterogeneous-Σ section, and the
-//! EXP-INC-PAR sharded-delta-path section; `-- EXP-INC EXP-SEED` adds
-//! the sharded-seeding section; `-- EXP-RW` runs the snapshot-isolated
-//! read-view section, concurrent violation queries against an active
-//! writer vs the serialized take-turns baseline); every incremental row
-//! that ran is
-//! written to `BENCH_INC.json` at the end so the incremental perf
-//! trajectory is machine-readable across PRs.
+//! Any arguments act as section filters matched as substrings of the
+//! experiment ids (`-- EXP-T1` runs the five Table 1 sections, `--
+//! EXP-SEED EXP-DAEMON` those two); a filter that matches no id is an
+//! error, not an empty run. The three systems sections gedbench does not
+//! cover yet (EXP-SEED, EXP-ANALYZE, EXP-DAEMON — ROADMAP item 5a) write
+//! their rows to `BENCH_INC.json`.
 
 use ged_bench::{attr_burst, chain_implication, timed, timed_median, us, validation_workload};
 use ged_core::axiom::completeness::prove;
@@ -41,56 +35,76 @@ fn header(id: &str, title: &str) {
     println!("{}", "-".repeat(72));
 }
 
-fn main() {
+/// One harness section: its experiment id and the function that runs it.
+type Section = (&'static str, fn());
+
+const SECTIONS: &[Section] = &[
+    ("EXP-T1-SAT", exp_t1_sat),
+    ("EXP-T1-IMP", exp_t1_imp),
+    ("EXP-T1-VAL", exp_t1_val),
+    ("EXP-T1-FRONTIER", exp_t1_frontier),
+    ("EXP-T1-EXT", exp_t1_ext),
+    ("EXP-THM1", exp_thm1),
+    ("EXP-FIG2", exp_fig2),
+    ("EXP-FIG3", exp_fig3),
+    ("EXP-FIG4", exp_fig4),
+    ("EXP-TAB2", exp_tab2),
+    ("EXP-EX1", exp_ex1_3),
+    ("EXP-EX9", exp_ex9_10),
+    ("EXP-ABL", exp_abl_match),
+    ("EXP-PAR", exp_parallel),
+    ("EXP-SEED", exp_seed),
+    ("EXP-ANALYZE", exp_analyze),
+    ("EXP-DAEMON", exp_daemon),
+];
+
+/// The sections `filters` select, in table order: all of them when there
+/// is no filter, else those whose id contains at least one. `Err` carries
+/// the filters no id contains — a stale filter must fail the run rather
+/// than let it go green having measured nothing.
+fn select<S: AsRef<str>>(filters: &[S]) -> Result<Vec<&'static Section>, Vec<&str>> {
+    let stale: Vec<&str> = filters
+        .iter()
+        .map(S::as_ref)
+        .filter(|f| !SECTIONS.iter().any(|(id, _)| id.contains(f)))
+        .collect();
+    if !stale.is_empty() {
+        return Err(stale);
+    }
+    Ok(SECTIONS
+        .iter()
+        .filter(|(id, _)| filters.is_empty() || filters.iter().any(|f| id.contains(f.as_ref())))
+        .collect())
+}
+
+fn main() -> std::process::ExitCode {
+    let filters: Vec<String> = std::env::args().skip(1).collect();
+    let selected = match select(&filters) {
+        Ok(selected) => selected,
+        Err(stale) => {
+            let ids: Vec<&str> = SECTIONS.iter().map(|(id, _)| *id).collect();
+            eprintln!("experiments: no section id contains {stale:?}; the ids are {ids:?}");
+            return std::process::ExitCode::from(2);
+        }
+    };
     println!("GED reproduction — experiments harness");
     println!("Paper: Dependencies for Graphs (Fan & Lu, PODS 2017)");
-
-    let sections: &[(&str, fn())] = &[
-        ("EXP-T1-SAT", exp_t1_sat),
-        ("EXP-T1-IMP", exp_t1_imp),
-        ("EXP-T1-VAL", exp_t1_val),
-        ("EXP-T1-FRONTIER", exp_t1_frontier),
-        ("EXP-T1-EXT", exp_t1_ext),
-        ("EXP-THM1", exp_thm1),
-        ("EXP-FIG2", exp_fig2),
-        ("EXP-FIG3", exp_fig3),
-        ("EXP-FIG4", exp_fig4),
-        ("EXP-TAB2", exp_tab2),
-        ("EXP-EX1", exp_ex1_3),
-        ("EXP-EX9", exp_ex9_10),
-        ("EXP-ABL", exp_abl_match),
-        ("EXP-MATCH", exp_match),
-        ("EXP-PAR", exp_parallel),
-        ("EXP-INC", exp_inc),
-        ("EXP-INC-GDC", exp_inc_gdc),
-        ("EXP-INC-DISJ", exp_inc_disj),
-        ("EXP-INC-MIXED", exp_inc_mixed),
-        ("EXP-INC-PAR", exp_inc_par),
-        ("EXP-SEED", exp_seed),
-        ("EXP-ANALYZE", exp_analyze),
-        ("EXP-OBS", exp_obs),
-        ("EXP-RW", exp_rw),
-        ("EXP-DAEMON", exp_daemon),
-    ];
-    let filters: Vec<String> = std::env::args().skip(1).collect();
-    let mut ran = 0;
-    for (id, run) in sections {
-        if filters.is_empty() || filters.iter().any(|f| id.contains(f.as_str())) {
-            let t0 = std::time::Instant::now();
-            run();
-            println!("[{id} completed in {:.2?}]", t0.elapsed());
-            ran += 1;
-        }
+    for (id, run) in &selected {
+        let t0 = std::time::Instant::now();
+        run();
+        println!("[{id} completed in {:.2?}]", t0.elapsed());
     }
 
     write_bench_inc_json();
 
     println!();
-    if ran == sections.len() {
+    if selected.len() == SECTIONS.len() {
         println!("All experiment sections completed.");
     } else {
-        println!("{ran} experiment section(s) matched {filters:?}.");
+        let n = selected.len();
+        println!("{n} experiment section(s) matched {filters:?}.");
     }
+    std::process::ExitCode::SUCCESS
 }
 
 /// Instances used across the Table 1 hardness rows.
@@ -711,213 +725,9 @@ fn exp_abl_match() {
     }
 }
 
-/// A copy of `g` carrying the value indexes `IncrementalValidator` asks
-/// for at construction on behalf of `rules` — what their plans can probe.
-fn indexed_for<C: ged_core::constraint::Constraint>(
-    g: &ged_graph::Graph,
-    rules: &[C],
-) -> ged_graph::Graph {
-    let mut g = g.clone();
-    for rule in rules {
-        for (label, attr) in ged_engine::rule_plan(rule).index_requests() {
-            g.index_attr(label, attr);
-        }
-    }
-    g
-}
-
-/// Enumerate every match of `c`'s pattern exactly as the engine's hot
-/// loop does — homomorphism semantics, the rule's plan with its premise
-/// pre-filters ([`ged_engine::rule_plan`]), one reusable
-/// [`MatchScratch`](ged_pattern::MatchScratch). Returns the match count;
-/// attempts and pre-filter rejects land in `recorder`.
-fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::MatchRecorder>(
-    g: &ged_graph::Graph,
-    c: &C,
-    recorder: &R,
-) -> usize {
-    let opts = ged_pattern::MatchOptions::homomorphism();
-    let plan = ged_engine::rule_plan(c);
-    let matcher = ged_pattern::Matcher::with_plan(&plan, c.pattern(), g, opts, recorder);
-    let mut scratch = ged_pattern::MatchScratch::new();
-    let mut n = 0usize;
-    matcher.for_each_in(&mut scratch, |_| {
-        n += 1;
-        std::ops::ControlFlow::Continue(())
-    });
-    n
-}
-
-/// One EXP-MATCH row: instrument a full enumeration for candidate
-/// attempts / pre-filter rejects, then time the same enumeration
-/// unobserved. The row lands in `BENCH_INC.json` with class `match`;
-/// there `delta_size` is the candidate-attempt count and `incremental_us`
-/// the enumeration time. There is no live foil to compare against, so
-/// `full_us` and `speedup` are 0.
-fn run_match_row<C: ged_core::constraint::Constraint>(
-    name: &'static str,
-    g: &ged_graph::Graph,
-    c: &C,
-) {
-    let rec = ged_pattern::CellRecorder::new();
-    let matches = count_engine_matches(g, c, &rec);
-    let attempts = rec.attempts();
-    let rejects = rec.prefilter_rejects();
-    let (n, d) = timed_median(3, || count_engine_matches(g, c, &ged_pattern::NoopRecorder));
-    assert_eq!(n, matches, "instrumentation changes no outcome");
-    let reject_pct = if attempts == 0 {
-        0.0
-    } else {
-        100.0 * rejects as f64 / attempts as f64
-    };
-    println!(
-        "{:<12} {:>9} {:>8} ({:>4.1}%) {:>8} | {:>10}",
-        name,
-        attempts,
-        rejects,
-        reject_pct,
-        matches,
-        us(d)
-    );
-    INC_ROWS.lock().unwrap().push(IncRow {
-        class: "match",
-        workload: name,
-        delta_size: attempts as usize,
-        incremental_us: d.as_secs_f64() * 1e6,
-        full_us: 0.0,
-        speedup: 0.0,
-    });
-}
-
-/// EXP-MATCH — raw match-loop mechanics on the workload patterns,
-/// engine-configured (homomorphism, constant-premise pre-filters, scratch
-/// reuse): per workload the candidate-attempt count, the pre-filter
-/// reject rate, the match count and the enumeration wall-clock.
-fn exp_match() {
-    header(
-        "EXP-MATCH",
-        "match-loop mechanics: candidates, pre-filter rejects, enumeration time",
-    );
-    println!(
-        "{:<12} {:>9} {:>16} {:>8} | {:>10}",
-        "workload", "attempts", "rejects (rate)", "matches", "enum µs"
-    );
-
-    let scfg = SocialConfig {
-        n_honest: 150,
-        ..Default::default()
-    };
-    let sinst = gen_social(&scfg);
-    run_match_row("social", &sinst.graph, &rules::phi5(scfg.k, &scfg.keyword));
-
-    let w = validation_workload(1_000, 3, 2, 7);
-    let key = w.sigma.first().expect("the workload carries a key rule");
-    run_match_row("random-1k", &indexed_for(&w.graph, &w.sigma), key);
-
-    let mcfg = MusicConfig {
-        n_clean: 150,
-        n_dupes: 15,
-        ..Default::default()
-    };
-    let minst = gen_music(&mcfg);
-    let music_key = rules::music_keys()
-        .into_iter()
-        .next()
-        .expect("music Σ is non-empty");
-    let music_graph = indexed_for(&minst.graph, std::slice::from_ref(&music_key));
-    run_match_row("music-key", &music_graph, &music_key);
-
-    // φ1's premises pin both variables' `type` attribute, so this row is
-    // carried almost entirely by the constant-premise pre-filter:
-    // wrong-type candidates are rejected before any adjacency work.
-    let kinst = gen_kb(&KbConfig::default());
-    run_match_row("kb-phi1", &kinst.graph, &rules::phi1());
-
-    // The delta path's unit of work: one rule anchored at one variable on
-    // one touched node. The start state of the benchmark's `match-heavy`
-    // workload (`random:nodes=20000,rules=4,seed=1`), every rule anchored
-    // at every variable on every label-compatible node in turn.
-    println!(
-        "\n{:<12} {:>9} {:>14} {:>13} | {:>10}",
-        "rule", "seeds", "attempts/seed", "matches/seed", "sweep µs"
-    );
-    let w = validation_workload(20_000, 3, 4, 1);
-    let indexed = indexed_for(&w.graph, &w.sigma);
-    assert_eq!(
-        indexed.indexed_attrs().count(),
-        1,
-        "the key's (entity, key)"
-    );
-    for (name, rule) in ["key:entity", "r0", "r1", "r2", "r3"]
-        .into_iter()
-        .zip(&w.sigma)
-    {
-        assert_eq!(name, rule.name);
-        run_anchored_row(name, &indexed, rule);
-    }
-    // What the same sweep costs on a graph nobody indexed: the label's
-    // population per seed.
-    run_anchored_row("key:scan", &w.graph, &w.sigma[0]);
-}
-
-/// Anchor `c`'s plan at every variable over every label-compatible node,
-/// as the delta path would if each were touched alone. Returns
-/// `(seeds, matches)`; attempts land in `recorder`.
-fn sweep_anchors<R: ged_pattern::MatchRecorder>(
-    g: &ged_graph::Graph,
-    c: &Ged,
-    plan: &ged_pattern::MatchPlan,
-    recorder: &R,
-) -> (usize, usize) {
-    let opts = ged_pattern::MatchOptions::homomorphism();
-    let matcher = ged_pattern::Matcher::with_plan(plan, &c.pattern, g, opts, recorder);
-    let mut scratch = ged_pattern::MatchScratch::new();
-    let (mut seeds, mut matches) = (0usize, 0usize);
-    for v in c.pattern.vars() {
-        let candidates = g.label_candidates(c.pattern.label(v));
-        seeds += candidates.len();
-        matcher.for_each_anchored_in(&mut scratch, v, &candidates, &|_, _| false, |_| {
-            matches += 1;
-            std::ops::ControlFlow::Continue(())
-        });
-    }
-    (seeds, matches)
-}
-
-/// One EXP-MATCH anchored row (class `match-anchored` in
-/// `BENCH_INC.json`: `delta_size` is the candidate-attempt count of the
-/// whole sweep, `incremental_us` its wall-clock). A connected rule's
-/// attempts per seed stay near its matches per seed plus one — the seed
-/// itself; so do the disconnected key's when `g` indexes its join
-/// attribute, and it pays its label's population per seed when not.
-fn run_anchored_row(name: &'static str, g: &ged_graph::Graph, c: &Ged) {
-    let plan = ged_engine::rule_plan(c);
-    let rec = ged_pattern::CellRecorder::new();
-    let (seeds, matches) = sweep_anchors(g, c, &plan, &rec);
-    let attempts = rec.attempts();
-    let ((n, _), d) = timed_median(3, || sweep_anchors(g, c, &plan, &ged_pattern::NoopRecorder));
-    assert_eq!(n, seeds, "instrumentation changes no outcome");
-    let per_seed = |x: f64| x / seeds.max(1) as f64;
-    println!(
-        "{:<12} {:>9} {:>14.2} {:>13.2} | {:>10}",
-        name,
-        seeds,
-        per_seed(attempts as f64),
-        per_seed(matches as f64),
-        us(d)
-    );
-    INC_ROWS.lock().unwrap().push(IncRow {
-        class: "match-anchored",
-        workload: name,
-        delta_size: attempts as usize,
-        incremental_us: d.as_secs_f64() * 1e6,
-        full_us: 0.0,
-        speedup: 0.0,
-    });
-}
-
-/// One measured incremental-vs-full row, accumulated across the EXP-INC*
-/// sections and flushed to `BENCH_INC.json` at the end of the run.
+/// One measured row of the systems sections (EXP-SEED, EXP-ANALYZE,
+/// EXP-DAEMON), flushed to `BENCH_INC.json`: a measured path
+/// (`incremental_us`) against its baseline (`full_us`).
 struct IncRow {
     class: &'static str,
     workload: &'static str,
@@ -927,327 +737,27 @@ struct IncRow {
     speedup: f64,
 }
 
-/// Rows collected by whichever EXP-INC* sections the filters selected.
+/// Rows collected by whichever of those sections the filters selected.
 static INC_ROWS: std::sync::Mutex<Vec<IncRow>> = std::sync::Mutex::new(Vec::new());
 
-/// Run one incremental-vs-full comparison for any constraint family of
-/// the unified layer and record its row. Generic over `C: Constraint` —
-/// the GED, GDC, and GED∨ sections all go through this single runner.
-fn run_inc_row<C: ged_core::constraint::Constraint + Clone>(
+/// Collect one row; its `speedup` is `baseline / measured`.
+fn record(
     class: &'static str,
-    name: &'static str,
-    graph: ged_graph::Graph,
-    sigma: Vec<C>,
-    deltas: Vec<ged_graph::Delta>,
+    workload: &'static str,
+    delta_size: usize,
+    measured: std::time::Duration,
+    baseline: std::time::Duration,
 ) {
-    use ged_engine::IncrementalValidator;
-    // Seeding (the one-off full pass) and the per-repetition clones
-    // happen outside the timed windows: the claim under test is the
-    // per-update cost, not clone throughput.
-    let seeded = IncrementalValidator::new(graph.clone(), sigma.clone());
-    let median3 = |f: &mut dyn FnMut() -> (usize, std::time::Duration)| {
-        let mut reps: Vec<(usize, std::time::Duration)> = (0..3).map(|_| f()).collect();
-        reps.sort_by_key(|&(_, d)| d);
-        reps[1]
-    };
-    let (inc_violations, d_inc) = median3(&mut || {
-        let mut v = seeded.clone();
-        let t0 = std::time::Instant::now();
-        for d in &deltas {
-            v.apply(d);
-        }
-        (v.violation_count(), t0.elapsed())
-    });
-    let (full_violations, d_full) = median3(&mut || {
-        let mut g = graph.clone();
-        let t0 = std::time::Instant::now();
-        let mut total = 0;
-        for d in &deltas {
-            g.apply_delta(d);
-            total = validate(&g, &sigma, None).total_violations();
-        }
-        (total, t0.elapsed())
-    });
-    assert_eq!(
-        inc_violations, full_violations,
-        "incremental equals full after the burst on {name}"
-    );
-    let speedup = d_full.as_secs_f64() / d_inc.as_secs_f64().max(1e-12);
-    println!(
-        "{:<12} {:>7} | {:>14} {:>14} | {:>8.1}x",
-        name,
-        deltas.len(),
-        us(d_inc),
-        us(d_full),
-        speedup
-    );
+    let micros = |d: std::time::Duration| d.as_nanos() as f64 / 1e3;
+    let (incremental_us, full_us) = (micros(measured), micros(baseline));
     INC_ROWS.lock().unwrap().push(IncRow {
         class,
-        workload: name,
-        delta_size: deltas.len(),
-        incremental_us: d_inc.as_secs_f64() * 1e6,
-        full_us: d_full.as_secs_f64() * 1e6,
-        speedup,
+        workload,
+        delta_size,
+        incremental_us,
+        full_us,
+        speedup: full_us / incremental_us.max(1e-6),
     });
-}
-
-fn inc_table_header() {
-    println!(
-        "{:<12} {:>7} | {:>14} {:>14} | {:>9}",
-        "workload", "deltas", "incremental µs", "full µs", "speedup"
-    );
-}
-
-/// A deterministic burst of numeric attribute writes over the nodes of
-/// one label — the dense-order counterpart of [`attr_burst`], for the
-/// GDC/GED∨ workloads whose rules compare numbers.
-fn numeric_burst(
-    g: &ged_graph::Graph,
-    label: &str,
-    attr: ged_graph::Symbol,
-    n_deltas: usize,
-    modulo: i64,
-) -> Vec<ged_graph::Delta> {
-    let nodes = g.nodes_with_label(sym(label));
-    assert!(!nodes.is_empty(), "no {label}-labelled nodes to burst");
-    (0..n_deltas)
-        .map(|i| ged_graph::Delta::SetAttr {
-            node: nodes[(i * 97) % nodes.len()],
-            attr,
-            value: Value::from((i as i64 * 7) % modulo),
-        })
-        .collect()
-}
-
-/// EXP-INC — incremental maintenance vs full revalidation on all four
-/// plain-GED datagen workloads; the rows land in `BENCH_INC.json` so the
-/// perf trajectory can be tracked machine-readably across PRs.
-fn exp_inc() {
-    header(
-        "EXP-INC",
-        "incremental vs full revalidation under small deltas (all four workloads)",
-    );
-    inc_table_header();
-
-    let w = validation_workload(1_000, 3, 2, 7);
-    let deltas = attr_burst(&w.graph, sym("key"), 10, 25);
-    run_inc_row("ged", "random-1k", w.graph, w.sigma, deltas);
-
-    let scfg = SocialConfig {
-        n_honest: 150,
-        ..Default::default()
-    };
-    let sinst = gen_social(&scfg);
-    let deltas = attr_burst(&sinst.graph, sym("keyword"), 10, 8);
-    run_inc_row(
-        "ged",
-        "social",
-        sinst.graph,
-        vec![rules::phi5(scfg.k, &scfg.keyword)],
-        deltas,
-    );
-
-    let mcfg = MusicConfig {
-        n_clean: 150,
-        n_dupes: 15,
-        ..Default::default()
-    };
-    let minst = gen_music(&mcfg);
-    let deltas = attr_burst(&minst.graph, sym("title"), 10, 12);
-    run_inc_row("ged", "music", minst.graph, rules::music_keys(), deltas);
-
-    let cinst = ColoringInstance::random(7, 4, 9);
-    let (cgraph, cged) = validation_gfdx(&cinst);
-    let deltas = attr_burst(&cgraph, sym("A"), 10, 3);
-    run_inc_row("ged", "coloring", cgraph, vec![cged], deltas);
-}
-
-/// EXP-INC-GDC — the same incremental-vs-full comparison over the GDC
-/// workloads (dense-order age/price predicates, §7.1), served by the same
-/// generic engine.
-fn exp_inc_gdc() {
-    use ged_datagen::gdc::{kb_gdcs, social_gdcs};
-
-    header(
-        "EXP-INC-GDC",
-        "incremental vs full revalidation, GDC sigmas (dense-order predicates)",
-    );
-    inc_table_header();
-
-    let scfg = SocialConfig {
-        n_honest: 150,
-        ..Default::default()
-    };
-    let w = social_gdcs(&scfg, 5, 71);
-    let deltas = numeric_burst(&w.graph, "account", sym("age"), 10, 30);
-    run_inc_row("gdc", "gdc-social", w.graph, w.sigma, deltas);
-
-    let w = kb_gdcs(&KbConfig::default(), 5, 72);
-    let deltas = numeric_burst(&w.graph, "product", sym("discount"), 10, 130);
-    run_inc_row("gdc", "gdc-kb", w.graph, w.sigma, deltas);
-}
-
-/// EXP-INC-DISJ — the same incremental-vs-full comparison over the GED∨
-/// workloads (multi-disjunct domain rules, §7.2), served by the same
-/// generic engine.
-fn exp_inc_disj() {
-    use ged_datagen::disj::{kb_disj, social_disj};
-
-    header(
-        "EXP-INC-DISJ",
-        "incremental vs full revalidation, GED∨ sigmas (disjunctive conclusions)",
-    );
-    inc_table_header();
-
-    let scfg = SocialConfig {
-        n_honest: 150,
-        ..Default::default()
-    };
-    let w = social_disj(&scfg, 3, 2, 73);
-    let deltas = numeric_burst(&w.graph, "account", sym("suspended"), 10, 2);
-    run_inc_row("disj", "disj-social", w.graph, w.sigma, deltas);
-
-    let w = kb_disj(&KbConfig::default(), 4, 74);
-    let deltas = numeric_burst(&w.graph, "product", sym("visibility"), 10, 5);
-    run_inc_row("disj", "disj-kb", w.graph, w.sigma, deltas);
-}
-
-/// EXP-INC-MIXED — a *heterogeneous* Σ (plain GEDs + a dense-order GDC +
-/// a disjunctive GED∨, carried by the closed `SigmaConstraint` enum so
-/// per-match checks dispatch statically) served by ONE incremental
-/// validator instance: the same incremental-vs-full comparison, rows
-/// landing in BENCH_INC.json with class `mixed`.
-fn exp_inc_mixed() {
-    use ged_datagen::mixed::social_mixed;
-
-    header(
-        "EXP-INC-MIXED",
-        "incremental vs full revalidation, mixed GED+GDC+GED∨ Σ in one validator",
-    );
-    inc_table_header();
-
-    let scfg = SocialConfig {
-        n_honest: 150,
-        ..Default::default()
-    };
-    let w = social_mixed(&scfg, 5, 81);
-    let deltas = numeric_burst(&w.graph, "account", sym("age"), 10, 30);
-    run_inc_row("mixed", "mixed-social", w.graph, w.sigma, deltas);
-
-    // The same heterogeneous Σ under domain-attribute churn: integer
-    // writes to `tier` fail every GED∨ disjunct, exercising the mixed
-    // store's Disjunction witnesses rather than the GDC predicates.
-    let w = social_mixed(&scfg, 5, 82);
-    let deltas = numeric_burst(&w.graph, "account", sym("tier"), 10, 4);
-    run_inc_row("mixed", "mixed-tier", w.graph, w.sigma, deltas);
-}
-
-/// EXP-INC-PAR — seed-chunk sharding of the incremental delta path: one
-/// delta batch with a graph-spanning affected area (a wildcard key rule;
-/// every touched node re-checks against every node) replayed through the
-/// same validator at 1 worker and at all cores. The row lands in
-/// BENCH_INC.json with class `par-delta`; there `incremental_us` is the
-/// sharded delta-path wall-clock, `full_us` the single-threaded one, and
-/// `speedup` their ratio — expect >1× on multi-core hosts (on a
-/// single-core host the two paths tie and only correctness can show).
-fn exp_inc_par() {
-    use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
-    use ged_engine::IncrementalValidator;
-    use ged_pattern::Pattern;
-
-    header(
-        "EXP-INC-PAR",
-        "sharded vs single-threaded incremental delta path (wildcard affected area)",
-    );
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    let cfg = RandomGraphConfig {
-        n_nodes: 4_000,
-        n_edges: 8_000,
-        ..Default::default()
-    };
-    let mut g = random_graph(&cfg);
-    let _ = plant_key_violations(&mut g, "entity", 50);
-    let mut q = Pattern::new();
-    let x = q.var("x", "_");
-    let y = q.var("y", "_");
-    let wild_key = Ged::new(
-        "wild-key",
-        q,
-        vec![Literal::vars(x, sym("key"), y, sym("key"))],
-        vec![Literal::id(x, y)],
-    );
-    // One batch of 200 key writes across the whole graph: ~200 touched
-    // nodes, each anchored against every node under the wildcard pattern —
-    // the widest affected area the matcher can produce.
-    let deltas: ged_graph::DeltaSet = ged_bench::attr_burst(&g, sym("key"), 200, 40).into();
-    let n_deltas = deltas.deltas().len();
-    let seeded = IncrementalValidator::with_threads(g, vec![wild_key], 1);
-    let median3 = |threads: usize| {
-        let mut reps: Vec<(usize, std::time::Duration)> = (0..3)
-            .map(|_| {
-                let mut v = seeded.clone();
-                v.set_threads(threads);
-                let t0 = std::time::Instant::now();
-                v.apply_all(&deltas);
-                (v.violation_count(), t0.elapsed())
-            })
-            .collect();
-        reps.sort_by_key(|&(_, d)| d);
-        reps[1]
-    };
-    // The sharded measurement always actually shards (≥2 workers): on a
-    // single-core host that honestly measures sharding *overhead* rather
-    // than comparing the sequential path with itself.
-    let workers = cores.max(2);
-    let (seq_violations, d_seq) = median3(1);
-    let (par_violations, d_par) = median3(workers);
-    assert_eq!(
-        seq_violations, par_violations,
-        "sharded delta path equals the sequential one"
-    );
-    let speedup = d_seq.as_secs_f64() / d_par.as_secs_f64().max(1e-12);
-    println!(
-        "wildcard key rule, {} deltas, {} violation(s) after the batch; host has {cores} core(s)",
-        n_deltas, par_violations
-    );
-    if cores == 1 {
-        println!(
-            "  NOTE: single-core host — correctness is asserted, the sharded row \
-             measures pure overhead; speedup >1× needs cores"
-        );
-    }
-    println!(
-        "  threads = 1:       {:>10} µs (single-threaded delta path)",
-        us(d_seq)
-    );
-    println!(
-        "  threads = {workers}:       {:>10} µs (speedup ×{speedup:.2})",
-        us(d_par)
-    );
-    // Record the row BEFORE the speedup bar below: a flaky wall-clock miss
-    // must not also destroy the other sections' BENCH_INC.json rows.
-    INC_ROWS.lock().unwrap().push(IncRow {
-        class: "par-delta",
-        workload: "wild-key-burst",
-        delta_size: n_deltas,
-        incremental_us: d_par.as_secs_f64() * 1e6,
-        full_us: d_seq.as_secs_f64() * 1e6,
-        speedup,
-    });
-    write_bench_inc_json();
-    // The acceptance bar is machine-checked wherever it *can* hold: on a
-    // multi-core host the sharded path must beat single-threaded
-    // re-enumeration outright (the CI release job runs this section on
-    // every push; a single-core host can only measure sharding overhead).
-    if cores > 1 {
-        assert!(
-            speedup > 1.0,
-            "sharded delta path must beat single-threaded re-enumeration \
-             on {cores} cores, got ×{speedup:.2}"
-        );
-    }
 }
 
 /// EXP-SEED — seed-granularity sharding of the *seeding* full pass
@@ -1260,8 +770,7 @@ fn exp_inc_par() {
 /// queue exists for. The row lands in BENCH_INC.json with class
 /// `par-seed`; `incremental_us` is the sharded seeding wall-clock,
 /// `full_us` the single-threaded one — expect >1× on multi-core hosts
-/// (a single-core host records pure sharding overhead, as with
-/// EXP-INC-PAR).
+/// (a single-core host records pure sharding overhead).
 fn exp_seed() {
     use ged_datagen::mixed::social_mixed;
     use ged_engine::IncrementalValidator;
@@ -1352,16 +861,8 @@ fn exp_seed() {
         par_stats.per_worker.len(),
         par_stats.per_worker
     );
-    // Record the row BEFORE the speedup bar below: a flaky wall-clock miss
-    // must not also destroy the other sections' BENCH_INC.json rows.
-    INC_ROWS.lock().unwrap().push(IncRow {
-        class: "par-seed",
-        workload: "mixed-hot-wildcard",
-        delta_size: 0,
-        incremental_us: d_par.as_secs_f64() * 1e6,
-        full_us: d_seq.as_secs_f64() * 1e6,
-        speedup,
-    });
+    // Flushed before the bar below: a wall-clock miss must not lose rows.
+    record("par-seed", "mixed-hot-wildcard", 0, d_par, d_seq);
     write_bench_inc_json();
     // Machine-checked wherever the bar *can* hold: on a multi-core host
     // the sharded seeding pass must beat the single-threaded one (the CI
@@ -1513,27 +1014,15 @@ fn exp_analyze() {
         us(d_delta_plain),
         us(d_delta_pruned)
     );
-    // Record the rows BEFORE the speedup bar: a flaky wall-clock miss
-    // must not destroy the other sections' BENCH_INC.json rows.
-    {
-        let mut rows = INC_ROWS.lock().unwrap();
-        rows.push(IncRow {
-            class: "analyze",
-            workload: "redundant-seed",
-            delta_size: 0,
-            incremental_us: d_pruned.as_secs_f64() * 1e6,
-            full_us: d_plain.as_secs_f64() * 1e6,
-            speedup: seed_speedup,
-        });
-        rows.push(IncRow {
-            class: "analyze",
-            workload: "redundant-delta",
-            delta_size: deltas.len(),
-            incremental_us: d_delta_pruned.as_secs_f64() * 1e6,
-            full_us: d_delta_plain.as_secs_f64() * 1e6,
-            speedup: delta_speedup,
-        });
-    }
+    // Flushed before the bar below: a wall-clock miss must not lose rows.
+    record("analyze", "redundant-seed", 0, d_pruned, d_plain);
+    record(
+        "analyze",
+        "redundant-delta",
+        deltas.len(),
+        d_delta_pruned,
+        d_delta_plain,
+    );
     write_bench_inc_json();
     // Machine-checked: pruning strictly removes matcher work (4 of 7
     // rules, 3 of them edge-bound), so even with the analyzer's chase
@@ -1545,220 +1034,46 @@ fn exp_analyze() {
     );
 }
 
-/// Flush every EXP-INC*/EXP-SEED row collected so far to
-/// `BENCH_INC.json`. Called at the end of the run, and *before* the
-/// host-sensitive speedup assertions of the EXP-INC-PAR / EXP-SEED
-/// sections so a flaky wall-clock miss cannot destroy the other rows.
-/// Hand-rolled JSON (the workspace is offline; no serde) — one object
-/// per workload row, schema kept flat for easy diffing across PRs.
+/// Flush every row collected so far to `BENCH_INC.json`. Called at the
+/// end of the run, and *before* the wall-clock assertions of EXP-SEED and
+/// EXP-ANALYZE so a flaky miss cannot destroy the other rows. One flat
+/// object per row, each carrying the host's core count: a `par-seed`
+/// speedup only means something relative to it (×1 on `host_cores: 1`
+/// is expected, not a regression). The `experiment` tag is the file's
+/// name since it first held the incremental rows; kept so artifacts
+/// compare across PRs.
 fn write_bench_inc_json() {
+    use ged_graph::json::Json;
+
     let rows = INC_ROWS.lock().unwrap();
     if rows.is_empty() {
         return;
     }
-    // Every row carries the host's core count: the speedups of the
-    // `par-delta` / `par-seed` classes are only meaningful relative to it
-    // (a ×1 on host_cores=1 is expected, not a regression).
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1);
-    let json_rows: Vec<String> = rows
+    let json_rows = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"class\": \"{}\", \"workload\": \"{}\", \"delta_size\": {}, \
-                 \"incremental_us\": {:.1}, \"full_us\": {:.1}, \"speedup\": {:.2}, \
-                 \"host_cores\": {host_cores}}}",
-                r.class, r.workload, r.delta_size, r.incremental_us, r.full_us, r.speedup
-            )
+            Json::obj(vec![
+                ("class", r.class.into()),
+                ("workload", r.workload.into()),
+                ("delta_size", r.delta_size.into()),
+                ("incremental_us", r.incremental_us.into()),
+                ("full_us", r.full_us.into()),
+                ("speedup", r.speedup.into()),
+                ("host_cores", host_cores.into()),
+            ])
         })
         .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"EXP-INC\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    match std::fs::write("BENCH_INC.json", &json) {
+    let json = Json::obj(vec![
+        ("experiment", "EXP-INC".into()),
+        ("rows", Json::Arr(json_rows)),
+    ]);
+    match std::fs::write("BENCH_INC.json", format!("{json}\n")) {
         Ok(()) => println!("\nwrote BENCH_INC.json ({} rows)", rows.len()),
         Err(e) => println!("\ncould not write BENCH_INC.json: {e}"),
     }
-}
-
-/// EXP-OBS — the observability layer's cost: the random-1k delta path
-/// (same workload as EXP-INC) replayed with metrics enabled and disabled.
-///
-/// The instrumentation cost model is *fixed per apply batch*: a handful
-/// of clock reads for the phase timers, `record_batch`'s relaxed atomic
-/// adds, and the trace-ring push — nothing in the matcher hot loop
-/// contends (per-match tallies are plain `u64` shards folded in after
-/// the join). The bar is therefore asserted on the batched delta path
-/// (`apply_all`, how a stream is meant to be ingested): the fixed cost
-/// amortizes over real re-enumeration work and must stay ≤5%. The
-/// degenerate single-delta path — one ~µs-sized batch per delta, so the
-/// fixed cost is a large *fraction* of almost no work — is measured and
-/// reported alongside as the per-batch fixed cost in nanoseconds.
-/// Both comparisons land in `BENCH_OBS.json`; the section ends by
-/// printing the instrumented run's `MetricsSnapshot`.
-fn exp_obs() {
-    use ged_engine::IncrementalValidator;
-
-    header(
-        "EXP-OBS",
-        "observability: instrumentation overhead on the random-1k delta path",
-    );
-    const BATCH: usize = 40;
-    let w = validation_workload(1_000, 3, 2, 7);
-    // 1,200 deltas ≈ 1.3ms per timed replay: a region big enough that
-    // scheduler jitter (±a few %) cannot push the measured ratio across
-    // the 5% bar on its own.
-    let deltas = attr_burst(&w.graph, sym("key"), 1_200, 25);
-    let n_deltas = deltas.len();
-    let batches: Vec<ged_graph::DeltaSet> =
-        deltas.chunks(BATCH).map(|c| c.to_vec().into()).collect();
-    let mut seeded = IncrementalValidator::new(w.graph, w.sigma);
-    // One worker in both configurations: the overhead ratio must not
-    // carry thread-spawn jitter.
-    seeded.set_threads(1);
-    // One timed replay of the stream; clones happen outside the window.
-    let one_run = |batched: bool, metrics_on: bool| {
-        let mut v = seeded.clone();
-        v.set_metrics_enabled(metrics_on);
-        let t0 = std::time::Instant::now();
-        if batched {
-            for b in &batches {
-                v.apply_all(b);
-            }
-        } else {
-            for d in &deltas {
-                v.apply(d);
-            }
-        }
-        let dt = t0.elapsed();
-        (v.violation_count(), dt)
-    };
-    // Overhead is a ratio of two small numbers measured on a shared
-    // host, so a best-of-N comparison of independently-timed sides is
-    // hostage to a single scheduler spike landing on one of them.
-    // Instead each rep times the two configurations back-to-back (order
-    // alternating, so the warmer-caches edge of running second doesn't
-    // systematically favor one side) and contributes one on/off ratio;
-    // slow drift hits both sides of a pair, and the median ratio shrugs
-    // off the occasional outlier rep.
-    let _ = one_run(true, true);
-    let _ = one_run(false, true);
-    let measure = |batched: bool| {
-        let mut off_best = std::time::Duration::MAX;
-        let mut on_best = std::time::Duration::MAX;
-        let mut counts = (0usize, 0usize);
-        let mut ratios = Vec::new();
-        for rep in 0..11 {
-            let (off, on) = if rep % 2 == 0 {
-                let off = one_run(batched, false);
-                let on = one_run(batched, true);
-                (off, on)
-            } else {
-                let on = one_run(batched, true);
-                let off = one_run(batched, false);
-                (off, on)
-            };
-            counts = (off.0, on.0);
-            off_best = off_best.min(off.1);
-            on_best = on_best.min(on.1);
-            ratios.push(on.1.as_secs_f64() / off.1.as_secs_f64().max(1e-12));
-        }
-        ratios.sort_by(f64::total_cmp);
-        (counts, off_best, on_best, ratios[ratios.len() / 2])
-    };
-    // The 5% bar is on engine overhead, not on whatever else a shared CI
-    // host is running: a sustained noisy window fails a whole measurement
-    // no matter the estimator, so the batched (asserted) comparison may
-    // re-measure up to twice and keeps its quietest window.
-    let mut batched_runs = vec![measure(true)];
-    while batched_runs.last().unwrap().3 > 1.05 && batched_runs.len() < 3 {
-        println!(
-            "  (batched overhead measured {:+.1}% — noisy window, re-measuring)",
-            (batched_runs.last().unwrap().3 - 1.0) * 100.0
-        );
-        batched_runs.push(measure(true));
-    }
-    let &((b_off_violations, b_on_violations), b_off, b_on, b_ratio) = batched_runs
-        .iter()
-        .min_by(|a, b| a.3.total_cmp(&b.3))
-        .unwrap();
-    let ((s_off_violations, s_on_violations), s_off, s_on, s_ratio) = measure(false);
-    assert_eq!(
-        b_on_violations, b_off_violations,
-        "instrumentation must not change the maintained store (batched)"
-    );
-    assert_eq!(
-        s_on_violations, s_off_violations,
-        "instrumentation must not change the maintained store (singles)"
-    );
-    let overhead = b_ratio - 1.0;
-    let overhead_single = s_ratio - 1.0;
-    let fixed_ns_per_batch =
-        (overhead_single * s_off.as_secs_f64()).max(0.0) * 1e9 / n_deltas as f64;
-    println!(
-        "random-1k, {n_deltas} deltas; 11 paired reps, median on/off ratio, best times shown:"
-    );
-    println!("  batched ({} × {BATCH} deltas/apply_all):", batches.len());
-    println!("    metrics disabled: {:>10} µs", us(b_off));
-    println!(
-        "    metrics enabled:  {:>10} µs  (overhead {:+.1}%)",
-        us(b_on),
-        overhead * 100.0
-    );
-    println!("  single-delta applies ({n_deltas} × 1):");
-    println!("    metrics disabled: {:>10} µs", us(s_off));
-    println!(
-        "    metrics enabled:  {:>10} µs  (overhead {:+.1}% — fixed cost ≈{:.0} ns/batch \
-         against ~µs batches)",
-        us(s_on),
-        overhead_single * 100.0,
-        fixed_ns_per_batch
-    );
-
-    // One more instrumented run for the snapshot exhibit.
-    let mut v = seeded.clone();
-    for b in &batches {
-        v.apply_all(b);
-    }
-    println!("\n{}", v.metrics());
-
-    // Record BEFORE the overhead bar below, so a flaky wall-clock miss
-    // still leaves the measurement on disk.
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    let snapshot = v.metrics();
-    let json = format!(
-        "{{\n  \"experiment\": \"EXP-OBS\",\n  \"workload\": \"random-1k\",\n  \
-         \"host_cores\": {host_cores},\n  \"deltas\": {n_deltas},\n  \
-         \"batch_size\": {BATCH},\n  \
-         \"batched_uninstrumented_us\": {:.1},\n  \"batched_instrumented_us\": {:.1},\n  \
-         \"batched_overhead_pct\": {:.2},\n  \
-         \"single_uninstrumented_us\": {:.1},\n  \"single_instrumented_us\": {:.1},\n  \
-         \"single_overhead_pct\": {:.2},\n  \"fixed_ns_per_batch\": {:.0},\n  \
-         \"batches\": {},\n  \"match_attempts\": {}\n}}\n",
-        b_off.as_secs_f64() * 1e6,
-        b_on.as_secs_f64() * 1e6,
-        overhead * 100.0,
-        s_off.as_secs_f64() * 1e6,
-        s_on.as_secs_f64() * 1e6,
-        overhead_single * 100.0,
-        fixed_ns_per_batch,
-        snapshot.batches,
-        snapshot.match_attempts(),
-    );
-    match std::fs::write("BENCH_OBS.json", &json) {
-        Ok(()) => println!("wrote BENCH_OBS.json"),
-        Err(e) => println!("could not write BENCH_OBS.json: {e}"),
-    }
-    assert!(
-        overhead <= 0.05,
-        "instrumentation overhead must stay ≤5% on the random-1k batched delta path, \
-         got {:+.1}%",
-        overhead * 100.0
-    );
 }
 
 fn exp_parallel() {
@@ -1800,262 +1115,17 @@ fn exp_parallel() {
     }
 }
 
-/// EXP-RW — mixed read/write throughput under snapshot-isolated read
-/// views: N reader threads issue violation queries (`ReadView::snapshot`
-/// → `to_report`) at full speed while the one writer streams 1k-delta
-/// batches over the 10k-node mixed workload, vs the serialized
-/// take-turns baseline where readers and the writer contend one mutex
-/// around the validator itself.
-///
-/// Two rows land in `BENCH_INC.json` with class `rw`:
-///
-/// * `mixed-read-throughput` — `incremental_us` is µs per query with the
-///   concurrent read views, `full_us` µs per query serialized, `speedup`
-///   the aggregate queries/sec ratio over the writer's active window;
-/// * `mixed-writer-latency` — `incremental_us` is the median batch
-///   latency with saturating readers (publish cost included), `full_us`
-///   the reader-free batch cost; `speedup` is free/with-readers, so <1
-///   quantifies what serving reads costs the writer.
-///
-/// Machine-checked where the bars *can* hold (multi-core hosts, same
-/// `host_cores` convention as `par-delta`): concurrent read throughput
-/// ≥5× the serialized baseline, and writer batch latency within 1.5× of
-/// reader-free. A single-core host records the overhead by design. The
-/// section also times the O(store) snapshot rebuild against the
-/// `snapshot-publish` phase of the run — the measured evidence for the
-/// O(changed) changelog-replay representation the publish step uses.
-fn exp_rw() {
-    use ged_datagen::mixed::social_mixed;
-    use ged_engine::{IncrementalValidator, Phase};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-
-    header(
-        "EXP-RW",
-        "concurrent violation queries vs serialized take-turns (10k mixed workload)",
-    );
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    // One writer plus as many readers as the remaining cores can carry;
-    // at least one reader even on a single core (which then measures the
-    // time-sliced overhead, not concurrency).
-    let n_readers = cores.saturating_sub(1).max(1);
-    let scfg = SocialConfig {
-        n_honest: 2_400,
-        ..Default::default()
-    };
-    let w = social_mixed(&scfg, 20, 17);
-    const BATCH: usize = 1_000;
-    let batches: Vec<ged_graph::DeltaSet> = attr_burst(&w.graph, sym("age"), 8 * BATCH, 30)
-        .chunks(BATCH)
-        .map(|c| c.to_vec().into())
-        .collect();
-    println!(
-        "|V|={}, Σ of {} rules, {} batches × {BATCH} deltas; \
-         1 writer + {n_readers} reader(s); host has {cores} core(s)",
-        w.graph.node_count(),
-        w.sigma.len(),
-        batches.len(),
-    );
-    if cores == 1 {
-        println!(
-            "  NOTE: single-core host — correctness is asserted, the rows record \
-             time-sliced overhead; the throughput/latency bars need cores"
-        );
-    }
-    // The writer is pinned to one thread in every configuration: the
-    // section measures the read path's concurrency, not delta sharding.
-    let mut seeded = IncrementalValidator::new(w.graph, w.sigma);
-    seeded.set_threads(1);
-
-    // Reader-free writer cost: the plain delta path, no views activated,
-    // so not a nanosecond of publish work. Median batch latency.
-    let median = |mut v: Vec<std::time::Duration>| -> std::time::Duration {
-        v.sort();
-        v[v.len() / 2]
-    };
-    let free_batches: Vec<std::time::Duration> = {
-        let mut v = seeded.clone();
-        batches
-            .iter()
-            .map(|b| {
-                let t0 = std::time::Instant::now();
-                v.apply_all(b);
-                t0.elapsed()
-            })
-            .collect()
-    };
-    let d_free = median(free_batches);
-
-    // Concurrent: readers hammer snapshot-isolated views while the writer
-    // streams the same batches. Queries are only counted inside the
-    // writer's active window (the stop flag is raised the moment the last
-    // batch returns), so queries/sec is throughput *with an active
-    // writer*, not tail reads against an idle store.
-    let mut v = seeded.clone();
-    let view = v.read_view();
-    let stop = AtomicBool::new(false);
-    let (conc_queries, conc_batches) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_readers)
-            .map(|_| {
-                let rv = view.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut queries = 0u64;
-                    let mut sink = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        let report = rv.snapshot().to_report();
-                        sink = sink.wrapping_add(report.violations.len());
-                        queries += 1;
-                    }
-                    std::hint::black_box(sink);
-                    queries
-                })
-            })
-            .collect();
-        let times: Vec<std::time::Duration> = batches
-            .iter()
-            .map(|b| {
-                let t0 = std::time::Instant::now();
-                v.apply_all(b);
-                t0.elapsed()
-            })
-            .collect();
-        stop.store(true, Ordering::Relaxed);
-        let queries: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        (queries, times)
-    });
-    let conc_window: std::time::Duration = conc_batches.iter().sum();
-    let d_conc_batch = median(conc_batches);
-    let conc_qps = conc_queries as f64 / conc_window.as_secs_f64().max(1e-12);
-
-    // Serialized take-turns baseline: same reader and writer count, but
-    // every query and every batch contends one mutex around the
-    // validator — queries wait out in-flight batches and vice versa.
-    let vm = Mutex::new(seeded.clone());
-    let stop = AtomicBool::new(false);
-    let (ser_queries, ser_window) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_readers)
-            .map(|_| {
-                let vm = &vm;
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut queries = 0u64;
-                    let mut sink = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        let report = vm.lock().unwrap().report();
-                        sink = sink.wrapping_add(report.violations.len());
-                        queries += 1;
-                    }
-                    std::hint::black_box(sink);
-                    queries
-                })
-            })
-            .collect();
-        let t0 = std::time::Instant::now();
-        for b in &batches {
-            vm.lock().unwrap().apply_all(b);
-        }
-        let window = t0.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        let queries: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        (queries, window)
-    });
-    let ser_qps = ser_queries as f64 / ser_window.as_secs_f64().max(1e-12);
-    assert_eq!(
-        v.violation_count(),
-        vm.into_inner().unwrap().violation_count(),
-        "published views and the serialized validator maintained the same store"
-    );
-
-    let read_speedup = conc_qps / ser_qps.max(1e-12);
-    let writer_ratio = d_conc_batch.as_secs_f64() / d_free.as_secs_f64().max(1e-12);
-    println!(
-        "  reads:  {conc_queries:>8} queries in {:>10} µs concurrent ({conc_qps:>9.0}/s)  vs  \
-         {ser_queries:>6} in {:>10} µs serialized ({ser_qps:>7.0}/s)  — ×{read_speedup:.1}",
-        us(conc_window),
-        us(ser_window),
-    );
-    println!(
-        "  writer: {:>10} µs/batch with {n_readers} reader(s) vs {:>10} µs reader-free \
-         (×{writer_ratio:.2} slower, publish included)",
-        us(d_conc_batch),
-        us(d_free),
-    );
-
-    // The "measure both representations" exhibit: what an O(store)
-    // rebuild per batch would cost vs what the O(changed) changelog
-    // replay actually cost (the snapshot-publish phase of the run).
-    let (kinds, d_rebuild) = timed(|| v.store().snapshot_kinds());
-    drop(kinds);
-    let publish = v.metrics();
-    let publish = publish
-        .phase(Phase::SnapshotPublish)
-        .expect("publish phase recorded");
-    println!(
-        "  publish: O(changed) replay p50 {:>10} (n={}) vs O(store) rebuild {:>10} — \
-         replay is the shipped representation",
-        us(std::time::Duration::from_nanos(publish.quantile_ns(0.5))),
-        publish.count,
-        us(d_rebuild),
-    );
-
-    // Record the rows BEFORE the host-sensitive bars below: a flaky
-    // wall-clock miss must not destroy the other sections' rows.
-    {
-        let mut rows = INC_ROWS.lock().unwrap();
-        rows.push(IncRow {
-            class: "rw",
-            workload: "mixed-read-throughput",
-            delta_size: BATCH,
-            incremental_us: conc_window.as_secs_f64() * 1e6 / (conc_queries as f64).max(1.0),
-            full_us: ser_window.as_secs_f64() * 1e6 / (ser_queries as f64).max(1.0),
-            speedup: read_speedup,
-        });
-        rows.push(IncRow {
-            class: "rw",
-            workload: "mixed-writer-latency",
-            delta_size: BATCH,
-            incremental_us: d_conc_batch.as_secs_f64() * 1e6,
-            full_us: d_free.as_secs_f64() * 1e6,
-            speedup: d_free.as_secs_f64() / d_conc_batch.as_secs_f64().max(1e-12),
-        });
-    }
-    write_bench_inc_json();
-    // Machine-checked wherever the bars *can* hold (the CI release job
-    // runs this section on every push): with real cores behind the
-    // readers, snapshot-isolated views must beat taking turns by ≥5×,
-    // and serving them must not stretch writer batches beyond 1.5× the
-    // reader-free cost.
-    if cores > 1 {
-        assert!(
-            read_speedup >= 5.0,
-            "concurrent read throughput must be ≥5× the serialized baseline \
-             on {cores} cores, got ×{read_speedup:.1}"
-        );
-        assert!(
-            writer_ratio <= 1.5,
-            "writer batch latency with readers must stay within 1.5× of the \
-             reader-free cost on {cores} cores, got ×{writer_ratio:.2}"
-        );
-    }
-}
-
 /// EXP-DAEMON — the whole-system layer: a real `gedd` on an ephemeral
 /// port, measured end to end over TCP against the in-process baseline.
 ///
-/// Two costs, two row families in `BENCH_INC.json`:
+/// The row families gedbench has yet to take over (ROADMAP item 5a),
+/// class `daemon` in `BENCH_INC.json`:
 ///
 /// * `daemon-wire-apply` — sustained delta ingestion over the wire
 ///   (`incremental_us` = µs/batch via TCP apply, `full_us` = µs/batch
 ///   for the same batches on a direct in-process validator with a view
 ///   active; `speedup` = direct/wire, i.e. the wire tax as a ratio —
 ///   expected < 1, the protocol can only add cost);
-/// * `daemon-wire-query` at 1/2/8 concurrent clients (`delta_size`
-///   carries the client count) — wire `report` latency p50 in
-///   `incremental_us` vs the in-process `snapshot().to_report()` p50 in
-///   `full_us`, with p95/p99 printed alongside;
 /// * `daemon-report-miss` / `daemon-report-hit` on a 1 000-witness store
 ///   (`delta_size` carries the witness count) — the raw `report` round
 ///   trip (request written → reply line read, no client-side parse) when
@@ -2074,7 +1144,7 @@ fn exp_daemon() {
 
     header(
         "EXP-DAEMON",
-        "end-to-end daemon load: wire apply throughput + query latency (mixed workload)",
+        "end-to-end daemon load: wire apply tax + report round trip, rendering vs rendered",
     );
     let scfg = SocialConfig {
         n_honest: 600,
@@ -2097,15 +1167,12 @@ fn exp_daemon() {
         v.sort();
         v[v.len() / 2]
     };
-    let quantile = |sorted: &[std::time::Duration], q: f64| -> std::time::Duration {
-        sorted[((sorted.len() - 1) as f64 * q) as usize]
-    };
 
     // In-process baseline: same batches, view active (publish included),
     // one match thread — the daemon's writer in library form.
     let mut direct = IncrementalValidator::new(w.graph, w.sigma);
     direct.set_threads(1);
-    let direct_view = direct.read_view();
+    let _view = direct.read_view();
     let mut direct_batches: Vec<std::time::Duration> = batches
         .iter()
         .map(|b| {
@@ -2115,15 +1182,6 @@ fn exp_daemon() {
         })
         .collect();
     let d_direct = median(&mut direct_batches);
-    let mut direct_queries: Vec<std::time::Duration> = (0..500)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(direct_view.snapshot().to_report());
-            t0.elapsed()
-        })
-        .collect();
-    direct_queries.sort();
-    let d_direct_q50 = quantile(&direct_queries, 0.5);
 
     // The daemon twin (the generator is deterministic) and its writer
     // client: stream the same batches over real TCP.
@@ -2142,7 +1200,6 @@ fn exp_daemon() {
     let stream_window = t_stream.elapsed();
     let d_wire = median(&mut wire_batches);
     let sustained = (N_BATCHES * BATCH) as f64 / stream_window.as_secs_f64().max(1e-12);
-    let wire_tax = d_direct.as_secs_f64() / d_wire.as_secs_f64().max(1e-12);
     println!(
         "  apply:  {:>10} µs/batch over the wire vs {:>10} µs in-process \
          — {sustained:>9.0} deltas/s sustained",
@@ -2154,63 +1211,7 @@ fn exp_daemon() {
         direct.violation_count(),
         "daemon and direct validator must agree after the stream"
     );
-    INC_ROWS.lock().unwrap().push(IncRow {
-        class: "daemon",
-        workload: "daemon-wire-apply",
-        delta_size: BATCH,
-        incremental_us: d_wire.as_secs_f64() * 1e6,
-        full_us: d_direct.as_secs_f64() * 1e6,
-        speedup: wire_tax,
-    });
-
-    // Query latency at 1/2/8 concurrent clients, each over its own
-    // connection against the now-idle daemon (pure read path — the
-    // apply row above carries the active-writer cost).
-    for n_clients in [1usize, 2, 8] {
-        let addr = handle.addr();
-        let mut all: Vec<std::time::Duration> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n_clients)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut c = Client::connect(addr).expect("connect reader");
-                        (0..200)
-                            .map(|_| {
-                                let t0 = std::time::Instant::now();
-                                std::hint::black_box(c.report().expect("wire report"));
-                                t0.elapsed()
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        all.sort();
-        let (p50, p95, p99) = (
-            quantile(&all, 0.5),
-            quantile(&all, 0.95),
-            quantile(&all, 0.99),
-        );
-        println!(
-            "  query:  {n_clients} client(s): p50 {:>8} p95 {:>8} p99 {:>8} \
-             (in-process p50 {:>8})",
-            us(p50),
-            us(p95),
-            us(p99),
-            us(d_direct_q50),
-        );
-        INC_ROWS.lock().unwrap().push(IncRow {
-            class: "daemon",
-            workload: "daemon-wire-query",
-            delta_size: n_clients,
-            incremental_us: p50.as_secs_f64() * 1e6,
-            full_us: d_direct_q50.as_secs_f64() * 1e6,
-            speedup: d_direct_q50.as_secs_f64() / p50.as_secs_f64().max(1e-12),
-        });
-    }
+    record("daemon", "daemon-wire-apply", BATCH, d_wire, d_direct);
 
     let final_epoch = handle.stop();
     handle.join();
@@ -2266,16 +1267,32 @@ fn exp_daemon() {
         us(d_in_process),
     );
     for (workload, d) in [("daemon-report-miss", d_miss), ("daemon-report-hit", d_hit)] {
-        INC_ROWS.lock().unwrap().push(IncRow {
-            class: "daemon",
-            workload,
-            delta_size: witnesses,
-            incremental_us: d.as_secs_f64() * 1e6,
-            full_us: d_in_process.as_secs_f64() * 1e6,
-            speedup: d_in_process.as_secs_f64() / d.as_secs_f64().max(1e-12),
-        });
+        record("daemon", workload, witnesses, d, d_in_process);
     }
     handle.stop();
     handle.join();
     write_bench_inc_json();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids<'a>(filters: &'a [&'a str]) -> Result<Vec<&'static str>, Vec<&'a str>> {
+        select(filters).map(|sections| sections.iter().map(|(id, _)| *id).collect())
+    }
+
+    #[test]
+    fn every_filter_must_select_a_section() {
+        assert_eq!(ids(&[]).unwrap().len(), SECTIONS.len());
+        let two = ids(&["EXP-SEED", "EXP-FIG3"]).unwrap();
+        assert_eq!(two, ["EXP-FIG3", "EXP-SEED"], "table order");
+        // Substring rule: a prefix selects the whole family.
+        let table1 = ids(&["EXP-T1"]).unwrap();
+        assert_eq!(table1.len(), 5, "{table1:?}");
+        assert!(table1.iter().all(|id| id.starts_with("EXP-T1-")));
+        // One stale filter fails the run even beside one that matches.
+        assert_eq!(ids(&["EXP-SEED", "EXP-TYPO"]).unwrap_err(), ["EXP-TYPO"]);
+        assert_eq!(ids(&["EXP-INC"]).unwrap_err(), ["EXP-INC"]);
+    }
 }

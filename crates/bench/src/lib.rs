@@ -17,10 +17,11 @@
 //! | `wire_decode`   | EXP-WIRE-DECODE             |
 //!
 //! `cargo run -p ged-bench --release --bin experiments` regenerates every
-//! EXP row (including the figure/example reproductions) as text tables;
-//! arguments filter sections by experiment id, and the EXP-INC*/EXP-SEED
-//! sections additionally write `BENCH_INC.json` for cross-PR perf
-//! tracking.
+//! table, figure and example of the paper as text tables; arguments
+//! filter sections by experiment id (one that matches none is an error),
+//! and the three systems sections the repo's benchmark (`benchmark/`)
+//! does not cover yet — EXP-SEED, EXP-ANALYZE, EXP-DAEMON — additionally
+//! write their rows to `BENCH_INC.json`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -65,7 +66,8 @@ pub fn validation_workload(
 
 /// A burst of attribute flips over the graph's nodes, deterministic and
 /// label-agnostic (stride-indexed so no RNG dependency is needed) — the
-/// standard small-delta update stream of the EXP-INC workloads.
+/// standard small-delta update stream of the `incremental` bench and the
+/// harness's systems sections.
 pub fn attr_burst(g: &Graph, attr: Symbol, n_deltas: usize, n_values: usize) -> Vec<Delta> {
     let nodes: Vec<NodeId> = g.nodes().collect();
     (0..n_deltas)

@@ -4,7 +4,6 @@
 
 use ged_ctl::{exit, parse_cli, parse_deltas, Cli, Command, USAGE};
 use ged_proto::{Client, ClientError, Request};
-use std::io::Read;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -54,10 +53,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn read_stdin() -> String {
-    let mut buf = String::new();
-    std::io::stdin().read_to_string(&mut buf).ok();
-    buf
+fn read_stdin() -> std::io::Result<String> {
+    std::io::read_to_string(std::io::stdin())
 }
 
 /// Run one command; `Ok` carries the exit code for successful protocol

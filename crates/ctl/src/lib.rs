@@ -154,15 +154,25 @@ fn command_name(command: &Command) -> &'static str {
 
 /// Decode `apply` arguments into a batch: each argument is one JSON
 /// delta object; the single argument `-` instead reads `stdin` (one
-/// object per line, blank lines skipped).
-pub fn parse_deltas(args: &[String], stdin: impl FnOnce() -> String) -> Result<DeltaSet, String> {
+/// object per line, blank lines skipped). A stdin that cannot be read, or
+/// that holds no delta, is an error like `apply` with no argument — never
+/// an empty batch the daemon would acknowledge.
+pub fn parse_deltas(
+    args: &[String],
+    stdin: impl FnOnce() -> std::io::Result<String>,
+) -> Result<DeltaSet, String> {
     let texts: Vec<String> = if args.len() == 1 && args[0] == "-" {
-        stdin()
+        let input = stdin().map_err(|e| format!("apply -: cannot read stdin: {e}"))?;
+        let lines: Vec<String> = input
             .lines()
             .map(str::trim)
             .filter(|line| !line.is_empty())
             .map(str::to_string)
-            .collect()
+            .collect();
+        if lines.is_empty() {
+            return Err("apply -: stdin holds no DELTA".to_string());
+        }
+        lines
     } else {
         args.to_vec()
     };
@@ -219,8 +229,16 @@ mod tests {
         assert_eq!(ds.deltas(), &[Delta::AddNode { label: sym("t") }]);
 
         let stdin = "\n{\"op\":\"add_node\",\"label\":\"a\"}\n  \n{\"op\":\"del_attr\",\"node\":0,\"attr\":\"p\"}\n";
-        let ds = parse_deltas(&["-".to_string()], || stdin.to_string()).unwrap();
+        let dash = ["-".to_string()];
+        let ds = parse_deltas(&dash, || Ok(stdin.to_string())).unwrap();
         assert_eq!(ds.len(), 2);
+
+        // An unreadable or empty stdin is a usage error, not an empty batch.
+        let unreadable = || Err(std::io::Error::from(std::io::ErrorKind::InvalidData));
+        let e = parse_deltas(&dash, unreadable).unwrap_err();
+        assert!(e.contains("cannot read stdin"), "{e}");
+        let e = parse_deltas(&dash, || Ok(" \n\n".to_string())).unwrap_err();
+        assert!(e.contains("stdin holds no DELTA"), "{e}");
 
         let bad = vec!["{\"op\":\"warp\"}".to_string()];
         let e = parse_deltas(&bad, || unreachable!()).unwrap_err();

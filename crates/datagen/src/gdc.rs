@@ -5,8 +5,8 @@
 //!
 //! Both workloads decorate an existing generator's graph with totally
 //! ordered attributes and pair it with denial-style GDCs whose violation
-//! count is known by construction, so the incremental≡full harness and
-//! the EXP-INC experiments can drive GDC sigmas with ground truth.
+//! count is known by construction, so the incremental≡full harness
+//! (`tests/incremental.rs`) can drive GDC sigmas with ground truth.
 
 use crate::kb::KbConfig;
 use crate::social::SocialConfig;

@@ -20,9 +20,9 @@
 //! enumeration paths monomorphize with the no-op recorder and no clock is
 //! read — the delta path is the uninstrumented engine. The remaining
 //! enabled-path cost is fixed per apply batch (phase-timer clock reads,
-//! `record_batch`'s relaxed adds, the trace push); the EXP-OBS bench
-//! section asserts it stays within 5% of the uninstrumented batched
-//! delta path and reports the fixed per-batch nanoseconds.
+//! `record_batch`'s relaxed adds, the trace push); `tests/perf_bars.rs`
+//! asserts it stays within 5% of the uninstrumented batched delta path
+//! (release builds) and prints the fixed per-batch nanoseconds.
 
 use crate::store::ViolationStore;
 use crate::validator::ApplyStats;
@@ -247,7 +247,7 @@ impl EngineMetrics {
     /// Close `phase` and hand the same clock reading back as the start of
     /// the next phase — adjacent regions share one `Instant::now` instead
     /// of paying a close/open pair, which matters on sub-microsecond
-    /// batches (the EXP-OBS overhead budget).
+    /// batches (the overhead budget `tests/perf_bars.rs` asserts).
     pub(crate) fn lap(&self, phase: Phase, t0: Option<Instant>) -> Option<Instant> {
         t0.map(|t0| {
             let now = Instant::now();

@@ -37,8 +37,8 @@
 //! and reclaims the old front via `Arc::try_unwrap` as the next back
 //! buffer. Only when a reader still pins the just-replaced snapshot does
 //! the reclaim fail, and the *next* publish falls back to one O(store)
-//! rebuild — measured against the always-rebuild alternative in the
-//! EXP-RW harness section (the changelog wins; see DESIGN.md §9). A
+//! rebuild — measured against the always-rebuild alternative (the
+//! changelog wins, µs against ms; see DESIGN.md §9). A
 //! recycled buffer may carry the bytes a reader rendered from the epoch it
 //! used to be; the replay drops them before it changes anything.
 //!

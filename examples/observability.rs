@@ -77,7 +77,7 @@ fn main() {
 
     // Instrumentation is on by default and can be switched off — the
     // delta path then monomorphizes with the no-op recorder and reads no
-    // clock, which is what the EXP-OBS overhead bench measures against.
+    // clock, which is what `tests/perf_bars.rs` measures the overhead against.
     v.set_metrics_enabled(false);
     let frozen = v.metrics().batches;
     v.apply(&Delta::SetAttr {

@@ -8,11 +8,15 @@
 //! sigmas) are `#[ignore]`d so the default test pass stays fast; run them
 //! with `cargo test --release --test incremental -- --ignored`.
 
-use ged_datagen::random::{plant_key_violations, random_graph, random_sigma, RandomGraphConfig};
+use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+
+#[path = "support/workload.rs"]
+mod support;
+use support::workload;
 
 /// Normalise a report to a comparable set of witnesses (the violation
 /// kind is compared via its debug rendering, which covers all families).
@@ -138,22 +142,6 @@ fn random_delta(g: &Graph, rng: &mut StdRng, attrs: &[Symbol], values: i64) -> D
             _ => continue,
         }
     }
-}
-
-/// Build the standard evolving-graph workload: a random graph with a
-/// planted key plus random rules.
-fn workload(n_nodes: usize, extra_rules: usize, seed: u64) -> (Graph, Vec<Ged>) {
-    let cfg = RandomGraphConfig {
-        n_nodes,
-        n_edges: 3 * n_nodes,
-        seed,
-        ..Default::default()
-    };
-    let mut g = random_graph(&cfg);
-    let key = plant_key_violations(&mut g, "entity", n_nodes / 20 + 1);
-    let mut sigma = vec![key];
-    sigma.extend(random_sigma(extra_rules, 3, &cfg));
-    (g, sigma)
 }
 
 /// Drive a validator of any constraint family through `steps` random

@@ -15,7 +15,6 @@
 //! snapshot (`ViolationSnapshot::rendered`): single-threaded on purpose,
 //! so which buffer the writer recycles when is decided by the test.
 
-use ged_datagen::random::{plant_key_violations, random_graph, random_sigma, RandomGraphConfig};
 use ged_proto::message::{encode_report, report_to_json};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
@@ -24,6 +23,10 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+
+#[path = "support/workload.rs"]
+mod support;
+use support::workload;
 
 /// Canonical comparable form of a report: the witness set with kinds
 /// rendered via `Debug` (covers every constraint family).
@@ -41,22 +44,6 @@ fn witness_set(report: &ged_repro::core::ValidationReport) -> Witnesses {
             )
         })
         .collect()
-}
-
-/// The standard evolving-graph workload from the incremental suite: a
-/// random graph with a planted key plus random rules.
-fn workload(n_nodes: usize, extra_rules: usize, seed: u64) -> (Graph, Vec<Ged>) {
-    let cfg = RandomGraphConfig {
-        n_nodes,
-        n_edges: 3 * n_nodes,
-        seed,
-        ..Default::default()
-    };
-    let mut g = random_graph(&cfg);
-    let key = plant_key_violations(&mut g, "entity", n_nodes / 20 + 1);
-    let mut sigma = vec![key];
-    sigma.extend(random_sigma(extra_rules, 3, &cfg));
-    (g, sigma)
 }
 
 /// Draw one delta against `g`, biased towards the streams the snapshot
