@@ -1,5 +1,5 @@
-//! EXP-ABL-MATCH — the matcher ablation: homomorphism vs subgraph
-//! isomorphism semantics, and the ordering/adjacency heuristics on/off.
+//! EXP-ABL-MATCH — the matcher under its two semantics: homomorphism vs
+//! subgraph isomorphism.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_datagen::random::{random_graph, random_pattern, RandomGraphConfig};
@@ -20,10 +20,7 @@ fn bench_semantics(c: &mut Criterion) {
             ("homo", Semantics::Homomorphism),
             ("iso", Semantics::Isomorphism),
         ] {
-            let opts = MatchOptions {
-                semantics: sem,
-                ..MatchOptions::default()
-            };
+            let opts = MatchOptions { semantics: sem };
             group.bench_with_input(
                 BenchmarkId::new(name, k),
                 &(q.clone(), opts),
@@ -34,34 +31,5 @@ fn bench_semantics(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_heuristics(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matching/heuristics");
-    group.sample_size(10);
-    let cfg = RandomGraphConfig {
-        n_nodes: 150,
-        n_edges: 450,
-        ..Default::default()
-    };
-    let g = random_graph(&cfg);
-    let q = random_pattern(4, &cfg, 5);
-    for (name, smart, adj) in [
-        ("both", true, true),
-        ("order-only", true, false),
-        ("adjacency-only", false, true),
-        ("neither", false, false),
-    ] {
-        let opts = MatchOptions {
-            semantics: Semantics::Homomorphism,
-            smart_order: smart,
-            adjacency_candidates: adj,
-            ..MatchOptions::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &opts, |b, opts| {
-            b.iter(|| count(&q, &g, *opts));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_semantics, bench_heuristics);
+criterion_group!(benches, bench_semantics);
 criterion_main!(benches);

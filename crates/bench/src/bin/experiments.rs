@@ -649,10 +649,7 @@ fn exp_ex9_10() {
 }
 
 fn exp_abl_match() {
-    header(
-        "EXP-ABL",
-        "Ablation: homomorphism vs isomorphism; matcher heuristics",
-    );
+    header("EXP-ABL", "Ablation: homomorphism vs isomorphism");
     // GKey vacuity under isomorphism — the paper's Section 3 argument:
     // ψ1's premise x'.id = y'.id needs the two artist variables to map to
     // the SAME node, which isomorphism forbids. Fixture: two album copies
@@ -693,36 +690,6 @@ fn exp_abl_match() {
     );
     assert!(homo_viol > 0);
     assert_eq!(iso_matches_satisfying_x, 0);
-    // Heuristic ablation.
-    use ged_datagen::random::{random_graph, random_pattern, RandomGraphConfig};
-    let cfg = RandomGraphConfig {
-        n_nodes: 200,
-        n_edges: 600,
-        ..Default::default()
-    };
-    let g = random_graph(&cfg);
-    // Pick a pattern that actually has matches so the ablation compares
-    // real work.
-    let q = (0..50)
-        .map(|seed| random_pattern(4, &cfg, seed))
-        .find(|q| ged_pattern::exists(q, &g, ged_pattern::MatchOptions::homomorphism()))
-        .expect("some 4-variable pattern matches the random graph");
-    println!("matcher heuristics (pattern size 4, |V|=200, count all matches):");
-    for (name, smart, adj) in [
-        ("order+adjacency", true, true),
-        ("order only", true, false),
-        ("adjacency only", false, true),
-        ("neither", false, false),
-    ] {
-        let opts = ged_pattern::MatchOptions {
-            semantics: ged_pattern::Semantics::Homomorphism,
-            smart_order: smart,
-            adjacency_candidates: adj,
-            ..ged_pattern::MatchOptions::default()
-        };
-        let (n, d) = timed_median(3, || ged_pattern::count(&q, &g, opts));
-        println!("  {name:<18} {n:>6} matches in {:>10} µs", us(d));
-    }
 }
 
 /// One measured row of the systems sections (EXP-SEED, EXP-ANALYZE,

@@ -29,7 +29,7 @@
 
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_datagen::random::{self, RandomGraphConfig};
+use ged_datagen::random::evolving_workload;
 use ged_graph::{sym, Delta, Graph, NodeId, Symbol, Value};
 use ged_pattern::{Pattern, Var};
 
@@ -51,16 +51,7 @@ pub fn validation_workload(
     extra_rules: usize,
     seed: u64,
 ) -> ValidationWorkload {
-    let cfg = RandomGraphConfig {
-        n_nodes: n,
-        n_edges: 3 * n,
-        seed,
-        ..Default::default()
-    };
-    let mut graph = random::random_graph(&cfg);
-    let key = random::plant_key_violations(&mut graph, "entity", n / 20 + 1);
-    let mut sigma = vec![key];
-    sigma.extend(random::random_sigma(extra_rules, pattern_size, &cfg));
+    let (graph, sigma) = evolving_workload(n, pattern_size, extra_rules, seed);
     ValidationWorkload { graph, sigma }
 }
 

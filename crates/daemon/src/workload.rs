@@ -14,7 +14,7 @@
 //!   the incremental suites: a random graph with a planted key
 //!   constraint plus `rules` random GEDs.
 
-use ged_datagen::random::{plant_key_violations, random_graph, random_sigma, RandomGraphConfig};
+use ged_datagen::random::evolving_workload;
 use ged_datagen::social::SocialConfig;
 use ged_ext::SigmaConstraint;
 use ged_graph::Graph;
@@ -57,27 +57,16 @@ pub fn load(spec: &str) -> Result<(Graph, Vec<SigmaConstraint>), String> {
                 seed: get("seed", 11)?,
                 ..Default::default()
             };
-            let w = ged_datagen::mixed::social_mixed(&cfg, get("plants", 2)? as usize, cfg.seed);
+            let plants = get("plants", 2)? as usize;
+            let w = ged_datagen::mixed::try_social_mixed(&cfg, plants, cfg.seed)
+                .map_err(|why| format!("workload {spec}: {why}"))?;
             Ok((w.graph, w.sigma))
         }
         "random" => {
             known(&["nodes", "rules", "seed"])?;
-            let n_nodes = get("nodes", 90)? as usize;
-            let cfg = RandomGraphConfig {
-                n_nodes,
-                n_edges: 3 * n_nodes,
-                seed: get("seed", 7)?,
-                ..Default::default()
-            };
-            let mut g = random_graph(&cfg);
-            let key = plant_key_violations(&mut g, "entity", n_nodes / 20 + 1);
-            let mut sigma: Vec<SigmaConstraint> = vec![key.into()];
-            sigma.extend(
-                random_sigma(get("rules", 2)? as usize, 3, &cfg)
-                    .into_iter()
-                    .map(SigmaConstraint::from),
-            );
-            Ok((g, sigma))
+            let (nodes, rules) = (get("nodes", 90)? as usize, get("rules", 2)? as usize);
+            let (g, sigma) = evolving_workload(nodes, 3, rules, get("seed", 7)?);
+            Ok((g, sigma.into_iter().map(SigmaConstraint::from).collect()))
         }
         other => Err(format!(
             "unknown workload family {other:?} (expected empty, mixed or random)"
@@ -153,5 +142,11 @@ mod tests {
         assert!(load("mixed:warp=1").unwrap_err().contains("warp"));
         assert!(load("random:nodes").unwrap_err().contains("key=value"));
         assert!(load("empty:plants=1").unwrap_err().contains("plants"));
+        // Too few accounts for the plants is the spec's fault, not a panic.
+        for spec in ["mixed:honest=0", "mixed:honest=1,plants=50"] {
+            let why = load(spec).unwrap_err();
+            assert!(why.contains("plants=") && why.contains("accounts"), "{why}");
+            assert!(!why.contains('\n'), "one line: {why}");
+        }
     }
 }

@@ -10,6 +10,8 @@
 //! * [`music`] — album/artist duplicates resolvable only by the recursive
 //!   keys ψ1–ψ3 (Example 1(3));
 //! * [`random`] — random graphs / patterns / GED sets for scaling;
+//! * [`stream`] — seeded update streams over any of these graphs: every
+//!   delta kind plus the batch shapes an incremental engine must survive;
 //! * [`gdc`] — GDC workloads (§7.1): age/price dense-order predicates over
 //!   the social and kb graphs, with planted violations;
 //! * [`disj`] — GED∨ workloads (§7.2): multi-disjunct domain and
@@ -33,3 +35,4 @@ pub mod random;
 pub mod redundant;
 pub mod rules;
 pub mod social;
+pub mod stream;

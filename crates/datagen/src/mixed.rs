@@ -50,19 +50,39 @@ pub struct MixedWorkload {
 /// ages, and an out-of-domain `gold` tier. All other accounts get clean
 /// values for every decorated attribute.
 ///
+/// # Panics
+///
+/// When the graph `cfg` describes has fewer than `4 * plants` accounts;
+/// [`try_social_mixed`] reports that instead.
+///
 /// [`Conclusions`]: ged_core::constraint::ViolationKind::Conclusions
 /// [`Predicates`]: ged_core::constraint::ViolationKind::Predicates
 /// [`Disjunction`]: ged_core::constraint::ViolationKind::Disjunction
 pub fn social_mixed(cfg: &SocialConfig, plants: usize, seed: u64) -> MixedWorkload {
+    try_social_mixed(cfg, plants, seed).unwrap_or_else(|why| panic!("{why}"))
+}
+
+/// [`social_mixed`] for sizes that come from outside the program (a
+/// `gedd --workload` spec): `Err` says how many accounts the four disjoint
+/// plant slices need and how many the graph has.
+pub fn try_social_mixed(
+    cfg: &SocialConfig,
+    plants: usize,
+    seed: u64,
+) -> Result<MixedWorkload, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = crate::social::generate(cfg).graph;
     let accounts: Vec<_> = graph.nodes_with_label(sym("account")).to_vec();
-    assert!(
-        4 * plants <= accounts.len(),
-        "cannot plant {} violations across {} accounts",
-        4 * plants,
-        accounts.len()
-    );
+    if plants
+        .checked_mul(4)
+        .is_none_or(|needed| needed > accounts.len())
+    {
+        return Err(format!(
+            "plants={plants} needs 4 × {plants} accounts (one disjoint slice per rule), \
+             the graph has {}",
+            accounts.len()
+        ));
+    }
     let (verified, is_fake) = (sym("verified"), sym("is_fake"));
     let (age, tier, follow) = (sym("age"), sym("tier"), sym("follow"));
     const DOMAIN: [&str; 3] = ["free", "pro", "biz"];
@@ -121,11 +141,11 @@ pub fn social_mixed(cfg: &SocialConfig, plants: usize, seed: u64) -> MixedWorklo
         )
         .into(),
     ];
-    MixedWorkload {
+    Ok(MixedWorkload {
         graph,
         sigma,
         planted: 4 * plants,
-    }
+    })
 }
 
 #[cfg(test)]

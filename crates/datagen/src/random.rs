@@ -157,6 +157,30 @@ pub fn plant_key_violations(g: &mut Graph, label: &str, count: usize) -> Ged {
     )
 }
 
+/// The evolving-graph workload of the incremental suites, the `random`
+/// family of `gedd --workload` and the validation benches: a random graph
+/// of `n_nodes` nodes and `3 * n_nodes` attempted edges with
+/// `n_nodes / 20 + 1` planted `entity` key violations, under that key
+/// (first in Σ) plus `extra_rules` random GEDs of `pattern_size` variables.
+pub fn evolving_workload(
+    n_nodes: usize,
+    pattern_size: usize,
+    extra_rules: usize,
+    seed: u64,
+) -> (Graph, Vec<Ged>) {
+    let cfg = RandomGraphConfig {
+        n_nodes,
+        n_edges: 3 * n_nodes,
+        seed,
+        ..Default::default()
+    };
+    let mut graph = random_graph(&cfg);
+    let key = plant_key_violations(&mut graph, "entity", n_nodes / 20 + 1);
+    let mut sigma = vec![key];
+    sigma.extend(random_sigma(extra_rules, pattern_size, &cfg));
+    (graph, sigma)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -300,8 +300,8 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// Pruning never changes whether the maintained graph satisfies Σ,
     /// and the kept rules' violation sets are bit-for-bit what the
     /// unpruned validator maintains for them (soundness argument in
-    /// DESIGN.md §7; asserted by the EXP-ANALYZE harness section and the
-    /// randomized soundness test).
+    /// DESIGN.md §7; held under generated update streams, per pruning
+    /// reason, by the lockstep driver's `pruned` subject — DESIGN.md §11).
     ///
     /// [`analysis`]: IncrementalValidator::analysis
     pub fn with_analysis(
@@ -647,7 +647,8 @@ impl<C: Constraint> IncrementalValidator<C> {
                 if views_active {
                     changes.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
                 }
-                self.store.insert(ci, m, kind);
+                let fresh = self.store.insert(ci, m, kind);
+                debug_assert!(fresh, "rule {ci}: an affected match was enumerated twice");
             }
             self.metrics.finish(Phase::StoreInsert, t);
         }

@@ -32,36 +32,19 @@ pub enum Semantics {
     Isomorphism,
 }
 
-/// Tuning knobs, exposed so the matching ablation bench (EXP-ABL-MATCH in
-/// DESIGN.md) and the matcher's model tests can switch heuristics off;
-/// the engines all run the defaults.
+/// What a search is asked for: the matching semantics, the one choice the
+/// paper argues about (Section 3). How the search runs — rooted order,
+/// adjacency-derived candidates, pre-filters — is not an option.
 #[derive(Debug, Clone, Copy)]
 pub struct MatchOptions {
     /// Matching semantics.
     pub semantics: Semantics,
-    /// Search in the plan's connectivity-first order rooted at the anchor
-    /// (un-anchored: at the variable with the fewest label candidates)
-    /// instead of declaration order.
-    pub smart_order: bool,
-    /// Derive candidate sets from already-assigned neighbours instead of
-    /// scanning all label candidates.
-    pub adjacency_candidates: bool,
-    /// Reject a candidate before recursing when its labeled in/out degree
-    /// cannot cover the pattern variable's edges, or when an attribute
-    /// obligation of the plan ([`MatchPlan::require_attr`],
-    /// [`MatchPlan::require_attr_eq`]) already fails. The degree filter
-    /// never changes the match set — a rejected candidate could not have
-    /// completed a match.
-    pub prefilter: bool,
 }
 
 impl Default for MatchOptions {
     fn default() -> Self {
         MatchOptions {
             semantics: Semantics::Homomorphism,
-            smart_order: true,
-            adjacency_candidates: true,
-            prefilter: true,
         }
     }
 }
@@ -76,7 +59,6 @@ impl MatchOptions {
     pub fn isomorphism() -> Self {
         MatchOptions {
             semantics: Semantics::Isomorphism,
-            ..Self::default()
         }
     }
 }
@@ -211,7 +193,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
             .pattern
             .vars()
             .min_by_key(|&v| self.graph.label_candidate_count(self.pattern.label(v)));
-        let order = self.order(root);
+        let order = root.map_or(&[][..], |root| self.plan.order_rooted_at(root));
         // The no-exclusion closure monomorphizes to a constant `false`, so
         // plain enumeration compiles down to the engine it always had.
         self.seeded(scratch, order, None, &|_, _| false, &mut f)
@@ -241,10 +223,9 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// component is reached over edges from assigned neighbours, never by
     /// a label-index scan.
     ///
-    /// The pre-filters (when [`MatchOptions::prefilter`] is on) also
-    /// screen the anchor seeds themselves — a seed whose labeled degree or
-    /// required attributes already fail is skipped without entering the
-    /// search.
+    /// The pre-filters also screen the anchor seeds themselves — a seed
+    /// whose labeled degree or required attributes already fail is skipped
+    /// without entering the search.
     pub fn for_each_anchored_in<E>(
         &self,
         scratch: &mut MatchScratch,
@@ -261,19 +242,10 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         // candidate loop does (a single-variable rule would otherwise
         // report matches with zero attempts).
         self.recorder.add_attempts(seeds.len() as u64);
-        let order = self.order(Some(anchor));
+        let order = self.plan.order_rooted_at(anchor);
         seeds
             .iter()
             .all(|&n| self.seeded(scratch, order, Some((anchor, n)), excluded, &mut f))
-    }
-
-    /// The search order for a run rooted at `root` (`None`: the empty
-    /// pattern); declaration order when the smart order is switched off.
-    fn order(&self, root: Option<Var>) -> &[Var] {
-        match root {
-            Some(root) if self.opts.smart_order => self.plan.order_rooted_at(root),
-            _ => self.plan.declaration_order(),
-        }
     }
 
     /// Visit every match extending the optional pre-assignment `seed`,
@@ -294,7 +266,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         scratch.assign.clear();
         scratch.assign.resize(self.pattern.var_count(), None);
         if let Some((v, n)) = seed {
-            if self.opts.prefilter && self.prefilter_rejects(v, n, &scratch.assign) {
+            if self.prefilter_rejects(v, n, &scratch.assign) {
                 self.recorder.on_prefilter_reject();
                 return true; // no matches; enumeration trivially complete
             }
@@ -348,7 +320,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
             if excluded(v, n) {
                 continue;
             }
-            if self.opts.prefilter && self.prefilter_rejects(v, n, &scratch.assign) {
+            if self.prefilter_rejects(v, n, &scratch.assign) {
                 self.recorder.on_prefilter_reject();
                 continue;
             }
@@ -386,30 +358,28 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
             buf.sort_unstable();
             buf.dedup();
         };
-        if self.opts.adjacency_candidates {
-            // v required as dst of an assigned src?
-            for &(el, u) in self.pattern.in_edges(v) {
-                if let Some(hu) = assign[u.idx()] {
-                    if el.is_wildcard() {
-                        buf.extend(g.out_edges(hu).map(|(_, d)| d).filter(fits));
-                        merge_groups(buf);
-                    } else {
-                        buf.extend(g.out_edges_labeled(hu, el).iter().copied().filter(fits));
-                    }
-                    return;
+        // v required as dst of an assigned src?
+        for &(el, u) in self.pattern.in_edges(v) {
+            if let Some(hu) = assign[u.idx()] {
+                if el.is_wildcard() {
+                    buf.extend(g.out_edges(hu).map(|(_, d)| d).filter(fits));
+                    merge_groups(buf);
+                } else {
+                    buf.extend(g.out_edges_labeled(hu, el).iter().copied().filter(fits));
                 }
+                return;
             }
-            // v required as src of an assigned dst?
-            for &(el, u) in self.pattern.out_edges(v) {
-                if let Some(hu) = assign[u.idx()] {
-                    if el.is_wildcard() {
-                        buf.extend(g.in_edges(hu).map(|(_, s)| s).filter(fits));
-                        merge_groups(buf);
-                    } else {
-                        buf.extend(g.in_edges_labeled(hu, el).iter().copied().filter(fits));
-                    }
-                    return;
+        }
+        // v required as src of an assigned dst?
+        for &(el, u) in self.pattern.out_edges(v) {
+            if let Some(hu) = assign[u.idx()] {
+                if el.is_wildcard() {
+                    buf.extend(g.in_edges(hu).map(|(_, s)| s).filter(fits));
+                    merge_groups(buf);
+                } else {
+                    buf.extend(g.in_edges_labeled(hu, el).iter().copied().filter(fits));
                 }
+                return;
             }
         }
         if lv.is_wildcard() {
@@ -417,22 +387,19 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
             return;
         }
         // No assigned neighbour to extend from — typically `v` opens a
-        // further component. The joins are enforced only by the
-        // pre-filter, so only then may they narrow the candidates: every
-        // node a probe leaves out would fail the join there, and every
-        // node it returns still goes through it.
-        if self.opts.prefilter {
-            for j in &self.plan.joins[v.idx()] {
-                let Some(m) = assign[j.other.idx()] else {
-                    continue; // unassigned, or `v` itself
-                };
-                let Some(value) = g.attr(m, j.other_attr) else {
-                    return; // the join fails for every candidate
-                };
-                if let Some(bucket) = g.probe_attr(lv, j.attr, value) {
-                    buf.extend(bucket);
-                    return;
-                }
+        // further component. A join to an assigned variable may narrow the
+        // candidates: every node a probe leaves out would fail the join in
+        // the pre-filter, and every node it returns still goes through it.
+        for j in &self.plan.joins[v.idx()] {
+            let Some(m) = assign[j.other.idx()] else {
+                continue; // unassigned, or `v` itself
+            };
+            let Some(value) = g.attr(m, j.other_attr) else {
+                return; // the join fails for every candidate
+            };
+            if let Some(bucket) = g.probe_attr(lv, j.attr, value) {
+                buf.extend(bucket);
+                return;
             }
         }
         buf.extend_from_slice(g.nodes_with_label(lv));
@@ -738,16 +705,12 @@ mod tests {
         let ms = find_all(&q, &g, MatchOptions::homomorphism());
         assert_eq!(ms, vec![vec![a]]);
         // An anchor seed is pre-assigned, so its self loops are checked up
-        // front — with the pre-filter off too, which would otherwise catch
-        // the loop-less `b` by degree.
-        for prefilter in [true, false] {
-            let opts = MatchOptions {
-                prefilter,
-                ..MatchOptions::homomorphism()
-            };
-            let (found, _) = anchored(&Matcher::new(&q, &g, opts), x, &[b, a], NOTHING);
-            assert_eq!(found, vec![vec![a]], "prefilter={prefilter}");
-        }
+        // front: with an `e` edge out and one in, the loop-less `b` passes
+        // the degree pre-filter and only that check stands in the way.
+        g.add_edge(b, ged_graph::sym("e"), a);
+        let matcher = Matcher::new(&q, &g, MatchOptions::homomorphism());
+        let (found, _) = anchored(&matcher, x, &[b, a], NOTHING);
+        assert_eq!(found, vec![vec![a]]);
     }
 
     #[test]
@@ -792,16 +755,10 @@ mod tests {
         let mut g2 = g.clone();
         let persons = g.nodes_with_label(ged_graph::sym("person")).to_vec();
         g2.add_edge(persons[1], ged_graph::sym("create"), persons[0]);
-        for prefilter in [true, false] {
-            let opts = MatchOptions {
-                prefilter,
-                ..MatchOptions::homomorphism()
-            };
-            for graph in [&g, &g2] {
-                let (found, completed) =
-                    anchored(&Matcher::new(&q, graph, opts), y, &persons[..1], NOTHING);
-                assert!(found.is_empty() && completed, "prefilter={prefilter}");
-            }
+        for graph in [&g, &g2] {
+            let matcher = Matcher::new(&q, graph, MatchOptions::homomorphism());
+            let (found, completed) = anchored(&matcher, y, &persons[..1], NOTHING);
+            assert!(found.is_empty() && completed);
         }
     }
 
@@ -966,33 +923,8 @@ mod tests {
         assert_eq!(count(&q, &g, MatchOptions::homomorphism()), 1);
     }
 
-    #[test]
-    fn heuristics_do_not_change_the_match_set() {
-        let g = creator_graph();
-        let q = q1();
-        let base: std::collections::HashSet<Match> = find_all(&q, &g, MatchOptions::homomorphism())
-            .into_iter()
-            .collect();
-        for smart in [false, true] {
-            for adj in [false, true] {
-                for pre in [false, true] {
-                    let opts = MatchOptions {
-                        semantics: Semantics::Homomorphism,
-                        smart_order: smart,
-                        adjacency_candidates: adj,
-                        prefilter: pre,
-                    };
-                    let got: std::collections::HashSet<Match> =
-                        find_all(&q, &g, opts).into_iter().collect();
-                    assert_eq!(got, base, "smart={smart} adj={adj} pre={pre}");
-                }
-            }
-        }
-    }
-
     /// The degree pre-filter kills dead-end candidates (and tallies them)
-    /// without changing the match set; with the filter off no rejects are
-    /// reported.
+    /// without changing the match set.
     #[test]
     fn degree_prefilter_rejects_dead_ends_and_preserves_matches() {
         use ged_obs::CellRecorder;
@@ -1003,46 +935,33 @@ mod tests {
         let maker = g.add_node(person);
         let idle1 = g.add_node(person); // no out-edges: dead end for x
         let idle2 = g.add_node(person);
-        let item = g.add_node(product);
-        g.add_edge(maker, create, item);
+        // More products than persons, so the search is rooted at `x` and
+        // the dead-end persons actually reach the filter.
+        let items: Vec<NodeId> = (0..4).map(|_| g.add_node(product)).collect();
+        g.add_edge(maker, create, items[0]);
         let _ = (idle1, idle2);
         let mut q = Pattern::new();
         let x = q.var("x", "person");
         let y = q.var("y", "product");
         q.edge(x, "create", y);
 
-        // Scan label candidates directly (heuristics off) so the dead-end
-        // persons actually reach the filter.
-        let scan = MatchOptions {
-            smart_order: false,
-            adjacency_candidates: false,
-            ..MatchOptions::homomorphism()
-        };
         let rec = CellRecorder::new();
         let mut found = Vec::new();
-        Matcher::with_recorder(&q, &g, scan, &rec).for_each(|m| {
+        Matcher::with_recorder(&q, &g, MatchOptions::homomorphism(), &rec).for_each(|m| {
             found.push(m.to_vec());
             ControlFlow::Continue(())
         });
-        assert_eq!(found, vec![vec![maker, item]]);
+        assert_eq!(found, vec![vec![maker, items[0]]]);
+        assert_eq!(
+            found,
+            find_all_brute(&q, &g, MatchOptions::homomorphism()),
+            "filter never changes the match set"
+        );
         assert_eq!(
             rec.prefilter_rejects(),
             2,
             "both edge-less persons rejected before recursion"
         );
-
-        let off = MatchOptions {
-            prefilter: false,
-            ..scan
-        };
-        let rec_off = CellRecorder::new();
-        let mut found_off = Vec::new();
-        Matcher::with_recorder(&q, &g, off, &rec_off).for_each(|m| {
-            found_off.push(m.to_vec());
-            ControlFlow::Continue(())
-        });
-        assert_eq!(found_off, found, "filter never changes the match set");
-        assert_eq!(rec_off.prefilter_rejects(), 0);
     }
 
     /// Every match of `q` in `g` under `plan`, default options.
@@ -1125,19 +1044,6 @@ mod tests {
                 "every refused candidate is tallied as a pre-filter reject"
             );
         }
-        // The filter is a pre-filter: switched off, the plan enumerates
-        // the whole cross product again.
-        let off = MatchOptions {
-            prefilter: false,
-            ..MatchOptions::homomorphism()
-        };
-        let mut all = 0;
-        Matcher::with_plan(&plan, &q, &g, off, &NOOP).for_each(|_| {
-            all += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(all, 16);
-
         let mut same = MatchPlan::new(&q);
         same.require_attr_eq(x, k, x, l);
         let xs: Vec<NodeId> = planned(&same, &q, &g).iter().map(|m| m[0]).collect();

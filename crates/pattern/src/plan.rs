@@ -78,9 +78,8 @@ pub(crate) struct Join {
 /// enumeration of that pattern.
 #[derive(Debug, Clone)]
 pub struct MatchPlan {
-    /// `(var_count + 1)` rows of `var_count` variables: row `r` is the
-    /// connectivity-first order rooted at `Var(r)`, the last row is
-    /// declaration order (what `smart_order: false` searches in).
+    /// `var_count` rows of `var_count` variables: row `r` is the
+    /// connectivity-first order rooted at `Var(r)`.
     orders: Vec<Var>,
     pub(crate) degree_req: Vec<DegreeReq>,
     /// Per-variable `(attribute, value)` obligations.
@@ -98,13 +97,12 @@ impl MatchPlan {
     /// the degree requirements. No attribute obligations yet.
     pub fn new(pattern: &Pattern) -> MatchPlan {
         let n = pattern.var_count();
-        let mut orders = Vec::with_capacity((n + 1) * n);
+        let mut orders = Vec::with_capacity(n * n);
         let mut picked = vec![false; n];
         for root in pattern.vars() {
             picked.fill(false);
             rooted_order(pattern, root, &mut picked, &mut orders);
         }
-        orders.extend(pattern.vars());
         let mut component = vec![0; n];
         for (c, vars) in pattern.components().iter().enumerate() {
             vars.iter().for_each(|v| component[v.idx()] = c);
@@ -136,17 +134,8 @@ impl MatchPlan {
     /// ([`index_requests`](MatchPlan::index_requests)), and one label-index
     /// scan per assignment of the earlier variables otherwise.
     pub fn order_rooted_at(&self, root: Var) -> &[Var] {
-        self.row(root.idx())
-    }
-
-    /// Declaration order — the search order of `smart_order: false`.
-    pub(crate) fn declaration_order(&self) -> &[Var] {
-        self.row(self.var_count())
-    }
-
-    fn row(&self, r: usize) -> &[Var] {
         let n = self.var_count();
-        &self.orders[r * n..(r + 1) * n]
+        &self.orders[root.idx() * n..(root.idx() + 1) * n]
     }
 
     /// Require every match to map `var` to a node carrying attribute
@@ -157,9 +146,7 @@ impl MatchPlan {
     /// is the violation-enumeration shortcut: when a constraint's premise
     /// contains the constant literal `x.A = c`, matches where it fails
     /// can never witness a violation, so the engine pushes the literal
-    /// into the search instead of enumerating and discarding. Has no
-    /// effect when [`MatchOptions::prefilter`](crate::MatchOptions::prefilter)
-    /// is off.
+    /// into the search instead of enumerating and discarding.
     pub fn require_attr(&mut self, var: Var, attr: Symbol, value: Value) {
         self.required_attrs[var.idx()].push((attr, value));
     }
@@ -172,8 +159,7 @@ impl MatchPlan {
     /// rejects the candidate before the subtree below it is explored.
     ///
     /// Like [`require_attr`](MatchPlan::require_attr) this changes the
-    /// match set, is meant for premise literals `x.A = y.B`, and has no
-    /// effect when the pre-filter is off.
+    /// match set, and is meant for premise literals `x.A = y.B`.
     pub fn require_attr_eq(&mut self, lvar: Var, lattr: Symbol, rvar: Var, rattr: Symbol) {
         self.joins[lvar.idx()].push(Join {
             attr: lattr,
@@ -264,7 +250,6 @@ mod tests {
         assert_eq!(names(&q, plan.order_rooted_at(x)), "x y z");
         assert_eq!(names(&q, plan.order_rooted_at(y)), "y x z");
         assert_eq!(names(&q, plan.order_rooted_at(z)), "z y x");
-        assert_eq!(names(&q, plan.declaration_order()), "x y z");
     }
 
     /// A second component has no edge to follow: it starts at its first

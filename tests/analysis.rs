@@ -25,6 +25,10 @@ use ged_datagen::social::SocialConfig;
 use ged_repro::prelude::*;
 use std::collections::BTreeSet;
 
+#[path = "support/lockstep.rs"]
+mod lockstep;
+use lockstep::witnesses;
+
 /// Assert a workload Σ deploys clean: the analyzer may note stylistic
 /// facts (disconnected GKey patterns, wildcard labels) but must not
 /// error.
@@ -112,24 +116,6 @@ fn redundant_workload_diagnostics_are_all_found() {
     );
 }
 
-/// Normalise a report to a comparable set of witnesses (same idiom as
-/// the incremental harness).
-fn witness_set(
-    report: &ged_repro::core::ValidationReport,
-) -> BTreeSet<(String, Vec<NodeId>, String)> {
-    report
-        .violations
-        .iter()
-        .map(|v| {
-            (
-                v.ged_name.clone(),
-                v.assignment.clone(),
-                format!("{:?}", v.kind),
-            )
-        })
-        .collect()
-}
-
 /// Randomized soundness of implication-based minimization: over the
 /// harness's random graphs, dropping implied rules never changes the
 /// satisfaction verdict, and the kept rules' violation sets are
@@ -169,13 +155,11 @@ fn minimize_preserves_validation_on_random_graphs() {
             minimized.satisfied(),
             "seed {seed}: minimization changed the satisfaction verdict"
         );
-        let full_kept: BTreeSet<_> = witness_set(&full)
-            .into_iter()
-            .filter(|(name, _, _)| kept.contains(name))
-            .collect();
+        let mut full_kept = witnesses(&full);
+        full_kept.retain(|(name, _), _| kept.contains(name));
         assert_eq!(
             full_kept,
-            witness_set(&minimized),
+            witnesses(&minimized),
             "seed {seed}: a kept rule's violation set changed under minimization"
         );
     }

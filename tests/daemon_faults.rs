@@ -11,36 +11,16 @@
 
 use ged_daemon::{spawn, workload, DaemonConfig, DaemonHandle};
 use ged_proto::json::Json;
-use ged_proto::{code, Client, ClientError, Request, WireViolation};
+use ged_proto::{code, Client, ClientError, Request};
 use ged_repro::prelude::*;
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
-type Witnesses = BTreeSet<(String, Vec<NodeId>, String)>;
-
-fn witness_set(report: &ged_repro::core::ValidationReport) -> Witnesses {
-    report
-        .violations
-        .iter()
-        .map(|v| {
-            (
-                v.ged_name.clone(),
-                v.assignment.clone(),
-                format!("{:?}", v.kind),
-            )
-        })
-        .collect()
-}
-
-fn wire_witness_set(violations: &[WireViolation]) -> Witnesses {
-    violations
-        .iter()
-        .map(|v| (v.rule.clone(), v.assignment.clone(), v.kind.clone()))
-        .collect()
-}
+#[path = "support/lockstep.rs"]
+mod lockstep;
+use lockstep::{wire_witnesses, witnesses};
 
 /// Spawn a daemon plus its local mirror twin (the deterministic spec
 /// loader yields identical state for both).
@@ -73,8 +53,8 @@ fn assert_uncorrupted(
     let report = probe.report().expect("fresh client must be served");
     assert_eq!(report.epoch, epoch, "epoch corrupted by the fault");
     assert_eq!(
-        wire_witness_set(&report.violations),
-        witness_set(&validate(mirror, sigma, None)),
+        wire_witnesses(&report.violations),
+        witnesses(&validate(mirror, sigma, None)),
         "witness set corrupted by the fault"
     );
 }

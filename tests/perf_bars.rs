@@ -6,12 +6,11 @@
 //! one at a time: load sharing the process — the acceptance-scale runs of
 //! `incremental.rs`, on a 2-vCPU host — would land inside the ratio.
 
-use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
+use ged_datagen::random::{
+    evolving_workload, plant_key_violations, random_graph, RandomGraphConfig,
+};
 use ged_repro::prelude::*;
 use std::time::{Duration, Instant};
-
-#[path = "support/workload.rs"]
-mod support;
 
 /// `n` writes of `attr`, strided over the graph's nodes, cycling through
 /// `n_values` values — deterministic, no RNG.
@@ -33,7 +32,7 @@ fn attr_burst(g: &Graph, attr: Symbol, n: usize, n_values: usize) -> Vec<Delta> 
 #[test]
 #[ignore = "release only"]
 fn metrics_cost_at_most_5_percent_on_the_batched_delta_path() {
-    let (g, sigma) = support::workload(1_000, 2, 7);
+    let (g, sigma) = evolving_workload(1_000, 3, 2, 7);
     let deltas = attr_burst(&g, sym("key"), 1_200, 25);
     let batches: Vec<DeltaSet> = deltas.chunks(40).map(|c| c.to_vec().into()).collect();
     let mut seeded = IncrementalValidator::new(g, sigma);
