@@ -51,7 +51,7 @@ fn bench_drop(c: &mut Criterion) {
     let mut group = c.benchmark_group("delta-path/drop-intersecting");
     group.sample_size(30);
     // A 10-node footprint hitting 10 witnesses, whatever the store size.
-    let touched: HashSet<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
+    let touched: Vec<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
     for &n in &[10_000usize, 100_000] {
         let lit = || vec![Literal::id(Var(0), Var(1))];
         let mut indexed = ViolationStore::for_sigma(&[key_ged()]);

@@ -533,8 +533,8 @@ mod tests {
     }
 
     /// A handler stuck writing a `report` reply holds the reply and
-    /// nothing else: the writer keeps reclaiming its back buffer, so every
-    /// publish behind the stalled client stays on the O(changed) path.
+    /// nothing else: the writer keeps reclaiming the front it replaces, so
+    /// every publish behind the stalled client stays on the O(changed) path.
     #[test]
     fn a_stalled_reply_pins_no_snapshot() {
         let (graph, sigma) = workload::load("mixed:honest=120,plants=20,seed=5").unwrap();
@@ -550,8 +550,7 @@ mod tests {
             });
         };
         let ctx = conn_ctx(&validator);
-        // Two publishes set the double buffer up (the first one after
-        // activation has no back buffer yet and rebuilds by design).
+        // Two publishes, so each copy of the table has been the front once.
         publish(&mut validator);
         publish(&mut validator);
 

@@ -75,17 +75,22 @@ pub fn load(spec: &str) -> Result<(Graph, Vec<SigmaConstraint>), String> {
 }
 
 fn parse_params(params: &str) -> Result<Vec<(String, String)>, String> {
+    let mut seen: Vec<(String, String)> = Vec::new();
     if params.is_empty() {
-        return Ok(Vec::new());
+        return Ok(seen);
     }
-    params
-        .split(',')
-        .map(|pair| {
-            pair.split_once('=')
-                .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-                .ok_or_else(|| format!("workload param {pair:?} is not key=value"))
-        })
-        .collect()
+    for pair in params.split(',') {
+        let (k, v) = pair
+            .split_once('=')
+            .ok_or_else(|| format!("workload param {pair:?} is not key=value"))?;
+        let k = k.trim();
+        // `get` reads the first value of a key: a second one would be ignored.
+        if seen.iter().any(|(earlier, _)| earlier == k) {
+            return Err(format!("workload param {k:?} given twice"));
+        }
+        seen.push((k.to_string(), v.trim().to_string()));
+    }
+    Ok(seen)
 }
 
 #[cfg(test)]
@@ -142,6 +147,8 @@ mod tests {
         assert!(load("mixed:warp=1").unwrap_err().contains("warp"));
         assert!(load("random:nodes").unwrap_err().contains("key=value"));
         assert!(load("empty:plants=1").unwrap_err().contains("plants"));
+        let twice = load("random:nodes=10,nodes=20").unwrap_err();
+        assert_eq!(twice, "workload param \"nodes\" given twice");
         // Too few accounts for the plants is the spec's fault, not a panic.
         for spec in ["mixed:honest=0", "mixed:honest=1,plants=50"] {
             let why = load(spec).unwrap_err();

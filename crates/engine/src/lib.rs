@@ -12,14 +12,14 @@
 //! either: one `IncrementalValidator<ged_ext::SigmaConstraint>` serves the
 //! heterogeneous Σ, and a family outside that enum runs as its own `C`.
 //!
-//! * [`par`] — parallel *from-scratch* validation: the match space of
-//!   every constraint partitions by the image of a pivot variable, and
-//!   all of Σ's chunks share one work queue;
 //! * [`shard`] — the **one sharding subsystem** behind every parallel
 //!   fan-out: `(constraint, anchor, seed-range)` work units pulled off a
 //!   shared queue by scoped workers and enumerated by one unit function —
-//!   the seeding full pass, the delta path and [`par`] alike — with
-//!   [`SeedStats`] reporting how the seeding pass actually split;
+//!   the seeding full pass (parallel *from-scratch* validation: every
+//!   rule's match space partitions by the image of a pivot variable;
+//!   [`IncrementalValidator::with_threads`]`(..).report()` is its public
+//!   face) and the delta path alike — with [`SeedStats`] reporting how
+//!   the seeding pass actually split;
 //! * [`IncrementalValidator`] — **delta-driven violation maintenance**: it
 //!   owns the graph and a persistent [`ViolationStore`] keyed by
 //!   (constraint, witness match), ingests [`Delta`]s / batched
@@ -40,10 +40,11 @@
 //!   `&mut self`, but violation queries need not serialize against it —
 //!   [`IncrementalValidator::read_view`] hands out cloneable
 //!   `Send + Sync` [`ReadView`] handles whose queries answer against the
-//!   immutable snapshot published at the last batch boundary (an
-//!   epoch-swapped double buffer kept fresh by O(changed) changelog
-//!   replay), so many reader threads proceed concurrently with the one
-//!   writer and never observe a torn mid-batch store.
+//!   immutable snapshot published at the last batch boundary (the
+//!   witness table the writer just maintained, swapped in whole; the one
+//!   it replaces catches up by O(changed) changelog replay), so many
+//!   reader threads proceed concurrently with the one writer and never
+//!   observe a torn mid-batch store.
 //!
 //! The affected-area argument (see `DESIGN.md` §4 for the proof sketch):
 //! a delta can change the violation status only of matches whose image
@@ -91,17 +92,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod metrics;
-pub mod par;
 pub mod shard;
 pub mod store;
 pub mod validator;
 pub mod view;
 
 pub use metrics::{EngineMetrics, MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
-pub use par::{validate_parallel, violations_sharded};
 pub use shard::{rule_plan, SeedStats};
 pub use store::ViolationStore;
-pub use validator::{AnalysisConfig, ApplyStats, DeployAnalysis, IncrementalValidator};
+pub use validator::{ApplyStats, DeployAnalysis, IncrementalValidator};
 pub use view::{ReadView, ViolationSnapshot};
 
 // Re-export the delta vocabulary so engine users need only one import.

@@ -26,6 +26,7 @@
 
 use crate::store::ViolationStore;
 use crate::validator::ApplyStats;
+use crate::view::SharedViews;
 use ged_core::constraint::Constraint;
 use ged_graph::json::Json;
 use ged_obs::{fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, TraceRing};
@@ -163,8 +164,8 @@ impl WorkerShard {
 /// The engine's metrics registry: enabled flag, batch counters, phase
 /// latency histograms, per-rule attribution, and the batch trace ring.
 ///
-/// All reads go through [`EngineMetrics::snapshot`]; the validator owns
-/// the registry and exposes the snapshot via
+/// All reads go through one aggregate; the validator owns the registry
+/// and exposes the snapshot via
 /// [`IncrementalValidator::metrics`](crate::IncrementalValidator::metrics).
 /// Cloning copies the current values into an independent registry, so a
 /// cloned validator does not share tallies with its original.
@@ -180,8 +181,6 @@ pub struct EngineMetrics {
     witnesses_retained: Counter,
     store_size: Gauge,
     store_slab_slots: Gauge,
-    read_views: Gauge,
-    published_epoch: Gauge,
     phases: [Histogram; 7],
     unit_latency: Histogram,
     rules: Vec<RuleMetrics>,
@@ -202,8 +201,6 @@ impl EngineMetrics {
             witnesses_retained: Counter::new(),
             store_size: Gauge::new(),
             store_slab_slots: Gauge::new(),
-            read_views: Gauge::new(),
-            published_epoch: Gauge::new(),
             phases: Default::default(),
             unit_latency: Histogram::new(),
             rules: sigma
@@ -296,21 +293,6 @@ impl EngineMetrics {
         self.trace.push(stats.clone());
     }
 
-    /// Mirror the live [`ReadView`](crate::ReadView) handle count. Not
-    /// gated on the enabled flag: the gauge tracks current state (like a
-    /// thermometer, not an accumulator), so freezing it while sampling is
-    /// off would leave a wrong *current* value behind.
-    pub(crate) fn set_read_views(&self, n: u64) {
-        self.read_views.set(n);
-    }
-
-    /// Mirror the epoch of the most recently published snapshot (same
-    /// ungated gauge discipline as
-    /// [`set_read_views`](EngineMetrics::set_read_views)).
-    pub(crate) fn set_published_epoch(&self, epoch: u64) {
-        self.published_epoch.set(epoch);
-    }
-
     /// Refresh the store-level gauges.
     pub(crate) fn note_store(&self, store: &ViolationStore) {
         if !self.is_enabled() {
@@ -331,8 +313,10 @@ impl EngineMetrics {
         TraceDumpOnPanic(self)
     }
 
-    /// Aggregate the registry into an immutable [`MetricsSnapshot`].
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Aggregate the registry into an immutable [`MetricsSnapshot`]. The
+    /// reader count and the published epoch are read where they live, in
+    /// the validator's `views`: a mirrored gauge could drift from them.
+    pub(crate) fn snapshot(&self, views: &SharedViews) -> MetricsSnapshot {
         MetricsSnapshot {
             enabled: self.is_enabled(),
             batches: self.batches.get(),
@@ -344,8 +328,8 @@ impl EngineMetrics {
             witnesses_retained: self.witnesses_retained.get(),
             store_size: self.store_size.get(),
             store_slab_slots: self.store_slab_slots.get(),
-            read_views: self.read_views.get(),
-            published_epoch: self.published_epoch.get(),
+            read_views: views.readers(),
+            published_epoch: views.epoch(),
             phases: Phase::ALL
                 .iter()
                 .map(|&p| PhaseSnapshot {
@@ -385,10 +369,6 @@ impl Clone for EngineMetrics {
             witnesses_retained: self.witnesses_retained.clone(),
             store_size: self.store_size.clone(),
             store_slab_slots: self.store_slab_slots.clone(),
-            // The clone belongs to a different validator with its own
-            // (fresh) view set: its reader count and epoch start over.
-            read_views: Gauge::new(),
-            published_epoch: Gauge::new(),
             phases: self.phases.clone(),
             unit_latency: self.unit_latency.clone(),
             rules: self.rules.clone(),

@@ -2,9 +2,9 @@
 //! parallel fan-out in the engine.
 //!
 //! The incremental delta path's affected-area recomputation
-//! ([`validator`](crate::validator)), the *seeding* full pass of
-//! [`IncrementalValidator::with_threads`] and the from-scratch parallel
-//! validators of [`par`](crate::par) share one vocabulary:
+//! ([`validator`](crate::validator)) and the *seeding* full pass of
+//! [`IncrementalValidator::with_threads`] — the engine's parallel
+//! from-scratch validation — share one vocabulary:
 //!
 //! * a **work unit** is a `(constraint, anchor variable, seed-range)`
 //!   triple — one chunk of one anchor's seed list, enumerated by one
@@ -16,8 +16,7 @@
 //!   wildcard rule still spreads across all cores — at *seed*
 //!   granularity, not rule granularity;
 //! * `full_pass` is the from-scratch pass over all of Σ (pivot units for
-//!   every rule on that queue) that seeds a validator and answers
-//!   [`validate_parallel`](crate::par::validate_parallel);
+//!   every rule on that queue) that seeds a validator;
 //! * [`SeedStats`] reports how the seeding pass actually split (unit and
 //!   per-worker counts), so the fan-out is observable rather than taken
 //!   on faith.
@@ -213,16 +212,15 @@ pub(crate) struct FullPass {
 /// its match space by its most selective **pivot** variable (fewest label
 /// candidates): every match maps the pivot to exactly one candidate, so
 /// the chunks of the pivot's candidate list partition the match space
-/// without duplicates. `plans[i]` is [`rule_plan`] of `sigma[i]`;
-/// `instrumented` turns the per-rule tallies on.
+/// without duplicates. `plans[i]` is [`rule_plan`] of `sigma[i]`. The pass
+/// is instrumented: it runs once, on a registry that starts enabled.
 pub(crate) fn full_pass<C: Constraint>(
     g: &Graph,
     sigma: &[C],
     plans: &[MatchPlan],
     threads: usize,
-    instrumented: bool,
 ) -> FullPass {
-    let new_shard = || WorkerShard::new(sigma.len(), instrumented);
+    let new_shard = || WorkerShard::new(sigma.len(), true);
     // Constraints with an empty pattern have exactly one (empty) match:
     // nothing to enumerate or shard, checked here — tallied into a
     // coordinator-side shard so their cost still attributes per rule.
@@ -235,12 +233,10 @@ pub(crate) fn full_pass<C: Constraint>(
             .vars()
             .min_by_key(|&v| g.label_candidate_count(pattern.label(v)))
         else {
-            let t0 = instrumented.then(Instant::now);
+            let t0 = Instant::now();
             let kind = c.check(g, &[]);
-            if let Some(t0) = t0 {
-                let violations = u64::from(kind.is_some());
-                inline.add_unit(ci, 0, 0, 1, violations, t0.elapsed().as_nanos() as u64);
-            }
+            let violations = u64::from(kind.is_some());
+            inline.add_unit(ci, 0, 0, 1, violations, t0.elapsed().as_nanos() as u64);
             found.extend(kind.map(|kind| (ci, Vec::new(), kind)));
             continue;
         };

@@ -1,15 +1,19 @@
 //! The persistent violation store: every currently-violating witness match,
 //! keyed by (constraint index, match), maintained across deltas.
 //!
-//! Witnesses live in a slab of slots; two indexes point into it: the
-//! per-constraint map `h(x̄) → slot` (the store's identity key) and the
+//! The set itself is one `Witnesses` table — per-constraint maps
+//! `h(x̄) → ViolationKind` plus a total — and that table is the type of
+//! the writer's live copy *and* of every snapshot a read view is handed
+//! (`crate::view`, DESIGN.md §9): a publish moves it out of the store and
+//! a table of equal content moves back in. Around it the store keeps what
+//! only the writer needs: a slab of `(constraint, match)` keys and the
 //! **inverted index** `NodeId → {slots whose image contains the node}`.
 //! The inverted index is what makes [`ViolationStore::drop_intersecting`]
 //! — the engine's per-update prune — proportional to the *affected*
 //! witnesses instead of the whole store, the property the
 //! output-sensitive delta path needs.
 //!
-//! The store is family-agnostic: a slot records *how* the conclusion
+//! The store is family-agnostic: the table records *how* the conclusion
 //! failed as a [`ViolationKind`], so the same structure serves plain GEDs,
 //! GDCs, and GED∨s — anything implementing [`Constraint`].
 
@@ -20,29 +24,136 @@ use ged_graph::NodeId;
 use ged_pattern::Match;
 use std::collections::{HashMap, HashSet};
 
-/// One stored witness: which constraint it violates, the match, and how
-/// the conclusion failed.
-#[derive(Debug, Clone)]
-struct Slot {
-    constraint: usize,
-    assignment: Match,
-    kind: ViolationKind,
+/// One change to the violation set, logged by the writer while a batch
+/// maintains its live table and replayed once, by value, into the other
+/// copy at publish time ([`Witnesses::replay`]). A batch's log lists the
+/// dropped witnesses first, then the re-derived ones, so a retained
+/// witness nets out to an upsert.
+#[derive(Debug)]
+pub(crate) enum StoreChange {
+    /// The witness of constraint `.0` keyed by match `.1` was dropped.
+    Remove(usize, Match),
+    /// The witness was (re-)derived with the given failure kind.
+    Upsert(usize, Match, ViolationKind),
+}
+
+/// The violation set as plain data: witness → failure kind, one map per
+/// constraint of Σ, and the live total. The one representation of the
+/// set: the [`ViolationStore`] maintains one, every published snapshot
+/// *is* one, and report order is defined here and nowhere else
+/// ([`Witnesses::for_each_witness`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Witnesses {
+    per_constraint: Vec<HashMap<Match, ViolationKind>>,
+    total: usize,
+}
+
+impl Witnesses {
+    /// Record or refresh one witness; `true` if it is new.
+    fn upsert(&mut self, ci: usize, m: Match, kind: ViolationKind) -> bool {
+        let fresh = self.per_constraint[ci].insert(m, kind).is_none();
+        self.total += usize::from(fresh);
+        fresh
+    }
+
+    /// Forget one witness, returning its kind if it was present.
+    fn remove(&mut self, ci: usize, m: &[NodeId]) -> Option<ViolationKind> {
+        let kind = self.per_constraint[ci].remove(m);
+        self.total -= usize::from(kind.is_some());
+        kind
+    }
+
+    /// Replay a batch's log — how the copy the writer did not maintain
+    /// catches up, in O(changed).
+    pub(crate) fn replay(&mut self, changes: impl IntoIterator<Item = StoreChange>) {
+        for change in changes {
+            match change {
+                StoreChange::Remove(ci, m) => drop(self.remove(ci, &m)),
+                StoreChange::Upsert(ci, m, kind) => drop(self.upsert(ci, m, kind)),
+            }
+        }
+    }
+
+    /// Live witnesses across all constraints.
+    pub(crate) fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Witnesses of constraint `ci`.
+    pub(crate) fn count_for(&self, ci: usize) -> usize {
+        self.per_constraint[ci].len()
+    }
+
+    /// Rule names with their witness counts, in Σ order — the summary
+    /// rows of a report, without touching a witness.
+    pub(crate) fn rules<'a, C: Constraint>(
+        &'a self,
+        sigma: &'a [C],
+    ) -> impl Iterator<Item = (&'a str, usize)> + Clone {
+        let counts = self.per_constraint.iter().map(HashMap::len);
+        sigma.iter().map(Constraint::name).zip(counts)
+    }
+
+    /// Visit every witness in report order — Σ order, witnesses sorted
+    /// per rule — as `(rule name, assignment, failure kind)`, borrowed
+    /// from the table: one sort buffer is the only allocation. This is
+    /// the one ordering implementation; [`to_report`](Witnesses::to_report)
+    /// and the wire encoders both sit on it.
+    pub(crate) fn for_each_witness<C: Constraint>(
+        &self,
+        sigma: &[C],
+        mut f: impl FnMut(&str, &[NodeId], &ViolationKind),
+    ) {
+        let widest = self.rules(sigma).map(|(_, n)| n).max().unwrap_or(0);
+        let mut entries: Vec<(&Match, &ViolationKind)> = Vec::with_capacity(widest);
+        for (c, map) in sigma.iter().zip(&self.per_constraint) {
+            entries.clear();
+            entries.extend(map);
+            // Keys of one map are distinct, so stability buys nothing.
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            for (m, kind) in &entries {
+                f(c.name(), m, kind);
+            }
+        }
+    }
+
+    /// The table as a [`ValidationReport`]: one row per rule, then the
+    /// witnesses in report order.
+    pub(crate) fn to_report<C: Constraint>(&self, sigma: &[C]) -> ValidationReport {
+        let mut violations = Vec::with_capacity(self.total);
+        self.for_each_witness(sigma, |rule, m, kind| {
+            violations.push(Violation {
+                ged_name: rule.to_string(),
+                assignment: m.to_vec(),
+                kind: kind.clone(),
+            });
+        });
+        let row = |(name, n): (&str, usize)| GedReport {
+            name: name.to_string(),
+            violation_count: n,
+            satisfied: n == 0,
+        };
+        ValidationReport {
+            per_ged: self.rules(sigma).map(row).collect(),
+            violations,
+        }
+    }
 }
 
 /// All violations of `G ⊨ Σ`, indexed per constraint and keyed by the
 /// witness match `h(x̄)`. The store is the engine's materialised view:
 /// after every delta it is *exactly* the violation set a from-scratch
 /// [`validate`] (with no limit) would produce — the invariant the
-/// randomized incremental-vs-full tests assert, for every constraint
-/// family of the unified layer.
+/// lockstep driver holds it to, for every constraint family of the
+/// unified layer.
 ///
 /// [`validate`]: ged_core::reason::validate
 #[derive(Debug, Clone, Default)]
 pub struct ViolationStore {
-    /// Witness → slot, one map per constraint of Σ.
-    per_constraint: Vec<HashMap<Match, usize>>,
-    /// The slab; `None` marks a freed slot awaiting reuse.
-    slots: Vec<Option<Slot>>,
+    /// The set itself; every other field indexes into it.
+    table: Witnesses,
+    /// The slab of witness keys; `None` marks a freed slot awaiting reuse.
+    slots: Vec<Option<(usize, Match)>>,
     /// Free slot ids.
     free: Vec<usize>,
     /// Inverted index: node → slots whose assignment contains it.
@@ -57,20 +168,21 @@ impl ViolationStore {
     /// [`insert`](ViolationStore::insert).
     pub fn for_sigma<C: Constraint>(sigma: &[C]) -> ViolationStore {
         ViolationStore {
-            per_constraint: (0..sigma.len()).map(|_| HashMap::new()).collect(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            by_node: HashMap::new(),
+            table: Witnesses {
+                per_constraint: vec![HashMap::new(); sigma.len()],
+                total: 0,
+            },
+            ..ViolationStore::default()
         }
     }
 
     #[track_caller]
     fn check_index(&self, ci: usize) {
         assert!(
-            ci < self.per_constraint.len(),
+            ci < self.constraint_count(),
             "constraint index {ci} out of range: this store was built for {} constraints — \
              construct it with ViolationStore::for_sigma over the same Σ you validate",
-            self.per_constraint.len()
+            self.constraint_count()
         );
     }
 
@@ -83,86 +195,42 @@ impl ViolationStore {
         self.check_index(ci);
         let kind = kind.into();
         debug_assert!(kind.is_witnessed(), "a violation needs a failed witness");
-        if let Some(&slot) = self.per_constraint[ci].get(&assignment) {
-            self.slots[slot]
-                .as_mut()
-                .expect("indexed slot is live")
-                .kind = kind;
+        if !self.table.upsert(ci, assignment.clone(), kind) {
             return false;
         }
-        let slot = Slot {
-            constraint: ci,
-            assignment: assignment.clone(),
-            kind,
-        };
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slots[id] = Some(slot);
-                id
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
         // Register the slot under every node of the image (inserting the
         // same id twice is idempotent, so repeated nodes need no dedup).
         for &n in &assignment {
             self.by_node.entry(n).or_default().insert(id);
         }
-        self.per_constraint[ci].insert(assignment, id);
+        self.slots[id] = Some((ci, assignment));
         true
-    }
-
-    /// Free `slot`, unregistering it from the inverted index. Does *not*
-    /// touch `per_constraint` — callers that still hold the map entry
-    /// remove it themselves.
-    fn release(&mut self, id: usize) -> Slot {
-        let slot = self.slots[id].take().expect("released slot is live");
-        for &n in &slot.assignment {
-            if let Some(set) = self.by_node.get_mut(&n) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.by_node.remove(&n);
-                }
-            }
-        }
-        self.free.push(id);
-        slot
-    }
-
-    /// Forget one witness. Returns `true` if it was present.
-    pub fn remove(&mut self, ci: usize, assignment: &[NodeId]) -> bool {
-        self.check_index(ci);
-        match self.per_constraint[ci].remove(assignment) {
-            Some(id) => {
-                self.release(id);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Is this witness currently stored?
     pub fn contains(&self, ci: usize, assignment: &[NodeId]) -> bool {
         self.check_index(ci);
-        self.per_constraint[ci].contains_key(assignment)
+        self.table.per_constraint[ci].contains_key(assignment)
     }
 
     /// Number of constraints the store tracks.
     pub fn constraint_count(&self) -> usize {
-        self.per_constraint.len()
+        self.table.per_constraint.len()
     }
 
     /// Violations currently recorded for one constraint.
     pub fn count_for(&self, ci: usize) -> usize {
         self.check_index(ci);
-        self.per_constraint[ci].len()
+        self.table.count_for(ci)
     }
 
     /// Total violations across all constraints.
     pub fn total(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.table.total
     }
 
     /// Length of the slab — live *and* free slots. Together with
@@ -204,10 +272,7 @@ impl ViolationStore {
     ///
     /// Cost: `O(|affected witnesses| · |x̄|)` via the inverted index — the
     /// rest of the store is never visited, however large it is.
-    pub fn drop_intersecting(
-        &mut self,
-        touched: &HashSet<NodeId>,
-    ) -> Vec<(usize, Match, ViolationKind)> {
+    pub fn drop_intersecting(&mut self, touched: &[NodeId]) -> Vec<(usize, Match, ViolationKind)> {
         let mut hit: Vec<usize> = touched
             .iter()
             .filter_map(|n| self.by_node.get(n))
@@ -218,52 +283,59 @@ impl ViolationStore {
         hit.dedup();
         let mut dropped = Vec::with_capacity(hit.len());
         for id in hit {
-            let slot = self.release(id);
-            let unmapped = self.per_constraint[slot.constraint].remove(&slot.assignment);
-            debug_assert_eq!(unmapped, Some(id), "witness key maps to its slot");
-            dropped.push((slot.constraint, slot.assignment, slot.kind));
+            let (ci, m) = self.slots[id].take().expect("indexed slot is live");
+            for n in &m {
+                if let Some(set) = self.by_node.get_mut(n) {
+                    set.remove(&id);
+                    if set.is_empty() {
+                        self.by_node.remove(n);
+                    }
+                }
+            }
+            self.free.push(id);
+            let kind = self.table.remove(ci, &m).expect("slab key is a witness");
+            dropped.push((ci, m, kind));
         }
         #[cfg(debug_assertions)]
         self.assert_consistent();
         dropped
     }
 
-    /// Cross-check the three structures (per-constraint maps, slab,
-    /// inverted index) against each other, panicking on any inconsistency.
-    /// Runs automatically after [`drop_intersecting`] in debug builds;
+    /// Cross-check the three structures (table, slab, inverted index)
+    /// against each other, panicking on any inconsistency. Runs
+    /// automatically after [`drop_intersecting`] in debug builds;
     /// O(store), so release builds never pay for it.
     ///
     /// [`drop_intersecting`]: ViolationStore::drop_intersecting
     pub fn assert_consistent(&self) {
-        let mut live = 0;
-        for (ci, map) in self.per_constraint.iter().enumerate() {
-            for (m, &id) in map {
-                live += 1;
-                let slot = self.slots[id]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("witness {m:?} maps to freed slot {id}"));
-                assert_eq!(
-                    slot.constraint, ci,
-                    "slot {id} filed under the wrong constraint"
+        let maps = self.table.per_constraint.iter();
+        let keyed: usize = maps.map(HashMap::len).sum();
+        assert_eq!(keyed, self.total(), "table total matches its maps");
+        // Every live slot keys a witness; distinct keys, and as many of
+        // them as witnesses, make that a bijection.
+        let mut keys = HashSet::with_capacity(self.total());
+        for (id, slot) in self.slots.iter().enumerate() {
+            let Some((ci, m)) = slot else { continue };
+            assert!(self.contains(*ci, m), "slot {id} keys no witness: {m:?}");
+            assert!(keys.insert((ci, m)), "slot {id} repeats the key {m:?}");
+            for n in m {
+                assert!(
+                    self.by_node.get(n).is_some_and(|s| s.contains(&id)),
+                    "slot {id} missing from the inverted index at {n}"
                 );
-                assert_eq!(&slot.assignment, m, "slot {id} key mismatch");
-                for n in m {
-                    assert!(
-                        self.by_node.get(n).is_some_and(|s| s.contains(&id)),
-                        "slot {id} missing from the inverted index at {n}"
-                    );
-                }
             }
         }
-        assert_eq!(live, self.total(), "slab live count matches the maps");
+        assert_eq!(keys.len(), self.total(), "one live slot per witness");
+        let slab = keys.len() + self.free.len();
+        assert_eq!(slab, self.slots.len(), "freed slots are on the free list");
         for (n, set) in &self.by_node {
             assert!(!set.is_empty(), "empty index bucket at {n} not pruned");
             for &id in set {
-                let slot = self.slots[id]
+                let (_, m) = self.slots[id]
                     .as_ref()
                     .unwrap_or_else(|| panic!("index at {n} references freed slot {id}"));
                 assert!(
-                    slot.assignment.contains(n),
+                    m.contains(n),
                     "index at {n} references slot {id} whose image lacks it"
                 );
             }
@@ -273,80 +345,26 @@ impl ViolationStore {
     /// Render the store as a [`ValidationReport`] in Σ order, with the
     /// witnesses of each constraint sorted by assignment for determinism.
     pub fn to_report<C: Constraint>(&self, sigma: &[C]) -> ValidationReport {
-        let mut per_ged = Vec::with_capacity(sigma.len());
-        let mut violations = Vec::with_capacity(self.total());
-        for (ci, c) in sigma.iter().enumerate() {
-            let map = &self.per_constraint[ci];
-            per_ged.push(GedReport {
-                name: c.name().to_string(),
-                violation_count: map.len(),
-                satisfied: map.is_empty(),
-            });
-            let mut entries: Vec<(&Match, usize)> = map.iter().map(|(m, &id)| (m, id)).collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            violations.extend(entries.into_iter().map(|(m, id)| {
-                Violation {
-                    ged_name: c.name().to_string(),
-                    assignment: m.clone(),
-                    kind: self.slots[id]
-                        .as_ref()
-                        .expect("indexed slot is live")
-                        .kind
-                        .clone(),
-                }
-            }));
-        }
-        ValidationReport {
-            per_ged,
-            violations,
-        }
-    }
-
-    /// Clone the live witnesses into flat per-constraint
-    /// `Match → ViolationKind` maps — the O(store) rebuild behind the
-    /// read-view snapshots (`crate::view`): paid once at view activation
-    /// (and again only when a publish could not reclaim its back buffer),
-    /// after which publishes replay O(changed) changelogs instead. The
-    /// flat shape drops the slab/inverted-index machinery on purpose:
-    /// snapshots are immutable, so they only ever need lookup and
-    /// iteration.
-    pub fn snapshot_kinds(&self) -> Vec<HashMap<Match, ViolationKind>> {
-        self.per_constraint
-            .iter()
-            .map(|map| {
-                map.iter()
-                    .map(|(m, &id)| {
-                        (
-                            m.clone(),
-                            self.slots[id]
-                                .as_ref()
-                                .expect("indexed slot is live")
-                                .kind
-                                .clone(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
+        self.table.to_report(sigma)
     }
 
     /// Iterate over `(constraint index, assignment, violation kind)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Match, &ViolationKind)> + '_ {
-        self.per_constraint
-            .iter()
-            .enumerate()
-            .flat_map(move |(ci, map)| {
-                map.iter().map(move |(m, &id)| {
-                    (
-                        ci,
-                        m,
-                        &self.slots[id].as_ref().expect("indexed slot is live").kind,
-                    )
-                })
-            })
+        let maps = self.table.per_constraint.iter().enumerate();
+        maps.flat_map(|(ci, map)| map.iter().map(move |(m, kind)| (ci, m, kind)))
+    }
+
+    /// The live table: what view activation copies, once.
+    pub(crate) fn table(&self) -> &Witnesses {
+        &self.table
+    }
+
+    /// Hand the live table to `publish` and maintain from now on the one
+    /// it gives back — the same set, in the copy no reader can see.
+    pub(crate) fn exchange_table(&mut self, publish: impl FnOnce(Witnesses) -> Witnesses) {
+        self.table = publish(std::mem::take(&mut self.table));
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,8 +408,8 @@ mod tests {
         assert_eq!(s.constraint_count(), 2);
         assert!(!s.is_empty());
         assert!(s.contains(0, &[NodeId(0), NodeId(1)]));
-        assert!(s.remove(0, &[NodeId(0), NodeId(1)]));
-        assert!(!s.remove(0, &[NodeId(0), NodeId(1)]));
+        assert_eq!(s.drop_intersecting(&[NodeId(0)]).len(), 1);
+        assert!(s.drop_intersecting(&[NodeId(0)]).is_empty());
         assert!(!s.contains(0, &[NodeId(0), NodeId(1)]));
         assert_eq!(s.total(), 1);
         s.assert_consistent();
@@ -450,8 +468,7 @@ mod tests {
         let lit = vec![Literal::id(Var(0), Var(1))];
         s.insert(0, vec![NodeId(0), NodeId(1)], lit.clone());
         s.insert(0, vec![NodeId(2), NodeId(3)], lit);
-        let touched: HashSet<NodeId> = [NodeId(1)].into_iter().collect();
-        let dropped = s.drop_intersecting(&touched);
+        let dropped = s.drop_intersecting(&[NodeId(1)]);
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].1, vec![NodeId(0), NodeId(1)]);
         assert_eq!(s.total(), 1);
@@ -469,8 +486,7 @@ mod tests {
         s.insert(0, vec![NodeId(5), NodeId(6)], lit.clone());
         assert_eq!(s.count_at(NodeId(5)), 2);
         assert_eq!(s.count_at(NodeId(6)), 1);
-        let touched: HashSet<NodeId> = [NodeId(5)].into_iter().collect();
-        let dropped = s.drop_intersecting(&touched);
+        let dropped = s.drop_intersecting(&[NodeId(5)]);
         assert_eq!(dropped.len(), 2);
         assert_eq!(s.count_at(NodeId(5)), 0);
         assert_eq!(s.count_at(NodeId(6)), 0);
@@ -491,7 +507,7 @@ mod tests {
             vec![NodeId(0), NodeId(1)],
             vec![Literal::id(Var(0), Var(1))],
         );
-        assert!(s.drop_intersecting(&HashSet::new()).is_empty());
+        assert!(s.drop_intersecting(&[]).is_empty());
         assert_eq!(s.total(), 1);
     }
 
@@ -514,7 +530,7 @@ mod tests {
             scan.insert(m, lit());
         }
         // A 10-node footprint hitting 10 witnesses.
-        let touched: HashSet<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
+        let touched: Vec<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
 
         // Drop + restore keeps the store at full size across repetitions,
         // so the timed region is exactly the affected-area work.
@@ -562,28 +578,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_kinds_clones_the_live_witnesses() {
-        let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        let lit = vec![Literal::id(Var(0), Var(1))];
-        s.insert(0, vec![NodeId(0), NodeId(1)], lit.clone());
-        s.insert(1, vec![NodeId(2)], ViolationKind::Disjunction);
-        // A dropped witness must not leak into the snapshot (freed slots
-        // are skipped via the per-constraint maps).
-        s.insert(0, vec![NodeId(3), NodeId(4)], lit);
-        s.remove(0, &[NodeId(3), NodeId(4)]);
-        let maps = s.snapshot_kinds();
-        assert_eq!(maps.len(), 2);
-        assert_eq!(maps[0].len(), 1);
-        assert_eq!(maps[1].len(), 1);
+    fn changelog_replay_tracks_total_and_contents() {
+        let mut s = ViolationStore::for_sigma(&two_rule_sigma()).table;
+        let m = vec![NodeId(0), NodeId(1)];
+        s.replay([
+            StoreChange::Upsert(0, m.clone(), ViolationKind::Disjunction),
+            StoreChange::Upsert(1, vec![NodeId(2)], ViolationKind::Disjunction),
+        ]);
+        assert_eq!(s.total, 2);
+        // Re-upserting the same witness only refreshes; removing a missing
+        // one is a no-op — both leave the total consistent.
+        s.replay([
+            StoreChange::Upsert(0, m.clone(), ViolationKind::Predicates(vec![1])),
+            StoreChange::Remove(1, vec![NodeId(9)]),
+        ]);
+        assert_eq!(s.total, 2);
         assert_eq!(
-            maps[1].get([NodeId(2)].as_slice()),
-            Some(&ViolationKind::Disjunction)
+            s.per_constraint[0].get(&m),
+            Some(&ViolationKind::Predicates(vec![1]))
         );
-        assert_eq!(
-            maps.iter().map(HashMap::len).sum::<usize>(),
-            s.total(),
-            "snapshot covers exactly the live witnesses"
-        );
+        s.replay([StoreChange::Remove(0, m)]);
+        assert_eq!(s.total, 1);
     }
 
     #[test]

@@ -42,23 +42,21 @@
 //! the anchored seed sets are chunked into `(constraint, anchor,
 //! seed-range)` units and the units pulled off a shared queue by scoped
 //! workers — the [`shard`] machinery this delta path shares
-//! with the full pass that seeds [`IncrementalValidator::with_threads`]
-//! and answers [`par`](crate::par). Sharding *within* a rule means a
-//! large affected area under one wildcard rule no longer recomputes
-//! single-threaded.
+//! with the full pass that seeds [`IncrementalValidator::with_threads`].
+//! Sharding *within* a rule means a large affected area under one
+//! wildcard rule no longer recomputes single-threaded.
 //!
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot, Phase, WorkerShard};
 use crate::shard::{self, SeedStats, SeedUnit};
-use crate::store::ViolationStore;
-use crate::view::{ReadStore, ReadView, SharedViews, StoreChange};
+use crate::store::{StoreChange, ViolationStore};
+use crate::view::{ReadView, SharedViews};
 use ged_analysis::{AnalysisReport, Pruned, RuleCost};
 use ged_core::constraint::Constraint;
 use ged_core::reason::ValidationReport;
 use ged_graph::{Delta, DeltaEffect, DeltaSet, Graph, NodeId, Symbol};
 use ged_pattern::{MatchPlan, MatchScratch};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// What one [`IncrementalValidator::apply`] / [`apply_all`] call did.
@@ -88,34 +86,9 @@ pub struct ApplyStats {
     pub created: Vec<NodeId>,
 }
 
-/// Configuration for [`IncrementalValidator::with_analysis`]: what to do
-/// with the static-analysis findings before seeding. Rejection of an
-/// Error-severity Σ (unsatisfiable chase fragment, unbound variables) is
-/// unconditional; this only tunes the rest.
-#[derive(Debug, Clone)]
-pub struct AnalysisConfig {
-    /// Drop the rules the analyzer proved safe to prune (implied rules,
-    /// duplicates, rules that can never fire or never produce a
-    /// violation) before seeding. Default `true`.
-    pub prune: bool,
-    /// Worker count for the seeding pass and delta path; `None` uses all
-    /// available cores (as [`IncrementalValidator::new`]).
-    pub threads: Option<usize>,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> AnalysisConfig {
-        AnalysisConfig {
-            prune: true,
-            threads: None,
-        }
-    }
-}
-
 /// The record a [`with_analysis`](IncrementalValidator::with_analysis)
 /// validator keeps of its pre-deployment analysis: the full report plus
-/// exactly which rules were dropped (empty when pruning was disabled or
-/// nothing was prunable).
+/// exactly which rules were dropped (empty when nothing was prunable).
 #[derive(Debug, Clone)]
 pub struct DeployAnalysis {
     /// The analyzer's findings for the *original* Σ (indices in
@@ -153,20 +126,11 @@ pub struct IncrementalValidator<C: Constraint> {
     /// and premise pre-filters, compiled once at construction and
     /// borrowed by every seeding and delta-path work unit.
     plans: Vec<MatchPlan>,
-    /// The slot shared with every [`ReadView`]: front snapshot buffer,
-    /// epoch counter, reader count. Lazily activated by the first
+    /// The slot shared with every [`ReadView`]: front snapshot, epoch
+    /// counter, reader count. Lazily activated by the first
     /// [`read_view`](IncrementalValidator::read_view) call; until then
     /// the delta path skips all publish work.
     views: Arc<SharedViews>,
-    /// The writer-private back buffer of the double-buffered publish
-    /// scheme: the previously published snapshot, reclaimed via
-    /// `Arc::try_unwrap` when no reader pinned it. `None` until the
-    /// first reclaim and after a failed one (the next publish then
-    /// rebuilds O(store)).
-    back: Option<ReadStore>,
-    /// Changelog of store changes the back buffer has not seen yet —
-    /// replayed at the next publish so publishing stays O(changed).
-    lag: Vec<StoreChange>,
 }
 
 /// A cloned validator is an independent fork: it deep-copies the graph,
@@ -184,9 +148,7 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
             metrics: Arc::new((*self.metrics).clone()),
             analysis: self.analysis.clone(),
             plans: self.plans.clone(),
-            views: Arc::new(SharedViews::new()),
-            back: None,
-            lag: Vec::new(),
+            views: Arc::default(),
         }
     }
 }
@@ -258,7 +220,7 @@ impl<C: Constraint> IncrementalValidator<C> {
         for (label, attr) in plans.iter().flat_map(MatchPlan::index_requests) {
             graph.index_attr(label, attr);
         }
-        let pass = shard::full_pass(&graph, &sigma, &plans, threads, metrics.is_enabled());
+        let pass = shard::full_pass(&graph, &sigma, &plans, threads);
         for ws in &pass.shards {
             metrics.merge_pass(ws, Phase::Seeding);
         }
@@ -276,9 +238,7 @@ impl<C: Constraint> IncrementalValidator<C> {
             metrics: Arc::new(metrics),
             analysis: None,
             plans,
-            views: Arc::new(SharedViews::new()),
-            back: None,
-            lag: Vec::new(),
+            views: Arc::default(),
         }
     }
 
@@ -289,13 +249,16 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// * an Error-severity Σ (unsatisfiable chase fragment, literals with
     ///   unbound variables) is **rejected** — `Err` carries the full
     ///   [`AnalysisReport`] so the caller can print exactly why;
-    /// * with [`AnalysisConfig::prune`] (the default), rules the analyzer
-    ///   proved safe to drop — implied by the rest of the chase fragment,
-    ///   duplicates, rules that can never fire or never produce a
-    ///   violation — are removed *before* the seeding pass, so neither
-    ///   seeding nor the delta path ever pays for them;
+    /// * rules the analyzer proved safe to drop — implied by the rest of
+    ///   the chase fragment, duplicates, rules that can never fire or
+    ///   never produce a violation — are removed *before* the seeding
+    ///   pass, so neither seeding nor the delta path ever pays for them;
     /// * the validator records what happened: [`analysis`] returns the
     ///   report plus the pruned-rule list.
+    ///
+    /// `threads` is [`with_threads`](IncrementalValidator::with_threads)'s.
+    /// To gate a deployment without pruning it, check
+    /// `analyze(&sigma).has_errors()` and call `with_threads`.
     ///
     /// Pruning never changes whether the maintained graph satisfies Σ,
     /// and the kept rules' violation sets are bit-for-bit what the
@@ -307,30 +270,17 @@ impl<C: Constraint> IncrementalValidator<C> {
     pub fn with_analysis(
         graph: Graph,
         sigma: Vec<C>,
-        config: AnalysisConfig,
+        threads: usize,
     ) -> Result<IncrementalValidator<C>, AnalysisReport> {
         let report = ged_analysis::analyze(&sigma);
         if report.has_errors() {
             return Err(report);
         }
-        let (sigma, pruned) = if config.prune && !report.prunable.is_empty() {
-            let drop: Vec<usize> = report.prunable.iter().map(|p| p.index).collect();
-            let kept = sigma
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| !drop.contains(i))
-                .map(|(_, c)| c)
-                .collect();
-            (kept, report.prunable.clone())
-        } else {
-            (sigma, Vec::new())
-        };
-        let threads = config.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZero::get)
-                .unwrap_or(1)
-        });
-        let mut v = IncrementalValidator::with_threads(graph, sigma, threads);
+        let pruned = report.prunable.clone();
+        let kept = sigma.into_iter().enumerate();
+        let kept = kept.filter(|(i, _)| pruned.iter().all(|p| p.index != *i));
+        let kept = kept.map(|(_, c)| c).collect();
+        let mut v = IncrementalValidator::with_threads(graph, kept, threads);
         v.analysis = Some(Arc::new(DeployAnalysis { report, pruned }));
         Ok(v)
     }
@@ -349,8 +299,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// metrics accumulate, re-analyze.
     pub fn analyze_current(&self) -> AnalysisReport {
         let costs: Vec<RuleCost> = self
-            .metrics
-            .snapshot()
+            .metrics()
             .rules
             .iter()
             .map(|r| RuleCost {
@@ -374,7 +323,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// store gauges, and the recent batch trace. Human-readable via
     /// `Display`, machine-readable via [`MetricsSnapshot::to_json`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.metrics.snapshot(&self.views)
     }
 
     /// Turn instrumentation on or off (on by default). While disabled the
@@ -437,11 +386,12 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// [`apply_all`](IncrementalValidator::apply_all) — readers never
     /// block the writer and never observe a torn mid-batch store.
     ///
-    /// The first call activates publishing: it pays one O(store) snapshot
-    /// build, and from then on `maintain` publishes an updated snapshot
-    /// after every batch (O(changed) via the changelog double buffer;
-    /// timed as [`Phase::SnapshotPublish`]). A validator no view was ever
-    /// taken of does no publish work at all.
+    /// The first call activates publishing: it pays one O(store) copy of
+    /// the witness table, and from then on `maintain` publishes after
+    /// every batch in O(changed) — the table it maintained becomes the
+    /// snapshot, the one it replaces catches up by replaying the batch's
+    /// log (timed as [`Phase::SnapshotPublish`]). A validator no view was
+    /// ever taken of does no publish work at all.
     ///
     /// # Example
     ///
@@ -474,9 +424,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// assert_eq!(view.violation_count(), 2);
     /// ```
     pub fn read_view(&self) -> ReadView<C> {
-        self.views
-            .activate_with(|| ReadStore::from_store(&self.store, self.views.epoch()));
-        self.metrics.set_published_epoch(self.views.epoch());
+        self.views.activate_with(|| self.store.table().clone());
         ReadView::register(
             Arc::clone(&self.sigma),
             Arc::clone(&self.views),
@@ -570,7 +518,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// Prune and re-derive the store after the given effects.
     fn maintain(&mut self, effects: impl IntoIterator<Item = DeltaEffect>) -> ApplyStats {
         let mut stats = ApplyStats::default();
-        let mut touched: HashSet<NodeId> = HashSet::new();
+        let mut touched: Vec<NodeId> = Vec::new();
         for eff in effects {
             if !eff.changed {
                 continue;
@@ -582,6 +530,12 @@ impl<C: Constraint> IncrementalValidator<C> {
         if stats.deltas_applied == 0 {
             return stats;
         }
+        // The footprint, sorted and deduplicated once for the whole batch:
+        // deltas touching the same node repeatedly collapse to one anchor
+        // seed, seed-chunk boundaries are deterministic, and the
+        // re-enumeration's exclusion test binary-searches it.
+        touched.sort_unstable();
+        touched.dedup();
         // If anything below unwinds, dump the recent batch trace so the
         // panic report carries the apply history that led up to it. The
         // guard borrows a local clone of the registry handle so `self`
@@ -597,20 +551,11 @@ impl<C: Constraint> IncrementalValidator<C> {
         self.metrics.finish(Phase::WitnessDrop, t);
         let pruned = self.store.total();
 
-        // While read views are active, every store change is also logged
-        // so the publish step can bring the snapshot buffers up to date
-        // by O(changed) replay. Drops first, then the re-derived
-        // witnesses: a retained witness nets out to an upsert.
+        // While read views are active, every re-derived witness is also
+        // logged, so the publish step can bring the other copy of the
+        // table up to date by O(changed) replay.
         let views_active = self.views.is_active();
-        let mut changes: Vec<StoreChange> = Vec::new();
-        if views_active {
-            changes.reserve(dropped.len());
-            changes.extend(
-                dropped
-                    .iter()
-                    .map(|(ci, m, _)| StoreChange::Remove(*ci, m.clone())),
-            );
-        }
+        let mut upserts: Vec<StoreChange> = Vec::new();
 
         // Only live nodes seed re-enumeration (ids removed by this batch
         // have no matches to contribute).
@@ -627,25 +572,18 @@ impl<C: Constraint> IncrementalValidator<C> {
             } else {
                 self.threads
             };
-            // The anchored seed sets derive from the footprint as a
-            // sorted, deduplicated vector: batch deltas touching the same
-            // node repeatedly collapse to one anchor seed, and seed-chunk
-            // boundaries are deterministic (`HashSet` iteration order is
-            // not).
-            let mut footprint: Vec<NodeId> = touched.iter().copied().collect();
-            footprint.sort_unstable();
             let area = affected_area(
                 &self.graph,
                 &self.sigma,
                 &self.plans,
-                &footprint,
+                &touched,
                 threads,
                 &self.metrics,
             );
             let t = self.metrics.start();
             for (ci, m, kind) in area {
                 if views_active {
-                    changes.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
+                    upserts.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
                 }
                 let fresh = self.store.insert(ci, m, kind);
                 debug_assert!(fresh, "rule {ci}: an affected match was enumerated twice");
@@ -665,57 +603,20 @@ impl<C: Constraint> IncrementalValidator<C> {
         stats.violations_added = self.store.total() - pruned - stats.violations_retained;
         self.metrics
             .record_batch(&stats, dropped.len(), &self.store);
-        // The explicit publish step: fold the batch's changes into a new
-        // snapshot and swap it in, so read views advance exactly at batch
-        // boundaries — never mid-batch.
+        // The explicit publish step, so read views advance exactly at
+        // batch boundaries — never mid-batch: the table just maintained
+        // becomes the snapshot, and the store goes on with the one it
+        // replaces, caught up by this batch's log — drops first, then the
+        // re-derived witnesses, so a retained one nets out to an upsert.
         if views_active {
             let t = self.metrics.start();
-            self.publish(changes);
+            let drops = dropped.into_iter();
+            let log = drops.map(|(ci, m, _)| StoreChange::Remove(ci, m));
+            self.store
+                .exchange_table(|table| self.views.publish(table, log.chain(upserts)));
             self.metrics.finish(Phase::SnapshotPublish, t);
         }
         stats
-    }
-
-    /// Publish the post-batch snapshot for the read views (the
-    /// generation-tagged double buffer of DESIGN.md §9).
-    ///
-    /// The common case is O(changed): the back buffer — the snapshot
-    /// published one batch ago, reclaimed after its swap-out — replays
-    /// the changelog it missed (`self.lag`) plus this batch's `changes`,
-    /// gets the next epoch, and is swapped in as the new front. The old
-    /// front is then reclaimed via `Arc::try_unwrap` as the next back
-    /// buffer; only when a reader still pins it does the reclaim fail,
-    /// making the *next* publish rebuild from the store (O(store)).
-    fn publish(&mut self, changes: Vec<StoreChange>) {
-        let epoch = self.views.bump_epoch();
-        let mut next = match self.back.take() {
-            Some(mut back) => {
-                back.apply(&self.lag);
-                back.apply(&changes);
-                back
-            }
-            None => {
-                self.views.note_rebuild();
-                ReadStore::from_store(&self.store, epoch)
-            }
-        };
-        next.epoch = epoch;
-        let old = self.views.publish(Arc::new(next));
-        self.lag.clear();
-        match Arc::try_unwrap(old) {
-            Ok(prev) => {
-                // `prev` is the state one batch behind the new front, so
-                // `changes` is exactly what it is missing.
-                self.back = Some(prev);
-                self.lag = changes;
-            }
-            Err(_) => {
-                // A reader snapshot still pins the old front: surrender
-                // the buffer and rebuild at the next publish.
-                self.back = None;
-            }
-        }
-        self.metrics.set_published_epoch(epoch);
     }
 
     /// Consume the validator, returning the graph it owns.
@@ -846,9 +747,11 @@ mod tests {
     use super::*;
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
+    use ged_core::satisfy::Violation;
     use ged_graph::{sym, Value};
     use ged_pattern::{parse_pattern, Var};
     use ged_pattern::{MatchOptions, Matcher};
+    use std::collections::HashSet;
     use std::ops::ControlFlow;
 
     /// key: two t-nodes with equal `k` must be identical.
@@ -1162,7 +1065,7 @@ mod tests {
         assert_consistent(&v);
     }
 
-    /// One store shape serves all families: parallel full validation over
+    /// One store shape serves all families: the sharded seeding pass over
     /// GDCs equals the sequential generic validate.
     #[test]
     fn parallel_validation_is_generic_over_gdcs() {
@@ -1185,7 +1088,8 @@ mod tests {
         }
         let seq = ged_core::reason::validate(&g, &sigma, None);
         for threads in [1, 3] {
-            let par = crate::par::validate_parallel(&g, &sigma, threads);
+            let par = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
+            let par = par.report();
             assert_eq!(par.total_violations(), seq.total_violations());
             let rows = |r: &ValidationReport| -> Vec<(String, usize, bool)> {
                 r.per_ged
@@ -1470,6 +1374,101 @@ mod tests {
                 "retuning the delta path leaves the seeding record untouched"
             );
         }
+    }
+
+    /// A random graph with six planted key pairs, and the key rule.
+    fn key_workload() -> (Graph, Ged) {
+        use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
+        let cfg = RandomGraphConfig {
+            n_nodes: 80,
+            n_edges: 160,
+            ..Default::default()
+        };
+        let mut g = random_graph(&cfg);
+        let key = plant_key_violations(&mut g, "entity", 6);
+        (g, key)
+    }
+
+    fn witness_set(vs: &[Violation]) -> HashSet<(String, Vec<NodeId>)> {
+        let set: HashSet<_> = vs
+            .iter()
+            .map(|v| (v.ged_name.clone(), v.assignment.clone()))
+            .collect();
+        assert_eq!(set.len(), vs.len(), "no witness reported twice");
+        set
+    }
+
+    /// One rule's match space sharded across workers: the seeded store is
+    /// the sequential violation set at every worker count.
+    #[test]
+    fn sharded_matches_sequential() {
+        let (g, key) = key_workload();
+        let sequential = witness_set(&ged_core::satisfy::violations(&g, &key, None));
+        assert!(!sequential.is_empty());
+        for threads in [1, 2, 8] {
+            let sharded = IncrementalValidator::with_threads(g.clone(), vec![key.clone()], threads);
+            assert_eq!(sharded.violation_count(), sequential.len());
+            let sharded = witness_set(&sharded.report().violations);
+            assert_eq!(sharded, sequential, "{threads} threads");
+        }
+    }
+
+    /// Same per-rule rows and the same witness set as the sequential
+    /// report, on a Σ that also holds the two degenerate shapes: a rule
+    /// with an empty pattern (one empty match, no unit) and a rule whose
+    /// pivot has no candidates (no unit either).
+    #[test]
+    fn sharded_report_equals_sequential_report() {
+        use ged_datagen::random::{random_sigma, RandomGraphConfig};
+        use ged_ext::{DisjGed, SigmaConstraint};
+        use ged_pattern::Pattern;
+        let (g, key) = key_workload();
+        let cfg = RandomGraphConfig::default();
+        let mut sigma: Vec<SigmaConstraint> = vec![key.into()];
+        sigma.extend(
+            random_sigma(3, 3, &cfg)
+                .into_iter()
+                .map(SigmaConstraint::from),
+        );
+        // An empty disjunction is `false`: the one empty match violates.
+        sigma.push(DisjGed::new("∅ forbids", Pattern::new(), vec![], vec![]).into());
+        let nobody = parse_pattern("absent(x)").unwrap();
+        sigma.push(DisjGed::new("nobody", nobody, vec![], vec![]).into());
+        let seq = ged_core::reason::validate(&g, &sigma, None);
+        assert!(!seq.per_ged[sigma.len() - 2].satisfied, "the ∅ rule fires");
+        for threads in [1, 3, 8] {
+            let par = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
+            let par = par.report();
+            assert_eq!(par.satisfied(), seq.satisfied());
+            assert_eq!(par.per_ged.len(), seq.per_ged.len());
+            for (a, b) in par.per_ged.iter().zip(&seq.per_ged) {
+                assert_eq!(a.name, b.name);
+                assert_eq!(a.violation_count, b.violation_count, "{}", a.name);
+                assert_eq!(a.satisfied, b.satisfied, "{}", a.name);
+            }
+            assert_eq!(
+                witness_set(&par.violations),
+                witness_set(&seq.violations),
+                "{threads} threads"
+            );
+            let rule_of = |v: &Violation| sigma.iter().position(|c| c.name() == v.ged_name);
+            assert!(
+                par.violations.windows(2).all(
+                    |w| (rule_of(&w[0]), &w[0].assignment) < (rule_of(&w[1]), &w[1].assignment)
+                ),
+                "Σ order, then sorted by match"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_candidates_yield_no_violations() {
+        let mut g = Graph::new();
+        g.add_node(sym("other"));
+        let (_, key) = key_workload();
+        let v = IncrementalValidator::with_threads(g, vec![key], 4);
+        assert_eq!(v.violation_count(), 0);
+        assert_eq!(v.seed_stats().units, 0, "no candidates, no unit");
     }
 
     /// The metrics snapshot reflects the work the engine actually did:
@@ -1888,6 +1887,17 @@ mod tests {
         );
         drop(view);
         assert_eq!(v.metrics().read_views, 1);
+        // Clones and drops racing on other threads: the gauge is the
+        // count itself, so there is no second copy to fall behind it.
+        let kept: Vec<ReadView<Ged>> = std::thread::scope(|s| {
+            // Fifty clones a thread, each dropping the one before it.
+            let burst = |_| s.spawn(|| (0..50).fold(extra.clone(), |_, _| extra.clone()));
+            let threads: Vec<_> = (0..4).map(burst).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(v.metrics().read_views, extra.readers());
+        assert_eq!(extra.readers(), 1 + kept.len() as u64);
+        drop(kept);
         drop(extra);
         assert_eq!(v.metrics().read_views, 0);
         // The snapshot renders the new gauges both ways.

@@ -4,18 +4,17 @@
 //! [`IncrementalValidator::apply`] takes `&mut self`, so without this
 //! module every violation query serializes against the delta write path —
 //! the reader/writer convoy a deployed validator cannot afford. The split
-//! here gives the writer sole ownership of the mutable store while any
-//! number of reader threads hold cheap, immutable snapshots:
+//! here gives the writer sole ownership of the table it maintains while
+//! any number of reader threads hold cheap, immutable snapshots:
 //!
-//! * `ReadStore` (crate-private) — an immutable copy of the violation
-//!   set, tagged with the **epoch** (number of published batches) it
-//!   corresponds to;
+//! * `Published` (crate-private) — one witness table (`store::Witnesses`,
+//!   the very type the writer maintains) frozen at a batch boundary and
+//!   tagged with its **epoch**, the number of batches published so far;
 //! * `SharedViews` (crate-private) — the one shared slot: an
-//!   `RwLock<Arc<ReadStore>>`
-//!   *front* buffer the writer swaps at batch boundaries plus the
-//!   epoch/reader-count atomics. Readers only ever clone the `Arc` out of
-//!   the slot (an O(1) critical section), so they never observe a
-//!   mid-batch store;
+//!   `RwLock<Arc<Published>>` *front* the writer swaps at batch boundaries
+//!   plus the epoch/reader-count atomics. Readers only ever clone the
+//!   `Arc` out of the slot (an O(1) critical section), so they never
+//!   observe a mid-batch table;
 //! * [`ReadView`] — the cloneable `Send + Sync` reader handle returned by
 //!   [`IncrementalValidator::read_view`]: `violations()`, `to_report()`,
 //!   `metrics()` — all `&self`;
@@ -28,137 +27,72 @@
 //!   data never changes, so neither do the bytes, and polls of one epoch
 //!   share one rendering.
 //!
-//! ## The generation-tagged double buffer
+//! ## Two copies, left and right
 //!
-//! Publishing must be O(changed), not O(store): the writer keeps the
-//! *previous* front buffer as a private back buffer plus a changelog
-//! (`StoreChange` entries) of what it is missing. Each publish replays the lag
-//! into the back buffer, bumps the epoch, swaps it in as the new front,
-//! and reclaims the old front via `Arc::try_unwrap` as the next back
-//! buffer. Only when a reader still pins the just-replaced snapshot does
-//! the reclaim fail, and the *next* publish falls back to one O(store)
-//! rebuild — measured against the always-rebuild alternative (the
-//! changelog wins, µs against ms; see DESIGN.md §9). A
-//! recycled buffer may carry the bytes a reader rendered from the epoch it
-//! used to be; the replay drops them before it changes anything.
+//! Publishing must be O(changed), not O(store). The set exists twice: the
+//! table the writer maintains and the front. A publish *moves* the
+//! writer's table into a fresh `Published` and swaps it in; the front it
+//! replaces is reclaimed via `Arc::try_unwrap`, its table replays the
+//! batch's log once (`Witnesses::replay`) and becomes the table the writer
+//! maintains next. Only when a reader still pins the replaced front does
+//! the reclaim fail, and the writer continues on a clone of what it just
+//! published — one O(store) copy, counted in [`ReadView::rebuilds`],
+//! measured against rebuilding every time (µs against ms; see DESIGN.md
+//! §9). The `Published` wrapper is new every epoch, so the bytes a reader
+//! rendered from one epoch cannot be met under another.
 //!
 //! No `unsafe` anywhere: torn reads are prevented purely by the `RwLock`
-//! around the `Arc` swap and by the back buffer being writer-private
-//! until the moment it is published as an immutable `Arc`.
+//! around the `Arc` swap and by a table being writer-private from the
+//! moment it is reclaimed until the moment it is published again.
 //!
 //! [`IncrementalValidator::apply`]: crate::IncrementalValidator::apply
 //! [`IncrementalValidator::read_view`]: crate::IncrementalValidator::read_view
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::store::ViolationStore;
+use crate::store::{StoreChange, Witnesses};
 use ged_core::constraint::{Constraint, ViolationKind};
-use ged_core::reason::{GedReport, ValidationReport};
+use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
 use ged_graph::NodeId;
-use ged_pattern::Match;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// One change to the violation set, recorded by the writer while a batch
-/// maintains the store and replayed into the back buffer at publish time.
-/// A batch's changelog lists the dropped witnesses first, then the
-/// re-derived ones, so a retained witness nets out to an upsert.
-#[derive(Debug, Clone)]
-pub(crate) enum StoreChange {
-    /// The witness of constraint `.0` keyed by match `.1` was dropped.
-    Remove(usize, Match),
-    /// The witness was (re-)derived with the given failure kind.
-    Upsert(usize, Match, ViolationKind),
-}
-
-/// An immutable snapshot of the violation set at one batch boundary,
-/// tagged with the epoch it was published at. Once inside an `Arc` it is
-/// never mutated again — readers share it freely.
-#[derive(Debug)]
-pub(crate) struct ReadStore {
+/// The violation set at one batch boundary, tagged with the epoch it was
+/// published at. Once inside an `Arc` it is never mutated again — readers
+/// share it freely. Every publish builds a new one around the table the
+/// writer was maintaining; only the table is ever recycled.
+#[derive(Debug, Default)]
+pub(crate) struct Published {
     /// Number of batches published before this snapshot (0 = the state
     /// the views were activated at).
-    pub(crate) epoch: u64,
-    /// Witness → failure kind, one map per constraint of Σ.
-    per_constraint: Vec<HashMap<Match, ViolationKind>>,
-    /// Live witnesses across all constraints.
-    total: usize,
+    epoch: u64,
+    table: Witnesses,
     /// Bytes some reader rendered from this snapshot
     /// ([`ViolationSnapshot::rendered`]): immutable data has immutable
     /// renderings, so the first reader of an epoch fills the slot and
-    /// every later one shares the `Arc`. The writer never fills it; it
-    /// only empties it, wherever it makes the data underneath differ —
-    /// [`ReadStore::apply`] on the recycled back buffer — and every
-    /// constructor starts empty.
+    /// every later one shares the `Arc`. It starts empty at every epoch
+    /// and nothing ever empties it.
     rendered: OnceLock<Arc<[u8]>>,
 }
 
-impl ReadStore {
-    /// An empty placeholder (used before the views are activated; never
-    /// visible to a [`ReadView`]).
-    pub(crate) fn empty() -> ReadStore {
-        ReadStore {
-            epoch: 0,
-            per_constraint: Vec::new(),
-            total: 0,
-            rendered: OnceLock::new(),
-        }
-    }
-
-    /// The O(store) full rebuild: clone the live witnesses out of the
-    /// writer's store. Paid once at view activation, and again only when
-    /// a publish could not reclaim its back buffer.
-    pub(crate) fn from_store(store: &ViolationStore, epoch: u64) -> ReadStore {
-        ReadStore {
-            epoch,
-            per_constraint: store.snapshot_kinds(),
-            total: store.total(),
-            rendered: OnceLock::new(),
-        }
-    }
-
-    /// Replay a changelog — the O(changed) publish path. The buffer is a
-    /// reclaimed former front, so it may carry the bytes a reader rendered
-    /// from the epoch it used to be: they go first.
-    pub(crate) fn apply(&mut self, changes: &[StoreChange]) {
-        self.rendered.take();
-        for change in changes {
-            match change {
-                StoreChange::Remove(ci, m) => {
-                    if self.per_constraint[*ci].remove(m).is_some() {
-                        self.total -= 1;
-                    }
-                }
-                StoreChange::Upsert(ci, m, kind) => {
-                    if self.per_constraint[*ci]
-                        .insert(m.clone(), kind.clone())
-                        .is_none()
-                    {
-                        self.total += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The state shared between one writer and its read views: the front
-/// buffer slot, the epoch counter, and the live reader count. Owned by
-/// `Arc` from both the validator and every [`ReadView`].
-#[derive(Debug)]
+/// slot, the epoch counter, and the live reader count. Owned by `Arc`
+/// from both the validator and every [`ReadView`].
+#[derive(Debug, Default)]
 pub(crate) struct SharedViews {
     /// The published snapshot. Readers clone the `Arc` out under the read
-    /// lock; the writer swaps a new one in under the write lock.
-    front: RwLock<Arc<ReadStore>>,
-    /// Batches published since activation.
+    /// lock; the writer swaps a new one in under the write lock. Until
+    /// activation it is an empty epoch-0 table nobody can reach.
+    front: RwLock<Arc<Published>>,
+    /// Batches published since activation; stored after the swap, so it
+    /// never names an epoch that cannot be read yet.
     epoch: AtomicU64,
     /// Live [`ReadView`] handles.
     readers: AtomicU64,
     /// Snapshots rendered so far ([`ViolationSnapshot::rendered`] misses).
     renders: AtomicU64,
-    /// Publishes that paid the O(store) rebuild because a reader pinned
-    /// the buffer the writer wanted back.
+    /// Publishes that paid the O(store) copy because a reader pinned the
+    /// front the writer wanted back.
     rebuilds: AtomicU64,
     /// Set by the first [`IncrementalValidator::read_view`] call; once
     /// true the writer publishes after every batch.
@@ -168,30 +102,23 @@ pub(crate) struct SharedViews {
 }
 
 impl SharedViews {
-    pub(crate) fn new() -> SharedViews {
-        SharedViews {
-            front: RwLock::new(Arc::new(ReadStore::empty())),
-            epoch: AtomicU64::new(0),
-            readers: AtomicU64::new(0),
-            renders: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
-            active: AtomicBool::new(false),
-        }
-    }
-
     /// Has a read view ever been created? The writer skips all publish
     /// work (including changelog recording) until this flips.
     pub(crate) fn is_active(&self) -> bool {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Publish the initial snapshot if no view exists yet. Runs under the
-    /// front write lock so concurrent `read_view` calls on a shared
-    /// validator activate exactly once.
-    pub(crate) fn activate_with(&self, build: impl FnOnce() -> ReadStore) {
+    /// Publish `table()` as epoch 0 if no view exists yet — the one
+    /// O(store) copy views cost. Runs under the front write lock so
+    /// concurrent `read_view` calls on a shared validator activate exactly
+    /// once.
+    pub(crate) fn activate_with(&self, table: impl FnOnce() -> Witnesses) {
         let mut front = self.front.write().expect("front lock poisoned");
         if !self.is_active() {
-            *front = Arc::new(build());
+            *front = Arc::new(Published {
+                table: table(),
+                ..Published::default()
+            });
             self.active.store(true, Ordering::Release);
         }
     }
@@ -201,45 +128,51 @@ impl SharedViews {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Advance the epoch for the snapshot about to be published.
-    pub(crate) fn bump_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Clone the current front buffer out — the whole reader-side
-    /// critical section.
-    pub(crate) fn load(&self) -> Arc<ReadStore> {
+    /// Clone the current front out — the whole reader-side critical
+    /// section.
+    fn load(&self) -> Arc<Published> {
         Arc::clone(&self.front.read().expect("front lock poisoned"))
     }
 
-    /// Swap `next` in as the front buffer, returning the replaced one so
-    /// the writer can try to reclaim it as the next back buffer.
-    pub(crate) fn publish(&self, next: Arc<ReadStore>) -> Arc<ReadStore> {
-        let mut front = self.front.write().expect("front lock poisoned");
-        std::mem::replace(&mut *front, next)
-    }
-
-    /// Register a new [`ReadView`] handle, mirroring the count into the
-    /// `read_views` gauge.
-    fn add_reader(&self, metrics: &EngineMetrics) {
-        let n = self.readers.fetch_add(1, Ordering::AcqRel) + 1;
-        metrics.set_read_views(n);
-    }
-
-    /// Unregister a dropped [`ReadView`] handle.
-    fn remove_reader(&self, metrics: &EngineMetrics) {
-        let n = self.readers.fetch_sub(1, Ordering::AcqRel) - 1;
-        metrics.set_read_views(n);
+    /// Publish `table` — the one the writer just maintained through a
+    /// batch whose log is `changes` — as the next epoch, and return the
+    /// table the writer maintains from here: the replaced front's,
+    /// brought up to date by replaying `changes`, or a clone of the new
+    /// front when a reader still pins the old one. Writer only.
+    pub(crate) fn publish(
+        &self,
+        table: Witnesses,
+        changes: impl IntoIterator<Item = StoreChange>,
+    ) -> Witnesses {
+        let epoch = self.epoch() + 1;
+        let next = Arc::new(Published {
+            epoch,
+            table,
+            ..Published::default()
+        });
+        let old = {
+            let mut front = self.front.write().expect("front lock poisoned");
+            std::mem::replace(&mut *front, Arc::clone(&next))
+        };
+        self.epoch.store(epoch, Ordering::Release);
+        match Arc::try_unwrap(old) {
+            Ok(Published { mut table, .. }) => {
+                table.replay(changes);
+                // What readers see is the table the writer maintained, by
+                // identity; the replay only has to keep the spare in step.
+                debug_assert!(table == next.table, "replay drifted at epoch {epoch}");
+                table
+            }
+            Err(_pinned) => {
+                self.rebuilds.fetch_add(1, Ordering::Relaxed);
+                next.table.clone()
+            }
+        }
     }
 
     /// Live [`ReadView`] handles right now.
     pub(crate) fn readers(&self) -> u64 {
         self.readers.load(Ordering::Acquire)
-    }
-
-    /// Count one publish that rebuilt its buffer from the store.
-    pub(crate) fn note_rebuild(&self) {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -268,7 +201,7 @@ impl<C: Constraint> ReadView<C> {
         views: Arc<SharedViews>,
         metrics: Arc<EngineMetrics>,
     ) -> ReadView<C> {
-        views.add_reader(&metrics);
+        views.readers.fetch_add(1, Ordering::AcqRel);
         ReadView {
             sigma,
             views,
@@ -295,7 +228,7 @@ impl<C: Constraint> ReadView<C> {
 
     /// Total violations in the published snapshot.
     pub fn violation_count(&self) -> usize {
-        self.views.load().total
+        self.views.load().table.total()
     }
 
     /// `G ⊨ Σ` as of the published snapshot?
@@ -329,9 +262,8 @@ impl<C: Constraint> ReadView<C> {
         self.views.renders.load(Ordering::Relaxed)
     }
 
-    /// How many publishes fell back to the O(store) rebuild because a
-    /// reader still pinned the snapshot the writer wanted to recycle (the
-    /// first publish after activation has nothing to recycle and counts).
+    /// How many publishes fell back to an O(store) copy because a reader
+    /// still pinned the snapshot whose table the writer wanted back.
     pub fn rebuilds(&self) -> u64 {
         self.views.rebuilds.load(Ordering::Relaxed)
     }
@@ -342,13 +274,13 @@ impl<C: Constraint> ReadView<C> {
     ///
     /// [`IncrementalValidator::metrics`]: crate::IncrementalValidator::metrics
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.metrics.snapshot(&self.views)
     }
 }
 
 impl<C: Constraint> Clone for ReadView<C> {
     /// Cloning registers another live handle (the `read_views` gauge
-    /// tracks the count); the clone reads the same published snapshots.
+    /// reads the count); the clone reads the same published snapshots.
     fn clone(&self) -> ReadView<C> {
         ReadView::register(
             Arc::clone(&self.sigma),
@@ -360,7 +292,7 @@ impl<C: Constraint> Clone for ReadView<C> {
 
 impl<C: Constraint> Drop for ReadView<C> {
     fn drop(&mut self) {
-        self.views.remove_reader(&self.metrics);
+        self.views.readers.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -379,7 +311,7 @@ impl<C: Constraint> std::fmt::Debug for ReadView<C> {
 /// however many batches the writer publishes meanwhile.
 pub struct ViolationSnapshot<C: Constraint> {
     sigma: Arc<Vec<C>>,
-    store: Arc<ReadStore>,
+    store: Arc<Published>,
     views: Arc<SharedViews>,
 }
 
@@ -392,45 +324,35 @@ impl<C: Constraint> ViolationSnapshot<C> {
 
     /// Total violations in the snapshot.
     pub fn violation_count(&self) -> usize {
-        self.store.total
+        self.store.table.total()
     }
 
     /// `G ⊨ Σ` as of this snapshot?
     pub fn is_satisfied(&self) -> bool {
-        self.store.total == 0
+        self.violation_count() == 0
     }
 
     /// Violations of constraint `ci` in this snapshot.
     pub fn count_for(&self, ci: usize) -> usize {
-        self.store.per_constraint[ci].len()
+        self.store.table.count_for(ci)
     }
 
     /// Rule names with their witness counts, in Σ order — the summary
     /// rows of a report, without touching a witness.
     pub fn rules(&self) -> impl Iterator<Item = (&str, usize)> + Clone {
-        let counts = self.store.per_constraint.iter().map(HashMap::len);
-        self.sigma.iter().map(Constraint::name).zip(counts)
+        self.store.table.rules(&self.sigma)
     }
 
     /// Visit every witness in report order — Σ order, witnesses sorted
     /// per rule — as `(rule name, assignment, failure kind)`, borrowed
-    /// from the snapshot: one sort buffer is the only allocation. This is
-    /// the one ordering implementation; [`to_report`] and the wire
-    /// encoders both sit on it.
+    /// from the snapshot: one sort buffer is the only allocation.
+    /// [`to_report`] and the wire encoders both sit on this walk, and so
+    /// does the writer-side [`IncrementalValidator::report`].
     ///
     /// [`to_report`]: ViolationSnapshot::to_report
-    pub fn for_each_witness(&self, mut f: impl FnMut(&str, &[NodeId], &ViolationKind)) {
-        let widest = self.rules().map(|(_, n)| n).max().unwrap_or(0);
-        let mut entries: Vec<(&Match, &ViolationKind)> = Vec::with_capacity(widest);
-        for (c, map) in self.sigma.iter().zip(&self.store.per_constraint) {
-            entries.clear();
-            entries.extend(map);
-            // Keys of one map are distinct, so stability buys nothing.
-            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            for (m, kind) in &entries {
-                f(c.name(), m, kind);
-            }
-        }
+    /// [`IncrementalValidator::report`]: crate::IncrementalValidator::report
+    pub fn for_each_witness(&self, f: impl FnMut(&str, &[NodeId], &ViolationKind)) {
+        self.store.table.for_each_witness(&self.sigma, f);
     }
 
     /// Render the snapshot as a [`ValidationReport`] — Σ order, witnesses
@@ -439,25 +361,7 @@ impl<C: Constraint> ViolationSnapshot<C> {
     ///
     /// [`IncrementalValidator::report`]: crate::IncrementalValidator::report
     pub fn to_report(&self) -> ValidationReport {
-        let mut violations = Vec::with_capacity(self.store.total);
-        self.for_each_witness(|rule, m, kind| {
-            violations.push(Violation {
-                ged_name: rule.to_string(),
-                assignment: m.to_vec(),
-                kind: kind.clone(),
-            });
-        });
-        ValidationReport {
-            per_ged: self
-                .rules()
-                .map(|(name, n)| GedReport {
-                    name: name.to_string(),
-                    violation_count: n,
-                    satisfied: n == 0,
-                })
-                .collect(),
-            violations,
-        }
+        self.store.table.to_report(&self.sigma)
     }
 
     /// The bytes `render` makes of this snapshot, rendered at most once:
@@ -469,7 +373,7 @@ impl<C: Constraint> ViolationSnapshot<C> {
     /// The slot is format-agnostic and there is one per snapshot, so all
     /// callers sharing a validator must pass the same `render` (`gedd`'s
     /// is its `report` reply line). The returned bytes do not pin the
-    /// snapshot: drop `self` and the writer can recycle the buffer.
+    /// snapshot: drop `self` and the writer can reclaim its table.
     pub fn rendered(&self, render: impl FnOnce(&Self) -> Vec<u8>) -> Arc<[u8]> {
         Arc::clone(self.store.rendered.get_or_init(|| {
             self.views.renders.fetch_add(1, Ordering::Relaxed);
@@ -492,7 +396,7 @@ impl<C: Constraint> std::fmt::Debug for ViolationSnapshot<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViolationSnapshot")
             .field("epoch", &self.store.epoch)
-            .field("violations", &self.store.total)
+            .field("violations", &self.violation_count())
             .finish_non_exhaustive()
     }
 }
@@ -501,64 +405,34 @@ impl<C: Constraint> std::fmt::Debug for ViolationSnapshot<C> {
 mod tests {
     use super::*;
 
-    fn store2() -> ReadStore {
-        ReadStore {
-            epoch: 0,
-            per_constraint: vec![HashMap::new(), HashMap::new()],
-            total: 0,
-            rendered: OnceLock::new(),
-        }
-    }
-
-    #[test]
-    fn changelog_replay_tracks_total_and_contents() {
-        let mut s = store2();
-        let m = vec![NodeId(0), NodeId(1)];
-        s.apply(&[
-            StoreChange::Upsert(0, m.clone(), ViolationKind::Disjunction),
-            StoreChange::Upsert(1, vec![NodeId(2)], ViolationKind::Disjunction),
-        ]);
-        assert_eq!(s.total, 2);
-        // Re-upserting the same witness only refreshes; removing a missing
-        // one is a no-op — both leave the total consistent.
-        s.apply(&[
-            StoreChange::Upsert(0, m.clone(), ViolationKind::Predicates(vec![1])),
-            StoreChange::Remove(1, vec![NodeId(9)]),
-        ]);
-        assert_eq!(s.total, 2);
-        assert_eq!(
-            s.per_constraint[0].get(&m),
-            Some(&ViolationKind::Predicates(vec![1]))
-        );
-        s.apply(&[StoreChange::Remove(0, m)]);
-        assert_eq!(s.total, 1);
+    fn active() -> SharedViews {
+        let views = SharedViews::default();
+        views.activate_with(Witnesses::default);
+        views
     }
 
     #[test]
     fn publish_swaps_and_returns_the_old_front() {
-        let views = SharedViews::new();
-        views.activate_with(store2);
+        let views = active();
         assert!(views.is_active());
         let before = views.load();
         assert_eq!(before.epoch, 0);
-        let mut next = store2();
-        next.epoch = views.bump_epoch();
-        let old = views.publish(Arc::new(next));
-        assert_eq!(old.epoch, before.epoch, "the replaced front comes back");
-        assert_eq!(views.load().epoch, 1);
-        // `before` and `old` still pin the epoch-0 snapshot: publishing
-        // never invalidates a held Arc.
-        drop(before);
-        assert_eq!(Arc::try_unwrap(old).expect("last holder").epoch, 0);
+        // `before` pins the epoch-0 front: the writer goes on with a clone.
+        views.publish(Witnesses::default(), []);
+        assert_eq!((views.load().epoch, views.epoch()), (1, 1));
+        assert_eq!(views.rebuilds.load(Ordering::Relaxed), 1);
+        assert_eq!(before.epoch, 0, "publishing never invalidates a held Arc");
+        // Nothing pins epoch 1: its table comes back, no copy.
+        views.publish(Witnesses::default(), []);
+        assert_eq!(views.load().epoch, 2);
+        assert_eq!(views.rebuilds.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn activation_is_idempotent() {
-        let views = SharedViews::new();
-        views.activate_with(store2);
-        let mut marked = store2();
-        marked.epoch = 99;
-        views.activate_with(move || marked);
-        assert_eq!(views.load().epoch, 0, "second activation is a no-op");
+        let views = active();
+        views.publish(Witnesses::default(), []);
+        views.activate_with(|| panic!("second activation is a no-op"));
+        assert_eq!(views.load().epoch, 1);
     }
 }

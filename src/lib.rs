@@ -41,9 +41,8 @@ pub mod prelude {
     };
     pub use ged_core::satisfy::{is_model, satisfies, satisfies_all, violations};
     pub use ged_engine::{
-        validate_parallel, violations_sharded, AnalysisConfig, ApplyStats, DeployAnalysis,
-        IncrementalValidator, MetricsSnapshot, Phase, ReadView, SeedStats, ViolationSnapshot,
-        ViolationStore,
+        ApplyStats, DeployAnalysis, IncrementalValidator, MetricsSnapshot, Phase, ReadView,
+        SeedStats, ViolationSnapshot, ViolationStore,
     };
     pub use ged_ext::{
         disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, DisjGed, Gdc, GdcLiteral,

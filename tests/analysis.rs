@@ -169,15 +169,8 @@ fn minimize_preserves_validation_on_random_graphs() {
 fn with_analysis_prunes_and_preserves_live_violations() {
     let w = redundant(120, 10);
     let plain = IncrementalValidator::with_threads(w.graph.clone(), w.sigma.clone(), 1);
-    let v = IncrementalValidator::with_analysis(
-        w.graph,
-        w.sigma,
-        AnalysisConfig {
-            prune: true,
-            threads: Some(1),
-        },
-    )
-    .expect("the sloppy-but-consistent Σ deploys");
+    let v = IncrementalValidator::with_analysis(w.graph, w.sigma, 1)
+        .expect("the sloppy-but-consistent Σ deploys");
     let deploy = v.analysis().expect("analysis record attached");
     assert_eq!(deploy.pruned.len(), w.prunable);
     assert_eq!(v.sigma().len(), w.live);
@@ -198,24 +191,6 @@ fn with_analysis_prunes_and_preserves_live_violations() {
 }
 
 #[test]
-fn with_analysis_can_keep_everything() {
-    let w = redundant(60, 2);
-    let v = IncrementalValidator::with_analysis(
-        w.graph,
-        w.sigma,
-        AnalysisConfig {
-            prune: false,
-            threads: Some(1),
-        },
-    )
-    .expect("deploys unpruned");
-    assert_eq!(v.sigma().len(), w.live + w.prunable);
-    let deploy = v.analysis().expect("analysis record attached");
-    assert!(deploy.pruned.is_empty());
-    assert_eq!(deploy.report.prunable.len(), w.prunable);
-}
-
-#[test]
 fn with_analysis_rejects_an_inconsistent_sigma() {
     let q = parse_pattern("user(x)").unwrap();
     let free = Ged::new(
@@ -232,7 +207,7 @@ fn with_analysis_rejects_an_inconsistent_sigma() {
     );
     let mut g = Graph::new();
     g.add_node(sym("user"));
-    let report = IncrementalValidator::with_analysis(g, vec![free, pro], AnalysisConfig::default())
+    let report = IncrementalValidator::with_analysis(g, vec![free, pro], 1)
         .expect_err("an unsatisfiable Σ must not deploy");
     assert!(report.has_errors());
     assert!(report

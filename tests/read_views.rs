@@ -55,8 +55,8 @@ fn lockstep_eight_readers() {
     lockstep(8, 13);
 }
 
-/// Memo staleness lockstep. Rendered bytes live on the snapshot buffer,
-/// and the writer recycles those buffers: every second publish hands the
+/// Memo staleness lockstep. Rendered bytes live on the snapshot, and the
+/// writer recycles the table inside it: every second publish hands the
 /// same allocation back as the front. So after each of 240 random batches
 /// the current snapshot is rendered twice (most batches — an epoch nobody
 /// polls must cost no render) and checked three ways: the bytes equal a
@@ -64,11 +64,11 @@ fn lockstep_eight_readers() {
 /// returns the first one's `Arc`, and renders == distinct epochs polled.
 ///
 /// Stretches of 30 batches alternate between dropping each snapshot at
-/// once — the writer reclaims the old front, slot still full, and replays
-/// the changelog into it (`ReadStore::apply` must empty the slot, or the
-/// poll two epochs later reads this epoch's bytes) — and holding it across
-/// the next two publishes, which denies the reclaim and sends the writer
-/// down the O(store) rebuild.
+/// once — the writer reclaims the old front's table and replays the
+/// changelog into it (the rendered bytes must not travel with the table,
+/// or the poll two epochs later reads this epoch's) — and holding it
+/// across the next two publishes, which denies the reclaim and sends the
+/// writer down the O(store) copy.
 #[test]
 fn rendered_bytes_never_outlive_their_epoch() {
     let (g, sigma) = evolving_workload(90, 3, 2, 17);

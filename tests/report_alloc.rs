@@ -3,8 +3,8 @@
 //! count (one sort buffer, the output, the `Debug` scratch, the shared
 //! `Arc`), and a poll that finds the line already rendered costs none.
 //!
-//! The counter (`support/counting.rs`) is process-wide, so this binary
-//! holds exactly one test: nothing else may allocate while it measures.
+//! The counter (`support/counting.rs`) counts the calling thread's
+//! allocations, and everything measured here runs on it.
 
 use ged_daemon::workload;
 use ged_proto::message::{encode_report, report_to_json};

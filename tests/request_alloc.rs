@@ -5,8 +5,8 @@
 //! several per delta; and a connection's line buffer, once grown, reads
 //! the next frame without touching the allocator.
 //!
-//! The counter (`support/counting.rs`) is process-wide, so this binary
-//! holds exactly one test: nothing else may allocate while it measures.
+//! The counter (`support/counting.rs`) counts the calling thread's
+//! allocations, and everything measured here runs on it.
 
 use ged_proto::wire::read_line;
 use ged_proto::{read_frame, Request, DEFAULT_MAX_FRAME};

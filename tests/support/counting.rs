@@ -1,22 +1,30 @@
 //! A counting global allocator for the allocation-bound tests
-//! (`report_alloc.rs`, `request_alloc.rs`), each of which pulls this file
-//! in with `#[path]` and so installs it for its own binary. The counter is
-//! process-wide: such a binary holds exactly one test, so that nothing
-//! else allocates while it measures.
+//! (`report_alloc.rs`, `request_alloc.rs`, `publish_alloc.rs`), each of
+//! which pulls this file in with `#[path]` and so installs it for its own
+//! binary. The count is per thread: what the test harness's main thread
+//! allocates while a test starts up is not the measured code's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it allocates
+    // nothing and is sound at any point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a statistic that
-// publishes no other data, hence `Relaxed`.
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// integer.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -27,7 +35,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr`/`layout` describe a live `System` block, per the caller.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -36,9 +44,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocator calls `f` makes on this thread's watch.
+/// Allocator calls `f` makes on the calling thread.
 pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.get() - before)
 }

@@ -397,7 +397,7 @@ impl Drop for Wire {
     }
 }
 
-/// The analyzer-pruned twin, `with_analysis(prune: true)`: its report
+/// The analyzer-pruned twin, `with_analysis`: its report
 /// equals the oracle's restricted to the kept rules (by name), and every
 /// pruned rule — which the oracle still validates from scratch — keeps
 /// what its reason promised: no witness ever (contradictory premises,
@@ -405,9 +405,7 @@ impl Drop for Wire {
 /// throughout (duplicate), none wherever every kept rule holds (implied).
 pub fn pruned<C: Constraint + Clone + 'static>() -> Recipe<C> {
     recipe("pruned twin", |g: Graph, sigma: Vec<C>| {
-        let (prune, threads) = (true, Some(2));
-        let config = AnalysisConfig { prune, threads };
-        let twin = IncrementalValidator::with_analysis(g, sigma, config);
+        let twin = IncrementalValidator::with_analysis(g, sigma, 2);
         let twin = twin.unwrap_or_else(|why| panic!("Σ does not deploy:\n{why}"));
         let kept = twin.sigma().iter().map(|c| c.name().to_string());
         let kept: Vec<String> = kept.collect();
