@@ -1142,10 +1142,9 @@ fn exp_daemon() {
         v[v.len() / 2]
     };
 
-    // In-process baseline: same batches, view active (publish included),
-    // one match thread — the daemon's writer in library form.
-    let mut direct = IncrementalValidator::new(w.graph, w.sigma);
-    direct.set_threads(1);
+    // In-process baseline: same batches, view active (publish included) —
+    // the daemon's writer in library form.
+    let mut direct = IncrementalValidator::with_threads(w.graph, w.sigma, 1);
     let _view = direct.read_view();
     let mut direct_batches: Vec<std::time::Duration> = batches
         .iter()

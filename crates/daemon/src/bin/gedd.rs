@@ -21,7 +21,7 @@ OPTIONS:
     --workload SPEC      initial graph + Σ (default mixed:honest=30,plants=2,seed=11)
                          specs: empty | mixed:honest=N,plants=P,seed=S
                               | random:nodes=N,rules=R,seed=S
-    --threads N          validator match threads (default 1)
+    --threads N          workers for the seeding pass (the delta path is sequential); default 1
     --max-frame BYTES    per-request frame cap (default 8388608)
     -h, --help           print this help
 ";

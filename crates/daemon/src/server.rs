@@ -44,7 +44,7 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Per-frame byte cap enforced on incoming requests.
     pub max_frame: usize,
-    /// Match threads for the validator's enumeration pool.
+    /// Workers for the seeding pass (the delta path is sequential).
     pub threads: usize,
 }
 

@@ -12,14 +12,14 @@
 //! either: one `IncrementalValidator<ged_ext::SigmaConstraint>` serves the
 //! heterogeneous Σ, and a family outside that enum runs as its own `C`.
 //!
-//! * [`shard`] — the **one sharding subsystem** behind every parallel
-//!   fan-out: `(constraint, anchor, seed-range)` work units pulled off a
-//!   shared queue by scoped workers and enumerated by one unit function —
-//!   the seeding full pass (parallel *from-scratch* validation: every
-//!   rule's match space partitions by the image of a pivot variable;
+//! * [`shard`] — the **sharding subsystem** behind the one parallel
+//!   fan-out, the seeding full pass (parallel *from-scratch* validation:
+//!   every rule's match space partitions by the image of a pivot variable;
 //!   [`IncrementalValidator::with_threads`]`(..).report()` is its public
-//!   face) and the delta path alike — with [`SeedStats`] reporting how
-//!   the seeding pass actually split;
+//!   face): `(constraint, anchor, seed-range)` work units pulled off a
+//!   shared queue by scoped workers and enumerated by the unit function
+//!   the delta path runs too, with [`SeedStats`] reporting how the pass
+//!   actually split;
 //! * [`IncrementalValidator`] — **delta-driven violation maintenance**: it
 //!   owns the graph and a persistent [`ViolationStore`] keyed by
 //!   (constraint, witness match), ingests [`Delta`]s / batched
@@ -30,12 +30,10 @@
 //!   store prunes via an inverted `NodeId → witness` index (no store
 //!   scan), re-enumeration uses exclusion-aware anchored matching so
 //!   each affected match is visited exactly once (no enumerate-and-discard
-//!   responsibility filter), and large affected areas fan out across
-//!   worker threads at *seed granularity* — the anchored seed sets are
-//!   chunked and pulled off the shared [`shard`] queue, so even a single
-//!   wildcard rule parallelises. Construction
-//!   ([`IncrementalValidator::with_threads`]) seeds through the same
-//!   queue, so cold-start cost scales with cores, not with the skew of Σ.
+//!   responsibility filter), on the caller's thread. Construction
+//!   ([`IncrementalValidator::with_threads`]) seeds through the [`shard`]
+//!   queue at *seed granularity*, so cold-start cost scales with cores,
+//!   not with the skew of Σ.
 //! * [`view`] — **snapshot-isolated read views**: `apply` takes
 //!   `&mut self`, but violation queries need not serialize against it —
 //!   [`IncrementalValidator::read_view`] hands out cloneable

@@ -10,11 +10,12 @@
 //! * **per-batch quantities** (phase latencies, witness churn, store
 //!   size) are recorded by the coordinating thread — a handful of relaxed
 //!   atomic writes per apply batch;
-//! * **per-match quantities** (attempts, matches found) are tallied by
-//!   worker threads into plain-`u64` shards threaded through
+//! * **per-match quantities** (attempts, matches found) are tallied into
+//!   plain-`u64` shards — one per seeding worker, threaded through
 //!   `shard::run_units_with` and folded into the registry *after* the
-//!   join — the matcher hot loop never touches a shared cache line, so
-//!   instrumentation adds no contention to the work queue.
+//!   join; one per delta-path batch — so the matcher hot loop never
+//!   touches a shared cache line and instrumentation adds no contention
+//!   to the work queue.
 //!
 //! The whole layer is gated on one flag: when metrics are disabled the
 //! enumeration paths monomorphize with the no-op recorder and no clock is
@@ -45,8 +46,7 @@ pub enum Phase {
     DeltaApply,
     /// Dropping stored witnesses that intersect the touched set.
     WitnessDrop,
-    /// Materialising the affected area: building the anchored seed lists
-    /// and chunking them into work units.
+    /// Materialising the affected area: building the anchored seed lists.
     Materialize,
     /// Exclusion-aware anchored re-enumeration of the affected matches.
     Reenumerate,
@@ -109,10 +109,11 @@ struct RuleMetrics {
     reenum_ns: Counter,
 }
 
-/// One worker's unsynchronized tally shard for a sharded pass: per-rule
+/// One worker's unsynchronized tally shard for a pass: per-rule
 /// plain-`u64` counters plus a local latency histogram of the units it
-/// ran. Built per worker by `run_units_with`'s `new_shard`, merged into
-/// the registry by [`EngineMetrics::merge_pass`] after the join.
+/// ran. Built per seeding worker by `run_units_with`'s `new_shard` and
+/// once per batch by the delta path, merged into the registry by
+/// [`EngineMetrics::merge_pass`] when the pass is over.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerShard {
     /// Mirrors the registry's enabled flag at pass start; workers skip
@@ -253,7 +254,7 @@ impl EngineMetrics {
         })
     }
 
-    /// Fold one worker shard of a sharded pass into the registry,
+    /// Fold one worker shard of a pass into the registry,
     /// attributing the time to `phase` (seeding or re-enumeration).
     pub(crate) fn merge_pass(&self, shard: &WorkerShard, phase: Phase) {
         if !shard.enabled {
@@ -464,7 +465,8 @@ pub struct MetricsSnapshot {
     pub published_epoch: u64,
     /// Latency distribution per pipeline phase, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSnapshot>,
-    /// Latency distribution of individual sharded work units.
+    /// Latency distribution of individual work units (seeding and delta
+    /// path alike).
     pub unit_latency: HistogramSnapshot,
     /// Per-rule cost attribution, in Σ order.
     pub rules: Vec<RuleSnapshot>,

@@ -1,17 +1,14 @@
-//! Seed-granularity work sharding — the one subsystem behind every
-//! parallel fan-out in the engine.
+//! Seed-granularity work sharding — the subsystem behind the engine's one
+//! parallel fan-out, the *seeding* full pass of
+//! [`IncrementalValidator::with_threads`] (the engine's parallel
+//! from-scratch validation) — and the unit function that pass shares with
+//! the sequential delta path ([`validator`](crate::validator)):
 //!
-//! The incremental delta path's affected-area recomputation
-//! ([`validator`](crate::validator)) and the *seeding* full pass of
-//! [`IncrementalValidator::with_threads`] — the engine's parallel
-//! from-scratch validation — share one vocabulary:
-//!
-//! * a **work unit** is a `(constraint, anchor variable, seed-range)`
-//!   triple — one chunk of one anchor's seed list, enumerated by one
-//!   worker with [`Matcher::for_each_anchored_in`] through `run_unit`
-//!   (the delta path passes its exclusion closure, everyone else excludes
-//!   nothing);
-//! * `run_units_with` is the one work queue: workers pull units off an
+//! * a **work unit** is a `(constraint, anchor variable, seeds)` triple —
+//!   one anchor's seed list, or one chunk of it, enumerated with
+//!   [`Matcher::for_each_anchored_in`] through `run_unit` (the delta path
+//!   passes its exclusion closure, seeding excludes nothing);
+//! * `run_units_with` is the seeding work queue: workers pull units off an
 //!   atomic counter, so a Σ whose cost is concentrated in a single
 //!   wildcard rule still spreads across all cores — at *seed*
 //!   granularity, not rule granularity;
@@ -49,7 +46,7 @@ pub(crate) type Found = (usize, Match, ViolationKind);
 /// (shared between its chunks — an `Arc`, so chunking copies nothing),
 /// and the index range of it this unit enumerates.
 #[derive(Debug, Clone)]
-pub(crate) struct SeedUnit {
+struct SeedUnit {
     /// Constraint index into Σ.
     pub ci: usize,
     /// The pattern variable anchored on the seeds.
@@ -69,7 +66,7 @@ impl SeedUnit {
 
 /// Split one anchor's seed list into up to `threads` contiguous chunks
 /// and append them to `units`. An empty seed list contributes nothing.
-pub(crate) fn push_units(
+fn push_units(
     units: &mut Vec<SeedUnit>,
     ci: usize,
     anchor: Var,
@@ -128,8 +125,8 @@ pub fn rule_plan<C: Constraint>(c: &C) -> MatchPlan {
     plan
 }
 
-/// Enumerate the violating matches of one unit — the rule's matches that
-/// map the unit's anchor variable into its seed chunk and no other
+/// Enumerate the violating matches of one unit `(ci, anchor, seeds)` — the
+/// matches of rule `ci` that map `anchor` into `seeds` and no other
 /// variable `u` to a node `n` with `excluded(u, n)` — each exactly once,
 /// onto `out`. The one anchored enumerator of the engine: the full pass
 /// excludes nothing (`|_, _| false` monomorphises the test away), the
@@ -137,22 +134,20 @@ pub fn rule_plan<C: Constraint>(c: &C) -> MatchPlan {
 /// the anchor (see [`validator`](crate::validator)).
 ///
 /// The matcher borrows the rule's `plan` ([`rule_plan`]) and writes
-/// candidate sets into `scratch` — the per-worker buffer threaded through
-/// `run_units_with` — so steady-state enumeration allocates nothing; its
-/// hot loop reports to `recorder`.
+/// candidate sets into `scratch` — one buffer per worker — so steady-state
+/// enumeration allocates nothing; its hot loop reports to `recorder`.
 fn check_unit<C: Constraint, R: MatchRecorder>(
     g: &Graph,
     (c, plan): (&C, &MatchPlan),
-    unit: &SeedUnit,
+    (ci, anchor, seeds): (usize, Var, &[NodeId]),
     excluded: &impl Fn(Var, NodeId) -> bool,
     scratch: &mut MatchScratch,
     recorder: &R,
     out: &mut Vec<Found>,
 ) {
-    let anchor = unit.anchor;
     let pattern = c.pattern();
     let matcher = Matcher::with_plan(plan, pattern, g, MatchOptions::homomorphism(), recorder);
-    matcher.for_each_anchored_in(scratch, anchor, unit.seed_slice(), excluded, |m| {
+    matcher.for_each_anchored_in(scratch, anchor, seeds, excluded, |m| {
         debug_assert!(
             pattern
                 .vars()
@@ -160,7 +155,7 @@ fn check_unit<C: Constraint, R: MatchRecorder>(
             "the exclusions let through only matches the anchor owns"
         );
         if let Some(kind) = c.check(g, m) {
-            out.push((unit.ci, m.to_vec(), kind));
+            out.push((ci, m.to_vec(), kind));
         }
         ControlFlow::Continue(())
     });
@@ -174,7 +169,7 @@ fn check_unit<C: Constraint, R: MatchRecorder>(
 pub(crate) fn run_unit<C: Constraint>(
     g: &Graph,
     rule: (&C, &MatchPlan),
-    unit: &SeedUnit,
+    unit: (usize, Var, &[NodeId]),
     excluded: &impl Fn(Var, NodeId) -> bool,
     (ws, scratch): &mut (WorkerShard, MatchScratch),
     out: &mut Vec<Found>,
@@ -187,7 +182,7 @@ pub(crate) fn run_unit<C: Constraint>(
     let before = out.len();
     check_unit(g, rule, unit, excluded, scratch, &recorder, out);
     ws.add_unit(
-        unit.ci,
+        unit.0,
         recorder.attempts(),
         recorder.prefilter_rejects(),
         recorder.matches(),
@@ -249,6 +244,7 @@ pub(crate) fn full_pass<C: Constraint>(
         || (new_shard(), MatchScratch::new()),
         |unit, out, worker| {
             let rule = (&sigma[unit.ci], &plans[unit.ci]);
+            let unit = (unit.ci, unit.anchor, unit.seed_slice());
             run_unit(g, rule, unit, &|_, _| false, worker, out);
         },
     );
@@ -269,15 +265,13 @@ pub(crate) fn full_pass<C: Constraint>(
 
 /// How the seeding full pass split across workers — the construction-time
 /// counterpart of [`ApplyStats`](crate::ApplyStats), captured once by
-/// [`IncrementalValidator::with_threads`] and left untouched by later
-/// [`set_threads`] retuning (it describes the pass that already ran, not
-/// the current tuning).
+/// [`IncrementalValidator::with_threads`], whose `threads` is this pass's
+/// worker count and nothing else (the delta path is sequential).
 ///
 /// Invariant (asserted by the engine's tests): the per-worker unit counts
 /// sum to [`units`](SeedStats::units).
 ///
 /// [`IncrementalValidator::with_threads`]: crate::IncrementalValidator::with_threads
-/// [`set_threads`]: crate::IncrementalValidator::set_threads
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeedStats {
     /// Total `(constraint, anchor, seed-range)` work units the seeding
@@ -334,7 +328,7 @@ impl std::fmt::Display for SeedStats {
 /// scoped-thread overhead for small work. If workers panic, every handle
 /// is joined before the first panic payload is resumed
 /// ([`join_all_propagating`]).
-pub(crate) fn run_units_with<T: Send, W: Send>(
+fn run_units_with<T: Send, W: Send>(
     threads: usize,
     units: &[SeedUnit],
     new_shard: impl Fn() -> W + Sync,

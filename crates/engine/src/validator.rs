@@ -37,19 +37,17 @@
 //! and equality premises refuse candidates before recursion.
 //!
 //! Both hot loops are thereby output-sensitive: per update the engine does
-//! work proportional to the affected area, never to global state.
-//! Recomputation fans out across worker threads at **seed granularity**:
-//! the anchored seed sets are chunked into `(constraint, anchor,
-//! seed-range)` units and the units pulled off a shared queue by scoped
-//! workers — the [`shard`] machinery this delta path shares
-//! with the full pass that seeds [`IncrementalValidator::with_threads`].
-//! Sharding *within* a rule means a large affected area under one
-//! wildcard rule no longer recomputes single-threaded.
+//! work proportional to the affected area, never to global state. The
+//! re-enumeration runs on the caller's thread, one work unit per `(rule,
+//! anchor variable)` with a non-empty seed list, through the same unit
+//! function ([`shard`]) as the full pass that seeds
+//! [`IncrementalValidator::with_threads`] — only that pass, which runs
+//! once, fans out across workers.
 //!
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot, Phase, WorkerShard};
-use crate::shard::{self, SeedStats, SeedUnit};
+use crate::shard::{self, SeedStats};
 use crate::store::{StoreChange, ViolationStore};
 use crate::view::{ReadView, SharedViews};
 use ged_analysis::{AnalysisReport, Pruned, RuleCost};
@@ -118,7 +116,6 @@ pub struct IncrementalValidator<C: Constraint> {
     graph: Graph,
     sigma: Arc<Vec<C>>,
     store: ViolationStore,
-    threads: usize,
     seed_stats: SeedStats,
     metrics: Arc<EngineMetrics>,
     analysis: Option<Arc<DeployAnalysis>>,
@@ -143,7 +140,6 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
             graph: self.graph.clone(),
             sigma: Arc::clone(&self.sigma),
             store: self.store.clone(),
-            threads: self.threads,
             seed_stats: self.seed_stats.clone(),
             metrics: Arc::new((*self.metrics).clone()),
             analysis: self.analysis.clone(),
@@ -155,9 +151,9 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
 
 impl<C: Constraint> IncrementalValidator<C> {
     /// Build a validator, seeding the store with a full validation pass
-    /// sharded at seed granularity (see
-    /// [`with_threads`](IncrementalValidator::with_threads)). Uses all
-    /// available cores.
+    /// sharded across all available cores (see
+    /// [`with_threads`](IncrementalValidator::with_threads)). The cores
+    /// serve that one pass; the delta path is sequential.
     pub fn new(graph: Graph, sigma: Vec<C>) -> IncrementalValidator<C> {
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZero::get)
@@ -165,39 +161,17 @@ impl<C: Constraint> IncrementalValidator<C> {
         IncrementalValidator::with_threads(graph, sigma, threads)
     }
 
-    /// Retune the worker count used by subsequent delta maintenance
-    /// (`1` = fully sequential) — the post-construction counterpart of
-    /// [`with_threads`], for validators whose deployment environment
-    /// changes after seeding (e.g. scaling workers up once the initial
-    /// full pass is done, or pinning a debug run to one thread).
+    /// As [`IncrementalValidator::new`] with an explicit number of workers
+    /// for the seeding pass (`1` = seed on the caller's thread). Delta
+    /// maintenance afterwards is sequential whatever `threads` was.
     ///
-    /// Retuning does not touch [`seed_stats`](IncrementalValidator::seed_stats):
-    /// those describe the seeding pass that already ran.
-    ///
-    /// [`with_threads`]: IncrementalValidator::with_threads
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = threads;
-    }
-
-    /// The worker count the delta path fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// As [`IncrementalValidator::new`] with an explicit worker count
-    /// (`1` = fully sequential).
-    ///
-    /// The seeding full pass shards at **seed granularity**, like the
-    /// delta path: each constraint picks its most selective pattern
-    /// variable as pivot, the pivot's candidate list splits into up to
-    /// `threads` chunks, and workers pull `(constraint, anchor,
-    /// seed-range)` units off the shared [`shard`] queue.
-    /// A Σ whose cost is concentrated in one expensive wildcard rule
-    /// therefore still seeds on all cores — rule-granularity sharding
-    /// (the previous design) would have left it effectively
-    /// single-threaded. How the pass split is recorded in
-    /// [`seed_stats`](IncrementalValidator::seed_stats).
+    /// The seeding full pass shards at **seed granularity**: each
+    /// constraint picks its most selective pattern variable as pivot, the
+    /// pivot's candidate list splits into up to `threads` chunks, and
+    /// workers pull `(constraint, anchor, seed-range)` units off the
+    /// [`shard`] queue, so a Σ whose cost is concentrated in one expensive
+    /// wildcard rule still seeds on all cores. How the pass split is
+    /// recorded in [`seed_stats`](IncrementalValidator::seed_stats).
     ///
     /// Before seeding, the graph is asked to index every `(label,
     /// attribute)` pair the compiled plans can probe
@@ -233,7 +207,6 @@ impl<C: Constraint> IncrementalValidator<C> {
             graph,
             sigma: Arc::new(sigma),
             store,
-            threads,
             seed_stats: pass.stats,
             metrics: Arc::new(metrics),
             analysis: None,
@@ -256,7 +229,8 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// * the validator records what happened: [`analysis`] returns the
     ///   report plus the pruned-rule list.
     ///
-    /// `threads` is [`with_threads`](IncrementalValidator::with_threads)'s.
+    /// `threads` is [`with_threads`](IncrementalValidator::with_threads)'s:
+    /// workers for the seeding pass.
     /// To gate a deployment without pruning it, check
     /// `analyze(&sigma).has_errors()` and call `with_threads`.
     ///
@@ -311,9 +285,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// How the construction-time seeding pass split across workers —
-    /// unit and per-worker counts, fixed at construction (later
-    /// [`set_threads`](IncrementalValidator::set_threads) retuning does
-    /// not rewrite history).
+    /// unit and per-worker counts, fixed at construction.
     pub fn seed_stats(&self) -> &SeedStats {
         &self.seed_stats
     }
@@ -532,8 +504,7 @@ impl<C: Constraint> IncrementalValidator<C> {
         }
         // The footprint, sorted and deduplicated once for the whole batch:
         // deltas touching the same node repeatedly collapse to one anchor
-        // seed, seed-chunk boundaries are deterministic, and the
-        // re-enumeration's exclusion test binary-searches it.
+        // seed, and the re-enumeration's exclusion test binary-searches it.
         touched.sort_unstable();
         touched.dedup();
         // If anything below unwinds, dump the recent batch trace so the
@@ -563,21 +534,11 @@ impl<C: Constraint> IncrementalValidator<C> {
         stats.touched_nodes = touched.len();
 
         if !touched.is_empty() {
-            // For a handful of touched nodes the anchored re-enumeration is
-            // microseconds of work per rule; spawning scoped threads would
-            // cost more than it saves, so small deltas stay sequential.
-            const PARALLEL_TOUCHED_THRESHOLD: usize = 8;
-            let threads = if touched.len() < PARALLEL_TOUCHED_THRESHOLD {
-                1
-            } else {
-                self.threads
-            };
             let area = affected_area(
                 &self.graph,
                 &self.sigma,
                 &self.plans,
                 &touched,
-                threads,
                 &self.metrics,
             );
             let t = self.metrics.start();
@@ -647,98 +608,79 @@ impl std::fmt::Display for ApplyStats {
 
 /// The affected area of one update across the whole rule set: every
 /// violating match of every constraint whose image intersects the
-/// footprint, each exactly once, sharded across `threads` workers at
-/// **seed granularity**. See the module docs for why nothing outside the
-/// footprint can change status — the argument only needs `c.check` to
-/// read the ids and attributes of matched nodes, which the [`Constraint`]
-/// contract guarantees for every family, so this path is shared rather
-/// than duplicated per family.
+/// footprint, each exactly once. See the module docs for why nothing
+/// outside the footprint can change status — the argument only needs
+/// `c.check` to read the ids and attributes of matched nodes, which the
+/// [`Constraint`] contract guarantees for every family, so this path is
+/// shared rather than duplicated per family.
 ///
 /// `footprint` is the live touched set as a sorted, deduplicated vector
 /// (the debug assertion checks the seed lists inherit that — a duplicated
 /// anchor seed would enumerate its matches twice and double-count work);
 /// the exclusion membership tests binary-search it.
 ///
-/// Work units are the `(constraint, anchor variable, seed-range)` triples
-/// of [`shard`]: each anchor's label-compatible seed list is
-/// split into up to `threads` chunks, and workers pull units off the
-/// shared queue ([`shard::run_units_with`]), so a single wildcard rule with a
-/// large affected area fans out across all cores instead of recomputing
-/// single-threaded per rule. The full pass ([`shard::full_pass`]) rides
-/// the same queue and the same unit function; this path differs from it
-/// only in anchoring *every* pattern variable (not one pivot) and in the
-/// exclusions it hands each unit.
+/// One work unit per `(constraint, anchor variable)` whose
+/// label-compatible seed list is non-empty, run in Σ order on the caller's
+/// thread through [`shard::run_unit`] — the unit function of the seeding
+/// pass ([`shard::full_pass`]), from which this path differs in anchoring
+/// *every* pattern variable (not one pivot) and in the exclusions it
+/// hands each unit.
 ///
 /// Exactly-once discipline: the match whose *first* touched variable (in
 /// declaration order) is `v` is enumerated only when anchoring `v` —
 /// variables declared before `v` have the touched nodes *excluded* from
 /// their candidate domains, so every other anchoring prunes the match
-/// before it is ever completed. Chunks of one anchor's seed set are
-/// disjoint (slices of a deduplicated vector), so sharding a seed set
-/// preserves the discipline: no match is enumerated twice, none is
+/// before it is ever completed: no match is enumerated twice, none is
 /// enumerated and then discarded.
 fn affected_area<C: Constraint>(
     g: &Graph,
     sigma: &[C],
     plans: &[MatchPlan],
     footprint: &[NodeId],
-    threads: usize,
     metrics: &EngineMetrics,
 ) -> Vec<shard::Found> {
-    assert!(threads >= 1);
     let t = metrics.start();
-    // Seed lists are memoized per distinct variable label: most rules
-    // repeat one label across variables (and rules share labels), so the
-    // O(|footprint|) filter runs once per label, not once per variable,
-    // and chunking is by index range into the shared list — no copies.
-    let mut seed_cache: Vec<(Symbol, Arc<Vec<NodeId>>)> = Vec::new();
-    let mut units: Vec<SeedUnit> = Vec::new();
-    for (ci, c) in sigma.iter().enumerate() {
-        let pattern = c.pattern();
-        // An empty pattern contributes no units: its one (empty) match
-        // has an empty image, never affected by deltas.
-        for v in pattern.vars() {
-            let lv = pattern.label(v);
-            let seeds = match seed_cache.iter().find(|(l, _)| *l == lv) {
-                Some((_, s)) => Arc::clone(s),
-                None => {
-                    let s: Arc<Vec<NodeId>> = Arc::new(
-                        footprint
-                            .iter()
-                            .copied()
-                            .filter(|&n| lv.matches(g.label(n)))
-                            .collect(),
-                    );
-                    debug_assert!(
-                        s.windows(2).all(|w| w[0] < w[1]),
-                        "anchor seeds are deduplicated (and sorted): {s:?}"
-                    );
-                    seed_cache.push((lv, Arc::clone(&s)));
-                    s
-                }
-            };
-            shard::push_units(&mut units, ci, v, seeds, threads);
+    // One seed list per distinct variable label: most rules repeat one
+    // label across variables (and rules share labels), so the
+    // O(|footprint|) filter runs once per label, not once per variable.
+    // An empty pattern contributes nothing: its one (empty) match has an
+    // empty image, never affected by deltas.
+    let mut seeds: Vec<(Symbol, Vec<NodeId>)> = Vec::new();
+    let patterns = sigma.iter().map(Constraint::pattern);
+    for lv in patterns.flat_map(|q| q.vars().map(|v| q.label(v))) {
+        if seeds.iter().all(|(l, _)| *l != lv) {
+            let of_label = footprint.iter().copied();
+            let s: Vec<NodeId> = of_label.filter(|&n| lv.matches(g.label(n))).collect();
+            debug_assert!(
+                s.windows(2).all(|w| w[0] < w[1]),
+                "anchor seeds are deduplicated (and sorted): {s:?}"
+            );
+            seeds.push((lv, s));
         }
     }
     // The materialize/re-enumerate boundary shares one clock read.
     let t = metrics.lap(Phase::Materialize, t);
-    let n_rules = sigma.len();
-    let enabled = metrics.is_enabled();
-    let (all, _per_worker, workers) = shard::run_units_with(
-        threads,
-        &units,
-        || (WorkerShard::new(n_rules, enabled), MatchScratch::new()),
-        |unit, out, worker| {
-            let rule = (&sigma[unit.ci], &plans[unit.ci]);
-            let before_anchor_and_touched =
-                |u, n: NodeId| u < unit.anchor && footprint.binary_search(&n).is_ok();
-            shard::run_unit(g, rule, unit, &before_anchor_and_touched, worker, out);
-        },
+    let mut worker = (
+        WorkerShard::new(sigma.len(), metrics.is_enabled()),
+        MatchScratch::new(),
     );
-    metrics.finish(Phase::Reenumerate, t);
-    for (ws, _) in &workers {
-        metrics.merge_pass(ws, Phase::Reenumerate);
+    let mut all = Vec::new();
+    for (ci, rule) in sigma.iter().zip(plans).enumerate() {
+        let pattern = rule.0.pattern();
+        for anchor in pattern.vars() {
+            let lv = pattern.label(anchor);
+            let (_, list) = seeds.iter().find(|(l, _)| *l == lv).expect("seeded above");
+            if list.is_empty() {
+                continue;
+            }
+            // Touched nodes are excluded from the variables before the anchor.
+            let excluded = |u, n: NodeId| u < anchor && footprint.binary_search(&n).is_ok();
+            let unit = (ci, anchor, list.as_slice());
+            shard::run_unit(g, rule, unit, &excluded, &mut worker, &mut all);
+        }
     }
+    metrics.finish(Phase::Reenumerate, t);
+    metrics.merge_pass(&worker.0, Phase::Reenumerate);
     all
 }
 
@@ -1161,77 +1103,6 @@ mod tests {
         assert!(!names.contains(&"key".to_string()));
     }
 
-    /// The seed-chunk sharded affected area equals the sequential one —
-    /// same witness set for any worker count, on a wildcard rule whose
-    /// seed list spans the whole footprint.
-    #[test]
-    fn sharded_affected_area_equals_sequential() {
-        use ged_pattern::Pattern;
-        let mut q = Pattern::new();
-        let x = q.var("x", "_");
-        let y = q.var("y", "_");
-        let wild_key = Ged::new(
-            "wild-key",
-            q,
-            vec![Literal::vars(x, sym("k"), y, sym("k"))],
-            vec![Literal::id(x, y)],
-        );
-        let mut g = Graph::new();
-        let nodes: Vec<NodeId> = (0..24).map(|_| g.add_node(sym("t"))).collect();
-        for (i, &n) in nodes.iter().enumerate() {
-            g.set_attr(n, sym("k"), (i % 5) as i64);
-        }
-        let sigma = vec![wild_key];
-        let mut footprint: Vec<NodeId> = nodes.iter().copied().step_by(2).collect();
-        footprint.sort_unstable();
-        let canon = |mut v: Vec<shard::Found>| {
-            v.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-            v
-        };
-        let metrics = EngineMetrics::for_sigma(&sigma);
-        let plans: Vec<_> = sigma.iter().map(shard::rule_plan).collect();
-        let sequential = canon(affected_area(&g, &sigma, &plans, &footprint, 1, &metrics));
-        assert!(!sequential.is_empty(), "the workload has affected matches");
-        for threads in [2, 4, 7] {
-            let sharded = canon(affected_area(
-                &g, &sigma, &plans, &footprint, threads, &metrics,
-            ));
-            assert_eq!(sharded, sequential, "{threads} workers");
-        }
-    }
-
-    /// `set_threads` retunes the delta path after construction: a batch
-    /// large enough to cross the parallel threshold is maintained
-    /// correctly at the new worker count.
-    #[test]
-    fn set_threads_is_honored_by_the_delta_path() {
-        let mut g = Graph::new();
-        let nodes: Vec<NodeId> = (0..20).map(|_| g.add_node(sym("t"))).collect();
-        let mut v = IncrementalValidator::with_threads(g, vec![key_ged()], 1);
-        assert_eq!(v.threads(), 1);
-        v.set_threads(4);
-        assert_eq!(v.threads(), 4);
-        let mut batch = DeltaSet::new();
-        for &n in &nodes {
-            batch.push(Delta::SetAttr {
-                node: n,
-                attr: sym("k"),
-                value: Value::from(3),
-            });
-        }
-        let stats = v.apply_all(&batch);
-        assert_eq!(stats.touched_nodes, nodes.len(), "crosses the threshold");
-        assert_eq!(v.violation_count(), nodes.len() * (nodes.len() - 1));
-        assert_consistent(&v);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn set_threads_rejects_zero() {
-        let mut v = IncrementalValidator::with_threads(Graph::new(), vec![key_ged()], 1);
-        v.set_threads(0);
-    }
-
     #[test]
     fn empty_pattern_geds_are_stable() {
         use ged_pattern::Pattern;
@@ -1353,26 +1224,20 @@ mod tests {
     }
 
     /// `SeedStats` invariants: per-worker unit counts sum to the unit
-    /// total at every worker count, and the stats are fixed at
-    /// construction — `set_threads` retuning does not rewrite them.
+    /// total, and the violation count is the seeded store's, at every
+    /// worker count.
     #[test]
-    fn seed_stats_sum_and_survive_set_threads() {
+    fn seed_stats_sum_at_every_worker_count() {
         let (g, sigma) = hot_wildcard_sigma_and_graph();
         for threads in [1usize, 2, 8] {
-            let mut v = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
-            let stats = v.seed_stats().clone();
+            let v = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
+            let stats = v.seed_stats();
             assert_eq!(
                 stats.per_worker.iter().sum::<usize>(),
                 stats.units,
                 "per-worker counts sum to the unit total at {threads} workers"
             );
             assert_eq!(stats.violations, v.violation_count());
-            v.set_threads(5);
-            assert_eq!(
-                v.seed_stats(),
-                &stats,
-                "retuning the delta path leaves the seeding record untouched"
-            );
         }
     }
 
@@ -1751,7 +1616,6 @@ mod tests {
         let _ = shared.metrics_enabled();
         let _ = shared.trace();
         let _ = shared.seed_stats();
-        let _ = shared.threads();
         let _ = shared.analysis();
         let _ = shared.analyze_current();
         let _ = shared.read_view();

@@ -5,7 +5,7 @@
 //! members of the unified constraint layer, so the delta-driven,
 //! output-sensitive `IncrementalValidator` maintains their violation set
 //! exactly as it does for plain GEDs — same store, same affected-area
-//! recomputation, same parallel sharding.
+//! recomputation, same sharded seeding.
 //!
 //! This example drives the social-network age workload from
 //! `ged_datagen::gdc` through a stream of updates and ends with a

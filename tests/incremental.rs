@@ -1,5 +1,5 @@
 //! Incremental ≡ full: generated delta streams over the datagen graphs,
-//! with the `IncrementalValidator` — at 1, 2 and 8 workers — held after
+//! with the `IncrementalValidator` held after
 //! every batch against a from-scratch `validate` of a mirror graph, for
 //! every family of the unified constraint layer (GEDs, GDCs, GED∨s, and
 //! the three in one Σ). The stream, the oracle and the comparison are the
@@ -19,33 +19,28 @@ use ged_repro::prelude::*;
 #[path = "support/lockstep.rs"]
 mod lockstep;
 use lockstep::{
-    assert_current, ints, key_attrs, pushdown_workload, run, validators, wildcard_sigma,
+    assert_current, ints, key_attrs, pushdown_workload, run, validator, wildcard_sigma,
 };
 
-/// One stream, validators at 1, 2 and 8 workers, every boundary.
-fn sharded<C: Constraint + Clone + 'static>(
+/// One stream, one validator, every boundary.
+fn in_lockstep<C: Constraint + Clone + 'static>(
     (graph, sigma): (&Graph, &[C]),
     traffic: (u64, &[Symbol], &[Value]),
     shape: (usize, usize),
 ) {
-    run((graph, sigma), traffic, shape, &[validators(&[1, 2, 8])]);
+    run((graph, sigma), traffic, shape, &[validator()]);
 }
 
 #[test]
 fn incremental_equals_full_random_graph_every_step() {
     let (g, sigma) = evolving_workload(120, 3, 2, 41);
-    sharded((&g, &sigma), (7, &key_attrs(), &ints(4)), (150, 1));
+    in_lockstep((&g, &sigma), (7, &key_attrs(), &ints(4)), (150, 1));
 }
 
 #[test]
 fn incremental_equals_full_single_threaded() {
     let (g, sigma) = evolving_workload(60, 3, 1, 42);
-    run(
-        (&g, &sigma),
-        (8, &key_attrs(), &ints(4)),
-        (120, 1),
-        &[validators(&[1])],
-    );
+    in_lockstep((&g, &sigma), (8, &key_attrs(), &ints(4)), (120, 1));
 }
 
 #[test]
@@ -53,7 +48,7 @@ fn incremental_equals_full_on_social_workload() {
     let g = ged_datagen::social::generate(&SocialConfig::default()).graph;
     let sigma = [ged_datagen::rules::phi5(2, "v1agr4")];
     // Social attrs: is_fake flags and blog keywords.
-    sharded(
+    in_lockstep(
         (&g, &sigma),
         (5, &[sym("is_fake"), sym("keyword")], &ints(2)),
         (80, 1),
@@ -64,7 +59,7 @@ fn incremental_equals_full_on_social_workload() {
 fn incremental_equals_full_on_music_workload() {
     let g = ged_datagen::music::generate(&ged_datagen::music::MusicConfig::default()).graph;
     let attrs = [sym("title"), sym("release"), sym("name")];
-    sharded(
+    in_lockstep(
         (&g, &ged_datagen::rules::music_keys()),
         (6, &attrs, &ints(3)),
         (60, 1),
@@ -75,7 +70,7 @@ fn incremental_equals_full_on_music_workload() {
 fn incremental_equals_full_on_coloring_workload() {
     let inst = ged_datagen::coloring::ColoringInstance::random(7, 4, 9);
     let (g, ged) = ged_datagen::coloring::validation_gfdx(&inst);
-    sharded((&g, &[ged]), (10, &[sym("A")], &ints(3)), (60, 1));
+    in_lockstep((&g, &[ged]), (10, &[sym("A")], &ints(3)), (60, 1));
 }
 
 #[test]
@@ -175,7 +170,7 @@ fn incremental_equals_full_with_wildcard_rules() {
     // Wildcard node and edge labels: every node matches, every edge
     // matches — the widest affected areas the matcher can produce.
     let (g, _) = evolving_workload(60, 3, 0, 46);
-    sharded(
+    in_lockstep(
         (&g, &wildcard_sigma()),
         (9, &key_attrs(), &ints(4)),
         (100, 1),
@@ -188,7 +183,7 @@ fn batched_delta_sets_equal_full() {
     // no-ops by the time they apply (edges to nodes removed earlier in the
     // batch) — exactly what the engine must tolerate.
     let (g, sigma) = evolving_workload(80, 3, 1, 43);
-    sharded((&g, &sigma), (11, &key_attrs(), &ints(4)), (15, 10));
+    in_lockstep((&g, &sigma), (11, &key_attrs(), &ints(4)), (15, 10));
 }
 
 #[test]
@@ -238,7 +233,7 @@ fn incremental_equals_full_on_gdc_social_workload() {
     // Ages 0..30 straddle the age≥13 boundary, so writes repair and
     // re-introduce violations; the rest of the delta mix adds/removes
     // nodes and edges under the same rules.
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (22, &[sym("age")], &ints(30)),
         (120, 1),
@@ -254,7 +249,7 @@ fn incremental_equals_full_on_gdc_kb_workload() {
     );
     // price/discount writes flip the variable-predicate rule both ways.
     let attrs = [sym("price"), sym("discount")];
-    sharded((&w.graph, &w.sigma), (24, &attrs, &ints(120)), (120, 1));
+    in_lockstep((&w.graph, &w.sigma), (24, &attrs, &ints(120)), (120, 1));
 }
 
 #[test]
@@ -268,7 +263,7 @@ fn incremental_equals_full_on_disj_social_workload() {
     // disjunct fails); is_fake/suspended writes toggle the conditional
     // rule's premise and escape hatch.
     let attrs = [sym("tier"), sym("is_fake"), sym("suspended")];
-    sharded((&w.graph, &w.sigma), (26, &attrs, &ints(2)), (100, 1));
+    in_lockstep((&w.graph, &w.sigma), (26, &attrs, &ints(2)), (100, 1));
 }
 
 #[test]
@@ -279,7 +274,7 @@ fn incremental_equals_full_on_disj_kb_workload() {
         w.planted
     );
     // Visibility values 0..5 fall in and out of the {0,1,2} domain.
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (28, &[sym("visibility")], &ints(5)),
         (100, 1),
@@ -293,13 +288,13 @@ fn incremental_equals_full_on_disj_kb_workload() {
 #[test]
 fn batched_deltas_equal_full_for_gdc_and_disj() {
     let w = ged_datagen::gdc::social_gdcs(&SocialConfig::default(), 2, 31);
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (32, &[sym("age")], &ints(30)),
         (10, 8),
     );
     let w = ged_datagen::disj::kb_disj(&ged_datagen::kb::KbConfig::default(), 2, 33);
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (34, &[sym("visibility")], &ints(5)),
         (10, 8),
@@ -326,44 +321,24 @@ fn incremental_equals_full_on_mixed_sigma() {
         validate(&w.graph, &w.sigma, None).violations.len(),
         w.planted
     );
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (52, &mixed_attrs(), &ints(30)),
         (120, 1),
     );
 }
 
-/// The sharded delta path matches the sequential one step-by-step:
-/// validators at 1/2/8 workers ingest identical batches (large enough to
-/// cross the parallel threshold) and must produce identical stats and
-/// witness sets at every step — and match full revalidation.
+/// Twelve-draw batches over the mixed Σ — footprints of a dozen nodes
+/// under three constraint families — match full revalidation at every
+/// step.
 #[test]
 fn mixed_sigma_sharded_delta_path_matches_sequential_step_by_step() {
     let w = ged_datagen::mixed::social_mixed(&SocialConfig::default(), 3, 53);
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (54, &mixed_attrs(), &ints(30)),
         (12, 12),
     );
-}
-
-/// `set_threads` retunes the delta path mid-stream: a validator seeded
-/// sequentially serves the same batches sharded after the switch.
-#[test]
-fn set_threads_switches_the_mixed_delta_path_mid_stream() {
-    let w = ged_datagen::mixed::social_mixed(&SocialConfig::default(), 2, 57);
-    let mut v: IncrementalValidator<SigmaConstraint> =
-        IncrementalValidator::with_threads(w.graph, w.sigma, 1);
-    let mut stream = DeltaStream::new(58, &mixed_attrs(), &ints(30));
-    for batch_no in 0..8 {
-        if batch_no == 4 {
-            v.set_threads(4);
-            assert_eq!(v.threads(), 4);
-        }
-        let batch = stream.batch(v.graph(), 12);
-        v.apply_all(&batch);
-        assert_current(&v);
-    }
 }
 
 /// Premise pushdown: the engine compiles each rule's constant and equality
@@ -396,7 +371,7 @@ fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
         (&g, &sigma),
         (62, &key_attrs(), &pool),
         (60, 8),
-        &[validators(&[1, 2, 8])],
+        &[validator()],
     );
     assert_eq!(
         fired.len(),
@@ -444,33 +419,35 @@ fn default_matcher_matches_brute_force_on_mutated_random_graphs() {
 }
 
 // ---------------------------------------------------------------------
-// Observability: counter determinism under sharding, histogram
-// monotonicity across batches.
+// Observability: counter determinism however the validator was seeded,
+// histogram monotonicity across batches.
 // ---------------------------------------------------------------------
 
-/// Metric counters are shard-invariant: anchored re-enumeration is
-/// per-seed work and chunk boundaries only redistribute units across
-/// workers, so validators at 1/2/8 workers ingesting identical batches
-/// over the mixed Σ tally identical attempts, matches, violations, and
-/// witness churn — the sequential totals, exactly.
+/// Metric counters do not depend on how the validator was seeded: chunk
+/// boundaries only redistribute the seeding pass's units across workers,
+/// and the delta path runs one unit per `(rule, anchor)` with seeds
+/// whatever the worker count was, so validators seeded at 1/2/8 workers
+/// and by `new` ingesting identical batches over the mixed Σ tally
+/// identical attempts, matches, violations, witness churn and delta-path
+/// work units.
 #[test]
-fn metrics_counters_identical_sequential_vs_sharded() {
+fn metrics_counters_do_not_depend_on_how_the_validator_was_seeded() {
     let w = ged_datagen::mixed::social_mixed(&SocialConfig::default(), 3, 61);
-    let mut vs: Vec<IncrementalValidator<SigmaConstraint>> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| IncrementalValidator::with_threads(w.graph.clone(), w.sigma.clone(), t))
-        .collect();
+    let seeded_at = |&t| IncrementalValidator::with_threads(w.graph.clone(), w.sigma.clone(), t);
+    let mut vs: Vec<IncrementalValidator<SigmaConstraint>> =
+        [1usize, 2, 8].iter().map(seeded_at).collect();
+    vs.push(IncrementalValidator::new(w.graph.clone(), w.sigma.clone()));
+    let seeding_units: Vec<u64> = vs.iter().map(|v| v.metrics().unit_latency.count).collect();
     let mut stream = DeltaStream::new(62, &mixed_attrs(), &ints(30));
     for _ in 0..10 {
-        // 12 draws per batch: footprints cross the parallel threshold, so
-        // the 2/8-worker validators really shard.
         let batch = stream.batch(vs[0].graph(), 12);
         for v in &mut vs {
             v.apply_all(&batch);
         }
     }
     // Everything a snapshot counts; nothing it times.
-    let counted = |m: &MetricsSnapshot| {
+    let counted = |(v, seeding_units): (&IncrementalValidator<_>, &u64)| {
+        let m = v.metrics();
         let churn = (m.witnesses_dropped, m.witnesses_removed, m.witnesses_added);
         let batches = (m.batches, m.deltas_applied, m.touched_nodes, m.store_size);
         let rules = m.rules.iter();
@@ -484,12 +461,16 @@ fn metrics_counters_identical_sequential_vs_sharded() {
             churn,
             m.witnesses_retained,
             matching,
+            m.unit_latency.count - seeding_units,
             rules.map(rule).collect::<Vec<_>>(),
         )
     };
-    let base = counted(&vs[0].metrics());
-    for v in &vs[1..] {
-        assert_eq!(counted(&v.metrics()), base, "{} workers", v.threads());
+    let rows: Vec<_> = vs.iter().zip(&seeding_units).map(counted).collect();
+    for (row, how) in rows
+        .iter()
+        .zip(["1 worker", "2 workers", "8 workers", "`new`"])
+    {
+        assert_eq!(*row, rows[0], "seeded by {how}");
     }
 }
 
@@ -535,7 +516,7 @@ fn metrics_histograms_grow_monotonically_across_batches() {
 #[ignore = "acceptance-scale; run in release mode"]
 fn acceptance_10k_nodes_1k_deltas_every_step() {
     let (g, sigma) = evolving_workload(10_000, 3, 2, 47);
-    sharded((&g, &sigma), (12, &key_attrs(), &ints(4)), (1_000, 1));
+    in_lockstep((&g, &sigma), (12, &key_attrs(), &ints(4)), (1_000, 1));
 }
 
 /// A ~10k-node social graph for the GDC and mixed acceptance runs.
@@ -555,7 +536,7 @@ fn acceptance_social() -> SocialConfig {
 fn acceptance_gdc_10k_nodes_1k_deltas_every_step() {
     let w = ged_datagen::gdc::social_gdcs(&acceptance_social(), 20, 48);
     assert!(w.graph.node_count() >= 9_600, "acceptance scale");
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (49, &[sym("age")], &ints(30)),
         (1_000, 1),
@@ -571,7 +552,7 @@ fn acceptance_gdc_10k_nodes_1k_deltas_every_step() {
 fn acceptance_mixed_10k_nodes_1k_deltas_every_step() {
     let w = ged_datagen::mixed::social_mixed(&acceptance_social(), 20, 55);
     assert!(w.graph.node_count() >= 9_600, "acceptance scale");
-    sharded(
+    in_lockstep(
         (&w.graph, &w.sigma),
         (56, &mixed_attrs(), &ints(30)),
         (1_000, 1),

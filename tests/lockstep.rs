@@ -1,5 +1,5 @@
 //! Every implementation of the invariant at once, on one generated stream
-//! per Σ family: the validators at 1, 2 and 8 workers, a `ReadView` alone
+//! per Σ family: the validator, a `ReadView` alone
 //! and one with two pollers, the wire with two, and the analyzer-pruned
 //! twin, all held by the lockstep driver (`support/lockstep.rs`, DESIGN.md
 //! §11) against one `validate` per batch boundary. Then the pruned twin
@@ -112,7 +112,7 @@ fn matrix(seeds: std::ops::RangeInclusive<u64>, batches: usize) {
             // pollers pin them: both publish paths.
             let views = [view(0), view(2)];
             let [alone, polled] = views;
-            let subjects = [validators(&[1, 2, 8]), alone, polled, wire(2), pruned()];
+            let subjects = [validator(), alone, polled, wire(2), pruned()];
             let traffic = (seed, &attrs[..], &pool[..]);
             let fired = run((&graph, &sigma), traffic, (batches, 6), &subjects);
             let (fired, rules) = (fired.len(), sigma.len());
@@ -132,7 +132,7 @@ fn every_subject_holds_on_every_family_at_length() {
     matrix(1..=8, 400);
 }
 
-/// The pruned twin beside the unpruned validators on streams — structural
+/// The pruned twin beside the unpruned validator on streams — structural
 /// deltas included — whose every fourth batch *repairs*: it removes one
 /// node of each witness of a **kept** rule, nothing of a pruned rule's. So
 /// all kept rules hold at a good share of the boundaries (≥ 10% asserted),
@@ -164,7 +164,7 @@ fn pruned_sigma_is_interchangeable_under_updates() {
                 .next()
                 .map(|n| if n % 4 == 3 { repair } else { drawn() })
         };
-        let subjects = [validators(&[1, 2, 8]), pruned()];
+        let subjects = [validator(), pruned()];
         let run = try_run((&graph, &sigma), &subjects, 7, next);
         run.unwrap_or_else(|report| panic!("{report}"));
         println!("{name}: all kept rules held at {held} of 61 boundaries");
@@ -209,7 +209,7 @@ fn a_planted_fault_is_caught_shrunk_and_replayed() {
     let faulty = recipe("withholding", |g, sigma| {
         Withholding(IncrementalValidator::with_threads(g, sigma, 1))
     });
-    let subjects = [validators(&[2]), faulty];
+    let subjects = [validator(), faulty];
     let report = try_run(start, &subjects, 3, traffic(3)).expect_err("the fault must show");
     println!("{report}");
     assert!(
