@@ -24,12 +24,26 @@
 //!   the far side of the join is a value-index probe of the written key
 //!   and the two sizes time alike; on a graph nobody indexed the same plan
 //!   scans every `t` node per seed.
+//! * **delta-apply** — `Graph::apply_delta` by variant, each row 1 000
+//!   deltas that all change the graph (so a row's µs read as ns per
+//!   delta), on 200 000 `account` nodes visited with a stride no cache
+//!   line survives. *remove+add-node* removes the node added 64 adds ago
+//!   and adds a fresh one, on a 2 000- and a 200 000-node label bucket: a
+//!   removal is a binary search plus the shift of a short tail, so the two
+//!   sizes time alike (a scan of the bucket grows with it). *set-attr*
+//!   overwrites a string with one as long, overwrites an int, inserts an
+//!   attribute the node lacks. *add+remove-edge* inserts and removes one
+//!   `follow` edge at sources of out-degree 4 and 64 — the baseline the
+//!   adjacency work is held to. *apply-all/2x512* is two whole batches of
+//!   the social mix (three in four deltas a write, one in four an edge, a
+//!   few nodes; the second batch undoes the first) through `apply_all` on
+//!   a rule-less validator: apply, fold, and the per-batch bookkeeping.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_engine::ViolationStore;
-use ged_graph::{sym, Graph, NodeId};
+use ged_engine::{IncrementalValidator, ViolationStore};
+use ged_graph::{sym, Delta, DeltaSet, Graph, NodeId, Value};
 use ged_pattern::{
     parse_pattern, Match, MatchOptions, MatchPlan, MatchScratch, Matcher, NoopRecorder, Pattern,
     Var,
@@ -253,11 +267,137 @@ fn bench_key_flip(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` `account` nodes, each with a `tier` string and an `age`.
+fn accounts(n: usize) -> Graph {
+    let mut g = Graph::new();
+    for i in 0..n {
+        let node = g.add_node(sym("account"));
+        g.set_attr(node, sym("tier"), format!("tier-{}", i % 7));
+        g.set_attr(node, sym("age"), (18 + i % 53) as i64);
+    }
+    g
+}
+
+fn bench_delta_apply(c: &mut Criterion) {
+    const N: usize = 200_000;
+    // One round of deltas per sample and one for the warm-up, each round on
+    // nodes of its own: nothing a sample touches is cached from the last.
+    const ROUNDS: usize = 31;
+    // A walk over `0..N` (48 271 is prime) that no cache line survives.
+    // Each row has a stretch of it for the nodes it writes or links from:
+    // the three write rows 31 000 steps each, the two edge rows 15 500
+    // from 93 000, the batches from 124 000; edge targets share the last
+    // 60 000.
+    let strided = |k: usize| NodeId((k * 48_271 % N) as u32);
+    let target = |pair: usize, d: usize| strided(140_000 + (pair + 101 * d) % 60_000);
+    let set = |k: usize, attr: &str, value: Value| Delta::SetAttr {
+        node: strided(k),
+        attr: sym(attr),
+        value,
+    };
+    let rounds_of = |delta: &dyn Fn(usize) -> Delta| -> Vec<Vec<Delta>> {
+        let round = |r| (r * 1_000..(r + 1) * 1_000).map(delta).collect();
+        (0..ROUNDS).map(round).collect()
+    };
+    let mut group = c.benchmark_group("delta-path/delta-apply");
+    group.sample_size(ROUNDS - 1);
+
+    for &n in &[2_000usize, N] {
+        let mut g = accounts(n);
+        let mut recent: Vec<NodeId> = g.nodes_with_label(sym("account"))[n - 64..].to_vec();
+        group.bench_with_input(BenchmarkId::new("remove+add-node", n), &(), |b, ()| {
+            b.iter(|| {
+                for k in 0..500 {
+                    let node = recent[k % 64];
+                    assert!(g.apply_delta(&Delta::RemoveNode { node }).changed);
+                    let label = sym("account");
+                    recent[k % 64] = g.apply_delta(&Delta::AddNode { label }).created.unwrap();
+                }
+            });
+        });
+    }
+
+    let mut g = accounts(N);
+    let mut rows = vec![
+        (
+            "set-attr/str-overwrite".to_string(),
+            rounds_of(&|i| set(i, "tier", "tier-x".into())),
+        ),
+        (
+            "set-attr/int-overwrite".to_string(),
+            rounds_of(&|i| set(31_000 + i, "age", 1.into())),
+        ),
+        (
+            "set-attr/insert".to_string(),
+            rounds_of(&|i| set(62_000 + i, "extra", 0.into())),
+        ),
+    ];
+    for (base, degree) in [(93_000, 4), (108_500, 64)] {
+        let label = sym("follow");
+        for pair in 0..ROUNDS * 500 {
+            for d in 1..=degree {
+                g.add_edge(strided(base + pair), label, target(pair, d));
+            }
+        }
+        let flip = |i: usize| {
+            let (src, dst) = (strided(base + i / 2), target(i / 2, 0));
+            match i % 2 {
+                0 => Delta::AddEdge { src, label, dst },
+                _ => Delta::RemoveEdge { src, label, dst },
+            }
+        };
+        rows.push((format!("add+remove-edge/{degree}"), rounds_of(&flip)));
+    }
+    for (row, rounds) in &rows {
+        let mut rounds = rounds.iter();
+        group.bench_with_input(BenchmarkId::new(row, N), &(), |b, ()| {
+            b.iter(|| {
+                let deltas = rounds.next().expect("one round per sample");
+                let changed = deltas.iter().filter(|d| g.apply_delta(d).changed).count();
+                assert_eq!(changed, deltas.len(), "a no-op among the timed deltas");
+            });
+        });
+    }
+
+    // The second batch of a round undoes the first, node ids predicted.
+    let bound = g.node_id_bound();
+    let batch = |r: usize, undo: bool| -> DeltaSet {
+        let delta = |j: usize| {
+            let k = 124_000 + r * 512 + j;
+            let (src, label, dst) = (strided(k), sym("like"), strided(k + N / 4));
+            let (created, account) = (NodeId((bound + r * 8 + j / 64) as u32), sym("account"));
+            match (j % 64, undo) {
+                (0, false) => Delta::AddNode { label: account },
+                (0, true) => Delta::RemoveNode { node: created },
+                (1..=16, false) => Delta::AddEdge { src, label, dst },
+                (1..=16, true) => Delta::RemoveEdge { src, label, dst },
+                (17..=40, _) => set(k, "tier", ["tier-p", "tier-q"][undo as usize].into()),
+                _ => set(k, "age", (7 + undo as i64).into()),
+            }
+        };
+        (0..512).map(delta).collect()
+    };
+    let rounds: Vec<[DeltaSet; 2]> = (0..ROUNDS)
+        .map(|r| [false, true].map(|u| batch(r, u)))
+        .collect();
+    let mut rounds = rounds.iter();
+    let mut v = IncrementalValidator::<Ged>::with_threads(g, vec![], 1);
+    group.bench_with_input(BenchmarkId::new("apply-all", "2x512"), &(), |b, ()| {
+        b.iter(|| {
+            let [first, second] = rounds.next().expect("one round per sample");
+            let applied = v.apply_all(first).deltas_applied + v.apply_all(second).deltas_applied;
+            assert_eq!(applied, 1_024, "a no-op among the timed deltas");
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_drop,
     bench_anchor,
     bench_leaf_anchor,
-    bench_key_flip
+    bench_key_flip,
+    bench_delta_apply
 );
 criterion_main!(benches);

@@ -45,6 +45,7 @@
 //! once, fans out across workers.
 //!
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
+//! [`DeltaEffect::touched`]: ged_graph::DeltaEffect::touched
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot, Phase, WorkerShard};
 use crate::shard::{self, SeedStats};
@@ -53,7 +54,7 @@ use crate::view::{ReadView, SharedViews};
 use ged_analysis::{AnalysisReport, Pruned, RuleCost};
 use ged_core::constraint::Constraint;
 use ged_core::reason::ValidationReport;
-use ged_graph::{Delta, DeltaEffect, DeltaSet, Graph, NodeId, Symbol};
+use ged_graph::{Delta, DeltaSet, Graph, NodeId, Symbol};
 use ged_pattern::{MatchPlan, MatchScratch};
 use std::sync::Arc;
 
@@ -467,38 +468,29 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// assert!(v.is_satisfied());
     /// ```
     pub fn apply(&mut self, delta: &Delta) -> ApplyStats {
-        let t = self.metrics.start();
-        let effect = self.graph.apply_delta(delta);
-        self.metrics.finish(Phase::DeltaApply, t);
-        self.maintain(std::iter::once(effect))
+        self.maintain(std::slice::from_ref(delta))
     }
 
     /// Apply a batch of deltas left to right, then maintain the store once
     /// over the union of their touched sets — cheaper than per-delta
     /// maintenance when deltas cluster in the same region.
     pub fn apply_all(&mut self, deltas: &DeltaSet) -> ApplyStats {
-        let t = self.metrics.start();
-        let effects: Vec<DeltaEffect> = deltas
-            .deltas()
-            .iter()
-            .map(|d| self.graph.apply_delta(d))
-            .collect();
-        self.metrics.finish(Phase::DeltaApply, t);
-        self.maintain(effects)
+        self.maintain(deltas.deltas())
     }
 
-    /// Prune and re-derive the store after the given effects.
-    fn maintain(&mut self, effects: impl IntoIterator<Item = DeltaEffect>) -> ApplyStats {
+    /// Apply the deltas left to right, folding each effect into the batch's
+    /// footprint as it is reported, then prune and re-derive the store.
+    fn maintain(&mut self, deltas: &[Delta]) -> ApplyStats {
         let mut stats = ApplyStats::default();
-        let mut touched: Vec<NodeId> = Vec::new();
-        for eff in effects {
-            if !eff.changed {
-                continue;
-            }
-            stats.deltas_applied += 1;
+        let mut touched: Vec<NodeId> = Vec::with_capacity(deltas.len());
+        let t = self.metrics.start();
+        for delta in deltas {
+            let eff = self.graph.apply_delta(delta);
+            stats.deltas_applied += usize::from(eff.changed);
             stats.created.extend(eff.created);
-            touched.extend(eff.touched);
+            touched.extend(eff.touched.into_iter().flatten());
         }
+        self.metrics.finish(Phase::DeltaApply, t);
         if stats.deltas_applied == 0 {
             return stats;
         }

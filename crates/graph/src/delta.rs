@@ -3,9 +3,10 @@
 //! A [`Delta`] is one elementary update to a property graph — node and edge
 //! insertion/removal plus attribute writes — and a [`DeltaSet`] is an
 //! ordered batch of them. [`Graph::apply_delta`] applies one delta and
-//! reports a [`DeltaEffect`]: whether anything changed, which live nodes
-//! were *touched* (their attribute tuple or incident-edge structure grew or
-//! changed in place), and which node (if any) was created or removed.
+//! reports a [`DeltaEffect`]: whether anything changed, which nodes were
+//! *touched* (their attribute tuple or incident-edge structure grew or
+//! changed in place, or they were removed), and which node (if any) was
+//! created.
 //!
 //! The touched-node discipline is what makes incremental validation sound
 //! (see `ged-engine`): a delta can only create a **new** violating match if
@@ -17,6 +18,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::symbol::Symbol;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One elementary graph update.
@@ -144,27 +146,33 @@ impl<'a> IntoIterator for &'a DeltaSet {
     }
 }
 
-/// What applying one [`Delta`] did to the graph.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// What applying one [`Delta`] did to the graph. Plain data, no heap: a
+/// batch of effects costs the allocator nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaEffect {
     /// Did the graph change at all? `false` for no-ops (duplicate edge
     /// insert, removing an absent edge/attr, touching a dead node, …).
     pub changed: bool,
     /// The node created by an `AddNode`.
     pub created: Option<NodeId>,
-    /// The node removed by a `RemoveNode`.
-    pub removed: Option<NodeId>,
     /// Nodes whose attribute tuple or incident-edge structure this delta
-    /// changed — the locality footprint of the update. Only matches whose
-    /// image intersects this set can change violation status. A removed
-    /// node reports itself here (its id is dead afterwards); edge deltas
-    /// report both endpoints.
-    pub touched: Vec<NodeId>,
+    /// changed — the locality footprint of the update, `Some` ids first
+    /// (iterate it with `.into_iter().flatten()`). Only matches whose
+    /// image intersects this set can change violation status. Node and
+    /// attribute deltas report their one node — a removed node reports
+    /// itself (its id is dead afterwards); edge deltas report both
+    /// endpoints, a self loop's once. Empty when nothing changed.
+    pub touched: [Option<NodeId>; 2],
 }
 
 impl DeltaEffect {
-    fn unchanged() -> DeltaEffect {
-        DeltaEffect::default()
+    /// A change whose footprint is `a` and `b` (once, if they coincide).
+    fn touching(a: NodeId, b: NodeId) -> DeltaEffect {
+        DeltaEffect {
+            changed: true,
+            created: None,
+            touched: [Some(a), (b != a).then_some(b)],
+        }
     }
 }
 
@@ -175,88 +183,41 @@ impl Graph {
     /// (`changed == false`) rather than panicking, so randomly generated
     /// update streams can be replayed without pre-filtering.
     pub fn apply_delta(&mut self, delta: &Delta) -> DeltaEffect {
-        match delta {
+        let (changed, a, b) = match *delta {
             Delta::AddNode { label } => {
-                let id = self.add_node(*label);
-                DeltaEffect {
-                    changed: true,
+                let id = self.add_node(label);
+                return DeltaEffect {
                     created: Some(id),
-                    removed: None,
-                    touched: vec![id],
-                }
+                    ..DeltaEffect::touching(id, id)
+                };
             }
-            Delta::RemoveNode { node } => {
-                if !self.remove_node(*node) {
-                    return DeltaEffect::unchanged();
-                }
-                DeltaEffect {
-                    changed: true,
-                    created: None,
-                    removed: Some(*node),
-                    touched: vec![*node],
-                }
-            }
+            Delta::RemoveNode { node } => (self.remove_node(node), node, node),
             Delta::AddEdge { src, label, dst } => {
-                if !self.is_alive(*src) || !self.is_alive(*dst) {
-                    return DeltaEffect::unchanged();
-                }
-                if !self.add_edge(*src, *label, *dst) {
-                    return DeltaEffect::unchanged();
-                }
-                let mut touched = vec![*src];
-                if dst != src {
-                    touched.push(*dst);
-                }
-                DeltaEffect {
-                    changed: true,
-                    created: None,
-                    removed: None,
-                    touched,
-                }
+                let alive = self.is_alive(src) && self.is_alive(dst);
+                (alive && self.link(src, label, dst), src, dst)
             }
-            Delta::RemoveEdge { src, label, dst } => {
-                if !self.remove_edge(*src, *label, *dst) {
-                    return DeltaEffect::unchanged();
-                }
-                let mut touched = vec![*src];
-                if dst != src {
-                    touched.push(*dst);
-                }
-                DeltaEffect {
-                    changed: true,
-                    created: None,
-                    removed: None,
-                    touched,
-                }
-            }
-            Delta::SetAttr { node, attr, value } => {
+            Delta::RemoveEdge { src, label, dst } => (self.remove_edge(src, label, dst), src, dst),
+            Delta::SetAttr {
+                node,
+                attr,
+                ref value,
+            } => {
                 // `id` is the node identity, not a stored attribute
                 // (Graph::set_attr rejects it); keep the no-panic contract.
-                if *attr == Symbol::ID || !self.is_alive(*node) {
-                    return DeltaEffect::unchanged();
+                let writes = attr != Symbol::ID
+                    && self.is_alive(node)
+                    && self.attr(node, attr) != Some(value);
+                if writes {
+                    self.write_attr(node, attr, Cow::Borrowed(value));
                 }
-                if self.attr(*node, *attr) == Some(value) {
-                    return DeltaEffect::unchanged();
-                }
-                self.set_attr(*node, *attr, value.clone());
-                DeltaEffect {
-                    changed: true,
-                    created: None,
-                    removed: None,
-                    touched: vec![*node],
-                }
+                (writes, node, node)
             }
-            Delta::DelAttr { node, attr } => {
-                if !self.is_alive(*node) || self.remove_attr(*node, *attr).is_none() {
-                    return DeltaEffect::unchanged();
-                }
-                DeltaEffect {
-                    changed: true,
-                    created: None,
-                    removed: None,
-                    touched: vec![*node],
-                }
-            }
+            Delta::DelAttr { node, attr } => (self.remove_attr(node, attr).is_some(), node, node),
+        };
+        if changed {
+            DeltaEffect::touching(a, b)
+        } else {
+            DeltaEffect::default()
         }
     }
 }
@@ -272,7 +233,7 @@ mod tests {
         let eff = g.apply_delta(&Delta::AddNode { label: sym("t") });
         let a = eff.created.unwrap();
         assert!(eff.changed);
-        assert_eq!(eff.touched, vec![a]);
+        assert_eq!(eff.touched, [Some(a), None]);
         let b = g
             .apply_delta(&Delta::AddNode { label: sym("t") })
             .created
@@ -283,7 +244,7 @@ mod tests {
             dst: b,
         });
         assert!(eff.changed);
-        assert_eq!(eff.touched, vec![a, b]);
+        assert_eq!(eff.touched, [Some(a), Some(b)]);
         // Duplicate insert: E is a set, so a no-op.
         let eff = g.apply_delta(&Delta::AddEdge {
             src: a,
@@ -302,7 +263,7 @@ mod tests {
             label: sym("e"),
             dst: a,
         });
-        assert_eq!(eff.touched, vec![a]);
+        assert_eq!(eff.touched, [Some(a), None]);
     }
 
     #[test]
@@ -317,10 +278,9 @@ mod tests {
             dst: b,
         });
         assert!(eff.changed);
-        assert_eq!(eff.touched, vec![a, b]);
+        assert_eq!(eff.touched, [Some(a), Some(b)]);
         let eff = g.apply_delta(&Delta::RemoveNode { node: b });
-        assert_eq!(eff.removed, Some(b));
-        assert_eq!(eff.touched, vec![b], "the dead id is the footprint");
+        assert_eq!(eff.touched, [Some(b), None], "the dead id is the footprint");
         // Repeat removals are no-ops.
         assert!(!g.apply_delta(&Delta::RemoveNode { node: b }).changed);
     }
@@ -361,7 +321,12 @@ mod tests {
     fn deltas_on_dead_nodes_are_no_ops() {
         let mut g = Graph::new();
         let a = g.add_node(sym("t"));
+        g.set_attr(a, sym("p"), 1);
         g.remove_node(a);
+        for node in [a, NodeId(7), NodeId(u32::MAX)] {
+            let attr = sym("p");
+            assert!(!g.apply_delta(&Delta::DelAttr { node, attr }).changed);
+        }
         assert!(
             !g.apply_delta(&Delta::SetAttr {
                 node: a,

@@ -31,6 +31,7 @@
 use crate::symbol::Symbol;
 use crate::value::Value;
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
@@ -99,25 +100,27 @@ fn index_position(indexes: &[ValueIndex], label: Symbol, attr: Symbol) -> Option
         .position(|ix| ix.label == label && ix.attr == attr)
 }
 
-/// Bring the value index of `(node.label, attr)`, if there is one, in line
-/// with a write to node `n` that replaced `old` (`None`: the attribute was
-/// absent) by what `node` carries now. With nothing indexed this is one
-/// look at an empty slice.
+/// Bring the value index of `(label, attr)`, if there is one, in line with
+/// node `n` (labelled `label`) going from `old` to `new` on `attr` (`None`:
+/// the attribute absent). The one writer of a built index, called *before*
+/// the tuple changes — an overwrite in place keeps no old value to read a
+/// key from afterwards — and a key is computed only when the pair is
+/// indexed: with nothing indexed this is one look at an empty slice.
 fn reindex(
     indexes: &mut [ValueIndex],
-    node: &NodeData,
+    (label, attr): (Symbol, Symbol),
     n: NodeId,
-    attr: Symbol,
     old: Option<&Value>,
+    new: Option<&Value>,
 ) {
-    let Some(i) = index_position(indexes, node.label, attr) else {
+    let Some(i) = index_position(indexes, label, attr) else {
         return;
     };
     let ix = &mut indexes[i];
     if let Some(old) = old {
         ix.entries.remove(&(old.index_key(), n));
     }
-    if let Some(new) = find_attr(&node.attrs, attr) {
+    if let Some(new) = new {
         ix.entries.insert((new.index_key(), n));
     }
 }
@@ -216,6 +219,10 @@ pub struct Graph {
     n_edges: usize,
     out_lab: Vec<LabeledAdj>,
     inn_lab: Vec<LabeledAdj>,
+    /// Label → its live nodes. A bucket is **strictly ascending** and never
+    /// empty: [`Graph::add_node`] is the only writer that grows one and it
+    /// pushes ids that only grow, so [`Graph::remove_node`] finds its slot
+    /// by binary search. Checked by [`Graph::assert_index_consistent`].
     label_index: HashMap<Symbol, Vec<NodeId>>,
     /// One entry per [`Graph::index_attr`] pair.
     value_index: Vec<ValueIndex>,
@@ -248,6 +255,11 @@ impl Graph {
     pub fn add_edge(&mut self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
         assert!(self.is_alive(src), "edge src out of range or removed");
         assert!(self.is_alive(dst), "edge dst out of range or removed");
+        self.link(src, label, dst)
+    }
+
+    /// [`Graph::add_edge`] between endpoints the caller has checked alive.
+    pub(crate) fn link(&mut self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
         if !self.out_lab[src.idx()].insert(label, dst) {
             return false;
         }
@@ -290,23 +302,20 @@ impl Graph {
             self.n_edges -= 1;
         }
         let label = self.nodes[n.idx()].label;
-        let label_emptied = match self.label_index.get_mut(&label) {
-            Some(ix) => {
-                ix.retain(|&m| m != n);
-                ix.is_empty()
+        if let Entry::Occupied(mut bucket) = self.label_index.entry(label) {
+            // Ascending, so a search finds the slot; a stream removes
+            // recent nodes, so the tail `Vec::remove` shifts is short.
+            if let Ok(i) = bucket.get().binary_search(&n) {
+                bucket.get_mut().remove(i);
             }
-            None => false,
-        };
-        if label_emptied {
-            // Keep `labels()` an exact enumeration of labels with live nodes.
-            self.label_index.remove(&label);
+            if bucket.get().is_empty() {
+                // Keep `labels()` an exact enumeration of labels with live nodes.
+                bucket.remove();
+            }
         }
         // Dropped, not cleared: a tombstone keeps no attribute allocation.
-        let attrs = std::mem::take(&mut self.nodes[n.idx()].attrs);
-        for ix in self.value_index.iter_mut().filter(|ix| ix.label == label) {
-            if let Some(v) = find_attr(&attrs, ix.attr) {
-                ix.entries.remove(&(v.index_key(), n));
-            }
+        for (attr, v) in std::mem::take(&mut self.nodes[n.idx()].attrs) {
+            reindex(&mut self.value_index, (label, attr), n, Some(&v), None);
         }
         self.alive[n.idx()] = false;
         self.n_live -= 1;
@@ -337,36 +346,39 @@ impl Graph {
             "the id attribute is the node identity and cannot be set"
         );
         assert!(self.is_alive(n), "set_attr on a removed node");
-        let attrs = &mut self.nodes[n.idx()].attrs;
-        let at = attrs.iter().position(|e| e.0 >= attr);
-        let old = match at {
-            Some(i) if attrs[i].0 == attr => Some(std::mem::replace(&mut attrs[i].1, v.into())),
-            _ => {
-                attrs.insert(at.unwrap_or(attrs.len()), (attr, v.into()));
-                None
-            }
-        };
-        reindex(
-            &mut self.value_index,
-            &self.nodes[n.idx()],
-            n,
-            attr,
-            old.as_ref(),
-        );
+        self.write_attr(n, attr, Cow::Owned(v.into()));
     }
 
-    /// Remove attribute `A` from node `n`, returning the previous value.
+    /// The one attribute write, of a live node `n` and an `attr` other than
+    /// `id`: [`Graph::set_attr`] hands it the value, [`Graph::apply_delta`]
+    /// lends it the delta's. An existing value is overwritten where it
+    /// lies — a lent string is copied into the buffer of the string it
+    /// replaces ([`Value::clone_from`]) — and only a new attribute grows
+    /// the tuple.
+    pub(crate) fn write_attr(&mut self, n: NodeId, attr: Symbol, v: Cow<'_, Value>) {
+        let node = &mut self.nodes[n.idx()];
+        let at = node.attrs.iter().position(|e| e.0 >= attr);
+        let slot = at.filter(|&i| node.attrs[i].0 == attr);
+        let old = slot.map(|i| &node.attrs[i].1);
+        reindex(&mut self.value_index, (node.label, attr), n, old, Some(&*v));
+        match (slot, v) {
+            (Some(i), Cow::Borrowed(v)) => node.attrs[i].1.clone_from(v),
+            (Some(i), Cow::Owned(v)) => node.attrs[i].1 = v,
+            (None, v) => {
+                let at = at.unwrap_or(node.attrs.len());
+                node.attrs.insert(at, (attr, v.into_owned()));
+            }
+        }
+    }
+
+    /// Remove attribute `A` from node `n`, returning the previous value —
+    /// `None` (never a panic) when `n` is out of range or removed, like
+    /// [`Graph::remove_edge`]: a removed node's tuple is empty.
     pub fn remove_attr(&mut self, n: NodeId, attr: Symbol) -> Option<Value> {
-        let attrs = &mut self.nodes[n.idx()].attrs;
-        let i = attrs.iter().position(|e| e.0 == attr)?;
-        let old = attrs.remove(i).1;
-        reindex(
-            &mut self.value_index,
-            &self.nodes[n.idx()],
-            n,
-            attr,
-            Some(&old),
-        );
+        let node = self.nodes.get_mut(n.idx())?;
+        let i = node.attrs.iter().position(|e| e.0 == attr)?;
+        let (pair, old) = ((node.label, attr), node.attrs.remove(i).1);
+        reindex(&mut self.value_index, pair, n, Some(&old), None);
         Some(old)
     }
 
@@ -376,11 +388,11 @@ impl Graph {
     fn set_tuple(&mut self, n: NodeId, attrs: Vec<(Symbol, Value)>) {
         debug_assert!(self.nodes[n.idx()].attrs.is_empty(), "fresh node");
         debug_assert!(attrs.windows(2).all(|w| w[0].0 < w[1].0), "sorted tuple");
-        self.nodes[n.idx()].attrs = attrs;
-        let node = &self.nodes[n.idx()];
-        for &(attr, _) in &node.attrs {
-            reindex(&mut self.value_index, node, n, attr, None);
+        let node = &mut self.nodes[n.idx()];
+        for (attr, v) in &attrs {
+            reindex(&mut self.value_index, (node.label, *attr), n, None, Some(v));
         }
+        node.attrs = attrs;
     }
 
     /// Maintain a value index for attribute `attr` of the nodes labelled
@@ -432,10 +444,25 @@ impl Graph {
         Some(ix.entries.range(bucket).map(|&(_, n)| n))
     }
 
-    /// Cross-check every value index against a linear scan of its label's
-    /// nodes, panicking on any difference. Runs after the bulk writers in
-    /// debug builds; O(indexed nodes), so release builds never pay for it.
+    /// Cross-check the label index against a scan of the live nodes — each
+    /// bucket strictly ascending and exactly its label's live nodes, none
+    /// left empty — and every value index against a linear scan of its
+    /// label's nodes, panicking on any difference. Runs after the bulk
+    /// writers in debug builds; O(nodes), so release builds never pay for it.
     pub fn assert_index_consistent(&self) {
+        let mut buckets: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
+        for n in self.nodes() {
+            buckets.entry(self.label(n)).or_default().push(n);
+        }
+        for (label, bucket) in &self.label_index {
+            let scan = buckets.remove(label);
+            assert_eq!(
+                Some(bucket),
+                scan.as_ref(),
+                "bucket of {label} against a scan"
+            );
+        }
+        assert!(buckets.is_empty(), "labels without a bucket: {buckets:?}");
         for ix in &self.value_index {
             let scan: BTreeSet<(u64, NodeId)> = self
                 .nodes_with_label(ix.label)
@@ -986,6 +1013,37 @@ mod tests {
     }
 
     #[test]
+    fn remove_node_finds_its_bucket_slot_wherever_it_sits() {
+        let mut g = Graph::new();
+        let (t, u) = (sym("t"), sym("u"));
+        // The `t` bucket is ascending but not dense: `u` nodes interleave.
+        let mut ts = Vec::new();
+        for _ in 0..5 {
+            ts.push(g.add_node(t));
+            g.add_node(u);
+        }
+        let only = g.add_node(sym("lonely"));
+        for victim in [ts[0], ts[2], ts[4]] {
+            assert!(g.remove_node(victim), "first, middle, last of the bucket");
+            g.assert_index_consistent();
+        }
+        assert_eq!(g.nodes_with_label(t), &[ts[1], ts[3]]);
+        assert!(!g.remove_node(ts[2]), "already removed");
+        assert!(!g.remove_node(NodeId(u32::MAX)), "never existed");
+        assert_eq!(g.nodes_with_label(t), &[ts[1], ts[3]], "bucket untouched");
+        assert!(g.remove_node(only));
+        assert!(
+            g.labels().all(|l| l != sym("lonely")),
+            "emptied bucket gone"
+        );
+        assert_eq!(g.labels().count(), 2);
+        // A later node of the same label lands behind the survivors.
+        let late = g.add_node(t);
+        assert_eq!(g.nodes_with_label(t), &[ts[1], ts[3], late]);
+        g.assert_index_consistent();
+    }
+
+    #[test]
     fn compact_densifies_and_translates_ids() {
         let mut g = Graph::new();
         let a = g.add_node(sym("t"));
@@ -1314,6 +1372,7 @@ mod tests {
                 });
                 assert!(!fx.changed);
             }
+            assert_eq!(g.remove_attr(bad, sym("p")), None);
         }
         assert_eq!(g.edge_count(), 1);
         assert!(g.has_edge(a, e, b), "the live edge is untouched");

@@ -26,7 +26,7 @@ use std::hash::{Hash, Hasher};
 /// differ. [`Hash`] and [`Value::index_key`] both read the
 /// same image, so values that are `==` always share a hash and a key;
 /// values that share one need not be `==`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     /// Boolean constant.
     Bool(bool),
@@ -125,6 +125,28 @@ impl Value {
             return Value::Float(f);
         }
         Value::Str(t.to_string())
+    }
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        match self {
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Str(s) => Value::Str(s.clone()),
+        }
+    }
+
+    /// A string over a string is copied into the buffer it replaces — no
+    /// allocator call while the new text fits — which is what makes an
+    /// attribute overwrite ([`Graph::set_attr`](crate::Graph::set_attr),
+    /// a `SetAttr` delta) a write in place.
+    fn clone_from(&mut self, source: &Value) {
+        match (self, source) {
+            (Value::Str(old), Value::Str(new)) => old.clone_from(new),
+            (this, _) => *this = source.clone(),
+        }
     }
 }
 

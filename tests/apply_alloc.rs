@@ -1,0 +1,106 @@
+//! Allocation bound on the delta-apply layer (DESIGN.md §8, "The delta-apply
+//! layer"): a delta that grows no tuple, adjacency or bucket — an overwrite,
+//! a removal, a no-op — makes no allocator call in `Graph::apply_delta`, its
+//! `DeltaEffect` included; and a batch of such deltas through `apply_all`
+//! allocates for the batch (one footprint vector, the per-batch
+//! bookkeeping), not per delta.
+//!
+//! The counter (`support/counting.rs`) counts the calling thread's `alloc`
+//! and `realloc` calls; the validators here run on one worker, that thread.
+
+use ged_repro::prelude::*;
+
+#[path = "support/counting.rs"]
+mod counting;
+use counting::allocations_in;
+
+#[test]
+fn a_delta_that_grows_nothing_calls_no_allocator() {
+    let (t, e) = (sym("t"), sym("e"));
+    let (int, text, doomed) = (sym("int"), sym("text"), sym("doomed"));
+    let mut g = Graph::new();
+    let [a, b, isolated] = [(); 3].map(|()| g.add_node(t));
+    g.set_attr(a, int, 1);
+    g.set_attr(a, text, "a string of some length");
+    g.set_attr(a, doomed, "not long for this tuple");
+    g.add_edge(a, e, b);
+    g.add_edge(b, e, a);
+    let ghost = NodeId(g.node_id_bound() as u32 + 7);
+    let set = |node, attr, value: Value| Delta::SetAttr { node, attr, value };
+    let del = |node, attr| Delta::DelAttr { node, attr };
+    let link = |src, dst| Delta::AddEdge { src, label: e, dst };
+    let unlink = |src, dst| Delta::RemoveEdge { src, label: e, dst };
+    let remove = |node| Delta::RemoveNode { node };
+    let same_length = "b string of some length";
+
+    let changing = [
+        ("int over int", set(a, int, 2.into())),
+        ("bool over int", set(a, int, true.into())),
+        ("shorter string over string", set(a, text, "shorter".into())),
+        ("as long as the buffer", set(a, text, same_length.into())),
+        ("del_attr", del(a, doomed)),
+        ("remove_edge", unlink(a, b)),
+        ("remove_node, isolated", remove(isolated)),
+    ];
+    let no_ops = [
+        ("duplicate edge", link(b, a)),
+        ("edge to a ghost", link(a, ghost)),
+        ("absent edge", unlink(a, b)),
+        ("write to a ghost", set(ghost, int, 3.into())),
+        ("write to a tombstone", set(isolated, text, "late".into())),
+        ("equal value", set(a, text, same_length.into())),
+        ("the id attribute", set(a, Symbol::ID, 4.into())),
+        ("del_attr, absent", del(a, doomed)),
+        ("del_attr on a ghost", del(ghost, int)),
+        ("remove_node twice", remove(isolated)),
+        ("remove_node of a ghost", remove(ghost)),
+    ];
+    for (deltas, changes) in [(&changing[..], true), (&no_ops[..], false)] {
+        for (what, delta) in deltas {
+            let (effect, allocs) = allocations_in(|| g.apply_delta(delta));
+            assert_eq!(effect.changed, changes, "{what}: {delta}");
+            assert_eq!(allocs, 0, "{what}: {delta} called the allocator");
+        }
+    }
+    assert_eq!(g.attr(a, text), Some(&same_length.into()));
+    let left = (g.node_count(), g.edge_count(), g.attrs(a).len());
+    assert_eq!(left, (2, 1, 2));
+}
+
+#[test]
+fn a_batch_of_overwrites_allocates_per_batch_not_per_delta() {
+    let (t, int, text) = (sym("t"), sym("int"), sym("text"));
+    let mut g = Graph::new();
+    let nodes: Vec<NodeId> = (0..512).map(|_| g.add_node(t)).collect();
+    for &node in &nodes {
+        g.set_attr(node, int, 0);
+        g.set_attr(node, text, "tier-0");
+    }
+    // Two rounds per size, so every batch changes every node it writes.
+    let batch = |n: usize, round: i64| -> DeltaSet {
+        let set = |(i, &node): (usize, &NodeId)| {
+            let (attr, value) = match i % 2 {
+                0 => (int, Value::from(round)),
+                _ => (text, Value::from(format!("tier-{round}"))),
+            };
+            Delta::SetAttr { node, attr, value }
+        };
+        nodes[..n].iter().enumerate().map(set).collect()
+    };
+    let mut v = IncrementalValidator::<Ged>::with_threads(g, vec![], 1);
+    let mut cost = |n: usize| {
+        let rounds = [batch(n, 1), batch(n, 2)];
+        let (applied, allocs) = allocations_in(|| {
+            let first = v.apply_all(&rounds[0]).deltas_applied;
+            first + v.apply_all(&rounds[1]).deltas_applied
+        });
+        assert_eq!(applied, 2 * n, "a write of either round changed nothing");
+        allocs
+    };
+    // Warm the per-validator state (trace ring, histograms) first.
+    cost(8);
+    let (small, large) = (cost(64), cost(512));
+    println!("two batches of overwrites: 64 → {small}, 512 → {large} allocator calls");
+    assert_eq!(small, large, "512 overwrites cost more calls than 64");
+    assert!(small <= 8, "{small} calls for two batches");
+}

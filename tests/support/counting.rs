@@ -1,8 +1,9 @@
 //! A counting global allocator for the allocation-bound tests
-//! (`report_alloc.rs`, `request_alloc.rs`, `publish_alloc.rs`), each of
-//! which pulls this file in with `#[path]` and so installs it for its own
-//! binary. The count is per thread: what the test harness's main thread
-//! allocates while a test starts up is not the measured code's.
+//! (`report_alloc.rs`, `request_alloc.rs`, `publish_alloc.rs`,
+//! `apply_alloc.rs`), each of which pulls this file in with `#[path]` and so
+//! installs it for its own binary. The count is per thread: what the test
+//! harness's main thread allocates while a test starts up is not the
+//! measured code's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
