@@ -381,7 +381,7 @@ fn bench_delta_apply(c: &mut Criterion) {
         .map(|r| [false, true].map(|u| batch(r, u)))
         .collect();
     let mut rounds = rounds.iter();
-    let mut v = IncrementalValidator::<Ged>::with_threads(g, vec![], 1);
+    let mut v = IncrementalValidator::<Ged>::new(g, vec![]);
     group.bench_with_input(BenchmarkId::new("apply-all", "2x512"), &(), |b, ()| {
         b.iter(|| {
             let [first, second] = rounds.next().expect("one round per sample");

@@ -4,10 +4,10 @@
 //! Run with `cargo run -p ged-bench --release --bin experiments`.
 //! Any arguments act as section filters matched as substrings of the
 //! experiment ids (`-- EXP-T1` runs the five Table 1 sections, `--
-//! EXP-SEED EXP-DAEMON` those two); a filter that matches no id is an
-//! error, not an empty run. The three systems sections gedbench does not
-//! cover yet (EXP-SEED, EXP-ANALYZE, EXP-DAEMON — ROADMAP item 5a) write
-//! their rows to `BENCH_INC.json`.
+//! EXP-ANALYZE EXP-DAEMON` those two); a filter that matches no id is an
+//! error, not an empty run. The two systems sections gedbench does not
+//! cover yet (EXP-ANALYZE, EXP-DAEMON) write their rows to
+//! `BENCH_INC.json`.
 
 use ged_bench::{attr_burst, chain_implication, timed, timed_median, us, validation_workload};
 use ged_core::axiom::completeness::prove;
@@ -52,8 +52,6 @@ const SECTIONS: &[Section] = &[
     ("EXP-EX1", exp_ex1_3),
     ("EXP-EX9", exp_ex9_10),
     ("EXP-ABL", exp_abl_match),
-    ("EXP-PAR", exp_parallel),
-    ("EXP-SEED", exp_seed),
     ("EXP-ANALYZE", exp_analyze),
     ("EXP-DAEMON", exp_daemon),
 ];
@@ -692,8 +690,8 @@ fn exp_abl_match() {
     assert_eq!(iso_matches_satisfying_x, 0);
 }
 
-/// One measured row of the systems sections (EXP-SEED, EXP-ANALYZE,
-/// EXP-DAEMON), flushed to `BENCH_INC.json`: a measured path
+/// One measured row of the systems sections (EXP-ANALYZE, EXP-DAEMON),
+/// flushed to `BENCH_INC.json`: a measured path
 /// (`incremental_us`) against its baseline (`full_us`).
 struct IncRow {
     class: &'static str,
@@ -727,128 +725,12 @@ fn record(
     });
 }
 
-/// EXP-SEED — seed-granularity sharding of the *seeding* full pass
-/// (`IncrementalValidator::with_threads`): a mixed Σ whose cost is
-/// concentrated in one wildcard key rule (the four cheap
-/// `social_mixed` rules are O(|V|+|E|); the wildcard rule anchors every
-/// node against every node) is seeded at 1 worker and at all cores.
-/// Rule-granularity sharding would pin the hot rule to one worker, so
-/// this section is exactly the skew scenario the `engine::shard` unit
-/// queue exists for. The row lands in BENCH_INC.json with class
-/// `par-seed`; `incremental_us` is the sharded seeding wall-clock,
-/// `full_us` the single-threaded one — expect >1× on multi-core hosts
-/// (a single-core host records pure sharding overhead).
-fn exp_seed() {
-    use ged_datagen::mixed::social_mixed;
-    use ged_engine::IncrementalValidator;
-    use ged_pattern::Pattern;
-
-    header(
-        "EXP-SEED",
-        "sharded vs single-threaded seeding pass (mixed Σ, one hot wildcard rule)",
-    );
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    let scfg = SocialConfig {
-        n_honest: 250,
-        ..Default::default()
-    };
-    let w = social_mixed(&scfg, 5, 91);
-    let mut sigma = w.sigma;
-    // The hot rule: a wildcard key over the whole graph. Its anchor
-    // domain is every node, so its seeding cost dwarfs the four
-    // label-bound social_mixed rules combined — a Σ skewed enough that
-    // rule-granularity sharding would seed essentially single-threaded.
-    let mut q = Pattern::new();
-    let x = q.var("x", "_");
-    let y = q.var("y", "_");
-    sigma.push(
-        Ged::new(
-            "wild-key",
-            q,
-            vec![Literal::vars(x, sym("age"), y, sym("age"))],
-            vec![Literal::id(x, y)],
-        )
-        .into(),
-    );
-    let graph = w.graph;
-    let median3 = |threads: usize| {
-        let mut reps: Vec<(usize, ged_engine::SeedStats, std::time::Duration)> = (0..3)
-            .map(|_| {
-                let g = graph.clone();
-                let s = sigma.clone();
-                let t0 = std::time::Instant::now();
-                let v = IncrementalValidator::with_threads(g, s, threads);
-                let d = t0.elapsed();
-                (v.violation_count(), v.seed_stats().clone(), d)
-            })
-            .collect();
-        reps.sort_by_key(|&(_, _, d)| d);
-        reps.swap_remove(1)
-    };
-    // The sharded measurement always actually shards (≥2 workers): on a
-    // single-core host that honestly measures sharding *overhead* rather
-    // than comparing the sequential path with itself.
-    let workers = cores.max(2);
-    let (seq_violations, _seq_stats, d_seq) = median3(1);
-    let (par_violations, par_stats, d_par) = median3(workers);
-    assert_eq!(
-        seq_violations, par_violations,
-        "sharded seeding pass equals the sequential one"
-    );
-    let speedup = d_seq.as_secs_f64() / d_par.as_secs_f64().max(1e-12);
-    println!(
-        "mixed Σ of {} rules (+1 hot wildcard), |V|={}, {} violation(s) seeded, \
-         {} work unit(s); host has {cores} core(s)",
-        sigma.len() - 1,
-        graph.node_count(),
-        par_violations,
-        par_stats.units,
-    );
-    if cores == 1 {
-        println!(
-            "  NOTE: single-core host — correctness is asserted, the sharded row \
-             measures pure overhead; speedup >1× needs cores"
-        );
-    }
-    println!(
-        "  threads = 1:       {:>10} µs (single-threaded seeding)",
-        us(d_seq)
-    );
-    println!(
-        "  threads = {workers}:       {:>10} µs (speedup ×{speedup:.2})",
-        us(d_par)
-    );
-    // SeedStats makes the split observable: per-worker unit counts of the
-    // median sharded construction.
-    println!(
-        "  SeedStats: {} units over {} worker(s), per-worker {:?}",
-        par_stats.units,
-        par_stats.per_worker.len(),
-        par_stats.per_worker
-    );
-    // Flushed before the bar below: a wall-clock miss must not lose rows.
-    record("par-seed", "mixed-hot-wildcard", 0, d_par, d_seq);
-    write_bench_inc_json();
-    // Machine-checked wherever the bar *can* hold: on a multi-core host
-    // the sharded seeding pass must beat the single-threaded one (the CI
-    // release job runs this section on every push).
-    if cores > 1 {
-        assert!(
-            speedup > 1.0,
-            "sharded seeding must beat single-threaded construction \
-             on {cores} cores, got ×{speedup:.2}"
-        );
-    }
-}
-
 /// EXP-ANALYZE — the static analyzer as a deployment optimization: the
 /// `redundant` workload plants four prunable rules (an implied rule, a
 /// verbatim duplicate, contradictory premises, an entailed conclusion)
 /// among three live ones. The section asserts `analyze` finds every
 /// planted diagnostic, then deploys the Σ twice — plain
-/// `with_threads(…, 1)` vs `with_analysis` with pruning — and measures
+/// `new` vs `with_analysis` with pruning — and measures
 /// the seeding pass and a status-attribute delta burst on both. The
 /// pruned rules share the expensive edge-bound pattern with the live
 /// ones, so both phases must get measurably cheaper while the live
@@ -897,16 +779,15 @@ fn exp_analyze() {
         "all four redundant rules proved prunable"
     );
 
-    // Seeding: plain deployment vs analyzed-and-pruned, one worker each
-    // so the comparison is pure matcher work.
+    // Seeding: plain deployment vs analyzed-and-pruned.
     let live_names: Vec<String> = (0..w.live).map(|i| w.sigma[i].name().to_string()).collect();
     let graph = w.graph;
     let sigma = w.sigma;
     let (v_plain, d_plain) = timed_median(3, || {
-        IncrementalValidator::with_threads(graph.clone(), sigma.clone(), 1)
+        IncrementalValidator::new(graph.clone(), sigma.clone())
     });
     let (v_pruned, d_pruned) = timed_median(3, || {
-        IncrementalValidator::with_analysis(graph.clone(), sigma.clone(), 1)
+        IncrementalValidator::with_analysis(graph.clone(), sigma.clone())
             .expect("consistent Σ deploys")
     });
     let deploy = v_pruned.analysis().expect("analysis record attached");
@@ -987,7 +868,7 @@ fn exp_analyze() {
     // Machine-checked: pruning strictly removes matcher work (4 of 7
     // rules, 3 of them edge-bound), so even with the analyzer's chase
     // running inside the pruned seeding window the pruned deployment
-    // must win. Holds on any host — both sides run one worker.
+    // must win. Holds on any host — both sides seed on one thread.
     assert!(
         seed_speedup > 1.0,
         "pruned seeding must beat the unpruned pass, got ×{seed_speedup:.2}"
@@ -995,13 +876,10 @@ fn exp_analyze() {
 }
 
 /// Flush every row collected so far to `BENCH_INC.json`. Called at the
-/// end of the run, and *before* the wall-clock assertions of EXP-SEED and
-/// EXP-ANALYZE so a flaky miss cannot destroy the other rows. One flat
-/// object per row, each carrying the host's core count: a `par-seed`
-/// speedup only means something relative to it (×1 on `host_cores: 1`
-/// is expected, not a regression). The `experiment` tag is the file's
-/// name since it first held the incremental rows; kept so artifacts
-/// compare across PRs.
+/// end of the run, and *before* the wall-clock assertion of EXP-ANALYZE
+/// so a flaky miss cannot destroy the other rows. One flat object per
+/// row. The `experiment` tag is the file's name since it first held the
+/// incremental rows; kept so artifacts compare across PRs.
 fn write_bench_inc_json() {
     use ged_graph::json::Json;
 
@@ -1009,9 +887,6 @@ fn write_bench_inc_json() {
     if rows.is_empty() {
         return;
     }
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
     let json_rows = rows
         .iter()
         .map(|r| {
@@ -1022,7 +897,6 @@ fn write_bench_inc_json() {
                 ("incremental_us", r.incremental_us.into()),
                 ("full_us", r.full_us.into()),
                 ("speedup", r.speedup.into()),
-                ("host_cores", host_cores.into()),
             ])
         })
         .collect();
@@ -1033,59 +907,6 @@ fn write_bench_inc_json() {
     match std::fs::write("BENCH_INC.json", format!("{json}\n")) {
         Ok(()) => println!("\nwrote BENCH_INC.json ({} rows)", rows.len()),
         Err(e) => println!("\ncould not write BENCH_INC.json: {e}"),
-    }
-}
-
-/// EXP-PAR — sharded seeding of one rule: `IncrementalValidator::
-/// with_threads` on a graph key at 1/2/4/8 workers. The rule's match space
-/// splits by its pivot's candidates, so this is the parallel from-scratch
-/// validation of Section 9's future work — plus what seeding adds to it
-/// (the value index the key asks for, the store inserts). The clones each
-/// repetition consumes are made outside the timer.
-fn exp_parallel() {
-    header(
-        "EXP-PAR",
-        "Section 9 future work: parallel validation (sharded seeding, speedup vs threads)",
-    );
-    use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
-    use ged_engine::IncrementalValidator;
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    let cfg = RandomGraphConfig {
-        n_nodes: 5_000,
-        n_edges: 15_000,
-        ..Default::default()
-    };
-    let mut g = random_graph(&cfg);
-    let key = plant_key_violations(&mut g, "entity", 300);
-    let seed = |threads: usize| {
-        let mut inputs = vec![(g.clone(), vec![key.clone()]); 3];
-        let (v, d) = timed_median(3, || {
-            let (g, sigma) = inputs.pop().expect("one input per repetition");
-            IncrementalValidator::with_threads(g, sigma, threads)
-        });
-        (v.violation_count(), d)
-    };
-    let (base_violations, d1) = seed(1);
-    println!(
-        "single-GED match-space sharding, |V|={} ({} violations); host has {} core(s)",
-        g.node_count(),
-        base_violations,
-        cores
-    );
-    if cores == 1 {
-        println!("  NOTE: single-core host — correctness is asserted, speedup cannot show");
-    }
-    println!("  threads = 1: {:>10} µs (baseline)", us(d1));
-    for threads in [2usize, 4, 8] {
-        let (violations, d) = seed(threads);
-        assert_eq!(violations, base_violations, "identical result set");
-        println!(
-            "  threads = {threads}: {:>10} µs (speedup ×{:.2})",
-            us(d),
-            d1.as_secs_f64() / d.as_secs_f64().max(1e-12)
-        );
     }
 }
 
@@ -1144,7 +965,7 @@ fn exp_daemon() {
 
     // In-process baseline: same batches, view active (publish included) —
     // the daemon's writer in library form.
-    let mut direct = IncrementalValidator::with_threads(w.graph, w.sigma, 1);
+    let mut direct = IncrementalValidator::new(w.graph, w.sigma);
     let _view = direct.read_view();
     let mut direct_batches: Vec<std::time::Duration> = batches
         .iter()
@@ -1258,14 +1079,14 @@ mod tests {
     #[test]
     fn every_filter_must_select_a_section() {
         assert_eq!(ids(&[]).unwrap().len(), SECTIONS.len());
-        let two = ids(&["EXP-SEED", "EXP-FIG3"]).unwrap();
-        assert_eq!(two, ["EXP-FIG3", "EXP-SEED"], "table order");
+        let two = ids(&["EXP-DAEMON", "EXP-FIG3"]).unwrap();
+        assert_eq!(two, ["EXP-FIG3", "EXP-DAEMON"], "table order");
         // Substring rule: a prefix selects the whole family.
         let table1 = ids(&["EXP-T1"]).unwrap();
         assert_eq!(table1.len(), 5, "{table1:?}");
         assert!(table1.iter().all(|id| id.starts_with("EXP-T1-")));
         // One stale filter fails the run even beside one that matches.
-        assert_eq!(ids(&["EXP-SEED", "EXP-TYPO"]).unwrap_err(), ["EXP-TYPO"]);
+        assert_eq!(ids(&["EXP-DAEMON", "EXP-TYPO"]).unwrap_err(), ["EXP-TYPO"]);
         assert_eq!(ids(&["EXP-INC"]).unwrap_err(), ["EXP-INC"]);
     }
 }

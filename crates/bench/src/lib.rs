@@ -19,9 +19,9 @@
 //! `cargo run -p ged-bench --release --bin experiments` regenerates every
 //! table, figure and example of the paper as text tables; arguments
 //! filter sections by experiment id (one that matches none is an error),
-//! and the three systems sections the repo's benchmark (`benchmark/`)
-//! does not cover yet — EXP-SEED, EXP-ANALYZE, EXP-DAEMON — additionally
-//! write their rows to `BENCH_INC.json`.
+//! and the two systems sections the repo's benchmark (`benchmark/`)
+//! does not cover yet — EXP-ANALYZE, EXP-DAEMON — additionally write
+//! their rows to `BENCH_INC.json`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,7 +4,7 @@
 //! end-to-end suites (`tests/daemon*.rs`), the examples, and the
 //! EXP-DAEMON harness can [`spawn`] a real server in-process on an
 //! ephemeral port and talk to it over actual TCP — the binary in
-//! `src/bin/gedd.rs` is a thin flag-parsing shell around the same
+//! `src/bin/gedd.rs` is a thin shell around [`parse_cli`] and the same
 //! [`spawn`].
 //!
 //! A daemon owns one
@@ -20,7 +20,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod server;
 pub mod workload;
 
+pub use cli::parse_cli;
 pub use server::{spawn, DaemonConfig, DaemonHandle};

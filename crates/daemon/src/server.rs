@@ -38,14 +38,12 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 /// Server configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonConfig {
     /// Listen address; port 0 picks an ephemeral port (tests).
     pub addr: String,
     /// Per-frame byte cap enforced on incoming requests.
     pub max_frame: usize,
-    /// Workers for the seeding pass (the delta path is sequential).
-    pub threads: usize,
 }
 
 impl Default for DaemonConfig {
@@ -53,7 +51,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             addr: "127.0.0.1:0".to_string(),
             max_frame: DEFAULT_MAX_FRAME,
-            threads: 1,
         }
     }
 }
@@ -183,7 +180,7 @@ pub fn spawn(
     config: &DaemonConfig,
 ) -> std::io::Result<DaemonHandle> {
     let rules = sigma.len();
-    let validator = IncrementalValidator::with_threads(graph, sigma, config.threads);
+    let validator = IncrementalValidator::new(graph, sigma);
     let view = validator.read_view();
 
     let listener = TcpListener::bind(resolve(&config.addr)?)?;
@@ -539,7 +536,7 @@ mod tests {
     fn a_stalled_reply_pins_no_snapshot() {
         let (graph, sigma) = workload::load("mixed:honest=120,plants=20,seed=5").unwrap();
         let node = graph.nodes().next().expect("non-empty graph");
-        let mut validator = IncrementalValidator::with_threads(graph, sigma, 1);
+        let mut validator = IncrementalValidator::new(graph, sigma);
         let mut flip = 0i64;
         let mut publish = |validator: &mut IncrementalValidator<SigmaConstraint>| {
             flip += 1;
@@ -586,7 +583,7 @@ mod tests {
     #[test]
     fn shutdown_is_acknowledged_before_the_acceptor_is_woken() {
         let (graph, sigma) = workload::load("mixed:honest=20,plants=2,seed=5").unwrap();
-        let validator = IncrementalValidator::with_threads(graph, sigma, 1);
+        let validator = IncrementalValidator::new(graph, sigma);
         let ctx = conn_ctx(&validator);
         let (socket, stalled_rx, release_tx) = stalling_socket();
         let flag_at_write = thread::scope(|s| {

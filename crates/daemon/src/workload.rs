@@ -131,11 +131,11 @@ mod tests {
             let requests = ged_engine::rule_plan(rule).index_requests();
             assert!(requests.is_empty(), "{}: {requests:?}", rule.name());
         }
-        let v = ged_engine::IncrementalValidator::with_threads(g, sigma, 1);
+        let v = ged_engine::IncrementalValidator::new(g, sigma);
         assert_eq!(v.graph().indexed_attrs().count(), 0);
 
         let (g, sigma) = load("random:nodes=40,rules=2,seed=5").unwrap();
-        let v = ged_engine::IncrementalValidator::with_threads(g, sigma, 1);
+        let v = ged_engine::IncrementalValidator::new(g, sigma);
         let indexed: Vec<_> = v.graph().indexed_attrs().collect();
         assert_eq!(indexed, [(sym("entity"), sym("key"))]);
     }

@@ -1,10 +1,9 @@
-//! # ged-engine — incremental, parallel validation over evolving graphs
+//! # ged-engine — incremental validation over evolving graphs
 //!
-//! The paper's Section 9 leaves "parallel scalable algorithms for reasoning
-//! about GEDs" as future work; validation (`G ⊨ Σ`, Section 5.3) is the
-//! reasoning problem a deployed system faces on *every* update. This crate
-//! supplies the production answer, every layer of it **generic over the
-//! unified constraint layer** (`ged_core::constraint::Constraint`): the
+//! Validation (`G ⊨ Σ`, Section 5.3) is the reasoning problem a deployed
+//! system faces on *every* update. This crate supplies the production
+//! answer, every layer of it **generic over the unified constraint
+//! layer** (`ged_core::constraint::Constraint`): the
 //! same code serves plain GEDs, GDCs with built-in predicates, and GED∨
 //! with disjunctive conclusions — the engine only ever needs a
 //! constraint's pattern (to enumerate candidate matches) and its per-match
@@ -12,14 +11,10 @@
 //! either: one `IncrementalValidator<ged_ext::SigmaConstraint>` serves the
 //! heterogeneous Σ, and a family outside that enum runs as its own `C`.
 //!
-//! * [`shard`] — the **sharding subsystem** behind the one parallel
-//!   fan-out, the seeding full pass (parallel *from-scratch* validation:
-//!   every rule's match space partitions by the image of a pivot variable;
-//!   [`IncrementalValidator::with_threads`]`(..).report()` is its public
-//!   face): `(constraint, anchor, seed-range)` work units pulled off a
-//!   shared queue by scoped workers and enumerated by the unit function
-//!   the delta path runs too, with [`SeedStats`] reporting how the pass
-//!   actually split;
+//! * [`mod@unit`] — the **work unit** both passes run: one `(constraint,
+//!   anchor variable, seeds)` triple enumerated by exclusion-aware
+//!   anchored matching, and the seeding full pass built from it (per rule,
+//!   one unit anchored on its most selective variable);
 //! * [`IncrementalValidator`] — **delta-driven violation maintenance**: it
 //!   owns the graph and a persistent [`ViolationStore`] keyed by
 //!   (constraint, witness match), ingests [`Delta`]s / batched
@@ -30,10 +25,9 @@
 //!   store prunes via an inverted `NodeId → witness` index (no store
 //!   scan), re-enumeration uses exclusion-aware anchored matching so
 //!   each affected match is visited exactly once (no enumerate-and-discard
-//!   responsibility filter), on the caller's thread. Construction
-//!   ([`IncrementalValidator::with_threads`]) seeds through the [`shard`]
-//!   queue at *seed granularity*, so cold-start cost scales with cores,
-//!   not with the skew of Σ.
+//!   responsibility filter). Construction ([`IncrementalValidator::new`])
+//!   seeds with the [`mod@unit`] full pass; seeding and maintenance alike
+//!   run on the caller's thread.
 //! * [`view`] — **snapshot-isolated read views**: `apply` takes
 //!   `&mut self`, but violation queries need not serialize against it —
 //!   [`IncrementalValidator::read_view`] hands out cloneable
@@ -41,7 +35,7 @@
 //!   immutable snapshot published at the last batch boundary (the
 //!   witness table the writer just maintained, swapped in whole; the one
 //!   it replaces catches up by O(changed) changelog replay), so many
-//!   reader threads proceed concurrently with the one writer and never
+//!   readers proceed concurrently with the one writer and never
 //!   observe a torn mid-batch store.
 //!
 //! The affected-area argument (see `DESIGN.md` §4 for the proof sketch):
@@ -90,14 +84,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod metrics;
-pub mod shard;
 pub mod store;
+pub mod unit;
 pub mod validator;
 pub mod view;
 
 pub use metrics::{EngineMetrics, MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
-pub use shard::{rule_plan, SeedStats};
 pub use store::ViolationStore;
+pub use unit::rule_plan;
 pub use validator::{ApplyStats, DeployAnalysis, IncrementalValidator};
 pub use view::{ReadView, ViolationSnapshot};
 

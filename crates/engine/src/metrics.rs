@@ -8,14 +8,12 @@
 //! discipline:
 //!
 //! * **per-batch quantities** (phase latencies, witness churn, store
-//!   size) are recorded by the coordinating thread — a handful of relaxed
-//!   atomic writes per apply batch;
-//! * **per-match quantities** (attempts, matches found) are tallied into
-//!   plain-`u64` shards — one per seeding worker, threaded through
-//!   `shard::run_units_with` and folded into the registry *after* the
-//!   join; one per delta-path batch — so the matcher hot loop never
-//!   touches a shared cache line and instrumentation adds no contention
-//!   to the work queue.
+//!   size) are recorded by the writer — a handful of relaxed atomic
+//!   writes per apply batch;
+//! * **per-unit quantities** (attempts, matches found, unit latency) are
+//!   tallied into the validator's one plain-`u64` shard and folded into
+//!   the registry once per pass, so the matcher hot loop never touches an
+//!   atomic.
 //!
 //! The whole layer is gated on one flag: when metrics are disabled the
 //! enumeration paths monomorphize with the no-op recorder and no clock is
@@ -109,15 +107,15 @@ struct RuleMetrics {
     reenum_ns: Counter,
 }
 
-/// One worker's unsynchronized tally shard for a pass: per-rule
-/// plain-`u64` counters plus a local latency histogram of the units it
-/// ran. Built per seeding worker by `run_units_with`'s `new_shard` and
-/// once per batch by the delta path, merged into the registry by
-/// [`EngineMetrics::merge_pass`] when the pass is over.
-#[derive(Debug, Clone)]
+/// The validator's unsynchronized tally shard: per-rule plain-`u64`
+/// counters plus a local latency histogram of the units a pass ran. Built
+/// once per validator and filled by every pass — the seeding pass, then
+/// each batch's re-enumeration — then folded into the registry and
+/// zeroed by [`EngineMetrics::merge_pass`] when the pass is over.
+#[derive(Debug)]
 pub(crate) struct WorkerShard {
-    /// Mirrors the registry's enabled flag at pass start; workers skip
-    /// all clock reads and tallies when false.
+    /// Mirrors the registry's enabled flag, re-read at each pass start;
+    /// a pass skips all clock reads and tallies when false.
     pub(crate) enabled: bool,
     rules: Vec<LocalRule>,
     unit_latency: LocalHistogram,
@@ -133,10 +131,11 @@ struct LocalRule {
 }
 
 impl WorkerShard {
-    pub(crate) fn new(n_rules: usize, enabled: bool) -> WorkerShard {
+    /// An empty, enabled shard for a Σ of `n_rules` rules.
+    pub(crate) fn new(n_rules: usize) -> WorkerShard {
         WorkerShard {
-            enabled,
-            rules: vec![LocalRule::default(); if enabled { n_rules } else { 0 }],
+            enabled: true,
+            rules: vec![LocalRule::default(); n_rules],
             unit_latency: LocalHistogram::new(),
         }
     }
@@ -254,13 +253,14 @@ impl EngineMetrics {
         })
     }
 
-    /// Fold one worker shard of a pass into the registry,
-    /// attributing the time to `phase` (seeding or re-enumeration).
-    pub(crate) fn merge_pass(&self, shard: &WorkerShard, phase: Phase) {
+    /// Fold the shard's tallies for one pass into the registry,
+    /// attributing the time to `phase` (seeding or re-enumeration), and
+    /// zero them for the next pass.
+    pub(crate) fn merge_pass(&self, shard: &mut WorkerShard, phase: Phase) {
         if !shard.enabled {
             return;
         }
-        for (rule, local) in self.rules.iter().zip(&shard.rules) {
+        for (rule, local) in self.rules.iter().zip(&mut shard.rules) {
             if local.attempts == 0 && local.found == 0 && local.ns == 0 {
                 continue;
             }
@@ -272,8 +272,10 @@ impl EngineMetrics {
                 Phase::Seeding => rule.seed_ns.add(local.ns),
                 _ => rule.reenum_ns.add(local.ns),
             }
+            *local = LocalRule::default();
         }
-        self.unit_latency.merge_local(&shard.unit_latency);
+        self.unit_latency
+            .merge_local(&std::mem::take(&mut shard.unit_latency));
     }
 
     /// Record the once-per-batch quantities: churn counters, store

@@ -31,7 +31,7 @@
 //! whose first touched variable is `v`, so the union over anchors visits
 //! each affected match exactly once — no post-hoc owner filter, no
 //! redundant matching work. Every such run borrows its rule's
-//! [`MatchPlan`], compiled once at construction ([`shard::rule_plan`]):
+//! [`MatchPlan`], compiled once at construction ([`unit::rule_plan`]):
 //! the search order is rooted at the anchor, so it leaves the touched
 //! node over edges instead of scanning a label, and the rule's constant
 //! and equality premises refuse candidates before recursion.
@@ -40,16 +40,15 @@
 //! work proportional to the affected area, never to global state. The
 //! re-enumeration runs on the caller's thread, one work unit per `(rule,
 //! anchor variable)` with a non-empty seed list, through the same unit
-//! function ([`shard`]) as the full pass that seeds
-//! [`IncrementalValidator::with_threads`] — only that pass, which runs
-//! once, fans out across workers.
+//! function ([`mod@unit`]) as the full pass that seeds
+//! [`IncrementalValidator::new`].
 //!
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 //! [`DeltaEffect::touched`]: ged_graph::DeltaEffect::touched
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot, Phase, WorkerShard};
-use crate::shard::{self, SeedStats};
 use crate::store::{StoreChange, ViolationStore};
+use crate::unit;
 use crate::view::{ReadView, SharedViews};
 use ged_analysis::{AnalysisReport, Pruned, RuleCost};
 use ged_core::constraint::Constraint;
@@ -108,8 +107,8 @@ pub struct DeployAnalysis {
 /// Reads can also proceed *concurrently* with the write path: a
 /// [`read_view`](IncrementalValidator::read_view) is a cloneable
 /// `Send + Sync` handle whose queries answer against the snapshot
-/// published at the last batch boundary, so any number of reader threads
-/// query while the one writer keeps applying deltas (DESIGN.md §9).
+/// published at the last batch boundary, so any number of concurrent
+/// readers query while the one writer keeps applying deltas (DESIGN.md §9).
 ///
 /// [`validate`]: ged_core::reason::validate
 #[derive(Debug)]
@@ -117,13 +116,16 @@ pub struct IncrementalValidator<C: Constraint> {
     graph: Graph,
     sigma: Arc<Vec<C>>,
     store: ViolationStore,
-    seed_stats: SeedStats,
     metrics: Arc<EngineMetrics>,
     analysis: Option<Arc<DeployAnalysis>>,
-    /// Per-rule match plans ([`shard::rule_plan`]): rooted search orders
+    /// Per-rule match plans ([`unit::rule_plan`]): rooted search orders
     /// and premise pre-filters, compiled once at construction and
     /// borrowed by every seeding and delta-path work unit.
     plans: Vec<MatchPlan>,
+    /// The state every work unit runs with, built once: the tally shard
+    /// each pass fills and [`EngineMetrics`] folds in, and the matcher's
+    /// candidate buffers.
+    worker: (WorkerShard, MatchScratch),
     /// The slot shared with every [`ReadView`]: front snapshot, epoch
     /// counter, reader count. Lazily activated by the first
     /// [`read_view`](IncrementalValidator::read_view) call; until then
@@ -133,46 +135,29 @@ pub struct IncrementalValidator<C: Constraint> {
 
 /// A cloned validator is an independent fork: it deep-copies the graph,
 /// store, and metrics registry (tallies diverge from the clone point) and
-/// starts with a *fresh, inactive* view set — [`ReadView`]s of the
-/// original keep reading the original, never the clone.
+/// starts with a fresh work-unit state and a *fresh, inactive* view set —
+/// [`ReadView`]s of the original keep reading the original, never the
+/// clone.
 impl<C: Constraint> Clone for IncrementalValidator<C> {
     fn clone(&self) -> IncrementalValidator<C> {
         IncrementalValidator {
             graph: self.graph.clone(),
             sigma: Arc::clone(&self.sigma),
             store: self.store.clone(),
-            seed_stats: self.seed_stats.clone(),
             metrics: Arc::new((*self.metrics).clone()),
             analysis: self.analysis.clone(),
             plans: self.plans.clone(),
+            worker: (WorkerShard::new(self.sigma.len()), MatchScratch::new()),
             views: Arc::default(),
         }
     }
 }
 
 impl<C: Constraint> IncrementalValidator<C> {
-    /// Build a validator, seeding the store with a full validation pass
-    /// sharded across all available cores (see
-    /// [`with_threads`](IncrementalValidator::with_threads)). The cores
-    /// serve that one pass; the delta path is sequential.
-    pub fn new(graph: Graph, sigma: Vec<C>) -> IncrementalValidator<C> {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1);
-        IncrementalValidator::with_threads(graph, sigma, threads)
-    }
-
-    /// As [`IncrementalValidator::new`] with an explicit number of workers
-    /// for the seeding pass (`1` = seed on the caller's thread). Delta
-    /// maintenance afterwards is sequential whatever `threads` was.
-    ///
-    /// The seeding full pass shards at **seed granularity**: each
-    /// constraint picks its most selective pattern variable as pivot, the
-    /// pivot's candidate list splits into up to `threads` chunks, and
-    /// workers pull `(constraint, anchor, seed-range)` units off the
-    /// [`shard`] queue, so a Σ whose cost is concentrated in one expensive
-    /// wildcard rule still seeds on all cores. How the pass split is
-    /// recorded in [`seed_stats`](IncrementalValidator::seed_stats).
+    /// Build a validator, seeding the store with a full validation pass on
+    /// the caller's thread: each constraint runs one work unit anchored on
+    /// its most selective pattern variable, over that variable's whole
+    /// candidate list ([`mod@unit`]).
     ///
     /// Before seeding, the graph is asked to index every `(label,
     /// attribute)` pair the compiled plans can probe
@@ -182,24 +167,18 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// graph keeps those indexes current under
     /// [`apply_delta`](Graph::apply_delta); a Σ of connected patterns
     /// requests none.
-    pub fn with_threads(
-        mut graph: Graph,
-        sigma: Vec<C>,
-        threads: usize,
-    ) -> IncrementalValidator<C> {
-        assert!(threads >= 1);
+    pub fn new(mut graph: Graph, sigma: Vec<C>) -> IncrementalValidator<C> {
         let metrics = EngineMetrics::for_sigma(&sigma);
         let t_seed = metrics.start();
         let mut store = ViolationStore::for_sigma(&sigma);
-        let plans: Vec<MatchPlan> = sigma.iter().map(shard::rule_plan).collect();
+        let plans: Vec<MatchPlan> = sigma.iter().map(unit::rule_plan).collect();
         for (label, attr) in plans.iter().flat_map(MatchPlan::index_requests) {
             graph.index_attr(label, attr);
         }
-        let pass = shard::full_pass(&graph, &sigma, &plans, threads);
-        for ws in &pass.shards {
-            metrics.merge_pass(ws, Phase::Seeding);
-        }
-        for (ci, m, kind) in pass.found {
+        let mut worker = (WorkerShard::new(sigma.len()), MatchScratch::new());
+        let found = unit::full_pass(&graph, &sigma, &plans, &mut worker);
+        metrics.merge_pass(&mut worker.0, Phase::Seeding);
+        for (ci, m, kind) in found {
             store.insert(ci, m, kind);
         }
         metrics.finish(Phase::Seeding, t_seed);
@@ -208,12 +187,21 @@ impl<C: Constraint> IncrementalValidator<C> {
             graph,
             sigma: Arc::new(sigma),
             store,
-            seed_stats: pass.stats,
             metrics: Arc::new(metrics),
             analysis: None,
             plans,
+            worker,
             views: Arc::default(),
         }
+    }
+
+    /// [`new`](IncrementalValidator::new) for callers that still pass a
+    /// seeding worker count, which must be 1. The benchmark-only change of
+    /// ROADMAP item 1 moves the last caller to `new` and retires this.
+    #[doc(hidden)]
+    pub fn with_threads(graph: Graph, sigma: Vec<C>, threads: usize) -> IncrementalValidator<C> {
+        assert_eq!(threads, 1, "seeding is sequential: call `new`");
+        IncrementalValidator::new(graph, sigma)
     }
 
     /// Build a validator behind the pre-deployment static-analysis gate
@@ -230,10 +218,9 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// * the validator records what happened: [`analysis`] returns the
     ///   report plus the pruned-rule list.
     ///
-    /// `threads` is [`with_threads`](IncrementalValidator::with_threads)'s:
-    /// workers for the seeding pass.
     /// To gate a deployment without pruning it, check
-    /// `analyze(&sigma).has_errors()` and call `with_threads`.
+    /// `analyze(&sigma).has_errors()` and call
+    /// [`new`](IncrementalValidator::new).
     ///
     /// Pruning never changes whether the maintained graph satisfies Σ,
     /// and the kept rules' violation sets are bit-for-bit what the
@@ -245,7 +232,6 @@ impl<C: Constraint> IncrementalValidator<C> {
     pub fn with_analysis(
         graph: Graph,
         sigma: Vec<C>,
-        threads: usize,
     ) -> Result<IncrementalValidator<C>, AnalysisReport> {
         let report = ged_analysis::analyze(&sigma);
         if report.has_errors() {
@@ -255,7 +241,7 @@ impl<C: Constraint> IncrementalValidator<C> {
         let kept = sigma.into_iter().enumerate();
         let kept = kept.filter(|(i, _)| pruned.iter().all(|p| p.index != *i));
         let kept = kept.map(|(_, c)| c).collect();
-        let mut v = IncrementalValidator::with_threads(graph, kept, threads);
+        let mut v = IncrementalValidator::new(graph, kept);
         v.analysis = Some(Arc::new(DeployAnalysis { report, pruned }));
         Ok(v)
     }
@@ -283,12 +269,6 @@ impl<C: Constraint> IncrementalValidator<C> {
             })
             .collect();
         ged_analysis::analyze_with_costs(&self.sigma, &costs)
-    }
-
-    /// How the construction-time seeding pass split across workers —
-    /// unit and per-worker counts, fixed at construction.
-    pub fn seed_stats(&self) -> &SeedStats {
-        &self.seed_stats
     }
 
     /// A point-in-time aggregate of the engine's metrics registry:
@@ -353,7 +333,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// Create a snapshot-isolated read view: a cloneable `Send + Sync`
     /// handle whose queries (`violations()`, `to_report()`, `metrics()` —
     /// all `&self`) answer against the snapshot published at the last
-    /// batch boundary. Hand clones to as many reader threads as needed
+    /// batch boundary. Hand clones to as many concurrent readers as needed
     /// while the single writer keeps calling
     /// [`apply`](IncrementalValidator::apply) /
     /// [`apply_all`](IncrementalValidator::apply_all) — readers never
@@ -532,6 +512,7 @@ impl<C: Constraint> IncrementalValidator<C> {
                 &self.plans,
                 &touched,
                 &self.metrics,
+                &mut self.worker,
             );
             let t = self.metrics.start();
             for (ci, m, kind) in area {
@@ -613,10 +594,10 @@ impl std::fmt::Display for ApplyStats {
 ///
 /// One work unit per `(constraint, anchor variable)` whose
 /// label-compatible seed list is non-empty, run in Σ order on the caller's
-/// thread through [`shard::run_unit`] — the unit function of the seeding
-/// pass ([`shard::full_pass`]), from which this path differs in anchoring
-/// *every* pattern variable (not one pivot) and in the exclusions it
-/// hands each unit.
+/// thread through [`unit::run_unit`] with the validator's `worker` state —
+/// the unit function of the seeding pass ([`unit::full_pass`]), from which
+/// this path differs in anchoring *every* pattern variable (not one pivot)
+/// and in the exclusions it hands each unit.
 ///
 /// Exactly-once discipline: the match whose *first* touched variable (in
 /// declaration order) is `v` is enumerated only when anchoring `v` —
@@ -630,7 +611,8 @@ fn affected_area<C: Constraint>(
     plans: &[MatchPlan],
     footprint: &[NodeId],
     metrics: &EngineMetrics,
-) -> Vec<shard::Found> {
+    worker: &mut (WorkerShard, MatchScratch),
+) -> Vec<unit::Found> {
     let t = metrics.start();
     // One seed list per distinct variable label: most rules repeat one
     // label across variables (and rules share labels), so the
@@ -652,10 +634,7 @@ fn affected_area<C: Constraint>(
     }
     // The materialize/re-enumerate boundary shares one clock read.
     let t = metrics.lap(Phase::Materialize, t);
-    let mut worker = (
-        WorkerShard::new(sigma.len(), metrics.is_enabled()),
-        MatchScratch::new(),
-    );
+    worker.0.enabled = metrics.is_enabled();
     let mut all = Vec::new();
     for (ci, rule) in sigma.iter().zip(plans).enumerate() {
         let pattern = rule.0.pattern();
@@ -668,11 +647,11 @@ fn affected_area<C: Constraint>(
             // Touched nodes are excluded from the variables before the anchor.
             let excluded = |u, n: NodeId| u < anchor && footprint.binary_search(&n).is_ok();
             let unit = (ci, anchor, list.as_slice());
-            shard::run_unit(g, rule, unit, &excluded, &mut worker, &mut all);
+            unit::run_unit(g, rule, unit, &excluded, worker, &mut all);
         }
     }
     metrics.finish(Phase::Reenumerate, t);
-    metrics.merge_pass(&worker.0, Phase::Reenumerate);
+    metrics.merge_pass(&mut worker.0, Phase::Reenumerate);
     all
 }
 
@@ -685,7 +664,6 @@ mod tests {
     use ged_graph::{sym, Value};
     use ged_pattern::{parse_pattern, Var};
     use ged_pattern::{MatchOptions, Matcher};
-    use std::collections::HashSet;
     use std::ops::ControlFlow;
 
     /// key: two t-nodes with equal `k` must be identical.
@@ -741,7 +719,7 @@ mod tests {
 
     #[test]
     fn initial_store_matches_full_validation() {
-        let v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         assert_eq!(v.violation_count(), 2, "two symmetric witnesses");
         assert_consistent(&v);
     }
@@ -753,7 +731,7 @@ mod tests {
         let b = g.add_node(sym("t"));
         g.set_attr(a, sym("k"), 1);
         g.set_attr(b, sym("k"), 2);
-        let mut v = IncrementalValidator::with_threads(g, vec![key_ged()], 2);
+        let mut v = IncrementalValidator::new(g, vec![key_ged()]);
         assert!(v.is_satisfied());
 
         let stats = v.apply(&Delta::SetAttr {
@@ -777,7 +755,7 @@ mod tests {
 
     #[test]
     fn node_removal_clears_its_witnesses() {
-        let mut v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         assert_eq!(v.violation_count(), 2);
         let b = v.graph().nodes().nth(1).unwrap();
         let stats = v.apply(&Delta::RemoveNode { node: b });
@@ -801,7 +779,7 @@ mod tests {
         let b = g.add_node(sym("t"));
         g.set_attr(a, sym("p"), 1);
         g.set_attr(b, sym("p"), 2);
-        let mut v = IncrementalValidator::with_threads(g, vec![phi], 1);
+        let mut v = IncrementalValidator::new(g, vec![phi]);
         assert!(v.is_satisfied(), "no edges, no matches");
 
         v.apply(&Delta::AddEdge {
@@ -823,7 +801,7 @@ mod tests {
 
     #[test]
     fn batched_deltas_maintain_once() {
-        let mut v = IncrementalValidator::with_threads(Graph::new(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(Graph::new(), vec![key_ged()]);
         let mut batch = DeltaSet::new();
         batch.push(Delta::AddNode { label: sym("t") });
         batch.push(Delta::AddNode { label: sym("t") });
@@ -855,7 +833,7 @@ mod tests {
     /// cycle leaked into the stats). They are retained, full stop.
     #[test]
     fn unrelated_attr_write_counts_retained_not_churn() {
-        let mut v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         assert_eq!(v.violation_count(), 2);
         let a = v.graph().nodes().next().unwrap();
         let stats = v.apply(&Delta::SetAttr {
@@ -879,7 +857,7 @@ mod tests {
         for &n in &nodes {
             g.set_attr(n, sym("k"), 1);
         }
-        let mut v = IncrementalValidator::with_threads(g, vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(g, vec![key_ged()]);
         assert_eq!(v.violation_count(), 6);
         // Re-keying c: the 4 witnesses containing c die, the 2 among
         // {a, b} are untouched (not even dropped), nothing is added.
@@ -898,7 +876,7 @@ mod tests {
 
     #[test]
     fn no_op_deltas_do_nothing() {
-        let mut v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let count = v.violation_count();
         let a = v.graph().nodes().next().unwrap();
         let stats = v.apply(&Delta::SetAttr {
@@ -924,7 +902,7 @@ mod tests {
         let mut g = Graph::new();
         let p = g.add_node(sym("product"));
         g.set_attr(p, sym("rating"), 4);
-        let mut v = IncrementalValidator::with_threads(g, vec![cap], 1);
+        let mut v = IncrementalValidator::new(g, vec![cap]);
         assert!(v.is_satisfied());
 
         let stats = v.apply(&Delta::SetAttr {
@@ -968,7 +946,7 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 1),
             ],
         );
-        let mut v = IncrementalValidator::with_threads(Graph::new(), vec![domain], 1);
+        let mut v = IncrementalValidator::new(Graph::new(), vec![domain]);
         assert!(v.is_satisfied());
 
         // A new τ-node has no A attribute: every disjunct fails.
@@ -999,8 +977,8 @@ mod tests {
         assert_consistent(&v);
     }
 
-    /// One store shape serves all families: the sharded seeding pass over
-    /// GDCs equals the sequential generic validate.
+    /// One store shape serves all families: the seeding pass over GDCs
+    /// equals the generic validate, row by row and witness by witness.
     #[test]
     fn parallel_validation_is_generic_over_gdcs() {
         use ged_ext::{Gdc, GdcLiteral, Pred};
@@ -1020,19 +998,18 @@ mod tests {
             let n = g.add_node(sym("t"));
             g.set_attr(n, sym("A"), val);
         }
-        let seq = ged_core::reason::validate(&g, &sigma, None);
-        for threads in [1, 3] {
-            let par = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
-            let par = par.report();
-            assert_eq!(par.total_violations(), seq.total_violations());
-            let rows = |r: &ValidationReport| -> Vec<(String, usize, bool)> {
-                r.per_ged
-                    .iter()
-                    .map(|row| (row.name.clone(), row.violation_count, row.satisfied))
-                    .collect()
-            };
-            assert_eq!(rows(&par), rows(&seq));
-        }
+        let full = ged_core::reason::validate(&g, &sigma, None);
+        let v = IncrementalValidator::new(g, sigma);
+        let seeded = v.report();
+        assert_eq!(seeded.total_violations(), full.total_violations());
+        let rows = |r: &ValidationReport| -> Vec<(String, usize, bool)> {
+            r.per_ged
+                .iter()
+                .map(|row| (row.name.clone(), row.violation_count, row.satisfied))
+                .collect()
+        };
+        assert_eq!(rows(&seeded), rows(&full));
+        assert_consistent(&v);
     }
 
     /// One `IncrementalValidator<SigmaConstraint>` serves a heterogeneous
@@ -1061,7 +1038,7 @@ mod tests {
             )
             .into(),
         ];
-        let mut v = IncrementalValidator::with_threads(two_dupes(), sigma, 2);
+        let mut v = IncrementalValidator::new(two_dupes(), sigma);
         // Seeding: the key dupes violate the GED (2 witnesses) and, having
         // no `mode`, the domain GED∨ (2 witnesses); k = 1 satisfies the GDC.
         assert_eq!(v.violation_count(), 4);
@@ -1099,138 +1076,11 @@ mod tests {
     fn empty_pattern_geds_are_stable() {
         use ged_pattern::Pattern;
         let trivial = Ged::new("t", Pattern::new(), vec![], vec![]);
-        let mut v = IncrementalValidator::with_threads(Graph::new(), vec![trivial], 1);
+        let mut v = IncrementalValidator::new(Graph::new(), vec![trivial]);
         assert!(v.is_satisfied());
         v.apply(&Delta::AddNode { label: sym("t") });
         assert!(v.is_satisfied());
         assert_consistent(&v);
-    }
-
-    /// A Σ whose cost is concentrated in one wildcard rule, over a graph
-    /// where that rule has real work: the seeding skew scenario the
-    /// seed-granularity construction pass exists for.
-    fn hot_wildcard_sigma_and_graph() -> (Graph, Vec<ged_ext::SigmaConstraint>) {
-        use ged_ext::SigmaConstraint;
-        use ged_ext::{Gdc, GdcLiteral, Pred};
-        use ged_pattern::Pattern;
-        let mut q = Pattern::new();
-        let x = q.var("x", "_");
-        let y = q.var("y", "_");
-        let wild_key = Ged::new(
-            "wild-key",
-            q,
-            vec![Literal::vars(x, sym("k"), y, sym("k"))],
-            vec![Literal::id(x, y)],
-        );
-        let qt = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<SigmaConstraint> = vec![
-            wild_key.into(),
-            Gdc::forbidding(
-                "k≤40",
-                qt.clone(),
-                vec![GdcLiteral::constant(Var(0), sym("k"), Pred::Gt, 40)],
-            )
-            .into(),
-            Ged::new(
-                "t-note",
-                qt,
-                vec![Literal::constant(Var(0), sym("flag"), 1)],
-                vec![Literal::constant(Var(0), sym("note"), "set")],
-            )
-            .into(),
-        ];
-        let mut g = Graph::new();
-        for i in 0..30i64 {
-            let label = if i % 3 == 0 { sym("t") } else { sym("u") };
-            let n = g.add_node(label);
-            g.set_attr(n, sym("k"), i % 7);
-            if i % 5 == 0 {
-                g.set_attr(n, sym("flag"), 1);
-            }
-        }
-        (g, sigma)
-    }
-
-    /// Lockstep: the seed-granularity seeding pass produces the same
-    /// store as the sequential one at every worker count, on a mixed Σ
-    /// dominated by a single wildcard rule — and both equal a
-    /// from-scratch full validation.
-    #[test]
-    fn seeding_is_lockstep_with_sequential_at_1_2_8_workers() {
-        let (g, sigma) = hot_wildcard_sigma_and_graph();
-        let sequential = IncrementalValidator::with_threads(g.clone(), sigma.clone(), 1);
-        assert!(
-            sequential.violation_count() > 0,
-            "the workload seeds a non-trivial store"
-        );
-        assert_consistent(&sequential);
-        let witness_set = |v: &IncrementalValidator<_>| {
-            v.store()
-                .iter()
-                .map(|(ci, m, _)| (ci, m.clone()))
-                .collect::<std::collections::BTreeSet<_>>()
-        };
-        let expected = witness_set(&sequential);
-        for threads in [2usize, 8] {
-            let sharded = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
-            assert_eq!(
-                witness_set(&sharded),
-                expected,
-                "identical seeded stores at {threads} workers"
-            );
-            assert_consistent(&sharded);
-        }
-    }
-
-    /// The seeding pass splits a single rule's anchor domain across
-    /// workers: with one wildcard rule and `n` workers, construction
-    /// produces multiple units (rule-granularity would produce work for
-    /// only one worker).
-    #[test]
-    fn seeding_splits_a_single_rule_across_workers() {
-        use ged_pattern::Pattern;
-        let mut q = Pattern::new();
-        let x = q.var("x", "_");
-        let y = q.var("y", "_");
-        let wild = Ged::new(
-            "wild-key",
-            q,
-            vec![Literal::vars(x, sym("k"), y, sym("k"))],
-            vec![Literal::id(x, y)],
-        );
-        let mut g = Graph::new();
-        for i in 0..40i64 {
-            let n = g.add_node(sym("t"));
-            g.set_attr(n, sym("k"), i % 4);
-        }
-        let v = IncrementalValidator::with_threads(g, vec![wild], 4);
-        let stats = v.seed_stats();
-        assert_eq!(stats.units, 4, "one rule still yields `threads` units");
-        assert_eq!(stats.per_worker.iter().sum::<usize>(), stats.units);
-        assert!(
-            stats.per_worker.len() > 1,
-            "more than one worker ran: {stats:?}"
-        );
-        assert_eq!(stats.violations, v.violation_count());
-        assert_consistent(&v);
-    }
-
-    /// `SeedStats` invariants: per-worker unit counts sum to the unit
-    /// total, and the violation count is the seeded store's, at every
-    /// worker count.
-    #[test]
-    fn seed_stats_sum_at_every_worker_count() {
-        let (g, sigma) = hot_wildcard_sigma_and_graph();
-        for threads in [1usize, 2, 8] {
-            let v = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
-            let stats = v.seed_stats();
-            assert_eq!(
-                stats.per_worker.iter().sum::<usize>(),
-                stats.units,
-                "per-worker counts sum to the unit total at {threads} workers"
-            );
-            assert_eq!(stats.violations, v.violation_count());
-        }
     }
 
     /// A random graph with six planted key pairs, and the key rule.
@@ -1246,86 +1096,16 @@ mod tests {
         (g, key)
     }
 
-    fn witness_set(vs: &[Violation]) -> HashSet<(String, Vec<NodeId>)> {
-        let set: HashSet<_> = vs
-            .iter()
-            .map(|v| (v.ged_name.clone(), v.assignment.clone()))
-            .collect();
-        assert_eq!(set.len(), vs.len(), "no witness reported twice");
-        set
-    }
-
-    /// One rule's match space sharded across workers: the seeded store is
-    /// the sequential violation set at every worker count.
-    #[test]
-    fn sharded_matches_sequential() {
-        let (g, key) = key_workload();
-        let sequential = witness_set(&ged_core::satisfy::violations(&g, &key, None));
-        assert!(!sequential.is_empty());
-        for threads in [1, 2, 8] {
-            let sharded = IncrementalValidator::with_threads(g.clone(), vec![key.clone()], threads);
-            assert_eq!(sharded.violation_count(), sequential.len());
-            let sharded = witness_set(&sharded.report().violations);
-            assert_eq!(sharded, sequential, "{threads} threads");
-        }
-    }
-
-    /// Same per-rule rows and the same witness set as the sequential
-    /// report, on a Σ that also holds the two degenerate shapes: a rule
-    /// with an empty pattern (one empty match, no unit) and a rule whose
-    /// pivot has no candidates (no unit either).
-    #[test]
-    fn sharded_report_equals_sequential_report() {
-        use ged_datagen::random::{random_sigma, RandomGraphConfig};
-        use ged_ext::{DisjGed, SigmaConstraint};
-        use ged_pattern::Pattern;
-        let (g, key) = key_workload();
-        let cfg = RandomGraphConfig::default();
-        let mut sigma: Vec<SigmaConstraint> = vec![key.into()];
-        sigma.extend(
-            random_sigma(3, 3, &cfg)
-                .into_iter()
-                .map(SigmaConstraint::from),
-        );
-        // An empty disjunction is `false`: the one empty match violates.
-        sigma.push(DisjGed::new("∅ forbids", Pattern::new(), vec![], vec![]).into());
-        let nobody = parse_pattern("absent(x)").unwrap();
-        sigma.push(DisjGed::new("nobody", nobody, vec![], vec![]).into());
-        let seq = ged_core::reason::validate(&g, &sigma, None);
-        assert!(!seq.per_ged[sigma.len() - 2].satisfied, "the ∅ rule fires");
-        for threads in [1, 3, 8] {
-            let par = IncrementalValidator::with_threads(g.clone(), sigma.clone(), threads);
-            let par = par.report();
-            assert_eq!(par.satisfied(), seq.satisfied());
-            assert_eq!(par.per_ged.len(), seq.per_ged.len());
-            for (a, b) in par.per_ged.iter().zip(&seq.per_ged) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.violation_count, b.violation_count, "{}", a.name);
-                assert_eq!(a.satisfied, b.satisfied, "{}", a.name);
-            }
-            assert_eq!(
-                witness_set(&par.violations),
-                witness_set(&seq.violations),
-                "{threads} threads"
-            );
-            let rule_of = |v: &Violation| sigma.iter().position(|c| c.name() == v.ged_name);
-            assert!(
-                par.violations.windows(2).all(
-                    |w| (rule_of(&w[0]), &w[0].assignment) < (rule_of(&w[1]), &w[1].assignment)
-                ),
-                "Σ order, then sorted by match"
-            );
-        }
-    }
-
     #[test]
     fn empty_candidates_yield_no_violations() {
         let mut g = Graph::new();
         g.add_node(sym("other"));
         let (_, key) = key_workload();
-        let v = IncrementalValidator::with_threads(g, vec![key], 4);
+        let v = IncrementalValidator::new(g, vec![key]);
         assert_eq!(v.violation_count(), 0);
-        assert_eq!(v.seed_stats().units, 0, "no candidates, no unit");
+        let m = v.metrics();
+        assert_eq!(m.unit_latency.count, 0, "no candidates, no unit");
+        assert_eq!(m.match_attempts(), 0);
     }
 
     /// The metrics snapshot reflects the work the engine actually did:
@@ -1334,8 +1114,8 @@ mod tests {
     /// and the batch trace.
     #[test]
     fn metrics_snapshot_reflects_seeding_and_delta_batches() {
-        let (g, sigma) = hot_wildcard_sigma_and_graph();
-        let mut v = IncrementalValidator::with_threads(g, sigma, 2);
+        let (g, key) = key_workload();
+        let mut v = IncrementalValidator::new(g, vec![key]);
         assert!(v.metrics_enabled(), "instrumentation is on by default");
         let seeded = v.metrics();
         assert_eq!(seeded.batches, 0, "no batch applied yet");
@@ -1425,7 +1205,7 @@ mod tests {
         leaves.dedup();
         assert!(leaves.len() >= 12, "the rules have matched leaves");
 
-        let mut v = IncrementalValidator::with_threads(g, sigma, 1);
+        let mut v = IncrementalValidator::new(g, sigma);
         for &node in &leaves {
             let population = v.graph().nodes_with_label(v.graph().label(node)).len() as u64;
             assert!(population > 400, "a scan would be unmistakable");
@@ -1473,7 +1253,7 @@ mod tests {
         let key = plant_key_violations(&mut g, "entity", 200);
         let entities = g.nodes_with_label(sym("entity")).to_vec();
         assert_eq!(entities.len(), 400, "a scan would be unmistakable");
-        let mut v = IncrementalValidator::with_threads(g, vec![key], 1);
+        let mut v = IncrementalValidator::new(g, vec![key]);
         assert_eq!(v.violation_count(), 400, "200 planted pairs, both orders");
         let probe = v
             .graph()
@@ -1526,7 +1306,7 @@ mod tests {
     /// (histograms only ever grow).
     #[test]
     fn disabled_metrics_record_nothing_and_resume_on_reenable() {
-        let mut v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         v.set_metrics_enabled(false);
         let frozen = v.metrics();
         let a = v.graph().nodes().next().unwrap();
@@ -1556,7 +1336,7 @@ mod tests {
     /// tallies diverge after the clone, starting from the same values.
     #[test]
     fn cloned_validator_does_not_share_metrics() {
-        let mut original = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut original = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let clone = original.clone();
         assert_eq!(clone.metrics().batches, original.metrics().batches);
         let a = original.graph().nodes().next().unwrap();
@@ -1596,7 +1376,7 @@ mod tests {
         assert_send_sync::<crate::view::ViolationSnapshot<Ged>>();
         // Every logically-read-only accessor works through a shared
         // reference (this fails to compile if one regresses to &mut).
-        let v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let shared: &IncrementalValidator<Ged> = &v;
         let _ = shared.graph();
         let _ = shared.sigma();
@@ -1607,7 +1387,6 @@ mod tests {
         let _ = shared.metrics();
         let _ = shared.metrics_enabled();
         let _ = shared.trace();
-        let _ = shared.seed_stats();
         let _ = shared.analysis();
         let _ = shared.analyze_current();
         let _ = shared.read_view();
@@ -1618,7 +1397,7 @@ mod tests {
     /// batch, with the same report the writer-side surface produces.
     #[test]
     fn read_view_tracks_batch_boundaries() {
-        let mut v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let view = v.read_view();
         assert_eq!(view.epoch(), 0, "activation snapshot is epoch 0");
         assert_eq!(view.violation_count(), 2);
@@ -1659,7 +1438,7 @@ mod tests {
     fn publish_is_correct_with_and_without_pinned_snapshots() {
         let mut g = Graph::new();
         let nodes: Vec<NodeId> = (0..6).map(|_| g.add_node(sym("t"))).collect();
-        let mut v = IncrementalValidator::with_threads(g, vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(g, vec![key_ged()]);
         let view = v.read_view();
         let mut pinned = Vec::new();
         for (step, &n) in nodes.iter().enumerate() {
@@ -1700,7 +1479,7 @@ mod tests {
     /// the first view activates it mid-stream with the current state.
     #[test]
     fn views_activate_lazily_mid_stream() {
-        let mut v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let a = v.graph().nodes().next().unwrap();
         v.apply(&Delta::SetAttr {
             node: a,
@@ -1730,7 +1509,7 @@ mod tests {
     /// drop, and the view's `metrics()` reads the writer's registry.
     #[test]
     fn read_view_gauge_tracks_clones_and_drops() {
-        let v = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         assert_eq!(v.metrics().read_views, 0);
         let view = v.read_view();
         assert_eq!(v.metrics().read_views, 1);
@@ -1743,14 +1522,15 @@ mod tests {
         );
         drop(view);
         assert_eq!(v.metrics().read_views, 1);
-        // Clones and drops racing on other threads: the gauge is the
-        // count itself, so there is no second copy to fall behind it.
-        let kept: Vec<ReadView<Ged>> = std::thread::scope(|s| {
-            // Fifty clones a thread, each dropping the one before it.
-            let burst = |_| s.spawn(|| (0..50).fold(extra.clone(), |_, _| extra.clone()));
-            let threads: Vec<_> = (0..4).map(burst).collect();
-            threads.into_iter().map(|t| t.join().unwrap()).collect()
-        });
+        // Clones and drops racing on four readers: the gauge is the count
+        // itself, so there is no second copy to fall behind it.
+        let burst = |_| {
+            let view = extra.clone();
+            // Fifty clones a reader, each dropping the one before it.
+            std::thread::spawn(move || (0..50).fold(view.clone(), |_, _| view.clone()))
+        };
+        let racers: Vec<_> = (0..4).map(burst).collect();
+        let kept: Vec<ReadView<Ged>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(v.metrics().read_views, extra.readers());
         assert_eq!(extra.readers(), 1 + kept.len() as u64);
         drop(kept);
@@ -1768,7 +1548,7 @@ mod tests {
     /// publish cost until someone takes a view of *it*.
     #[test]
     fn cloned_validator_does_not_share_views() {
-        let original = IncrementalValidator::with_threads(two_dupes(), vec![key_ged()], 1);
+        let original = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let view = original.read_view();
         let mut clone = original.clone();
         assert_eq!(clone.metrics().read_views, 0, "fresh gauge on the clone");
@@ -1787,24 +1567,93 @@ mod tests {
         );
     }
 
-    /// Empty-pattern constraints seed inline (their single empty match
-    /// has no seeds to shard) alongside sharded rules, at any worker
-    /// count — they contribute no units but are still checked.
+    /// Empty-pattern constraints are checked inline (their single empty
+    /// match has no variable to anchor) beside the anchored rules, and a
+    /// rule whose pivot has no candidate runs no unit: the seeded report
+    /// equals `validate` row by row, in Σ order, sorted by match.
     #[test]
     fn seeding_handles_empty_pattern_rules_at_any_worker_count() {
+        use ged_ext::{DisjGed, SigmaConstraint};
         use ged_pattern::Pattern;
         let trivial = Ged::new("trivial", Pattern::new(), vec![], vec![]);
-        for threads in [1usize, 4] {
-            let v = IncrementalValidator::with_threads(
-                two_dupes(),
-                vec![trivial.clone(), key_ged()],
-                threads,
-            );
-            assert_eq!(v.violation_count(), 2, "the two key witnesses");
-            // The empty-pattern rule contributes no work units; only the
-            // key rule's anchor domain is sharded.
-            assert_eq!(v.seed_stats().units, threads.min(2));
-            assert_consistent(&v);
+        // An empty disjunction is `false`: the one empty match violates.
+        let forbids = DisjGed::new("∅ forbids", Pattern::new(), vec![], vec![]);
+        let absent = parse_pattern("absent(x)").unwrap();
+        let nobody = DisjGed::new("nobody", absent, vec![], vec![]);
+        let sigma: Vec<SigmaConstraint> = vec![
+            trivial.into(),
+            key_ged().into(),
+            forbids.into(),
+            nobody.into(),
+        ];
+        let full = ged_core::reason::validate(&two_dupes(), &sigma, None);
+        let v = IncrementalValidator::new(two_dupes(), sigma);
+        assert_eq!(v.violation_count(), 3, "two key witnesses and the ∅ rule's");
+        assert_consistent(&v);
+        let report = v.report();
+        let rows = |r: &ValidationReport| -> Vec<(String, usize, bool)> {
+            r.per_ged
+                .iter()
+                .map(|row| (row.name.clone(), row.violation_count, row.satisfied))
+                .collect()
+        };
+        assert_eq!(rows(&report), rows(&full));
+        let rule_of = |v: &Violation| report.per_ged.iter().position(|r| r.name == v.ged_name);
+        let key = |v: &Violation| (rule_of(v), v.assignment.clone());
+        let ordered = report
+            .violations
+            .windows(2)
+            .all(|w| key(&w[0]) < key(&w[1]));
+        assert!(ordered, "Σ order, then sorted by match");
+        // The two empty patterns and the key rule ran one unit each.
+        let m = v.metrics();
+        assert_eq!(m.unit_latency.count, 3);
+        let tally = |i: usize| (m.rules[i].matches_found, m.rules[i].violations_found);
+        assert_eq!([tally(0), tally(2), tally(3)], [(1, 0), (1, 1), (0, 0)]);
+    }
+
+    /// The validator's one tally shard is zeroed by every merge: the same
+    /// batch, applied three times, re-enumerates the same matches each
+    /// time (it rewrites an attribute no premise reads), so every rule's
+    /// attempts and the unit count advance by the same amount per batch.
+    #[test]
+    fn every_batch_tallies_only_its_own_units() {
+        let mut g = Graph::new();
+        for _ in 0..3 {
+            let n = g.add_node(sym("t"));
+            g.set_attr(n, sym("k"), 1);
         }
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let q = parse_pattern("t(x)").unwrap();
+        let noted = Ged::new(
+            "noted",
+            q,
+            vec![],
+            vec![Literal::constant(Var(0), sym("note"), 0)],
+        );
+        let mut v = IncrementalValidator::new(g, vec![key_ged(), noted]);
+        let mut batch = DeltaSet::new();
+        for &node in &nodes {
+            for value in [1, 2] {
+                let (attr, value) = (sym("note"), Value::from(value));
+                batch.push(Delta::SetAttr { node, attr, value });
+            }
+        }
+        let tallies = |m: &MetricsSnapshot| {
+            let attempts = m.rules.iter().map(|r| r.match_attempts);
+            (attempts.collect::<Vec<_>>(), m.unit_latency.count)
+        };
+        let mut before = tallies(&v.metrics());
+        let mut steps = Vec::new();
+        for _ in 0..3 {
+            assert_eq!(v.apply_all(&batch).deltas_applied, 2 * nodes.len());
+            let after = tallies(&v.metrics());
+            let attempts = after.0.iter().zip(&before.0).map(|(a, b)| a - b);
+            steps.push((attempts.collect::<Vec<_>>(), after.1 - before.1));
+            before = after;
+        }
+        assert!(steps[0].0.iter().all(|&n| n > 0), "{steps:?}");
+        assert_eq!(steps[0], steps[1], "{steps:?}");
+        assert_eq!(steps[1], steps[2], "{steps:?}");
     }
 }

@@ -5,7 +5,7 @@
 //! module every violation query serializes against the delta write path —
 //! the reader/writer convoy a deployed validator cannot afford. The split
 //! here gives the writer sole ownership of the table it maintains while
-//! any number of reader threads hold cheap, immutable snapshots:
+//! any number of concurrent readers hold cheap, immutable snapshots:
 //!
 //! * `Published` (crate-private) — one witness table (`store::Witnesses`,
 //!   the very type the writer maintains) frozen at a batch boundary and
@@ -179,8 +179,8 @@ impl SharedViews {
 /// A cloneable, `Send + Sync` reader handle onto an
 /// [`IncrementalValidator`](crate::IncrementalValidator): every query
 /// takes `&self` and reads the most recently *published* snapshot, so any
-/// number of threads can hold views while the one writer keeps running
-/// `apply` / `apply_all`. Created by
+/// number of concurrent readers can hold views while the one writer keeps
+/// running `apply` / `apply_all`. Created by
 /// [`IncrementalValidator::read_view`](crate::IncrementalValidator::read_view).
 ///
 /// A view is never torn: queries see exactly the state at some batch

@@ -11,9 +11,9 @@
 //!   locks, no CAS loops); readers aggregate on demand via
 //!   [`Histogram::snapshot`]. For code that is hot enough that even an
 //!   uncontended atomic add is too much, [`LocalHistogram`] and plain
-//!   `u64` tallies accumulate unsynchronized in a per-worker shard and
-//!   merge into the shared registry once per batch — aggregation happens
-//!   on *read*, not on the hot path.
+//!   `u64` tallies accumulate unsynchronized in a local shard and merge
+//!   into the shared registry once per pass — aggregation happens on
+//!   *read*, not on the hot path.
 //! * [`recorder`] — the **zero-cost-when-disabled hook** for the matcher
 //!   hot loop: a [`MatchRecorder`] trait with a unit [`NoopRecorder`]
 //!   (monomorphizes to nothing) and a [`CellRecorder`] that tallies into

@@ -10,8 +10,8 @@
 //!
 //! For hot loops where even an uncontended atomic add per event is too
 //! much, [`LocalHistogram`] (and plain `u64` tallies) accumulate
-//! unsynchronized in per-worker shards; [`Histogram::merge_local`] folds
-//! a shard into the shared registry in one pass. Aggregation is paid on
+//! unsynchronized in a local shard; [`Histogram::merge_local`] folds a
+//! shard into the shared registry in one pass. Aggregation is paid on
 //! read, not per event.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,8 +137,8 @@ impl Histogram {
         self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Fold a per-worker [`LocalHistogram`] shard into this histogram —
-    /// the read-side aggregation step of the per-worker sharding scheme.
+    /// Fold a [`LocalHistogram`] shard into this histogram — the
+    /// read-side aggregation step of the local-shard scheme.
     pub fn merge_local(&self, local: &LocalHistogram) {
         if local.count == 0 {
             return;
@@ -189,10 +189,9 @@ impl Clone for Histogram {
     }
 }
 
-/// An unsynchronized histogram shard for one worker: identical bucket
-/// ladder, plain `u64` tallies, no atomics. Workers record into their own
-/// shard during a parallel pass and the coordinator merges shards into
-/// the shared [`Histogram`] after joining — the hot path pays zero
+/// An unsynchronized histogram shard: identical bucket ladder, plain
+/// `u64` tallies, no atomics. A pass records into its shard and merges it
+/// into the shared [`Histogram`] when it is over — the hot path pays zero
 /// synchronization.
 #[derive(Debug, Clone, Default)]
 pub struct LocalHistogram {

@@ -9,8 +9,8 @@
 //! uninstrumented build byte-for-byte the loop it always was. Observed
 //! enumeration passes a [`CellRecorder`] instead, which tallies into
 //! `Cell<u64>`s — each matcher run happens inside one work unit on one
-//! worker thread, so no synchronization is needed; the worker's shard
-//! merges the tallies after the unit completes.
+//! thread, so no synchronization is needed; the caller folds the tallies
+//! into its shard after the unit completes.
 
 use std::cell::Cell;
 
@@ -62,9 +62,9 @@ pub static NOOP: NoopRecorder = NoopRecorder;
 
 /// A single-threaded tally recorder: counts attempts and matches in
 /// `Cell<u64>`s. One matcher run executes inside one work unit on one
-/// worker, so interior mutability without synchronization is exactly
-/// right; the worker merges the counts into its per-worker shard after
-/// the unit finishes.
+/// thread, so interior mutability without synchronization is exactly
+/// right; the caller folds the counts into its shard after the unit
+/// finishes.
 #[derive(Debug, Clone, Default)]
 pub struct CellRecorder {
     attempts: Cell<u64>,

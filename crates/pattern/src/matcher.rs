@@ -72,8 +72,8 @@ pub type Match = Vec<NodeId>;
 /// points ([`Matcher::for_each_in`], [`Matcher::for_each_anchored_in`])
 /// writes candidates into these cleared buffers instead of
 /// allocating a fresh `Vec` per variable per recursion — the engine's
-/// shard workers each own one scratch and thread it through every work
-/// unit, so steady-state matching is allocation-free.
+/// validator owns one scratch and threads it through every work unit, so
+/// steady-state matching is allocation-free.
 ///
 /// The buffers grow to the high-water mark of the patterns run through
 /// them and stay there; a scratch is plain state, safe to reuse across
@@ -146,7 +146,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// earlier, attribute obligations included — nothing is computed or
     /// allocated per matcher. The engine's work units go through this
     /// with a per-unit `CellRecorder` (or the no-op one) and fold the
-    /// tallies into per-worker shards.
+    /// tallies into the validator's tally shard.
     pub fn with_plan(
         plan: &'a MatchPlan,
         pattern: &'a Pattern,

@@ -50,7 +50,7 @@ fn main() {
 
     let mut g = Graph::new();
     g.add_node(sym("user"));
-    match IncrementalValidator::with_analysis(g, contradictory, 1) {
+    match IncrementalValidator::with_analysis(g, contradictory) {
         Ok(_) => unreachable!("an unsatisfiable Σ must not deploy"),
         Err(rejected) => println!(
             "deployment rejected: {} error(s), as it should be\n",
@@ -93,7 +93,7 @@ fn main() {
     g.add_edge(a, sym("follows"), b);
     g.set_attr(a, sym("status"), "suspect");
 
-    let v = IncrementalValidator::with_analysis(g, redundant, 1).expect("consistent Σ deploys");
+    let v = IncrementalValidator::with_analysis(g, redundant).expect("consistent Σ deploys");
     let deploy = v.analysis().expect("built via with_analysis");
     println!(
         "deployed {} rule(s), pruned {}:",

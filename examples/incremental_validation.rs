@@ -8,6 +8,7 @@
 //!
 //! Run with `cargo run --release --example incremental_validation`.
 
+use ged_repro::obs::fmt_ns;
 use ged_repro::prelude::*;
 use std::time::Instant;
 
@@ -33,7 +34,15 @@ fn main() {
     // 2. Seed the incremental validator: one full validation, then the
     //    store is maintained under deltas.
     let mut v = IncrementalValidator::new(graph, vec![phi1]);
-    println!("seeding:   {}", v.seed_stats());
+    let seeding = v.metrics();
+    let took = seeding
+        .phase(Phase::Seeding)
+        .expect("construction is timed");
+    println!(
+        "seeding:   {} match(es) in {}",
+        seeding.matches_found(),
+        fmt_ns(took.sum_ns)
+    );
     println!("initial:   {} violation(s)", v.violation_count());
     for viol in &v.report().violations {
         println!("  {} at {:?}", viol.ged_name, viol.assignment);

@@ -11,6 +11,7 @@
 //! Run with `cargo run --release --example observability`.
 
 use ged_repro::datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
+use ged_repro::obs::fmt_ns;
 use ged_repro::prelude::*;
 
 fn main() {
@@ -33,7 +34,15 @@ fn main() {
     let sigma: Vec<SigmaConstraint> = vec![key.into(), cap.into()];
 
     let mut v = IncrementalValidator::new(g, sigma);
-    println!("seeded: {}", v.seed_stats());
+    let seeded = v.metrics();
+    let seeding = seeded.phase(Phase::Seeding).expect("construction is timed");
+    println!(
+        "seeded: {} violation(s) in {}, {} match attempt(s) over {} work unit(s)",
+        v.violation_count(),
+        fmt_ns(seeding.sum_ns),
+        seeded.match_attempts(),
+        seeded.unit_latency.count
+    );
 
     // Stream a few delta batches through the engine.
     let nodes: Vec<NodeId> = v.graph().nodes().collect();

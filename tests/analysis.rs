@@ -168,8 +168,8 @@ fn minimize_preserves_validation_on_random_graphs() {
 #[test]
 fn with_analysis_prunes_and_preserves_live_violations() {
     let w = redundant(120, 10);
-    let plain = IncrementalValidator::with_threads(w.graph.clone(), w.sigma.clone(), 1);
-    let v = IncrementalValidator::with_analysis(w.graph, w.sigma, 1)
+    let plain = IncrementalValidator::new(w.graph.clone(), w.sigma.clone());
+    let v = IncrementalValidator::with_analysis(w.graph, w.sigma)
         .expect("the sloppy-but-consistent Σ deploys");
     let deploy = v.analysis().expect("analysis record attached");
     assert_eq!(deploy.pruned.len(), w.prunable);
@@ -207,7 +207,7 @@ fn with_analysis_rejects_an_inconsistent_sigma() {
     );
     let mut g = Graph::new();
     g.add_node(sym("user"));
-    let report = IncrementalValidator::with_analysis(g, vec![free, pro], 1)
+    let report = IncrementalValidator::with_analysis(g, vec![free, pro])
         .expect_err("an unsatisfiable Σ must not deploy");
     assert!(report.has_errors());
     assert!(report

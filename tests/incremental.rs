@@ -89,7 +89,7 @@ fn self_loop_pattern_tracks_self_loop_deltas() {
     g.set_attr(b, sym("p"), 1);
     g.set_attr(b, sym("q"), 1);
     g.add_edge(b, sym("e"), b);
-    let mut v = IncrementalValidator::with_threads(g, vec![phi], 1);
+    let mut v = IncrementalValidator::new(g, vec![phi]);
     assert!(v.is_satisfied(), "b's self-loop agrees, a has no loop");
 
     let (src, label, dst) = (a, sym("e"), a);
@@ -128,7 +128,7 @@ fn remove_then_re_add_within_one_batch_is_retained() {
     g.set_attr(a, sym("p"), 1);
     g.set_attr(b, sym("p"), 2);
     g.add_edge(a, sym("e"), b);
-    let mut v = IncrementalValidator::with_threads(g, vec![phi], 1);
+    let mut v = IncrementalValidator::new(g, vec![phi]);
     assert_eq!(v.violation_count(), 1);
     let churn = |stats: &ApplyStats| {
         let (removed, added) = (stats.violations_removed, stats.violations_added);
@@ -191,7 +191,7 @@ fn evolved_graphs_chase_after_compaction() {
     // The chase requires dense ids; an evolved graph must be compacted
     // first (it hard-asserts otherwise — see `Graph::compact`).
     let (g, sigma) = evolving_workload(40, 3, 0, 44);
-    let mut v = IncrementalValidator::with_threads(g, sigma, 1);
+    let mut v = IncrementalValidator::new(g, sigma);
     let victim = v.graph().nodes().nth(3).unwrap();
     v.apply(&Delta::RemoveNode { node: victim });
     let sigma = v.sigma().to_vec();
@@ -211,7 +211,7 @@ fn evolved_graphs_chase_after_compaction() {
 #[should_panic(expected = "compact")]
 fn chase_rejects_tombstoned_graphs() {
     let (g, sigma) = evolving_workload(20, 3, 0, 45);
-    let mut v = IncrementalValidator::with_threads(g, sigma, 1);
+    let mut v = IncrementalValidator::new(g, sigma);
     let victim = v.graph().nodes().next().unwrap();
     v.apply(&Delta::RemoveNode { node: victim });
     let sigma = v.sigma().to_vec();
@@ -419,60 +419,8 @@ fn default_matcher_matches_brute_force_on_mutated_random_graphs() {
 }
 
 // ---------------------------------------------------------------------
-// Observability: counter determinism however the validator was seeded,
-// histogram monotonicity across batches.
+// Observability: histogram monotonicity across batches.
 // ---------------------------------------------------------------------
-
-/// Metric counters do not depend on how the validator was seeded: chunk
-/// boundaries only redistribute the seeding pass's units across workers,
-/// and the delta path runs one unit per `(rule, anchor)` with seeds
-/// whatever the worker count was, so validators seeded at 1/2/8 workers
-/// and by `new` ingesting identical batches over the mixed Σ tally
-/// identical attempts, matches, violations, witness churn and delta-path
-/// work units.
-#[test]
-fn metrics_counters_do_not_depend_on_how_the_validator_was_seeded() {
-    let w = ged_datagen::mixed::social_mixed(&SocialConfig::default(), 3, 61);
-    let seeded_at = |&t| IncrementalValidator::with_threads(w.graph.clone(), w.sigma.clone(), t);
-    let mut vs: Vec<IncrementalValidator<SigmaConstraint>> =
-        [1usize, 2, 8].iter().map(seeded_at).collect();
-    vs.push(IncrementalValidator::new(w.graph.clone(), w.sigma.clone()));
-    let seeding_units: Vec<u64> = vs.iter().map(|v| v.metrics().unit_latency.count).collect();
-    let mut stream = DeltaStream::new(62, &mixed_attrs(), &ints(30));
-    for _ in 0..10 {
-        let batch = stream.batch(vs[0].graph(), 12);
-        for v in &mut vs {
-            v.apply_all(&batch);
-        }
-    }
-    // Everything a snapshot counts; nothing it times.
-    let counted = |(v, seeding_units): (&IncrementalValidator<_>, &u64)| {
-        let m = v.metrics();
-        let churn = (m.witnesses_dropped, m.witnesses_removed, m.witnesses_added);
-        let batches = (m.batches, m.deltas_applied, m.touched_nodes, m.store_size);
-        let rules = m.rules.iter();
-        let rule = |r: &ged_repro::engine::RuleSnapshot| {
-            let matching = (r.match_attempts, r.matches_found, r.violations_found);
-            (r.name.clone(), matching)
-        };
-        let matching = (m.match_attempts(), m.matches_found());
-        (
-            batches,
-            churn,
-            m.witnesses_retained,
-            matching,
-            m.unit_latency.count - seeding_units,
-            rules.map(rule).collect::<Vec<_>>(),
-        )
-    };
-    let rows: Vec<_> = vs.iter().zip(&seeding_units).map(counted).collect();
-    for (row, how) in rows
-        .iter()
-        .zip(["1 worker", "2 workers", "8 workers", "`new`"])
-    {
-        assert_eq!(*row, rows[0], "seeded by {how}");
-    }
-}
 
 /// Histograms and counters only grow: snapshots taken after each batch
 /// dominate the previous one sample-for-sample (phase counts and sums,
@@ -481,7 +429,7 @@ fn metrics_counters_do_not_depend_on_how_the_validator_was_seeded() {
 #[test]
 fn metrics_histograms_grow_monotonically_across_batches() {
     let (g, sigma) = evolving_workload(80, 3, 1, 63);
-    let mut v = IncrementalValidator::with_threads(g, sigma, 2);
+    let mut v = IncrementalValidator::new(g, sigma);
     let mut stream = DeltaStream::new(64, &key_attrs(), &ints(4));
     // Everything that may only grow, in one comparable row.
     let grown = |m: &MetricsSnapshot| -> Vec<u64> {

@@ -207,7 +207,7 @@ fn a_planted_fault_is_caught_shrunk_and_replayed() {
         move |oracle: &Oracle<Ged>| batches.next().map(|_| stream.batch(&oracle.mirror, 8))
     };
     let faulty = recipe("withholding", |g, sigma| {
-        Withholding(IncrementalValidator::with_threads(g, sigma, 1))
+        Withholding(IncrementalValidator::new(g, sigma))
     });
     let subjects = [validator(), faulty];
     let report = try_run(start, &subjects, 3, traffic(3)).expect_err("the fault must show");

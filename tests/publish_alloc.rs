@@ -37,7 +37,7 @@ fn store_of(n: usize) -> (IncrementalValidator<Ged>, ReadView<Ged>, [DeltaSet; 2
         };
         nodes[..K].iter().map(set).collect()
     };
-    let v = IncrementalValidator::with_threads(g, vec![rule], 1);
+    let v = IncrementalValidator::new(g, vec![rule]);
     let view = v.read_view();
     assert_eq!(view.violation_count(), n);
     (v, view, [write(1), write(0)])

@@ -73,7 +73,7 @@ fn lockstep_eight_readers() {
 fn rendered_bytes_never_outlive_their_epoch() {
     let (g, sigma) = evolving_workload(90, 3, 2, 17);
     let mut oracle = Oracle::new(&g, &sigma);
-    let mut v = IncrementalValidator::with_threads(g, sigma, 1);
+    let mut v = IncrementalValidator::new(g, sigma);
     let view = v.read_view();
     let mut stream = DeltaStream::new(0x3e30, &key_attrs(), &ints(4));
     let mut rng = StdRng::seed_from_u64(0x3e30);

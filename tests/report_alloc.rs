@@ -21,7 +21,7 @@ fn a_render_allocates_a_constant_and_a_hit_nothing() {
     // Half of gedbench's `poll-under-writes` graph: GED, GDC and GED∨
     // rules, so every `ViolationKind` shape is in the reply.
     let (g, sigma) = workload::load("mixed:honest=1250,plants=250,seed=3").unwrap();
-    let v = IncrementalValidator::with_threads(g, sigma, 1);
+    let v = IncrementalValidator::new(g, sigma);
     let view = v.read_view();
     let snap = view.snapshot();
     let witnesses = snap.violation_count();

@@ -195,12 +195,11 @@ where
     Recipe(name.to_string(), Box::new(boxed))
 }
 
-/// An `IncrementalValidator`, its seeding pass sharded over 2 workers:
-/// against the oracle (witness set, per-rule counts, verdict, churn), and
-/// its value indexes against the graph.
+/// An `IncrementalValidator`: against the oracle (witness set, per-rule
+/// counts, verdict, churn), and its value indexes against the graph.
 pub fn validator<C: Constraint + Clone + 'static>() -> Recipe<C> {
     recipe("validator", |g: Graph, sigma: Vec<C>| {
-        Validator(IncrementalValidator::with_threads(g, sigma, 2))
+        Validator(IncrementalValidator::new(g, sigma))
     })
 }
 
@@ -277,14 +276,14 @@ impl Drop for Pollers {
     }
 }
 
-/// A `ReadView` of a 2-worker validator, with `pollers` concurrent
+/// A `ReadView` of a validator, with `pollers` concurrent
 /// readers: the snapshot's epoch, `to_report` and the rendered
 /// `encode_report` bytes (memoised on a buffer the writer recycles) at
 /// every boundary; every state a reader saw at the end.
 pub fn view<C: Constraint + Clone + 'static>(pollers: usize) -> Recipe<C> {
     let name = format!("read view, {pollers} poller(s)");
     recipe(&name, move |g: Graph, sigma: Vec<C>| {
-        let validator = IncrementalValidator::with_threads(g, sigma, 2);
+        let validator = IncrementalValidator::new(g, sigma);
         let view = validator.read_view();
         let pollers = Pollers::spawn(pollers, || {
             let view = view.clone();
@@ -329,12 +328,7 @@ impl<C: Constraint> Subject for Viewed<C> {
 pub fn wire(pollers: usize) -> Recipe<SigmaConstraint> {
     let name = format!("wire, {pollers} poller(s)");
     recipe(&name, move |g, sigma| {
-        let threads = 2;
-        let config = DaemonConfig {
-            threads,
-            ..Default::default()
-        };
-        let daemon = spawn(g, sigma, &config).expect("gedd spawns");
+        let daemon = spawn(g, sigma, &DaemonConfig::default()).expect("gedd spawns");
         let addr = daemon.addr();
         let connect = move || {
             let client = Client::connect(addr).expect("connect");
@@ -397,7 +391,7 @@ impl Drop for Wire {
 /// throughout (duplicate), none wherever every kept rule holds (implied).
 pub fn pruned<C: Constraint + Clone + 'static>() -> Recipe<C> {
     recipe("pruned twin", |g: Graph, sigma: Vec<C>| {
-        let twin = IncrementalValidator::with_analysis(g, sigma, 2);
+        let twin = IncrementalValidator::with_analysis(g, sigma);
         let twin = twin.unwrap_or_else(|why| panic!("Σ does not deploy:\n{why}"));
         let kept = twin.sigma().iter().map(|c| c.name().to_string());
         let kept: Vec<String> = kept.collect();
