@@ -38,6 +38,13 @@
 //!   the social mix (three in four deltas a write, one in four an edge, a
 //!   few nodes; the second batch undoes the first) through `apply_all` on
 //!   a rule-less validator: apply, fold, and the per-batch bookkeeping.
+//! * **metrics** — what observing costs: random-1k
+//!   (`evolving_workload(1_000, 3, 2, 7)`) replays the 1 200 key writes
+//!   `tests/perf_bars.rs` times, in batches of 1, 8 and 40 deltas, with the
+//!   engine's metrics `on` and `off`. Each sample replays the stream on a
+//!   fresh clone of the seeded validator, cloned outside the timed region;
+//!   `on` minus `off` is the instrumentation's fixed cost per batch times
+//!   the batch count (1 200, 150 and 30).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::ged::Ged;
@@ -392,12 +399,55 @@ fn bench_delta_apply(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_metrics(c: &mut Criterion) {
+    const SAMPLES: usize = 30;
+    let (g, sigma) = ged_datagen::random::evolving_workload(1_000, 3, 2, 7);
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let deltas: Vec<Delta> = (0..1_200)
+        .map(|i| Delta::SetAttr {
+            node: nodes[(i * 97) % nodes.len()],
+            attr: sym("key"),
+            value: Value::from(format!("v{}", i % 25)),
+        })
+        .collect();
+    let seeded = IncrementalValidator::new(g, sigma);
+    let mut group = c.benchmark_group("delta-path/metrics");
+    group.sample_size(SAMPLES);
+    for size in [1usize, 8, 40] {
+        let batches: Vec<DeltaSet> = deltas.chunks(size).map(|c| c.to_vec().into()).collect();
+        for (row, on) in [("on", true), ("off", false)] {
+            // One fresh clone per sample and one for the warm-up; spent
+            // clones are kept, so no drop lands in a timed region.
+            let clone = |_| {
+                let mut v = seeded.clone();
+                v.set_metrics_enabled(on);
+                v
+            };
+            let mut fresh = (0..=SAMPLES).map(clone).collect::<Vec<_>>().into_iter();
+            let mut spent = Vec::with_capacity(SAMPLES + 1);
+            group.bench_with_input(BenchmarkId::new(row, size), &(), |b, ()| {
+                b.iter(|| {
+                    let mut v = fresh.next().expect("one clone per sample");
+                    for batch in &batches {
+                        v.apply_all(batch);
+                    }
+                    let count = v.violation_count();
+                    spent.push(v);
+                    count
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_drop,
     bench_anchor,
     bench_leaf_anchor,
     bench_key_flip,
-    bench_delta_apply
+    bench_delta_apply,
+    bench_metrics
 );
 criterion_main!(benches);
