@@ -3,52 +3,61 @@
 //! validator (DESIGN.md §6).
 //!
 //! One [`EngineMetrics`] registry lives inside each
-//! [`IncrementalValidator`](crate::IncrementalValidator). It is built on
-//! the lock-free primitives of `ged-obs` and follows a two-tier write
-//! discipline:
+//! [`IncrementalValidator`](crate::IncrementalValidator) and is shared
+//! with its read views: one plain `Tally` behind one `Mutex`. Only the
+//! writer writes it, once per batch:
 //!
-//! * **per-batch quantities** (phase latencies, witness churn, store
-//!   size) are recorded by the writer — a handful of relaxed atomic
-//!   writes per apply batch;
-//! * **per-unit quantities** (attempts, matches found, unit latency) are
-//!   tallied into the validator's one plain-`u64` shard and folded into
-//!   the registry once per pass, so the matcher hot loop never touches an
-//!   atomic.
+//! * during a pass the writer fills its own [`BatchTally`] with no
+//!   synchronisation at all — one clock read per phase boundary and one
+//!   per work unit (a unit ends where the next one starts), per-rule
+//!   counters, the unit-latency histogram;
+//! * at the end of the batch [`EngineMetrics::fold`] takes the lock once
+//!   to add the batch in, push its trace entry and set the store gauges.
+//!   It runs before the batch is published, so a reader never sees
+//!   `batches` behind the epoch it reads. The publish is timed after it
+//!   and recorded under a second short lock, only while views are active;
+//! * a reader locks, clones the tally, and builds its
+//!   [`MetricsSnapshot`] after releasing the lock.
 //!
-//! The whole layer is gated on one flag: when metrics are disabled the
-//! enumeration paths monomorphize with the no-op recorder and no clock is
-//! read — the delta path is the uninstrumented engine. The remaining
-//! enabled-path cost is fixed per apply batch (phase-timer clock reads,
-//! `record_batch`'s relaxed adds, the trace push); `tests/perf_bars.rs`
-//! asserts it stays within 5% of the uninstrumented batched delta path
-//! (release builds) and prints the fixed per-batch nanoseconds.
+//! The lock is never held across a work unit, the publish, or a
+//! read-view operation. The whole layer is gated on the writer's one
+//! flag: disabled, the enumeration paths monomorphize with the no-op
+//! recorder, and no clock is read and no lock taken — the delta path is
+//! the uninstrumented engine. `tests/perf_bars.rs` asserts that the
+//! enabled path stays within 5% of it on the batched delta path (release
+//! builds) and prints the fixed cost per batch.
 
 use crate::store::ViolationStore;
 use crate::validator::ApplyStats;
 use crate::view::SharedViews;
 use ged_core::constraint::Constraint;
 use ged_graph::json::Json;
-use ged_obs::{fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, TraceRing};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ged_obs::{fmt_ns, CellRecorder, Histogram, TraceRing};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// How many apply batches the trace ring retains.
 const TRACE_CAPACITY: usize = 64;
 
-/// The validator's pipeline stages, as timed by the phase histograms.
+/// The validator's pipeline stages, as timed by the phase histograms. The
+/// discriminant indexes the phase arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// The construction-time seeding full pass (one sample per validator).
     Seeding,
     /// Applying the deltas of a batch to the graph.
     DeltaApply,
-    /// Dropping stored witnesses that intersect the touched set.
+    /// Sorting the footprint and dropping the stored witnesses that
+    /// intersect it.
     WitnessDrop,
-    /// Materialising the affected area: building the anchored seed lists.
+    /// Materialising the affected area: the live footprint and the
+    /// anchored seed lists.
     Materialize,
-    /// Exclusion-aware anchored re-enumeration of the affected matches.
+    /// Exclusion-aware anchored re-enumeration of the affected matches:
+    /// exactly the work units' time.
     Reenumerate,
-    /// Inserting re-derived witnesses into the store.
+    /// Inserting re-derived witnesses into the store and classifying the
+    /// batch's churn.
     StoreInsert,
     /// Publishing the batch-boundary snapshot for the read views
     /// (changelog replay + epoch swap; only timed while views are
@@ -80,234 +89,219 @@ impl Phase {
             Phase::SnapshotPublish => "snapshot-publish",
         }
     }
-
-    fn idx(self) -> usize {
-        match self {
-            Phase::Seeding => 0,
-            Phase::DeltaApply => 1,
-            Phase::WitnessDrop => 2,
-            Phase::Materialize => 3,
-            Phase::Reenumerate => 4,
-            Phase::StoreInsert => 5,
-            Phase::SnapshotPublish => 6,
-        }
-    }
 }
 
-/// Per-rule attribution counters: match attempts/found and nanoseconds
-/// split by the phase that spent them.
-#[derive(Debug, Clone)]
-struct RuleMetrics {
-    name: String,
-    attempts: Counter,
-    prefilter_rejects: Counter,
-    found: Counter,
-    violations: Counter,
-    seed_ns: Counter,
-    reenum_ns: Counter,
-}
-
-/// The validator's unsynchronized tally shard: per-rule plain-`u64`
-/// counters plus a local latency histogram of the units a pass ran. Built
-/// once per validator and filled by every pass — the seeding pass, then
-/// each batch's re-enumeration — then folded into the registry and
-/// zeroed by [`EngineMetrics::merge_pass`] when the pass is over.
-#[derive(Debug)]
-pub(crate) struct WorkerShard {
-    /// Mirrors the registry's enabled flag, re-read at each pass start;
-    /// a pass skips all clock reads and tallies when false.
-    pub(crate) enabled: bool,
-    rules: Vec<LocalRule>,
-    unit_latency: LocalHistogram,
-}
-
+/// One rule's tallies — match attempts and results, and nanoseconds split
+/// by the pass that spent them — in the registry and in the writer's
+/// [`BatchTally`] alike.
 #[derive(Debug, Clone, Default)]
-struct LocalRule {
+struct RuleRow {
     attempts: u64,
     prefilter_rejects: u64,
     found: u64,
     violations: u64,
-    ns: u64,
+    seed_ns: u64,
+    reenum_ns: u64,
 }
 
-impl WorkerShard {
-    /// An empty, enabled shard for a Σ of `n_rules` rules.
-    pub(crate) fn new(n_rules: usize) -> WorkerShard {
-        WorkerShard {
-            enabled: true,
-            rules: vec![LocalRule::default(); n_rules],
-            unit_latency: LocalHistogram::new(),
+/// The writer's per-pass accumulator: the seeding pass, then one per
+/// batch. It holds the phase timer — the last clock reading, from which
+/// every lap charges the time since to one phase — the phase
+/// nanoseconds, the rule rows and each unit's nanoseconds, and is folded
+/// into the registry and zeroed by [`EngineMetrics::fold`].
+#[derive(Debug)]
+pub(crate) struct BatchTally {
+    /// The writer's one metrics switch.
+    pub(crate) enabled: bool,
+    last: Option<Instant>,
+    phase_ns: [u64; 7],
+    rules: Vec<RuleRow>,
+    unit_ns: Vec<u64>,
+}
+
+impl BatchTally {
+    /// An empty tally for a Σ of `n_rules` rules.
+    pub(crate) fn new(n_rules: usize, enabled: bool) -> BatchTally {
+        BatchTally {
+            enabled,
+            last: None,
+            phase_ns: [0; 7],
+            rules: vec![RuleRow::default(); n_rules],
+            unit_ns: Vec::new(),
         }
     }
 
-    /// Tally one finished work unit of rule `ci`.
-    pub(crate) fn add_unit(
-        &mut self,
-        ci: usize,
-        attempts: u64,
-        prefilter_rejects: u64,
-        found: u64,
-        violations: u64,
-        ns: u64,
-    ) {
-        debug_assert!(self.enabled, "shards of a disabled pass stay empty");
+    /// Start the phase timer; disabled, no clock is read.
+    pub(crate) fn start(&mut self) {
+        self.last = self.enabled.then(Instant::now);
+    }
+
+    /// Nanoseconds since the last clock reading, which this one replaces.
+    fn elapsed_ns(&mut self) -> Option<u64> {
+        let last = self.last?;
+        let now = Instant::now();
+        self.last = Some(now);
+        Some(now.duration_since(last).as_nanos() as u64)
+    }
+
+    /// Charge the time since the last clock reading to `phase`.
+    pub(crate) fn lap(&mut self, phase: Phase) {
+        if let Some(ns) = self.elapsed_ns() {
+            self.phase_ns[phase as usize] += ns;
+        }
+    }
+
+    /// Charge the time since the last clock reading to one finished work
+    /// unit of rule `ci`, run in `phase` (seeding or re-enumeration), with
+    /// what its recorder counted and the violations it found.
+    pub(crate) fn unit(&mut self, phase: Phase, ci: usize, rec: &CellRecorder, violations: u64) {
+        let Some(ns) = self.elapsed_ns() else {
+            return;
+        };
+        self.phase_ns[phase as usize] += ns;
+        self.unit_ns.push(ns);
         let r = &mut self.rules[ci];
-        r.attempts += attempts;
-        r.prefilter_rejects += prefilter_rejects;
-        r.found += found;
+        r.attempts += rec.attempts();
+        r.prefilter_rejects += rec.prefilter_rejects();
+        r.found += rec.matches();
         r.violations += violations;
-        r.ns += ns;
-        self.unit_latency.record_ns(ns);
+        match phase {
+            Phase::Seeding => r.seed_ns += ns,
+            _ => r.reenum_ns += ns,
+        }
     }
 }
 
-/// The engine's metrics registry: enabled flag, batch counters, phase
-/// latency histograms, per-rule attribution, and the batch trace ring.
+/// Everything the registry counts, as plain numbers: the one value its
+/// lock guards.
+#[derive(Debug, Clone)]
+struct Tally {
+    enabled: bool,
+    batches: u64,
+    deltas_applied: u64,
+    touched_nodes: u64,
+    witnesses_dropped: u64,
+    witnesses_removed: u64,
+    witnesses_added: u64,
+    witnesses_retained: u64,
+    store_size: u64,
+    store_slab_slots: u64,
+    phases: [Histogram; 7],
+    unit_latency: Histogram,
+    rules: Vec<RuleRow>,
+    trace: TraceRing<ApplyStats>,
+}
+
+/// The engine's metrics registry: enabled flag, batch counters, store
+/// gauges, phase latency histograms, per-rule attribution, and the batch
+/// trace ring, in one tally behind one lock.
 ///
-/// All reads go through one aggregate; the validator owns the registry
-/// and exposes the snapshot via
+/// The validator owns the registry and exposes the snapshot via
 /// [`IncrementalValidator::metrics`](crate::IncrementalValidator::metrics).
 /// Cloning copies the current values into an independent registry, so a
 /// cloned validator does not share tallies with its original.
 #[derive(Debug)]
 pub struct EngineMetrics {
-    enabled: AtomicBool,
-    batches: Counter,
-    deltas_applied: Counter,
-    touched_nodes: Counter,
-    witnesses_dropped: Counter,
-    witnesses_removed: Counter,
-    witnesses_added: Counter,
-    witnesses_retained: Counter,
-    store_size: Gauge,
-    store_slab_slots: Gauge,
-    phases: [Histogram; 7],
-    unit_latency: Histogram,
-    rules: Vec<RuleMetrics>,
-    trace: TraceRing<ApplyStats>,
+    names: Vec<String>,
+    tally: Mutex<Tally>,
 }
 
 impl EngineMetrics {
     /// A fresh registry for the rule set Σ, enabled by default.
     pub(crate) fn for_sigma<C: Constraint>(sigma: &[C]) -> EngineMetrics {
         EngineMetrics {
-            enabled: AtomicBool::new(true),
-            batches: Counter::new(),
-            deltas_applied: Counter::new(),
-            touched_nodes: Counter::new(),
-            witnesses_dropped: Counter::new(),
-            witnesses_removed: Counter::new(),
-            witnesses_added: Counter::new(),
-            witnesses_retained: Counter::new(),
-            store_size: Gauge::new(),
-            store_slab_slots: Gauge::new(),
-            phases: Default::default(),
-            unit_latency: Histogram::new(),
-            rules: sigma
-                .iter()
-                .map(|c| RuleMetrics {
-                    name: c.name().to_string(),
-                    attempts: Counter::new(),
-                    prefilter_rejects: Counter::new(),
-                    found: Counter::new(),
-                    violations: Counter::new(),
-                    seed_ns: Counter::new(),
-                    reenum_ns: Counter::new(),
-                })
-                .collect(),
-            trace: TraceRing::new(TRACE_CAPACITY),
+            names: sigma.iter().map(|c| c.name().to_string()).collect(),
+            tally: Mutex::new(Tally {
+                enabled: true,
+                batches: 0,
+                deltas_applied: 0,
+                touched_nodes: 0,
+                witnesses_dropped: 0,
+                witnesses_removed: 0,
+                witnesses_added: 0,
+                witnesses_retained: 0,
+                store_size: 0,
+                store_slab_slots: 0,
+                phases: Default::default(),
+                unit_latency: Histogram::new(),
+                rules: vec![RuleRow::default(); sigma.len()],
+                trace: TraceRing::new(TRACE_CAPACITY),
+            }),
         }
     }
 
-    /// Is instrumentation on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    fn lock(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().expect("metrics registry poisoned")
     }
 
+    /// Record the writer's flag, for snapshots to report.
     pub(crate) fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.lock().enabled = on;
     }
 
-    /// Start a phase timer — `None` when disabled, so the disabled path
-    /// never reads the clock.
-    pub(crate) fn start(&self) -> Option<Instant> {
-        self.is_enabled().then(Instant::now)
-    }
-
-    /// Close a phase timer opened by [`EngineMetrics::start`].
-    pub(crate) fn finish(&self, phase: Phase, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.phases[phase.idx()].record(t0.elapsed());
-        }
-    }
-
-    /// Close `phase` and hand the same clock reading back as the start of
-    /// the next phase — adjacent regions share one `Instant::now` instead
-    /// of paying a close/open pair, which matters on sub-microsecond
-    /// batches (the overhead budget `tests/perf_bars.rs` asserts).
-    pub(crate) fn lap(&self, phase: Phase, t0: Option<Instant>) -> Option<Instant> {
-        t0.map(|t0| {
-            let now = Instant::now();
-            self.phases[phase.idx()].record(now.duration_since(t0));
-            now
-        })
-    }
-
-    /// Fold the shard's tallies for one pass into the registry,
-    /// attributing the time to `phase` (seeding or re-enumeration), and
-    /// zero them for the next pass.
-    pub(crate) fn merge_pass(&self, shard: &mut WorkerShard, phase: Phase) {
-        if !shard.enabled {
+    /// Fold the writer's pass into the registry under one lock, then zero
+    /// the pass. `batch` is a batch's stats and dropped-witness count, or
+    /// `None` for the seeding pass. One sample is recorded for each phase
+    /// the pass spans — seeding, or delta-apply through store-insert —
+    /// plus the store gauges and, for a batch, its churn counters and
+    /// trace entry. Disabled, nothing is taken and nothing recorded.
+    pub(crate) fn fold(
+        &self,
+        pass: &mut BatchTally,
+        batch: Option<(&ApplyStats, usize)>,
+        store: &ViolationStore,
+    ) {
+        if !pass.enabled {
             return;
         }
-        for (rule, local) in self.rules.iter().zip(&mut shard.rules) {
-            if local.attempts == 0 && local.found == 0 && local.ns == 0 {
-                continue;
-            }
-            rule.attempts.add(local.attempts);
-            rule.prefilter_rejects.add(local.prefilter_rejects);
-            rule.found.add(local.found);
-            rule.violations.add(local.violations);
-            match phase {
-                Phase::Seeding => rule.seed_ns.add(local.ns),
-                _ => rule.reenum_ns.add(local.ns),
-            }
-            *local = LocalRule::default();
+        let phases = match batch {
+            Some(_) => Phase::DeltaApply as usize..=Phase::StoreInsert as usize,
+            None => Phase::Seeding as usize..=Phase::Seeding as usize,
+        };
+        let mut t = self.lock();
+        for p in phases {
+            t.phases[p].record_ns(pass.phase_ns[p]);
         }
-        self.unit_latency
-            .merge_local(&std::mem::take(&mut shard.unit_latency));
+        for (row, local) in t.rules.iter_mut().zip(&pass.rules) {
+            row.attempts += local.attempts;
+            row.prefilter_rejects += local.prefilter_rejects;
+            row.found += local.found;
+            row.violations += local.violations;
+            row.seed_ns += local.seed_ns;
+            row.reenum_ns += local.reenum_ns;
+        }
+        for &ns in &pass.unit_ns {
+            t.unit_latency.record_ns(ns);
+        }
+        t.store_size = store.total() as u64;
+        t.store_slab_slots = store.slab_len() as u64;
+        if let Some((stats, dropped)) = batch {
+            t.batches += 1;
+            t.deltas_applied += stats.deltas_applied as u64;
+            t.touched_nodes += stats.touched_nodes as u64;
+            t.witnesses_dropped += dropped as u64;
+            t.witnesses_removed += stats.violations_removed as u64;
+            t.witnesses_added += stats.violations_added as u64;
+            t.witnesses_retained += stats.violations_retained as u64;
+            t.trace.push(stats.clone());
+        }
+        drop(t);
+        pass.phase_ns = [0; 7];
+        pass.rules.fill(RuleRow::default());
+        pass.unit_ns.clear();
     }
 
-    /// Record the once-per-batch quantities: churn counters, store
-    /// gauges, and the trace-ring event.
-    pub(crate) fn record_batch(&self, stats: &ApplyStats, dropped: usize, store: &ViolationStore) {
-        if !self.is_enabled() {
-            return;
+    /// Record the time since the pass's last clock reading as one
+    /// snapshot-publish sample.
+    pub(crate) fn record_publish(&self, pass: &mut BatchTally) {
+        if let Some(ns) = pass.elapsed_ns() {
+            self.lock().phases[Phase::SnapshotPublish as usize].record_ns(ns);
         }
-        self.batches.inc();
-        self.deltas_applied.add(stats.deltas_applied as u64);
-        self.touched_nodes.add(stats.touched_nodes as u64);
-        self.witnesses_dropped.add(dropped as u64);
-        self.witnesses_removed.add(stats.violations_removed as u64);
-        self.witnesses_added.add(stats.violations_added as u64);
-        self.witnesses_retained
-            .add(stats.violations_retained as u64);
-        self.note_store(store);
-        self.trace.push(stats.clone());
-    }
-
-    /// Refresh the store-level gauges.
-    pub(crate) fn note_store(&self, store: &ViolationStore) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.store_size.set(store.total() as u64);
-        self.store_slab_slots.set(store.slab_len() as u64);
     }
 
     /// The retained batch trace, oldest first, as `(batch id, stats)`.
     pub fn trace(&self) -> Vec<(u64, ApplyStats)> {
-        self.trace.recent()
+        self.lock().trace.recent()
     }
 
     /// An RAII guard that dumps the batch trace to stderr if the scope
@@ -318,43 +312,48 @@ impl EngineMetrics {
 
     /// Aggregate the registry into an immutable [`MetricsSnapshot`]. The
     /// reader count and the published epoch are read where they live, in
-    /// the validator's `views`: a mirrored gauge could drift from them.
+    /// the validator's `views`, under the registry's lock: the writer
+    /// folds a batch in before publishing it, so the epoch never runs
+    /// ahead of the `batches` it is read with.
     pub(crate) fn snapshot(&self, views: &SharedViews) -> MetricsSnapshot {
+        let (t, read_views, published_epoch) = {
+            let t = self.lock();
+            (t.clone(), views.readers(), views.epoch())
+        };
         MetricsSnapshot {
-            enabled: self.is_enabled(),
-            batches: self.batches.get(),
-            deltas_applied: self.deltas_applied.get(),
-            touched_nodes: self.touched_nodes.get(),
-            witnesses_dropped: self.witnesses_dropped.get(),
-            witnesses_removed: self.witnesses_removed.get(),
-            witnesses_added: self.witnesses_added.get(),
-            witnesses_retained: self.witnesses_retained.get(),
-            store_size: self.store_size.get(),
-            store_slab_slots: self.store_slab_slots.get(),
-            read_views: views.readers(),
-            published_epoch: views.epoch(),
+            enabled: t.enabled,
+            batches: t.batches,
+            deltas_applied: t.deltas_applied,
+            touched_nodes: t.touched_nodes,
+            witnesses_dropped: t.witnesses_dropped,
+            witnesses_removed: t.witnesses_removed,
+            witnesses_added: t.witnesses_added,
+            witnesses_retained: t.witnesses_retained,
+            store_size: t.store_size,
+            store_slab_slots: t.store_slab_slots,
+            read_views,
+            published_epoch,
             phases: Phase::ALL
-                .iter()
-                .map(|&p| PhaseSnapshot {
-                    phase: p,
-                    latency: self.phases[p.idx()].snapshot(),
-                })
+                .into_iter()
+                .zip(t.phases)
+                .map(|(phase, latency)| PhaseSnapshot { phase, latency })
                 .collect(),
-            unit_latency: self.unit_latency.snapshot(),
+            unit_latency: t.unit_latency,
             rules: self
-                .rules
+                .names
                 .iter()
-                .map(|r| RuleSnapshot {
-                    name: r.name.clone(),
-                    match_attempts: r.attempts.get(),
-                    prefilter_rejects: r.prefilter_rejects.get(),
-                    matches_found: r.found.get(),
-                    violations_found: r.violations.get(),
-                    seed_ns: r.seed_ns.get(),
-                    reenum_ns: r.reenum_ns.get(),
+                .zip(t.rules)
+                .map(|(name, r)| RuleSnapshot {
+                    name: name.clone(),
+                    match_attempts: r.attempts,
+                    prefilter_rejects: r.prefilter_rejects,
+                    matches_found: r.found,
+                    violations_found: r.violations,
+                    seed_ns: r.seed_ns,
+                    reenum_ns: r.reenum_ns,
                 })
                 .collect(),
-            trace: self.trace.recent(),
+            trace: t.trace.recent(),
         }
     }
 }
@@ -362,20 +361,8 @@ impl EngineMetrics {
 impl Clone for EngineMetrics {
     fn clone(&self) -> EngineMetrics {
         EngineMetrics {
-            enabled: AtomicBool::new(self.is_enabled()),
-            batches: self.batches.clone(),
-            deltas_applied: self.deltas_applied.clone(),
-            touched_nodes: self.touched_nodes.clone(),
-            witnesses_dropped: self.witnesses_dropped.clone(),
-            witnesses_removed: self.witnesses_removed.clone(),
-            witnesses_added: self.witnesses_added.clone(),
-            witnesses_retained: self.witnesses_retained.clone(),
-            store_size: self.store_size.clone(),
-            store_slab_slots: self.store_slab_slots.clone(),
-            phases: self.phases.clone(),
-            unit_latency: self.unit_latency.clone(),
-            rules: self.rules.clone(),
-            trace: self.trace.clone(),
+            names: self.names.clone(),
+            tally: Mutex::new(self.lock().clone()),
         }
     }
 }
@@ -389,11 +376,14 @@ impl Drop for TraceDumpOnPanic<'_> {
         if !std::thread::panicking() {
             return;
         }
-        let recent = self.0.trace.recent();
+        // A panic inside the fold poisons the lock; the ring is still
+        // whole between pushes, so dump what it holds.
+        let t = self.0.tally.lock().unwrap_or_else(PoisonError::into_inner);
+        let recent = t.trace.recent();
         eprintln!(
             "engine panic: last {} of {} apply batch(es):",
             recent.len(),
-            self.0.trace.total_pushed()
+            t.trace.total_pushed()
         );
         for (seq, stats) in recent {
             eprintln!("  batch {seq}: {stats}");
@@ -407,7 +397,7 @@ pub struct PhaseSnapshot {
     /// Which pipeline stage.
     pub phase: Phase,
     /// Its latency histogram (one sample per timed region).
-    pub latency: HistogramSnapshot,
+    pub latency: Histogram,
 }
 
 /// One rule's cost attribution in a [`MetricsSnapshot`].
@@ -469,7 +459,7 @@ pub struct MetricsSnapshot {
     pub phases: Vec<PhaseSnapshot>,
     /// Latency distribution of individual work units (seeding and delta
     /// path alike).
-    pub unit_latency: HistogramSnapshot,
+    pub unit_latency: Histogram,
     /// Per-rule cost attribution, in Σ order.
     pub rules: Vec<RuleSnapshot>,
     /// The retained batch trace, oldest first, as `(batch id, stats)`.
@@ -494,7 +484,7 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot's latency histogram for `phase`, if timed.
-    pub fn phase(&self, phase: Phase) -> Option<&HistogramSnapshot> {
+    pub fn phase(&self, phase: Phase) -> Option<&Histogram> {
         self.phases
             .iter()
             .find(|p| p.phase == phase)
@@ -585,7 +575,7 @@ impl MetricsSnapshot {
 }
 
 /// The fields every latency histogram serialises to.
-fn latency_fields(h: &HistogramSnapshot) -> Vec<(&'static str, Json)> {
+fn latency_fields(h: &Histogram) -> Vec<(&'static str, Json)> {
     vec![
         ("count", h.count.into()),
         ("sum_ns", h.sum_ns.into()),

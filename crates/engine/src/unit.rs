@@ -10,20 +10,19 @@
 //!   `(rule, anchor variable)` over the touched nodes, with an exclusion
 //!   closure that keeps each affected match to one anchoring.
 //!
-//! Every unit runs with the validator's one match scratch and tally
-//! shard, so the matcher allocates nothing in steady state and the hot
+//! Every unit runs with the validator's one match scratch and batch
+//! tally, so the matcher allocates nothing in steady state and the hot
 //! loop touches no atomic.
 //!
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
-use crate::metrics::WorkerShard;
+use crate::metrics::{BatchTally, Phase};
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::literal::Literal;
 use ged_graph::{Graph, NodeId};
 use ged_obs::{CellRecorder, NOOP};
 use ged_pattern::{Match, MatchOptions, MatchPlan, MatchRecorder, MatchScratch, Matcher, Var};
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 /// One violating match as the passes collect it: the constraint's index
 /// in Σ, the match, and why it violates.
@@ -99,34 +98,28 @@ fn check_unit<C: Constraint, R: MatchRecorder>(
     });
 }
 
-/// Run one unit, observed or not: with instrumentation on, a per-unit
-/// [`CellRecorder`] and one clock pair tally the unit into the shard;
-/// off, the no-op recorder compiles the hooks away and no clock is read.
-/// Every pass goes through here, so this is the engine's one
-/// instrumented/uninstrumented fork.
+/// Run one unit of `phase` (seeding or re-enumeration), observed or not:
+/// with instrumentation on, a per-unit [`CellRecorder`] and one clock
+/// read — the unit starts where the caller's last lap ended — tally the
+/// unit into the batch tally; off, the no-op recorder compiles the hooks
+/// away and no clock is read. Every pass goes through here, so this is
+/// the engine's one instrumented/uninstrumented fork.
 pub(crate) fn run_unit<C: Constraint>(
     g: &Graph,
     rule: (&C, &MatchPlan),
     unit: (usize, Var, &[NodeId]),
     excluded: &impl Fn(Var, NodeId) -> bool,
-    (ws, scratch): &mut (WorkerShard, MatchScratch),
+    phase: Phase,
+    (tally, scratch): &mut (BatchTally, MatchScratch),
     out: &mut Vec<Found>,
 ) {
-    if !ws.enabled {
+    if !tally.enabled {
         return check_unit(g, rule, unit, excluded, scratch, &NOOP, out);
     }
     let recorder = CellRecorder::new();
-    let t0 = Instant::now();
     let before = out.len();
     check_unit(g, rule, unit, excluded, scratch, &recorder, out);
-    ws.add_unit(
-        unit.0,
-        recorder.attempts(),
-        recorder.prefilter_rejects(),
-        recorder.matches(),
-        (out.len() - before) as u64,
-        t0.elapsed().as_nanos() as u64,
-    );
+    tally.unit(phase, unit.0, &recorder, (out.len() - before) as u64);
 }
 
 /// The from-scratch pass: every violating match of every rule of Σ, empty
@@ -136,12 +129,13 @@ pub(crate) fn run_unit<C: Constraint>(
 /// the pivot to exactly one candidate, so the unit visits every match
 /// once. A rule whose pivot has no candidate runs no unit. `plans[i]` is
 /// [`rule_plan`] of `sigma[i]`. The pass is instrumented: it runs once, on
-/// a registry that starts enabled.
+/// a registry that starts enabled, and the first unit's time runs from the
+/// caller's last lap.
 pub(crate) fn full_pass<C: Constraint>(
     g: &Graph,
     sigma: &[C],
     plans: &[MatchPlan],
-    worker: &mut (WorkerShard, MatchScratch),
+    worker: &mut (BatchTally, MatchScratch),
 ) -> Vec<Found> {
     let (mut found, mut matched) = (Vec::new(), Vec::new());
     for (ci, rule) in sigma.iter().zip(plans).enumerate() {
@@ -152,18 +146,26 @@ pub(crate) fn full_pass<C: Constraint>(
         else {
             // An empty pattern has exactly one (empty) match and no
             // variable to anchor: checked here, tallied as a unit.
-            let t0 = Instant::now();
             let kind = rule.0.check(g, &[]);
+            let recorder = CellRecorder::new();
+            recorder.on_match();
             let violations = u64::from(kind.is_some());
-            let ns = t0.elapsed().as_nanos() as u64;
-            worker.0.add_unit(ci, 0, 0, 1, violations, ns);
+            worker.0.unit(Phase::Seeding, ci, &recorder, violations);
             found.extend(kind.map(|kind| (ci, Vec::new(), kind)));
             continue;
         };
         let candidates = g.label_candidates(pattern.label(pivot));
         if !candidates.is_empty() {
             let unit = (ci, pivot, &candidates[..]);
-            run_unit(g, rule, unit, &|_, _| false, worker, &mut matched);
+            run_unit(
+                g,
+                rule,
+                unit,
+                &|_, _| false,
+                Phase::Seeding,
+                worker,
+                &mut matched,
+            );
         }
     }
     found.append(&mut matched);

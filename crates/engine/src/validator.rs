@@ -46,7 +46,7 @@
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 //! [`DeltaEffect::touched`]: ged_graph::DeltaEffect::touched
 
-use crate::metrics::{EngineMetrics, MetricsSnapshot, Phase, WorkerShard};
+use crate::metrics::{BatchTally, EngineMetrics, MetricsSnapshot, Phase};
 use crate::store::{StoreChange, ViolationStore};
 use crate::unit;
 use crate::view::{ReadView, SharedViews};
@@ -122,10 +122,10 @@ pub struct IncrementalValidator<C: Constraint> {
     /// and premise pre-filters, compiled once at construction and
     /// borrowed by every seeding and delta-path work unit.
     plans: Vec<MatchPlan>,
-    /// The state every work unit runs with, built once: the tally shard
-    /// each pass fills and [`EngineMetrics`] folds in, and the matcher's
-    /// candidate buffers.
-    worker: (WorkerShard, MatchScratch),
+    /// The state every work unit runs with, built once: the tally each
+    /// pass fills and [`EngineMetrics`] folds in — it also holds the
+    /// metrics switch — and the matcher's candidate buffers.
+    worker: (BatchTally, MatchScratch),
     /// The slot shared with every [`ReadView`]: front snapshot, epoch
     /// counter, reader count. Lazily activated by the first
     /// [`read_view`](IncrementalValidator::read_view) call; until then
@@ -147,7 +147,10 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
             metrics: Arc::new((*self.metrics).clone()),
             analysis: self.analysis.clone(),
             plans: self.plans.clone(),
-            worker: (WorkerShard::new(self.sigma.len()), MatchScratch::new()),
+            worker: (
+                BatchTally::new(self.sigma.len(), self.metrics_enabled()),
+                MatchScratch::new(),
+            ),
             views: Arc::default(),
         }
     }
@@ -169,20 +172,21 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// requests none.
     pub fn new(mut graph: Graph, sigma: Vec<C>) -> IncrementalValidator<C> {
         let metrics = EngineMetrics::for_sigma(&sigma);
-        let t_seed = metrics.start();
+        let mut worker = (BatchTally::new(sigma.len(), true), MatchScratch::new());
+        worker.0.start();
         let mut store = ViolationStore::for_sigma(&sigma);
         let plans: Vec<MatchPlan> = sigma.iter().map(unit::rule_plan).collect();
         for (label, attr) in plans.iter().flat_map(MatchPlan::index_requests) {
             graph.index_attr(label, attr);
         }
-        let mut worker = (WorkerShard::new(sigma.len()), MatchScratch::new());
+        // The first unit's time runs from here.
+        worker.0.lap(Phase::Seeding);
         let found = unit::full_pass(&graph, &sigma, &plans, &mut worker);
-        metrics.merge_pass(&mut worker.0, Phase::Seeding);
         for (ci, m, kind) in found {
             store.insert(ci, m, kind);
         }
-        metrics.finish(Phase::Seeding, t_seed);
-        metrics.note_store(&store);
+        worker.0.lap(Phase::Seeding);
+        metrics.fold(&mut worker.0, None, &store);
         IncrementalValidator {
             graph,
             sigma: Arc::new(sigma),
@@ -280,16 +284,17 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// Turn instrumentation on or off (on by default). While disabled the
-    /// delta path monomorphizes with the no-op recorder and reads no
-    /// clock — it *is* the uninstrumented engine; existing tallies are
-    /// kept, not reset.
+    /// delta path monomorphizes with the no-op recorder, reads no clock
+    /// and takes no lock — it *is* the uninstrumented engine; existing
+    /// tallies are kept, not reset.
     pub fn set_metrics_enabled(&mut self, on: bool) {
+        self.worker.0.enabled = on;
         self.metrics.set_enabled(on);
     }
 
     /// Is instrumentation currently on?
     pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_enabled()
+        self.worker.0.enabled
     }
 
     /// The recent apply batches retained by the event-trace ring buffer,
@@ -463,35 +468,32 @@ impl<C: Constraint> IncrementalValidator<C> {
     fn maintain(&mut self, deltas: &[Delta]) -> ApplyStats {
         let mut stats = ApplyStats::default();
         let mut touched: Vec<NodeId> = Vec::with_capacity(deltas.len());
-        let t = self.metrics.start();
+        // From here to the store insert, consecutive laps of one timer.
+        self.worker.0.start();
         for delta in deltas {
             let eff = self.graph.apply_delta(delta);
             stats.deltas_applied += usize::from(eff.changed);
             stats.created.extend(eff.created);
             touched.extend(eff.touched.into_iter().flatten());
         }
-        self.metrics.finish(Phase::DeltaApply, t);
         if stats.deltas_applied == 0 {
             return stats;
         }
+        self.worker.0.lap(Phase::DeltaApply);
         // The footprint, sorted and deduplicated once for the whole batch:
         // deltas touching the same node repeatedly collapse to one anchor
         // seed, and the re-enumeration's exclusion test binary-searches it.
         touched.sort_unstable();
         touched.dedup();
         // If anything below unwinds, dump the recent batch trace so the
-        // panic report carries the apply history that led up to it. The
-        // guard borrows a local clone of the registry handle so `self`
-        // stays free for the publish step.
-        let metrics = Arc::clone(&self.metrics);
-        let _trace_dump = metrics.dump_trace_on_panic();
+        // panic report carries the apply history that led up to it.
+        let _trace_dump = self.metrics.dump_trace_on_panic();
 
         // Drop while `touched` still holds removed ids, so witnesses of
         // dead nodes (and of edges whose endpoints these are) go too. The
         // dropped entries are the pre-update snapshot of the affected area.
-        let t = self.metrics.start();
         let dropped = self.store.drop_intersecting(&touched);
-        self.metrics.finish(Phase::WitnessDrop, t);
+        self.worker.0.lap(Phase::WitnessDrop);
         let pruned = self.store.total();
 
         // While read views are active, every re-derived witness is also
@@ -505,24 +507,19 @@ impl<C: Constraint> IncrementalValidator<C> {
         touched.retain(|&n| self.graph.is_alive(n));
         stats.touched_nodes = touched.len();
 
-        if !touched.is_empty() {
-            let area = affected_area(
-                &self.graph,
-                &self.sigma,
-                &self.plans,
-                &touched,
-                &self.metrics,
-                &mut self.worker,
-            );
-            let t = self.metrics.start();
-            for (ci, m, kind) in area {
-                if views_active {
-                    upserts.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
-                }
-                let fresh = self.store.insert(ci, m, kind);
-                debug_assert!(fresh, "rule {ci}: an affected match was enumerated twice");
+        let area = affected_area(
+            &self.graph,
+            &self.sigma,
+            &self.plans,
+            &touched,
+            &mut self.worker,
+        );
+        for (ci, m, kind) in area {
+            if views_active {
+                upserts.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
             }
-            self.metrics.finish(Phase::StoreInsert, t);
+            let fresh = self.store.insert(ci, m, kind);
+            debug_assert!(fresh, "rule {ci}: an affected match was enumerated twice");
         }
         // Classify churn against the snapshot: a dropped witness the
         // re-enumeration restored was retained, not removed + re-added.
@@ -535,20 +532,21 @@ impl<C: Constraint> IncrementalValidator<C> {
             .count();
         stats.violations_removed = dropped.len() - stats.violations_retained;
         stats.violations_added = self.store.total() - pruned - stats.violations_retained;
-        self.metrics
-            .record_batch(&stats, dropped.len(), &self.store);
+        self.worker.0.lap(Phase::StoreInsert);
+        let batch = Some((&stats, dropped.len()));
+        self.metrics.fold(&mut self.worker.0, batch, &self.store);
         // The explicit publish step, so read views advance exactly at
         // batch boundaries — never mid-batch: the table just maintained
         // becomes the snapshot, and the store goes on with the one it
         // replaces, caught up by this batch's log — drops first, then the
         // re-derived witnesses, so a retained one nets out to an upsert.
         if views_active {
-            let t = self.metrics.start();
+            self.worker.0.start();
             let drops = dropped.into_iter();
             let log = drops.map(|(ci, m, _)| StoreChange::Remove(ci, m));
             self.store
                 .exchange_table(|table| self.views.publish(table, log.chain(upserts)));
-            self.metrics.finish(Phase::SnapshotPublish, t);
+            self.metrics.record_publish(&mut self.worker.0);
         }
         stats
     }
@@ -610,10 +608,8 @@ fn affected_area<C: Constraint>(
     sigma: &[C],
     plans: &[MatchPlan],
     footprint: &[NodeId],
-    metrics: &EngineMetrics,
-    worker: &mut (WorkerShard, MatchScratch),
+    worker: &mut (BatchTally, MatchScratch),
 ) -> Vec<unit::Found> {
-    let t = metrics.start();
     // One seed list per distinct variable label: most rules repeat one
     // label across variables (and rules share labels), so the
     // O(|footprint|) filter runs once per label, not once per variable.
@@ -632,9 +628,9 @@ fn affected_area<C: Constraint>(
             seeds.push((lv, s));
         }
     }
-    // The materialize/re-enumerate boundary shares one clock read.
-    let t = metrics.lap(Phase::Materialize, t);
-    worker.0.enabled = metrics.is_enabled();
+    // The first unit's time runs from here; each later one's from the end
+    // of the unit before it.
+    worker.0.lap(Phase::Materialize);
     let mut all = Vec::new();
     for (ci, rule) in sigma.iter().zip(plans).enumerate() {
         let pattern = rule.0.pattern();
@@ -647,11 +643,10 @@ fn affected_area<C: Constraint>(
             // Touched nodes are excluded from the variables before the anchor.
             let excluded = |u, n: NodeId| u < anchor && footprint.binary_search(&n).is_ok();
             let unit = (ci, anchor, list.as_slice());
-            unit::run_unit(g, rule, unit, &excluded, worker, &mut all);
+            let phase = Phase::Reenumerate;
+            unit::run_unit(g, rule, unit, &excluded, phase, worker, &mut all);
         }
     }
-    metrics.finish(Phase::Reenumerate, t);
-    metrics.merge_pass(&mut worker.0, Phase::Reenumerate);
     all
 }
 
@@ -1612,7 +1607,41 @@ mod tests {
         assert_eq!([tally(0), tally(2), tally(3)], [(1, 0), (1, 1), (0, 0)]);
     }
 
-    /// The validator's one tally shard is zeroed by every merge: the same
+    /// Work units lap one clock: each starts where the one before it
+    /// ended, so on a multi-rule Σ the rules' `reenum_ns` advance by
+    /// exactly the batch's `anchored-reenumerate` sample, and the unit
+    /// histogram's total is the seeding and re-enumeration time of every
+    /// rule, to the nanosecond.
+    #[test]
+    fn unit_times_sum_to_their_phase() {
+        let (g, sigma) = ged_datagen::random::evolving_workload(300, 3, 3, 5);
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let mut v = IncrementalValidator::new(g, sigma);
+        let sums = |m: &MetricsSnapshot| {
+            let reenum: u64 = m.rules.iter().map(|r| r.reenum_ns).sum();
+            let seed: u64 = m.rules.iter().map(|r| r.seed_ns).sum();
+            assert_eq!(m.unit_latency.sum_ns, seed + reenum, "units = Σ rule time");
+            (reenum, m.phase(Phase::Reenumerate).unwrap().sum_ns)
+        };
+        let mut before = sums(&v.metrics());
+        for i in 0..12 {
+            let batch: DeltaSet = (0..8)
+                .map(|j| Delta::SetAttr {
+                    node: nodes[(i * 41 + j * 13) % nodes.len()],
+                    attr: sym("key"),
+                    value: Value::from(format!("k{}", (i + j) % 5)),
+                })
+                .collect();
+            v.apply_all(&batch);
+            let after = sums(&v.metrics());
+            assert_eq!(after.0 - before.0, after.1 - before.1, "batch {i}");
+            before = after;
+        }
+        assert!(before.0 > 0, "the batches ran units");
+        assert_eq!(v.metrics().rules.len(), 4);
+    }
+
+    /// The validator's one batch tally is zeroed by every fold: the same
     /// batch, applied three times, re-enumerates the same matches each
     /// time (it rewrites an attribute no premise reads), so every rule's
     /// attempts and the unit count advance by the same amount per batch.

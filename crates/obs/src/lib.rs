@@ -1,19 +1,13 @@
 //! # ged-obs — observability primitives for the GED engine stack
 //!
-//! A std-only, dependency-free metrics toolkit in the vendored style of
-//! the rest of the workspace (the build environment has no crates.io
-//! access). The engine's instrumentation needs exactly three things, and
-//! this crate supplies nothing more:
+//! A std-only, dependency-free toolkit in the vendored style of the rest
+//! of the workspace (the build environment has no crates.io access). It
+//! holds no synchronisation: every type is a plain value with one
+//! writer, and the engine keeps its registry of them behind one lock of
+//! its own.
 //!
-//! * [`metric`] — the **lock-free registry primitives**: monotonic
-//!   [`Counter`]s, [`Gauge`]s, and fixed-bucket latency [`Histogram`]s
-//!   with p50/p95/p99 readout. All writes are relaxed atomic adds (no
-//!   locks, no CAS loops); readers aggregate on demand via
-//!   [`Histogram::snapshot`]. For code that is hot enough that even an
-//!   uncontended atomic add is too much, [`LocalHistogram`] and plain
-//!   `u64` tallies accumulate unsynchronized in a local shard and merge
-//!   into the shared registry once per pass — aggregation happens on
-//!   *read*, not on the hot path.
+//! * [`metric`] — the fixed-bucket latency [`Histogram`] with p50/p95/p99
+//!   readout, and [`fmt_ns`] for human-readable dumps.
 //! * [`recorder`] — the **zero-cost-when-disabled hook** for the matcher
 //!   hot loop: a [`MatchRecorder`] trait with a unit [`NoopRecorder`]
 //!   (monomorphizes to nothing) and a [`CellRecorder`] that tallies into
@@ -34,8 +28,6 @@ pub mod metric;
 pub mod recorder;
 pub mod trace;
 
-pub use metric::{
-    fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, BUCKET_COUNT,
-};
+pub use metric::{fmt_ns, Histogram, BUCKET_COUNT};
 pub use recorder::{CellRecorder, MatchRecorder, NoopRecorder, NOOP};
 pub use trace::TraceRing;

@@ -10,7 +10,7 @@
 //! enumeration passes a [`CellRecorder`] instead, which tallies into
 //! `Cell<u64>`s — each matcher run happens inside one work unit on one
 //! thread, so no synchronization is needed; the caller folds the tallies
-//! into its shard after the unit completes.
+//! into its per-batch tally after the unit completes.
 
 use std::cell::Cell;
 
@@ -63,7 +63,7 @@ pub static NOOP: NoopRecorder = NoopRecorder;
 /// A single-threaded tally recorder: counts attempts and matches in
 /// `Cell<u64>`s. One matcher run executes inside one work unit on one
 /// thread, so interior mutability without synchronization is exactly
-/// right; the caller folds the counts into its shard after the unit
+/// right; the caller folds the counts into its tally after the unit
 /// finishes.
 #[derive(Debug, Clone, Default)]
 pub struct CellRecorder {

@@ -2,25 +2,19 @@
 //!
 //! The engine records one event per apply batch; the ring keeps the last
 //! `capacity` of them so the recent history can be dumped on demand or
-//! when a maintenance pass panics. Pushing is a short critical section on
-//! a plain mutex — the ring sits on the once-per-batch cold path, not in
-//! any matcher loop, so lock-freedom buys nothing here.
+//! when a maintenance pass panics. The ring is a plain value: the engine
+//! keeps it inside its metrics registry, under the lock that registry
+//! already takes once per batch.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// A bounded ring of `(sequence, event)` pairs that overwrites its oldest
 /// entry when full. Sequence numbers are assigned at push time, start at
 /// 1, and never repeat, so a dump shows both the events and how many fell
 /// off the back.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceRing<T> {
     capacity: usize,
-    inner: Mutex<Ring<T>>,
-}
-
-#[derive(Debug, Default)]
-struct Ring<T> {
     next_seq: u64,
     buf: VecDeque<(u64, T)>,
 }
@@ -31,70 +25,33 @@ impl<T> TraceRing<T> {
         assert!(capacity >= 1, "a trace ring needs at least one slot");
         TraceRing {
             capacity,
-            inner: Mutex::new(Ring {
-                next_seq: 1,
-                buf: VecDeque::with_capacity(capacity),
-            }),
+            next_seq: 1,
+            buf: VecDeque::with_capacity(capacity),
         }
     }
 
     /// Append an event, evicting the oldest if the ring is full. Returns
     /// the event's sequence number.
-    pub fn push(&self, event: T) -> u64 {
-        let mut ring = self.inner.lock().expect("trace ring poisoned");
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.buf.len() == self.capacity {
-            ring.buf.pop_front();
+    pub fn push(&mut self, event: T) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
         }
-        ring.buf.push_back((seq, event));
+        self.buf.push_back((seq, event));
         seq
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring poisoned").buf.len()
-    }
-
-    /// Is the ring empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total events ever pushed (retained or evicted).
     pub fn total_pushed(&self) -> u64 {
-        self.inner.lock().expect("trace ring poisoned").next_seq - 1
+        self.next_seq - 1
     }
 }
 
 impl<T: Clone> TraceRing<T> {
     /// The retained events, oldest first, with their sequence numbers.
     pub fn recent(&self) -> Vec<(u64, T)> {
-        self.inner
-            .lock()
-            .expect("trace ring poisoned")
-            .buf
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
-impl<T: Clone> Clone for TraceRing<T> {
-    fn clone(&self) -> TraceRing<T> {
-        let ring = self.inner.lock().expect("trace ring poisoned");
-        TraceRing {
-            capacity: self.capacity,
-            inner: Mutex::new(Ring {
-                next_seq: ring.next_seq,
-                buf: ring.buf.clone(),
-            }),
-        }
+        self.buf.iter().cloned().collect()
     }
 }
 
@@ -104,18 +61,17 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_keeps_sequence() {
-        let ring = TraceRing::new(3);
+        let mut ring = TraceRing::new(3);
         for i in 0..5 {
             assert_eq!(ring.push(i), i + 1, "sequences are 1-based and dense");
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.total_pushed(), 5);
         assert_eq!(ring.recent(), vec![(3, 2), (4, 3), (5, 4)]);
     }
 
     #[test]
     fn clone_copies_the_history() {
-        let ring = TraceRing::new(2);
+        let mut ring = TraceRing::new(2);
         ring.push("a");
         let copy = ring.clone();
         ring.push("b");

@@ -146,7 +146,7 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// earlier, attribute obligations included — nothing is computed or
     /// allocated per matcher. The engine's work units go through this
     /// with a per-unit `CellRecorder` (or the no-op one) and fold the
-    /// tallies into the validator's tally shard.
+    /// tallies into the validator's batch tally.
     pub fn with_plan(
         plan: &'a MatchPlan,
         pattern: &'a Pattern,

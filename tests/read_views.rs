@@ -139,3 +139,55 @@ fn rendered_bytes_never_outlive_their_epoch() {
         rebuilds_by_regime[1]
     );
 }
+
+/// A metrics snapshot is one point in the writer's history, never a mix
+/// of two: a reader thread polls `ReadView::metrics` while the writer
+/// applies 240 batches, and every snapshot's batch count, published epoch
+/// and batch trace must agree with each other.
+#[test]
+fn metrics_snapshots_are_never_torn() {
+    let (g, sigma) = evolving_workload(200, 3, 2, 21);
+    let nodes: Vec<NodeId> = g.nodes().collect();
+    let mut v = IncrementalValidator::new(g, sigma);
+    let view = v.read_view();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let started = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            started.wait();
+            // At least one poll, and one more after the writer is done.
+            loop {
+                let last_round = done.load(std::sync::atomic::Ordering::Acquire);
+                let m = view.metrics();
+                assert!(m.published_epoch <= m.batches, "epoch ahead of batches");
+                if let Some(&(last, _)) = m.trace.last() {
+                    assert_eq!(m.batches, last, "trace and batch count disagree");
+                    if m.batches < 64 {
+                        let traced: usize = m.trace.iter().map(|(_, st)| st.deltas_applied).sum();
+                        assert_eq!(traced as u64, m.deltas_applied, "trace and deltas disagree");
+                    }
+                } else {
+                    assert_eq!(m.batches, 0, "batches without a trace entry");
+                }
+                if last_round {
+                    break;
+                }
+            }
+        });
+        started.wait();
+        for i in 0..240usize {
+            let batch: DeltaSet = (0..i % 7 + 1)
+                .map(|j| Delta::SetAttr {
+                    node: nodes[(i * 31 + j * 7) % nodes.len()],
+                    attr: sym("key"),
+                    value: Value::from(format!("v{}", (i * j) % 13)),
+                })
+                .collect();
+            v.apply_all(&batch);
+        }
+        done.store(true, std::sync::atomic::Ordering::Release);
+        reader.join().expect("the reader's checks hold");
+    });
+    let m = v.metrics();
+    assert!(m.batches >= 200, "{} batches changed the graph", m.batches);
+}
