@@ -38,6 +38,15 @@
 //!   the social mix (three in four deltas a write, one in four an edge, a
 //!   few nodes; the second batch undoes the first) through `apply_all` on
 //!   a rule-less validator: apply, fold, and the per-batch bookkeeping.
+//! * **reenumerate** — the affected-area pass on the start state of
+//!   gedbench's `ingest-*` workloads (`social_mixed` at 50 000 accounts
+//!   under its four-rule mixed Σ): 31 `DeltaStream` batches of 512 draws
+//!   writing `age`, `tier`, `verified` and `keyword` and adding and
+//!   removing `like` / `follow` / `post` edges and nodes, drawn up front
+//!   against a mirror graph. *apply-all/512* times one batch through
+//!   `apply_all` per sample; *anchored-reenumerate* replays the same
+//!   batches on a clone of the seeded validator and reads the engine's
+//!   own per-batch phase time and match attempts.
 //! * **metrics** — what observing costs: random-1k
 //!   (`evolving_workload(1_000, 3, 2, 7)`) replays the 1 200 key writes
 //!   `tests/perf_bars.rs` times, in batches of 1, 8 and 40 deltas, with the
@@ -399,6 +408,68 @@ fn bench_delta_apply(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_reenumerate(c: &mut Criterion) {
+    use ged_datagen::social::SocialConfig;
+    use ged_engine::Phase;
+    const ROUNDS: usize = 31;
+    let cfg = SocialConfig {
+        n_honest: 50_000,
+        seed: 1,
+        ..Default::default()
+    };
+    let w = ged_datagen::mixed::social_mixed(&cfg, 250, 1);
+    let attrs = ["age", "tier", "verified", "keyword"].map(sym);
+    let pool: [Value; 7] = [
+        8.into(),
+        30.into(),
+        0.into(),
+        1.into(),
+        "free".into(),
+        "gold".into(),
+        "topic_3".into(),
+    ];
+    let mut stream = ged_datagen::stream::DeltaStream::new(1, &attrs, &pool);
+    let mut mirror = w.graph.clone();
+    let batches: Vec<DeltaSet> = (0..ROUNDS)
+        .map(|_| {
+            let batch = stream.batch(&mirror, 512);
+            for d in &batch {
+                mirror.apply_delta(d);
+            }
+            batch
+        })
+        .collect();
+    let mut v = IncrementalValidator::new(w.graph, w.sigma);
+    let mut replay = v.clone();
+
+    let mut group = c.benchmark_group("delta-path/reenumerate");
+    group.sample_size(ROUNDS - 1);
+    let mut rounds = batches.iter();
+    group.bench_with_input(BenchmarkId::new("apply-all", 512), &(), |b, ()| {
+        b.iter(|| v.apply_all(rounds.next().expect("one batch per sample")));
+    });
+    group.finish();
+
+    let (mut phase_ns, mut attempts) = (Vec::new(), 0);
+    for batch in &batches {
+        let before = replay.metrics();
+        replay.apply_all(batch);
+        let after = replay.metrics();
+        let ns = |m: &ged_engine::MetricsSnapshot| m.phase(Phase::Reenumerate).unwrap().sum_ns;
+        phase_ns.push(ns(&after) - ns(&before));
+        attempts += after.match_attempts() - before.match_attempts();
+    }
+    phase_ns.sort_unstable();
+    println!(
+        "{:<48} median {:>9.2} µs min {:>9.2} µs ({} batches, {} match attempts per batch)",
+        "delta-path/reenumerate/anchored-reenumerate",
+        phase_ns[ROUNDS / 2] as f64 / 1e3,
+        phase_ns[0] as f64 / 1e3,
+        ROUNDS,
+        attempts / ROUNDS as u64
+    );
+}
+
 fn bench_metrics(c: &mut Criterion) {
     const SAMPLES: usize = 30;
     let (g, sigma) = ged_datagen::random::evolving_workload(1_000, 3, 2, 7);
@@ -448,6 +519,7 @@ criterion_group!(
     bench_leaf_anchor,
     bench_key_flip,
     bench_delta_apply,
+    bench_reenumerate,
     bench_metrics
 );
 criterion_main!(benches);
