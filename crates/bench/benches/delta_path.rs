@@ -58,7 +58,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_engine::{IncrementalValidator, ViolationStore};
+use ged_engine::{Footprint, IncrementalValidator, ViolationStore};
 use ged_graph::{sym, Delta, DeltaSet, Graph, NodeId, Value};
 use ged_pattern::{
     parse_pattern, Match, MatchOptions, MatchPlan, MatchScratch, Matcher, NoopRecorder, Pattern,
@@ -80,8 +80,10 @@ fn key_ged() -> Ged {
 fn bench_drop(c: &mut Criterion) {
     let mut group = c.benchmark_group("delta-path/drop-intersecting");
     group.sample_size(30);
-    // A 10-node footprint hitting 10 witnesses, whatever the store size.
+    // A 10-node footprint hitting 10 witnesses, whatever the store size;
+    // the indexed drop is handed it with every node concerning every rule.
     let touched: Vec<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
+    let footprint = Footprint::every_rule(&touched, 1);
     for &n in &[10_000usize, 100_000] {
         let lit = || vec![Literal::id(Var(0), Var(1))];
         let mut indexed = ViolationStore::for_sigma(&[key_ged()]);
@@ -93,7 +95,7 @@ fn bench_drop(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("indexed", n), &(), |b, ()| {
             b.iter(|| {
-                let dropped = indexed.drop_intersecting(black_box(&touched));
+                let dropped = indexed.drop_intersecting(black_box(&footprint));
                 let k = dropped.len();
                 for (g, m, f) in dropped {
                     indexed.insert(g, m, f);

@@ -22,7 +22,7 @@
 use crate::ged::Ged;
 use crate::literal::Literal;
 use crate::satisfy::check_violation;
-use ged_graph::{Graph, NodeId};
+use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::Pattern;
 use std::fmt;
 
@@ -139,12 +139,20 @@ impl LiteralView {
 ///   (b) the attributes of the matched nodes — never on nodes outside the
 ///   match image or on global graph state;
 /// * `pattern` must be the constraint's entire topological requirement:
-///   a match is any homomorphism of `pattern()` into `G`.
+///   a match is any homomorphism of `pattern()` into `G`, so an edge whose
+///   label no pattern edge matches never enters a match;
+/// * [`attrs_read`](Constraint::attrs_read), when it is `Some`, names
+///   every attribute `check` reads: writing or deleting any other
+///   attribute of any node never changes `check` at any match. The engine
+///   re-checks a rule only where a batch wrote what the rule reads; the
+///   default `None` ("may read any attribute") keeps a family that does
+///   not name its reads exact.
 ///
-/// The three provided methods are the static-analysis surface consumed by
-/// `ged-analysis` (all defaulted to "opaque", so third-party families lint
-/// conservatively): [`literal_view`](Constraint::literal_view) feeds the
-/// structural linter, [`as_chase_ged`](Constraint::as_chase_ged) embeds
+/// The other three provided methods are the static-analysis surface
+/// consumed by `ged-analysis` (all defaulted to "opaque", so third-party
+/// families lint conservatively):
+/// [`literal_view`](Constraint::literal_view) feeds the structural
+/// linter, [`as_chase_ged`](Constraint::as_chase_ged) embeds
 /// the rule in the chase fragment for the `Sat(Σ)` gate and
 /// implication-based minimization, and
 /// [`premises_feasible`](Constraint::premises_feasible) lets families with
@@ -164,6 +172,13 @@ pub trait Constraint: Send + Sync {
     /// Total size `|φ| = |Q| + |X| + |Y|` — the measure of the paper's
     /// complexity bounds.
     fn size(&self) -> usize;
+
+    /// The attributes `check` may read on a matched node (duplicates
+    /// allowed), or `None` — the default — when the family does not name
+    /// them: it may then read any attribute. See the contract above.
+    fn attrs_read(&self) -> Option<Vec<Symbol>> {
+        None
+    }
 
     /// The literal-level rendering of the rule's logic for the structural
     /// linter, when the family can expose one. The default (`None`) marks
@@ -211,6 +226,11 @@ impl Constraint for Ged {
 
     fn size(&self) -> usize {
         Ged::size(self)
+    }
+
+    fn attrs_read(&self) -> Option<Vec<Symbol>> {
+        let literals = self.premises.iter().chain(&self.conclusions);
+        Some(literals.flat_map(Literal::attrs).collect())
     }
 
     fn literal_view(&self) -> Option<LiteralView> {

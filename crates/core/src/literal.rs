@@ -130,6 +130,17 @@ impl Literal {
         }
     }
 
+    /// The attributes the literal reads: `A` of `x.A = c`, `A` and `B` of
+    /// `x.A = y.B`, none of an id literal (it compares node ids).
+    pub fn attrs(&self) -> impl Iterator<Item = Symbol> {
+        let (a, b) = match self {
+            Literal::Const { attr, .. } => (Some(*attr), None),
+            Literal::Vars { lattr, rattr, .. } => (Some(*lattr), Some(*rattr)),
+            Literal::Id { .. } => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
     /// Do all variables of this literal exist in `pattern`?
     pub fn in_scope(&self, pattern: &Pattern) -> bool {
         self.vars_used()

@@ -15,12 +15,17 @@
 //!   anchor variable, seeds)` triple enumerated by exclusion-aware
 //!   anchored matching, and the seeding full pass built from it (per rule,
 //!   one unit anchored on its most selective variable);
+//! * [`mod@footprint`] — **which rules a batch can affect**: each touched
+//!   node carries the set of rules its touches concern, derived from Σ's
+//!   syntax (the attributes a rule reads, its pattern's edge labels), so
+//!   each rule is dropped and re-enumerated on its own footprint only;
 //! * [`IncrementalValidator`] — **delta-driven violation maintenance**: it
 //!   owns the graph and a persistent [`ViolationStore`] keyed by
 //!   (constraint, witness match), ingests [`Delta`]s / batched
 //!   [`DeltaSet`]s, and
-//!   after each update recomputes only the *affected area* — matches whose
-//!   image intersects the nodes the delta touched — instead of re-running
+//!   after each update recomputes only the *affected area* — per rule, the
+//!   matches whose image meets the nodes the delta touched in a way the
+//!   rule can see — instead of re-running
 //!   full validation. The delta path is output-sensitive end to end: the
 //!   store prunes via an inverted `NodeId → witness` index (no store
 //!   scan), re-enumeration uses exclusion-aware anchored matching so
@@ -39,11 +44,12 @@
 //!   observe a torn mid-batch store.
 //!
 //! The affected-area argument (see `DESIGN.md` §4 for the proof sketch):
-//! a delta can change the violation status only of matches whose image
-//! meets its footprint of touched nodes, because (1) pattern matching is
-//! monotone in nodes/edges, so created *and* destroyed matches alike use
-//! an element incident to the footprint, and (2) literal satisfaction
-//! reads only the attributes of matched nodes.
+//! a delta can change the witnesses of a rule only at matches whose image
+//! meets the nodes it touched in a way the rule can see, because (1)
+//! pattern matching is monotone in nodes/edges and uses only edges the
+//! pattern's labels match, so created *and* destroyed matches alike use a
+//! node or such an edge incident to the footprint, and (2) a rule's check
+//! reads only the attributes it names, on matched nodes.
 //!
 //! ```
 //! use ged_engine::IncrementalValidator;
@@ -83,12 +89,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
+pub mod footprint;
 pub mod metrics;
 pub mod store;
 pub mod unit;
 pub mod validator;
 pub mod view;
 
+pub use footprint::Footprint;
 pub use metrics::{EngineMetrics, MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
 pub use store::ViolationStore;
 pub use unit::rule_plan;

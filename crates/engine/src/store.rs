@@ -17,6 +17,7 @@
 //! failed as a [`ViolationKind`], so the same structure serves plain GEDs,
 //! GDCs, and GED∨s — anything implementing [`Constraint`].
 
+use crate::footprint::Footprint;
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::reason::{GedReport, ValidationReport};
 use ged_core::satisfy::Violation;
@@ -258,27 +259,35 @@ impl ViolationStore {
         self.total() == 0
     }
 
-    /// Drop every witness whose assignment intersects `touched`, returning
-    /// the dropped `(constraint, assignment, kind)` entries
-    /// (deterministically ordered) — the pre-drop snapshot of the affected
-    /// area, which the validator uses to tell genuinely removed witnesses
-    /// from ones the re-enumeration immediately re-derives.
+    /// Drop every witness whose assignment meets its own rule's part of
+    /// `touched` — a witness of rule `ci` goes when one of its nodes is in
+    /// the footprint with `ci` in its rule set — returning the dropped
+    /// `(constraint, assignment, kind)` entries (deterministically
+    /// ordered): the pre-drop snapshot of the affected area, which the
+    /// validator uses to tell genuinely removed witnesses from ones the
+    /// re-enumeration immediately re-derives.
     ///
-    /// Called with the union of the deltas' footprints — *including*
-    /// just-removed ids — before re-enumerating the affected area, so stale
-    /// entries cannot survive an attribute change, a rewired edge, or a
-    /// removal (a match that used a removed edge necessarily contains both
-    /// of its endpoints, so it intersects the footprint).
+    /// Called with the batch's footprint — *including* just-removed ids,
+    /// which concern every rule — before re-enumerating the affected area,
+    /// so stale entries cannot survive an attribute change a rule reads, a
+    /// rewired edge its pattern can use, or a removal (a match that used a
+    /// removed edge necessarily contains both of its endpoints, so it meets
+    /// the footprint). [`Footprint::every_rule`] drops rule-blind.
     ///
-    /// Cost: `O(|affected witnesses| · |x̄|)` via the inverted index — the
-    /// rest of the store is never visited, however large it is.
-    pub fn drop_intersecting(&mut self, touched: &[NodeId]) -> Vec<(usize, Match, ViolationKind)> {
-        let mut hit: Vec<usize> = touched
-            .iter()
-            .filter_map(|n| self.by_node.get(n))
-            .flatten()
-            .copied()
-            .collect();
+    /// Cost: one inverted-index lookup per footprint node, then
+    /// `O(|affected witnesses| · |x̄|)` — the rest of the store is never
+    /// visited, however large it is.
+    pub fn drop_intersecting(&mut self, touched: &Footprint) -> Vec<(usize, Match, ViolationKind)> {
+        let mut hit: Vec<usize> = Vec::new();
+        for (i, n) in touched.nodes().iter().enumerate() {
+            let Some(ids) = self.by_node.get(n) else {
+                continue;
+            };
+            hit.extend(ids.iter().copied().filter(|&id| {
+                let (ci, _) = self.slots[id].as_ref().expect("indexed slot is live");
+                touched.concerns(i, *ci)
+            }));
+        }
         hit.sort_unstable();
         hit.dedup();
         let mut dropped = Vec::with_capacity(hit.len());
@@ -383,6 +392,11 @@ mod tests {
         )
     }
 
+    /// A footprint concerning both rules of [`two_rule_sigma`].
+    fn every(nodes: &[NodeId]) -> Footprint {
+        Footprint::every_rule(nodes, 2)
+    }
+
     fn two_rule_sigma() -> Vec<Ged> {
         let q = parse_pattern("t(x)").unwrap();
         let other = Ged::new(
@@ -408,8 +422,8 @@ mod tests {
         assert_eq!(s.constraint_count(), 2);
         assert!(!s.is_empty());
         assert!(s.contains(0, &[NodeId(0), NodeId(1)]));
-        assert_eq!(s.drop_intersecting(&[NodeId(0)]).len(), 1);
-        assert!(s.drop_intersecting(&[NodeId(0)]).is_empty());
+        assert_eq!(s.drop_intersecting(&every(&[NodeId(0)])).len(), 1);
+        assert!(s.drop_intersecting(&every(&[NodeId(0)])).is_empty());
         assert!(!s.contains(0, &[NodeId(0), NodeId(1)]));
         assert_eq!(s.total(), 1);
         s.assert_consistent();
@@ -468,11 +482,35 @@ mod tests {
         let lit = vec![Literal::id(Var(0), Var(1))];
         s.insert(0, vec![NodeId(0), NodeId(1)], lit.clone());
         s.insert(0, vec![NodeId(2), NodeId(3)], lit);
-        let dropped = s.drop_intersecting(&[NodeId(1)]);
+        let dropped = s.drop_intersecting(&every(&[NodeId(1)]));
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].1, vec![NodeId(0), NodeId(1)]);
         assert_eq!(s.total(), 1);
         assert_eq!(s.count_for(0), 1);
+        s.assert_consistent();
+    }
+
+    /// A witness goes only when one of its nodes concerns its own rule.
+    #[test]
+    fn drop_intersecting_hits_only_the_rules_each_node_concerns() {
+        use crate::footprint::Relevance;
+        use ged_graph::Delta;
+        let sigma = two_rule_sigma();
+        let mut s = ViolationStore::for_sigma(&sigma);
+        let lit = || vec![Literal::id(Var(0), Var(1))];
+        s.insert(0, vec![NodeId(0), NodeId(1)], lit());
+        s.insert(1, vec![NodeId(1)], lit());
+        // `other` reads `p`; the key rule reads only `k`.
+        let relevance = Relevance::for_sigma(&sigma);
+        let mut f = Footprint::default();
+        f.start(&relevance, 1);
+        let (node, attr) = (NodeId(1), sym("p"));
+        f.touch(node, relevance.of(&Delta::DelAttr { node, attr }));
+        f.build(&relevance);
+        let dropped = s.drop_intersecting(&f);
+        assert_eq!(dropped.len(), 1);
+        assert_eq!((dropped[0].0, &dropped[0].1), (1, &vec![NodeId(1)]));
+        assert!(s.contains(0, &[NodeId(0), NodeId(1)]));
         s.assert_consistent();
     }
 
@@ -486,7 +524,7 @@ mod tests {
         s.insert(0, vec![NodeId(5), NodeId(6)], lit.clone());
         assert_eq!(s.count_at(NodeId(5)), 2);
         assert_eq!(s.count_at(NodeId(6)), 1);
-        let dropped = s.drop_intersecting(&[NodeId(5)]);
+        let dropped = s.drop_intersecting(&every(&[NodeId(5)]));
         assert_eq!(dropped.len(), 2);
         assert_eq!(s.count_at(NodeId(5)), 0);
         assert_eq!(s.count_at(NodeId(6)), 0);
@@ -507,7 +545,7 @@ mod tests {
             vec![NodeId(0), NodeId(1)],
             vec![Literal::id(Var(0), Var(1))],
         );
-        assert!(s.drop_intersecting(&[]).is_empty());
+        assert!(s.drop_intersecting(&every(&[])).is_empty());
         assert_eq!(s.total(), 1);
     }
 
@@ -531,6 +569,7 @@ mod tests {
         }
         // A 10-node footprint hitting 10 witnesses.
         let touched: Vec<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
+        let footprint = Footprint::every_rule(&touched, 1);
 
         // Drop + restore keeps the store at full size across repetitions,
         // so the timed region is exactly the affected-area work.
@@ -544,7 +583,7 @@ mod tests {
             best
         };
         let d_indexed = time(&mut || {
-            let dropped = indexed.drop_intersecting(&touched);
+            let dropped = indexed.drop_intersecting(&footprint);
             assert_eq!(dropped.len(), touched.len());
             for (g, m, f) in dropped {
                 indexed.insert(g, m, f);

@@ -7,8 +7,8 @@
 //!   rule's most selective **pivot** variable over the pivot's whole
 //!   candidate list, excluding nothing;
 //! * the delta path ([`validator`](crate::validator)) runs one unit per
-//!   `(rule, anchor variable)` over the touched nodes, with an exclusion
-//!   closure that keeps each affected match to one anchoring.
+//!   `(rule, anchor variable)` over the rule's own touched nodes, with an
+//!   exclusion closure that keeps each affected match to one anchoring.
 //!
 //! Every unit runs with the validator's one match scratch and batch
 //! tally, so the matcher allocates nothing in steady state and the hot

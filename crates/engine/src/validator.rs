@@ -6,35 +6,46 @@
 //! the node of an attribute write, the endpoints of an added or explicitly
 //! removed edge, a created node, or — for `RemoveNode` — just the dead id
 //! itself (its implicitly removed edges contribute nothing further; see
-//! fact 2). Two facts make `T` a complete boundary for the update:
+//! fact 2). A rule `φ` sees only part of a batch: its literals read the
+//! attributes it names ([`Constraint::attrs_read`]) and its matches use
+//! only edges its pattern's labels match. So each node of `T` carries the
+//! rules its touches *concern* ([`Footprint`]): an attribute write or
+//! delete concerns the rules that read the attribute, an edge delta the
+//! rules with a pattern edge of its label (`_` matches any), a node added
+//! or removed every rule. `T_φ`, the nodes whose set holds `φ`, is `φ`'s
+//! footprint, and two facts make it a complete boundary for `φ`:
 //!
-//! 1. **New violations localise to `T`.** A violating match that exists
-//!    after the update but was not stored before is either a brand-new
-//!    match — so its image uses a new node or new edge, both of which put
-//!    a touched node in the image — or an old match whose literal status
-//!    flipped, which requires an attribute change on a matched node, again
-//!    a touched node in the image.
-//! 2. **Dead witnesses intersect `T` too.** A match killed by the update
-//!    used a removed node (the dead id is in `T` and in the match's image)
-//!    or an explicitly removed edge (both endpoints are in its image and
-//!    in `T`). An edge removed *implicitly* by `RemoveNode` only affects
-//!    matches whose image contains the dead endpoint — the first case.
+//! 1. **New violations of `φ` localise to `T_φ`.** A violating match that
+//!    exists after the update but was not stored before is either a
+//!    brand-new match — so its image uses a new node, or a new edge that a
+//!    pattern edge of `φ` maps onto, both of which put a node of `T_φ` in
+//!    the image — or an old match whose check flipped, which requires a
+//!    change to an attribute `φ` reads on a matched node, again a node of
+//!    `T_φ` in the image.
+//! 2. **Dead witnesses of `φ` meet `T_φ` too.** A match killed by the
+//!    update used a removed node (the dead id concerns every rule) or an
+//!    explicitly removed edge that a pattern edge of `φ` mapped onto (both
+//!    endpoints are in its image and in `T_φ`). An edge removed
+//!    *implicitly* by `RemoveNode` only affects matches whose image
+//!    contains the dead endpoint — the first case.
 //!
-//! Hence the per-update recipe: apply the deltas; drop every stored
-//! witness whose image meets `T` — an inverted-index lookup proportional
-//! to the *affected* witnesses, not the store
-//! ([`ViolationStore::drop_intersecting`]); then re-enumerate only matches
-//! whose image meets the *live* part of `T` via exclusion-aware anchored
-//! matching ([`Matcher::for_each_anchored_in`]): anchoring each
-//! pattern variable `v` on `T` while *excluding* `T` from the candidate
-//! domains of variables declared before `v` enumerates exactly the matches
-//! whose first touched variable is `v`, so the union over anchors visits
-//! each affected match exactly once — no post-hoc owner filter, no
-//! redundant matching work. Every such run borrows its rule's
-//! [`MatchPlan`], compiled once at construction ([`unit::rule_plan`]):
-//! the search order is rooted at the anchor, so it leaves the touched
-//! node over edges instead of scanning a label, and the rule's constant
-//! and equality premises refuse candidates before recursion.
+//! Hence the per-update recipe, rule by rule: apply the deltas; drop every
+//! stored witness of `φ` whose image meets `T_φ` — one inverted-index
+//! lookup per node of `T`, proportional to the *affected* witnesses, not
+//! the store ([`ViolationStore::drop_intersecting`]); then re-enumerate
+//! only matches of `φ` whose image meets the *live* part of `T_φ` via
+//! exclusion-aware anchored matching ([`Matcher::for_each_anchored_in`]):
+//! anchoring each pattern variable `v` on `T_φ` while *excluding* `T_φ`
+//! from the candidate domains of variables declared before `v` enumerates
+//! exactly the matches whose first variable in `T_φ` is `v`, so the union
+//! over anchors visits each affected match of `φ` exactly once — no
+//! post-hoc owner filter, no redundant matching work. A witness of a rule
+//! the batch could not affect is neither dropped nor re-derived. Every run
+//! borrows its rule's [`MatchPlan`], compiled once at construction
+//! ([`unit::rule_plan`]): the search order is rooted at the anchor, so it
+//! leaves the touched node over edges instead of scanning a label, and the
+//! rule's constant and equality premises refuse candidates before
+//! recursion.
 //!
 //! Both hot loops are thereby output-sensitive: per update the engine does
 //! work proportional to the affected area, never to global state. The
@@ -46,6 +57,7 @@
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 //! [`DeltaEffect::touched`]: ged_graph::DeltaEffect::touched
 
+use crate::footprint::{Footprint, Relevance, Seeds};
 use crate::metrics::{BatchTally, EngineMetrics, MetricsSnapshot, Phase};
 use crate::store::{StoreChange, ViolationStore};
 use crate::unit;
@@ -53,7 +65,7 @@ use crate::view::{ReadView, SharedViews};
 use ged_analysis::{AnalysisReport, Pruned, RuleCost};
 use ged_core::constraint::Constraint;
 use ged_core::reason::ValidationReport;
-use ged_graph::{Delta, DeltaSet, Graph, NodeId, Symbol};
+use ged_graph::{Delta, DeltaSet, Graph, NodeId};
 use ged_pattern::{MatchPlan, MatchScratch};
 use std::sync::Arc;
 
@@ -73,9 +85,14 @@ pub struct ApplyStats {
     pub violations_added: usize,
     /// Affected witnesses that survived the update: dropped by the prune
     /// and re-derived unchanged (same GED and assignment; their failed
-    /// literals are refreshed) by re-enumeration.
+    /// literals are refreshed) by re-enumeration. Only witnesses of rules
+    /// the batch could affect are dropped and re-derived: a witness whose
+    /// nodes were touched only in ways its rule cannot see (an attribute
+    /// it does not read, an edge label its pattern lacks) stays in the
+    /// store and is not counted here.
     pub violations_retained: usize,
-    /// Nodes in the touched set that seeded re-enumeration.
+    /// Live nodes in the touched set, whichever rules their touches
+    /// concern.
     pub touched_nodes: usize,
     /// Ids of the nodes created by `AddNode` deltas, in application order —
     /// the handle callers need to target a just-inserted node with
@@ -122,6 +139,12 @@ pub struct IncrementalValidator<C: Constraint> {
     /// and premise pre-filters, compiled once at construction and
     /// borrowed by every seeding and delta-path work unit.
     plans: Vec<MatchPlan>,
+    /// Which rules each delta concerns, derived from Σ's syntax once.
+    relevance: Relevance,
+    /// The batch's footprint and anchor seed lists: buffers kept across
+    /// batches, refilled by every one.
+    footprint: Footprint,
+    seeds: Seeds,
     /// The state every work unit runs with, built once: the tally each
     /// pass fills and [`EngineMetrics`] folds in — it also holds the
     /// metrics switch — and the matcher's candidate buffers.
@@ -147,6 +170,9 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
             metrics: Arc::new((*self.metrics).clone()),
             analysis: self.analysis.clone(),
             plans: self.plans.clone(),
+            relevance: self.relevance.clone(),
+            footprint: Footprint::default(),
+            seeds: self.seeds.clone(),
             worker: (
                 BatchTally::new(self.sigma.len(), self.metrics_enabled()),
                 MatchScratch::new(),
@@ -189,11 +215,14 @@ impl<C: Constraint> IncrementalValidator<C> {
         metrics.fold(&mut worker.0, None, &store);
         IncrementalValidator {
             graph,
-            sigma: Arc::new(sigma),
             store,
             metrics: Arc::new(metrics),
             analysis: None,
             plans,
+            relevance: Relevance::for_sigma(&sigma),
+            footprint: Footprint::default(),
+            seeds: Seeds::for_sigma(&sigma),
+            sigma: Arc::new(sigma),
             worker,
             views: Arc::default(),
         }
@@ -464,35 +493,40 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// Apply the deltas left to right, folding each effect into the batch's
-    /// footprint as it is reported, then prune and re-derive the store.
+    /// footprint as it is reported — each touched node tagged with the
+    /// rules its delta concerns — then prune and re-derive the store.
     fn maintain(&mut self, deltas: &[Delta]) -> ApplyStats {
         let mut stats = ApplyStats::default();
-        let mut touched: Vec<NodeId> = Vec::with_capacity(deltas.len());
+        self.footprint.start(&self.relevance, deltas.len());
         // From here to the store insert, consecutive laps of one timer.
         self.worker.0.start();
         for delta in deltas {
             let eff = self.graph.apply_delta(delta);
             stats.deltas_applied += usize::from(eff.changed);
             stats.created.extend(eff.created);
-            touched.extend(eff.touched.into_iter().flatten());
+            let rules = self.relevance.of(delta);
+            for node in eff.touched.into_iter().flatten() {
+                self.footprint.touch(node, rules);
+            }
         }
         if stats.deltas_applied == 0 {
             return stats;
         }
         self.worker.0.lap(Phase::DeltaApply);
         // The footprint, sorted and deduplicated once for the whole batch:
-        // deltas touching the same node repeatedly collapse to one anchor
-        // seed, and the re-enumeration's exclusion test binary-searches it.
-        touched.sort_unstable();
-        touched.dedup();
+        // deltas touching the same node repeatedly collapse to one entry
+        // whose rule set is the union of theirs, and the re-enumeration's
+        // exclusion test binary-searches it.
+        self.footprint.build(&self.relevance);
         // If anything below unwinds, dump the recent batch trace so the
         // panic report carries the apply history that led up to it.
         let _trace_dump = self.metrics.dump_trace_on_panic();
 
-        // Drop while `touched` still holds removed ids, so witnesses of
-        // dead nodes (and of edges whose endpoints these are) go too. The
-        // dropped entries are the pre-update snapshot of the affected area.
-        let dropped = self.store.drop_intersecting(&touched);
+        // Drop while the footprint still holds removed ids, so witnesses
+        // of dead nodes (and of edges whose endpoints these are) go too.
+        // The dropped entries are the pre-update snapshot of the affected
+        // area.
+        let dropped = self.store.drop_intersecting(&self.footprint);
         self.worker.0.lap(Phase::WitnessDrop);
         let pruned = self.store.total();
 
@@ -504,14 +538,14 @@ impl<C: Constraint> IncrementalValidator<C> {
 
         // Only live nodes seed re-enumeration (ids removed by this batch
         // have no matches to contribute).
-        touched.retain(|&n| self.graph.is_alive(n));
-        stats.touched_nodes = touched.len();
+        self.footprint.retain_live(&self.graph);
+        stats.touched_nodes = self.footprint.nodes().len();
 
         let area = affected_area(
             &self.graph,
             &self.sigma,
             &self.plans,
-            &touched,
+            (&self.footprint, &mut self.seeds),
             &mut self.worker,
         );
         for (ci, m, kind) in area {
@@ -524,8 +558,9 @@ impl<C: Constraint> IncrementalValidator<C> {
         // Classify churn against the snapshot: a dropped witness the
         // re-enumeration restored was retained, not removed + re-added.
         // Every re-enumerated match that was stored before the update was
-        // necessarily dropped (its image meets `touched`), so the inserted
-        // keys split exactly into retained (in the snapshot) and new.
+        // necessarily dropped (its image meets its rule's footprint), so
+        // the inserted keys split exactly into retained (in the snapshot)
+        // and new.
         stats.violations_retained = dropped
             .iter()
             .filter(|(ci, m, _)| self.store.contains(*ci, m))
@@ -578,56 +613,43 @@ impl std::fmt::Display for ApplyStats {
 }
 
 /// The affected area of one update across the whole rule set: every
-/// violating match of every constraint whose image intersects the
-/// footprint, each exactly once. See the module docs for why nothing
-/// outside the footprint can change status — the argument only needs
-/// `c.check` to read the ids and attributes of matched nodes, which the
-/// [`Constraint`] contract guarantees for every family, so this path is
-/// shared rather than duplicated per family.
+/// violating match of every constraint whose image meets that
+/// constraint's footprint, each exactly once. See the module docs for why
+/// nothing outside a rule's footprint can change its witnesses — the
+/// argument only needs `c.check` to read the ids and the named attributes
+/// of matched nodes and the match to use only edges its pattern's labels
+/// match, which the [`Constraint`] contract guarantees for every family,
+/// so this path is shared rather than duplicated per family.
 ///
-/// `footprint` is the live touched set as a sorted, deduplicated vector
-/// (the debug assertion checks the seed lists inherit that — a duplicated
-/// anchor seed would enumerate its matches twice and double-count work);
-/// the exclusion membership tests binary-search it.
+/// `footprint` holds the live touched nodes, sorted and deduplicated, each
+/// with its rule set; `seeds` is refilled from it in one pass, one list
+/// per `(rule, variable label)` (the debug assertion checks the lists
+/// inherit the order — a duplicated anchor seed would enumerate its
+/// matches twice and double-count work).
 ///
-/// One work unit per `(constraint, anchor variable)` whose
-/// label-compatible seed list is non-empty, run in Σ order on the caller's
-/// thread through [`unit::run_unit`] with the validator's `worker` state —
-/// the unit function of the seeding pass ([`unit::full_pass`]), from which
-/// this path differs in anchoring *every* pattern variable (not one pivot)
-/// and in the exclusions it hands each unit.
+/// One work unit per `(constraint, anchor variable)` whose seed list is
+/// non-empty, run in Σ order on the caller's thread through
+/// [`unit::run_unit`] with the validator's `worker` state — the unit
+/// function of the seeding pass ([`unit::full_pass`]), from which this
+/// path differs in anchoring *every* pattern variable (not one pivot) and
+/// in the exclusions it hands each unit.
 ///
-/// Exactly-once discipline: the match whose *first* touched variable (in
-/// declaration order) is `v` is enumerated only when anchoring `v` —
-/// variables declared before `v` have the touched nodes *excluded* from
-/// their candidate domains, so every other anchoring prunes the match
-/// before it is ever completed: no match is enumerated twice, none is
-/// enumerated and then discarded.
+/// Exactly-once discipline, per rule: the match whose *first* variable (in
+/// declaration order) mapped into the rule's footprint is `v` is
+/// enumerated only when anchoring `v` — variables declared before `v` have
+/// the rule's footprint *excluded* from their candidate domains, so every
+/// other anchoring prunes the match before it is ever completed: no match
+/// is enumerated twice, none is enumerated and then discarded.
 fn affected_area<C: Constraint>(
     g: &Graph,
     sigma: &[C],
     plans: &[MatchPlan],
-    footprint: &[NodeId],
+    (footprint, seeds): (&Footprint, &mut Seeds),
     worker: &mut (BatchTally, MatchScratch),
 ) -> Vec<unit::Found> {
-    // One seed list per distinct variable label: most rules repeat one
-    // label across variables (and rules share labels), so the
-    // O(|footprint|) filter runs once per label, not once per variable.
     // An empty pattern contributes nothing: its one (empty) match has an
     // empty image, never affected by deltas.
-    let mut seeds: Vec<(Symbol, Vec<NodeId>)> = Vec::new();
-    let patterns = sigma.iter().map(Constraint::pattern);
-    for lv in patterns.flat_map(|q| q.vars().map(|v| q.label(v))) {
-        if seeds.iter().all(|(l, _)| *l != lv) {
-            let of_label = footprint.iter().copied();
-            let s: Vec<NodeId> = of_label.filter(|&n| lv.matches(g.label(n))).collect();
-            debug_assert!(
-                s.windows(2).all(|w| w[0] < w[1]),
-                "anchor seeds are deduplicated (and sorted): {s:?}"
-            );
-            seeds.push((lv, s));
-        }
-    }
+    seeds.fill(g, footprint);
     // The first unit's time runs from here; each later one's from the end
     // of the unit before it.
     worker.0.lap(Phase::Materialize);
@@ -635,14 +657,18 @@ fn affected_area<C: Constraint>(
     for (ci, rule) in sigma.iter().zip(plans).enumerate() {
         let pattern = rule.0.pattern();
         for anchor in pattern.vars() {
-            let lv = pattern.label(anchor);
-            let (_, list) = seeds.iter().find(|(l, _)| *l == lv).expect("seeded above");
+            let list = seeds.of(ci, pattern.label(anchor));
             if list.is_empty() {
                 continue;
             }
-            // Touched nodes are excluded from the variables before the anchor.
-            let excluded = |u, n: NodeId| u < anchor && footprint.binary_search(&n).is_ok();
-            let unit = (ci, anchor, list.as_slice());
+            debug_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "anchor seeds are deduplicated (and sorted): {list:?}"
+            );
+            // The rule's footprint is excluded from the variables before
+            // the anchor.
+            let excluded = |u, n: NodeId| u < anchor && footprint.contains(n, ci);
+            let unit = (ci, anchor, list);
             let phase = Phase::Reenumerate;
             unit::run_unit(g, rule, unit, &excluded, phase, worker, &mut all);
         }
@@ -822,14 +848,15 @@ mod tests {
         assert_consistent(&v);
     }
 
-    /// Regression: an attribute write that leaves the violation set
-    /// identical used to count the affected witnesses in *both*
-    /// `violations_removed` and `violations_added` (the drop/re-derive
-    /// cycle leaked into the stats). They are retained, full stop.
+    /// A write of an attribute no rule reads concerns no rule: the node is
+    /// in the footprint, but nothing is dropped, so nothing is re-derived
+    /// and nothing counts as churn or as retained — and the key rule runs
+    /// no unit.
     #[test]
     fn unrelated_attr_write_counts_retained_not_churn() {
         let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         assert_eq!(v.violation_count(), 2);
+        let before = v.metrics();
         let a = v.graph().nodes().next().unwrap();
         let stats = v.apply(&Delta::SetAttr {
             node: a,
@@ -837,10 +864,122 @@ mod tests {
             value: Value::from("irrelevant"),
         });
         assert_eq!(stats.deltas_applied, 1);
+        assert_eq!(stats.touched_nodes, 1, "the node is still touched");
         assert_eq!(stats.violations_removed, 0, "no witness died");
         assert_eq!(stats.violations_added, 0, "no witness appeared");
-        assert_eq!(stats.violations_retained, 2, "both witnesses re-derived");
+        assert_eq!(stats.violations_retained, 0, "no witness was dropped");
+        let after = v.metrics();
+        assert_eq!(after.witnesses_dropped, before.witnesses_dropped);
+        assert_eq!(after.unit_latency.count, before.unit_latency.count);
+        assert_eq!(after.match_attempts(), before.match_attempts());
         assert_eq!(v.violation_count(), 2);
+        assert_consistent(&v);
+    }
+
+    /// Each kind of touch concerns exactly the rules whose syntax can see
+    /// it: an attribute write or delete the rules that read the attribute —
+    /// a GDC's `<` premise included, which its literal view omits — an
+    /// edge delta the rules with a pattern edge of its label or a wildcard
+    /// one, and a node added or removed every rule. A rule re-enumerates
+    /// (its attempts grow) only on a touch that concerns it, and the store
+    /// equals full revalidation after every step.
+    #[test]
+    fn each_kind_of_touch_concerns_only_the_rules_that_read_it() {
+        use ged_ext::{Gdc, GdcLiteral, Pred, SigmaConstraint};
+        let t = |src: &str| parse_pattern(src).unwrap();
+        let (x, y) = (Var(0), Var(1));
+        let sigma: Vec<SigmaConstraint> = vec![
+            Ged::new(
+                "k=1",
+                t("t(x)"),
+                vec![],
+                vec![Literal::constant(x, sym("k"), 1)],
+            )
+            .into(),
+            Ged::new(
+                "e-agree",
+                t("t(x) -[e]-> t(y)"),
+                vec![],
+                vec![Literal::vars(x, sym("p"), y, sym("p"))],
+            )
+            .into(),
+            Ged::forbidding("no-loop", t("t(x) -[_]-> t(y)"), vec![Literal::id(x, y)]).into(),
+            Gdc::forbidding(
+                "age≥13",
+                t("t(x)"),
+                vec![GdcLiteral::constant(x, sym("age"), Pred::Lt, 13)],
+            )
+            .into(),
+        ];
+        assert!(
+            !sigma[3].literal_view().unwrap().exact,
+            "the view omits `<`"
+        );
+        let mut g = Graph::new();
+        let [a, b, c] = [(); 3].map(|()| g.add_node(sym("t")));
+        for n in [a, b] {
+            g.set_attr(n, sym("k"), 1);
+            g.set_attr(n, sym("p"), 1);
+            g.set_attr(n, sym("age"), 30);
+        }
+        g.add_edge(a, sym("e"), b);
+        // `c` violates every rule: no `k`, an `e` self loop without `p`, 8.
+        g.set_attr(c, sym("age"), 8);
+        g.add_edge(c, sym("e"), c);
+        let mut v = IncrementalValidator::new(g, sigma);
+        assert_eq!(v.violation_count(), 4);
+        let mut step = |delta: Delta| -> Vec<usize> {
+            let before = v.metrics();
+            v.apply(&delta);
+            assert_consistent(&v);
+            let after = v.metrics();
+            let rules = before.rules.iter().zip(&after.rules).enumerate();
+            let ran = rules.filter(|(_, (b, a))| a.match_attempts > b.match_attempts);
+            ran.map(|(ci, _)| ci).collect()
+        };
+        let set = |node, attr: &str, value: i64| Delta::SetAttr {
+            node,
+            attr: sym(attr),
+            value: value.into(),
+        };
+        let edge = |add: bool, src, label: &str, dst| match add {
+            true => Delta::AddEdge {
+                src,
+                label: sym(label),
+                dst,
+            },
+            false => Delta::RemoveEdge {
+                src,
+                label: sym(label),
+                dst,
+            },
+        };
+        assert_eq!(step(set(a, "k", 2)), [0], "an attribute one rule reads");
+        assert_eq!(
+            step(set(a, "note", 2)),
+            [0; 0],
+            "an attribute no rule reads"
+        );
+        let (node, attr) = (a, sym("p"));
+        assert_eq!(step(Delta::DelAttr { node, attr }), [1], "DelAttr");
+        assert_eq!(
+            step(edge(true, b, "e", a)),
+            [1, 2],
+            "a label the pattern has"
+        );
+        assert_eq!(step(edge(true, b, "f", a)), [2], "a label only `_` matches");
+        assert_eq!(step(edge(false, b, "f", a)), [2], "and its removal");
+        assert_eq!(step(set(b, "age", 9)), [3], "a `<` premise's attribute");
+        let label = sym("t");
+        assert_eq!(step(Delta::AddNode { label }), [0, 1, 2, 3], "AddNode");
+        // A removed node seeds nothing, but its witnesses of every rule go.
+        let witnesses = v.violation_count();
+        let removed = v.apply(&Delta::RemoveNode { node: c });
+        assert_eq!(
+            removed.violations_removed, 4,
+            "RemoveNode concerns every rule"
+        );
+        assert_eq!(v.violation_count(), witnesses - 4);
         assert_consistent(&v);
     }
 
@@ -975,7 +1114,7 @@ mod tests {
     /// One store shape serves all families: the seeding pass over GDCs
     /// equals the generic validate, row by row and witness by witness.
     #[test]
-    fn parallel_validation_is_generic_over_gdcs() {
+    fn seeding_is_generic_over_gdcs() {
         use ged_ext::{Gdc, GdcLiteral, Pred};
         let q = parse_pattern("t(x)").unwrap();
         let sigma: Vec<Gdc> = (0..4)
@@ -1567,7 +1706,7 @@ mod tests {
     /// rule whose pivot has no candidate runs no unit: the seeded report
     /// equals `validate` row by row, in Σ order, sorted by match.
     #[test]
-    fn seeding_handles_empty_pattern_rules_at_any_worker_count() {
+    fn seeding_handles_empty_pattern_rules() {
         use ged_ext::{DisjGed, SigmaConstraint};
         use ged_pattern::Pattern;
         let trivial = Ged::new("trivial", Pattern::new(), vec![], vec![]);
@@ -1643,8 +1782,9 @@ mod tests {
 
     /// The validator's one batch tally is zeroed by every fold: the same
     /// batch, applied three times, re-enumerates the same matches each
-    /// time (it rewrites an attribute no premise reads), so every rule's
-    /// attempts and the unit count advance by the same amount per batch.
+    /// time (it rewrites `note`, which only `noted` reads), so every rule's
+    /// attempts and the unit count advance by the same amount per batch —
+    /// `noted`'s by the same positive amount, the key rule's by none.
     #[test]
     fn every_batch_tallies_only_its_own_units() {
         let mut g = Graph::new();
@@ -1681,7 +1821,8 @@ mod tests {
             steps.push((attempts.collect::<Vec<_>>(), after.1 - before.1));
             before = after;
         }
-        assert!(steps[0].0.iter().all(|&n| n > 0), "{steps:?}");
+        assert_eq!(steps[0].0[0], 0, "the key rule reads no `note`: {steps:?}");
+        assert!(steps[0].0[1] > 0, "{steps:?}");
         assert_eq!(steps[0], steps[1], "{steps:?}");
         assert_eq!(steps[1], steps[2], "{steps:?}");
     }

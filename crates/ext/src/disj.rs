@@ -12,7 +12,7 @@ use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_core::satisfy::literal_holds;
-use ged_graph::{Graph, NodeId};
+use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::Pattern;
 
 /// A disjunctive GED `Q[x̄](⋀X → ⋁Y)`.
@@ -92,6 +92,11 @@ impl Constraint for DisjGed {
 
     fn size(&self) -> usize {
         DisjGed::size(self)
+    }
+
+    fn attrs_read(&self) -> Option<Vec<Symbol>> {
+        let literals = self.premises.iter().chain(&self.conclusions);
+        Some(literals.flat_map(Literal::attrs).collect())
     }
 
     fn literal_view(&self) -> Option<LiteralView> {

@@ -110,6 +110,17 @@ impl GdcLiteral {
         }
     }
 
+    /// The attributes the literal reads, whatever its predicate: `A` of
+    /// `x.A ⊕ c`, `A` and `B` of `x.A ⊕ y.B`, none of an id literal.
+    pub fn attrs(&self) -> impl Iterator<Item = Symbol> {
+        let (a, b) = match self {
+            GdcLiteral::Const { attr, .. } => (Some(*attr), None),
+            GdcLiteral::Vars { lattr, rattr, .. } => (Some(*lattr), Some(*rattr)),
+            GdcLiteral::Id { .. } => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
     /// The inverse of [`GdcLiteral::from_ged`], where it exists: render
     /// the literal back as a plain (equality) GED literal. `None` for the
     /// non-`=` predicates — the callers (the static-analysis literal view
@@ -278,6 +289,11 @@ impl Constraint for Gdc {
 
     fn size(&self) -> usize {
         Gdc::size(self)
+    }
+
+    fn attrs_read(&self) -> Option<Vec<Symbol>> {
+        let literals = self.premises.iter().chain(&self.conclusions);
+        Some(literals.flat_map(GdcLiteral::attrs).collect())
     }
 
     fn literal_view(&self) -> Option<LiteralView> {

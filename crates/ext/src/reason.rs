@@ -108,6 +108,11 @@ impl ConstraintDep for NormConstraint {
         self.pattern.size() + self.premises.len() + self.options.iter().map(Vec::len).sum::<usize>()
     }
 
+    fn attrs_read(&self) -> Option<Vec<Symbol>> {
+        let literals = self.premises.iter().chain(self.options.iter().flatten());
+        Some(literals.flat_map(GdcLiteral::attrs).collect())
+    }
+
     fn literal_view(&self) -> Option<LiteralView> {
         let mut exact = true;
         let convert = |lits: &[GdcLiteral], exact: &mut bool| -> Vec<ged_core::literal::Literal> {

@@ -16,7 +16,7 @@ use crate::gdc::Gdc;
 use crate::reason::NormConstraint;
 use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
-use ged_graph::{Graph, NodeId};
+use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::Pattern;
 
 /// A constraint of one of the paper's four concrete families, dispatched
@@ -64,6 +64,10 @@ impl Constraint for SigmaConstraint {
 
     fn size(&self) -> usize {
         dispatch!(self, c => Constraint::size(c))
+    }
+
+    fn attrs_read(&self) -> Option<Vec<Symbol>> {
+        dispatch!(self, c => c.attrs_read())
     }
 
     fn literal_view(&self) -> Option<LiteralView> {
@@ -182,6 +186,7 @@ mod tests {
         assert_eq!(c.pattern().var_count(), native.pattern().var_count());
         assert_eq!(c.check(&g, &m), native.check(&g, &m));
         assert!(c.check(&g, &m).is_some());
+        assert_eq!(c.attrs_read(), native.attrs_read());
         assert_eq!(c.literal_view(), native.literal_view());
         assert_eq!(
             c.as_chase_ged().map(|g| g.name),
@@ -198,6 +203,54 @@ mod tests {
         assert_delegates(&gdc());
         assert_delegates(&disj());
         assert_delegates(&norm());
+    }
+
+    /// Every family names each attribute its literals read, whatever the
+    /// predicate — the GDC's `>` premise included, which its literal view
+    /// omits — and the forbidding forms their reserved conclusion
+    /// attribute; a family that does not name its reads says `None`.
+    #[test]
+    fn each_family_names_what_its_check_reads() {
+        let read = |c: &dyn Constraint| {
+            let mut names: Vec<String> = c.attrs_read()?.iter().map(|a| a.to_string()).collect();
+            names.sort();
+            names.dedup();
+            Some(names)
+        };
+        let falsum = ged_core::literal::falsum_attr().to_string();
+        let gdc = gdc();
+        assert!(!gdc.literal_view().unwrap().exact, "the view omits `>`");
+        let expected = [
+            (
+                read(&ged()),
+                vec!["flagged".to_string(), "reviewed".to_string()],
+            ),
+            (read(&gdc), vec!["score".to_string(), falsum.clone()]),
+            (read(&disj()), vec!["state".to_string()]),
+            (read(&norm()), vec!["state".to_string(), falsum]),
+        ];
+        for (got, mut want) in expected {
+            want.sort();
+            assert_eq!(got, Some(want));
+        }
+
+        /// A family that implements only what the trait requires.
+        struct Opaque(Ged);
+        impl Constraint for Opaque {
+            fn name(&self) -> &str {
+                &self.0.name
+            }
+            fn pattern(&self) -> &Pattern {
+                &self.0.pattern
+            }
+            fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
+                self.0.check(g, m)
+            }
+            fn size(&self) -> usize {
+                self.0.size()
+            }
+        }
+        assert_eq!(Opaque(ged()).attrs_read(), None);
     }
 
     /// A homogeneous `Vec<SigmaConstraint>` drives the generic validator

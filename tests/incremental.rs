@@ -332,7 +332,7 @@ fn incremental_equals_full_on_mixed_sigma() {
 /// under three constraint families — match full revalidation at every
 /// step.
 #[test]
-fn mixed_sigma_sharded_delta_path_matches_sequential_step_by_step() {
+fn mixed_sigma_twelve_draw_batches_match_full_revalidation_step_by_step() {
     let w = ged_datagen::mixed::social_mixed(&SocialConfig::default(), 3, 53);
     in_lockstep(
         (&w.graph, &w.sigma),

@@ -132,6 +132,104 @@ fn every_subject_holds_on_every_family_at_length() {
     matrix(1..=8, 400);
 }
 
+/// The read-set contract of `Constraint::attrs_read` on every rule of every
+/// family — GEDs, GDCs, GED∨s, and the normalized twin of each GDC and GED∨
+/// — at up to 40 matches per rule in the start graph: writing or deleting,
+/// on any matched node, an attribute the rule does not name (the family's
+/// traffic vocabulary, the node's own attributes, and one attribute no
+/// rule names) never changes `check` at the match.
+#[test]
+fn writes_outside_a_rules_read_set_never_change_its_check() {
+    use ged_repro::pattern::Matcher;
+    use std::ops::ControlFlow;
+    for (name, (mut graph, sigma), attrs, pool) in families() {
+        let mut rules = sigma.clone();
+        for rule in &sigma {
+            match rule {
+                SigmaConstraint::Gdc(c) => rules.push(NormConstraint::from_gdc(c).into()),
+                SigmaConstraint::DisjGed(c) => rules.push(NormConstraint::from_disj(c).into()),
+                _ => {}
+            }
+        }
+        let values = pool.iter().take(3).cloned().map(Some).chain([None]);
+        let values: Vec<Option<Value>> = values.collect();
+        let mut writes = 0;
+        for rule in &rules {
+            let read = rule
+                .attrs_read()
+                .expect("the paper's families name their reads");
+            let mut matches: Vec<Vec<NodeId>> = Vec::new();
+            let matcher = Matcher::new(rule.pattern(), &graph, MatchOptions::homomorphism());
+            matcher.for_each(|m| {
+                matches.push(m.to_vec());
+                match matches.len() < 40 {
+                    true => ControlFlow::Continue(()),
+                    false => ControlFlow::Break(()),
+                }
+            });
+            for m in &matches {
+                let verdict = rule.check(&graph, m);
+                for &node in m {
+                    let own = graph.attrs(node).iter().map(|&(a, _)| a);
+                    let mut outside: Vec<Symbol> = own.chain(attrs.iter().copied()).collect();
+                    outside.push(sym("unread"));
+                    outside.retain(|a| !read.contains(a));
+                    for &attr in &outside {
+                        let old = graph.attr(node, attr).cloned();
+                        for value in values.iter().chain([&old]) {
+                            graph.apply_delta(&match value.clone() {
+                                Some(value) => Delta::SetAttr { node, attr, value },
+                                None => Delta::DelAttr { node, attr },
+                            });
+                            let now = rule.check(&graph, m);
+                            assert_eq!(now, verdict, "{name}: {} at {m:?}, {attr}", rule.name());
+                            writes += 1;
+                        }
+                    }
+                }
+            }
+        }
+        println!("{name}: {writes} writes outside {} read sets", rules.len());
+        assert!(writes > 0, "{name}: nothing was written");
+    }
+}
+
+/// A rule family that does not name its reads — `attrs_read` left at its
+/// default `None` — is re-checked after every attribute write on a
+/// matched node, so the validator serves it exactly.
+#[derive(Clone)]
+struct Opaque(SigmaConstraint);
+
+impl Constraint for Opaque {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn pattern(&self) -> &Pattern {
+        self.0.pattern()
+    }
+    fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
+        self.0.check(g, m)
+    }
+    fn size(&self) -> usize {
+        self.0.size()
+    }
+}
+
+#[test]
+fn a_family_that_names_no_reads_is_served_exactly() {
+    let (name, (graph, sigma), attrs, pool) = families().swap_remove(5);
+    assert_eq!(name, "mixed");
+    let opaque: Vec<Opaque> = sigma.into_iter().map(Opaque).collect();
+    assert!(opaque.iter().all(|c| c.attrs_read().is_none()));
+    let fired = run(
+        (&graph, &opaque),
+        (5, &attrs, &pool),
+        (60, 6),
+        &[validator()],
+    );
+    assert!(fired.len() >= 4, "{fired:?}");
+}
+
 /// The pruned twin beside the unpruned validator on streams — structural
 /// deltas included — whose every fourth batch *repairs*: it removes one
 /// node of each witness of a **kept** rule, nothing of a pruned rule's. So
