@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Runs until a client sends `shutdown` (see `gedctl shutdown`), then
-//! drains queued applies, publishes the final epoch, and exits 0. Usage
+//! lets the apply holding the lock land, refuses later ones, reports the
+//! final epoch, and exits 0. Usage
 //! errors exit 2 (the grammar is `ged_daemon::cli`).
 
 use ged_daemon::cli::USAGE;

@@ -9,10 +9,11 @@
 //!
 //! A daemon owns one
 //! [`IncrementalValidator<SigmaConstraint>`](ged_engine::IncrementalValidator)
-//! and serves the `ged-proto` wire protocol: `apply` batches are
-//! funneled to the single writer thread, every query answers from a
-//! cloned snapshot-isolated [`ReadView`](ged_engine::ReadView) on the
-//! connection's own thread. See [`server`] for the threading model and
+//! and serves the `ged-proto` wire protocol: each `apply` batch runs on
+//! its connection's own thread under the validator's one lock, every
+//! query answers from a cloned snapshot-isolated
+//! [`ReadView`](ged_engine::ReadView) on the connection's own thread
+//! without taking it. See [`server`] for the threading model and
 //! shutdown choreography, [`workload`] for the `--workload` spec
 //! grammar.
 

@@ -1,27 +1,28 @@
-//! The `gedd` server: one writer thread owning the
-//! [`IncrementalValidator`], one accept thread, and a detached handler
-//! thread per connection (DESIGN.md §10).
+//! The `gedd` server: one lock around the [`IncrementalValidator`], one
+//! accept thread, and a detached handler thread per connection
+//! (DESIGN.md §10).
 //!
 //! The threading model is the wire-level image of the engine's
-//! one-writer/many-readers split (PR 9): `apply` requests are forwarded
-//! over an mpsc channel to the single writer thread — the only code
-//! that ever holds `&mut` on the validator — while every query request
+//! one-writer/many-readers split: an `apply` is decoded on its
+//! connection's thread, then applied there under the validator's lock —
+//! the only way to `&mut` on the validator — while every query request
 //! is answered on the connection's own thread from a cloned
 //! [`ReadView`], pinning one published snapshot per request. Queries
-//! therefore never block behind a batch, and two clients racing `apply`
-//! are serialized by the channel, not by a lock.
+//! never take the lock, so they never block behind a batch, and two
+//! clients racing `apply` are serialized by the lock.
 //!
-//! Graceful shutdown: on a `shutdown` request the writer drains every
-//! apply already queued (each still gets its normal reply), answers
-//! with the final published epoch, and exits; the handler writes that
-//! reply and only then flips the shutdown flag and wakes the accept
-//! thread with a self-connect so it drops the listener (the process may
-//! exit as soon as both threads are joined — the reply must already be
-//! on the wire). Connections that were already open keep
-//! answering queries off the final snapshot; their `apply`s get a
-//! structured `shutting-down` error.
+//! Graceful shutdown: a `shutdown` request takes the lock — so the batch
+//! holding it lands first — and retires the validator, answering with
+//! the final published epoch; every later `apply` finds no validator and
+//! gets a structured `shutting-down` error. The handler writes the reply
+//! and only then flips the shutdown flag and wakes the accept thread
+//! with a self-connect so it drops the listener (the process may exit as
+//! soon as that thread is joined — the reply must already be on the
+//! wire). Connections that were already open keep answering queries off
+//! the final snapshot. An `apply` that panicked poisons the lock: later
+//! `apply`s get an `internal` error, queries and `shutdown` still serve.
 
-use ged_engine::validator::{ApplyStats, IncrementalValidator};
+use ged_engine::validator::IncrementalValidator;
 use ged_engine::view::{ReadView, ViolationSnapshot};
 use ged_ext::SigmaConstraint;
 use ged_graph::{DeltaSet, Graph};
@@ -34,7 +35,7 @@ use ged_proto::wire::{read_line, write_frame, WireError, DEFAULT_MAX_FRAME};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
 /// Server configuration.
@@ -55,42 +56,27 @@ impl Default for DaemonConfig {
     }
 }
 
-/// What the writer thread sends back for one applied batch.
-#[derive(Debug)]
-struct ApplyOutcome {
-    epoch: u64,
-    stats: ApplyStats,
-    violations: usize,
-}
-
-/// Messages into the single writer thread.
-enum WriterMsg {
-    Apply(DeltaSet, mpsc::Sender<ApplyOutcome>),
-    Shutdown(mpsc::Sender<u64>),
-}
-
-impl std::fmt::Debug for WriterMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WriterMsg::Apply(ds, _) => f.debug_tuple("Apply").field(&ds.len()).finish(),
-            WriterMsg::Shutdown(_) => f.write_str("Shutdown"),
-        }
-    }
-}
+/// The validator every `apply` locks; `None` once shutdown retired it.
+type LockedValidator = Arc<Mutex<Option<IncrementalValidator<SigmaConstraint>>>>;
 
 /// A running daemon. Dropping the handle does **not** stop the server;
 /// call [`DaemonHandle::stop`] (in-process) or send a `shutdown`
 /// request over the wire, then [`DaemonHandle::join`].
-#[derive(Debug)]
 pub struct DaemonHandle {
     addr: SocketAddr,
-    tx: mpsc::Sender<WriterMsg>,
+    validator: LockedValidator,
     shutting_down: Arc<AtomicBool>,
-    /// Fallback epoch source when the writer has already exited (a wire
-    /// shutdown won the race) — mirrors the wire path's fallback.
     view: ReadView<SigmaConstraint>,
-    writer: Option<thread::JoinHandle<u64>>,
     acceptor: Option<thread::JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for DaemonHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DaemonHandle")
+            .field("addr", &self.addr)
+            .field("view", &self.view)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DaemonHandle {
@@ -107,35 +93,37 @@ impl DaemonHandle {
         &self.view
     }
 
-    /// Trigger shutdown from the owning process: drain queued applies,
-    /// publish the final epoch, close the listener. Returns the final
-    /// epoch. Idempotent with a wire-side `shutdown`.
+    /// Trigger shutdown from the owning process: let the batch holding
+    /// the lock land, retire the validator, close the listener. Returns
+    /// the final epoch. Idempotent with a wire-side `shutdown`.
     pub fn stop(&self) -> u64 {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        // Either fallback arm means the writer already exited (a wire
-        // `shutdown` won the race), so the published epoch is final.
-        let final_epoch = if self.tx.send(WriterMsg::Shutdown(reply_tx)).is_ok() {
-            reply_rx.recv().unwrap_or_else(|_| self.view.epoch())
-        } else {
-            self.view.epoch()
-        };
+        let final_epoch = retire(&self.validator, &self.view);
         wake_acceptor(&self.shutting_down, self.addr);
         final_epoch
     }
 
-    /// Wait for the writer and accept threads to exit (shutdown must
-    /// have been triggered, via [`stop`](DaemonHandle::stop) or a wire
-    /// `shutdown` request). Returns the final published epoch.
+    /// Wait for the accept thread to exit (shutdown must have been
+    /// triggered, via [`stop`](DaemonHandle::stop) or a wire `shutdown`
+    /// request). Returns the final published epoch.
     pub fn join(mut self) -> u64 {
-        let final_epoch = self
-            .writer
-            .take()
-            .map_or(0, |h| h.join().expect("writer thread panicked"));
         if let Some(h) = self.acceptor.take() {
             h.join().expect("accept thread panicked");
         }
-        final_epoch
+        self.view.epoch()
     }
+}
+
+/// Wait out the batch holding the lock, then take the validator away, so
+/// every later `apply` is refused. Returns the final published epoch —
+/// the same on every call. A poisoned lock (an `apply` panicked) still
+/// retires: with the validator gone there is nothing left to protect.
+fn retire(validator: &LockedValidator, view: &ReadView<SigmaConstraint>) -> u64 {
+    validator
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    validator.clear_poison();
+    view.epoch()
 }
 
 /// Set the shutdown flag and unblock the accept thread's blocking
@@ -147,26 +135,14 @@ fn wake_acceptor(flag: &AtomicBool, addr: SocketAddr) {
 }
 
 /// Everything a connection handler needs, cheap to clone per connection.
+#[derive(Clone)]
 struct ConnCtx {
     view: ReadView<SigmaConstraint>,
-    tx: mpsc::Sender<WriterMsg>,
+    validator: LockedValidator,
     shutting_down: Arc<AtomicBool>,
     rules: usize,
     max_frame: usize,
     addr: SocketAddr,
-}
-
-impl Clone for ConnCtx {
-    fn clone(&self) -> ConnCtx {
-        ConnCtx {
-            view: self.view.clone(),
-            tx: self.tx.clone(),
-            shutting_down: Arc::clone(&self.shutting_down),
-            rules: self.rules,
-            max_frame: self.max_frame,
-            addr: self.addr,
-        }
-    }
 }
 
 /// Start a daemon serving `sigma` over `graph` on `config.addr`.
@@ -186,16 +162,12 @@ pub fn spawn(
     let listener = TcpListener::bind(resolve(&config.addr)?)?;
     let addr = listener.local_addr()?;
 
-    let (tx, rx) = mpsc::channel::<WriterMsg>();
-    let writer = thread::Builder::new()
-        .name("gedd-writer".to_string())
-        .spawn(move || writer_loop(validator, &rx))?;
-
+    let validator = Arc::new(Mutex::new(Some(validator)));
     let shutting_down = Arc::new(AtomicBool::new(false));
     let handle_view = view.clone();
     let ctx = ConnCtx {
         view,
-        tx: tx.clone(),
+        validator: Arc::clone(&validator),
         shutting_down: Arc::clone(&shutting_down),
         rules,
         max_frame: config.max_frame,
@@ -208,10 +180,9 @@ pub fn spawn(
 
     Ok(DaemonHandle {
         addr,
-        tx,
+        validator,
         shutting_down,
         view: handle_view,
-        writer: Some(writer),
         acceptor: Some(acceptor),
     })
 }
@@ -223,51 +194,6 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
             format!("address {addr:?} resolved to nothing"),
         )
     })
-}
-
-/// The single writer: the only thread that ever mutates the validator.
-/// Returns the final published epoch once a shutdown drains the queue.
-fn writer_loop(
-    mut validator: IncrementalValidator<SigmaConstraint>,
-    rx: &mpsc::Receiver<WriterMsg>,
-) -> u64 {
-    let apply = |validator: &mut IncrementalValidator<SigmaConstraint>,
-                 ds: DeltaSet,
-                 reply: &mpsc::Sender<ApplyOutcome>| {
-        let stats = validator.apply_all(&ds);
-        // A dead reply sender means the client vanished mid-request; the
-        // batch is still applied (it was accepted), the reply is dropped.
-        reply
-            .send(ApplyOutcome {
-                epoch: validator.published_epoch(),
-                stats,
-                violations: validator.violation_count(),
-            })
-            .ok();
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Apply(ds, reply) => apply(&mut validator, ds, &reply),
-            WriterMsg::Shutdown(reply) => {
-                // Drain: every batch already accepted into the queue is
-                // applied and answered before the final epoch is fixed.
-                let mut shutdown_replies = vec![reply];
-                while let Ok(queued) = rx.try_recv() {
-                    match queued {
-                        WriterMsg::Apply(ds, reply) => apply(&mut validator, ds, &reply),
-                        WriterMsg::Shutdown(reply) => shutdown_replies.push(reply),
-                    }
-                }
-                let final_epoch = validator.published_epoch();
-                for reply in shutdown_replies {
-                    reply.send(final_epoch).ok();
-                }
-                return final_epoch;
-            }
-        }
-    }
-    // All senders dropped without a shutdown (handle and conns gone).
-    validator.published_epoch()
 }
 
 fn accept_loop(listener: &TcpListener, ctx: &ConnCtx, shutting_down: &AtomicBool) {
@@ -433,14 +359,7 @@ fn respond<'s>(line: &str, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> 
             ("readers", Json::from(ctx.view.readers())),
         ]),
         Request::Shutdown => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let final_epoch = if ctx.tx.send(WriterMsg::Shutdown(reply_tx)).is_ok() {
-                // A dropped reply means another shutdown won the race;
-                // the published epoch is already final.
-                reply_rx.recv().unwrap_or_else(|_| ctx.view.epoch())
-            } else {
-                ctx.view.epoch()
-            };
+            let final_epoch = retire(&ctx.validator, &ctx.view);
             let ack = ok_response(vec![("final_epoch", Json::from(final_epoch))]);
             return Reply::Shutdown(ack);
         }
@@ -448,29 +367,28 @@ fn respond<'s>(line: &str, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> 
     Reply::Tree(tree)
 }
 
+/// Apply one decoded batch under the lock; the reply is encoded after
+/// the lock is let go. A client that hangs up before reading the reply
+/// still has its batch applied.
 fn respond_apply<'s>(ds: DeltaSet, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> {
-    let refused = |why| Reply::Tree(err_response(code::SHUTTING_DOWN, why));
-    if ctx.shutting_down.load(Ordering::SeqCst) {
-        return refused("daemon is draining; writes refused");
-    }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if ctx.tx.send(WriterMsg::Apply(ds, reply_tx)).is_err() {
-        return refused("writer has exited; writes refused");
-    }
-    // A dropped sender: the batch was queued but the writer exited
-    // (shutdown drained past it), so the write did not land in the final
-    // epoch.
-    let Ok(outcome) = reply_rx.recv() else {
-        return refused("batch dropped by shutdown drain");
+    let Ok(mut locked) = ctx.validator.lock() else {
+        let why = "an earlier apply panicked; writes refused";
+        return Reply::Tree(err_response(code::INTERNAL, why));
     };
+    let Some(validator) = locked.as_mut() else {
+        let why = "daemon is draining; writes refused";
+        return Reply::Tree(err_response(code::SHUTTING_DOWN, why));
+    };
+    let stats = validator.apply_all(&ds);
     let reply = ApplyReply {
-        epoch: outcome.epoch,
-        applied: outcome.stats.deltas_applied as u64,
-        violations: outcome.violations as u64,
-        removed: outcome.stats.violations_removed as u64,
-        added: outcome.stats.violations_added as u64,
+        epoch: validator.published_epoch(),
+        applied: stats.deltas_applied as u64,
+        violations: validator.violation_count() as u64,
+        removed: stats.violations_removed as u64,
+        added: stats.violations_added as u64,
     };
-    encode_apply(scratch, &reply, &outcome.stats.created);
+    drop(locked);
+    encode_apply(scratch, &reply, &stats.created);
     Reply::Scratch(scratch)
 }
 
@@ -479,6 +397,7 @@ mod tests {
     use super::*;
     use crate::workload;
     use ged_graph::{sym, Delta, Value};
+    use std::sync::mpsc;
 
     /// A transport whose first `write` parks until the test drops the
     /// other end of `release` — a client that stops draining its socket,
@@ -516,12 +435,11 @@ mod tests {
     }
 
     fn conn_ctx(validator: &IncrementalValidator<SigmaConstraint>) -> ConnCtx {
-        // Nobody receives: `apply`/`shutdown` take their writer-is-gone
-        // fallbacks, which is all these tests need of the writer.
-        let (tx, _) = mpsc::channel();
+        // The lock holds no validator: the test keeps it and publishes
+        // itself, and `apply`/`shutdown` find it already retired.
         ConnCtx {
             view: validator.read_view(),
-            tx,
+            validator: Arc::new(Mutex::new(None)),
             shutting_down: Arc::new(AtomicBool::new(false)),
             rules: validator.sigma().len(),
             max_frame: DEFAULT_MAX_FRAME,
@@ -598,5 +516,50 @@ mod tests {
             ctx.shutting_down.load(Ordering::SeqCst),
             "woken once the reply is out"
         );
+    }
+
+    /// An `apply` that panics poisons the lock. Later `apply`s are refused
+    /// as `internal` instead of hanging, and queries and `shutdown` on the
+    /// same connection still answer at the last published epoch.
+    #[test]
+    fn a_panicked_apply_refuses_writes_and_keeps_serving_reads() {
+        let (graph, sigma) = workload::load("mixed:honest=20,plants=2,seed=5").unwrap();
+        let node = graph.nodes().next().expect("non-empty graph").0;
+        let validator = IncrementalValidator::new(graph, sigma);
+        let ctx = conn_ctx(&validator);
+        *ctx.validator.lock().unwrap() = Some(validator);
+        let apply = format!(
+            "{{\"cmd\":\"apply\",\"deltas\":[{{\"op\":\"set_attr\",\"node\":{node},\"attr\":\"probe\",\"value\":1}}]}}\n"
+        );
+        serve(apply.as_bytes(), io::sink(), &ctx);
+        assert_eq!(ctx.view.epoch(), 1, "the healthy apply publishes");
+
+        thread::scope(|s| {
+            let apply = s.spawn(|| {
+                let _held = ctx.validator.lock().unwrap();
+                panic!("an apply panics while it holds the lock");
+            });
+            apply.join().expect_err("the apply panicked");
+        });
+        assert!(ctx.validator.is_poisoned());
+
+        let session = format!(
+            "{apply}{{\"cmd\":\"report\"}}\n{{\"cmd\":\"health\"}}\n{{\"cmd\":\"shutdown\"}}\n{apply}"
+        );
+        let mut out = Vec::new();
+        serve(session.as_bytes(), &mut out, &ctx);
+        let replies: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|line| Json::parse(line).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 5, "every request is answered");
+        assert_eq!(replies[0].get_bool("ok"), Some(false));
+        assert_eq!(replies[0].get_str("code"), Some(code::INTERNAL));
+        assert_eq!(replies[1].get_u64("epoch"), Some(1), "report");
+        assert_eq!(replies[2].get_u64("epoch"), Some(1), "health");
+        assert_eq!(replies[3].get_u64("final_epoch"), Some(1), "shutdown");
+        // Retired, the validator is gone and so is what the poison guarded.
+        assert_eq!(replies[4].get_str("code"), Some(code::SHUTTING_DOWN));
     }
 }

@@ -3,9 +3,10 @@
 //! health → report → apply → query → metrics → shutdown — the same loop
 //! `gedctl` runs from the command line.
 //!
-//! The daemon owns an `IncrementalValidator<SigmaConstraint>` behind a
-//! single writer thread; every query here is answered from a
-//! snapshot-isolated `ReadView` on the connection's own thread, so the
+//! The daemon owns an `IncrementalValidator<SigmaConstraint>` behind one
+//! lock that each `apply` takes on its connection's own thread; every
+//! query here is answered from a snapshot-isolated `ReadView` on that
+//! thread without the lock, so the
 //! epochs printed below are exact batch boundaries, never torn states.
 //!
 //! Run with `cargo run --release --example daemon_session`.
@@ -79,7 +80,7 @@ fn main() {
     let applies = metrics.get_u64("deltas_applied").unwrap_or(0);
     println!("metrics: {applies} deltas applied daemon-side");
 
-    // -- shutdown: drain, publish, stop ---------------------------------
+    // -- shutdown: retire the validator, stop ---------------------------
     let final_epoch = client.shutdown().unwrap();
     let joined = handle.join();
     assert_eq!(final_epoch, joined);

@@ -1,6 +1,6 @@
 //! Fault injection against a live `gedd`: malformed frames, oversized
 //! and truncated payloads, abrupt disconnects mid-request, edge deltas
-//! naming node ids that do not exist, two racing `apply` writers, and
+//! naming node ids that do not exist, 2 and 8 racing `apply` writers, and
 //! bulk frames that arrive awkwardly (a bad delta at the very end, one
 //! byte per write, CR-LF and keep-alive lines around them, sizes on
 //! either side of the cap) over a connection whose buffers are reused
@@ -15,6 +15,7 @@ use ged_proto::{code, Client, ClientError, Request};
 use ged_repro::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Barrier;
 use std::thread;
 use std::time::Duration;
 
@@ -369,9 +370,9 @@ fn the_frame_cap_is_exact_before_and_after_a_large_frame() {
 }
 
 /// Well-formed edge deltas whose endpoints are beyond the id bound or
-/// tombstoned reach `Graph::apply_delta` inside the writer thread as they
-/// are. They must be no-ops — `applied == 0`, no epoch published — not an
-/// index panic, and the connection that sent them keeps serving.
+/// tombstoned reach `Graph::apply_delta` under the validator's lock as
+/// they are. They must be no-ops — `applied == 0`, no epoch published —
+/// not an index panic, and the connection that sent them keeps serving.
 #[test]
 fn edge_deltas_on_nonexistent_nodes_are_no_ops_not_writer_panics() {
     let (handle, mut mirror, sigma) =
@@ -432,69 +433,76 @@ fn edge_deltas_on_nonexistent_nodes_are_no_ops_not_writer_panics() {
 
 #[test]
 fn two_racing_apply_writers_serialize_without_corruption() {
+    for writers in [2, 8] {
+        racing_apply_writers(writers);
+    }
+}
+
+/// `writers` connections each send one batch at once; the lock must
+/// serialize them into epochs `1..=writers` and leave the mirror's state.
+fn racing_apply_writers(writers: usize) {
     let (handle, mut mirror, sigma) =
         daemon_with_mirror("mixed:honest=12,plants=1,seed=44", &DaemonConfig::default());
 
-    // Two disjoint, commutative batches: writes to different nodes with
+    // Disjoint, commutative batches: writes to different nodes with
     // fresh values, so the final state is interleaving-independent and
-    // the mirror can apply them in either order.
-    let nodes: Vec<NodeId> = mirror.nodes().take(4).collect();
-    let batch_a: DeltaSet = vec![
-        Delta::SetAttr {
-            node: nodes[0],
-            attr: sym("bio"),
-            value: Value::from("written by a"),
-        },
-        Delta::SetAttr {
-            node: nodes[1],
-            attr: sym("age"),
-            value: Value::from(7i64),
-        },
-    ]
-    .into();
-    let batch_b: DeltaSet = vec![
-        Delta::SetAttr {
-            node: nodes[2],
-            attr: sym("bio"),
-            value: Value::from("written by b"),
-        },
-        Delta::SetAttr {
-            node: nodes[3],
-            attr: sym("tier"),
-            value: Value::from("gold"),
-        },
-    ]
-    .into();
+    // the mirror can apply them in any order.
+    let nodes: Vec<NodeId> = mirror.nodes().take(2 * writers).collect();
+    assert_eq!(nodes.len(), 2 * writers, "a node pair per writer");
+    let batches: Vec<DeltaSet> = nodes
+        .chunks(2)
+        .zip(0i64..)
+        .map(|(pair, i)| {
+            let (attr, value) = if i % 2 == 0 {
+                ("age", Value::from(7 + i))
+            } else {
+                ("tier", Value::from("gold"))
+            };
+            vec![
+                Delta::SetAttr {
+                    node: pair[0],
+                    attr: sym("bio"),
+                    value: Value::from(format!("written by writer {i}")),
+                },
+                Delta::SetAttr {
+                    node: pair[1],
+                    attr: sym(attr),
+                    value,
+                },
+            ]
+            .into()
+        })
+        .collect();
 
     let addr = handle.addr();
-    let (epoch_a, epoch_b) = thread::scope(|s| {
-        let a = {
-            let batch = batch_a.clone();
-            s.spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                c.apply(batch).expect("writer a").epoch
+    // Every writer is connected before any of them sends.
+    let start = Barrier::new(writers);
+    let mut epochs: Vec<u64> = thread::scope(|s| {
+        let racers: Vec<_> = batches
+            .iter()
+            .map(|batch| {
+                let start = &start;
+                s.spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                    start.wait();
+                    c.apply(batch.clone()).expect("racing writer").epoch
+                })
             })
-        };
-        let b = {
-            let batch = batch_b.clone();
-            s.spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                c.apply(batch).expect("writer b").epoch
-            })
-        };
-        (a.join().unwrap(), b.join().unwrap())
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
     });
 
-    // The single-writer channel serializes the two batches: both change
-    // the store's graph, so they publish distinct epochs 1 and 2.
-    let mut epochs = [epoch_a, epoch_b];
+    // The lock serializes the batches: each changes the store's graph,
+    // so they publish the distinct epochs 1..=writers.
     epochs.sort_unstable();
-    assert_eq!(epochs, [1, 2], "racing applies must serialize");
+    let expected: Vec<u64> = (1..=writers as u64).collect();
+    assert_eq!(epochs, expected, "{writers} racing applies must serialize");
 
-    for d in batch_a.deltas().iter().chain(batch_b.deltas()) {
+    for d in batches.iter().flat_map(DeltaSet::deltas) {
         mirror.apply_delta(d);
     }
-    assert_uncorrupted(&handle, &mirror, &sigma, 2);
+    assert_uncorrupted(&handle, &mirror, &sigma, writers as u64);
     handle.stop();
     handle.join();
 }
