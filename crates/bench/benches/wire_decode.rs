@@ -1,6 +1,7 @@
-//! The wire's decode side, layer by layer (DESIGN.md §10 "One lexer, two
-//! consumers"), in the rows gedbench cannot give until its `proto.*` spans
-//! are re-pointed (ROADMAP item 5a):
+//! The wire layer by layer (DESIGN.md §10 "One lexer, two consumers"),
+//! in the rows gedbench cannot give until its `proto.*` spans are
+//! re-pointed (ROADMAP item 1): the request decode, the server's `report`
+//! encode and the client's parse of that reply.
 //!
 //! * **`wire/request-decode/{reference,streamed}/{8,32,512}`** — one
 //!   `apply` frame of that many deltas from its wire bytes to a `Request`,
@@ -15,6 +16,11 @@
 //!   `Json::parse` of a 2 000-witness `report` reply, in ns per witness.
 //!   `Json::parse` is the lexer's other consumer, so this row says what
 //!   sharing the lexer cost the tree.
+//! * **`wire/encode-report/{2000,2000-distinct}`** — the server's side of
+//!   a poll that misses the rendered line: `encode_report` of the same
+//!   2 000-witness reply, in ns per witness. *2000* is the shape above,
+//!   each rule's witnesses sharing one kind; in *2000-distinct* every
+//!   witness's kind differs from its predecessor's.
 //!
 //! Times are medians over `SAMPLES` samples of at least `MIN_UNITS` units
 //! (deltas, witnesses) each, with the fastest sample beside them.
@@ -92,8 +98,10 @@ fn apply_frame(batch: usize, rng: &mut Lcg) -> Vec<u8> {
     line.into_bytes()
 }
 
-/// A `report` reply line of `witnesses` witnesses under four rules.
-fn report_line(witnesses: usize) -> String {
+/// A `report` reply line of `witnesses` witnesses under four rules: rule
+/// `r`'s witnesses all carry kind `r`, or, when `distinct`, cycle through
+/// the four so no two neighbours share one.
+fn encode_report_line(witnesses: usize, distinct: bool) -> Vec<u8> {
     let rules = ["verified⇒real", "no-self-follow", "age≥13", "tier-domain"];
     let kinds = [
         ViolationKind::Conclusions(vec![Literal::constant(
@@ -106,15 +114,15 @@ fn report_line(witnesses: usize) -> String {
         ViolationKind::Disjunction,
     ];
     let per_rule = witnesses / rules.len();
-    let line = encode_report(7, rules.iter().map(|name| (*name, per_rule)), |sink| {
+    encode_report(7, rules.iter().map(|name| (*name, per_rule)), |sink| {
         for (r, name) in rules.iter().enumerate() {
             for i in 0..per_rule {
                 let id = (r * per_rule + i) as u32;
-                sink(name, &[NodeId(id), NodeId(id + 100_000)], &kinds[r]);
+                let kind = if distinct { (r + i) % kinds.len() } else { r };
+                sink(name, &[NodeId(id), NodeId(id + 100_000)], &kinds[kind]);
             }
         }
-    });
-    String::from_utf8(line).expect("reply lines are UTF-8")
+    })
 }
 
 /// Time `pass` (which handles `units` units per call) and print one row.
@@ -180,8 +188,16 @@ fn main() {
 
     println!("\n== wire/json-parse (ns per witness) ==");
     let witnesses = 2000;
-    let line = report_line(witnesses);
+    let line = String::from_utf8(encode_report_line(witnesses, false)).expect("UTF-8");
     row("wire/json-parse/report-2000", witnesses, || {
         black_box(Json::parse(black_box(&line)).expect("parses"));
+    });
+
+    println!("\n== wire/encode-report (ns per witness) ==");
+    row("wire/encode-report/2000", witnesses, || {
+        black_box(encode_report_line(black_box(witnesses), false));
+    });
+    row("wire/encode-report/2000-distinct", witnesses, || {
+        black_box(encode_report_line(black_box(witnesses), true));
     });
 }
