@@ -115,15 +115,19 @@ impl DaemonHandle {
 
 /// Wait out the batch holding the lock, then take the validator away, so
 /// every later `apply` is refused. Returns the final published epoch —
-/// the same on every call. A poisoned lock (an `apply` panicked) still
-/// retires: with the validator gone there is nothing left to protect.
+/// the same on every call, read once the lock is had, so the batch that
+/// held it counts. A poisoned lock (an `apply` panicked) still retires:
+/// with the validator gone there is nothing left to protect. The retired
+/// validator is dropped after the lock is let go, not under it.
 fn retire(validator: &LockedValidator, view: &ReadView<SigmaConstraint>) -> u64 {
-    validator
+    let retired = validator
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .take();
     validator.clear_poison();
-    view.epoch()
+    let final_epoch = view.epoch();
+    drop(retired);
+    final_epoch
 }
 
 /// Set the shutdown flag and unblock the accept thread's blocking
@@ -516,6 +520,65 @@ mod tests {
             ctx.shutting_down.load(Ordering::SeqCst),
             "woken once the reply is out"
         );
+    }
+
+    /// A reader whose one line is taken on its first `read`, which fires
+    /// `taken`; EOF after it.
+    struct SignallingReader {
+        line: &'static [u8],
+        taken: mpsc::Sender<()>,
+    }
+
+    impl io::Read for SignallingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.line.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.line[..n]);
+            self.line = &self.line[n..];
+            if n > 0 {
+                self.taken.send(()).ok();
+            }
+            Ok(n)
+        }
+    }
+
+    /// `shutdown` waits out the batch holding the lock and answers with
+    /// the epoch that batch published, so the epoch is read once the lock
+    /// is had. The handler is given time to reach the lock (it cannot be
+    /// seen waiting there); if it has not, the test passes without having
+    /// probed the order, it never fails wrongly.
+    #[test]
+    fn shutdown_reports_the_epoch_of_the_batch_holding_the_lock() {
+        let (graph, sigma) = workload::load("mixed:honest=20,plants=2,seed=5").unwrap();
+        let node = graph.nodes().next().expect("non-empty graph");
+        let validator = IncrementalValidator::new(graph, sigma);
+        let ctx = conn_ctx(&validator);
+        *ctx.validator.lock().unwrap() = Some(validator);
+        let (taken_tx, taken_rx) = mpsc::channel();
+        let reader = io::BufReader::new(SignallingReader {
+            line: b"{\"cmd\":\"shutdown\"}\n",
+            taken: taken_tx,
+        });
+        let reply = thread::scope(|s| {
+            let mut held = ctx.validator.lock().unwrap();
+            let handler = s.spawn(|| {
+                let mut out = Vec::new();
+                serve(reader, &mut out, &ctx);
+                out
+            });
+            taken_rx.recv().expect("the handler reads its request");
+            thread::sleep(std::time::Duration::from_millis(50));
+            held.as_mut()
+                .expect("not retired yet")
+                .apply(&Delta::SetAttr {
+                    node,
+                    attr: sym("probe"),
+                    value: Value::from(1i64),
+                });
+            drop(held);
+            handler.join().expect("the handler returns")
+        });
+        let reply = Json::parse(std::str::from_utf8(&reply).unwrap().trim_end()).unwrap();
+        assert_eq!(reply.get_u64("final_epoch"), Some(1), "{reply}");
     }
 
     /// An `apply` that panics poisons the lock. Later `apply`s are refused

@@ -29,6 +29,7 @@ use crate::json::{write_escaped, Json, JsonError, Kind, Number, Reader};
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
+use ged_core::Literal;
 use ged_graph::{sym, Delta, DeltaSet, NodeId, Symbol, Value};
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -586,12 +587,10 @@ pub type WitnessSink<'s> = dyn FnMut(&str, &[NodeId], &ViolationKind) + 's;
 /// written afterwards. Same bytes (the codec tests pin each line to the
 /// tree's [`Json::write`] plus `\n`), one buffer instead of a dozen
 /// allocations per witness: scalars go through [`Json::write`] itself
-/// (`Int`/`Bool` values own nothing), strings through its
-/// [`write_escaped`].
+/// (`Int`/`Bool` values own nothing), node ids are plain decimal `u32`s,
+/// strings go through its [`write_escaped`].
 struct LineEncoder {
     out: String,
-    /// `Debug` rendering of the current witness's kind, before escaping.
-    kind: String,
 }
 
 impl LineEncoder {
@@ -600,7 +599,6 @@ impl LineEncoder {
     fn new(rules: usize, witnesses: usize) -> LineEncoder {
         LineEncoder {
             out: String::with_capacity(96 + 64 * rules + 128 * witnesses),
-            kind: String::new(),
         }
     }
 
@@ -620,37 +618,121 @@ impl LineEncoder {
     fn ids(&mut self, sep: char, key: &str, ids: &[NodeId]) {
         self.key(sep, key);
         self.out.push('[');
+        self.id_list(ids);
+        self.out.push(']');
+    }
+
+    /// `id,id,…`, each the decimal digits `Json::Int` would write.
+    fn id_list(&mut self, ids: &[NodeId]) {
         for (i, n) in ids.iter().enumerate() {
             if i > 0 {
                 self.out.push(',');
             }
-            node_to_json(*n).write(&mut self.out);
+            let mut digits = [0u8; 10];
+            let mut at = digits.len();
+            let mut rest = n.0;
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            self.out
+                .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
         }
-        self.out.push(']');
     }
 
     /// `,"violations":[…]}` + newline: the tail both replies share, each
     /// element shaped like [`violation_to_json`].
+    ///
+    /// A witness is its rule's head, its ids, and its kind's tail. Heads
+    /// and tails are remembered as ranges of `out` for the last rule and
+    /// the last kind seen, and a witness that repeats either copies those
+    /// bytes, so a run of witnesses of one rule and one kind formats and
+    /// escapes them once. The kind must render alike ([`renders_alike`]),
+    /// not merely be `==`.
     fn witnesses_and_finish(mut self, witnesses: impl FnOnce(&mut WitnessSink<'_>)) -> Vec<u8> {
         self.key(',', "violations");
         self.out.push('[');
-        let mut first = true;
-        witnesses(&mut |rule, assignment, kind| {
-            if !std::mem::take(&mut first) {
+        // `{"rule":…,"assignment":[` of the last rule; empty before the first.
+        let mut rule = String::new();
+        let mut head = 0..0;
+        // `],"kind":…}` of the last kind; the `Debug` text is formatted
+        // into `scratch` to be escaped.
+        let mut kind: Option<ViolationKind> = None;
+        let mut tail = 0..0;
+        let mut scratch = String::new();
+        witnesses(&mut |name, assignment, k| {
+            if !head.is_empty() {
                 self.out.push(',');
             }
-            self.key('{', "rule");
-            write_escaped(rule, &mut self.out);
-            self.ids(',', "assignment", assignment);
-            self.key(',', "kind");
-            self.kind.clear();
-            write!(self.kind, "{kind:?}").expect("String as fmt::Write is infallible");
-            write_escaped(&self.kind, &mut self.out);
-            self.out.push('}');
+            if head.is_empty() || name != rule {
+                let at = self.out.len();
+                self.key('{', "rule");
+                write_escaped(name, &mut self.out);
+                self.key(',', "assignment");
+                self.out.push('[');
+                head = at..self.out.len();
+                rule.clear();
+                rule.push_str(name);
+            } else {
+                self.out.extend_from_within(head.clone());
+            }
+            self.id_list(assignment);
+            if kind.as_ref().is_some_and(|last| renders_alike(last, k)) {
+                self.out.extend_from_within(tail.clone());
+            } else {
+                let at = self.out.len();
+                self.out.push(']');
+                self.key(',', "kind");
+                scratch.clear();
+                write!(scratch, "{k:?}").expect("String as fmt::Write is infallible");
+                write_escaped(&scratch, &mut self.out);
+                self.out.push('}');
+                tail = at..self.out.len();
+                kind = Some(k.clone());
+            }
         });
         self.out.push_str("]}\n");
         self.out.into_bytes()
     }
+}
+
+/// Whether `a` and `b` have the same `Debug` text. `==` is not enough:
+/// [`Value`]'s says `Int(2) == Float(2.0)`, which print differently. Equal
+/// kinds whose `Const` literals also hold values of the same variant
+/// print alike (within a variant, `==` is identity of what `Debug` shows).
+/// The matches name every variant, so a new one does not compile here
+/// until someone has said how it prints.
+fn renders_alike(a: &ViolationKind, b: &ViolationKind) -> bool {
+    fn same_variant(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Bool(_), Value::Bool(_))
+            | (Value::Int(_), Value::Int(_))
+            | (Value::Float(_), Value::Float(_))
+            | (Value::Str(_), Value::Str(_)) => true,
+            (Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_), _) => false,
+        }
+    }
+    a == b
+        && match (a, b) {
+            (ViolationKind::Conclusions(a), ViolationKind::Conclusions(b)) => {
+                a.iter().zip(b).all(|pair| match pair {
+                    (Literal::Const { value: a, .. }, Literal::Const { value: b, .. }) => {
+                        same_variant(a, b)
+                    }
+                    (Literal::Const { .. } | Literal::Vars { .. } | Literal::Id { .. }, _) => true,
+                })
+            }
+            (
+                ViolationKind::Conclusions(_)
+                | ViolationKind::Predicates(_)
+                | ViolationKind::Disjunction,
+                _,
+            ) => true,
+        }
 }
 
 /// The `report` reply as one wire line (trailing newline included),
@@ -710,7 +792,6 @@ pub fn encode_apply(out: &mut String, reply: &ApplyReply, created: &[NodeId]) {
     out.clear();
     let mut enc = LineEncoder {
         out: std::mem::take(out),
-        kind: String::new(),
     };
     enc.scalar('{', "ok", true);
     enc.scalar(',', "epoch", reply.epoch);

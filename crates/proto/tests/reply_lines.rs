@@ -10,7 +10,9 @@
 //! `ViolationKind` variant (their `Debug` text carries quotes and
 //! backslashes of its own), assignments of 0–4 ids up to `u32::MAX`, and
 //! Σ shapes where the separators can go wrong — empty Σ, satisfied Σ,
-//! empty rules between crowded ones.
+//! empty rules between crowded ones — and rules whose witnesses draw from
+//! a few kinds, so the encoder's copy of a repeated kind's text is used,
+//! beside kinds that are `==` but print differently, where it must not be.
 
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::{GedReport, ValidationReport};
@@ -80,6 +82,46 @@ fn kind() -> impl Strategy<Value = ViolationKind> {
     ]
 }
 
+/// `kind` with every `Int` constant replaced by the `Float` it equals:
+/// `==` to `kind`, and printed differently wherever `kind` holds an `Int`.
+fn float_twin(kind: &ViolationKind) -> ViolationKind {
+    match kind {
+        ViolationKind::Conclusions(literals) => ViolationKind::Conclusions(
+            literals
+                .iter()
+                .map(|literal| match literal {
+                    Literal::Const {
+                        var,
+                        attr,
+                        value: Value::Int(i),
+                    } => Literal::constant(*var, *attr, Value::Float(*i as f64)),
+                    other => other.clone(),
+                })
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// One to three kinds for a rule's witnesses to draw from: a kind, its
+/// [`float_twin`], another kind. Neighbouring witnesses then often repeat
+/// a kind, or follow one with its twin.
+fn kind_pool() -> impl Strategy<Value = Vec<ViolationKind>> {
+    let int_constant = (0u32..3, tricky_string(), -3i64..4).prop_map(|(x, attr, i)| {
+        Literal::constant(Var(x), sym(&format!("a{attr}")), Value::Int(i))
+    });
+    let with_int = (int_constant, vec(literal(), 0..2)).prop_map(|(first, mut rest)| {
+        rest.insert(0, first);
+        ViolationKind::Conclusions(rest)
+    });
+    (prop_oneof![kind(), with_int], kind(), 1usize..4).prop_map(|(first, other, n)| {
+        let twin = float_twin(&first);
+        let mut pool = vec![first, twin, other];
+        pool.truncate(n);
+        pool
+    })
+}
+
 fn node_id() -> impl Strategy<Value = NodeId> {
     prop_oneof![Just(0u32), Just(u32::MAX), 0u32..u32::MAX].prop_map(NodeId)
 }
@@ -105,10 +147,20 @@ fn apply_reply() -> impl Strategy<Value = ApplyReply> {
 /// A consistent report: per-rule rows agree with the witness list, and
 /// the witnesses are grouped in Σ order. Rule sizes are drawn so that
 /// empty Σ, all-satisfied Σ and an empty rule between two crowded ones
-/// all come up within a few dozen cases.
+/// all come up within a few dozen cases. A rule draws each witness's
+/// kind afresh, or from a [`kind_pool`].
 fn report() -> impl Strategy<Value = ValidationReport> {
-    let witnesses = prop_oneof![Just(0usize), Just(0usize), 1usize..3, 8usize..24]
+    let free = prop_oneof![Just(0usize), Just(0usize), 1usize..3, 8usize..24]
         .prop_flat_map(|n| vec((assignment(), kind()), n));
+    let pooled = (prop_oneof![1usize..3, 8usize..24], kind_pool()).prop_flat_map(|(n, pool)| {
+        vec((assignment(), 0..pool.len()), n).prop_map(move |picks| {
+            picks
+                .into_iter()
+                .map(|(assignment, i)| (assignment, pool[i].clone()))
+                .collect::<Vec<_>>()
+        })
+    });
+    let witnesses = prop_oneof![free, pooled];
     vec((tricky_string(), witnesses), 0..5).prop_map(|rules| {
         let mut report = ValidationReport {
             per_ged: Vec::new(),
@@ -161,6 +213,52 @@ fn parse_line(line: &[u8]) -> Json {
     let text = std::str::from_utf8(line).expect("reply lines are UTF-8");
     assert!(text.ends_with('\n') && !text[..text.len() - 1].contains('\n'));
     Json::parse(text).expect("reply lines are JSON")
+}
+
+/// One rule's witnesses in a row whose kinds are `==` but print
+/// differently (`2` and `2.0`), differ only in the sign of a zero, or are
+/// strings that need escapes: each must be formatted, not copied from
+/// its predecessor's.
+#[test]
+fn kinds_that_print_differently_are_each_formatted() {
+    let constant =
+        |value: Value| ViolationKind::Conclusions(vec![Literal::constant(Var(0), sym("a"), value)]);
+    let kinds = [
+        constant(Value::Int(2)),
+        constant(Value::Float(2.0)),
+        constant(Value::Float(0.0)),
+        constant(Value::Float(-0.0)),
+        constant(Value::Str("say \"hi\"\n".to_string())),
+        constant(Value::Str("C:\\tmp\t\u{1}".to_string())),
+    ];
+    assert_eq!(kinds[0], kinds[1], "the first two are `==`");
+    let name = "twins";
+    let report = ValidationReport {
+        per_ged: vec![GedReport {
+            name: name.to_string(),
+            violation_count: kinds.len(),
+            satisfied: false,
+        }],
+        violations: kinds
+            .iter()
+            .enumerate()
+            .map(|(i, kind)| Violation {
+                ged_name: name.to_string(),
+                assignment: vec![NodeId(i as u32)],
+                kind: kind.clone(),
+            })
+            .collect(),
+    };
+    let line = encode_report(3, [(name, kinds.len())].into_iter(), |sink| {
+        push_all(&report, sink)
+    });
+    let tree = frame_bytes(&report_to_json(3, &report));
+    assert_eq!(
+        String::from_utf8_lossy(&line),
+        String::from_utf8_lossy(&tree)
+    );
+    let reply = report_from_json(&parse_line(&line)).expect("decodes");
+    assert_eq!(reply.violations, expected_rows(&report));
 }
 
 proptest! {
