@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn each_family_names_what_its_check_reads() {
         let read = |c: &dyn Constraint| {
-            let mut names: Vec<String> = c.attrs_read()?.iter().map(|a| a.to_string()).collect();
+            let mut names: Vec<String> = c.attrs_read()?.iter().map(ToString::to_string).collect();
             names.sort();
             names.dedup();
             Some(names)

@@ -656,11 +656,12 @@ impl LineEncoder {
     fn witnesses_and_finish(mut self, witnesses: impl FnOnce(&mut WitnessSink<'_>)) -> Vec<u8> {
         self.key(',', "violations");
         self.out.push('[');
-        // `{"rule":…,"assignment":[` of the last rule; empty before the first.
+        // The last rule, and where its `{"rule":…,"assignment":[` is in
+        // `out` (empty before the first witness).
         let mut rule = String::new();
         let mut head = 0..0;
-        // `],"kind":…}` of the last kind; the `Debug` text is formatted
-        // into `scratch` to be escaped.
+        // The last kind, and where its `],"kind":…}` is; a new kind's
+        // `Debug` text is formatted into `scratch` to be escaped.
         let mut kind: Option<ViolationKind> = None;
         let mut tail = 0..0;
         let mut scratch = String::new();

@@ -250,7 +250,7 @@ fn kinds_that_print_differently_are_each_formatted() {
             .collect(),
     };
     let line = encode_report(3, [(name, kinds.len())].into_iter(), |sink| {
-        push_all(&report, sink)
+        push_all(&report, sink);
     });
     let tree = frame_bytes(&report_to_json(3, &report));
     assert_eq!(

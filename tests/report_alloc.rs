@@ -1,7 +1,9 @@
 //! Allocation bound on the `report` path: rendering a snapshot's reply
 //! line costs a constant number of allocator calls whatever the witness
-//! count (one sort buffer, the output, the `Debug` scratch, the shared
-//! `Arc`), and a poll that finds the line already rendered costs none.
+//! count (one sort buffer, the output, the shared `Arc`, the `Debug`
+//! scratch as it grows, and a copy of the rule name and of the kind each
+//! time they change: 12 on this graph's four rules), and a poll that
+//! finds the line already rendered costs none.
 //!
 //! The counter (`support/counting.rs`) counts the calling thread's
 //! allocations, and everything measured here runs on it.
