@@ -38,6 +38,9 @@
 //!   the social mix (three in four deltas a write, one in four an edge, a
 //!   few nodes; the second batch undoes the first) through `apply_all` on
 //!   a rule-less validator: apply, fold, and the per-batch bookkeeping.
+//!   It and *reenumerate/apply-all/512* go through `Graph::apply_batch`
+//!   and its warm pass; the per-variant rows call `apply_delta` one delta
+//!   at a time and are the control.
 //! * **reenumerate** — the affected-area pass on the start state of
 //!   gedbench's `ingest-*` workloads (`social_mixed` at 50 000 accounts
 //!   under its four-rule mixed Σ): 31 `DeltaStream` batches of 512 draws

@@ -98,8 +98,13 @@ fn run(
     match command {
         Command::Health => {
             let h = client.health()?;
+            let degraded = if h.degraded {
+                ", degraded (an apply panicked; writes refused)"
+            } else {
+                ""
+            };
             println!(
-                "gedd at {}: protocol {}, epoch {}, {} rules, {} readers",
+                "gedd at {}: protocol {}, epoch {}, {} rules, {} readers{degraded}",
                 cli.addr, h.protocol, h.epoch, h.rules, h.readers
             );
             Ok(exit::OK)

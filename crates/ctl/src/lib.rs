@@ -34,7 +34,7 @@ USAGE:
     gedctl [--addr HOST:PORT] [--json] <COMMAND>
 
 COMMANDS:
-    health               daemon liveness, protocol version, epoch
+    health               daemon liveness, protocol version, epoch, degraded
     status               is the graph satisfied? (exit 1 if violations)
     violations           list current violations with witnesses
     report               full per-rule validation report

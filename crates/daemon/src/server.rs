@@ -20,7 +20,8 @@
 //! soon as that thread is joined — the reply must already be on the
 //! wire). Connections that were already open keep answering queries off
 //! the final snapshot. An `apply` that panicked poisons the lock: later
-//! `apply`s get an `internal` error, queries and `shutdown` still serve.
+//! `apply`s get an `internal` error, `health` says `degraded`, queries
+//! and `shutdown` still serve.
 
 use ged_engine::validator::IncrementalValidator;
 use ged_engine::view::{ReadView, ViolationSnapshot};
@@ -361,6 +362,7 @@ fn respond<'s>(line: &str, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> 
             ("epoch", Json::from(ctx.view.epoch())),
             ("rules", Json::from(ctx.rules)),
             ("readers", Json::from(ctx.view.readers())),
+            ("degraded", Json::Bool(ctx.validator.is_poisoned())),
         ]),
         Request::Shutdown => {
             let final_epoch = retire(&ctx.validator, &ctx.view);
@@ -582,8 +584,9 @@ mod tests {
     }
 
     /// An `apply` that panics poisons the lock. Later `apply`s are refused
-    /// as `internal` instead of hanging, and queries and `shutdown` on the
-    /// same connection still answer at the last published epoch.
+    /// as `internal` instead of hanging, `health` turns `degraded`, and
+    /// queries and `shutdown` on the same connection still answer at the
+    /// last published epoch.
     #[test]
     fn a_panicked_apply_refuses_writes_and_keeps_serving_reads() {
         let (graph, sigma) = workload::load("mixed:honest=20,plants=2,seed=5").unwrap();
@@ -594,8 +597,13 @@ mod tests {
         let apply = format!(
             "{{\"cmd\":\"apply\",\"deltas\":[{{\"op\":\"set_attr\",\"node\":{node},\"attr\":\"probe\",\"value\":1}}]}}\n"
         );
-        serve(apply.as_bytes(), io::sink(), &ctx);
+        let health = "{\"cmd\":\"health\"}\n";
+        let mut out = Vec::new();
+        serve(format!("{apply}{health}").as_bytes(), &mut out, &ctx);
         assert_eq!(ctx.view.epoch(), 1, "the healthy apply publishes");
+        let before = String::from_utf8(out).unwrap();
+        let before = Json::parse(before.lines().nth(1).unwrap()).unwrap();
+        assert_eq!(before.get_bool("degraded"), Some(false), "{before}");
 
         thread::scope(|s| {
             let apply = s.spawn(|| {
@@ -606,9 +614,8 @@ mod tests {
         });
         assert!(ctx.validator.is_poisoned());
 
-        let session = format!(
-            "{apply}{{\"cmd\":\"report\"}}\n{{\"cmd\":\"health\"}}\n{{\"cmd\":\"shutdown\"}}\n{apply}"
-        );
+        let session =
+            format!("{apply}{{\"cmd\":\"report\"}}\n{health}{{\"cmd\":\"shutdown\"}}\n{apply}");
         let mut out = Vec::new();
         serve(session.as_bytes(), &mut out, &ctx);
         let replies: Vec<Json> = String::from_utf8(out)
@@ -621,6 +628,7 @@ mod tests {
         assert_eq!(replies[0].get_str("code"), Some(code::INTERNAL));
         assert_eq!(replies[1].get_u64("epoch"), Some(1), "report");
         assert_eq!(replies[2].get_u64("epoch"), Some(1), "health");
+        assert_eq!(replies[2].get_bool("degraded"), Some(true), "health");
         assert_eq!(replies[3].get_u64("final_epoch"), Some(1), "shutdown");
         // Retired, the validator is gone and so is what the poison guarded.
         assert_eq!(replies[4].get_str("code"), Some(code::SHUTTING_DOWN));

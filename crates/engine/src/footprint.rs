@@ -6,7 +6,7 @@
 //! edges' labels match. So an attribute write concerns the rules that read
 //! the attribute, an edge delta the rules with a pattern edge of its label
 //! (`_` matches every label), and a node added or removed every rule.
-//! [`Relevance`] turns Σ into those three lookups once, at construction;
+//! `Relevance` turns Σ into those three lookups once, at construction;
 //! a [`Footprint`] is one batch's sorted node list with one rule set per
 //! node, a bitset over Σ.
 

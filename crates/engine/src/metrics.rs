@@ -7,11 +7,11 @@
 //! with its read views: one plain `Tally` behind one `Mutex`. Only the
 //! writer writes it, once per batch:
 //!
-//! * during a pass the writer fills its own [`BatchTally`] with no
+//! * during a pass the writer fills its own `BatchTally` with no
 //!   synchronisation at all — one clock read per phase boundary and one
 //!   per work unit (a unit ends where the next one starts), per-rule
 //!   counters, the unit-latency histogram;
-//! * at the end of the batch [`EngineMetrics::fold`] takes the lock once
+//! * at the end of the batch `EngineMetrics::fold` takes the lock once
 //!   to add the batch in, push its trace entry and set the store gauges.
 //!   It runs before the batch is published, so a reader never sees
 //!   `batches` behind the epoch it reads. The publish is timed after it

@@ -492,23 +492,23 @@ impl<C: Constraint> IncrementalValidator<C> {
         self.maintain(deltas.deltas())
     }
 
-    /// Apply the deltas left to right, folding each effect into the batch's
-    /// footprint as it is reported — each touched node tagged with the
-    /// rules its delta concerns — then prune and re-derive the store.
+    /// Apply the deltas left to right ([`Graph::apply_batch`]), folding
+    /// each effect into the batch's footprint as it is reported — each
+    /// touched node tagged with the rules its delta concerns — then prune
+    /// and re-derive the store.
     fn maintain(&mut self, deltas: &[Delta]) -> ApplyStats {
         let mut stats = ApplyStats::default();
         self.footprint.start(&self.relevance, deltas.len());
         // From here to the store insert, consecutive laps of one timer.
         self.worker.0.start();
-        for delta in deltas {
-            let eff = self.graph.apply_delta(delta);
+        self.graph.apply_batch(deltas, |delta, eff| {
             stats.deltas_applied += usize::from(eff.changed);
             stats.created.extend(eff.created);
             let rules = self.relevance.of(delta);
             for node in eff.touched.into_iter().flatten() {
                 self.footprint.touch(node, rules);
             }
-        }
+        });
         if stats.deltas_applied == 0 {
             return stats;
         }

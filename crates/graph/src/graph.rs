@@ -28,6 +28,7 @@
 //! inside the attribute and node primitives themselves, so no mutation path
 //! can leave it stale.
 
+use crate::delta::Delta;
 use crate::symbol::Symbol;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -194,6 +195,17 @@ impl LabeledAdj {
         true
     }
 
+    /// A word read from the index entries and the ends of label `l`'s
+    /// group — the lines [`LabeledAdj::insert`] / [`LabeledAdj::remove`]
+    /// search — for [`Graph::warm`].
+    fn sample(&self, l: Symbol) -> usize {
+        let group = self.group(l);
+        let ends = [group.first(), group.last()];
+        ends.into_iter()
+            .flatten()
+            .fold(group.len(), |acc, n| acc ^ n.idx())
+    }
+
     /// Every `(label, neighbour)` pair, label-major and id-sorted.
     fn iter(&self) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
         (0..self.index.len()).flat_map(move |i| {
@@ -336,6 +348,56 @@ impl Graph {
     /// Has any node ever been removed from this graph?
     pub fn has_removals(&self) -> bool {
         self.n_live != self.nodes.len()
+    }
+
+    /// Entry `n` of a per-node table if `n` is live: `None`, never a
+    /// panic, for a tombstone or an id past the bound.
+    fn live<'a, T>(&self, table: &'a [T], n: NodeId) -> Option<&'a T> {
+        table.get(n.idx()).filter(|_| self.is_alive(n))
+    }
+
+    /// Load what applying `window` will read, changing nothing, so the
+    /// cache misses of its deltas overlap instead of running one delta
+    /// after another. Pass 1 loads each delta's per-node slots, pass 2
+    /// what they point to: the attribute tuple and an old string's buffer,
+    /// each endpoint's adjacency index and label group. An earlier delta
+    /// of the window may change what a later one reads; the passes decide
+    /// nothing, so a stale load is only wasted work.
+    pub(crate) fn warm(&self, window: &[Delta]) {
+        let tuple = |n| self.live(&self.nodes, n).map_or(&[][..], |d| &d.attrs[..]);
+        let slots = |src, dst| {
+            let out = self.live(&self.out_lab, src).map_or(0, |a| a.index.len());
+            out ^ self.live(&self.inn_lab, dst).map_or(0, |a| a.index.len())
+        };
+        let mut acc = 0usize;
+        for delta in window {
+            acc ^= match *delta {
+                Delta::AddNode { .. } => 0,
+                Delta::RemoveNode { node } => tuple(node).len() ^ slots(node, node),
+                Delta::SetAttr { node, .. } | Delta::DelAttr { node, .. } => tuple(node).len(),
+                Delta::AddEdge { src, dst, .. } | Delta::RemoveEdge { src, dst, .. } => {
+                    slots(src, dst)
+                }
+            };
+        }
+        for delta in window {
+            acc ^= match *delta {
+                Delta::AddNode { .. } => 0,
+                Delta::RemoveNode { node } => tuple(node).first().map_or(0, |e| e.0 .0 as usize),
+                Delta::SetAttr { node, attr, .. } | Delta::DelAttr { node, attr } => {
+                    match find_attr(tuple(node), attr) {
+                        Some(Value::Str(s)) => s.bytes().next().map_or(1, usize::from),
+                        Some(_) => 2,
+                        None => 0,
+                    }
+                }
+                Delta::AddEdge { src, label, dst } | Delta::RemoveEdge { src, label, dst } => {
+                    let out = self.live(&self.out_lab, src).map_or(0, |a| a.sample(label));
+                    out ^ self.live(&self.inn_lab, dst).map_or(0, |a| a.sample(label))
+                }
+            };
+        }
+        std::hint::black_box(acc);
     }
 
     /// Set attribute `A = v` on node `n` (overwrites). `A` must not be `id`.

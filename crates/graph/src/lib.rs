@@ -14,8 +14,9 @@
 //!   quotient construction that powers chase *coercion*; nodes and edges
 //!   can be removed again (tombstoned ids), so graphs can *evolve*;
 //! * [`Delta`] / [`DeltaSet`] — elementary updates and batches of them,
-//!   applied via [`Graph::apply_delta`], feeding the incremental
-//!   validation engine in `ged-engine`;
+//!   applied via [`Graph::apply_delta`] or, a warmed window at a time,
+//!   [`Graph::apply_batch`], feeding the incremental validation engine in
+//!   `ged-engine`;
 //! * [`GraphBuilder`] — name-based construction for fixtures;
 //! * [`io`] — a text format and a compact binary snapshot format;
 //! * [`json`] — the workspace's one JSON value type, parser and writer

@@ -81,6 +81,9 @@ pub struct HealthReply {
     pub rules: u64,
     /// Live read-view handles daemon-side.
     pub readers: u64,
+    /// Are writes refused because an `apply` panicked? `false` when the
+    /// daemon does not say (one older than the field).
+    pub degraded: bool,
 }
 
 /// One blocking protocol connection.
@@ -203,6 +206,7 @@ impl Client {
             epoch: need_u64(&reply, "epoch")?,
             rules: need_u64(&reply, "rules")?,
             readers: need_u64(&reply, "readers")?,
+            degraded: reply.get_bool("degraded").unwrap_or(false),
         })
     }
 
@@ -232,4 +236,33 @@ fn need_u64(reply: &Json, field: &str) -> Result<u64, ClientError> {
     reply
         .get_u64(field)
         .ok_or_else(|| ClientError::Decode(format!("reply needs `{field}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, Write};
+    use std::net::TcpListener;
+
+    /// A daemon older than the `degraded` field still answers `health`;
+    /// the client reads its reply as not degraded.
+    #[test]
+    fn health_reads_a_missing_degraded_as_false() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let old = r#"{"ok":true,"protocol":1,"epoch":3,"rules":4,"readers":2}"#;
+        let new = r#"{"ok":true,"protocol":1,"epoch":3,"rules":4,"readers":2,"degraded":true}"#;
+        let daemon = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut requests = BufReader::new(stream.try_clone().unwrap()).lines();
+            for reply in [old, new] {
+                assert!(requests.next().unwrap().unwrap().contains("health"));
+                writeln!(stream, "{reply}").unwrap();
+            }
+        });
+        let mut client = Client::connect(addr).unwrap();
+        assert!(!client.health().unwrap().degraded, "{old}");
+        assert!(client.health().unwrap().degraded, "{new}");
+        daemon.join().unwrap();
+    }
 }

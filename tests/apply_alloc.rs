@@ -1,7 +1,8 @@
 //! Allocation bound on the delta-apply layer (DESIGN.md §8, "The delta-apply
 //! layer"): a delta that grows no tuple, adjacency or bucket — an overwrite,
 //! a removal, a no-op — makes no allocator call in `Graph::apply_delta`, its
-//! `DeltaEffect` included; and a batch of such deltas through `apply_all`
+//! `DeltaEffect` included, nor does a batch of them in `Graph::apply_batch`,
+//! warm pass included; and a batch of such deltas through `apply_all`
 //! allocates for the batch (one footprint vector, the per-batch
 //! bookkeeping), not per delta.
 //!
@@ -55,16 +56,34 @@ fn a_delta_that_grows_nothing_calls_no_allocator() {
         ("remove_node twice", remove(isolated)),
         ("remove_node of a ghost", remove(ghost)),
     ];
+    // The same deltas as one batch, on a copy taken before any applies.
+    let mut batched = g.clone();
+    let batch: Vec<Delta> = changing
+        .iter()
+        .chain(&no_ops)
+        .map(|(_, d)| d.clone())
+        .collect();
+    let mut effects = Vec::with_capacity(batch.len());
     for (deltas, changes) in [(&changing[..], true), (&no_ops[..], false)] {
         for (what, delta) in deltas {
             let (effect, allocs) = allocations_in(|| g.apply_delta(delta));
             assert_eq!(effect.changed, changes, "{what}: {delta}");
             assert_eq!(allocs, 0, "{what}: {delta} called the allocator");
+            effects.push(effect);
         }
     }
-    assert_eq!(g.attr(a, text), Some(&same_length.into()));
-    let left = (g.node_count(), g.edge_count(), g.attrs(a).len());
-    assert_eq!(left, (2, 1, 2));
+    let mut seen = Vec::with_capacity(batch.len());
+    let ((), allocs) = allocations_in(|| batched.apply_batch(&batch, |_, eff| seen.push(eff)));
+    assert_eq!(
+        seen, effects,
+        "the batch and the deltas one by one disagree"
+    );
+    assert_eq!(allocs, 0, "the batch called the allocator");
+    for g in [&g, &batched] {
+        assert_eq!(g.attr(a, text), Some(&same_length.into()));
+        let left = (g.node_count(), g.edge_count(), g.attrs(a).len());
+        assert_eq!(left, (2, 1, 2));
+    }
 }
 
 #[test]
