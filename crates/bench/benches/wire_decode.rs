@@ -12,6 +12,11 @@
 //!   seven in ten deltas an attribute write (a third each `"topic_N"`,
 //!   an age, a tier name), three in ten an edge added or removed, a few
 //!   nodes, ids up to 200 000.
+//! * **`wire/lex/skip/{8,512}`** — the lexer alone over the lines of the
+//!   same frames: `Reader::skip_value` + `end`, which checks everything
+//!   and keeps nothing, in ns per delta. *streamed* less this row is the
+//!   framing and the typed layer of `from_line` (keys to fields, ids,
+//!   names interned, the `DeltaSet` built).
 //! * **`wire/json-parse/report-2000`** — the client's side of a poll:
 //!   `Json::parse` of a 2 000-witness `report` reply, in ns per witness.
 //!   `Json::parse` is the lexer's other consumer, so this row says what
@@ -29,6 +34,7 @@ use ged_core::constraint::ViolationKind;
 use ged_core::Literal;
 use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
 use ged_pattern::Var;
+use ged_proto::json::Reader;
 use ged_proto::message::encode_report;
 use ged_proto::wire::read_line;
 use ged_proto::{read_frame, Json, Request, DEFAULT_MAX_FRAME};
@@ -146,24 +152,40 @@ fn row(label: &str, units: usize, mut pass: impl FnMut()) {
     );
 }
 
+/// The line of a frame: its bytes without the newline.
+fn line(frame: &[u8]) -> &str {
+    std::str::from_utf8(&frame[..frame.len() - 1]).expect("UTF-8")
+}
+
 fn main() {
+    // Several frames per size, so no one draw of the mix is the row. Both
+    // decoders must agree on every one before anything is timed.
+    let sizes: Vec<(usize, Vec<Vec<u8>>)> = [8usize, 32, 512]
+        .into_iter()
+        .map(|batch| {
+            let mut rng = Lcg(batch as u64);
+            (
+                batch,
+                (0..8).map(|_| apply_frame(batch, &mut rng)).collect(),
+            )
+        })
+        .collect();
+    for frame in sizes.iter().flat_map(|(_, frames)| frames) {
+        let json = read_frame(&mut &frame[..], DEFAULT_MAX_FRAME)
+            .expect("generated frames parse")
+            .expect("one frame");
+        let decoded = Request::from_json(&json).expect("generated frames decode");
+        assert_eq!(Request::from_line(line(frame)), Some(decoded));
+    }
+
     println!("\n== wire/request-decode (ns per delta) ==");
-    for batch in [8usize, 32, 512] {
-        let mut rng = Lcg(batch as u64);
-        // Several frames per size, so no one draw of the mix is the row.
-        let frames: Vec<Vec<u8>> = (0..8).map(|_| apply_frame(batch, &mut rng)).collect();
-        for frame in &frames {
-            let json = read_frame(&mut &frame[..], DEFAULT_MAX_FRAME)
-                .expect("generated frames parse")
-                .expect("one frame");
-            let line = std::str::from_utf8(&frame[..frame.len() - 1]).expect("UTF-8");
-            assert_eq!(Request::from_line(line), Request::from_json(&json).ok());
-        }
+    for (batch, frames) in &sizes {
+        let batch = *batch;
         row(
             &format!("wire/request-decode/reference/{batch}"),
             batch * frames.len(),
             || {
-                for frame in &frames {
+                for frame in frames {
                     let json = read_frame(&mut black_box(&frame[..]), DEFAULT_MAX_FRAME)
                         .expect("parses")
                         .expect("one frame");
@@ -176,11 +198,26 @@ fn main() {
             &format!("wire/request-decode/streamed/{batch}"),
             batch * frames.len(),
             || {
-                for frame in &frames {
+                for frame in frames {
                     let line = read_line(&mut black_box(&frame[..]), &mut buf, DEFAULT_MAX_FRAME)
                         .expect("reads")
                         .expect("one frame");
                     black_box(Request::from_line(line).expect("decodes"));
+                }
+            },
+        );
+    }
+
+    println!("\n== wire/lex (ns per delta) ==");
+    for (batch, frames) in sizes.iter().filter(|(batch, _)| *batch != 32) {
+        row(
+            &format!("wire/lex/skip/{batch}"),
+            batch * frames.len(),
+            || {
+                for frame in frames {
+                    let mut r = Reader::new(line(black_box(frame)));
+                    r.skip_value().expect("skips");
+                    r.end().expect("ends");
                 }
             },
         );

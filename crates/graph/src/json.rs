@@ -440,6 +440,9 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The error at the current offset. Errors and their formatting are
+    /// out of line (`#[cold]`), so the paths that accept carry none of it.
+    #[cold]
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -447,24 +450,42 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// `expected '<what>'` at the current offset.
+    #[cold]
+    fn expected(&self, what: impl fmt::Display) -> JsonError {
+        self.err(&format!("expected '{what}'"))
+    }
+
+    #[inline(always)]
     fn byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
-    /// The next byte that is not white space, not consumed.
+    /// The next byte that is not white space, not consumed. Every byte
+    /// above `' '` is a token, so one comparison settles the common case —
+    /// frames as the encoders write them carry no white space at all.
+    #[inline(always)]
     fn next_token(&mut self) -> Option<u8> {
+        match self.byte() {
+            Some(b) if b > b' ' => Some(b),
+            _ => self.skip_white_space(),
+        }
+    }
+
+    fn skip_white_space(&mut self) -> Option<u8> {
         while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
         self.byte()
     }
 
+    #[inline(always)]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(self.expected(char::from(b)))
         }
     }
 
@@ -474,13 +495,14 @@ impl<'a> Reader<'a> {
             self.pos += word.len();
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{word}'")))
+            Err(self.expected(word))
         }
     }
 
     /// The kind of the value that starts here (after white space), without
     /// consuming it. Fails when the value would sit deeper than
     /// [`MAX_DEPTH`] containers, and on a byte that starts no value.
+    #[inline(always)]
     pub fn peek(&mut self) -> Result<Kind, JsonError> {
         let next = self.next_token();
         if self.depth > MAX_DEPTH {
@@ -517,12 +539,41 @@ impl<'a> Reader<'a> {
     /// whose value is not finite (`1e999`, a 400-digit integer) is an
     /// error: `str::parse::<f64>` saturates to infinity, which no document
     /// can carry back out.
+    ///
+    /// A literal of 1–18 digits (after an optional `-`) that no `.`/`e`/
+    /// `E`/`+`/`-` follows is an `Int` that cannot overflow, and is
+    /// accumulated as it is scanned; every other literal goes on through
+    /// `str::parse`, from where that scan stopped.
+    #[inline(always)]
     pub fn number(&mut self) -> Result<Number, JsonError> {
         self.next_token();
         let start = self.pos;
-        if self.byte() == Some(b'-') {
-            self.pos += 1;
+        let bytes = self.text.as_bytes();
+        let negative = bytes.get(start) == Some(&b'-');
+        let digits = start + usize::from(negative);
+        let mut at = digits;
+        let mut value: i64 = 0;
+        while let Some(d) = bytes.get(at).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            // Wraps only past 18 digits, where the value is not used.
+            value = value.wrapping_mul(10).wrapping_add(i64::from(d));
+            at += 1;
         }
+        self.pos = at;
+        if (1..=18).contains(&(at - digits))
+            && !matches!(bytes.get(at), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            return Ok(Number::Int(if negative { -value } else { value }));
+        }
+        self.number_tail(start)
+    }
+
+    /// The rest of the literal that starts at `start`, when it is not a
+    /// short integer: scanned on from the current offset, then classified
+    /// by `str::parse`.
+    fn number_tail(&mut self, start: usize) -> Result<Number, JsonError> {
         let mut is_float = false;
         while let Some(b) = self.byte() {
             match b {
@@ -548,6 +599,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Advance over string bytes that stand for themselves.
+    #[inline(always)]
     fn plain_run(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(b) = self.byte() {
@@ -562,6 +614,7 @@ impl<'a> Reader<'a> {
 
     /// Read a string. It borrows from the input when no escape occurs in
     /// it, and is built up in a `String` otherwise.
+    #[inline(always)]
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.next_token();
         self.expect(b'"')?;
@@ -570,6 +623,12 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             return Ok(Cow::Borrowed(head));
         }
+        self.escaped_string(head)
+    }
+
+    /// The rest of a string whose plain head ends at an escape (or at a
+    /// byte that is an error), built up in a `String`.
+    fn escaped_string(&mut self, head: &str) -> Result<Cow<'a, str>, JsonError> {
         let mut out = head.to_string();
         self.string_tail(Some(&mut out))?;
         Ok(Cow::Owned(out))
@@ -662,15 +721,18 @@ impl<'a> Reader<'a> {
     }
 
     /// Enter an array; step it with [`next_element`](Reader::next_element).
+    #[inline(always)]
     pub fn begin_array(&mut self) -> Result<(), JsonError> {
         self.begin(b'[')
     }
 
     /// Enter an object; step it with [`next_key`](Reader::next_key).
+    #[inline(always)]
     pub fn begin_object(&mut self) -> Result<(), JsonError> {
         self.begin(b'{')
     }
 
+    #[inline(always)]
     fn begin(&mut self, open: u8) -> Result<(), JsonError> {
         self.next_token();
         self.expect(open)?;
@@ -682,6 +744,7 @@ impl<'a> Reader<'a> {
     /// Step the innermost container: `true` when another element follows
     /// (the separating comma, if any, is consumed), `false` when `close`
     /// was consumed and the container is left.
+    #[inline(always)]
     fn step(&mut self, close: u8, expected: &str) -> Result<bool, JsonError> {
         let next = self.next_token();
         if next == Some(close) {
@@ -701,6 +764,7 @@ impl<'a> Reader<'a> {
 
     /// Is there another element in the array entered last? When `true`,
     /// the element is next to be read; when `false`, the array is closed.
+    #[inline(always)]
     pub fn next_element(&mut self) -> Result<bool, JsonError> {
         self.step(b']', "expected ',' or ']'")
     }
@@ -708,10 +772,12 @@ impl<'a> Reader<'a> {
     /// The next key of the object entered last, its `:` consumed and its
     /// value next to be read; `None` once the object is closed. Keys come
     /// in document order, duplicates included.
+    #[inline(always)]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         self.key_with(Reader::string)
     }
 
+    #[inline(always)]
     fn key_with<K>(
         &mut self,
         read: impl FnOnce(&mut Reader<'a>) -> Result<K, JsonError>,
@@ -903,9 +969,12 @@ mod tests {
             ("tru", 0, "expected 'true'"),
             ("fals", 0, "expected 'false'"),
             ("-", 1, "malformed number"),
+            ("-x", 1, "malformed number"),
+            ("--1", 3, "malformed number"),
             ("1e", 2, "malformed number"),
             ("1+2", 3, "malformed number"),
             ("[1e999]", 6, "number out of range"),
+            (&"9".repeat(400), 400, "number out of range"),
             ("1 2", 2, "trailing characters after the document"),
             ("[1 2]", 3, "expected ',' or ']'"),
             ("[1,]", 3, "unexpected character"),
@@ -1081,11 +1150,12 @@ mod tests {
         }
     }
 
-    /// Number literals of every size: up to 400 digits, a fraction, an
-    /// exponent out to ±999 — wrapped in a document or not.
-    fn arb_number_text(rng: &mut TestRng) -> String {
-        let digits = |rng: &mut TestRng, most: usize| -> String {
-            (0..1 + rng.below(most))
+    /// A number literal of any size: up to 400 digits (17–20, about a
+    /// half of them led by a `9`, in one draw of five: where an integer
+    /// stops fitting `i64`), a fraction, an exponent out to ±999.
+    fn arb_number_literal(rng: &mut TestRng) -> String {
+        let digits = |rng: &mut TestRng, count: usize| -> String {
+            (0..count)
                 .map(|_| char::from(b'0' + rng.below(10) as u8))
                 .collect()
         };
@@ -1093,21 +1163,117 @@ mod tests {
         if rng.chance(0.5) {
             text.push('-');
         }
-        let most = if rng.chance(0.2) { 400 } else { 25 };
-        text.push_str(&digits(rng, most));
+        let count = match rng.below(5) {
+            0 => 1 + rng.below(400),
+            1 => {
+                if rng.chance(0.5) {
+                    text.push('9');
+                    16 + rng.below(4)
+                } else {
+                    17 + rng.below(4)
+                }
+            }
+            _ => 1 + rng.below(25),
+        };
+        text.push_str(&digits(rng, count));
         if rng.chance(0.4) {
             text.push('.');
-            text.push_str(&digits(rng, 25));
+            let count = 1 + rng.below(25);
+            text.push_str(&digits(rng, count));
         }
         if rng.chance(0.6) {
             text.push(['e', 'E'][rng.below(2)]);
             text.push_str(["", "+", "-"][rng.below(3)]);
             text.push_str(&rng.below(1000).to_string());
         }
+        text
+    }
+
+    /// A number literal, wrapped in a document or not.
+    fn arb_number_text(rng: &mut TestRng) -> String {
+        let text = arb_number_literal(rng);
         match rng.below(3) {
             0 => text,
             1 => format!("[1,{text}]"),
             _ => format!("{{\"value\":{text}}}"),
+        }
+    }
+
+    /// What [`Reader::number`] must make of a bare literal, said with
+    /// `str::parse` alone: an `Int` exactly when nothing but digits follows
+    /// the sign and `i64` takes it, a `Float` exactly when `f64` takes it
+    /// as a finite value, and otherwise the error at the literal's end.
+    /// Floats compare by their bits, so `-0.0` is not `0.0`.
+    fn number_by_str_parse(text: &str) -> Result<(bool, u64), JsonError> {
+        let unsigned = text.strip_prefix('-').unwrap_or(text);
+        if !unsigned.contains(['.', 'e', 'E', '+', '-']) {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok((false, i as u64));
+            }
+        }
+        let message = match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => return Ok((true, f.to_bits())),
+            Ok(_) => "number out of range",
+            Err(_) => "malformed number",
+        };
+        Err(JsonError {
+            at: text.len(),
+            message: message.to_string(),
+        })
+    }
+
+    fn check_number(text: &str) -> Result<(), TestCaseError> {
+        let mut r = Reader::new(text);
+        let read = r.number().and_then(|n| r.end().map(|()| n));
+        let read = read.map(|n| match n {
+            Number::Int(i) => (false, i as u64),
+            Number::Float(f) => (true, f.to_bits()),
+        });
+        let want = number_by_str_parse(text);
+        prop_assert_eq!(&read, &want, "{text:?}: read {read:?}, str::parse {want:?}");
+        Ok(())
+    }
+
+    #[test]
+    fn numbers_at_the_edges_read_as_str_parse_reads_them() {
+        let table = [
+            "999999999999999999",
+            "-999999999999999999",
+            "123456789012345678",
+            "1000000000000000000",
+            "-1000000000000000000",
+            "9999999999999999999",
+            "10000000000000000000",
+            "-99999999999999999999",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "0",
+            "-0",
+            "007",
+            "-007",
+            "-",
+            "--1",
+            "1-",
+            "1e",
+            "1.",
+            "12.",
+            "12e",
+            "12E",
+            "12+",
+            "12-",
+            "12.5",
+            "12e5",
+            "12E5",
+            "12+5",
+            "12-5",
+            "999999999999999999.0",
+            "999999999999999999e0",
+            "-999999999999999999-",
+        ];
+        for text in table {
+            check_number(text).unwrap();
         }
     }
 
@@ -1122,7 +1288,29 @@ mod tests {
         }
     }
 
+    #[derive(Debug, Clone, Copy)]
+    struct ArbNumberLiterals;
+
+    impl Strategy for ArbNumberLiterals {
+        type Value = Vec<String>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<String> {
+            (0..64).map(|_| arb_number_literal(rng)).collect()
+        }
+    }
+
     proptest! {
+        /// The lexer classifies and values every number literal as
+        /// `str::parse` does ([`number_by_str_parse`]) — an oracle that
+        /// shares no code with it, where `request_lines.rs` compares two
+        /// consumers of the one lexer.
+        #[test]
+        fn numbers_read_as_str_parse_reads_them(texts in ArbNumberLiterals) {
+            for text in &texts {
+                check_number(text)?;
+            }
+        }
+
         /// Whatever `parse` accepts can be sent back out: no literal
         /// becomes a NaN or an infinity on the way in.
         #[test]

@@ -30,7 +30,7 @@ use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
 use ged_core::Literal;
-use ged_graph::{sym, Delta, DeltaSet, NodeId, Symbol, Value};
+use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -169,14 +169,15 @@ impl Request {
     /// `None`, and the caller runs them on the same line for the error to
     /// reply with, so this path owns no message text.
     ///
-    /// One walk of the line with the shared [`Reader`]: a delta is a few
-    /// scalar slots filled in whatever order its keys come (a repeated key
-    /// overwrites, as [`Json::get`] takes the last) and read at its `}`;
-    /// fields the codec does not know are skipped, their syntax checked
-    /// all the same. The request exists only once the last byte of the
-    /// line has been accepted. Names of deltas decoded before a line
-    /// turned out bad stay interned, as they do when `from_json` stops at
-    /// a bad delta.
+    /// One walk of the line with the shared [`Reader`]: a delta is its
+    /// fields — the op's name, ids read to `u32`, names and the value
+    /// borrowed from the line — filled in whatever order its keys come (a
+    /// repeated key overwrites, as [`Json::get`] takes the last) and built
+    /// at its `}`; fields the codec does not know are skipped, their
+    /// syntax checked all the same. The request exists only once the last
+    /// byte of the line has been accepted. Names of deltas decoded before
+    /// a line turned out bad stay interned, as they do when `from_json`
+    /// stops at a bad delta.
     pub fn from_line(line: &str) -> Option<Request> {
         let mut r = Reader::new(line);
         let request = read_request(&mut r).ok()??;
@@ -185,63 +186,62 @@ impl Request {
     }
 }
 
-/// A field's value as [`Request::from_line`] keeps it until the object
-/// closes: the scalars the codec reads, borrowed from the line where they
-/// can be.
-#[derive(Default)]
-enum Slot<'a> {
-    /// Absent, `null`, or a container: nothing any field is decoded from.
-    #[default]
-    Unread,
+/// The value of a `value` key as [`Request::from_line`] keeps it until the
+/// delta closes: a scalar, borrowed from the line where it can be.
+enum Scalar<'a> {
     Bool(bool),
     Int(i64),
     Float(f64),
     Str(Cow<'a, str>),
 }
 
-impl<'a> Slot<'a> {
-    /// Read the value that comes next, whatever it is.
-    fn read(r: &mut Reader<'a>) -> Result<Slot<'a>, JsonError> {
-        Ok(match r.peek()? {
-            Kind::Bool => Slot::Bool(r.boolean()?),
-            Kind::Number => match r.number()? {
-                Number::Int(i) => Slot::Int(i),
-                Number::Float(f) => Slot::Float(f),
-            },
-            Kind::Str => Slot::Str(r.string()?),
-            Kind::Null | Kind::Arr | Kind::Obj => {
-                r.skip_value()?;
-                Slot::Unread
-            }
-        })
-    }
-
-    /// As [`node_from_json`] reads it.
-    fn node(&self) -> Option<NodeId> {
-        match self {
-            Slot::Int(i) => u32::try_from(*i).ok().map(NodeId),
-            _ => None,
-        }
-    }
-
-    /// A label or attribute name, interned.
-    fn name(&self) -> Option<Symbol> {
-        match self {
-            Slot::Str(s) => Some(sym(s)),
-            _ => None,
-        }
-    }
-
+impl Scalar<'_> {
     /// As [`value_from_json`] reads it.
-    fn value(self) -> Option<Value> {
+    fn value(self) -> Value {
         match self {
-            Slot::Unread => None,
-            Slot::Bool(b) => Some(Value::Bool(b)),
-            Slot::Int(i) => Some(Value::Int(i)),
-            Slot::Float(f) => Some(Value::Float(f)),
-            Slot::Str(s) => Some(Value::Str(s.into_owned())),
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Str(s) => Value::Str(s.into_owned()),
         }
     }
+}
+
+/// The value that comes next if it is a scalar; `null` and containers,
+/// which no field is decoded from, are skipped.
+fn read_scalar<'a>(r: &mut Reader<'a>) -> Result<Option<Scalar<'a>>, JsonError> {
+    Ok(Some(match r.peek()? {
+        Kind::Bool => Scalar::Bool(r.boolean()?),
+        Kind::Number => match r.number()? {
+            Number::Int(i) => Scalar::Int(i),
+            Number::Float(f) => Scalar::Float(f),
+        },
+        Kind::Str => Scalar::Str(r.string()?),
+        Kind::Null | Kind::Arr | Kind::Obj => {
+            r.skip_value()?;
+            return Ok(None);
+        }
+    }))
+}
+
+/// The value that comes next if it is a string; any other is skipped.
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if r.peek()? == Kind::Str {
+        return r.string().map(Some);
+    }
+    r.skip_value().map(|()| None)
+}
+
+/// The value that comes next if it is a node id as [`node_from_json`]
+/// reads one (an integer in `0..=u32::MAX`); any other is skipped.
+fn read_node(r: &mut Reader<'_>) -> Result<Option<NodeId>, JsonError> {
+    if r.peek()? == Kind::Number {
+        return Ok(match r.number()? {
+            Number::Int(i) => u32::try_from(i).ok().map(NodeId),
+            Number::Float(_) => None,
+        });
+    }
+    r.skip_value().map(|()| None)
 }
 
 /// The request in the document `r` is at the start of. `Err` is a syntax
@@ -253,16 +253,16 @@ fn read_request(r: &mut Reader<'_>) -> Result<Option<Request>, JsonError> {
         return Ok(None);
     }
     r.begin_object()?;
-    let mut cmd = Slot::default();
+    let mut cmd = None;
     let mut deltas = None;
     while let Some(key) = r.next_key()? {
-        match &*key {
-            "cmd" => cmd = Slot::read(r)?,
-            "deltas" => deltas = read_deltas(r)?,
+        match key.as_bytes() {
+            b"cmd" => cmd = read_str(r)?,
+            b"deltas" => deltas = read_deltas(r)?,
             _ => r.skip_value()?,
         }
     }
-    let Slot::Str(cmd) = cmd else {
+    let Some(cmd) = cmd else {
         return Ok(None);
     };
     Ok(match &*cmd {
@@ -294,59 +294,61 @@ fn read_deltas(r: &mut Reader<'_>) -> Result<Option<Vec<Delta>>, JsonError> {
 }
 
 /// One element of `deltas`; `Ok(None)` where [`delta_from_json`] refuses.
+///
+/// Each field keeps what it could be decoded from, or `None`, in
+/// whatever order the keys come: a repeated key overwrites, as
+/// [`Json::get`] takes the last. Names are interned only once the object
+/// has closed.
 fn read_delta(r: &mut Reader<'_>) -> Result<Option<Delta>, JsonError> {
     if r.peek()? != Kind::Obj {
         r.skip_value()?;
         return Ok(None);
     }
     r.begin_object()?;
-    let [mut op, mut node, mut src, mut dst, mut label, mut attr, mut value]: [Slot; 7] =
-        Default::default();
+    let (mut op, mut node, mut src, mut dst) = (None, None, None, None);
+    let (mut label, mut attr, mut value) = (None, None, None);
     while let Some(key) = r.next_key()? {
-        let slot = match &*key {
-            "op" => &mut op,
-            "node" => &mut node,
-            "src" => &mut src,
-            "dst" => &mut dst,
-            "label" => &mut label,
-            "attr" => &mut attr,
-            "value" => &mut value,
-            _ => {
-                r.skip_value()?;
-                continue;
-            }
-        };
-        *slot = Slot::read(r)?;
+        match key.as_bytes() {
+            b"op" => op = read_str(r)?,
+            b"node" => node = read_node(r)?,
+            b"src" => src = read_node(r)?,
+            b"dst" => dst = read_node(r)?,
+            b"label" => label = read_str(r)?,
+            b"attr" => attr = read_str(r)?,
+            b"value" => value = read_scalar(r)?,
+            _ => r.skip_value()?,
+        }
     }
-    let Slot::Str(op) = op else {
+    let Some(op) = op else {
         return Ok(None);
     };
+    let name = |name: Option<Cow<'_, str>>| name.map(|name| sym(&name));
     // Fields in the order `delta_from_json` asks for them, so a delta it
     // refuses halfway has interned the same names here.
     let delta = || {
         Some(match &*op {
             "add_node" => Delta::AddNode {
-                label: label.name()?,
+                label: name(label)?,
             },
-            "remove_node" => Delta::RemoveNode { node: node.node()? },
+            "remove_node" => Delta::RemoveNode { node: node? },
             "add_edge" => Delta::AddEdge {
-                src: src.node()?,
-                label: label.name()?,
-                dst: dst.node()?,
+                src: src?,
+                label: name(label)?,
+                dst: dst?,
             },
             "remove_edge" => Delta::RemoveEdge {
-                src: src.node()?,
-                label: label.name()?,
-                dst: dst.node()?,
+                src: src?,
+                label: name(label)?,
+                dst: dst?,
             },
             "set_attr" => Delta::SetAttr {
-                node: node.node()?,
-                attr: attr.name()?,
-                value: value.value()?,
+                node: node?,
+                attr: name(attr)?,
+                value: value?.value(),
             },
             "del_attr" => Delta::DelAttr {
-                node: node.node()?,
-                attr: attr.name()?,
+                node: node?,
+                attr: name(attr)?,
             },
             _ => return None,
         })

@@ -124,7 +124,7 @@ pub fn read_line<'b>(
                     Err(WireError::Truncated)
                 };
             }
-            match available.iter().position(|b| *b == b'\n') {
+            match find_newline(available) {
                 Some(i) => {
                     buf.extend_from_slice(&available[..i]);
                     r.consume(i + 1);
@@ -162,10 +162,53 @@ pub fn read_line<'b>(
         .map_err(|_| WireError::Malformed("frame is not UTF-8".to_string()))
 }
 
+/// Where the first `\n` in `bytes` is. A bulk frame is tens of kilobytes
+/// with one newline at its end, so the search tests eight bytes at once
+/// for a newline among them (`word - 0x01…01 & !word & 0x80…80` is nonzero
+/// exactly when `word` has a zero byte), then finds it in the rest.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut clean = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let word = u64::from_ne_bytes(chunk.try_into().expect("eight bytes")) ^ NEWLINES;
+        if word.wrapping_sub(ONES) & !word & HIGHS != 0 {
+            break;
+        }
+        clean += 8;
+    }
+    bytes[clean..]
+        .iter()
+        .position(|b| *b == b'\n')
+        .map(|i| clean + i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    #[test]
+    fn the_newline_search_finds_the_first_newline_wherever_it_is() {
+        // Every length across three words, a newline at every offset or
+        // none, among bytes one bit away from `\n` and high bytes.
+        for len in 0..=24 {
+            for newline in (0..len).map(Some).chain([None]) {
+                for filler in [b'a', b'\n' ^ 1, b'\n' ^ 0x80, 0x8a, 0xff, 0] {
+                    let mut bytes = vec![filler; len];
+                    if let Some(at) = newline {
+                        bytes[at] = b'\n';
+                        if at + 3 < len {
+                            bytes[at + 3] = b'\n';
+                        }
+                    }
+                    let expected = bytes.iter().position(|b| *b == b'\n');
+                    assert_eq!(find_newline(&bytes), expected, "{bytes:?}");
+                }
+            }
+        }
+    }
 
     fn read_all(input: &[u8], cap: usize) -> Vec<Result<Option<Json>, WireError>> {
         let mut r = BufReader::new(input);
