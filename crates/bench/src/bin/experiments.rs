@@ -1018,7 +1018,7 @@ fn exp_daemon() {
     let probe = graph.nodes().next().expect("non-empty graph");
     let handle = spawn(graph, sigma, &DaemonConfig::default()).expect("spawn gedd");
     let view = handle.view();
-    let witnesses = view.violation_count();
+    let witnesses = view.snapshot().violation_count();
     let mut in_process: Vec<std::time::Duration> = (0..200)
         .map(|_| {
             let t0 = std::time::Instant::now();

@@ -152,9 +152,9 @@ struct ConnCtx {
 
 /// Start a daemon serving `sigma` over `graph` on `config.addr`.
 ///
-/// The validator is seeded (initial full validation) and its read views
-/// are activated before the listener opens, so the first query ever
-/// answered already sees epoch 0 = the loaded graph.
+/// The validator is seeded (initial full validation), which publishes
+/// epoch 0 = the loaded graph, before the listener opens, so the first
+/// query ever answered already sees it.
 pub fn spawn(
     graph: Graph,
     sigma: Vec<SigmaConstraint>,

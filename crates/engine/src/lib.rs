@@ -97,7 +97,7 @@ pub mod validator;
 pub mod view;
 
 pub use footprint::Footprint;
-pub use metrics::{EngineMetrics, MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
+pub use metrics::{MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
 pub use store::ViolationStore;
 pub use unit::rule_plan;
 pub use validator::{ApplyStats, DeployAnalysis, IncrementalValidator};

@@ -2,22 +2,24 @@
 //! batch trace ring — the observability layer of the incremental
 //! validator (DESIGN.md §6).
 //!
-//! One [`EngineMetrics`] registry lives inside each
+//! One `EngineMetrics` registry lives inside each
 //! [`IncrementalValidator`](crate::IncrementalValidator) and is shared
-//! with its read views: one plain `Tally` behind one `Mutex`. Only the
-//! writer writes it, once per batch:
+//! with its read views: the [`MetricsSnapshot`] it serves and the trace
+//! ring, behind one `Mutex`. Only the writer writes it, once per batch:
 //!
 //! * during a pass the writer fills its own `BatchTally` with no
 //!   synchronisation at all — one clock read per phase boundary and one
 //!   per work unit (a unit ends where the next one starts), per-rule
 //!   counters, the unit-latency histogram;
 //! * at the end of the batch `EngineMetrics::fold` takes the lock once
-//!   to add the batch in, push its trace entry and set the store gauges.
-//!   It runs before the batch is published, so a reader never sees
-//!   `batches` behind the epoch it reads. The publish is timed after it
-//!   and recorded under a second short lock, only while views are active;
-//! * a reader locks, clones the tally, and builds its
-//!   [`MetricsSnapshot`] after releasing the lock.
+//!   to add the batch into the served snapshot, push its trace entry and
+//!   set the store gauges. It runs before the batch is published, so a
+//!   reader never sees `batches` behind the epoch it reads. The publish
+//!   is timed after it and recorded under a second short lock;
+//! * a reader locks, clones the served snapshot and fills in the gauges
+//!   that live elsewhere: the trace from the ring, the reader count and
+//!   the published epoch from the views. Lock order is the registry,
+//!   then the front; the writer never holds both.
 //!
 //! The lock is never held across a work unit, the publish, or a
 //! read-view operation. The whole layer is gated on the writer's one
@@ -60,8 +62,7 @@ pub enum Phase {
     /// batch's churn.
     StoreInsert,
     /// Publishing the batch-boundary snapshot for the read views
-    /// (changelog replay + epoch swap; only timed while views are
-    /// active).
+    /// (changelog replay + epoch swap).
     SnapshotPublish,
 }
 
@@ -172,71 +173,49 @@ impl BatchTally {
     }
 }
 
-/// Everything the registry counts, as plain numbers: the one value its
-/// lock guards.
-#[derive(Debug, Clone)]
-struct Tally {
-    enabled: bool,
-    batches: u64,
-    deltas_applied: u64,
-    touched_nodes: u64,
-    witnesses_dropped: u64,
-    witnesses_removed: u64,
-    witnesses_added: u64,
-    witnesses_retained: u64,
-    store_size: u64,
-    store_slab_slots: u64,
-    phases: [Histogram; 7],
-    unit_latency: Histogram,
-    rules: Vec<RuleRow>,
-    trace: TraceRing<ApplyStats>,
-}
-
-/// The engine's metrics registry: enabled flag, batch counters, store
-/// gauges, phase latency histograms, per-rule attribution, and the batch
-/// trace ring, in one tally behind one lock.
+/// The engine's metrics registry: the [`MetricsSnapshot`] it serves —
+/// enabled flag, batch counters, store gauges, phase latency histograms,
+/// per-rule attribution — beside the batch trace ring, behind one lock.
 ///
-/// The validator owns the registry and exposes the snapshot via
+/// The validator owns the registry and serves the snapshot via
 /// [`IncrementalValidator::metrics`](crate::IncrementalValidator::metrics).
 /// Cloning copies the current values into an independent registry, so a
 /// cloned validator does not share tallies with its original.
 #[derive(Debug)]
-pub struct EngineMetrics {
-    names: Vec<String>,
-    tally: Mutex<Tally>,
-}
+pub(crate) struct EngineMetrics(Mutex<Registry>);
+
+/// What the registry's lock guards: the snapshot it serves and the trace
+/// ring beside it.
+type Registry = (MetricsSnapshot, TraceRing<ApplyStats>);
 
 impl EngineMetrics {
     /// A fresh registry for the rule set Σ, enabled by default.
     pub(crate) fn for_sigma<C: Constraint>(sigma: &[C]) -> EngineMetrics {
-        EngineMetrics {
-            names: sigma.iter().map(|c| c.name().to_string()).collect(),
-            tally: Mutex::new(Tally {
-                enabled: true,
-                batches: 0,
-                deltas_applied: 0,
-                touched_nodes: 0,
-                witnesses_dropped: 0,
-                witnesses_removed: 0,
-                witnesses_added: 0,
-                witnesses_retained: 0,
-                store_size: 0,
-                store_slab_slots: 0,
-                phases: Default::default(),
-                unit_latency: Histogram::new(),
-                rules: vec![RuleRow::default(); sigma.len()],
-                trace: TraceRing::new(TRACE_CAPACITY),
-            }),
-        }
+        let rule = |c: &C| RuleSnapshot {
+            name: c.name().to_string(),
+            ..RuleSnapshot::default()
+        };
+        let served = MetricsSnapshot {
+            enabled: true,
+            phases: Phase::ALL
+                .map(|phase| PhaseSnapshot {
+                    phase,
+                    latency: Histogram::new(),
+                })
+                .into(),
+            rules: sigma.iter().map(rule).collect(),
+            ..MetricsSnapshot::default()
+        };
+        EngineMetrics(Mutex::new((served, TraceRing::new(TRACE_CAPACITY))))
     }
 
-    fn lock(&self) -> MutexGuard<'_, Tally> {
-        self.tally.lock().expect("metrics registry poisoned")
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.0.lock().expect("metrics registry poisoned")
     }
 
     /// Record the writer's flag, for snapshots to report.
     pub(crate) fn set_enabled(&self, on: bool) {
-        self.lock().enabled = on;
+        self.lock().0.enabled = on;
     }
 
     /// Fold the writer's pass into the registry under one lock, then zero
@@ -258,34 +237,33 @@ impl EngineMetrics {
             Some(_) => Phase::DeltaApply as usize..=Phase::StoreInsert as usize,
             None => Phase::Seeding as usize..=Phase::Seeding as usize,
         };
-        let mut t = self.lock();
+        let (m, trace) = &mut *self.lock();
         for p in phases {
-            t.phases[p].record_ns(pass.phase_ns[p]);
+            m.phases[p].latency.record_ns(pass.phase_ns[p]);
         }
-        for (row, local) in t.rules.iter_mut().zip(&pass.rules) {
-            row.attempts += local.attempts;
+        for (row, local) in m.rules.iter_mut().zip(&pass.rules) {
+            row.match_attempts += local.attempts;
             row.prefilter_rejects += local.prefilter_rejects;
-            row.found += local.found;
-            row.violations += local.violations;
+            row.matches_found += local.found;
+            row.violations_found += local.violations;
             row.seed_ns += local.seed_ns;
             row.reenum_ns += local.reenum_ns;
         }
         for &ns in &pass.unit_ns {
-            t.unit_latency.record_ns(ns);
+            m.unit_latency.record_ns(ns);
         }
-        t.store_size = store.total() as u64;
-        t.store_slab_slots = store.slab_len() as u64;
+        m.store_size = store.total() as u64;
+        m.store_slab_slots = store.slab_len() as u64;
         if let Some((stats, dropped)) = batch {
-            t.batches += 1;
-            t.deltas_applied += stats.deltas_applied as u64;
-            t.touched_nodes += stats.touched_nodes as u64;
-            t.witnesses_dropped += dropped as u64;
-            t.witnesses_removed += stats.violations_removed as u64;
-            t.witnesses_added += stats.violations_added as u64;
-            t.witnesses_retained += stats.violations_retained as u64;
-            t.trace.push(stats.clone());
+            m.batches += 1;
+            m.deltas_applied += stats.deltas_applied as u64;
+            m.touched_nodes += stats.touched_nodes as u64;
+            m.witnesses_dropped += dropped as u64;
+            m.witnesses_removed += stats.violations_removed as u64;
+            m.witnesses_added += stats.violations_added as u64;
+            m.witnesses_retained += stats.violations_retained as u64;
+            trace.push(stats.clone());
         }
-        drop(t);
         pass.phase_ns = [0; 7];
         pass.rules.fill(RuleRow::default());
         pass.unit_ns.clear();
@@ -295,81 +273,42 @@ impl EngineMetrics {
     /// snapshot-publish sample.
     pub(crate) fn record_publish(&self, pass: &mut BatchTally) {
         if let Some(ns) = pass.elapsed_ns() {
-            self.lock().phases[Phase::SnapshotPublish as usize].record_ns(ns);
+            let phase = &mut self.lock().0.phases[Phase::SnapshotPublish as usize];
+            phase.latency.record_ns(ns);
         }
-    }
-
-    /// The retained batch trace, oldest first, as `(batch id, stats)`.
-    pub fn trace(&self) -> Vec<(u64, ApplyStats)> {
-        self.lock().trace.recent()
     }
 
     /// An RAII guard that dumps the batch trace to stderr if the scope
     /// unwinds — the "last N batches on panic" story of the trace ring.
     pub(crate) fn dump_trace_on_panic(&self) -> TraceDumpOnPanic<'_> {
-        TraceDumpOnPanic(self)
+        TraceDumpOnPanic(&self.0)
     }
 
-    /// Aggregate the registry into an immutable [`MetricsSnapshot`]. The
-    /// reader count and the published epoch are read where they live, in
-    /// the validator's `views`, under the registry's lock: the writer
-    /// folds a batch in before publishing it, so the epoch never runs
-    /// ahead of the `batches` it is read with.
+    /// The served snapshot, with the gauges that live elsewhere filled in
+    /// under the registry's lock: the trace from the ring, the reader
+    /// count and the published epoch from the validator's `views`. The
+    /// writer folds a batch in before publishing it, so the epoch never
+    /// runs ahead of the `batches` it is read with.
     pub(crate) fn snapshot(&self, views: &SharedViews) -> MetricsSnapshot {
-        let (t, read_views, published_epoch) = {
-            let t = self.lock();
-            (t.clone(), views.readers(), views.epoch())
-        };
+        let (served, trace) = &*self.lock();
         MetricsSnapshot {
-            enabled: t.enabled,
-            batches: t.batches,
-            deltas_applied: t.deltas_applied,
-            touched_nodes: t.touched_nodes,
-            witnesses_dropped: t.witnesses_dropped,
-            witnesses_removed: t.witnesses_removed,
-            witnesses_added: t.witnesses_added,
-            witnesses_retained: t.witnesses_retained,
-            store_size: t.store_size,
-            store_slab_slots: t.store_slab_slots,
-            read_views,
-            published_epoch,
-            phases: Phase::ALL
-                .into_iter()
-                .zip(t.phases)
-                .map(|(phase, latency)| PhaseSnapshot { phase, latency })
-                .collect(),
-            unit_latency: t.unit_latency,
-            rules: self
-                .names
-                .iter()
-                .zip(t.rules)
-                .map(|(name, r)| RuleSnapshot {
-                    name: name.clone(),
-                    match_attempts: r.attempts,
-                    prefilter_rejects: r.prefilter_rejects,
-                    matches_found: r.found,
-                    violations_found: r.violations,
-                    seed_ns: r.seed_ns,
-                    reenum_ns: r.reenum_ns,
-                })
-                .collect(),
-            trace: t.trace.recent(),
+            read_views: views.readers(),
+            published_epoch: views.epoch(),
+            trace: trace.recent(),
+            ..served.clone()
         }
     }
 }
 
 impl Clone for EngineMetrics {
     fn clone(&self) -> EngineMetrics {
-        EngineMetrics {
-            names: self.names.clone(),
-            tally: Mutex::new(self.lock().clone()),
-        }
+        EngineMetrics(Mutex::new(self.lock().clone()))
     }
 }
 
 /// Dumps the batch trace to stderr if dropped while panicking; see
 /// [`EngineMetrics::dump_trace_on_panic`].
-pub(crate) struct TraceDumpOnPanic<'a>(&'a EngineMetrics);
+pub(crate) struct TraceDumpOnPanic<'a>(&'a Mutex<Registry>);
 
 impl Drop for TraceDumpOnPanic<'_> {
     fn drop(&mut self) {
@@ -378,12 +317,11 @@ impl Drop for TraceDumpOnPanic<'_> {
         }
         // A panic inside the fold poisons the lock; the ring is still
         // whole between pushes, so dump what it holds.
-        let t = self.0.tally.lock().unwrap_or_else(PoisonError::into_inner);
-        let recent = t.trace.recent();
+        let registry = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let (recent, pushed) = (registry.1.recent(), registry.1.total_pushed());
         eprintln!(
-            "engine panic: last {} of {} apply batch(es):",
-            recent.len(),
-            t.trace.total_pushed()
+            "engine panic: last {} of {pushed} apply batch(es):",
+            recent.len()
         );
         for (seq, stats) in recent {
             eprintln!("  batch {seq}: {stats}");
@@ -401,7 +339,7 @@ pub struct PhaseSnapshot {
 }
 
 /// One rule's cost attribution in a [`MetricsSnapshot`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleSnapshot {
     /// The constraint's name.
     pub name: String,
@@ -427,7 +365,7 @@ pub struct RuleSnapshot {
 /// [`IncrementalValidator::metrics`](crate::IncrementalValidator::metrics)
 /// returns. Human-readable via `Display`, machine-readable via
 /// [`MetricsSnapshot::to_json`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Was instrumentation enabled when the snapshot was taken?
     pub enabled: bool,
@@ -452,8 +390,7 @@ pub struct MetricsSnapshot {
     /// Live [`ReadView`](crate::ReadView) handles right now (gauge).
     pub read_views: u64,
     /// Epoch of the most recently published read-view snapshot — the
-    /// number of batches published since view activation (gauge; 0 while
-    /// no view was ever created).
+    /// number of batches published since construction (gauge).
     pub published_epoch: u64,
     /// Latency distribution per pipeline phase, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSnapshot>,

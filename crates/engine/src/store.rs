@@ -243,11 +243,6 @@ impl ViolationStore {
         self.slots.len()
     }
 
-    /// Number of freed slab slots awaiting reuse.
-    pub fn free_len(&self) -> usize {
-        self.free.len()
-    }
-
     /// Number of stored witnesses whose image contains `node` — an
     /// inverted-index lookup, O(1) in the store size.
     pub fn count_at(&self, node: NodeId) -> usize {
@@ -363,7 +358,7 @@ impl ViolationStore {
         maps.flat_map(|(ci, map)| map.iter().map(move |(m, kind)| (ci, m, kind)))
     }
 
-    /// The live table: what view activation copies, once.
+    /// The live table: what a new view set copies as its epoch 0.
     pub(crate) fn table(&self) -> &Witnesses {
         &self.table
     }

@@ -149,18 +149,17 @@ pub struct IncrementalValidator<C: Constraint> {
     /// pass fills and [`EngineMetrics`] folds in — it also holds the
     /// metrics switch — and the matcher's candidate buffers.
     worker: (BatchTally, MatchScratch),
-    /// The slot shared with every [`ReadView`]: front snapshot, epoch
-    /// counter, reader count. Lazily activated by the first
-    /// [`read_view`](IncrementalValidator::read_view) call; until then
-    /// the delta path skips all publish work.
+    /// The slot shared with every [`ReadView`]: the published snapshot
+    /// (and with it the epoch) and the reader count. Epoch 0 is published
+    /// at construction, and every store-changing batch publishes the next.
     views: Arc<SharedViews>,
 }
 
 /// A cloned validator is an independent fork: it deep-copies the graph,
 /// store, and metrics registry (tallies diverge from the clone point) and
-/// starts with a fresh work-unit state and a *fresh, inactive* view set —
-/// [`ReadView`]s of the original keep reading the original, never the
-/// clone.
+/// starts with a fresh work-unit state and its own view set, whose epoch 0
+/// is the state at the clone — [`ReadView`]s of the original keep reading
+/// the original, never the clone.
 impl<C: Constraint> Clone for IncrementalValidator<C> {
     fn clone(&self) -> IncrementalValidator<C> {
         IncrementalValidator {
@@ -177,7 +176,7 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
                 BatchTally::new(self.sigma.len(), self.metrics_enabled()),
                 MatchScratch::new(),
             ),
-            views: Arc::default(),
+            views: Arc::new(SharedViews::new(self.store.table().clone())),
         }
     }
 }
@@ -215,6 +214,7 @@ impl<C: Constraint> IncrementalValidator<C> {
         metrics.fold(&mut worker.0, None, &store);
         IncrementalValidator {
             graph,
+            views: Arc::new(SharedViews::new(store.table().clone())),
             store,
             metrics: Arc::new(metrics),
             analysis: None,
@@ -224,7 +224,6 @@ impl<C: Constraint> IncrementalValidator<C> {
             seeds: Seeds::for_sigma(&sigma),
             sigma: Arc::new(sigma),
             worker,
-            views: Arc::default(),
         }
     }
 
@@ -326,13 +325,6 @@ impl<C: Constraint> IncrementalValidator<C> {
         self.worker.0.enabled
     }
 
-    /// The recent apply batches retained by the event-trace ring buffer,
-    /// oldest first, as `(batch id, stats)` — the same trace that is
-    /// dumped to stderr when the maintenance path panics.
-    pub fn trace(&self) -> Vec<(u64, ApplyStats)> {
-        self.metrics.trace()
-    }
-
     /// The current graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -365,20 +357,18 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// Create a snapshot-isolated read view: a cloneable `Send + Sync`
-    /// handle whose queries (`violations()`, `to_report()`, `metrics()` —
-    /// all `&self`) answer against the snapshot published at the last
-    /// batch boundary. Hand clones to as many concurrent readers as needed
-    /// while the single writer keeps calling
+    /// handle whose [`snapshot`](ReadView::snapshot) pins the state
+    /// published at the last batch boundary. Hand clones to as many
+    /// concurrent readers as needed while the single writer keeps calling
     /// [`apply`](IncrementalValidator::apply) /
     /// [`apply_all`](IncrementalValidator::apply_all) — readers never
     /// block the writer and never observe a torn mid-batch store.
     ///
-    /// The first call activates publishing: it pays one O(store) copy of
-    /// the witness table, and from then on `maintain` publishes after
-    /// every batch in O(changed) — the table it maintained becomes the
-    /// snapshot, the one it replaces catches up by replaying the batch's
-    /// log (timed as [`Phase::SnapshotPublish`]). A validator no view was
-    /// ever taken of does no publish work at all.
+    /// Taking a view costs nothing: every validator publishes, views or
+    /// not. Construction publishes epoch 0, and `maintain` publishes
+    /// after every store-changing batch in O(changed) — the table it
+    /// maintained becomes the snapshot, the one it replaces catches up by
+    /// replaying the batch's log (timed as [`Phase::SnapshotPublish`]).
     ///
     /// # Example
     ///
@@ -402,16 +392,15 @@ impl<C: Constraint> IncrementalValidator<C> {
     ///
     /// let mut v = IncrementalValidator::new(g, vec![key]);
     /// let view = v.read_view();
-    /// assert!(view.is_satisfied());
+    /// assert!(view.snapshot().is_satisfied());
     ///
     /// // A reader thread could hold `view.clone()` here. The writer
     /// // keeps applying; each batch publishes a new epoch.
     /// v.apply(&Delta::SetAttr { node: b, attr: sym("k"), value: Value::from(1) });
-    /// assert_eq!(view.epoch(), 1);
-    /// assert_eq!(view.violation_count(), 2);
+    /// let snap = view.snapshot();
+    /// assert_eq!((snap.epoch(), snap.violation_count()), (1, 2));
     /// ```
     pub fn read_view(&self) -> ReadView<C> {
-        self.views.activate_with(|| self.store.table().clone());
         ReadView::register(
             Arc::clone(&self.sigma),
             Arc::clone(&self.views),
@@ -420,16 +409,13 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// The epoch of the most recently published read-view snapshot: the
-    /// number of store-changing batches since [`read_view`] first
-    /// activated the views (0 before activation, and forever 0 if no
-    /// view is ever created — publishing is skipped entirely then).
+    /// number of store-changing batches since construction (or since the
+    /// clone, for a cloned validator), read off the published snapshot.
     ///
     /// This is the writer-side twin of [`ReadView::epoch`]: a server
     /// that owns the validator mutably can stamp apply replies with the
     /// epoch its readers will observe, without holding a view of its
     /// own.
-    ///
-    /// [`read_view`]: IncrementalValidator::read_view
     pub fn published_epoch(&self) -> u64 {
         self.views.epoch()
     }
@@ -530,10 +516,9 @@ impl<C: Constraint> IncrementalValidator<C> {
         self.worker.0.lap(Phase::WitnessDrop);
         let pruned = self.store.total();
 
-        // While read views are active, every re-derived witness is also
-        // logged, so the publish step can bring the other copy of the
-        // table up to date by O(changed) replay.
-        let views_active = self.views.is_active();
+        // Every re-derived witness is also logged, so the publish step can
+        // bring the other copy of the table up to date by O(changed)
+        // replay.
         let mut upserts: Vec<StoreChange> = Vec::new();
 
         // Only live nodes seed re-enumeration (ids removed by this batch
@@ -549,9 +534,7 @@ impl<C: Constraint> IncrementalValidator<C> {
             &mut self.worker,
         );
         for (ci, m, kind) in area {
-            if views_active {
-                upserts.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
-            }
+            upserts.push(StoreChange::Upsert(ci, m.clone(), kind.clone()));
             let fresh = self.store.insert(ci, m, kind);
             debug_assert!(fresh, "rule {ci}: an affected match was enumerated twice");
         }
@@ -575,14 +558,12 @@ impl<C: Constraint> IncrementalValidator<C> {
         // becomes the snapshot, and the store goes on with the one it
         // replaces, caught up by this batch's log — drops first, then the
         // re-derived witnesses, so a retained one nets out to an upsert.
-        if views_active {
-            self.worker.0.start();
-            let drops = dropped.into_iter();
-            let log = drops.map(|(ci, m, _)| StoreChange::Remove(ci, m));
-            self.store
-                .exchange_table(|table| self.views.publish(table, log.chain(upserts)));
-            self.metrics.record_publish(&mut self.worker.0);
-        }
+        self.worker.0.start();
+        let drops = dropped.into_iter();
+        let log = drops.map(|(ci, m, _)| StoreChange::Remove(ci, m));
+        self.store
+            .exchange_table(|table| self.views.publish(table, log.chain(upserts)));
+        self.metrics.record_publish(&mut self.worker.0);
         stats
     }
 
@@ -1286,7 +1267,7 @@ mod tests {
         }
         assert_eq!(m.store_size, v.violation_count() as u64);
         assert!(m.store_slab_slots >= m.store_size);
-        let trace = v.trace();
+        let trace = &m.trace;
         assert_eq!(trace.len(), 1);
         assert_eq!(trace[0].0, 1, "batch ids are 1-based ring sequences");
         assert_eq!(trace[0].1, stats);
@@ -1453,7 +1434,7 @@ mod tests {
         assert!(!m.enabled);
         assert_eq!(m.batches, frozen.batches, "no batch recorded while off");
         assert_eq!(m.match_attempts(), frozen.match_attempts());
-        assert!(v.trace().is_empty());
+        assert!(m.trace.is_empty());
 
         v.set_metrics_enabled(true);
         v.apply(&Delta::SetAttr {
@@ -1520,7 +1501,6 @@ mod tests {
         let _ = shared.report();
         let _ = shared.metrics();
         let _ = shared.metrics_enabled();
-        let _ = shared.trace();
         let _ = shared.analysis();
         let _ = shared.analyze_current();
         let _ = shared.read_view();
@@ -1533,10 +1513,10 @@ mod tests {
     fn read_view_tracks_batch_boundaries() {
         let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let view = v.read_view();
-        assert_eq!(view.epoch(), 0, "activation snapshot is epoch 0");
-        assert_eq!(view.violation_count(), 2);
+        assert_eq!(view.epoch(), 0, "construction publishes epoch 0");
+        assert_eq!(view.snapshot().violation_count(), 2);
         assert_eq!(
-            canon_report(&view.to_report()),
+            canon_report(&view.snapshot().to_report()),
             canon_report(&v.report()),
             "view equals the writer surface at the boundary"
         );
@@ -1546,7 +1526,7 @@ mod tests {
         let b = v.graph().nodes().nth(1).unwrap();
         v.apply(&Delta::RemoveNode { node: b });
         assert_eq!(view.epoch(), 1, "one publish per maintained batch");
-        assert!(view.is_satisfied());
+        assert!(view.snapshot().is_satisfied());
         assert_eq!(
             pinned.epoch(),
             0,
@@ -1586,13 +1566,14 @@ mod tests {
                 attr: sym("k"),
                 value: Value::from(7),
             });
-            assert_eq!(view.epoch(), (step + 1) as u64);
+            let snap = view.snapshot();
+            assert_eq!(snap.epoch(), (step + 1) as u64);
             assert_eq!(
-                view.violation_count(),
+                snap.violation_count(),
                 v.violation_count(),
                 "published snapshot equals the writer store at step {step}"
             );
-            let report = view.to_report();
+            let report = snap.to_report();
             assert_eq!(
                 canon_report(&report),
                 canon_report(&v.report()),
@@ -1608,35 +1589,62 @@ mod tests {
         assert_consistent(&v);
     }
 
-    /// Lazy activation: a validator nobody ever took a view of does no
-    /// publish work (no `snapshot-publish` samples, epoch stays 0), and
-    /// the first view activates it mid-stream with the current state.
+    /// Every validator publishes from construction: k store-changing
+    /// batches run before any view exists move the published epoch, its
+    /// gauge and the publish samples to k, and a view taken afterwards
+    /// reads epoch k with the current witnesses.
     #[test]
-    fn views_activate_lazily_mid_stream() {
+    fn views_taken_mid_stream_read_the_current_epoch() {
         let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let a = v.graph().nodes().next().unwrap();
+        let k = 3;
+        for value in 1..=k {
+            v.apply(&Delta::SetAttr {
+                node: a,
+                attr: sym("note"),
+                value: Value::from(value),
+            });
+        }
         v.apply(&Delta::SetAttr {
             node: a,
             attr: sym("note"),
-            value: Value::from(1),
+            value: Value::from(k),
         });
+        assert_eq!(
+            v.published_epoch(),
+            k as u64,
+            "a no-op batch publishes nothing"
+        );
         let m = v.metrics();
-        assert_eq!(m.phase(Phase::SnapshotPublish).unwrap().count, 0);
-        assert_eq!(m.published_epoch, 0);
+        assert_eq!(m.published_epoch, k as u64);
+        assert_eq!(m.phase(Phase::SnapshotPublish).unwrap().count, k as u64);
         assert_eq!(m.read_views, 0);
 
         let view = v.read_view();
-        assert_eq!(view.epoch(), 0, "activation republishes from epoch 0");
-        assert_eq!(view.violation_count(), 2, "current state, not seed state");
+        let snap = view.snapshot();
+        assert_eq!(
+            snap.epoch(),
+            k as u64,
+            "a late view reads the current epoch"
+        );
+        assert_eq!(canon_report(&snap.to_report()), canon_report(&v.report()));
         v.apply(&Delta::SetAttr {
             node: a,
             attr: sym("k"),
             value: Value::from(9),
         });
         let m = v.metrics();
-        assert_eq!(m.phase(Phase::SnapshotPublish).unwrap().count, 1);
-        assert_eq!(m.published_epoch, 1);
-        assert_eq!(view.violation_count(), 0);
+        assert_eq!(m.phase(Phase::SnapshotPublish).unwrap().count, k as u64 + 1);
+        assert_eq!(
+            (view.epoch(), m.published_epoch),
+            (k as u64 + 1, k as u64 + 1)
+        );
+        assert!(view.snapshot().is_satisfied());
+        assert_eq!(
+            snap.violation_count(),
+            2,
+            "the held snapshot stays at epoch k"
+        );
     }
 
     /// The `read_views` gauge mirrors live handles through clone and
@@ -1677,28 +1685,57 @@ mod tests {
         assert_eq!(m.to_json().get_u64("published_epoch"), Some(0));
     }
 
-    /// A cloned validator starts with a fresh, inactive view set: views
-    /// of the original keep reading the original, and the clone pays no
-    /// publish cost until someone takes a view of *it*.
+    /// A cloned validator starts its own view set, whose epoch 0 is the
+    /// state at the clone: views of the original keep reading the
+    /// original, and neither side's batches move the other's views.
     #[test]
     fn cloned_validator_does_not_share_views() {
-        let original = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut original = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
         let view = original.read_view();
+        let a = original.graph().nodes().next().unwrap();
+        let note = |value: i64| Delta::SetAttr {
+            node: a,
+            attr: sym("note"),
+            value: Value::from(value),
+        };
+        original.apply(&note(1));
+        assert_eq!(original.published_epoch(), 1);
+
         let mut clone = original.clone();
         assert_eq!(clone.metrics().read_views, 0, "fresh gauge on the clone");
-        let a = clone.graph().nodes().next().unwrap();
+        assert_eq!(
+            clone.published_epoch(),
+            0,
+            "the clone starts at its own epoch 0"
+        );
+        let forked = clone.read_view();
+        let snap = forked.snapshot();
+        assert_eq!((snap.epoch(), snap.violation_count()), (0, 2));
+        assert_eq!(
+            canon_report(&snap.to_report()),
+            canon_report(&clone.report())
+        );
+
         clone.apply(&Delta::SetAttr {
             node: a,
             attr: sym("k"),
             value: Value::from(9),
         });
-        assert_eq!(view.epoch(), 0, "the clone's batches publish elsewhere");
-        assert_eq!(view.violation_count(), 2);
+        clone.apply(&note(2));
+        assert_eq!((forked.epoch(), clone.published_epoch()), (2, 2));
+        assert!(forked.snapshot().is_satisfied());
+        assert_eq!(view.epoch(), 1, "the clone's batches publish elsewhere");
+        assert_eq!(view.snapshot().violation_count(), 2);
+        assert_eq!(original.published_epoch(), 1);
+
+        original.apply(&note(3));
+        assert_eq!((view.epoch(), forked.epoch()), (2, 2));
         assert_eq!(
-            clone.metrics().phase(Phase::SnapshotPublish).unwrap().count,
+            forked.snapshot().violation_count(),
             0,
-            "inactive views on the clone: no publish work"
+            "the original's batch stays there"
         );
+        assert_eq!(original.metrics().read_views, 1);
     }
 
     /// Empty-pattern constraints are checked inline (their single empty

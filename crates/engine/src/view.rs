@@ -9,19 +9,23 @@
 //!
 //! * `Published` (crate-private) — one witness table (`store::Witnesses`,
 //!   the very type the writer maintains) frozen at a batch boundary and
-//!   tagged with its **epoch**, the number of batches published so far;
+//!   tagged with its **epoch**, the number of batches published since the
+//!   validator was built (or cloned). The epoch is stored here and nowhere
+//!   else;
 //! * `SharedViews` (crate-private) — the one shared slot: an
 //!   `RwLock<Arc<Published>>` *front* the writer swaps at batch boundaries
-//!   plus the epoch/reader-count atomics. Readers only ever clone the
-//!   `Arc` out of the slot (an O(1) critical section), so they never
-//!   observe a mid-batch table;
+//!   plus the reader-count atomics. Every validator publishes its epoch 0
+//!   at construction and a new epoch after every store-changing batch.
+//!   Readers only ever clone the `Arc` out of the slot (an O(1) critical
+//!   section), so they never observe a mid-batch table;
 //! * [`ReadView`] — the cloneable `Send + Sync` reader handle returned by
-//!   [`IncrementalValidator::read_view`]: `violations()`, `to_report()`,
-//!   `metrics()` — all `&self`;
+//!   [`IncrementalValidator::read_view`]: it pins snapshots and reads the
+//!   counters a handle adds (`epoch`, `readers`, `renders`, `rebuilds`,
+//!   `metrics`) — all `&self`;
 //! * [`ViolationSnapshot`] — one pinned snapshot (epoch + data read
-//!   atomically together), for callers that need several consistent
-//!   queries against the *same* batch boundary. It walks its witnesses in
-//!   report order without copying them
+//!   atomically together), which every violation query goes through, so
+//!   several queries answer against the *same* batch boundary. It walks
+//!   its witnesses in report order without copying them
 //!   ([`ViolationSnapshot::for_each_witness`]) and memoises whatever a
 //!   reader renders from that walk ([`ViolationSnapshot::rendered`]): the
 //!   data never changes, so neither do the bytes, and polls of one epoch
@@ -52,9 +56,8 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::store::{StoreChange, Witnesses};
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::reason::ValidationReport;
-use ged_core::satisfy::Violation;
 use ged_graph::NodeId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The violation set at one batch boundary, tagged with the epoch it was
@@ -64,7 +67,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 #[derive(Debug, Default)]
 pub(crate) struct Published {
     /// Number of batches published before this snapshot (0 = the state
-    /// the views were activated at).
+    /// the validator was built or cloned at).
     epoch: u64,
     table: Witnesses,
     /// Bytes some reader rendered from this snapshot
@@ -76,17 +79,14 @@ pub(crate) struct Published {
 }
 
 /// The state shared between one writer and its read views: the front
-/// slot, the epoch counter, and the live reader count. Owned by `Arc`
-/// from both the validator and every [`ReadView`].
+/// slot and the reader-side counters. Owned by `Arc` from both the
+/// validator and every [`ReadView`].
 #[derive(Debug, Default)]
 pub(crate) struct SharedViews {
-    /// The published snapshot. Readers clone the `Arc` out under the read
-    /// lock; the writer swaps a new one in under the write lock. Until
-    /// activation it is an empty epoch-0 table nobody can reach.
+    /// The published snapshot, and with it the published epoch. Readers
+    /// clone the `Arc` out under the read lock; the writer swaps a new
+    /// one in under the write lock.
     front: RwLock<Arc<Published>>,
-    /// Batches published since activation; stored after the swap, so it
-    /// never names an epoch that cannot be read yet.
-    epoch: AtomicU64,
     /// Live [`ReadView`] handles.
     readers: AtomicU64,
     /// Snapshots rendered so far ([`ViolationSnapshot::rendered`] misses).
@@ -94,38 +94,25 @@ pub(crate) struct SharedViews {
     /// Publishes that paid the O(store) copy because a reader pinned the
     /// front the writer wanted back.
     rebuilds: AtomicU64,
-    /// Set by the first [`IncrementalValidator::read_view`] call; once
-    /// true the writer publishes after every batch.
-    ///
-    /// [`IncrementalValidator::read_view`]: crate::IncrementalValidator::read_view
-    active: AtomicBool,
 }
 
 impl SharedViews {
-    /// Has a read view ever been created? The writer skips all publish
-    /// work (including changelog recording) until this flips.
-    pub(crate) fn is_active(&self) -> bool {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Publish `table()` as epoch 0 if no view exists yet — the one
-    /// O(store) copy views cost. Runs under the front write lock so
-    /// concurrent `read_view` calls on a shared validator activate exactly
-    /// once.
-    pub(crate) fn activate_with(&self, table: impl FnOnce() -> Witnesses) {
-        let mut front = self.front.write().expect("front lock poisoned");
-        if !self.is_active() {
-            *front = Arc::new(Published {
-                table: table(),
-                ..Published::default()
-            });
-            self.active.store(true, Ordering::Release);
+    /// Views whose epoch 0 is `table`.
+    pub(crate) fn new(table: Witnesses) -> SharedViews {
+        let front = Arc::new(Published {
+            table,
+            ..Published::default()
+        });
+        SharedViews {
+            front: RwLock::new(front),
+            ..SharedViews::default()
         }
     }
 
-    /// The epoch of the most recently published snapshot.
+    /// The epoch of the most recently published snapshot, read off the
+    /// front.
     pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.front.read().expect("front lock poisoned").epoch
     }
 
     /// Clone the current front out — the whole reader-side critical
@@ -144,6 +131,8 @@ impl SharedViews {
         table: Witnesses,
         changes: impl IntoIterator<Item = StoreChange>,
     ) -> Witnesses {
+        // Only the writer moves the front, so its epoch cannot change
+        // between this read and the swap.
         let epoch = self.epoch() + 1;
         let next = Arc::new(Published {
             epoch,
@@ -154,7 +143,6 @@ impl SharedViews {
             let mut front = self.front.write().expect("front lock poisoned");
             std::mem::replace(&mut *front, Arc::clone(&next))
         };
-        self.epoch.store(epoch, Ordering::Release);
         match Arc::try_unwrap(old) {
             Ok(Published { mut table, .. }) => {
                 table.replay(changes);
@@ -177,16 +165,15 @@ impl SharedViews {
 }
 
 /// A cloneable, `Send + Sync` reader handle onto an
-/// [`IncrementalValidator`](crate::IncrementalValidator): every query
+/// [`IncrementalValidator`](crate::IncrementalValidator): every method
 /// takes `&self` and reads the most recently *published* snapshot, so any
 /// number of concurrent readers can hold views while the one writer keeps
 /// running `apply` / `apply_all`. Created by
 /// [`IncrementalValidator::read_view`](crate::IncrementalValidator::read_view).
 ///
-/// A view is never torn: queries see exactly the state at some batch
-/// boundary (the publish step runs inside `maintain`, after the store is
-/// fully maintained). Successive queries may observe successive epochs;
-/// use [`ReadView::snapshot`] to pin one epoch across several queries.
+/// Violation queries go through [`ReadView::snapshot`], which pins one
+/// batch boundary — never a torn state: the publish step runs inside
+/// `maintain`, after the store is fully maintained.
 pub struct ReadView<C: Constraint> {
     sigma: Arc<Vec<C>>,
     views: Arc<SharedViews>,
@@ -221,32 +208,9 @@ impl<C: Constraint> ReadView<C> {
     }
 
     /// The epoch of the snapshot a query issued right now would see —
-    /// the number of batches published since the views were activated.
+    /// the number of batches published since the validator was built.
     pub fn epoch(&self) -> u64 {
-        self.views.load().epoch
-    }
-
-    /// Total violations in the published snapshot.
-    pub fn violation_count(&self) -> usize {
-        self.views.load().table.total()
-    }
-
-    /// `G ⊨ Σ` as of the published snapshot?
-    pub fn is_satisfied(&self) -> bool {
-        self.violation_count() == 0
-    }
-
-    /// The published snapshot's violations, sorted like
-    /// [`ViolationStore::to_report`] (Σ order, witnesses sorted per rule).
-    ///
-    /// [`ViolationStore::to_report`]: crate::ViolationStore::to_report
-    pub fn violations(&self) -> Vec<Violation> {
-        self.snapshot().to_report().violations
-    }
-
-    /// Render the published snapshot as a [`ValidationReport`].
-    pub fn to_report(&self) -> ValidationReport {
-        self.snapshot().to_report()
+        self.views.epoch()
     }
 
     /// Live [`ReadView`] handles on this validator, this one included —
@@ -317,7 +281,7 @@ pub struct ViolationSnapshot<C: Constraint> {
 
 impl<C: Constraint> ViolationSnapshot<C> {
     /// The batch boundary this snapshot corresponds to (number of batches
-    /// published since view activation).
+    /// published since the validator was built).
     pub fn epoch(&self) -> u64 {
         self.store.epoch
     }
@@ -405,16 +369,9 @@ impl<C: Constraint> std::fmt::Debug for ViolationSnapshot<C> {
 mod tests {
     use super::*;
 
-    fn active() -> SharedViews {
-        let views = SharedViews::default();
-        views.activate_with(Witnesses::default);
-        views
-    }
-
     #[test]
     fn publish_swaps_and_returns_the_old_front() {
-        let views = active();
-        assert!(views.is_active());
+        let views = SharedViews::new(Witnesses::default());
         let before = views.load();
         assert_eq!(before.epoch, 0);
         // `before` pins the epoch-0 front: the writer goes on with a clone.
@@ -426,13 +383,5 @@ mod tests {
         views.publish(Witnesses::default(), []);
         assert_eq!(views.load().epoch, 2);
         assert_eq!(views.rebuilds.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn activation_is_idempotent() {
-        let views = active();
-        views.publish(Witnesses::default(), []);
-        views.activate_with(|| panic!("second activation is a no-op"));
-        assert_eq!(views.load().epoch, 1);
     }
 }

@@ -28,15 +28,16 @@ fn main() {
     let sigma = vec![plant_key_violations(&mut g, "entity", 40)];
     let mut v = IncrementalValidator::new(g, sigma);
 
-    // The first `read_view` call activates publishing: it snapshots the
-    // store once, and every maintained batch thereafter publishes an
-    // updated snapshot (O(changed) changelog replay, not an O(store)
-    // rebuild). Clones share the published snapshot, not the validator.
+    // The validator published its seeded store as epoch 0 when it was
+    // built, and every maintained batch publishes an updated snapshot
+    // (O(changed) changelog replay, not an O(store) rebuild), so taking a
+    // view costs nothing. Clones share the published snapshot, not the
+    // validator.
     let view = v.read_view();
     let n_readers = thread::available_parallelism().map_or(2, |c| c.get().saturating_sub(1).max(2));
     println!(
         "writer: 1 thread, readers: {n_readers}, initial violations: {}",
-        view.violation_count()
+        view.snapshot().violation_count()
     );
 
     let stop = AtomicBool::new(false);

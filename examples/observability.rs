@@ -78,9 +78,13 @@ fn main() {
     }
 
     // The trace ring retains the recent apply batches (overwrite-oldest);
-    // the same trace is dumped to stderr if the maintenance path panics.
-    println!("\ntrace ring ({} batch(es) retained):", v.trace().len());
-    for (batch_id, stats) in v.trace() {
+    // the snapshot carries them, and the same trace is dumped to stderr
+    // if the maintenance path panics.
+    println!(
+        "\ntrace ring ({} batch(es) retained):",
+        snapshot.trace.len()
+    );
+    for (batch_id, stats) in &snapshot.trace {
         println!("  batch {batch_id}: {stats}");
     }
 

@@ -4,7 +4,7 @@
 //! `DeltaEffect` included, nor does a batch of them in `Graph::apply_batch`,
 //! warm pass included; and a batch of such deltas through `apply_all`
 //! allocates for the batch (one footprint vector, the per-batch
-//! bookkeeping), not per delta.
+//! bookkeeping, the snapshot the batch publishes), not per delta.
 //!
 //! The counter (`support/counting.rs`) counts the calling thread's `alloc`
 //! and `realloc` calls; the validators here run on one worker, that thread.

@@ -28,8 +28,8 @@ fn attr_burst(g: &Graph, attr: Symbol, n: usize, n_values: usize) -> Vec<Delta> 
 const MIN_SIDE: Duration = Duration::from_millis(20);
 
 /// Instrumentation costs a fixed amount per apply batch (the phase laps'
-/// clock reads and the one lock that folds the batch into the registry —
-/// DESIGN.md §6). On the batched delta path, how a stream is meant to be
+/// clock reads, the lock that folds the batch into the registry and the
+/// one that records the publish's sample — DESIGN.md §6). On the batched delta path, how a stream is meant to be
 /// ingested, that amortises over real re-enumeration and must stay ≤ 5%.
 #[test]
 #[ignore = "release only"]

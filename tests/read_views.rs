@@ -160,6 +160,9 @@ fn metrics_snapshots_are_never_torn() {
                 let last_round = done.load(std::sync::atomic::Ordering::Acquire);
                 let m = view.metrics();
                 assert!(m.published_epoch <= m.batches, "epoch ahead of batches");
+                // Every folded batch publishes right after: the epoch
+                // trails the batches by at most the one in flight.
+                assert!(m.batches <= m.published_epoch + 1, "epoch behind batches");
                 if let Some(&(last, _)) = m.trace.last() {
                     assert_eq!(m.batches, last, "trace and batch count disagree");
                     if m.batches < 64 {
@@ -190,4 +193,5 @@ fn metrics_snapshots_are_never_torn() {
     });
     let m = v.metrics();
     assert!(m.batches >= 200, "{} batches changed the graph", m.batches);
+    assert_eq!(m.published_epoch, m.batches, "every batch published");
 }
