@@ -13,8 +13,7 @@
 //!   conclusions entailed by premises (rules that can never produce a
 //!   violation), duplicate rules, duplicate/shadowed disjuncts in
 //!   disjunctive conclusions, disconnected patterns (cartesian blowup),
-//!   and wildcard-label cost — optionally cross-referenced with the
-//!   engine's per-rule metrics attribution via [`analyze_with_costs`].
+//!   and wildcard-label cost.
 //! * **Layer 2 — semantic analysis** (the `semantic` module): the chase
 //!   fragment (`as_chase_ged`) goes through the `Sat(Σ)` gate
 //!   (`reason::is_satisfiable`, Theorem 2) and implication-based
@@ -34,7 +33,7 @@ mod lint;
 mod report;
 mod semantic;
 
-pub use report::{AnalysisReport, Diagnostic, LintKind, Pruned, RuleCost, Severity};
+pub use report::{AnalysisReport, Diagnostic, LintKind, Pruned, Severity};
 
 use ged_core::constraint::Constraint;
 use std::collections::BTreeMap;
@@ -43,17 +42,9 @@ use std::collections::BTreeMap;
 /// (chase) layer, returning severity-ranked diagnostics and the prunable
 /// rule set.
 pub fn analyze<C: Constraint>(sigma: &[C]) -> AnalysisReport {
-    analyze_with_costs(sigma, &[])
-}
-
-/// [`analyze`], additionally cross-referencing measured per-rule matching
-/// costs (the engine's `MetricsSnapshot::rules` attribution, mapped to
-/// [`RuleCost`]): wildcard-label notes on rules that dominate measured
-/// match attempts are upgraded to warnings.
-pub fn analyze_with_costs<C: Constraint>(sigma: &[C], costs: &[RuleCost]) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     let mut prunable: BTreeMap<usize, LintKind> = BTreeMap::new();
-    lint::structural(sigma, costs, &mut diagnostics, &mut prunable);
+    lint::structural(sigma, &mut diagnostics, &mut prunable);
     let outcome = semantic::semantic(sigma, &mut diagnostics, &mut prunable);
     // Most severe first; ties keep Σ order (Σ-level findings lead).
     diagnostics.sort_by(|a, b| {
@@ -278,35 +269,6 @@ mod tests {
             .any(|d| d.kind == LintKind::WildcardLabel && d.severity == Severity::Note));
         assert!(!r.has_errors());
         assert!(r.prunable.is_empty());
-    }
-
-    #[test]
-    fn measured_costs_upgrade_the_dominant_wildcard() {
-        let wild = parse_pattern("_(x)").unwrap();
-        let hot = Ged::new(
-            "hot",
-            wild,
-            vec![Literal::constant(Var(0), sym("f"), 1)],
-            vec![Literal::constant(Var(0), sym("g"), 1)],
-        );
-        let costs = vec![
-            RuleCost {
-                name: "hot".to_string(),
-                match_attempts: 900,
-            },
-            RuleCost {
-                name: "other".to_string(),
-                match_attempts: 100,
-            },
-        ];
-        let r = analyze_with_costs(&[hot], &costs);
-        let d = r
-            .diagnostics
-            .iter()
-            .find(|d| d.kind == LintKind::WildcardLabel)
-            .expect("wildcard flagged");
-        assert_eq!(d.severity, Severity::Warning);
-        assert!(d.message.contains("900"), "{}", d.message);
     }
 
     #[test]

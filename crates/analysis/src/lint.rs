@@ -11,7 +11,7 @@
 //! full rule logic (duplicates, conclusion-entailed-by-premises) require
 //! `exact` and skip otherwise.
 
-use crate::report::{Diagnostic, LintKind, RuleCost, Severity};
+use crate::report::{Diagnostic, LintKind, Severity};
 use ged_core::constraint::{Constraint, LiteralView};
 use ged_core::literal::{falsum_attr, Literal};
 use ged_pattern::Pattern;
@@ -22,7 +22,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `prunable` keyed by Σ index.
 pub(crate) fn structural<C: Constraint>(
     sigma: &[C],
-    costs: &[RuleCost],
     out: &mut Vec<Diagnostic>,
     prunable: &mut BTreeMap<usize, LintKind>,
 ) {
@@ -55,7 +54,7 @@ pub(crate) fn structural<C: Constraint>(
             prunable.entry(i).or_insert(LintKind::ContradictoryPremises);
         }
         disconnected_pattern(i, name, pattern, out);
-        wildcard_cost(i, name, pattern, costs, out);
+        wildcard_cost(i, name, pattern, out);
     }
     duplicate_rules(sigma, &views, out, prunable);
 }
@@ -228,18 +227,8 @@ fn disconnected_pattern(i: usize, name: &str, pattern: &Pattern, out: &mut Vec<D
     }
 }
 
-/// Note (upgraded to Warning when measured costs confirm it): a
-/// wildcard-labelled variable anchors on every node of the graph. The
-/// upgrade cross-references the engine's per-rule metrics attribution: if
-/// this rule accounts for at least half of all measured match attempts,
-/// the cost is real, not hypothetical.
-fn wildcard_cost(
-    i: usize,
-    name: &str,
-    pattern: &Pattern,
-    costs: &[RuleCost],
-    out: &mut Vec<Diagnostic>,
-) {
+/// Note: a wildcard-labelled variable anchors on every node of the graph.
+fn wildcard_cost(i: usize, name: &str, pattern: &Pattern, out: &mut Vec<Diagnostic>) {
     let wild = pattern
         .vars()
         .filter(|v| pattern.label(*v).is_wildcard())
@@ -247,35 +236,13 @@ fn wildcard_cost(
     if wild == 0 {
         return;
     }
-    let total: u64 = costs.iter().map(|c| c.match_attempts).sum();
-    let mine = costs
-        .iter()
-        .find(|c| c.name == name)
-        .map(|c| c.match_attempts);
-    let dominant = matches!(mine, Some(m) if total > 0 && m * 2 >= total);
-    let base = format!("{wild} wildcard-labelled variable(s): the candidate domain is every node");
-    if dominant {
-        let m = mine.unwrap_or(0);
-        out.push(Diagnostic::rule(
-            Severity::Warning,
-            LintKind::WildcardLabel,
-            i,
-            name,
-            format!(
-                "{base}; measured {m} of {total} match attempts \
-                 ({}%) — this rule dominates matching cost",
-                m * 100 / total.max(1)
-            ),
-        ));
-    } else {
-        out.push(Diagnostic::rule(
-            Severity::Note,
-            LintKind::WildcardLabel,
-            i,
-            name,
-            base,
-        ));
-    }
+    out.push(Diagnostic::rule(
+        Severity::Note,
+        LintKind::WildcardLabel,
+        i,
+        name,
+        format!("{wild} wildcard-labelled variable(s): the candidate domain is every node"),
+    ));
 }
 
 /// Warning: two rules with structurally identical pattern, premises, and

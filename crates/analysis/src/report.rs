@@ -174,19 +174,6 @@ pub struct Pruned {
     pub why: LintKind,
 }
 
-/// Measured per-rule matching cost, as reported by the engine's per-rule
-/// metrics attribution (`MetricsSnapshot::rules`). Feeding these into
-/// [`analyze_with_costs`](crate::analyze_with_costs) upgrades
-/// wildcard-label notes on rules that dominate the measured match
-/// attempts into warnings.
-#[derive(Debug, Clone)]
-pub struct RuleCost {
-    /// Rule name (matched against `Constraint::name`).
-    pub name: String,
-    /// Candidate matches attempted for this rule.
-    pub match_attempts: u64,
-}
-
 /// Everything the analyzer found, severity-ranked. Produced by
 /// [`analyze`](crate::analyze); render with `Display` for humans or
 /// [`to_json`](AnalysisReport::to_json) for collectors.
@@ -224,13 +211,6 @@ impl AnalysisReport {
         self.diagnostics
             .iter()
             .filter(move |d| d.severity == severity)
-    }
-
-    /// Findings for the rule at Σ index `index`.
-    pub fn for_rule(&self, index: usize) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(move |d| d.index == Some(index))
     }
 
     /// Is the rule at Σ index `index` in the prunable set?

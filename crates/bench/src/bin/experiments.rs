@@ -913,7 +913,7 @@ fn write_bench_inc_json() {
 /// EXP-DAEMON — the whole-system layer: a real `gedd` on an ephemeral
 /// port, measured end to end over TCP against the in-process baseline.
 ///
-/// The row families gedbench has yet to take over (ROADMAP item 5a),
+/// The row families gedbench has yet to take over (ROADMAP item 1),
 /// class `daemon` in `BENCH_INC.json`:
 ///
 /// * `daemon-wire-apply` — sustained delta ingestion over the wire

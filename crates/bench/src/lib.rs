@@ -1,17 +1,11 @@
 //! # ged-bench — benchmark workloads shared by the criterion benches and
 //! the `experiments` harness binary.
 //!
-//! One bench target per table/figure of the paper (see DESIGN.md §3):
+//! Three criterion targets time what the harness does not (see
+//! DESIGN.md §3):
 //!
 //! | target          | experiment id(s)            |
 //! |-----------------|-----------------------------|
-//! | `validation`    | EXP-T1-VAL                  |
-//! | `satisfiability`| EXP-T1-SAT                  |
-//! | `implication`   | EXP-T1-IMP                  |
-//! | `chase`         | EXP-THM1                    |
-//! | `frontier`      | EXP-T1-FRONTIER             |
-//! | `extensions`    | EXP-T1-EXT                  |
-//! | `matching`      | EXP-ABL-MATCH               |
 //! | `incremental`   | EXP-INC                     |
 //! | `delta_path`    | EXP-DROP / EXP-ANCHOR       |
 //! | `wire_decode`   | EXP-WIRE-DECODE             |

@@ -103,24 +103,11 @@ impl Validator {
             .collect()
     }
 
-    /// The GEDs outside the bounded fragment.
-    pub fn unbounded(&self) -> Vec<&Ged> {
-        self.sigma
-            .iter()
-            .filter(|g| g.pattern.size() > self.bound)
-            .collect()
-    }
-
     /// Validate only the tractable fragment (the PTIME case of
     /// Section 5.3).
     pub fn validate_bounded(&self, g: &Graph, limit: Option<usize>) -> ValidationReport {
         let bounded: Vec<Ged> = self.bounded().into_iter().cloned().collect();
         validate(g, &bounded, limit)
-    }
-
-    /// Validate everything.
-    pub fn validate_all(&self, g: &Graph, limit: Option<usize>) -> ValidationReport {
-        validate(g, &self.sigma, limit)
     }
 }
 
@@ -213,14 +200,14 @@ mod tests {
             vec![Literal::constant(xp, sym("is_fake"), 1)],
             vec![Literal::constant(x, sym("is_fake"), 1)],
         );
-        let v = Validator::new(vec![phi1(), phi5], 4);
+        let sigma = vec![phi1(), phi5];
+        let v = Validator::new(sigma.clone(), 4);
         assert_eq!(v.bounded().len(), 1);
-        assert_eq!(v.unbounded().len(), 1);
         let g = dirty_kb();
         let r = v.validate_bounded(&g, None);
         assert_eq!(r.per_ged.len(), 1);
         assert_eq!(r.per_ged[0].name, "φ1");
-        let r_all = v.validate_all(&g, None);
+        let r_all = validate(&g, &sigma, None);
         assert_eq!(r_all.per_ged.len(), 2);
     }
 

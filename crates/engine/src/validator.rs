@@ -62,7 +62,7 @@ use crate::metrics::{BatchTally, EngineMetrics, MetricsSnapshot, Phase};
 use crate::store::{StoreChange, ViolationStore};
 use crate::unit;
 use crate::view::{ReadView, SharedViews};
-use ged_analysis::{AnalysisReport, Pruned, RuleCost};
+use ged_analysis::{AnalysisReport, Pruned};
 use ged_core::constraint::Constraint;
 use ged_core::reason::ValidationReport;
 use ged_graph::{Delta, DeltaSet, Graph, NodeId};
@@ -285,24 +285,6 @@ impl<C: Constraint> IncrementalValidator<C> {
         self.analysis.as_deref()
     }
 
-    /// Re-run the static analyzer over the *deployed* Σ, cross-referencing
-    /// the live per-rule metrics attribution: wildcard-label notes on
-    /// rules that dominate the measured match attempts are upgraded to
-    /// warnings. The lint-side of the observability loop — deploy, let the
-    /// metrics accumulate, re-analyze.
-    pub fn analyze_current(&self) -> AnalysisReport {
-        let costs: Vec<RuleCost> = self
-            .metrics()
-            .rules
-            .iter()
-            .map(|r| RuleCost {
-                name: r.name.clone(),
-                match_attempts: r.match_attempts,
-            })
-            .collect();
-        ged_analysis::analyze_with_costs(&self.sigma, &costs)
-    }
-
     /// A point-in-time aggregate of the engine's metrics registry:
     /// per-phase latency histograms, per-rule match/violation counters,
     /// store gauges, and the recent batch trace. Human-readable via
@@ -321,7 +303,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// Is instrumentation currently on?
-    pub fn metrics_enabled(&self) -> bool {
+    fn metrics_enabled(&self) -> bool {
         self.worker.0.enabled
     }
 
@@ -1502,7 +1484,6 @@ mod tests {
         let _ = shared.metrics();
         let _ = shared.metrics_enabled();
         let _ = shared.analysis();
-        let _ = shared.analyze_current();
         let _ = shared.read_view();
     }
 

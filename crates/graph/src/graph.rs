@@ -781,38 +781,6 @@ impl Graph {
         }
         (g, map)
     }
-
-    /// GraphViz DOT rendering (for debugging and the examples).
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "digraph {name} {{");
-        for n in self.nodes() {
-            let attrs: Vec<String> = self
-                .attrs(n)
-                .iter()
-                .map(|(a, v)| format!("{}={}", a, v))
-                .collect();
-            let extra = if attrs.is_empty() {
-                String::new()
-            } else {
-                format!("\\n{}", attrs.join(", "))
-            };
-            let _ = writeln!(
-                s,
-                "  n{} [label=\"{}: {}{}\"];",
-                n.0,
-                n,
-                self.label(n),
-                extra
-            );
-        }
-        for e in self.edges() {
-            let _ = writeln!(s, "  n{} -> n{} [label=\"{}\"];", e.src.0, e.dst.0, e.label);
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 impl fmt::Display for Graph {
@@ -986,18 +954,6 @@ mod tests {
         g.set_attr(a, sym("p"), 1);
         g.set_attr(a, sym("q"), 2);
         assert_eq!(g.size(), 2 + 1 + 2);
-    }
-
-    #[test]
-    fn dot_output_mentions_every_node_and_edge() {
-        let mut g = Graph::new();
-        let a = g.add_node(sym("person"));
-        let b = g.add_node(sym("product"));
-        g.add_edge(a, sym("create"), b);
-        let dot = g.to_dot("g");
-        assert!(dot.contains("n0"));
-        assert!(dot.contains("n1"));
-        assert!(dot.contains("create"));
     }
 
     #[test]

@@ -147,14 +147,6 @@ impl Json {
         }
     }
 
-    /// The integer content, if this is an `Int`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The integer content as `u64`, if this is a non-negative `Int`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

@@ -18,7 +18,6 @@
 //!   [`Graph::apply_batch`], feeding the incremental validation engine in
 //!   `ged-engine`;
 //! * [`GraphBuilder`] — name-based construction for fixtures;
-//! * [`io`] — a text format and a compact binary snapshot format;
 //! * [`json`] — the workspace's one JSON value type, parser and writer
 //!   (std-only; lives here because this crate is beneath every crate
 //!   that serialises: engine metrics, analysis reports, the wire).
@@ -33,7 +32,6 @@
 pub mod builder;
 pub mod delta;
 pub mod graph;
-pub mod io;
 pub mod json;
 pub mod symbol;
 pub mod value;
@@ -76,26 +74,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
-        fn binary_roundtrip_preserves_graph(g in arb_graph()) {
-            let g2 = io::decode(io::encode(&g)).unwrap();
-            prop_assert_eq!(g.node_count(), g2.node_count());
-            prop_assert_eq!(g.edge_count(), g2.edge_count());
-            for n in g.nodes() {
-                prop_assert_eq!(g.label(n), g2.label(n));
-            }
-            let e1: std::collections::HashSet<_> = g.edges().collect();
-            let e2: std::collections::HashSet<_> = g2.edges().collect();
-            prop_assert_eq!(e1, e2);
-        }
-
-        #[test]
-        fn text_roundtrip_preserves_graph(g in arb_graph()) {
-            let g2 = io::parse_text(&io::to_text(&g)).unwrap();
-            prop_assert_eq!(g.node_count(), g2.node_count());
-            prop_assert_eq!(g.edge_count(), g2.edge_count());
-        }
-
         #[test]
         fn quotient_identity_partition_is_isomorphic(g in arb_graph()) {
             let n = g.node_count();

@@ -49,28 +49,10 @@ impl Value {
         }
     }
 
-    /// Human-readable kind name (used in error messages).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "str",
-        }
-    }
-
     /// Returns the string content if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer content if this is a [`Value::Int`].
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -103,28 +85,6 @@ impl Value {
                 h.finish()
             }
         }
-    }
-
-    /// Parse a value from its textual form, used by the graph text loader
-    /// and the pattern DSL. Quoted text is a string; `true`/`false` are
-    /// booleans; otherwise integer, then float, then bare string.
-    pub fn parse(text: &str) -> Value {
-        let t = text.trim();
-        if t.len() >= 2 && t.starts_with('"') && t.ends_with('"') {
-            return Value::Str(t[1..t.len() - 1].to_string());
-        }
-        match t {
-            "true" => return Value::Bool(true),
-            "false" => return Value::Bool(false),
-            _ => {}
-        }
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = t.parse::<f64>() {
-            return Value::Float(f);
-        }
-        Value::Str(t.to_string())
     }
 }
 
@@ -309,19 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips() {
-        assert_eq!(Value::parse("42"), Value::Int(42));
-        assert_eq!(Value::parse("-7"), Value::Int(-7));
-        assert_eq!(Value::parse("2.5"), Value::Float(2.5));
-        assert_eq!(Value::parse("true"), Value::Bool(true));
-        assert_eq!(
-            Value::parse("\"video game\""),
-            Value::Str("video game".into())
-        );
-        assert_eq!(Value::parse("bare"), Value::Str("bare".into()));
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Value::from(3).to_string(), "3");
         assert_eq!(Value::from("a").to_string(), "\"a\"");
@@ -366,8 +313,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::from("s").as_str(), Some("s"));
         assert_eq!(Value::from(1).as_str(), None);
-        assert_eq!(Value::from(9).as_int(), Some(9));
         assert_eq!(Value::from(true).as_bool(), Some(true));
-        assert_eq!(Value::from(1.0).kind_name(), "float");
     }
 }

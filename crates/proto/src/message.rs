@@ -362,7 +362,7 @@ fn cmd_only(cmd: &str) -> Json {
 
 /// Encode one [`Value`]. `Int` and `Float` stay distinct on the wire
 /// (the writer renders integral floats as `N.0`).
-pub fn value_to_json(v: &Value) -> Json {
+fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Bool(b) => Json::Bool(*b),
         Value::Int(i) => Json::Int(*i),

@@ -24,10 +24,7 @@ pub use ged_pattern as pattern;
 /// Everything needed to define graphs, patterns and constraints (GEDs,
 /// GDCs, GED∨s) and run the reasoning procedures.
 pub mod prelude {
-    pub use ged_analysis::{
-        analyze, analyze_with_costs, AnalysisReport, Diagnostic, LintKind, Pruned, RuleCost,
-        Severity,
-    };
+    pub use ged_analysis::{analyze, AnalysisReport, Diagnostic, LintKind, Pruned, Severity};
     pub use ged_core::axiom::completeness::prove;
     pub use ged_core::axiom::derived::{
         prove_augmentation, prove_reflexivity, prove_transitivity, ProofBuilder,
