@@ -8,7 +8,7 @@
 //! fixpoint should label the entire chain fake (the spam-detection
 //! example's repair loop).
 
-use ged_graph::{Graph, GraphBuilder};
+use ged_graph::{Graph, NodeId, Symbol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,69 +53,72 @@ pub struct SocialInstance {
     pub fake_chain: Vec<String>,
 }
 
-/// Generate a social graph per `cfg`.
+/// Generate a social graph per `cfg`, by id: honest account `i` is node
+/// `i·(1+bpa)` and its blog `j` node `i·(1+bpa)+1+j` (`bpa` =
+/// [`SocialConfig::blogs_per_account`]), then each chain account is
+/// followed by its spam blog, then come the shared blogs — the order a
+/// name-keyed build creates them in, with no name table.
 pub fn generate(cfg: &SocialConfig) -> SocialInstance {
     assert!(cfg.chain_len >= 1);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut b = GraphBuilder::new();
+    let mut g = Graph::new();
+    // Interned in the order a name-keyed build first meets them, so the
+    // symbols — and each node's label-group order — are the same.
+    let [account, is_fake, blog, keyword, post, like] =
+        ["account", "is_fake", "blog", "keyword", "post", "like"].map(Symbol::new);
+    let bpa = cfg.blogs_per_account;
+    let account_id = |i: usize| NodeId((i * (1 + bpa)) as u32);
 
     // Honest accounts with their own blogs; sprinkle likes between them.
-    for i in 0..cfg.n_honest {
-        let a = format!("user_{i}");
-        b.node(&a, "account");
-        b.attr(&a, "is_fake", 0);
-        for j in 0..cfg.blogs_per_account {
-            let blog = format!("blog_{i}_{j}");
-            b.node(&blog, "blog");
-            b.attr(
-                &blog,
-                "keyword",
-                format!("topic_{}", rng.random_range(0..10)),
-            );
-            b.edge(&a, "post", &blog);
-            b.edge(&a, "like", &blog);
+    for _ in 0..cfg.n_honest {
+        let a = g.add_node(account);
+        g.set_attr(a, is_fake, 0);
+        for _ in 0..bpa {
+            let b = g.add_node(blog);
+            g.set_attr(b, keyword, format!("topic_{}", rng.random_range(0..10)));
+            g.add_edge(a, post, b);
+            g.add_edge(a, like, b);
         }
     }
     // Random honest cross-likes.
     for i in 0..cfg.n_honest {
-        let a = format!("user_{i}");
         let other = rng.random_range(0..cfg.n_honest);
-        let j = rng.random_range(0..cfg.blogs_per_account.max(1));
-        let blog = format!("blog_{other}_{j}");
-        if b.contains(&blog) {
-            b.edge(&a, "like", &blog);
+        let j = rng.random_range(0..bpa.max(1));
+        if j < bpa {
+            g.add_edge(
+                account_id(i),
+                like,
+                NodeId(account_id(other).0 + 1 + j as u32),
+            );
         }
     }
 
-    // The fake chain. Account fake_0 is the confirmed seed.
-    let mut chain = Vec::new();
+    // The fake chain. Account fake_0 is the confirmed seed; each fake
+    // account posts a keyword blog.
+    let mut fakes = Vec::new();
     for i in 0..cfg.chain_len {
-        let a = format!("fake_{i}");
-        b.node(&a, "account");
+        let a = g.add_node(account);
         if i == 0 {
-            b.attr(&a, "is_fake", 1);
+            g.set_attr(a, is_fake, 1);
         }
-        // Each fake account posts a keyword blog.
-        let post = format!("spam_{i}");
-        b.node(&post, "blog");
-        b.attr(&post, "keyword", cfg.keyword.clone());
-        b.edge(&a, "post", &post);
-        chain.push(a);
+        let spam = g.add_node(blog);
+        g.set_attr(spam, keyword, cfg.keyword.clone());
+        g.add_edge(a, post, spam);
+        fakes.push(a);
     }
     // Consecutive chain members co-like k shared blogs.
-    for i in 1..cfg.chain_len {
+    for pair in fakes.windows(2) {
         for j in 0..cfg.k {
-            let shared = format!("shared_{i}_{j}");
-            b.node(&shared, "blog");
-            b.attr(&shared, "keyword", format!("meme_{j}"));
-            b.edge(&format!("fake_{}", i - 1), "like", &shared);
-            b.edge(&format!("fake_{i}"), "like", &shared);
+            let shared = g.add_node(blog);
+            g.set_attr(shared, keyword, format!("meme_{j}"));
+            g.add_edge(pair[0], like, shared);
+            g.add_edge(pair[1], like, shared);
         }
     }
 
     SocialInstance {
-        graph: b.build(),
-        fake_chain: chain,
+        graph: g,
+        fake_chain: (0..cfg.chain_len).map(|i| format!("fake_{i}")).collect(),
     }
 }
 
@@ -143,7 +146,104 @@ pub fn spam_cascade(graph: &mut Graph, k: usize, keyword: &str) -> usize {
 mod tests {
     use super::*;
     use ged_core::satisfy::satisfies;
-    use ged_graph::{sym, Value};
+    use ged_graph::{sym, GraphBuilder, Value};
+
+    /// The name-keyed build `generate` replaced, kept as its reference.
+    fn generate_by_name(cfg: &SocialConfig) -> SocialInstance {
+        assert!(cfg.chain_len >= 1);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut b = GraphBuilder::new();
+
+        // Honest accounts with their own blogs; sprinkle likes between them.
+        for i in 0..cfg.n_honest {
+            let a = format!("user_{i}");
+            b.node(&a, "account");
+            b.attr(&a, "is_fake", 0);
+            for j in 0..cfg.blogs_per_account {
+                let blog = format!("blog_{i}_{j}");
+                b.node(&blog, "blog");
+                b.attr(
+                    &blog,
+                    "keyword",
+                    format!("topic_{}", rng.random_range(0..10)),
+                );
+                b.edge(&a, "post", &blog);
+                b.edge(&a, "like", &blog);
+            }
+        }
+        // Random honest cross-likes.
+        for i in 0..cfg.n_honest {
+            let a = format!("user_{i}");
+            let other = rng.random_range(0..cfg.n_honest);
+            let j = rng.random_range(0..cfg.blogs_per_account.max(1));
+            let blog = format!("blog_{other}_{j}");
+            if b.contains(&blog) {
+                b.edge(&a, "like", &blog);
+            }
+        }
+
+        // The fake chain. Account fake_0 is the confirmed seed.
+        let mut chain = Vec::new();
+        for i in 0..cfg.chain_len {
+            let a = format!("fake_{i}");
+            b.node(&a, "account");
+            if i == 0 {
+                b.attr(&a, "is_fake", 1);
+            }
+            // Each fake account posts a keyword blog.
+            let post = format!("spam_{i}");
+            b.node(&post, "blog");
+            b.attr(&post, "keyword", cfg.keyword.clone());
+            b.edge(&a, "post", &post);
+            chain.push(a);
+        }
+        // Consecutive chain members co-like k shared blogs.
+        for i in 1..cfg.chain_len {
+            for j in 0..cfg.k {
+                let shared = format!("shared_{i}_{j}");
+                b.node(&shared, "blog");
+                b.attr(&shared, "keyword", format!("meme_{j}"));
+                b.edge(&format!("fake_{}", i - 1), "like", &shared);
+                b.edge(&format!("fake_{i}"), "like", &shared);
+            }
+        }
+
+        SocialInstance {
+            graph: b.build(),
+            fake_chain: chain,
+        }
+    }
+
+    /// Building by id gives the name-keyed build's graph: the same nodes
+    /// in the same order, labels, tuples and edges, and the same chain.
+    #[test]
+    fn generate_by_id_equals_the_name_keyed_build() {
+        let configs = [
+            SocialConfig::default(),
+            SocialConfig {
+                n_honest: 300,
+                ..SocialConfig::default()
+            },
+            SocialConfig {
+                blogs_per_account: 0,
+                chain_len: 1,
+                ..SocialConfig::default()
+            },
+        ];
+        for cfg in configs {
+            let (by_id, by_name) = (generate(&cfg), generate_by_name(&cfg));
+            let (g, r) = (&by_id.graph, &by_name.graph);
+            assert_eq!(g.node_id_bound(), r.node_id_bound());
+            assert!(g.nodes().eq(r.nodes()));
+            for n in r.nodes() {
+                assert_eq!(g.label(n), r.label(n), "label of {n}");
+                assert_eq!(g.attrs(n), r.attrs(n), "tuple of {n}");
+            }
+            assert!(g.edges().eq(r.edges()), "edges");
+            assert_eq!(g.edge_count(), r.edge_count());
+            assert_eq!(by_id.fake_chain, by_name.fake_chain);
+        }
+    }
 
     #[test]
     fn generator_shape() {

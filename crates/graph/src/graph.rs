@@ -10,12 +10,14 @@
 //!   attribute map (it is the [`NodeId`]).
 //!
 //! `E` is stored once, as a **label-partitioned adjacency**: per node and
-//! direction, one CSR-style array of neighbour ids grouped by edge label
-//! (ids sorted within a group) plus a `(label → range)` offset index. A
-//! group ([`Graph::out_edges_labeled`] / [`Graph::in_edges_labeled`]) is
-//! directly the matcher's candidate list for a concrete edge label;
-//! [`Graph::has_edge`] is a binary search inside one group (O(log deg));
-//! a wildcard edge label spans all of a node's groups.
+//! direction, one buffer holding a small `(label, start)` header and then
+//! the neighbour ids grouped by edge label (ids sorted within a group) —
+//! one heap block per direction with edges, none without. A group
+//! ([`Graph::out_edges_labeled`] / [`Graph::in_edges_labeled`]) is directly
+//! the matcher's candidate list for a concrete edge label;
+//! [`Graph::has_edge`] is two binary searches, for the label in the header
+//! and the id in its group; a wildcard edge label spans all of a node's
+//! groups.
 //!
 //! `F_A` is stored flat: each node's tuple is a `Vec<(Symbol, Value)>`
 //! sorted by attribute, so [`Graph::attrs`] iterates in attribute order and
@@ -32,6 +34,7 @@ use crate::delta::Delta;
 use crate::symbol::Symbol;
 use crate::value::Value;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -126,78 +129,142 @@ fn reindex(
     }
 }
 
-/// One node's adjacency in one direction, partitioned by edge label:
-/// CSR-style, a single neighbour array grouped by label (ids sorted
-/// within each group) plus a sorted `(label, start offset)` index. The
-/// group of `index[i].0` spans `nbrs[index[i].1 .. index[i+1].1]` (or to
-/// the end for the last entry). Since `E` is a set, ids within a group
-/// are duplicate-free, so a group is a sorted set — exactly the candidate
-/// list shape the matcher wants, with no filter, sort, or dedup.
+/// One node's adjacency in one direction, partitioned by edge label, in
+/// one buffer: `[k, (label, start) × k, nbrs…]`. The first word counts the
+/// label groups; header entry `i` holds group `i`'s label and the offset
+/// of its first neighbour in `nbrs`, labels ascending. The group of entry
+/// `i` runs to the next entry's start (or to the end for the last entry).
+/// Header words are [`NodeId`]s only as storage: a label word reads back
+/// as `Symbol(word.0)`, a count or a start as `word.idx()`. An empty
+/// buffer is a direction without edges — no header and no heap block — so
+/// a direction that loses its last edge frees its buffer. Since `E` is a
+/// set, ids within a group are duplicate-free, so a group is a sorted set:
+/// exactly the candidate list shape the matcher wants, with no filter,
+/// sort, or dedup.
 #[derive(Debug, Clone, Default)]
 struct LabeledAdj {
-    nbrs: Vec<NodeId>,
-    index: Vec<(Symbol, u32)>,
+    buf: Vec<NodeId>,
 }
 
 impl LabeledAdj {
-    /// Position of label `l` in `index` (`Err`: where it would go).
-    fn find(&self, l: Symbol) -> Result<usize, usize> {
-        self.index.binary_search_by_key(&l, |&(s, _)| s)
+    /// The header's `(label, start)` words and the neighbours behind them.
+    fn parts(&self) -> (&[NodeId], &[NodeId]) {
+        match self.buf.split_first() {
+            Some((k, rest)) => rest.split_at(2 * k.idx()),
+            None => (&[], &[]),
+        }
     }
 
-    /// The `nbrs` range of the `i`-th group.
-    fn span(&self, i: usize) -> Range<usize> {
-        let end = self
-            .index
-            .get(i + 1)
-            .map_or(self.nbrs.len(), |e| e.1 as usize);
-        self.index[i].1 as usize..end
+    /// Position of label `l` among a header's groups (`Err`: where it
+    /// would go).
+    fn find(header: &[NodeId], l: Symbol) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, header.len() / 2);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match header[2 * mid].0.cmp(&l.0) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// Group `i`'s range among `len` neighbours.
+    fn span(header: &[NodeId], i: usize, len: usize) -> Range<usize> {
+        let end = header.get(2 * i + 3).map_or(len, |s| s.idx());
+        header[2 * i + 1].idx()..end
+    }
+
+    /// Every neighbour, label-major and id-sorted within a label.
+    fn nbrs(&self) -> &[NodeId] {
+        self.parts().1
+    }
+
+    /// Number of neighbours (the degree in this direction).
+    fn len(&self) -> usize {
+        self.parts().1.len()
     }
 
     /// Label `l`'s neighbour group: sorted, duplicate-free.
     fn group(&self, l: Symbol) -> &[NodeId] {
-        self.find(l).map_or(&[], |i| &self.nbrs[self.span(i)])
+        let (header, nbrs) = self.parts();
+        Self::find(header, l).map_or(&[], |i| &nbrs[Self::span(header, i, nbrs.len())])
+    }
+
+    /// The start words of the groups after group `i`.
+    fn starts_after(&mut self, i: usize) -> impl Iterator<Item = &mut NodeId> {
+        let header_end = self.buf.first().map_or(0, |k| 1 + 2 * k.idx());
+        self.buf[..header_end].iter_mut().skip(4 + 2 * i).step_by(2)
     }
 
     /// Insert neighbour `n` under label `l`, keeping groups label-major
     /// and id-sorted. Returns `false` (and changes nothing) if `(l, n)` is
     /// already present — this is the set guard of `E`.
     fn insert(&mut self, l: Symbol, n: NodeId) -> bool {
-        let i = self.find(l).unwrap_or_else(|i| {
-            // A new, still empty group in front of its successor.
-            let at = self.index.get(i).map_or(self.nbrs.len(), |e| e.1 as usize);
-            self.index.insert(i, (l, at as u32));
-            i
-        });
-        let span = self.span(i);
-        let Err(off) = self.nbrs[span.clone()].binary_search(&n) else {
-            return false;
+        if self.buf.is_empty() {
+            // A first edge: one exact block.
+            self.buf = vec![NodeId(1), NodeId(l.0), NodeId(0), n];
+            return true;
+        }
+        let (header, nbrs) = self.parts();
+        let at = match Self::find(header, l) {
+            Ok(i) => {
+                let span = Self::span(header, i, nbrs.len());
+                let Err(off) = nbrs[span.clone()].binary_search(&n) else {
+                    return false;
+                };
+                let at = 1 + header.len() + span.start + off;
+                self.starts_after(i).for_each(|s| s.0 += 1);
+                at
+            }
+            Err(i) => {
+                // A new group of one in front of its successor: three
+                // words, at most one reallocation.
+                let start = header.get(2 * i + 1).map_or(nbrs.len(), |s| s.idx());
+                let at = 3 + header.len() + start;
+                self.buf.reserve(3);
+                self.buf[0].0 += 1;
+                let entry = [NodeId(l.0), NodeId(start as u32)];
+                self.buf.splice(1 + 2 * i..1 + 2 * i, entry);
+                self.starts_after(i).for_each(|s| s.0 += 1);
+                at
+            }
         };
-        self.nbrs.insert(span.start + off, n);
-        self.index[i + 1..].iter_mut().for_each(|e| e.1 += 1);
+        self.buf.insert(at, n);
         true
     }
 
     /// Remove neighbour `n` from label `l`'s group, returning whether it
-    /// was there; an emptied group's index entry is dropped so the index
-    /// enumerates exactly the labels with neighbours.
+    /// was there. An emptied group's header entry is dropped, so the
+    /// header enumerates exactly the labels with neighbours, and the last
+    /// neighbour's removal frees the buffer.
     fn remove(&mut self, l: Symbol, n: NodeId) -> bool {
-        let Ok(i) = self.find(l) else { return false };
-        let span = self.span(i);
-        let Ok(off) = self.nbrs[span.clone()].binary_search(&n) else {
+        let (header, nbrs) = self.parts();
+        let Ok(i) = Self::find(header, l) else {
             return false;
         };
-        self.nbrs.remove(span.start + off);
-        self.index[i + 1..].iter_mut().for_each(|e| e.1 -= 1);
+        let span = Self::span(header, i, nbrs.len());
+        let Ok(off) = nbrs[span.clone()].binary_search(&n) else {
+            return false;
+        };
+        if nbrs.len() == 1 {
+            self.buf = Vec::new();
+            return true;
+        }
+        let at = 1 + header.len() + span.start + off;
+        self.starts_after(i).for_each(|s| s.0 -= 1);
+        self.buf.remove(at);
         if span.len() == 1 {
-            self.index.remove(i);
+            self.buf.drain(1 + 2 * i..3 + 2 * i);
+            self.buf[0].0 -= 1;
         }
         true
     }
 
-    /// A word read from the index entries and the ends of label `l`'s
-    /// group — the lines [`LabeledAdj::insert`] / [`LabeledAdj::remove`]
-    /// search — for [`Graph::warm`].
+    /// A word read from the header and the ends of label `l`'s group —
+    /// the lines [`LabeledAdj::insert`] / [`LabeledAdj::remove`] search —
+    /// for [`Graph::warm`].
     fn sample(&self, l: Symbol) -> usize {
         let group = self.group(l);
         let ends = [group.first(), group.last()];
@@ -208,11 +275,45 @@ impl LabeledAdj {
 
     /// Every `(label, neighbour)` pair, label-major and id-sorted.
     fn iter(&self) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
-        (0..self.index.len()).flat_map(move |i| {
-            self.nbrs[self.span(i)]
-                .iter()
-                .map(move |&n| (self.index[i].0, n))
+        let (header, nbrs) = self.parts();
+        (0..header.len() / 2).flat_map(move |i| {
+            let l = Symbol(header[2 * i].0);
+            let group = &nbrs[Self::span(header, i, nbrs.len())];
+            group.iter().map(move |&n| (l, n))
         })
+    }
+
+    /// Panic unless the buffer is well formed: empty with no heap block,
+    /// or a header that counts its groups, with labels and starts
+    /// strictly ascending from start 0, no group empty, and ids strictly
+    /// ascending within each group.
+    fn assert_well_formed(&self) {
+        if self.buf.is_empty() {
+            assert_eq!(self.buf.capacity(), 0, "an empty direction holds a buffer");
+            return;
+        }
+        let k = self.buf[0].idx();
+        assert!(k > 0, "a non-empty buffer counts no groups");
+        assert!(
+            2 * k < self.buf.len() - 1,
+            "a header of {k} groups overruns"
+        );
+        let (header, nbrs) = self.parts();
+        let entries: Vec<(Symbol, usize)> = header
+            .chunks_exact(2)
+            .map(|e| (Symbol(e[0].0), e[1].idx()))
+            .collect();
+        assert_eq!(entries[0].1, 0, "the first group starts at 0");
+        for w in entries.windows(2) {
+            assert!(w[0].0 < w[1].0, "labels ascend strictly");
+            assert!(w[0].1 < w[1].1, "a group is empty");
+        }
+        assert!(entries[k - 1].1 < nbrs.len(), "the last group is empty");
+        for (i, &(l, _)) in entries.iter().enumerate() {
+            let group = &nbrs[Self::span(header, i, nbrs.len())];
+            let ascends = group.windows(2).all(|w| w[0] < w[1]);
+            assert!(ascends, "group {l} ascends strictly");
+        }
     }
 }
 
@@ -304,7 +405,7 @@ impl Graph {
         }
         let outs = std::mem::take(&mut self.out_lab[n.idx()]);
         let inns = std::mem::take(&mut self.inn_lab[n.idx()]);
-        self.n_edges -= outs.nbrs.len();
+        self.n_edges -= outs.len();
         for (label, dst) in outs.iter().filter(|&(_, d)| d != n) {
             self.inn_lab[dst.idx()].remove(label, n);
         }
@@ -366,8 +467,8 @@ impl Graph {
     pub(crate) fn warm(&self, window: &[Delta]) {
         let tuple = |n| self.live(&self.nodes, n).map_or(&[][..], |d| &d.attrs[..]);
         let slots = |src, dst| {
-            let out = self.live(&self.out_lab, src).map_or(0, |a| a.index.len());
-            out ^ self.live(&self.inn_lab, dst).map_or(0, |a| a.index.len())
+            let out = self.live(&self.out_lab, src).map_or(0, |a| a.buf.len());
+            out ^ self.live(&self.inn_lab, dst).map_or(0, |a| a.buf.len())
         };
         let mut acc = 0usize;
         for delta in window {
@@ -508,10 +609,34 @@ impl Graph {
 
     /// Cross-check the label index against a scan of the live nodes — each
     /// bucket strictly ascending and exactly its label's live nodes, none
-    /// left empty — and every value index against a linear scan of its
-    /// label's nodes, panicking on any difference. Runs after the bulk
-    /// writers in debug builds; O(nodes), so release builds never pay for it.
+    /// left empty — every value index against a linear scan of its label's
+    /// nodes, and the adjacency: each buffer well formed, out and in lists
+    /// mirroring each other between live endpoints, their totals both
+    /// `|E|`, tombstones holding no buffer. Panics on any difference. Runs
+    /// after the bulk writers in debug builds; O(nodes + edges · log deg),
+    /// so release builds never pay for it.
     pub fn assert_index_consistent(&self) {
+        let directions = [
+            (&self.out_lab, &self.inn_lab),
+            (&self.inn_lab, &self.out_lab),
+        ];
+        for (lists, mirror) in directions {
+            let mut total = 0;
+            for (v, adj) in lists.iter().enumerate() {
+                let v = NodeId(v as u32);
+                adj.assert_well_formed();
+                if !self.is_alive(v) {
+                    assert_eq!(adj.buf.capacity(), 0, "tombstone {v} holds adjacency");
+                }
+                for (l, m) in adj.iter() {
+                    assert!(self.is_alive(m), "{v} lists the dead or unknown {m}");
+                    let back = mirror[m.idx()].group(l);
+                    assert!(back.binary_search(&v).is_ok(), "{v} -{l}- {m} unmirrored");
+                }
+                total += adj.len();
+            }
+            assert_eq!(total, self.n_edges, "adjacency total against |E|");
+        }
         let mut buckets: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
         for n in self.nodes() {
             buckets.entry(self.label(n)).or_default().push(n);
@@ -603,12 +728,12 @@ impl Graph {
 
     /// Out-degree of `n`.
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out_lab[n.idx()].nbrs.len()
+        self.out_lab[n.idx()].len()
     }
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.inn_lab[n.idx()].nbrs.len()
+        self.inn_lab[n.idx()].len()
     }
 
     /// The nodes `d` with an edge `(n, label, d)`, for one concrete edge
@@ -655,7 +780,7 @@ impl Graph {
             return self.has_edge(src, pat_label, dst);
         }
         let out = self.out_lab.get(src.idx());
-        out.is_some_and(|out| out.nbrs.contains(&dst))
+        out.is_some_and(|out| out.nbrs().contains(&dst))
     }
 
     /// Nodes whose label *equals* `label` exactly.
@@ -1189,6 +1314,7 @@ mod tests {
                 _ => {}
             }
             assert_matches_model(&g, &model, &labels);
+            g.assert_index_consistent();
         }
         assert!(self_loops > 0 && two_labels > 0 && dropped_with_node > 0);
         assert!(g.has_removals() && !model.is_empty());
@@ -1452,6 +1578,126 @@ mod tests {
             map[n[3].idx()].map(|m| dense.out_degree_labeled(m, e)),
             Some(0)
         );
+    }
+
+    /// `adj` against its model: well formed, the same pairs in the same
+    /// (label-major) order, the degree, and every group of `labels`.
+    fn assert_adj_matches(adj: &LabeledAdj, model: &BTreeSet<(Symbol, NodeId)>, labels: &[Symbol]) {
+        adj.assert_well_formed();
+        assert!(
+            adj.iter().eq(model.iter().copied()),
+            "pairs and their order"
+        );
+        assert_eq!(adj.len(), model.len());
+        assert!(adj.nbrs().iter().eq(model.iter().map(|e| &e.1)));
+        for &l in labels {
+            let group: Vec<NodeId> = model.iter().filter(|e| e.0 == l).map(|e| e.1).collect();
+            assert_eq!(adj.group(l), group, "group {l:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Random inserts and removes on one adjacency buffer, against a
+        /// `BTreeSet` of `(label, id)` pairs: the set guard's answers, the
+        /// header and every group after each step.
+        #[test]
+        fn labeled_adj_matches_a_set_model(
+            ops in proptest::collection::vec((0usize..3, 0usize..4, 0u32..6), 0..160)
+        ) {
+            let labels = [Symbol(40), Symbol(10), Symbol(30), Symbol(20)];
+            let mut adj = LabeledAdj::default();
+            let mut model = BTreeSet::new();
+            for (op, l, n) in ops {
+                let (l, n) = (labels[l], NodeId(n));
+                if op < 2 {
+                    proptest::prop_assert_eq!(adj.insert(l, n), model.insert((l, n)));
+                } else {
+                    proptest::prop_assert_eq!(adj.remove(l, n), model.remove(&(l, n)));
+                }
+                assert_adj_matches(&adj, &model, &labels);
+            }
+        }
+    }
+
+    /// The header edits the set model leaves to chance, in order: groups
+    /// opened at the front, the end and the middle, a middle and a last
+    /// group emptied, and the last edge freeing the buffer.
+    #[test]
+    fn labeled_adj_opens_and_closes_groups_anywhere() {
+        let [a, b, c, d] = [Symbol(10), Symbol(20), Symbol(30), Symbol(40)];
+        let labels = [a, b, c, d];
+        let mut adj = LabeledAdj::default();
+        let mut model = BTreeSet::new();
+        let steps = [
+            (true, c, 5), // the first group: one heap block of 4 words
+            (true, a, 7), // opened at the front
+            (true, d, 1), // at the end
+            (true, b, 3), // in the middle
+            (true, b, 2), // into a group, before its ids
+            (true, b, 2), // a duplicate changes nothing
+            (true, c, 9), // behind a group's ids
+            (false, b, 2),
+            (false, b, 3), // the middle group emptied
+            (false, d, 1), // the last group emptied
+            (false, a, 7), // the first group emptied
+            (false, c, 6), // an absent id
+            (false, b, 5), // an absent label
+            (false, c, 5),
+            (false, c, 9), // the last edge: the buffer is freed
+        ];
+        for (i, (insert, l, n)) in steps.into_iter().enumerate() {
+            let n = NodeId(n);
+            if insert {
+                assert_eq!(adj.insert(l, n), model.insert((l, n)), "step {i}");
+            } else {
+                assert_eq!(adj.remove(l, n), model.remove(&(l, n)), "step {i}");
+            }
+            assert_adj_matches(&adj, &model, &labels);
+            if i == 0 {
+                assert_eq!(adj.buf.capacity(), 4, "one exact block for a first edge");
+            }
+        }
+        assert_eq!(adj.buf.capacity(), 0);
+    }
+
+    /// What a node slot costs inline, live or dead — its label, tuple
+    /// header, liveness flag and two adjacency buffer headers — and that a
+    /// tombstone, like a direction whose last edge left, holds no heap.
+    #[test]
+    fn node_slot_footprint() {
+        use std::mem::size_of;
+        let adj = size_of::<LabeledAdj>();
+        let slot = size_of::<NodeData>() + size_of::<bool>() + 2 * adj;
+        println!(
+            "inline bytes per node slot: {slot} (NodeData {}, alive 1, LabeledAdj 2 × {adj})",
+            size_of::<NodeData>()
+        );
+        assert_eq!(adj, 24);
+        assert!(slot <= 81, "{slot} inline bytes per node");
+
+        let mut g = Graph::new();
+        let (e, f) = (sym("e"), sym("f"));
+        let [a, b, c] = [0, 1, 2].map(|_| g.add_node(sym("t")));
+        g.add_edge(a, e, b);
+        g.add_edge(b, f, c);
+        g.add_edge(b, e, b);
+        g.add_edge(a, f, c);
+        g.set_attr(b, sym("p"), "text");
+        assert!(g.remove_node(b));
+        let capacities = |g: &Graph, n: NodeId| {
+            let (out, inn) = (&g.out_lab[n.idx()].buf, &g.inn_lab[n.idx()].buf);
+            [
+                g.nodes[n.idx()].attrs.capacity(),
+                out.capacity(),
+                inn.capacity(),
+            ]
+        };
+        assert_eq!(capacities(&g, b), [0, 0, 0], "a tombstone holds no heap");
+        assert_eq!(g.out_degree(a), 1, "a -f-> c survives");
+        assert!(g.remove_edge(a, f, c));
+        assert_eq!(capacities(&g, a)[1], 0, "a's emptied out-direction");
+        assert_eq!(capacities(&g, c)[2], 0, "c's emptied in-direction");
+        g.assert_index_consistent();
     }
 
     #[test]
