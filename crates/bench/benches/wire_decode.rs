@@ -26,20 +26,28 @@
 //!   2 000-witness reply, in ns per witness. *2000* is the shape above,
 //!   each rule's witnesses sharing one kind; in *2000-distinct* every
 //!   witness's kind differs from its predecessor's.
+//! * **`wire/rerender-report/2000`** — the server's side of a poll of the
+//!   next epoch after one witness of one of four rules changed: `gedd`'s
+//!   `rendering` of a 2 000-witness snapshot, which formats that rule's
+//!   segment and shares the other three, in ns per witness of the reply.
+//!   The batch that opens the epoch is not timed.
 //!
 //! Times are medians over `SAMPLES` samples of at least `MIN_UNITS` units
 //! (deltas, witnesses) each, with the fastest sample beside them.
 
 use ged_core::constraint::ViolationKind;
+use ged_core::ged::Ged;
 use ged_core::Literal;
-use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
-use ged_pattern::Var;
+use ged_daemon::server::rendering;
+use ged_engine::IncrementalValidator;
+use ged_graph::{sym, Delta, DeltaSet, Graph, NodeId, Value};
+use ged_pattern::{parse_pattern, Var};
 use ged_proto::json::Reader;
-use ged_proto::message::encode_report;
+use ged_proto::message::{encode_report, write_segmented};
 use ged_proto::wire::read_line;
 use ged_proto::{read_frame, Json, Request, DEFAULT_MAX_FRAME};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SAMPLES: usize = 31;
 const MIN_UNITS: usize = 1 << 15;
@@ -131,11 +139,33 @@ fn encode_report_line(witnesses: usize, distinct: bool) -> Vec<u8> {
     })
 }
 
+/// `witnesses` witnesses, a quarter under each of four rules: rule `r`
+/// says every `t{r}` node has `ok = 1`, and each has `ok = 0`. Returns the
+/// validator and each rule's nodes.
+fn four_rule_validator(witnesses: usize) -> (IncrementalValidator<Ged>, Vec<Vec<NodeId>>) {
+    let mut g = Graph::new();
+    let mut sigma = Vec::new();
+    let mut nodes = Vec::new();
+    for r in 0..4 {
+        let label = format!("t{r}");
+        let pattern = parse_pattern(&format!("{label}(x)")).expect("pattern");
+        let ok = vec![Literal::constant(Var(0), sym("ok"), 1)];
+        sigma.push(Ged::new(format!("{label}-ok"), pattern, vec![], ok));
+        let add = |_| {
+            let node = g.add_node(sym(&label));
+            g.set_attr(node, sym("ok"), 0);
+            node
+        };
+        nodes.push((0..witnesses / 4).map(add).collect());
+    }
+    (IncrementalValidator::new(g, sigma), nodes)
+}
+
 /// Time `pass` (which handles `units` units per call) and print one row.
 fn row(label: &str, units: usize, mut pass: impl FnMut()) {
     let calls = MIN_UNITS.div_ceil(units);
     pass();
-    let mut samples: Vec<f64> = (0..SAMPLES)
+    let samples: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             let began = Instant::now();
             for _ in 0..calls {
@@ -144,6 +174,24 @@ fn row(label: &str, units: usize, mut pass: impl FnMut()) {
             began.elapsed().as_nanos() as f64 / (calls * units) as f64
         })
         .collect();
+    print_row(label, calls, samples);
+}
+
+/// [`row`] for a `pass` that does untimed set-up first and returns how
+/// long the part it times took.
+fn timed_row(label: &str, units: usize, mut pass: impl FnMut() -> Duration) {
+    let calls = MIN_UNITS.div_ceil(units);
+    pass();
+    let samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let took: Duration = (0..calls).map(|_| pass()).sum();
+            took.as_nanos() as f64 / (calls * units) as f64
+        })
+        .collect();
+    print_row(label, calls, samples);
+}
+
+fn print_row(label: &str, calls: usize, mut samples: Vec<f64>) {
     samples.sort_by(f64::total_cmp);
     println!(
         "{label:<44} median {:>8.1} ns min {:>8.1} ns ({SAMPLES} samples of {calls} calls)",
@@ -236,5 +284,43 @@ fn main() {
     });
     row("wire/encode-report/2000-distinct", witnesses, || {
         black_box(encode_report_line(black_box(witnesses), true));
+    });
+
+    // The next epoch after one witness of one of the four rules changed,
+    // rendered as `gedd` does: the rule's segment is formatted, the other
+    // three are shared. The batch that changes it is not timed.
+    let (mut v, nodes) = four_rule_validator(witnesses);
+    let view = v.read_view();
+    let mut flips = 0usize;
+    let mut flip = |v: &mut IncrementalValidator<Ged>| {
+        let (rule, value) = (flips % 4, (flips / 4 + 1) % 2);
+        let node = nodes[rule][flips / 8 % nodes[rule].len()];
+        flips += 1;
+        let value = Value::from(value as i64);
+        v.apply(&Delta::SetAttr {
+            node,
+            attr: sym("ok"),
+            value,
+        });
+    };
+    let first = rendering(&view.snapshot());
+    let mut line = Vec::new();
+    write_segmented(&mut line, first.head(), first.segments()).expect("a Vec takes it");
+    let snap = view.snapshot();
+    let full = encode_report(snap.epoch(), snap.rules(), |sink| {
+        snap.for_each_witness(sink);
+    });
+    assert!(line == full, "the served render is the report line");
+    drop(snap);
+    flip(&mut v);
+    let segments = view.rule_renders();
+    black_box(rendering(&view.snapshot()));
+    assert_eq!(view.rule_renders(), segments + 1, "one segment formatted");
+    timed_row("wire/rerender-report/2000", witnesses, || {
+        flip(&mut v);
+        let snap = view.snapshot();
+        let began = Instant::now();
+        black_box(rendering(black_box(&snap)));
+        began.elapsed()
     });
 }

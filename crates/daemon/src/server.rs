@@ -23,14 +23,15 @@
 //! `apply`s get an `internal` error, `health` says `degraded`, queries
 //! and `shutdown` still serve.
 
+use ged_core::constraint::Constraint;
 use ged_engine::validator::IncrementalValidator;
-use ged_engine::view::{ReadView, ViolationSnapshot};
+use ged_engine::view::{ReadView, Rendering, ViolationSnapshot};
 use ged_ext::SigmaConstraint;
 use ged_graph::{DeltaSet, Graph};
 use ged_proto::json::Json;
 use ged_proto::message::{
-    code, encode_apply, encode_report, encode_violations, err_response, ok_response, ApplyReply,
-    Request, PROTOCOL_VERSION,
+    code, encode_apply, encode_report_head, encode_segment, encode_violations_head, err_response,
+    ok_response, write_segmented, ApplyReply, Request, PROTOCOL_VERSION,
 };
 use ged_proto::wire::{read_line, write_frame, WireError, DEFAULT_MAX_FRAME};
 use std::io::{self, BufRead, BufReader, Write};
@@ -284,16 +285,18 @@ fn serve(mut reader: impl BufRead, mut writer: impl Write, ctx: &ConnCtx) {
     }
 }
 
-/// One reply: a document still to be serialised, or a finished line.
+/// One reply: a document still to be serialised, or a line in pieces.
 enum Reply<'s> {
     /// Small replies are built as a tree and written by [`write_frame`].
     Tree(Json),
     /// The `shutdown` acknowledgement: written like a [`Reply::Tree`],
     /// after which `serve` wakes the acceptor.
     Shutdown(Json),
-    /// `report` and `violations` arrive encoded, newline included —
-    /// `report`'s shared with every other poll of the same epoch.
-    Line(Arc<[u8]>),
+    /// `report`: the snapshot's rendering, head and rule segments, shared
+    /// with every other poll of the same epoch.
+    Report(Arc<Rendering>),
+    /// `violations`: a head of its own, then the same rule segments.
+    Violations(Vec<u8>, Arc<Rendering>),
     /// `apply`'s line, encoded in the connection's scratch buffer.
     Scratch(&'s str),
 }
@@ -302,7 +305,8 @@ impl Reply<'_> {
     fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let line: &[u8] = match self {
             Reply::Tree(json) | Reply::Shutdown(json) => return write_frame(w, json),
-            Reply::Line(line) => line,
+            Reply::Report(r) => return write_segmented(w, r.head(), r.segments()),
+            Reply::Violations(head, r) => return write_segmented(w, head, r.segments()),
             Reply::Scratch(line) => line.as_bytes(),
         };
         w.write_all(line)?;
@@ -310,14 +314,17 @@ impl Reply<'_> {
     }
 }
 
-/// The `report` reply line for `snap`, rendered by the first poll of its
-/// epoch and shared from the snapshot's slot by every later one.
-fn report_line(snap: &ViolationSnapshot<SigmaConstraint>) -> Arc<[u8]> {
-    snap.rendered(|snap| {
-        encode_report(snap.epoch(), snap.rules(), |sink| {
-            snap.for_each_witness(sink);
-        })
-    })
+/// The rendering `gedd` serves `report` and `violations` from: the
+/// `report` head, and each rule's witnesses as a segment
+/// ([`ViolationSnapshot::rendered`]). The first poll of an epoch renders
+/// the head and the segments of the rules whose witnesses changed since
+/// they were last rendered; every later poll of the epoch shares it.
+/// [`write_segmented`] makes the `report` line of it.
+pub fn rendering<C: Constraint>(snap: &ViolationSnapshot<C>) -> Arc<Rendering> {
+    snap.rendered(
+        |snap| encode_report_head(snap.epoch(), snap.rules()),
+        |rule, witnesses| encode_segment(rule, witnesses),
+    )
 }
 
 /// What the reference codec makes of a line [`Request::from_line`] did
@@ -339,12 +346,10 @@ fn respond<'s>(line: &str, scratch: &'s mut String, ctx: &ConnCtx) -> Reply<'s> 
         Request::Apply(ds) => return respond_apply(ds, scratch, ctx),
         Request::Violations => {
             let snap = ctx.view.snapshot();
-            let line = encode_violations(snap.epoch(), snap.violation_count(), |sink| {
-                snap.for_each_witness(sink);
-            });
-            return Reply::Line(line.into());
+            let head = encode_violations_head(snap.epoch(), snap.violation_count());
+            return Reply::Violations(head, rendering(&snap));
         }
-        Request::Report => return Reply::Line(report_line(&ctx.view.snapshot())),
+        Request::Report => return Reply::Report(rendering(&ctx.view.snapshot())),
         Request::IsSatisfied => {
             let snap = ctx.view.snapshot();
             ok_response(vec![

@@ -101,7 +101,7 @@ pub use metrics::{MetricsSnapshot, Phase, PhaseSnapshot, RuleSnapshot};
 pub use store::ViolationStore;
 pub use unit::rule_plan;
 pub use validator::{ApplyStats, DeployAnalysis, IncrementalValidator};
-pub use view::{ReadView, ViolationSnapshot};
+pub use view::{ReadView, Rendering, RuleWitnesses, ViolationSnapshot};
 
 // Re-export the delta vocabulary so engine users need only one import.
 pub use ged_graph::{Delta, DeltaEffect, DeltaSet};

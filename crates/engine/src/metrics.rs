@@ -294,6 +294,9 @@ impl EngineMetrics {
         MetricsSnapshot {
             read_views: views.readers(),
             published_epoch: views.epoch(),
+            renders: views.renders(),
+            rule_renders: views.rule_renders(),
+            rebuilds: views.rebuilds(),
             trace: trace.recent(),
             ..served.clone()
         }
@@ -392,6 +395,17 @@ pub struct MetricsSnapshot {
     /// Epoch of the most recently published read-view snapshot — the
     /// number of batches published since construction (gauge).
     pub published_epoch: u64,
+    /// Snapshots rendered for readers: one per epoch some reader rendered
+    /// ([`ReadView::renders`](crate::ReadView::renders)).
+    pub renders: u64,
+    /// Rule segments those renders formatted: only the rules whose
+    /// witnesses changed since their last rendering
+    /// ([`ReadView::rule_renders`](crate::ReadView::rule_renders)).
+    pub rule_renders: u64,
+    /// Publishes that copied the whole table because a reader pinned the
+    /// snapshot the writer wanted back
+    /// ([`ReadView::rebuilds`](crate::ReadView::rebuilds)).
+    pub rebuilds: u64,
     /// Latency distribution per pipeline phase, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSnapshot>,
     /// Latency distribution of individual work units (seeding and delta
@@ -451,6 +465,9 @@ impl MetricsSnapshot {
             ("store_slab_slots", self.store_slab_slots.into()),
             ("read_views", self.read_views.into()),
             ("published_epoch", self.published_epoch.into()),
+            ("renders", self.renders.into()),
+            ("rule_renders", self.rule_renders.into()),
+            ("rebuilds", self.rebuilds.into()),
             ("match_attempts", self.match_attempts().into()),
             ("matches_found", self.matches_found().into()),
             (
@@ -536,8 +553,9 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  read views: {} live, published epoch {}",
-            self.read_views, self.published_epoch
+            "  read views: {} live, published epoch {}; {} render(s) formatting {} rule \
+             segment(s), {} rebuild(s)",
+            self.read_views, self.published_epoch, self.renders, self.rule_renders, self.rebuilds
         )?;
         writeln!(
             f,

@@ -42,10 +42,18 @@ pub(crate) enum StoreChange {
 /// constraint of Σ, and the live total. The one representation of the
 /// set: the [`ViolationStore`] maintains one, every published snapshot
 /// *is* one, and report order is defined here and nowhere else
-/// ([`Witnesses::for_each_witness`]).
+/// ([`Witnesses::sorted`]).
+///
+/// Each constraint also carries a change **stamp**: the number of upserts
+/// and removals its map has seen. Both copies of the table go through the
+/// same changes (the writer's directly, the other by replaying the
+/// batch's log), so along one validator's history a rule's stamp names
+/// one content of its map — what a read view's per-rule rendering memo
+/// is keyed by (`crate::view`, DESIGN.md §9).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Witnesses {
     per_constraint: Vec<HashMap<Match, ViolationKind>>,
+    stamps: Vec<u64>,
     total: usize,
 }
 
@@ -53,6 +61,7 @@ impl Witnesses {
     /// Record or refresh one witness; `true` if it is new.
     fn upsert(&mut self, ci: usize, m: Match, kind: ViolationKind) -> bool {
         let fresh = self.per_constraint[ci].insert(m, kind).is_none();
+        self.stamps[ci] += 1;
         self.total += usize::from(fresh);
         fresh
     }
@@ -60,6 +69,7 @@ impl Witnesses {
     /// Forget one witness, returning its kind if it was present.
     fn remove(&mut self, ci: usize, m: &[NodeId]) -> Option<ViolationKind> {
         let kind = self.per_constraint[ci].remove(m);
+        self.stamps[ci] += u64::from(kind.is_some());
         self.total -= usize::from(kind.is_some());
         kind
     }
@@ -80,9 +90,20 @@ impl Witnesses {
         self.total
     }
 
+    /// Constraints the table holds witnesses for.
+    pub(crate) fn rules_len(&self) -> usize {
+        self.per_constraint.len()
+    }
+
     /// Witnesses of constraint `ci`.
     pub(crate) fn count_for(&self, ci: usize) -> usize {
         self.per_constraint[ci].len()
+    }
+
+    /// Constraint `ci`'s change stamp: equal stamps of one history mean
+    /// equal witnesses.
+    pub(crate) fn stamp(&self, ci: usize) -> u64 {
+        self.stamps[ci]
     }
 
     /// Rule names with their witness counts, in Σ order — the summary
@@ -95,24 +116,35 @@ impl Witnesses {
         sigma.iter().map(Constraint::name).zip(counts)
     }
 
+    /// Constraint `ci`'s witnesses in report order — sorted by
+    /// assignment — into `entries` (cleared first), borrowed from the
+    /// table. This is the one ordering implementation: the whole-table
+    /// walk below, [`to_report`](Witnesses::to_report) and a read view's
+    /// per-rule rendering all sit on it.
+    pub(crate) fn sorted<'a>(
+        &'a self,
+        ci: usize,
+        entries: &mut Vec<(&'a Match, &'a ViolationKind)>,
+    ) {
+        entries.clear();
+        entries.extend(&self.per_constraint[ci]);
+        // Keys of one map are distinct, so stability buys nothing.
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    }
+
     /// Visit every witness in report order — Σ order, witnesses sorted
     /// per rule — as `(rule name, assignment, failure kind)`, borrowed
-    /// from the table: one sort buffer is the only allocation. This is
-    /// the one ordering implementation; [`to_report`](Witnesses::to_report)
-    /// and the wire encoders both sit on it.
-    pub(crate) fn for_each_witness<C: Constraint>(
-        &self,
-        sigma: &[C],
-        mut f: impl FnMut(&str, &[NodeId], &ViolationKind),
+    /// from the table: one sort buffer is the only allocation.
+    pub(crate) fn for_each_witness<'a, C: Constraint>(
+        &'a self,
+        sigma: &'a [C],
+        mut f: impl FnMut(&'a str, &'a [NodeId], &'a ViolationKind),
     ) {
         let widest = self.rules(sigma).map(|(_, n)| n).max().unwrap_or(0);
-        let mut entries: Vec<(&Match, &ViolationKind)> = Vec::with_capacity(widest);
-        for (c, map) in sigma.iter().zip(&self.per_constraint) {
-            entries.clear();
-            entries.extend(map);
-            // Keys of one map are distinct, so stability buys nothing.
-            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            for (m, kind) in &entries {
+        let mut entries = Vec::with_capacity(widest);
+        for (ci, c) in sigma.iter().enumerate() {
+            self.sorted(ci, &mut entries);
+            for &(m, kind) in &entries {
                 f(c.name(), m, kind);
             }
         }
@@ -171,6 +203,7 @@ impl ViolationStore {
         ViolationStore {
             table: Witnesses {
                 per_constraint: vec![HashMap::new(); sigma.len()],
+                stamps: vec![0; sigma.len()],
                 total: 0,
             },
             ..ViolationStore::default()
@@ -633,6 +666,44 @@ mod tests {
         );
         s.replay([StoreChange::Remove(0, m)]);
         assert_eq!(s.total, 1);
+    }
+
+    /// A rule's stamp moves with every upsert and every removal of one of
+    /// its witnesses, and with nothing else: not another rule's changes,
+    /// not a removal of a witness that is not there. Replaying the log on
+    /// a copy lands on the same stamps.
+    #[test]
+    fn stamps_move_with_every_change_of_their_rule() {
+        let mut s = ViolationStore::for_sigma(&two_rule_sigma());
+        let spare = s.table.clone();
+        let lit = || vec![Literal::id(Var(0), Var(1))];
+        let stamps = |s: &ViolationStore| (s.table.stamp(0), s.table.stamp(1));
+        let key = vec![NodeId(0), NodeId(1)];
+        s.insert(0, key.clone(), lit());
+        assert_eq!(stamps(&s), (1, 0));
+        s.insert(0, key.clone(), lit());
+        assert_eq!(stamps(&s), (2, 0), "a refresh may change the kind");
+        assert!(s.drop_intersecting(&every(&[NodeId(9)])).is_empty());
+        assert_eq!(stamps(&s), (2, 0));
+        let dropped = s.drop_intersecting(&every(&[NodeId(0)]));
+        assert_eq!(stamps(&s), (3, 0));
+        s.insert(1, vec![NodeId(2)], lit());
+        assert_eq!(stamps(&s), (3, 1));
+
+        let mut replayed = spare;
+        replayed.replay([
+            StoreChange::Upsert(0, key.clone(), lit().into()),
+            StoreChange::Upsert(0, key, lit().into()),
+            StoreChange::Remove(1, vec![NodeId(7)]),
+        ]);
+        let log = dropped
+            .into_iter()
+            .map(|(ci, m, _)| StoreChange::Remove(ci, m));
+        replayed.replay(log.chain([StoreChange::Upsert(1, vec![NodeId(2)], lit().into())]));
+        assert!(
+            replayed == s.table,
+            "the replayed copy has the writer's stamps"
+        );
     }
 
     #[test]

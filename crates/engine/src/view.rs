@@ -20,16 +20,18 @@
 //!   section), so they never observe a mid-batch table;
 //! * [`ReadView`] — the cloneable `Send + Sync` reader handle returned by
 //!   [`IncrementalValidator::read_view`]: it pins snapshots and reads the
-//!   counters a handle adds (`epoch`, `readers`, `renders`, `rebuilds`,
-//!   `metrics`) — all `&self`;
+//!   counters a handle adds (`epoch`, `readers`, `renders`,
+//!   `rule_renders`, `rebuilds`, `metrics`) — all `&self`;
 //! * [`ViolationSnapshot`] — one pinned snapshot (epoch + data read
 //!   atomically together), which every violation query goes through, so
 //!   several queries answer against the *same* batch boundary. It walks
 //!   its witnesses in report order without copying them
-//!   ([`ViolationSnapshot::for_each_witness`]) and memoises whatever a
-//!   reader renders from that walk ([`ViolationSnapshot::rendered`]): the
-//!   data never changes, so neither do the bytes, and polls of one epoch
-//!   share one rendering.
+//!   ([`ViolationSnapshot::for_each_witness`]) and memoises what a reader
+//!   renders of it, in pieces ([`ViolationSnapshot::rendered`]): the data
+//!   never changes, so neither do the bytes, and polls of one epoch share
+//!   one [`Rendering`]; a rule whose witnesses did not change since its
+//!   last rendering (its change stamp did not move) shares that
+//!   rendering's segment across epochs too.
 //!
 //! ## Two copies, left and right
 //!
@@ -43,7 +45,9 @@
 //! published — one O(store) copy, counted in [`ReadView::rebuilds`],
 //! measured against rebuilding every time (µs against ms; see DESIGN.md
 //! §9). The `Published` wrapper is new every epoch, so the bytes a reader
-//! rendered from one epoch cannot be met under another.
+//! rendered from one epoch cannot be met under another; the per-rule
+//! segments that outlive it are keyed by the rule's stamp, which the
+//! replay moves exactly as the writer did.
 //!
 //! No `unsafe` anywhere: torn reads are prevented purely by the `RwLock`
 //! around the `Arc` swap and by a table being writer-private from the
@@ -57,8 +61,9 @@ use crate::store::{StoreChange, Witnesses};
 use ged_core::constraint::{Constraint, ViolationKind};
 use ged_core::reason::ValidationReport;
 use ged_graph::NodeId;
+use ged_pattern::Match;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// The violation set at one batch boundary, tagged with the epoch it was
 /// published at. Once inside an `Arc` it is never mutated again — readers
@@ -70,13 +75,73 @@ pub(crate) struct Published {
     /// the validator was built or cloned at).
     epoch: u64,
     table: Witnesses,
-    /// Bytes some reader rendered from this snapshot
+    /// What some reader rendered from this snapshot
     /// ([`ViolationSnapshot::rendered`]): immutable data has immutable
     /// renderings, so the first reader of an epoch fills the slot and
     /// every later one shares the `Arc`. It starts empty at every epoch
     /// and nothing ever empties it.
-    rendered: OnceLock<Arc<[u8]>>,
+    rendered: OnceLock<Arc<Rendering>>,
 }
+
+/// One rule's rendered witnesses, shared by every epoch at which the rule
+/// had the same witnesses. Held exactly: the render's buffer is copied
+/// into it once, so what a memo keeps is what the reply sends.
+type Segment = Arc<[u8]>;
+
+/// A snapshot rendered in pieces ([`ViolationSnapshot::rendered`]): bytes
+/// of the snapshot as a whole, then one segment per rule of Σ, in Σ
+/// order. How the pieces join into one reply is the renderer's business;
+/// `gedd` writes them out with one vectored write, never as one buffer.
+#[derive(Debug)]
+pub struct Rendering {
+    head: Vec<u8>,
+    segments: Vec<Segment>,
+}
+
+impl Rendering {
+    /// What the snapshot-wide render made (`gedd`'s: the `report` reply up
+    /// to its witnesses).
+    pub fn head(&self) -> &[u8] {
+        &self.head
+    }
+
+    /// Each rule's segment, in Σ order — empty for a rule the renderer
+    /// made nothing of (`gedd`'s: a rule without witnesses).
+    pub fn segments(&self) -> impl Iterator<Item = &[u8]> {
+        self.segments.iter().map(|segment| &segment[..])
+    }
+}
+
+/// Rule `ci`'s memoised segment, if it was rendered from witnesses with
+/// the stamp they have in `table`.
+fn memoised<'m>(
+    memo: &'m [Option<(u64, Segment)>],
+    ci: usize,
+    table: &Witnesses,
+) -> Option<&'m Segment> {
+    let (at, bytes) = memo[ci].as_ref()?;
+    (*at == table.stamp(ci)).then_some(bytes)
+}
+
+/// One rule's witnesses in report order — sorted by assignment — as
+/// `(assignment, failure kind)`, borrowed from a snapshot: what
+/// [`ViolationSnapshot::rendered`] hands its per-rule render.
+#[derive(Debug, Clone)]
+pub struct RuleWitnesses<'a>(std::slice::Iter<'a, (&'a Match, &'a ViolationKind)>);
+
+impl<'a> Iterator for RuleWitnesses<'a> {
+    type Item = (&'a [NodeId], &'a ViolationKind);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|&(m, kind)| (m.as_slice(), kind))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RuleWitnesses<'_> {}
 
 /// The state shared between one writer and its read views: the front
 /// slot and the reader-side counters. Owned by `Arc` from both the
@@ -91,20 +156,28 @@ pub(crate) struct SharedViews {
     readers: AtomicU64,
     /// Snapshots rendered so far ([`ViolationSnapshot::rendered`] misses).
     renders: AtomicU64,
+    /// Rule segments formatted so far by those misses.
+    rule_renders: AtomicU64,
     /// Publishes that paid the O(store) copy because a reader pinned the
     /// front the writer wanted back.
     rebuilds: AtomicU64,
+    /// The newest segment rendered of each rule of Σ, keyed by the rule's
+    /// change stamp in the table it was rendered from; `None` until the
+    /// first render.
+    segments: Mutex<Vec<Option<(u64, Segment)>>>,
 }
 
 impl SharedViews {
     /// Views whose epoch 0 is `table`.
     pub(crate) fn new(table: Witnesses) -> SharedViews {
+        let segments = Mutex::new(vec![None; table.rules_len()]);
         let front = Arc::new(Published {
             table,
             ..Published::default()
         });
         SharedViews {
             front: RwLock::new(front),
+            segments,
             ..SharedViews::default()
         }
     }
@@ -161,6 +234,21 @@ impl SharedViews {
     /// Live [`ReadView`] handles right now.
     pub(crate) fn readers(&self) -> u64 {
         self.readers.load(Ordering::Acquire)
+    }
+
+    /// [`ReadView::renders`].
+    pub(crate) fn renders(&self) -> u64 {
+        self.renders.load(Ordering::Relaxed)
+    }
+
+    /// [`ReadView::rule_renders`].
+    pub(crate) fn rule_renders(&self) -> u64 {
+        self.rule_renders.load(Ordering::Relaxed)
+    }
+
+    /// [`ReadView::rebuilds`].
+    pub(crate) fn rebuilds(&self) -> u64 {
+        self.rebuilds.load(Ordering::Relaxed)
     }
 }
 
@@ -223,13 +311,21 @@ impl<C: Constraint> ReadView<C> {
     /// How many snapshots have been rendered so far: the misses of
     /// [`ViolationSnapshot::rendered`], at most one per published epoch.
     pub fn renders(&self) -> u64 {
-        self.views.renders.load(Ordering::Relaxed)
+        self.views.renders()
+    }
+
+    /// How many rule segments the misses of
+    /// [`ViolationSnapshot::rendered`] formatted: one per rule whose
+    /// witnesses changed since its segment was last rendered, not one per
+    /// rule of Σ.
+    pub fn rule_renders(&self) -> u64 {
+        self.views.rule_renders()
     }
 
     /// How many publishes fell back to an O(store) copy because a reader
     /// still pinned the snapshot whose table the writer wanted back.
     pub fn rebuilds(&self) -> u64 {
-        self.views.rebuilds.load(Ordering::Relaxed)
+        self.views.rebuilds()
     }
 
     /// A point-in-time aggregate of the writer's metrics registry — the
@@ -307,6 +403,15 @@ impl<C: Constraint> ViolationSnapshot<C> {
         self.store.table.rules(&self.sigma)
     }
 
+    /// Constraint `ci`'s change stamp in this snapshot: how many times a
+    /// batch has dropped or derived one of its witnesses since the
+    /// validator was built (or cloned). Two snapshots of one validator
+    /// with the same stamp hold the same witnesses of the rule; what
+    /// [`rendered`](ViolationSnapshot::rendered) keys its per-rule memo by.
+    pub fn stamp(&self, ci: usize) -> u64 {
+        self.store.table.stamp(ci)
+    }
+
     /// Visit every witness in report order — Σ order, witnesses sorted
     /// per rule — as `(rule name, assignment, failure kind)`, borrowed
     /// from the snapshot: one sort buffer is the only allocation.
@@ -315,7 +420,7 @@ impl<C: Constraint> ViolationSnapshot<C> {
     ///
     /// [`to_report`]: ViolationSnapshot::to_report
     /// [`IncrementalValidator::report`]: crate::IncrementalValidator::report
-    pub fn for_each_witness(&self, f: impl FnMut(&str, &[NodeId], &ViolationKind)) {
+    pub fn for_each_witness<'a>(&'a self, f: impl FnMut(&'a str, &'a [NodeId], &'a ViolationKind)) {
         self.store.table.for_each_witness(&self.sigma, f);
     }
 
@@ -328,21 +433,64 @@ impl<C: Constraint> ViolationSnapshot<C> {
         self.store.table.to_report(&self.sigma)
     }
 
-    /// The bytes `render` makes of this snapshot, rendered at most once:
-    /// the first caller on an epoch runs `render` and parks the result on
-    /// the (immutable) snapshot, every later caller — on any handle, any
-    /// thread — gets the same `Arc` back without running anything.
-    /// Concurrent first callers block on one render rather than race.
+    /// The snapshot rendered in pieces, at most once per epoch and at
+    /// most once per rule content: `head` renders the snapshot as a whole,
+    /// `segment` one rule's witnesses ([`RuleWitnesses`], report order).
     ///
-    /// The slot is format-agnostic and there is one per snapshot, so all
-    /// callers sharing a validator must pass the same `render` (`gedd`'s
-    /// is its `report` reply line). The returned bytes do not pin the
-    /// snapshot: drop `self` and the writer can reclaim its table.
-    pub fn rendered(&self, render: impl FnOnce(&Self) -> Vec<u8>) -> Arc<[u8]> {
-        Arc::clone(self.store.rendered.get_or_init(|| {
+    /// The first caller on an epoch fills the snapshot's slot and every
+    /// later caller — on any handle, any thread — gets the same `Arc`
+    /// back without running anything; concurrent first callers block on
+    /// one render rather than race. That first caller runs `head`, and
+    /// `segment` only for the rules whose witnesses changed since their
+    /// segment was last rendered: the view set keeps the newest segment
+    /// of each rule, keyed by the rule's change stamp, so a rule no batch
+    /// touched since is shared, not formatted again. [`ReadView::renders`]
+    /// counts the first kind of call, [`ReadView::rule_renders`] the
+    /// segments formatted.
+    ///
+    /// The slot and the segments are format-agnostic and shared, so all
+    /// callers sharing a validator must pass the same `head` and
+    /// `segment` (`gedd`'s: its `report` reply). The rendering does not
+    /// pin the snapshot: drop `self` and the writer can reclaim its table.
+    pub fn rendered(
+        &self,
+        head: impl FnOnce(&Self) -> Vec<u8>,
+        mut segment: impl FnMut(&str, RuleWitnesses<'_>) -> Vec<u8>,
+    ) -> Arc<Rendering> {
+        let rendering = self.store.rendered.get_or_init(|| {
             self.views.renders.fetch_add(1, Ordering::Relaxed);
-            render(self).into()
-        }))
+            let head = head(self);
+            let table = &self.store.table;
+            // Held across the formatting: a reader of the next epoch waits
+            // for the rules this one renders, and then shares them. Every
+            // entry is replaced whole, so a panicking render leaves it
+            // usable.
+            let mut memo = self
+                .views
+                .segments
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let stale = (0..self.sigma.len()).filter(|&ci| memoised(&memo, ci, table).is_none());
+            let widest = stale.map(|ci| table.count_for(ci)).max().unwrap_or(0);
+            let mut entries = Vec::with_capacity(widest);
+            let render = |(ci, rule): (usize, &C)| {
+                if let Some(bytes) = memoised(&memo, ci, table) {
+                    return Arc::clone(bytes);
+                }
+                table.sorted(ci, &mut entries);
+                let bytes: Segment = segment(rule.name(), RuleWitnesses(entries.iter())).into();
+                self.views.rule_renders.fetch_add(1, Ordering::Relaxed);
+                // A reader of an older epoch does not evict a newer rule.
+                let stamp = table.stamp(ci);
+                if memo[ci].as_ref().is_none_or(|(at, _)| *at < stamp) {
+                    memo[ci] = Some((stamp, Arc::clone(&bytes)));
+                }
+                bytes
+            };
+            let segments = self.sigma.iter().enumerate().map(render).collect();
+            Arc::new(Rendering { head, segments })
+        });
+        Arc::clone(rendering)
     }
 }
 

@@ -322,13 +322,22 @@ impl From<String> for Json {
     }
 }
 
-/// Write `s` as a JSON string literal — the workspace's one definition
-/// of string escaping, shared by [`Json::write`] and the streaming reply
-/// encoders in `ged_proto::message`. Runs of bytes that need no escape are
-/// copied in one piece; every byte that does need one is ASCII, so
-/// cutting the string at those bytes never splits a UTF-8 sequence.
+/// Write `s` as a JSON string literal — [`escape_into`] between quotes.
 pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Write `s` escaped as (part of) the body of a JSON string literal,
+/// without the quotes: the workspace's one definition of string
+/// escaping, shared by [`Json::write`] and the streaming reply encoders in
+/// `ged_proto::message`, which escape `Debug` text piece by piece as it is
+/// formatted. Runs of bytes that need no escape are copied in one piece;
+/// every byte that does need one is ASCII, so cutting the string at those
+/// bytes never splits a UTF-8 sequence, and escaping a string in pieces
+/// writes what escaping it whole does.
+pub fn escape_into(s: &str, out: &mut String) {
     let mut clean_from = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -349,7 +358,6 @@ pub fn write_escaped(s: &str, out: &mut String) {
         }
     }
     out.push_str(&s[clean_from..]);
-    out.push('"');
 }
 
 /// What the next value of a document is, as told by its first byte

@@ -11,9 +11,13 @@
 //! The codecs over [`Json`] trees (`*_to_json` / `*_from_json`) define
 //! the protocol. Beside them sit the paths `gedd` runs per request, each a
 //! pure accelerator held to its tree codec by a generated test: the
-//! streaming encoders of the replies worth streaming ([`encode_report`],
-//! [`encode_violations`], [`encode_apply`] — same bytes as the tree
-//! written by `write_frame`, `tests/reply_lines.rs`), and the streaming
+//! encoders of the replies worth streaming — [`encode_apply`], and the two
+//! witness-carrying lines in pieces: a head ([`encode_report_head`],
+//! [`encode_violations_head`]) and one segment per rule
+//! ([`encode_segment`]), written by [`write_segmented`] without being
+//! joined in memory; same bytes as the tree written by `write_frame`
+//! (`tests/reply_lines.rs`, which also holds the pieces to
+//! [`encode_report`], the `report` line in one buffer) — and the streaming
 //! request decoder [`Request::from_line`] (answers exactly when
 //! `Json::parse` + [`Request::from_json`] answer `Ok`, with an equal
 //! request, `tests/request_lines.rs`; every refusal is left to the
@@ -25,7 +29,7 @@
 //! trailing `.0` and the parser classifies by the presence of a
 //! fraction/exponent, so values survive a round trip bit-for-bit.
 
-use crate::json::{write_escaped, Json, JsonError, Kind, Number, Reader};
+use crate::json::{escape_into, write_escaped, Json, JsonError, Kind, Number, Reader};
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
@@ -33,6 +37,8 @@ use ged_core::Literal;
 use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io::{self, IoSlice, Write};
+use std::ops::Range;
 
 /// Wire protocol version, reported by `health`.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -577,30 +583,62 @@ pub fn report_to_json(epoch: u64, report: &ValidationReport) -> Json {
     ])
 }
 
-/// Where [`encode_report`] and [`encode_violations`] want each witness
-/// pushed, as `(rule, assignment, kind)` in reply order. The caller's
-/// `witnesses` argument is handed one of these exactly once: the engine's
-/// `ViolationSnapshot::for_each_witness` (borrowing, sorting in place)
-/// and a loop over `ValidationReport::violations` both fit.
-pub type WitnessSink<'s> = dyn FnMut(&str, &[NodeId], &ViolationKind) + 's;
+/// Where [`encode_report`] wants each witness pushed, as `(rule,
+/// assignment, kind)` in reply order, the rule and the kind borrowed for
+/// `'w` (the encoder keeps the last of each to compare against). The
+/// caller's `witnesses` argument is handed one of these exactly once: the
+/// engine's `ViolationSnapshot::for_each_witness` (borrowing, sorting in
+/// place) and a loop over `ValidationReport::violations` both fit.
+pub type WitnessSink<'s, 'w> = dyn FnMut(&'w str, &[NodeId], &'w ViolationKind) + 's;
 
-/// Writes reply lines for the two witness-carrying replies straight into
-/// a buffer, where [`report_to_json`] builds a [`Json`] tree to be
-/// written afterwards. Same bytes (the codec tests pin each line to the
+/// Bytes reserved per witness: a two-node witness of a one-literal kind
+/// takes about 120.
+const WITNESS_BYTES: usize = 128;
+
+/// What closes both witness-carrying replies: the witness array, the
+/// object, the line.
+const REPLY_TAIL: &str = "]}\n";
+
+/// Writes the witness-carrying replies, or their pieces, straight into a
+/// buffer, where [`report_to_json`] builds a [`Json`] tree to be written
+/// afterwards. Same bytes (the codec tests pin each line to the
 /// tree's [`Json::write`] plus `\n`), one buffer instead of a dozen
 /// allocations per witness: scalars go through [`Json::write`] itself
 /// (`Int`/`Bool` values own nothing), node ids are plain decimal `u32`s,
-/// strings go through its [`write_escaped`].
+/// strings go through its [`write_escaped`], and a kind's `Debug` text
+/// through its [`escape_into`] as it is formatted.
 struct LineEncoder {
     out: String,
 }
 
+/// What a run of witnesses shares, remembered for the last witness
+/// written: its rule with where its `{"rule":…,"assignment":[` is in the
+/// buffer, and its kind with where its `],"kind":…}` is. A witness that
+/// repeats either copies those bytes, so a run of witnesses of one rule
+/// and one kind formats and escapes them once.
+#[derive(Default)]
+struct Run<'w> {
+    rule: Option<(&'w str, Range<usize>)>,
+    kind: Option<(&'w ViolationKind, Range<usize>)>,
+}
+
+/// A `fmt::Write` that escapes what it is given into the body of a JSON
+/// string: `Debug` text goes into the reply as it is formatted.
+struct Escaping<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
 impl LineEncoder {
-    /// Start a reply of roughly `witnesses` witnesses and `rules` rule
-    /// rows; a short guess costs a reallocation, not correctness.
-    fn new(rules: usize, witnesses: usize) -> LineEncoder {
+    /// Start a buffer of roughly `bytes` bytes; a short guess costs a
+    /// reallocation, not correctness.
+    fn new(bytes: usize) -> LineEncoder {
         LineEncoder {
-            out: String::with_capacity(96 + 64 * rules + 128 * witnesses),
+            out: String::with_capacity(bytes),
         }
     }
 
@@ -646,60 +684,79 @@ impl LineEncoder {
         }
     }
 
-    /// `,"violations":[…]}` + newline: the tail both replies share, each
-    /// element shaped like [`violation_to_json`].
-    ///
-    /// A witness is its rule's head, its ids, and its kind's tail. Heads
-    /// and tails are remembered as ranges of `out` for the last rule and
-    /// the last kind seen, and a witness that repeats either copies those
-    /// bytes, so a run of witnesses of one rule and one kind formats and
-    /// escapes them once. The kind must render alike ([`renders_alike`]),
+    /// The witnesses `witnesses` pushes, comma-separated, each shaped like
+    /// [`violation_to_json`]: a witness is its rule's head, its ids, and
+    /// its kind's tail, and a head or a tail the last witness also had is
+    /// copied ([`Run`]). The kind must render alike ([`renders_alike`]),
     /// not merely be `==`.
-    fn witnesses_and_finish(mut self, witnesses: impl FnOnce(&mut WitnessSink<'_>)) -> Vec<u8> {
-        self.key(',', "violations");
-        self.out.push('[');
-        // The last rule, and where its `{"rule":…,"assignment":[` is in
-        // `out` (empty before the first witness).
-        let mut rule = String::new();
-        let mut head = 0..0;
-        // The last kind, and where its `],"kind":…}` is; a new kind's
-        // `Debug` text is formatted into `scratch` to be escaped.
-        let mut kind: Option<ViolationKind> = None;
-        let mut tail = 0..0;
-        let mut scratch = String::new();
-        witnesses(&mut |name, assignment, k| {
-            if !head.is_empty() {
+    fn witnesses<'w>(&mut self, witnesses: impl FnOnce(&mut WitnessSink<'_, 'w>)) {
+        let mut run = Run::default();
+        let mut first = true;
+        witnesses(&mut |rule, assignment, kind| {
+            if !std::mem::take(&mut first) {
                 self.out.push(',');
             }
-            if head.is_empty() || name != rule {
-                let at = self.out.len();
-                self.key('{', "rule");
-                write_escaped(name, &mut self.out);
-                self.key(',', "assignment");
-                self.out.push('[');
-                head = at..self.out.len();
-                rule.clear();
-                rule.push_str(name);
-            } else {
-                self.out.extend_from_within(head.clone());
+            match &run.rule {
+                Some((last, head)) if *last == rule => self.out.extend_from_within(head.clone()),
+                _ => {
+                    let at = self.out.len();
+                    self.key('{', "rule");
+                    write_escaped(rule, &mut self.out);
+                    self.key(',', "assignment");
+                    self.out.push('[');
+                    run.rule = Some((rule, at..self.out.len()));
+                }
             }
             self.id_list(assignment);
-            if kind.as_ref().is_some_and(|last| renders_alike(last, k)) {
-                self.out.extend_from_within(tail.clone());
-            } else {
-                let at = self.out.len();
-                self.out.push(']');
-                self.key(',', "kind");
-                scratch.clear();
-                write!(scratch, "{k:?}").expect("String as fmt::Write is infallible");
-                write_escaped(&scratch, &mut self.out);
-                self.out.push('}');
-                tail = at..self.out.len();
-                kind = Some(k.clone());
+            match &run.kind {
+                Some((last, tail)) if renders_alike(last, kind) => {
+                    self.out.extend_from_within(tail.clone());
+                }
+                _ => {
+                    let at = self.out.len();
+                    self.out.push(']');
+                    self.key(',', "kind");
+                    self.out.push('"');
+                    write!(Escaping(&mut self.out), "{kind:?}").expect("escaping is infallible");
+                    self.out.push_str("\"}");
+                    run.kind = Some((kind, at..self.out.len()));
+                }
             }
         });
-        self.out.push_str("]}\n");
-        self.out.into_bytes()
+    }
+
+    /// `,"violations":[`: where the witnesses start.
+    fn open_witnesses(&mut self) {
+        self.key(',', "violations");
+        self.out.push('[');
+    }
+
+    /// `{"ok":true,"epoch":…,"satisfied":…,"total":…,"rules":[…],"violations":[`
+    /// — everything of a `report` line before its witnesses.
+    fn report_head<'a>(
+        &mut self,
+        epoch: u64,
+        rules: impl Iterator<Item = (&'a str, usize)> + Clone,
+    ) {
+        let total: usize = rules.clone().map(|(_, n)| n).sum();
+        self.scalar('{', "ok", true);
+        self.scalar(',', "epoch", epoch);
+        self.scalar(',', "satisfied", total == 0);
+        self.scalar(',', "total", total);
+        self.key(',', "rules");
+        self.out.push('[');
+        for (i, (name, n)) in rules.enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.key('{', "name");
+            write_escaped(name, &mut self.out);
+            self.scalar(',', "violations", n);
+            self.scalar(',', "satisfied", n == 0);
+            self.out.push('}');
+        }
+        self.out.push(']');
+        self.open_witnesses();
     }
 }
 
@@ -743,45 +800,89 @@ fn renders_alike(a: &ViolationKind, b: &ViolationKind) -> bool {
 /// [`crate::wire::write_frame`], without the tree in between. `rules`
 /// yields `(name, violation count)` in Σ order; `witnesses` pushes every
 /// witness, Σ order then sorted per rule.
-pub fn encode_report<'a>(
+///
+/// The same line in pieces, the way `gedd` serves it: [`encode_report_head`],
+/// then the [`encode_segment`] of each rule, written by
+/// [`write_segmented`].
+pub fn encode_report<'a, 'w>(
     epoch: u64,
     rules: impl Iterator<Item = (&'a str, usize)> + Clone,
-    witnesses: impl FnOnce(&mut WitnessSink<'_>),
+    witnesses: impl FnOnce(&mut WitnessSink<'_, 'w>),
 ) -> Vec<u8> {
     let total: usize = rules.clone().map(|(_, n)| n).sum();
-    let mut enc = LineEncoder::new(rules.size_hint().0, total);
-    enc.scalar('{', "ok", true);
-    enc.scalar(',', "epoch", epoch);
-    enc.scalar(',', "satisfied", total == 0);
-    enc.scalar(',', "total", total);
-    enc.key(',', "rules");
-    enc.out.push('[');
-    for (i, (name, n)) in rules.enumerate() {
-        if i > 0 {
-            enc.out.push(',');
-        }
-        enc.key('{', "name");
-        write_escaped(name, &mut enc.out);
-        enc.scalar(',', "violations", n);
-        enc.scalar(',', "satisfied", n == 0);
-        enc.out.push('}');
-    }
-    enc.out.push(']');
-    enc.witnesses_and_finish(witnesses)
+    let mut enc = LineEncoder::new(96 + 64 * rules.size_hint().0 + WITNESS_BYTES * total);
+    enc.report_head(epoch, rules);
+    enc.witnesses(witnesses);
+    enc.out.push_str(REPLY_TAIL);
+    enc.out.into_bytes()
 }
 
-/// The `violations` reply (`epoch`, `count`, the witnesses) as one wire
-/// line, same contract as [`encode_report`].
-pub fn encode_violations(
+/// The head of a `report` line: [`encode_report`]'s bytes up to its first
+/// witness, `"violations":[` included.
+pub fn encode_report_head<'a>(
     epoch: u64,
-    count: usize,
-    witnesses: impl FnOnce(&mut WitnessSink<'_>),
+    rules: impl Iterator<Item = (&'a str, usize)> + Clone,
 ) -> Vec<u8> {
-    let mut enc = LineEncoder::new(0, count);
+    let mut enc = LineEncoder::new(96 + 64 * rules.size_hint().0);
+    enc.report_head(epoch, rules);
+    enc.out.into_bytes()
+}
+
+/// The head of a `violations` line (`epoch`, `count`), up to its first
+/// witness: the line is this head and the `report` line's segments,
+/// written by [`write_segmented`].
+pub fn encode_violations_head(epoch: u64, count: usize) -> Vec<u8> {
+    let mut enc = LineEncoder::new(64);
     enc.scalar('{', "ok", true);
     enc.scalar(',', "epoch", epoch);
     enc.scalar(',', "count", count);
-    enc.witnesses_and_finish(witnesses)
+    enc.open_witnesses();
+    enc.out.into_bytes()
+}
+
+/// One rule's witnesses (sorted) as they appear inside either reply, comma
+/// separated, with no comma, bracket or newline around them; empty for a
+/// rule without witnesses. A rule's segment depends on nothing but the
+/// rule and its witnesses, so a rule whose witnesses did not change can
+/// send the bytes it sent before.
+pub fn encode_segment<'w>(
+    rule: &'w str,
+    witnesses: impl IntoIterator<Item = (&'w [NodeId], &'w ViolationKind)>,
+) -> Vec<u8> {
+    let witnesses = witnesses.into_iter();
+    let mut enc = LineEncoder::new(WITNESS_BYTES * witnesses.size_hint().0);
+    enc.witnesses(|sink| witnesses.for_each(|(assignment, kind)| sink(rule, assignment, kind)));
+    enc.out.into_bytes()
+}
+
+/// Write a witness-carrying reply from its pieces — `head`, the non-empty
+/// `segments` joined by commas, the closing `]}` and newline — with
+/// vectored writes, then flush: the line is never assembled in one buffer.
+/// With [`encode_report_head`] and the segments, the bytes are
+/// [`encode_report`]'s.
+pub fn write_segmented<'a>(
+    w: &mut impl Write,
+    head: &'a [u8],
+    segments: impl IntoIterator<Item = &'a [u8]>,
+) -> io::Result<()> {
+    let mut slices = vec![IoSlice::new(head)];
+    for segment in segments.into_iter().filter(|s| !s.is_empty()) {
+        if slices.len() > 1 {
+            slices.push(IoSlice::new(b","));
+        }
+        slices.push(IoSlice::new(segment));
+    }
+    slices.push(IoSlice::new(REPLY_TAIL.as_bytes()));
+    let mut unwritten = &mut slices[..];
+    while !unwritten.is_empty() {
+        match w.write_vectored(unwritten) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
 }
 
 /// The `apply` reply as one wire line in `out` (cleared first; a

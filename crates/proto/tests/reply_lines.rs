@@ -1,9 +1,12 @@
 //! The streamed reply lines against the reference codec, on generated
-//! reports: `encode_report` / `encode_violations` must produce exactly
-//! the bytes `write_frame` makes of the `Json` tree (`report_to_json`,
-//! `ok_response` + `violation_to_json`), and those bytes must decode back
-//! to the rows that went in. `encode_apply` is held to the same, against
-//! the `ok_response` tree `gedd` used to build for every batch.
+//! reports: `encode_report`, and the `violations` line in the pieces
+//! `gedd` writes (its head, each rule's segment, joined by
+//! `write_segmented`), must produce exactly the bytes `write_frame` makes
+//! of the `Json` tree (`report_to_json`, `ok_response` +
+//! `violation_to_json`), and those bytes must decode back to the rows that
+//! went in; the `report` line in pieces must be `encode_report`'s.
+//! `encode_apply` is held to the same, against the `ok_response` tree
+//! `gedd` used to build for every batch.
 //!
 //! Inputs aim at the encoder's own code: rule names that need every
 //! escape (quote, backslash, control characters, non-ASCII, empty), every
@@ -21,8 +24,9 @@ use ged_core::Literal;
 use ged_graph::{sym, NodeId, Value};
 use ged_pattern::Var;
 use ged_proto::message::{
-    apply_from_json, encode_apply, encode_report, encode_violations, ok_response, report_from_json,
-    report_to_json, violation_from_json, violation_to_json, WitnessSink,
+    apply_from_json, encode_apply, encode_report, encode_report_head, encode_segment,
+    encode_violations_head, ok_response, report_from_json, report_to_json, violation_from_json,
+    violation_to_json, write_segmented, WitnessSink,
 };
 use ged_proto::{write_frame, ApplyReply, Json, WireViolation};
 use proptest::collection::vec;
@@ -191,9 +195,36 @@ fn frame_bytes(tree: &Json) -> Vec<u8> {
     out
 }
 
-fn push_all(report: &ValidationReport, sink: &mut WitnessSink<'_>) {
+fn push_all<'w>(report: &'w ValidationReport, sink: &mut WitnessSink<'_, 'w>) {
     for v in &report.violations {
         sink(&v.ged_name, &v.assignment, &v.kind);
+    }
+}
+
+/// Each rule's [`encode_segment`], in Σ order: the pieces `gedd` keeps.
+fn segments(report: &ValidationReport) -> Vec<Vec<u8>> {
+    let mut rest = &report.violations[..];
+    let segment = |row: &GedReport| {
+        let (mine, later) = rest.split_at(row.violation_count);
+        rest = later;
+        encode_segment(&row.name, mine.iter().map(|v| (&v.assignment[..], &v.kind)))
+    };
+    report.per_ged.iter().map(segment).collect()
+}
+
+/// A transport that takes at most three bytes a call: every vectored
+/// write is partial, so the writer must pick up mid-slice.
+struct Trickle(Vec<u8>);
+
+impl std::io::Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(3);
+        self.0.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -280,10 +311,29 @@ proptest! {
         prop_assert_eq!(reply.violations, expected_rows(&report));
     }
 
+    /// The `report` line in pieces — its head, then each rule's segment,
+    /// joined by `write_segmented` — is the streamed line, also through a
+    /// writer that takes a few bytes at a time.
+    #[test]
+    fn segmented_report_equals_the_streamed_line(report in report(), epoch in 0u64..(1u64 << 63)) {
+        let rules = report.per_ged.iter().map(|r| (r.name.as_str(), r.violation_count));
+        let streamed = encode_report(epoch, rules.clone(), |sink| push_all(&report, sink));
+        let segments = segments(&report);
+        let pieces = segments.iter().map(Vec::as_slice);
+        let mut trickle = Trickle(Vec::new());
+        write_segmented(&mut trickle, &encode_report_head(epoch, rules), pieces).unwrap();
+        prop_assert_eq!(&trickle.0, &streamed);
+    }
+
+    /// `gedd` writes the `violations` line only in pieces: its own head
+    /// and the segments the `report` line is made of.
     #[test]
     fn streamed_violations_equal_the_tree_codec(report in report(), epoch in 0u64..(1u64 << 63)) {
         let count = report.violations.len();
-        let line = encode_violations(epoch, count, |sink| push_all(&report, sink));
+        let segments = segments(&report);
+        let mut line = Vec::new();
+        let head = encode_violations_head(epoch, count);
+        write_segmented(&mut line, &head, segments.iter().map(Vec::as_slice)).unwrap();
         let tree = ok_response(vec![
             ("epoch", Json::from(epoch)),
             ("count", Json::from(count)),

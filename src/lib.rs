@@ -39,7 +39,7 @@ pub mod prelude {
     pub use ged_core::satisfy::{is_model, satisfies, satisfies_all, violations};
     pub use ged_engine::{
         ApplyStats, DeployAnalysis, IncrementalValidator, MetricsSnapshot, Phase, ReadView,
-        ViolationSnapshot, ViolationStore,
+        Rendering, RuleWitnesses, ViolationSnapshot, ViolationStore,
     };
     pub use ged_ext::{
         disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, DisjGed, Gdc, GdcLiteral,

@@ -18,7 +18,7 @@
 
 use ged_daemon::{spawn, workload, DaemonConfig};
 use ged_datagen::stream::DeltaStream;
-use ged_proto::message::Request;
+use ged_proto::message::{write_segmented, Request};
 use ged_proto::{write_frame, Client, Json};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
@@ -129,8 +129,13 @@ fn wire_report_bytes_track_every_epoch() {
             polled.insert(epoch);
             if pinning {
                 let snap = view.snapshot();
-                let memo = snap.rendered(|_| panic!("epoch {epoch} was rendered by the wire"));
-                assert!(memo[..] == expected[..], "epoch {epoch}: slot");
+                let memo = snap.rendered(
+                    |_| panic!("epoch {epoch} was rendered by the wire"),
+                    |rule, _| panic!("epoch {epoch}: {rule} rendered past the slot"),
+                );
+                let mut slot = Vec::new();
+                write_segmented(&mut slot, memo.head(), memo.segments()).unwrap();
+                assert!(slot == expected, "epoch {epoch}: slot");
                 keep = Some(snap);
             }
         }
@@ -205,6 +210,9 @@ fn wire_metrics_carry_hostile_rule_names_in_the_published_shape() {
             "store_slab_slots",
             "read_views",
             "published_epoch",
+            "renders",
+            "rule_renders",
+            "rebuilds",
             "match_attempts",
             "matches_found",
             "phases",

@@ -15,9 +15,10 @@
 //! snapshot (`ViolationSnapshot::rendered`): single-threaded on purpose,
 //! so which buffer the writer recycles when is decided by the test.
 
+use ged_daemon::workload;
 use ged_datagen::random::evolving_workload;
 use ged_datagen::stream::DeltaStream;
-use ged_proto::message::encode_report;
+use ged_proto::message::{encode_report_head, encode_segment, write_segmented};
 use ged_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +27,10 @@ use std::sync::Arc;
 
 #[path = "support/lockstep.rs"]
 mod lockstep;
-use lockstep::{ints, key_attrs, report_line, run, view, Oracle};
+use lockstep::{
+    ints, key_attrs, report_line, run, served_report, served_violations, view, violations_line,
+    Oracle,
+};
 
 /// The lockstep check with `n_readers` concurrent reader threads.
 fn lockstep(n_readers: usize, seed: u64) {
@@ -78,7 +82,7 @@ fn rendered_bytes_never_outlive_their_epoch() {
     let mut stream = DeltaStream::new(0x3e30, &key_attrs(), &ints(4));
     let mut rng = StdRng::seed_from_u64(0x3e30);
 
-    let mut renders = 0u64;
+    let (mut renders, mut segments) = (0u64, 0u64);
     let mut polled: BTreeSet<u64> = BTreeSet::new();
     let mut held: VecDeque<Option<ViolationSnapshot<Ged>>> = VecDeque::new();
     let mut rebuilds_by_regime = [0u64; 2];
@@ -98,17 +102,24 @@ fn rendered_bytes_never_outlive_their_epoch() {
         if rng.random_range(0..4u32) != 0 {
             let snap = view.snapshot();
             let epoch = snap.epoch();
-            let render = |s: &ViolationSnapshot<Ged>| {
+            let head = |s: &ViolationSnapshot<Ged>| {
                 renders += 1;
-                encode_report(s.epoch(), s.rules(), |sink| s.for_each_witness(sink))
+                encode_report_head(s.epoch(), s.rules())
             };
-            let first = snap.rendered(render);
-            let second = view
-                .snapshot()
-                .rendered(|_| panic!("second poll of epoch {epoch} rendered again"));
+            let segment = |rule: &str, witnesses: RuleWitnesses<'_>| {
+                segments += 1;
+                encode_segment(rule, witnesses)
+            };
+            let first = snap.rendered(head, segment);
+            let second = view.snapshot().rendered(
+                |_| panic!("second poll of epoch {epoch} rendered again"),
+                |_, _| panic!("second poll of epoch {epoch} rendered a rule"),
+            );
             assert!(Arc::ptr_eq(&first, &second), "epoch {epoch}: two buffers");
+            let mut line = Vec::new();
+            write_segmented(&mut line, first.head(), first.segments()).unwrap();
             assert!(
-                (at.epoch, &first[..]) == (epoch, &report_line(epoch, &at.report)[..]),
+                (at.epoch, &line) == (epoch, &report_line(epoch, &at.report)),
                 "epoch {epoch} (batch {batch_no}): memoised bytes are not this epoch's report"
             );
             polled.insert(epoch);
@@ -116,8 +127,8 @@ fn rendered_bytes_never_outlive_their_epoch() {
         }
         assert_eq!(renders, polled.len() as u64, "one render per polled epoch");
         assert_eq!(
-            view.renders(),
-            renders,
+            (view.renders(), view.rule_renders()),
+            (renders, segments),
             "the engine counts the same renders"
         );
         held.push_back(keep);
@@ -194,4 +205,136 @@ fn metrics_snapshots_are_never_torn() {
     let m = v.metrics();
     assert!(m.batches >= 200, "{} batches changed the graph", m.batches);
     assert_eq!(m.published_epoch, m.batches, "every batch published");
+}
+
+/// The pieces `gedd` serves, on generated streams over a GED/GDC/GED∨
+/// `mixed:` workload and a `random:` one: at every batch boundary the
+/// served `report` and `violations` lines equal the reference codec's of
+/// a from-scratch `validate`, and rendering the epoch formats exactly the
+/// rules whose change stamp moved since the epoch rendered before it —
+/// every other rule's segment is shared.
+#[test]
+fn served_lines_equal_a_from_scratch_encode_on_generated_streams() {
+    let mixed_attrs = ["age", "tier", "verified", "is_fake"].map(sym);
+    let mixed_pool = [0.into(), 1.into(), 20.into(), "free".into(), "pro".into()];
+    let streams: [(&str, &[Symbol], &[Value]); 2] = [
+        (
+            "mixed:honest=300,plants=60,seed=3",
+            &mixed_attrs,
+            &mixed_pool,
+        ),
+        ("random:nodes=400,rules=4,seed=2", &key_attrs(), &ints(4)),
+    ];
+    for (spec, attrs, pool) in streams {
+        let (g, sigma) = workload::load(spec).unwrap();
+        let rules = sigma.len();
+        let mut oracle = Oracle::new(&g, &sigma);
+        let mut v = IncrementalValidator::new(g, sigma);
+        let view = v.read_view();
+        let mut stream = DeltaStream::new(0x5e9, attrs, pool);
+        let mut stamps_before: Option<Vec<u64>> = None;
+        let (mut epochs, mut formatted) = (0, 0);
+        for batch_no in 0..300 {
+            let snap = view.snapshot();
+            let at = &oracle.at;
+            assert_eq!(snap.epoch(), at.epoch, "{spec}: batch {batch_no}");
+            let stamps: Vec<u64> = (0..rules).map(|ci| snap.stamp(ci)).collect();
+            let moved = stamps_before.as_ref().map_or(rules, |before| {
+                before.iter().zip(&stamps).filter(|(b, s)| b != s).count()
+            });
+            let renders = view.rule_renders();
+            let report = served_report(&snap);
+            assert!(
+                report == report_line(at.epoch, &at.report),
+                "{spec}: epoch {} (batch {batch_no}): served report",
+                at.epoch
+            );
+            let violations = served_violations(&snap);
+            assert!(
+                violations == violations_line(at.epoch, &at.report),
+                "{spec}: epoch {} (batch {batch_no}): served violations",
+                at.epoch
+            );
+            assert_eq!(
+                view.rule_renders() - renders,
+                moved as u64,
+                "{spec}: epoch {}: segments formatted vs stamps moved",
+                at.epoch
+            );
+            (epochs, formatted) = (epochs + u64::from(moved > 0), formatted + moved);
+            stamps_before = Some(stamps);
+            drop(snap);
+            let batch = stream.batch(&oracle.mirror, 6);
+            v.apply_all(&batch);
+            oracle.advance(&batch);
+        }
+        assert!(
+            formatted < rules * epochs as usize,
+            "{spec}: every epoch re-rendered every rule ({formatted} segments, {epochs} epochs)"
+        );
+    }
+}
+
+/// Two readers of adjacent epochs race the per-rule memo: each renders
+/// its own pinned snapshot on its own thread, released together, and each
+/// gets its own epoch's bytes. Whichever order they ran in, the memo keeps
+/// the newer epoch's segments, so rendering the epoch after both formats
+/// only the rules whose stamp moved since the newer one.
+#[test]
+fn readers_of_adjacent_epochs_each_get_their_own_bytes() {
+    let (g, sigma) = workload::load("random:nodes=200,rules=4,seed=7").unwrap();
+    let rules = sigma.len();
+    let mut oracle = Oracle::new(&g, &sigma);
+    let mut v = IncrementalValidator::new(g, sigma);
+    let view = v.read_view();
+    let mut stream = DeltaStream::new(0x7ace, &key_attrs(), &ints(4));
+    let stamps = |s: &ViolationSnapshot<SigmaConstraint>| -> Vec<u64> {
+        (0..rules).map(|ci| s.stamp(ci)).collect()
+    };
+    for _ in 0..120 {
+        // Two boundaries, each pinned with the line it must serve.
+        let mut pinned: Vec<(ViolationSnapshot<SigmaConstraint>, Vec<u8>)> = Vec::new();
+        while pinned.len() < 2 {
+            let batch = stream.batch(&oracle.mirror, 4);
+            v.apply_all(&batch);
+            let at = oracle.advance(&batch);
+            if pinned.last().is_none_or(|(s, _)| s.epoch() < at.epoch) {
+                pinned.push((view.snapshot(), report_line(at.epoch, &at.report)));
+            }
+        }
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (snap, expected) in &pinned {
+                let gate = &gate;
+                s.spawn(move || {
+                    gate.wait();
+                    let served = served_report(snap);
+                    assert!(
+                        served == *expected,
+                        "epoch {}: another epoch's bytes",
+                        snap.epoch()
+                    );
+                });
+            }
+        });
+        let newer = stamps(&pinned[1].0);
+        drop(pinned);
+
+        let batch = stream.batch(&oracle.mirror, 4);
+        v.apply_all(&batch);
+        let at = oracle.advance(&batch);
+        let snap = view.snapshot();
+        let moved = stamps(&snap)
+            .iter()
+            .zip(&newer)
+            .filter(|(s, n)| s != n)
+            .count();
+        let renders = view.rule_renders();
+        assert!(served_report(&snap) == report_line(at.epoch, &at.report));
+        assert_eq!(
+            view.rule_renders() - renders,
+            moved as u64,
+            "an older reader evicted a newer segment"
+        );
+    }
 }

@@ -15,10 +15,13 @@
 
 #![allow(dead_code)] // every suite uses its own part of the driver
 
+use ged_daemon::server::rendering;
 use ged_daemon::{spawn, DaemonConfig, DaemonHandle};
 use ged_datagen::stream::DeltaStream;
-use ged_proto::message::{encode_report, report_to_json};
-use ged_proto::{write_frame, Client, Request, WireViolation};
+use ged_proto::message::{
+    encode_violations_head, ok_response, report_to_json, violation_to_json, write_segmented,
+};
+use ged_proto::{write_frame, Client, Json, Request, WireViolation};
 use ged_repro::core::reason::{GedReport, ValidationReport};
 use ged_repro::core::satisfy::Violation;
 use ged_repro::prelude::*;
@@ -72,6 +75,38 @@ pub fn shown(report: &ValidationReport) -> Shown {
 pub fn report_line(epoch: u64, report: &ValidationReport) -> Vec<u8> {
     let mut line = Vec::new();
     write_frame(&mut line, &report_to_json(epoch, report)).unwrap();
+    line
+}
+
+/// The reference `violations` reply line, via the tree codec.
+pub fn violations_line(epoch: u64, report: &ValidationReport) -> Vec<u8> {
+    let violations = report.violations.iter().map(violation_to_json).collect();
+    let tree = ok_response(vec![
+        ("epoch", Json::from(epoch)),
+        ("count", Json::from(report.violations.len())),
+        ("violations", Json::Arr(violations)),
+    ]);
+    let mut line = Vec::new();
+    write_frame(&mut line, &tree).unwrap();
+    line
+}
+
+/// The `report` line `gedd` serves for `snap`: its rendering
+/// (`ged_daemon::server::rendering`, memoised per epoch and per rule)
+/// written out the way the daemon writes it.
+pub fn served_report<C: Constraint>(snap: &ViolationSnapshot<C>) -> Vec<u8> {
+    let r = rendering(snap);
+    let mut line = Vec::new();
+    write_segmented(&mut line, r.head(), r.segments()).unwrap();
+    line
+}
+
+/// The `violations` line `gedd` serves for `snap`: a head of its own and
+/// the `report` rendering's segments.
+pub fn served_violations<C: Constraint>(snap: &ViolationSnapshot<C>) -> Vec<u8> {
+    let head = encode_violations_head(snap.epoch(), snap.violation_count());
+    let mut line = Vec::new();
+    write_segmented(&mut line, &head, rendering(snap).segments()).unwrap();
     line
 }
 
@@ -276,10 +311,13 @@ impl Drop for Pollers {
     }
 }
 
-/// A `ReadView` of a validator, with `pollers` concurrent
-/// readers: the snapshot's epoch, `to_report` and the rendered
-/// `encode_report` bytes (memoised on a buffer the writer recycles) at
-/// every boundary; every state a reader saw at the end.
+/// A `ReadView` of a validator, with `pollers` concurrent readers, each
+/// rendering what `gedd` serves (`server::rendering`) before it reads the
+/// snapshot's `to_report`: readers of adjacent epochs race the per-rule
+/// memo, and whichever of them rendered an epoch first made the bytes the
+/// boundary check reads. At every boundary the snapshot's epoch,
+/// `to_report`, and the served `report` and `violations` lines against
+/// the reference codec; every state a reader saw at the end.
 pub fn view<C: Constraint + Clone + 'static>(pollers: usize) -> Recipe<C> {
     let name = format!("read view, {pollers} poller(s)");
     recipe(&name, move |g: Graph, sigma: Vec<C>| {
@@ -289,6 +327,7 @@ pub fn view<C: Constraint + Clone + 'static>(pollers: usize) -> Recipe<C> {
             let view = view.clone();
             Box::new(move || {
                 let snap = view.snapshot();
+                rendering(&snap);
                 (snap.epoch(), witnesses(&snap.to_report()))
             })
         });
@@ -304,11 +343,10 @@ impl<C: Constraint> Subject for Viewed<C> {
         let snap = self.1.snapshot();
         ensure!(snap.epoch() == at.epoch, "snapshot at {}", snap.epoch());
         compare("snapshot", &shown(&snap.to_report()), &at.shown)?;
-        let render = |s: &ViolationSnapshot<C>| {
-            encode_report(s.epoch(), s.rules(), |sink| s.for_each_witness(sink))
-        };
-        let fresh = snap.rendered(render)[..] == report_line(at.epoch, &at.report)[..];
-        ensure!(fresh, "rendered bytes are not this epoch's report line");
+        let fresh = served_report(&snap) == report_line(at.epoch, &at.report);
+        ensure!(fresh, "served bytes are not this epoch's report line");
+        let fresh = served_violations(&snap) == violations_line(at.epoch, &at.report);
+        ensure!(fresh, "served bytes are not this epoch's violations line");
         Ok(())
     }
 
