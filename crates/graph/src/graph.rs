@@ -21,7 +21,9 @@
 //!
 //! `F_A` is stored flat: each node's tuple is a `Vec<(Symbol, Value)>`
 //! sorted by attribute, so [`Graph::attrs`] iterates in attribute order and
-//! [`Graph::attr`] is a scan of the handful of entries a node carries.
+//! [`Graph::attr`] is a scan of the handful of entries a node carries. A
+//! tuple's capacity is its length (a new attribute grows it by one entry),
+//! except that a removal keeps the slot it freed for the next new one.
 //!
 //! Two indexes serve candidate generation: label → nodes (always), and —
 //! only for the `(label, attribute)` pairs someone asked for with
@@ -517,7 +519,11 @@ impl Graph {
     /// lends it the delta's. An existing value is overwritten where it
     /// lies — a lent string is copied into the buffer of the string it
     /// replaces ([`Value::clone_from`]) — and only a new attribute grows
-    /// the tuple.
+    /// the tuple, by exactly one entry when it is full: a tuple holds its
+    /// entries and no spare slots (a node carries one to four attributes,
+    /// where `Vec`'s first growth would reserve four), and one that lost
+    /// an entry to [`Graph::remove_attr`] takes a new one without
+    /// reallocating.
     pub(crate) fn write_attr(&mut self, n: NodeId, attr: Symbol, v: Cow<'_, Value>) {
         let node = &mut self.nodes[n.idx()];
         let at = node.attrs.iter().position(|e| e.0 >= attr);
@@ -529,6 +535,7 @@ impl Graph {
             (Some(i), Cow::Owned(v)) => node.attrs[i].1 = v,
             (None, v) => {
                 let at = at.unwrap_or(node.attrs.len());
+                node.attrs.reserve_exact(1);
                 node.attrs.insert(at, (attr, v.into_owned()));
             }
         }
@@ -1697,6 +1704,62 @@ mod tests {
         assert!(g.remove_edge(a, f, c));
         assert_eq!(capacities(&g, a)[1], 0, "a's emptied out-direction");
         assert_eq!(capacities(&g, c)[2], 0, "c's emptied in-direction");
+        g.assert_index_consistent();
+    }
+
+    /// A tuple holds its entries and no spare slots, whether it grew
+    /// through `set_attr` or through `apply_delta`, and a removal keeps
+    /// the slot it freed, so a new attribute after it does not reallocate.
+    #[test]
+    fn attr_tuples_hold_exactly_their_entries() {
+        let attrs = ["d", "b", "a", "c"].map(sym);
+        let entry = std::mem::size_of::<(Symbol, Value)>();
+        let mut g = Graph::new();
+        let [by_set, by_delta] = [0, 1].map(|_| g.add_node(sym("t")));
+        let capacity = |g: &Graph, n: NodeId| g.nodes[n.idx()].attrs.capacity();
+        let set = |node, attr, value: i64| Delta::SetAttr {
+            node,
+            attr,
+            value: value.into(),
+        };
+        for (value, (n, &attr)) in (1..).zip(attrs.iter().enumerate()) {
+            g.set_attr(by_set, attr, value);
+            assert!(g.apply_delta(&set(by_delta, attr, value)).changed);
+            let held = [capacity(&g, by_set), capacity(&g, by_delta)];
+            assert_eq!(held, [n + 1; 2], "set_attr, SetAttr: {} attributes", n + 1);
+            if n == 0 || n + 1 == attrs.len() {
+                println!(
+                    "heap bytes of a {}-attribute tuple: {}",
+                    n + 1,
+                    held[0] * entry
+                );
+            }
+        }
+        g.set_attr(by_set, attrs[0], "an overwrite");
+        assert_eq!(
+            capacity(&g, by_set),
+            attrs.len(),
+            "an overwrite grows nothing"
+        );
+
+        let del = Delta::DelAttr {
+            node: by_delta,
+            attr: attrs[1],
+        };
+        assert!(g.apply_delta(&del).changed);
+        assert_eq!(
+            capacity(&g, by_delta),
+            attrs.len(),
+            "a removal keeps its slot"
+        );
+        assert!(g.apply_delta(&set(by_delta, sym("e"), 5)).changed);
+        assert_eq!(
+            capacity(&g, by_delta),
+            attrs.len(),
+            "the freed slot is reused"
+        );
+        let held: BTreeSet<Symbol> = g.attrs(by_delta).iter().map(|e| e.0).collect();
+        assert_eq!(held, ["a", "c", "d", "e"].map(sym).into(), "b went, e came");
         g.assert_index_consistent();
     }
 

@@ -7,10 +7,10 @@
 
 use crate::json::Json;
 use crate::message::{
-    apply_from_json, report_from_json, violation_from_json, ApplyReply, ReportReply, Request,
-    WireViolation,
+    apply_from_json, decode_all, report_from_json, violation_from_json, ApplyReply, ReportReply,
+    Request, WireViolation,
 };
-use crate::wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME};
+use crate::wire::{read_frame_in, write_frame, WireError, DEFAULT_MAX_FRAME};
 use ged_graph::DeltaSet;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -91,6 +91,9 @@ pub struct HealthReply {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Every reply's line is read into this one buffer, as `gedd` reads
+    /// each connection's requests.
+    line: Vec<u8>,
     max_frame: usize,
 }
 
@@ -108,6 +111,7 @@ impl Client {
         Ok(Client {
             writer: stream,
             reader,
+            line: Vec::new(),
             max_frame: DEFAULT_MAX_FRAME,
         })
     }
@@ -132,7 +136,7 @@ impl Client {
 
     /// Read the next reply frame (for callers that pipelined requests).
     pub fn read_reply(&mut self) -> Result<Json, ClientError> {
-        match read_frame(&mut self.reader, self.max_frame)? {
+        match read_frame_in(&mut self.reader, &mut self.line, self.max_frame)? {
             Some(json) => Ok(json),
             None => Err(ClientError::ConnectionClosed),
         }
@@ -163,11 +167,8 @@ impl Client {
         let epoch = need_u64(&reply, "epoch")?;
         let list = reply
             .get_arr("violations")
-            .ok_or_else(|| ClientError::Decode("reply needs `violations`".to_string()))?
-            .iter()
-            .map(violation_from_json)
-            .collect::<Result<Vec<WireViolation>, String>>()
-            .map_err(ClientError::Decode)?;
+            .ok_or_else(|| ClientError::Decode("reply needs `violations`".to_string()))?;
+        let list = decode_all(list, violation_from_json).map_err(ClientError::Decode)?;
         Ok((epoch, list))
     }
 

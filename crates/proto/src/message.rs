@@ -539,10 +539,8 @@ pub fn violation_from_json(json: &Json) -> Result<WireViolation, String> {
         .to_string();
     let assignment = json
         .get_arr("assignment")
-        .ok_or_else(|| "violation needs an `assignment` array".to_string())?
-        .iter()
-        .map(node_from_json)
-        .collect::<Result<Vec<NodeId>, String>>()?;
+        .ok_or_else(|| "violation needs an `assignment` array".to_string())?;
+    let assignment = decode_all(assignment, node_from_json)?;
     let kind = json
         .get_str("kind")
         .ok_or_else(|| "violation needs a string `kind`".to_string())?
@@ -552,6 +550,20 @@ pub fn violation_from_json(json: &Json) -> Result<WireViolation, String> {
         assignment,
         kind,
     })
+}
+
+/// Decode every item of a JSON array into a `Vec` allocated once, at the
+/// array's length: collecting an iterator of `Result`s starts from a size
+/// hint of 0 and grows by doubling.
+pub(crate) fn decode_all<T>(
+    items: &[Json],
+    decode: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items.iter().map(decode) {
+        out.push(item?);
+    }
+    Ok(out)
 }
 
 /// Encode a full [`ValidationReport`] plus the epoch it was pinned at.
@@ -591,9 +603,32 @@ pub fn report_to_json(epoch: u64, report: &ValidationReport) -> Json {
 /// place) and a loop over `ValidationReport::violations` both fit.
 pub type WitnessSink<'s, 'w> = dyn FnMut(&'w str, &[NodeId], &'w ViolationKind) + 's;
 
-/// Bytes reserved per witness: a two-node witness of a one-literal kind
-/// takes about 120.
+/// Bytes [`encode_report`] reserves per witness: a two-node witness of a
+/// one-literal kind takes about 120.
 const WITNESS_BYTES: usize = 128;
+
+/// What a witness of `rule` with `ids` node ids and this `kind` takes
+/// when every id has ten digits (`u32::MAX`'s width): no witness of the
+/// rule whose kind prints as long takes more. [`encode_segment`] sizes
+/// its buffer with the first witness's, formatting nothing.
+fn widest_witness(rule: &str, ids: usize, kind: &ViolationKind) -> usize {
+    /// Counts the bytes [`escape_into`] would write for what it is given.
+    struct EscapedLen(usize);
+    impl std::fmt::Write for EscapedLen {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let width = |b| match b {
+                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+                0..=0x1f => 6,
+                _ => 1,
+            };
+            self.0 += s.bytes().map(width).sum::<usize>();
+            Ok(())
+        }
+    }
+    let mut len = EscapedLen(r#"{"rule":"","assignment":[],"kind":""}"#.len());
+    write!(len, "{rule}{kind:?}").expect("counting is infallible");
+    len.0 + (11 * ids).saturating_sub(1)
+}
 
 /// What closes both witness-carrying replies: the witness array, the
 /// object, the line.
@@ -845,12 +880,19 @@ pub fn encode_violations_head(epoch: u64, count: usize) -> Vec<u8> {
 /// rule without witnesses. A rule's segment depends on nothing but the
 /// rule and its witnesses, so a rule whose witnesses did not change can
 /// send the bytes it sent before.
+///
+/// The buffer is allocated once, for as many witnesses as the first one
+/// with its ids at ten digits and a comma each: a segment whose kinds all
+/// print alike never reallocates while it is formatted.
 pub fn encode_segment<'w>(
     rule: &'w str,
     witnesses: impl IntoIterator<Item = (&'w [NodeId], &'w ViolationKind)>,
 ) -> Vec<u8> {
-    let witnesses = witnesses.into_iter();
-    let mut enc = LineEncoder::new(WITNESS_BYTES * witnesses.size_hint().0);
+    let mut witnesses = witnesses.into_iter().peekable();
+    let each = witnesses.peek().map_or(0, |(assignment, kind)| {
+        widest_witness(rule, assignment.len(), kind) + 1
+    });
+    let mut enc = LineEncoder::new(each * witnesses.size_hint().0);
     enc.witnesses(|sink| witnesses.for_each(|(assignment, kind)| sink(rule, assignment, kind)));
     enc.out.into_bytes()
 }
@@ -931,26 +973,22 @@ pub fn report_from_json(json: &Json) -> Result<ReportReply, String> {
         .ok_or_else(|| "report needs `satisfied`".to_string())?;
     let rules = json
         .get_arr("rules")
-        .ok_or_else(|| "report needs `rules`".to_string())?
-        .iter()
-        .map(|r| {
-            Ok((
-                r.get_str("name")
-                    .ok_or_else(|| "rule row needs `name`".to_string())?
-                    .to_string(),
-                r.get_u64("violations")
-                    .ok_or_else(|| "rule row needs `violations`".to_string())?,
-                r.get_bool("satisfied")
-                    .ok_or_else(|| "rule row needs `satisfied`".to_string())?,
-            ))
-        })
-        .collect::<Result<Vec<(String, u64, bool)>, String>>()?;
+        .ok_or_else(|| "report needs `rules`".to_string())?;
+    let rules = decode_all(rules, |r| {
+        Ok((
+            r.get_str("name")
+                .ok_or_else(|| "rule row needs `name`".to_string())?
+                .to_string(),
+            r.get_u64("violations")
+                .ok_or_else(|| "rule row needs `violations`".to_string())?,
+            r.get_bool("satisfied")
+                .ok_or_else(|| "rule row needs `satisfied`".to_string())?,
+        ))
+    })?;
     let violations = json
         .get_arr("violations")
-        .ok_or_else(|| "report needs `violations`".to_string())?
-        .iter()
-        .map(violation_from_json)
-        .collect::<Result<Vec<WireViolation>, String>>()?;
+        .ok_or_else(|| "report needs `violations`".to_string())?;
+    let violations = decode_all(violations, violation_from_json)?;
     Ok(ReportReply {
         epoch,
         satisfied,
@@ -1102,6 +1140,41 @@ mod tests {
         let err = err_response(code::MALFORMED, "bad line");
         assert_eq!(err.get_bool("ok"), Some(false));
         assert_eq!(err.get_str("code"), Some(code::MALFORMED));
+    }
+
+    /// The size `encode_segment` reserves per witness is what a witness
+    /// with ten-digit ids takes, to the byte, whatever needs escaping in
+    /// the rule's name or the kind's text.
+    #[test]
+    fn widest_witness_is_a_ten_digit_witness() {
+        use ged_pattern::Var;
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        let rules = ["keys", "ünï \"cödé\"", every_ascii.as_str()];
+        let (a, b) = (sym("a"), sym("tab\tbed"));
+        let kinds = [
+            ViolationKind::Disjunction,
+            ViolationKind::Predicates(vec![0, 12]),
+            ViolationKind::Conclusions(vec![
+                Literal::constant(Var(0), a, every_ascii.as_str()),
+                Literal::constant(Var(1), b, Value::Float(2.0)),
+                Literal::vars(Var(0), a, Var(1), b),
+                Literal::id(Var(0), Var(1)),
+            ]),
+        ];
+        let widest = [
+            NodeId(u32::MAX),
+            NodeId(1_000_000_000),
+            NodeId(4_000_000_000),
+        ];
+        for rule in rules {
+            for kind in &kinds {
+                for ids in 0..=widest.len() {
+                    let line = encode_segment(rule, [(&widest[..ids], kind)]);
+                    let at = format!("{rule:?}, {ids} ids, {kind:?}");
+                    assert_eq!(widest_witness(rule, ids, kind), line.len(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

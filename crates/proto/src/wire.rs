@@ -11,10 +11,10 @@
 //! terminating newline — the peer died mid-request), skips blank
 //! keep-alive lines, strips a `\r`, and checks the line to be UTF-8.
 //! Decoding the line is the caller's: [`read_frame`] is `read_line` +
-//! [`Json::parse`] for whoever wants the document (clients, tests, the
-//! benchmark's reference rows); `gedd` keeps one buffer per connection and
-//! hands the line to
-//! [`Request::from_line`](crate::message::Request::from_line).
+//! [`Json::parse`] for whoever wants the document (tests, the benchmark's
+//! reference rows, and a [`Client`](crate::client::Client), through one
+//! buffer it keeps); `gedd` keeps one buffer per connection and hands the
+//! line to [`Request::from_line`](crate::message::Request::from_line).
 
 use crate::json::Json;
 use std::io::{self, BufRead, Write};
@@ -77,12 +77,22 @@ pub fn write_frame(w: &mut impl Write, frame: &Json) -> io::Result<()> {
 }
 
 /// Read the next frame as a document: [`read_line`] into a buffer of its
-/// own, then [`Json::parse`]. What clients and tests read replies with,
-/// and the reference the daemon's request decoder is held to; the daemon
-/// itself calls [`read_line`] with one buffer per connection.
+/// own, then [`Json::parse`]. What tests read replies with, and the
+/// reference the daemon's request decoder is held to; the daemon itself
+/// calls [`read_line`] with one buffer per connection, and a
+/// [`Client`](crate::client::Client) reads every reply into one buffer.
 pub fn read_frame(r: &mut impl BufRead, max_frame: usize) -> Result<Option<Json>, WireError> {
-    let mut buf = Vec::new();
-    let Some(line) = read_line(r, &mut buf, max_frame)? else {
+    read_frame_in(r, &mut Vec::new(), max_frame)
+}
+
+/// [`read_frame`] through the caller's line buffer, which [`read_line`]
+/// clears and keeps.
+pub(crate) fn read_frame_in(
+    r: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    max_frame: usize,
+) -> Result<Option<Json>, WireError> {
+    let Some(line) = read_line(r, buf, max_frame)? else {
         return Ok(None);
     };
     Json::parse(line)

@@ -1,6 +1,7 @@
 //! Allocation bound on the delta-apply layer (DESIGN.md §8, "The delta-apply
 //! layer"): a delta that grows no tuple, adjacency or bucket — an overwrite,
-//! a removal, a no-op — makes no allocator call in `Graph::apply_delta`, its
+//! a removal, a no-op, a new attribute in the slot a removal freed — makes
+//! no allocator call in `Graph::apply_delta`, its
 //! `DeltaEffect` included, nor does a batch of them in `Graph::apply_batch`,
 //! warm pass included; and a batch of such deltas through `apply_all`
 //! allocates for the batch (one footprint vector, the per-batch
@@ -83,6 +84,40 @@ fn a_delta_that_grows_nothing_calls_no_allocator() {
         assert_eq!(g.attr(a, text), Some(&same_length.into()));
         let left = (g.node_count(), g.edge_count(), g.attrs(a).len());
         assert_eq!(left, (2, 1, 2));
+    }
+}
+
+/// A removal keeps the slot it frees (a tuple otherwise holds exactly its
+/// entries, DESIGN.md §8), so a new attribute after a `del_attr` fits in
+/// it: the same attribute again, or another, one delta at a time or as a
+/// batch.
+#[test]
+fn a_re_add_after_del_attr_calls_no_allocator() {
+    let (t, int, gone, other) = (sym("t"), sym("int"), sym("gone"), sym("other"));
+    let mut g = Graph::new();
+    let a = g.add_node(t);
+    g.set_attr(a, int, 1);
+    g.set_attr(a, gone, 2);
+    let set = |attr, value: i64| Delta::SetAttr {
+        node: a,
+        attr,
+        value: value.into(),
+    };
+    let del = |attr| Delta::DelAttr { node: a, attr };
+    let cycle = [del(gone), set(gone, 3), del(gone), set(other, 4)];
+    let mut batched = g.clone();
+    for delta in &cycle {
+        let (effect, allocs) = allocations_in(|| g.apply_delta(delta));
+        assert!(effect.changed, "{delta}");
+        assert_eq!(
+            allocs, 0,
+            "re-add after del_attr: {delta} called the allocator"
+        );
+    }
+    let ((), allocs) = allocations_in(|| batched.apply_batch(&cycle, |_, _| {}));
+    assert_eq!(allocs, 0, "the batch called the allocator");
+    for g in [&g, &batched] {
+        assert_eq!((g.attr(a, gone), g.attr(a, other)), (None, Some(&4.into())));
     }
 }
 

@@ -1,17 +1,19 @@
 //! Allocation bound on the `report` path: rendering a snapshot's reply
 //! costs a constant number of allocator calls whatever the witness count
-//! (the head, one sort buffer, each rule's segment as it grows and the
-//! exact copy it is shared as, the rendering and its list of segments: 14
-//! on this graph's four rules), a re-render after a batch that changed one rule
+//! (the head, one sort buffer, each rule's segment and the exact copy it
+//! is shared as, the rendering and its list of segments: 12 on this
+//! graph's four rules), a re-render after a batch that changed one rule
 //! formats that rule alone and costs no more than the first, and a poll
-//! that finds the epoch already rendered costs none.
+//! that finds the epoch already rendered costs none. A segment is one
+//! allocation, sized from its first witness, and holds less than twice its
+//! length.
 //!
 //! The counter (`support/counting.rs`) counts the calling thread's
 //! allocations, and everything measured here runs on it.
 
 use ged_daemon::server::rendering;
 use ged_daemon::workload;
-use ged_proto::message::{report_to_json, write_segmented};
+use ged_proto::message::{encode_segment, report_to_json, write_segmented};
 use ged_proto::write_frame;
 use ged_repro::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -118,5 +120,32 @@ fn a_render_allocates_a_constant_and_a_hit_nothing() {
     assert!(
         line_of(&next) == tree_line(&snap),
         "re-rendered line differs from the tree's"
+    );
+}
+
+#[test]
+fn a_segment_is_one_allocation_near_its_length() {
+    let (g, sigma) = workload::load("mixed:honest=1250,plants=250,seed=3").unwrap();
+    let v = IncrementalValidator::new(g, sigma);
+    let snap = v.read_view().snapshot();
+    let counts: BTreeMap<&str, usize> = snap.rules().collect();
+    snap.rendered(
+        |_| Vec::new(),
+        |rule, witnesses| {
+            let (segment, allocs) = allocations_in(|| encode_segment(rule, witnesses));
+            let (len, capacity) = (segment.len(), segment.capacity());
+            let n = counts[rule];
+            println!(
+                "{rule}: {n} witnesses, {len} B ({:.1} per witness), capacity {capacity}",
+                len as f64 / n as f64
+            );
+            assert!(n > 0, "every rule of the workload has witnesses");
+            assert_eq!(
+                allocs, 1,
+                "{rule}: {allocs} allocator calls for one segment"
+            );
+            assert!(capacity < 2 * len, "{rule}: {len} B in {capacity}");
+            segment
+        },
     );
 }

@@ -1,9 +1,11 @@
 //! A counting global allocator for the allocation-bound tests
 //! (`report_alloc.rs`, `request_alloc.rs`, `publish_alloc.rs`,
 //! `apply_alloc.rs`), each of which pulls this file in with `#[path]` and so
-//! installs it for its own binary. The count is per thread: what the test
-//! harness's main thread allocates while a test starts up is not the
-//! measured code's.
+//! installs it for its own binary (and `heap_footprint.rs`, for the live
+//! bytes). The counts are per thread: what the test harness's main thread
+//! allocates while a test starts up is not the measured code's.
+
+#![allow(dead_code)] // each suite reads one of the two tallies
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,29 +16,39 @@ thread_local! {
     // Const-initialised and without a destructor: reading it allocates
     // nothing and is sound at any point of a thread's life.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated minus bytes it freed: a block freed on
+    // another thread than the one that allocated it skews both tallies.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
 }
 
+fn live(delta: i64) {
+    LIVE_BYTES.with(|n| n.set(n.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// integer.
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// integers.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        live(layout.size() as i64);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr`/`layout` describe a live `System` block, per the caller.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -50,4 +62,12 @@ pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.get();
     let out = f();
     (out, ALLOCATIONS.get() - before)
+}
+
+/// Heap bytes `f` leaves live on the calling thread: what it allocated
+/// (requested sizes, not the allocator's rounding) less what it freed.
+pub fn live_bytes_in<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.get();
+    let out = f();
+    (out, LIVE_BYTES.get() - before)
 }
