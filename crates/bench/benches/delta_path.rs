@@ -59,6 +59,7 @@
 //!   the batch count (1 200, 150 and 30).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ged_core::constraint::ViolationKind;
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_engine::{Footprint, IncrementalValidator, ViolationStore};
@@ -88,9 +89,9 @@ fn bench_drop(c: &mut Criterion) {
     let touched: Vec<NodeId> = (0..10).map(|i| NodeId(4 * i)).collect();
     let footprint = Footprint::every_rule(&touched, 1);
     for &n in &[10_000usize, 100_000] {
-        let lit = || vec![Literal::id(Var(0), Var(1))];
+        let lit = || ViolationKind::from(vec![0]);
         let mut indexed = ViolationStore::for_sigma(&[key_ged()]);
-        let mut scan: HashMap<Match, Vec<Literal>> = HashMap::new();
+        let mut scan: HashMap<Match, ViolationKind> = HashMap::new();
         for i in 0..n {
             let m = vec![NodeId(2 * i as u32), NodeId(2 * i as u32 + 1)];
             indexed.insert(0, m.clone(), lit());

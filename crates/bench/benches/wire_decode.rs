@@ -117,16 +117,9 @@ fn apply_frame(batch: usize, rng: &mut Lcg) -> Vec<u8> {
 /// the four so no two neighbours share one.
 fn encode_report_line(witnesses: usize, distinct: bool) -> Vec<u8> {
     let rules = ["verified⇒real", "no-self-follow", "age≥13", "tier-domain"];
-    let kinds = [
-        ViolationKind::Conclusions(vec![Literal::constant(
-            Var(0),
-            sym("is_fake"),
-            Value::Int(0),
-        )]),
-        ViolationKind::Conclusions(vec![Literal::id(Var(0), Var(1))]),
-        ViolationKind::Predicates(vec![0]),
-        ViolationKind::Disjunction,
-    ];
+    // Four distinct kinds of the lengths the mixed rules' witnesses list:
+    // one conclusion, a forbidding pair, every disjunct.
+    let kinds = [vec![0], vec![0, 1], vec![1], vec![0, 1, 2]].map(ViolationKind::from);
     let per_rule = witnesses / rules.len();
     encode_report(7, rules.iter().map(|name| (*name, per_rule)), |sink| {
         for (r, name) in rules.iter().enumerate() {

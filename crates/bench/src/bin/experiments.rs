@@ -26,6 +26,7 @@ use ged_datagen::rules;
 use ged_datagen::social::{generate as gen_social, spam_cascade, SocialConfig};
 use ged_ext::domain::{domain_as_disj, domain_as_gdcs};
 use ged_ext::reason::{disj_satisfiable, gdc_satisfiable};
+use ged_ext::{Gdc, SigmaConstraint};
 use ged_graph::{sym, Value};
 use ged_pattern::{fragments, parse_pattern, Var};
 
@@ -292,7 +293,7 @@ fn exp_t1_ext() {
     }
     println!("\nvalidation (coNP for both — same shape):");
     let w = validation_workload(200, 3, 2, 7);
-    let gdcs: Vec<_> = w.sigma.iter().map(ged_ext::gdc::Gdc::from_ged).collect();
+    let gdcs: Vec<SigmaConstraint> = w.sigma.iter().map(|g| Gdc::from_ged(g).into()).collect();
     let (_, d_ged) = timed_median(3, || validate(&w.graph, &w.sigma, Some(1)).satisfied());
     let (_, d_gdc) = timed_median(3, || ged_core::satisfy::satisfies_all(&w.graph, &gdcs));
     println!("  |V|=200: GED {} µs   GDC {} µs", us(d_ged), us(d_gdc));
@@ -631,7 +632,8 @@ fn exp_ex9_10() {
     );
     let dom = [Value::from(0), Value::from(1)];
     let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-    let psi = domain_as_disj("τ", "A", &dom);
+    let pair: [SigmaConstraint; 2] = [phi1.into(), phi2.into()];
+    let psi = SigmaConstraint::from(domain_as_disj("τ", "A", &dom));
     for (desc, val) in [("A=0", Some(0i64)), ("A=7", Some(7)), ("A missing", None)] {
         let mut b = ged_graph::GraphBuilder::new();
         b.node("x", "τ");
@@ -639,7 +641,7 @@ fn exp_ex9_10() {
             b.attr("x", "A", v);
         }
         let g = b.build();
-        let gdc_ok = ged_core::satisfy::satisfies_all(&g, &[phi1.clone(), phi2.clone()]);
+        let gdc_ok = ged_core::satisfy::satisfies_all(&g, &pair);
         let disj_ok = ged_core::satisfy::satisfies(&g, &psi);
         assert_eq!(gdc_ok, disj_ok, "the two formulations agree");
         println!("  {desc:<10} GDC pair: {gdc_ok:<5} GED∨: {disj_ok}");

@@ -3,90 +3,88 @@
 //!
 //! A [`Constraint`] is anything of the paper's shape `Q[x̄](X → Y)`: a
 //! topological pattern plus a per-match check that says whether a given
-//! match violates the dependency — and, if so, *how* (a [`ViolationKind`]).
-//! Plain GEDs implement it here; `ged-ext` implements it for GDCs
-//! (built-in predicates, Section 7.1) and GED∨ (disjunctive conclusions,
-//! Section 7.2) by routing all three through the same normalized
-//! premises-plus-conclusion-options evaluation.
+//! match violates the dependency — and, if so, *which conclusion literals
+//! failed* (a [`ViolationKind`]). Plain GEDs implement it here; `ged-ext`
+//! compiles every rule of the paper's families — GED, GDC (built-in
+//! predicates, Section 7.1) and GED∨ (disjunctive conclusions, Section
+//! 7.2) — into the one served form `SigmaConstraint`: premises plus
+//! conclusion options. Both checks are the one evaluator [`evaluate`].
 //!
 //! Everything downstream is generic over `C: Constraint`: the from-scratch
 //! enumerators in [`satisfy`](crate::satisfy), the validation reports in
 //! [`reason`](crate::reason), and — crucially — the incremental,
-//! output-sensitive, parallel delta path in `ged-engine`. The engine's hot
-//! loops only ever need the pattern (to enumerate candidate matches) and
-//! the check (to classify each one), so the affected-area machinery built
-//! for GEDs serves every constraint family for the price of one. A *mixed*
-//! rule set is a `Vec<ged_ext::SigmaConstraint>` — the closed enum over the
-//! paper's families; a family outside them plugs in as its own `C`.
+//! output-sensitive delta path in `ged-engine`. The engine's hot loops
+//! only ever need the pattern (to enumerate candidate matches) and the
+//! check (to classify each one), so the affected-area machinery built for
+//! GEDs serves every constraint family for the price of one. A *mixed*
+//! rule set is a `Vec<ged_ext::SigmaConstraint>`; a family outside the
+//! paper's plugs in as its own `C`.
 
 use crate::ged::Ged;
 use crate::literal::Literal;
-use crate::satisfy::check_violation;
+use crate::satisfy::literal_holds;
 use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::Pattern;
 use std::fmt;
 
-/// Why a match violates a constraint — the per-witness payload the stores
-/// and reports carry. The variants mirror the three constraint families:
-/// conjunctive GED conclusions keep their failed literals (so reports stay
-/// as informative as before the constraint layer), predicate (GDC)
-/// conclusions record which conclusion positions failed, and a disjunctive
-/// conclusion is violated exactly when *every* disjunct fails — there is
-/// no sub-witness to name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// Conjunctive conclusions: the literals that failed under the match
-    /// (plain GEDs).
-    Conclusions(Vec<Literal>),
-    /// Predicate conclusions: indices (into the constraint's conclusion
-    /// list) of the literals that failed (GDCs).
-    Predicates(Vec<usize>),
-    /// Every disjunct of a disjunctive conclusion failed (GED∨, and
-    /// normalized constraints with conclusion options).
-    Disjunction,
-}
+/// Why a match violates a constraint — the per-witness payload the stores,
+/// the reports and the wire carry, the same shape for every family: the
+/// ascending positions of the conclusion literals that failed, counted
+/// over the rule's conclusion options flattened in order. A GED or a GDC
+/// (one conjunctive option) lists its failed conclusions; a GED∨ (one
+/// single-literal option per disjunct) lists every disjunct; a rule whose
+/// `Y` is `false` (no option) lists nothing.
+///
+/// Its `Debug` text is the list, `[0, 2]` — the wire's `kind` (DESIGN.md
+/// §10): it names no attribute or value, so every process prints a
+/// violation alike.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct ViolationKind(Vec<usize>);
 
 impl ViolationKind {
-    /// The failed conclusion literals, when the constraint family records
-    /// them ([`ViolationKind::Conclusions`]); empty for the others.
-    pub fn literals(&self) -> &[Literal] {
-        match self {
-            ViolationKind::Conclusions(ls) => ls,
-            _ => &[],
-        }
-    }
-
-    /// A violation must name *something* that failed: non-empty literal or
-    /// index lists for the conjunctive/predicate forms (`Disjunction`
-    /// already asserts all disjuncts failed). The stores debug-assert this.
-    pub fn is_witnessed(&self) -> bool {
-        match self {
-            ViolationKind::Conclusions(ls) => !ls.is_empty(),
-            ViolationKind::Predicates(is) => !is.is_empty(),
-            ViolationKind::Disjunction => true,
-        }
+    /// The positions of the failed conclusion literals, ascending.
+    pub fn positions(&self) -> &[usize] {
+        &self.0
     }
 }
 
-/// The GED path's payload: failed conjunctive conclusion literals.
-impl From<Vec<Literal>> for ViolationKind {
-    fn from(failed: Vec<Literal>) -> ViolationKind {
-        ViolationKind::Conclusions(failed)
+impl From<Vec<usize>> for ViolationKind {
+    /// Positions of failed conclusion literals, in ascending order.
+    fn from(positions: Vec<usize>) -> ViolationKind {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]), "ascending");
+        ViolationKind(positions)
+    }
+}
+
+impl fmt::Debug for ViolationKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
     }
 }
 
 impl fmt::Display for ViolationKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ViolationKind::Conclusions(ls) => {
-                write!(f, "{} conclusion literal(s) failed", ls.len())
-            }
-            ViolationKind::Predicates(is) => {
-                write!(f, "{} predicate conclusion(s) failed", is.len())
-            }
-            ViolationKind::Disjunction => f.write_str("all disjuncts failed"),
-        }
+        write!(f, "conclusion literal(s) {:?} failed", self.0)
     }
+}
+
+/// The one violation test of every served rule, over any literal type
+/// (`holds` carries its semantics): `X → opt₁ ∨ opt₂ ∨ …` is violated at
+/// a match iff every premise holds and every option has a failing
+/// literal; the kind lists the failing literals' positions over the
+/// options flattened. No option is `false`; an empty option is `true`.
+/// Deciding costs no allocation — the positions are gathered in a second
+/// pass, for violations only.
+pub fn evaluate<'a, L: 'a>(
+    premises: &[L],
+    options: impl Iterator<Item = &'a [L]> + Clone,
+    holds: impl Fn(&L) -> bool,
+) -> Option<ViolationKind> {
+    if !premises.iter().all(&holds) || options.clone().any(|o| o.iter().all(&holds)) {
+        return None;
+    }
+    let failed = options.flatten().enumerate().filter(|(_, l)| !holds(l));
+    Some(ViolationKind(failed.map(|(i, _)| i).collect()))
 }
 
 /// A normalized literal-level rendering of a constraint's logic for
@@ -127,8 +125,8 @@ impl LiteralView {
 
 /// A dependency of the shape `Q[x̄](X → Y)` that the generic validation
 /// engines can serve: a pattern to enumerate matches of, and a per-match
-/// check. Implemented by [`Ged`] here and by `Gdc`, `DisjGed`, and
-/// `NormConstraint` in `ged-ext`.
+/// check. Implemented by [`Ged`] here and by `SigmaConstraint`, the one
+/// form every rule of `ged-ext` compiles into.
 ///
 /// The affected-area boundary argument of the incremental engine
 /// (`ged-engine`, DESIGN.md §4) holds for *any* implementation that obeys
@@ -202,9 +200,9 @@ pub trait Constraint: Send + Sync {
 
     /// Can the premises `X` hold under *some* match in *some* graph?
     /// `false` means the rule can never fire — a dead rule. The default
-    /// `true` is the conservative answer; families with predicate
-    /// literals (GDCs) override it with their order-solver feasibility
-    /// check. Literal-view-based constant-conflict detection runs
+    /// `true` is the conservative answer; `SigmaConstraint`, whose
+    /// literals carry predicates, overrides it with its order-solver
+    /// feasibility check. Literal-view-based constant-conflict detection runs
     /// independently of this hook.
     fn premises_feasible(&self) -> bool {
         true
@@ -221,7 +219,8 @@ impl Constraint for Ged {
     }
 
     fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        check_violation(g, m, self).map(ViolationKind::Conclusions)
+        let conclusions = std::iter::once(self.conclusions.as_slice());
+        evaluate(&self.premises, conclusions, |l| literal_holds(g, m, l))
     }
 
     fn size(&self) -> usize {
@@ -277,30 +276,37 @@ mod tests {
     }
 
     #[test]
-    fn check_agrees_with_check_violation() {
+    fn a_ged_lists_the_positions_of_its_failed_conclusions() {
         let mut b = GraphBuilder::new();
         b.triple(("tony", "person"), "create", ("gb", "product"));
         b.attr("tony", "type", "psychologist");
         b.attr("gb", "type", "video game");
         let (graph, names) = b.build_with_names();
         let m = vec![names["tony"], names["gb"]];
-        let ged = phi1();
-        let kind = ged.check(&graph, &m).expect("the match violates φ1");
-        assert_eq!(
-            kind,
-            ViolationKind::Conclusions(check_violation(&graph, &m, &ged).unwrap())
-        );
-        assert!(kind.is_witnessed());
-        assert_eq!(kind.literals().len(), 1);
+        let kind = phi1().check(&graph, &m).expect("the match violates φ1");
+        assert_eq!(kind.positions(), [0]);
+        assert_eq!(format!("{kind:?}"), "[0]");
     }
 
+    /// Positions count over the options flattened; one holding option
+    /// satisfies the rule, no option is `false`, an empty one `true`.
     #[test]
     fn kind_witness_rules() {
-        assert!(!ViolationKind::Conclusions(vec![]).is_witnessed());
-        assert!(!ViolationKind::Predicates(vec![]).is_witnessed());
-        assert!(ViolationKind::Predicates(vec![0]).is_witnessed());
-        assert!(ViolationKind::Disjunction.is_witnessed());
-        assert!(ViolationKind::Disjunction.literals().is_empty());
+        let holds = |l: &(usize, bool)| l.1;
+        let eval = |premises: &[(usize, bool)], options: &[&[(usize, bool)]]| {
+            evaluate(premises, options.iter().copied(), holds).map(|k| k.positions().to_vec())
+        };
+        let (t, f) = ((0, true), (0, false));
+        assert_eq!(eval(&[t], &[&[f, t], &[f]]), Some(vec![0, 2]));
+        assert_eq!(
+            eval(&[t], &[&[f, t], &[t]]),
+            None,
+            "the second option holds"
+        );
+        assert_eq!(eval(&[f], &[&[f]]), None, "a failed premise");
+        assert_eq!(eval(&[t], &[]), Some(vec![]), "`false` lists nothing");
+        assert_eq!(eval(&[t], &[&[]]), None, "an empty option holds");
+        assert_eq!(eval(&[], &[&[f], &[f], &[f]]), Some(vec![0, 1, 2]));
     }
 
     #[test]
@@ -311,11 +317,9 @@ mod tests {
 
     #[test]
     fn display_kinds() {
-        let k = ViolationKind::Conclusions(vec![Literal::id(Var(0), Var(0))]);
-        assert!(k.to_string().contains("conclusion"));
-        assert!(ViolationKind::Predicates(vec![1])
-            .to_string()
-            .contains("predicate"));
-        assert!(ViolationKind::Disjunction.to_string().contains("disjunct"));
+        let k = ViolationKind::from(vec![1, 12]);
+        assert_eq!(format!("{k:?}"), "[1, 12]");
+        assert_eq!(format!("{:?}", ViolationKind::default()), "[]");
+        assert!(k.to_string().contains("[1, 12]"));
     }
 }

@@ -45,7 +45,7 @@ pub use constraint::{constraint_sigma_size, Constraint, ViolationKind};
 pub use ged::{sigma_size, Ged, GedClass};
 pub use literal::Literal;
 pub use reason::{build_model, implies, is_satisfiable, validate, ValidationReport};
-pub use satisfy::{check_violation, is_model, satisfies, satisfies_all, violations, Violation};
+pub use satisfy::{is_model, satisfies, satisfies_all, violations, Violation};
 
 #[cfg(test)]
 mod proptests {

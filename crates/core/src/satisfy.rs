@@ -22,16 +22,16 @@
 //!   [`satisfies_all`], [`is_model`] — is generic over any
 //!   `C:`[`Constraint`]: it walks the matches of `C::pattern` and asks
 //!   `C::check` about each one;
-//! * the **literal-checking loop** for plain GEDs — [`literal_holds`],
-//!   [`literals_hold`], [`check_violation`] — is what `Ged`'s `Constraint`
-//!   implementation plugs into that enumeration.
+//! * the **literal semantics** for plain GEDs — [`literal_holds`],
+//!   [`literals_hold`] — is what `Ged`'s `Constraint` implementation
+//!   hands the shared evaluator [`crate::constraint::evaluate`].
 //!
-//! GDCs and GED∨s plug their own checks in from `ged-ext` and get the same
-//! enumerators (and the incremental/parallel engines of `ged-engine`,
-//! which share this structure) without any new matching code.
+//! `ged-ext`'s `SigmaConstraint` hands the same evaluator its predicate
+//! literals and gets the same enumerators (and the incremental engine of
+//! `ged-engine`, which shares this structure) without any new matching
+//! code.
 
 use crate::constraint::{Constraint, ViolationKind};
-use crate::ged::Ged;
 use crate::literal::Literal;
 use ged_graph::{Graph, NodeId};
 use ged_pattern::{Match, MatchOptions, Matcher};
@@ -72,35 +72,6 @@ pub struct Violation {
     pub assignment: Match,
     /// How the conclusion failed.
     pub kind: ViolationKind,
-}
-
-impl Violation {
-    /// The failed conclusion literals, when the constraint family records
-    /// them (plain GEDs); empty for predicate/disjunctive conclusions.
-    pub fn failed(&self) -> &[Literal] {
-        self.kind.literals()
-    }
-}
-
-/// The single-match violation check shared by [`violations`], the
-/// parallel sharded validators, and the incremental engine: does `m`
-/// satisfy `X` but fail part of `Y`? Returns the failed conclusion
-/// literals if so.
-pub fn check_violation(g: &Graph, m: &[NodeId], ged: &Ged) -> Option<Vec<Literal>> {
-    if !literals_hold(g, m, &ged.premises) {
-        return None;
-    }
-    let failed: Vec<Literal> = ged
-        .conclusions
-        .iter()
-        .filter(|l| !literal_holds(g, m, l))
-        .cloned()
-        .collect();
-    if failed.is_empty() {
-        None
-    } else {
-        Some(failed)
-    }
 }
 
 /// Enumerate violations of constraint `c` in `g`, stopping after `limit`
@@ -191,7 +162,7 @@ mod tests {
         let vs = violations(&g, &phi1(), None);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].ged_name, "φ1");
-        assert_eq!(vs[0].failed().len(), 1);
+        assert_eq!(vs[0].kind.positions(), [0]);
         assert!(!satisfies(&g, &phi1()));
     }
 

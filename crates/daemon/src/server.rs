@@ -609,6 +609,11 @@ mod tests {
         let before = String::from_utf8(out).unwrap();
         let before = Json::parse(before.lines().nth(1).unwrap()).unwrap();
         assert_eq!(before.get_bool("degraded"), Some(false), "{before}");
+        assert_eq!(
+            before.get_u64("protocol"),
+            Some(2),
+            "kinds are position lists"
+        );
 
         thread::scope(|s| {
             let apply = s.spawn(|| {

@@ -136,27 +136,34 @@ pub fn kb_disj(cfg: &KbConfig, planted_bad_visibility: usize, seed: u64) -> Disj
 mod tests {
     use super::*;
     use ged_core::satisfy::{satisfies_all, violations};
+    use ged_ext::SigmaConstraint;
+
+    /// The workload's Σ in the served form.
+    fn served(w: DisjWorkload) -> (Graph, Vec<SigmaConstraint>) {
+        (w.graph, w.sigma.into_iter().map(Into::into).collect())
+    }
 
     #[test]
     fn social_workload_plants_tier_and_bot_violations() {
         let w = social_disj(&SocialConfig::default(), 3, 2, 5);
         assert_eq!(w.planted, 5);
-        assert_eq!(violations(&w.graph, &w.sigma[0], None).len(), 3);
-        assert_eq!(violations(&w.graph, &w.sigma[1], None).len(), 2);
-        assert!(!satisfies_all(&w.graph, &w.sigma));
+        let (g, sigma) = served(w);
+        assert_eq!(violations(&g, &sigma[0], None).len(), 3);
+        assert_eq!(violations(&g, &sigma[1], None).len(), 2);
+        assert!(!satisfies_all(&g, &sigma));
     }
 
     #[test]
     fn social_workload_with_no_plants_is_clean() {
-        let w = social_disj(&SocialConfig::default(), 0, 0, 5);
-        assert!(satisfies_all(&w.graph, &w.sigma));
+        let (g, sigma) = served(social_disj(&SocialConfig::default(), 0, 0, 5));
+        assert!(satisfies_all(&g, &sigma));
     }
 
     #[test]
     fn kb_workload_plants_exactly_the_bad_visibilities() {
-        let w = kb_disj(&KbConfig::default(), 4, 8);
-        assert_eq!(violations(&w.graph, &w.sigma[0], None).len(), 4);
-        let clean = kb_disj(&KbConfig::default(), 0, 8);
-        assert!(satisfies_all(&clean.graph, &clean.sigma));
+        let (g, sigma) = served(kb_disj(&KbConfig::default(), 4, 8));
+        assert_eq!(violations(&g, &sigma[0], None).len(), 4);
+        let (clean, sigma) = served(kb_disj(&KbConfig::default(), 0, 8));
+        assert!(satisfies_all(&clean, &sigma));
     }
 }

@@ -119,37 +119,36 @@ pub fn kb_gdcs(cfg: &KbConfig, planted_overdiscount: usize, seed: u64) -> GdcWor
 mod tests {
     use super::*;
     use ged_core::satisfy::{satisfies_all, violations};
+    use ged_ext::SigmaConstraint;
+
+    /// The workload's Σ in the served form.
+    fn served(w: GdcWorkload) -> (Graph, Vec<SigmaConstraint>) {
+        (w.graph, w.sigma.into_iter().map(Into::into).collect())
+    }
 
     #[test]
     fn social_workload_plants_exactly_the_underage_accounts() {
         let w = social_gdcs(&SocialConfig::default(), 4, 3);
-        let total: usize = w
-            .sigma
-            .iter()
-            .map(|g| violations(&w.graph, g, None).len())
-            .sum();
-        assert_eq!(total, w.planted);
         assert_eq!(w.planted, 4);
-        assert!(!satisfies_all(&w.graph, &w.sigma));
+        let (g, sigma) = served(w);
+        let total: usize = sigma.iter().map(|c| violations(&g, c, None).len()).sum();
+        assert_eq!(total, 4);
+        assert!(!satisfies_all(&g, &sigma));
     }
 
     #[test]
     fn social_workload_with_no_plants_is_clean() {
-        let w = social_gdcs(&SocialConfig::default(), 0, 3);
-        assert!(satisfies_all(&w.graph, &w.sigma));
+        let (g, sigma) = served(social_gdcs(&SocialConfig::default(), 0, 3));
+        assert!(satisfies_all(&g, &sigma));
     }
 
     #[test]
     fn kb_workload_plants_exactly_the_overdiscounted_products() {
-        let w = kb_gdcs(&KbConfig::default(), 5, 9);
-        let total: usize = w
-            .sigma
-            .iter()
-            .map(|g| violations(&w.graph, g, None).len())
-            .sum();
+        let (g, sigma) = served(kb_gdcs(&KbConfig::default(), 5, 9));
+        let total: usize = sigma.iter().map(|c| violations(&g, c, None).len()).sum();
         assert_eq!(total, 5);
         // The violations are all on the variable-predicate rule.
-        assert!(violations(&w.graph, &w.sigma[0], None).is_empty());
-        assert_eq!(violations(&w.graph, &w.sigma[1], None).len(), 5);
+        assert!(violations(&g, &sigma[0], None).is_empty());
+        assert_eq!(violations(&g, &sigma[1], None).len(), 5);
     }
 }

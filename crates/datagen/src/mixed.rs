@@ -1,9 +1,9 @@
 //! Mixed-family Σ workloads: one heterogeneous rule set holding plain
-//! GEDs, a dense-order GDC, and a disjunctive GED∨ — carried by the
-//! closed [`SigmaConstraint`] enum so a single
+//! GEDs, a dense-order GDC, and a disjunctive GED∨ — each compiled into
+//! the one served form [`SigmaConstraint`], so a single
 //! `IncrementalValidator<SigmaConstraint>` (or any generic engine) serves
-//! all of them at once with statically dispatched `check` calls, with a
-//! controlled number of planted violations per family.
+//! all of them at once, with a controlled number of planted violations per
+//! family.
 //!
 //! Every rule's pattern is O(|V| + |E|) to enumerate (single-variable or
 //! edge-bound), so the workload scales to the 10k-node acceptance runs
@@ -24,8 +24,8 @@ use rand::{Rng, SeedableRng};
 pub struct MixedWorkload {
     /// The graph.
     pub graph: Graph,
-    /// The heterogeneous rule set (GED + GDC + GED∨, one `Vec` of the
-    /// closed enum — statically dispatched).
+    /// The heterogeneous rule set (GED + GDC + GED∨, each compiled into
+    /// the served form).
     pub sigma: Vec<SigmaConstraint>,
     /// Violating witnesses planted by construction (`plants` per rule,
     /// four rules: `4 * plants` total).
@@ -36,14 +36,16 @@ pub struct MixedWorkload {
 /// `Vec<SigmaConstraint>`:
 ///
 /// * **GED** `verified⇒real`: `account(x)(x.verified = 1 → x.is_fake = 0)`
-///   — conjunctive conclusion, [`Conclusions`] violation kind;
+///   — conjunctive conclusion; a witness's kind lists its one literal,
+///   `[0]`;
 /// * **GED** `no-self-follow`:
 ///   `account(x) -[follow]-> account(y)(x.id = y.id → false)` — an
 ///   edge-bound forbidding rule tripped only by `follow` self-loops;
+///   `false` is the conflicting pair, so a kind lists both, `[0, 1]`;
 /// * **GDC** `age≥13`: `account(x)(x.age < 13 → false)` — dense-order
-///   predicate, [`Predicates`] kind;
+///   predicate, forbidding like the last: `[0, 1]`;
 /// * **GED∨** `tier-domain`: `account(x)(∅ → x.tier = free ∨ pro ∨ biz)`
-///   — finite domain, [`Disjunction`] kind.
+///   — finite domain; a witness fails every disjunct: `[0, 1, 2]`.
 ///
 /// `plants` violations are planted per rule on *disjoint* account slices
 /// (`planted = 4 * plants`): verified bots, `follow` self-loops, underage
@@ -54,10 +56,6 @@ pub struct MixedWorkload {
 ///
 /// When the graph `cfg` describes has fewer than `4 * plants` accounts;
 /// [`try_social_mixed`] reports that instead.
-///
-/// [`Conclusions`]: ged_core::constraint::ViolationKind::Conclusions
-/// [`Predicates`]: ged_core::constraint::ViolationKind::Predicates
-/// [`Disjunction`]: ged_core::constraint::ViolationKind::Disjunction
 pub fn social_mixed(cfg: &SocialConfig, plants: usize, seed: u64) -> MixedWorkload {
     try_social_mixed(cfg, plants, seed).unwrap_or_else(|why| panic!("{why}"))
 }
@@ -151,7 +149,6 @@ pub fn try_social_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_core::constraint::ViolationKind;
 
     #[test]
     fn mixed_workload_plants_exactly_per_family() {
@@ -162,25 +159,17 @@ mod tests {
         for r in &report.per_ged {
             assert_eq!(r.violation_count, 3, "{}: 3 plants per rule", r.name);
         }
-        // Each family reports its native violation kind.
-        let kind_of = |name: &str| {
-            report
-                .violations
-                .iter()
-                .find(|v| v.ged_name == name)
-                .map(|v| v.kind.clone())
-                .unwrap()
+        // Every witness of a rule lists the same failed positions.
+        let kinds_of = |name: &str| {
+            let mine = report.violations.iter().filter(|v| v.ged_name == name);
+            let mut kinds: Vec<Vec<usize>> = mine.map(|v| v.kind.positions().to_vec()).collect();
+            kinds.dedup();
+            kinds
         };
-        assert!(matches!(
-            kind_of("verified⇒real"),
-            ViolationKind::Conclusions(_)
-        ));
-        assert!(matches!(
-            kind_of("no-self-follow"),
-            ViolationKind::Conclusions(_)
-        ));
-        assert!(matches!(kind_of("age≥13"), ViolationKind::Predicates(_)));
-        assert!(matches!(kind_of("tier-domain"), ViolationKind::Disjunction));
+        assert_eq!(kinds_of("verified⇒real"), [vec![0]]);
+        assert_eq!(kinds_of("no-self-follow"), [vec![0, 1]]);
+        assert_eq!(kinds_of("age≥13"), [vec![0, 1]]);
+        assert_eq!(kinds_of("tier-domain"), [vec![0, 1, 2]]);
     }
 
     #[test]

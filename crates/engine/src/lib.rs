@@ -7,9 +7,10 @@
 //! same code serves plain GEDs, GDCs with built-in predicates, and GED∨
 //! with disjunctive conclusions — the engine only ever needs a
 //! constraint's pattern (to enumerate candidate matches) and its per-match
-//! check (to classify them). A *mixed* rule set needs no normalisation
-//! either: one `IncrementalValidator<ged_ext::SigmaConstraint>` serves the
-//! heterogeneous Σ, and a family outside that enum runs as its own `C`.
+//! check (to classify them). A *mixed* rule set is one
+//! `IncrementalValidator<ged_ext::SigmaConstraint>`: every GED, GDC and
+//! GED∨ compiles into that one form, and a family outside the paper's
+//! runs as its own `C`.
 //!
 //! * [`mod@unit`] — the **work unit** both passes run: one `(constraint,
 //!   anchor variable, seeds)` triple enumerated by exclusion-aware

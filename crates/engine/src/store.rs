@@ -44,12 +44,14 @@ pub(crate) enum StoreChange {
 /// *is* one, and report order is defined here and nowhere else
 /// ([`Witnesses::sorted`]).
 ///
-/// Each constraint also carries a change **stamp**: the number of upserts
-/// and removals its map has seen. Both copies of the table go through the
-/// same changes (the writer's directly, the other by replaying the
-/// batch's log), so along one validator's history a rule's stamp names
-/// one content of its map — what a read view's per-rule rendering memo
-/// is keyed by (`crate::view`, DESIGN.md §9).
+/// Each constraint also carries a change **stamp**: the number of batches
+/// that changed its map — lost a witness, gained one, or gave one another
+/// kind ([`ViolationStore::settle`]). A witness a batch drops and derives
+/// again alike moves nothing. The writer moves its table's stamps; the
+/// other copy replays the batch's log and takes them
+/// ([`Witnesses::take_stamps`]). So along one validator's history a
+/// rule's stamp names one content of its map — what a read view's
+/// per-rule rendering memo is keyed by (`crate::view`, DESIGN.md §9).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Witnesses {
     per_constraint: Vec<HashMap<Match, ViolationKind>>,
@@ -61,7 +63,6 @@ impl Witnesses {
     /// Record or refresh one witness; `true` if it is new.
     fn upsert(&mut self, ci: usize, m: Match, kind: ViolationKind) -> bool {
         let fresh = self.per_constraint[ci].insert(m, kind).is_none();
-        self.stamps[ci] += 1;
         self.total += usize::from(fresh);
         fresh
     }
@@ -69,7 +70,6 @@ impl Witnesses {
     /// Forget one witness, returning its kind if it was present.
     fn remove(&mut self, ci: usize, m: &[NodeId]) -> Option<ViolationKind> {
         let kind = self.per_constraint[ci].remove(m);
-        self.stamps[ci] += u64::from(kind.is_some());
         self.total -= usize::from(kind.is_some());
         kind
     }
@@ -83,6 +83,11 @@ impl Witnesses {
                 StoreChange::Upsert(ci, m, kind) => drop(self.upsert(ci, m, kind)),
             }
         }
+    }
+
+    /// Take the stamps of `ahead`, the copy this one just caught up with.
+    pub(crate) fn take_stamps(&mut self, ahead: &Witnesses) {
+        self.stamps.clone_from(&ahead.stamps);
     }
 
     /// Live witnesses across all constraints.
@@ -101,7 +106,7 @@ impl Witnesses {
     }
 
     /// Constraint `ci`'s change stamp: equal stamps of one history mean
-    /// equal witnesses.
+    /// equal witnesses, kinds included.
     pub(crate) fn stamp(&self, ci: usize) -> u64 {
         self.stamps[ci]
     }
@@ -191,6 +196,13 @@ pub struct ViolationStore {
     free: Vec<usize>,
     /// Inverted index: node → slots whose assignment contains it.
     by_node: HashMap<NodeId, HashSet<usize>>,
+    /// Per constraint, from a [`drop_intersecting`] to the
+    /// [`settle`](ViolationStore::settle) that closes its batch: its
+    /// witness count before the drop, and whether a witness it dropped did
+    /// not come back alike. A buffer kept across batches.
+    ///
+    /// [`drop_intersecting`]: ViolationStore::drop_intersecting
+    batch: Vec<(usize, bool)>,
 }
 
 impl ViolationStore {
@@ -222,13 +234,9 @@ impl ViolationStore {
 
     /// Record (or overwrite) how one witness violates constraint `ci`.
     /// Returns `true` if the witness is new, `false` if it only refreshed
-    /// an already-stored one. Accepts anything convertible to a
-    /// [`ViolationKind`] (a plain `Vec<Literal>` of failed conclusions
-    /// keeps the pre-constraint-layer call shape working).
-    pub fn insert(&mut self, ci: usize, assignment: Match, kind: impl Into<ViolationKind>) -> bool {
+    /// an already-stored one.
+    pub fn insert(&mut self, ci: usize, assignment: Match, kind: ViolationKind) -> bool {
         self.check_index(ci);
-        let kind = kind.into();
-        debug_assert!(kind.is_witnessed(), "a violation needs a failed witness");
         if !self.table.upsert(ci, assignment.clone(), kind) {
             return false;
         }
@@ -306,6 +314,9 @@ impl ViolationStore {
     /// `O(|affected witnesses| · |x̄|)` — the rest of the store is never
     /// visited, however large it is.
     pub fn drop_intersecting(&mut self, touched: &Footprint) -> Vec<(usize, Match, ViolationKind)> {
+        let counts = self.table.per_constraint.iter().map(HashMap::len);
+        self.batch.clear();
+        self.batch.extend(counts.map(|n| (n, false)));
         let mut hit: Vec<usize> = Vec::new();
         for (i, n) in touched.nodes().iter().enumerate() {
             let Some(ids) = self.by_node.get(n) else {
@@ -336,6 +347,30 @@ impl ViolationStore {
         #[cfg(debug_assertions)]
         self.assert_consistent();
         dropped
+    }
+
+    /// Close the batch that dropped `dropped` and then re-derived its
+    /// affected area: move the stamp of every constraint whose witnesses
+    /// changed, and return how many dropped witnesses were derived again
+    /// (retained).
+    ///
+    /// A constraint changed unless every witness it dropped came back with
+    /// an `==` kind and it holds as many witnesses as before the drop —
+    /// then the re-derived witnesses are exactly the dropped ones, and its
+    /// map is what it was.
+    pub(crate) fn settle(&mut self, dropped: &[(usize, Match, ViolationKind)]) -> usize {
+        let mut retained = 0;
+        for (ci, m, was) in dropped {
+            let now = self.table.per_constraint[*ci].get(m);
+            retained += usize::from(now.is_some());
+            self.batch[*ci].1 |= now != Some(was);
+        }
+        for (ci, &(before, lost)) in self.batch.iter().enumerate() {
+            if lost || before != self.table.count_for(ci) {
+                self.table.stamps[ci] += 1;
+            }
+        }
+        retained
     }
 
     /// Cross-check the three structures (table, slab, inverted index)
@@ -420,6 +455,11 @@ mod tests {
         )
     }
 
+    /// A kind listing these failed positions.
+    fn kind(positions: &[usize]) -> ViolationKind {
+        positions.to_vec().into()
+    }
+
     /// A footprint concerning both rules of [`two_rule_sigma`].
     fn every(nodes: &[NodeId]) -> Footprint {
         Footprint::every_rule(nodes, 2)
@@ -439,12 +479,8 @@ mod tests {
     #[test]
     fn insert_remove_and_counts() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        assert!(s.insert(
-            0,
-            vec![NodeId(0), NodeId(1)],
-            vec![Literal::id(Var(0), Var(1))],
-        ));
-        assert!(s.insert(1, vec![NodeId(2)], vec![Literal::id(Var(0), Var(0))]));
+        assert!(s.insert(0, vec![NodeId(0), NodeId(1)], kind(&[0])));
+        assert!(s.insert(1, vec![NodeId(2)], kind(&[0])));
         assert_eq!(s.total(), 2);
         assert_eq!(s.count_for(0), 1);
         assert_eq!(s.constraint_count(), 2);
@@ -461,39 +497,36 @@ mod tests {
     fn reinsert_refreshes_without_duplicating() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
         let key = vec![NodeId(0), NodeId(1)];
-        assert!(s.insert(0, key.clone(), vec![Literal::id(Var(0), Var(1))]));
+        assert!(s.insert(0, key.clone(), kind(&[0])));
         assert!(
-            !s.insert(0, key.clone(), vec![Literal::id(Var(1), Var(0))]),
+            !s.insert(0, key.clone(), kind(&[0, 1])),
             "same witness again only refreshes"
         );
         assert_eq!(s.total(), 1);
         assert_eq!(s.count_at(NodeId(0)), 1);
-        let kind = s.iter().next().unwrap().2.clone();
-        assert_eq!(kind.literals(), &[Literal::id(Var(1), Var(0))]);
+        assert_eq!(s.iter().next().unwrap().2, &kind(&[0, 1]));
         s.assert_consistent();
     }
 
-    /// The store is family-agnostic: predicate and disjunction kinds are
-    /// stored, iterated, and reported exactly like failed-literal kinds.
+    /// The store is family-agnostic: every kind — several positions, or
+    /// none, as a rule whose `Y` is `false` lists — is stored, iterated,
+    /// and reported as it went in.
     #[test]
     fn non_ged_violation_kinds_round_trip() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        s.insert(
-            0,
-            vec![NodeId(0), NodeId(1)],
-            ViolationKind::Predicates(vec![0, 2]),
-        );
-        s.insert(1, vec![NodeId(2)], ViolationKind::Disjunction);
+        s.insert(0, vec![NodeId(0), NodeId(1)], kind(&[0, 2]));
+        s.insert(1, vec![NodeId(2)], kind(&[]));
         assert_eq!(s.total(), 2);
         let kinds: Vec<ViolationKind> = s.iter().map(|(_, _, k)| k.clone()).collect();
-        assert!(kinds.contains(&ViolationKind::Predicates(vec![0, 2])));
-        assert!(kinds.contains(&ViolationKind::Disjunction));
+        assert!(kinds.contains(&kind(&[0, 2])));
+        assert!(kinds.contains(&kind(&[])));
         let report = s.to_report(&two_rule_sigma());
-        assert_eq!(report.total_violations(), 2);
-        assert!(
-            report.violations.iter().all(|v| v.failed().is_empty()),
-            "non-GED kinds carry no literals"
-        );
+        let reported: Vec<&[usize]> = report
+            .violations
+            .iter()
+            .map(|v| v.kind.positions())
+            .collect();
+        assert_eq!(reported, [&[0, 2][..], &[]]);
         s.assert_consistent();
     }
 
@@ -501,15 +534,14 @@ mod tests {
     #[should_panic(expected = "built for 2 constraints")]
     fn out_of_range_constraint_panics_with_a_clear_message() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        s.insert(2, vec![NodeId(0)], vec![Literal::id(Var(0), Var(0))]);
+        s.insert(2, vec![NodeId(0)], kind(&[0]));
     }
 
     #[test]
     fn drop_intersecting_only_hits_touched_witnesses() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        let lit = vec![Literal::id(Var(0), Var(1))];
-        s.insert(0, vec![NodeId(0), NodeId(1)], lit.clone());
-        s.insert(0, vec![NodeId(2), NodeId(3)], lit);
+        s.insert(0, vec![NodeId(0), NodeId(1)], kind(&[0]));
+        s.insert(0, vec![NodeId(2), NodeId(3)], kind(&[0]));
         let dropped = s.drop_intersecting(&every(&[NodeId(1)]));
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].1, vec![NodeId(0), NodeId(1)]);
@@ -525,9 +557,8 @@ mod tests {
         use ged_graph::Delta;
         let sigma = two_rule_sigma();
         let mut s = ViolationStore::for_sigma(&sigma);
-        let lit = || vec![Literal::id(Var(0), Var(1))];
-        s.insert(0, vec![NodeId(0), NodeId(1)], lit());
-        s.insert(1, vec![NodeId(1)], lit());
+        s.insert(0, vec![NodeId(0), NodeId(1)], kind(&[0]));
+        s.insert(1, vec![NodeId(1)], kind(&[0]));
         // `other` reads `p`; the key rule reads only `k`.
         let relevance = Relevance::for_sigma(&sigma);
         let mut f = Footprint::default();
@@ -545,7 +576,7 @@ mod tests {
     #[test]
     fn inverted_index_tracks_inserts_drops_and_slot_reuse() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        let lit = vec![Literal::id(Var(0), Var(1))];
+        let lit = kind(&[0]);
         // A witness with a repeated node (homomorphism) indexes once.
         s.insert(0, vec![NodeId(5), NodeId(5)], lit.clone());
         assert_eq!(s.count_at(NodeId(5)), 1);
@@ -568,11 +599,7 @@ mod tests {
     #[test]
     fn drop_with_empty_footprint_is_a_no_op() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        s.insert(
-            0,
-            vec![NodeId(0), NodeId(1)],
-            vec![Literal::id(Var(0), Var(1))],
-        );
+        s.insert(0, vec![NodeId(0), NodeId(1)], kind(&[0]));
         assert!(s.drop_intersecting(&every(&[])).is_empty());
         assert_eq!(s.total(), 1);
     }
@@ -587,9 +614,9 @@ mod tests {
     #[ignore = "perf assertion; run in release mode"]
     fn indexed_drop_beats_full_scan_by_10x_on_100k_witnesses() {
         const N: usize = 100_000;
-        let lit = || vec![Literal::id(Var(0), Var(1))];
+        let lit = || kind(&[0]);
         let mut indexed = ViolationStore::for_sigma(&[key_ged()]);
-        let mut scan: HashMap<Match, Vec<Literal>> = HashMap::new();
+        let mut scan: HashMap<Match, ViolationKind> = HashMap::new();
         for i in 0..N {
             let m = vec![NodeId(2 * i as u32), NodeId(2 * i as u32 + 1)];
             indexed.insert(0, m.clone(), lit());
@@ -649,68 +676,70 @@ mod tests {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma()).table;
         let m = vec![NodeId(0), NodeId(1)];
         s.replay([
-            StoreChange::Upsert(0, m.clone(), ViolationKind::Disjunction),
-            StoreChange::Upsert(1, vec![NodeId(2)], ViolationKind::Disjunction),
+            StoreChange::Upsert(0, m.clone(), kind(&[0])),
+            StoreChange::Upsert(1, vec![NodeId(2)], kind(&[0])),
         ]);
         assert_eq!(s.total, 2);
         // Re-upserting the same witness only refreshes; removing a missing
         // one is a no-op — both leave the total consistent.
         s.replay([
-            StoreChange::Upsert(0, m.clone(), ViolationKind::Predicates(vec![1])),
+            StoreChange::Upsert(0, m.clone(), kind(&[1])),
             StoreChange::Remove(1, vec![NodeId(9)]),
         ]);
         assert_eq!(s.total, 2);
-        assert_eq!(
-            s.per_constraint[0].get(&m),
-            Some(&ViolationKind::Predicates(vec![1]))
-        );
+        assert_eq!(s.per_constraint[0].get(&m), Some(&kind(&[1])));
         s.replay([StoreChange::Remove(0, m)]);
         assert_eq!(s.total, 1);
     }
 
-    /// A rule's stamp moves with every upsert and every removal of one of
-    /// its witnesses, and with nothing else: not another rule's changes,
-    /// not a removal of a witness that is not there. Replaying the log on
-    /// a copy lands on the same stamps.
+    /// A rule's stamp moves once per batch that changed its witnesses —
+    /// lost one, gained one, or gave one another kind — and for nothing
+    /// else: not a batch that dropped witnesses and derived them again
+    /// alike, not another rule's changes. Replaying each batch's log on a
+    /// copy lands on the same witnesses, and the copy takes the stamps.
     #[test]
     fn stamps_move_with_every_change_of_their_rule() {
         let mut s = ViolationStore::for_sigma(&two_rule_sigma());
-        let spare = s.table.clone();
-        let lit = || vec![Literal::id(Var(0), Var(1))];
+        let mut replayed = s.table.clone();
         let stamps = |s: &ViolationStore| (s.table.stamp(0), s.table.stamp(1));
-        let key = vec![NodeId(0), NodeId(1)];
-        s.insert(0, key.clone(), lit());
-        assert_eq!(stamps(&s), (1, 0));
-        s.insert(0, key.clone(), lit());
-        assert_eq!(stamps(&s), (2, 0), "a refresh may change the kind");
-        assert!(s.drop_intersecting(&every(&[NodeId(9)])).is_empty());
-        assert_eq!(stamps(&s), (2, 0));
-        let dropped = s.drop_intersecting(&every(&[NodeId(0)]));
-        assert_eq!(stamps(&s), (3, 0));
-        s.insert(1, vec![NodeId(2)], lit());
-        assert_eq!(stamps(&s), (3, 1));
-
-        let mut replayed = spare;
-        replayed.replay([
-            StoreChange::Upsert(0, key.clone(), lit().into()),
-            StoreChange::Upsert(0, key, lit().into()),
-            StoreChange::Remove(1, vec![NodeId(7)]),
-        ]);
-        let log = dropped
-            .into_iter()
-            .map(|(ci, m, _)| StoreChange::Remove(ci, m));
-        replayed.replay(log.chain([StoreChange::Upsert(1, vec![NodeId(2)], lit().into())]));
-        assert!(
-            replayed == s.table,
-            "the replayed copy has the writer's stamps"
-        );
+        // One batch as `maintain` runs it: drop what meets `touched`,
+        // derive `derived`, settle, and replay the log on the copy.
+        let mut batch =
+            |s: &mut ViolationStore, touched: &[NodeId], derived: &[(usize, &[u32], &[usize])]| {
+                let dropped = s.drop_intersecting(&every(touched));
+                let removes = dropped
+                    .iter()
+                    .map(|(ci, m, _)| StoreChange::Remove(*ci, m.clone()));
+                let mut log: Vec<StoreChange> = removes.collect();
+                for &(ci, ids, positions) in derived {
+                    let m: Match = ids.iter().copied().map(NodeId).collect();
+                    log.push(StoreChange::Upsert(ci, m.clone(), kind(positions)));
+                    s.insert(ci, m, kind(positions));
+                }
+                s.settle(&dropped);
+                replayed.replay(log);
+            };
+        batch(&mut s, &[], &[(0, &[0, 1], &[0])]);
+        assert_eq!(stamps(&s), (1, 0), "a new witness");
+        batch(&mut s, &[NodeId(0)], &[(0, &[0, 1], &[0])]);
+        assert_eq!(stamps(&s), (1, 0), "dropped and derived again alike");
+        batch(&mut s, &[NodeId(1)], &[(0, &[0, 1], &[0, 1])]);
+        assert_eq!(stamps(&s), (2, 0), "another kind");
+        batch(&mut s, &[NodeId(9)], &[(1, &[2], &[0])]);
+        assert_eq!(stamps(&s), (2, 1), "only the rule that gained one");
+        batch(&mut s, &[NodeId(0), NodeId(2)], &[(1, &[2], &[0])]);
+        assert_eq!(stamps(&s), (3, 1), "a lost witness");
+        assert_eq!(replayed.per_constraint, s.table.per_constraint);
+        assert_ne!(replayed.stamps, s.table.stamps, "replay moves no stamp");
+        replayed.take_stamps(&s.table);
+        assert!(replayed == s.table);
     }
 
     #[test]
     fn report_is_sorted_and_in_sigma_order() {
         let sigma = vec![key_ged()];
         let mut s = ViolationStore::for_sigma(&sigma);
-        let lit = vec![Literal::id(Var(0), Var(1))];
+        let lit = kind(&[0]);
         s.insert(0, vec![NodeId(5), NodeId(6)], lit.clone());
         s.insert(0, vec![NodeId(1), NodeId(2)], lit);
         let r = s.to_report(&sigma);

@@ -114,8 +114,8 @@ pub struct DeployAnalysis {
 }
 
 /// Maintains the violation set of `G ⊨ Σ` under a stream of updates, for
-/// any constraint family of the unified layer (`C` = `Ged`, `Gdc`,
-/// `DisjGed`, …).
+/// any constraint family of the unified layer (`C` = `Ged`, or
+/// `SigmaConstraint`, the form every GED, GDC and GED∨ compiles into).
 ///
 /// Owns the graph (updates must flow through the validator so the store
 /// stays consistent) and a [`ViolationStore`] that after every call equals
@@ -525,11 +525,8 @@ impl<C: Constraint> IncrementalValidator<C> {
         // Every re-enumerated match that was stored before the update was
         // necessarily dropped (its image meets its rule's footprint), so
         // the inserted keys split exactly into retained (in the snapshot)
-        // and new.
-        stats.violations_retained = dropped
-            .iter()
-            .filter(|(ci, m, _)| self.store.contains(*ci, m))
-            .count();
+        // and new. The rules whose witnesses changed move their stamps.
+        stats.violations_retained = self.store.settle(&dropped);
         stats.violations_removed = dropped.len() - stats.violations_retained;
         stats.violations_added = self.store.total() - pruned - stats.violations_retained;
         self.worker.0.lap(Phase::StoreInsert);
@@ -989,13 +986,13 @@ mod tests {
     /// is maintained through attribute writes exactly like a GED.
     #[test]
     fn gdc_sigma_is_maintained_incrementally() {
-        use ged_ext::{Gdc, GdcLiteral, Pred};
+        use ged_ext::{Gdc, GdcLiteral, Pred, SigmaConstraint};
         let q = parse_pattern("product(x)").unwrap();
-        let cap = Gdc::forbidding(
+        let cap = SigmaConstraint::from(Gdc::forbidding(
             "rating≤5",
             q,
             vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Gt, 5)],
-        );
+        ));
         let mut g = Graph::new();
         let p = g.add_node(sym("product"));
         g.set_attr(p, sym("rating"), 4);
@@ -1012,10 +1009,12 @@ mod tests {
         assert_consistent(&v);
         let report = v.report();
         assert_eq!(report.violations[0].ged_name, "rating≤5");
-        assert!(matches!(
-            report.violations[0].kind,
-            ged_core::constraint::ViolationKind::Predicates(_)
-        ));
+        let both = [0, 1];
+        assert_eq!(
+            report.violations[0].kind.positions(),
+            both,
+            "`false` failed"
+        );
 
         let stats = v.apply(&Delta::SetAttr {
             node: p,
@@ -1032,9 +1031,9 @@ mod tests {
     /// node creation.
     #[test]
     fn disj_sigma_is_maintained_incrementally() {
-        use ged_ext::DisjGed;
+        use ged_ext::{DisjGed, SigmaConstraint};
         let q = parse_pattern("τ(x)").unwrap();
-        let domain = DisjGed::new(
+        let domain = SigmaConstraint::from(DisjGed::new(
             "A∈{0,1}",
             q,
             vec![],
@@ -1042,7 +1041,7 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 0),
                 Literal::constant(Var(0), sym("A"), 1),
             ],
-        );
+        ));
         let mut v = IncrementalValidator::new(Graph::new(), vec![domain]);
         assert!(v.is_satisfied());
 
@@ -1050,10 +1049,8 @@ mod tests {
         let stats = v.apply(&Delta::AddNode { label: sym("τ") });
         let n = stats.created[0];
         assert_eq!(stats.violations_added, 1);
-        assert_eq!(
-            v.report().violations[0].kind,
-            ged_core::constraint::ViolationKind::Disjunction
-        );
+        let every_disjunct = [0, 1];
+        assert_eq!(v.report().violations[0].kind.positions(), every_disjunct);
         assert_consistent(&v);
 
         // Satisfying one disjunct repairs it; an out-of-domain value
@@ -1078,9 +1075,9 @@ mod tests {
     /// equals the generic validate, row by row and witness by witness.
     #[test]
     fn seeding_is_generic_over_gdcs() {
-        use ged_ext::{Gdc, GdcLiteral, Pred};
+        use ged_ext::{Gdc, GdcLiteral, Pred, SigmaConstraint};
         let q = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<Gdc> = (0..4)
+        let sigma: Vec<SigmaConstraint> = (0..4)
             .map(|i| {
                 Gdc::new(
                     format!("A≥{i}"),
@@ -1088,6 +1085,7 @@ mod tests {
                     vec![],
                     vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Ge, i)],
                 )
+                .into()
             })
             .collect();
         let mut g = Graph::new();

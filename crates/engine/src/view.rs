@@ -47,7 +47,7 @@
 //! §9). The `Published` wrapper is new every epoch, so the bytes a reader
 //! rendered from one epoch cannot be met under another; the per-rule
 //! segments that outlive it are keyed by the rule's stamp, which the
-//! replay moves exactly as the writer did.
+//! replayed copy takes from the writer's.
 //!
 //! No `unsafe` anywhere: torn reads are prevented purely by the `RwLock`
 //! around the `Arc` swap and by a table being writer-private from the
@@ -219,6 +219,7 @@ impl SharedViews {
         match Arc::try_unwrap(old) {
             Ok(Published { mut table, .. }) => {
                 table.replay(changes);
+                table.take_stamps(&next.table);
                 // What readers see is the table the writer maintained, by
                 // identity; the replay only has to keep the spare in step.
                 debug_assert!(table == next.table, "replay drifted at epoch {epoch}");

@@ -4,15 +4,13 @@
 //! the *disjunction* of its literals: a match satisfying `X` must satisfy
 //! at least one literal of `Y`. GED∨s subsume GEDs (a conjunctive `Y`
 //! becomes one single-literal GED∨ per conclusion) and can express domain
-//! constraints GEDs cannot (Example 10). Validation stays coNP-complete;
+//! constraints GEDs cannot (Example 10). Validation stays coNP-complete
+//! (a GED∨ is served compiled into [`crate::SigmaConstraint`]);
 //! satisfiability/implication jump to Σᵖ₂ / Πᵖ₂ (Theorem 9) — see
 //! [`crate::reason`].
 
-use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_core::satisfy::literal_holds;
-use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::Pattern;
 
 /// A disjunctive GED `Q[x̄](⋀X → ⋁Y)`.
@@ -68,76 +66,17 @@ impl DisjGed {
     }
 }
 
-/// GED∨s are first-class members of the unified constraint layer: the
-/// check is the normalised-options evaluation of
-/// [`crate::reason::NormConstraint`] with one single-literal option per
-/// disjunct — a disjunctive conclusion is violated iff *every* disjunct
-/// fails — so the generic from-scratch, parallel, and incremental engines
-/// all serve GED∨s unchanged.
-impl Constraint for DisjGed {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn pattern(&self) -> &Pattern {
-        &self.pattern
-    }
-
-    fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        let holds = |l: &Literal| literal_holds(g, m, l);
-        let options = self.conclusions.iter().map(std::slice::from_ref);
-        crate::reason::x_holds_and_all_options_fail(&self.premises, options, holds)
-            .then_some(ViolationKind::Disjunction)
-    }
-
-    fn size(&self) -> usize {
-        DisjGed::size(self)
-    }
-
-    fn attrs_read(&self) -> Option<Vec<Symbol>> {
-        let literals = self.premises.iter().chain(&self.conclusions);
-        Some(literals.flat_map(Literal::attrs).collect())
-    }
-
-    fn literal_view(&self) -> Option<LiteralView> {
-        Some(LiteralView {
-            premises: self.premises.clone(),
-            options: self.conclusions.iter().map(|l| vec![l.clone()]).collect(),
-            exact: true,
-        })
-    }
-
-    fn as_chase_ged(&self) -> Option<Ged> {
-        match self.conclusions.len() {
-            // A forbidding GED∨ (`Y = false`) is the forbidding GED: both
-            // are violated exactly when `X` holds at a match.
-            0 if self.pattern.var_count() > 0 => Some(Ged::forbidding(
-                &self.name,
-                self.pattern.clone(),
-                self.premises.clone(),
-            )),
-            // A single-disjunct `⋁Y` is the conjunctive `Y`.
-            1 => Some(Ged::new(
-                &self.name,
-                self.pattern.clone(),
-                self.premises.clone(),
-                self.conclusions.clone(),
-            )),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SigmaConstraint;
     use ged_core::satisfy::{satisfies, satisfies_all};
-    use ged_graph::{sym, GraphBuilder};
+    use ged_graph::{sym, Graph, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
 
     /// Example 10: ψ: Qe[x](∅ → x.A = 0 ∨ x.A = 1) — a Boolean domain
     /// constraint, not expressible as a (conjunctive) GED.
-    fn boolean_domain() -> DisjGed {
+    fn boolean_domain() -> SigmaConstraint {
         let q = parse_pattern("τ(x)").unwrap();
         DisjGed::new(
             "ψ",
@@ -148,6 +87,7 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 1),
             ],
         )
+        .into()
     }
 
     #[test]
@@ -190,6 +130,7 @@ mod tests {
         );
         let split = DisjGed::from_ged(&ged);
         assert_eq!(split.len(), 2);
+        let split: Vec<SigmaConstraint> = split.into_iter().map(Into::into).collect();
         for g_data in [
             {
                 // violates the B half only
@@ -219,7 +160,7 @@ mod tests {
     fn empty_disjunction_is_false() {
         // Q(∅ → ∅) as a GED∨ forbids the pattern entirely.
         let q = parse_pattern("bad(x)").unwrap();
-        let d = DisjGed::new("forbid", q, vec![], vec![]);
+        let d = SigmaConstraint::from(DisjGed::new("forbid", q, vec![], vec![]));
         let mut b = GraphBuilder::new();
         b.node("x", "bad");
         assert!(!satisfies(&b.build(), &d));
@@ -229,7 +170,7 @@ mod tests {
     #[test]
     fn one_satisfied_disjunct_suffices() {
         let q = parse_pattern("t(x)").unwrap();
-        let d = DisjGed::new(
+        let d = SigmaConstraint::from(DisjGed::new(
             "d",
             q,
             vec![],
@@ -238,7 +179,7 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 2),
                 Literal::constant(Var(0), sym("B"), 9),
             ],
-        );
+        ));
         let mut b = GraphBuilder::new();
         b.node("x", "t");
         b.attr("x", "B", 9);

@@ -69,6 +69,7 @@ pub fn boolean_domain_as_disj(label: &str, attr: &str) -> DisjGed {
 mod tests {
     use super::*;
     use crate::reason::{disj_satisfiable, gdc_satisfiable};
+    use crate::SigmaConstraint;
     use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::GraphBuilder;
 
@@ -85,18 +86,15 @@ mod tests {
     fn gdc_and_disj_formulations_agree_on_validation() {
         let dom = [Value::from(0), Value::from(1)];
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-        let psi = domain_as_disj("τ", "A", &dom);
+        let pair: [SigmaConstraint; 2] = [phi1.into(), phi2.into()];
+        let psi = SigmaConstraint::from(domain_as_disj("τ", "A", &dom));
         for (g, expect) in [
             (node_with(Some(0)), true),
             (node_with(Some(1)), true),
             (node_with(Some(7)), false),
             (node_with(None), false), // missing attribute fails both forms
         ] {
-            assert_eq!(
-                satisfies_all(&g, &[phi1.clone(), phi2.clone()]),
-                expect,
-                "GDC pair"
-            );
+            assert_eq!(satisfies_all(&g, &pair), expect, "GDC pair");
             assert_eq!(satisfies(&g, &psi), expect, "GED∨ form");
         }
     }
@@ -105,8 +103,14 @@ mod tests {
     fn missing_attribute_violates_gdc_pair_via_phi1() {
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &[Value::from(0)]);
         let g = node_with(None);
-        assert!(!satisfies(&g, &phi1), "existence half");
-        assert!(satisfies(&g, &phi2), "domain half vacuous");
+        assert!(
+            !satisfies(&g, &SigmaConstraint::from(phi1)),
+            "existence half"
+        );
+        assert!(
+            satisfies(&g, &SigmaConstraint::from(phi2)),
+            "domain half vacuous"
+        );
     }
 
     #[test]
@@ -120,14 +124,15 @@ mod tests {
     #[test]
     fn singleton_domain_pins_the_value() {
         let psi = domain_as_disj("τ", "A", &[Value::from(3)]);
-        assert!(satisfies(&node_with(Some(3)), &psi));
-        assert!(!satisfies(&node_with(Some(4)), &psi));
+        let served = SigmaConstraint::from(psi.clone());
+        assert!(satisfies(&node_with(Some(3)), &served));
+        assert!(!satisfies(&node_with(Some(4)), &served));
         assert!(disj_satisfiable(&[psi]));
     }
 
     #[test]
     fn boolean_shorthand() {
-        let psi = boolean_domain_as_disj("account", "is_fake");
+        let psi = SigmaConstraint::from(boolean_domain_as_disj("account", "is_fake"));
         let mut b = GraphBuilder::new();
         b.node("a", "account");
         b.attr("a", "is_fake", 1);

@@ -5,11 +5,11 @@
 //! GEDs are the special case where every predicate is `=`; denial
 //! constraints of Arenas–Bertossi–Chomicki are expressible when tuples are
 //! encoded as nodes (`crate::domain` and the tests exercise both).
-//! Validation stays coNP-complete (Theorem 8) and reuses the same
-//! enumerate-matches engine as GEDs.
+//! Validation stays coNP-complete (Theorem 8): a GDC is served compiled
+//! into [`crate::SigmaConstraint`], on the same enumerate-matches engine
+//! as GEDs.
 
 use crate::predicate::Pred;
-use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_graph::{Graph, NodeId, Symbol, Value};
@@ -252,90 +252,8 @@ impl Gdc {
     }
 }
 
-/// GDCs are first-class members of the unified constraint layer. The
-/// semantics are the normalised evaluation of
-/// [`crate::reason::NormConstraint`] with the conjunctive conclusion as
-/// the single option — violated iff `X` holds and some conclusion literal
-/// fails — computed here in one pass that records the failing indices
-/// while testing them (this is the engines' per-match hot path), so the
-/// generic from-scratch, parallel, and incremental engines all serve GDCs
-/// unchanged.
-impl Constraint for Gdc {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn pattern(&self) -> &Pattern {
-        &self.pattern
-    }
-
-    fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        if !self.premises.iter().all(|l| l.holds(g, m)) {
-            return None;
-        }
-        let failed: Vec<usize> = self
-            .conclusions
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.holds(g, m))
-            .map(|(i, _)| i)
-            .collect();
-        if failed.is_empty() {
-            None
-        } else {
-            Some(ViolationKind::Predicates(failed))
-        }
-    }
-
-    fn size(&self) -> usize {
-        Gdc::size(self)
-    }
-
-    fn attrs_read(&self) -> Option<Vec<Symbol>> {
-        let literals = self.premises.iter().chain(&self.conclusions);
-        Some(literals.flat_map(GdcLiteral::attrs).collect())
-    }
-
-    fn literal_view(&self) -> Option<LiteralView> {
-        let mut exact = true;
-        let convert = |lits: &[GdcLiteral], exact: &mut bool| -> Vec<Literal> {
-            lits.iter()
-                .filter_map(|l| {
-                    let eq = l.as_eq_literal();
-                    *exact &= eq.is_some();
-                    eq
-                })
-                .collect()
-        };
-        let premises = convert(&self.premises, &mut exact);
-        let options = vec![convert(&self.conclusions, &mut exact)];
-        Some(LiteralView {
-            premises,
-            options,
-            exact,
-        })
-    }
-
-    fn as_chase_ged(&self) -> Option<Ged> {
-        let eq = |lits: &[GdcLiteral]| -> Option<Vec<Literal>> {
-            lits.iter().map(GdcLiteral::as_eq_literal).collect()
-        };
-        let premises = eq(&self.premises)?;
-        let conclusions = eq(&self.conclusions)?;
-        let in_scope = premises
-            .iter()
-            .chain(&conclusions)
-            .all(|l| l.in_scope(&self.pattern));
-        in_scope.then(|| Ged::new(&self.name, self.pattern.clone(), premises, conclusions))
-    }
-
-    fn premises_feasible(&self) -> bool {
-        premises_feasible(&self.premises)
-    }
-}
-
-/// The GDC-specific premise-contradiction check behind
-/// [`Constraint::premises_feasible`]: can the premise predicates hold
+/// The premise-contradiction check behind the served form's
+/// `Constraint::premises_feasible`: can the premise predicates hold
 /// jointly under *some* assignment of values to the attribute slots they
 /// mention? Decided by the dense-order oracle of [`crate::solver`] over
 /// one symbolic slot per `(variable, attribute)` pair — so it catches
@@ -378,12 +296,13 @@ pub fn premises_feasible(premises: &[GdcLiteral]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SigmaConstraint;
     use ged_core::satisfy::{satisfies, satisfies_all, violations};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::parse_pattern;
 
     /// A rating GDC: product ratings must lie in [0, 5].
-    fn rating_range() -> Vec<Gdc> {
+    fn rating_range() -> Vec<SigmaConstraint> {
         let q = parse_pattern("product(x)").unwrap();
         let lo = Gdc::new(
             "lo",
@@ -398,7 +317,7 @@ mod tests {
             q,
             vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Gt, 5)],
         );
-        vec![lo, hi]
+        vec![lo.into(), hi.into()]
     }
 
     #[test]
@@ -432,7 +351,7 @@ mod tests {
     fn variable_predicate_literals() {
         // Employees must not earn more than their manager.
         let q = parse_pattern("emp(x) -[reports_to]-> emp(y)").unwrap();
-        let denial = Gdc::forbidding(
+        let denial = SigmaConstraint::from(Gdc::forbidding(
             "salary-cap",
             q,
             vec![GdcLiteral::vars(
@@ -442,7 +361,7 @@ mod tests {
                 Var(1),
                 sym("salary"),
             )],
-        );
+        ));
         let mut b = GraphBuilder::new();
         b.triple(("e", "emp"), "reports_to", ("m", "emp"));
         b.attr("e", "salary", 120).attr("m", "salary", 100);
@@ -463,7 +382,7 @@ mod tests {
             vec![Literal::constant(Var(1), sym("type"), "video game")],
             vec![Literal::constant(Var(0), sym("type"), "programmer")],
         );
-        let gdc = Gdc::from_ged(&ged);
+        let gdc = SigmaConstraint::from(Gdc::from_ged(&ged));
         let mut b = GraphBuilder::new();
         b.triple(("t", "person"), "create", ("gb", "product"));
         b.attr("t", "type", "psychologist");
@@ -476,7 +395,7 @@ mod tests {
     #[test]
     fn id_literals_in_gdcs() {
         let q = parse_pattern("album(x); album(y)").unwrap();
-        let key = Gdc::new(
+        let key = SigmaConstraint::from(Gdc::new(
             "ψ",
             q,
             vec![GdcLiteral::vars(
@@ -487,7 +406,7 @@ mod tests {
                 sym("title"),
             )],
             vec![GdcLiteral::id(Var(0), Var(1))],
-        );
+        ));
         let mut b = GraphBuilder::new();
         b.node("a", "album");
         b.node("b", "album");

@@ -15,15 +15,16 @@
 //!   shape as GEDs;
 //! * [`solver`] — the dense-order constraint oracle under the search;
 //! * [`domain`] — the Example 9/10 domain-constraint helpers;
-//! * [`sigma`] — the closed [`SigmaConstraint`] union over the four
-//!   concrete families, statically dispatched so the engine's per-match
-//!   `check` call devirtualises.
+//! * [`sigma`] — [`SigmaConstraint`], the one served rule form: premises
+//!   plus conclusion options, which every GED, GDC and GED∨ compiles into
+//!   by `From` at load.
 //!
-//! Both families are first-class members of the unified constraint layer
-//! (`ged_core::constraint`): enumeration and validation are the generic
-//! `ged_core::satisfy::{violations, satisfies, satisfies_all}` and
-//! `ged_core::reason::validate`, and one `Vec<SigmaConstraint>` — and one
-//! engine instance — serves a heterogeneous Σ mixing all of them.
+//! Every family is served through the unified constraint layer
+//! (`ged_core::constraint`) in that one form: enumeration and validation
+//! are the generic `ged_core::satisfy::{violations, satisfies,
+//! satisfies_all}` and `ged_core::reason::validate`, and one
+//! `Vec<SigmaConstraint>` — and one engine instance — serves a
+//! heterogeneous Σ mixing all of them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +41,7 @@ pub mod solver;
 pub use disj::DisjGed;
 pub use gdc::{premises_feasible, Gdc, GdcLiteral};
 pub use predicate::Pred;
-pub use reason::{disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, NormConstraint};
+pub use reason::{disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable};
 pub use sigma::SigmaConstraint;
 
 #[cfg(test)]
@@ -53,18 +54,21 @@ mod mixed_sigma {
     use ged_pattern::{parse_pattern, Var};
 
     /// One `Vec<SigmaConstraint>` holds all three families, and the generic
-    /// enumerator classifies each with its native `ViolationKind`.
+    /// enumerator gives each witness the one kind shape: the positions of
+    /// the failed conclusion literals — the GED's one conclusion, both
+    /// literals of the GDC's forbidding pair, every disjunct of the GED∨,
+    /// and nothing for a GED∨ whose `Y` is `false`.
     #[test]
     fn one_sigma_mixes_all_three_families() {
         let q = || parse_pattern("τ(x)").unwrap();
+        let ged = Ged::new(
+            "flagged⇒reviewed",
+            q(),
+            vec![Literal::constant(Var(0), sym("flagged"), 1)],
+            vec![Literal::constant(Var(0), sym("reviewed"), 1)],
+        );
         let sigma: Vec<SigmaConstraint> = vec![
-            Ged::new(
-                "flagged⇒reviewed",
-                q(),
-                vec![Literal::constant(Var(0), sym("flagged"), 1)],
-                vec![Literal::constant(Var(0), sym("reviewed"), 1)],
-            )
-            .into(),
+            ged.clone().into(),
             Gdc::forbidding(
                 "score≤10",
                 q(),
@@ -81,10 +85,11 @@ mod mixed_sigma {
                 ],
             )
             .into(),
+            DisjGed::new("never-τ", q(), vec![], vec![]).into(),
         ];
         assert_eq!(
             sigma.iter().map(Constraint::name).collect::<Vec<_>>(),
-            ["flagged⇒reviewed", "score≤10", "state∈{on,off}"]
+            ["flagged⇒reviewed", "score≤10", "state∈{on,off}", "never-τ"]
         );
 
         // One node violating every family at once.
@@ -93,22 +98,17 @@ mod mixed_sigma {
         b.attr("n", "flagged", 1);
         b.attr("n", "score", 99);
         b.attr("n", "state", "limbo");
-        let g = b.build();
+        let (g, names) = b.build_with_names();
         let report = ged_core::reason::validate(&g, &sigma, None);
-        assert_eq!(report.total_violations(), 3);
-        let kinds: Vec<&ViolationKind> = report.violations.iter().map(|v| &v.kind).collect();
-        assert!(matches!(kinds[0], ViolationKind::Conclusions(ls) if ls.len() == 1));
-        assert!(matches!(kinds[1], ViolationKind::Predicates(_)));
-        assert!(matches!(kinds[2], ViolationKind::Disjunction));
-
-        // NormConstraint members join the same Σ through their own From.
-        let norm: SigmaConstraint = NormConstraint::from_gdc(&Gdc::forbidding(
-            "score≥0",
-            q(),
-            vec![GdcLiteral::constant(Var(0), sym("score"), Pred::Lt, 0)],
-        ))
-        .into();
-        assert!(ged_core::satisfy::violations(&g, &norm, None).is_empty());
+        let kinds: Vec<&[usize]> = report
+            .violations
+            .iter()
+            .map(|v| v.kind.positions())
+            .collect();
+        assert_eq!(kinds, [&[0][..], &[0, 1], &[0, 1], &[]]);
+        let m = [names["n"]];
+        assert_eq!(sigma[0].check(&g, &m), ged.check(&g, &m), "as `Ged` says");
+        assert_eq!(sigma[3].check(&g, &m), Some(ViolationKind::default()));
     }
 }
 
@@ -158,7 +158,7 @@ mod proptests {
                 vec![Literal::constant(Var(0), sym("A"), thr)],
                 vec![Literal::constant(Var(0), sym("B"), 1)],
             );
-            let gdc = Gdc::from_ged(&ged);
+            let gdc = SigmaConstraint::from(Gdc::from_ged(&ged));
             prop_assert_eq!(
                 satisfies(&g, &ged),
                 satisfies(&g, &gdc)
@@ -177,7 +177,8 @@ mod proptests {
                     Literal::vars(Var(0), sym("B"), Var(1), sym("B")),
                 ],
             );
-            let split = DisjGed::from_ged(&ged);
+            let split: Vec<SigmaConstraint> =
+                DisjGed::from_ged(&ged).into_iter().map(Into::into).collect();
             prop_assert_eq!(
                 satisfies(&g, &ged),
                 satisfies_all(&g, &split)
@@ -207,7 +208,8 @@ mod proptests {
             // lo ≤ hi → window nonempty → satisfiable; lo > hi → unsat.
             prop_assert_eq!(sat, lo <= hi);
             if !sat && !g.nodes_with_label(sym("τ")).is_empty() {
-                prop_assert!(!satisfies_all(&g, &sigma));
+                let served = sigma.map(SigmaConstraint::from);
+                prop_assert!(!satisfies_all(&g, &served));
             }
         }
     }

@@ -22,146 +22,12 @@
 
 use crate::disj::DisjGed;
 use crate::gdc::{Gdc, GdcLiteral};
+use crate::sigma::SigmaConstraint;
 use crate::solver::{consistent, Constraint, Term};
-use ged_core::constraint::{Constraint as ConstraintDep, LiteralView, ViolationKind};
 use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::{MatchOptions, Matcher, Pattern};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-
-/// A normalised constraint: premises, and a *set of conclusion options*
-/// (GDC: one conjunctive option; GED∨: one option per disjunct; empty
-/// option set = `false`).
-#[derive(Debug, Clone)]
-pub struct NormConstraint {
-    /// Name for reports (inherited from the constraint it normalises).
-    pub name: String,
-    /// The pattern.
-    pub pattern: Pattern,
-    /// Premise literals (conjunctive).
-    pub premises: Vec<GdcLiteral>,
-    /// Conclusion options: satisfied if ALL literals of SOME option hold.
-    pub options: Vec<Vec<GdcLiteral>>,
-}
-
-impl NormConstraint {
-    /// From a GDC (single conjunctive option).
-    pub fn from_gdc(g: &Gdc) -> NormConstraint {
-        NormConstraint {
-            name: g.name.clone(),
-            pattern: g.pattern.clone(),
-            premises: g.premises.clone(),
-            options: vec![g.conclusions.clone()],
-        }
-    }
-
-    /// From a GED∨ (one option per disjunct).
-    pub fn from_disj(d: &DisjGed) -> NormConstraint {
-        NormConstraint {
-            name: d.name.clone(),
-            pattern: d.pattern.clone(),
-            premises: d.premises.iter().map(GdcLiteral::from_ged).collect(),
-            options: d
-                .conclusions
-                .iter()
-                .map(|l| vec![GdcLiteral::from_ged(l)])
-                .collect(),
-        }
-    }
-}
-
-/// The normalised violation test shared by every constraint family of the
-/// unified layer: a match violates `X → opt₁ ∨ opt₂ ∨ …` iff all premises
-/// hold and **every** conclusion option has a failing literal. A GDC is
-/// the single-option case (its conjunctive `Y`); a GED∨ contributes one
-/// single-literal option per disjunct, so a disjunctive conclusion is
-/// violated iff *every* disjunct fails; an empty option set is `false`.
-/// `holds` carries the per-family literal semantics.
-pub(crate) fn x_holds_and_all_options_fail<'a, L: 'a>(
-    premises: &[L],
-    mut options: impl Iterator<Item = &'a [L]>,
-    mut holds: impl FnMut(&L) -> bool,
-) -> bool {
-    premises.iter().all(&mut holds) && !options.any(|opt| opt.iter().all(&mut holds))
-}
-
-/// Normalised constraints plug straight into the generic engines: the
-/// check is the shared `x_holds_and_all_options_fail` evaluation over
-/// the options ("X holds and every conclusion option fails").
-impl ConstraintDep for NormConstraint {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn pattern(&self) -> &Pattern {
-        &self.pattern
-    }
-
-    fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        let holds = |l: &GdcLiteral| l.holds(g, m);
-        let options = self.options.iter().map(Vec::as_slice);
-        x_holds_and_all_options_fail(&self.premises, options, holds)
-            .then_some(ViolationKind::Disjunction)
-    }
-
-    fn size(&self) -> usize {
-        self.pattern.size() + self.premises.len() + self.options.iter().map(Vec::len).sum::<usize>()
-    }
-
-    fn attrs_read(&self) -> Option<Vec<Symbol>> {
-        let literals = self.premises.iter().chain(self.options.iter().flatten());
-        Some(literals.flat_map(GdcLiteral::attrs).collect())
-    }
-
-    fn literal_view(&self) -> Option<LiteralView> {
-        let mut exact = true;
-        let convert = |lits: &[GdcLiteral], exact: &mut bool| -> Vec<ged_core::literal::Literal> {
-            lits.iter()
-                .filter_map(|l| {
-                    let eq = l.as_eq_literal();
-                    *exact &= eq.is_some();
-                    eq
-                })
-                .collect()
-        };
-        let premises = convert(&self.premises, &mut exact);
-        let options = self
-            .options
-            .iter()
-            .map(|opt| convert(opt, &mut exact))
-            .collect();
-        Some(LiteralView {
-            premises,
-            options,
-            exact,
-        })
-    }
-
-    fn as_chase_ged(&self) -> Option<ged_core::ged::Ged> {
-        use ged_core::ged::Ged;
-        let eq = |lits: &[GdcLiteral]| -> Option<Vec<ged_core::literal::Literal>> {
-            lits.iter().map(GdcLiteral::as_eq_literal).collect()
-        };
-        let premises = eq(&self.premises)?;
-        let conclusions = match self.options.len() {
-            0 if self.pattern.var_count() > 0 => {
-                let g = Ged::forbidding("f", self.pattern.clone(), vec![]);
-                g.conclusions
-            }
-            1 => eq(&self.options[0])?,
-            _ => return None,
-        };
-        let in_scope = premises
-            .iter()
-            .chain(&conclusions)
-            .all(|l| l.in_scope(&self.pattern));
-        in_scope.then(|| Ged::new(&self.name, self.pattern.clone(), premises, conclusions))
-    }
-
-    fn premises_feasible(&self) -> bool {
-        crate::gdc::premises_feasible(&self.premises)
-    }
-}
 
 type Slot = (NodeId, Symbol);
 
@@ -238,7 +104,7 @@ struct Clause {
 /// Build the clause set for `sigma` over candidate structure `g`.
 /// Returns `None` if some clause is already unsatisfiable structurally
 /// (no premises to fail and no viable option).
-fn clauses_for(sigma: &[NormConstraint], g: &Graph) -> Option<Vec<Clause>> {
+fn clauses_for(sigma: &[SigmaConstraint], g: &Graph) -> Option<Vec<Clause>> {
     let mut clauses = Vec::new();
     for nc in sigma {
         let mut dead = false;
@@ -447,9 +313,9 @@ fn canonical(patterns: &[&Pattern]) -> Graph {
     g
 }
 
-/// Decide satisfiability of a set of normalised constraints (the engine
-/// behind [`gdc_satisfiable`] and [`disj_satisfiable`]; Σᵖ₂ in general).
-pub fn ext_satisfiable(sigma: &[NormConstraint]) -> bool {
+/// Decide satisfiability of a set of compiled rules (the engine behind
+/// [`gdc_satisfiable`] and [`disj_satisfiable`]; Σᵖ₂ in general).
+pub fn ext_satisfiable(sigma: &[SigmaConstraint]) -> bool {
     if sigma.is_empty() {
         return true;
     }
@@ -462,22 +328,17 @@ pub fn ext_satisfiable(sigma: &[NormConstraint]) -> bool {
 
 /// Satisfiability for GDC sets (Theorem 8: Σᵖ₂-complete).
 pub fn gdc_satisfiable(sigma: &[Gdc]) -> bool {
-    ext_satisfiable(
-        &sigma
-            .iter()
-            .map(NormConstraint::from_gdc)
-            .collect::<Vec<_>>(),
-    )
+    ext_satisfiable(&compile(sigma))
 }
 
 /// Satisfiability for GED∨ sets (Theorem 9: Σᵖ₂-complete).
 pub fn disj_satisfiable(sigma: &[DisjGed]) -> bool {
-    ext_satisfiable(
-        &sigma
-            .iter()
-            .map(NormConstraint::from_disj)
-            .collect::<Vec<_>>(),
-    )
+    ext_satisfiable(&compile(sigma))
+}
+
+/// Σ in the served form the searches run on.
+fn compile<C: Clone + Into<SigmaConstraint>>(sigma: &[C]) -> Vec<SigmaConstraint> {
+    sigma.iter().cloned().map(Into::into).collect()
 }
 
 /// Countermodel search for implication: does there exist a quotient of
@@ -485,7 +346,7 @@ pub fn disj_satisfiable(sigma: &[DisjGed]) -> bool {
 /// quotient map with `X` true and the conclusion refuted? `refute`
 /// produces, per quotient match, the clause encodings of `¬Y` choices.
 fn has_countermodel(
-    sigma: &[NormConstraint],
+    sigma: &[SigmaConstraint],
     phi_pattern: &Pattern,
     phi_premises: &[GdcLiteral],
     phi_options: &[Vec<GdcLiteral>],
@@ -603,7 +464,7 @@ pub fn gdc_implies(sigma: &[Gdc], phi: &Gdc) -> bool {
     if phi.conclusions.is_empty() {
         return true; // X → ∅ holds vacuously
     }
-    let sig: Vec<NormConstraint> = sigma.iter().map(NormConstraint::from_gdc).collect();
+    let sig = compile(sigma);
     !phi.conclusions
         .iter()
         .any(|target| has_countermodel(&sig, &phi.pattern, &phi.premises, &[vec![target.clone()]]))
@@ -612,14 +473,8 @@ pub fn gdc_implies(sigma: &[Gdc], phi: &Gdc) -> bool {
 /// Implication `Σ ⊨ ψ` for GED∨s (Theorem 9: Πᵖ₂-complete): the
 /// countermodel must refute EVERY disjunct at the witness match.
 pub fn disj_implies(sigma: &[DisjGed], phi: &DisjGed) -> bool {
-    let sig: Vec<NormConstraint> = sigma.iter().map(NormConstraint::from_disj).collect();
-    let premises: Vec<GdcLiteral> = phi.premises.iter().map(GdcLiteral::from_ged).collect();
-    let options: Vec<Vec<GdcLiteral>> = phi
-        .conclusions
-        .iter()
-        .map(|l| vec![GdcLiteral::from_ged(l)])
-        .collect();
-    !has_countermodel(&sig, &phi.pattern, &premises, &options)
+    let phi = SigmaConstraint::from(phi.clone());
+    !has_countermodel(&compile(sigma), &phi.pattern, &phi.premises, &phi.options)
 }
 
 #[cfg(test)]

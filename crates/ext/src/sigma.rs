@@ -1,120 +1,154 @@
-//! The closed constraint union: every family of the paper in one enum,
-//! dispatched statically.
+//! The one served rule form: every family of the paper compiled into
+//! premises plus conclusion options.
 //!
-//! [`SigmaConstraint`] is the workspace's one heterogeneous-Σ type, over
-//! exactly the paper's families {GED, GDC, GED∨, normalized}: `check` —
-//! called once per enumerated match, in the engine's innermost loop — and
-//! `pattern` compile to a jump table over an inline-visible `match`, the
-//! optimizer sees the concrete callee at every arm, and a
-//! `Vec<SigmaConstraint>` stores the rules inline instead of behind shared
-//! pointers. There is no type-erased arm: every engine is generic over
-//! `C: Constraint`, so a family outside the paper's four implements the
-//! trait and runs as its own `C` (or in its own enum next to this one).
+//! Fan & Lu §7 define GDCs and GED∨s as GEDs with richer conclusions, and
+//! all three share one form: a pattern, conjunctive premise literals, and
+//! a set of *conclusion options* — the conclusion holds iff every literal
+//! of **some** option holds. A GED or a GDC is one conjunctive option, a
+//! GED∨ one single-literal option per disjunct, and no option at all is
+//! `false`. [`SigmaConstraint`] is that form over [`GdcLiteral`] (whose
+//! `=` literals are exactly the GED's), built from each family by `From`
+//! at load. It is the workspace's one heterogeneous-Σ type: every engine
+//! runs on a `Vec<SigmaConstraint>`, whose one `check` is
+//! [`ged_core::constraint::evaluate`] — the evaluator `Ged`'s own check
+//! uses — so every witness's [`ViolationKind`] has one shape whatever
+//! family its rule came from.
+//!
+//! `Gdc` and `DisjGed` stay as the paper's syntax and as the inputs of
+//! the bounded-search deciders in [`crate::reason`], which run on this
+//! form too; `Ged` is also the input of `ged-core`'s chase and A_GED.
 
 use crate::disj::DisjGed;
-use crate::gdc::Gdc;
-use crate::reason::NormConstraint;
-use ged_core::constraint::{Constraint, LiteralView, ViolationKind};
+use crate::gdc::{premises_feasible, Gdc, GdcLiteral};
+use ged_core::constraint::{evaluate, Constraint, LiteralView, ViolationKind};
 use ged_core::ged::Ged;
+use ged_core::literal::{falsum, Literal};
 use ged_graph::{Graph, NodeId, Symbol};
-use ged_pattern::Pattern;
+use ged_pattern::{Pattern, Var};
 
-/// A constraint of one of the paper's four concrete families, dispatched
-/// by `match` instead of vtable. Implements [`Constraint`], so every
-/// generic engine (`IncrementalValidator`, the from-scratch enumerators,
-/// the static analyzer) takes a `Vec<SigmaConstraint>` as-is.
+/// A rule `Q[x̄](X → opt₁ ∨ opt₂ ∨ …)` of any of the paper's families:
+/// violated at a match iff every premise holds and every option has a
+/// failing literal. Implements [`Constraint`], so every generic engine
+/// (`IncrementalValidator`, the from-scratch enumerators, the static
+/// analyzer) takes a `Vec<SigmaConstraint>` as-is.
 #[derive(Debug, Clone)]
-pub enum SigmaConstraint {
-    /// A plain GED `Q[x̄](X → Y)` (Section 2).
-    Ged(Ged),
-    /// A graph denial constraint with built-in predicates (Section 7.1).
-    Gdc(Gdc),
-    /// A GED with disjunctive conclusions (Section 7.2).
-    DisjGed(DisjGed),
-    /// A normalized premises-plus-conclusion-options constraint.
-    Norm(NormConstraint),
-}
-
-/// One delegating arm per family; every [`Constraint`] method funnels
-/// through this, so adding a family is a one-line change per method site
-/// caught by exhaustiveness checking.
-macro_rules! dispatch {
-    ($self:expr, $c:ident => $body:expr) => {
-        match $self {
-            SigmaConstraint::Ged($c) => $body,
-            SigmaConstraint::Gdc($c) => $body,
-            SigmaConstraint::DisjGed($c) => $body,
-            SigmaConstraint::Norm($c) => $body,
-        }
-    };
+pub struct SigmaConstraint {
+    /// Name for reports (the compiled rule's).
+    pub name: String,
+    /// The pattern.
+    pub pattern: Pattern,
+    /// Premise literals (conjunctive).
+    pub premises: Vec<GdcLiteral>,
+    /// Conclusion options: satisfied if ALL literals of SOME option hold.
+    pub options: Vec<Vec<GdcLiteral>>,
 }
 
 impl Constraint for SigmaConstraint {
     fn name(&self) -> &str {
-        dispatch!(self, c => c.name())
+        &self.name
     }
 
     fn pattern(&self) -> &Pattern {
-        dispatch!(self, c => c.pattern())
+        &self.pattern
     }
 
     fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        dispatch!(self, c => c.check(g, m))
+        let options = self.options.iter().map(Vec::as_slice);
+        evaluate(&self.premises, options, |l| l.holds(g, m))
     }
 
     fn size(&self) -> usize {
-        dispatch!(self, c => Constraint::size(c))
+        self.pattern.size() + self.premises.len() + self.options.iter().map(Vec::len).sum::<usize>()
     }
 
     fn attrs_read(&self) -> Option<Vec<Symbol>> {
-        dispatch!(self, c => c.attrs_read())
+        let literals = self.premises.iter().chain(self.options.iter().flatten());
+        Some(literals.flat_map(GdcLiteral::attrs).collect())
     }
 
+    /// The equality fragment: a non-`=` literal is dropped and clears
+    /// `exact`.
     fn literal_view(&self) -> Option<LiteralView> {
-        dispatch!(self, c => c.literal_view())
+        let mut exact = true;
+        let mut convert = |lits: &[GdcLiteral]| -> Vec<Literal> {
+            let eq = lits.iter().map(GdcLiteral::as_eq_literal);
+            eq.inspect(|l| exact &= l.is_some()).flatten().collect()
+        };
+        let premises = convert(&self.premises);
+        let options = self.options.iter().map(|opt| convert(opt)).collect();
+        Some(LiteralView {
+            premises,
+            options,
+            exact,
+        })
     }
 
+    /// A GED with the same models, when every literal is `=` and the
+    /// conclusion is one option (conjunctive) or none (`false`).
     fn as_chase_ged(&self) -> Option<Ged> {
-        dispatch!(self, c => c.as_chase_ged())
+        let eq = |lits: &[GdcLiteral]| -> Option<Vec<Literal>> {
+            lits.iter().map(GdcLiteral::as_eq_literal).collect()
+        };
+        let premises = eq(&self.premises)?;
+        let conclusions = match &self.options[..] {
+            [] if self.pattern.var_count() > 0 => falsum(Var(0)),
+            [option] => eq(option)?,
+            _ => return None,
+        };
+        let mut literals = premises.iter().chain(&conclusions);
+        let in_scope = literals.all(|l| l.in_scope(&self.pattern));
+        in_scope.then(|| Ged::new(&self.name, self.pattern.clone(), premises, conclusions))
     }
 
     fn premises_feasible(&self) -> bool {
-        dispatch!(self, c => Constraint::premises_feasible(c))
+        premises_feasible(&self.premises)
     }
 }
 
+/// A GED: its conjunctive conclusion is the one option.
 impl From<Ged> for SigmaConstraint {
-    fn from(c: Ged) -> SigmaConstraint {
-        SigmaConstraint::Ged(c)
+    fn from(g: Ged) -> SigmaConstraint {
+        let lift = |lits: &[Literal]| lits.iter().map(GdcLiteral::from_ged).collect();
+        SigmaConstraint {
+            premises: lift(&g.premises),
+            options: vec![lift(&g.conclusions)],
+            name: g.name,
+            pattern: g.pattern,
+        }
     }
 }
 
+/// A GDC: its conjunctive conclusion is the one option.
 impl From<Gdc> for SigmaConstraint {
-    fn from(c: Gdc) -> SigmaConstraint {
-        SigmaConstraint::Gdc(c)
+    fn from(g: Gdc) -> SigmaConstraint {
+        SigmaConstraint {
+            name: g.name,
+            pattern: g.pattern,
+            premises: g.premises,
+            options: vec![g.conclusions],
+        }
     }
 }
 
+/// A GED∨: one single-literal option per disjunct.
 impl From<DisjGed> for SigmaConstraint {
-    fn from(c: DisjGed) -> SigmaConstraint {
-        SigmaConstraint::DisjGed(c)
-    }
-}
-
-impl From<NormConstraint> for SigmaConstraint {
-    fn from(c: NormConstraint) -> SigmaConstraint {
-        SigmaConstraint::Norm(c)
+    fn from(d: DisjGed) -> SigmaConstraint {
+        let options = d.conclusions.iter().map(|l| vec![GdcLiteral::from_ged(l)]);
+        SigmaConstraint {
+            premises: d.premises.iter().map(GdcLiteral::from_ged).collect(),
+            options: options.collect(),
+            name: d.name,
+            pattern: d.pattern,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gdc::GdcLiteral;
     use crate::predicate::Pred;
-    use ged_core::literal::Literal;
-    use ged_graph::{sym, GraphBuilder};
-    use ged_pattern::{parse_pattern, Var};
+    use ged_graph::sym;
+    use ged_pattern::parse_pattern;
 
     fn q() -> Pattern {
         parse_pattern("τ(x)").unwrap()
@@ -149,60 +183,24 @@ mod tests {
         )
     }
 
-    fn norm() -> NormConstraint {
-        NormConstraint::from_gdc(&Gdc::forbidding(
-            "state≠limbo",
-            q(),
-            vec![GdcLiteral::constant(
-                Var(0),
-                sym("state"),
-                Pred::Eq,
-                "limbo",
-            )],
-        ))
-    }
-
-    fn four_families() -> Vec<SigmaConstraint> {
-        vec![ged().into(), gdc().into(), disj().into(), norm().into()]
-    }
-
-    /// One node violating every family at once.
-    fn offending_node() -> (Graph, Vec<NodeId>) {
-        let mut b = GraphBuilder::new();
-        b.node("n", "τ");
-        b.attr("n", "flagged", 1);
-        b.attr("n", "score", 99);
-        b.attr("n", "state", "limbo");
-        let (g, names) = b.build_with_names();
-        let m = vec![names["n"]];
-        (g, m)
-    }
-
-    fn assert_delegates<C: Constraint + Clone + Into<SigmaConstraint>>(native: &C) {
-        let (g, m) = offending_node();
-        let c: SigmaConstraint = native.clone().into();
-        assert_eq!(c.name(), native.name());
-        assert_eq!(c.size(), native.size());
-        assert_eq!(c.pattern().var_count(), native.pattern().var_count());
-        assert_eq!(c.check(&g, &m), native.check(&g, &m));
-        assert!(c.check(&g, &m).is_some());
-        assert_eq!(c.attrs_read(), native.attrs_read());
-        assert_eq!(c.literal_view(), native.literal_view());
-        assert_eq!(
-            c.as_chase_ged().map(|g| g.name),
-            native.as_chase_ged().map(|g| g.name)
-        );
-        assert_eq!(c.premises_feasible(), native.premises_feasible());
-    }
-
-    /// Every method of every arm answers what the wrapped rule answers —
-    /// the enum is a dispatch, not a semantic layer.
+    /// Each family compiles into the form the paper gives it: a GED's
+    /// and a GDC's conjunctive conclusion is one option, a GED∨'s
+    /// disjuncts one option each, and the size `|φ|` is kept.
     #[test]
-    fn enum_delegates_every_method_to_the_wrapped_family() {
-        assert_delegates(&ged());
-        assert_delegates(&gdc());
-        assert_delegates(&disj());
-        assert_delegates(&norm());
+    fn each_family_compiles_into_premises_and_options() {
+        let shape = |c: &SigmaConstraint| {
+            let options: Vec<usize> = c.options.iter().map(Vec::len).collect();
+            (c.name.clone(), c.premises.len(), options)
+        };
+        let (ged, gdc, disj) = (ged(), gdc(), disj());
+        let sizes = [ged.size(), gdc.size(), disj.size()];
+        let sigma: [SigmaConstraint; 3] = [ged.into(), gdc.into(), disj.into()];
+        assert_eq!(shape(&sigma[0]), ("flagged⇒reviewed".into(), 1, vec![1]));
+        assert_eq!(shape(&sigma[1]), ("score≤10".into(), 1, vec![2]));
+        assert_eq!(shape(&sigma[2]), ("state∈{on,off}".into(), 0, vec![1, 1]));
+        for (c, size) in sigma.iter().zip(sizes) {
+            assert_eq!(c.size(), size, "{}", c.name);
+        }
     }
 
     /// Every family names each attribute its literals read, whatever the
@@ -211,23 +209,22 @@ mod tests {
     /// attribute; a family that does not name its reads says `None`.
     #[test]
     fn each_family_names_what_its_check_reads() {
-        let read = |c: &dyn Constraint| {
+        let read = |c: SigmaConstraint| {
             let mut names: Vec<String> = c.attrs_read()?.iter().map(ToString::to_string).collect();
             names.sort();
             names.dedup();
             Some(names)
         };
         let falsum = ged_core::literal::falsum_attr().to_string();
-        let gdc = gdc();
+        let gdc = SigmaConstraint::from(gdc());
         assert!(!gdc.literal_view().unwrap().exact, "the view omits `>`");
         let expected = [
             (
-                read(&ged()),
+                read(ged().into()),
                 vec!["flagged".to_string(), "reviewed".to_string()],
             ),
-            (read(&gdc), vec!["score".to_string(), falsum.clone()]),
-            (read(&disj()), vec!["state".to_string()]),
-            (read(&norm()), vec!["state".to_string(), falsum]),
+            (read(gdc), vec!["score".to_string(), falsum]),
+            (read(disj().into()), vec!["state".to_string()]),
         ];
         for (got, mut want) in expected {
             want.sort();
@@ -253,18 +250,21 @@ mod tests {
         assert_eq!(Opaque(ged()).attrs_read(), None);
     }
 
-    /// A homogeneous `Vec<SigmaConstraint>` drives the generic validator
-    /// and classifies each family with its native violation kind.
+    /// The chase embedding: a compiled GED is the GED again, a
+    /// single-disjunct or forbidding GED∨ the conjunctive or forbidding
+    /// GED, and anything with a non-`=` literal or two disjuncts none.
     #[test]
-    fn one_sigma_vec_serves_all_four_families() {
-        let sigma = four_families();
-        let (g, _) = offending_node();
-        let report = ged_core::reason::validate(&g, &sigma, None);
-        assert_eq!(report.total_violations(), 4);
-        let kinds: Vec<&ViolationKind> = report.violations.iter().map(|v| &v.kind).collect();
-        assert!(matches!(kinds[0], ViolationKind::Conclusions(_)));
-        assert!(matches!(kinds[1], ViolationKind::Predicates(_)));
-        assert!(matches!(kinds[2], ViolationKind::Disjunction));
-        assert!(matches!(kinds[3], ViolationKind::Disjunction));
+    fn equality_rules_embed_in_the_chase() {
+        let literals = |g: Ged| (g.name, g.premises, g.conclusions);
+        let back = SigmaConstraint::from(ged()).as_chase_ged().unwrap();
+        assert_eq!(literals(back), literals(ged()));
+        let one = DisjGed::new("one", q(), vec![], vec![disj().conclusions[0].clone()]);
+        let one = SigmaConstraint::from(one).as_chase_ged().unwrap();
+        assert_eq!(one.conclusions, [disj().conclusions[0].clone()]);
+        let none = SigmaConstraint::from(DisjGed::new("none", q(), vec![], vec![]));
+        let forbidding = Ged::forbidding("none", q(), vec![]);
+        assert_eq!(literals(none.as_chase_ged().unwrap()), literals(forbidding));
+        assert!(SigmaConstraint::from(gdc()).as_chase_ged().is_none());
+        assert!(SigmaConstraint::from(disj()).as_chase_ged().is_none());
     }
 }

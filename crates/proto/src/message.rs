@@ -29,19 +29,20 @@
 //! trailing `.0` and the parser classifies by the presence of a
 //! fraction/exponent, so values survive a round trip bit-for-bit.
 
-use crate::json::{escape_into, write_escaped, Json, JsonError, Kind, Number, Reader};
+use crate::json::{write_escaped, Json, JsonError, Kind, Number, Reader};
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
-use ged_core::Literal;
 use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{self, IoSlice, Write};
 use std::ops::Range;
 
-/// Wire protocol version, reported by `health`.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Wire protocol version, reported by `health`. Version 2: a witness's
+/// `kind` is the list of its failed conclusion positions (`[0, 2]`, the
+/// [`ViolationKind`]'s `Debug` text), the same in every process.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Machine-readable error codes used in `{"ok":false,"code":...}`
 /// responses.
@@ -502,9 +503,10 @@ pub fn err_response(code: &str, message: &str) -> Json {
 }
 
 /// One violation as carried on the wire: rule name, the witness
-/// assignment, and the failure kind rendered with `Debug` (exactly the
+/// assignment, and the failure kind rendered with `Debug` — the ascending
+/// positions of the failed conclusion literals, `[0, 2]` — exactly the
 /// string the in-process lockstep ledgers use, so protocol-level tests
-/// compare witness sets without a reverse codec for [`ViolationKind`]).
+/// compare witness sets without a reverse codec for [`ViolationKind`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WireViolation {
     /// Name of the violated rule.
@@ -612,7 +614,8 @@ const WITNESS_BYTES: usize = 128;
 /// rule whose kind prints as long takes more. [`encode_segment`] sizes
 /// its buffer with the first witness's, formatting nothing.
 fn widest_witness(rule: &str, ids: usize, kind: &ViolationKind) -> usize {
-    /// Counts the bytes [`escape_into`] would write for what it is given.
+    /// Counts the bytes [`write_escaped`] writes for what it is given,
+    /// quotes aside.
     struct EscapedLen(usize);
     impl std::fmt::Write for EscapedLen {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
@@ -641,7 +644,8 @@ const REPLY_TAIL: &str = "]}\n";
 /// allocations per witness: scalars go through [`Json::write`] itself
 /// (`Int`/`Bool` values own nothing), node ids are plain decimal `u32`s,
 /// strings go through its [`write_escaped`], and a kind's `Debug` text
-/// through its [`escape_into`] as it is formatted.
+/// (digits, commas, spaces and brackets: nothing to escape) is formatted
+/// in place.
 struct LineEncoder {
     out: String,
 }
@@ -655,17 +659,6 @@ struct LineEncoder {
 struct Run<'w> {
     rule: Option<(&'w str, Range<usize>)>,
     kind: Option<(&'w ViolationKind, Range<usize>)>,
-}
-
-/// A `fmt::Write` that escapes what it is given into the body of a JSON
-/// string: `Debug` text goes into the reply as it is formatted.
-struct Escaping<'a>(&'a mut String);
-
-impl std::fmt::Write for Escaping<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        escape_into(s, self.0);
-        Ok(())
-    }
 }
 
 impl LineEncoder {
@@ -722,8 +715,7 @@ impl LineEncoder {
     /// The witnesses `witnesses` pushes, comma-separated, each shaped like
     /// [`violation_to_json`]: a witness is its rule's head, its ids, and
     /// its kind's tail, and a head or a tail the last witness also had is
-    /// copied ([`Run`]). The kind must render alike ([`renders_alike`]),
-    /// not merely be `==`.
+    /// copied ([`Run`]): `==` kinds print alike.
     fn witnesses<'w>(&mut self, witnesses: impl FnOnce(&mut WitnessSink<'_, 'w>)) {
         let mut run = Run::default();
         let mut first = true;
@@ -744,7 +736,7 @@ impl LineEncoder {
             }
             self.id_list(assignment);
             match &run.kind {
-                Some((last, tail)) if renders_alike(last, kind) => {
+                Some((last, tail)) if *last == kind => {
                     self.out.extend_from_within(tail.clone());
                 }
                 _ => {
@@ -752,7 +744,7 @@ impl LineEncoder {
                     self.out.push(']');
                     self.key(',', "kind");
                     self.out.push('"');
-                    write!(Escaping(&mut self.out), "{kind:?}").expect("escaping is infallible");
+                    write!(self.out, "{kind:?}").expect("formatting is infallible");
                     self.out.push_str("\"}");
                     run.kind = Some((kind, at..self.out.len()));
                 }
@@ -793,41 +785,6 @@ impl LineEncoder {
         self.out.push(']');
         self.open_witnesses();
     }
-}
-
-/// Whether `a` and `b` have the same `Debug` text. `==` is not enough:
-/// [`Value`]'s says `Int(2) == Float(2.0)`, which print differently. Equal
-/// kinds whose `Const` literals also hold values of the same variant
-/// print alike (within a variant, `==` is identity of what `Debug` shows).
-/// The matches name every variant, so a new one does not compile here
-/// until someone has said how it prints.
-fn renders_alike(a: &ViolationKind, b: &ViolationKind) -> bool {
-    fn same_variant(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Bool(_), Value::Bool(_))
-            | (Value::Int(_), Value::Int(_))
-            | (Value::Float(_), Value::Float(_))
-            | (Value::Str(_), Value::Str(_)) => true,
-            (Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_), _) => false,
-        }
-    }
-    a == b
-        && match (a, b) {
-            (ViolationKind::Conclusions(a), ViolationKind::Conclusions(b)) => {
-                a.iter().zip(b).all(|pair| match pair {
-                    (Literal::Const { value: a, .. }, Literal::Const { value: b, .. }) => {
-                        same_variant(a, b)
-                    }
-                    (Literal::Const { .. } | Literal::Vars { .. } | Literal::Id { .. }, _) => true,
-                })
-            }
-            (
-                ViolationKind::Conclusions(_)
-                | ViolationKind::Predicates(_)
-                | ViolationKind::Disjunction,
-                _,
-            ) => true,
-        }
 }
 
 /// The `report` reply as one wire line (trailing newline included),
@@ -1144,23 +1101,12 @@ mod tests {
 
     /// The size `encode_segment` reserves per witness is what a witness
     /// with ten-digit ids takes, to the byte, whatever needs escaping in
-    /// the rule's name or the kind's text.
+    /// the rule's name.
     #[test]
     fn widest_witness_is_a_ten_digit_witness() {
-        use ged_pattern::Var;
         let every_ascii: String = (0u8..0x80).map(char::from).collect();
         let rules = ["keys", "ünï \"cödé\"", every_ascii.as_str()];
-        let (a, b) = (sym("a"), sym("tab\tbed"));
-        let kinds = [
-            ViolationKind::Disjunction,
-            ViolationKind::Predicates(vec![0, 12]),
-            ViolationKind::Conclusions(vec![
-                Literal::constant(Var(0), a, every_ascii.as_str()),
-                Literal::constant(Var(1), b, Value::Float(2.0)),
-                Literal::vars(Var(0), a, Var(1), b),
-                Literal::id(Var(0), Var(1)),
-            ]),
-        ];
+        let kinds = [vec![], vec![0, 12], (0..40).collect()].map(ViolationKind::from);
         let widest = [
             NodeId(u32::MAX),
             NodeId(1_000_000_000),
@@ -1196,7 +1142,7 @@ mod tests {
             violations: vec![Violation {
                 ged_name: "keys".to_string(),
                 assignment: vec![NodeId(4), NodeId(7)],
-                kind: ViolationKind::Disjunction,
+                kind: ViolationKind::from(vec![0, 2]),
             }],
         };
         let json = Json::parse(&report_to_json(3, &report).to_string()).unwrap();
@@ -1207,9 +1153,6 @@ mod tests {
         assert_eq!(reply.rules[0], ("keys".to_string(), 1, false));
         assert_eq!(reply.violations.len(), 1);
         assert_eq!(reply.violations[0].assignment, vec![NodeId(4), NodeId(7)]);
-        assert_eq!(
-            reply.violations[0].kind,
-            format!("{:?}", ViolationKind::Disjunction)
-        );
+        assert_eq!(reply.violations[0].kind, "[0, 2]");
     }
 }

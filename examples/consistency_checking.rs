@@ -72,7 +72,7 @@ fn main() {
             println!(
                 "  {name}: match {:?}, failed literals: {}",
                 nodes,
-                v.failed().len()
+                v.kind.positions().len()
             );
         }
     }

@@ -1,11 +1,11 @@
 //! The generic incremental engine over a GDC workload.
 //!
 //! GDCs (Section 7.1) extend GEDs with built-in predicates `<, >, ≤, ≥, ≠`
-//! over the dense order of constants. Since PR 3 they are first-class
-//! members of the unified constraint layer, so the delta-driven,
-//! output-sensitive `IncrementalValidator` maintains their violation set
-//! exactly as it does for plain GEDs — same store, same affected-area
-//! recomputation, same sharded seeding.
+//! over the dense order of constants. Compiled into the served rule form
+//! `SigmaConstraint`, they are members of the unified constraint layer,
+//! so the delta-driven, output-sensitive `IncrementalValidator` maintains
+//! their violation set exactly as it does for plain GEDs — same store,
+//! same affected-area recomputation, same seeding.
 //!
 //! This example drives the social-network age workload from
 //! `ged_datagen::gdc` through a stream of updates and ends with a
@@ -27,17 +27,18 @@ fn main() {
         ..Default::default()
     };
     let w = social_gdcs(&cfg, 3, 42);
+    let sigma: Vec<SigmaConstraint> = w.sigma.into_iter().map(Into::into).collect();
     println!(
         "graph: {} nodes; Σ = {:?} (total size {})",
         w.graph.node_count(),
-        w.sigma.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
-        constraint_sigma_size(&w.sigma),
+        sigma.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
+        constraint_sigma_size(&sigma),
     );
 
     // 2. Seed the generic incremental validator — one full (parallel)
     //    validation pass, then the store is maintained under deltas.
     let graph = w.graph.clone();
-    let mut v = IncrementalValidator::new(w.graph, w.sigma.clone());
+    let mut v = IncrementalValidator::new(w.graph, sigma.clone());
     println!(
         "initial:   {} violation(s) (planted {})",
         v.violation_count(),
@@ -103,7 +104,7 @@ fn main() {
     let mut full_violations = 0;
     for d in &deltas {
         g.apply_delta(d);
-        full_violations = validate(&g, &w.sigma, None).total_violations();
+        full_violations = validate(&g, &sigma, None).total_violations();
     }
     let d_full = t0.elapsed();
 

@@ -2,15 +2,17 @@
 //!
 //! The paper's pitch is that GEDs, GDCs (Section 7.1), and GED∨
 //! (Section 7.2) are *one* class of dependencies over one graph model.
-//! `SigmaConstraint` makes that literal at the type level: each rule —
-//! whatever its family — converts into the same closed enum, a
+//! `SigmaConstraint` makes that literal: each rule — whatever its family —
+//! compiles into the same form, premises plus conclusion options (a GED
+//! or a GDC is one conjunctive option, a GED∨ one option per disjunct), a
 //! heterogeneous Σ is just `Vec<SigmaConstraint>`, and a single
 //! `IncrementalValidator<SigmaConstraint>` maintains the whole rule set
-//! under deltas with statically dispatched per-match checks, each
-//! violation still reporting its family-native kind (failed conclusion
-//! literals / failed predicate indices / all disjuncts failed). A
-//! family beyond the paper's four implements `Constraint` and runs as
-//! its own `IncrementalValidator<C>` — the engines are generic.
+//! under deltas with one per-match check. Every violation reports the
+//! same kind of thing: the positions of its rule's failed conclusion
+//! literals (`[0]` for the GED here, both literals of the GDC's `false`
+//! pair, all three disjuncts of the GED∨). A family beyond the paper's
+//! implements `Constraint` and runs as its own `IncrementalValidator<C>`
+//! — the engines are generic.
 //!
 //! Run with `cargo run --release --example mixed_constraints`.
 

@@ -43,7 +43,7 @@ pub mod prelude {
     };
     pub use ged_ext::{
         disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, DisjGed, Gdc, GdcLiteral,
-        NormConstraint, Pred, SigmaConstraint,
+        Pred, SigmaConstraint,
     };
     pub use ged_graph::{
         sym, Delta, DeltaEffect, DeltaSet, Graph, GraphBuilder, NodeId, Symbol, Value,

@@ -29,11 +29,12 @@ use std::collections::BTreeSet;
 mod lockstep;
 use lockstep::witnesses;
 
-/// Assert a workload Σ deploys clean: the analyzer may note stylistic
-/// facts (disconnected GKey patterns, wildcard labels) but must not
-/// error.
-fn assert_no_errors<C: Constraint>(what: &str, sigma: &[C]) {
-    let report = analyze(sigma);
+/// Assert a workload Σ deploys clean, compiled into the served form: the
+/// analyzer may note stylistic facts (disconnected GKey patterns, wildcard
+/// labels) but must not error.
+fn assert_no_errors<C: Clone + Into<SigmaConstraint>>(what: &str, sigma: &[C]) {
+    let served: Vec<SigmaConstraint> = sigma.iter().cloned().map(Into::into).collect();
+    let report = analyze(&served);
     assert!(
         !report.has_errors(),
         "workload {what} should analyze clean, got:\n{report}"

@@ -74,14 +74,12 @@ proptest! {
             vec![Literal::vars(Var(0), sym("A"), Var(1), sym("A"))],
             vec![Literal::vars(Var(0), sym("B"), Var(1), sym("B"))],
         );
-        let gdc = Gdc::from_ged(&ged);
+        let gdc = SigmaConstraint::from(Gdc::from_ged(&ged));
         prop_assert_eq!(satisfies(&g, &ged), satisfies(&g, &gdc));
         // … and with the GED∨ split.
-        let split = DisjGed::from_ged(&ged);
-        prop_assert_eq!(
-            satisfies(&g, &ged),
-            split.iter().all(|d| satisfies(&g, d))
-        );
+        let split: Vec<SigmaConstraint> =
+            DisjGed::from_ged(&ged).into_iter().map(Into::into).collect();
+        prop_assert_eq!(satisfies(&g, &ged), satisfies_all(&g, &split));
     }
 
     /// Chase-based GED implication agrees with the GDC bounded search on

@@ -223,59 +223,52 @@ fn chase_rejects_tombstoned_graphs() {
 // GDC and GED∨ sigmas across all delta kinds.
 // ---------------------------------------------------------------------
 
+/// A Σ of one family in the served form.
+fn served<C: Into<SigmaConstraint>>(sigma: Vec<C>) -> Vec<SigmaConstraint> {
+    sigma.into_iter().map(Into::into).collect()
+}
+
 #[test]
 fn incremental_equals_full_on_gdc_social_workload() {
     let w = ged_datagen::gdc::social_gdcs(&SocialConfig::default(), 3, 21);
-    assert_eq!(
-        validate(&w.graph, &w.sigma, None).violations.len(),
-        w.planted
-    );
+    let sigma = served(w.sigma);
+    assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // Ages 0..30 straddle the age≥13 boundary, so writes repair and
     // re-introduce violations; the rest of the delta mix adds/removes
     // nodes and edges under the same rules.
-    in_lockstep(
-        (&w.graph, &w.sigma),
-        (22, &[sym("age")], &ints(30)),
-        (120, 1),
-    );
+    in_lockstep((&w.graph, &sigma), (22, &[sym("age")], &ints(30)), (120, 1));
 }
 
 #[test]
 fn incremental_equals_full_on_gdc_kb_workload() {
     let w = ged_datagen::gdc::kb_gdcs(&ged_datagen::kb::KbConfig::default(), 4, 23);
-    assert_eq!(
-        validate(&w.graph, &w.sigma, None).violations.len(),
-        w.planted
-    );
+    let sigma = served(w.sigma);
+    assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // price/discount writes flip the variable-predicate rule both ways.
     let attrs = [sym("price"), sym("discount")];
-    in_lockstep((&w.graph, &w.sigma), (24, &attrs, &ints(120)), (120, 1));
+    in_lockstep((&w.graph, &sigma), (24, &attrs, &ints(120)), (120, 1));
 }
 
 #[test]
 fn incremental_equals_full_on_disj_social_workload() {
     let w = ged_datagen::disj::social_disj(&SocialConfig::default(), 2, 2, 25);
-    assert_eq!(
-        validate(&w.graph, &w.sigma, None).violations.len(),
-        w.planted
-    );
+    let sigma = served(w.sigma);
+    assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // Integer writes to tier always leave the string domain (every
     // disjunct fails); is_fake/suspended writes toggle the conditional
     // rule's premise and escape hatch.
     let attrs = [sym("tier"), sym("is_fake"), sym("suspended")];
-    in_lockstep((&w.graph, &w.sigma), (26, &attrs, &ints(2)), (100, 1));
+    in_lockstep((&w.graph, &sigma), (26, &attrs, &ints(2)), (100, 1));
 }
 
 #[test]
 fn incremental_equals_full_on_disj_kb_workload() {
     let w = ged_datagen::disj::kb_disj(&ged_datagen::kb::KbConfig::default(), 3, 27);
-    assert_eq!(
-        validate(&w.graph, &w.sigma, None).violations.len(),
-        w.planted
-    );
+    let sigma = served(w.sigma);
+    assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // Visibility values 0..5 fall in and out of the {0,1,2} domain.
     in_lockstep(
-        (&w.graph, &w.sigma),
+        (&w.graph, &sigma),
         (28, &[sym("visibility")], &ints(5)),
         (100, 1),
     );
@@ -288,14 +281,12 @@ fn incremental_equals_full_on_disj_kb_workload() {
 #[test]
 fn batched_deltas_equal_full_for_gdc_and_disj() {
     let w = ged_datagen::gdc::social_gdcs(&SocialConfig::default(), 2, 31);
-    in_lockstep(
-        (&w.graph, &w.sigma),
-        (32, &[sym("age")], &ints(30)),
-        (10, 8),
-    );
+    let sigma = served(w.sigma);
+    in_lockstep((&w.graph, &sigma), (32, &[sym("age")], &ints(30)), (10, 8));
     let w = ged_datagen::disj::kb_disj(&ged_datagen::kb::KbConfig::default(), 2, 33);
+    let sigma = served(w.sigma);
     in_lockstep(
-        (&w.graph, &w.sigma),
+        (&w.graph, &sigma),
         (34, &[sym("visibility")], &ints(5)),
         (10, 8),
     );
@@ -485,7 +476,7 @@ fn acceptance_gdc_10k_nodes_1k_deltas_every_step() {
     let w = ged_datagen::gdc::social_gdcs(&acceptance_social(), 20, 48);
     assert!(w.graph.node_count() >= 9_600, "acceptance scale");
     in_lockstep(
-        (&w.graph, &w.sigma),
+        (&w.graph, &served(w.sigma)),
         (49, &[sym("age")], &ints(30)),
         (1_000, 1),
     );

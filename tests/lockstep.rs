@@ -37,9 +37,9 @@ fn lift<C: Into<SigmaConstraint>>(graph: Graph, sigma: Vec<C>) -> Start {
 /// under one more premise, which the first implies.
 fn mixed_with_redundancy() -> Start {
     let w = mixed::social_mixed(&SocialConfig::default(), 3, 51);
-    let SigmaConstraint::Ged(real) = &w.sigma[0] else {
-        panic!("the mixed Σ opens with a GED");
-    };
+    let real = w.sigma[0]
+        .as_chase_ged()
+        .expect("the mixed Σ opens with a GED");
     let (x, y) = (real.premises.clone(), real.conclusions.clone());
     let mut narrower = x.clone();
     narrower.push(Literal::constant(Var(0), sym("tier"), "pro"));
@@ -133,24 +133,16 @@ fn every_subject_holds_on_every_family_at_length() {
 }
 
 /// The read-set contract of `Constraint::attrs_read` on every rule of every
-/// family — GEDs, GDCs, GED∨s, and the normalized twin of each GDC and GED∨
-/// — at up to 40 matches per rule in the start graph: writing or deleting,
-/// on any matched node, an attribute the rule does not name (the family's
-/// traffic vocabulary, the node's own attributes, and one attribute no
-/// rule names) never changes `check` at the match.
+/// family — GEDs, GDCs and GED∨s, each in the served form — at up to 40
+/// matches per rule in the start graph: writing or deleting, on any
+/// matched node, an attribute the rule does not name (the family's traffic
+/// vocabulary, the node's own attributes, and one attribute no rule names)
+/// never changes `check` at the match.
 #[test]
 fn writes_outside_a_rules_read_set_never_change_its_check() {
     use ged_repro::pattern::Matcher;
     use std::ops::ControlFlow;
-    for (name, (mut graph, sigma), attrs, pool) in families() {
-        let mut rules = sigma.clone();
-        for rule in &sigma {
-            match rule {
-                SigmaConstraint::Gdc(c) => rules.push(NormConstraint::from_gdc(c).into()),
-                SigmaConstraint::DisjGed(c) => rules.push(NormConstraint::from_disj(c).into()),
-                _ => {}
-            }
-        }
+    for (name, (mut graph, rules), attrs, pool) in families() {
         let values = pool.iter().take(3).cloned().map(Some).chain([None]);
         let values: Vec<Option<Value>> = values.collect();
         let mut writes = 0;
@@ -192,6 +184,48 @@ fn writes_outside_a_rules_read_set_never_change_its_check() {
         println!("{name}: {writes} writes outside {} read sets", rules.len());
         assert!(writes > 0, "{name}: nothing was written");
     }
+}
+
+/// The drift guard between the two checks that must agree: `Ged`'s own,
+/// which `ged-core`'s `validate`, the chase and the engine's unit tests run
+/// on, and the served form's, which every other path runs on. At every
+/// match of every GED of every family — each recovered from the served Σ
+/// by `as_chase_ged`, which hands a compiled conjunctive rule back literal
+/// for literal — `Ged::check` equals `SigmaConstraint::from(ged).check`,
+/// kind included.
+#[test]
+fn a_ged_and_its_served_form_check_alike() {
+    use ged_repro::pattern::Matcher;
+    use std::ops::ControlFlow;
+    let mut checked = 0;
+    for (name, (graph, sigma), _, _) in families() {
+        let (mut geds, mut matches, mut violations) = (0, 0, 0);
+        for rule in sigma.iter().filter(|r| r.options.len() == 1) {
+            let Some(ged) = rule.as_chase_ged() else {
+                continue;
+            };
+            let served = SigmaConstraint::from(ged.clone());
+            assert_eq!(rule.premises, served.premises, "{name}: {}", rule.name);
+            assert_eq!(rule.options, served.options, "{name}: {}", rule.name);
+            let matcher = Matcher::new(&ged.pattern, &graph, MatchOptions::homomorphism());
+            matcher.for_each(|m| {
+                let kind = ged.check(&graph, m);
+                assert_eq!(
+                    kind,
+                    served.check(&graph, m),
+                    "{name}: {} at {m:?}",
+                    ged.name
+                );
+                violations += usize::from(kind.is_some());
+                matches += 1;
+                ControlFlow::Continue(())
+            });
+            geds += 1;
+        }
+        println!("{name}: {geds} GEDs, {matches} matches, {violations} violations");
+        checked += violations;
+    }
+    assert!(checked > 0, "no GED of any family violated anywhere");
 }
 
 /// A rule family that does not name its reads — `attrs_read` left at its

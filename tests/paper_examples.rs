@@ -220,13 +220,15 @@ fn example9_10_domain_constraints() {
     let psi = domain_as_disj("τ", "A", &dom);
     assert!(gdc_satisfiable(&[phi1.clone(), phi2.clone()]));
     assert!(disj_satisfiable(std::slice::from_ref(&psi)));
+    let pair = [phi1, phi2].map(SigmaConstraint::from);
+    let psi = SigmaConstraint::from(psi);
     for v in [-1i64, 0, 1, 2] {
         let mut b = GraphBuilder::new();
         b.node("x", "τ");
         b.attr("x", "A", v);
         let g = b.build();
         let ok = (0..=1).contains(&v);
-        assert_eq!(satisfies(&g, &phi2) && satisfies(&g, &phi1), ok);
+        assert_eq!(satisfies_all(&g, &pair), ok);
         assert_eq!(satisfies(&g, &psi), ok);
     }
 }

@@ -275,6 +275,42 @@ fn served_lines_equal_a_from_scratch_encode_on_generated_streams() {
     }
 }
 
+/// A rule's segment is formatted again only when its witnesses changed:
+/// rendering every epoch of a generated stream over a GED/GDC/GED∨
+/// `mixed:` workload formats each rule once at epoch 0, and after that
+/// once per (epoch, rule) whose witnesses — kinds included — differ from
+/// the epoch before, counted on the oracle's from-scratch reports. A
+/// witness a batch drops and derives again alike re-renders nothing.
+#[test]
+fn a_rule_is_rendered_again_only_when_its_witnesses_changed() {
+    let mixed_attrs = ["age", "tier", "verified", "is_fake"].map(sym);
+    let mixed_pool = [0.into(), 1.into(), 20.into(), "free".into(), "pro".into()];
+    let (g, sigma) = workload::load("mixed:honest=300,plants=60,seed=3").unwrap();
+    let mut oracle = Oracle::new(&g, &sigma);
+    let mut v = IncrementalValidator::new(g, sigma);
+    let view = v.read_view();
+    let mut stream = DeltaStream::new(0xc4a9, &mixed_attrs, &mixed_pool);
+    // Each rule's witnesses at a boundary, in report order.
+    let per_rule = |report: &ged_repro::core::reason::ValidationReport| -> Vec<Vec<String>> {
+        let mut rest = report.violations.iter();
+        let rows = report.per_ged.iter().map(|row| row.violation_count);
+        let rule = |n| rest.by_ref().take(n).map(|w| format!("{w:?}")).collect();
+        rows.map(rule).collect()
+    };
+    let mut before = per_rule(&oracle.at.report);
+    let mut changed = before.len();
+    served_report(&view.snapshot());
+    for _ in 0..300 {
+        let batch = stream.batch(&oracle.mirror, 6);
+        v.apply_all(&batch);
+        let now = per_rule(&oracle.advance(&batch).report);
+        changed += before.iter().zip(&now).filter(|(b, n)| b != n).count();
+        before = now;
+        served_report(&view.snapshot());
+    }
+    assert_eq!(view.rule_renders(), changed as u64);
+}
+
 /// Two readers of adjacent epochs race the per-rule memo: each renders
 /// its own pinned snapshot on its own thread, released together, and each
 /// gets its own epoch's bytes. Whichever order they ran in, the memo keeps
