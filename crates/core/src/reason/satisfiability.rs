@@ -134,7 +134,7 @@ pub fn build_model(sigma: &[Ged]) -> Option<Graph> {
                             let next = null_names.len();
                             let v = null_names
                                 .entry(class)
-                                .or_insert_with(|| ged_graph::Value::Str(format!("⊥{next}")))
+                                .or_insert_with(|| ged_graph::Value::from(format!("⊥{next}")))
                                 .clone();
                             model.set_attr(coerced, attr, v);
                         }

@@ -229,10 +229,7 @@ impl Graph {
                 // (Graph::set_attr rejects it); keep the no-panic contract.
                 let writes = attr != Symbol::ID
                     && self.is_alive(node)
-                    && self.attr(node, attr) != Some(value);
-                if writes {
-                    self.write_attr(node, attr, Cow::Borrowed(value));
-                }
+                    && self.write_attr(node, attr, Cow::Borrowed(value));
                 (writes, node, node)
             }
             Delta::DelAttr { node, attr } => (self.remove_attr(node, attr).is_some(), node, node),

@@ -462,10 +462,11 @@ impl Graph {
     /// Load what applying `window` will read, changing nothing, so the
     /// cache misses of its deltas overlap instead of running one delta
     /// after another. Pass 1 loads each delta's per-node slots, pass 2
-    /// what they point to: the attribute tuple and an old string's buffer,
-    /// each endpoint's adjacency index and label group. An earlier delta
-    /// of the window may change what a later one reads; the passes decide
-    /// nothing, so a stale load is only wasted work.
+    /// what they point to: the attribute tuple and the buffer of an old
+    /// string too long to sit in its entry, each endpoint's adjacency
+    /// index and label group. An earlier delta of the window may change
+    /// what a later one reads; the passes decide nothing, so a stale load
+    /// is only wasted work.
     pub(crate) fn warm(&self, window: &[Delta]) {
         let tuple = |n| self.live(&self.nodes, n).map_or(&[][..], |d| &d.attrs[..]);
         let slots = |src, dst| {
@@ -489,7 +490,9 @@ impl Graph {
                 Delta::RemoveNode { node } => tuple(node).first().map_or(0, |e| e.0 .0 as usize),
                 Delta::SetAttr { node, attr, .. } | Delta::DelAttr { node, attr } => {
                     match find_attr(tuple(node), attr) {
-                        Some(Value::Str(s)) => s.bytes().next().map_or(1, usize::from),
+                        Some(Value::Str(s)) if s.on_heap() => {
+                            s.bytes().next().map_or(1, usize::from)
+                        }
                         Some(_) => 2,
                         None => 0,
                     }
@@ -516,19 +519,26 @@ impl Graph {
 
     /// The one attribute write, of a live node `n` and an `attr` other than
     /// `id`: [`Graph::set_attr`] hands it the value, [`Graph::apply_delta`]
-    /// lends it the delta's. An existing value is overwritten where it
-    /// lies — a lent string is copied into the buffer of the string it
-    /// replaces ([`Value::clone_from`]) — and only a new attribute grows
+    /// lends it the delta's. Returns whether it wrote: a lent value equal
+    /// to the one it would replace is a no-op delta, found by the same scan
+    /// that finds the entry, while a handed value is stored as given (a
+    /// `set_attr` of `1.0` over `1` keeps the float). An existing value
+    /// is overwritten where it lies — a lent string is copied into the
+    /// entry, or into the buffer of a long string it replaces
+    /// ([`Value::clone_from`]) — and only a new attribute grows
     /// the tuple, by exactly one entry when it is full: a tuple holds its
     /// entries and no spare slots (a node carries one to four attributes,
     /// where `Vec`'s first growth would reserve four), and one that lost
     /// an entry to [`Graph::remove_attr`] takes a new one without
     /// reallocating.
-    pub(crate) fn write_attr(&mut self, n: NodeId, attr: Symbol, v: Cow<'_, Value>) {
+    pub(crate) fn write_attr(&mut self, n: NodeId, attr: Symbol, v: Cow<'_, Value>) -> bool {
         let node = &mut self.nodes[n.idx()];
         let at = node.attrs.iter().position(|e| e.0 >= attr);
         let slot = at.filter(|&i| node.attrs[i].0 == attr);
         let old = slot.map(|i| &node.attrs[i].1);
+        if matches!(v, Cow::Borrowed(_)) && old == Some(&*v) {
+            return false;
+        }
         reindex(&mut self.value_index, (node.label, attr), n, old, Some(&*v));
         match (slot, v) {
             (Some(i), Cow::Borrowed(v)) => node.attrs[i].1.clone_from(v),
@@ -539,6 +549,7 @@ impl Graph {
                 node.attrs.insert(at, (attr, v.into_owned()));
             }
         }
+        true
     }
 
     /// Remove attribute `A` from node `n`, returning the previous value —
@@ -1668,8 +1679,9 @@ mod tests {
     }
 
     /// What a node slot costs inline, live or dead — its label, tuple
-    /// header, liveness flag and two adjacency buffer headers — and that a
-    /// tombstone, like a direction whose last edge left, holds no heap.
+    /// header, liveness flag and two adjacency buffer headers — what a
+    /// tuple entry costs, and that a tombstone, like a direction whose
+    /// last edge left, holds no heap.
     #[test]
     fn node_slot_footprint() {
         use std::mem::size_of;
@@ -1681,6 +1693,10 @@ mod tests {
         );
         assert_eq!(adj, 24);
         assert!(slot <= 81, "{slot} inline bytes per node");
+        // A short string sits in its value, which stays a `String`'s size,
+        // so a tuple entry stays 32 bytes.
+        assert_eq!(size_of::<Value>(), 24);
+        assert_eq!(size_of::<(Symbol, Value)>(), 32);
 
         let mut g = Graph::new();
         let (e, f) = (sym("e"), sym("f"));

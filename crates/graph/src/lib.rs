@@ -6,7 +6,8 @@
 //! attribute denoting node identity.
 //!
 //! This crate provides:
-//! * [`Value`] — the constant universe `U` (totally ordered for GDCs);
+//! * [`Value`] — the constant universe `U` (totally ordered for GDCs),
+//!   short strings held in place ([`Text`]);
 //! * [`Symbol`] — interned labels `Γ` / attribute names `Υ`, with the
 //!   wildcard `_` and the asymmetric label-matching relation `ι ⪯ ι′`;
 //! * [`Graph`] / [`NodeId`] / [`Edge`] — the graph `(V, E, L, F_A)` with the
@@ -40,7 +41,7 @@ pub use builder::GraphBuilder;
 pub use delta::{Delta, DeltaEffect, DeltaSet};
 pub use graph::{Edge, Graph, NodeId};
 pub use symbol::Symbol;
-pub use value::Value;
+pub use value::{Text, Value};
 
 /// Convenience: intern a label/attribute name.
 pub fn sym(name: &str) -> Symbol {

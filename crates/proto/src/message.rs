@@ -209,7 +209,7 @@ impl Scalar<'_> {
             Scalar::Bool(b) => Value::Bool(b),
             Scalar::Int(i) => Value::Int(i),
             Scalar::Float(f) => Value::Float(f),
-            Scalar::Str(s) => Value::Str(s.into_owned()),
+            Scalar::Str(s) => Value::Str(s.into()),
         }
     }
 }
@@ -374,7 +374,7 @@ fn value_to_json(v: &Value) -> Json {
         Value::Bool(b) => Json::Bool(*b),
         Value::Int(i) => Json::Int(*i),
         Value::Float(f) => Json::Float(*f),
-        Value::Str(s) => Json::Str(s.clone()),
+        Value::Str(s) => Json::Str(s.as_str().to_owned()),
     }
 }
 
@@ -384,7 +384,7 @@ pub fn value_from_json(json: &Json) -> Result<Value, String> {
         Json::Bool(b) => Ok(Value::Bool(*b)),
         Json::Int(i) => Ok(Value::Int(*i)),
         Json::Float(f) => Ok(Value::Float(*f)),
-        Json::Str(s) => Ok(Value::Str(s.clone())),
+        Json::Str(s) => Ok(Value::from(s.as_str())),
         other => Err(format!("not an attribute value: {other}")),
     }
 }
@@ -1041,7 +1041,7 @@ mod tests {
             Delta::SetAttr {
                 node: NodeId(1),
                 attr: sym("name"),
-                value: Value::Str("ann \"q\"".to_string()),
+                value: Value::from("ann \"q\""),
             },
             Delta::SetAttr {
                 node: NodeId(1),

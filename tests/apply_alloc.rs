@@ -1,8 +1,9 @@
 //! Allocation bound on the delta-apply layer (DESIGN.md §8, "The delta-apply
-//! layer"): a delta that grows no tuple, adjacency or bucket — an overwrite,
-//! a removal, a no-op, a new attribute in the slot a removal freed — makes
-//! no allocator call in `Graph::apply_delta`, its
-//! `DeltaEffect` included, nor does a batch of them in `Graph::apply_batch`,
+//! layer"): a delta that grows no tuple, adjacency or bucket — an overwrite
+//! (a short string over a short one needs no buffer at all, a string over a
+//! long one reuses its buffer), a removal, a no-op, a new attribute in the
+//! slot a removal freed — makes no allocator call in `Graph::apply_delta`,
+//! its `DeltaEffect` included, nor does a batch of them in `Graph::apply_batch`,
 //! warm pass included; and a batch of such deltas through `apply_all`
 //! allocates for the batch (one footprint vector, the per-batch
 //! bookkeeping, the snapshot the batch publishes), not per delta.
@@ -19,11 +20,12 @@ use counting::allocations_in;
 #[test]
 fn a_delta_that_grows_nothing_calls_no_allocator() {
     let (t, e) = (sym("t"), sym("e"));
-    let (int, text, doomed) = (sym("int"), sym("text"), sym("doomed"));
+    let (int, text, tag, doomed) = (sym("int"), sym("text"), sym("tag"), sym("doomed"));
     let mut g = Graph::new();
     let [a, b, isolated] = [(); 3].map(|()| g.add_node(t));
     g.set_attr(a, int, 1);
     g.set_attr(a, text, "a string of some length");
+    g.set_attr(a, tag, "gold");
     g.set_attr(a, doomed, "not long for this tuple");
     g.add_edge(a, e, b);
     g.add_edge(b, e, a);
@@ -39,7 +41,15 @@ fn a_delta_that_grows_nothing_calls_no_allocator() {
         ("int over int", set(a, int, 2.into())),
         ("bool over int", set(a, int, true.into())),
         ("shorter string over string", set(a, text, "shorter".into())),
-        ("as long as the buffer", set(a, text, same_length.into())),
+        (
+            "as long as the buffer",
+            set(a, text, "c string of some length".into()),
+        ),
+        (
+            "as long as the string it replaces",
+            set(a, text, same_length.into()),
+        ),
+        ("short string over short", set(a, tag, "free".into())),
         ("del_attr", del(a, doomed)),
         ("remove_edge", unlink(a, b)),
         ("remove_node, isolated", remove(isolated)),
@@ -82,8 +92,9 @@ fn a_delta_that_grows_nothing_calls_no_allocator() {
     assert_eq!(allocs, 0, "the batch called the allocator");
     for g in [&g, &batched] {
         assert_eq!(g.attr(a, text), Some(&same_length.into()));
+        assert_eq!(g.attr(a, tag), Some(&"free".into()));
         let left = (g.node_count(), g.edge_count(), g.attrs(a).len());
-        assert_eq!(left, (2, 1, 2));
+        assert_eq!(left, (2, 1, 3));
     }
 }
 

@@ -16,9 +16,10 @@ thread_local! {
     // Const-initialised and without a destructor: reading it allocates
     // nothing and is sound at any point of a thread's life.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    // Bytes this thread allocated minus bytes it freed: a block freed on
-    // another thread than the one that allocated it skews both tallies.
+    // Bytes and blocks this thread allocated minus those it freed: a block
+    // freed on another thread than the one that allocated it skews these.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
@@ -29,6 +30,10 @@ fn live(delta: i64) {
     LIVE_BYTES.with(|n| n.set(n.get() + delta));
 }
 
+fn blocks(delta: i64) {
+    LIVE_BLOCKS.with(|n| n.set(n.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain thread-local
 // integers.
@@ -36,12 +41,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
         live(layout.size() as i64);
+        blocks(1);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         live(-(layout.size() as i64));
+        blocks(-1);
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,10 +71,15 @@ pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.get() - before)
 }
 
-/// Heap bytes `f` leaves live on the calling thread: what it allocated
-/// (requested sizes, not the allocator's rounding) less what it freed.
-pub fn live_bytes_in<T>(f: impl FnOnce() -> T) -> (T, i64) {
-    let before = LIVE_BYTES.get();
+/// Heap bytes and blocks `f` leaves live on the calling thread: what it
+/// allocated (requested sizes, not the allocator's rounding) less what it
+/// freed.
+pub fn live_heap_in<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
+    let before = (LIVE_BYTES.get(), LIVE_BLOCKS.get());
     let out = f();
-    (out, LIVE_BYTES.get() - before)
+    (
+        out,
+        LIVE_BYTES.get() - before.0,
+        LIVE_BLOCKS.get() - before.1,
+    )
 }
