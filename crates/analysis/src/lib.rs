@@ -6,16 +6,14 @@
 //! inconsistent rule set is rejected outright and a redundant one is
 //! pruned before it burns seeding and delta-path time.
 //!
-//! * **Layer 1 — structural linter** (the `lint` module,
-//!   family-agnostic): works over any [`Constraint`]'s pattern and optional
-//!   [`literal_view`](ged_core::constraint::Constraint::literal_view).
-//!   Catches unbound variables in literals, contradictory premises,
+//! * **Layer 1 — structural linter** (the `lint` module): works over a
+//!   [`Rule`]'s pattern, premises and conclusion options. Catches unbound variables in literals, contradictory premises,
 //!   conclusions entailed by premises (rules that can never produce a
 //!   violation), duplicate rules, duplicate/shadowed disjuncts in
 //!   disjunctive conclusions, disconnected patterns (cartesian blowup),
 //!   and wildcard-label cost.
 //! * **Layer 2 — semantic analysis** (the `semantic` module): the chase
-//!   fragment (`as_chase_ged`) goes through the `Sat(Σ)` gate
+//!   fragment ([`Rule::as_chase_ged`]) goes through the `Sat(Σ)` gate
 //!   (`reason::is_satisfiable`, Theorem 2) and implication-based
 //!   minimization (`reason::implies`, Theorem 4), flagging implied and
 //!   chase-proved-dead rules as prunable.
@@ -35,13 +33,13 @@ mod semantic;
 
 pub use report::{AnalysisReport, Diagnostic, LintKind, Pruned, Severity};
 
-use ged_core::constraint::Constraint;
+use ged_core::rule::Rule;
 use std::collections::BTreeMap;
 
 /// Analyze a constraint set: run the structural linter and the semantic
 /// (chase) layer, returning severity-ranked diagnostics and the prunable
 /// rule set.
-pub fn analyze<C: Constraint>(sigma: &[C]) -> AnalysisReport {
+pub fn analyze(sigma: &[Rule]) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     let mut prunable: BTreeMap<usize, LintKind> = BTreeMap::new();
     lint::structural(sigma, &mut diagnostics, &mut prunable);
@@ -56,7 +54,7 @@ pub fn analyze<C: Constraint>(sigma: &[C]) -> AnalysisReport {
         .into_iter()
         .map(|(index, why)| Pruned {
             index,
-            name: sigma[index].name().to_string(),
+            name: sigma[index].name.clone(),
             why,
         })
         .collect();
@@ -73,9 +71,15 @@ mod tests {
     use super::*;
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
+    use ged_core::rule::{GdcLiteral, Pred};
     use ged_graph::json::Json;
     use ged_graph::sym;
     use ged_pattern::{parse_pattern, Pattern, Var};
+
+    /// Analyze GEDs, each compiled into a `Rule`.
+    fn analyze_geds(sigma: impl IntoIterator<Item = Ged>) -> AnalysisReport {
+        analyze(&sigma.into_iter().map(Rule::from).collect::<Vec<_>>())
+    }
 
     fn q1() -> Pattern {
         parse_pattern("user(x)").unwrap()
@@ -93,7 +97,7 @@ mod tests {
             vec![Literal::constant(Var(0), sym("status"), "a")],
             vec![Literal::constant(Var(1), sym("watch"), 1)],
         )];
-        let r = analyze(&sigma);
+        let r = analyze_geds(sigma);
         assert!(r.diagnostics.is_empty(), "{r}");
         assert!(r.prunable.is_empty());
         assert_eq!(r.rules, 1);
@@ -111,7 +115,7 @@ mod tests {
             ],
             vec![Literal::constant(Var(0), sym("level"), 9)],
         )];
-        let r = analyze(&sigma);
+        let r = analyze_geds(sigma);
         let d = r
             .diagnostics
             .iter()
@@ -129,7 +133,7 @@ mod tests {
             vec![Literal::constant(Var(0), sym("status"), "a")],
             vec![Literal::constant(Var(0), sym("status"), "a")],
         )];
-        let r = analyze(&sigma);
+        let r = analyze_geds(sigma);
         assert!(r
             .diagnostics
             .iter()
@@ -157,7 +161,7 @@ mod tests {
             vec![Literal::constant(Var(0), sym("a"), 1)],
             vec![Literal::constant(Var(0), sym("c"), 1)],
         );
-        let r = analyze(&[a, b, implied]);
+        let r = analyze_geds([a, b, implied]);
         let d = r
             .diagnostics
             .iter()
@@ -179,7 +183,7 @@ mod tests {
                 vec![Literal::constant(Var(1), sym("watch"), 1)],
             )
         };
-        let r = analyze(&[mk("original"), mk("copy")]);
+        let r = analyze_geds([mk("original"), mk("copy")]);
         let d = r
             .diagnostics
             .iter()
@@ -204,7 +208,7 @@ mod tests {
             vec![],
             vec![Literal::constant(Var(0), sym("plan"), "pro")],
         );
-        let r = analyze(&[r1, r2]);
+        let r = analyze_geds([r1, r2]);
         assert!(r.has_errors());
         let d = r
             .diagnostics
@@ -237,9 +241,78 @@ mod tests {
         // satisfiability would reject it by construction, so the gate
         // must exclude it (Example 3's φ4 is such a rule).
         let f = Ged::forbidding("no-follow", q2(), vec![]);
-        let r = analyze(&[f]);
+        let r = analyze_geds([f]);
         assert!(!r.has_errors(), "{r}");
         assert_eq!(r.chase_eligible, 1);
+    }
+
+    /// Lints that compare rule logic compare whole literals, predicate
+    /// included: a GDC and its verbatim copy are duplicates, one with
+    /// another constant is not, a `>` conclusion among the premises is
+    /// entailed, and two `<` bounds on one slot are no constant conflict.
+    #[test]
+    fn predicate_literals_are_compared_whole() {
+        let lit =
+            |attr: &str, pred, value: i64| GdcLiteral::constant(Var(0), sym(attr), pred, value);
+        let rule = |name: &str, premises, conclusion| Rule {
+            name: name.to_string(),
+            pattern: q1(),
+            premises,
+            options: vec![conclusion],
+        };
+        let flag = || vec![lit("flag", Pred::Eq, 1)];
+        let under = |age| vec![lit("age", Pred::Lt, age)];
+        let r = analyze(&[
+            rule("minor", under(13), flag()),
+            rule("minor-copy", under(13), flag()),
+            rule("teen", under(18), flag()),
+            rule(
+                "tautology",
+                vec![lit("score", Pred::Gt, 5)],
+                vec![lit("score", Pred::Gt, 5)],
+            ),
+            rule(
+                "two-bounds",
+                vec![lit("a", Pred::Lt, 5), lit("a", Pred::Lt, 10)],
+                flag(),
+            ),
+        ]);
+        let found = |kind| -> Vec<Option<usize>> {
+            r.diagnostics
+                .iter()
+                .filter(|d| d.kind == kind)
+                .map(|d| d.index)
+                .collect()
+        };
+        assert_eq!(found(LintKind::DuplicateRule), [Some(1)], "{r}");
+        assert_eq!(found(LintKind::EntailedConclusion), [Some(3)], "{r}");
+        assert!(found(LintKind::ContradictoryPremises).is_empty(), "{r}");
+        assert_eq!(r.prunable.len(), 2);
+    }
+
+    /// A disjunct that strictly extends another can never decide the
+    /// disjunction; the lint names the larger one. No family's `From`
+    /// builds such a rule (a GED∨'s options are single literals), so the
+    /// rule is built by hand.
+    #[test]
+    fn a_disjunct_extending_another_is_shadowed() {
+        let lit = |attr: &str| GdcLiteral::constant(Var(0), sym(attr), Pred::Eq, 1);
+        let r = analyze(&[Rule {
+            name: "shadowed".to_string(),
+            pattern: q1(),
+            premises: vec![],
+            options: vec![vec![lit("a"), lit("b")], vec![lit("a")]],
+        }]);
+        let d = r
+            .diagnostics
+            .iter()
+            .find(|d| d.kind == LintKind::ShadowedDisjunct)
+            .expect("shadowed disjunct flagged");
+        assert_eq!(
+            d.message,
+            "disjunct #0 extends disjunct #1 and can never decide the disjunction"
+        );
+        assert!(r.prunable.is_empty());
     }
 
     #[test]
@@ -258,7 +331,7 @@ mod tests {
             vec![Literal::constant(Var(0), sym("f"), 1)],
             vec![Literal::constant(Var(0), sym("g"), 1)],
         );
-        let r = analyze(&[disconnected, wildcard]);
+        let r = analyze_geds([disconnected, wildcard]);
         assert!(r
             .diagnostics
             .iter()
@@ -279,7 +352,7 @@ mod tests {
             vec![Literal::constant(Var(0), sym("status"), "a")],
             vec![Literal::constant(Var(0), sym("status"), "a")],
         )];
-        let r = analyze(&sigma);
+        let r = analyze_geds(sigma);
         let text = r.to_string();
         assert!(text.contains("1 rule(s)"), "{text}");
         assert!(text.contains("entailed-conclusion"), "{text}");

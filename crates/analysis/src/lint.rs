@@ -1,49 +1,41 @@
-//! Layer 1: the structural linter. Works on the family-agnostic surface
-//! of the [`Constraint`] trait — the pattern, plus the optional
-//! [`literal_view`](Constraint::literal_view) — so every family lints for
-//! free and opaque third-party constraints degrade to the pattern-level
-//! lints instead of false positives.
+//! Layer 1: the structural linter. Works on a [`Rule`]'s pattern and its
+//! premises and conclusion options, so every family lints alike.
 //!
-//! Soundness discipline for inexact views (a GDC's non-`=` literals are
-//! dropped from its view): lints that only need the premises *weakened*
-//! (constant-conflict detection — a contradictory subset stays
-//! contradictory under more premises) run on any view; lints that compare
-//! full rule logic (duplicates, conclusion-entailed-by-premises) require
-//! `exact` and skip otherwise.
+//! Two lints read only the rule's *equality fragment*, its `=` and id
+//! literals ([`GdcLiteral::as_eq_literal`]): unbound variables, and
+//! constant conflicts (a contradictory subset of the premises stays
+//! contradictory under the others, whatever their predicates). The lints
+//! that compare rule logic — duplicates, conclusion-entailed-by-premises,
+//! disjunct shadowing — compare whole literals, predicate included, so
+//! they hold for every predicate: a literal entails an identical one.
 
 use crate::report::{Diagnostic, LintKind, Severity};
-use ged_core::constraint::{Constraint, LiteralView};
-use ged_core::literal::{falsum_attr, Literal};
+use ged_core::literal::falsum_attr;
+use ged_core::rule::{GdcLiteral, Pred, Rule};
 use ged_pattern::Pattern;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run every structural lint over `sigma`, pushing diagnostics into `out`
 /// and recording rules proved dead (can never produce a violation) in
 /// `prunable` keyed by Σ index.
-pub(crate) fn structural<C: Constraint>(
-    sigma: &[C],
+pub(crate) fn structural(
+    sigma: &[Rule],
     out: &mut Vec<Diagnostic>,
     prunable: &mut BTreeMap<usize, LintKind>,
 ) {
-    let views: Vec<Option<LiteralView>> = sigma.iter().map(Constraint::literal_view).collect();
-    for (i, c) in sigma.iter().enumerate() {
-        let name = c.name();
-        let pattern = c.pattern();
-        if let Some(view) = &views[i] {
-            unbound_variables(i, name, pattern, view, out);
-            if contradictory_premises(i, name, &view.premises, out) {
-                prunable.entry(i).or_insert(LintKind::ContradictoryPremises);
-            }
-            if view.exact {
-                if entailed_conclusion(i, name, view, out) {
-                    prunable.entry(i).or_insert(LintKind::EntailedConclusion);
-                }
-                disjunct_lints(i, name, view, out);
-            }
+    for (i, rule) in sigma.iter().enumerate() {
+        let (name, pattern) = (rule.name.as_str(), &rule.pattern);
+        unbound_variables(i, rule, out);
+        if contradictory_premises(i, name, &rule.premises, out) {
+            prunable.entry(i).or_insert(LintKind::ContradictoryPremises);
         }
-        // The family-specific premise-feasibility hook (GDCs run their
-        // dense-order oracle here) — same lint class, richer literals.
-        if !prunable.contains_key(&i) && !c.premises_feasible() {
+        if entailed_conclusion(i, rule, out) {
+            prunable.entry(i).or_insert(LintKind::EntailedConclusion);
+        }
+        disjunct_lints(i, name, &rule.options, out);
+        // The premises' dense-order feasibility (a GDC's `<`, `≤`, …
+        // premises included) — same lint class, richer literals.
+        if !prunable.contains_key(&i) && !rule.premises_feasible() {
             out.push(Diagnostic::rule(
                 Severity::Warning,
                 LintKind::ContradictoryPremises,
@@ -56,21 +48,18 @@ pub(crate) fn structural<C: Constraint>(
         disconnected_pattern(i, name, pattern, out);
         wildcard_cost(i, name, pattern, out);
     }
-    duplicate_rules(sigma, &views, out, prunable);
+    duplicate_rules(sigma, out, prunable);
 }
 
-/// Error: a literal referencing a variable the pattern does not bind.
-fn unbound_variables(
-    i: usize,
-    name: &str,
-    pattern: &Pattern,
-    view: &LiteralView,
-    out: &mut Vec<Diagnostic>,
-) {
-    let unbound: BTreeSet<u32> = view
+/// Error: a literal of the equality fragment referencing a variable the
+/// pattern does not bind.
+fn unbound_variables(i: usize, rule: &Rule, out: &mut Vec<Diagnostic>) {
+    let pattern = &rule.pattern;
+    let unbound: BTreeSet<u32> = rule
         .literals()
+        .filter_map(GdcLiteral::as_eq_literal)
         .filter(|l| !l.in_scope(pattern))
-        .flat_map(ged_core::Literal::vars_used)
+        .flat_map(|l| l.vars_used())
         .filter(|v| v.idx() >= pattern.var_count())
         .map(|v| v.0)
         .collect();
@@ -79,7 +68,7 @@ fn unbound_variables(
             Severity::Error,
             LintKind::UnboundVariable,
             i,
-            name,
+            &rule.name,
             format!(
                 "literal(s) reference variable(s) {:?} but the pattern binds only {} variable(s)",
                 unbound,
@@ -90,17 +79,23 @@ fn unbound_variables(
 }
 
 /// Warning: `x.a = c ∧ x.a = c'` with `c ≠ c'` among the premises — the
-/// rule can never fire. Sound on inexact views: a contradictory subset of
-/// the premises stays contradictory under the dropped (stronger) ones.
+/// rule can never fire. Sound whatever the other premises: a
+/// contradictory subset stays contradictory under more premises.
 fn contradictory_premises(
     i: usize,
     name: &str,
-    premises: &[Literal],
+    premises: &[GdcLiteral],
     out: &mut Vec<Diagnostic>,
 ) -> bool {
     let mut seen = BTreeMap::new();
     for l in premises {
-        if let Literal::Const { var, attr, value } = l {
+        if let GdcLiteral::Const {
+            var,
+            attr,
+            pred: Pred::Eq,
+            value,
+        } = l
+        {
             if let Some(prev) = seen.insert((var, attr), value) {
                 if prev != value {
                     out.push(Diagnostic::rule(
@@ -125,26 +120,18 @@ fn contradictory_premises(
 /// Warning: some conclusion option is a subset of the premises, so
 /// whenever `X` holds that option holds — the rule can never produce a
 /// violation. (An empty conjunctive conclusion is the trivial case.)
-/// Exact views only: on an inexact view a dropped option literal would
-/// make the subset test spuriously succeed.
-fn entailed_conclusion(
-    i: usize,
-    name: &str,
-    view: &LiteralView,
-    out: &mut Vec<Diagnostic>,
-) -> bool {
-    let premises: BTreeSet<&Literal> = view.premises.iter().collect();
-    for (oi, option) in view.options.iter().enumerate() {
+fn entailed_conclusion(i: usize, rule: &Rule, out: &mut Vec<Diagnostic>) -> bool {
+    for (oi, option) in rule.options.iter().enumerate() {
         // The falsum encoding (`x.⊥ = 0 ∧ x.⊥ = 1`) is the intentional
         // forbidding form, never "entailed".
         if option.iter().any(|l| match l {
-            Literal::Const { attr, .. } => *attr == falsum_attr(),
+            GdcLiteral::Const { attr, .. } => *attr == falsum_attr(),
             _ => false,
         }) {
             continue;
         }
-        if option.iter().all(|l| premises.contains(l)) {
-            let what = if view.options.len() == 1 {
+        if subset(option, &rule.premises) {
+            let what = if rule.options.len() == 1 {
                 if option.is_empty() {
                     "the conclusion is empty".to_string()
                 } else {
@@ -157,7 +144,7 @@ fn entailed_conclusion(
                 Severity::Warning,
                 LintKind::EntailedConclusion,
                 i,
-                name,
+                &rule.name,
                 format!("{what} — the rule can never produce a violation"),
             ));
             return true;
@@ -169,18 +156,17 @@ fn entailed_conclusion(
 /// Warnings on disjunctive conclusions: a disjunct repeated verbatim, or
 /// a disjunct strictly extending another (it can never decide the
 /// disjunction — whenever it holds, the smaller one already does).
-fn disjunct_lints(i: usize, name: &str, view: &LiteralView, out: &mut Vec<Diagnostic>) {
-    if view.options.len() < 2 {
+fn disjunct_lints(i: usize, name: &str, options: &[Vec<GdcLiteral>], out: &mut Vec<Diagnostic>) {
+    if options.len() < 2 {
         return;
     }
-    let sets: Vec<BTreeSet<&Literal>> = view.options.iter().map(|o| o.iter().collect()).collect();
     let mut flagged: BTreeSet<usize> = BTreeSet::new();
-    for a in 0..sets.len() {
-        for b in 0..sets.len() {
-            if a == b || flagged.contains(&b) {
+    for a in 0..options.len() {
+        for b in 0..options.len() {
+            if a == b || flagged.contains(&b) || !subset(&options[a], &options[b]) {
                 continue;
             }
-            if sets[a] == sets[b] {
+            if subset(&options[b], &options[a]) {
                 if a < b {
                     flagged.insert(b);
                     out.push(Diagnostic::rule(
@@ -191,7 +177,7 @@ fn disjunct_lints(i: usize, name: &str, view: &LiteralView, out: &mut Vec<Diagno
                         format!("disjunct #{b} repeats disjunct #{a}"),
                     ));
                 }
-            } else if sets[a].is_subset(&sets[b]) {
+            } else {
                 flagged.insert(b);
                 out.push(Diagnostic::rule(
                     Severity::Warning,
@@ -206,6 +192,12 @@ fn disjunct_lints(i: usize, name: &str, view: &LiteralView, out: &mut Vec<Diagno
             }
         }
     }
+}
+
+/// Does every literal of `a` appear in `b`? Literal order and repeats do
+/// not matter: an option and the premises are conjunctions.
+fn subset(a: &[GdcLiteral], b: &[GdcLiteral]) -> bool {
+    a.iter().all(|l| b.contains(l))
 }
 
 /// Note: a pattern with more than one connected component enumerates the
@@ -246,32 +238,26 @@ fn wildcard_cost(i: usize, name: &str, pattern: &Pattern, out: &mut Vec<Diagnost
 }
 
 /// Warning: two rules with structurally identical pattern, premises, and
-/// conclusion options (names aside). Exact views only — two GDCs that
-/// differ solely in dropped non-`=` literals must not collide.
-fn duplicate_rules<C: Constraint>(
-    sigma: &[C],
-    views: &[Option<LiteralView>],
+/// conclusion options (names aside).
+fn duplicate_rules(
+    sigma: &[Rule],
     out: &mut Vec<Diagnostic>,
     prunable: &mut BTreeMap<usize, LintKind>,
 ) {
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, c) in sigma.iter().enumerate() {
-        let Some(view) = &views[i] else { continue };
-        if !view.exact {
-            continue;
-        }
-        let key = rule_fingerprint(c.pattern(), view);
+    for (i, rule) in sigma.iter().enumerate() {
+        let key = rule_fingerprint(rule);
         match seen.get(&key) {
             Some(&first) => {
                 out.push(Diagnostic::rule(
                     Severity::Warning,
                     LintKind::DuplicateRule,
                     i,
-                    c.name(),
+                    &rule.name,
                     format!(
                         "identical to rule {}(#{first}) — pattern, premises, \
                          and conclusions all match",
-                        sigma[first].name()
+                        sigma[first].name
                     ),
                 ));
                 prunable.entry(i).or_insert(LintKind::DuplicateRule);
@@ -287,7 +273,8 @@ fn duplicate_rules<C: Constraint>(
 /// labels in variable order, edges, normalized premises, normalized
 /// options (literal order inside an option and option order are both
 /// irrelevant to the semantics).
-fn rule_fingerprint(pattern: &Pattern, view: &LiteralView) -> String {
+fn rule_fingerprint(rule: &Rule) -> String {
+    let pattern = &rule.pattern;
     let labels: Vec<String> = pattern
         .vars()
         .map(|v| pattern.label(v).to_string())
@@ -298,15 +285,15 @@ fn rule_fingerprint(pattern: &Pattern, view: &LiteralView) -> String {
         .map(|e| format!("{}-[{}]->{}", e.src.0, e.label, e.dst.0))
         .collect();
     edges.sort();
-    let norm = |lits: &[Literal]| -> Vec<String> {
+    let norm = |lits: &[GdcLiteral]| -> Vec<String> {
         let mut v: Vec<String> = lits.iter().map(|l| format!("{l:?}")).collect();
         v.sort();
         v
     };
-    let mut options: Vec<Vec<String>> = view.options.iter().map(|o| norm(o)).collect();
+    let mut options: Vec<Vec<String>> = rule.options.iter().map(|o| norm(o)).collect();
     options.sort();
     format!(
         "{labels:?}|{edges:?}|{:?}|{options:?}",
-        norm(&view.premises)
+        norm(&rule.premises)
     )
 }

@@ -182,7 +182,7 @@ pub struct AnalysisReport {
     /// Rules analyzed.
     pub rules: usize,
     /// Rules that embed in the chase fragment
-    /// (`Constraint::as_chase_ged`) and therefore went through the
+    /// (`Rule::as_chase_ged`) and therefore went through the
     /// `Sat(Σ)` gate and implication-based minimization.
     pub chase_eligible: usize,
     /// Findings, most severe first (ties in Σ order).

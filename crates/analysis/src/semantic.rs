@@ -2,7 +2,7 @@
 //! Section 5 decision procedures verbatim.
 //!
 //! Every rule that embeds in the plain-GED language
-//! ([`Constraint::as_chase_ged`] — GEDs themselves, all-`=` GDCs,
+//! ([`Rule::as_chase_ged`] — GEDs themselves, all-`=` GDCs,
 //! single-disjunct and forbidding GED∨s) joins the **chase fragment**.
 //! Three chase-based facts are surfaced:
 //!
@@ -30,9 +30,9 @@
 //!    untouched by construction (full argument in DESIGN.md §7).
 
 use crate::report::{Diagnostic, LintKind, Severity};
-use ged_core::constraint::Constraint;
 use ged_core::ged::Ged;
 use ged_core::reason::{implies, is_satisfiable};
+use ged_core::rule::Rule;
 use std::collections::BTreeMap;
 
 /// What the semantic layer concluded.
@@ -46,8 +46,8 @@ pub(crate) struct SemanticOutcome {
 /// `prunable` (structurally dead) keep their original reason and are
 /// excluded from the premise sets of the implication runs — implications
 /// must be witnessed by rules that survive pruning.
-pub(crate) fn semantic<C: Constraint>(
-    sigma: &[C],
+pub(crate) fn semantic(
+    sigma: &[Rule],
     out: &mut Vec<Diagnostic>,
     prunable: &mut BTreeMap<usize, LintKind>,
 ) -> SemanticOutcome {

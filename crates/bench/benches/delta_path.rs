@@ -62,6 +62,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ged_core::constraint::ViolationKind;
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
+use ged_core::rule::Rule;
 use ged_engine::{Footprint, IncrementalValidator, ViolationStore};
 use ged_graph::{sym, Delta, DeltaSet, Graph, NodeId, Value};
 use ged_pattern::{
@@ -71,14 +72,14 @@ use ged_pattern::{
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
-fn key_ged() -> Ged {
+fn key_rule() -> Rule {
     let q = parse_pattern("t(x); t(y)").unwrap();
-    Ged::new(
+    Rule::from(Ged::new(
         "key",
         q,
         vec![Literal::vars(Var(0), sym("k"), Var(1), sym("k"))],
         vec![Literal::id(Var(0), Var(1))],
-    )
+    ))
 }
 
 fn bench_drop(c: &mut Criterion) {
@@ -90,7 +91,7 @@ fn bench_drop(c: &mut Criterion) {
     let footprint = Footprint::every_rule(&touched, 1);
     for &n in &[10_000usize, 100_000] {
         let lit = || ViolationKind::from(vec![0]);
-        let mut indexed = ViolationStore::for_sigma(&[key_ged()]);
+        let mut indexed = ViolationStore::for_sigma(&[key_rule()]);
         let mut scan: HashMap<Match, ViolationKind> = HashMap::new();
         for i in 0..n {
             let m = vec![NodeId(2 * i as u32), NodeId(2 * i as u32 + 1)];
@@ -241,7 +242,7 @@ fn bench_leaf_anchor(c: &mut Criterion) {
 }
 
 fn bench_key_flip(c: &mut Criterion) {
-    let key = key_ged();
+    let key = key_rule();
     let plan = ged_engine::rule_plan(&key);
     let mut group = c.benchmark_group("delta-path/key-flip");
     group.sample_size(30);
@@ -403,7 +404,7 @@ fn bench_delta_apply(c: &mut Criterion) {
         .map(|r| [false, true].map(|u| batch(r, u)))
         .collect();
     let mut rounds = rounds.iter();
-    let mut v = IncrementalValidator::<Ged>::new(g, vec![]);
+    let mut v = IncrementalValidator::new(g, vec![]);
     group.bench_with_input(BenchmarkId::new("apply-all", "2x512"), &(), |b, ()| {
         b.iter(|| {
             let [first, second] = rounds.next().expect("one round per sample");
@@ -487,7 +488,7 @@ fn bench_metrics(c: &mut Criterion) {
             value: Value::from(format!("v{}", i % 25)),
         })
         .collect();
-    let seeded = IncrementalValidator::new(g, sigma);
+    let seeded = IncrementalValidator::new(g, sigma.into_iter().map(Rule::from).collect());
     let mut group = c.benchmark_group("delta-path/metrics");
     group.sample_size(SAMPLES);
     for size in [1usize, 8, 40] {

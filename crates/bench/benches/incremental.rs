@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_bench::attr_burst;
-use ged_core::ged::Ged;
 use ged_core::reason::validate;
+use ged_core::rule::Rule;
 use ged_engine::{Delta, IncrementalValidator};
 use ged_graph::{sym, Graph};
 
@@ -14,9 +14,10 @@ fn bench_workload(
     c: &mut Criterion,
     name: &str,
     graph: Graph,
-    sigma: Vec<Ged>,
+    sigma: Vec<impl Into<Rule>>,
     deltas: Vec<Delta>,
 ) {
+    let sigma: Vec<Rule> = sigma.into_iter().map(Into::into).collect();
     let mut group = c.benchmark_group(format!("incremental/{name}"));
     group.sample_size(10);
 

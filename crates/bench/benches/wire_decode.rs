@@ -135,7 +135,7 @@ fn encode_report_line(witnesses: usize, distinct: bool) -> Vec<u8> {
 /// `witnesses` witnesses, a quarter under each of four rules: rule `r`
 /// says every `t{r}` node has `ok = 1`, and each has `ok = 0`. Returns the
 /// validator and each rule's nodes.
-fn four_rule_validator(witnesses: usize) -> (IncrementalValidator<Ged>, Vec<Vec<NodeId>>) {
+fn four_rule_validator(witnesses: usize) -> (IncrementalValidator, Vec<Vec<NodeId>>) {
     let mut g = Graph::new();
     let mut sigma = Vec::new();
     let mut nodes = Vec::new();
@@ -143,7 +143,7 @@ fn four_rule_validator(witnesses: usize) -> (IncrementalValidator<Ged>, Vec<Vec<
         let label = format!("t{r}");
         let pattern = parse_pattern(&format!("{label}(x)")).expect("pattern");
         let ok = vec![Literal::constant(Var(0), sym("ok"), 1)];
-        sigma.push(Ged::new(format!("{label}-ok"), pattern, vec![], ok));
+        sigma.push(Ged::new(format!("{label}-ok"), pattern, vec![], ok).into());
         let add = |_| {
             let node = g.add_node(sym(&label));
             g.set_attr(node, sym("ok"), 0);
@@ -285,7 +285,7 @@ fn main() {
     let (mut v, nodes) = four_rule_validator(witnesses);
     let view = v.read_view();
     let mut flips = 0usize;
-    let mut flip = |v: &mut IncrementalValidator<Ged>| {
+    let mut flip = |v: &mut IncrementalValidator| {
         let (rule, value) = (flips % 4, (flips / 4 + 1) % 2);
         let node = nodes[rule][flips / 8 % nodes[rule].len()];
         flips += 1;

@@ -16,17 +16,19 @@ use ged_core::chase::{chase, chase_random, ChaseResult};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_core::reason::{implies, is_satisfiable, validate, Validator};
+use ged_core::rule::Rule;
 use ged_datagen::coloring::{
     implication_gfdx, implication_gkey, is_3_colorable, satisfiability_gfd, satisfiability_gkey,
     validation_gfdx, validation_gkey, ColoringInstance,
 };
 use ged_datagen::kb::{generate as gen_kb, KbConfig};
 use ged_datagen::music::{generate as gen_music, MusicConfig};
+use ged_datagen::random::evolving_workload;
 use ged_datagen::rules;
 use ged_datagen::social::{generate as gen_social, spam_cascade, SocialConfig};
 use ged_ext::domain::{domain_as_disj, domain_as_gdcs};
 use ged_ext::reason::{disj_satisfiable, gdc_satisfiable};
-use ged_ext::{Gdc, SigmaConstraint};
+use ged_ext::Gdc;
 use ged_graph::{sym, Value};
 use ged_pattern::{fragments, parse_pattern, Var};
 
@@ -219,9 +221,11 @@ fn exp_t1_val() {
     for (name, inst) in coloring_suite() {
         let colorable = is_3_colorable(&inst);
         let (g1, phi) = validation_gfdx(&inst);
-        let (v1, d1) = timed(|| validate(&g1, std::slice::from_ref(&phi), Some(1)).satisfied());
+        let phi = [Rule::from(phi)];
+        let (v1, d1) = timed(|| validate(&g1, &phi, Some(1)).satisfied());
         let (g2, psi) = validation_gkey(&inst);
-        let (v2, d2) = timed(|| validate(&g2, std::slice::from_ref(&psi), Some(1)).satisfied());
+        let psi = [Rule::from(psi)];
+        let (v2, d2) = timed(|| validate(&g2, &psi, Some(1)).satisfied());
         assert_eq!(v1, !colorable);
         assert_eq!(v2, !colorable);
         println!(
@@ -292,10 +296,11 @@ fn exp_t1_ext() {
         );
     }
     println!("\nvalidation (coNP for both — same shape):");
-    let w = validation_workload(200, 3, 2, 7);
-    let gdcs: Vec<SigmaConstraint> = w.sigma.iter().map(|g| Gdc::from_ged(g).into()).collect();
-    let (_, d_ged) = timed_median(3, || validate(&w.graph, &w.sigma, Some(1)).satisfied());
-    let (_, d_gdc) = timed_median(3, || ged_core::satisfy::satisfies_all(&w.graph, &gdcs));
+    let (graph, geds) = evolving_workload(200, 3, 2, 7);
+    let sigma: Vec<Rule> = geds.iter().cloned().map(Rule::from).collect();
+    let gdcs: Vec<Rule> = geds.iter().map(|g| Gdc::from_ged(g).into()).collect();
+    let (_, d_ged) = timed_median(3, || validate(&graph, &sigma, Some(1)).satisfied());
+    let (_, d_gdc) = timed_median(3, || ged_core::satisfy::satisfies_all(&graph, &gdcs));
     println!("  |V|=200: GED {} µs   GDC {} µs", us(d_ged), us(d_gdc));
 }
 
@@ -562,7 +567,8 @@ fn exp_ex1_3() {
     // Knowledge base.
     let cfg = KbConfig::default();
     let inst = gen_kb(&cfg);
-    let report = validate(&inst.graph, &rules::kb_rules(), None);
+    let kb_rules: Vec<Rule> = rules::kb_rules().into_iter().map(Rule::from).collect();
+    let report = validate(&inst.graph, &kb_rules, None);
     println!(
         "KB: {} nodes, {} planted errors; violated rules: {:?}",
         inst.graph.node_count(),
@@ -632,8 +638,8 @@ fn exp_ex9_10() {
     );
     let dom = [Value::from(0), Value::from(1)];
     let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-    let pair: [SigmaConstraint; 2] = [phi1.into(), phi2.into()];
-    let psi = SigmaConstraint::from(domain_as_disj("τ", "A", &dom));
+    let pair: [Rule; 2] = [phi1.into(), phi2.into()];
+    let psi = Rule::from(domain_as_disj("τ", "A", &dom));
     for (desc, val) in [("A=0", Some(0i64)), ("A=7", Some(7)), ("A missing", None)] {
         let mut b = ged_graph::GraphBuilder::new();
         b.node("x", "τ");
@@ -664,7 +670,7 @@ fn exp_abl_match() {
             .attr("a2", "title", "Bleach");
         b.build()
     };
-    let psi1 = rules::psi1();
+    let psi1 = Rule::from(rules::psi1());
     let homo_viol = ged_core::satisfy::violations(&shared, &psi1, None).len();
     // Under isomorphism, count matches that satisfy X (requires the
     // x'.id = y'.id premise — impossible injectively):
@@ -676,7 +682,7 @@ fn exp_abl_match() {
             ged_pattern::MatchOptions::isomorphism(),
         )
         .for_each(|m| {
-            if ged_core::satisfy::literals_hold(&shared, m, &psi1.premises) {
+            if psi1.premises.iter().all(|l| l.holds(&shared, m)) {
                 n += 1;
             }
             std::ops::ControlFlow::Continue(())
@@ -741,7 +747,6 @@ fn record(
 /// pruned side, `full_us` the unpruned one.
 fn exp_analyze() {
     use ged_analysis::{analyze, LintKind, Severity};
-    use ged_core::constraint::Constraint as _;
     use ged_datagen::redundant::redundant;
     use ged_engine::IncrementalValidator;
 
@@ -782,7 +787,7 @@ fn exp_analyze() {
     );
 
     // Seeding: plain deployment vs analyzed-and-pruned.
-    let live_names: Vec<String> = (0..w.live).map(|i| w.sigma[i].name().to_string()).collect();
+    let live_names: Vec<String> = (0..w.live).map(|i| w.sigma[i].name.clone()).collect();
     let graph = w.graph;
     let sigma = w.sigma;
     let (v_plain, d_plain) = timed_median(3, || {
@@ -811,7 +816,7 @@ fn exp_analyze() {
     // rules anchored on `status` — one live rule pruned-side, three
     // rules (live + implied + duplicate) unpruned-side.
     let deltas = attr_burst(&graph, sym("status"), 2_000, 4);
-    let run_burst = |seeded: &IncrementalValidator<_>| {
+    let run_burst = |seeded: &IncrementalValidator| {
         let mut reps: Vec<(ged_core::reason::ValidationReport, std::time::Duration)> = (0..3)
             .map(|_| {
                 let mut v = seeded.clone();

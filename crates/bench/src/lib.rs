@@ -23,6 +23,7 @@
 
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
+use ged_core::rule::Rule;
 use ged_datagen::random::evolving_workload;
 use ged_graph::{sym, Delta, Graph, NodeId, Symbol, Value};
 use ged_pattern::{Pattern, Var};
@@ -34,7 +35,7 @@ pub struct ValidationWorkload {
     /// The data graph.
     pub graph: Graph,
     /// The rule set.
-    pub sigma: Vec<Ged>,
+    pub sigma: Vec<Rule>,
 }
 
 /// Build the standard validation workload: `n` nodes, 3·n edges, a planted
@@ -46,6 +47,7 @@ pub fn validation_workload(
     seed: u64,
 ) -> ValidationWorkload {
     let (graph, sigma) = evolving_workload(n, pattern_size, extra_rules, seed);
+    let sigma = sigma.into_iter().map(Rule::from).collect();
     ValidationWorkload { graph, sigma }
 }
 

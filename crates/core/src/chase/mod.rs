@@ -404,7 +404,8 @@ mod tests {
         let ChaseResult::Consistent { coercion, .. } = chase(&g, &sigma) else {
             panic!()
         };
-        assert!(crate::satisfy::satisfies_all(&coercion.graph, &sigma));
+        let served = sigma.map(crate::rule::Rule::from);
+        assert!(crate::satisfy::satisfies_all(&coercion.graph, &served));
     }
 
     #[test]

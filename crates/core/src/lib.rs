@@ -2,10 +2,11 @@
 //!
 //! The primary contribution of *Dependencies for Graphs* (Fan & Lu,
 //! PODS 2017): GEDs, their semantics, the revised chase, the three
-//! classical reasoning problems, and the finite axiom system.
+//! classical reasoning problems, and the finite axiom system — and
+//! [`Rule`], the one form every GED, GDC and GED∨ is checked in.
 //!
 //! ```
-//! use ged_core::{Ged, Literal, satisfies};
+//! use ged_core::{Ged, Literal, Rule, satisfies};
 //! use ged_graph::{GraphBuilder, sym};
 //! use ged_pattern::parse_pattern;
 //!
@@ -24,7 +25,7 @@
 //! b.triple(("tony", "person"), "create", ("gb", "product"));
 //! b.attr("tony", "type", "psychologist");
 //! b.attr("gb", "type", "video game");
-//! assert!(!satisfies(&b.build(), &phi1));
+//! assert!(!satisfies(&b.build(), &Rule::from(phi1)));
 //! ```
 
 #![deny(missing_docs)]
@@ -36,15 +37,19 @@ pub mod chase;
 pub mod constraint;
 pub mod ged;
 pub mod literal;
+mod predicate;
 pub mod reason;
 pub mod relational;
+pub mod rule;
 pub mod satisfy;
+pub mod solver;
 
 pub use chase::{chase, chase_from, chase_random, ChaseResult, ChaseStats, Conflict, EqRel};
-pub use constraint::{constraint_sigma_size, Constraint, ViolationKind};
+pub use constraint::{Constraint, ViolationKind};
 pub use ged::{sigma_size, Ged, GedClass};
 pub use literal::Literal;
 pub use reason::{build_model, implies, is_satisfiable, validate, ValidationReport};
+pub use rule::Rule;
 pub use satisfy::{is_model, satisfies, satisfies_all, violations, Violation};
 
 #[cfg(test)]
@@ -194,7 +199,8 @@ mod proptests {
             let ChaseResult::Consistent { coercion, .. } = &det else {
                 return Err(TestCaseError::fail("single-label key chase cannot conflict"));
             };
-            prop_assert!(crate::satisfy::satisfies_all(&coercion.graph, &sigma));
+            let served: Vec<_> = sigma.iter().cloned().map(crate::Rule::from).collect();
+            prop_assert!(crate::satisfy::satisfies_all(&coercion.graph, &served));
             // distinct K values = distinct surviving classes
             let distinct: std::collections::HashSet<i64> = values.iter().copied().collect();
             prop_assert_eq!(coercion.graph.node_count(), distinct.len());

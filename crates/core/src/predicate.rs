@@ -1,9 +1,10 @@
-//! Built-in predicates `⊕ ∈ {=, ≠, <, >, ≤, ≥}` for GDCs (Section 7.1).
+//! Built-in predicates `⊕ ∈ {=, ≠, <, >, ≤, ≥}` of a rule's literals
+//! (GDCs, Section 7.1; a GED's literals are all `=`).
 //!
 //! Predicates are evaluated over [`Value`]'s total order (dense on floats
 //! and strings). [`Pred::negate`] and [`Pred::flip`] give the boolean
-//! complement and the argument-swapped form — both used by the bounded
-//! countermodel search in [`crate::reason`].
+//! complement and the argument-swapped form — both used by `ged-ext`'s
+//! bounded countermodel search.
 
 use ged_graph::Value;
 use std::fmt;

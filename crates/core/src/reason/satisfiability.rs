@@ -18,6 +18,7 @@
 
 use crate::chase::{chase, ChaseResult};
 use crate::ged::Ged;
+use crate::rule::Rule;
 use crate::satisfy::is_model;
 use ged_graph::{Graph, NodeId, Symbol};
 
@@ -142,7 +143,10 @@ pub fn build_model(sigma: &[Ged]) -> Option<Graph> {
                 }
             }
             debug_assert!(
-                is_model(&model, sigma),
+                is_model(
+                    &model,
+                    &sigma.iter().cloned().map(Rule::from).collect::<Vec<_>>()
+                ),
                 "constructed graph must be a model of Σ"
             );
             Some(model)
@@ -247,7 +251,7 @@ mod tests {
             vec![Literal::constant(x, sym("type"), "programmer")],
         );
         let model = build_model(std::slice::from_ref(&phi1)).unwrap();
-        assert!(is_model(&model, &[phi1]));
+        assert!(is_model(&model, &[phi1.into()]));
     }
 
     #[test]
@@ -320,7 +324,7 @@ mod tests {
             vec![Literal::vars(Var(0), sym("A"), Var(0), sym("B"))],
         );
         let model = build_model(std::slice::from_ref(&g1)).unwrap();
-        assert!(is_model(&model, &[g1]));
+        assert!(is_model(&model, &[g1.into()]));
         let n = model.nodes_with_label(sym("t"))[0];
         assert_eq!(model.attr(n, sym("A")), model.attr(n, sym("B")));
     }

@@ -7,13 +7,11 @@
 //! violations with witnesses; [`Validator`] adds the bounded-size fast-path
 //! bookkeeping used by the frontier experiment (EXP-T1-FRONTIER).
 
-use crate::constraint::Constraint;
-use crate::ged::Ged;
+use crate::rule::Rule;
 use crate::satisfy::{violations, Violation};
 use ged_graph::Graph;
 
-/// Per-constraint validation outcome (`GedReport` predates the unified
-/// constraint layer; one is produced per member of Σ whatever the family).
+/// Per-rule validation outcome, one per member of Σ whatever its family.
 #[derive(Debug, Clone)]
 pub struct GedReport {
     /// The constraint's name.
@@ -54,21 +52,17 @@ impl ValidationReport {
     }
 }
 
-/// Validate `G` against Σ — any constraint family of the unified layer —
+/// Validate `G` against Σ — rules of any family, compiled into [`Rule`] —
 /// collecting up to `limit_per_ged` witnesses per constraint (`None` =
 /// all). With `limit_per_ged = Some(1)` this is the pure decision
 /// procedure.
-pub fn validate<C: Constraint>(
-    g: &Graph,
-    sigma: &[C],
-    limit_per_ged: Option<usize>,
-) -> ValidationReport {
+pub fn validate(g: &Graph, sigma: &[Rule], limit_per_ged: Option<usize>) -> ValidationReport {
     let mut per_ged = Vec::with_capacity(sigma.len());
     let mut all = Vec::new();
     for c in sigma {
         let vs = violations(g, c, limit_per_ged);
         per_ged.push(GedReport {
-            name: c.name().to_string(),
+            name: c.name.clone(),
             violation_count: vs.len(),
             satisfied: vs.is_empty(),
         });
@@ -85,18 +79,18 @@ pub fn validate<C: Constraint>(
 /// PTIME (`O(|G|^k)` matches), the rest are potentially exponential.
 #[derive(Debug)]
 pub struct Validator {
-    sigma: Vec<Ged>,
+    sigma: Vec<Rule>,
     bound: usize,
 }
 
 impl Validator {
     /// Build a validator with tractability bound `k`.
-    pub fn new(sigma: Vec<Ged>, bound: usize) -> Validator {
+    pub fn new(sigma: Vec<Rule>, bound: usize) -> Validator {
         Validator { sigma, bound }
     }
 
-    /// The GEDs within the bounded (tractable) fragment.
-    pub fn bounded(&self) -> Vec<&Ged> {
+    /// The rules within the bounded (tractable) fragment.
+    pub fn bounded(&self) -> Vec<&Rule> {
         self.sigma
             .iter()
             .filter(|g| g.pattern.size() <= self.bound)
@@ -106,7 +100,7 @@ impl Validator {
     /// Validate only the tractable fragment (the PTIME case of
     /// Section 5.3).
     pub fn validate_bounded(&self, g: &Graph, limit: Option<usize>) -> ValidationReport {
-        let bounded: Vec<Ged> = self.bounded().into_iter().cloned().collect();
+        let bounded: Vec<Rule> = self.bounded().into_iter().cloned().collect();
         validate(g, &bounded, limit)
     }
 }
@@ -129,14 +123,14 @@ mod tests {
         )
     }
 
-    fn phi2() -> Ged {
+    fn phi2() -> Rule {
         let q = fragments::fig1_q2();
-        Ged::new(
+        Rule::from(Ged::new(
             "φ2",
             q,
             vec![],
             vec![Literal::vars(Var(1), sym("name"), Var(2), sym("name"))],
-        )
+        ))
     }
 
     fn dirty_kb() -> Graph {
@@ -156,7 +150,7 @@ mod tests {
     #[test]
     fn validation_report_structure() {
         let g = dirty_kb();
-        let report = validate(&g, &[phi1(), phi2()], None);
+        let report = validate(&g, &[phi1().into(), phi2()], None);
         assert!(!report.satisfied());
         assert_eq!(report.per_ged.len(), 2);
         assert_eq!(report.violated_names(), vec!["φ1", "φ2"]);
@@ -183,7 +177,7 @@ mod tests {
         b.attr("gibbo", "type", "programmer");
         b.attr("gb", "type", "video game");
         let g = b.build();
-        let report = validate(&g, &[phi1(), phi2()], None);
+        let report = validate(&g, &[phi1().into(), phi2()], None);
         assert!(report.satisfied());
         assert_eq!(report.total_violations(), 0);
     }
@@ -200,8 +194,8 @@ mod tests {
             vec![Literal::constant(xp, sym("is_fake"), 1)],
             vec![Literal::constant(x, sym("is_fake"), 1)],
         );
-        let sigma = vec![phi1(), phi5];
-        let v = Validator::new(sigma.clone(), 4);
+        let sigma = [phi1(), phi5].map(Rule::from);
+        let v = Validator::new(sigma.to_vec(), 4);
         assert_eq!(v.bounded().len(), 1);
         let g = dirty_kb();
         let r = v.validate_bounded(&g, None);
@@ -214,6 +208,6 @@ mod tests {
     #[test]
     fn empty_sigma_always_validates() {
         let g = dirty_kb();
-        assert!(validate::<Ged>(&g, &[], None).satisfied());
+        assert!(validate(&g, &[], None).satisfied());
     }
 }

@@ -289,6 +289,7 @@ pub fn relation_satisfies_cfd(rel: &Relation, cfd: &Cfd) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::Rule;
     use crate::satisfy::satisfies;
 
     fn v(s: &str) -> Value {
@@ -327,7 +328,7 @@ mod tests {
             vec![v("e1"), v("sales"), v("m1"), v("44")],
             vec![v("e2"), v("sales"), v("m9"), v("44")],
         ]);
-        let ged = fd_to_ged(&fd);
+        let ged = Rule::from(fd_to_ged(&fd));
         for (rel, expect) in [(&good, true), (&bad, false)] {
             assert_eq!(relation_satisfies_fd(rel, &fd), expect);
             let g = encode_relations(std::slice::from_ref(rel));
@@ -357,7 +358,7 @@ mod tests {
             vec![v("e1"), v("sales"), v("m1"), v("44")],
             vec![v("e2"), v("sales"), v("m9"), v("44")],
         ]);
-        let ged = cfd_to_ged(&cfd);
+        let ged = Rule::from(cfd_to_ged(&cfd));
         for (rel, expect) in [(&good, true), (&bad, false)] {
             assert_eq!(relation_satisfies_cfd(rel, &cfd), expect);
             let g = encode_relations(std::slice::from_ref(rel));
@@ -374,7 +375,7 @@ mod tests {
             rhs: ("dept".into(), TableauCell::Const(v("sales"))),
         };
         let bad = employees(vec![vec![v("e1"), v("hr"), v("m1"), v("44")]]);
-        let ged = cfd_to_ged(&cfd);
+        let ged = Rule::from(cfd_to_ged(&cfd));
         let g = encode_relations(std::slice::from_ref(&bad));
         assert!(!relation_satisfies_cfd(&bad, &cfd));
         assert!(!satisfies(&g, &ged));
@@ -403,8 +404,8 @@ mod tests {
             ],
         );
         let g = encode_relations(&[rel]);
-        assert!(satisfies(&g, &phi_r), "attributes all exist");
-        assert!(!satisfies(&g, &phi_e), "the equality is violated");
+        assert!(satisfies(&g, &phi_r.into()), "attributes all exist");
+        assert!(!satisfies(&g, &phi_e.into()), "the equality is violated");
     }
 
     #[test]
@@ -418,6 +419,6 @@ mod tests {
         let (phi_r, _) = egd_to_geds(&egd);
         let mut g = Graph::new();
         g.add_node(Symbol::new("R")); // node with no attributes
-        assert!(!satisfies(&g, &phi_r));
+        assert!(!satisfies(&g, &phi_r.into()));
     }
 }

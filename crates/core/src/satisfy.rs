@@ -14,59 +14,22 @@
 //! lets `Q[x](∅ → x.A = x.A)` force every `τ`-entity to carry an `A`
 //! attribute.
 //!
-//! The module is split in two layers, and the split is what makes the
-//! whole engine stack generic (the unified constraint layer,
-//! [`crate::constraint`]):
-//!
-//! * the **match-enumeration loop** — [`violations`], [`satisfies`],
-//!   [`satisfies_all`], [`is_model`] — is generic over any
-//!   `C:`[`Constraint`]: it walks the matches of `C::pattern` and asks
-//!   `C::check` about each one;
-//! * the **literal semantics** for plain GEDs — [`literal_holds`],
-//!   [`literals_hold`] — is what `Ged`'s `Constraint` implementation
-//!   hands the shared evaluator [`crate::constraint::evaluate`].
-//!
-//! `ged-ext`'s `SigmaConstraint` hands the same evaluator its predicate
-//! literals and gets the same enumerators (and the incremental engine of
-//! `ged-engine`, which shares this structure) without any new matching
-//! code.
+//! Every function here runs on the one rule type [`Rule`]: the loop walks
+//! the matches of the rule's pattern and asks [`Rule::check`] about each
+//! one, so GEDs, GDCs and GED∨s — all compiled into `Rule` — share it, and
+//! the incremental engine of `ged-engine` has the same structure.
 
-use crate::constraint::{Constraint, ViolationKind};
-use crate::literal::Literal;
-use ged_graph::{Graph, NodeId};
+use crate::constraint::ViolationKind;
+use crate::rule::Rule;
+use ged_graph::Graph;
 use ged_pattern::{Match, MatchOptions, Matcher};
 use std::ops::ControlFlow;
-
-/// Does match `m` (node per pattern variable) satisfy literal `lit` in `G`?
-pub fn literal_holds(g: &Graph, m: &[NodeId], lit: &Literal) -> bool {
-    match lit {
-        Literal::Const { var, attr, value } => {
-            g.attr(m[var.idx()], *attr).is_some_and(|v| v == value)
-        }
-        Literal::Vars {
-            lvar,
-            lattr,
-            rvar,
-            rattr,
-        } => match (g.attr(m[lvar.idx()], *lattr), g.attr(m[rvar.idx()], *rattr)) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        },
-        Literal::Id { x, y } => m[x.idx()] == m[y.idx()],
-    }
-}
-
-/// `h(x̄) ⊨ L` for a literal set (empty set is trivially satisfied).
-pub fn literals_hold(g: &Graph, m: &[NodeId], lits: &[Literal]) -> bool {
-    lits.iter().all(|l| literal_holds(g, m, l))
-}
 
 /// A witnessed violation of a constraint: a match that satisfies `X` but
 /// not `Y`.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Name of the violated constraint (`ged_name` predates the unified
-    /// constraint layer; it holds whatever [`Constraint::name`] returns).
+    /// Name of the violated rule, whatever its family.
     pub ged_name: String,
     /// The offending match `h(x̄)`.
     pub assignment: Match,
@@ -77,19 +40,15 @@ pub struct Violation {
 /// Enumerate violations of constraint `c` in `g`, stopping after `limit`
 /// if given. This is the NP-witness search of Theorem 6's `G ⊭ Σ`
 /// algorithm — guess a match, check `⊨ X` and `⊭ Y` — and it is the
-/// match-enumeration loop every constraint family shares: the per-family
-/// literal semantics live entirely inside [`Constraint::check`].
-pub fn violations<C: Constraint + ?Sized>(
-    g: &Graph,
-    c: &C,
-    limit: Option<usize>,
-) -> Vec<Violation> {
+/// match-enumeration loop every family shares: the literal semantics
+/// live entirely inside [`Rule::check`].
+pub fn violations(g: &Graph, c: &Rule, limit: Option<usize>) -> Vec<Violation> {
     let mut out = Vec::new();
-    let matcher = Matcher::new(c.pattern(), g, MatchOptions::homomorphism());
+    let matcher = Matcher::new(&c.pattern, g, MatchOptions::homomorphism());
     matcher.for_each(|m| {
         if let Some(kind) = c.check(g, m) {
             out.push(Violation {
-                ged_name: c.name().to_string(),
+                ged_name: c.name.clone(),
                 assignment: m.to_vec(),
                 kind,
             });
@@ -105,25 +64,25 @@ pub fn violations<C: Constraint + ?Sized>(
 }
 
 /// `G ⊨ φ`: no violating match exists.
-pub fn satisfies<C: Constraint + ?Sized>(g: &Graph, c: &C) -> bool {
+pub fn satisfies(g: &Graph, c: &Rule) -> bool {
     violations(g, c, Some(1)).is_empty()
 }
 
 /// `G ⊨ Σ`: every constraint in Σ is satisfied.
-pub fn satisfies_all<C: Constraint>(g: &Graph, sigma: &[C]) -> bool {
+pub fn satisfies_all(g: &Graph, sigma: &[Rule]) -> bool {
     sigma.iter().all(|c| satisfies(g, c))
 }
 
 /// Does pattern `Q` of `c` have at least one match in `g`? (Part (b) of
 /// the *model* definition in Section 5.1 — the strong satisfiability
 /// notion requires every pattern to be embeddable.)
-pub fn pattern_embeds<C: Constraint + ?Sized>(g: &Graph, c: &C) -> bool {
-    ged_pattern::exists(c.pattern(), g, MatchOptions::homomorphism())
+pub fn pattern_embeds(g: &Graph, c: &Rule) -> bool {
+    ged_pattern::exists(&c.pattern, g, MatchOptions::homomorphism())
 }
 
 /// Is `g` a **model** of Σ (Section 5.1): `g ⊨ Σ`, `g` nonempty, and every
 /// pattern of Σ has a match in `g`?
-pub fn is_model<C: Constraint>(g: &Graph, sigma: &[C]) -> bool {
+pub fn is_model(g: &Graph, sigma: &[Rule]) -> bool {
     g.node_count() > 0 && sigma.iter().all(|d| pattern_embeds(g, d)) && satisfies_all(g, sigma)
 }
 
@@ -131,6 +90,7 @@ pub fn is_model<C: Constraint>(g: &Graph, sigma: &[C]) -> bool {
 mod tests {
     use super::*;
     use crate::ged::Ged;
+    use crate::literal::Literal;
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{fragments, parse_pattern, Var};
 
@@ -144,16 +104,16 @@ mod tests {
         b.build()
     }
 
-    fn phi1() -> Ged {
+    fn phi1() -> Rule {
         let q = fragments::fig1_q1();
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
-        Ged::new(
+        Rule::from(Ged::new(
             "φ1",
             q,
             vec![Literal::constant(y, sym("type"), "video game")],
             vec![Literal::constant(x, sym("type"), "programmer")],
-        )
+        ))
     }
 
     #[test]
@@ -201,12 +161,12 @@ mod tests {
     fn attribute_existence_constraint() {
         // Q[x](∅ → x.A = x.A) forces every τ-node to have A (Section 3).
         let q = parse_pattern("τ(x)").unwrap();
-        let req = Ged::new(
+        let req = Rule::from(Ged::new(
             "require-A",
             q,
             vec![],
             vec![Literal::vars(Var(0), sym("A"), Var(0), sym("A"))],
-        );
+        ));
         let mut g = Graph::new();
         let n = g.add_node(sym("τ"));
         assert!(!satisfies(&g, &req), "A missing");
@@ -221,12 +181,12 @@ mod tests {
         let q2 = fragments::fig1_q2();
         let y = q2.var_by_name("y").unwrap();
         let z = q2.var_by_name("z").unwrap();
-        let phi2 = Ged::new(
+        let phi2 = Rule::from(Ged::new(
             "φ2",
             q2,
             vec![],
             vec![Literal::vars(y, sym("name"), z, sym("name"))],
-        );
+        ));
         let mut b = GraphBuilder::new();
         b.triple(("fi", "country"), "capital", ("hel", "city"));
         b.triple(("fi", "country"), "capital", ("spb", "city"));
@@ -245,12 +205,12 @@ mod tests {
         let x = q3.var_by_name("x").unwrap();
         let y = q3.var_by_name("y").unwrap();
         let a = sym("can_fly");
-        let phi3 = Ged::new(
+        let phi3 = Rule::from(Ged::new(
             "φ3",
             q3,
             vec![Literal::vars(x, a, x, a)],
             vec![Literal::vars(y, a, x, a)],
-        );
+        ));
         let mut b = GraphBuilder::new();
         b.triple(("moa", "species"), "is_a", ("bird", "class"));
         b.attr("bird", "can_fly", true);
@@ -274,7 +234,7 @@ mod tests {
 
     #[test]
     fn forbidding_phi4_catches_sclater() {
-        let phi4 = Ged::forbidding("φ4", fragments::fig1_q4(), vec![]);
+        let phi4 = Rule::from(Ged::forbidding("φ4", fragments::fig1_q4(), vec![]));
         let mut b = GraphBuilder::new();
         b.triple(("philip", "person"), "child", ("william", "person"));
         b.edge("philip", "parent", "william");
@@ -291,12 +251,12 @@ mod tests {
         let q = parse_pattern("album(x); album(y)").unwrap();
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
-        let key = Ged::new(
+        let key = Rule::from(Ged::new(
             "ψ2",
             q,
             vec![Literal::vars(x, sym("title"), y, sym("title"))],
             vec![Literal::id(x, y)],
-        );
+        ));
         // Two distinct albums with the same title violate the key.
         let mut b = GraphBuilder::new();
         b.node("a1", "album");
@@ -319,12 +279,12 @@ mod tests {
         let q2 = fragments::fig1_q2();
         let y = q2.var_by_name("y").unwrap();
         let z = q2.var_by_name("z").unwrap();
-        let phi2 = Ged::new(
+        let phi2 = Rule::from(Ged::new(
             "φ2",
             q2,
             vec![],
             vec![Literal::vars(y, sym("name"), z, sym("name"))],
-        );
+        ));
         let mut b = GraphBuilder::new();
         for i in 0..4 {
             let c = format!("c{i}");
@@ -345,10 +305,10 @@ mod tests {
         assert!(!is_model(&g, &[phi1()]));
         // A GED whose pattern does not embed: satisfied but not a model.
         let q = parse_pattern("nonexistent(x)").unwrap();
-        let d = Ged::new("d", q, vec![], vec![]);
+        let d = Rule::from(Ged::new("d", q, vec![], vec![]));
         assert!(satisfies(&g, &d));
         assert!(!is_model(&g, &[d]));
         // Empty graph is never a model.
-        assert!(!is_model::<Ged>(&Graph::new(), &[]));
+        assert!(!is_model(&Graph::new(), &[]));
     }
 }

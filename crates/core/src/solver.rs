@@ -1,7 +1,8 @@
 //! A consistency solver for conjunctions of order constraints
-//! `t1 ⊕ t2` over *terms* (attribute slots and constants), used by the
-//! bounded-model search for GDC/GED∨ satisfiability and implication
-//! (Theorems 8 & 9).
+//! `t1 ⊕ t2` over *terms* (attribute slots and constants), used by
+//! [`Rule::premises_feasible`](crate::rule::Rule::premises_feasible) and by
+//! `ged-ext`'s bounded-model search for GDC/GED∨ satisfiability and
+//! implication (Theorems 8 & 9).
 //!
 //! Decision procedure (sound and complete over a dense total order that
 //! contains all the given constants — `U` with floats/strings is dense;

@@ -8,7 +8,7 @@
 //! [`spawn`].
 //!
 //! A daemon owns one
-//! [`IncrementalValidator<SigmaConstraint>`](ged_engine::IncrementalValidator)
+//! [`IncrementalValidator`](ged_engine::IncrementalValidator)
 //! and serves the `ged-proto` wire protocol: each `apply` batch runs on
 //! its connection's own thread under the validator's one lock, every
 //! query answers from a cloned snapshot-isolated

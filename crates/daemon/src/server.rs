@@ -23,10 +23,9 @@
 //! `apply`s get an `internal` error, `health` says `degraded`, queries
 //! and `shutdown` still serve.
 
-use ged_core::constraint::Constraint;
+use ged_core::rule::Rule;
 use ged_engine::validator::IncrementalValidator;
 use ged_engine::view::{ReadView, Rendering, ViolationSnapshot};
-use ged_ext::SigmaConstraint;
 use ged_graph::{DeltaSet, Graph};
 use ged_proto::json::Json;
 use ged_proto::message::{
@@ -59,7 +58,7 @@ impl Default for DaemonConfig {
 }
 
 /// The validator every `apply` locks; `None` once shutdown retired it.
-type LockedValidator = Arc<Mutex<Option<IncrementalValidator<SigmaConstraint>>>>;
+type LockedValidator = Arc<Mutex<Option<IncrementalValidator>>>;
 
 /// A running daemon. Dropping the handle does **not** stop the server;
 /// call [`DaemonHandle::stop`] (in-process) or send a `shutdown`
@@ -68,7 +67,7 @@ pub struct DaemonHandle {
     addr: SocketAddr,
     validator: LockedValidator,
     shutting_down: Arc<AtomicBool>,
-    view: ReadView<SigmaConstraint>,
+    view: ReadView,
     acceptor: Option<thread::JoinHandle<()>>,
 }
 
@@ -91,7 +90,7 @@ impl DaemonHandle {
     /// snapshots the connection handlers answer from. For the owning
     /// process: in-process queries and the engine's view counters
     /// ([`ReadView::renders`], [`ReadView::rebuilds`]) without a socket.
-    pub fn view(&self) -> &ReadView<SigmaConstraint> {
+    pub fn view(&self) -> &ReadView {
         &self.view
     }
 
@@ -121,7 +120,7 @@ impl DaemonHandle {
 /// held it counts. A poisoned lock (an `apply` panicked) still retires:
 /// with the validator gone there is nothing left to protect. The retired
 /// validator is dropped after the lock is let go, not under it.
-fn retire(validator: &LockedValidator, view: &ReadView<SigmaConstraint>) -> u64 {
+fn retire(validator: &LockedValidator, view: &ReadView) -> u64 {
     let retired = validator
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -143,7 +142,7 @@ fn wake_acceptor(flag: &AtomicBool, addr: SocketAddr) {
 /// Everything a connection handler needs, cheap to clone per connection.
 #[derive(Clone)]
 struct ConnCtx {
-    view: ReadView<SigmaConstraint>,
+    view: ReadView,
     validator: LockedValidator,
     shutting_down: Arc<AtomicBool>,
     rules: usize,
@@ -158,7 +157,7 @@ struct ConnCtx {
 /// query ever answered already sees it.
 pub fn spawn(
     graph: Graph,
-    sigma: Vec<SigmaConstraint>,
+    sigma: Vec<Rule>,
     config: &DaemonConfig,
 ) -> std::io::Result<DaemonHandle> {
     let rules = sigma.len();
@@ -320,7 +319,7 @@ impl Reply<'_> {
 /// the head and the segments of the rules whose witnesses changed since
 /// they were last rendered; every later poll of the epoch shares it.
 /// [`write_segmented`] makes the `report` line of it.
-pub fn rendering<C: Constraint>(snap: &ViolationSnapshot<C>) -> Arc<Rendering> {
+pub fn rendering(snap: &ViolationSnapshot) -> Arc<Rendering> {
     snap.rendered(
         |snap| encode_report_head(snap.epoch(), snap.rules()),
         |rule, witnesses| encode_segment(rule, witnesses),
@@ -445,7 +444,7 @@ mod tests {
         (socket, stalled_rx, release_tx)
     }
 
-    fn conn_ctx(validator: &IncrementalValidator<SigmaConstraint>) -> ConnCtx {
+    fn conn_ctx(validator: &IncrementalValidator) -> ConnCtx {
         // The lock holds no validator: the test keeps it and publishes
         // itself, and `apply`/`shutdown` find it already retired.
         ConnCtx {
@@ -467,7 +466,7 @@ mod tests {
         let node = graph.nodes().next().expect("non-empty graph");
         let mut validator = IncrementalValidator::new(graph, sigma);
         let mut flip = 0i64;
-        let mut publish = |validator: &mut IncrementalValidator<SigmaConstraint>| {
+        let mut publish = |validator: &mut IncrementalValidator| {
             flip += 1;
             validator.apply(&Delta::SetAttr {
                 node,

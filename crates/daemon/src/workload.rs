@@ -8,20 +8,20 @@
 //! * `empty` — no nodes, no rules: a blank validator to drive entirely
 //!   over the wire (`gedctl apply`);
 //! * `mixed:honest=30,plants=2,seed=11` — the social mixed-family
-//!   workload (GED + GDC + GED∨ in one [`SigmaConstraint`] set) with
+//!   workload (GED + GDC + GED∨ in one [`Rule`] set) with
 //!   `plants` violations planted per rule;
 //! * `random:nodes=90,rules=2,seed=7` — the evolving-graph workload of
 //!   the incremental suites: a random graph with a planted key
 //!   constraint plus `rules` random GEDs.
 
+use ged_core::rule::Rule;
 use ged_datagen::random::evolving_workload;
 use ged_datagen::social::SocialConfig;
-use ged_ext::SigmaConstraint;
 use ged_graph::Graph;
 
 /// Build the `(graph, Σ)` a spec describes, or explain why the spec is
 /// unintelligible.
-pub fn load(spec: &str) -> Result<(Graph, Vec<SigmaConstraint>), String> {
+pub fn load(spec: &str) -> Result<(Graph, Vec<Rule>), String> {
     let (family, params) = match spec.split_once(':') {
         Some((family, params)) => (family, params),
         None => (spec, ""),
@@ -66,7 +66,7 @@ pub fn load(spec: &str) -> Result<(Graph, Vec<SigmaConstraint>), String> {
             known(&["nodes", "rules", "seed"])?;
             let (nodes, rules) = (get("nodes", 90)? as usize, get("rules", 2)? as usize);
             let (g, sigma) = evolving_workload(nodes, 3, rules, get("seed", 7)?);
-            Ok((g, sigma.into_iter().map(SigmaConstraint::from).collect()))
+            Ok((g, sigma.into_iter().map(Rule::from).collect()))
         }
         other => Err(format!(
             "unknown workload family {other:?} (expected empty, mixed or random)"
@@ -124,12 +124,11 @@ mod tests {
     /// pair.
     #[test]
     fn only_the_graph_key_requests_a_value_index() {
-        use ged_core::constraint::Constraint;
         use ged_graph::sym;
         let (g, sigma) = load("mixed:honest=10,plants=1,seed=3").unwrap();
         for rule in &sigma {
             let requests = ged_engine::rule_plan(rule).index_requests();
-            assert!(requests.is_empty(), "{}: {requests:?}", rule.name());
+            assert!(requests.is_empty(), "{}: {requests:?}", rule.name);
         }
         let v = ged_engine::IncrementalValidator::new(g, sigma);
         assert_eq!(v.graph().indexed_attrs().count(), 0);

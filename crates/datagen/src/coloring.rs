@@ -321,7 +321,7 @@ mod tests {
     fn validation_gfdx_reduction_agrees_with_oracle() {
         for (name, inst, colorable) in fixtures() {
             let (g, phi) = validation_gfdx(&inst);
-            let valid = validate(&g, std::slice::from_ref(&phi), Some(1)).satisfied();
+            let valid = validate(&g, &[phi.into()], Some(1)).satisfied();
             assert_eq!(valid, !colorable, "{name}: K3 ⊨ φ ⟺ ¬3col");
         }
     }
@@ -331,7 +331,7 @@ mod tests {
         for (name, inst, colorable) in fixtures() {
             let (g, psi) = validation_gkey(&inst);
             assert!(psi.is_gkey(), "{name}: shape");
-            let valid = validate(&g, std::slice::from_ref(&psi), Some(1)).satisfied();
+            let valid = validate(&g, &[psi.into()], Some(1)).satisfied();
             assert_eq!(valid, !colorable, "{name}");
         }
     }

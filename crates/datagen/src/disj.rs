@@ -135,11 +135,11 @@ pub fn kb_disj(cfg: &KbConfig, planted_bad_visibility: usize, seed: u64) -> Disj
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies_all, violations};
-    use ged_ext::SigmaConstraint;
 
-    /// The workload's Σ in the served form.
-    fn served(w: DisjWorkload) -> (Graph, Vec<SigmaConstraint>) {
+    /// The workload's Σ, compiled into `Rule`s.
+    fn served(w: DisjWorkload) -> (Graph, Vec<Rule>) {
         (w.graph, w.sigma.into_iter().map(Into::into).collect())
     }
 

@@ -118,11 +118,11 @@ pub fn kb_gdcs(cfg: &KbConfig, planted_overdiscount: usize, seed: u64) -> GdcWor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies_all, violations};
-    use ged_ext::SigmaConstraint;
 
-    /// The workload's Σ in the served form.
-    fn served(w: GdcWorkload) -> (Graph, Vec<SigmaConstraint>) {
+    /// The workload's Σ, compiled into `Rule`s.
+    fn served(w: GdcWorkload) -> (Graph, Vec<Rule>) {
         (w.graph, w.sigma.into_iter().map(Into::into).collect())
     }
 

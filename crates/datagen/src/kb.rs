@@ -190,6 +190,11 @@ mod tests {
     use super::*;
     use crate::rules;
     use ged_core::reason::validate;
+    use ged_core::rule::Rule;
+
+    fn kb_rules() -> Vec<Rule> {
+        rules::kb_rules().into_iter().map(Rule::from).collect()
+    }
 
     #[test]
     fn generator_is_deterministic() {
@@ -229,7 +234,7 @@ mod tests {
             seed: 42,
         };
         let inst = generate(&cfg);
-        let report = validate(&inst.graph, &rules::kb_rules(), None);
+        let report = validate(&inst.graph, &kb_rules(), None);
         assert!(!report.satisfied());
         // φ1: exactly the 2 planted bad creators.
         assert_eq!(report.per_ged[0].violation_count, 2);
@@ -249,7 +254,7 @@ mod tests {
         };
         let inst = generate(&cfg);
         assert!(inst.planted.is_empty());
-        let report = validate(&inst.graph, &rules::kb_rules(), None);
+        let report = validate(&inst.graph, &kb_rules(), None);
         assert!(
             report.satisfied(),
             "violated: {:?}",

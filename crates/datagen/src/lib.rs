@@ -17,7 +17,7 @@
 //! * [`disj`] — GED∨ workloads (§7.2): multi-disjunct domain and
 //!   conditional rules over the same graphs, with planted violations;
 //! * [`mixed`] — heterogeneous-Σ workloads: GED + GDC + GED∨ in one
-//!   `Vec<SigmaConstraint>`, with planted violations per family;
+//!   `Vec<Rule>`, with planted violations per family;
 //! * [`coloring`] — 3-colorability reductions behind Theorems 3, 5, 6,
 //!   cross-validated against a brute-force oracle.
 

@@ -1,7 +1,6 @@
 //! Mixed-family Σ workloads: one heterogeneous rule set holding plain
 //! GEDs, a dense-order GDC, and a disjunctive GED∨ — each compiled into
-//! the one served form [`SigmaConstraint`], so a single
-//! `IncrementalValidator<SigmaConstraint>` (or any generic engine) serves
+//! the one rule type [`Rule`], so a single `IncrementalValidator` serves
 //! all of them at once, with a controlled number of planted violations per
 //! family.
 //!
@@ -12,7 +11,8 @@
 use crate::social::SocialConfig;
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred, SigmaConstraint};
+use ged_core::rule::Rule;
+use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred};
 use ged_graph::{sym, Graph};
 use ged_pattern::{parse_pattern, Var};
 use rand::rngs::StdRng;
@@ -25,15 +25,15 @@ pub struct MixedWorkload {
     /// The graph.
     pub graph: Graph,
     /// The heterogeneous rule set (GED + GDC + GED∨, each compiled into
-    /// the served form).
-    pub sigma: Vec<SigmaConstraint>,
+    /// a [`Rule`]).
+    pub sigma: Vec<Rule>,
     /// Violating witnesses planted by construction (`plants` per rule,
     /// four rules: `4 * plants` total).
     pub planted: usize,
 }
 
 /// The social-network mixed workload. Four rules, one
-/// `Vec<SigmaConstraint>`:
+/// `Vec<Rule>`:
 ///
 /// * **GED** `verified⇒real`: `account(x)(x.verified = 1 → x.is_fake = 0)`
 ///   — conjunctive conclusion; a witness's kind lists its one literal,
@@ -113,7 +113,7 @@ pub fn try_social_mixed(
     let node = parse_pattern("account(x)").unwrap();
     let edge = parse_pattern("account(x) -[follow]-> account(y)").unwrap();
     let x = Var(0);
-    let sigma: Vec<SigmaConstraint> = vec![
+    let sigma: Vec<Rule> = vec![
         Ged::new(
             "verified⇒real",
             node.clone(),

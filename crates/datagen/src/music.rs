@@ -89,7 +89,12 @@ mod tests {
     use super::*;
     use crate::rules::{music_keys, psi1, psi3};
     use ged_core::chase::{chase, ChaseResult};
+    use ged_core::rule::Rule;
     use ged_core::satisfy::satisfies_all;
+
+    fn keys() -> Vec<Rule> {
+        music_keys().into_iter().map(Rule::from).collect()
+    }
 
     #[test]
     fn generator_plants_resolvable_duplicates() {
@@ -97,7 +102,7 @@ mod tests {
         let inst = generate(&cfg);
         assert_eq!(inst.dupes.len(), cfg.n_dupes);
         // Duplicates violate the keys before resolution.
-        assert!(!satisfies_all(&inst.graph, &music_keys()));
+        assert!(!satisfies_all(&inst.graph, &keys()));
     }
 
     #[test]
@@ -136,7 +141,7 @@ mod tests {
             g.node_count() - 2 * inst.dupes.len()
         );
         // The resolved graph satisfies the keys.
-        assert!(satisfies_all(&coercion.graph, &music_keys()));
+        assert!(satisfies_all(&coercion.graph, &keys()));
     }
 
     /// Rebuild the generator's name→id map (the generator is
@@ -184,7 +189,7 @@ mod tests {
             seed: 1,
         };
         let inst = generate(&cfg);
-        assert!(satisfies_all(&inst.graph, &music_keys()));
+        assert!(satisfies_all(&inst.graph, &keys()));
         let ChaseResult::Consistent {
             coercion, stats, ..
         } = chase(&inst.graph, &music_keys())

@@ -221,7 +221,7 @@ mod tests {
         };
         let mut g = random_graph(&cfg);
         let ged = plant_key_violations(&mut g, "dupe", 5);
-        let vs = violations(&g, &ged, None);
+        let vs = violations(&g, &ged.into(), None);
         // Each planted pair gives two symmetric violating matches.
         assert_eq!(vs.len(), 10);
     }
@@ -235,6 +235,7 @@ mod tests {
         };
         let g = random_graph(&cfg);
         let sigma = random_sigma(4, 3, &cfg);
+        let sigma: Vec<_> = sigma.into_iter().map(ged_core::rule::Rule::from).collect();
         let report = validate(&g, &sigma, Some(5));
         assert_eq!(report.per_ged.len(), 4);
     }

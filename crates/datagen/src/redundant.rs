@@ -12,7 +12,8 @@
 
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_ext::{DisjGed, SigmaConstraint};
+use ged_core::rule::Rule;
+use ged_ext::DisjGed;
 use ged_graph::{sym, Graph};
 use ged_pattern::{parse_pattern, Var};
 
@@ -23,7 +24,7 @@ pub struct RedundantWorkload {
     /// A `user` follow-ring with attribute decorations.
     pub graph: Graph,
     /// Seven rules: three live (indices 0–2), four prunable (3–6).
-    pub sigma: Vec<SigmaConstraint>,
+    pub sigma: Vec<Rule>,
     /// Rules that survive pruning (`3`).
     pub live: usize,
     /// Rules the analyzer proves safe to drop (`4`).
@@ -108,7 +109,7 @@ pub fn redundant(nodes: usize, planted: usize) -> RedundantWorkload {
         vec![Literal::constant(x, status, "a")],
         vec![Literal::constant(y, watch, 1)],
     );
-    let sigma: Vec<SigmaConstraint> = vec![
+    let sigma: Vec<Rule> = vec![
         new_follower.clone().into(),
         Ged::new(
             "level:watched",

@@ -127,7 +127,7 @@ pub fn generate(cfg: &SocialConfig) -> SocialInstance {
 /// of accounts newly marked fake. This is the "use GEDs as rules" mode the
 /// paper motivates for spam detection.
 pub fn spam_cascade(graph: &mut Graph, k: usize, keyword: &str) -> usize {
-    let rule = crate::rules::phi5(k, keyword);
+    let rule = ged_core::rule::Rule::from(crate::rules::phi5(k, keyword));
     let is_fake = ged_graph::sym("is_fake");
     let x_var = rule.pattern.var_by_name("x").unwrap();
     let mut marked = 0;
@@ -258,7 +258,7 @@ mod tests {
         let inst = generate(&SocialConfig::default());
         let rule = crate::rules::phi5(2, "v1agr4");
         assert!(
-            !satisfies(&inst.graph, &rule),
+            !satisfies(&inst.graph, &rule.into()),
             "fake_1 should be derivable from fake_0"
         );
     }
@@ -271,7 +271,10 @@ mod tests {
         let newly = spam_cascade(&mut g, cfg.k, &cfg.keyword);
         assert_eq!(newly, cfg.chain_len - 1, "everyone after the seed");
         // Now φ5 is satisfied.
-        assert!(satisfies(&g, &crate::rules::phi5(cfg.k, &cfg.keyword)));
+        assert!(satisfies(
+            &g,
+            &crate::rules::phi5(cfg.k, &cfg.keyword).into()
+        ));
         // Honest accounts untouched.
         for i in 0..cfg.n_honest {
             let n = g.nodes_with_label(sym("account"))[i];

@@ -2,7 +2,7 @@
 //! each, the rules of Σ whose witnesses the touch can change.
 //!
 //! A rule reads only what its syntax names (DESIGN.md §4): the attributes
-//! of its literals ([`Constraint::attrs_read`]) and the edges its pattern
+//! of its literals ([`Rule::attrs_read`]) and the edges its pattern
 //! edges' labels match. So an attribute write concerns the rules that read
 //! the attribute, an edge delta the rules with a pattern edge of its label
 //! (`_` matches every label), and a node added or removed every rule.
@@ -10,15 +10,15 @@
 //! a [`Footprint`] is one batch's sorted node list with one rule set per
 //! node, a bitset over Σ.
 
-use ged_core::constraint::Constraint;
+use ged_core::rule::Rule;
 use ged_graph::{Delta, Graph, NodeId, Symbol};
 
 /// Which rules each kind of delta concerns, derived from Σ's syntax. Rule
 /// sets are stored flat, `words` u64s apiece: set [`EVERY`] holds every
-/// rule, [`OPAQUE`] the rules that do not name their reads (they concern
-/// every attribute write), [`WILD`] the rules with a wildcard pattern edge
-/// (they concern every edge delta), and then one set per attribute a rule
-/// reads and per concrete label of a pattern edge.
+/// rule, [`NONE`] none (the write of an attribute no rule reads), [`WILD`]
+/// the rules with a wildcard pattern edge (they concern every edge
+/// delta), and then one set per attribute a rule reads and per concrete
+/// label of a pattern edge.
 #[derive(Debug, Clone)]
 pub(crate) struct Relevance {
     words: usize,
@@ -30,33 +30,30 @@ pub(crate) struct Relevance {
 }
 
 const EVERY: u32 = 0;
-const OPAQUE: u32 = 1;
+const NONE: u32 = 1;
 const WILD: u32 = 2;
 
 impl Relevance {
-    pub(crate) fn for_sigma<C: Constraint>(sigma: &[C]) -> Relevance {
+    pub(crate) fn for_sigma(sigma: &[Rule]) -> Relevance {
         let mut r = Relevance::of_size(sigma.len());
         for (ci, c) in sigma.iter().enumerate() {
-            match c.attrs_read() {
-                Some(attrs) => attrs.into_iter().for_each(|a| r.add_named(false, a, ci)),
-                None => r.add(OPAQUE, ci),
+            for a in c.attrs_read() {
+                r.add_named(false, a, ci);
             }
-            for e in c.pattern().pattern_edges() {
+            for e in c.pattern.pattern_edges() {
                 match e.label.is_wildcard() {
                     true => r.add(WILD, ci),
                     false => r.add_named(true, e.label, ci),
                 }
             }
         }
-        // A named attribute or label also concerns the opaque or wildcard
-        // rules, which concern every one.
-        let words = r.words;
-        let attrs = r.attrs.iter().map(|&(_, set)| (set, OPAQUE));
-        let edges = r.edges.iter().map(|&(_, set)| (set, WILD));
-        for (to, from) in attrs.chain(edges).collect::<Vec<_>>() {
-            let (to, from) = (to as usize * words, from as usize * words);
+        // A concrete label also concerns the wildcard rules, which concern
+        // every one.
+        let (words, wild) = (r.words, WILD as usize * r.words);
+        for &(_, set) in &r.edges {
+            let set = set as usize * words;
             for w in 0..words {
-                r.sets[to + w] |= r.sets[from + w];
+                r.sets[set + w] |= r.sets[wild + w];
             }
         }
         r.attrs.sort_unstable();
@@ -112,7 +109,7 @@ impl Relevance {
                 find(&self.edges, label, WILD)
             }
             Delta::SetAttr { attr, .. } | Delta::DelAttr { attr, .. } => {
-                find(&self.attrs, attr, OPAQUE)
+                find(&self.attrs, attr, NONE)
             }
         }
     }
@@ -245,10 +242,10 @@ pub(crate) struct Seeds {
 }
 
 impl Seeds {
-    pub(crate) fn for_sigma<C: Constraint>(sigma: &[C]) -> Seeds {
+    pub(crate) fn for_sigma(sigma: &[Rule]) -> Seeds {
         let (mut labels, mut first) = (Vec::new(), vec![0]);
         for c in sigma {
-            let q = c.pattern();
+            let q = &c.pattern;
             for label in q.vars().map(|v| q.label(v)) {
                 if !labels[first[first.len() - 1]..].contains(&label) {
                     labels.push(label);
@@ -303,10 +300,10 @@ mod tests {
     fn rule_sets_span_more_than_one_word() {
         // 130 rules, each reading its own attribute: three words a set.
         let q = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<Ged> = (0..130)
+        let sigma: Vec<Rule> = (0..130)
             .map(|i| {
                 let lit = Literal::constant(Var(0), sym(&format!("a{i}")), 1);
-                Ged::new(format!("r{i}"), q.clone(), vec![], vec![lit])
+                Ged::new(format!("r{i}"), q.clone(), vec![], vec![lit]).into()
             })
             .collect();
         let relevance = Relevance::for_sigma(&sigma);

@@ -2,15 +2,13 @@
 //!
 //! Validation (`G ⊨ Σ`, Section 5.3) is the reasoning problem a deployed
 //! system faces on *every* update. This crate supplies the production
-//! answer, every layer of it **generic over the unified constraint
-//! layer** (`ged_core::constraint::Constraint`): the
-//! same code serves plain GEDs, GDCs with built-in predicates, and GED∨
-//! with disjunctive conclusions — the engine only ever needs a
-//! constraint's pattern (to enumerate candidate matches) and its per-match
-//! check (to classify them). A *mixed* rule set is one
-//! `IncrementalValidator<ged_ext::SigmaConstraint>`: every GED, GDC and
-//! GED∨ compiles into that one form, and a family outside the paper's
-//! runs as its own `C`.
+//! answer, every layer of it on the one rule type `ged_core::rule::Rule`:
+//! every GED, GDC and GED∨ compiles into it, so one code path serves plain
+//! GEDs, GDCs with built-in predicates and GED∨s with disjunctive
+//! conclusions — the engine only ever needs a rule's pattern (to enumerate
+//! candidate matches), its per-match check (to classify them) and the
+//! attributes the check reads. A *mixed* rule set is one
+//! `IncrementalValidator` over a `Vec<Rule>`.
 //!
 //! * [`mod@unit`] — the **work unit** both passes run: one `(constraint,
 //!   anchor variable, seeds)` triple enumerated by exclusion-aware
@@ -74,7 +72,7 @@
 //! b.attr("gb", "type", "video game");
 //! let (graph, names) = b.build_with_names();
 //!
-//! let mut v = IncrementalValidator::new(graph, vec![phi1]);
+//! let mut v = IncrementalValidator::new(graph, vec![phi1.into()]);
 //! assert!(!v.is_satisfied(), "the Ghetto Blaster inconsistency");
 //!
 //! // Fixing Tony's type repairs the violation — incrementally.

@@ -32,7 +32,7 @@
 use crate::store::ViolationStore;
 use crate::validator::ApplyStats;
 use crate::view::SharedViews;
-use ged_core::constraint::Constraint;
+use ged_core::rule::Rule;
 use ged_graph::json::Json;
 use ged_obs::{fmt_ns, CellRecorder, Histogram, TraceRing};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -190,9 +190,9 @@ type Registry = (MetricsSnapshot, TraceRing<ApplyStats>);
 
 impl EngineMetrics {
     /// A fresh registry for the rule set Σ, enabled by default.
-    pub(crate) fn for_sigma<C: Constraint>(sigma: &[C]) -> EngineMetrics {
-        let rule = |c: &C| RuleSnapshot {
-            name: c.name().to_string(),
+    pub(crate) fn for_sigma(sigma: &[Rule]) -> EngineMetrics {
+        let rule = |c: &Rule| RuleSnapshot {
+            name: c.name.clone(),
             ..RuleSnapshot::default()
         };
         let served = MetricsSnapshot {

@@ -13,13 +13,13 @@
 //! witnesses instead of the whole store, the property the
 //! output-sensitive delta path needs.
 //!
-//! The store is family-agnostic: the table records *how* the conclusion
-//! failed as a [`ViolationKind`], so the same structure serves plain GEDs,
-//! GDCs, and GED∨s — anything implementing [`Constraint`].
+//! The table records *how* the conclusion failed as a [`ViolationKind`],
+//! one shape for every family a [`Rule`] was compiled from.
 
 use crate::footprint::Footprint;
-use ged_core::constraint::{Constraint, ViolationKind};
+use ged_core::constraint::ViolationKind;
 use ged_core::reason::{GedReport, ValidationReport};
+use ged_core::rule::Rule;
 use ged_core::satisfy::Violation;
 use ged_graph::NodeId;
 use ged_pattern::Match;
@@ -113,12 +113,12 @@ impl Witnesses {
 
     /// Rule names with their witness counts, in Σ order — the summary
     /// rows of a report, without touching a witness.
-    pub(crate) fn rules<'a, C: Constraint>(
+    pub(crate) fn rules<'a>(
         &'a self,
-        sigma: &'a [C],
+        sigma: &'a [Rule],
     ) -> impl Iterator<Item = (&'a str, usize)> + Clone {
         let counts = self.per_constraint.iter().map(HashMap::len);
-        sigma.iter().map(Constraint::name).zip(counts)
+        sigma.iter().map(|c| c.name.as_str()).zip(counts)
     }
 
     /// Constraint `ci`'s witnesses in report order — sorted by
@@ -140,9 +140,9 @@ impl Witnesses {
     /// Visit every witness in report order — Σ order, witnesses sorted
     /// per rule — as `(rule name, assignment, failure kind)`, borrowed
     /// from the table: one sort buffer is the only allocation.
-    pub(crate) fn for_each_witness<'a, C: Constraint>(
+    pub(crate) fn for_each_witness<'a>(
         &'a self,
-        sigma: &'a [C],
+        sigma: &'a [Rule],
         mut f: impl FnMut(&'a str, &'a [NodeId], &'a ViolationKind),
     ) {
         let widest = self.rules(sigma).map(|(_, n)| n).max().unwrap_or(0);
@@ -150,14 +150,14 @@ impl Witnesses {
         for (ci, c) in sigma.iter().enumerate() {
             self.sorted(ci, &mut entries);
             for &(m, kind) in &entries {
-                f(c.name(), m, kind);
+                f(&c.name, m, kind);
             }
         }
     }
 
     /// The table as a [`ValidationReport`]: one row per rule, then the
     /// witnesses in report order.
-    pub(crate) fn to_report<C: Constraint>(&self, sigma: &[C]) -> ValidationReport {
+    pub(crate) fn to_report(&self, sigma: &[Rule]) -> ValidationReport {
         let mut violations = Vec::with_capacity(self.total);
         self.for_each_witness(sigma, |rule, m, kind| {
             violations.push(Violation {
@@ -182,8 +182,7 @@ impl Witnesses {
 /// witness match `h(x̄)`. The store is the engine's materialised view:
 /// after every delta it is *exactly* the violation set a from-scratch
 /// [`validate`] (with no limit) would produce — the invariant the
-/// lockstep driver holds it to, for every constraint family of the
-/// unified layer.
+/// lockstep driver holds it to, for rules of every family.
 ///
 /// [`validate`]: ged_core::reason::validate
 #[derive(Debug, Clone, Default)]
@@ -206,12 +205,11 @@ pub struct ViolationStore {
 }
 
 impl ViolationStore {
-    /// An empty store sized for the rule set Σ — any slice of
-    /// [`Constraint`]s. Constructing from Σ itself (rather than a bare
+    /// An empty store sized for the rule set Σ. Constructing from Σ itself (rather than a bare
     /// count) keeps the store coupled to the rules it indexes — a mismatch
     /// used to surface later as an opaque out-of-bounds in
     /// [`insert`](ViolationStore::insert).
-    pub fn for_sigma<C: Constraint>(sigma: &[C]) -> ViolationStore {
+    pub fn for_sigma(sigma: &[Rule]) -> ViolationStore {
         ViolationStore {
             table: Witnesses {
                 per_constraint: vec![HashMap::new(); sigma.len()],
@@ -416,7 +414,7 @@ impl ViolationStore {
 
     /// Render the store as a [`ValidationReport`] in Σ order, with the
     /// witnesses of each constraint sorted by assignment for determinism.
-    pub fn to_report<C: Constraint>(&self, sigma: &[C]) -> ValidationReport {
+    pub fn to_report(&self, sigma: &[Rule]) -> ValidationReport {
         self.table.to_report(sigma)
     }
 
@@ -445,14 +443,14 @@ mod tests {
     use ged_graph::sym;
     use ged_pattern::{parse_pattern, Var};
 
-    fn key_ged() -> Ged {
+    fn key_rule() -> Rule {
         let q = parse_pattern("t(x); t(y)").unwrap();
-        Ged::new(
+        Rule::from(Ged::new(
             "key",
             q,
             vec![Literal::vars(Var(0), sym("k"), Var(1), sym("k"))],
             vec![Literal::id(Var(0), Var(1))],
-        )
+        ))
     }
 
     /// A kind listing these failed positions.
@@ -465,7 +463,7 @@ mod tests {
         Footprint::every_rule(nodes, 2)
     }
 
-    fn two_rule_sigma() -> Vec<Ged> {
+    fn two_rule_sigma() -> Vec<Rule> {
         let q = parse_pattern("t(x)").unwrap();
         let other = Ged::new(
             "other",
@@ -473,7 +471,7 @@ mod tests {
             vec![],
             vec![Literal::constant(Var(0), sym("p"), 1)],
         );
-        vec![key_ged(), other]
+        vec![key_rule(), other.into()]
     }
 
     #[test]
@@ -615,7 +613,7 @@ mod tests {
     fn indexed_drop_beats_full_scan_by_10x_on_100k_witnesses() {
         const N: usize = 100_000;
         let lit = || kind(&[0]);
-        let mut indexed = ViolationStore::for_sigma(&[key_ged()]);
+        let mut indexed = ViolationStore::for_sigma(&[key_rule()]);
         let mut scan: HashMap<Match, ViolationKind> = HashMap::new();
         for i in 0..N {
             let m = vec![NodeId(2 * i as u32), NodeId(2 * i as u32 + 1)];
@@ -737,7 +735,7 @@ mod tests {
 
     #[test]
     fn report_is_sorted_and_in_sigma_order() {
-        let sigma = vec![key_ged()];
+        let sigma = vec![key_rule()];
         let mut s = ViolationStore::for_sigma(&sigma);
         let lit = kind(&[0]);
         s.insert(0, vec![NodeId(5), NodeId(6)], lit.clone());

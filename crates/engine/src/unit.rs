@@ -17,8 +17,8 @@
 //! [`Matcher::for_each_anchored_in`]: ged_pattern::Matcher::for_each_anchored_in
 
 use crate::metrics::{BatchTally, Phase};
-use ged_core::constraint::{Constraint, ViolationKind};
-use ged_core::literal::Literal;
+use ged_core::constraint::ViolationKind;
+use ged_core::rule::{GdcLiteral, Pred, Rule};
 use ged_graph::{Graph, NodeId};
 use ged_obs::{CellRecorder, NOOP};
 use ged_pattern::{Match, MatchOptions, MatchPlan, MatchRecorder, MatchScratch, Matcher, Var};
@@ -32,31 +32,31 @@ pub(crate) type Found = (usize, Match, ViolationKind);
 /// and degree requirements, with the premise literals the matcher can
 /// check pushed in as candidate pre-filters — constant premises `x.A = c`
 /// ([`MatchPlan::require_attr`]) and equality premises `x.A = y.B`
-/// ([`MatchPlan::require_attr_eq`]). Done once per rule, so the per-unit
-/// hot path never touches [`literal_view`](Constraint::literal_view)
-/// (which clones the rule's literal vectors on every call).
+/// ([`MatchPlan::require_attr_eq`]). Premises with any other predicate
+/// stay with `check`. Done once per rule, at construction.
 ///
 /// Sound for violation enumeration: `check` reports a violation only when
-/// every premise holds at the match, and both filters decide exactly
-/// `literal_holds` of their literal, so a match they refuse can never
-/// witness one. The [`LiteralView`] contract guarantees the view's
-/// premises are implied by the real ones even for inexact views (a GDC
-/// exposes its equality fragment — a subset), so this never drops a
-/// violating match; `check` still runs on every survivor.
-///
-/// [`LiteralView`]: ged_core::constraint::LiteralView
-pub fn rule_plan<C: Constraint>(c: &C) -> MatchPlan {
-    let mut plan = MatchPlan::new(c.pattern());
-    for lit in c.literal_view().iter().flat_map(|view| &view.premises) {
+/// every premise holds at the match, and each filter decides exactly what
+/// [`GdcLiteral::holds`] decides for its `=` premise, so a match a filter
+/// refuses can never witness one; `check` still runs on every survivor.
+pub fn rule_plan(rule: &Rule) -> MatchPlan {
+    let mut plan = MatchPlan::new(&rule.pattern);
+    for lit in &rule.premises {
         match lit {
-            Literal::Const { var, attr, value } => plan.require_attr(*var, *attr, value.clone()),
-            Literal::Vars {
+            GdcLiteral::Const {
+                var,
+                attr,
+                pred: Pred::Eq,
+                value,
+            } => plan.require_attr(*var, *attr, value.clone()),
+            GdcLiteral::Vars {
                 lvar,
                 lattr,
+                pred: Pred::Eq,
                 rvar,
                 rattr,
             } => plan.require_attr_eq(*lvar, *lattr, *rvar, *rattr),
-            Literal::Id { .. } => {}
+            _ => {}
         }
     }
     plan
@@ -73,16 +73,16 @@ pub fn rule_plan<C: Constraint>(c: &C) -> MatchPlan {
 /// The matcher borrows the rule's `plan` ([`rule_plan`]) and writes
 /// candidate sets into `scratch`, so steady-state enumeration allocates
 /// nothing; its hot loop reports to `recorder`.
-fn check_unit<C: Constraint, R: MatchRecorder>(
+fn check_unit<R: MatchRecorder>(
     g: &Graph,
-    (c, plan): (&C, &MatchPlan),
+    (c, plan): (&Rule, &MatchPlan),
     (ci, anchor, seeds): (usize, Var, &[NodeId]),
     excluded: &impl Fn(Var, NodeId) -> bool,
     scratch: &mut MatchScratch,
     recorder: &R,
     out: &mut Vec<Found>,
 ) {
-    let pattern = c.pattern();
+    let pattern = &c.pattern;
     let matcher = Matcher::with_plan(plan, pattern, g, MatchOptions::homomorphism(), recorder);
     matcher.for_each_anchored_in(scratch, anchor, seeds, excluded, |m| {
         debug_assert!(
@@ -104,9 +104,9 @@ fn check_unit<C: Constraint, R: MatchRecorder>(
 /// unit into the batch tally; off, the no-op recorder compiles the hooks
 /// away and no clock is read. Every pass goes through here, so this is
 /// the engine's one instrumented/uninstrumented fork.
-pub(crate) fn run_unit<C: Constraint>(
+pub(crate) fn run_unit(
     g: &Graph,
-    rule: (&C, &MatchPlan),
+    rule: (&Rule, &MatchPlan),
     unit: (usize, Var, &[NodeId]),
     excluded: &impl Fn(Var, NodeId) -> bool,
     phase: Phase,
@@ -131,15 +131,15 @@ pub(crate) fn run_unit<C: Constraint>(
 /// [`rule_plan`] of `sigma[i]`. The pass is instrumented: it runs once, on
 /// a registry that starts enabled, and the first unit's time runs from the
 /// caller's last lap.
-pub(crate) fn full_pass<C: Constraint>(
+pub(crate) fn full_pass(
     g: &Graph,
-    sigma: &[C],
+    sigma: &[Rule],
     plans: &[MatchPlan],
     worker: &mut (BatchTally, MatchScratch),
 ) -> Vec<Found> {
     let (mut found, mut matched) = (Vec::new(), Vec::new());
     for (ci, rule) in sigma.iter().zip(plans).enumerate() {
-        let pattern = rule.0.pattern();
+        let pattern = &rule.0.pattern;
         let Some(pivot) = pattern
             .vars()
             .min_by_key(|&v| g.label_candidate_count(pattern.label(v)))

@@ -7,7 +7,7 @@
 //! removed edge, a created node, or — for `RemoveNode` — just the dead id
 //! itself (its implicitly removed edges contribute nothing further; see
 //! fact 2). A rule `φ` sees only part of a batch: its literals read the
-//! attributes it names ([`Constraint::attrs_read`]) and its matches use
+//! attributes it names ([`Rule::attrs_read`]) and its matches use
 //! only edges its pattern's labels match. So each node of `T` carries the
 //! rules its touches *concern* ([`Footprint`]): an attribute write or
 //! delete concerns the rules that read the attribute, an edge delta the
@@ -63,8 +63,8 @@ use crate::store::{StoreChange, ViolationStore};
 use crate::unit;
 use crate::view::{ReadView, SharedViews};
 use ged_analysis::{AnalysisReport, Pruned};
-use ged_core::constraint::Constraint;
 use ged_core::reason::ValidationReport;
+use ged_core::rule::Rule;
 use ged_graph::{Delta, DeltaSet, Graph, NodeId};
 use ged_pattern::{MatchPlan, MatchScratch};
 use std::sync::Arc;
@@ -114,8 +114,7 @@ pub struct DeployAnalysis {
 }
 
 /// Maintains the violation set of `G ⊨ Σ` under a stream of updates, for
-/// any constraint family of the unified layer (`C` = `Ged`, or
-/// `SigmaConstraint`, the form every GED, GDC and GED∨ compiles into).
+/// rules of every family, compiled into [`Rule`].
 ///
 /// Owns the graph (updates must flow through the validator so the store
 /// stays consistent) and a [`ViolationStore`] that after every call equals
@@ -129,9 +128,9 @@ pub struct DeployAnalysis {
 ///
 /// [`validate`]: ged_core::reason::validate
 #[derive(Debug)]
-pub struct IncrementalValidator<C: Constraint> {
+pub struct IncrementalValidator {
     graph: Graph,
-    sigma: Arc<Vec<C>>,
+    sigma: Arc<Vec<Rule>>,
     store: ViolationStore,
     metrics: Arc<EngineMetrics>,
     analysis: Option<Arc<DeployAnalysis>>,
@@ -160,8 +159,8 @@ pub struct IncrementalValidator<C: Constraint> {
 /// starts with a fresh work-unit state and its own view set, whose epoch 0
 /// is the state at the clone — [`ReadView`]s of the original keep reading
 /// the original, never the clone.
-impl<C: Constraint> Clone for IncrementalValidator<C> {
-    fn clone(&self) -> IncrementalValidator<C> {
+impl Clone for IncrementalValidator {
+    fn clone(&self) -> IncrementalValidator {
         IncrementalValidator {
             graph: self.graph.clone(),
             sigma: Arc::clone(&self.sigma),
@@ -181,7 +180,7 @@ impl<C: Constraint> Clone for IncrementalValidator<C> {
     }
 }
 
-impl<C: Constraint> IncrementalValidator<C> {
+impl IncrementalValidator {
     /// Build a validator, seeding the store with a full validation pass on
     /// the caller's thread: each constraint runs one work unit anchored on
     /// its most selective pattern variable, over that variable's whole
@@ -195,7 +194,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// graph keeps those indexes current under
     /// [`apply_delta`](Graph::apply_delta); a Σ of connected patterns
     /// requests none.
-    pub fn new(mut graph: Graph, sigma: Vec<C>) -> IncrementalValidator<C> {
+    pub fn new(mut graph: Graph, sigma: Vec<Rule>) -> IncrementalValidator {
         let metrics = EngineMetrics::for_sigma(&sigma);
         let mut worker = (BatchTally::new(sigma.len(), true), MatchScratch::new());
         worker.0.start();
@@ -231,7 +230,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// seeding worker count, which must be 1. The benchmark-only change of
     /// ROADMAP item 1 moves the last caller to `new` and retires this.
     #[doc(hidden)]
-    pub fn with_threads(graph: Graph, sigma: Vec<C>, threads: usize) -> IncrementalValidator<C> {
+    pub fn with_threads(graph: Graph, sigma: Vec<Rule>, threads: usize) -> IncrementalValidator {
         assert_eq!(threads, 1, "seeding is sequential: call `new`");
         IncrementalValidator::new(graph, sigma)
     }
@@ -263,8 +262,8 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// [`analysis`]: IncrementalValidator::analysis
     pub fn with_analysis(
         graph: Graph,
-        sigma: Vec<C>,
-    ) -> Result<IncrementalValidator<C>, AnalysisReport> {
+        sigma: Vec<Rule>,
+    ) -> Result<IncrementalValidator, AnalysisReport> {
         let report = ged_analysis::analyze(&sigma);
         if report.has_errors() {
             return Err(report);
@@ -313,7 +312,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     }
 
     /// The rule set Σ.
-    pub fn sigma(&self) -> &[C] {
+    pub fn sigma(&self) -> &[Rule] {
         &self.sigma
     }
 
@@ -372,7 +371,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// let b = g.add_node(sym("t"));
     /// g.set_attr(a, sym("k"), 1);
     ///
-    /// let mut v = IncrementalValidator::new(g, vec![key]);
+    /// let mut v = IncrementalValidator::new(g, vec![key.into()]);
     /// let view = v.read_view();
     /// assert!(view.snapshot().is_satisfied());
     ///
@@ -382,7 +381,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// let snap = view.snapshot();
     /// assert_eq!((snap.epoch(), snap.violation_count()), (1, 2));
     /// ```
-    pub fn read_view(&self) -> ReadView<C> {
+    pub fn read_view(&self) -> ReadView {
         ReadView::register(
             Arc::clone(&self.sigma),
             Arc::clone(&self.views),
@@ -431,7 +430,7 @@ impl<C: Constraint> IncrementalValidator<C> {
     /// g.set_attr(a, sym("k"), 1);
     /// g.set_attr(b, sym("k"), 2);
     ///
-    /// let mut v = IncrementalValidator::new(g, vec![key]);
+    /// let mut v = IncrementalValidator::new(g, vec![key.into()]);
     /// assert!(v.is_satisfied(), "distinct keys: no violation");
     ///
     /// // Re-keying `b` onto `a`'s key creates the two symmetric
@@ -578,7 +577,7 @@ impl std::fmt::Display for ApplyStats {
 /// nothing outside a rule's footprint can change its witnesses — the
 /// argument only needs `c.check` to read the ids and the named attributes
 /// of matched nodes and the match to use only edges its pattern's labels
-/// match, which the [`Constraint`] contract guarantees for every family,
+/// match, which [`Rule`] guarantees whatever family it was compiled from,
 /// so this path is shared rather than duplicated per family.
 ///
 /// `footprint` holds the live touched nodes, sorted and deduplicated, each
@@ -600,9 +599,9 @@ impl std::fmt::Display for ApplyStats {
 /// the rule's footprint *excluded* from their candidate domains, so every
 /// other anchoring prunes the match before it is ever completed: no match
 /// is enumerated twice, none is enumerated and then discarded.
-fn affected_area<C: Constraint>(
+fn affected_area(
     g: &Graph,
-    sigma: &[C],
+    sigma: &[Rule],
     plans: &[MatchPlan],
     (footprint, seeds): (&Footprint, &mut Seeds),
     worker: &mut (BatchTally, MatchScratch),
@@ -615,7 +614,7 @@ fn affected_area<C: Constraint>(
     worker.0.lap(Phase::Materialize);
     let mut all = Vec::new();
     for (ci, rule) in sigma.iter().zip(plans).enumerate() {
-        let pattern = rule.0.pattern();
+        let pattern = &rule.0.pattern;
         for anchor in pattern.vars() {
             let list = seeds.of(ci, pattern.label(anchor));
             if list.is_empty() {
@@ -648,14 +647,14 @@ mod tests {
     use std::ops::ControlFlow;
 
     /// key: two t-nodes with equal `k` must be identical.
-    fn key_ged() -> Ged {
+    fn key_rule() -> Rule {
         let q = parse_pattern("t(x); t(y)").unwrap();
-        Ged::new(
+        Rule::from(Ged::new(
             "key",
             q,
             vec![Literal::vars(Var(0), sym("k"), Var(1), sym("k"))],
             vec![Literal::id(Var(0), Var(1))],
-        )
+        ))
     }
 
     fn two_dupes() -> Graph {
@@ -682,7 +681,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_consistent<C: Constraint>(v: &IncrementalValidator<C>) {
+    fn assert_consistent(v: &IncrementalValidator) {
         let full = ged_core::reason::validate(v.graph(), v.sigma(), None);
         let full_set: std::collections::BTreeSet<(String, Vec<NodeId>)> = full
             .violations
@@ -700,7 +699,7 @@ mod tests {
 
     #[test]
     fn initial_store_matches_full_validation() {
-        let v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         assert_eq!(v.violation_count(), 2, "two symmetric witnesses");
         assert_consistent(&v);
     }
@@ -712,7 +711,7 @@ mod tests {
         let b = g.add_node(sym("t"));
         g.set_attr(a, sym("k"), 1);
         g.set_attr(b, sym("k"), 2);
-        let mut v = IncrementalValidator::new(g, vec![key_ged()]);
+        let mut v = IncrementalValidator::new(g, vec![key_rule()]);
         assert!(v.is_satisfied());
 
         let stats = v.apply(&Delta::SetAttr {
@@ -736,7 +735,7 @@ mod tests {
 
     #[test]
     fn node_removal_clears_its_witnesses() {
-        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         assert_eq!(v.violation_count(), 2);
         let b = v.graph().nodes().nth(1).unwrap();
         let stats = v.apply(&Delta::RemoveNode { node: b });
@@ -760,7 +759,7 @@ mod tests {
         let b = g.add_node(sym("t"));
         g.set_attr(a, sym("p"), 1);
         g.set_attr(b, sym("p"), 2);
-        let mut v = IncrementalValidator::new(g, vec![phi]);
+        let mut v = IncrementalValidator::new(g, vec![phi.into()]);
         assert!(v.is_satisfied(), "no edges, no matches");
 
         v.apply(&Delta::AddEdge {
@@ -782,7 +781,7 @@ mod tests {
 
     #[test]
     fn batched_deltas_maintain_once() {
-        let mut v = IncrementalValidator::new(Graph::new(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(Graph::new(), vec![key_rule()]);
         let mut batch = DeltaSet::new();
         batch.push(Delta::AddNode { label: sym("t") });
         batch.push(Delta::AddNode { label: sym("t") });
@@ -814,7 +813,7 @@ mod tests {
     /// no unit.
     #[test]
     fn unrelated_attr_write_counts_retained_not_churn() {
-        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         assert_eq!(v.violation_count(), 2);
         let before = v.metrics();
         let a = v.graph().nodes().next().unwrap();
@@ -838,17 +837,18 @@ mod tests {
 
     /// Each kind of touch concerns exactly the rules whose syntax can see
     /// it: an attribute write or delete the rules that read the attribute —
-    /// a GDC's `<` premise included, which its literal view omits — an
+    /// a GDC's `<` premise included, which no plan filter decides — an
     /// edge delta the rules with a pattern edge of its label or a wildcard
     /// one, and a node added or removed every rule. A rule re-enumerates
     /// (its attempts grow) only on a touch that concerns it, and the store
     /// equals full revalidation after every step.
     #[test]
     fn each_kind_of_touch_concerns_only_the_rules_that_read_it() {
-        use ged_ext::{Gdc, GdcLiteral, Pred, SigmaConstraint};
+        use ged_core::rule::Rule;
+        use ged_ext::{Gdc, GdcLiteral, Pred};
         let t = |src: &str| parse_pattern(src).unwrap();
         let (x, y) = (Var(0), Var(1));
-        let sigma: Vec<SigmaConstraint> = vec![
+        let sigma: Vec<Rule> = vec![
             Ged::new(
                 "k=1",
                 t("t(x)"),
@@ -872,8 +872,11 @@ mod tests {
             .into(),
         ];
         assert!(
-            !sigma[3].literal_view().unwrap().exact,
-            "the view omits `<`"
+            sigma[3]
+                .premises
+                .iter()
+                .all(|l| l.as_eq_literal().is_none()),
+            "the GDC's only premise is `<`, outside the equality fragment"
         );
         let mut g = Graph::new();
         let [a, b, c] = [(); 3].map(|()| g.add_node(sym("t")));
@@ -951,7 +954,7 @@ mod tests {
         for &n in &nodes {
             g.set_attr(n, sym("k"), 1);
         }
-        let mut v = IncrementalValidator::new(g, vec![key_ged()]);
+        let mut v = IncrementalValidator::new(g, vec![key_rule()]);
         assert_eq!(v.violation_count(), 6);
         // Re-keying c: the 4 witnesses containing c die, the 2 among
         // {a, b} are untouched (not even dropped), nothing is added.
@@ -970,7 +973,7 @@ mod tests {
 
     #[test]
     fn no_op_deltas_do_nothing() {
-        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         let count = v.violation_count();
         let a = v.graph().nodes().next().unwrap();
         let stats = v.apply(&Delta::SetAttr {
@@ -986,9 +989,10 @@ mod tests {
     /// is maintained through attribute writes exactly like a GED.
     #[test]
     fn gdc_sigma_is_maintained_incrementally() {
-        use ged_ext::{Gdc, GdcLiteral, Pred, SigmaConstraint};
+        use ged_core::rule::Rule;
+        use ged_ext::{Gdc, GdcLiteral, Pred};
         let q = parse_pattern("product(x)").unwrap();
-        let cap = SigmaConstraint::from(Gdc::forbidding(
+        let cap = Rule::from(Gdc::forbidding(
             "rating≤5",
             q,
             vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Gt, 5)],
@@ -1031,9 +1035,10 @@ mod tests {
     /// node creation.
     #[test]
     fn disj_sigma_is_maintained_incrementally() {
-        use ged_ext::{DisjGed, SigmaConstraint};
+        use ged_core::rule::Rule;
+        use ged_ext::DisjGed;
         let q = parse_pattern("τ(x)").unwrap();
-        let domain = SigmaConstraint::from(DisjGed::new(
+        let domain = Rule::from(DisjGed::new(
             "A∈{0,1}",
             q,
             vec![],
@@ -1075,9 +1080,10 @@ mod tests {
     /// equals the generic validate, row by row and witness by witness.
     #[test]
     fn seeding_is_generic_over_gdcs() {
-        use ged_ext::{Gdc, GdcLiteral, Pred, SigmaConstraint};
+        use ged_core::rule::Rule;
+        use ged_ext::{Gdc, GdcLiteral, Pred};
         let q = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<SigmaConstraint> = (0..4)
+        let sigma: Vec<Rule> = (0..4)
             .map(|i| {
                 Gdc::new(
                     format!("A≥{i}"),
@@ -1107,15 +1113,16 @@ mod tests {
         assert_consistent(&v);
     }
 
-    /// One `IncrementalValidator<SigmaConstraint>` serves a heterogeneous
+    /// One `IncrementalValidator` serves a heterogeneous
     /// Σ: a plain GED, a dense-order GDC, and a disjunctive GED∨ in one
     /// rule set, maintained through deltas that hit each family.
     #[test]
     fn mixed_any_constraint_sigma_is_maintained_incrementally() {
-        use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred, SigmaConstraint};
+        use ged_core::rule::Rule;
+        use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred};
         let q = parse_pattern("t(x)").unwrap();
-        let sigma: Vec<SigmaConstraint> = vec![
-            key_ged().into(),
+        let sigma: Vec<Rule> = vec![
+            key_rule(),
             Gdc::forbidding(
                 "k≤9",
                 q.clone(),
@@ -1171,7 +1178,7 @@ mod tests {
     fn empty_pattern_geds_are_stable() {
         use ged_pattern::Pattern;
         let trivial = Ged::new("t", Pattern::new(), vec![], vec![]);
-        let mut v = IncrementalValidator::new(Graph::new(), vec![trivial]);
+        let mut v = IncrementalValidator::new(Graph::new(), vec![trivial.into()]);
         assert!(v.is_satisfied());
         v.apply(&Delta::AddNode { label: sym("t") });
         assert!(v.is_satisfied());
@@ -1196,7 +1203,7 @@ mod tests {
         let mut g = Graph::new();
         g.add_node(sym("other"));
         let (_, key) = key_workload();
-        let v = IncrementalValidator::new(g, vec![key]);
+        let v = IncrementalValidator::new(g, vec![key.into()]);
         assert_eq!(v.violation_count(), 0);
         let m = v.metrics();
         assert_eq!(m.unit_latency.count, 0, "no candidates, no unit");
@@ -1210,7 +1217,7 @@ mod tests {
     #[test]
     fn metrics_snapshot_reflects_seeding_and_delta_batches() {
         let (g, key) = key_workload();
-        let mut v = IncrementalValidator::new(g, vec![key]);
+        let mut v = IncrementalValidator::new(g, vec![key.into()]);
         assert!(v.metrics_enabled(), "instrumentation is on by default");
         let seeded = v.metrics();
         assert_eq!(seeded.batches, 0, "no batch applied yet");
@@ -1228,7 +1235,7 @@ mod tests {
             "seeding attribution sums to the seeded store"
         );
         assert_eq!(seeded.store_size, v.violation_count() as u64);
-        assert_eq!(seeded.rules[0].name, v.sigma()[0].name());
+        assert_eq!(seeded.rules[0].name, v.sigma()[0].name);
 
         let n = v.graph().nodes().next().unwrap();
         let stats = v.apply(&Delta::SetAttr {
@@ -1300,7 +1307,7 @@ mod tests {
         leaves.dedup();
         assert!(leaves.len() >= 12, "the rules have matched leaves");
 
-        let mut v = IncrementalValidator::new(g, sigma);
+        let mut v = IncrementalValidator::new(g, sigma.into_iter().map(Rule::from).collect());
         for &node in &leaves {
             let population = v.graph().nodes_with_label(v.graph().label(node)).len() as u64;
             assert!(population > 400, "a scan would be unmistakable");
@@ -1348,7 +1355,7 @@ mod tests {
         let key = plant_key_violations(&mut g, "entity", 200);
         let entities = g.nodes_with_label(sym("entity")).to_vec();
         assert_eq!(entities.len(), 400, "a scan would be unmistakable");
-        let mut v = IncrementalValidator::new(g, vec![key]);
+        let mut v = IncrementalValidator::new(g, vec![key.into()]);
         assert_eq!(v.violation_count(), 400, "200 planted pairs, both orders");
         let probe = v
             .graph()
@@ -1357,7 +1364,7 @@ mod tests {
 
         // One write each: to a fresh key (bucket of one), into a planted
         // pair's key (bucket of three), and back out again.
-        let flip = |v: &mut IncrementalValidator<Ged>, node: NodeId, value: &str| {
+        let flip = |v: &mut IncrementalValidator, node: NodeId, value: &str| {
             let before = v.metrics().rules[0].match_attempts;
             let stats = v.apply(&Delta::SetAttr {
                 node,
@@ -1401,7 +1408,7 @@ mod tests {
     /// (histograms only ever grow).
     #[test]
     fn disabled_metrics_record_nothing_and_resume_on_reenable() {
-        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         v.set_metrics_enabled(false);
         let frozen = v.metrics();
         let a = v.graph().nodes().next().unwrap();
@@ -1431,7 +1438,7 @@ mod tests {
     /// tallies diverge after the clone, starting from the same values.
     #[test]
     fn cloned_validator_does_not_share_metrics() {
-        let mut original = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut original = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         let clone = original.clone();
         assert_eq!(clone.metrics().batches, original.metrics().batches);
         let a = original.graph().nodes().next().unwrap();
@@ -1467,12 +1474,12 @@ mod tests {
     #[test]
     fn read_views_are_send_sync_and_queries_take_shared_refs() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<crate::view::ReadView<Ged>>();
-        assert_send_sync::<crate::view::ViolationSnapshot<Ged>>();
+        assert_send_sync::<crate::view::ReadView>();
+        assert_send_sync::<crate::view::ViolationSnapshot>();
         // Every logically-read-only accessor works through a shared
         // reference (this fails to compile if one regresses to &mut).
-        let v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
-        let shared: &IncrementalValidator<Ged> = &v;
+        let v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
+        let shared: &IncrementalValidator = &v;
         let _ = shared.graph();
         let _ = shared.sigma();
         let _ = shared.store();
@@ -1490,7 +1497,7 @@ mod tests {
     /// batch, with the same report the writer-side surface produces.
     #[test]
     fn read_view_tracks_batch_boundaries() {
-        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         let view = v.read_view();
         assert_eq!(view.epoch(), 0, "construction publishes epoch 0");
         assert_eq!(view.snapshot().violation_count(), 2);
@@ -1531,7 +1538,7 @@ mod tests {
     fn publish_is_correct_with_and_without_pinned_snapshots() {
         let mut g = Graph::new();
         let nodes: Vec<NodeId> = (0..6).map(|_| g.add_node(sym("t"))).collect();
-        let mut v = IncrementalValidator::new(g, vec![key_ged()]);
+        let mut v = IncrementalValidator::new(g, vec![key_rule()]);
         let view = v.read_view();
         let mut pinned = Vec::new();
         for (step, &n) in nodes.iter().enumerate() {
@@ -1574,7 +1581,7 @@ mod tests {
     /// reads epoch k with the current witnesses.
     #[test]
     fn views_taken_mid_stream_read_the_current_epoch() {
-        let mut v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         let a = v.graph().nodes().next().unwrap();
         let k = 3;
         for value in 1..=k {
@@ -1630,7 +1637,7 @@ mod tests {
     /// drop, and the view's `metrics()` reads the writer's registry.
     #[test]
     fn read_view_gauge_tracks_clones_and_drops() {
-        let v = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let v = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         assert_eq!(v.metrics().read_views, 0);
         let view = v.read_view();
         assert_eq!(v.metrics().read_views, 1);
@@ -1651,7 +1658,7 @@ mod tests {
             std::thread::spawn(move || (0..50).fold(view.clone(), |_, _| view.clone()))
         };
         let racers: Vec<_> = (0..4).map(burst).collect();
-        let kept: Vec<ReadView<Ged>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+        let kept: Vec<ReadView> = racers.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(v.metrics().read_views, extra.readers());
         assert_eq!(extra.readers(), 1 + kept.len() as u64);
         drop(kept);
@@ -1669,7 +1676,7 @@ mod tests {
     /// original, and neither side's batches move the other's views.
     #[test]
     fn cloned_validator_does_not_share_views() {
-        let mut original = IncrementalValidator::new(two_dupes(), vec![key_ged()]);
+        let mut original = IncrementalValidator::new(two_dupes(), vec![key_rule()]);
         let view = original.read_view();
         let a = original.graph().nodes().next().unwrap();
         let note = |value: i64| Delta::SetAttr {
@@ -1723,19 +1730,15 @@ mod tests {
     /// equals `validate` row by row, in Σ order, sorted by match.
     #[test]
     fn seeding_handles_empty_pattern_rules() {
-        use ged_ext::{DisjGed, SigmaConstraint};
+        use ged_core::rule::Rule;
+        use ged_ext::DisjGed;
         use ged_pattern::Pattern;
         let trivial = Ged::new("trivial", Pattern::new(), vec![], vec![]);
         // An empty disjunction is `false`: the one empty match violates.
         let forbids = DisjGed::new("∅ forbids", Pattern::new(), vec![], vec![]);
         let absent = parse_pattern("absent(x)").unwrap();
         let nobody = DisjGed::new("nobody", absent, vec![], vec![]);
-        let sigma: Vec<SigmaConstraint> = vec![
-            trivial.into(),
-            key_ged().into(),
-            forbids.into(),
-            nobody.into(),
-        ];
+        let sigma: Vec<Rule> = vec![trivial.into(), key_rule(), forbids.into(), nobody.into()];
         let full = ged_core::reason::validate(&two_dupes(), &sigma, None);
         let v = IncrementalValidator::new(two_dupes(), sigma);
         assert_eq!(v.violation_count(), 3, "two key witnesses and the ∅ rule's");
@@ -1771,7 +1774,7 @@ mod tests {
     fn unit_times_sum_to_their_phase() {
         let (g, sigma) = ged_datagen::random::evolving_workload(300, 3, 3, 5);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut v = IncrementalValidator::new(g, sigma);
+        let mut v = IncrementalValidator::new(g, sigma.into_iter().map(Rule::from).collect());
         let sums = |m: &MetricsSnapshot| {
             let reenum: u64 = m.rules.iter().map(|r| r.reenum_ns).sum();
             let seed: u64 = m.rules.iter().map(|r| r.seed_ns).sum();
@@ -1816,7 +1819,7 @@ mod tests {
             vec![],
             vec![Literal::constant(Var(0), sym("note"), 0)],
         );
-        let mut v = IncrementalValidator::new(g, vec![key_ged(), noted]);
+        let mut v = IncrementalValidator::new(g, vec![key_rule(), noted.into()]);
         let mut batch = DeltaSet::new();
         for &node in &nodes {
             for value in [1, 2] {

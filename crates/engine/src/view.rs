@@ -58,8 +58,9 @@
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::store::{StoreChange, Witnesses};
-use ged_core::constraint::{Constraint, ViolationKind};
+use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
+use ged_core::rule::Rule;
 use ged_graph::NodeId;
 use ged_pattern::Match;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -263,20 +264,20 @@ impl SharedViews {
 /// Violation queries go through [`ReadView::snapshot`], which pins one
 /// batch boundary — never a torn state: the publish step runs inside
 /// `maintain`, after the store is fully maintained.
-pub struct ReadView<C: Constraint> {
-    sigma: Arc<Vec<C>>,
+pub struct ReadView {
+    sigma: Arc<Vec<Rule>>,
     views: Arc<SharedViews>,
     metrics: Arc<EngineMetrics>,
 }
 
-impl<C: Constraint> ReadView<C> {
+impl ReadView {
     /// Build and register a handle (crate-internal; users go through
     /// `IncrementalValidator::read_view`).
     pub(crate) fn register(
-        sigma: Arc<Vec<C>>,
+        sigma: Arc<Vec<Rule>>,
         views: Arc<SharedViews>,
         metrics: Arc<EngineMetrics>,
-    ) -> ReadView<C> {
+    ) -> ReadView {
         views.readers.fetch_add(1, Ordering::AcqRel);
         ReadView {
             sigma,
@@ -288,7 +289,7 @@ impl<C: Constraint> ReadView<C> {
     /// Pin the current published snapshot: epoch and violation data are
     /// read atomically together, so every query on the returned
     /// [`ViolationSnapshot`] answers against the same batch boundary.
-    pub fn snapshot(&self) -> ViolationSnapshot<C> {
+    pub fn snapshot(&self) -> ViolationSnapshot {
         ViolationSnapshot {
             sigma: Arc::clone(&self.sigma),
             store: self.views.load(),
@@ -339,10 +340,10 @@ impl<C: Constraint> ReadView<C> {
     }
 }
 
-impl<C: Constraint> Clone for ReadView<C> {
+impl Clone for ReadView {
     /// Cloning registers another live handle (the `read_views` gauge
     /// reads the count); the clone reads the same published snapshots.
-    fn clone(&self) -> ReadView<C> {
+    fn clone(&self) -> ReadView {
         ReadView::register(
             Arc::clone(&self.sigma),
             Arc::clone(&self.views),
@@ -351,13 +352,13 @@ impl<C: Constraint> Clone for ReadView<C> {
     }
 }
 
-impl<C: Constraint> Drop for ReadView<C> {
+impl Drop for ReadView {
     fn drop(&mut self) {
         self.views.readers.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-impl<C: Constraint> std::fmt::Debug for ReadView<C> {
+impl std::fmt::Debug for ReadView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadView")
             .field("epoch", &self.epoch())
@@ -370,13 +371,14 @@ impl<C: Constraint> std::fmt::Debug for ReadView<C> {
 /// read together under the front lock, so every query on this value
 /// answers against the same batch boundary, however long it is held and
 /// however many batches the writer publishes meanwhile.
-pub struct ViolationSnapshot<C: Constraint> {
-    sigma: Arc<Vec<C>>,
+#[derive(Clone)]
+pub struct ViolationSnapshot {
+    sigma: Arc<Vec<Rule>>,
     store: Arc<Published>,
     views: Arc<SharedViews>,
 }
 
-impl<C: Constraint> ViolationSnapshot<C> {
+impl ViolationSnapshot {
     /// The batch boundary this snapshot corresponds to (number of batches
     /// published since the validator was built).
     pub fn epoch(&self) -> u64 {
@@ -474,12 +476,12 @@ impl<C: Constraint> ViolationSnapshot<C> {
             let stale = (0..self.sigma.len()).filter(|&ci| memoised(&memo, ci, table).is_none());
             let widest = stale.map(|ci| table.count_for(ci)).max().unwrap_or(0);
             let mut entries = Vec::with_capacity(widest);
-            let render = |(ci, rule): (usize, &C)| {
+            let render = |(ci, rule): (usize, &Rule)| {
                 if let Some(bytes) = memoised(&memo, ci, table) {
                     return Arc::clone(bytes);
                 }
                 table.sorted(ci, &mut entries);
-                let bytes: Segment = segment(rule.name(), RuleWitnesses(entries.iter())).into();
+                let bytes: Segment = segment(&rule.name, RuleWitnesses(entries.iter())).into();
                 self.views.rule_renders.fetch_add(1, Ordering::Relaxed);
                 // A reader of an older epoch does not evict a newer rule.
                 let stamp = table.stamp(ci);
@@ -495,17 +497,7 @@ impl<C: Constraint> ViolationSnapshot<C> {
     }
 }
 
-impl<C: Constraint> Clone for ViolationSnapshot<C> {
-    fn clone(&self) -> ViolationSnapshot<C> {
-        ViolationSnapshot {
-            sigma: Arc::clone(&self.sigma),
-            store: Arc::clone(&self.store),
-            views: Arc::clone(&self.views),
-        }
-    }
-}
-
-impl<C: Constraint> std::fmt::Debug for ViolationSnapshot<C> {
+impl std::fmt::Debug for ViolationSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViolationSnapshot")
             .field("epoch", &self.store.epoch)

@@ -5,7 +5,7 @@
 //! at least one literal of `Y`. GED∨s subsume GEDs (a conjunctive `Y`
 //! becomes one single-literal GED∨ per conclusion) and can express domain
 //! constraints GEDs cannot (Example 10). Validation stays coNP-complete
-//! (a GED∨ is served compiled into [`crate::SigmaConstraint`]);
+//! (a GED∨ is served compiled into [`Rule`](ged_core::rule::Rule));
 //! satisfiability/implication jump to Σᵖ₂ / Πᵖ₂ (Theorem 9) — see
 //! [`crate::reason`].
 
@@ -69,14 +69,14 @@ impl DisjGed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SigmaConstraint;
+    use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::{sym, Graph, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
 
     /// Example 10: ψ: Qe[x](∅ → x.A = 0 ∨ x.A = 1) — a Boolean domain
     /// constraint, not expressible as a (conjunctive) GED.
-    fn boolean_domain() -> SigmaConstraint {
+    fn boolean_domain() -> Rule {
         let q = parse_pattern("τ(x)").unwrap();
         DisjGed::new(
             "ψ",
@@ -130,7 +130,7 @@ mod tests {
         );
         let split = DisjGed::from_ged(&ged);
         assert_eq!(split.len(), 2);
-        let split: Vec<SigmaConstraint> = split.into_iter().map(Into::into).collect();
+        let split: Vec<Rule> = split.into_iter().map(Into::into).collect();
         for g_data in [
             {
                 // violates the B half only
@@ -150,7 +150,7 @@ mod tests {
                 b.build()
             },
         ] {
-            let ged_ok = satisfies(&g_data, &ged);
+            let ged_ok = satisfies(&g_data, &Rule::from(ged.clone()));
             let split_ok = satisfies_all(&g_data, &split);
             assert_eq!(ged_ok, split_ok);
         }
@@ -160,7 +160,7 @@ mod tests {
     fn empty_disjunction_is_false() {
         // Q(∅ → ∅) as a GED∨ forbids the pattern entirely.
         let q = parse_pattern("bad(x)").unwrap();
-        let d = SigmaConstraint::from(DisjGed::new("forbid", q, vec![], vec![]));
+        let d = Rule::from(DisjGed::new("forbid", q, vec![], vec![]));
         let mut b = GraphBuilder::new();
         b.node("x", "bad");
         assert!(!satisfies(&b.build(), &d));
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn one_satisfied_disjunct_suffices() {
         let q = parse_pattern("t(x)").unwrap();
-        let d = SigmaConstraint::from(DisjGed::new(
+        let d = Rule::from(DisjGed::new(
             "d",
             q,
             vec![],

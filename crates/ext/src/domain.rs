@@ -12,9 +12,9 @@
 //!   `∅ → x.A = v1 ∨ … ∨ x.A = vk`.
 
 use crate::disj::DisjGed;
-use crate::gdc::{Gdc, GdcLiteral};
-use crate::predicate::Pred;
+use crate::gdc::Gdc;
 use ged_core::literal::Literal;
+use ged_core::rule::{GdcLiteral, Pred};
 use ged_graph::{Symbol, Value};
 use ged_pattern::{Pattern, Var};
 
@@ -69,7 +69,7 @@ pub fn boolean_domain_as_disj(label: &str, attr: &str) -> DisjGed {
 mod tests {
     use super::*;
     use crate::reason::{disj_satisfiable, gdc_satisfiable};
-    use crate::SigmaConstraint;
+    use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::GraphBuilder;
 
@@ -86,8 +86,8 @@ mod tests {
     fn gdc_and_disj_formulations_agree_on_validation() {
         let dom = [Value::from(0), Value::from(1)];
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-        let pair: [SigmaConstraint; 2] = [phi1.into(), phi2.into()];
-        let psi = SigmaConstraint::from(domain_as_disj("τ", "A", &dom));
+        let pair: [Rule; 2] = [phi1.into(), phi2.into()];
+        let psi = Rule::from(domain_as_disj("τ", "A", &dom));
         for (g, expect) in [
             (node_with(Some(0)), true),
             (node_with(Some(1)), true),
@@ -103,14 +103,8 @@ mod tests {
     fn missing_attribute_violates_gdc_pair_via_phi1() {
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &[Value::from(0)]);
         let g = node_with(None);
-        assert!(
-            !satisfies(&g, &SigmaConstraint::from(phi1)),
-            "existence half"
-        );
-        assert!(
-            satisfies(&g, &SigmaConstraint::from(phi2)),
-            "domain half vacuous"
-        );
+        assert!(!satisfies(&g, &Rule::from(phi1)), "existence half");
+        assert!(satisfies(&g, &Rule::from(phi2)), "domain half vacuous");
     }
 
     #[test]
@@ -124,7 +118,7 @@ mod tests {
     #[test]
     fn singleton_domain_pins_the_value() {
         let psi = domain_as_disj("τ", "A", &[Value::from(3)]);
-        let served = SigmaConstraint::from(psi.clone());
+        let served = Rule::from(psi.clone());
         assert!(satisfies(&node_with(Some(3)), &served));
         assert!(!satisfies(&node_with(Some(4)), &served));
         assert!(disj_satisfiable(&[psi]));
@@ -132,7 +126,7 @@ mod tests {
 
     #[test]
     fn boolean_shorthand() {
-        let psi = SigmaConstraint::from(boolean_domain_as_disj("account", "is_fake"));
+        let psi = Rule::from(boolean_domain_as_disj("account", "is_fake"));
         let mut b = GraphBuilder::new();
         b.node("a", "account");
         b.attr("a", "is_fake", 1);

@@ -13,18 +13,16 @@
 //!   (Theorems 8 & 9: Σᵖ₂-complete / Πᵖ₂-complete — the procedures here
 //!   are correspondingly exponential); validation stays coNP, same engine
 //!   shape as GEDs;
-//! * [`solver`] — the dense-order constraint oracle under the search;
 //! * [`domain`] — the Example 9/10 domain-constraint helpers;
-//! * [`sigma`] — [`SigmaConstraint`], the one served rule form: premises
-//!   plus conclusion options, which every GED, GDC and GED∨ compiles into
-//!   by `From` at load.
+//! * [`sigma`] — `From<Gdc>` and `From<DisjGed>` for `ged_core::rule::Rule`,
+//!   the one rule type every GED, GDC and GED∨ compiles into at load.
 //!
-//! Every family is served through the unified constraint layer
-//! (`ged_core::constraint`) in that one form: enumeration and validation
-//! are the generic `ged_core::satisfy::{violations, satisfies,
-//! satisfies_all}` and `ged_core::reason::validate`, and one
-//! `Vec<SigmaConstraint>` — and one engine instance — serves a
-//! heterogeneous Σ mixing all of them.
+//! The literal language — [`GdcLiteral`], [`Pred`] and the dense-order
+//! solver under the search — lives in `ged-core` beside `Rule`, and every
+//! family is served in that one form: enumeration and validation are
+//! `ged_core::satisfy::{violations, satisfies, satisfies_all}` and
+//! `ged_core::reason::validate`, and one `Vec<Rule>` — and one engine
+//! instance — serves a heterogeneous Σ mixing all of them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,27 +31,29 @@
 pub mod disj;
 pub mod domain;
 pub mod gdc;
-pub mod predicate;
 pub mod reason;
 pub mod sigma;
-pub mod solver;
 
 pub use disj::DisjGed;
-pub use gdc::{premises_feasible, Gdc, GdcLiteral};
-pub use predicate::Pred;
+pub use gdc::Gdc;
+pub use ged_core::rule::{GdcLiteral, Pred};
 pub use reason::{disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable};
-pub use sigma::SigmaConstraint;
+
+/// The one rule type under its earlier name, kept for the standalone
+/// benchmark; everything in this workspace names `ged_core::rule::Rule`.
+pub use ged_core::rule::Rule as SigmaConstraint;
 
 #[cfg(test)]
 mod mixed_sigma {
     use super::*;
-    use ged_core::constraint::{Constraint, ViolationKind};
+    use ged_core::constraint::ViolationKind;
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
+    use ged_core::rule::Rule;
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
 
-    /// One `Vec<SigmaConstraint>` holds all three families, and the generic
+    /// One `Vec<Rule>` holds all three families, and the generic
     /// enumerator gives each witness the one kind shape: the positions of
     /// the failed conclusion literals — the GED's one conclusion, both
     /// literals of the GDC's forbidding pair, every disjunct of the GED∨,
@@ -67,8 +67,8 @@ mod mixed_sigma {
             vec![Literal::constant(Var(0), sym("flagged"), 1)],
             vec![Literal::constant(Var(0), sym("reviewed"), 1)],
         );
-        let sigma: Vec<SigmaConstraint> = vec![
-            ged.clone().into(),
+        let sigma: Vec<Rule> = vec![
+            ged.into(),
             Gdc::forbidding(
                 "score≤10",
                 q(),
@@ -88,7 +88,7 @@ mod mixed_sigma {
             DisjGed::new("never-τ", q(), vec![], vec![]).into(),
         ];
         assert_eq!(
-            sigma.iter().map(Constraint::name).collect::<Vec<_>>(),
+            sigma.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
             ["flagged⇒reviewed", "score≤10", "state∈{on,off}", "never-τ"]
         );
 
@@ -107,7 +107,6 @@ mod mixed_sigma {
             .collect();
         assert_eq!(kinds, [&[0][..], &[0, 1], &[0, 1], &[]]);
         let m = [names["n"]];
-        assert_eq!(sigma[0].check(&g, &m), ged.check(&g, &m), "as `Ged` says");
         assert_eq!(sigma[3].check(&g, &m), Some(ViolationKind::default()));
     }
 }
@@ -117,6 +116,7 @@ mod proptests {
     use super::*;
     use ged_core::ged::Ged;
     use ged_core::literal::Literal;
+    use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
@@ -158,9 +158,9 @@ mod proptests {
                 vec![Literal::constant(Var(0), sym("A"), thr)],
                 vec![Literal::constant(Var(0), sym("B"), 1)],
             );
-            let gdc = SigmaConstraint::from(Gdc::from_ged(&ged));
+            let gdc = Rule::from(Gdc::from_ged(&ged));
             prop_assert_eq!(
-                satisfies(&g, &ged),
+                satisfies(&g, &Rule::from(ged)),
                 satisfies(&g, &gdc)
             );
         }
@@ -177,10 +177,10 @@ mod proptests {
                     Literal::vars(Var(0), sym("B"), Var(1), sym("B")),
                 ],
             );
-            let split: Vec<SigmaConstraint> =
+            let split: Vec<Rule> =
                 DisjGed::from_ged(&ged).into_iter().map(Into::into).collect();
             prop_assert_eq!(
-                satisfies(&g, &ged),
+                satisfies(&g, &Rule::from(ged)),
                 satisfies_all(&g, &split)
             );
         }
@@ -208,7 +208,7 @@ mod proptests {
             // lo ≤ hi → window nonempty → satisfiable; lo > hi → unsat.
             prop_assert_eq!(sat, lo <= hi);
             if !sat && !g.nodes_with_label(sym("τ")).is_empty() {
-                let served = sigma.map(SigmaConstraint::from);
+                let served = sigma.map(Rule::from);
                 prop_assert!(!satisfies_all(&g, &served));
             }
         }

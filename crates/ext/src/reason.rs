@@ -16,14 +16,14 @@
 //! holds", where atoms are order constraints over attribute *slots* and
 //! constants, and premise atoms may also fail by the slot being absent
 //! (schemaless graphs!). A DFS over clause choices with the order solver
-//! of [`crate::solver`] as the leaf oracle decides it. The procedure is
+//! of `ged_core::solver` as the leaf oracle decides it. The procedure is
 //! exponential in the input — as it must be: the problems are
 //! Σᵖ₂-/Πᵖ₂-complete.
 
 use crate::disj::DisjGed;
-use crate::gdc::{Gdc, GdcLiteral};
-use crate::sigma::SigmaConstraint;
-use crate::solver::{consistent, Constraint, Term};
+use crate::gdc::Gdc;
+use ged_core::rule::{GdcLiteral, Rule};
+use ged_core::solver::{consistent, Constraint, Term};
 use ged_graph::{Graph, NodeId, Symbol};
 use ged_pattern::{MatchOptions, Matcher, Pattern};
 use std::collections::BTreeSet;
@@ -104,7 +104,7 @@ struct Clause {
 /// Build the clause set for `sigma` over candidate structure `g`.
 /// Returns `None` if some clause is already unsatisfiable structurally
 /// (no premises to fail and no viable option).
-fn clauses_for(sigma: &[SigmaConstraint], g: &Graph) -> Option<Vec<Clause>> {
+fn clauses_for(sigma: &[Rule], g: &Graph) -> Option<Vec<Clause>> {
     let mut clauses = Vec::new();
     for nc in sigma {
         let mut dead = false;
@@ -315,7 +315,7 @@ fn canonical(patterns: &[&Pattern]) -> Graph {
 
 /// Decide satisfiability of a set of compiled rules (the engine behind
 /// [`gdc_satisfiable`] and [`disj_satisfiable`]; Σᵖ₂ in general).
-pub fn ext_satisfiable(sigma: &[SigmaConstraint]) -> bool {
+pub fn ext_satisfiable(sigma: &[Rule]) -> bool {
     if sigma.is_empty() {
         return true;
     }
@@ -336,8 +336,8 @@ pub fn disj_satisfiable(sigma: &[DisjGed]) -> bool {
     ext_satisfiable(&compile(sigma))
 }
 
-/// Σ in the served form the searches run on.
-fn compile<C: Clone + Into<SigmaConstraint>>(sigma: &[C]) -> Vec<SigmaConstraint> {
+/// Σ compiled into the `Rule`s the searches run on.
+fn compile<C: Clone + Into<Rule>>(sigma: &[C]) -> Vec<Rule> {
     sigma.iter().cloned().map(Into::into).collect()
 }
 
@@ -346,7 +346,7 @@ fn compile<C: Clone + Into<SigmaConstraint>>(sigma: &[C]) -> Vec<SigmaConstraint
 /// quotient map with `X` true and the conclusion refuted? `refute`
 /// produces, per quotient match, the clause encodings of `¬Y` choices.
 fn has_countermodel(
-    sigma: &[SigmaConstraint],
+    sigma: &[Rule],
     phi_pattern: &Pattern,
     phi_premises: &[GdcLiteral],
     phi_options: &[Vec<GdcLiteral>],
@@ -473,16 +473,15 @@ pub fn gdc_implies(sigma: &[Gdc], phi: &Gdc) -> bool {
 /// Implication `Σ ⊨ ψ` for GED∨s (Theorem 9: Πᵖ₂-complete): the
 /// countermodel must refute EVERY disjunct at the witness match.
 pub fn disj_implies(sigma: &[DisjGed], phi: &DisjGed) -> bool {
-    let phi = SigmaConstraint::from(phi.clone());
+    let phi = Rule::from(phi.clone());
     !has_countermodel(&compile(sigma), &phi.pattern, &phi.premises, &phi.options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gdc::GdcLiteral;
-    use crate::predicate::Pred;
     use ged_core::literal::Literal;
+    use ged_core::rule::Pred;
     use ged_graph::sym;
     use ged_pattern::{parse_pattern, Var};
 

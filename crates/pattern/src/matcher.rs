@@ -1000,7 +1000,7 @@ mod tests {
         assert_eq!(planned(&plan, &q, &g), vec![vec![a]], "1.0 matches 1");
     }
 
-    /// `require_attr_eq` is a join filter with `literal_holds` semantics:
+    /// `require_attr_eq` is a join filter with an `=` literal's semantics:
     /// both attributes present and `Value`-equal, checked when the second
     /// variable is assigned — from whichever side the search arrives —
     /// and on the candidate itself for a same-variable obligation.

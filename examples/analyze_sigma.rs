@@ -30,7 +30,7 @@ fn main() {
     // Two unconditional rules force every user's `plan` to "free" AND to
     // "pro": the chase of the canonical graph derives a conflict, so the
     // analyzer reports an Error and `with_analysis` refuses to build.
-    let contradictory: Vec<Ged> = vec![
+    let contradictory: Vec<Rule> = [
         Ged::new(
             "plan:default-free",
             q1(),
@@ -43,7 +43,9 @@ fn main() {
             vec![],
             vec![Literal::constant(Var(0), sym("plan"), "pro")],
         ),
-    ];
+    ]
+    .map(Rule::from)
+    .into();
     let report = analyze(&contradictory);
     println!("-- analyzing the contradictory Σ --");
     println!("{report}");
@@ -63,7 +65,7 @@ fn main() {
     // Three rules: watchers get flagged (0), flagged users get reviewed
     // (1), and the transitive composition of the two (2) — implied, so
     // the chase-based minimization proves it prunable.
-    let redundant: Vec<Ged> = vec![
+    let redundant: Vec<Rule> = [
         Ged::new(
             "watch:flag",
             q2(),
@@ -82,7 +84,9 @@ fn main() {
             vec![Literal::constant(Var(0), sym("status"), "suspect")],
             vec![Literal::constant(Var(1), sym("review"), 1)],
         ),
-    ];
+    ]
+    .map(Rule::from)
+    .into();
     println!("-- analyzing the redundant Σ --");
     println!("{}", analyze(&redundant));
 

@@ -25,7 +25,7 @@ fn main() {
         ..Default::default()
     };
     let mut g = random_graph(&cfg);
-    let sigma = vec![plant_key_violations(&mut g, "entity", 40)];
+    let sigma = vec![Rule::from(plant_key_violations(&mut g, "entity", 40))];
     let mut v = IncrementalValidator::new(g, sigma);
 
     // The validator published its seeded store as epoch 0 when it was

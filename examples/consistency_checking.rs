@@ -34,6 +34,8 @@ fn main() {
         println!("  {g}");
     }
 
+    // Each GED is checked in its compiled form, `Rule`.
+    let sigma: Vec<Rule> = sigma.into_iter().map(Rule::from).collect();
     let report = validate(&inst.graph, &sigma, None);
     println!("\nvalidation report:");
     // φ2 yields two symmetric matches per two-capital country.

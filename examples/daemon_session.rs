@@ -3,8 +3,8 @@
 //! health → report → apply → query → metrics → shutdown — the same loop
 //! `gedctl` runs from the command line.
 //!
-//! The daemon owns an `IncrementalValidator<SigmaConstraint>` behind one
-//! lock that each `apply` takes on its connection's own thread; every
+//! The daemon owns an `IncrementalValidator` over a `Vec<Rule>` behind
+//! one lock that each `apply` takes on its connection's own thread; every
 //! query here is answered from a snapshot-isolated `ReadView` on that
 //! thread without the lock, so the
 //! epochs printed below are exact batch boundaries, never torn states.

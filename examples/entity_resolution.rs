@@ -30,8 +30,9 @@ fn main() {
         println!("  {k}");
     }
 
-    // The raw graph violates the keys.
-    let report = validate(&inst.graph, &keys, Some(3));
+    // The raw graph violates the keys, each checked in its compiled form.
+    let served: Vec<Rule> = keys.iter().cloned().map(Rule::from).collect();
+    let report = validate(&inst.graph, &served, Some(3));
     println!(
         "\nbefore resolution: satisfied = {}, violated = {:?}",
         report.satisfied(),
@@ -59,7 +60,7 @@ fn main() {
                 inst.graph.node_count() - 2 * inst.dupes.len()
             );
             // The resolved graph satisfies the keys.
-            let after = validate(&coercion.graph, &keys, Some(1));
+            let after = validate(&coercion.graph, &served, Some(1));
             println!("after resolution: satisfied = {}", after.satisfied());
             // Demonstrate the recursion: pick the first cluster and show
             // that BOTH the albums and the artists merged.

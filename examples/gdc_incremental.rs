@@ -1,9 +1,9 @@
-//! The generic incremental engine over a GDC workload.
+//! The incremental engine over a GDC workload.
 //!
 //! GDCs (Section 7.1) extend GEDs with built-in predicates `<, >, ≤, ≥, ≠`
-//! over the dense order of constants. Compiled into the served rule form
-//! `SigmaConstraint`, they are members of the unified constraint layer,
-//! so the delta-driven, output-sensitive `IncrementalValidator` maintains
+//! over the dense order of constants. Compiled into the one rule type
+//! `Rule`, as every GED is, they are served by the same engine: the
+//! delta-driven, output-sensitive `IncrementalValidator` maintains
 //! their violation set exactly as it does for plain GEDs — same store,
 //! same affected-area recomputation, same seeding.
 //!
@@ -27,16 +27,16 @@ fn main() {
         ..Default::default()
     };
     let w = social_gdcs(&cfg, 3, 42);
-    let sigma: Vec<SigmaConstraint> = w.sigma.into_iter().map(Into::into).collect();
+    let sigma: Vec<Rule> = w.sigma.into_iter().map(Into::into).collect();
     println!(
         "graph: {} nodes; Σ = {:?} (total size {})",
         w.graph.node_count(),
         sigma.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
-        constraint_sigma_size(&sigma),
+        sigma.iter().map(Rule::size).sum::<usize>(),
     );
 
-    // 2. Seed the generic incremental validator — one full (parallel)
-    //    validation pass, then the store is maintained under deltas.
+    // 2. Seed the incremental validator — one full validation pass,
+    //    then the store is maintained under deltas.
     let graph = w.graph.clone();
     let mut v = IncrementalValidator::new(w.graph, sigma.clone());
     println!(

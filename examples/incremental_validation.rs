@@ -33,7 +33,7 @@ fn main() {
 
     // 2. Seed the incremental validator: one full validation, then the
     //    store is maintained under deltas.
-    let mut v = IncrementalValidator::new(graph, vec![phi1]);
+    let mut v = IncrementalValidator::new(graph, vec![phi1.into()]);
     let seeding = v.metrics();
     let took = seeding
         .phase(Phase::Seeding)
@@ -117,7 +117,7 @@ fn timing_comparison() {
     };
     let mut g = random_graph(&cfg);
     let key = plant_key_violations(&mut g, "entity", 40);
-    let sigma = vec![key];
+    let sigma = vec![Rule::from(key)];
     let nodes: Vec<NodeId> = g.nodes().collect();
 
     let deltas: Vec<Delta> = (0..200)

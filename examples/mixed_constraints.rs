@@ -2,17 +2,15 @@
 //!
 //! The paper's pitch is that GEDs, GDCs (Section 7.1), and GED∨
 //! (Section 7.2) are *one* class of dependencies over one graph model.
-//! `SigmaConstraint` makes that literal: each rule — whatever its family —
+//! `Rule` makes that literal: each rule — whatever its family —
 //! compiles into the same form, premises plus conclusion options (a GED
 //! or a GDC is one conjunctive option, a GED∨ one option per disjunct), a
-//! heterogeneous Σ is just `Vec<SigmaConstraint>`, and a single
-//! `IncrementalValidator<SigmaConstraint>` maintains the whole rule set
-//! under deltas with one per-match check. Every violation reports the
-//! same kind of thing: the positions of its rule's failed conclusion
-//! literals (`[0]` for the GED here, both literals of the GDC's `false`
-//! pair, all three disjuncts of the GED∨). A family beyond the paper's
-//! implements `Constraint` and runs as its own `IncrementalValidator<C>`
-//! — the engines are generic.
+//! heterogeneous Σ is just `Vec<Rule>`, and a single
+//! `IncrementalValidator` maintains the whole rule set under deltas with
+//! one per-match check. Every violation reports the same kind of thing:
+//! the positions of its rule's failed conclusion literals (`[0]` for the
+//! GED here, both literals of the GDC's `false` pair, all three disjuncts
+//! of the GED∨).
 //!
 //! Run with `cargo run --release --example mixed_constraints`.
 
@@ -25,7 +23,7 @@ fn main() {
     //   φ3 (GED∨): the tier lives in the domain {free, pro, biz}.
     let q = parse_pattern("account(x)").unwrap();
     let x = Var(0);
-    let sigma: Vec<SigmaConstraint> = vec![
+    let sigma: Vec<Rule> = vec![
         Ged::new(
             "verified⇒real",
             q.clone(),
@@ -52,8 +50,8 @@ fn main() {
     ];
     println!(
         "Σ = {:?} (mixed families, total size {})",
-        sigma.iter().map(Constraint::name).collect::<Vec<_>>(),
-        constraint_sigma_size(&sigma),
+        sigma.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+        sigma.iter().map(Rule::size).sum::<usize>(),
     );
 
     // A tiny account graph with one violation per family.

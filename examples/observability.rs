@@ -31,7 +31,7 @@ fn main() {
         q,
         vec![GdcLiteral::constant(Var(0), sym("weight"), Pred::Gt, 1_000)],
     );
-    let sigma: Vec<SigmaConstraint> = vec![key.into(), cap.into()];
+    let sigma: Vec<Rule> = vec![key.into(), cap.into()];
 
     let mut v = IncrementalValidator::new(g, sigma);
     let seeded = v.metrics();

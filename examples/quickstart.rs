@@ -44,8 +44,11 @@ fn main() {
     println!("{psi2}");
 
     // 4. Validation (Section 5.3): find the violations.
+    // Each GED is checked in its compiled form, `Rule`; the chase and
+    // the reasoning procedures take the GEDs themselves.
     let sigma = vec![phi1, psi2];
-    let report = validate(&graph, &sigma, None);
+    let served: Vec<Rule> = sigma.iter().cloned().map(Rule::from).collect();
+    let report = validate(&graph, &served, None);
     println!(
         "validation: satisfied = {}, violated rules = {:?}",
         report.satisfied(),
@@ -90,6 +93,6 @@ fn main() {
     let model = build_model(&sigma).expect("Σ is satisfiable");
     println!(
         "model of Σ: {model} (is_model = {})",
-        is_model(&model, &sigma)
+        is_model(&model, &served)
     );
 }

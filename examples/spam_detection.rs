@@ -36,7 +36,7 @@ fn main() {
     let newly = spam_cascade(&mut g, cfg.k, &cfg.keyword);
     println!("cascade marked {newly} additional accounts");
     println!("fake accounts after the cascade: {}", count_fakes(&g));
-    assert!(satisfies(&g, &rule), "fixpoint: φ5 now satisfied");
+    assert!(satisfies(&g, &rule.into()), "fixpoint: φ5 now satisfied");
     println!("φ5 satisfied at fixpoint: true");
 
     // Ground truth check: exactly the planted chain, nothing else.

@@ -30,12 +30,13 @@ pub mod prelude {
         prove_augmentation, prove_reflexivity, prove_transitivity, ProofBuilder,
     };
     pub use ged_core::chase::{chase, chase_from, chase_random, ChaseResult};
-    pub use ged_core::constraint::{constraint_sigma_size, Constraint, LiteralView, ViolationKind};
+    pub use ged_core::constraint::ViolationKind;
     pub use ged_core::ged::{Ged, GedClass};
     pub use ged_core::literal::Literal;
     pub use ged_core::reason::{
         build_model, implies, is_satisfiable, minimize, validate, Validator,
     };
+    pub use ged_core::rule::Rule;
     pub use ged_core::satisfy::{is_model, satisfies, satisfies_all, violations};
     pub use ged_engine::{
         ApplyStats, DeployAnalysis, IncrementalValidator, MetricsSnapshot, Phase, ReadView,
@@ -43,7 +44,7 @@ pub mod prelude {
     };
     pub use ged_ext::{
         disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, DisjGed, Gdc, GdcLiteral,
-        Pred, SigmaConstraint,
+        Pred,
     };
     pub use ged_graph::{
         sym, Delta, DeltaEffect, DeltaSet, Graph, GraphBuilder, NodeId, Symbol, Value,
@@ -59,6 +60,6 @@ mod tests {
         use crate::prelude::*;
         let q = parse_pattern("t(x)").unwrap();
         let g = Ged::new("g", q, vec![], vec![]);
-        assert!(satisfies(&Graph::new(), &g));
+        assert!(satisfies(&Graph::new(), &Rule::from(g)));
     }
 }

@@ -27,57 +27,41 @@ use std::collections::BTreeSet;
 
 #[path = "support/lockstep.rs"]
 mod lockstep;
-use lockstep::witnesses;
+use lockstep::{served, witnesses};
 
-/// Assert a workload Σ deploys clean, compiled into the served form: the
-/// analyzer may note stylistic facts (disconnected GKey patterns, wildcard
-/// labels) but must not error.
-fn assert_no_errors<C: Clone + Into<SigmaConstraint>>(what: &str, sigma: &[C]) {
-    let served: Vec<SigmaConstraint> = sigma.iter().cloned().map(Into::into).collect();
-    let report = analyze(&served);
-    assert!(
-        !report.has_errors(),
-        "workload {what} should analyze clean, got:\n{report}"
-    );
-}
-
-#[test]
-fn every_datagen_workload_sigma_analyzes_without_errors() {
+/// Every datagen workload Σ, compiled into `Rule`s: the paper's
+/// Example 3 rule sets, the coloring reductions (their disconnected GKey
+/// patterns are a Note by design — the disjoint copy construction), the
+/// GDC, GED∨ and mixed families, the random harness Σ (a planted key plus
+/// random rules) and the `redundant` workload with its planted findings.
+fn datagen_sigmas() -> Vec<(&'static str, Vec<Rule>)> {
     let scfg = SocialConfig {
         n_honest: 30,
         ..Default::default()
     };
     let kcfg = KbConfig::default();
-
-    // Example 3 rule sets (social / kb / music).
-    assert_no_errors(
-        "example-3",
-        &[
-            rules::phi1(),
-            rules::phi2(),
-            rules::phi3(),
-            rules::phi4(),
-            rules::phi5(3, "c"),
-        ],
-    );
-    assert_no_errors("kb", &rules::kb_rules());
-    assert_no_errors("music-keys", &rules::music_keys());
-
-    // Coloring reductions (disconnected GKey patterns are a Note by
-    // design — the disjoint copy construction).
-    for inst in [ColoringInstance::complete(3), ColoringInstance::cycle(5)] {
-        assert_no_errors("coloring-gfdx", &[validation_gfdx(&inst).1]);
-        assert_no_errors("coloring-gkey", &[validation_gkey(&inst).1]);
-    }
-
-    // GDC, GED∨, and mixed families.
-    assert_no_errors("social-gdc", &social_gdcs(&scfg, 3, 11).sigma);
-    assert_no_errors("kb-gdc", &kb_gdcs(&kcfg, 3, 12).sigma);
-    assert_no_errors("social-disj", &social_disj(&scfg, 2, 2, 13).sigma);
-    assert_no_errors("kb-disj", &kb_disj(&kcfg, 2, 14).sigma);
-    assert_no_errors("social-mixed", &social_mixed(&scfg, 3, 15).sigma);
-
-    // The random harness Σ (planted key + random rules).
+    let example3 = [
+        rules::phi1(),
+        rules::phi2(),
+        rules::phi3(),
+        rules::phi4(),
+        rules::phi5(3, "c"),
+    ];
+    let (k3, c5) = (ColoringInstance::complete(3), ColoringInstance::cycle(5));
+    let mut out = vec![
+        ("example-3", served(example3)),
+        ("kb", served(rules::kb_rules())),
+        ("music-keys", served(rules::music_keys())),
+        ("coloring-gfdx K3", served([validation_gfdx(&k3).1])),
+        ("coloring-gkey K3", served([validation_gkey(&k3).1])),
+        ("coloring-gfdx C5", served([validation_gfdx(&c5).1])),
+        ("coloring-gkey C5", served([validation_gkey(&c5).1])),
+        ("social-gdc", served(social_gdcs(&scfg, 3, 11).sigma)),
+        ("kb-gdc", served(kb_gdcs(&kcfg, 3, 12).sigma)),
+        ("social-disj", served(social_disj(&scfg, 2, 2, 13).sigma)),
+        ("kb-disj", served(kb_disj(&kcfg, 2, 14).sigma)),
+        ("social-mixed", social_mixed(&scfg, 3, 15).sigma),
+    ];
     let cfg = RandomGraphConfig {
         n_nodes: 80,
         n_edges: 240,
@@ -85,9 +69,48 @@ fn every_datagen_workload_sigma_analyzes_without_errors() {
         ..Default::default()
     };
     let mut g = random_graph(&cfg);
-    let mut sigma = vec![plant_key_violations(&mut g, "entity", 5)];
-    sigma.extend(random_sigma(4, 3, &cfg));
-    assert_no_errors("random", &sigma);
+    let mut random = vec![plant_key_violations(&mut g, "entity", 5)];
+    random.extend(random_sigma(4, 3, &cfg));
+    out.push(("random", served(random)));
+    out.push(("redundant", redundant(120, 10).sigma));
+    out
+}
+
+/// Every workload Σ deploys clean: the analyzer may note stylistic facts
+/// (disconnected GKey patterns, wildcard labels) or warn about the
+/// `redundant` workload's planted rules, but must not error.
+#[test]
+fn every_datagen_workload_sigma_analyzes_without_errors() {
+    for (what, sigma) in datagen_sigmas() {
+        let report = analyze(&sigma);
+        assert!(
+            !report.has_errors(),
+            "workload {what} should analyze clean, got:\n{report}"
+        );
+    }
+}
+
+/// The analyzer's report on every datagen Σ, as text and as its JSON
+/// document, equals `golden/analysis_reports.txt` byte for byte: a change
+/// to the linter or the semantic layer that moves one diagnostic, one
+/// message or one pruned rule fails here.
+#[test]
+fn every_datagen_sigma_renders_its_checked_in_report() {
+    let mut text = String::new();
+    for (what, sigma) in datagen_sigmas() {
+        let report = analyze(&sigma);
+        text += &format!("== {what}\n{report}{}\n", report.to_json());
+    }
+    let expected = include_str!("golden/analysis_reports.txt");
+    if let Some((at, (got, want))) = text
+        .lines()
+        .zip(expected.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!("line {}: rendered\n  {got}\nexpected\n  {want}", at + 1);
+    }
+    assert_eq!(text.len(), expected.len(), "the reports differ in length");
 }
 
 #[test]
@@ -149,8 +172,8 @@ fn minimize_preserves_validation_on_random_graphs() {
         );
         let kept: BTreeSet<String> = min.iter().map(|g| g.name.clone()).collect();
 
-        let full = validate(&g, &sigma, None);
-        let minimized = validate(&g, &min, None);
+        let full = validate(&g, &served(sigma), None);
+        let minimized = validate(&g, &served(min), None);
         assert_eq!(
             full.satisfied(),
             minimized.satisfied(),
@@ -208,7 +231,7 @@ fn with_analysis_rejects_an_inconsistent_sigma() {
     );
     let mut g = Graph::new();
     g.add_node(sym("user"));
-    let report = IncrementalValidator::with_analysis(g, vec![free, pro])
+    let report = IncrementalValidator::with_analysis(g, served([free, pro]))
         .expect_err("an unsatisfiable Σ must not deploy");
     assert!(report.has_errors());
     assert!(report

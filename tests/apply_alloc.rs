@@ -152,7 +152,7 @@ fn a_batch_of_overwrites_allocates_per_batch_not_per_delta() {
         };
         nodes[..n].iter().enumerate().map(set).collect()
     };
-    let mut v = IncrementalValidator::<Ged>::new(g, vec![]);
+    let mut v = IncrementalValidator::new(g, vec![]);
     let mut cost = |n: usize| {
         let rounds = [batch(n, 1), batch(n, 2)];
         let (applied, allocs) = allocations_in(|| {

@@ -34,7 +34,7 @@ proptest! {
         };
         let ged = fd_to_ged(&fd);
         let g = encode_relations(std::slice::from_ref(&rel));
-        prop_assert_eq!(relation_satisfies_fd(&rel, &fd), satisfies(&g, &ged));
+        prop_assert_eq!(relation_satisfies_fd(&rel, &fd), satisfies(&g, &ged.into()));
     }
 
     /// CFD checking through the graph encoding agrees with the native
@@ -51,7 +51,7 @@ proptest! {
         };
         let ged = cfd_to_ged(&cfd);
         let g = encode_relations(std::slice::from_ref(&rel));
-        prop_assert_eq!(relation_satisfies_cfd(&rel, &cfd), satisfies(&g, &ged));
+        prop_assert_eq!(relation_satisfies_cfd(&rel, &cfd), satisfies(&g, &ged.into()));
     }
 
     /// A GED and its GDC lift agree on validation over random graphs.
@@ -74,11 +74,12 @@ proptest! {
             vec![Literal::vars(Var(0), sym("A"), Var(1), sym("A"))],
             vec![Literal::vars(Var(0), sym("B"), Var(1), sym("B"))],
         );
-        let gdc = SigmaConstraint::from(Gdc::from_ged(&ged));
+        let gdc = Rule::from(Gdc::from_ged(&ged));
+        let split: Vec<Rule> =
+            DisjGed::from_ged(&ged).into_iter().map(Into::into).collect();
+        let ged = Rule::from(ged);
         prop_assert_eq!(satisfies(&g, &ged), satisfies(&g, &gdc));
         // … and with the GED∨ split.
-        let split: Vec<SigmaConstraint> =
-            DisjGed::from_ged(&ged).into_iter().map(Into::into).collect();
         prop_assert_eq!(satisfies(&g, &ged), satisfies_all(&g, &split));
     }
 
@@ -122,8 +123,8 @@ fn egd_pair_end_to_end() {
         ],
     );
     let g = encode_relations(&[bad]);
-    assert!(satisfies(&g, &phi_r));
-    assert!(!satisfies(&g, &phi_e));
+    assert!(satisfies(&g, &phi_r.into()));
+    assert!(!satisfies(&g, &phi_e.clone().into()));
     // Implication interplay: φ_E plus the FD encoding of the same
     // dependency imply each other.
     let fd = Fd {

@@ -178,7 +178,7 @@ fn keys(j: &Json) -> Vec<&str> {
 fn wire_metrics_carry_hostile_rule_names_in_the_published_shape() {
     let names = ["q\"uote", "back\\slash", "new\nline", "ctl\u{1}", "é"];
     let q = parse_pattern("t(x)").unwrap();
-    let sigma: Vec<SigmaConstraint> = names
+    let sigma: Vec<Rule> = names
         .iter()
         .map(|name| {
             let ok = Literal::constant(Var(0), sym("ok"), 1);

@@ -25,10 +25,7 @@ use lockstep::{wire_witnesses, witnesses};
 
 /// Spawn a daemon plus its local mirror twin (the deterministic spec
 /// loader yields identical state for both).
-fn daemon_with_mirror(
-    spec: &str,
-    config: &DaemonConfig,
-) -> (DaemonHandle, Graph, Vec<SigmaConstraint>) {
+fn daemon_with_mirror(spec: &str, config: &DaemonConfig) -> (DaemonHandle, Graph, Vec<Rule>) {
     let (daemon_graph, daemon_sigma) = workload::load(spec).unwrap();
     let (mirror, sigma) = workload::load(spec).unwrap();
     let handle = spawn(daemon_graph, daemon_sigma, config).unwrap();
@@ -44,12 +41,7 @@ fn fresh_client(handle: &DaemonHandle) -> Client {
 }
 
 /// A fresh client must see exactly the mirror's validate at `epoch`.
-fn assert_uncorrupted(
-    handle: &DaemonHandle,
-    mirror: &Graph,
-    sigma: &[SigmaConstraint],
-    epoch: u64,
-) {
+fn assert_uncorrupted(handle: &DaemonHandle, mirror: &Graph, sigma: &[Rule], epoch: u64) {
     let mut probe = fresh_client(handle);
     let report = probe.report().expect("fresh client must be served");
     assert_eq!(report.epoch, epoch, "epoch corrupted by the fault");

@@ -1,7 +1,7 @@
 //! Incremental ≡ full: generated delta streams over the datagen graphs,
 //! with the `IncrementalValidator` held after
 //! every batch against a from-scratch `validate` of a mirror graph, for
-//! every family of the unified constraint layer (GEDs, GDCs, GED∨s, and
+//! every family compiled into the one rule type (GEDs, GDCs, GED∨s, and
 //! the three in one Σ). The stream, the oracle and the comparison are the
 //! lockstep driver's (`support/lockstep.rs`, DESIGN.md §11); what is here
 //! is the workloads, the scripted scenarios, and the engine's own
@@ -19,12 +19,12 @@ use ged_repro::prelude::*;
 #[path = "support/lockstep.rs"]
 mod lockstep;
 use lockstep::{
-    assert_current, ints, key_attrs, pushdown_workload, run, validator, wildcard_sigma,
+    assert_current, ints, key_attrs, pushdown_workload, run, served, validator, wildcard_sigma,
 };
 
 /// One stream, one validator, every boundary.
-fn in_lockstep<C: Constraint + Clone + 'static>(
-    (graph, sigma): (&Graph, &[C]),
+fn in_lockstep(
+    (graph, sigma): (&Graph, &[Rule]),
     traffic: (u64, &[Symbol], &[Value]),
     shape: (usize, usize),
 ) {
@@ -34,19 +34,19 @@ fn in_lockstep<C: Constraint + Clone + 'static>(
 #[test]
 fn incremental_equals_full_random_graph_every_step() {
     let (g, sigma) = evolving_workload(120, 3, 2, 41);
-    in_lockstep((&g, &sigma), (7, &key_attrs(), &ints(4)), (150, 1));
+    in_lockstep((&g, &served(sigma)), (7, &key_attrs(), &ints(4)), (150, 1));
 }
 
 #[test]
 fn incremental_equals_full_single_threaded() {
     let (g, sigma) = evolving_workload(60, 3, 1, 42);
-    in_lockstep((&g, &sigma), (8, &key_attrs(), &ints(4)), (120, 1));
+    in_lockstep((&g, &served(sigma)), (8, &key_attrs(), &ints(4)), (120, 1));
 }
 
 #[test]
 fn incremental_equals_full_on_social_workload() {
     let g = ged_datagen::social::generate(&SocialConfig::default()).graph;
-    let sigma = [ged_datagen::rules::phi5(2, "v1agr4")];
+    let sigma = served(vec![ged_datagen::rules::phi5(2, "v1agr4")]);
     // Social attrs: is_fake flags and blog keywords.
     in_lockstep(
         (&g, &sigma),
@@ -60,7 +60,7 @@ fn incremental_equals_full_on_music_workload() {
     let g = ged_datagen::music::generate(&ged_datagen::music::MusicConfig::default()).graph;
     let attrs = [sym("title"), sym("release"), sym("name")];
     in_lockstep(
-        (&g, &ged_datagen::rules::music_keys()),
+        (&g, &served(ged_datagen::rules::music_keys())),
         (6, &attrs, &ints(3)),
         (60, 1),
     );
@@ -70,7 +70,7 @@ fn incremental_equals_full_on_music_workload() {
 fn incremental_equals_full_on_coloring_workload() {
     let inst = ged_datagen::coloring::ColoringInstance::random(7, 4, 9);
     let (g, ged) = ged_datagen::coloring::validation_gfdx(&inst);
-    in_lockstep((&g, &[ged]), (10, &[sym("A")], &ints(3)), (60, 1));
+    in_lockstep((&g, &[ged.into()]), (10, &[sym("A")], &ints(3)), (60, 1));
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn self_loop_pattern_tracks_self_loop_deltas() {
     g.set_attr(b, sym("p"), 1);
     g.set_attr(b, sym("q"), 1);
     g.add_edge(b, sym("e"), b);
-    let mut v = IncrementalValidator::new(g, vec![phi]);
+    let mut v = IncrementalValidator::new(g, vec![phi.into()]);
     assert!(v.is_satisfied(), "b's self-loop agrees, a has no loop");
 
     let (src, label, dst) = (a, sym("e"), a);
@@ -128,7 +128,7 @@ fn remove_then_re_add_within_one_batch_is_retained() {
     g.set_attr(a, sym("p"), 1);
     g.set_attr(b, sym("p"), 2);
     g.add_edge(a, sym("e"), b);
-    let mut v = IncrementalValidator::new(g, vec![phi]);
+    let mut v = IncrementalValidator::new(g, vec![phi.into()]);
     assert_eq!(v.violation_count(), 1);
     let churn = |stats: &ApplyStats| {
         let (removed, added) = (stats.violations_removed, stats.violations_added);
@@ -171,7 +171,7 @@ fn incremental_equals_full_with_wildcard_rules() {
     // matches — the widest affected areas the matcher can produce.
     let (g, _) = evolving_workload(60, 3, 0, 46);
     in_lockstep(
-        (&g, &wildcard_sigma()),
+        (&g, &served(wildcard_sigma())),
         (9, &key_attrs(), &ints(4)),
         (100, 1),
     );
@@ -183,7 +183,7 @@ fn batched_delta_sets_equal_full() {
     // no-ops by the time they apply (edges to nodes removed earlier in the
     // batch) — exactly what the engine must tolerate.
     let (g, sigma) = evolving_workload(80, 3, 1, 43);
-    in_lockstep((&g, &sigma), (11, &key_attrs(), &ints(4)), (15, 10));
+    in_lockstep((&g, &served(sigma)), (11, &key_attrs(), &ints(4)), (15, 10));
 }
 
 #[test]
@@ -191,10 +191,10 @@ fn evolved_graphs_chase_after_compaction() {
     // The chase requires dense ids; an evolved graph must be compacted
     // first (it hard-asserts otherwise — see `Graph::compact`).
     let (g, sigma) = evolving_workload(40, 3, 0, 44);
-    let mut v = IncrementalValidator::new(g, sigma);
+    let mut v = IncrementalValidator::new(g, served(sigma.clone()));
     let victim = v.graph().nodes().nth(3).unwrap();
     v.apply(&Delta::RemoveNode { node: victim });
-    let sigma = v.sigma().to_vec();
+    let rules = v.sigma().to_vec();
     let evolved = v.into_graph();
     assert!(evolved.has_removals());
 
@@ -203,7 +203,7 @@ fn evolved_graphs_chase_after_compaction() {
     assert!(result.stats().within_bounds());
     // The chased coercion satisfies Σ (Theorem 1) when consistent.
     if let ChaseResult::Consistent { coercion, .. } = result {
-        assert!(satisfies_all(&coercion.graph, &sigma));
+        assert!(satisfies_all(&coercion.graph, &rules));
     }
 }
 
@@ -211,22 +211,16 @@ fn evolved_graphs_chase_after_compaction() {
 #[should_panic(expected = "compact")]
 fn chase_rejects_tombstoned_graphs() {
     let (g, sigma) = evolving_workload(20, 3, 0, 45);
-    let mut v = IncrementalValidator::new(g, sigma);
+    let mut v = IncrementalValidator::new(g, served(sigma.clone()));
     let victim = v.graph().nodes().next().unwrap();
     v.apply(&Delta::RemoveNode { node: victim });
-    let sigma = v.sigma().to_vec();
     let _ = chase(&v.into_graph(), &sigma);
 }
 
 // ---------------------------------------------------------------------
-// The unified constraint layer: the same randomized harness, driven over
-// GDC and GED∨ sigmas across all delta kinds.
+// Every family: the same randomized harness, driven over GDC and GED∨
+// sigmas across all delta kinds.
 // ---------------------------------------------------------------------
-
-/// A Σ of one family in the served form.
-fn served<C: Into<SigmaConstraint>>(sigma: Vec<C>) -> Vec<SigmaConstraint> {
-    sigma.into_iter().map(Into::into).collect()
-}
 
 #[test]
 fn incremental_equals_full_on_gdc_social_workload() {
@@ -293,8 +287,8 @@ fn batched_deltas_equal_full_for_gdc_and_disj() {
 }
 
 // ---------------------------------------------------------------------
-// Heterogeneous Σ: GED + GDC + GED∨ carried by the closed `SigmaConstraint`
-// enum (statically dispatched `check`), served by ONE validator instance.
+// Heterogeneous Σ: GED + GDC + GED∨ compiled into `Rule`, served by ONE
+// validator instance.
 // ---------------------------------------------------------------------
 
 /// The attribute vocabulary the mixed workload's rules read: integer
@@ -345,8 +339,11 @@ fn mixed_sigma_twelve_draw_batches_match_full_revalidation_step_by_step() {
 fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
     let (g, sigma) = pushdown_workload();
     assert!(
-        !sigma[4].literal_view().unwrap().exact,
-        "the GDC exposes only its equality fragment"
+        sigma[4]
+            .premises
+            .iter()
+            .any(|l| l.as_eq_literal().is_none()),
+        "the GDC has a premise outside the equality fragment"
     );
     let entity = sym("entity");
     for (rule, requests) in [
@@ -355,7 +352,7 @@ fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
         (5, vec![(entity, sym("key"))]),
     ] {
         let plan = ged_repro::engine::rule_plan(&sigma[rule]);
-        assert_eq!(plan.index_requests(), requests, "{}", sigma[rule].name());
+        assert_eq!(plan.index_requests(), requests, "{}", sigma[rule].name);
     }
     let pool = [0.into(), 1.into(), 1.0.into(), 0.5.into(), 2.into()];
     let fired = run(
@@ -420,7 +417,7 @@ fn default_matcher_matches_brute_force_on_mutated_random_graphs() {
 #[test]
 fn metrics_histograms_grow_monotonically_across_batches() {
     let (g, sigma) = evolving_workload(80, 3, 1, 63);
-    let mut v = IncrementalValidator::new(g, sigma);
+    let mut v = IncrementalValidator::new(g, served(sigma));
     let mut stream = DeltaStream::new(64, &key_attrs(), &ints(4));
     // Everything that may only grow, in one comparable row.
     let grown = |m: &MetricsSnapshot| -> Vec<u64> {
@@ -455,7 +452,11 @@ fn metrics_histograms_grow_monotonically_across_batches() {
 #[ignore = "acceptance-scale; run in release mode"]
 fn acceptance_10k_nodes_1k_deltas_every_step() {
     let (g, sigma) = evolving_workload(10_000, 3, 2, 47);
-    in_lockstep((&g, &sigma), (12, &key_attrs(), &ints(4)), (1_000, 1));
+    in_lockstep(
+        (&g, &served(sigma)),
+        (12, &key_attrs(), &ints(4)),
+        (1_000, 1),
+    );
 }
 
 /// A ~10k-node social graph for the GDC and mixed acceptance runs.
@@ -468,7 +469,7 @@ fn acceptance_social() -> SocialConfig {
 
 /// The GDC acceptance-scale scenario: a ~10k-node social graph under the
 /// dense-order age GDCs, 1k random deltas, incremental equals full at
-/// every step — the generic engine at the same scale bar as the plain-GED
+/// every step — the one engine at the same scale bar as the plain-GED
 /// run.
 #[test]
 #[ignore = "acceptance-scale; run in release mode"]
@@ -484,7 +485,7 @@ fn acceptance_gdc_10k_nodes_1k_deltas_every_step() {
 
 /// The mixed-Σ acceptance-scale scenario: a ~10k-node social graph under
 /// one heterogeneous rule set (GED + GDC + GED∨ in a single
-/// `IncrementalValidator<SigmaConstraint>`), 1k random deltas, incremental
+/// `IncrementalValidator`), 1k random deltas, incremental
 /// equals full at every step.
 #[test]
 #[ignore = "acceptance-scale; run in release mode"]

@@ -27,11 +27,7 @@ use lockstep::*;
 /// A Σ family: name, initial graph and rules, and the traffic that moves
 /// matches across them (attribute vocabulary, value pool).
 type Family = (&'static str, Start, Vec<Symbol>, Vec<Value>);
-type Start = (Graph, Vec<SigmaConstraint>);
-
-fn lift<C: Into<SigmaConstraint>>(graph: Graph, sigma: Vec<C>) -> Start {
-    (graph, sigma.into_iter().map(Into::into).collect())
-}
+type Start = (Graph, Vec<Rule>);
 
 /// The mixed Σ with a verbatim duplicate of its first rule and a copy of it
 /// under one more premise, which the first implies.
@@ -54,15 +50,15 @@ fn families() -> Vec<Family> {
     let (social, kb) = (SocialConfig::default(), KbConfig::default());
     let syms = |names: &[&str]| names.iter().map(|a| sym(a)).collect::<Vec<_>>();
     let keys = || key_attrs().to_vec();
-    let wild = lift(evolving_workload(50, 3, 0, 46).0, wildcard_sigma());
+    let wild = (evolving_workload(50, 3, 0, 46).0, served(wildcard_sigma()));
     let w = gdc::social_gdcs(&social, 3, 21);
-    let gdc_social = lift(w.graph, w.sigma);
+    let gdc_social = (w.graph, served(w.sigma));
     let w = gdc::kb_gdcs(&kb, 4, 23);
-    let gdc_kb = lift(w.graph, w.sigma);
+    let gdc_kb = (w.graph, served(w.sigma));
     let w = disj::social_disj(&social, 2, 2, 25);
-    let disj_social = lift(w.graph, w.sigma);
+    let disj_social = (w.graph, served(w.sigma));
     let w = disj::kb_disj(&kb, 3, 27);
-    let disj_kb = lift(w.graph, w.sigma);
+    let disj_kb = (w.graph, served(w.sigma));
     let w = redundant::redundant(60, 5);
     let sloppy = ["a", "b", "spam", "free", "gold"].map(Value::from);
     let sloppy = sloppy.into_iter().chain(ints(3)).collect();
@@ -132,8 +128,8 @@ fn every_subject_holds_on_every_family_at_length() {
     matrix(1..=8, 400);
 }
 
-/// The read-set contract of `Constraint::attrs_read` on every rule of every
-/// family — GEDs, GDCs and GED∨s, each in the served form — at up to 40
+/// The read-set contract of `Rule::attrs_read` on every rule of every
+/// family — GEDs, GDCs and GED∨s, each compiled into a `Rule` — at up to 40
 /// matches per rule in the start graph: writing or deleting, on any
 /// matched node, an attribute the rule does not name (the family's traffic
 /// vocabulary, the node's own attributes, and one attribute no rule names)
@@ -147,11 +143,9 @@ fn writes_outside_a_rules_read_set_never_change_its_check() {
         let values: Vec<Option<Value>> = values.collect();
         let mut writes = 0;
         for rule in &rules {
-            let read = rule
-                .attrs_read()
-                .expect("the paper's families name their reads");
+            let read = rule.attrs_read();
             let mut matches: Vec<Vec<NodeId>> = Vec::new();
-            let matcher = Matcher::new(rule.pattern(), &graph, MatchOptions::homomorphism());
+            let matcher = Matcher::new(&rule.pattern, &graph, MatchOptions::homomorphism());
             matcher.for_each(|m| {
                 matches.push(m.to_vec());
                 match matches.len() < 40 {
@@ -174,7 +168,7 @@ fn writes_outside_a_rules_read_set_never_change_its_check() {
                                 None => Delta::DelAttr { node, attr },
                             });
                             let now = rule.check(&graph, m);
-                            assert_eq!(now, verdict, "{name}: {} at {m:?}, {attr}", rule.name());
+                            assert_eq!(now, verdict, "{name}: {} at {m:?}, {attr}", rule.name);
                             writes += 1;
                         }
                     }
@@ -184,84 +178,6 @@ fn writes_outside_a_rules_read_set_never_change_its_check() {
         println!("{name}: {writes} writes outside {} read sets", rules.len());
         assert!(writes > 0, "{name}: nothing was written");
     }
-}
-
-/// The drift guard between the two checks that must agree: `Ged`'s own,
-/// which `ged-core`'s `validate`, the chase and the engine's unit tests run
-/// on, and the served form's, which every other path runs on. At every
-/// match of every GED of every family — each recovered from the served Σ
-/// by `as_chase_ged`, which hands a compiled conjunctive rule back literal
-/// for literal — `Ged::check` equals `SigmaConstraint::from(ged).check`,
-/// kind included.
-#[test]
-fn a_ged_and_its_served_form_check_alike() {
-    use ged_repro::pattern::Matcher;
-    use std::ops::ControlFlow;
-    let mut checked = 0;
-    for (name, (graph, sigma), _, _) in families() {
-        let (mut geds, mut matches, mut violations) = (0, 0, 0);
-        for rule in sigma.iter().filter(|r| r.options.len() == 1) {
-            let Some(ged) = rule.as_chase_ged() else {
-                continue;
-            };
-            let served = SigmaConstraint::from(ged.clone());
-            assert_eq!(rule.premises, served.premises, "{name}: {}", rule.name);
-            assert_eq!(rule.options, served.options, "{name}: {}", rule.name);
-            let matcher = Matcher::new(&ged.pattern, &graph, MatchOptions::homomorphism());
-            matcher.for_each(|m| {
-                let kind = ged.check(&graph, m);
-                assert_eq!(
-                    kind,
-                    served.check(&graph, m),
-                    "{name}: {} at {m:?}",
-                    ged.name
-                );
-                violations += usize::from(kind.is_some());
-                matches += 1;
-                ControlFlow::Continue(())
-            });
-            geds += 1;
-        }
-        println!("{name}: {geds} GEDs, {matches} matches, {violations} violations");
-        checked += violations;
-    }
-    assert!(checked > 0, "no GED of any family violated anywhere");
-}
-
-/// A rule family that does not name its reads — `attrs_read` left at its
-/// default `None` — is re-checked after every attribute write on a
-/// matched node, so the validator serves it exactly.
-#[derive(Clone)]
-struct Opaque(SigmaConstraint);
-
-impl Constraint for Opaque {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn pattern(&self) -> &Pattern {
-        self.0.pattern()
-    }
-    fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        self.0.check(g, m)
-    }
-    fn size(&self) -> usize {
-        self.0.size()
-    }
-}
-
-#[test]
-fn a_family_that_names_no_reads_is_served_exactly() {
-    let (name, (graph, sigma), attrs, pool) = families().swap_remove(5);
-    assert_eq!(name, "mixed");
-    let opaque: Vec<Opaque> = sigma.into_iter().map(Opaque).collect();
-    assert!(opaque.iter().all(|c| c.attrs_read().is_none()));
-    let fired = run(
-        (&graph, &opaque),
-        (5, &attrs, &pool),
-        (60, 6),
-        &[validator()],
-    );
-    assert!(fired.len() >= 4, "{fired:?}");
 }
 
 /// The pruned twin beside the unpruned validator on streams — structural
@@ -286,7 +202,7 @@ fn pruned_sigma_is_interchangeable_under_updates() {
         let is_kept = |rule: &String| !report.prunable.iter().any(|p| p.name == *rule);
         let mut stream = DeltaStream::new(7, &attrs, &pool);
         let (mut batches, mut held) = (0..60, 0);
-        let next = |oracle: &Oracle<SigmaConstraint>| {
+        let next = |oracle: &Oracle| {
             let broken = oracle.at.shown.0.keys().filter(|key| is_kept(&key.0));
             let repair = broken.map(|key| Delta::RemoveNode { node: key.1[0] });
             let repair: DeltaSet = repair.collect();
@@ -308,7 +224,7 @@ fn pruned_sigma_is_interchangeable_under_updates() {
 }
 
 /// An `IncrementalValidator` that never hears of a `DelAttr` on `key`.
-struct Withholding(IncrementalValidator<Ged>);
+struct Withholding(IncrementalValidator);
 
 impl Subject for Withholding {
     fn step(&mut self, batch: &DeltaSet, at: &Boundary) -> Result<(), String> {
@@ -332,11 +248,12 @@ impl Subject for Panicking {
 #[test]
 fn a_planted_fault_is_caught_shrunk_and_replayed() {
     let (graph, sigma) = evolving_workload(90, 3, 2, 5);
+    let sigma = served(sigma);
     let start = (&graph, &sigma[..]);
     let attrs = key_attrs();
     let traffic = |seed| {
         let (mut stream, mut batches) = (DeltaStream::new(seed, &attrs, &ints(4)), 0..40);
-        move |oracle: &Oracle<Ged>| batches.next().map(|_| stream.batch(&oracle.mirror, 8))
+        move |oracle: &Oracle| batches.next().map(|_| stream.batch(&oracle.mirror, 8))
     };
     let faulty = recipe("withholding", |g, sigma| {
         Withholding(IncrementalValidator::new(g, sigma))
@@ -361,7 +278,7 @@ fn a_planted_fault_is_caught_shrunk_and_replayed() {
     replay(start, &subjects[0], &frames.join("\n")).expect("a sound subject passes it");
 
     // A subject that panics is a divergence like any other.
-    let subjects = [recipe("panicking", |_, _: Vec<Ged>| Panicking)];
+    let subjects = [recipe("panicking", |_, _: Vec<Rule>| Panicking)];
     let report = try_run(start, &subjects, 4, traffic(4)).expect_err("it fell over");
     assert!(report.contains("batch 3, panicking"), "{report}");
     assert!(

@@ -22,7 +22,8 @@ fn example1_consistency_checking() {
         seed: 123,
     };
     let inst = gen_kb(&cfg);
-    let report = validate(&inst.graph, &rules::kb_rules(), None);
+    let sigma: Vec<Rule> = rules::kb_rules().into_iter().map(Rule::from).collect();
+    let report = validate(&inst.graph, &sigma, None);
     assert_eq!(report.per_ged[0].violation_count, 2, "φ1");
     assert_eq!(report.per_ged[1].violation_count, 2, "φ2 (symmetric pairs)");
     assert_eq!(report.per_ged[2].violation_count, 3, "φ3");
@@ -32,7 +33,7 @@ fn example1_consistency_checking() {
         planted: [0; 4],
         ..cfg
     });
-    assert!(validate(&clean.graph, &rules::kb_rules(), Some(1)).satisfied());
+    assert!(validate(&clean.graph, &sigma, Some(1)).satisfied());
 }
 
 /// Example 1(2) + φ5: the spam cascade marks exactly the planted chain.
@@ -46,7 +47,7 @@ fn example1_spam_detection() {
     let inst = gen_social(&cfg);
     let mut g = inst.graph.clone();
     assert_eq!(spam_cascade(&mut g, cfg.k, &cfg.keyword), 4);
-    assert!(satisfies(&g, &rules::phi5(cfg.k, &cfg.keyword)));
+    assert!(satisfies(&g, &rules::phi5(cfg.k, &cfg.keyword).into()));
 }
 
 /// Example 1(3) + ψ1–ψ3: recursive entity resolution through the chase.
@@ -66,7 +67,8 @@ fn example1_entity_resolution() {
         inst.graph.node_count() - 2 * cfg.n_dupes,
         "every duplicate cluster collapses by two nodes"
     );
-    assert!(satisfies_all(&coercion.graph, &rules::music_keys()));
+    let keys: Vec<Rule> = rules::music_keys().into_iter().map(Rule::from).collect();
+    assert!(satisfies_all(&coercion.graph, &keys));
 }
 
 /// Example 4 / Figure 2: the two chase outcomes, including the exact
@@ -220,8 +222,8 @@ fn example9_10_domain_constraints() {
     let psi = domain_as_disj("τ", "A", &dom);
     assert!(gdc_satisfiable(&[phi1.clone(), phi2.clone()]));
     assert!(disj_satisfiable(std::slice::from_ref(&psi)));
-    let pair = [phi1, phi2].map(SigmaConstraint::from);
-    let psi = SigmaConstraint::from(psi);
+    let pair = [phi1, phi2].map(Rule::from);
+    let psi = Rule::from(psi);
     for v in [-1i64, 0, 1, 2] {
         let mut b = GraphBuilder::new();
         b.node("x", "τ");
@@ -256,7 +258,7 @@ fn finite_domains_need_the_extensions() {
     b.attr("x", "A", 0);
     let g = b.build();
     assert!(
-        !satisfies(&g, &attempt),
+        !satisfies(&g, &attempt.into()),
         "the conjunctive attempt rejects even in-domain values"
     );
 }

@@ -36,7 +36,7 @@ const MIN_SIDE: Duration = Duration::from_millis(20);
 fn metrics_cost_at_most_5_percent_on_the_batched_delta_path() {
     let (g, sigma) = evolving_workload(1_000, 3, 2, 7);
     let deltas = attr_burst(&g, sym("key"), 1_200, 25);
-    let seeded = IncrementalValidator::new(g, sigma);
+    let seeded = IncrementalValidator::new(g, sigma.into_iter().map(Rule::from).collect());
     // One replay of the stream on a fresh clone of the seeded validator,
     // cloned outside the window: its time and outcome.
     let replay = |batches: &[DeltaSet], metrics_on: bool| {

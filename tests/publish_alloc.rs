@@ -21,7 +21,7 @@ const K: usize = 3;
 /// `n` `t`-nodes with `ok = 0` under the rule `t(x) → x.ok = 1`: `n`
 /// witnesses, one per node. Returns the validator, a view on it, and the
 /// two batches that repair and break again the first `K` nodes.
-fn store_of(n: usize) -> (IncrementalValidator<Ged>, ReadView<Ged>, [DeltaSet; 2]) {
+fn store_of(n: usize) -> (IncrementalValidator, ReadView, [DeltaSet; 2]) {
     let must_be_ok = vec![Literal::constant(Var(0), sym("ok"), 1)];
     let rule = Ged::new("ok", parse_pattern("t(x)").unwrap(), vec![], must_be_ok);
     let mut g = Graph::new();
@@ -38,7 +38,7 @@ fn store_of(n: usize) -> (IncrementalValidator<Ged>, ReadView<Ged>, [DeltaSet; 2
         };
         nodes[..K].iter().map(set).collect()
     };
-    let v = IncrementalValidator::new(g, vec![rule]);
+    let v = IncrementalValidator::new(g, vec![rule.into()]);
     let view = v.read_view();
     assert_eq!(view.snapshot().violation_count(), n);
     (v, view, [write(1), write(0)])

@@ -28,13 +28,14 @@ use std::sync::Arc;
 #[path = "support/lockstep.rs"]
 mod lockstep;
 use lockstep::{
-    ints, key_attrs, report_line, run, served_report, served_violations, view, violations_line,
-    Oracle,
+    ints, key_attrs, report_line, run, served, served_report, served_violations, view,
+    violations_line, Oracle,
 };
 
 /// The lockstep check with `n_readers` concurrent reader threads.
 fn lockstep(n_readers: usize, seed: u64) {
     let (g, sigma) = evolving_workload(90, 3, 2, seed);
+    let sigma = served(sigma);
     let attrs = key_attrs();
     run(
         (&g, &sigma),
@@ -76,6 +77,7 @@ fn lockstep_eight_readers() {
 #[test]
 fn rendered_bytes_never_outlive_their_epoch() {
     let (g, sigma) = evolving_workload(90, 3, 2, 17);
+    let sigma = served(sigma);
     let mut oracle = Oracle::new(&g, &sigma);
     let mut v = IncrementalValidator::new(g, sigma);
     let view = v.read_view();
@@ -84,7 +86,7 @@ fn rendered_bytes_never_outlive_their_epoch() {
 
     let (mut renders, mut segments) = (0u64, 0u64);
     let mut polled: BTreeSet<u64> = BTreeSet::new();
-    let mut held: VecDeque<Option<ViolationSnapshot<Ged>>> = VecDeque::new();
+    let mut held: VecDeque<Option<ViolationSnapshot>> = VecDeque::new();
     let mut rebuilds_by_regime = [0u64; 2];
     for batch_no in 0..240 {
         let pinning = (batch_no / 30) % 2 == 1;
@@ -102,7 +104,7 @@ fn rendered_bytes_never_outlive_their_epoch() {
         if rng.random_range(0..4u32) != 0 {
             let snap = view.snapshot();
             let epoch = snap.epoch();
-            let head = |s: &ViolationSnapshot<Ged>| {
+            let head = |s: &ViolationSnapshot| {
                 renders += 1;
                 encode_report_head(s.epoch(), s.rules())
             };
@@ -159,7 +161,7 @@ fn rendered_bytes_never_outlive_their_epoch() {
 fn metrics_snapshots_are_never_torn() {
     let (g, sigma) = evolving_workload(200, 3, 2, 21);
     let nodes: Vec<NodeId> = g.nodes().collect();
-    let mut v = IncrementalValidator::new(g, sigma);
+    let mut v = IncrementalValidator::new(g, served(sigma));
     let view = v.read_view();
     let done = std::sync::atomic::AtomicBool::new(false);
     let started = std::sync::Barrier::new(2);
@@ -324,12 +326,10 @@ fn readers_of_adjacent_epochs_each_get_their_own_bytes() {
     let mut v = IncrementalValidator::new(g, sigma);
     let view = v.read_view();
     let mut stream = DeltaStream::new(0x7ace, &key_attrs(), &ints(4));
-    let stamps = |s: &ViolationSnapshot<SigmaConstraint>| -> Vec<u64> {
-        (0..rules).map(|ci| s.stamp(ci)).collect()
-    };
+    let stamps = |s: &ViolationSnapshot| -> Vec<u64> { (0..rules).map(|ci| s.stamp(ci)).collect() };
     for _ in 0..120 {
         // Two boundaries, each pinned with the line it must serve.
-        let mut pinned: Vec<(ViolationSnapshot<SigmaConstraint>, Vec<u8>)> = Vec::new();
+        let mut pinned: Vec<(ViolationSnapshot, Vec<u8>)> = Vec::new();
         while pinned.len() < 2 {
             let batch = stream.batch(&oracle.mirror, 4);
             v.apply_all(&batch);

@@ -31,7 +31,7 @@ fn line_of(r: &Rendering) -> Vec<u8> {
 }
 
 /// What the reference path (report → tree → line) makes of `snap`.
-fn tree_line<C: Constraint>(snap: &ViolationSnapshot<C>) -> Vec<u8> {
+fn tree_line(snap: &ViolationSnapshot) -> Vec<u8> {
     let mut line = Vec::new();
     write_frame(&mut line, &report_to_json(snap.epoch(), &snap.to_report())).unwrap();
     line
@@ -95,9 +95,7 @@ fn a_render_allocates_a_constant_and_a_hit_nothing() {
         .find(|(_, at)| at.len() == 1)
         .expect("a node in one rule's witnesses only");
     drop(rules_at);
-    let stamps = |s: &ViolationSnapshot<SigmaConstraint>| -> Vec<u64> {
-        (0..rules).map(|ci| s.stamp(ci)).collect()
-    };
+    let stamps = |s: &ViolationSnapshot| -> Vec<u64> { (0..rules).map(|ci| s.stamp(ci)).collect() };
     let before = stamps(&snap);
     drop(snap);
     v.apply(&Delta::RemoveNode { node });

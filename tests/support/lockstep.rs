@@ -12,6 +12,12 @@
 //! names seed, batch and subject, shrinks the recorded stream by re-running
 //! only that subject from the initial graph, and prints the minimal stream
 //! as `apply` frames that [`replay`] turns back into a regression test.
+//!
+//! What lockstep cannot see: every subject and the from-scratch
+//! reference read the same `Value` (`crates/graph/src/value.rs`), so a
+//! wrong `==` or `cmp` there is wrong on both sides alike and the lockstep
+//! suites stay green. Such a fault is caught by `value::tests`,
+//! `delta::tests::attr_deltas_detect_no_ops` and `tests/apply_alloc.rs`.
 
 #![allow(dead_code)] // every suite uses its own part of the driver
 
@@ -94,7 +100,7 @@ pub fn violations_line(epoch: u64, report: &ValidationReport) -> Vec<u8> {
 /// The `report` line `gedd` serves for `snap`: its rendering
 /// (`ged_daemon::server::rendering`, memoised per epoch and per rule)
 /// written out the way the daemon writes it.
-pub fn served_report<C: Constraint>(snap: &ViolationSnapshot<C>) -> Vec<u8> {
+pub fn served_report(snap: &ViolationSnapshot) -> Vec<u8> {
     let r = rendering(snap);
     let mut line = Vec::new();
     write_segmented(&mut line, r.head(), r.segments()).unwrap();
@@ -103,7 +109,7 @@ pub fn served_report<C: Constraint>(snap: &ViolationSnapshot<C>) -> Vec<u8> {
 
 /// The `violations` line `gedd` serves for `snap`: a head of its own and
 /// the `report` rendering's segments.
-pub fn served_violations<C: Constraint>(snap: &ViolationSnapshot<C>) -> Vec<u8> {
+pub fn served_violations(snap: &ViolationSnapshot) -> Vec<u8> {
     let head = encode_violations_head(snap.epoch(), snap.violation_count());
     let mut line = Vec::new();
     write_segmented(&mut line, &head, rendering(snap).segments()).unwrap();
@@ -129,7 +135,7 @@ pub fn compare(who: &str, got: &Shown, oracle: &Shown) -> Result<(), String> {
 
 /// Hold a validator against a from-scratch `validate` of its own graph,
 /// right now — for scenarios that script their own deltas.
-pub fn assert_current<C: Constraint>(v: &IncrementalValidator<C>) {
+pub fn assert_current(v: &IncrementalValidator) {
     let full = shown(&validate(v.graph(), v.sigma(), None));
     let same = compare("validator", &shown(&v.report()), &full);
     same.unwrap_or_else(|why| panic!("{why}\nfull: {full:?}"));
@@ -153,14 +159,14 @@ pub struct Boundary {
 }
 
 /// The mirror graph, and the boundary it is at.
-pub struct Oracle<C> {
+pub struct Oracle {
     pub mirror: Graph,
     pub at: Boundary,
-    sigma: Vec<C>,
+    sigma: Vec<Rule>,
 }
 
-impl<C: Constraint + Clone> Oracle<C> {
-    pub fn new(graph: &Graph, sigma: &[C]) -> Oracle<C> {
+impl Oracle {
+    pub fn new(graph: &Graph, sigma: &[Rule]) -> Oracle {
         let (mirror, sigma) = (graph.clone(), sigma.to_vec());
         let at = look(&mirror, &sigma, None);
         Oracle { mirror, at, sigma }
@@ -177,7 +183,7 @@ impl<C: Constraint + Clone> Oracle<C> {
 
 /// The boundary `mirror` is at; `last` is the one before and how many
 /// deltas of the batch in between changed the graph.
-fn look<C: Constraint>(mirror: &Graph, sigma: &[C], last: Option<(&Boundary, u64)>) -> Boundary {
+fn look(mirror: &Graph, sigma: &[Rule], last: Option<(&Boundary, u64)>) -> Boundary {
     // `validate` lists a rule's witnesses in enumeration order; every
     // publisher sorts them (Σ order is shared already).
     let mut report = validate(mirror, sigma, None);
@@ -219,12 +225,15 @@ pub trait Subject {
 
 /// A subject's name and how to build it from the initial graph and Σ —
 /// again and again, when a stream is shrunk.
-pub struct Recipe<C>(pub String, Box<dyn Fn(Graph, Vec<C>) -> Box<dyn Subject>>);
+pub struct Recipe(
+    pub String,
+    Box<dyn Fn(Graph, Vec<Rule>) -> Box<dyn Subject>>,
+);
 
-pub fn recipe<C, S, F>(name: &str, make: F) -> Recipe<C>
+pub fn recipe<S, F>(name: &str, make: F) -> Recipe
 where
     S: Subject + 'static,
-    F: Fn(Graph, Vec<C>) -> S + 'static,
+    F: Fn(Graph, Vec<Rule>) -> S + 'static,
 {
     let boxed = move |g, sigma| Box::new(make(g, sigma)) as Box<dyn Subject>;
     Recipe(name.to_string(), Box::new(boxed))
@@ -232,15 +241,15 @@ where
 
 /// An `IncrementalValidator`: against the oracle (witness set, per-rule
 /// counts, verdict, churn), and its value indexes against the graph.
-pub fn validator<C: Constraint + Clone + 'static>() -> Recipe<C> {
-    recipe("validator", |g: Graph, sigma: Vec<C>| {
+pub fn validator() -> Recipe {
+    recipe("validator", |g: Graph, sigma: Vec<Rule>| {
         Validator(IncrementalValidator::new(g, sigma))
     })
 }
 
-struct Validator<C: Constraint>(IncrementalValidator<C>);
+struct Validator(IncrementalValidator);
 
-impl<C: Constraint> Subject for Validator<C> {
+impl Subject for Validator {
     fn step(&mut self, batch: &DeltaSet, at: &Boundary) -> Result<(), String> {
         let v = &mut self.0;
         let stats = match batch.deltas() {
@@ -318,9 +327,9 @@ impl Drop for Pollers {
 /// boundary check reads. At every boundary the snapshot's epoch,
 /// `to_report`, and the served `report` and `violations` lines against
 /// the reference codec; every state a reader saw at the end.
-pub fn view<C: Constraint + Clone + 'static>(pollers: usize) -> Recipe<C> {
+pub fn view(pollers: usize) -> Recipe {
     let name = format!("read view, {pollers} poller(s)");
-    recipe(&name, move |g: Graph, sigma: Vec<C>| {
+    recipe(&name, move |g: Graph, sigma: Vec<Rule>| {
         let validator = IncrementalValidator::new(g, sigma);
         let view = validator.read_view();
         let pollers = Pollers::spawn(pollers, || {
@@ -335,9 +344,9 @@ pub fn view<C: Constraint + Clone + 'static>(pollers: usize) -> Recipe<C> {
     })
 }
 
-struct Viewed<C: Constraint>(IncrementalValidator<C>, ReadView<C>, Pollers);
+struct Viewed(IncrementalValidator, ReadView, Pollers);
 
-impl<C: Constraint> Subject for Viewed<C> {
+impl Subject for Viewed {
     fn step(&mut self, batch: &DeltaSet, at: &Boundary) -> Result<(), String> {
         self.0.apply_all(batch);
         let snap = self.1.snapshot();
@@ -363,7 +372,7 @@ impl<C: Constraint> Subject for Viewed<C> {
 /// (advancing iff the batch changed the graph), applied, violations, added
 /// and removed, then `report`, at every boundary; every state a poller saw
 /// and the epoch shutdown rests at, at the end.
-pub fn wire(pollers: usize) -> Recipe<SigmaConstraint> {
+pub fn wire(pollers: usize) -> Recipe {
     let name = format!("wire, {pollers} poller(s)");
     recipe(&name, move |g, sigma| {
         let daemon = spawn(g, sigma, &DaemonConfig::default()).expect("gedd spawns");
@@ -427,11 +436,11 @@ impl Drop for Wire {
 /// what its reason promised: no witness ever (contradictory premises,
 /// entailed conclusion, dead), the same assignments as some one kept rule
 /// throughout (duplicate), none wherever every kept rule holds (implied).
-pub fn pruned<C: Constraint + Clone + 'static>() -> Recipe<C> {
-    recipe("pruned twin", |g: Graph, sigma: Vec<C>| {
+pub fn pruned() -> Recipe {
+    recipe("pruned twin", |g: Graph, sigma: Vec<Rule>| {
         let twin = IncrementalValidator::with_analysis(g, sigma);
         let twin = twin.unwrap_or_else(|why| panic!("Σ does not deploy:\n{why}"));
-        let kept = twin.sigma().iter().map(|c| c.name().to_string());
+        let kept = twin.sigma().iter().map(|c| c.name.clone());
         let kept: Vec<String> = kept.collect();
         let pruned = &twin.analysis().expect("built with analysis").pruned;
         let pruned = pruned.iter().map(|p| (p.name.clone(), p.why, kept.clone()));
@@ -444,9 +453,9 @@ pub fn pruned<C: Constraint + Clone + 'static>() -> Recipe<C> {
 type Pruning = (String, LintKind, Vec<String>);
 
 /// The prunings, the kept rules' names, the validator that runs only those.
-struct PrunedTwin<C: Constraint>(Vec<Pruning>, Vec<String>, IncrementalValidator<C>);
+struct PrunedTwin(Vec<Pruning>, Vec<String>, IncrementalValidator);
 
-impl<C: Constraint> Subject for PrunedTwin<C> {
+impl Subject for PrunedTwin {
     fn step(&mut self, batch: &DeltaSet, at: &Boundary) -> Result<(), String> {
         self.2.apply_all(batch);
         let mut kept = at.shown.clone();
@@ -489,10 +498,10 @@ fn guarded<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
 /// Feed the batches `next` yields to the oracle and to a fresh subject per
 /// recipe, boundary by boundary. `Ok` is the rules that had a witness at
 /// some boundary, `Err` the first divergence and the stream up to it.
-fn drive<C: Constraint + Clone>(
-    (graph, sigma): (&Graph, &[C]),
-    recipes: &[&Recipe<C>],
-    mut next: impl FnMut(&Oracle<C>) -> Option<DeltaSet>,
+fn drive(
+    (graph, sigma): (&Graph, &[Rule]),
+    recipes: &[&Recipe],
+    mut next: impl FnMut(&Oracle) -> Option<DeltaSet>,
 ) -> Result<BTreeSet<String>, (Divergence, Vec<DeltaSet>)> {
     let mut oracle = Oracle::new(graph, sigma);
     let mut stream: Vec<DeltaSet> = Vec::new();
@@ -531,7 +540,7 @@ fn drive<C: Constraint + Clone>(
 }
 
 /// Replays `stream`, for [`drive`].
-fn fixed<C>(stream: &[DeltaSet]) -> impl FnMut(&Oracle<C>) -> Option<DeltaSet> + '_ {
+fn fixed(stream: &[DeltaSet]) -> impl FnMut(&Oracle) -> Option<DeltaSet> + '_ {
     let mut batches = stream.iter();
     move |_| batches.next().cloned()
 }
@@ -560,9 +569,9 @@ fn minimize<T: Clone>(mut items: Vec<T>, fails: &mut impl FnMut(&[T]) -> bool) -
 /// Shrink a failing stream: whole batches first, then single deltas, each
 /// candidate re-run through a fresh subject and a fresh oracle from the
 /// initial graph; at most 300 re-runs (returned beside the stream).
-fn shrink<C: Constraint + Clone>(
-    start: (&Graph, &[C]),
-    recipe: &Recipe<C>,
+fn shrink(
+    start: (&Graph, &[Rule]),
+    recipe: &Recipe,
     stream: Vec<DeltaSet>,
 ) -> (Vec<DeltaSet>, usize) {
     let mut reruns = 0;
@@ -587,13 +596,13 @@ fn shrink<C: Constraint + Clone>(
 /// recipe. `Ok` is the rules that had a witness at some boundary; `Err` is
 /// the report: seed (what made the stream), batch, subject, what differed,
 /// and the shrunk stream, one `apply` frame per line, for [`replay`].
-pub fn try_run<C: Constraint + Clone>(
-    start: (&Graph, &[C]),
-    recipes: &[Recipe<C>],
+pub fn try_run(
+    start: (&Graph, &[Rule]),
+    recipes: &[Recipe],
     seed: u64,
-    next: impl FnMut(&Oracle<C>) -> Option<DeltaSet>,
+    next: impl FnMut(&Oracle) -> Option<DeltaSet>,
 ) -> Result<BTreeSet<String>, String> {
-    let all: Vec<&Recipe<C>> = recipes.iter().collect();
+    let all: Vec<&Recipe> = recipes.iter().collect();
     drive(start, &all, next).map_err(|((subject, batch, detail), stream)| {
         let culprit = all.iter().find(|r| r.0 == subject);
         let culprit = culprit.expect("a subject of this run");
@@ -611,6 +620,11 @@ pub fn try_run<C: Constraint + Clone>(
     })
 }
 
+/// A Σ of any family, compiled into the one rule type.
+pub fn served<C: Into<Rule>>(sigma: impl IntoIterator<Item = C>) -> Vec<Rule> {
+    sigma.into_iter().map(Into::into).collect()
+}
+
 /// `0..n` as a value pool.
 pub fn ints(n: i64) -> Vec<Value> {
     (0..n).map(Value::from).collect()
@@ -625,26 +639,22 @@ pub fn key_attrs() -> [Symbol; 3] {
 /// [`try_run`] on generated traffic — a [`DeltaStream`] of `seed` over the
 /// vocabulary `attrs` and the value `pool`, `batches` batches of `draws`
 /// draws — panicking with the report on a divergence.
-pub fn run<C: Constraint + Clone>(
-    start: (&Graph, &[C]),
+pub fn run(
+    start: (&Graph, &[Rule]),
     (seed, attrs, pool): (u64, &[Symbol], &[Value]),
     (batches, draws): (usize, usize),
-    recipes: &[Recipe<C>],
+    recipes: &[Recipe],
 ) -> BTreeSet<String> {
     let mut stream = DeltaStream::new(seed, attrs, pool);
     let mut batches = 0..batches;
-    let mut batch = |oracle: &Oracle<C>| stream.batch(&oracle.mirror, draws);
-    let next = |oracle: &Oracle<C>| batches.next().map(|_| batch(oracle));
+    let mut batch = |oracle: &Oracle| stream.batch(&oracle.mirror, draws);
+    let next = |oracle: &Oracle| batches.next().map(|_| batch(oracle));
     try_run(start, recipes, seed, next).unwrap_or_else(|report| panic!("{report}"))
 }
 
 /// Run a printed reproducer — one `apply` frame per line — through one
 /// subject: paste the lines into a test, assert `Ok` once the bug is fixed.
-pub fn replay<C: Constraint + Clone>(
-    start: (&Graph, &[C]),
-    recipe: &Recipe<C>,
-    lines: &str,
-) -> Result<(), Divergence> {
+pub fn replay(start: (&Graph, &[Rule]), recipe: &Recipe, lines: &str) -> Result<(), Divergence> {
     let frames = lines.lines().map(str::trim).filter(|line| !line.is_empty());
     let batch = |line: &str| match Request::from_line(line) {
         Some(Request::Apply(batch)) => batch,
@@ -676,15 +686,15 @@ pub fn wildcard_sigma() -> Vec<Ged> {
 }
 
 /// Rules whose premises the join filter must decide exactly as
-/// `literal_holds` does: a cross-attribute join over an edge (either side
-/// may lose its attribute), a same-variable premise, a constant beside a
-/// join, the disconnected key:entity rule, a GDC whose `<` premise the
-/// literal view drops (inexact view: the `=` premise is pushed, `<` is left
-/// to `check`), and a key whose second component is wildcard-labelled —
+/// `GdcLiteral::holds` does: a cross-attribute join over an edge (either
+/// side may lose its attribute), a same-variable premise, a constant beside
+/// a join, the disconnected key:entity rule, a GDC with an `=` and a `<`
+/// premise (the `=` premise is pushed, `<` is left to `check`), and a key
+/// whose second component is wildcard-labelled —
 /// the engine indexes `(entity, key)` for both key rules, so `x` is probed
 /// when `y` is assigned first, while `y` after `x` can only scan. Over a
 /// small two-label random graph with four planted key pairs.
-pub fn pushdown_workload() -> (Graph, Vec<SigmaConstraint>) {
+pub fn pushdown_workload() -> (Graph, Vec<Rule>) {
     use ged_datagen::random::{plant_key_violations, random_graph, RandomGraphConfig};
     let cfg = RandomGraphConfig {
         n_nodes: 70,
@@ -713,7 +723,7 @@ pub fn pushdown_workload() -> (Graph, Vec<SigmaConstraint>) {
     let differ = vec![GdcLiteral::vars(x, k, Pred::Ne, y, k)];
     let inexact = Gdc::new("inexact", parse_pattern(edge).unwrap(), premises, differ);
     let wild = ged("wild-key", "entity(x); _(y)", same_key(), same_node(x, y));
-    let sigma = [key, cross, same, beside].map(SigmaConstraint::from);
+    let sigma = [key, cross, same, beside].map(Rule::from);
     let (inexact, wild) = (inexact.into(), wild.into());
     (g, sigma.into_iter().chain([inexact, wild]).collect())
 }

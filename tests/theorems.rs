@@ -46,8 +46,9 @@ fn theorem1_chase_properties() {
             "Theorem 1 bounds, seed {seed}"
         );
         if let ChaseResult::Consistent { coercion, .. } = &result {
+            let served: Vec<Rule> = sigma.iter().cloned().map(Rule::from).collect();
             assert!(
-                satisfies_all(&coercion.graph, &sigma),
+                satisfies_all(&coercion.graph, &served),
                 "G_Eq ⊨ Σ (Theorem 1), seed {seed}"
             );
         }
@@ -70,7 +71,8 @@ fn theorem2_model_construction() {
         let sigma = satisfiability_gfd(&inst);
         match build_model(&sigma) {
             Some(model) => {
-                assert!(is_model(&model, &sigma));
+                let served: Vec<Rule> = sigma.iter().cloned().map(Rule::from).collect();
+                assert!(is_model(&model, &served));
                 assert!(is_satisfiable(&sigma));
             }
             None => assert!(!is_satisfiable(&sigma)),
@@ -119,12 +121,12 @@ fn theorem6_validation_reductions() {
         let colorable = is_3_colorable(&inst);
         let (g1, phi) = validation_gfdx(&inst);
         assert_eq!(
-            validate(&g1, std::slice::from_ref(&phi), Some(1)).satisfied(),
+            validate(&g1, &[phi.into()], Some(1)).satisfied(),
             !colorable
         );
         let (g2, psi) = validation_gkey(&inst);
         assert_eq!(
-            validate(&g2, std::slice::from_ref(&psi), Some(1)).satisfied(),
+            validate(&g2, &[psi.into()], Some(1)).satisfied(),
             !colorable
         );
     }
