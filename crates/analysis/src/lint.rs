@@ -1,10 +1,12 @@
 //! Layer 1: the structural linter. Works on a [`Rule`]'s pattern and its
 //! premises and conclusion options, so every family lints alike.
 //!
-//! Two lints read only the rule's *equality fragment*, its `=` and id
-//! literals ([`GdcLiteral::as_eq_literal`]): unbound variables, and
-//! constant conflicts (a contradictory subset of the premises stays
-//! contradictory under the others, whatever their predicates). The lints
+//! Unbound variables are read off every literal, whatever its predicate:
+//! a `<` over a variable the pattern does not bind fails at the first
+//! match as surely as an `=` does. Constant conflicts read only the
+//! rule's *equality fragment*, its `=` constant premises (a contradictory
+//! subset of the premises stays contradictory under the others, whatever
+//! their predicates). The lints
 //! that compare rule logic — duplicates, conclusion-entailed-by-premises,
 //! disjunct shadowing — compare whole literals, predicate included, so
 //! they hold for every predicate: a literal entails an identical one.
@@ -51,15 +53,13 @@ pub(crate) fn structural(
     duplicate_rules(sigma, out, prunable);
 }
 
-/// Error: a literal of the equality fragment referencing a variable the
-/// pattern does not bind.
+/// Error: a literal, of any predicate, referencing a variable the pattern
+/// does not bind.
 fn unbound_variables(i: usize, rule: &Rule, out: &mut Vec<Diagnostic>) {
     let pattern = &rule.pattern;
     let unbound: BTreeSet<u32> = rule
         .literals()
-        .filter_map(GdcLiteral::as_eq_literal)
-        .filter(|l| !l.in_scope(pattern))
-        .flat_map(|l| l.vars_used())
+        .flat_map(GdcLiteral::variables)
         .filter(|v| v.idx() >= pattern.var_count())
         .map(|v| v.0)
         .collect();

@@ -135,6 +135,17 @@ impl GdcLiteral {
         a.into_iter().chain(b)
     }
 
+    /// The variables the literal names, whatever its predicate: `x` of
+    /// `x.A ⊕ c`, `x` and `y` of `x.A ⊕ y.B` and of `x.id = y.id`.
+    pub fn variables(&self) -> impl Iterator<Item = Var> {
+        let (a, b) = match self {
+            GdcLiteral::Const { var, .. } => (*var, None),
+            GdcLiteral::Vars { lvar, rvar, .. } => (*lvar, Some(*rvar)),
+            GdcLiteral::Id { x, y } => (*x, Some(*y)),
+        };
+        std::iter::once(a).chain(b)
+    }
+
     /// The inverse of [`GdcLiteral::from_ged`], where it exists: render
     /// the literal back as a plain (equality) GED literal. `None` for the
     /// non-`=` predicates — the callers (the linter's equality fragment,

@@ -610,8 +610,8 @@ mod tests {
         assert_eq!(before.get_bool("degraded"), Some(false), "{before}");
         assert_eq!(
             before.get_u64("protocol"),
-            Some(2),
-            "kinds are position lists"
+            Some(3),
+            "witnesses are triples, kinds position lists"
         );
 
         thread::scope(|s| {

@@ -36,6 +36,7 @@
 //!   so the lexer refuses the literals that would parse to one (`1e999`):
 //!   whatever is read can be written back.
 
+use crate::value::Text;
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
@@ -51,8 +52,10 @@ pub enum Json {
     /// Any other number (and `i64`-overflowing literals). Finite when
     /// parsed; a document built in memory can hold anything.
     Float(f64),
-    /// A string.
-    Str(String),
+    /// A string: up to 15 bytes in place, no heap block of its own (the
+    /// [`Text`] of a string value), so a tree's short strings — wire
+    /// names, kinds, keywords — cost its reader no allocation each.
+    Str(Text),
     /// An array.
     Arr(Vec<Json>),
     /// An object; insertion order is preserved (duplicate keys keep the
@@ -100,7 +103,7 @@ impl Json {
                 Number::Int(i) => Json::Int(i),
                 Number::Float(f) => Json::Float(f),
             }),
-            Kind::Str => r.string().map(|s| Json::Str(s.into_owned())),
+            Kind::Str => r.string().map(|s| Json::Str(s.into())),
             Kind::Arr => {
                 r.begin_array()?;
                 let mut items = Vec::new();
@@ -167,7 +170,7 @@ impl Json {
     /// The string content, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -312,13 +315,13 @@ impl From<f64> for Json {
 
 impl From<&str> for Json {
     fn from(s: &str) -> Json {
-        Json::Str(s.to_string())
+        Json::Str(Text::new(s))
     }
 }
 
 impl From<String> for Json {
     fn from(s: String) -> Json {
-        Json::Str(s)
+        Json::Str(s.into())
     }
 }
 
@@ -847,8 +850,8 @@ mod tests {
             Json::Int(i64::MAX),
             Json::Float(1.5),
             Json::Float(-0.25),
-            Json::Str("hello \"quoted\"\nline".to_string()),
-            Json::Str("unicode: åßç∂ 🦀".to_string()),
+            Json::from("hello \"quoted\"\nline"),
+            Json::from("unicode: åßç∂ 🦀"),
         ] {
             assert_eq!(roundtrip(&v), v, "{v}");
         }
@@ -906,7 +909,7 @@ mod tests {
 
     #[test]
     fn serialised_form_is_one_line() {
-        let v = Json::obj(vec![("k", Json::Str("a\nb\rc".to_string()))]);
+        let v = Json::obj(vec![("k", Json::from("a\nb\rc"))]);
         assert!(!v.to_string().contains(['\n', '\r']));
         assert_eq!(roundtrip(&v), v);
     }
@@ -915,13 +918,13 @@ mod tests {
     fn escapes_and_numbers_have_one_spelling() {
         // The exact bytes, not just a round trip: replies are promised
         // byte-identical across writer rewrites.
-        let s = Json::Str("a\"b\\c\nd\re\tf\u{0}g\u{1f}h\u{7f}é🦀".to_string());
+        let s = Json::from("a\"b\\c\nd\re\tf\u{0}g\u{1f}h\u{7f}é🦀");
         assert_eq!(
             s.to_string(),
             "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000g\\u001fh\u{7f}é🦀\""
         );
         assert_eq!(roundtrip(&s), s);
-        assert_eq!(Json::Str(String::new()).to_string(), "\"\"");
+        assert_eq!(Json::from("").to_string(), "\"\"");
         assert_eq!(Json::Int(i64::MIN).to_string(), "-9223372036854775808");
         assert_eq!(Json::Float(-0.5).to_string(), "-0.5");
         assert_eq!(Json::Float(-0.0).to_string(), "-0.0");
@@ -1073,8 +1076,31 @@ mod tests {
     fn unicode_escapes_decode() {
         assert_eq!(
             Json::parse(r#""\u0041\u00e5\ud83e\udd80""#).unwrap(),
-            Json::Str("Aå🦀".to_string())
+            Json::from("Aå🦀")
         );
+    }
+
+    /// A string of every length 0–40 of one 1-, 2-, 3- or 4-byte char
+    /// reads back as itself, whether it stays in its node or not: widths
+    /// 2–4 put a char across bytes 15/16, where the inline form ends.
+    #[test]
+    fn strings_roundtrip_on_both_sides_of_the_inline_limit() {
+        for c in ['a', 'é', '∂', '🦀'] {
+            for n in 0..=40 {
+                let s: String = std::iter::repeat_n(c, n).collect();
+                let v = Json::from(s.as_str());
+                assert_eq!(v.as_str(), Some(s.as_str()), "{c:?} × {n}");
+                assert_eq!(roundtrip(&v), v, "{c:?} × {n}");
+                assert_eq!(Json::from(s.clone()), v, "{c:?} × {n}");
+            }
+        }
+    }
+
+    /// Holding strings in place costs the tree nothing: a node is the
+    /// 32 bytes it was with a `String`.
+    #[test]
+    fn a_node_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Json>(), 32);
     }
 
     /// Arbitrary documents nested at most `depth` containers deep, drawn
@@ -1131,7 +1157,7 @@ mod tests {
                     _ => rng.next_u64() as i64,
                 }),
                 3 => Json::Float(arb_float(rng)),
-                4 => Json::Str(arb_string(rng)),
+                4 => Json::from(arb_string(rng)),
                 5 | 6 => Json::Arr((0..rng.below(4)).map(|_| below.generate(rng)).collect()),
                 _ => {
                     // Keys come from the same small alphabet, so empty

@@ -39,10 +39,12 @@ use std::fmt::Write as _;
 use std::io::{self, IoSlice, Write};
 use std::ops::Range;
 
-/// Wire protocol version, reported by `health`. Version 2: a witness's
-/// `kind` is the list of its failed conclusion positions (`[0, 2]`, the
+/// Wire protocol version, reported by `health`. Version 3: a witness is
+/// the positional triple `["rule",[ids…],"kind"]`, where version 2 sent an
+/// object with the keys `rule`, `assignment` and `kind`; the `kind` is, as
+/// in version 2, the list of its failed conclusion positions (`[0, 2]`, the
 /// [`ViolationKind`]'s `Debug` text), the same in every process.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Machine-readable error codes used in `{"ok":false,"code":...}`
 /// responses.
@@ -374,7 +376,7 @@ fn value_to_json(v: &Value) -> Json {
         Value::Bool(b) => Json::Bool(*b),
         Value::Int(i) => Json::Int(*i),
         Value::Float(f) => Json::Float(*f),
-        Value::Str(s) => Json::Str(s.as_str().to_owned()),
+        Value::Str(s) => Json::Str(s.clone()),
     }
 }
 
@@ -384,7 +386,7 @@ pub fn value_from_json(json: &Json) -> Result<Value, String> {
         Json::Bool(b) => Ok(Value::Bool(*b)),
         Json::Int(i) => Ok(Value::Int(*i)),
         Json::Float(f) => Ok(Value::Float(*f)),
-        Json::Str(s) => Ok(Value::from(s.as_str())),
+        Json::Str(s) => Ok(Value::Str(s.clone())),
         other => Err(format!("not an attribute value: {other}")),
     }
 }
@@ -405,7 +407,7 @@ pub fn delta_to_json(d: &Delta) -> Json {
     match d {
         Delta::AddNode { label } => Json::obj(vec![
             ("op", Json::from("add_node")),
-            ("label", Json::Str(label.name())),
+            ("label", Json::from(label.name())),
         ]),
         Delta::RemoveNode { node } => Json::obj(vec![
             ("op", Json::from("remove_node")),
@@ -414,25 +416,25 @@ pub fn delta_to_json(d: &Delta) -> Json {
         Delta::AddEdge { src, label, dst } => Json::obj(vec![
             ("op", Json::from("add_edge")),
             ("src", node_to_json(*src)),
-            ("label", Json::Str(label.name())),
+            ("label", Json::from(label.name())),
             ("dst", node_to_json(*dst)),
         ]),
         Delta::RemoveEdge { src, label, dst } => Json::obj(vec![
             ("op", Json::from("remove_edge")),
             ("src", node_to_json(*src)),
-            ("label", Json::Str(label.name())),
+            ("label", Json::from(label.name())),
             ("dst", node_to_json(*dst)),
         ]),
         Delta::SetAttr { node, attr, value } => Json::obj(vec![
             ("op", Json::from("set_attr")),
             ("node", node_to_json(*node)),
-            ("attr", Json::Str(attr.name())),
+            ("attr", Json::from(attr.name())),
             ("value", value_to_json(value)),
         ]),
         Delta::DelAttr { node, attr } => Json::obj(vec![
             ("op", Json::from("del_attr")),
             ("node", node_to_json(*node)),
-            ("attr", Json::Str(attr.name())),
+            ("attr", Json::from(attr.name())),
         ]),
     }
 }
@@ -502,11 +504,12 @@ pub fn err_response(code: &str, message: &str) -> Json {
     ])
 }
 
-/// One violation as carried on the wire: rule name, the witness
-/// assignment, and the failure kind rendered with `Debug` — the ascending
-/// positions of the failed conclusion literals, `[0, 2]` — exactly the
-/// string the in-process lockstep ledgers use, so protocol-level tests
-/// compare witness sets without a reverse codec for [`ViolationKind`].
+/// One violation as carried on the wire, the triple `["rule",[ids…],"kind"]`:
+/// rule name, the witness assignment, and the failure kind rendered with
+/// `Debug` — the ascending positions of the failed conclusion literals,
+/// `[0, 2]` — exactly the string the in-process lockstep ledgers use, so
+/// protocol-level tests compare witness sets without a reverse codec for
+/// [`ViolationKind`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WireViolation {
     /// Name of the violated rule.
@@ -523,29 +526,37 @@ pub fn violation_to_json(v: &Violation) -> Json {
 }
 
 fn wire_violation_to_json(rule: &str, assignment: &[NodeId], kind: &ViolationKind) -> Json {
-    Json::obj(vec![
-        ("rule", Json::from(rule)),
-        (
-            "assignment",
-            Json::Arr(assignment.iter().map(|n| node_to_json(*n)).collect()),
-        ),
-        ("kind", Json::Str(format!("{kind:?}"))),
+    Json::Arr(vec![
+        Json::from(rule),
+        Json::Arr(assignment.iter().map(|n| node_to_json(*n)).collect()),
+        Json::from(format!("{kind:?}")),
     ])
 }
 
-/// Decode one wire violation object.
+/// Decode one wire violation: exactly the three items of
+/// `["rule",[ids…],"kind"]`. The object a protocol-2 `gedd` sent is refused
+/// by name, as is an array of any other length.
 pub fn violation_from_json(json: &Json) -> Result<WireViolation, String> {
-    let rule = json
-        .get_str("rule")
-        .ok_or_else(|| "violation needs a string `rule`".to_string())?
+    const SHAPE: &str = "a violation is the array [\"rule\", [ids…], \"kind\"]";
+    let (rule, assignment, kind) = match json {
+        Json::Arr(items) => match &items[..] {
+            [rule, assignment, kind] => (rule, assignment, kind),
+            _ => return Err(format!("{SHAPE}, not {} items", items.len())),
+        },
+        Json::Obj(_) => return Err(format!("{SHAPE}, not an object (protocol 2)")),
+        other => return Err(format!("{SHAPE}, not {other}")),
+    };
+    let rule = rule
+        .as_str()
+        .ok_or_else(|| "a violation's rule is a string".to_string())?
         .to_string();
-    let assignment = json
-        .get_arr("assignment")
-        .ok_or_else(|| "violation needs an `assignment` array".to_string())?;
+    let assignment = assignment
+        .as_arr()
+        .ok_or_else(|| "a violation's assignment is an array".to_string())?;
     let assignment = decode_all(assignment, node_from_json)?;
-    let kind = json
-        .get_str("kind")
-        .ok_or_else(|| "violation needs a string `kind`".to_string())?
+    let kind = kind
+        .as_str()
+        .ok_or_else(|| "a violation's kind is a string".to_string())?
         .to_string();
     Ok(WireViolation {
         rule,
@@ -606,8 +617,8 @@ pub fn report_to_json(epoch: u64, report: &ValidationReport) -> Json {
 pub type WitnessSink<'s, 'w> = dyn FnMut(&'w str, &[NodeId], &'w ViolationKind) + 's;
 
 /// Bytes [`encode_report`] reserves per witness: a two-node witness of a
-/// one-literal kind takes about 120.
-const WITNESS_BYTES: usize = 128;
+/// one-literal kind takes about 30.
+const WITNESS_BYTES: usize = 48;
 
 /// What a witness of `rule` with `ids` node ids and this `kind` takes
 /// when every id has ten digits (`u32::MAX`'s width): no witness of the
@@ -628,7 +639,7 @@ fn widest_witness(rule: &str, ids: usize, kind: &ViolationKind) -> usize {
             Ok(())
         }
     }
-    let mut len = EscapedLen(r#"{"rule":"","assignment":[],"kind":""}"#.len());
+    let mut len = EscapedLen(r#"["",[],""]"#.len());
     write!(len, "{rule}{kind:?}").expect("counting is infallible");
     len.0 + (11 * ids).saturating_sub(1)
 }
@@ -640,7 +651,7 @@ const REPLY_TAIL: &str = "]}\n";
 /// Writes the witness-carrying replies, or their pieces, straight into a
 /// buffer, where [`report_to_json`] builds a [`Json`] tree to be written
 /// afterwards. Same bytes (the codec tests pin each line to the
-/// tree's [`Json::write`] plus `\n`), one buffer instead of a dozen
+/// tree's [`Json::write`] plus `\n`), one buffer instead of several
 /// allocations per witness: scalars go through [`Json::write`] itself
 /// (`Int`/`Bool` values own nothing), node ids are plain decimal `u32`s,
 /// strings go through its [`write_escaped`], and a kind's `Debug` text
@@ -651,10 +662,10 @@ struct LineEncoder {
 }
 
 /// What a run of witnesses shares, remembered for the last witness
-/// written: its rule with where its `{"rule":…,"assignment":[` is in the
-/// buffer, and its kind with where its `],"kind":…}` is. A witness that
-/// repeats either copies those bytes, so a run of witnesses of one rule
-/// and one kind formats and escapes them once.
+/// written: its rule with where its head `["rule",[` is in the buffer, and
+/// its kind with where its tail `],"kind"]` is. A witness that repeats
+/// either copies those bytes, so a run of witnesses of one rule and one
+/// kind formats and escapes them once.
 #[derive(Default)]
 struct Run<'w> {
     rule: Option<(&'w str, Range<usize>)>,
@@ -727,10 +738,9 @@ impl LineEncoder {
                 Some((last, head)) if *last == rule => self.out.extend_from_within(head.clone()),
                 _ => {
                     let at = self.out.len();
-                    self.key('{', "rule");
-                    write_escaped(rule, &mut self.out);
-                    self.key(',', "assignment");
                     self.out.push('[');
+                    write_escaped(rule, &mut self.out);
+                    self.out.push_str(",[");
                     run.rule = Some((rule, at..self.out.len()));
                 }
             }
@@ -741,11 +751,9 @@ impl LineEncoder {
                 }
                 _ => {
                     let at = self.out.len();
-                    self.out.push(']');
-                    self.key(',', "kind");
-                    self.out.push('"');
+                    self.out.push_str("],\"");
                     write!(self.out, "{kind:?}").expect("formatting is infallible");
-                    self.out.push_str("\"}");
+                    self.out.push_str("\"]");
                     run.kind = Some((kind, at..self.out.len()));
                 }
             }
@@ -1154,5 +1162,48 @@ mod tests {
         assert_eq!(reply.violations.len(), 1);
         assert_eq!(reply.violations[0].assignment, vec![NodeId(4), NodeId(7)]);
         assert_eq!(reply.violations[0].kind, "[0, 2]");
+    }
+
+    /// A witness is the triple `["rule",[ids…],"kind"]` and nothing else:
+    /// the protocol-2 object and arrays of two or four items are refused,
+    /// each with a message that says what a violation is.
+    #[test]
+    fn a_violation_is_exactly_a_triple() {
+        let witness = Violation {
+            ged_name: "keys".to_string(),
+            assignment: vec![NodeId(4), NodeId(7)],
+            kind: ViolationKind::from(vec![0, 2]),
+        };
+        let line = violation_to_json(&witness).to_string();
+        assert_eq!(line, r#"["keys",[4,7],"[0, 2]"]"#);
+        let decoded = violation_from_json(&Json::parse(&line).unwrap()).unwrap();
+        let expected = WireViolation {
+            rule: "keys".to_string(),
+            assignment: vec![NodeId(4), NodeId(7)],
+            kind: "[0, 2]".to_string(),
+        };
+        assert_eq!(decoded, expected);
+        let shape = r#"a violation is the array ["rule", [ids…], "kind"], not "#;
+        for (line, refusal) in [
+            (
+                r#"{"rule":"keys","assignment":[4,7],"kind":"[0, 2]"}"#,
+                "an object (protocol 2)",
+            ),
+            (r#"["keys",[4,7]]"#, "2 items"),
+            (r#"["keys",[4,7],"[0, 2]","[1]"]"#, "4 items"),
+            (r#""keys""#, r#""keys""#),
+        ] {
+            let e = violation_from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert_eq!(e, format!("{shape}{refusal}"), "{line}");
+        }
+        for (line, refusal) in [
+            (r#"[4,[4,7],"[0, 2]"]"#, "rule is a string"),
+            (r#"["keys",4,"[0, 2]"]"#, "assignment is an array"),
+            (r#"["keys",[4,-7],"[0, 2]"]"#, "not a node id: -7"),
+            (r#"["keys",[4,7],[0,2]]"#, "kind is a string"),
+        ] {
+            let e = violation_from_json(&Json::parse(line).unwrap()).unwrap_err();
+            assert!(e.contains(refusal), "{line}: {e}");
+        }
     }
 }

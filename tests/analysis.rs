@@ -239,3 +239,39 @@ fn with_analysis_rejects_an_inconsistent_sigma() {
         .iter()
         .any(|d| d.kind == LintKind::UnsatisfiableSigma && d.severity == Severity::Error));
 }
+
+/// A literal over a variable the pattern does not bind is an Error under
+/// every predicate, not only `=`: `t(x)` with the premise `?1.a ⊕ 5` (or a
+/// `?0.b ⊕ ?1.b` conclusion) would index past a one-node match at the
+/// first `check`, so the rule must not deploy.
+#[test]
+fn with_analysis_refuses_an_unbound_variable_under_every_predicate() {
+    let (a, b) = (sym("a"), sym("b"));
+    let unbound = |d: &Diagnostic| {
+        d.kind == LintKind::UnboundVariable
+            && d.severity == Severity::Error
+            && d.message.contains("{1}")
+    };
+    for pred in [Pred::Eq, Pred::Ne, Pred::Lt, Pred::Gt, Pred::Le, Pred::Ge] {
+        let in_premise = GdcLiteral::constant(Var(1), a, pred, 5);
+        let bound = GdcLiteral::constant(Var(0), b, Pred::Eq, 1);
+        let in_conclusion = GdcLiteral::vars(Var(0), b, pred, Var(1), b);
+        for (premises, conclusion) in [(vec![in_premise], bound), (vec![], in_conclusion)] {
+            let rule = Rule {
+                name: "unbound".to_string(),
+                pattern: parse_pattern("t(x)").unwrap(),
+                premises,
+                options: vec![vec![conclusion]],
+            };
+            let at = rule.literals().map(ToString::to_string).collect::<Vec<_>>();
+            let report = analyze(std::slice::from_ref(&rule));
+            assert!(report.diagnostics.iter().any(unbound), "{at:?}: {report}");
+            let mut g = Graph::new();
+            let t = g.add_node(sym("t"));
+            g.set_attr(t, a, 1);
+            let refused = IncrementalValidator::with_analysis(g, vec![rule]);
+            let report = refused.expect_err("a rule over an unbound variable must not deploy");
+            assert!(report.has_errors(), "{at:?}");
+        }
+    }
+}

@@ -6,15 +6,17 @@
 //! formats that rule alone and costs no more than the first, and a poll
 //! that finds the epoch already rendered costs none. A segment is one
 //! allocation, sized from its first witness, and holds less than twice its
-//! length.
+//! length. On the client's side, decoding the reply into a `ReportReply`
+//! costs about five calls per witness.
 //!
 //! The counter (`support/counting.rs`) counts the calling thread's
 //! allocations, and everything measured here runs on it.
 
 use ged_daemon::server::rendering;
 use ged_daemon::workload;
-use ged_proto::message::{encode_segment, report_to_json, write_segmented};
-use ged_proto::write_frame;
+use ged_proto::client::unwrap_ok;
+use ged_proto::message::{encode_segment, report_from_json, report_to_json, write_segmented};
+use ged_proto::{write_frame, Json};
 use ged_repro::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -49,11 +51,14 @@ fn a_render_allocates_a_constant_and_a_hit_nothing() {
     let witnesses = snap.violation_count();
     assert!(witnesses >= 1000, "{witnesses} witnesses");
 
-    // The reference path, for scale.
+    // The reference path, for scale: a triple's array and its ids per
+    // witness, its rule and kind in place, and the line's growth — 6 304
+    // calls, held as a bound.
     let (tree, tree_allocs) = allocations_in(|| tree_line(&snap));
+    println!("the tree path for {witnesses} witnesses: {tree_allocs} allocator calls");
     assert!(
-        tree_allocs > 8 * witnesses as u64,
-        "the tree path allocates per witness ({tree_allocs} calls)"
+        tree_allocs <= 6_304,
+        "the tree path took {tree_allocs} allocator calls"
     );
 
     let (first, miss_allocs) = allocations_in(|| rendering(&snap));
@@ -145,5 +150,37 @@ fn a_segment_is_one_allocation_near_its_length() {
             assert!(capacity < 2 * len, "{rule}: {len} B in {capacity}");
             segment
         },
+    );
+}
+
+/// The client's side of a `report` poll: the reply line of 1 000-odd
+/// witnesses through `Json::parse`, `unwrap_ok` and `report_from_json` —
+/// what `Client::report` and gedbench run — costs about five allocator
+/// calls per witness: the triple's array, its ids, and the decoded rule,
+/// ids and kind; the rule and the kind are short enough to sit in their
+/// tree nodes. The rest is a constant: the rule rows and the growth of the
+/// witness lists.
+#[test]
+fn a_report_decodes_in_five_calls_per_witness() {
+    let (g, sigma) = workload::load("mixed:honest=1250,plants=250,seed=3").unwrap();
+    let v = IncrementalValidator::new(g, sigma);
+    let snap = v.read_view().snapshot();
+    let witnesses = snap.violation_count() as u64;
+    assert!(witnesses >= 1000, "{witnesses} witnesses");
+    let line = String::from_utf8(line_of(&rendering(&snap))).unwrap();
+
+    let (reply, allocs) = allocations_in(|| {
+        let reply = unwrap_ok(Json::parse(line.trim_end()).expect("parses")).expect("ok");
+        report_from_json(&reply).expect("decodes")
+    });
+    assert_eq!(reply.violations.len() as u64, witnesses);
+    println!(
+        "decoding a report of {witnesses} witnesses ({} B): {allocs} allocator calls, {:.2} per witness",
+        line.len(),
+        allocs as f64 / witnesses as f64
+    );
+    assert!(
+        allocs <= witnesses * 51 / 10 + 64,
+        "decoding {witnesses} witnesses took {allocs} allocator calls"
     );
 }

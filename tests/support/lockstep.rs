@@ -674,14 +674,18 @@ fn ged(name: &str, pattern: &str, x: Vec<Literal>, y: Vec<Literal>) -> Ged {
 }
 
 /// Wildcard node and edge labels: every node matches, every edge matches —
-/// the widest affected areas the matcher can produce.
+/// the widest affected areas the matcher can produce. Beside them a rule
+/// over `e0`, a label the random graph and the stream draw, so an `e0`
+/// edge delta has a rule set of its own, which must hold the wildcard-edge
+/// rules too.
 pub fn wildcard_sigma() -> Vec<Ged> {
     let (k, a0, x, y) = (sym("key"), sym("attr0"), Var(0), Var(1));
-    let agree = vec![Literal::vars(x, a0, y, a0)];
+    let agree = || vec![Literal::vars(x, a0, y, a0)];
     let (same_key, same_node) = (vec![Literal::vars(x, k, y, k)], vec![Literal::id(x, y)]);
     vec![
-        ged("wild-agree", "_(x) -[_]-> _(y)", vec![], agree),
-        ged("wild-key", "_(x); _(y)", same_key, same_node),
+        ged("wild-agree", "_(x) -[_]-> _(y)", vec![], agree()),
+        ged("wild-key", "_(x); _(y)", same_key.clone(), same_node),
+        ged("e0-agree", "_(x) -[e0]-> _(y)", same_key, agree()),
     ]
 }
 
