@@ -90,16 +90,38 @@ fn every_datagen_workload_sigma_analyzes_without_errors() {
     }
 }
 
-/// The analyzer's report on every datagen Σ, as text and as its JSON
-/// document, equals `golden/analysis_reports.txt` byte for byte: a change
+/// A rule as text: its name, its pattern, its premises, then each
+/// conclusion option in brackets (none at all is `false`). Built from the
+/// `Display` impls only — `Symbol`'s `Debug` prints interner indexes.
+fn rule_text(r: &Rule) -> String {
+    let join = |lits: &[GdcLiteral]| {
+        let lits: Vec<String> = lits.iter().map(ToString::to_string).collect();
+        lits.join(" ∧ ")
+    };
+    let options: Vec<String> = r.options.iter().map(|o| format!("[{}]", join(o))).collect();
+    format!(
+        "rule {}: {}\n  X: [{}]\n  Y: {} option(s) {}\n",
+        r.name,
+        r.pattern,
+        join(&r.premises),
+        r.options.len(),
+        options.join(" ∨ ")
+    )
+}
+
+/// Every datagen Σ — each rule's text, then the analyzer's report on it
+/// as text and as its JSON document — equals `golden/analysis_reports.txt`
+/// byte for byte: a constructor that builds a different rule, or a change
 /// to the linter or the semantic layer that moves one diagnostic, one
-/// message or one pruned rule fails here.
+/// message or one pruned rule, fails here.
 #[test]
 fn every_datagen_sigma_renders_its_checked_in_report() {
     let mut text = String::new();
     for (what, sigma) in datagen_sigmas() {
+        text += &format!("== {what}\n");
+        text.extend(sigma.iter().map(rule_text));
         let report = analyze(&sigma);
-        text += &format!("== {what}\n{report}{}\n", report.to_json());
+        text += &format!("{report}{}\n", report.to_json());
     }
     let expected = include_str!("golden/analysis_reports.txt");
     if let Some((at, (got, want))) = text
