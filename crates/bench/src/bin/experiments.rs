@@ -27,8 +27,7 @@ use ged_datagen::random::evolving_workload;
 use ged_datagen::rules;
 use ged_datagen::social::{generate as gen_social, spam_cascade, SocialConfig};
 use ged_ext::domain::{domain_as_disj, domain_as_gdcs};
-use ged_ext::reason::{disj_satisfiable, gdc_satisfiable};
-use ged_ext::Gdc;
+use ged_ext::reason::ext_satisfiable;
 use ged_graph::{sym, Value};
 use ged_pattern::{fragments, parse_pattern, Var};
 
@@ -273,10 +272,10 @@ fn exp_t1_ext() {
     );
     let dom = [Value::from(0), Value::from(1)];
     let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-    let (sat, d) = timed(|| gdc_satisfiable(&[phi1.clone(), phi2.clone()]));
+    let (sat, d) = timed(|| ext_satisfiable(&[phi1.clone(), phi2.clone()]));
     println!("Example 9 GDC pair satisfiable: {sat} ({} µs)", us(d));
     let psi = domain_as_disj("τ", "A", &dom);
-    let (sat, d) = timed(|| disj_satisfiable(std::slice::from_ref(&psi)));
+    let (sat, d) = timed(|| ext_satisfiable(std::slice::from_ref(&psi)));
     println!("Example 10 GED∨ satisfiable:    {sat} ({} µs)", us(d));
     // The Σp2 cost gap: GED satisfiability (chase, coNP) vs GDC bounded
     // search on the *same* equality-only constraints.
@@ -285,8 +284,8 @@ fn exp_t1_ext() {
         let inst = ColoringInstance::cycle(n + 2);
         let sigma = satisfiability_gfd(&inst);
         let (_, d_ged) = timed(|| is_satisfiable(&sigma));
-        let gdcs: Vec<_> = sigma.iter().map(ged_ext::gdc::Gdc::from_ged).collect();
-        let (_, d_gdc) = timed(|| gdc_satisfiable(&gdcs));
+        let gdcs: Vec<Rule> = sigma.iter().cloned().map(Rule::from).collect();
+        let (_, d_gdc) = timed(|| ext_satisfiable(&gdcs));
         println!(
             "  C{}: GED chase {} µs   GDC search {} µs   (gap ×{:.1})",
             n + 2,
@@ -295,13 +294,11 @@ fn exp_t1_ext() {
             d_gdc.as_secs_f64() / d_ged.as_secs_f64().max(1e-9)
         );
     }
-    println!("\nvalidation (coNP for both — same shape):");
+    println!("\nvalidation (coNP for both — a GED and its GDC lift are one `Rule`):");
     let (graph, geds) = evolving_workload(200, 3, 2, 7);
     let sigma: Vec<Rule> = geds.iter().cloned().map(Rule::from).collect();
-    let gdcs: Vec<Rule> = geds.iter().map(|g| Gdc::from_ged(g).into()).collect();
-    let (_, d_ged) = timed_median(3, || validate(&graph, &sigma, Some(1)).satisfied());
-    let (_, d_gdc) = timed_median(3, || ged_core::satisfy::satisfies_all(&graph, &gdcs));
-    println!("  |V|=200: GED {} µs   GDC {} µs", us(d_ged), us(d_gdc));
+    let (_, d) = timed_median(3, || validate(&graph, &sigma, Some(1)).satisfied());
+    println!("  |V|=200: {} µs", us(d));
 }
 
 fn exp_thm1() {
@@ -638,8 +635,8 @@ fn exp_ex9_10() {
     );
     let dom = [Value::from(0), Value::from(1)];
     let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-    let pair: [Rule; 2] = [phi1.into(), phi2.into()];
-    let psi = Rule::from(domain_as_disj("τ", "A", &dom));
+    let pair = [phi1, phi2];
+    let psi = domain_as_disj("τ", "A", &dom);
     for (desc, val) in [("A=0", Some(0i64)), ("A=7", Some(7)), ("A missing", None)] {
         let mut b = ged_graph::GraphBuilder::new();
         b.node("x", "τ");

@@ -1,7 +1,7 @@
-//! What a violation is: the per-witness [`ViolationKind`] and the one
-//! evaluator [`evaluate`] behind [`Rule::check`](crate::rule::Rule::check).
-//! Also the [`Constraint`] trait, shrunk to the one method the standalone
-//! benchmark still names.
+//! What a violation is: the per-witness [`ViolationKind`] that
+//! [`Rule::check`](crate::rule::Rule::check) returns. Also the
+//! [`Constraint`] trait, shrunk to the one method the standalone benchmark
+//! still names.
 
 use crate::rule::Rule;
 use ged_pattern::Pattern;
@@ -48,25 +48,6 @@ impl fmt::Display for ViolationKind {
     }
 }
 
-/// The one violation test of a rule, over any literal type (`holds`
-/// carries its semantics): `X → opt₁ ∨ opt₂ ∨ …` is violated at
-/// a match iff every premise holds and every option has a failing
-/// literal; the kind lists the failing literals' positions over the
-/// options flattened. No option is `false`; an empty option is `true`.
-/// Deciding costs no allocation — the positions are gathered in a second
-/// pass, for violations only.
-pub fn evaluate<'a, L: 'a>(
-    premises: &[L],
-    options: impl Iterator<Item = &'a [L]> + Clone,
-    holds: impl Fn(&L) -> bool,
-) -> Option<ViolationKind> {
-    if !premises.iter().all(&holds) || options.clone().any(|o| o.iter().all(&holds)) {
-        return None;
-    }
-    let failed = options.flatten().enumerate().filter(|(_, l)| !holds(l));
-    Some(ViolationKind(failed.map(|(i, _)| i).collect()))
-}
-
 /// The pattern of a rule, behind the one method the standalone benchmark
 /// calls. [`Rule`] is its only implementation, and every in-repo caller
 /// reads the `pattern` field itself; the trait goes once the benchmark
@@ -87,6 +68,7 @@ mod tests {
     use super::*;
     use crate::ged::Ged;
     use crate::literal::Literal;
+    use crate::rule::{GdcLiteral, Pred};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
 
@@ -118,21 +100,29 @@ mod tests {
     /// satisfies the rule, no option is `false`, an empty one `true`.
     #[test]
     fn kind_witness_rules() {
-        let holds = |l: &(usize, bool)| l.1;
-        let eval = |premises: &[(usize, bool)], options: &[&[(usize, bool)]]| {
-            evaluate(premises, options.iter().copied(), holds).map(|k| k.positions().to_vec())
+        let mut b = GraphBuilder::new();
+        b.node("n", "t");
+        b.attr("n", "a", 1);
+        let (graph, names) = b.build_with_names();
+        let a = |v: i64| GdcLiteral::constant(Var(0), sym("a"), Pred::Eq, v);
+        let (t, f) = (a(1), a(2));
+        let eval = |premises: &[&GdcLiteral], options: &[&[&GdcLiteral]]| {
+            let lits = |ls: &[&GdcLiteral]| ls.iter().map(|&l| l.clone()).collect();
+            let options = options.iter().map(|o| lits(o)).collect();
+            let rule = Rule::new("r", parse_pattern("t(x)").unwrap(), lits(premises), options);
+            let kind = rule.check(&graph, &[names["n"]]);
+            kind.map(|k| k.positions().to_vec())
         };
-        let (t, f) = ((0, true), (0, false));
-        assert_eq!(eval(&[t], &[&[f, t], &[f]]), Some(vec![0, 2]));
+        assert_eq!(eval(&[&t], &[&[&f, &t], &[&f]]), Some(vec![0, 2]));
         assert_eq!(
-            eval(&[t], &[&[f, t], &[t]]),
+            eval(&[&t], &[&[&f, &t], &[&t]]),
             None,
             "the second option holds"
         );
-        assert_eq!(eval(&[f], &[&[f]]), None, "a failed premise");
-        assert_eq!(eval(&[t], &[]), Some(vec![]), "`false` lists nothing");
-        assert_eq!(eval(&[t], &[&[]]), None, "an empty option holds");
-        assert_eq!(eval(&[], &[&[f], &[f], &[f]]), Some(vec![0, 1, 2]));
+        assert_eq!(eval(&[&f], &[&[&f]]), None, "a failed premise");
+        assert_eq!(eval(&[&t], &[]), Some(vec![]), "`false` lists nothing");
+        assert_eq!(eval(&[&t], &[&[]]), None, "an empty option holds");
+        assert_eq!(eval(&[], &[&[&f], &[&f], &[&f]]), Some(vec![0, 1, 2]));
     }
 
     #[test]

@@ -7,18 +7,20 @@
 //! every literal of **some** option holds. A GED or a GDC is one
 //! conjunctive option, a GED∨ one single-literal option per disjunct, and
 //! no option at all is `false`. [`Rule`] is that form over [`GdcLiteral`],
-//! whose `=` literals are exactly a GED's [`Literal`]s; every GED, GDC and
-//! GED∨ compiles into it by `From` at load (`From<Ged>` here, the other
-//! two in `ged-ext`). It is what every engine runs on — the from-scratch
-//! enumerators of [`satisfy`](crate::satisfy), [`validate`](crate::reason::validate),
-//! the incremental engine, the static analyzer and the daemon — and its
-//! one [`check`](Rule::check) is [`evaluate`], so every witness's
-//! [`ViolationKind`] has one shape whatever family its rule came from.
+//! whose `=` literals are exactly a GED's [`Literal`]s; a GED becomes one
+//! by `From` (the GED-to-GDC lift), and `ged-ext`'s `gdc` and `disj`
+//! constructors build GDCs and GED∨s as `Rule`s directly. It is what every
+//! engine runs on — the from-scratch enumerators of
+//! [`satisfy`](crate::satisfy), [`validate`](crate::reason::validate), the
+//! incremental engine, the static analyzer, the daemon and `ged-ext`'s
+//! bounded search — and its one [`check`](Rule::check) gives every
+//! witness's [`ViolationKind`] one shape whatever family its rule came
+//! from.
 //!
 //! `Ged` stays the input of the chase and of A_GED; a rule that embeds in
 //! that fragment says so through [`Rule::as_chase_ged`].
 
-use crate::constraint::{evaluate, ViolationKind};
+use crate::constraint::ViolationKind;
 use crate::ged::Ged;
 use crate::literal::{falsum, Literal};
 use crate::solver::{consistent, Constraint as Atom, Term};
@@ -241,12 +243,50 @@ pub struct Rule {
 }
 
 impl Rule {
+    /// Build a rule, checking that every literal is over the pattern's
+    /// variables.
+    pub fn new(
+        name: impl Into<String>,
+        pattern: Pattern,
+        premises: Vec<GdcLiteral>,
+        options: Vec<Vec<GdcLiteral>>,
+    ) -> Rule {
+        let rule = Rule {
+            name: name.into(),
+            pattern,
+            premises,
+            options,
+        };
+        let n = rule.pattern.var_count();
+        let in_scope = |l: &GdcLiteral| l.variables().all(|v| v.idx() < n);
+        assert!(
+            rule.literals().all(in_scope),
+            "literal references a variable outside the pattern"
+        );
+        rule
+    }
+
     /// Does match `m` (one node per pattern variable) violate the rule?
-    /// `Some(kind)` lists the failed conclusion literals; `None` means
-    /// `X → Y` holds at `m`.
+    /// It does iff every premise holds and every option has a failing
+    /// literal (no option is `false`; an empty option is `true`).
+    /// `Some(kind)` lists the failing literals' positions over the options
+    /// flattened; `None` means `X → Y` holds at `m`. Deciding costs no
+    /// allocation — the positions are gathered in a second pass, for
+    /// violations only.
     pub fn check(&self, g: &Graph, m: &[NodeId]) -> Option<ViolationKind> {
-        let options = self.options.iter().map(Vec::as_slice);
-        evaluate(&self.premises, options, |l| l.holds(g, m))
+        let holds = |l: &GdcLiteral| l.holds(g, m);
+        if !self.premises.iter().all(holds) || self.options.iter().any(|o| o.iter().all(holds)) {
+            return None;
+        }
+        let failed = self
+            .options
+            .iter()
+            .flatten()
+            .enumerate()
+            .filter(|(_, l)| !holds(l));
+        Some(ViolationKind::from(
+            failed.map(|(i, _)| i).collect::<Vec<_>>(),
+        ))
     }
 
     /// Total size `|φ| = |Q| + |X| + |Y|` — the measure of the paper's
@@ -321,15 +361,13 @@ impl Rule {
     }
 }
 
-/// A GED: its conjunctive conclusion is the one option.
+/// A GED lifted into the GDC language (Section 7.1: "GEDs are a special
+/// case of GDCs when ⊕ is equality only"): its conjunctive conclusion is
+/// the one option.
 impl From<Ged> for Rule {
     fn from(g: Ged) -> Rule {
         let lift = |lits: &[Literal]| lits.iter().map(GdcLiteral::from_ged).collect();
-        Rule {
-            premises: lift(&g.premises),
-            options: vec![lift(&g.conclusions)],
-            name: g.name,
-            pattern: g.pattern,
-        }
+        let (premises, options) = (lift(&g.premises), vec![lift(&g.conclusions)]);
+        Rule::new(g.name, g.pattern, premises, options)
     }
 }

@@ -10,24 +10,13 @@
 
 use crate::kb::KbConfig;
 use crate::social::SocialConfig;
+use crate::Workload;
 use ged_core::literal::Literal;
-use ged_ext::DisjGed;
-use ged_graph::{sym, Graph};
+use ged_ext::disj;
+use ged_graph::sym;
 use ged_pattern::{parse_pattern, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A GED∨ workload: a decorated graph, its rule set, and the number of
-/// violations planted by construction.
-#[derive(Debug)]
-pub struct DisjWorkload {
-    /// The graph.
-    pub graph: Graph,
-    /// The GED∨ rule set.
-    pub sigma: Vec<DisjGed>,
-    /// Violating witnesses planted by construction.
-    pub planted: usize,
-}
 
 /// The social-network GED∨ workload. Every account gets a `tier` drawn
 /// from the three-valued domain `{free, pro, biz}`; `planted_bad_tier`
@@ -40,7 +29,7 @@ pub fn social_disj(
     planted_bad_tier: usize,
     planted_bots: usize,
     seed: u64,
-) -> DisjWorkload {
+) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = crate::social::generate(cfg).graph;
     let accounts: Vec<_> = graph.nodes_with_label(sym("account")).to_vec();
@@ -71,7 +60,7 @@ pub fn social_disj(
     let q = parse_pattern("account(x)").unwrap();
     let x = Var(0);
     let sigma = vec![
-        DisjGed::new(
+        disj::new(
             "tier-domain",
             q.clone(),
             vec![],
@@ -80,7 +69,7 @@ pub fn social_disj(
                 .map(|&d| Literal::constant(x, tier, d))
                 .collect(),
         ),
-        DisjGed::new(
+        disj::new(
             "fake⇒free∨suspended",
             q,
             vec![Literal::constant(x, is_fake, 1)],
@@ -90,7 +79,7 @@ pub fn social_disj(
             ],
         ),
     ];
-    DisjWorkload {
+    Workload {
         graph,
         sigma,
         planted: planted_bad_tier + planted_bots,
@@ -101,7 +90,7 @@ pub fn social_disj(
 /// drawn from `{0, 1, 2}` (hidden / listed / featured);
 /// `planted_bad_visibility` products get an out-of-domain value, failing
 /// every disjunct of the domain rule.
-pub fn kb_disj(cfg: &KbConfig, planted_bad_visibility: usize, seed: u64) -> DisjWorkload {
+pub fn kb_disj(cfg: &KbConfig, planted_bad_visibility: usize, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = crate::kb::generate(cfg).graph;
     let products: Vec<_> = graph.nodes_with_label(sym("product")).to_vec();
@@ -119,13 +108,13 @@ pub fn kb_disj(cfg: &KbConfig, planted_bad_visibility: usize, seed: u64) -> Disj
         graph.set_attr(p, vis, v);
     }
     let q = parse_pattern("product(x)").unwrap();
-    let sigma = vec![DisjGed::new(
+    let sigma = vec![disj::new(
         "visibility∈{0,1,2}",
         q,
         vec![],
         (0..3).map(|v| Literal::constant(Var(0), vis, v)).collect(),
     )];
-    DisjWorkload {
+    Workload {
         graph,
         sigma,
         planted: planted_bad_visibility,
@@ -137,10 +126,10 @@ mod tests {
     use super::*;
     use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies_all, violations};
+    use ged_graph::Graph;
 
-    /// The workload's Σ, compiled into `Rule`s.
-    fn served(w: DisjWorkload) -> (Graph, Vec<Rule>) {
-        (w.graph, w.sigma.into_iter().map(Into::into).collect())
+    fn served(w: Workload) -> (Graph, Vec<Rule>) {
+        (w.graph, w.sigma)
     }
 
     #[test]

@@ -10,29 +10,18 @@
 
 use crate::kb::KbConfig;
 use crate::social::SocialConfig;
-use ged_ext::{Gdc, GdcLiteral, Pred};
-use ged_graph::{sym, Graph};
+use crate::Workload;
+use ged_ext::{gdc, GdcLiteral, Pred};
+use ged_graph::sym;
 use ged_pattern::{parse_pattern, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A GDC workload: a decorated graph, its rule set, and the number of
-/// violations planted by construction.
-#[derive(Debug)]
-pub struct GdcWorkload {
-    /// The graph.
-    pub graph: Graph,
-    /// The GDC rule set.
-    pub sigma: Vec<Gdc>,
-    /// Violating witnesses planted by construction.
-    pub planted: usize,
-}
 
 /// The social-network GDC workload: every account gets an `age`
 /// attribute; `planted_underage` of them get an age below 13. Σ is the
 /// pair of dense-order range denials
 /// `account(x)(x.age < 13 → false)` and `account(x)(x.age > 120 → false)`.
-pub fn social_gdcs(cfg: &SocialConfig, planted_underage: usize, seed: u64) -> GdcWorkload {
+pub fn social_gdcs(cfg: &SocialConfig, planted_underage: usize, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = crate::social::generate(cfg).graph;
     let accounts: Vec<_> = graph.nodes_with_label(sym("account")).to_vec();
@@ -51,18 +40,18 @@ pub fn social_gdcs(cfg: &SocialConfig, planted_underage: usize, seed: u64) -> Gd
     }
     let q = parse_pattern("account(x)").unwrap();
     let sigma = vec![
-        Gdc::forbidding(
+        gdc::forbidding(
             "age≥13",
             q.clone(),
             vec![GdcLiteral::constant(Var(0), age, Pred::Lt, 13)],
         ),
-        Gdc::forbidding(
+        gdc::forbidding(
             "age≤120",
             q,
             vec![GdcLiteral::constant(Var(0), age, Pred::Gt, 120)],
         ),
     ];
-    GdcWorkload {
+    Workload {
         graph,
         sigma,
         planted: planted_underage,
@@ -76,7 +65,7 @@ pub fn social_gdcs(cfg: &SocialConfig, planted_underage: usize, seed: u64) -> Gd
 /// variable-predicate denial `product(x)(x.discount > x.price → false)` —
 /// the dense-order comparison between two attribute slots that plain GEDs
 /// cannot express.
-pub fn kb_gdcs(cfg: &KbConfig, planted_overdiscount: usize, seed: u64) -> GdcWorkload {
+pub fn kb_gdcs(cfg: &KbConfig, planted_overdiscount: usize, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = crate::kb::generate(cfg).graph;
     let products: Vec<_> = graph.nodes_with_label(sym("product")).to_vec();
@@ -97,18 +86,18 @@ pub fn kb_gdcs(cfg: &KbConfig, planted_overdiscount: usize, seed: u64) -> GdcWor
     }
     let q = parse_pattern("product(x)").unwrap();
     let sigma = vec![
-        Gdc::forbidding(
+        gdc::forbidding(
             "price≥0",
             q.clone(),
             vec![GdcLiteral::constant(Var(0), price, Pred::Lt, 0)],
         ),
-        Gdc::forbidding(
+        gdc::forbidding(
             "discount≤price",
             q,
             vec![GdcLiteral::vars(Var(0), discount, Pred::Gt, Var(0), price)],
         ),
     ];
-    GdcWorkload {
+    Workload {
         graph,
         sigma,
         planted: planted_overdiscount,
@@ -120,10 +109,10 @@ mod tests {
     use super::*;
     use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies_all, violations};
+    use ged_graph::Graph;
 
-    /// The workload's Σ, compiled into `Rule`s.
-    fn served(w: GdcWorkload) -> (Graph, Vec<Rule>) {
-        (w.graph, w.sigma.into_iter().map(Into::into).collect())
+    fn served(w: Workload) -> (Graph, Vec<Rule>) {
+        (w.graph, w.sigma)
     }
 
     #[test]

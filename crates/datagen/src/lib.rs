@@ -18,6 +18,9 @@
 //!   conditional rules over the same graphs, with planted violations;
 //! * [`mixed`] — heterogeneous-Σ workloads: GED + GDC + GED∨ in one
 //!   `Vec<Rule>`, with planted violations per family;
+//!
+//!   all three return a [`Workload`], their rules built by `ged-ext`'s
+//!   `gdc` / `disj` constructors as the one rule type;
 //! * [`coloring`] — 3-colorability reductions behind Theorems 3, 5, 6,
 //!   cross-validated against a brute-force oracle.
 
@@ -36,3 +39,19 @@ pub mod redundant;
 pub mod rules;
 pub mod social;
 pub mod stream;
+
+use ged_core::rule::Rule;
+use ged_graph::Graph;
+
+/// A rule-family workload ([`gdc`], [`disj`], [`mixed`]): a decorated
+/// graph, its rule set, and the number of violations planted by
+/// construction.
+#[derive(Debug)]
+pub struct Workload {
+    /// The graph.
+    pub graph: Graph,
+    /// The rule set.
+    pub sigma: Vec<Rule>,
+    /// Violating witnesses planted by construction.
+    pub planted: usize,
+}

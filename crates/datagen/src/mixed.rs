@@ -9,28 +9,15 @@
 //! that revalidate from scratch at every step.
 
 use crate::social::SocialConfig;
+use crate::Workload;
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_core::rule::Rule;
-use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred};
-use ged_graph::{sym, Graph};
+use ged_ext::{disj, gdc, GdcLiteral, Pred};
+use ged_graph::sym;
 use ged_pattern::{parse_pattern, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A mixed-family workload: a decorated graph, its heterogeneous rule
-/// set, and the number of violations planted by construction.
-#[derive(Debug)]
-pub struct MixedWorkload {
-    /// The graph.
-    pub graph: Graph,
-    /// The heterogeneous rule set (GED + GDC + GED∨, each compiled into
-    /// a [`Rule`]).
-    pub sigma: Vec<Rule>,
-    /// Violating witnesses planted by construction (`plants` per rule,
-    /// four rules: `4 * plants` total).
-    pub planted: usize,
-}
 
 /// The social-network mixed workload. Four rules, one
 /// `Vec<Rule>`:
@@ -56,18 +43,14 @@ pub struct MixedWorkload {
 ///
 /// When the graph `cfg` describes has fewer than `4 * plants` accounts;
 /// [`try_social_mixed`] reports that instead.
-pub fn social_mixed(cfg: &SocialConfig, plants: usize, seed: u64) -> MixedWorkload {
+pub fn social_mixed(cfg: &SocialConfig, plants: usize, seed: u64) -> Workload {
     try_social_mixed(cfg, plants, seed).unwrap_or_else(|why| panic!("{why}"))
 }
 
 /// [`social_mixed`] for sizes that come from outside the program (a
 /// `gedd --workload` spec): `Err` says how many accounts the four disjoint
 /// plant slices need and how many the graph has.
-pub fn try_social_mixed(
-    cfg: &SocialConfig,
-    plants: usize,
-    seed: u64,
-) -> Result<MixedWorkload, String> {
+pub fn try_social_mixed(cfg: &SocialConfig, plants: usize, seed: u64) -> Result<Workload, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = crate::social::generate(cfg).graph;
     let accounts: Vec<_> = graph.nodes_with_label(sym("account")).to_vec();
@@ -122,13 +105,12 @@ pub fn try_social_mixed(
         )
         .into(),
         Ged::forbidding("no-self-follow", edge, vec![Literal::id(Var(0), Var(1))]).into(),
-        Gdc::forbidding(
+        gdc::forbidding(
             "age≥13",
             node.clone(),
             vec![GdcLiteral::constant(x, age, Pred::Lt, 13)],
-        )
-        .into(),
-        DisjGed::new(
+        ),
+        disj::new(
             "tier-domain",
             node,
             vec![],
@@ -136,10 +118,9 @@ pub fn try_social_mixed(
                 .iter()
                 .map(|&d| Literal::constant(x, tier, d))
                 .collect(),
-        )
-        .into(),
+        ),
     ];
-    Ok(MixedWorkload {
+    Ok(Workload {
         graph,
         sigma,
         planted: 4 * plants,

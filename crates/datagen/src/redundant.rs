@@ -13,7 +13,7 @@
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
 use ged_core::rule::Rule;
-use ged_ext::DisjGed;
+use ged_ext::disj;
 use ged_graph::{sym, Graph};
 use ged_pattern::{parse_pattern, Var};
 
@@ -118,7 +118,7 @@ pub fn redundant(nodes: usize, planted: usize) -> RedundantWorkload {
             vec![Literal::constant(y, level, 2)],
         )
         .into(),
-        DisjGed::new(
+        disj::new(
             "tier:spam",
             q1,
             vec![Literal::constant(x, kind, "spam")],
@@ -127,8 +127,7 @@ pub fn redundant(nodes: usize, planted: usize) -> RedundantWorkload {
                 Literal::constant(x, tier, "free"),
                 Literal::constant(x, tier, "locked"),
             ],
-        )
-        .into(),
+        ),
         Ged::new(
             "watch:transitive",
             q2(),

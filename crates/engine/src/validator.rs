@@ -845,7 +845,7 @@ mod tests {
     #[test]
     fn each_kind_of_touch_concerns_only_the_rules_that_read_it() {
         use ged_core::rule::Rule;
-        use ged_ext::{Gdc, GdcLiteral, Pred};
+        use ged_ext::{gdc, GdcLiteral, Pred};
         let t = |src: &str| parse_pattern(src).unwrap();
         let (x, y) = (Var(0), Var(1));
         let sigma: Vec<Rule> = vec![
@@ -864,12 +864,11 @@ mod tests {
             )
             .into(),
             Ged::forbidding("no-loop", t("t(x) -[_]-> t(y)"), vec![Literal::id(x, y)]).into(),
-            Gdc::forbidding(
+            gdc::forbidding(
                 "age≥13",
                 t("t(x)"),
                 vec![GdcLiteral::constant(x, sym("age"), Pred::Lt, 13)],
-            )
-            .into(),
+            ),
         ];
         assert!(
             sigma[3]
@@ -989,14 +988,13 @@ mod tests {
     /// is maintained through attribute writes exactly like a GED.
     #[test]
     fn gdc_sigma_is_maintained_incrementally() {
-        use ged_core::rule::Rule;
-        use ged_ext::{Gdc, GdcLiteral, Pred};
+        use ged_ext::{gdc, GdcLiteral, Pred};
         let q = parse_pattern("product(x)").unwrap();
-        let cap = Rule::from(Gdc::forbidding(
+        let cap = gdc::forbidding(
             "rating≤5",
             q,
             vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Gt, 5)],
-        ));
+        );
         let mut g = Graph::new();
         let p = g.add_node(sym("product"));
         g.set_attr(p, sym("rating"), 4);
@@ -1035,10 +1033,9 @@ mod tests {
     /// node creation.
     #[test]
     fn disj_sigma_is_maintained_incrementally() {
-        use ged_core::rule::Rule;
-        use ged_ext::DisjGed;
+        use ged_ext::disj;
         let q = parse_pattern("τ(x)").unwrap();
-        let domain = Rule::from(DisjGed::new(
+        let domain = disj::new(
             "A∈{0,1}",
             q,
             vec![],
@@ -1046,7 +1043,7 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 0),
                 Literal::constant(Var(0), sym("A"), 1),
             ],
-        ));
+        );
         let mut v = IncrementalValidator::new(Graph::new(), vec![domain]);
         assert!(v.is_satisfied());
 
@@ -1081,17 +1078,16 @@ mod tests {
     #[test]
     fn seeding_is_generic_over_gdcs() {
         use ged_core::rule::Rule;
-        use ged_ext::{Gdc, GdcLiteral, Pred};
+        use ged_ext::{gdc, GdcLiteral, Pred};
         let q = parse_pattern("t(x)").unwrap();
         let sigma: Vec<Rule> = (0..4)
             .map(|i| {
-                Gdc::new(
+                gdc::new(
                     format!("A≥{i}"),
                     q.clone(),
                     vec![],
                     vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Ge, i)],
                 )
-                .into()
             })
             .collect();
         let mut g = Graph::new();
@@ -1119,17 +1115,16 @@ mod tests {
     #[test]
     fn mixed_any_constraint_sigma_is_maintained_incrementally() {
         use ged_core::rule::Rule;
-        use ged_ext::{DisjGed, Gdc, GdcLiteral, Pred};
+        use ged_ext::{disj, gdc, GdcLiteral, Pred};
         let q = parse_pattern("t(x)").unwrap();
         let sigma: Vec<Rule> = vec![
             key_rule(),
-            Gdc::forbidding(
+            gdc::forbidding(
                 "k≤9",
                 q.clone(),
                 vec![GdcLiteral::constant(Var(0), sym("k"), Pred::Gt, 9)],
-            )
-            .into(),
-            DisjGed::new(
+            ),
+            disj::new(
                 "mode∈{a,b}",
                 q,
                 vec![],
@@ -1137,8 +1132,7 @@ mod tests {
                     Literal::constant(Var(0), sym("mode"), "a"),
                     Literal::constant(Var(0), sym("mode"), "b"),
                 ],
-            )
-            .into(),
+            ),
         ];
         let mut v = IncrementalValidator::new(two_dupes(), sigma);
         // Seeding: the key dupes violate the GED (2 witnesses) and, having
@@ -1731,14 +1725,14 @@ mod tests {
     #[test]
     fn seeding_handles_empty_pattern_rules() {
         use ged_core::rule::Rule;
-        use ged_ext::DisjGed;
+        use ged_ext::disj;
         use ged_pattern::Pattern;
         let trivial = Ged::new("trivial", Pattern::new(), vec![], vec![]);
         // An empty disjunction is `false`: the one empty match violates.
-        let forbids = DisjGed::new("∅ forbids", Pattern::new(), vec![], vec![]);
+        let forbids = disj::new("∅ forbids", Pattern::new(), vec![], vec![]);
         let absent = parse_pattern("absent(x)").unwrap();
-        let nobody = DisjGed::new("nobody", absent, vec![], vec![]);
-        let sigma: Vec<Rule> = vec![trivial.into(), key_rule(), forbids.into(), nobody.into()];
+        let nobody = disj::new("nobody", absent, vec![], vec![]);
+        let sigma: Vec<Rule> = vec![trivial.into(), key_rule(), forbids, nobody];
         let full = ged_core::reason::validate(&two_dupes(), &sigma, None);
         let v = IncrementalValidator::new(two_dupes(), sigma);
         assert_eq!(v.violation_count(), 3, "two key witnesses and the ∅ rule's");

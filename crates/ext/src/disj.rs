@@ -5,71 +5,30 @@
 //! at least one literal of `Y`. GED∨s subsume GEDs (a conjunctive `Y`
 //! becomes one single-literal GED∨ per conclusion) and can express domain
 //! constraints GEDs cannot (Example 10). Validation stays coNP-complete
-//! (a GED∨ is served compiled into [`Rule`](ged_core::rule::Rule));
+//! (a GED∨ is a [`Rule`] with one single-literal option per disjunct);
 //! satisfiability/implication jump to Σᵖ₂ / Πᵖ₂ (Theorem 9) — see
 //! [`crate::reason`].
 
-use ged_core::ged::Ged;
 use ged_core::literal::Literal;
+use ged_core::rule::{GdcLiteral, Rule};
 use ged_pattern::Pattern;
 
-/// A disjunctive GED `Q[x̄](⋀X → ⋁Y)`.
-#[derive(Debug, Clone)]
-pub struct DisjGed {
-    /// Name for reports.
-    pub name: String,
-    /// The pattern.
-    pub pattern: Pattern,
-    /// Premises `X` (conjunctive).
-    pub premises: Vec<Literal>,
-    /// Conclusions `Y` (DISJUNCTIVE; empty `Y` means `false`).
-    pub conclusions: Vec<Literal>,
-}
-
-impl DisjGed {
-    /// Build a GED∨.
-    pub fn new(
-        name: impl Into<String>,
-        pattern: Pattern,
-        premises: Vec<Literal>,
-        conclusions: Vec<Literal>,
-    ) -> DisjGed {
-        for l in premises.iter().chain(conclusions.iter()) {
-            assert!(l.in_scope(&pattern), "literal outside the pattern");
-        }
-        DisjGed {
-            name: name.into(),
-            pattern,
-            premises,
-            conclusions,
-        }
-    }
-
-    /// Each GED `Q(X → Y)` equals the set of GED∨s `Q(X → l)` for `l ∈ Y`
-    /// (Section 7.2). Returns that set.
-    pub fn from_ged(g: &Ged) -> Vec<DisjGed> {
-        g.conclusions
-            .iter()
-            .enumerate()
-            .map(|(i, l)| DisjGed {
-                name: format!("{}∨{}", g.name, i),
-                pattern: g.pattern.clone(),
-                premises: g.premises.clone(),
-                conclusions: vec![l.clone()],
-            })
-            .collect()
-    }
-
-    /// Size measure `|ψ|`.
-    pub fn size(&self) -> usize {
-        self.pattern.size() + self.premises.len() + self.conclusions.len()
-    }
+/// The GED∨ `Q[x̄](⋀X → ⋁Y)`: one single-literal option per disjunct of
+/// `Y`, so an empty `Y` is no option, i.e. `false`.
+pub fn new(
+    name: impl Into<String>,
+    pattern: Pattern,
+    premises: Vec<Literal>,
+    conclusions: Vec<Literal>,
+) -> Rule {
+    let premises = premises.iter().map(GdcLiteral::from_ged).collect();
+    let options = conclusions.iter().map(|l| vec![GdcLiteral::from_ged(l)]);
+    Rule::new(name, pattern, premises, options.collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ged_core::rule::Rule;
     use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::{sym, Graph, GraphBuilder};
     use ged_pattern::{parse_pattern, Var};
@@ -78,7 +37,7 @@ mod tests {
     /// constraint, not expressible as a (conjunctive) GED.
     fn boolean_domain() -> Rule {
         let q = parse_pattern("τ(x)").unwrap();
-        DisjGed::new(
+        new(
             "ψ",
             q,
             vec![],
@@ -87,7 +46,6 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 1),
             ],
         )
-        .into()
     }
 
     #[test]
@@ -128,9 +86,17 @@ mod tests {
                 Literal::vars(Var(0), sym("B"), Var(1), sym("B")),
             ],
         );
-        let split = DisjGed::from_ged(&ged);
-        assert_eq!(split.len(), 2);
-        let split: Vec<Rule> = split.into_iter().map(Into::into).collect();
+        // Each GED `Q(X → Y)` equals the set of GED∨s `Q(X → l)`, `l ∈ Y`.
+        let split: Vec<Rule> = (ged.conclusions.iter())
+            .map(|l| {
+                new(
+                    "g∨",
+                    ged.pattern.clone(),
+                    ged.premises.clone(),
+                    vec![l.clone()],
+                )
+            })
+            .collect();
         for g_data in [
             {
                 // violates the B half only
@@ -160,7 +126,8 @@ mod tests {
     fn empty_disjunction_is_false() {
         // Q(∅ → ∅) as a GED∨ forbids the pattern entirely.
         let q = parse_pattern("bad(x)").unwrap();
-        let d = Rule::from(DisjGed::new("forbid", q, vec![], vec![]));
+        let d = new("forbid", q, vec![], vec![]);
+        assert!(d.options.is_empty(), "no disjunct is no option");
         let mut b = GraphBuilder::new();
         b.node("x", "bad");
         assert!(!satisfies(&b.build(), &d));
@@ -170,7 +137,7 @@ mod tests {
     #[test]
     fn one_satisfied_disjunct_suffices() {
         let q = parse_pattern("t(x)").unwrap();
-        let d = Rule::from(DisjGed::new(
+        let d = new(
             "d",
             q,
             vec![],
@@ -179,10 +146,17 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 2),
                 Literal::constant(Var(0), sym("B"), 9),
             ],
-        ));
+        );
         let mut b = GraphBuilder::new();
         b.node("x", "t");
         b.attr("x", "B", 9);
         assert!(satisfies(&b.build(), &d));
+    }
+
+    #[test]
+    #[should_panic(expected = "literal references a variable outside the pattern")]
+    fn new_refuses_a_literal_outside_the_pattern() {
+        let a3 = Literal::constant(Var(3), sym("a"), 1);
+        new("out", parse_pattern("τ(x)").unwrap(), vec![], vec![a3]);
     }
 }

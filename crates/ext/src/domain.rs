@@ -11,10 +11,9 @@
 //! * [`domain_as_disj`] — Example 10's single GED∨:
 //!   `∅ → x.A = v1 ∨ … ∨ x.A = vk`.
 
-use crate::disj::DisjGed;
-use crate::gdc::Gdc;
+use crate::{disj, gdc};
 use ged_core::literal::Literal;
-use ged_core::rule::{GdcLiteral, Pred};
+use ged_core::rule::{GdcLiteral, Pred, Rule};
 use ged_graph::{Symbol, Value};
 use ged_pattern::{Pattern, Var};
 
@@ -26,14 +25,14 @@ fn single_node_pattern(label: &str) -> Pattern {
 
 /// Example 9: the GDC pair `(φ1, φ2)` enforcing `attr ∈ domain` on every
 /// node labelled `label`.
-pub fn domain_as_gdcs(label: &str, attr: &str, domain: &[Value]) -> (Gdc, Gdc) {
+pub fn domain_as_gdcs(label: &str, attr: &str, domain: &[Value]) -> (Rule, Rule) {
     assert!(
         !domain.is_empty(),
         "empty domains forbid the label entirely"
     );
     let a = Symbol::new(attr);
     let q = single_node_pattern(label);
-    let phi1 = Gdc::new(
+    let phi1 = gdc::new(
         format!("{label}.{attr}-exists"),
         q.clone(),
         vec![],
@@ -43,33 +42,32 @@ pub fn domain_as_gdcs(label: &str, attr: &str, domain: &[Value]) -> (Gdc, Gdc) {
         .iter()
         .map(|v| GdcLiteral::constant(Var(0), a, Pred::Ne, v.clone()))
         .collect();
-    let phi2 = Gdc::forbidding(format!("{label}.{attr}-domain"), q, premises);
+    let phi2 = gdc::forbidding(format!("{label}.{attr}-domain"), q, premises);
     (phi1, phi2)
 }
 
 /// Example 10: the single GED∨ `Qe[x](∅ → x.A = v1 ∨ …)` enforcing both
 /// existence and the finite domain.
-pub fn domain_as_disj(label: &str, attr: &str, domain: &[Value]) -> DisjGed {
+pub fn domain_as_disj(label: &str, attr: &str, domain: &[Value]) -> Rule {
     let a = Symbol::new(attr);
     let q = single_node_pattern(label);
     let conclusions: Vec<Literal> = domain
         .iter()
         .map(|v| Literal::constant(Var(0), a, v.clone()))
         .collect();
-    DisjGed::new(format!("{label}.{attr}∈dom"), q, vec![], conclusions)
+    disj::new(format!("{label}.{attr}∈dom"), q, vec![], conclusions)
 }
 
 /// Boolean-attribute shorthand used throughout the paper's examples
 /// (`is_fake`, `can_fly` as 0/1).
-pub fn boolean_domain_as_disj(label: &str, attr: &str) -> DisjGed {
+pub fn boolean_domain_as_disj(label: &str, attr: &str) -> Rule {
     domain_as_disj(label, attr, &[Value::from(0), Value::from(1)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reason::{disj_satisfiable, gdc_satisfiable};
-    use ged_core::rule::Rule;
+    use crate::reason::ext_satisfiable;
     use ged_core::satisfy::{satisfies, satisfies_all};
     use ged_graph::GraphBuilder;
 
@@ -86,8 +84,8 @@ mod tests {
     fn gdc_and_disj_formulations_agree_on_validation() {
         let dom = [Value::from(0), Value::from(1)];
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-        let pair: [Rule; 2] = [phi1.into(), phi2.into()];
-        let psi = Rule::from(domain_as_disj("τ", "A", &dom));
+        let pair = [phi1, phi2];
+        let psi = domain_as_disj("τ", "A", &dom);
         for (g, expect) in [
             (node_with(Some(0)), true),
             (node_with(Some(1)), true),
@@ -103,30 +101,29 @@ mod tests {
     fn missing_attribute_violates_gdc_pair_via_phi1() {
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &[Value::from(0)]);
         let g = node_with(None);
-        assert!(!satisfies(&g, &Rule::from(phi1)), "existence half");
-        assert!(satisfies(&g, &Rule::from(phi2)), "domain half vacuous");
+        assert!(!satisfies(&g, &phi1), "existence half");
+        assert!(satisfies(&g, &phi2), "domain half vacuous");
     }
 
     #[test]
     fn both_formulations_are_satisfiable() {
         let dom = [Value::from(0), Value::from(1)];
         let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
-        assert!(gdc_satisfiable(&[phi1, phi2]));
-        assert!(disj_satisfiable(&[domain_as_disj("τ", "A", &dom)]));
+        assert!(ext_satisfiable(&[phi1, phi2]));
+        assert!(ext_satisfiable(&[domain_as_disj("τ", "A", &dom)]));
     }
 
     #[test]
     fn singleton_domain_pins_the_value() {
         let psi = domain_as_disj("τ", "A", &[Value::from(3)]);
-        let served = Rule::from(psi.clone());
-        assert!(satisfies(&node_with(Some(3)), &served));
-        assert!(!satisfies(&node_with(Some(4)), &served));
-        assert!(disj_satisfiable(&[psi]));
+        assert!(satisfies(&node_with(Some(3)), &psi));
+        assert!(!satisfies(&node_with(Some(4)), &psi));
+        assert!(ext_satisfiable(&[psi]));
     }
 
     #[test]
     fn boolean_shorthand() {
-        let psi = Rule::from(boolean_domain_as_disj("account", "is_fake"));
+        let psi = boolean_domain_as_disj("account", "is_fake");
         let mut b = GraphBuilder::new();
         b.node("a", "account");
         b.attr("a", "is_fake", 1);

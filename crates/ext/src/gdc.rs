@@ -2,82 +2,41 @@
 //! built-in predicates `=, ≠, <, >, ≤, ≥` on attribute/constant literals
 //! (id literals keep plain equality).
 //!
-//! GEDs are the special case where every predicate is `=`; denial
-//! constraints of Arenas–Bertossi–Chomicki are expressible when tuples are
-//! encoded as nodes (`crate::domain` and the tests exercise both).
-//! Validation stays coNP-complete (Theorem 8): a GDC is served compiled
-//! into [`Rule`](ged_core::rule::Rule), on the same enumerate-matches
-//! engine as GEDs. Its literal, [`GdcLiteral`], is the rule's own.
+//! GEDs are the special case where every predicate is `=` (`Rule::from` a
+//! [`Ged`](ged_core::ged::Ged) is that lift); denial constraints of
+//! Arenas–Bertossi–Chomicki are expressible when tuples are encoded as
+//! nodes (`crate::domain` and the tests exercise both). Validation stays
+//! coNP-complete (Theorem 8): a GDC is a [`Rule`] with one conjunctive
+//! option, on the same enumerate-matches engine as GEDs.
 
-use ged_core::ged::Ged;
-use ged_core::rule::{GdcLiteral, Pred};
-use ged_graph::Symbol;
+use ged_core::literal::falsum;
+use ged_core::rule::{GdcLiteral, Rule};
 use ged_pattern::{Pattern, Var};
 
-/// A graph denial constraint `Q[x̄](X → Y)` with predicate literals.
-#[derive(Debug, Clone)]
-pub struct Gdc {
-    /// Name for reports.
-    pub name: String,
-    /// The pattern.
-    pub pattern: Pattern,
-    /// Premises `X`.
-    pub premises: Vec<GdcLiteral>,
-    /// Conclusions `Y` (conjunctive; `false` = empty-conclusion forbidding
-    /// form is expressed with [`Gdc::forbidding`]).
-    pub conclusions: Vec<GdcLiteral>,
+/// The GDC `Q[x̄](X → Y)`: `Y` is the rule's one (conjunctive) option.
+pub fn new(
+    name: impl Into<String>,
+    pattern: Pattern,
+    premises: Vec<GdcLiteral>,
+    conclusions: Vec<GdcLiteral>,
+) -> Rule {
+    Rule::new(name, pattern, premises, vec![conclusions])
 }
 
-impl Gdc {
-    /// Build a GDC.
-    pub fn new(
-        name: impl Into<String>,
-        pattern: Pattern,
-        premises: Vec<GdcLiteral>,
-        conclusions: Vec<GdcLiteral>,
-    ) -> Gdc {
-        Gdc {
-            name: name.into(),
-            pattern,
-            premises,
-            conclusions,
-        }
-    }
-
-    /// The forbidding form `Q[x̄](X → false)`: encoded as the conflicting
-    /// constant pair on the first variable, as for GEDs.
-    pub fn forbidding(name: impl Into<String>, pattern: Pattern, premises: Vec<GdcLiteral>) -> Gdc {
-        assert!(pattern.var_count() > 0);
-        let attr = Symbol::new("⊥false");
-        let y = vec![
-            GdcLiteral::constant(Var(0), attr, Pred::Eq, 0),
-            GdcLiteral::constant(Var(0), attr, Pred::Eq, 1),
-        ];
-        Gdc::new(name, pattern, premises, y)
-    }
-
-    /// Lift a GED into the GDC language (Section 7.1: "GEDs are a special
-    /// case of GDCs when ⊕ is equality only").
-    pub fn from_ged(g: &Ged) -> Gdc {
-        Gdc {
-            name: g.name.clone(),
-            pattern: g.pattern.clone(),
-            premises: g.premises.iter().map(GdcLiteral::from_ged).collect(),
-            conclusions: g.conclusions.iter().map(GdcLiteral::from_ged).collect(),
-        }
-    }
-
-    /// Size measure `|φ|` (pattern + literals), for the small-model bounds.
-    pub fn size(&self) -> usize {
-        self.pattern.size() + self.premises.len() + self.conclusions.len()
-    }
+/// The forbidding form `Q[x̄](X → false)`: `false` is the GED's
+/// conflicting constant pair on the first variable
+/// ([`falsum`]), lifted.
+pub fn forbidding(name: impl Into<String>, pattern: Pattern, premises: Vec<GdcLiteral>) -> Rule {
+    let y = falsum(Var(0)).iter().map(GdcLiteral::from_ged).collect();
+    new(name, pattern, premises, y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ged_core::ged::Ged;
     use ged_core::literal::Literal;
-    use ged_core::rule::Rule;
+    use ged_core::rule::Pred;
     use ged_core::satisfy::{satisfies, satisfies_all, violations};
     use ged_graph::{sym, GraphBuilder};
     use ged_pattern::parse_pattern;
@@ -85,20 +44,12 @@ mod tests {
     /// A rating GDC: product ratings must lie in [0, 5].
     fn rating_range() -> Vec<Rule> {
         let q = parse_pattern("product(x)").unwrap();
-        let lo = Gdc::new(
-            "lo",
-            q.clone(),
-            vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Lt, 0)],
-            vec![],
-        );
+        let rating = |pred, v| vec![GdcLiteral::constant(Var(0), sym("rating"), pred, v)];
         // X → ∅ is always satisfied; the denial form is X → false:
-        let lo = Gdc::forbidding("rating≥0", lo.pattern, lo.premises);
-        let hi = Gdc::forbidding(
-            "rating≤5",
-            q,
-            vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Gt, 5)],
-        );
-        vec![lo.into(), hi.into()]
+        vec![
+            forbidding("rating≥0", q.clone(), rating(Pred::Lt, 0)),
+            forbidding("rating≤5", q, rating(Pred::Gt, 5)),
+        ]
     }
 
     #[test]
@@ -132,7 +83,7 @@ mod tests {
     fn variable_predicate_literals() {
         // Employees must not earn more than their manager.
         let q = parse_pattern("emp(x) -[reports_to]-> emp(y)").unwrap();
-        let denial = Rule::from(Gdc::forbidding(
+        let denial = forbidding(
             "salary-cap",
             q,
             vec![GdcLiteral::vars(
@@ -142,7 +93,7 @@ mod tests {
                 Var(1),
                 sym("salary"),
             )],
-        ));
+        );
         let mut b = GraphBuilder::new();
         b.triple(("e", "emp"), "reports_to", ("m", "emp"));
         b.attr("e", "salary", 120).attr("m", "salary", 100);
@@ -153,9 +104,22 @@ mod tests {
         assert!(satisfies(&b2.build(), &denial));
     }
 
+    /// `forbidding` is the lifted GED `false`: the same rule as
+    /// `Ged::forbidding`'s, literal for literal.
+    #[test]
+    fn forbidding_is_the_lifted_ged_falsum() {
+        let q = parse_pattern("person(x) -[create]-> product(y)").unwrap();
+        let x = Literal::constant(Var(1), sym("type"), "video game");
+        let lifted = Rule::from(Ged::forbidding("f", q.clone(), vec![x.clone()]));
+        let built = forbidding("f", q, vec![GdcLiteral::from_ged(&x)]);
+        assert_eq!(built.premises, lifted.premises);
+        assert_eq!(built.options, lifted.options);
+    }
+
+    /// Lifting a GED into the GDC language (`Rule::from`) keeps every
+    /// literal an `=` and keeps the GED's verdict on a dirty graph.
     #[test]
     fn ged_lifting_preserves_semantics() {
-        use ged_core::satisfy::satisfies;
         let q = parse_pattern("person(x) -[create]-> product(y)").unwrap();
         let ged = Ged::new(
             "φ1",
@@ -163,20 +127,24 @@ mod tests {
             vec![Literal::constant(Var(1), sym("type"), "video game")],
             vec![Literal::constant(Var(0), sym("type"), "programmer")],
         );
-        let gdc = Rule::from(Gdc::from_ged(&ged));
+        let lifted = Rule::from(ged.clone());
+        assert!(lifted.literals().all(|l| l.as_eq_literal().is_some()));
+        let back = lifted.as_chase_ged().unwrap();
+        assert_eq!(
+            (back.premises, back.conclusions),
+            (ged.premises, ged.conclusions)
+        );
         let mut b = GraphBuilder::new();
         b.triple(("t", "person"), "create", ("gb", "product"));
         b.attr("t", "type", "psychologist");
         b.attr("gb", "type", "video game");
-        let dirty = b.build();
-        assert_eq!(satisfies(&dirty, &Rule::from(ged)), satisfies(&dirty, &gdc));
-        assert!(!satisfies(&dirty, &gdc));
+        assert!(!satisfies(&b.build(), &lifted));
     }
 
     #[test]
     fn id_literals_in_gdcs() {
         let q = parse_pattern("album(x); album(y)").unwrap();
-        let key = Rule::from(Gdc::new(
+        let key = new(
             "ψ",
             q,
             vec![GdcLiteral::vars(
@@ -187,11 +155,27 @@ mod tests {
                 sym("title"),
             )],
             vec![GdcLiteral::id(Var(0), Var(1))],
-        ));
+        );
         let mut b = GraphBuilder::new();
         b.node("a", "album");
         b.node("b", "album");
         b.attr("a", "title", "Bleach").attr("b", "title", "Bleach");
         assert!(!satisfies(&b.build(), &key));
+    }
+
+    /// A literal on a variable the pattern does not have is refused when
+    /// the rule is built, not when the first match reads it.
+    #[test]
+    #[should_panic(expected = "literal references a variable outside the pattern")]
+    fn new_refuses_a_literal_outside_the_pattern() {
+        let a3 = GdcLiteral::constant(Var(3), sym("a"), Pred::Lt, 1);
+        new("out", parse_pattern("τ(x)").unwrap(), vec![], vec![a3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "literal references a variable outside the pattern")]
+    fn forbidding_refuses_a_literal_outside_the_pattern() {
+        let a3 = GdcLiteral::constant(Var(3), sym("a"), Pred::Lt, 1);
+        forbidding("out", parse_pattern("τ(x)").unwrap(), vec![a3]);
     }
 }

@@ -20,8 +20,6 @@
 //! exponential in the input — as it must be: the problems are
 //! Σᵖ₂-/Πᵖ₂-complete.
 
-use crate::disj::DisjGed;
-use crate::gdc::Gdc;
 use ged_core::rule::{GdcLiteral, Rule};
 use ged_core::solver::{consistent, Constraint, Term};
 use ged_graph::{Graph, NodeId, Symbol};
@@ -313,8 +311,9 @@ fn canonical(patterns: &[&Pattern]) -> Graph {
     g
 }
 
-/// Decide satisfiability of a set of compiled rules (the engine behind
-/// [`gdc_satisfiable`] and [`disj_satisfiable`]; Σᵖ₂ in general).
+/// Satisfiability of a rule set: is there a graph in which every
+/// pattern of Σ has a match and every rule holds? GDCs (Theorem 8) and
+/// GED∨s (Theorem 9) alike: Σᵖ₂-complete.
 pub fn ext_satisfiable(sigma: &[Rule]) -> bool {
     if sigma.is_empty() {
         return true;
@@ -326,49 +325,27 @@ pub fn ext_satisfiable(sigma: &[Rule]) -> bool {
     })
 }
 
-/// Satisfiability for GDC sets (Theorem 8: Σᵖ₂-complete).
-pub fn gdc_satisfiable(sigma: &[Gdc]) -> bool {
-    ext_satisfiable(&compile(sigma))
-}
-
-/// Satisfiability for GED∨ sets (Theorem 9: Σᵖ₂-complete).
-pub fn disj_satisfiable(sigma: &[DisjGed]) -> bool {
-    ext_satisfiable(&compile(sigma))
-}
-
-/// Σ compiled into the `Rule`s the searches run on.
-fn compile<C: Clone + Into<Rule>>(sigma: &[C]) -> Vec<Rule> {
-    sigma.iter().cloned().map(Into::into).collect()
+/// Implication `Σ ⊨ φ` for GDCs (Theorem 8) and GED∨s (Theorem 9) alike:
+/// Πᵖ₂-complete, decided as the absence of a bounded countermodel.
+pub fn ext_implies(sigma: &[Rule], phi: &Rule) -> bool {
+    !has_countermodel(sigma, phi)
 }
 
 /// Countermodel search for implication: does there exist a quotient of
 /// `G_Qφ` (with values) satisfying Σ, matching φ's pattern through the
-/// quotient map with `X` true and the conclusion refuted? `refute`
-/// produces, per quotient match, the clause encodings of `¬Y` choices.
-fn has_countermodel(
-    sigma: &[Rule],
-    phi_pattern: &Pattern,
-    phi_premises: &[GdcLiteral],
-    phi_options: &[Vec<GdcLiteral>],
-) -> bool {
-    let base = phi_pattern.canonical_graph();
+/// quotient map with `X` true and every conclusion option refuted?
+fn has_countermodel(sigma: &[Rule], phi: &Rule) -> bool {
+    let base = phi.pattern.canonical_graph();
     for_each_quotient(&base, |q| {
-        // The quotient map as a match of φ's pattern: variable i of the
-        // pattern went to some class; recover it by re-quotient lookup —
-        // the quotient enumerator assigns class c to node i via `assign`,
-        // but we only get the graph here. Recompute: node i of `base`
-        // corresponds to class `assign[i]`; since we cannot see `assign`,
-        // use matching instead: any match works, but the *canonical* one
-        // is found by seeding every variable. Simpler and still complete:
-        // try every match of φ's pattern in the quotient as the refuted
-        // match.
+        // Every match of φ's pattern in the quotient is tried as the
+        // refuted match.
         let mut found = false;
-        Matcher::new(phi_pattern, q, MatchOptions::homomorphism()).for_each(|m| {
+        Matcher::new(&phi.pattern, q, MatchOptions::homomorphism()).for_each(|m| {
             // X must hold at this match: id atoms structurally, cmp atoms
             // asserted.
             let mut x_assert = Vec::new();
             let mut x_dead = false;
-            for lit in phi_premises {
+            for lit in &phi.premises {
                 match resolve(lit, m) {
                     Resolved::True => {}
                     Resolved::False => {
@@ -386,7 +363,7 @@ fn has_countermodel(
             let mut extra: Vec<Clause> = vec![Clause {
                 x_cmp: vec![],
                 y_options: vec![ClauseOption {
-                    assert: x_assert.clone(),
+                    assert: x_assert,
                     missing: vec![],
                 }],
             }];
@@ -395,7 +372,7 @@ fn has_countermodel(
             // declaring one of its slots absent (schemaless escape; e.g.
             // refuting `x.A = x.A` is only possible by dropping the slot).
             let mut refutable = true;
-            for opt in phi_options {
+            for opt in &phi.options {
                 let mut structurally_failed = false;
                 let mut resolved_atoms = Vec::new();
                 for lit in opt {
@@ -456,30 +433,10 @@ fn has_countermodel(
     })
 }
 
-/// Implication `Σ ⊨ φ` for GDCs (Theorem 8: Πᵖ₂-complete). Decided as the
-/// absence of a bounded countermodel. A conjunctive conclusion `Y` is
-/// refuted iff *some* literal of `Y` fails, so a countermodel exists iff
-/// one exists for some single-literal target.
-pub fn gdc_implies(sigma: &[Gdc], phi: &Gdc) -> bool {
-    if phi.conclusions.is_empty() {
-        return true; // X → ∅ holds vacuously
-    }
-    let sig = compile(sigma);
-    !phi.conclusions
-        .iter()
-        .any(|target| has_countermodel(&sig, &phi.pattern, &phi.premises, &[vec![target.clone()]]))
-}
-
-/// Implication `Σ ⊨ ψ` for GED∨s (Theorem 9: Πᵖ₂-complete): the
-/// countermodel must refute EVERY disjunct at the witness match.
-pub fn disj_implies(sigma: &[DisjGed], phi: &DisjGed) -> bool {
-    let phi = Rule::from(phi.clone());
-    !has_countermodel(&compile(sigma), &phi.pattern, &phi.premises, &phi.options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{disj, gdc};
     use ged_core::literal::Literal;
     use ged_core::rule::Pred;
     use ged_graph::sym;
@@ -487,25 +444,24 @@ mod tests {
 
     #[test]
     fn empty_sigma_is_satisfiable() {
-        assert!(gdc_satisfiable(&[]));
-        assert!(disj_satisfiable(&[]));
+        assert!(ext_satisfiable(&[]));
     }
 
     #[test]
     fn range_constraints_satisfiable() {
         // 0 ≤ rating ≤ 5 enforced by two denials: satisfiable.
         let q = parse_pattern("product(x)").unwrap();
-        let lo = Gdc::forbidding(
+        let lo = gdc::forbidding(
             "lo",
             q.clone(),
             vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Lt, 0)],
         );
-        let hi = Gdc::forbidding(
+        let hi = gdc::forbidding(
             "hi",
             q,
             vec![GdcLiteral::constant(Var(0), sym("rating"), Pred::Gt, 5)],
         );
-        assert!(gdc_satisfiable(&[lo, hi]));
+        assert!(ext_satisfiable(&[lo, hi]));
     }
 
     #[test]
@@ -514,54 +470,54 @@ mod tests {
         // constraints DEMAND the attribute via conclusions:
         // Q(∅ → A < 1) and Q(∅ → A > 2).
         let q = parse_pattern("t(x)").unwrap();
-        let lt = Gdc::new(
+        let lt = gdc::new(
             "lt",
             q.clone(),
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Lt, 1)],
         );
-        let gt = Gdc::new(
+        let gt = gdc::new(
             "gt",
             q,
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Gt, 2)],
         );
-        assert!(!gdc_satisfiable(&[lt.clone(), gt.clone()]));
-        assert!(gdc_satisfiable(&[lt]));
-        assert!(gdc_satisfiable(&[gt]));
+        assert!(!ext_satisfiable(&[lt.clone(), gt.clone()]));
+        assert!(ext_satisfiable(&[lt]));
+        assert!(ext_satisfiable(&[gt]));
     }
 
     #[test]
     fn open_window_satisfiable() {
         // A > 1 and A < 2 is fine over a dense order (pick 1.5).
         let q = parse_pattern("t(x)").unwrap();
-        let gt = Gdc::new(
+        let gt = gdc::new(
             "gt",
             q.clone(),
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Gt, 1)],
         );
-        let lt = Gdc::new(
+        let lt = gdc::new(
             "lt",
             q,
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Lt, 2)],
         );
-        assert!(gdc_satisfiable(&[gt, lt]));
+        assert!(ext_satisfiable(&[gt, lt]));
     }
 
     #[test]
     fn forbidding_pattern_is_unsatisfiable_with_strong_semantics() {
         let q = parse_pattern("bad(x)").unwrap();
-        let f = Gdc::forbidding("f", q, vec![]);
-        assert!(!gdc_satisfiable(&[f]));
+        let f = gdc::forbidding("f", q, vec![]);
+        assert!(!ext_satisfiable(&[f]));
     }
 
     #[test]
     fn example9_domain_constraint_gdcs_satisfiable() {
         // φ1: Qe[x](∅ → x.A = x.A); φ2: Qe[x](x.A ≠ 0 ∧ x.A ≠ 1 → false).
         let q = parse_pattern("τ(x)").unwrap();
-        let phi1 = Gdc::new(
+        let phi1 = gdc::new(
             "φ1",
             q.clone(),
             vec![],
@@ -573,7 +529,7 @@ mod tests {
                 sym("A"),
             )],
         );
-        let phi2 = Gdc::forbidding(
+        let phi2 = gdc::forbidding(
             "φ2",
             q,
             vec![
@@ -581,13 +537,13 @@ mod tests {
                 GdcLiteral::constant(Var(0), sym("A"), Pred::Ne, 1),
             ],
         );
-        assert!(gdc_satisfiable(&[phi1, phi2]));
+        assert!(ext_satisfiable(&[phi1, phi2]));
     }
 
     #[test]
     fn example10_disjunctive_domain_constraint_satisfiable() {
         let q = parse_pattern("τ(x)").unwrap();
-        let psi = DisjGed::new(
+        let psi = disj::new(
             "ψ",
             q,
             vec![],
@@ -596,40 +552,40 @@ mod tests {
                 Literal::constant(Var(0), sym("A"), 1),
             ],
         );
-        assert!(disj_satisfiable(&[psi]));
+        assert!(ext_satisfiable(&[psi]));
     }
 
     #[test]
     fn disjunctive_false_unsatisfiable() {
         let q = parse_pattern("τ(x)").unwrap();
-        let dead = DisjGed::new("dead", q, vec![], vec![]);
-        assert!(!disj_satisfiable(&[dead]));
+        let dead = disj::new("dead", q, vec![], vec![]);
+        assert!(!ext_satisfiable(&[dead]));
     }
 
     #[test]
     fn gdc_implication_basics() {
         // Σ: A < 3 (as conclusion). φ: A ≤ 5 — implied.
         let q = parse_pattern("t(x)").unwrap();
-        let a_lt3 = Gdc::new(
+        let a_lt3 = gdc::new(
             "a<3",
             q.clone(),
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Lt, 3)],
         );
-        let a_le5 = Gdc::new(
+        let a_le5 = gdc::new(
             "a≤5",
             q.clone(),
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Le, 5)],
         );
-        let a_lt2 = Gdc::new(
+        let a_lt2 = gdc::new(
             "a<2",
             q,
             vec![],
             vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Lt, 2)],
         );
-        assert!(gdc_implies(std::slice::from_ref(&a_lt3), &a_le5));
-        assert!(!gdc_implies(&[a_lt3], &a_lt2));
+        assert!(ext_implies(std::slice::from_ref(&a_lt3), &a_le5));
+        assert!(!ext_implies(&[a_lt3], &a_lt2));
     }
 
     #[test]
@@ -637,15 +593,15 @@ mod tests {
         // Σ: (A > 5 → B = 1). φ: (A > 7 → B = 1) — implied (stronger X).
         let q = parse_pattern("t(x)").unwrap();
         let mk = |name: &str, thr: i64| {
-            Gdc::new(
+            gdc::new(
                 name,
                 q.clone(),
                 vec![GdcLiteral::constant(Var(0), sym("A"), Pred::Gt, thr)],
                 vec![GdcLiteral::constant(Var(0), sym("B"), Pred::Eq, 1)],
             )
         };
-        assert!(gdc_implies(&[mk("s", 5)], &mk("phi", 7)));
-        assert!(!gdc_implies(&[mk("s", 7)], &mk("phi", 5)));
+        assert!(ext_implies(&[mk("s", 5)], &mk("phi", 7)));
+        assert!(!ext_implies(&[mk("s", 7)], &mk("phi", 5)));
     }
 
     #[test]
@@ -654,7 +610,7 @@ mod tests {
         // instead: φ: x.A = 0 ∨ x.A = 1 ∨ x.A = 2 — weaker, implied.
         let q = parse_pattern("τ(x)").unwrap();
         let mk = |name: &str, vals: &[i64]| {
-            DisjGed::new(
+            disj::new(
                 name,
                 q.clone(),
                 vec![],
@@ -665,8 +621,8 @@ mod tests {
         };
         let s01 = mk("s01", &[0, 1]);
         let s012 = mk("s012", &[0, 1, 2]);
-        assert!(disj_implies(std::slice::from_ref(&s01), &s012));
-        assert!(!disj_implies(&[s012], &s01));
+        assert!(ext_implies(std::slice::from_ref(&s01), &s012));
+        assert!(!ext_implies(&[s012], &s01));
     }
 
     #[test]
@@ -680,14 +636,176 @@ mod tests {
         let s2 = Ged::new("s2", q.clone(), vec![lit("B")], vec![lit("C")]);
         let goal = Ged::new("goal", q.clone(), vec![lit("A")], vec![lit("C")]);
         let not_goal = Ged::new("ng", q, vec![lit("A")], vec![lit("D")]);
-        let sig: Vec<Gdc> = [&s1, &s2].iter().map(|g| Gdc::from_ged(g)).collect();
+        let sig = [Rule::from(s1.clone()), Rule::from(s2.clone())];
         assert_eq!(
-            gdc_implies(&sig, &Gdc::from_ged(&goal)),
+            ext_implies(&sig, &Rule::from(goal.clone())),
             ged_core::reason::implies(&[s1.clone(), s2.clone()], &goal)
         );
         assert_eq!(
-            gdc_implies(&sig, &Gdc::from_ged(&not_goal)),
+            ext_implies(&sig, &Rule::from(not_goal.clone())),
             ged_core::reason::implies(&[s1, s2], &not_goal)
         );
+    }
+
+    /// The per-target split `ext_implies` folded in, kept as its
+    /// reference: `X → ∅` holds, and a conjunctive `Y` is refuted iff some
+    /// one literal of it is, so `Σ ⊨ Q(X → Y)` iff no single-literal
+    /// target has a countermodel.
+    fn split_implies(sigma: &[Rule], phi: &Rule) -> bool {
+        let [y] = &phi.options[..] else {
+            panic!("{}: the split needs one conjunctive option", phi.name)
+        };
+        y.iter().all(|target| {
+            let single = Rule {
+                options: vec![vec![target.clone()]],
+                ..phi.clone()
+            };
+            !has_countermodel(sigma, &single)
+        })
+    }
+
+    mod agreement {
+        use super::*;
+        use crate::domain::{domain_as_disj, domain_as_gdcs};
+        use ged_graph::Value;
+        use proptest::TestRng;
+        use std::fmt::Write;
+
+        const LABELS: [&str; 2] = ["a", "b"];
+        const ATTRS: [&str; 2] = ["A", "B"];
+
+        fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+            from[rng.below(from.len())]
+        }
+
+        /// One or two nodes over two labels, the pair maybe joined by an
+        /// edge.
+        fn pattern(rng: &mut TestRng) -> Pattern {
+            let mut q = Pattern::new();
+            let x = q.var("x", pick(rng, &LABELS));
+            if rng.chance(0.5) {
+                let y = q.var("y", pick(rng, &LABELS));
+                if rng.chance(0.5) {
+                    q.edge(x, "e", y);
+                }
+            }
+            q
+        }
+
+        /// `<`, `≤`, `≠` or `=` between an attribute and a constant in
+        /// `0..3`, or between two attributes.
+        fn literal(rng: &mut TestRng, q: &Pattern) -> GdcLiteral {
+            let var = |rng: &mut TestRng| Var(rng.below(q.var_count()) as u32);
+            let attr = |rng: &mut TestRng| sym(pick(rng, &ATTRS));
+            let pred = pick(rng, &[Pred::Lt, Pred::Le, Pred::Ne, Pred::Eq]);
+            let (x, a) = (var(rng), attr(rng));
+            if rng.chance(0.6) {
+                GdcLiteral::constant(x, a, pred, rng.below(3) as i64)
+            } else {
+                let (y, b) = (var(rng), attr(rng));
+                GdcLiteral::vars(x, a, pred, y, b)
+            }
+        }
+
+        /// A GDC with up to two premises and up to two conclusions (`X → ∅`
+        /// included), or a forbidding one.
+        fn gdc_rule(rng: &mut TestRng, name: String) -> Rule {
+            let q = pattern(rng);
+            let premises = (0..rng.below(3)).map(|_| literal(rng, &q)).collect();
+            if rng.chance(0.2) {
+                return gdc::forbidding(name, q, premises);
+            }
+            let y = (0..rng.below(3)).map(|_| literal(rng, &q)).collect();
+            gdc::new(name, q, premises, y)
+        }
+
+        /// Example 10's domain rule `x.attr ∈ dom` as the GED∨ and as
+        /// Example 9's GDC pair.
+        fn domain(rng: &mut TestRng) -> (Rule, [Rule; 2]) {
+            let (label, attr) = (pick(rng, &LABELS), pick(rng, &ATTRS));
+            let dom: Vec<Value> = (0..1 + rng.below(3) as i64)
+                .filter(|_| rng.chance(0.8))
+                .map(Value::from)
+                .collect();
+            let dom = if dom.is_empty() {
+                vec![Value::from(1)]
+            } else {
+                dom
+            };
+            let (exists, within) = domain_as_gdcs(label, attr, &dom);
+            (domain_as_disj(label, attr, &dom), [exists, within])
+        }
+
+        fn show(sigma: &[Rule], phi: &Rule) -> String {
+            let mut out = String::new();
+            for r in sigma.iter().chain([phi]) {
+                let lits = |ls: &[GdcLiteral]| {
+                    ls.iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join(" ∧ ")
+                };
+                let options: Vec<String> = r.options.iter().map(|o| lits(o)).collect();
+                let (x, y) = (lits(&r.premises), options.join(" | "));
+                let _ = writeln!(out, "  {}: {} ({x} → {y})", r.name, r.pattern);
+            }
+            out
+        }
+
+        /// Draw case `seed`: a Σ of one to three GDCs, maybe with an
+        /// Example 10 domain GED∨, and φ a GDC or a domain GED∨. Checks
+        /// `ext_implies` against the split — run over Σ with each GED∨
+        /// replaced by its Example 9 pair, and for a GED∨ φ over both
+        /// rules of its pair — and that φ ∈ Σ implies φ. Returns whether
+        /// Σ implies φ.
+        fn check(seed: u64) -> bool {
+            let rng = &mut TestRng::new(seed);
+            let mut sigma: Vec<Rule> = (0..1 + rng.below(3))
+                .map(|i| gdc_rule(rng, format!("σ{i}")))
+                .collect();
+            let mut as_gdcs = sigma.clone();
+            if rng.chance(0.4) {
+                let (psi, pair) = domain(rng);
+                sigma.push(psi);
+                as_gdcs.extend(pair);
+            }
+            let (phi, want) = if rng.chance(0.3) {
+                let (psi, pair) = domain(rng);
+                let want = pair.iter().all(|half| split_implies(&as_gdcs, half));
+                (psi, want)
+            } else {
+                let phi = gdc_rule(rng, "φ".into());
+                let want = split_implies(&as_gdcs, &phi);
+                (phi, want)
+            };
+            let got = ext_implies(&sigma, &phi);
+            assert_eq!(got, want, "case {seed}:\n{}", show(&sigma, &phi));
+            sigma.push(phi.clone());
+            assert!(
+                ext_implies(&sigma, &phi),
+                "case {seed}: φ ∈ Σ must imply φ:\n{}",
+                show(&sigma, &phi)
+            );
+            got
+        }
+
+        /// `ext_implies` agrees with the per-target split on generated
+        /// small GDC and GED∨ sets.
+        #[test]
+        fn ext_implies_agrees_with_the_per_target_split() {
+            let implied = (0..48).filter(|&seed| check(seed)).count();
+            assert!((1..48).contains(&implied), "{implied} of 48 implied");
+        }
+
+        /// The same property over 2 000 cases; prints the count and the
+        /// time.
+        #[test]
+        #[ignore = "long: run with --ignored in release"]
+        fn ext_implies_agrees_with_the_per_target_split_long() {
+            let (cases, start) = (2_000, std::time::Instant::now());
+            let implied = (0..cases).filter(|&seed| check(seed)).count();
+            let took = start.elapsed();
+            println!("{cases} cases agree ({implied} implied) in {took:.2?}");
+        }
     }
 }

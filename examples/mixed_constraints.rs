@@ -2,10 +2,11 @@
 //!
 //! The paper's pitch is that GEDs, GDCs (Section 7.1), and GED∨
 //! (Section 7.2) are *one* class of dependencies over one graph model.
-//! `Rule` makes that literal: each rule — whatever its family —
-//! compiles into the same form, premises plus conclusion options (a GED
-//! or a GDC is one conjunctive option, a GED∨ one option per disjunct), a
-//! heterogeneous Σ is just `Vec<Rule>`, and a single
+//! `Rule` makes that literal: each rule — whatever its family — is
+//! the same form, premises plus conclusion options (a GED or a GDC is one
+//! conjunctive option, a GED∨ one option per disjunct; `gdc::forbidding`
+//! and `disj::new` build the last two as `Rule`s), a heterogeneous Σ is
+//! just `Vec<Rule>`, and a single
 //! `IncrementalValidator` maintains the whole rule set under deltas with
 //! one per-match check. Every violation reports the same kind of thing:
 //! the positions of its rule's failed conclusion literals (`[0]` for the
@@ -31,13 +32,12 @@ fn main() {
             vec![Literal::constant(x, sym("is_fake"), 0)],
         )
         .into(),
-        Gdc::forbidding(
+        gdc::forbidding(
             "age≥13",
             q.clone(),
             vec![GdcLiteral::constant(x, sym("age"), Pred::Lt, 13)],
-        )
-        .into(),
-        DisjGed::new(
+        ),
+        disj::new(
             "tier-domain",
             q,
             vec![],
@@ -45,8 +45,7 @@ fn main() {
                 .iter()
                 .map(|&d| Literal::constant(x, sym("tier"), d))
                 .collect(),
-        )
-        .into(),
+        ),
     ];
     println!(
         "Σ = {:?} (mixed families, total size {})",

@@ -26,12 +26,12 @@ fn main() {
     let mut g = random_graph(&cfg);
     let key = plant_key_violations(&mut g, "entity", 20);
     let q = parse_pattern("entity(x)").unwrap();
-    let cap = Gdc::forbidding(
+    let cap = gdc::forbidding(
         "degree-cap",
         q,
         vec![GdcLiteral::constant(Var(0), sym("weight"), Pred::Gt, 1_000)],
     );
-    let sigma: Vec<Rule> = vec![key.into(), cap.into()];
+    let sigma: Vec<Rule> = vec![key.into(), cap];
 
     let mut v = IncrementalValidator::new(g, sigma);
     let seeded = v.metrics();

@@ -42,10 +42,7 @@ pub mod prelude {
         ApplyStats, DeployAnalysis, IncrementalValidator, MetricsSnapshot, Phase, ReadView,
         Rendering, RuleWitnesses, ViolationSnapshot, ViolationStore,
     };
-    pub use ged_ext::{
-        disj_implies, disj_satisfiable, gdc_implies, gdc_satisfiable, DisjGed, Gdc, GdcLiteral,
-        Pred,
-    };
+    pub use ged_ext::{disj, ext_implies, ext_satisfiable, gdc, GdcLiteral, Pred};
     pub use ged_graph::{
         sym, Delta, DeltaEffect, DeltaSet, Graph, GraphBuilder, NodeId, Symbol, Value,
     };

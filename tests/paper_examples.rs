@@ -220,10 +220,9 @@ fn example9_10_domain_constraints() {
     let dom = [Value::from(0), Value::from(1)];
     let (phi1, phi2) = domain_as_gdcs("τ", "A", &dom);
     let psi = domain_as_disj("τ", "A", &dom);
-    assert!(gdc_satisfiable(&[phi1.clone(), phi2.clone()]));
-    assert!(disj_satisfiable(std::slice::from_ref(&psi)));
-    let pair = [phi1, phi2].map(Rule::from);
-    let psi = Rule::from(psi);
+    let pair = [phi1, phi2];
+    assert!(ext_satisfiable(&pair));
+    assert!(ext_satisfiable(std::slice::from_ref(&psi)));
     for v in [-1i64, 0, 1, 2] {
         let mut b = GraphBuilder::new();
         b.node("x", "τ");

@@ -725,9 +725,8 @@ pub fn pushdown_workload() -> (Graph, Vec<Rule>) {
         GdcLiteral::vars(x, a1, Pred::Lt, y, a1),
     ];
     let differ = vec![GdcLiteral::vars(x, k, Pred::Ne, y, k)];
-    let inexact = Gdc::new("inexact", parse_pattern(edge).unwrap(), premises, differ);
+    let inexact = gdc::new("inexact", parse_pattern(edge).unwrap(), premises, differ);
     let wild = ged("wild-key", "entity(x); _(y)", same_key(), same_node(x, y));
     let sigma = [key, cross, same, beside].map(Rule::from);
-    let (inexact, wild) = (inexact.into(), wild.into());
-    (g, sigma.into_iter().chain([inexact, wild]).collect())
+    (g, sigma.into_iter().chain([inexact, wild.into()]).collect())
 }
