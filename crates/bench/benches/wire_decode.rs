@@ -22,10 +22,11 @@
 //!   `Json::parse` is the lexer's other consumer, so this row says what
 //!   sharing the lexer cost the tree.
 //! * **`wire/encode-report/{2000,2000-distinct}`** — the server's side of
-//!   a poll that misses the rendered line: `encode_report` of the same
-//!   2 000-witness reply, in ns per witness. *2000* is the shape above,
-//!   each rule's witnesses sharing one kind; in *2000-distinct* every
-//!   witness's kind differs from its predecessor's.
+//!   a poll that misses the rendered line, as `gedd` runs it: the same
+//!   2 000-witness reply as `encode_report_head`, one `encode_segment` per
+//!   rule and `write_segmented` into a reused buffer, in ns per witness.
+//!   *2000* is the shape above, each rule's witnesses sharing one kind; in
+//!   *2000-distinct* every witness's kind differs from its predecessor's.
 //! * **`wire/rerender-report/2000`** — the server's side of a poll of the
 //!   next epoch after one witness of one of four rules changed: `gedd`'s
 //!   `rendering` of a 2 000-witness snapshot, which formats that rule's
@@ -43,9 +44,9 @@ use ged_engine::IncrementalValidator;
 use ged_graph::{sym, Delta, DeltaSet, Graph, NodeId, Value};
 use ged_pattern::{parse_pattern, Var};
 use ged_proto::json::Reader;
-use ged_proto::message::{encode_report, write_segmented};
+use ged_proto::message::{encode_report_head, encode_segment, report_to_json, write_segmented};
 use ged_proto::wire::read_line;
-use ged_proto::{read_frame, Json, Request, DEFAULT_MAX_FRAME};
+use ged_proto::{read_frame, write_frame, Json, Request, DEFAULT_MAX_FRAME};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -112,24 +113,40 @@ fn apply_frame(batch: usize, rng: &mut Lcg) -> Vec<u8> {
     line.into_bytes()
 }
 
-/// A `report` reply line of `witnesses` witnesses under four rules: rule
-/// `r`'s witnesses all carry kind `r`, or, when `distinct`, cycle through
-/// the four so no two neighbours share one.
-fn encode_report_line(witnesses: usize, distinct: bool) -> Vec<u8> {
-    let rules = ["verified⇒real", "no-self-follow", "age≥13", "tier-domain"];
+const RULES: [&str; 4] = ["verified⇒real", "no-self-follow", "age≥13", "tier-domain"];
+
+/// The witnesses of a `report` reply of `witnesses` witnesses under the
+/// four [`RULES`], per rule, as `(ids, kind)`: rule `r`'s witnesses all
+/// carry kind `r`, or, when `distinct`, cycle through the four so no two
+/// neighbours share one.
+fn report_witnesses(witnesses: usize, distinct: bool) -> Vec<Vec<([NodeId; 2], ViolationKind)>> {
     // Four distinct kinds of the lengths the mixed rules' witnesses list:
     // one conclusion, a forbidding pair, every disjunct.
     let kinds = [vec![0], vec![0, 1], vec![1], vec![0, 1, 2]].map(ViolationKind::from);
-    let per_rule = witnesses / rules.len();
-    encode_report(7, rules.iter().map(|name| (*name, per_rule)), |sink| {
-        for (r, name) in rules.iter().enumerate() {
-            for i in 0..per_rule {
-                let id = (r * per_rule + i) as u32;
-                let kind = if distinct { (r + i) % kinds.len() } else { r };
-                sink(name, &[NodeId(id), NodeId(id + 100_000)], &kinds[kind]);
-            }
-        }
-    })
+    let per_rule = witnesses / RULES.len();
+    let witness = |r: usize, i: usize| {
+        let id = (r * per_rule + i) as u32;
+        let kind = if distinct { (r + i) % kinds.len() } else { r };
+        ([NodeId(id), NodeId(id + 100_000)], kinds[kind].clone())
+    };
+    (0..RULES.len())
+        .map(|r| (0..per_rule).map(|i| witness(r, i)).collect())
+        .collect()
+}
+
+/// The `report` line of those witnesses in `out` (cleared first), as
+/// `gedd` writes it on a miss: the head, each rule's segment, joined.
+fn encode_report_line(witnesses: &[Vec<([NodeId; 2], ViolationKind)>], out: &mut Vec<u8>) {
+    let rules = RULES
+        .iter()
+        .zip(witnesses)
+        .map(|(name, w)| (*name, w.len()));
+    let head = encode_report_head(7, rules);
+    let segments: Vec<Vec<u8>> = (RULES.iter().zip(witnesses))
+        .map(|(name, w)| encode_segment(name, w.iter().map(|(ids, kind)| (&ids[..], kind))))
+        .collect();
+    out.clear();
+    write_segmented(out, &head, segments.iter().map(Vec::as_slice)).expect("a Vec takes it");
 }
 
 /// `witnesses` witnesses, a quarter under each of four rules: rule `r`
@@ -266,17 +283,25 @@ fn main() {
 
     println!("\n== wire/json-parse (ns per witness) ==");
     let witnesses = 2000;
-    let line = String::from_utf8(encode_report_line(witnesses, false)).expect("UTF-8");
+    let (shared, distinct) = (
+        report_witnesses(witnesses, false),
+        report_witnesses(witnesses, true),
+    );
+    let mut out = Vec::new();
+    encode_report_line(&shared, &mut out);
+    let line = String::from_utf8(out.clone()).expect("UTF-8");
     row("wire/json-parse/report-2000", witnesses, || {
         black_box(Json::parse(black_box(&line)).expect("parses"));
     });
 
     println!("\n== wire/encode-report (ns per witness) ==");
     row("wire/encode-report/2000", witnesses, || {
-        black_box(encode_report_line(black_box(witnesses), false));
+        encode_report_line(black_box(&shared), &mut out);
+        black_box(&out);
     });
     row("wire/encode-report/2000-distinct", witnesses, || {
-        black_box(encode_report_line(black_box(witnesses), true));
+        encode_report_line(black_box(&distinct), &mut out);
+        black_box(&out);
     });
 
     // The next epoch after one witness of one of the four rules changed,
@@ -300,9 +325,8 @@ fn main() {
     let mut line = Vec::new();
     write_segmented(&mut line, first.head(), first.segments()).expect("a Vec takes it");
     let snap = view.snapshot();
-    let full = encode_report(snap.epoch(), snap.rules(), |sink| {
-        snap.for_each_witness(sink);
-    });
+    let mut full = Vec::new();
+    write_frame(&mut full, &report_to_json(snap.epoch(), &snap.to_report())).expect("a Vec");
     assert!(line == full, "the served render is the report line");
     drop(snap);
     flip(&mut v);

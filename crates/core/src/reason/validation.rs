@@ -52,7 +52,7 @@ impl ValidationReport {
     }
 }
 
-/// Validate `G` against Σ — rules of any family, compiled into [`Rule`] —
+/// Validate `G` against Σ — rules of any family, each a [`Rule`] —
 /// collecting up to `limit_per_ged` witnesses per constraint (`None` =
 /// all). With `limit_per_ged = Some(1)` this is the pure decision
 /// procedure.

@@ -16,7 +16,7 @@
 //!
 //! Every function here runs on the one rule type [`Rule`]: the loop walks
 //! the matches of the rule's pattern and asks [`Rule::check`] about each
-//! one, so GEDs, GDCs and GED∨s — all compiled into `Rule` — share it, and
+//! one, so GEDs, GDCs and GED∨s — all `Rule`s — share it, and
 //! the incremental engine of `ged-engine` has the same structure.
 
 use crate::constraint::ViolationKind;

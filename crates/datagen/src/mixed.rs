@@ -1,6 +1,6 @@
 //! Mixed-family Σ workloads: one heterogeneous rule set holding plain
-//! GEDs, a dense-order GDC, and a disjunctive GED∨ — each compiled into
-//! the one rule type [`Rule`], so a single `IncrementalValidator` serves
+//! GEDs, a dense-order GDC, and a disjunctive GED∨ — each the one rule
+//! type [`Rule`], so a single `IncrementalValidator` serves
 //! all of them at once, with a controlled number of planted violations per
 //! family.
 //!

@@ -3,7 +3,7 @@
 //! Validation (`G ⊨ Σ`, Section 5.3) is the reasoning problem a deployed
 //! system faces on *every* update. This crate supplies the production
 //! answer, every layer of it on the one rule type `ged_core::rule::Rule`:
-//! every GED, GDC and GED∨ compiles into it, so one code path serves plain
+//! every GED, GDC and GED∨ is one, so one code path serves plain
 //! GEDs, GDCs with built-in predicates and GED∨s with disjunctive
 //! conclusions — the engine only ever needs a rule's pattern (to enumerate
 //! candidate matches), its per-match check (to classify them) and the

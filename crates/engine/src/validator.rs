@@ -114,7 +114,7 @@ pub struct DeployAnalysis {
 }
 
 /// Maintains the violation set of `G ⊨ Σ` under a stream of updates, for
-/// rules of every family, compiled into [`Rule`].
+/// rules of every family, each a [`Rule`].
 ///
 /// Owns the graph (updates must flow through the validator so the store
 /// stays consistent) and a [`ViolationStore`] that after every call equals

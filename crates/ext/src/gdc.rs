@@ -104,18 +104,6 @@ mod tests {
         assert!(satisfies(&b2.build(), &denial));
     }
 
-    /// `forbidding` is the lifted GED `false`: the same rule as
-    /// `Ged::forbidding`'s, literal for literal.
-    #[test]
-    fn forbidding_is_the_lifted_ged_falsum() {
-        let q = parse_pattern("person(x) -[create]-> product(y)").unwrap();
-        let x = Literal::constant(Var(1), sym("type"), "video game");
-        let lifted = Rule::from(Ged::forbidding("f", q.clone(), vec![x.clone()]));
-        let built = forbidding("f", q, vec![GdcLiteral::from_ged(&x)]);
-        assert_eq!(built.premises, lifted.premises);
-        assert_eq!(built.options, lifted.options);
-    }
-
     /// Lifting a GED into the GDC language (`Rule::from`) keeps every
     /// literal an `=` and keeps the GED's verdict on a dirty graph.
     #[test]

@@ -16,8 +16,7 @@
 //! [`encode_violations_head`]) and one segment per rule
 //! ([`encode_segment`]), written by [`write_segmented`] without being
 //! joined in memory; same bytes as the tree written by `write_frame`
-//! (`tests/reply_lines.rs`, which also holds the pieces to
-//! [`encode_report`], the `report` line in one buffer) — and the streaming
+//! (`tests/reply_lines.rs`) — and the streaming
 //! request decoder [`Request::from_line`] (answers exactly when
 //! `Json::parse` + [`Request::from_json`] answer `Ok`, with an equal
 //! request, `tests/request_lines.rs`; every refusal is left to the
@@ -608,18 +607,6 @@ pub fn report_to_json(epoch: u64, report: &ValidationReport) -> Json {
     ])
 }
 
-/// Where [`encode_report`] wants each witness pushed, as `(rule,
-/// assignment, kind)` in reply order, the rule and the kind borrowed for
-/// `'w` (the encoder keeps the last of each to compare against). The
-/// caller's `witnesses` argument is handed one of these exactly once: the
-/// engine's `ViolationSnapshot::for_each_witness` (borrowing, sorting in
-/// place) and a loop over `ValidationReport::violations` both fit.
-pub type WitnessSink<'s, 'w> = dyn FnMut(&'w str, &[NodeId], &'w ViolationKind) + 's;
-
-/// Bytes [`encode_report`] reserves per witness: a two-node witness of a
-/// one-literal kind takes about 30.
-const WITNESS_BYTES: usize = 48;
-
 /// What a witness of `rule` with `ids` node ids and this `kind` takes
 /// when every id has ten digits (`u32::MAX`'s width): no witness of the
 /// rule whose kind prints as long takes more. [`encode_segment`] sizes
@@ -659,17 +646,6 @@ const REPLY_TAIL: &str = "]}\n";
 /// in place.
 struct LineEncoder {
     out: String,
-}
-
-/// What a run of witnesses shares, remembered for the last witness
-/// written: its rule with where its head `["rule",[` is in the buffer, and
-/// its kind with where its tail `],"kind"]` is. A witness that repeats
-/// either copies those bytes, so a run of witnesses of one rule and one
-/// kind formats and escapes them once.
-#[derive(Default)]
-struct Run<'w> {
-    rule: Option<(&'w str, Range<usize>)>,
-    kind: Option<(&'w ViolationKind, Range<usize>)>,
 }
 
 impl LineEncoder {
@@ -723,41 +699,45 @@ impl LineEncoder {
         }
     }
 
-    /// The witnesses `witnesses` pushes, comma-separated, each shaped like
-    /// [`violation_to_json`]: a witness is its rule's head, its ids, and
-    /// its kind's tail, and a head or a tail the last witness also had is
-    /// copied ([`Run`]): `==` kinds print alike.
-    fn witnesses<'w>(&mut self, witnesses: impl FnOnce(&mut WitnessSink<'_, 'w>)) {
-        let mut run = Run::default();
-        let mut first = true;
-        witnesses(&mut |rule, assignment, kind| {
-            if !std::mem::take(&mut first) {
-                self.out.push(',');
-            }
-            match &run.rule {
-                Some((last, head)) if *last == rule => self.out.extend_from_within(head.clone()),
-                _ => {
+    /// One rule's witnesses, comma-separated, each shaped like
+    /// [`violation_to_json`]: the rule's head `["rule",[`, the ids, and
+    /// the kind's tail `],"kind"]`. The head is formatted and escaped once
+    /// and copied for every later witness; a tail is copied from the last
+    /// witness's when the kind repeats it (`==` kinds print alike), so a
+    /// run of one kind formats it once.
+    fn witnesses<'w>(
+        &mut self,
+        rule: &str,
+        witnesses: impl IntoIterator<Item = (&'w [NodeId], &'w ViolationKind)>,
+    ) {
+        let mut head: Option<Range<usize>> = None;
+        let mut tail: Option<(&ViolationKind, Range<usize>)> = None;
+        for (assignment, kind) in witnesses {
+            match &head {
+                Some(head) => {
+                    self.out.push(',');
+                    self.out.extend_from_within(head.clone());
+                }
+                None => {
                     let at = self.out.len();
                     self.out.push('[');
                     write_escaped(rule, &mut self.out);
                     self.out.push_str(",[");
-                    run.rule = Some((rule, at..self.out.len()));
+                    head = Some(at..self.out.len());
                 }
             }
             self.id_list(assignment);
-            match &run.kind {
-                Some((last, tail)) if *last == kind => {
-                    self.out.extend_from_within(tail.clone());
-                }
+            match &tail {
+                Some((last, tail)) if *last == kind => self.out.extend_from_within(tail.clone()),
                 _ => {
                     let at = self.out.len();
                     self.out.push_str("],\"");
                     write!(self.out, "{kind:?}").expect("formatting is infallible");
                     self.out.push_str("\"]");
-                    run.kind = Some((kind, at..self.out.len()));
+                    tail = Some((kind, at..self.out.len()));
                 }
             }
-        });
+        }
     }
 
     /// `,"violations":[`: where the witnesses start.
@@ -795,30 +775,12 @@ impl LineEncoder {
     }
 }
 
-/// The `report` reply as one wire line (trailing newline included),
-/// byte-identical to `report_to_json(epoch, report)` written by
-/// [`crate::wire::write_frame`], without the tree in between. `rules`
-/// yields `(name, violation count)` in Σ order; `witnesses` pushes every
-/// witness, Σ order then sorted per rule.
-///
-/// The same line in pieces, the way `gedd` serves it: [`encode_report_head`],
-/// then the [`encode_segment`] of each rule, written by
-/// [`write_segmented`].
-pub fn encode_report<'a, 'w>(
-    epoch: u64,
-    rules: impl Iterator<Item = (&'a str, usize)> + Clone,
-    witnesses: impl FnOnce(&mut WitnessSink<'_, 'w>),
-) -> Vec<u8> {
-    let total: usize = rules.clone().map(|(_, n)| n).sum();
-    let mut enc = LineEncoder::new(96 + 64 * rules.size_hint().0 + WITNESS_BYTES * total);
-    enc.report_head(epoch, rules);
-    enc.witnesses(witnesses);
-    enc.out.push_str(REPLY_TAIL);
-    enc.out.into_bytes()
-}
-
-/// The head of a `report` line: [`encode_report`]'s bytes up to its first
-/// witness, `"violations":[` included.
+/// The head of a `report` line: `{"ok":true,"epoch":…,"satisfied":…,
+/// "total":…,"rules":[…],"violations":[`, everything before its first
+/// witness. `rules` yields `(name, violation count)` in Σ order. The line
+/// is this head and the [`encode_segment`] of each rule, written by
+/// [`write_segmented`]: byte-identical to `report_to_json` written by
+/// [`crate::wire::write_frame`].
 pub fn encode_report_head<'a>(
     epoch: u64,
     rules: impl Iterator<Item = (&'a str, usize)> + Clone,
@@ -858,15 +820,13 @@ pub fn encode_segment<'w>(
         widest_witness(rule, assignment.len(), kind) + 1
     });
     let mut enc = LineEncoder::new(each * witnesses.size_hint().0);
-    enc.witnesses(|sink| witnesses.for_each(|(assignment, kind)| sink(rule, assignment, kind)));
+    enc.witnesses(rule, witnesses);
     enc.out.into_bytes()
 }
 
 /// Write a witness-carrying reply from its pieces — `head`, the non-empty
 /// `segments` joined by commas, the closing `]}` and newline — with
 /// vectored writes, then flush: the line is never assembled in one buffer.
-/// With [`encode_report_head`] and the segments, the bytes are
-/// [`encode_report`]'s.
 pub fn write_segmented<'a>(
     w: &mut impl Write,
     head: &'a [u8],

@@ -1,12 +1,11 @@
 //! The streamed reply lines against the reference codec, on generated
-//! reports: `encode_report`, and the `violations` line in the pieces
-//! `gedd` writes (its head, each rule's segment, joined by
-//! `write_segmented`), must produce exactly the bytes `write_frame` makes
-//! of the `Json` tree (`report_to_json`, `ok_response` +
-//! `violation_to_json`), and those bytes must decode back to the rows that
-//! went in; the `report` line in pieces must be `encode_report`'s.
-//! `encode_apply` is held to the same, against the `ok_response` tree
-//! `gedd` used to build for every batch.
+//! reports: the `report` and `violations` lines in the pieces `gedd`
+//! writes (a head, each rule's segment, joined by `write_segmented`) must
+//! produce exactly the bytes `write_frame` makes of the `Json` tree
+//! (`report_to_json`, `ok_response` + `violation_to_json`), and those
+//! bytes must decode back to the rows that went in. `encode_apply` is held
+//! to the same, against the `ok_response` tree `gedd` used to build for
+//! every batch.
 //!
 //! Inputs aim at the encoder's own code: rule names that need every
 //! escape (quote, backslash, control characters, non-ASCII, empty), kinds
@@ -21,9 +20,9 @@ use ged_core::reason::{GedReport, ValidationReport};
 use ged_core::satisfy::Violation;
 use ged_graph::NodeId;
 use ged_proto::message::{
-    apply_from_json, encode_apply, encode_report, encode_report_head, encode_segment,
-    encode_violations_head, ok_response, report_from_json, report_to_json, violation_from_json,
-    violation_to_json, write_segmented, WitnessSink,
+    apply_from_json, encode_apply, encode_report_head, encode_segment, encode_violations_head,
+    ok_response, report_from_json, report_to_json, violation_from_json, violation_to_json,
+    write_segmented,
 };
 use ged_proto::{write_frame, ApplyReply, Json, WireViolation};
 use proptest::collection::vec;
@@ -143,12 +142,6 @@ fn frame_bytes(tree: &Json) -> Vec<u8> {
     out
 }
 
-fn push_all<'w>(report: &'w ValidationReport, sink: &mut WitnessSink<'_, 'w>) {
-    for v in &report.violations {
-        sink(&v.ged_name, &v.assignment, &v.kind);
-    }
-}
-
 /// Each rule's [`encode_segment`], in Σ order: the pieces `gedd` keeps.
 fn segments(report: &ValidationReport) -> Vec<Vec<u8>> {
     let mut rest = &report.violations[..];
@@ -158,6 +151,18 @@ fn segments(report: &ValidationReport) -> Vec<Vec<u8>> {
         encode_segment(&row.name, mine.iter().map(|v| (&v.assignment[..], &v.kind)))
     };
     report.per_ged.iter().map(segment).collect()
+}
+
+/// The `report` line as `gedd` writes it to `w`: its head, then each
+/// rule's segment.
+fn write_report(w: &mut impl std::io::Write, epoch: u64, report: &ValidationReport) {
+    let rules = report
+        .per_ged
+        .iter()
+        .map(|r| (r.name.as_str(), r.violation_count));
+    let segments = segments(report);
+    let pieces = segments.iter().map(Vec::as_slice);
+    write_segmented(w, &encode_report_head(epoch, rules), pieces).unwrap();
 }
 
 /// A transport that takes at most three bytes a call: every vectored
@@ -197,8 +202,8 @@ fn parse_line(line: &[u8]) -> Json {
 proptest! {
     #[test]
     fn streamed_report_equals_the_tree_codec(report in report(), epoch in 0u64..(1u64 << 63)) {
-        let rules = report.per_ged.iter().map(|r| (r.name.as_str(), r.violation_count));
-        let line = encode_report(epoch, rules, |sink| push_all(&report, sink));
+        let mut line = Vec::new();
+        write_report(&mut line, epoch, &report);
         prop_assert_eq!(&line, &frame_bytes(&report_to_json(epoch, &report)));
 
         let reply = report_from_json(&parse_line(&line)).expect("decodes");
@@ -213,18 +218,13 @@ proptest! {
         prop_assert_eq!(reply.violations, expected_rows(&report));
     }
 
-    /// The `report` line in pieces — its head, then each rule's segment,
-    /// joined by `write_segmented` — is the streamed line, also through a
+    /// The `report` line in pieces is the tree's line also through a
     /// writer that takes a few bytes at a time.
     #[test]
     fn segmented_report_equals_the_streamed_line(report in report(), epoch in 0u64..(1u64 << 63)) {
-        let rules = report.per_ged.iter().map(|r| (r.name.as_str(), r.violation_count));
-        let streamed = encode_report(epoch, rules.clone(), |sink| push_all(&report, sink));
-        let segments = segments(&report);
-        let pieces = segments.iter().map(Vec::as_slice);
         let mut trickle = Trickle(Vec::new());
-        write_segmented(&mut trickle, &encode_report_head(epoch, rules), pieces).unwrap();
-        prop_assert_eq!(&trickle.0, &streamed);
+        write_report(&mut trickle, epoch, &report);
+        prop_assert_eq!(&trickle.0, &frame_bytes(&report_to_json(epoch, &report)));
     }
 
     /// `gedd` writes the `violations` line only in pieces: its own head

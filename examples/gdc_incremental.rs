@@ -27,7 +27,7 @@ fn main() {
         ..Default::default()
     };
     let w = social_gdcs(&cfg, 3, 42);
-    let sigma: Vec<Rule> = w.sigma.into_iter().map(Into::into).collect();
+    let sigma = w.sigma;
     println!(
         "graph: {} nodes; Σ = {:?} (total size {})",
         w.graph.node_count(),

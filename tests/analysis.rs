@@ -29,7 +29,7 @@ use std::collections::BTreeSet;
 mod lockstep;
 use lockstep::{served, witnesses};
 
-/// Every datagen workload Σ, compiled into `Rule`s: the paper's
+/// Every datagen workload Σ as `Rule`s: the paper's
 /// Example 3 rule sets, the coloring reductions (their disconnected GKey
 /// patterns are a Note by design — the disjoint copy construction), the
 /// GDC, GED∨ and mixed families, the random harness Σ (a planted key plus
@@ -56,10 +56,10 @@ fn datagen_sigmas() -> Vec<(&'static str, Vec<Rule>)> {
         ("coloring-gkey K3", served([validation_gkey(&k3).1])),
         ("coloring-gfdx C5", served([validation_gfdx(&c5).1])),
         ("coloring-gkey C5", served([validation_gkey(&c5).1])),
-        ("social-gdc", served(social_gdcs(&scfg, 3, 11).sigma)),
-        ("kb-gdc", served(kb_gdcs(&kcfg, 3, 12).sigma)),
-        ("social-disj", served(social_disj(&scfg, 2, 2, 13).sigma)),
-        ("kb-disj", served(kb_disj(&kcfg, 2, 14).sigma)),
+        ("social-gdc", social_gdcs(&scfg, 3, 11).sigma),
+        ("kb-gdc", kb_gdcs(&kcfg, 3, 12).sigma),
+        ("social-disj", social_disj(&scfg, 2, 2, 13).sigma),
+        ("kb-disj", kb_disj(&kcfg, 2, 14).sigma),
         ("social-mixed", social_mixed(&scfg, 3, 15).sigma),
     ];
     let cfg = RandomGraphConfig {

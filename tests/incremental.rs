@@ -1,7 +1,7 @@
 //! Incremental ≡ full: generated delta streams over the datagen graphs,
 //! with the `IncrementalValidator` held after
 //! every batch against a from-scratch `validate` of a mirror graph, for
-//! every family compiled into the one rule type (GEDs, GDCs, GED∨s, and
+//! every family as the one rule type (GEDs, GDCs, GED∨s, and
 //! the three in one Σ). The stream, the oracle and the comparison are the
 //! lockstep driver's (`support/lockstep.rs`, DESIGN.md §11); what is here
 //! is the workloads, the scripted scenarios, and the engine's own
@@ -225,7 +225,7 @@ fn chase_rejects_tombstoned_graphs() {
 #[test]
 fn incremental_equals_full_on_gdc_social_workload() {
     let w = ged_datagen::gdc::social_gdcs(&SocialConfig::default(), 3, 21);
-    let sigma = served(w.sigma);
+    let sigma = w.sigma;
     assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // Ages 0..30 straddle the age≥13 boundary, so writes repair and
     // re-introduce violations; the rest of the delta mix adds/removes
@@ -236,7 +236,7 @@ fn incremental_equals_full_on_gdc_social_workload() {
 #[test]
 fn incremental_equals_full_on_gdc_kb_workload() {
     let w = ged_datagen::gdc::kb_gdcs(&ged_datagen::kb::KbConfig::default(), 4, 23);
-    let sigma = served(w.sigma);
+    let sigma = w.sigma;
     assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // price/discount writes flip the variable-predicate rule both ways.
     let attrs = [sym("price"), sym("discount")];
@@ -246,7 +246,7 @@ fn incremental_equals_full_on_gdc_kb_workload() {
 #[test]
 fn incremental_equals_full_on_disj_social_workload() {
     let w = ged_datagen::disj::social_disj(&SocialConfig::default(), 2, 2, 25);
-    let sigma = served(w.sigma);
+    let sigma = w.sigma;
     assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // Integer writes to tier always leave the string domain (every
     // disjunct fails); is_fake/suspended writes toggle the conditional
@@ -258,7 +258,7 @@ fn incremental_equals_full_on_disj_social_workload() {
 #[test]
 fn incremental_equals_full_on_disj_kb_workload() {
     let w = ged_datagen::disj::kb_disj(&ged_datagen::kb::KbConfig::default(), 3, 27);
-    let sigma = served(w.sigma);
+    let sigma = w.sigma;
     assert_eq!(validate(&w.graph, &sigma, None).violations.len(), w.planted);
     // Visibility values 0..5 fall in and out of the {0,1,2} domain.
     in_lockstep(
@@ -275,10 +275,10 @@ fn incremental_equals_full_on_disj_kb_workload() {
 #[test]
 fn batched_deltas_equal_full_for_gdc_and_disj() {
     let w = ged_datagen::gdc::social_gdcs(&SocialConfig::default(), 2, 31);
-    let sigma = served(w.sigma);
+    let sigma = w.sigma;
     in_lockstep((&w.graph, &sigma), (32, &[sym("age")], &ints(30)), (10, 8));
     let w = ged_datagen::disj::kb_disj(&ged_datagen::kb::KbConfig::default(), 2, 33);
-    let sigma = served(w.sigma);
+    let sigma = w.sigma;
     in_lockstep(
         (&w.graph, &sigma),
         (34, &[sym("visibility")], &ints(5)),
@@ -287,7 +287,7 @@ fn batched_deltas_equal_full_for_gdc_and_disj() {
 }
 
 // ---------------------------------------------------------------------
-// Heterogeneous Σ: GED + GDC + GED∨ compiled into `Rule`, served by ONE
+// Heterogeneous Σ: GED + GDC + GED∨ as one `Vec<Rule>`, served by ONE
 // validator instance.
 // ---------------------------------------------------------------------
 
@@ -477,7 +477,7 @@ fn acceptance_gdc_10k_nodes_1k_deltas_every_step() {
     let w = ged_datagen::gdc::social_gdcs(&acceptance_social(), 20, 48);
     assert!(w.graph.node_count() >= 9_600, "acceptance scale");
     in_lockstep(
-        (&w.graph, &served(w.sigma)),
+        (&w.graph, &w.sigma),
         (49, &[sym("age")], &ints(30)),
         (1_000, 1),
     );

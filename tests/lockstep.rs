@@ -52,13 +52,13 @@ fn families() -> Vec<Family> {
     let keys = || key_attrs().to_vec();
     let wild = (evolving_workload(50, 3, 0, 46).0, served(wildcard_sigma()));
     let w = gdc::social_gdcs(&social, 3, 21);
-    let gdc_social = (w.graph, served(w.sigma));
+    let gdc_social = (w.graph, w.sigma);
     let w = gdc::kb_gdcs(&kb, 4, 23);
-    let gdc_kb = (w.graph, served(w.sigma));
+    let gdc_kb = (w.graph, w.sigma);
     let w = disj::social_disj(&social, 2, 2, 25);
-    let disj_social = (w.graph, served(w.sigma));
+    let disj_social = (w.graph, w.sigma);
     let w = disj::kb_disj(&kb, 3, 27);
-    let disj_kb = (w.graph, served(w.sigma));
+    let disj_kb = (w.graph, w.sigma);
     let w = redundant::redundant(60, 5);
     let sloppy = ["a", "b", "spam", "free", "gold"].map(Value::from);
     let sloppy = sloppy.into_iter().chain(ints(3)).collect();
@@ -129,7 +129,7 @@ fn every_subject_holds_on_every_family_at_length() {
 }
 
 /// The read-set contract of `Rule::attrs_read` on every rule of every
-/// family — GEDs, GDCs and GED∨s, each compiled into a `Rule` — at up to 40
+/// family — GEDs, GDCs and GED∨s, each a `Rule` — at up to 40
 /// matches per rule in the start graph: writing or deleting, on any
 /// matched node, an attribute the rule does not name (the family's traffic
 /// vocabulary, the node's own attributes, and one attribute no rule names)
