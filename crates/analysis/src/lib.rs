@@ -7,11 +7,11 @@
 //! pruned before it burns seeding and delta-path time.
 //!
 //! * **Layer 1 — structural linter** (the `lint` module): works over a
-//!   [`Rule`]'s pattern, premises and conclusion options. Catches unbound variables in literals, contradictory premises,
-//!   conclusions entailed by premises (rules that can never produce a
-//!   violation), duplicate rules, duplicate/shadowed disjuncts in
-//!   disjunctive conclusions, disconnected patterns (cartesian blowup),
-//!   and wildcard-label cost.
+//!   [`Rule`]'s pattern, premises and conclusion options. Catches
+//!   contradictory premises, conclusions entailed by premises (rules that
+//!   can never produce a violation), duplicate rules, duplicate/shadowed
+//!   disjuncts in disjunctive conclusions, disconnected patterns
+//!   (cartesian blowup), and wildcard-label cost.
 //! * **Layer 2 — semantic analysis** (the `semantic` module): the chase
 //!   fragment ([`Rule::as_chase_ged`]) goes through the `Sat(Σ)` gate
 //!   (`reason::is_satisfiable`, Theorem 2) and implication-based
@@ -254,12 +254,7 @@ mod tests {
     fn predicate_literals_are_compared_whole() {
         let lit =
             |attr: &str, pred, value: i64| GdcLiteral::constant(Var(0), sym(attr), pred, value);
-        let rule = |name: &str, premises, conclusion| Rule {
-            name: name.to_string(),
-            pattern: q1(),
-            premises,
-            options: vec![conclusion],
-        };
+        let rule = |name, premises, conclusion| Rule::new(name, q1(), premises, vec![conclusion]);
         let flag = || vec![lit("flag", Pred::Eq, 1)];
         let under = |age| vec![lit("age", Pred::Lt, age)];
         let r = analyze(&[
@@ -297,12 +292,8 @@ mod tests {
     #[test]
     fn a_disjunct_extending_another_is_shadowed() {
         let lit = |attr: &str| GdcLiteral::constant(Var(0), sym(attr), Pred::Eq, 1);
-        let r = analyze(&[Rule {
-            name: "shadowed".to_string(),
-            pattern: q1(),
-            premises: vec![],
-            options: vec![vec![lit("a"), lit("b")], vec![lit("a")]],
-        }]);
+        let options = vec![vec![lit("a"), lit("b")], vec![lit("a")]];
+        let r = analyze(&[Rule::new("shadowed", q1(), vec![], options)]);
         let d = r
             .diagnostics
             .iter()

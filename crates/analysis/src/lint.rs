@@ -1,12 +1,11 @@
 //! Layer 1: the structural linter. Works on a [`Rule`]'s pattern and its
 //! premises and conclusion options, so every family lints alike.
 //!
-//! Unbound variables are read off every literal, whatever its predicate:
-//! a `<` over a variable the pattern does not bind fails at the first
-//! match as surely as an `=` does. Constant conflicts read only the
-//! rule's *equality fragment*, its `=` constant premises (a contradictory
-//! subset of the premises stays contradictory under the others, whatever
-//! their predicates). The lints
+//! No lint checks scope: [`Rule::new`] refuses a literal over a variable
+//! the pattern does not bind, and is the only way to build a rule.
+//! Constant conflicts read only the rule's *equality fragment*, its `=`
+//! constant premises (a contradictory subset of the premises stays
+//! contradictory under the others, whatever their predicates). The lints
 //! that compare rule logic — duplicates, conclusion-entailed-by-premises,
 //! disjunct shadowing — compare whole literals, predicate included, so
 //! they hold for every predicate: a literal entails an identical one.
@@ -27,14 +26,13 @@ pub(crate) fn structural(
 ) {
     for (i, rule) in sigma.iter().enumerate() {
         let (name, pattern) = (rule.name.as_str(), &rule.pattern);
-        unbound_variables(i, rule, out);
-        if contradictory_premises(i, name, &rule.premises, out) {
+        if contradictory_premises(i, name, rule.premises(), out) {
             prunable.entry(i).or_insert(LintKind::ContradictoryPremises);
         }
         if entailed_conclusion(i, rule, out) {
             prunable.entry(i).or_insert(LintKind::EntailedConclusion);
         }
-        disjunct_lints(i, name, &rule.options, out);
+        disjunct_lints(i, name, rule.options(), out);
         // The premises' dense-order feasibility (a GDC's `<`, `≤`, …
         // premises included) — same lint class, richer literals.
         if !prunable.contains_key(&i) && !rule.premises_feasible() {
@@ -51,31 +49,6 @@ pub(crate) fn structural(
         wildcard_cost(i, name, pattern, out);
     }
     duplicate_rules(sigma, out, prunable);
-}
-
-/// Error: a literal, of any predicate, referencing a variable the pattern
-/// does not bind.
-fn unbound_variables(i: usize, rule: &Rule, out: &mut Vec<Diagnostic>) {
-    let pattern = &rule.pattern;
-    let unbound: BTreeSet<u32> = rule
-        .literals()
-        .flat_map(GdcLiteral::variables)
-        .filter(|v| v.idx() >= pattern.var_count())
-        .map(|v| v.0)
-        .collect();
-    if !unbound.is_empty() {
-        out.push(Diagnostic::rule(
-            Severity::Error,
-            LintKind::UnboundVariable,
-            i,
-            &rule.name,
-            format!(
-                "literal(s) reference variable(s) {:?} but the pattern binds only {} variable(s)",
-                unbound,
-                pattern.var_count()
-            ),
-        ));
-    }
 }
 
 /// Warning: `x.a = c ∧ x.a = c'` with `c ≠ c'` among the premises — the
@@ -121,7 +94,7 @@ fn contradictory_premises(
 /// whenever `X` holds that option holds — the rule can never produce a
 /// violation. (An empty conjunctive conclusion is the trivial case.)
 fn entailed_conclusion(i: usize, rule: &Rule, out: &mut Vec<Diagnostic>) -> bool {
-    for (oi, option) in rule.options.iter().enumerate() {
+    for (oi, option) in rule.options().iter().enumerate() {
         // The falsum encoding (`x.⊥ = 0 ∧ x.⊥ = 1`) is the intentional
         // forbidding form, never "entailed".
         if option.iter().any(|l| match l {
@@ -130,8 +103,8 @@ fn entailed_conclusion(i: usize, rule: &Rule, out: &mut Vec<Diagnostic>) -> bool
         }) {
             continue;
         }
-        if subset(option, &rule.premises) {
-            let what = if rule.options.len() == 1 {
+        if subset(option, rule.premises()) {
+            let what = if rule.options().len() == 1 {
                 if option.is_empty() {
                     "the conclusion is empty".to_string()
                 } else {
@@ -290,10 +263,10 @@ fn rule_fingerprint(rule: &Rule) -> String {
         v.sort();
         v
     };
-    let mut options: Vec<Vec<String>> = rule.options.iter().map(|o| norm(o)).collect();
+    let mut options: Vec<Vec<String>> = rule.options().iter().map(|o| norm(o)).collect();
     options.sort();
     format!(
         "{labels:?}|{edges:?}|{:?}|{options:?}",
-        norm(&rule.premises)
+        norm(rule.premises())
     )
 }

@@ -17,7 +17,7 @@ pub enum Severity {
     /// can never fire, a duplicate, an implied rule burning matcher time.
     Warning,
     /// The Σ is broken: deploying it would be unsound or meaningless
-    /// (unsatisfiable Σ, literals referencing unbound variables).
+    /// (an unsatisfiable Σ).
     Error,
 }
 
@@ -41,8 +41,6 @@ impl fmt::Display for Severity {
 /// Which lint produced a diagnostic — the catalogue of DESIGN.md §7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintKind {
-    /// A literal references a variable outside the pattern's scope.
-    UnboundVariable,
     /// The premises can never hold jointly (`x.a = c ∧ x.a = c'`, or a
     /// family-specific infeasibility such as `x.a < 5 ∧ x.a > 10`): the
     /// rule can never fire.
@@ -76,7 +74,6 @@ impl LintKind {
     /// Kebab-case slug used by `Display` and the JSON rendering.
     pub fn slug(self) -> &'static str {
         match self {
-            LintKind::UnboundVariable => "unbound-variable",
             LintKind::ContradictoryPremises => "contradictory-premises",
             LintKind::EntailedConclusion => "entailed-conclusion",
             LintKind::DeadRule => "dead-rule",

@@ -21,9 +21,9 @@
 //!    anywhere. Catches semantically-dead rules the structural linter's
 //!    syntactic subset test cannot (e.g. conclusions deduced through the
 //!    premise equality closure).
-//! 3. **Implied rules** — the greedy minimization of `reason::minimize`,
-//!    re-implemented index-aware: a rule implied by the other kept
-//!    members of the fragment is prunable. Soundness: if `Σ∖{φ} ⊨ φ`,
+//! 3. **Implied rules** — `reason::minimize`, the greedy cover, over the
+//!    fragment's live rules: a rule implied by the other kept members of
+//!    the fragment is prunable. Soundness: if `Σ∖{φ} ⊨ φ`,
 //!    a graph satisfying every kept rule satisfies φ, so a violation of
 //!    φ always co-occurs with a violation of some kept rule — dropping φ
 //!    never flips `G ⊨ Σ`, and the kept rules' violation sets are
@@ -31,7 +31,7 @@
 
 use crate::report::{Diagnostic, LintKind, Severity};
 use ged_core::ged::Ged;
-use ged_core::reason::{implies, is_satisfiable};
+use ged_core::reason::{implies, is_satisfiable, minimize};
 use ged_core::rule::Rule;
 use std::collections::BTreeMap;
 
@@ -91,15 +91,12 @@ pub(crate) fn semantic(
 
     // Chase-proved dead rules: ∅ ⊨ φ.
     for (i, ged) in &eligible {
-        if prunable.contains_key(i) {
-            continue;
-        }
-        if implies(&[], ged) {
+        if !prunable.contains_key(i) && implies(&[], ged) {
             out.push(Diagnostic::rule(
                 Severity::Warning,
                 LintKind::DeadRule,
                 *i,
-                &ged.name,
+                ged.name(),
                 "every graph satisfies this rule (∅ ⊨ φ by the chase) — \
                  it can never produce a violation",
             ));
@@ -107,40 +104,25 @@ pub(crate) fn semantic(
         }
     }
 
-    // Greedy minimization over the live fragment, mirroring
-    // `reason::minimize` but tracking Σ indices.
-    let mut kept: Vec<(usize, Ged)> = eligible
-        .iter()
+    // Greedy minimization over the live fragment.
+    let (live, fragment): (Vec<usize>, Vec<Ged>) = eligible
+        .into_iter()
         .filter(|(i, _)| !prunable.contains_key(i))
-        .cloned()
-        .collect();
-    let mut k = 0;
-    while k < kept.len() {
-        let rest: Vec<Ged> = kept
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != k)
-            .map(|(_, (_, g))| g.clone())
-            .collect();
-        let (idx, candidate) = &kept[k];
-        if implies(&rest, candidate) {
-            out.push(Diagnostic::rule(
-                Severity::Warning,
-                LintKind::ImpliedRule,
-                *idx,
-                &candidate.name,
-                format!(
-                    "implied by the other {} kept rule(s) of the chase \
-                     fragment — prunable without changing which graphs \
-                     satisfy Σ",
-                    rest.len()
-                ),
-            ));
-            prunable.insert(*idx, LintKind::ImpliedRule);
-            kept.remove(k);
-        } else {
-            k += 1;
-        }
+        .unzip();
+    for (before, k) in minimize(&fragment).into_iter().enumerate() {
+        out.push(Diagnostic::rule(
+            Severity::Warning,
+            LintKind::ImpliedRule,
+            live[k],
+            fragment[k].name(),
+            format!(
+                "implied by the other {} kept rule(s) of the chase \
+                 fragment — prunable without changing which graphs \
+                 satisfy Σ",
+                live.len() - 1 - before
+            ),
+        ));
+        prunable.insert(live[k], LintKind::ImpliedRule);
     }
 
     outcome

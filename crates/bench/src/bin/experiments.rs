@@ -15,7 +15,7 @@ use ged_core::axiom::derived::{prove_augmentation, prove_transitivity};
 use ged_core::chase::{chase, chase_random, ChaseResult};
 use ged_core::ged::Ged;
 use ged_core::literal::Literal;
-use ged_core::reason::{implies, is_satisfiable, validate, Validator};
+use ged_core::reason::{implies, is_satisfiable, validate};
 use ged_core::rule::Rule;
 use ged_datagen::coloring::{
     implication_gfdx, implication_gkey, is_3_colorable, satisfiability_gfd, satisfiability_gkey,
@@ -259,8 +259,7 @@ fn exp_t1_frontier() {
     println!("\nvalidation time, k fixed at 3, |G| varies (polynomial growth):");
     for n in [100usize, 200, 400, 800] {
         let w = validation_workload(n, 3, 3, 13);
-        let v = Validator::new(w.sigma.clone(), 5);
-        let (_, d) = timed_median(3, || v.validate_bounded(&w.graph, Some(1)).satisfied());
+        let (_, d) = timed_median(3, || validate(&w.graph, &w.sigma, Some(1)).satisfied());
         println!("  |V| = {n:>4}: {} µs", us(d));
     }
 }
@@ -679,7 +678,7 @@ fn exp_abl_match() {
             ged_pattern::MatchOptions::isomorphism(),
         )
         .for_each(|m| {
-            if psi1.premises.iter().all(|l| l.holds(&shared, m)) {
+            if psi1.premises().iter().all(|l| l.holds(&shared, m)) {
                 n += 1;
             }
             std::ops::ControlFlow::Continue(())

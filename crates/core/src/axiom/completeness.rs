@@ -34,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 /// conclude at least one literal).
 pub fn prove(sigma: &[Ged], phi: &Ged) -> Result<Option<Proof>, ProofError> {
     assert!(
-        !phi.conclusions.is_empty(),
+        !phi.conclusions().is_empty(),
         "completeness: φ must have a nonempty Y"
     );
     let out = implication(sigma, phi);
@@ -43,7 +43,7 @@ pub fn prove(sigma: &[Ged], phi: &Ged) -> Result<Option<Proof>, ProofError> {
     }
     let mut b = ProofBuilder::new(sigma.to_vec());
     // (0) Q(X → X ∧ X_id)                             [GED1]
-    let mut cur = b.ged1(&phi.pattern, phi.premises.clone())?;
+    let mut cur = b.ged1(phi.pattern(), phi.premises().to_vec())?;
 
     // Replay the chase journal: consecutive entries with the same (GED,
     // match) collapse into one GED6 application (which conjoins the whole
@@ -70,21 +70,21 @@ pub fn prove(sigma: &[Ged], phi: &Ged) -> Result<Option<Proof>, ProofError> {
 
     if out.premise_unsatisfiable || !out.chase.is_consistent() {
         // Claim 2: the accumulated set is inconsistent; GED5 gives Y.
-        cur = b.ged5(cur, phi.conclusions.clone())?;
+        cur = b.ged5(cur, phi.conclusions().to_vec())?;
         let _ = cur;
         return finish(b);
     }
 
     // Deduction phase: saturate the accumulated literal set with GED4 and
     // GED2 until every target literal of Y is present.
-    let ident: Vec<Var> = phi.pattern.vars().collect();
-    let targets: BTreeSet<Literal> = phi.conclusions.iter().cloned().collect();
+    let ident: Vec<Var> = phi.pattern().vars().collect();
+    let targets: BTreeSet<Literal> = phi.conclusions().iter().cloned().collect();
     loop {
-        let have: BTreeSet<Literal> = b.conclusion_of(cur).conclusions.iter().cloned().collect();
+        let have: BTreeSet<Literal> = b.conclusion_of(cur).conclusions().iter().cloned().collect();
         if targets.is_subset(&have) {
             break;
         }
-        let Some(derivation) = next_derivable(&b.conclusion_of(cur).conclusions) else {
+        let Some(derivation) = next_derivable(b.conclusion_of(cur).conclusions()) else {
             return Err(ProofError {
                 step: usize::MAX,
                 message: "saturation stalled although Σ ⊨ φ — deduction incomplete".into(),
@@ -102,7 +102,7 @@ pub fn prove(sigma: &[Ged], phi: &Ged) -> Result<Option<Proof>, ProofError> {
     }
 
     // Project to exactly Y.
-    b.subset(cur, phi.conclusions.clone())?;
+    b.subset(cur, phi.conclusions().to_vec())?;
     finish(b)
 }
 
@@ -225,8 +225,8 @@ mod tests {
         let proof = prove(&[s1, s2], &goal).unwrap().expect("Σ ⊨ goal");
         proof.check().unwrap();
         assert_eq!(
-            format!("{:?}", proof.conclusion().conclusions),
-            format!("{:?}", goal.conclusions)
+            format!("{:?}", proof.conclusion().conclusions()),
+            format!("{:?}", goal.conclusions())
         );
     }
 

@@ -102,7 +102,7 @@ impl ProofBuilder {
                 id_literal: Literal::id(x, y),
                 attr,
             },
-            conclusion: Ged::new("ged2", p.pattern.clone(), p.premises.clone(), vec![concl]),
+            conclusion: same_premises("ged2", &p, vec![concl]),
         })
     }
 
@@ -114,7 +114,7 @@ impl ProofBuilder {
                 premise,
                 literal: literal.clone(),
             },
-            conclusion: Ged::new("ged3", p.pattern.clone(), p.premises.clone(), vec![literal]),
+            conclusion: same_premises("ged3", &p, vec![literal]),
         })
     }
 
@@ -133,12 +133,7 @@ impl ProofBuilder {
                 first,
                 second,
             },
-            conclusion: Ged::new(
-                "ged4",
-                p.pattern.clone(),
-                p.premises.clone(),
-                vec![conclusion],
-            ),
+            conclusion: same_premises("ged4", &p, vec![conclusion]),
         })
     }
 
@@ -147,7 +142,7 @@ impl ProofBuilder {
         let p = self.conclusion_of(premise).clone();
         self.push(Step {
             justification: Justification::Ged5 { premise },
-            conclusion: Ged::new("ged5", p.pattern.clone(), p.premises.clone(), y1),
+            conclusion: same_premises("ged5", &p, y1),
         })
     }
 
@@ -160,8 +155,8 @@ impl ProofBuilder {
     ) -> Result<usize, ProofError> {
         let p = self.conclusion_of(premise).clone();
         let e = self.conclusion_of(embedded).clone();
-        let mut y = p.conclusions.clone();
-        for lit in &e.conclusions {
+        let mut y = p.conclusions().to_vec();
+        for lit in e.conclusions() {
             y.push(super::substitute(lit, &h));
         }
         self.push(Step {
@@ -170,7 +165,7 @@ impl ProofBuilder {
                 embedded,
                 h,
             },
-            conclusion: Ged::new("ged6", p.pattern.clone(), p.premises.clone(), y),
+            conclusion: same_premises("ged6", &p, y),
         })
     }
 
@@ -181,7 +176,7 @@ impl ProofBuilder {
         let p = self.conclusion_of(premise).clone();
         for l in &y1 {
             assert!(
-                p.conclusions.contains(l),
+                p.conclusions().contains(l),
                 "GED7 target literal {l:?} not in premise Y"
             );
         }
@@ -191,7 +186,7 @@ impl ProofBuilder {
         }
         // Project each literal with GED3, then conjoin with GED6 using the
         // identity embedding of Q into its own coercion.
-        let ident: Vec<Var> = p.pattern.vars().collect();
+        let ident: Vec<Var> = p.pattern().vars().collect();
         let mut acc = self.ged3(premise, y1[0].clone())?;
         for lit in &y1[1..] {
             let single = self.ged3(premise, lit.clone())?;
@@ -212,12 +207,18 @@ impl Proof {
     }
 }
 
+/// `Q(X → y)` over the pattern and premises of `p`, the shape of every
+/// single-premise rule's conclusion.
+fn same_premises(name: &str, p: &Ged, y: Vec<Literal>) -> Ged {
+    Ged::new(name, p.pattern().clone(), p.premises().to_vec(), y)
+}
+
 /// Is `Eq_X ∪ Eq_Y` of the GED's context consistent?
 pub fn context_consistent(g: &Ged) -> bool {
-    let gq = g.pattern.canonical_graph();
-    let ident: Vec<NodeId> = (0..g.pattern.var_count() as u32).map(NodeId).collect();
-    let mut all = g.premises.clone();
-    all.extend(g.conclusions.iter().cloned());
+    let gq = g.pattern().canonical_graph();
+    let ident: Vec<NodeId> = (0..g.pattern().var_count() as u32).map(NodeId).collect();
+    let mut all = g.premises().to_vec();
+    all.extend(g.conclusions().iter().cloned());
     seed_eq(&gq, &all, &ident).is_consistent()
 }
 
@@ -236,10 +237,10 @@ pub fn prove_reflexivity(pattern: &Pattern, x: Vec<Literal>) -> Result<Proof, Pr
 /// Prove augmentation (Example 8(b)): from `φ = Q(X → Y)` derive
 /// `Q(XZ → YZ)`.
 pub fn prove_augmentation(phi: &Ged, z: &[Literal]) -> Result<Proof, ProofError> {
-    let q = &phi.pattern;
-    let mut xz = phi.premises.clone();
+    let q = phi.pattern();
+    let mut xz = phi.premises().to_vec();
     xz.extend(z.iter().cloned());
-    let mut yz = phi.conclusions.clone();
+    let mut yz = phi.conclusions().to_vec();
     yz.extend(z.iter().cloned());
     let mut b = ProofBuilder::new(vec![phi.clone()]);
     // (1) Q(XZ → XZ ∧ X_id)                         [GED1]
@@ -267,9 +268,9 @@ pub fn prove_augmentation(phi: &Ged, z: &[Literal]) -> Result<Proof, ProofError>
 /// `φ2 = Q(Y → Z)` derive `Q(X → Z)`, handling all three consistency
 /// branches.
 pub fn prove_transitivity(phi1: &Ged, phi2: &Ged) -> Result<Proof, ProofError> {
-    let q = &phi1.pattern;
-    let x = phi1.premises.clone();
-    let z = phi2.conclusions.clone();
+    let q = phi1.pattern();
+    let x = phi1.premises().to_vec();
+    let z = phi2.conclusions().to_vec();
     let mut b = ProofBuilder::new(vec![phi1.clone(), phi2.clone()]);
     // (1) Q(X → X ∧ X_id)                           [GED1]
     let s1 = b.ged1(q, x.clone())?;
@@ -333,7 +334,7 @@ mod tests {
         let proof = b.finish();
         proof.check().unwrap();
         let concl = &proof.steps[s].conclusion;
-        assert_eq!(concl.conclusions.len(), 2);
+        assert_eq!(concl.conclusions().len(), 2);
         // Soundness: the derived GED is semantically implied.
         assert!(implies(&[phi], concl));
     }
@@ -367,8 +368,8 @@ mod tests {
         let proof = prove_augmentation(&phi, &z).unwrap();
         proof.check().unwrap();
         let concl = proof.conclusion();
-        assert_eq!(concl.premises.len(), 2, "XZ");
-        assert_eq!(concl.conclusions.len(), 2, "YZ");
+        assert_eq!(concl.premises().len(), 2, "XZ");
+        assert_eq!(concl.conclusions().len(), 2, "YZ");
         assert!(implies(&[phi], concl), "augmentation is sound");
     }
 
@@ -438,8 +439,8 @@ mod tests {
         let proof = prove_reflexivity(&q2(), vec![lit("A"), lit("B")]).unwrap();
         proof.check().unwrap();
         let c = proof.conclusion();
-        assert_eq!(c.premises.len(), 2);
-        assert_eq!(c.conclusions.len(), 2);
+        assert_eq!(c.premises().len(), 2);
+        assert_eq!(c.conclusions().len(), 2);
         assert!(implies(&[], c));
     }
 
@@ -454,8 +455,8 @@ mod tests {
             }
         };
         (
-            g.premises.iter().map(name).collect(),
-            g.conclusions.iter().map(name).collect(),
+            g.premises().iter().map(name).collect(),
+            g.conclusions().iter().map(name).collect(),
         )
     }
 }

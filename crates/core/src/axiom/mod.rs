@@ -289,21 +289,21 @@ impl Proof {
                 let Some(hyp) = self.sigma.get(*k) else {
                     return fail(format!("no hypothesis {k} in Σ"));
                 };
-                if !same_pattern(&hyp.pattern, &c.pattern)
-                    || lit_set(&hyp.premises) != lit_set(&c.premises)
-                    || lit_set(&hyp.conclusions) != lit_set(&c.conclusions)
+                if !same_pattern(hyp.pattern(), c.pattern())
+                    || lit_set(hyp.premises()) != lit_set(c.premises())
+                    || lit_set(hyp.conclusions()) != lit_set(c.conclusions())
                 {
                     return fail("conclusion differs from the cited hypothesis".into());
                 }
                 Ok(())
             }
             Justification::Ged1 { x } => {
-                if lit_set(&c.premises) != lit_set(x) {
+                if lit_set(c.premises()) != lit_set(x) {
                     return fail("GED1 premise set mismatch".into());
                 }
                 let mut expected = x.clone();
-                expected.extend(xid(&c.pattern));
-                if lit_set(&c.conclusions) != lit_set(&expected) {
+                expected.extend(xid(c.pattern()));
+                if lit_set(c.conclusions()) != lit_set(&expected) {
                     return fail("GED1 conclusion must be X ∧ X_id".into());
                 }
                 Ok(())
@@ -318,16 +318,16 @@ impl Proof {
                 let Literal::Id { x, y } = id_literal else {
                     return fail("GED2 requires an id literal".into());
                 };
-                if !p.conclusion.conclusions.contains(id_literal) {
+                if !p.conclusion.conclusions().contains(id_literal) {
                     return fail("GED2: id literal not in premise Y".into());
                 }
-                if !attr_appears(&p.conclusion.conclusions, *x, *attr)
-                    && !attr_appears(&p.conclusion.conclusions, *y, *attr)
+                if !attr_appears(p.conclusion.conclusions(), *x, *attr)
+                    && !attr_appears(p.conclusion.conclusions(), *y, *attr)
                 {
                     return fail(format!("GED2: attribute {attr} does not appear in Y"));
                 }
                 let expected = Literal::vars(*x, *attr, *y, *attr);
-                if lit_set(&c.conclusions) != lit_set(&[expected]) {
+                if lit_set(c.conclusions()) != lit_set(&[expected]) {
                     return fail("GED2 conclusion must be u.A = v.A".into());
                 }
                 Ok(())
@@ -335,13 +335,13 @@ impl Proof {
             Justification::Ged3 { premise, literal } => {
                 let p = self.prior(i, *premise)?;
                 self.require_same_context(i, p, c)?;
-                if !p.conclusion.conclusions.contains(literal) {
+                if !p.conclusion.conclusions().contains(literal) {
                     return fail("GED3: literal not in premise Y".into());
                 }
                 // Literal constructors normalise symmetric forms, so the
                 // flipped literal equals the original; GED3 acts as
                 // projection to a single literal.
-                if lit_set(&c.conclusions) != lit_set(std::slice::from_ref(literal)) {
+                if lit_set(c.conclusions()) != lit_set(std::slice::from_ref(literal)) {
                     return fail("GED3 conclusion must be the (flipped) literal".into());
                 }
                 Ok(())
@@ -354,7 +354,7 @@ impl Proof {
                 let p = self.prior(i, *premise)?;
                 self.require_same_context(i, p, c)?;
                 for l in [first, second] {
-                    if !p.conclusion.conclusions.contains(l) {
+                    if !p.conclusion.conclusions().contains(l) {
                         return fail("GED4: chained literal not in premise Y".into());
                     }
                 }
@@ -367,7 +367,7 @@ impl Proof {
                     for (m2, x2) in [(&a2, &b2), (&b2, &a2)] {
                         if m1 == m2 {
                             if let Some(l) = literal_from_terms(x1, x2) {
-                                if lit_set(&c.conclusions) == lit_set(std::slice::from_ref(&l)) {
+                                if lit_set(c.conclusions()) == lit_set(std::slice::from_ref(&l)) {
                                     expected = Some(l);
                                 }
                             }
@@ -383,9 +383,9 @@ impl Proof {
                 let p = self.prior(i, *premise)?;
                 self.require_same_context(i, p, c)?;
                 let (_gq, eq) = eq_of(
-                    &p.conclusion.pattern,
-                    &p.conclusion.premises,
-                    &p.conclusion.conclusions,
+                    p.conclusion.pattern(),
+                    p.conclusion.premises(),
+                    p.conclusion.conclusions(),
                 );
                 if eq.is_consistent() {
                     return fail("GED5: Eq_X ∪ Eq_Y is consistent".into());
@@ -402,14 +402,14 @@ impl Proof {
                 let p = self.prior(i, *premise)?;
                 let e = self.prior(i, *embedded)?;
                 self.require_same_context(i, p, c)?;
-                let q1 = &e.conclusion.pattern;
+                let q1 = e.conclusion.pattern();
                 if h.len() != q1.var_count() {
                     return fail("GED6: h must assign every variable of Q1".into());
                 }
                 let (gq, eq) = eq_of(
-                    &p.conclusion.pattern,
-                    &p.conclusion.premises,
-                    &p.conclusion.conclusions,
+                    p.conclusion.pattern(),
+                    p.conclusion.premises(),
+                    p.conclusion.conclusions(),
                 );
                 if !eq.is_consistent() {
                     return fail("GED6: Eq_X ∪ Eq_Y must be consistent".into());
@@ -419,7 +419,7 @@ impl Proof {
                 // the coercion.
                 for w in q1.vars() {
                     let target = h[w.idx()];
-                    if target.idx() >= p.conclusion.pattern.var_count() {
+                    if target.idx() >= p.conclusion.pattern().var_count() {
                         return fail("GED6: h target outside the goal pattern".into());
                     }
                     let class = co.coerced(NodeId(target.0));
@@ -439,18 +439,18 @@ impl Proof {
                 }
                 // h(x̄1) ⊨ X1, evaluated through Eq.
                 let assignment: Vec<NodeId> = h.iter().map(|v| NodeId(v.0)).collect();
-                for lit in &e.conclusion.premises {
+                for lit in e.conclusion.premises() {
                     let mapped_holds = eq_literal_holds(&eq, &assignment, lit);
                     if !mapped_holds {
                         return fail(format!("GED6: h(x̄1) does not satisfy X1 literal {lit:?}"));
                     }
                 }
                 // Conclusion must be Y ∪ h(Y1).
-                let mut expected = p.conclusion.conclusions.clone();
-                for lit in &e.conclusion.conclusions {
+                let mut expected = p.conclusion.conclusions().to_vec();
+                for lit in e.conclusion.conclusions() {
                     expected.push(substitute(lit, h));
                 }
-                if lit_set(&c.conclusions) != lit_set(&expected) {
+                if lit_set(c.conclusions()) != lit_set(&expected) {
                     return fail("GED6 conclusion must be Y ∧ h(Y1)".into());
                 }
                 Ok(())
@@ -460,13 +460,13 @@ impl Proof {
 
     /// Premise and conclusion must share pattern and `X`.
     fn require_same_context(&self, i: usize, p: &Step, c: &Ged) -> Result<(), ProofError> {
-        if !same_pattern(&p.conclusion.pattern, &c.pattern) {
+        if !same_pattern(p.conclusion.pattern(), c.pattern()) {
             return Err(ProofError {
                 step: i,
                 message: "rule must preserve the goal pattern".into(),
             });
         }
-        if lit_set(&p.conclusion.premises) != lit_set(&c.premises) {
+        if lit_set(p.conclusion.premises()) != lit_set(c.premises()) {
             return Err(ProofError {
                 step: i,
                 message: "rule must preserve the premise set X".into(),

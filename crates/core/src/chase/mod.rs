@@ -20,7 +20,7 @@ pub mod eq;
 pub use coerce::{coerce, Coercion};
 pub use eq::{Conflict, EqRel, EqSummary};
 
-use crate::ged::{sigma_size, Ged};
+use crate::ged::Ged;
 use crate::literal::Literal;
 use ged_graph::{Graph, NodeId};
 use ged_pattern::{MatchOptions, Matcher};
@@ -172,7 +172,7 @@ pub fn chase(g: &Graph, sigma: &[Ged]) -> ChaseResult {
 
 /// Chase `g` by `sigma` from an explicit starting relation (e.g. `Eq_X`).
 pub fn chase_from(g: &Graph, eq0: EqRel, sigma: &[Ged]) -> ChaseResult {
-    let bound_factor = g.size().max(1) * sigma_size(sigma).max(1);
+    let bound_factor = g.size().max(1) * sigma.iter().map(Ged::size).sum::<usize>().max(1);
     let mut stats = ChaseStats {
         steps: 0,
         rounds: 0,
@@ -197,15 +197,16 @@ pub fn chase_from(g: &Graph, eq0: EqRel, sigma: &[Ged]) -> ChaseResult {
         let co = coerce(g, &eq);
         let mut changed = false;
         for (gi, ged) in sigma.iter().enumerate() {
-            let matcher = Matcher::new(&ged.pattern, &co.graph, MatchOptions::homomorphism());
+            let matcher = Matcher::new(ged.pattern(), &co.graph, MatchOptions::homomorphism());
             let mut conflict_hit = false;
             matcher.for_each(|m| {
                 stats.matches_examined += 1;
                 let orig = co.to_original(m);
-                if !ged.premises.iter().all(|l| eq_literal_holds(&eq, &orig, l)) {
+                let holds = |l| eq_literal_holds(&eq, &orig, l);
+                if !ged.premises().iter().all(holds) {
                     return ControlFlow::Continue(());
                 }
-                for lit in &ged.conclusions {
+                for lit in ged.conclusions() {
                     if eq_literal_holds(&eq, &orig, lit) {
                         continue;
                     }
@@ -280,7 +281,7 @@ impl XorShift {
 /// one-step-at-a-time sense; comparing results across seeds (and against
 /// [`chase`]) is the executable Church–Rosser check of Theorem 1.
 pub fn chase_random(g: &Graph, sigma: &[Ged], seed: u64) -> ChaseResult {
-    let bound_factor = g.size().max(1) * sigma_size(sigma).max(1);
+    let bound_factor = g.size().max(1) * sigma.iter().map(Ged::size).sum::<usize>().max(1);
     let mut stats = ChaseStats {
         steps: 0,
         rounds: 0,
@@ -298,12 +299,13 @@ pub fn chase_random(g: &Graph, sigma: &[Ged], seed: u64) -> ChaseResult {
         // Collect all applicable single-literal steps.
         let mut steps: Vec<(usize, Vec<NodeId>, Literal)> = Vec::new();
         for (gi, ged) in sigma.iter().enumerate() {
-            Matcher::new(&ged.pattern, &co.graph, MatchOptions::homomorphism()).for_each(|m| {
+            Matcher::new(ged.pattern(), &co.graph, MatchOptions::homomorphism()).for_each(|m| {
                 stats.matches_examined += 1;
                 let orig = co.to_original(m);
-                if ged.premises.iter().all(|l| eq_literal_holds(&eq, &orig, l)) {
-                    for lit in &ged.conclusions {
-                        if !eq_literal_holds(&eq, &orig, lit) {
+                let holds = |l| eq_literal_holds(&eq, &orig, l);
+                if ged.premises().iter().all(holds) {
+                    for lit in ged.conclusions() {
+                        if !holds(lit) {
                             steps.push((gi, orig.clone(), lit.clone()));
                         }
                     }

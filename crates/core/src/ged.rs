@@ -14,17 +14,20 @@ use crate::literal::{falsum, is_falsum, Literal};
 use ged_pattern::{Pattern, Var};
 use std::fmt;
 
-/// A graph entity dependency `Q[x̄](X → Y)`.
+/// A graph entity dependency `Q[x̄](X → Y)`. Every constructor goes
+/// through [`Ged::new`], so every literal is over `x̄`; outside this module
+/// a struct literal does not compile:
+///
+/// ```compile_fail
+/// let q = ged_pattern::parse_pattern("t(x)").unwrap();
+/// ged_core::Ged { name: "g".into(), pattern: q, premises: vec![], conclusions: vec![] };
+/// ```
 #[derive(Debug, Clone)]
 pub struct Ged {
-    /// Optional human-readable name (`"φ1"`, `"ψ2"` …) used in reports.
-    pub name: String,
-    /// The topological constraint `Q[x̄]`.
-    pub pattern: Pattern,
-    /// The premise literals `X`.
-    pub premises: Vec<Literal>,
-    /// The conclusion literals `Y` (conjunctive).
-    pub conclusions: Vec<Literal>,
+    name: String,
+    pattern: Pattern,
+    premises: Vec<Literal>,
+    conclusions: Vec<Literal>,
 }
 
 impl Ged {
@@ -47,6 +50,26 @@ impl Ged {
             premises,
             conclusions,
         }
+    }
+
+    /// Name used in reports (`"φ1"`, `"ψ2"` …).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The topological constraint `Q[x̄]`.
+    pub fn pattern(&self) -> &Pattern {
+        &self.pattern
+    }
+
+    /// The premise literals `X`.
+    pub fn premises(&self) -> &[Literal] {
+        &self.premises
+    }
+
+    /// The conclusion literals `Y` (conjunctive).
+    pub fn conclusions(&self) -> &[Literal] {
+        &self.conclusions
     }
 
     /// A forbidding GED `Q[x̄](X → false)` (Section 3): `false` is the pair
@@ -233,11 +256,6 @@ impl fmt::Display for Ged {
     }
 }
 
-/// The size of a set of GEDs, `|Σ|` (sum of member sizes).
-pub fn sigma_size(sigma: &[Ged]) -> usize {
-    sigma.iter().map(Ged::size).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +407,5 @@ mod tests {
     fn sizes() {
         let g = phi1();
         assert_eq!(g.size(), 3 + 1 + 1);
-        assert_eq!(sigma_size(&[phi1(), psi2()]), g.size() + psi2().size());
     }
 }

@@ -46,7 +46,7 @@ pub mod solver;
 
 pub use chase::{chase, chase_from, chase_random, ChaseResult, ChaseStats, Conflict, EqRel};
 pub use constraint::{Constraint, ViolationKind};
-pub use ged::{sigma_size, Ged, GedClass};
+pub use ged::{Ged, GedClass};
 pub use literal::Literal;
 pub use reason::{build_model, implies, is_satisfiable, validate, ValidationReport};
 pub use rule::Rule;

@@ -33,10 +33,10 @@ pub struct ImplicationOutcome {
 
 /// Decide `Σ ⊨ φ` by Theorem 4.
 pub fn implication(sigma: &[Ged], phi: &Ged) -> ImplicationOutcome {
-    let gq = phi.pattern.canonical_graph();
+    let gq = phi.pattern().canonical_graph();
     // Identity assignment: variable i of φ's pattern is node i of G_Q.
-    let ident: Vec<NodeId> = (0..phi.pattern.var_count() as u32).map(NodeId).collect();
-    let eq_x = seed_eq(&gq, &phi.premises, &ident);
+    let ident: Vec<NodeId> = (0..phi.pattern().var_count() as u32).map(NodeId).collect();
+    let eq_x = seed_eq(&gq, phi.premises(), &ident);
     let chase = chase_from(&gq, eq_x, sigma);
     match &chase {
         ChaseResult::Inconsistent { .. } => ImplicationOutcome {
@@ -47,7 +47,7 @@ pub fn implication(sigma: &[Ged], phi: &Ged) -> ImplicationOutcome {
         },
         ChaseResult::Consistent { eq, .. } => {
             let deduced: Vec<bool> = phi
-                .conclusions
+                .conclusions()
                 .iter()
                 .map(|l| eq_literal_holds(eq, &ident, l))
                 .collect();
@@ -70,26 +70,21 @@ pub fn implies(sigma: &[Ged], phi: &Ged) -> bool {
 /// Remove redundant GEDs: a minimal cover `Σ' ⊆ Σ` with `Σ' ⊨ φ` for every
 /// dropped `φ` — the paper's motivating application ("the implication
 /// analysis serves as an optimization strategy to get rid of redundant
-/// rules"). Greedy: try dropping each GED in order, keep the drop when the
-/// remainder still implies it.
-pub fn minimize(sigma: &[Ged]) -> Vec<Ged> {
-    let mut kept: Vec<Ged> = sigma.to_vec();
-    let mut i = 0;
-    while i < kept.len() {
-        let candidate = kept[i].clone();
-        let rest: Vec<Ged> = kept
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, g)| g.clone())
+/// rules"). Greedy: try dropping each GED in index order, keep the drop
+/// when the rules not yet dropped still imply it. Returns the indices of
+/// the dropped GEDs, ascending; the cover is the rest.
+pub fn minimize(sigma: &[Ged]) -> Vec<usize> {
+    let mut dropped = Vec::new();
+    for i in 0..sigma.len() {
+        let rest: Vec<Ged> = (0..sigma.len())
+            .filter(|j| *j != i && !dropped.contains(j))
+            .map(|j| sigma[j].clone())
             .collect();
-        if implies(&rest, &candidate) {
-            kept.remove(i);
-        } else {
-            i += 1;
+        if implies(&rest, &sigma[i]) {
+            dropped.push(i);
         }
     }
-    kept
+    dropped
 }
 
 #[cfg(test)]
@@ -254,14 +249,12 @@ mod tests {
         let s1 = Ged::new("s1", q.clone(), vec![lit("A")], vec![lit("B")]);
         let s2 = Ged::new("s2", q.clone(), vec![lit("B")], vec![lit("C")]);
         let redundant = Ged::new("r", q.clone(), vec![lit("A")], vec![lit("C")]);
-        let min = minimize(&[s1, s2, redundant]);
-        assert_eq!(min.len(), 2);
-        assert!(min.iter().all(|g| g.name != "r"));
+        assert_eq!(minimize(&[s1, s2, redundant]), [2]);
         // An irredundant set survives minimisation intact.
         let q2 = parse_pattern("t(x); t(y)").unwrap();
         let a = Ged::new("a", q2.clone(), vec![lit("A")], vec![lit("B")]);
         let b = Ged::new("b", q2, vec![lit("C")], vec![lit("D")]);
-        assert_eq!(minimize(&[a, b]).len(), 2);
+        assert!(minimize(&[a, b]).is_empty());
     }
 
     #[test]

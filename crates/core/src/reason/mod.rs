@@ -11,4 +11,4 @@ pub use satisfiability::{
     build_model, canonical_graph, is_satisfiable, is_trivially_satisfiable, satisfiability,
     SatOutcome,
 };
-pub use validation::{validate, GedReport, ValidationReport, Validator};
+pub use validation::{validate, GedReport, ValidationReport};

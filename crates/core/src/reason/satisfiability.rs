@@ -29,7 +29,7 @@ pub fn canonical_graph(sigma: &[Ged]) -> (Graph, Vec<u32>) {
     let mut g = Graph::new();
     let mut offsets = Vec::with_capacity(sigma.len());
     for ged in sigma {
-        let gq = ged.pattern.canonical_graph();
+        let gq = ged.pattern().canonical_graph();
         offsets.push(g.append(&gq));
     }
     (g, offsets)

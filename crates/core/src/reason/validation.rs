@@ -4,8 +4,8 @@
 //! number of matches, not from the literal checks — but PTIME when pattern
 //! sizes are bounded by a constant `k` (the paper's tractable case: 98% of
 //! real SPARQL patterns have ≤ 4 nodes / 5 edges). [`validate`] enumerates
-//! violations with witnesses; [`Validator`] adds the bounded-size fast-path
-//! bookkeeping used by the frontier experiment (EXP-T1-FRONTIER).
+//! violations with witnesses; the frontier experiment (EXP-T1-FRONTIER)
+//! times it as `k` grows.
 
 use crate::rule::Rule;
 use crate::satisfy::{violations, Violation};
@@ -71,37 +71,6 @@ pub fn validate(g: &Graph, sigma: &[Rule], limit_per_ged: Option<usize>) -> Vali
     ValidationReport {
         per_ged,
         violations: all,
-    }
-}
-
-/// A reusable validator that partitions Σ by pattern size, exposing the
-/// Section 5.3 dichotomy: GEDs with patterns of size ≤ `k` validate in
-/// PTIME (`O(|G|^k)` matches), the rest are potentially exponential.
-#[derive(Debug)]
-pub struct Validator {
-    sigma: Vec<Rule>,
-    bound: usize,
-}
-
-impl Validator {
-    /// Build a validator with tractability bound `k`.
-    pub fn new(sigma: Vec<Rule>, bound: usize) -> Validator {
-        Validator { sigma, bound }
-    }
-
-    /// The rules within the bounded (tractable) fragment.
-    pub fn bounded(&self) -> Vec<&Rule> {
-        self.sigma
-            .iter()
-            .filter(|g| g.pattern.size() <= self.bound)
-            .collect()
-    }
-
-    /// Validate only the tractable fragment (the PTIME case of
-    /// Section 5.3).
-    pub fn validate_bounded(&self, g: &Graph, limit: Option<usize>) -> ValidationReport {
-        let bounded: Vec<Rule> = self.bounded().into_iter().cloned().collect();
-        validate(g, &bounded, limit)
     }
 }
 
@@ -180,29 +149,6 @@ mod tests {
         let report = validate(&g, &[phi1().into(), phi2()], None);
         assert!(report.satisfied());
         assert_eq!(report.total_violations(), 0);
-    }
-
-    #[test]
-    fn validator_partitions_by_pattern_size() {
-        // φ1 has size 3, φ5(k=3) has size 7+8=15.
-        let q5 = fragments::fig1_q5(3);
-        let x = q5.var_by_name("x").unwrap();
-        let xp = q5.var_by_name("x'").unwrap();
-        let phi5 = Ged::new(
-            "φ5",
-            q5,
-            vec![Literal::constant(xp, sym("is_fake"), 1)],
-            vec![Literal::constant(x, sym("is_fake"), 1)],
-        );
-        let sigma = [phi1(), phi5].map(Rule::from);
-        let v = Validator::new(sigma.to_vec(), 4);
-        assert_eq!(v.bounded().len(), 1);
-        let g = dirty_kb();
-        let r = v.validate_bounded(&g, None);
-        assert_eq!(r.per_ged.len(), 1);
-        assert_eq!(r.per_ged[0].name, "φ1");
-        let r_all = validate(&g, &sigma, None);
-        assert_eq!(r_all.per_ged.len(), 2);
     }
 
     #[test]

@@ -391,9 +391,9 @@ mod tests {
         };
         let (phi_r, phi_e) = egd_to_geds(&egd);
         assert!(phi_r.is_gfd() && phi_e.is_gfd(), "EGDs become GFDs");
-        assert_eq!(phi_r.pattern.edge_count(), 0, "Q_E has no edges");
-        assert_eq!(phi_e.premises.len(), 1);
-        assert_eq!(phi_e.conclusions.len(), 1);
+        assert_eq!(phi_r.pattern().edge_count(), 0, "Q_E has no edges");
+        assert_eq!(phi_e.premises().len(), 1);
+        assert_eq!(phi_e.conclusions().len(), 1);
         // Validate on data: R = {(1, 2), (1, 3)} violates.
         let rel = Relation::new(
             "R",

@@ -230,16 +230,23 @@ impl fmt::Display for GdcLiteral {
 /// names, on matched nodes, and `pattern` is the rule's entire
 /// topological requirement, so an edge whose label no pattern edge
 /// matches never enters a match.
+///
+/// [`Rule::new`] is the only way in, so every literal is over the
+/// pattern's variables; outside this module a struct literal does not
+/// compile:
+///
+/// ```compile_fail
+/// let q = ged_pattern::parse_pattern("t(x)").unwrap();
+/// ged_core::Rule { name: "r".into(), pattern: q, premises: vec![], options: vec![] };
+/// ```
 #[derive(Debug, Clone)]
 pub struct Rule {
     /// Name for reports.
     pub name: String,
     /// The pattern `Q[x̄]` whose matches are checked.
     pub pattern: Pattern,
-    /// Premise literals (conjunctive).
-    pub premises: Vec<GdcLiteral>,
-    /// Conclusion options: satisfied if ALL literals of SOME option hold.
-    pub options: Vec<Vec<GdcLiteral>>,
+    premises: Vec<GdcLiteral>,
+    options: Vec<Vec<GdcLiteral>>,
 }
 
 impl Rule {
@@ -264,6 +271,16 @@ impl Rule {
             "literal references a variable outside the pattern"
         );
         rule
+    }
+
+    /// Premise literals (conjunctive).
+    pub fn premises(&self) -> &[GdcLiteral] {
+        &self.premises
+    }
+
+    /// Conclusion options: satisfied if ALL literals of SOME option hold.
+    pub fn options(&self) -> &[Vec<GdcLiteral>] {
+        &self.options
     }
 
     /// Does match `m` (one node per pattern variable) violate the rule?
@@ -322,9 +339,8 @@ impl Rule {
             [option] => eq(option)?,
             _ => return None,
         };
-        let mut literals = premises.iter().chain(&conclusions);
-        let in_scope = literals.all(|l| l.in_scope(&self.pattern));
-        in_scope.then(|| Ged::new(&self.name, self.pattern.clone(), premises, conclusions))
+        let q = self.pattern.clone();
+        Some(Ged::new(&self.name, q, premises, conclusions))
     }
 
     /// Can the premises hold jointly under *some* assignment of values to
@@ -367,7 +383,44 @@ impl Rule {
 impl From<Ged> for Rule {
     fn from(g: Ged) -> Rule {
         let lift = |lits: &[Literal]| lits.iter().map(GdcLiteral::from_ged).collect();
-        let (premises, options) = (lift(&g.premises), vec![lift(&g.conclusions)]);
-        Rule::new(g.name, g.pattern, premises, options)
+        let (premises, options) = (lift(g.premises()), vec![lift(g.conclusions())]);
+        Rule::new(g.name(), g.pattern().clone(), premises, options)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ged_graph::sym;
+    use ged_pattern::parse_pattern;
+    use std::panic::catch_unwind;
+
+    /// A literal over a variable the pattern does not bind is refused
+    /// under every predicate, not only `=`, as a premise and as a
+    /// conclusion: over `t(x)`, `?1.a ⊕ 5` or `?0.b ⊕ ?1.b` would index
+    /// past a one-node match at the first `check`.
+    #[test]
+    fn new_refuses_an_unbound_variable_under_every_predicate() {
+        let (a, b) = (sym("a"), sym("b"));
+        for pred in [Pred::Eq, Pred::Ne, Pred::Lt, Pred::Gt, Pred::Le, Pred::Ge] {
+            let in_premise = GdcLiteral::constant(Var(1), a, pred, 5);
+            let bound = GdcLiteral::constant(Var(0), b, Pred::Eq, 1);
+            let in_conclusion = GdcLiteral::vars(Var(0), b, pred, Var(1), b);
+            for (premises, conclusion) in [(vec![in_premise], bound), (vec![], in_conclusion)] {
+                let at = format!("{premises:?} → {conclusion}");
+                let q = parse_pattern("t(x)").unwrap();
+                let built = catch_unwind(|| Rule::new("r", q, premises, vec![vec![conclusion]]));
+                let payload = built.expect_err(&at);
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+                assert_eq!(
+                    message,
+                    Some("literal references a variable outside the pattern"),
+                    "{at}"
+                );
+            }
+        }
     }
 }

@@ -137,9 +137,9 @@ pub fn redundant(nodes: usize, planted: usize) -> RedundantWorkload {
         .into(),
         Ged::new(
             "watch:new-follower-copy",
-            new_follower.pattern.clone(),
-            new_follower.premises.clone(),
-            new_follower.conclusions.clone(),
+            new_follower.pattern().clone(),
+            new_follower.premises().to_vec(),
+            new_follower.conclusions().to_vec(),
         )
         .into(),
         Ged::new(

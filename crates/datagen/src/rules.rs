@@ -151,8 +151,8 @@ mod tests {
     fn recursive_keys_reference_each_other() {
         // ψ1's premises carry an artist id literal; ψ3's an album id
         // literal — the mutual recursion of Example 1(3).
-        assert!(psi1().premises.iter().any(ged_core::Literal::is_id));
-        assert!(psi3().premises.iter().any(ged_core::Literal::is_id));
+        assert!(psi1().premises().iter().any(ged_core::Literal::is_id));
+        assert!(psi3().premises().iter().any(ged_core::Literal::is_id));
     }
 
     #[test]

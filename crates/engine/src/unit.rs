@@ -41,7 +41,7 @@ pub(crate) type Found = (usize, Match, ViolationKind);
 /// refuses can never witness one; `check` still runs on every survivor.
 pub fn rule_plan(rule: &Rule) -> MatchPlan {
     let mut plan = MatchPlan::new(&rule.pattern);
-    for lit in &rule.premises {
+    for lit in rule.premises() {
         match lit {
             GdcLiteral::Const {
                 var,

@@ -239,9 +239,9 @@ impl IncrementalValidator {
     /// of `ged-analysis` (DESIGN.md §7): `analyze(&sigma)` runs first,
     /// and
     ///
-    /// * an Error-severity Σ (unsatisfiable chase fragment, literals with
-    ///   unbound variables) is **rejected** — `Err` carries the full
-    ///   [`AnalysisReport`] so the caller can print exactly why;
+    /// * an Error-severity Σ (an unsatisfiable chase fragment) is
+    ///   **rejected** — `Err` carries the full [`AnalysisReport`] so the
+    ///   caller can print exactly why;
     /// * rules the analyzer proved safe to drop — implied by the rest of
     ///   the chase fragment, duplicates, rules that can never fire or
     ///   never produce a violation — are removed *before* the seeding
@@ -872,7 +872,7 @@ mod tests {
         ];
         assert!(
             sigma[3]
-                .premises
+                .premises()
                 .iter()
                 .all(|l| l.as_eq_literal().is_none()),
             "the GDC's only premise is `<`, outside the equality fragment"
@@ -1280,7 +1280,7 @@ mod tests {
         // nodes whose re-enumeration has the furthest to walk.
         let mut leaves: Vec<NodeId> = Vec::new();
         for rule in &sigma[1..] {
-            let q = &rule.pattern;
+            let q = rule.pattern();
             for v in q.vars() {
                 if q.out_edges(v).len() + q.in_edges(v).len() != 1 {
                     continue;

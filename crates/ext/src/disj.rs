@@ -87,12 +87,12 @@ mod tests {
             ],
         );
         // Each GED `Q(X → Y)` equals the set of GED∨s `Q(X → l)`, `l ∈ Y`.
-        let split: Vec<Rule> = (ged.conclusions.iter())
+        let split: Vec<Rule> = (ged.conclusions().iter())
             .map(|l| {
                 new(
                     "g∨",
-                    ged.pattern.clone(),
-                    ged.premises.clone(),
+                    ged.pattern().clone(),
+                    ged.premises().to_vec(),
                     vec![l.clone()],
                 )
             })
@@ -127,7 +127,7 @@ mod tests {
         // Q(∅ → ∅) as a GED∨ forbids the pattern entirely.
         let q = parse_pattern("bad(x)").unwrap();
         let d = new("forbid", q, vec![], vec![]);
-        assert!(d.options.is_empty(), "no disjunct is no option");
+        assert!(d.options().is_empty(), "no disjunct is no option");
         let mut b = GraphBuilder::new();
         b.node("x", "bad");
         assert!(!satisfies(&b.build(), &d));

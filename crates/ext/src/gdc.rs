@@ -119,8 +119,8 @@ mod tests {
         assert!(lifted.literals().all(|l| l.as_eq_literal().is_some()));
         let back = lifted.as_chase_ged().unwrap();
         assert_eq!(
-            (back.premises, back.conclusions),
-            (ged.premises, ged.conclusions)
+            (back.premises(), back.conclusions()),
+            (ged.premises(), ged.conclusions())
         );
         let mut b = GraphBuilder::new();
         b.triple(("t", "person"), "create", ("gb", "product"));

@@ -124,8 +124,8 @@ mod mixed_sigma {
     #[test]
     fn each_family_compiles_into_premises_and_options() {
         let shape = |c: &Rule| {
-            let options: Vec<usize> = c.options.iter().map(Vec::len).collect();
-            (c.name.clone(), c.premises.len(), options, c.size())
+            let options: Vec<usize> = c.options().iter().map(Vec::len).collect();
+            (c.name.clone(), c.premises().len(), options, c.size())
         };
         assert_eq!(
             shape(&ged().into()),
@@ -167,12 +167,15 @@ mod mixed_sigma {
     /// GED, and anything with a non-`=` literal or two disjuncts none.
     #[test]
     fn equality_rules_embed_in_the_chase() {
-        let literals = |g: Ged| (g.name, g.premises, g.conclusions);
+        let literals = |g: Ged| {
+            let name = g.name().to_string();
+            (name, g.premises().to_vec(), g.conclusions().to_vec())
+        };
         let back = Rule::from(ged()).as_chase_ged().unwrap();
         assert_eq!(literals(back), literals(ged()));
         let on = state_literals().swap_remove(0);
         let one = disj::new("one", q(), vec![], vec![on.clone()]);
-        assert_eq!(one.as_chase_ged().unwrap().conclusions, [on]);
+        assert_eq!(one.as_chase_ged().unwrap().conclusions(), [on]);
         let none = disj::new("none", q(), vec![], vec![]);
         let forbidding = Ged::forbidding("none", q(), vec![]);
         assert_eq!(literals(none.as_chase_ged().unwrap()), literals(forbidding));
@@ -230,8 +233,8 @@ mod proptests {
                     Literal::vars(Var(0), sym("B"), Var(1), sym("B")),
                 ],
             );
-            let split: Vec<Rule> = (ged.conclusions.iter())
-                .map(|l| disj::new("g∨", ged.pattern.clone(), ged.premises.clone(), vec![l.clone()]))
+            let split: Vec<Rule> = (ged.conclusions().iter())
+                .map(|l| disj::new("g∨", ged.pattern().clone(), ged.premises().to_vec(), vec![l.clone()]))
                 .collect();
             prop_assert_eq!(
                 satisfies(&g, &Rule::from(ged)),

@@ -109,7 +109,7 @@ fn clauses_for(sigma: &[Rule], g: &Graph) -> Option<Vec<Clause>> {
         Matcher::new(&nc.pattern, g, MatchOptions::homomorphism()).for_each(|m| {
             let mut x_cmp = Vec::new();
             let mut x_false = false;
-            for lit in &nc.premises {
+            for lit in nc.premises() {
                 match resolve(lit, m) {
                     Resolved::True => {}
                     Resolved::False => {
@@ -124,7 +124,7 @@ fn clauses_for(sigma: &[Rule], g: &Graph) -> Option<Vec<Clause>> {
             }
             let mut y_options = Vec::new();
             let mut auto_sat = false;
-            for opt in &nc.options {
+            for opt in nc.options() {
                 let mut atoms = Vec::new();
                 let mut opt_dead = false;
                 for lit in opt {
@@ -345,7 +345,7 @@ fn has_countermodel(sigma: &[Rule], phi: &Rule) -> bool {
             // asserted.
             let mut x_assert = Vec::new();
             let mut x_dead = false;
-            for lit in &phi.premises {
+            for lit in phi.premises() {
                 match resolve(lit, m) {
                     Resolved::True => {}
                     Resolved::False => {
@@ -372,7 +372,7 @@ fn has_countermodel(sigma: &[Rule], phi: &Rule) -> bool {
             // declaring one of its slots absent (schemaless escape; e.g.
             // refuting `x.A = x.A` is only possible by dropping the slot).
             let mut refutable = true;
-            for opt in &phi.options {
+            for opt in phi.options() {
                 let mut structurally_failed = false;
                 let mut resolved_atoms = Vec::new();
                 for lit in opt {
@@ -652,14 +652,12 @@ mod tests {
     /// one literal of it is, so `Σ ⊨ Q(X → Y)` iff no single-literal
     /// target has a countermodel.
     fn split_implies(sigma: &[Rule], phi: &Rule) -> bool {
-        let [y] = &phi.options[..] else {
+        let [y] = phi.options() else {
             panic!("{}: the split needs one conjunctive option", phi.name)
         };
         y.iter().all(|target| {
-            let single = Rule {
-                options: vec![vec![target.clone()]],
-                ..phi.clone()
-            };
+            let (q, x) = (phi.pattern.clone(), phi.premises().to_vec());
+            let single = Rule::new(&phi.name, q, x, vec![vec![target.clone()]]);
             !has_countermodel(sigma, &single)
         })
     }
@@ -745,8 +743,8 @@ mod tests {
                         .collect::<Vec<_>>()
                         .join(" ∧ ")
                 };
-                let options: Vec<String> = r.options.iter().map(|o| lits(o)).collect();
-                let (x, y) = (lits(&r.premises), options.join(" | "));
+                let options: Vec<String> = r.options().iter().map(|o| lits(o)).collect();
+                let (x, y) = (lits(r.premises()), options.join(" | "));
                 let _ = writeln!(out, "  {}: {} ({x} → {y})", r.name, r.pattern);
             }
             out

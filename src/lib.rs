@@ -33,9 +33,7 @@ pub mod prelude {
     pub use ged_core::constraint::ViolationKind;
     pub use ged_core::ged::{Ged, GedClass};
     pub use ged_core::literal::Literal;
-    pub use ged_core::reason::{
-        build_model, implies, is_satisfiable, minimize, validate, Validator,
-    };
+    pub use ged_core::reason::{build_model, implies, is_satisfiable, minimize, validate};
     pub use ged_core::rule::Rule;
     pub use ged_core::satisfy::{is_model, satisfies, satisfies_all, violations};
     pub use ged_engine::{

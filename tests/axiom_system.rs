@@ -25,8 +25,8 @@ fn tampered_conclusion_is_rejected() {
     let c = &proof.steps[last].conclusion;
     proof.steps[last].conclusion = Ged::new(
         "forged",
-        c.pattern.clone(),
-        c.premises.clone(),
+        c.pattern().clone(),
+        c.premises().to_vec(),
         vec![lit("FORGED")],
     );
     assert!(proof.check().is_err(), "forged conclusion must not check");

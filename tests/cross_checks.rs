@@ -76,8 +76,8 @@ proptest! {
             vec![Literal::vars(Var(0), sym("A"), Var(1), sym("A"))],
             vec![Literal::vars(Var(0), sym("B"), Var(1), sym("B"))],
         );
-        let split: Vec<Rule> = (ged.conclusions.iter())
-            .map(|l| disj::new("g∨", ged.pattern.clone(), ged.premises.clone(), vec![l.clone()]))
+        let split: Vec<Rule> = (ged.conclusions().iter())
+            .map(|l| disj::new("g∨", ged.pattern().clone(), ged.premises().to_vec(), vec![l.clone()]))
             .collect();
         prop_assert_eq!(satisfies(&g, &Rule::from(ged)), satisfies_all(&g, &split));
     }
@@ -141,7 +141,7 @@ fn egd_pair_end_to_end() {
 fn gkey_shapes() {
     use ged_datagen::rules;
     for key in rules::music_keys() {
-        assert!(key.is_gkey(), "{} must be a GKey", key.name);
+        assert!(key.is_gkey(), "{} must be a GKey", key.name());
         assert_eq!(key.class(), GedClass::GKey);
     }
 }

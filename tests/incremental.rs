@@ -340,7 +340,7 @@ fn pushed_down_premises_stay_in_lockstep_with_the_oracle() {
     let (g, sigma) = pushdown_workload();
     assert!(
         sigma[4]
-            .premises
+            .premises()
             .iter()
             .any(|l| l.as_eq_literal().is_none()),
         "the GDC has a premise outside the equality fragment"

@@ -36,10 +36,10 @@ fn mixed_with_redundancy() -> Start {
     let real = w.sigma[0]
         .as_chase_ged()
         .expect("the mixed Σ opens with a GED");
-    let (x, y) = (real.premises.clone(), real.conclusions.clone());
+    let (x, y) = (real.premises().to_vec(), real.conclusions().to_vec());
     let mut narrower = x.clone();
     narrower.push(Literal::constant(Var(0), sym("tier"), "pro"));
-    let q = || real.pattern.clone();
+    let q = || real.pattern().clone();
     let mut sigma = w.sigma.clone();
     sigma.push(Ged::new("real-again", q(), x, y.clone()).into());
     sigma.push(Ged::new("real-if-pro", q(), narrower, y).into());
